@@ -1,7 +1,7 @@
 package vita
 
-// This file is the benchmark harness required by DESIGN.md §4: one bench per
-// reproduced figure/claim (E1-E10) plus the ablations (A1-A4) and
+// This file is the benchmark harness: one bench per reproduced figure/claim
+// (E1-E10, see internal/experiments) plus the ablations (A1-A4) and
 // micro-benchmarks for the hot substrates. Run:
 //
 //	go test -bench=. -benchmem
@@ -1011,5 +1011,103 @@ func BenchmarkPlanTraceOverhead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scan(false)
+	}
+}
+
+// benchBatchSource serves prepared batches as a plan leaf, so an operator
+// benchmark pays nothing below the operator it measures.
+type benchBatchSource []*colstore.TrajectoryBatch
+
+func (s benchBatchSource) Open(colstore.Predicate) (plan.TrajectoryCursor, error) {
+	return &benchBatchCursor{batches: s}, nil
+}
+
+type benchBatchCursor struct {
+	batches []*colstore.TrajectoryBatch
+	next    int
+}
+
+func (c *benchBatchCursor) Next() bool                       { c.next++; return c.next <= len(c.batches) }
+func (c *benchBatchCursor) Batch() *colstore.TrajectoryBatch { return c.batches[c.next-1] }
+func (c *benchBatchCursor) Err() error                       { return nil }
+func (c *benchBatchCursor) Stats() colstore.ScanStats        { return colstore.ScanStats{} }
+func (c *benchBatchCursor) Close() error                     { return nil }
+
+// BenchmarkPlanOrderBy times the blocking sort on 20 000 rows in 4 096-row
+// batches, in the two shapes that bracket it. "dwell" is the served dwell
+// plan's sort — (obj, t) over a stream that arrives in time order, 125
+// objects a second — where the t key is skipped after one pass and obj takes
+// one radix pass. "shuffled" is the worst case: two float keys over random
+// coordinates, every key byte varying. Both report ns/row and fail past a
+// fixed allocation budget: a steady-state OrderBy buffers in pooled scratch,
+// so its allocations are the plan's own constant, whatever the row count.
+func BenchmarkPlanOrderBy(b *testing.B) {
+	const rows, objects, batchRows = 20000, 125, 4096
+	r := rng.New(12)
+	var src benchBatchSource
+	for i := 0; i < rows; i++ {
+		if i%batchRows == 0 {
+			src = append(src, &colstore.TrajectoryBatch{})
+		}
+		src[len(src)-1].Append(trajectory.Sample{
+			ObjID: i % objects,
+			Loc:   model.At("mall", i%3, fmt.Sprintf("shop-%d", (i/7)%40), geom.Pt(r.Float64()*200, r.Float64()*80)),
+			T:     float64(i / objects),
+		})
+	}
+	for _, shape := range []struct {
+		name    string
+		keys    []plan.SortKey
+		ordered func(tr *colstore.TrajectoryBatch, i int) bool // rows i-1, i in order
+	}{
+		{"dwell", []plan.SortKey{plan.Asc(plan.ColObjID), plan.Asc(plan.ColT)},
+			func(tr *colstore.TrajectoryBatch, i int) bool {
+				return tr.ObjID[i-1] < tr.ObjID[i] || tr.ObjID[i-1] == tr.ObjID[i] && tr.T[i-1] <= tr.T[i]
+			}},
+		{"shuffled", []plan.SortKey{plan.Asc(plan.ColX), plan.Desc(plan.ColY)},
+			func(tr *colstore.TrajectoryBatch, i int) bool {
+				return tr.X[i-1] < tr.X[i] || tr.X[i-1] == tr.X[i] && tr.Y[i-1] >= tr.Y[i]
+			}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			sortOnce := func() {
+				c, err := plan.NewScan(src).OrderBy(shape.keys...).Compile()
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for c.Next() {
+					tr := c.Batch().Traj
+					for i := 1; i < tr.Len(); i++ {
+						if !shape.ordered(tr, i) {
+							b.Fatalf("rows %d and %d out of order", i-1, i)
+						}
+					}
+					n += tr.Len()
+				}
+				if err := c.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if n != rows {
+					b.Fatalf("sorted %d rows, want %d", n, rows)
+				}
+			}
+			sortOnce() // fill the scratch pool
+			// The plan's nodes, the compiled tree and the cursor: a dozen
+			// objects, with slack for a GC emptying the pool mid-measurement.
+			// Anything per row or per batch overshoots at once.
+			const budget = 48
+			allocs := testing.AllocsPerRun(10, sortOnce)
+			if allocs > budget {
+				b.Fatalf("steady-state OrderBy of %d rows costs %.0f allocs, budget %d", rows, allocs, budget)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sortOnce()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			b.ReportMetric(allocs, "allocs/sort")
+		})
 	}
 }

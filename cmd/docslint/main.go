@@ -1,5 +1,5 @@
 // Command docslint keeps the documentation wired to the code. It enforces
-// two invariants CI cannot catch with go vet alone:
+// three invariants CI cannot catch with go vet alone:
 //
 //  1. Every Go package in the module (root, internal/..., cmd/...,
 //     examples/...) carries a package comment, so `go doc` always has
@@ -7,6 +7,10 @@
 //  2. Every relative link in the top-level documents (README.md,
 //     docs/ARCHITECTURE.md) resolves to a file or directory that exists,
 //     so refactors cannot silently strand the architecture docs.
+//  3. Every markdown file a Go comment names, bare or with its directory,
+//     exists — looked up from the module root, then beside the Go file,
+//     then by bare name anywhere in the module — so a comment cannot cite a
+//     design document that was never written or has since been deleted.
 //
 // Usage: docslint [-root dir]. Exits non-zero listing every violation.
 package main
@@ -32,6 +36,7 @@ func main() {
 	for _, doc := range []string{"README.md", filepath.Join("docs", "ARCHITECTURE.md")} {
 		problems = append(problems, lintMarkdownLinks(*root, doc)...)
 	}
+	problems = append(problems, lintGoCommentDocs(*root)...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -43,12 +48,10 @@ func main() {
 	fmt.Println("docslint: ok")
 }
 
-// lintPackageComments walks every directory holding non-test Go files and
-// requires at least one file to carry a package doc comment.
-func lintPackageComments(root string) []string {
-	var problems []string
-	pkgFiles := make(map[string][]string) // dir -> non-test .go files
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// walkFiles calls visit for every file under root whose name ends in ext,
+// skipping dot-directories and testdata.
+func walkFiles(root, ext string, visit func(path string)) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -59,11 +62,23 @@ func lintPackageComments(root string) []string {
 			}
 			return nil
 		}
-		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(name, ext) {
+			visit(path)
+		}
+		return nil
+	})
+}
+
+// lintPackageComments walks every directory holding non-test Go files and
+// requires at least one file to carry a package doc comment.
+func lintPackageComments(root string) []string {
+	var problems []string
+	pkgFiles := make(map[string][]string) // dir -> non-test .go files
+	err := walkFiles(root, ".go", func(path string) {
+		if !strings.HasSuffix(path, "_test.go") {
 			dir := filepath.Dir(path)
 			pkgFiles[dir] = append(pkgFiles[dir], path)
 		}
-		return nil
 	})
 	if err != nil {
 		return []string{fmt.Sprintf("docslint: walk: %v", err)}
@@ -121,4 +136,50 @@ func lintMarkdownLinks(root, doc string) []string {
 		}
 	}
 	return problems
+}
+
+// mdNameRe matches a markdown file name, with any directory prefix, as it
+// appears in running comment text.
+var mdNameRe = regexp.MustCompile(`[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b`)
+
+// lintGoCommentDocs requires every markdown file named in a Go comment (test
+// files included) to exist: at the path as written from the module root or
+// from the Go file's directory, or — for a bare name — anywhere in the module.
+func lintGoCommentDocs(root string) []string {
+	known := make(map[string]bool) // base names of the module's markdown files
+	var goFiles []string
+	err := walkFiles(root, ".md", func(path string) { known[filepath.Base(path)] = true })
+	if err == nil {
+		err = walkFiles(root, ".go", func(path string) { goFiles = append(goFiles, path) })
+	}
+	if err != nil {
+		return []string{fmt.Sprintf("docslint: walk: %v", err)}
+	}
+	var problems []string
+	fset := token.NewFileSet()
+	for _, path := range goFiles {
+		parsed, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", path, err))
+			continue
+		}
+		for _, group := range parsed.Comments {
+			for _, c := range group.List {
+				for _, name := range mdNameRe.FindAllString(c.Text, -1) {
+					rel := filepath.FromSlash(name)
+					if known[name] || exists(filepath.Join(root, rel)) || exists(filepath.Join(filepath.Dir(path), rel)) {
+						continue
+					}
+					problems = append(problems, fmt.Sprintf("%s: comment names %q, which does not exist",
+						fset.Position(c.Pos()), name))
+				}
+			}
+		}
+	}
+	return problems
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

@@ -1,6 +1,6 @@
-// Command vitabench runs Vita's reproduction experiments (DESIGN.md §4-§5)
-// and prints one table per experiment — the material recorded in
-// EXPERIMENTS.md.
+// Command vitabench runs Vita's reproduction experiments (E1-E10 and the
+// ablations A1-A4 of internal/experiments) and prints one table per
+// experiment.
 //
 // Usage:
 //

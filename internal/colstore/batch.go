@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"slices"
+
 	"vita/internal/geom"
 	"vita/internal/model"
 	"vita/internal/rssi"
@@ -90,37 +92,98 @@ func (b *TrajectoryBatch) Bytes() int64 {
 	return size
 }
 
-// filter compacts the batch in place to the rows matching p, preserving
-// order.
-func (b *TrajectoryBatch) filter(p Predicate) {
-	if !p.HasTime && !p.HasFloor && !p.HasBox && !p.HasObj {
-		return
-	}
-	k := 0
-	for i := 0; i < b.Len(); i++ {
-		if !p.MatchTrajectory(b.Row(i)) {
-			continue
-		}
-		if i != k {
-			b.ObjID[k] = b.ObjID[i]
-			b.Building[k] = b.Building[i]
-			b.Floor[k] = b.Floor[i]
-			b.Partition[k] = b.Partition[i]
-			b.X[k], b.Y[k], b.T[k] = b.X[i], b.Y[i], b.T[i]
-			b.HasPoint[k] = b.HasPoint[i]
-		}
-		k++
-	}
-	b.truncate(k)
+// AppendBatch bulk-appends every row of src, one copy per column — how a
+// blocking operator buffers its input without touching rows.
+func (b *TrajectoryBatch) AppendBatch(src *TrajectoryBatch) {
+	b.ObjID = append(b.ObjID, src.ObjID...)
+	b.Building = append(b.Building, src.Building...)
+	b.Floor = append(b.Floor, src.Floor...)
+	b.Partition = append(b.Partition, src.Partition...)
+	b.X = append(b.X, src.X...)
+	b.Y = append(b.Y, src.Y...)
+	b.T = append(b.T, src.T...)
+	b.HasPoint = append(b.HasPoint, src.HasPoint...)
 }
 
-func (b *TrajectoryBatch) truncate(k int) {
-	b.ObjID = b.ObjID[:k]
-	b.Building = b.Building[:k]
-	b.Floor = b.Floor[:k]
-	b.Partition = b.Partition[:k]
-	b.X, b.Y, b.T = b.X[:k], b.Y[:k], b.T[:k]
-	b.HasPoint = b.HasPoint[:k]
+// Gather overwrites b with the rows of src that idx names, in idx order: one
+// pass per column. It serves filter compaction (idx = a selection) and
+// reordering (idx = a sort permutation) alike. b may be src itself when idx
+// is strictly ascending — the in-place compaction a cursor applies to its own
+// scratch batch; otherwise b and src must not share columns.
+func (b *TrajectoryBatch) Gather(src *TrajectoryBatch, idx []int32) {
+	b.ObjID = gather(b.ObjID, src.ObjID, idx)
+	b.Building = gather(b.Building, src.Building, idx)
+	b.Floor = gather(b.Floor, src.Floor, idx)
+	b.Partition = gather(b.Partition, src.Partition, idx)
+	b.X = gather(b.X, src.X, idx)
+	b.Y = gather(b.Y, src.Y, idx)
+	b.T = gather(b.T, src.T, idx)
+	b.HasPoint = gather(b.HasPoint, src.HasPoint, idx)
+}
+
+// gather returns dst resized to len(idx) with dst[k] = src[idx[k]]. When dst
+// aliases src and idx ascends, every read is at or ahead of its write.
+func gather[T any](dst, src []T, idx []int32) []T {
+	dst = slices.Grow(dst[:0], len(idx))[:len(idx)]
+	for k, i := range idx {
+		dst[k] = src[i]
+	}
+	return dst
+}
+
+// SelectTrajectory is the columnar form of MatchTrajectory: it returns, in
+// sel's storage, the ascending indices of b's rows that satisfy p — one tight
+// loop over one column per active constraint, each narrowing the selection
+// the previous one left. Row for row it agrees with MatchTrajectory(b.Row(i)).
+func (p Predicate) SelectTrajectory(b *TrajectoryBatch, sel []int32) []int32 {
+	sel = slices.Grow(sel[:0], b.Len())[:b.Len()]
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	if p.HasTime {
+		k := 0
+		for _, i := range sel {
+			if t := b.T[i]; !(t < p.T0 || t > p.T1) {
+				sel[k] = i
+				k++
+			}
+		}
+		sel = sel[:k]
+	}
+	if p.HasObj {
+		obj, k := int64(p.Obj), 0
+		for _, i := range sel {
+			if b.ObjID[i] == obj {
+				sel[k] = i
+				k++
+			}
+		}
+		sel = sel[:k]
+	}
+	if p.HasFloor {
+		floor, k := int64(p.Floor), 0
+		for _, i := range sel {
+			if b.Floor[i] == floor {
+				sel[k] = i
+				k++
+			}
+		}
+		sel = sel[:k]
+	}
+	if p.HasBox {
+		// geom.BBox.Contains, with its Eps tolerance folded into the bounds.
+		x0, x1 := p.Box.Min.X-geom.Eps, p.Box.Max.X+geom.Eps
+		y0, y1 := p.Box.Min.Y-geom.Eps, p.Box.Max.Y+geom.Eps
+		k := 0
+		for _, i := range sel {
+			if x, y := b.X[i], b.Y[i]; b.HasPoint[i] && x >= x0 && x <= x1 && y >= y0 && y <= y1 {
+				sel[k] = i
+				k++
+			}
+		}
+		sel = sel[:k]
+	}
+	return sel
 }
 
 // RSSIBatch holds one block's worth of decoded RSSI measurements in column

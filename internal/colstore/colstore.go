@@ -269,6 +269,26 @@ func (p Predicate) skipBlock(zm ZoneMap) bool {
 	return false
 }
 
+// CoversBlock is SkipBlock's dual: it reports whether the zone map proves
+// every row of the block matches p, so a caller may pass the decoded block on
+// without filtering it. A box constraint never proves out — zone maps do not
+// record whether every row carries a point.
+func (p Predicate) CoversBlock(zm ZoneMap) bool {
+	if p.HasBox {
+		return false
+	}
+	if p.HasTime && !(zm.T0 >= p.T0 && zm.T1 <= p.T1) {
+		return false
+	}
+	if p.HasObj && (zm.ObjMin != p.Obj || zm.ObjMax != p.Obj) {
+		return false
+	}
+	if p.HasFloor && (zm.FloorMin != p.Floor || zm.FloorMax != p.Floor) {
+		return false
+	}
+	return true
+}
+
 // matchCommon checks the kind-independent constraints (time, object).
 func (p Predicate) matchCommon(objID int, t float64) bool {
 	if p.HasTime && (t < p.T0 || t > p.T1) {

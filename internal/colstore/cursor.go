@@ -75,7 +75,12 @@ func (c *TrajectoryCursor) Next() bool {
 		if n := c.sc.batch.Bytes(); n > c.peak {
 			c.peak = n
 		}
-		c.sc.batch.filter(c.pred)
+		if !c.pred.CoversBlock(c.rd.zones[i]) {
+			c.sc.sel = c.pred.SelectTrajectory(&c.sc.batch, c.sc.sel)
+			if len(c.sc.sel) < c.sc.batch.Len() {
+				c.sc.batch.Gather(&c.sc.batch, c.sc.sel)
+			}
+		}
 		c.stats.RowsMatched += c.sc.batch.Len()
 		if c.sc.batch.Len() == 0 {
 			continue // zone map matched but no row did; pull the next block

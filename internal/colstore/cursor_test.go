@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"vita/internal/geom"
@@ -266,5 +267,93 @@ func TestCursorStatsAcrossPredicates(t *testing.T) {
 	}
 	if st.RowsMatched == 0 {
 		t.Fatalf("window matched nothing: %+v", st)
+	}
+}
+
+// TestSelectMatchesRowPredicate holds the columnar filter kernel to the row
+// predicate it replaced: for every predicate shape, over rows that include
+// point-less ones, NaN timestamps and coordinates sitting on a box edge,
+// SelectTrajectory names exactly the rows MatchTrajectory accepts; Gather
+// through that selection (into a second batch, and in place) yields exactly
+// those rows; and CoversBlock only ever claims a block whose every row
+// matches.
+func TestSelectMatchesRowPredicate(t *testing.T) {
+	samples := awkwardSamples()
+	samples[7].T = math.NaN()
+	samples[8].Loc.Point.X = math.NaN()
+	box := geom.BBox{Min: geom.Pt(-400, 5), Max: geom.Pt(900, 20)}
+	samples[9].Loc.Point = geom.Pt(box.Min.X-geom.Eps/2, box.Max.Y+geom.Eps/2) // inside by tolerance
+	samples[10].Loc.Point = geom.Pt(box.Min.X-2*geom.Eps, 10)                  // outside by more
+	samples[11].Loc = samples[9].Loc
+	samples[11].Loc.HasPoint = false // in the box, but symbolic
+
+	preds := cursorPreds()
+	preds["awkward box"] = Predicate{HasBox: true, Box: box}
+	preds["awkward all four"] = Predicate{HasTime: true, T0: 1, T1: 200, HasFloor: true, Floor: -1,
+		HasBox: true, Box: box, HasObj: true, Obj: 37 * 43}
+	preds["awkward floor+obj"] = Predicate{HasFloor: true, Floor: 2, HasObj: true, Obj: 37 * 4}
+	preds["one instant"] = TimeWindow(2.5, 2.5)
+
+	var whole TrajectoryBatch
+	for _, s := range samples {
+		whole.Append(s)
+	}
+	var sel []int32
+	for name, p := range preds {
+		sel = p.SelectTrajectory(&whole, sel)
+		var want []trajectory.Sample
+		k := 0
+		for i := 0; i < whole.Len(); i++ {
+			row := whole.Row(i)
+			if !p.MatchTrajectory(row) {
+				continue
+			}
+			want = append(want, row)
+			if k >= len(sel) || int(sel[k]) != i {
+				t.Fatalf("%s: row %d matches but the selection skips it", name, i)
+			}
+			k++
+		}
+		if k != len(sel) {
+			t.Fatalf("%s: selection has %d rows, MatchTrajectory accepts %d", name, len(sel), k)
+		}
+
+		var copied, inPlace TrajectoryBatch
+		copied.Gather(&whole, sel)
+		inPlace.AppendBatch(&whole)
+		inPlace.Gather(&inPlace, sel)
+		for _, got := range []*TrajectoryBatch{&copied, &inPlace} {
+			if got.Len() != len(want) {
+				t.Fatalf("%s: gathered %d rows, want %d", name, got.Len(), len(want))
+			}
+			for i := range want {
+				if !sampleEqual(got.Row(i), want[i]) {
+					t.Fatalf("%s: gathered row %d is %+v, want %+v", name, i, got.Row(i), want[i])
+				}
+			}
+		}
+	}
+
+	// CoversBlock against real zone maps: whenever it says yes, no row of the
+	// block may fail the predicate.
+	tr := readTrajectory(t, writeTrajectory(t, gridSamples(6, 600), Options{BlockSize: 64}))
+	covered := 0
+	for name, p := range cursorPreds() {
+		for i, zm := range tr.Blocks() {
+			if !p.CoversBlock(zm) {
+				continue
+			}
+			covered++
+			b, err := tr.DecodeBlockBatch(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.SelectTrajectory(b, nil); len(got) != b.Len() {
+				t.Errorf("%s: block %d claimed covered, but %d of %d rows match", name, i, len(got), b.Len())
+			}
+		}
+	}
+	if covered == 0 {
+		t.Error("no predicate covered any block; the check proved nothing")
 	}
 }

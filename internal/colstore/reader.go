@@ -346,7 +346,8 @@ func (tr *TrajectoryReader) DecodeBlock(i int) ([]trajectory.Sample, error) {
 // DecodeBlockBatch decodes block i in full into a freshly allocated column
 // batch the caller owns — the cache entry point: a serving layer keeps
 // decoded batches resident (their footprint is what Bytes reports), fetches
-// them here once, and filters rows itself with Predicate.MatchTrajectory.
+// them here once, and filters each query's rows itself with
+// Predicate.SelectTrajectory.
 // Safe for concurrent use.
 func (tr *TrajectoryReader) DecodeBlockBatch(i int) (*TrajectoryBatch, error) {
 	if i < 0 || i >= len(tr.rd.zones) {

@@ -21,6 +21,7 @@ type decodeScratch struct {
 
 	i64  []int64  // scaled-float intermediate column
 	dict []string // per-block string dictionary
+	sel  []int32  // row selection of a cursor's predicate filter
 
 	// interned maps previously seen column strings to one shared copy, so a
 	// steady-state scan allocates a string only the first time a distinct

@@ -14,7 +14,7 @@ import (
 )
 
 // AblationLoS compares the explicit line-of-sight obstacle term against a
-// constant penalty (DESIGN.md §5): LoS noise makes fingerprints more
+// constant penalty: LoS noise makes fingerprints more
 // location-specific, improving fingerprinting accuracy.
 func AblationLoS(seed uint64) (*Table, error) {
 	t := &Table{

@@ -8,7 +8,7 @@ import (
 
 // TestAllExperimentsRun executes every experiment and ablation end to end;
 // each returns a non-empty, well-formed table. This is the integration net
-// that keeps EXPERIMENTS.md reproducible.
+// that keeps cmd/vitabench's tables reproducible.
 func TestAllExperimentsRun(t *testing.T) {
 	for _, exp := range All() {
 		exp := exp

@@ -1,5 +1,5 @@
-// Package experiments implements the reproduction experiments of DESIGN.md
-// §4 (E1-E10) and the ablations of §5. The paper is a demonstration and has
+// Package experiments implements the reproduction experiments (E1-E10) and
+// the ablations (A1-A4). The paper is a demonstration and has
 // no quantitative tables; each experiment here realizes one of its figures
 // or behavioral claims as a measurable table. cmd/vitabench prints the
 // tables; the root bench_test.go wraps each as a testing.B benchmark.
@@ -81,7 +81,7 @@ type Runner struct {
 	Run  func(seed uint64) (*Table, error)
 }
 
-// All returns every experiment and ablation in DESIGN.md order.
+// All returns every experiment (E1-E10), then every ablation (A1-A4).
 func All() []Runner {
 	return []Runner{
 		{"E1", "pipeline end-to-end data flow", E1Pipeline},

@@ -11,7 +11,8 @@ import (
 // clinic/mall/office IFC files used in the paper's demonstration (§5 step 1).
 // Each generator builds a model.Building whose IFC text (via Write) feeds the
 // normal Parse→Extract path, so the pipeline is always exercised through
-// real file parsing. See DESIGN.md §2 for the substitution rationale.
+// real file parsing: the paper's IFC files are not redistributable, the
+// generators are.
 
 // OfficeSpec parameterizes the synthetic office building, modeled on the
 // two-floor floor plans of Figure 3: rooms on both sides of a central

@@ -7,8 +7,8 @@ import (
 )
 
 // Grid is a uniform grid index over Items. It serves as the ablation baseline
-// for the R-tree (DESIGN.md §5) and as the fast device-in-range lookup used
-// during RSSI generation.
+// for the R-tree (experiments.AblationIndex) and as the fast device-in-range
+// lookup used during RSSI generation.
 type Grid struct {
 	bounds   geom.BBox
 	cellSize float64

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"math"
-	"sort"
 
 	"vita/internal/colstore"
 	"vita/internal/trajectory"
@@ -29,6 +28,25 @@ func (bc *batchCols) appendRow(s trajectory.Sample, val float64) {
 	if bc.useVal {
 		bc.val = append(bc.val, val)
 	}
+}
+
+// appendBatch bulk-appends every row of in, column by column. Rows of
+// batches that carry no Val column read as 0 once any batch brings one.
+func (bc *batchCols) appendBatch(in *Batch) {
+	if in.Val != nil {
+		bc.useVal = true
+		bc.padVal()
+		bc.val = append(bc.val, in.Val[:min(len(in.Val), in.Len())]...)
+	}
+	bc.traj.AppendBatch(in.Traj)
+	if bc.useVal {
+		bc.padVal()
+	}
+}
+
+// padVal zero-extends the Val column to the trajectory columns' length.
+func (bc *batchCols) padVal() {
+	bc.val = append(bc.val, make([]float64, bc.traj.Len()-len(bc.val))...)
 }
 
 func (bc *batchCols) len() int { return bc.traj.Len() }
@@ -303,89 +321,6 @@ func DwellGaps(maxGap float64) DeriveFunc {
 		}
 	}
 }
-
-// --- OrderBy ---
-
-// SortKey is one OrderBy key: a column and a direction.
-type SortKey struct {
-	Col  Col
-	Desc bool
-}
-
-// Asc sorts ascending by c.
-func Asc(c Col) SortKey { return SortKey{Col: c} }
-
-// Desc sorts descending by c.
-func Desc(c Col) SortKey { return SortKey{Col: c, Desc: true} }
-
-// orderByOp is the blocking sort: it drains the child into an owned buffer
-// on first Next, stable-sorts by the keys, and emits one output batch.
-type orderByOp struct {
-	child Operator
-	keys  []SortKey
-	built bool
-	done  bool
-	rows  []Row
-	bc    batchCols
-}
-
-func newOrderByOp(child Operator, keys []SortKey) Operator {
-	return &orderByOp{child: child, keys: keys}
-}
-
-func (o *orderByOp) build() bool {
-	o.built = true
-	useVal := false
-	for o.child.Next() {
-		in := o.child.Batch()
-		if in.Val != nil {
-			useVal = true
-		}
-		for i := 0; i < in.Len(); i++ {
-			r := Row{Sample: in.Traj.Row(i)}
-			if i < len(in.Val) {
-				r.Val = in.Val[i]
-			}
-			o.rows = append(o.rows, r)
-		}
-	}
-	if o.child.Err() != nil {
-		return false
-	}
-	sort.SliceStable(o.rows, func(i, j int) bool {
-		a, b := o.rows[i], o.rows[j]
-		for _, k := range o.keys {
-			c := sampleColCompare(a.Sample, a.Val, b.Sample, b.Val, k.Col)
-			if c == 0 {
-				continue
-			}
-			return (c < 0) != k.Desc
-		}
-		return false
-	})
-	o.bc.reset(useVal)
-	for _, r := range o.rows {
-		o.bc.appendRow(r.Sample, r.Val)
-	}
-	o.rows = nil
-	return o.bc.len() > 0
-}
-
-func (o *orderByOp) Next() bool {
-	if o.done {
-		return false
-	}
-	o.done = true
-	if !o.built {
-		return o.build()
-	}
-	return false
-}
-
-func (o *orderByOp) Batch() *Batch             { return o.bc.batch() }
-func (o *orderByOp) Err() error                { return o.child.Err() }
-func (o *orderByOp) Stats() colstore.ScanStats { return o.child.Stats() }
-func (o *orderByOp) Close() error              { return o.child.Close() }
 
 // --- Limit ---
 

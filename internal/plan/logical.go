@@ -97,7 +97,12 @@ func (p *Plan) Aggregate(groupBy []Col, aggs ...AggSpec) *Plan {
 	return &Plan{kind: nodeAggregate, input: p, cols: groupBy, aggs: aggs}
 }
 
-// OrderBy sorts all rows by the given keys (blocking; stable).
+// OrderBy sorts all rows by the given keys, first key most significant
+// (blocking; stable: rows equal on every key keep their input order).
+// ColObjID and ColFloor compare as integers, ColBuilding and ColPartition
+// lexicographically, the float columns numerically with -0 equal to +0. A NaN
+// sorts after every number under Asc and before every number under Desc, and
+// NaNs tie with each other.
 func (p *Plan) OrderBy(keys ...SortKey) *Plan {
 	return &Plan{kind: nodeOrderBy, input: p, keys: keys}
 }

@@ -1,0 +1,94 @@
+package serve
+
+import (
+	"runtime"
+	"testing"
+
+	"vita/internal/colstore"
+	"vita/internal/storage"
+)
+
+// BenchmarkCachedScan times the cached-VTB scan leaf on a warm cache: five
+// 512-row blocks under a time+floor predicate that prunes nothing, covers
+// nothing (both floors occur in every block) and keeps half of each block —
+// so every block goes through the columnar filter into the cursor's scratch
+// batch. It lives here, not in the root bench_test.go, because the leaf is
+// unexported. Two allocation gates: the first Next sizes the scratch and no
+// later batch may allocate at all; and a whole warm scan — open, prune, cache
+// lookups, drain — stays within a fixed budget that no per-row or per-block
+// cost would fit in.
+func BenchmarkCachedScan(b *testing.B) {
+	const blocks = 5
+	dir := b.TempDir()
+	samples := testSamples()[:blocks*512]
+	writeDataset(b, dir, storage.FormatVTB, samples)
+	ds, err := Open(dir, Config{IndexEntries: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ds.Close()
+	pred := colstore.Predicate{HasTime: true, T0: 0, T1: 290, HasFloor: true, Floor: 1}
+	want := 0
+	for _, s := range samples {
+		if pred.MatchTrajectory(s) {
+			want++
+		}
+	}
+	// scan drains one warm load and returns how many mallocs the batches
+	// after the first cost.
+	var ms runtime.MemStats
+	scan := func(countTail bool) (tail uint64) {
+		src, err := ds.pinSource()
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer src.release()
+		cur, err := src.Open(pred)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, batches := 0, 0
+		for cur.Next() {
+			rows += cur.Batch().Len()
+			if batches++; batches == 1 && countTail {
+				runtime.ReadMemStats(&ms)
+				tail = ms.Mallocs
+			}
+		}
+		if countTail {
+			runtime.ReadMemStats(&ms)
+			tail = ms.Mallocs - tail
+		}
+		if err := cur.Close(); err != nil {
+			b.Fatal(err)
+		}
+		st := src.finalStats()
+		if rows != want || batches != blocks || st.CacheMisses != 0 || st.CacheHits != blocks {
+			b.Fatalf("warm scan: %d rows in %d batches, %+v; want %d rows in %d batches, all hits",
+				rows, batches, st, want, blocks)
+		}
+		return tail
+	}
+	if _, _, err := ds.Samples(pred); err != nil { // warm the cache
+		b.Fatal(err)
+	}
+
+	prev := runtime.GOMAXPROCS(1) // as testing.AllocsPerRun does: nobody else mallocs
+	tail := scan(true)
+	runtime.GOMAXPROCS(prev)
+	if tail != 0 {
+		b.Fatalf("batches after the first cost %d allocs, want 0", tail)
+	}
+	const budget = 40 // cursor, block and zone lists, scratch columns, selection
+	allocs := testing.AllocsPerRun(10, func() { scan(false) })
+	if allocs > budget {
+		b.Fatalf("warm cached scan costs %.0f allocs, budget %d", allocs, budget)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scan(false)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(samples)), "ns/row")
+	b.ReportMetric(allocs, "allocs/scan")
+}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"vita/internal/colstore"
-	"vita/internal/trajectory"
 )
 
 // blockKey names one decoded block: which segment it came from and its block
@@ -23,7 +22,8 @@ type blockKey struct {
 // (segment ID, block index). It holds fully decoded, unfiltered column
 // batches — the shape block decode produces, and ~25% smaller resident than
 // the equivalent []Sample — so one cached decode serves every predicate;
-// callers filter rows with colstore.Predicate.MatchTrajectory over Batch.Row.
+// callers filter with colstore.Predicate.SelectTrajectory into a batch of
+// their own.
 // Byte accounting is the decoded-batch footprint
 // (colstore.TrajectoryBatch.Bytes). Safe for concurrent use.
 type BlockCache struct {
@@ -164,21 +164,4 @@ func (c *BlockCache) keysMRU() []blockKey {
 		out = append(out, el.Value.(*cacheEntry).key)
 	}
 	return out
-}
-
-// sampleFixedBytes approximates the in-memory footprint of one sample minus
-// its string payloads: the struct itself (ObjID, Location with two string
-// headers, Point, HasPoint, T) rounded to 96 bytes.
-const sampleFixedBytes = 96
-
-// samplesBytes approximates the resident size of materialized rows: fixed
-// struct cost per row plus the string bytes they reference. The figure feeds
-// the index cache's byte budget; it intentionally ignores allocator slack
-// and string interning, so treat budgets as approximate.
-func samplesBytes(rows []trajectory.Sample) int64 {
-	n := int64(len(rows)) * sampleFixedBytes
-	for i := range rows {
-		n += int64(len(rows[i].Loc.Building) + len(rows[i].Loc.Partition))
-	}
-	return n
 }

@@ -349,142 +349,49 @@ func (d *Dataset) CacheStats() CacheStats {
 
 // Samples returns the samples matching pred in global time order (the order
 // a single file holding the same rows carries), along with what the load
-// cost. VTB datasets prune via zone maps per segment, serve hot blocks from
-// the cache, decode misses block-parallel, and merge multi-segment results;
-// CSV datasets filter the resident rows. With caching disabled both formats
-// stream instead — one block (or CSV row) in flight per segment, nothing
-// unfiltered retained — so one-shot callers like vitaquery keep the memory
-// profile of a plain scan.
+// cost. It drains the scan leaf every operator's plan sits on (planSource),
+// so rows, order and stats are those of a served query: VTB datasets prune
+// via zone maps per segment, serve hot blocks from the cache, decode misses
+// block-parallel, and merge multi-segment results; CSV datasets filter the
+// resident rows. With caching disabled both formats stream instead — one
+// block (or CSV batch) in flight per segment, nothing unfiltered retained —
+// so one-shot callers like vitaquery keep the memory profile of a plain scan.
 func (d *Dataset) Samples(pred colstore.Predicate) ([]trajectory.Sample, Stats, error) {
-	if d.format == storage.FormatCSV {
-		stats := Stats{Format: string(d.format)}
-		var out []trajectory.Sample
-		if d.resident == nil {
-			scan, _, err := storage.ScanTrajectoryFile(d.path, pred, func(s trajectory.Sample) {
-				out = append(out, s)
-			})
-			stats.Scan = scan
-			return out, stats, err
-		}
-		for _, s := range d.resident {
-			stats.Scan.RowsScanned++
-			if pred.MatchTrajectory(s) {
-				stats.Scan.RowsMatched++
-				out = append(out, s)
-			}
-		}
-		return out, stats, nil
+	src, err := d.pinSource()
+	if err != nil {
+		return nil, Stats{Format: string(d.format)}, err
 	}
-	set := d.acquireSet()
-	if set == nil {
-		return nil, Stats{Format: string(d.format)}, errClosed
+	defer src.release()
+	cur, err := src.Open(pred)
+	if err != nil {
+		return nil, src.finalStats(), err
 	}
-	defer set.release()
-	return d.samplesFromSet(set, pred)
+	var out []trajectory.Sample
+	for cur.Next() {
+		out = cur.Batch().AppendTo(out)
+	}
+	stats := src.finalStats()
+	return out, stats, cur.Close()
 }
 
-// samplesFromSet is the VTB load path over one pinned segment set, so a
-// caller building an index sees exactly the generation its cache key names.
-func (d *Dataset) samplesFromSet(set *segmentSet, pred colstore.Predicate) ([]trajectory.Sample, Stats, error) {
-	stats := Stats{Format: string(d.format)}
-	if d.log != nil {
-		stats.Segments = len(set.segs)
-	}
-
-	if d.cache == nil {
-		var out []trajectory.Sample
-		if len(set.segs) == 1 {
-			scan, err := set.segs[0].tr.ScanParallel(pred, d.par, func(s trajectory.Sample) {
-				out = append(out, s)
-			})
-			stats.Scan = scan
-			// Every scanned block was a decode; keep the misses-equal-decodes
-			// invariant the cached path maintains.
-			stats.CacheMisses = scan.BlocksScanned
-			return out, stats, err
-		}
-		cur := segmentCursor(set, pred)
-		for cur.Next() {
-			b := cur.Batch()
-			for i := 0; i < b.Len(); i++ {
-				out = append(out, b.Row(i))
-			}
-		}
-		stats.Scan = cur.Stats()
-		stats.CacheMisses = stats.Scan.BlocksScanned
-		return out, stats, cur.Close()
-	}
-
-	// First pass, per segment: prune via zone maps, pull what the cache
-	// already holds, and collect misses.
-	surviving := make([][]int, len(set.segs))
-	batches := make([][]*colstore.TrajectoryBatch, len(set.segs))
-	var misses []blockRef
-	for si, sg := range set.segs {
-		stats.Scan.BlocksTotal += len(sg.zones)
-		for i, zm := range sg.zones {
-			if pred.SkipBlock(zm) {
-				stats.Scan.BlocksPruned++
-			} else {
-				surviving[si] = append(surviving[si], i)
-			}
-		}
-		batches[si] = make([]*colstore.TrajectoryBatch, len(surviving[si]))
-		for j, i := range surviving[si] {
-			if cached, ok := d.cache.Get(sg.id, i); ok {
-				batches[si][j] = cached
-				stats.CacheHits++
-				continue
-			}
-			misses = append(misses, blockRef{sg: sg, block: i, si: si, j: j})
-		}
-	}
-	stats.CacheMisses = len(misses)
-
-	// Second pass: decode the misses block-parallel (straight out of the
-	// mmap region on the default open path) and cache the decoded batches.
-	if err := d.decodeMisses(misses, batches); err != nil {
-		return nil, stats, err
-	}
-
-	// Filter each segment's blocks in file order with the exact Scan
-	// semantics, then merge the per-segment runs into global time order.
-	runs := make([][]trajectory.Sample, len(set.segs))
-	for si := range set.segs {
-		for _, b := range batches[si] {
-			stats.Scan.BlocksScanned++
-			stats.Scan.RowsScanned += b.Len()
-			for i := 0; i < b.Len(); i++ {
-				if s := b.Row(i); pred.MatchTrajectory(s) {
-					stats.Scan.RowsMatched++
-					runs[si] = append(runs[si], s)
-				}
-			}
-		}
-	}
-	if len(runs) == 1 {
-		return runs[0], stats, nil
-	}
-	return mergeSampleRuns(runs), stats, nil
-}
-
-// blockRef names one block to decode: which segment, which block, and where
-// the decoded batch lands.
+// blockRef names one block to decode: which segment, which block, and the
+// cursor slot the decoded batch lands in.
 type blockRef struct {
 	sg    *segReader
 	block int
-	si, j int // destination: batches[si][j]
+	cur   *cachedCursor
+	j     int // destination: cur.blocks[j]
 }
 
-// decodeMisses decodes the missing blocks into their batch slots using up to
+// decodeMisses decodes the missing blocks into their cursor slots using up to
 // d.par workers, inserting each into the cache under its segment's ID.
-func (d *Dataset) decodeMisses(misses []blockRef, batches [][]*colstore.TrajectoryBatch) error {
+func (d *Dataset) decodeMisses(misses []blockRef) error {
 	decode := func(ref blockRef) error {
 		decoded, err := ref.sg.tr.DecodeBlockBatch(ref.block)
 		if err != nil {
 			return err
 		}
-		batches[ref.si][ref.j] = decoded
+		ref.cur.blocks[ref.j] = decoded
 		d.cache.Put(ref.sg.id, ref.block, decoded)
 		return nil
 	}

@@ -142,7 +142,18 @@ func TestMetricsUnderConcurrentQueriesAndRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A client can finish reading a response before the server's middleware
+	// has counted the request, so give the last handlers a moment to return.
+	counted := func(m map[string]float64) float64 {
+		return m[`vita_http_request_duration_seconds_count{endpoint="/v1/range"}`] +
+			m[`vita_http_request_duration_seconds_count{endpoint="/v1/knn"}`] +
+			m[`vita_http_request_duration_seconds_count{endpoint="/v1/traj"}`]
+	}
 	final := scrapeMetrics(t, ts.URL)
+	for deadline := time.Now().Add(2 * time.Second); counted(final) < 4*workers*iters && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		final = scrapeMetrics(t, ts.URL)
+	}
 
 	// Counters never move backwards, under any interleaving.
 	for series, v1 := range mid {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"vita/internal/colstore"
@@ -9,7 +10,6 @@ import (
 	"vita/internal/plan"
 	"vita/internal/query"
 	"vita/internal/storage"
-	"vita/internal/trajectory"
 )
 
 // The serve operators execute as plans over internal/plan: each endpoint
@@ -31,124 +31,208 @@ type planSource struct {
 	d   *Dataset
 	set *segmentSet // pinned by the caller; nil for CSV datasets
 
-	cur     plan.TrajectoryCursor // the opened leaf cursor
-	samples []trajectory.Sample   // materialized matched rows, when the path produces them
-	pre     *Stats                // full load stats, when the path computes them up front
+	cur          plan.TrajectoryCursor // the opened leaf cursor
+	hits, misses int                   // block-cache lookups of the cached-VTB load
+}
+
+// pinSource returns a single-use scan source over the dataset's current data:
+// for VTB it pins the live segment set, which the caller must release.
+func (d *Dataset) pinSource() (*planSource, error) {
+	src := &planSource{d: d}
+	if d.format != storage.FormatCSV {
+		if src.set = d.acquireSet(); src.set == nil {
+			return nil, errClosed
+		}
+	}
+	return src, nil
+}
+
+// release unpins the source's segment set.
+func (s *planSource) release() {
+	if s.set != nil {
+		s.set.release()
+	}
 }
 
 // Open selects the dataset's load path for pred. The stats semantics of
 // each branch replicate the pre-plan implementations exactly.
 func (s *planSource) Open(pred colstore.Predicate) (plan.TrajectoryCursor, error) {
 	d := s.d
+	var err error
 	switch {
 	case d.format == storage.FormatCSV && d.resident != nil:
-		// Resident CSV: filter the resident rows, counting every row
-		// scanned. The matched rows are retained for index-cache byte
-		// accounting, as the materializing path always did.
-		s.cur = &memCursor{samples: d.resident, pred: pred, filter: true, keep: &s.samples}
+		// Resident CSV: filter the resident rows, counting every row scanned.
+		s.cur, err = plan.SliceSource{Samples: d.resident}.Open(pred)
 	case d.format == storage.FormatCSV:
 		// Streaming CSV (no cache budget): parse straight from disk.
-		cur, _, err := storage.OpenTrajectoryCursor(d.path, pred)
-		if err != nil {
-			return nil, err
-		}
-		s.cur = cur
+		s.cur, _, err = storage.OpenTrajectoryCursor(d.path, pred)
 	case d.cache == nil:
 		// Cache-less VTB: stream the pinned segment set's blocks, merged
 		// across segments — one decoded batch per segment in flight.
 		s.cur = segmentCursor(s.set, pred)
 	default:
 		// Cached VTB: zone-map prune, pull hot blocks, decode misses
-		// block-parallel, merge to global time order — then serve the
-		// matched rows as batches with the load's stats attached.
-		samples, st, err := d.samplesFromSet(s.set, pred)
-		if err != nil {
-			return nil, err
-		}
-		s.samples = samples
-		s.pre = &st
-		s.cur = &memCursor{samples: samples, stats: st.Scan}
+		// block-parallel, then serve the cached batches themselves.
+		s.cur, err = s.openCached(pred)
 	}
-	return s.cur, nil
+	if err != nil {
+		s.cur = nil
+	}
+	return s.cur, err
 }
 
 // finalStats assembles the request's Stats after the plan has drained,
 // matching each load path's historical accounting.
 func (s *planSource) finalStats() Stats {
-	if s.pre != nil {
-		return *s.pre
-	}
 	d := s.d
 	st := Stats{Format: string(d.format)}
 	if s.cur == nil {
 		return st
 	}
 	st.Scan = s.cur.Stats()
-	if d.format == storage.FormatVTB {
-		// Every scanned block was a decode on the cache-less path; keep the
-		// misses-equal-decodes invariant the cached path maintains.
-		st.CacheMisses = st.Scan.BlocksScanned
-		// Peak comes from the cursor, which measures each batch before
-		// predicate filtering — the full decoded block is what was
-		// transiently resident, however few rows survived.
-		if p, ok := s.cur.(interface{ PeakDecodedBytes() int64 }); ok {
-			st.PeakDecodedBytes = p.PeakDecodedBytes()
-		}
-		if d.log != nil && s.set != nil {
-			st.Segments = len(s.set.segs)
-		}
+	if d.format != storage.FormatVTB {
+		return st
+	}
+	if d.log != nil {
+		st.Segments = len(s.set.segs)
+	}
+	if d.cache != nil {
+		st.CacheHits, st.CacheMisses = s.hits, s.misses
+		return st
+	}
+	// Every scanned block was a decode on the cache-less path; keep the
+	// misses-equal-decodes invariant the cached path maintains.
+	st.CacheMisses = st.Scan.BlocksScanned
+	// Peak comes from the cursor, which measures each batch before
+	// predicate filtering — the full decoded block is what was
+	// transiently resident, however few rows survived.
+	if p, ok := s.cur.(interface{ PeakDecodedBytes() int64 }); ok {
+		st.PeakDecodedBytes = p.PeakDecodedBytes()
 	}
 	return st
 }
 
-// memCursorBatch is how many rows one in-memory batch carries — the same
-// granularity as the CSV cursor, so plans see comparable batch sizes on
-// every path.
-const memCursorBatch = 4096
-
-// memCursor yields an in-memory sample slice as column batches. In filter
-// mode it applies pred row by row and counts scan stats (the resident-CSV
-// path); otherwise the rows are already filtered and stats are preset to
-// whatever the producer measured (the cached-VTB path).
-type memCursor struct {
-	samples []trajectory.Sample
-	pred    colstore.Predicate
-	filter  bool
-	keep    *[]trajectory.Sample // filter mode: collect matched rows here
-	stats   colstore.ScanStats
-	pos     int
-	batch   colstore.TrajectoryBatch
-	closed  bool
-}
-
-func (c *memCursor) Next() bool {
-	if c.closed {
-		return false
-	}
-	c.batch.Reset()
-	for c.pos < len(c.samples) && c.batch.Len() < memCursorBatch {
-		s := c.samples[c.pos]
-		c.pos++
-		if c.filter {
-			c.stats.RowsScanned++
-			if !c.pred.MatchTrajectory(s) {
+// openCached is the cached-VTB load over the pinned segment set. Up front,
+// per segment: prune by zone map, take what the cache holds, collect the
+// misses; then decode all misses block-parallel and cache them. What it
+// returns yields each surviving block as a batch — one cursor per segment,
+// merged into global time order, or one cursor running through every segment
+// when their surviving blocks' time ranges are strictly ascending, since the
+// merge would then take the segments whole, one after the other.
+func (s *planSource) openCached(pred colstore.Predicate) (plan.TrajectoryCursor, error) {
+	d := s.d
+	curs := make([]*cachedCursor, len(s.set.segs))
+	var misses []blockRef
+	for si, sg := range s.set.segs {
+		c := &cachedCursor{pred: pred, stats: colstore.ScanStats{BlocksTotal: len(sg.zones)}}
+		curs[si] = c
+		for i, zm := range sg.zones {
+			if pred.SkipBlock(zm) {
+				c.stats.BlocksPruned++
 				continue
 			}
-			c.stats.RowsMatched++
-			if c.keep != nil {
-				*c.keep = append(*c.keep, s)
+			cached, ok := d.cache.Get(sg.id, i)
+			if ok {
+				s.hits++
+			} else {
+				misses = append(misses, blockRef{sg: sg, block: i, cur: c, j: len(c.blocks)})
 			}
+			c.blocks = append(c.blocks, cached)
+			c.zones = append(c.zones, zm)
 		}
-		c.batch.Append(s)
 	}
-	return c.batch.Len() > 0
+	s.misses = len(misses)
+	if err := d.decodeMisses(misses); err != nil {
+		return nil, err
+	}
+
+	if len(curs) == 1 {
+		return curs[0], nil
+	}
+	ascending := true
+	lastT1 := math.Inf(-1)
+	for _, c := range curs {
+		if len(c.zones) == 0 {
+			continue
+		}
+		t0, t1 := c.timeRange()
+		if !(t0 > lastT1) {
+			ascending = false
+			break
+		}
+		lastT1 = t1
+	}
+	if ascending {
+		all := curs[0]
+		for _, c := range curs[1:] {
+			all.blocks = append(all.blocks, c.blocks...)
+			all.zones = append(all.zones, c.zones...)
+			all.stats.BlocksTotal += c.stats.BlocksTotal
+			all.stats.BlocksPruned += c.stats.BlocksPruned
+		}
+		return all, nil
+	}
+	inputs := make([]storage.TrajectoryCursor, len(curs))
+	for i, c := range curs {
+		inputs[i] = c
+	}
+	return storage.NewTrajectoryMergeCursor(inputs), nil
 }
 
-func (c *memCursor) Batch() *colstore.TrajectoryBatch { return &c.batch }
-func (c *memCursor) Err() error                       { return nil }
-func (c *memCursor) Stats() colstore.ScanStats        { return c.stats }
-func (c *memCursor) Close() error {
-	c.closed = true
+// cachedCursor yields a run of decoded blocks held by the block cache, each
+// as one batch of the rows matching pred. A block whose zone map lies wholly
+// inside the predicate — or whose every row turns out to match — is the
+// cached batch itself, untouched and uncopied; any other is filtered into
+// the cursor's one scratch batch. Cached batches are shared, so nothing here
+// writes to them.
+type cachedCursor struct {
+	pred   colstore.Predicate
+	blocks []*colstore.TrajectoryBatch // surviving blocks, in scan order
+	zones  []colstore.ZoneMap          // their zone maps
+	next   int
+	cur    *colstore.TrajectoryBatch
+	out    colstore.TrajectoryBatch // filtered copy of a partly matching block
+	sel    []int32
+	stats  colstore.ScanStats
+}
+
+// timeRange returns the span of the surviving blocks' zone-map time bounds.
+func (c *cachedCursor) timeRange() (t0, t1 float64) {
+	t0, t1 = math.Inf(1), math.Inf(-1)
+	for _, zm := range c.zones {
+		t0, t1 = min(t0, zm.T0), max(t1, zm.T1)
+	}
+	return t0, t1
+}
+
+func (c *cachedCursor) Next() bool {
+	for c.next < len(c.blocks) {
+		b, zm := c.blocks[c.next], c.zones[c.next]
+		c.next++
+		c.stats.BlocksScanned++
+		c.stats.RowsScanned += b.Len()
+		if !c.pred.CoversBlock(zm) {
+			c.sel = c.pred.SelectTrajectory(b, c.sel)
+			if len(c.sel) < b.Len() {
+				c.out.Gather(b, c.sel)
+				b = &c.out
+			}
+		}
+		if b.Len() == 0 {
+			continue // zone map matched but no row did; pull the next block
+		}
+		c.stats.RowsMatched += b.Len()
+		c.cur = b
+		return true
+	}
+	return false
+}
+
+func (c *cachedCursor) Batch() *colstore.TrajectoryBatch { return c.cur }
+func (c *cachedCursor) Err() error                       { return nil }
+func (c *cachedCursor) Stats() colstore.ScanStats        { return c.stats }
+func (c *cachedCursor) Close() error {
+	c.next = len(c.blocks)
 	return nil
 }
 
@@ -164,18 +248,13 @@ func (c *memCursor) Close() error {
 // "IndexBuild" wrapping the plan's per-operator trace on a miss; untraced
 // calls compile the plain (span-free) plan and return a nil span.
 func (d *Dataset) indexFor(traced bool, preds ...plan.Pred) (*query.TrajectoryIndex, Stats, *obs.Span, error) {
-	var set *segmentSet
-	if d.format != storage.FormatCSV {
-		set = d.acquireSet()
-		if set == nil {
-			return nil, Stats{Format: string(d.format)}, nil, errClosed
-		}
-		defer set.release()
+	src, err := d.pinSource()
+	if err != nil {
+		return nil, Stats{Format: string(d.format)}, nil, err
 	}
-	src := &planSource{d: d, set: set}
+	defer src.release()
 	p := plan.NewScan(src).Filter(preds...)
 	var c *plan.Compiled
-	var err error
 	if traced {
 		c, err = p.CompileTraced()
 	} else {
@@ -187,14 +266,14 @@ func (d *Dataset) indexFor(traced bool, preds ...plan.Pred) (*query.TrajectoryIn
 
 	key := predKey(c.ScanPred(), d.qopts)
 	if d.log != nil {
-		key = fmt.Sprintf("g%d|%s", set.gen, key)
+		key = fmt.Sprintf("g%d|%s", src.set.gen, key)
 	}
 	if d.idx != nil {
 		if ix, ok := d.idx.get(key); ok {
 			_ = c.Close()
 			st := Stats{Format: string(d.format), IndexCached: true}
 			if d.log != nil {
-				st.Segments = len(set.segs)
+				st.Segments = len(src.set.segs)
 			}
 			var span *obs.Span
 			if traced {
@@ -229,9 +308,6 @@ func (d *Dataset) indexFor(traced bool, preds ...plan.Pred) (*query.TrajectoryIn
 		span.Rows = ix.Len()
 	}
 	if d.idx != nil {
-		if src.samples != nil {
-			sampleBytes = samplesBytes(src.samples)
-		}
 		// The index holds the samples in per-object series plus R-tree
 		// nodes and bucket structure over them; 3x the raw sample bytes is
 		// a conservative footprint estimate for the byte bound.
@@ -247,18 +323,13 @@ func (d *Dataset) indexFor(traced bool, preds ...plan.Pred) (*query.TrajectoryIn
 // With traced set, the returned span is the plan's per-operator trace root
 // (nil otherwise).
 func (d *Dataset) runPlan(traced bool, build func(plan.Source) *plan.Plan) ([]plan.Row, Stats, *obs.Span, error) {
-	var set *segmentSet
-	if d.format != storage.FormatCSV {
-		set = d.acquireSet()
-		if set == nil {
-			return nil, Stats{Format: string(d.format)}, nil, errClosed
-		}
-		defer set.release()
+	src, err := d.pinSource()
+	if err != nil {
+		return nil, Stats{Format: string(d.format)}, nil, err
 	}
-	src := &planSource{d: d, set: set}
+	defer src.release()
 	p := build(src)
 	var c *plan.Compiled
-	var err error
 	if traced {
 		c, err = p.CompileTraced()
 	} else {

@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"sort"
 	"testing"
 
 	"vita/internal/colstore"
 	"vita/internal/geom"
+	"vita/internal/plan"
 	"vita/internal/query"
 	"vita/internal/storage"
 	"vita/internal/trajectory"
@@ -297,3 +299,157 @@ func TestDwellFloorFilter(t *testing.T) {
 		t.Errorf("floor-filtered dwell %.1fs not below all-floors %.1fs", floorTotal, allTotal)
 	}
 }
+
+// loadViaPlan runs pred through the path every operator takes — a compiled
+// plan whose scan leaf is a planSource — and returns the rows, the request
+// stats, and the leaf cursor the source opened.
+func loadViaPlan(t *testing.T, ds *Dataset, preds []plan.Pred) ([]trajectory.Sample, Stats, plan.TrajectoryCursor) {
+	t.Helper()
+	src, err := ds.pinSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.release()
+	c, err := plan.NewScan(src).Filter(preds...).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := plan.CollectSamples(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, src.finalStats(), src.cur
+}
+
+// TestLoadPathParity pins the scan leaf: over a four-segment log and a
+// single VTB file, for every predicate shape, the cached path (cold cache,
+// then warm), the cache-less path and Dataset.Samples return the same rows
+// in the same order as a row-by-row filter of the source, with the same
+// Stats.Scan; cache hits and misses are those of the cache's temperature
+// (cold and cache-less: every scanned block a miss; warm: every one a hit).
+//
+// The log rolls every 1 500 rows of 8-per-second data, so its boundaries
+// fall inside second 187 (equal T on both sides), exactly between seconds
+// 374 and 375, and inside second 562: windows over the first and the last
+// must merge by (T, ObjID), a window over the middle one may run the two
+// segments back to back — and the test checks that is what was chosen.
+func TestLoadPathParity(t *testing.T) {
+	samples := testSamples()
+	box := geom.BBox{Min: geom.Pt(1.5, 0.25), Max: geom.Pt(17.75, 9.5)}
+	cases := []struct {
+		name  string
+		preds []plan.Pred
+		// merged: whether the cached multi-segment load must (true) or must
+		// not (false) go through the k-way merge; nil = either.
+		merged *bool
+	}{
+		{"none", nil, ptr(true)},
+		{"time only", []plan.Pred{plan.TimeBetween(100, 160)}, ptr(false)},
+		{"floor", []plan.Pred{plan.OnFloor(1)}, nil},
+		{"box", []plan.Pred{plan.InBox(box)}, nil},
+		{"obj", []plan.Pred{plan.ObjEq(3)}, nil},
+		{"all four", []plan.Pred{plan.TimeBetween(33.5, 447.25), plan.OnFloor(0), plan.InBox(box), plan.ObjEq(5)}, nil},
+		{"empty, nothing pruned", []plan.Pred{plan.InBox(geom.BBox{Min: geom.Pt(0.55, 0.55), Max: geom.Pt(0.6, 0.6)})}, nil},
+		{"empty, all pruned", []plan.Pred{plan.TimeBetween(1e6, 2e6)}, nil},
+		{"straddles a boundary inside one second", []plan.Pred{plan.TimeBetween(180, 195)}, ptr(true)},
+		{"straddles a boundary between seconds", []plan.Pred{plan.TimeBetween(370, 380)}, ptr(false)},
+		{"the boundary second alone", []plan.Pred{plan.TimeBetween(187, 187)}, ptr(true)},
+	}
+
+	flat := t.TempDir()
+	writeDataset(t, flat, storage.FormatVTB, samples)
+	logDir := t.TempDir()
+	writeSegmented(t, logDir, samples, 1500)
+	open := func(dir string, cfg Config) *Dataset {
+		cfg.IndexEntries, cfg.WatchInterval = -1, -1
+		ds, err := Open(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		return ds
+	}
+
+	for _, kind := range []struct {
+		name, dir string
+		segments  int
+	}{{"segmented", logDir, 4}, {"single file", flat, 0}} {
+		for _, tc := range cases {
+			t.Run(kind.name+"/"+tc.name, func(t *testing.T) {
+				cached, cachedB, streaming := open(kind.dir, Config{}), open(kind.dir, Config{}), open(kind.dir, Config{CacheBytes: -1})
+
+				coldRows, cold, leaf := loadViaPlan(t, cached, tc.preds)
+				warmRows, warm, _ := loadViaPlan(t, cached, tc.preds)
+				streamRows, stream, _ := loadViaPlan(t, streaming, tc.preds)
+
+				// The predicate the planner pushed is the one Samples takes.
+				c, err := plan.NewScan(&planSource{d: cached}).Filter(tc.preds...).Compile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pred := c.ScanPred()
+				var want []trajectory.Sample
+				for _, s := range samples {
+					if pred.MatchTrajectory(s) {
+						want = append(want, s)
+					}
+				}
+				samplesWarmRows, samplesWarm, err := cached.Samples(pred)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samplesColdRows, samplesCold, err := cachedB.Samples(pred)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samplesStreamRows, samplesStream, err := streaming.Samples(pred)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				for _, got := range []struct {
+					name  string
+					rows  []trajectory.Sample
+					stats Stats
+					warm  bool
+				}{
+					{"cached cold", coldRows, cold, false},
+					{"cached warm", warmRows, warm, true},
+					{"cache-less", streamRows, stream, false},
+					{"Samples, cached cold", samplesColdRows, samplesCold, false},
+					{"Samples, cached warm", samplesWarmRows, samplesWarm, true},
+					{"Samples, cache-less", samplesStreamRows, samplesStream, false},
+				} {
+					if !slices.Equal(got.rows, want) {
+						t.Errorf("%s: %d rows, differing from the %d a row filter keeps", got.name, len(got.rows), len(want))
+					}
+					if got.stats.Scan != cold.Scan {
+						t.Errorf("%s: scan stats %+v, cached cold has %+v", got.name, got.stats.Scan, cold.Scan)
+					}
+					hits, misses := 0, cold.Scan.BlocksScanned
+					if got.warm {
+						hits, misses = misses, hits
+					}
+					if got.stats.CacheHits != hits || got.stats.CacheMisses != misses {
+						t.Errorf("%s: cache hits/misses %d/%d, want %d/%d", got.name,
+							got.stats.CacheHits, got.stats.CacheMisses, hits, misses)
+					}
+					if got.stats.Segments != kind.segments {
+						t.Errorf("%s: segments = %d, want %d", got.name, got.stats.Segments, kind.segments)
+					}
+				}
+				if cold.Scan.RowsMatched != len(want) || cold.Scan.BlocksScanned+cold.Scan.BlocksPruned != cold.Scan.BlocksTotal {
+					t.Errorf("scan stats do not add up: %+v for %d rows", cold.Scan, len(want))
+				}
+				if cold.PeakDecodedBytes != 0 || warm.PeakDecodedBytes != 0 {
+					t.Errorf("cached path reports a streaming peak: %d / %d", cold.PeakDecodedBytes, warm.PeakDecodedBytes)
+				}
+				if _, single := leaf.(*cachedCursor); kind.segments > 0 && tc.merged != nil && single == *tc.merged {
+					t.Errorf("cached leaf is %T; merged should be %v", leaf, *tc.merged)
+				}
+			})
+		}
+	}
+}
+
+func ptr[T any](v T) *T { return &v }

@@ -9,7 +9,6 @@ import (
 	"vita/internal/colstore"
 	"vita/internal/seglog"
 	"vita/internal/storage"
-	"vita/internal/trajectory"
 )
 
 // The segment registry is how a Dataset serves data that is still being
@@ -235,38 +234,4 @@ func segmentCursor(set *segmentSet, pred colstore.Predicate) storage.TrajectoryC
 		curs[i] = sg.tr.Cursor(pred)
 	}
 	return storage.NewTrajectoryMergeCursor(curs)
-}
-
-// mergeSampleRuns merges per-segment filtered rows into (T, ObjID, run index)
-// order — the order the same rows carry in a single file, since each run is
-// already so ordered and runs are contiguous chunks of one original stream.
-func mergeSampleRuns(runs [][]trajectory.Sample) []trajectory.Sample {
-	n := 0
-	for _, r := range runs {
-		n += len(r)
-	}
-	out := make([]trajectory.Sample, 0, n)
-	pos := make([]int, len(runs))
-	for {
-		best := -1
-		for i, r := range runs {
-			if pos[i] >= len(r) {
-				continue
-			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			a, b := &r[pos[i]], &runs[best][pos[best]]
-			// Strict comparisons keep the earliest run on full ties.
-			if a.T < b.T || (a.T == b.T && a.ObjID < b.ObjID) {
-				best = i
-			}
-		}
-		if best == -1 {
-			return out
-		}
-		out = append(out, runs[best][pos[best]])
-		pos[best]++
-	}
 }

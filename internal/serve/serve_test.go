@@ -44,7 +44,7 @@ func testSamples() []trajectory.Sample {
 }
 
 // writeDataset persists samples into dir as trajectory.vtb or trajectory.csv.
-func writeDataset(t *testing.T, dir string, format storage.Format, samples []trajectory.Sample) {
+func writeDataset(t testing.TB, dir string, format storage.Format, samples []trajectory.Sample) {
 	t.Helper()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)

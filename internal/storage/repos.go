@@ -1,8 +1,8 @@
 // Package storage is Vita's Storage component (paper §2, §4.2): repositories
 // for every generated data type with spatial/temporal indices, the Data
 // Stream APIs used by the Producer, and CSV persistence. It replaces the
-// paper's PostgreSQL+PostGIS deployment with stdlib-only in-memory stores
-// (see DESIGN.md §2).
+// paper's PostgreSQL+PostGIS deployment with stdlib-only in-memory stores;
+// docs/ARCHITECTURE.md places them among the layers.
 package storage
 
 import (
