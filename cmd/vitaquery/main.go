@@ -1,9 +1,8 @@
 // Command vitaquery serves spatio-temporal queries over the output of
-// vitagen. It loads the trajectory data from the data directory — either
-// trajectory.vtb (the columnar binary store, preferred when present) or
-// trajectory.csv, detected by magic bytes rather than extension — builds the
-// time-bucketed R-tree index of internal/query, and answers one query per
-// invocation:
+// vitagen. It opens the trajectory data in the data directory — a segment
+// log, trajectory.vtb (the columnar binary store) or trajectory.csv, detected
+// by magic bytes rather than extension — and answers one query per
+// invocation, as a plan over internal/plan:
 //
 //	vitaquery -data out range -floor 0 -box 0,0,20,15 -t0 0 -t1 120
 //	vitaquery -data out knn -floor 0 -at 10,7.5 -t 60 -k 5
@@ -17,14 +16,13 @@
 // subcommand derives the block predicate its operator allows (range prunes
 // by window+floor+box, traj by object+window, dwell by window+floor,
 // knn/density by the window widened by -maxgap so interpolation still sees
-// its bracketing samples) and
-// the scan skips every block whose zone map rules it out. The file is
-// memory-mapped by default (-mmap=false falls back to plain reads) and the
+// its bracketing samples) and the scan skips every block whose zone map
+// rules it out. The file is memory-mapped by default (-mmap=false falls back to plain reads) and the
 // surviving blocks stream through a column-batch cursor straight into the
-// query index, so peak memory beyond the index is one decoded block — the
-// stderr stats line reports how many blocks were read and the peak decoded
-// batch size. watch and other full materializing loads decode block-parallel
-// (-parallelism workers).
+// plan's operators, so peak memory beyond what the operators buffer is one
+// decoded block per segment — the stderr stats line reports how many blocks
+// were read and the peak decoded batch size. A CSV file has no blocks to
+// prune: it is read whole, then filtered.
 //
 // With -server URL the same operators are sent to a running vitaserve
 // daemon instead of touching local files; execution and formatting go
@@ -79,7 +77,6 @@ type backend interface {
 func run() error {
 	dataDir := flag.String("data", "out", "directory holding vitagen output")
 	server := flag.String("server", "", "base URL of a running vitaserve daemon (empty = local execution)")
-	bucket := flag.Float64("bucket", 60, "index time-bucket width in seconds (local mode)")
 	maxGap := flag.Float64("maxgap", 10, "max sample gap in seconds for instant queries (local mode)")
 	parallelism := flag.Int("parallelism", 0, "block-decode workers for local VTB loads (0 = GOMAXPROCS)")
 	useMmap := flag.Bool("mmap", true, "memory-map local VTB files (false = plain file reads)")
@@ -100,12 +97,11 @@ func run() error {
 	} else {
 		var err error
 		ds, err = serve.Open(*dataDir, serve.Config{
-			Query:       query.Options{BucketWidth: *bucket, MaxGap: *maxGap},
+			MaxGap:      *maxGap,
 			Parallelism: *parallelism,
 			// One-shot execution: nothing would ever hit a warm cache.
-			CacheBytes:   -1,
-			IndexEntries: -1,
-			DisableMmap:  !*useMmap,
+			CacheBytes:  -1,
+			DisableMmap: !*useMmap,
 		})
 		if err != nil {
 			return err

@@ -2,7 +2,8 @@
 // output. Where vitaquery pays cold-start on every invocation — reopen the
 // file, reparse the footer, decode blocks — vitaserve opens the dataset
 // directory once, keeps the VTB footer resident and hot decoded blocks in a
-// size-bounded LRU cache, and answers the query operators over HTTP:
+// size-bounded LRU cache, and answers the query operators over HTTP, each as
+// a plan run straight off that cache (nothing is built or kept per request):
 //
 //	vitaserve -data out -addr 127.0.0.1:7617
 //
@@ -60,7 +61,6 @@ import (
 	"time"
 
 	"vita/internal/obs"
-	"vita/internal/query"
 	"vita/internal/seglog"
 	"vita/internal/serve"
 )
@@ -76,10 +76,7 @@ func run() error {
 	dataDir := flag.String("data", "out", "directory holding vitagen output")
 	addr := flag.String("addr", "127.0.0.1:7617", "listen address")
 	cacheMB := flag.Int("cache-mb", 64, "decoded-block cache budget in MiB (0 disables)")
-	indexEntries := flag.Int("index-entries", 16, "cached spatio-temporal indexes (0 disables)")
-	indexMB := flag.Int("index-mb", 256, "index cache byte budget in MiB (0 = unbounded bytes)")
 	parallelism := flag.Int("parallelism", 0, "block-decode workers (0 = GOMAXPROCS)")
-	bucket := flag.Float64("bucket", 60, "index time-bucket width in seconds")
 	maxGap := flag.Float64("maxgap", 10, "max sample gap in seconds for instant queries")
 	drain := flag.Duration("drain", 10*time.Second, "in-flight request drain timeout on shutdown")
 	useMmap := flag.Bool("mmap", true, "memory-map the VTB file (false = plain file reads)")
@@ -103,11 +100,9 @@ func run() error {
 	}
 
 	cfg := serve.Config{
-		Query:         query.Options{BucketWidth: *bucket, MaxGap: *maxGap},
+		MaxGap:        *maxGap,
 		Parallelism:   *parallelism,
 		CacheBytes:    int64(*cacheMB) << 20,
-		IndexEntries:  *indexEntries,
-		IndexBytes:    int64(*indexMB) << 20,
 		DisableMmap:   !*useMmap,
 		WatchInterval: *watch,
 	}
@@ -116,12 +111,6 @@ func run() error {
 	}
 	if *cacheMB == 0 {
 		cfg.CacheBytes = -1
-	}
-	if *indexEntries == 0 {
-		cfg.IndexEntries = -1
-	}
-	if *indexMB == 0 {
-		cfg.IndexBytes = -1
 	}
 	ds, err := serve.Open(*dataDir, cfg)
 	if err != nil {
@@ -194,13 +183,12 @@ func run() error {
 		"density", st.Requests["density"], "traj", st.Requests["traj"],
 		"info", st.Requests["info"],
 		"cache_hits", st.Cache.Hits, "cache_misses", st.Cache.Misses,
-		"cache_evictions", st.Cache.Evictions, "index_hits", st.IndexHits)
+		"cache_evictions", st.Cache.Evictions)
 	if st.Segments > 0 {
 		slog.Info("live dataset totals",
 			"segments", st.Segments, "generation", st.Generation,
 			"compactions", st.Compactions, "refreshes", st.Refreshes,
-			"block_invalidations", st.BlockInvalidations,
-			"index_invalidations", st.IndexInvalidations)
+			"block_invalidations", st.BlockInvalidations)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"vita/internal/colstore"
+	"vita/internal/geom"
 	"vita/internal/trajectory"
 )
 
@@ -318,6 +319,17 @@ func DwellGaps(maxGap float64) DeriveFunc {
 			}
 			have = true
 			prevObj, prevPart, prevT = tr.ObjID[i], tr.Partition[i], tr.T[i]
+		}
+	}
+}
+
+// DistTo returns a DeriveFunc that assigns each row the planar distance from
+// its point to p. It reads X and Y as they are: filter out point-less rows
+// first (their coordinates are placeholders).
+func DistTo(p geom.Point) DeriveFunc {
+	return func(dst []float64, b *Batch) {
+		for i := range dst {
+			dst[i] = p.Dist(geom.Pt(b.Traj.X[i], b.Traj.Y[i]))
 		}
 	}
 }

@@ -19,6 +19,7 @@ const (
 	nodeAggregate
 	nodeOrderBy
 	nodeLimit
+	nodeSnapshotAt
 	nodeJoin
 )
 
@@ -40,6 +41,8 @@ func (k nodeKind) String() string {
 		return "OrderBy"
 	case nodeLimit:
 		return "Limit"
+	case nodeSnapshotAt:
+		return "SnapshotAt"
 	default:
 		return "Join"
 	}
@@ -59,6 +62,8 @@ type Plan struct {
 	aggs   []AggSpec  // Aggregate
 	keys   []SortKey  // OrderBy
 	n      int        // Limit
+	at     float64    // SnapshotAt instant
+	maxGap float64    // SnapshotAt interpolation bound
 	right  *Plan      // Join build side
 }
 
@@ -112,6 +117,16 @@ func (p *Plan) Limit(n int) *Plan {
 	return &Plan{kind: nodeLimit, input: p, n: n}
 }
 
+// SnapshotAt reduces the rows to one per object: the object's location at
+// instant t, interpolated between its last row before t and its first at or
+// after it by trajectory.InterpolateAt (blocking). Objects with no row within
+// maxGap seconds of t are dropped; the rest come out in ascending object
+// order with T set to t. Rows outside [t-maxGap, t+maxGap] cannot change the
+// answer, so filter the scan to that window first.
+func (p *Plan) SnapshotAt(t, maxGap float64) *Plan {
+	return &Plan{kind: nodeSnapshotAt, input: p, at: t, maxGap: maxGap}
+}
+
 // Join hash-joins the plan (probe side) against right (build side) on
 // equality of the given columns — e.g. Join(other, ColPartition, ColT) after
 // TimeBucket on both sides finds co-located objects per time bucket. Each
@@ -144,8 +159,8 @@ type Compiled struct {
 func (c *Compiled) Trace() *obs.Span { return c.span }
 
 // ScanPred returns the block predicate the planner pushed into the first
-// (probe-side) scan leaf. Callers that cache by predicate (internal/serve)
-// use it as the cache key, so identical logical plans share index entries.
+// (probe-side) scan leaf — what tests and benchmarks read to check that a
+// filter reached the zone maps.
 func (c *Compiled) ScanPred() colstore.Predicate { return c.scanPreds[0] }
 
 // ScanPreds returns the pushed predicate of every scan leaf (joins have
@@ -285,6 +300,8 @@ func (c *Compiled) compile(p *Plan) (Operator, *obs.Span, error) {
 				return nil, nil, fmt.Errorf("plan: Limit must be non-negative, got %d", n.n)
 			}
 			op = trace(newLimitOp(op, n.n), "Limit", fmt.Sprintf("n=%d", n.n), false)
+		case nodeSnapshotAt:
+			op = trace(newSnapshotAtOp(op, n.at, n.maxGap), "SnapshotAt", fmt.Sprintf("t=%g maxgap=%gs", n.at, n.maxGap), false)
 		case nodeJoin:
 			if len(n.cols) == 0 {
 				return nil, nil, fmt.Errorf("plan: Join needs at least one key column")

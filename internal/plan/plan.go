@@ -19,6 +19,8 @@
 //     column subset, emitted in deterministic key order;
 //   - OrderBy — blocking sort by column keys;
 //   - Limit — stop after n rows;
+//   - SnapshotAt — one row per object: its interpolated location at an
+//     instant (the fold under kNN and snapshot density);
 //   - Join — hash equi-join of two plans on column keys (e.g. partition ×
 //     time bucket for contact-tracing-style co-location queries).
 //

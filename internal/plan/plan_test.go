@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -460,6 +461,62 @@ func TestDwellGaps(t *testing.T) {
 	}
 }
 
+// TestSnapshotAt checks the snapshot fold on handcrafted series: one row per
+// observed object in object order, positions between the bracketing rows,
+// gaps and floor changes snapped rather than interpolated, row order
+// irrelevant, and a Filter above it left out of the scan predicate.
+func TestSnapshotAt(t *testing.T) {
+	at := func(obj, floor int, part string, x, ts float64) trajectory.Sample {
+		return trajectory.Sample{ObjID: obj, Loc: model.At("hq", floor, part, geom.Pt(x, 1)), T: ts}
+	}
+	samples := []trajectory.Sample{
+		at(5, 0, "lobby", 0, 90), at(5, 0, "lab", 8, 98), at(5, 0, "hall", 12, 102), // 98 and 102 bracket 100
+		at(1, 0, "lobby", 4, 100),                          // a row exactly at the instant
+		at(2, 0, "lobby", 0, 60), at(2, 0, "lab", 30, 104), // gap too wide: snaps to the row within reach
+		at(3, 0, "lobby", 0, 97), at(3, 1, "stairs", 9, 101), // floor change: nearer row verbatim
+		at(4, 0, "lobby", 0, 80), at(4, 0, "lobby", 0, 120), // nothing within 10 s: unobserved
+		at(6, 1, "lab", 2, 95), at(6, 1, "hall", 99, 95), // tie before the instant: the later row wins
+		{ObjID: 7, Loc: model.AtPartition("hq", 0, "lobby"), T: 99}, // symbolic row passes through
+	}
+	want := []trajectory.Sample{
+		at(1, 0, "lobby", 4, 100),
+		at(2, 0, "lab", 30, 100),
+		at(3, 1, "stairs", 9, 100),
+		at(5, 0, "lab", 10, 100), // halfway; partition of the nearer row (a tie goes to the earlier)
+		at(6, 1, "hall", 99, 100),
+		{ObjID: 7, Loc: model.AtPartition("hq", 0, "lobby"), T: 100},
+	}
+	sameSamples(t, collect(t, NewScan(SliceSource{Samples: samples}).SnapshotAt(100, 10)), want)
+
+	reversed := append([]trajectory.Sample(nil), samples...)
+	slices.Reverse(reversed[:10]) // all but object 6's tie, whose order is part of the answer
+	sameSamples(t, collect(t, NewScan(SliceSource{Samples: reversed, BatchSize: 3}).SnapshotAt(100, 10)), want)
+
+	// Composed as kNN composes it: the floor filter sits above the snapshot,
+	// so it must not reach the scan (object 3 is on floor 0 before the
+	// instant and on floor 1 at it).
+	c := mustCompile(t, NewScan(SliceSource{Samples: samples}).
+		Filter(TimeBetween(90, 110)).
+		SnapshotAt(100, 10).
+		Filter(OnFloor(1)).
+		Derive(DistTo(geom.Pt(9, 5))).
+		OrderBy(Asc(ColVal), Asc(ColObjID)))
+	if pred := c.ScanPred(); pred.HasFloor || !pred.HasTime {
+		t.Errorf("scan predicate %+v: want the window pushed down and the floor not", pred)
+	}
+	got, err := CollectRows(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Sample.ObjID != 3 || got[0].Val != 4 || got[1].Sample.ObjID != 6 {
+		t.Errorf("nearest on floor 1 = %+v, want object 3 at distance 4, then object 6", got)
+	}
+
+	if rows := collect(t, NewScan(SliceSource{}).SnapshotAt(100, 10)); len(rows) != 0 {
+		t.Errorf("snapshot of nothing has %d rows", len(rows))
+	}
+}
+
 // TestDistinctObjectsViaTwoLevelAggregate exercises the count-distinct
 // idiom: group by (partition, object) first, then count the groups.
 func TestDistinctObjectsViaTwoLevelAggregate(t *testing.T) {
@@ -496,6 +553,7 @@ func TestOperatorsDoNotMutateInput(t *testing.T) {
 		NewScan(src).TimeBucket(60).Filter(Where(func(s trajectory.Sample) bool { return s.ObjID == 1 })),
 		NewScan(src).OrderBy(Desc(ColT)).Limit(3),
 		NewScan(src).Derive(DwellGaps(10)).Aggregate(By(ColObjID), Sum(ColVal, ColVal)),
+		NewScan(src).SnapshotAt(20, 10).Derive(DistTo(geom.Pt(1, 1))),
 	}
 	for _, p := range plans {
 		if _, err := CollectRows(mustCompile(t, p)); err != nil {

@@ -16,7 +16,6 @@ import (
 	"math"
 	"sort"
 
-	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/index"
 	"vita/internal/model"
@@ -48,9 +47,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// sampleItem adapts one trajectory sample to the R-tree Item interface.
+// sampleItem adapts one trajectory sample to the R-tree Item interface. seq is
+// the sample's position in the input, which orders samples that tie on
+// (object, time) however the R-tree happened to pack them.
 type sampleItem struct {
-	s trajectory.Sample
+	s   trajectory.Sample
+	seq int
 }
 
 func (it *sampleItem) Bounds() geom.BBox {
@@ -82,86 +84,39 @@ type TrajectoryIndex struct {
 }
 
 // NewTrajectoryIndex builds the index over samples. The input slice is not
-// retained or mutated.
+// retained or mutated; samples that tie on (object, time) keep their input
+// order in every answer.
 func NewTrajectoryIndex(samples []trajectory.Sample, opts Options) *TrajectoryIndex {
-	b := NewIndexBuilder(opts)
-	for _, s := range samples {
-		b.Add(s)
-	}
-	return b.Build()
-}
-
-// IndexBuilder accumulates samples incrementally and assembles a
-// TrajectoryIndex at the end. It is the streaming entry point behind
-// NewTrajectoryIndex: feed it row by row (Add) or one decoded column batch
-// at a time (AddBatch, fed from a colstore/storage cursor), so building an
-// index over a huge file never materializes the full []Sample — peak memory
-// beyond the index itself is one batch. Not safe for concurrent use; Build
-// may be called once.
-type IndexBuilder struct {
-	ix        *TrajectoryIndex
-	perBucket map[bucketKey][]index.Item
-	floorSet  map[int]bool
-	built     bool
-}
-
-// NewIndexBuilder returns an empty builder with the given index layout.
-func NewIndexBuilder(opts Options) *IndexBuilder {
-	opts = opts.withDefaults()
-	return &IndexBuilder{
-		ix: &TrajectoryIndex{
-			opts:    opts,
-			series:  make(map[int][]trajectory.Sample),
-			buckets: make(map[bucketKey]*bucket),
-			minT:    math.Inf(1),
-			maxT:    math.Inf(-1),
-			bounds: geom.BBox{
-				Min: geom.Pt(math.Inf(1), math.Inf(1)),
-				Max: geom.Pt(math.Inf(-1), math.Inf(-1)),
-			},
+	ix := &TrajectoryIndex{
+		opts:    opts.withDefaults(),
+		series:  make(map[int][]trajectory.Sample),
+		buckets: make(map[bucketKey]*bucket),
+		minT:    math.Inf(1),
+		maxT:    math.Inf(-1),
+		bounds: geom.BBox{
+			Min: geom.Pt(math.Inf(1), math.Inf(1)),
+			Max: geom.Pt(math.Inf(-1), math.Inf(-1)),
 		},
-		perBucket: make(map[bucketKey][]index.Item),
-		floorSet:  make(map[int]bool),
 	}
-}
-
-// Add appends one sample.
-func (b *IndexBuilder) Add(s trajectory.Sample) {
-	ix := b.ix
-	ix.series[s.ObjID] = append(ix.series[s.ObjID], s)
-	k := bucketKey{floor: s.Loc.Floor, bucket: ix.bucketOf(s.T)}
-	b.perBucket[k] = append(b.perBucket[k], &sampleItem{s: s})
-	b.floorSet[s.Loc.Floor] = true
-	ix.minT = math.Min(ix.minT, s.T)
-	ix.maxT = math.Max(ix.maxT, s.T)
-	p := s.Loc.Point
-	ix.bounds.Min = geom.Pt(math.Min(ix.bounds.Min.X, p.X), math.Min(ix.bounds.Min.Y, p.Y))
-	ix.bounds.Max = geom.Pt(math.Max(ix.bounds.Max.X, p.X), math.Max(ix.bounds.Max.Y, p.Y))
-}
-
-// AddBatch appends every row of a decoded column batch. The batch is not
-// retained — its reusable columns may be overwritten after AddBatch returns
-// (row strings are shared, which is safe: strings are immutable).
-func (b *IndexBuilder) AddBatch(batch *colstore.TrajectoryBatch) {
-	for i := 0; i < batch.Len(); i++ {
-		b.Add(batch.Row(i))
+	perBucket := make(map[bucketKey][]index.Item)
+	floorSet := make(map[int]bool)
+	for seq, s := range samples {
+		ix.series[s.ObjID] = append(ix.series[s.ObjID], s)
+		k := bucketKey{floor: s.Loc.Floor, bucket: ix.bucketOf(s.T)}
+		perBucket[k] = append(perBucket[k], &sampleItem{s: s, seq: seq})
+		floorSet[s.Loc.Floor] = true
+		ix.minT = math.Min(ix.minT, s.T)
+		ix.maxT = math.Max(ix.maxT, s.T)
+		p := s.Loc.Point
+		ix.bounds.Min = geom.Pt(math.Min(ix.bounds.Min.X, p.X), math.Min(ix.bounds.Min.Y, p.Y))
+		ix.bounds.Max = geom.Pt(math.Max(ix.bounds.Max.X, p.X), math.Max(ix.bounds.Max.Y, p.Y))
 	}
-}
-
-// Build sorts the per-object series, bulk-loads the per-bucket R-trees, and
-// returns the finished index. The builder must not be reused afterwards.
-func (b *IndexBuilder) Build() *TrajectoryIndex {
-	if b.built {
-		panic("query: IndexBuilder.Build called twice")
-	}
-	b.built = true
-	ix := b.ix
 	for id, ser := range ix.series {
-		sort.Slice(ser, func(i, j int) bool { return ser[i].T < ser[j].T })
+		sort.SliceStable(ser, func(i, j int) bool { return ser[i].T < ser[j].T })
 		ix.objects = append(ix.objects, id)
 	}
 	sort.Ints(ix.objects)
-	for k, items := range b.perBucket {
+	for k, items := range perBucket {
 		bk := &bucket{tree: index.BulkLoad(items)}
 		seen := make(map[int]bool)
 		for _, it := range items {
@@ -170,10 +125,7 @@ func (b *IndexBuilder) Build() *TrajectoryIndex {
 		bk.objs = sortedKeys(seen)
 		ix.buckets[k] = bk
 	}
-	for fl := range b.floorSet {
-		ix.floors = append(ix.floors, fl)
-	}
-	sort.Ints(ix.floors)
+	ix.floors = sortedKeys(floorSet)
 	return ix
 }
 
@@ -192,7 +144,7 @@ func (ix *TrajectoryIndex) clampBuckets(t0, t1 float64) (b0, b1 int, ok bool) {
 	return ix.bucketOf(math.Max(t0, ix.minT)), ix.bucketOf(math.Min(t1, ix.maxT)), true
 }
 
-// sortedKeys returns the keys of an object-keyed map, sorted.
+// sortedKeys returns the keys of an int-keyed map, sorted.
 func sortedKeys[V any](set map[int]V) []int {
 	out := make([]int, 0, len(set))
 	for id := range set {
@@ -271,63 +223,22 @@ func (ix *TrajectoryIndex) candidateObjects(floor int, t0, t1 float64) []int {
 	return sortedKeys(seen)
 }
 
-// interpolate returns the object's location at instant t, linearly
-// interpolating between the bracketing samples. It reports false when the
-// object has no sample within MaxGap of t, or t falls outside its lifespan.
-// When the bracketing samples lie on different floors (a staircase
-// transition), the temporally nearer sample's location is returned verbatim
-// rather than interpolating across floors.
+// interpolate returns the object's location at instant t: it finds the
+// samples bracketing t in the object's series and hands them to
+// trajectory.InterpolateAt, which holds the arithmetic (linear between the
+// two, snapping across gaps wider than MaxGap and across floor changes). It
+// reports false when the object has no sample within MaxGap of t.
 func (ix *TrajectoryIndex) interpolate(objID int, t float64) (model.Location, bool) {
 	ser := ix.series[objID]
-	if len(ser) == 0 {
-		return model.Location{}, false
-	}
 	i := sort.Search(len(ser), func(i int) bool { return ser[i].T >= t })
-	switch {
-	case i == 0:
-		if ser[0].T-t > ix.opts.MaxGap {
-			return model.Location{}, false
-		}
-		return ser[0].Loc, true
-	case i == len(ser):
-		if t-ser[len(ser)-1].T > ix.opts.MaxGap {
-			return model.Location{}, false
-		}
-		return ser[len(ser)-1].Loc, true
+	var prev, next *trajectory.Sample
+	if i > 0 {
+		prev = &ser[i-1]
 	}
-	a, b := ser[i-1], ser[i]
-	if b.T-a.T > ix.opts.MaxGap {
-		// The observation gap is too wide to trust a straight line; snap to
-		// whichever endpoint is within MaxGap, if any.
-		if t-a.T <= ix.opts.MaxGap {
-			return a.Loc, true
-		}
-		if b.T-t <= ix.opts.MaxGap {
-			return b.Loc, true
-		}
-		return model.Location{}, false
+	if i < len(ser) {
+		next = &ser[i]
 	}
-	if a.Loc.Floor != b.Loc.Floor || !a.Loc.HasPoint || !b.Loc.HasPoint {
-		if t-a.T <= b.T-t {
-			return a.Loc, true
-		}
-		return b.Loc, true
-	}
-	if b.T == a.T {
-		return b.Loc, true
-	}
-	f := (t - a.T) / (b.T - a.T)
-	p := geom.Pt(
-		a.Loc.Point.X+f*(b.Loc.Point.X-a.Loc.Point.X),
-		a.Loc.Point.Y+f*(b.Loc.Point.Y-a.Loc.Point.Y),
-	)
-	// Attribute the partition of the temporally nearer sample; the segment
-	// may cross a partition boundary but the endpoints are ground truth.
-	loc := a.Loc
-	if b.T-t < t-a.T {
-		loc = b.Loc
-	}
-	return model.At(loc.Building, loc.Floor, loc.Partition, p), true
+	return trajectory.InterpolateAt(prev, next, t, ix.opts.MaxGap)
 }
 
 // PositionAt returns the object's (possibly interpolated) location at instant

@@ -14,13 +14,14 @@ import (
 // the surviving buckets), then verifies exact predicates on the candidates.
 
 // Range returns every sample on floor inside box during [t0, t1], ordered by
-// (object, time). A negative floor searches all floors.
+// (object, time); samples that tie on both keep their input order. A negative
+// floor searches all floors. A symbolic sample (no point) is inside no box.
 func (ix *TrajectoryIndex) Range(floor int, box geom.BBox, t0, t1 float64) []trajectory.Sample {
 	b0, b1, ok := ix.clampBuckets(t0, t1)
 	if !ok || box.IsEmpty() {
 		return nil
 	}
-	var out []trajectory.Sample
+	var hits []*sampleItem
 	floors := ix.floors
 	if floor >= 0 {
 		floors = []int{floor}
@@ -34,19 +35,32 @@ func (ix *TrajectoryIndex) Range(floor int, box geom.BBox, t0, t1 float64) []tra
 			}
 			buf = bk.tree.Search(box, buf[:0])
 			for _, it := range buf {
-				s := it.(*sampleItem).s
-				if s.T >= t0 && s.T <= t1 && box.Contains(s.Loc.Point) {
-					out = append(out, s)
+				si := it.(*sampleItem)
+				if s := si.s; s.T >= t0 && s.T <= t1 && s.Loc.HasPoint && box.Contains(s.Loc.Point) {
+					hits = append(hits, si)
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ObjID != out[j].ObjID {
-			return out[i].ObjID < out[j].ObjID
+	if len(hits) == 0 {
+		return nil
+	}
+	// The R-tree returns candidates in packing order, so input position is an
+	// explicit last key rather than something a stable sort could preserve.
+	sort.Slice(hits, func(i, j int) bool {
+		a, b := hits[i], hits[j]
+		if a.s.ObjID != b.s.ObjID {
+			return a.s.ObjID < b.s.ObjID
 		}
-		return out[i].T < out[j].T
+		if a.s.T != b.s.T {
+			return a.s.T < b.s.T
+		}
+		return a.seq < b.seq
 	})
+	out := make([]trajectory.Sample, len(hits))
+	for i, h := range hits {
+		out[i] = h.s
+	}
 	return out
 }
 
@@ -128,7 +142,7 @@ func (ix *TrajectoryIndex) FloorDensity(t float64) map[int]int {
 }
 
 // ObjectTrajectory returns the object's samples within [t0, t1] in time
-// order.
+// order; samples at the same instant keep their input order.
 func (ix *TrajectoryIndex) ObjectTrajectory(objID int, t0, t1 float64) []trajectory.Sample {
 	ser := ix.series[objID]
 	lo := sort.Search(len(ser), func(i int) bool { return ser[i].T >= t0 })

@@ -446,3 +446,54 @@ func TestRangeUnknownFloor(t *testing.T) {
 		}
 	}
 }
+
+// TestDuplicateSamplesKeepInputOrder pins the order of samples that tie on
+// (object, time): Range and ObjectTrajectory return them in input order
+// whatever the input size, bucket layout, floor, or position in the box —
+// the R-tree's packing order and the sort's pivots must not show through.
+func TestDuplicateSamplesKeepInputOrder(t *testing.T) {
+	box := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 50)}
+	for _, n := range []int{3, 40, 500} {
+		var samples []trajectory.Sample
+		for t := 0; t < 20; t++ {
+			// n rows of one object at one instant, told apart only by their
+			// partition name; x runs against input order and floors alternate,
+			// so neither spatial packing nor bucket iteration reproduces it.
+			for k := 0; k < n; k++ {
+				samples = append(samples, trajectory.Sample{
+					ObjID: 7,
+					Loc:   model.At("b", k%2, "dup-"+string(rune('a'+k%26)), geom.Pt(float64(n-k)/float64(n)*90, float64(k%50))),
+					T:     float64(t),
+				})
+			}
+		}
+		ix := NewTrajectoryIndex(samples, Options{BucketWidth: 7})
+		for name, got := range map[string][]trajectory.Sample{
+			"Range":            ix.Range(-1, box, 0, 1e9),
+			"ObjectTrajectory": ix.ObjectTrajectory(7, 0, 1e9),
+		} {
+			if len(got) != len(samples) {
+				t.Fatalf("n=%d %s: %d samples, want %d", n, name, len(got), len(samples))
+			}
+			for i := range got {
+				if got[i] != samples[i] {
+					t.Fatalf("n=%d %s: row %d is %+v, input order has %+v", n, name, i, got[i], samples[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRangeSkipsSymbolicSamples: a sample without a point lies in no box,
+// even one covering the zero point its coordinates default to.
+func TestRangeSkipsSymbolicSamples(t *testing.T) {
+	samples := []trajectory.Sample{
+		{ObjID: 1, Loc: model.AtPartition("b", 0, "lobby"), T: 1},
+		{ObjID: 1, Loc: model.At("b", 0, "lobby", geom.Pt(0, 0)), T: 2},
+	}
+	ix := NewTrajectoryIndex(samples, DefaultOptions())
+	got := ix.Range(0, geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(1, 1)}, 0, 10)
+	if len(got) != 1 || got[0] != samples[1] {
+		t.Errorf("Range = %+v, want only the coordinate sample", got)
+	}
+}

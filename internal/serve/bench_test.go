@@ -22,7 +22,7 @@ func BenchmarkCachedScan(b *testing.B) {
 	dir := b.TempDir()
 	samples := testSamples()[:blocks*512]
 	writeDataset(b, dir, storage.FormatVTB, samples)
-	ds, err := Open(dir, Config{IndexEntries: -1})
+	ds, err := Open(dir, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

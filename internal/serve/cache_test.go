@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"testing"
 
 	"vita/internal/colstore"
@@ -101,51 +100,5 @@ func TestBlockCacheHitMissCounters(t *testing.T) {
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 2 {
 		t.Errorf("hits/misses = %d/%d, want 2/2", st.Hits, st.Misses)
-	}
-}
-
-func TestIndexCacheLRU(t *testing.T) {
-	c := newIndexCache(2, -1)
-	c.put("a", nil, 10)
-	c.put("b", nil, 10)
-	c.get("a") // refresh: "b" becomes LRU
-	c.put("c", nil, 10)
-	if _, ok := c.get("b"); ok {
-		t.Error("LRU entry survived eviction")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("recently used entry evicted")
-	}
-	if _, ok := c.get("c"); !ok {
-		t.Error("new entry missing")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
-	}
-}
-
-func TestIndexCacheByteBound(t *testing.T) {
-	// Count bound alone would hold 10 entries; the byte budget holds 3.
-	c := newIndexCache(10, 30)
-	for i := 0; i < 5; i++ {
-		c.put(fmt.Sprintf("k%d", i), nil, 10)
-	}
-	if c.len() != 3 || c.bytes != 30 {
-		t.Fatalf("len/bytes = %d/%d, want 3/30", c.len(), c.bytes)
-	}
-	for _, gone := range []string{"k0", "k1"} {
-		if _, ok := c.get(gone); ok {
-			t.Errorf("%s survived byte-bound eviction", gone)
-		}
-	}
-	// An index larger than the whole budget is never cached.
-	c.put("huge", nil, 100)
-	if _, ok := c.get("huge"); ok {
-		t.Error("oversized index was cached")
-	}
-	// Replacing an entry adjusts the byte account instead of double counting.
-	c.put("k4", nil, 25)
-	if c.bytes > 30 {
-		t.Errorf("bytes = %d after replace, want <= 30", c.bytes)
 	}
 }

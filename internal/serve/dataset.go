@@ -1,15 +1,19 @@
 // Package serve is the query-serving layer over generated datasets: it opens
 // a dataset directory once, keeps the VTB footer (and hot decoded blocks)
-// resident, and answers the vitaquery operators — range, knn, density, traj —
-// repeatedly without paying cold-start per query. Server exposes the
-// operators over HTTP with JSON responses; Client is the matching remote
-// stub; vitaquery uses Dataset directly for local one-shot queries, so both
-// paths share one execution and formatting pipeline.
+// resident, and answers the vitaquery operators — range, knn, density, traj,
+// dwell, info — repeatedly without paying cold-start per query. Every
+// operator is a plan over internal/plan, compiled and drained by one helper
+// (runPlan) on top of one scan leaf (planSource); nothing is built or kept
+// per request. Server exposes the operators over HTTP with JSON responses;
+// Client is the matching remote stub; vitaquery uses Dataset directly for
+// local one-shot queries, so both paths share one execution and formatting
+// pipeline.
 package serve
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,7 +23,7 @@ import (
 	"time"
 
 	"vita/internal/colstore"
-	"vita/internal/obs"
+	"vita/internal/geom"
 	"vita/internal/plan"
 	"vita/internal/query"
 	"vita/internal/seglog"
@@ -32,23 +36,16 @@ var errClosed = errors.New("serve: dataset closed")
 
 // Config tunes an opened dataset. The zero value selects the defaults.
 type Config struct {
-	// Query is the spatio-temporal index layout (bucket width, max
-	// interpolation gap). Zero fields take query.DefaultOptions values.
-	Query query.Options
+	// MaxGap is the maximum seconds between consecutive samples across which
+	// instant queries (knn, density) still interpolate a position, and dwell
+	// still credits the interval (default query.DefaultOptions().MaxGap).
+	MaxGap float64
 	// Parallelism is the block-decode worker count (0 = GOMAXPROCS, 1 =
 	// sequential).
 	Parallelism int
 	// CacheBytes bounds the decoded-block LRU cache (default 64 MiB;
 	// negative disables caching).
 	CacheBytes int64
-	// IndexEntries bounds the per-predicate index cache by entry count
-	// (default 16; negative disables it).
-	IndexEntries int
-	// IndexBytes bounds the per-predicate index cache by approximate
-	// resident bytes, since a single wide-predicate index can hold a copy
-	// of the whole dataset (default 256 MiB; negative caches indexes
-	// regardless of size, bounded only by IndexEntries).
-	IndexBytes int64
 	// DisableMmap forces the pread path for VTB files instead of the
 	// default memory-mapped reader — the -mmap=false escape hatch.
 	DisableMmap bool
@@ -60,17 +57,14 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.MaxGap <= 0 {
+		c.MaxGap = query.DefaultOptions().MaxGap
+	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.IndexEntries == 0 {
-		c.IndexEntries = 16
-	}
-	if c.IndexBytes == 0 {
-		c.IndexBytes = 256 << 20
 	}
 	if c.WatchInterval == 0 {
 		c.WatchInterval = time.Second
@@ -100,15 +94,13 @@ type Dataset struct {
 
 	resident []trajectory.Sample // CSV only
 
-	cache *BlockCache
-	idx   *indexCache
-	par   int
-	qopts query.Options
+	cache  *BlockCache
+	par    int
+	maxGap float64
 
 	refreshMu  sync.Mutex // serializes Refresh
 	refreshes  atomic.Int64
 	blockInval atomic.Int64
-	idxInval   atomic.Int64
 
 	stopWatch chan struct{}
 	watchWG   sync.WaitGroup
@@ -124,14 +116,11 @@ func Open(dir string, cfg Config) (*Dataset, error) {
 	d := &Dataset{
 		dir:         dir,
 		par:         cfg.Parallelism,
-		qopts:       cfg.Query,
+		maxGap:      cfg.MaxGap,
 		disableMmap: cfg.DisableMmap,
 	}
 	if cfg.CacheBytes > 0 {
 		d.cache = NewBlockCache(cfg.CacheBytes)
-	}
-	if cfg.IndexEntries > 0 {
-		d.idx = newIndexCache(cfg.IndexEntries, cfg.IndexBytes)
 	}
 
 	logDir := ""
@@ -169,10 +158,9 @@ func Open(dir string, cfg Config) (*Dataset, error) {
 		sg := &segReader{id: 0, tr: tr, zones: tr.Blocks()}
 		sg.refs.Store(1)
 		d.cur = newSegmentSet(0, []*segReader{sg})
-	} else if d.cache != nil {
-		// CSV has no block structure to cache, so "warm" means the rows
-		// themselves stay resident. Without a cache budget (one-shot CLI
-		// use) every load streams from disk instead — see Samples.
+	} else {
+		// CSV has no block structure to cache or prune by, so the rows
+		// themselves stay resident, whatever the block-cache budget.
 		samples, _, err := storage.ReadTrajectoryFile(path)
 		if err != nil {
 			return nil, err
@@ -273,8 +261,7 @@ func (d *Dataset) Mmapped() bool {
 }
 
 // Len returns the total number of samples without decoding anything (VTB:
-// from the footers). A CSV dataset opened without a cache budget streams from
-// disk and has no resident count; Len then returns 0.
+// from the footers; CSV: the resident rows).
 func (d *Dataset) Len() int {
 	if d.format == storage.FormatCSV {
 		return len(d.resident)
@@ -330,9 +317,6 @@ func (d *Dataset) Refreshes() int64 { return d.refreshes.Load() }
 // because their segment left the live set.
 func (d *Dataset) BlockInvalidations() int64 { return d.blockInval.Load() }
 
-// IndexInvalidations returns how many cached indexes refreshes have dropped.
-func (d *Dataset) IndexInvalidations() int64 { return d.idxInval.Load() }
-
 // SegLog returns the underlying segment log, or nil when the dataset is a
 // single file. vitaserve uses it to run an in-process compactor under the
 // single-mutator rule.
@@ -353,9 +337,9 @@ func (d *Dataset) CacheStats() CacheStats {
 // so rows, order and stats are those of a served query: VTB datasets prune
 // via zone maps per segment, serve hot blocks from the cache, decode misses
 // block-parallel, and merge multi-segment results; CSV datasets filter the
-// resident rows. With caching disabled both formats stream instead — one
-// block (or CSV batch) in flight per segment, nothing unfiltered retained —
-// so one-shot callers like vitaquery keep the memory profile of a plain scan.
+// resident rows. With caching disabled VTB streams instead — one block in
+// flight per segment, nothing unfiltered retained — so one-shot callers like
+// vitaquery keep the memory profile of a plain scan.
 func (d *Dataset) Samples(pred colstore.Predicate) ([]trajectory.Sample, Stats, error) {
 	src, err := d.pinSource()
 	if err != nil {
@@ -430,171 +414,143 @@ func (d *Dataset) decodeMisses(misses []blockRef) error {
 	return nil
 }
 
-// predKey canonicalizes a predicate + index options into a cache key.
-// Identical keys imply identical matched samples and hence identical
-// indexes, so index-cache hits cannot change any answer.
-func predKey(p colstore.Predicate, o query.Options) string {
-	return fmt.Sprintf("t:%v,%g,%g|f:%v,%d|b:%v,%g,%g,%g,%g|o:%v,%d|q:%g,%g",
-		p.HasTime, p.T0, p.T1, p.HasFloor, p.Floor,
-		p.HasBox, p.Box.Min.X, p.Box.Min.Y, p.Box.Max.X, p.Box.Max.Y,
-		p.HasObj, p.Obj, o.BucketWidth, o.MaxGap)
-}
+// hasPoint keeps coordinate rows; kNN measures distance, which a symbolic
+// location does not have.
+var hasPoint = plan.Where(func(s trajectory.Sample) bool { return s.Loc.HasPoint })
 
-// opTrace assembles an operator's root span: total wall time, the
-// index-build (or plan) subtree, and the index-probe phase. When off, every
-// method is a no-op and finish returns nil, so untraced requests carry no
-// trace machinery at all.
-type opTrace struct {
-	on         bool
-	op         string
-	start      time.Time
-	probeStart time.Time
-}
+// inPartition keeps rows that name a partition, the key density counts by.
+var inPartition = plan.Where(func(s trajectory.Sample) bool { return s.Loc.Partition != "" })
 
-func newOpTrace(on bool, op string) opTrace {
-	t := opTrace{on: on, op: op}
-	if on {
-		t.start = time.Now()
-	}
-	return t
-}
-
-// startProbe marks the beginning of the index-probe phase (after the index
-// is built or fetched).
-func (t *opTrace) startProbe() {
-	if t.on {
-		t.probeStart = time.Now()
-	}
-}
-
-// finish builds the root span over the child subtree (index build or plan
-// trace); rows is the operator's result cardinality.
-func (t *opTrace) finish(child *obs.Span, rows int) *obs.Span {
-	if !t.on {
-		return nil
-	}
-	root := &obs.Span{Op: t.op, Rows: rows}
-	if child != nil {
-		root.Children = append(root.Children, child)
-	}
-	if !t.probeStart.IsZero() {
-		probe := &obs.Span{Op: "IndexProbe", Rows: rows}
-		probe.AddWall(time.Since(t.probeStart))
-		root.Children = append(root.Children, probe)
-	}
-	root.AddWall(time.Since(t.start))
-	return root
-}
-
-// Range answers a range query: the samples inside the box/floor/window and
-// the distinct objects among them. The plan's time/box/floor filters all
-// push down into the scan predicate, so the pre-index load prunes blocks
-// exactly as the hand-built predicate did.
+// Range answers a range query: the samples inside the box/floor/window,
+// ordered by (object, time) with ties in scan order, and the distinct objects
+// among them. The time/box/floor filters all push down into the scan
+// predicate, so zone maps prune blocks before anything is decoded.
 func (d *Dataset) Range(q RangeRequest) (*RangeResponse, error) {
-	t := newOpTrace(q.Trace, "Range")
 	preds := []plan.Pred{plan.TimeBetween(q.T0, q.T1), plan.InBox(q.Box)}
 	if q.Floor >= 0 {
 		preds = append(preds, plan.OnFloor(q.Floor))
 	}
-	ix, stats, buildSpan, err := d.indexFor(q.Trace, preds...)
+	var hits []trajectory.Sample
+	stats, span, err := d.runPlan("Range", q.Trace, func(src plan.Source) *plan.Plan {
+		return plan.NewScan(src).Filter(preds...).
+			OrderBy(plan.Asc(plan.ColObjID), plan.Asc(plan.ColT))
+	}, func(b *plan.Batch) { hits = b.Traj.AppendTo(hits) })
 	if err != nil {
 		return nil, err
 	}
-	t.startProbe()
-	hits := ix.Range(q.Floor, q.Box, q.T0, q.T1)
-	seen := make(map[int]bool)
-	for _, s := range hits {
-		seen[s.ObjID] = true
+	objs := []int{}
+	for i, s := range hits {
+		if i == 0 || s.ObjID != hits[i-1].ObjID {
+			objs = append(objs, s.ObjID)
+		}
 	}
-	objs := make([]int, 0, len(seen))
-	for id := range seen {
-		objs = append(objs, id)
-	}
-	sort.Ints(objs)
-	resp := &RangeResponse{Query: q, Hits: hits, Objects: objs, Stats: stats}
-	resp.Trace = t.finish(buildSpan, len(hits))
-	return resp, nil
+	return &RangeResponse{Query: q, Hits: hits, Objects: objs, Stats: stats, Trace: withRows(span, len(hits))}, nil
 }
 
-// KNN answers a k-nearest-neighbors query at an instant. Like the CLI, it
-// loads only the samples within MaxGap of T so interpolation still sees its
-// bracketing samples, and leaves floor filtering to the operator.
+// snapshotAt starts an instant query's plan: scan only the samples within
+// MaxGap of t — the only ones interpolation can use — and reduce them to one
+// interpolated row per observed object. Filters composed after it run on the
+// interpolated rows, not on the scan.
+func (d *Dataset) snapshotAt(src plan.Source, t float64) *plan.Plan {
+	return plan.NewScan(src).
+		Filter(plan.TimeBetween(t-d.maxGap, t+d.maxGap)).
+		SnapshotAt(t, d.maxGap)
+}
+
+// KNN answers a k-nearest-neighbors query at an instant: the objects'
+// interpolated positions on the floor (every floor when negative), nearest
+// first with ties broken by object ID. K <= 0 asks for nothing, scans nothing
+// and answers a null neighbor list.
 func (d *Dataset) KNN(q KNNRequest) (*KNNResponse, error) {
-	t := newOpTrace(q.Trace, "KNN")
-	opts := d.queryOptions()
-	ix, stats, buildSpan, err := d.indexFor(q.Trace, plan.TimeBetween(q.T-opts.MaxGap, q.T+opts.MaxGap))
-	if err != nil {
-		return nil, err
-	}
-	t.startProbe()
-	neighbors := ix.KNN(q.Floor, q.At, q.T, q.K)
-	resp := &KNNResponse{Query: q, Neighbors: neighbors, Stats: stats}
-	resp.Trace = t.finish(buildSpan, len(neighbors))
-	return resp, nil
-}
-
-// Density answers a per-partition snapshot density query at an instant.
-func (d *Dataset) Density(q DensityRequest) (*DensityResponse, error) {
-	t := newOpTrace(q.Trace, "Density")
-	opts := d.queryOptions()
-	ix, stats, buildSpan, err := d.indexFor(q.Trace, plan.TimeBetween(q.T-opts.MaxGap, q.T+opts.MaxGap))
-	if err != nil {
-		return nil, err
-	}
-	t.startProbe()
-	counts := ix.Density(q.T)
-	resp := &DensityResponse{Query: q, Counts: counts, Stats: stats}
-	resp.Trace = t.finish(buildSpan, len(counts))
-	return resp, nil
-}
-
-// Traj answers a trajectory-retrieval query for one object.
-func (d *Dataset) Traj(q TrajRequest) (*TrajResponse, error) {
-	t := newOpTrace(q.Trace, "Traj")
-	ix, stats, buildSpan, err := d.indexFor(q.Trace, plan.ObjEq(q.Obj), plan.TimeBetween(q.T0, q.T1))
-	if err != nil {
-		return nil, err
-	}
-	t.startProbe()
-	samples := ix.ObjectTrajectory(q.Obj, q.T0, q.T1)
-	resp := &TrajResponse{Query: q, Samples: samples, Stats: stats}
-	resp.Trace = t.finish(buildSpan, len(samples))
-	return resp, nil
-}
-
-// Dwell answers dwell-time-per-room: for every partition, the total seconds
-// objects spent in it during the window, and how many distinct objects were
-// seen there. Unlike the other operators it is pure plan algebra — no
-// spatio-temporal index — composed exactly as a user of the plan package
-// would write it: filter the window (pushed down to block pruning), order
-// by (object, time), derive per-row dwell gaps, aggregate per (partition,
-// object), then roll up per partition summing seconds and counting the
-// distinct objects.
-func (d *Dataset) Dwell(q DwellRequest) (*DwellResponse, error) {
-	opts := d.queryOptions()
-	preds := []plan.Pred{plan.TimeBetween(q.T0, q.T1)}
+	where := []plan.Pred{hasPoint}
 	if q.Floor >= 0 {
-		preds = append(preds, plan.OnFloor(q.Floor))
+		where = append(where, plan.OnFloor(q.Floor))
 	}
-	t := newOpTrace(q.Trace, "Dwell")
-	rows, stats, planSpan, err := d.runPlan(q.Trace, func(src plan.Source) *plan.Plan {
-		return plan.NewScan(src).
-			Filter(preds...).
-			OrderBy(plan.Asc(plan.ColObjID), plan.Asc(plan.ColT)).
-			Derive(plan.DwellGaps(opts.MaxGap)).
-			Aggregate(plan.By(plan.ColPartition, plan.ColObjID), plan.Sum(plan.ColVal, plan.ColVal)).
-			Aggregate(plan.By(plan.ColPartition), plan.Sum(plan.ColVal, plan.ColVal), plan.CountInto(plan.ColObjID))
+	var neighbors []query.Neighbor
+	if q.K > 0 {
+		neighbors = []query.Neighbor{}
+	}
+	stats, span, err := d.runPlan("KNN", q.Trace, func(src plan.Source) *plan.Plan {
+		return d.snapshotAt(src, q.T).
+			Filter(where...).
+			Derive(plan.DistTo(q.At)).
+			OrderBy(plan.Asc(plan.ColVal), plan.Asc(plan.ColObjID)).
+			Limit(max(q.K, 0))
+	}, func(b *plan.Batch) {
+		for i, dist := range b.Val {
+			s := b.Traj.Row(i)
+			neighbors = append(neighbors, query.Neighbor{ObjID: s.ObjID, Loc: s.Loc, Dist: dist})
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	rooms := make([]DwellRoom, 0, len(rows))
-	for _, r := range rows {
-		rooms = append(rooms, DwellRoom{
-			Partition: r.Sample.Loc.Partition,
-			Seconds:   r.Val,
-			Objects:   r.Sample.ObjID,
-		})
+	return &KNNResponse{Query: q, Neighbors: neighbors, Stats: stats, Trace: withRows(span, len(neighbors))}, nil
+}
+
+// Density answers a per-partition snapshot density query at an instant: how
+// many objects' interpolated positions lie in each partition.
+func (d *Dataset) Density(q DensityRequest) (*DensityResponse, error) {
+	counts := make(map[string]int)
+	stats, span, err := d.runPlan("Density", q.Trace, func(src plan.Source) *plan.Plan {
+		return d.snapshotAt(src, q.T).
+			Filter(inPartition).
+			Aggregate(plan.By(plan.ColPartition), plan.CountInto(plan.ColObjID))
+	}, func(b *plan.Batch) {
+		for i, part := range b.Traj.Partition {
+			counts[part] = int(b.Traj.ObjID[i])
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &DensityResponse{Query: q, Counts: counts, Stats: stats, Trace: withRows(span, len(counts))}, nil
+}
+
+// Traj answers a trajectory-retrieval query for one object: its samples in
+// the window in time order, ties in scan order. Pipeline-written files are
+// already in time order, which the sort detects in one pass; a hand-made CSV
+// in any row order gets the same answer.
+func (d *Dataset) Traj(q TrajRequest) (*TrajResponse, error) {
+	var samples []trajectory.Sample
+	stats, span, err := d.runPlan("Traj", q.Trace, func(src plan.Source) *plan.Plan {
+		return plan.NewScan(src).
+			Filter(plan.ObjEq(q.Obj), plan.TimeBetween(q.T0, q.T1)).
+			OrderBy(plan.Asc(plan.ColT))
+	}, func(b *plan.Batch) { samples = b.Traj.AppendTo(samples) })
+	if err != nil {
+		return nil, err
+	}
+	return &TrajResponse{Query: q, Samples: samples, Stats: stats, Trace: withRows(span, len(samples))}, nil
+}
+
+// Dwell answers dwell-time-per-room: for every partition, the total seconds
+// objects spent in it during the window, and how many distinct objects were
+// seen there. It is composed exactly as a user of the plan package would
+// write it: filter the window (pushed down to block pruning), order by
+// (object, time), derive per-row dwell gaps, aggregate per (partition,
+// object), then roll up per partition summing seconds and counting the
+// distinct objects.
+func (d *Dataset) Dwell(q DwellRequest) (*DwellResponse, error) {
+	preds := []plan.Pred{plan.TimeBetween(q.T0, q.T1)}
+	if q.Floor >= 0 {
+		preds = append(preds, plan.OnFloor(q.Floor))
+	}
+	rooms := []DwellRoom{}
+	stats, span, err := d.runPlan("Dwell", q.Trace, func(src plan.Source) *plan.Plan {
+		return plan.NewScan(src).
+			Filter(preds...).
+			OrderBy(plan.Asc(plan.ColObjID), plan.Asc(plan.ColT)).
+			Derive(plan.DwellGaps(d.maxGap)).
+			Aggregate(plan.By(plan.ColPartition, plan.ColObjID), plan.Sum(plan.ColVal, plan.ColVal)).
+			Aggregate(plan.By(plan.ColPartition), plan.Sum(plan.ColVal, plan.ColVal), plan.CountInto(plan.ColObjID))
+	}, func(b *plan.Batch) {
+		for i, part := range b.Traj.Partition {
+			rooms = append(rooms, DwellRoom{Partition: part, Seconds: b.Val[i], Objects: int(b.Traj.ObjID[i])})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Longest-dwelled room first; name breaks ties, so output is stable.
 	sort.SliceStable(rooms, func(i, j int) bool {
@@ -603,133 +559,46 @@ func (d *Dataset) Dwell(q DwellRequest) (*DwellResponse, error) {
 		}
 		return rooms[i].Partition < rooms[j].Partition
 	})
-	resp := &DwellResponse{Query: q, Rooms: rooms, Stats: stats}
-	resp.Trace = t.finish(planSpan, len(rooms))
-	return resp, nil
+	return &DwellResponse{Query: q, Rooms: rooms, Stats: stats, Trace: withRows(span, len(rooms))}, nil
 }
 
-// Info summarizes the dataset. With trace set the response carries the
-// span tree of the full-dataset index build behind the summary.
+// Info summarizes the dataset by folding a bare scan of every row. Bounds
+// covers the point of every row, symbolic ones (whose point is the zero
+// placeholder) included — the box load generators have always drawn from.
 func (d *Dataset) Info(trace bool) (*InfoResponse, error) {
-	t := newOpTrace(trace, "Info")
-	ix, stats, buildSpan, err := d.indexFor(trace)
+	resp := &InfoResponse{
+		T0: math.Inf(1), T1: math.Inf(-1),
+		Bounds: geom.BBox{
+			Min: geom.Pt(math.Inf(1), math.Inf(1)),
+			Max: geom.Pt(math.Inf(-1), math.Inf(-1)),
+		},
+	}
+	objs, floors := make(map[int64]bool), make(map[int64]bool)
+	stats, span, err := d.runPlan("Info", trace, plan.NewScan, func(b *plan.Batch) {
+		tr := b.Traj
+		resp.Samples += tr.Len()
+		for i, t := range tr.T {
+			objs[tr.ObjID[i]] = true
+			floors[tr.Floor[i]] = true
+			resp.T0, resp.T1 = math.Min(resp.T0, t), math.Max(resp.T1, t)
+			bb := &resp.Bounds
+			bb.Min = geom.Pt(math.Min(bb.Min.X, tr.X[i]), math.Min(bb.Min.Y, tr.Y[i]))
+			bb.Max = geom.Pt(math.Max(bb.Max.X, tr.X[i]), math.Max(bb.Max.Y, tr.Y[i]))
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	t0, t1, ok := ix.TimeSpan()
-	bounds, _ := ix.Bounds()
-	resp := &InfoResponse{
-		Samples: ix.Len(),
-		Objects: len(ix.Objects()),
-		Floors:  ix.Floors(),
-		T0:      t0,
-		T1:      t1,
-		Bounds:  bounds,
-		Empty:   !ok,
-		Stats:   stats,
+	if resp.Samples == 0 {
+		resp.Empty = true
+		resp.T0, resp.T1, resp.Bounds = 0, 0, geom.BBox{}
 	}
-	resp.Trace = t.finish(buildSpan, ix.Len())
+	resp.Objects = len(objs)
+	resp.Floors = make([]int, 0, len(floors))
+	for fl := range floors {
+		resp.Floors = append(resp.Floors, int(fl))
+	}
+	sort.Ints(resp.Floors)
+	resp.Stats, resp.Trace = stats, withRows(span, resp.Samples)
 	return resp, nil
-}
-
-// queryOptions returns the effective index options with defaults applied,
-// so MaxGap-derived predicates match what the index itself will use.
-func (d *Dataset) queryOptions() query.Options {
-	o := d.qopts
-	if o.BucketWidth <= 0 {
-		o.BucketWidth = query.DefaultOptions().BucketWidth
-	}
-	if o.MaxGap <= 0 {
-		o.MaxGap = query.DefaultOptions().MaxGap
-	}
-	return o
-}
-
-// indexCache is a small LRU of built spatio-temporal indexes keyed by
-// canonical predicate, bounded both by entry count and by approximate
-// resident bytes — a wide predicate (empty, or a full-window range) builds
-// an index over a copy of the whole dataset, so a count bound alone would
-// leave daemon memory unbounded. One warm entry turns a repeated query into
-// pure index lookup — no block reads at all.
-type indexCache struct {
-	mu       sync.Mutex
-	max      int
-	maxBytes int64 // <= 0: no byte bound
-	bytes    int64
-	order    []string // front = most recently used
-	entries  map[string]indexEntry
-}
-
-type indexEntry struct {
-	ix    *query.TrajectoryIndex
-	bytes int64
-}
-
-func newIndexCache(max int, maxBytes int64) *indexCache {
-	return &indexCache{max: max, maxBytes: maxBytes, entries: make(map[string]indexEntry)}
-}
-
-func (c *indexCache) get(key string) (*query.TrajectoryIndex, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if ok {
-		c.touch(key)
-	}
-	return e.ix, ok
-}
-
-// put inserts an index whose resident footprint is approximately bytes,
-// evicting LRU entries until both bounds hold. An index larger than the
-// whole byte budget is not cached at all.
-func (c *indexCache) put(key string, ix *query.TrajectoryIndex, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.maxBytes > 0 && bytes > c.maxBytes {
-		return
-	}
-	if old, ok := c.entries[key]; ok {
-		c.bytes -= old.bytes
-		c.touch(key)
-	} else {
-		c.order = append([]string{key}, c.order...)
-	}
-	c.entries[key] = indexEntry{ix: ix, bytes: bytes}
-	c.bytes += bytes
-	for len(c.order) > c.max || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
-		last := c.order[len(c.order)-1]
-		c.order = c.order[:len(c.order)-1]
-		c.bytes -= c.entries[last].bytes
-		delete(c.entries, last)
-	}
-}
-
-// touch moves key to the front of the recency order. Callers hold mu.
-func (c *indexCache) touch(key string) {
-	for i, k := range c.order {
-		if k == key {
-			copy(c.order[1:i+1], c.order[:i])
-			c.order[0] = key
-			return
-		}
-	}
-}
-
-func (c *indexCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// clear drops every entry, returning how many there were. Refresh calls it
-// when the dataset moves to a new manifest generation: the entries' keys
-// name the old generation and will never be asked for again.
-func (c *indexCache) clear() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.entries)
-	c.entries = make(map[string]indexEntry)
-	c.order = nil
-	c.bytes = 0
-	return n
 }

@@ -16,7 +16,7 @@ import (
 func TestDatasetMmapParity(t *testing.T) {
 	configs := map[string]Config{
 		"cached":    {},
-		"streaming": {CacheBytes: -1, IndexEntries: -1, Parallelism: 1},
+		"streaming": {CacheBytes: -1, Parallelism: 1},
 	}
 	rangeReq := RangeRequest{Floor: 0, Box: geom.BBox{Min: geom.Pt(2, 2), Max: geom.Pt(18, 12)}, T0: 100, T1: 200}
 	knnReq := KNNRequest{Floor: 0, At: geom.Pt(10, 8), T: 150, K: 3}
@@ -63,7 +63,7 @@ func TestDatasetMmapParity(t *testing.T) {
 // reports a bounded peak: at most one decoded block's batch, never the whole
 // matched result set.
 func TestStreamingPeakDecodedBytes(t *testing.T) {
-	ds := openTestDataset(t, storage.FormatVTB, Config{CacheBytes: -1, IndexEntries: -1, Parallelism: 1})
+	ds := openTestDataset(t, storage.FormatVTB, Config{CacheBytes: -1, Parallelism: 1})
 	resp, err := ds.Range(RangeRequest{Floor: -1, Box: geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}, T0: 0, T1: 600})
 	if err != nil {
 		t.Fatal(err)

@@ -246,9 +246,7 @@ func findServeSpan(s *obs.Span, op string) *obs.Span {
 // the span tree's row and pruning counts must equal the response's Stats,
 // locally and over HTTP — and be absent entirely when not asked for.
 func TestTraceMatchesResponseStats(t *testing.T) {
-	// No index cache, so every traced query shows the full IndexBuild→Scan
-	// chain rather than an IndexCached hit.
-	ds := openTestDataset(t, storage.FormatVTB, Config{IndexEntries: -1})
+	ds := openTestDataset(t, storage.FormatVTB, Config{})
 	ts := httptest.NewServer(NewServerWith(ds, ServerOptions{Logger: quietLogger(), Metrics: obs.NewRegistry()}).Handler())
 	t.Cleanup(ts.Close)
 	c := &Client{Base: ts.URL}
@@ -286,8 +284,8 @@ func TestTraceMatchesResponseStats(t *testing.T) {
 				surface, scan.BlocksScanned, scan.BlocksPruned, scan.RowsMatched,
 				resp.Stats.Scan.BlocksScanned, resp.Stats.Scan.BlocksPruned, resp.Stats.Scan.RowsMatched)
 		}
-		if probe := findServeSpan(root, "IndexProbe"); probe == nil {
-			t.Errorf("%s: no IndexProbe span", surface)
+		if sort := findServeSpan(root, "OrderBy"); sort == nil || sort.Rows != len(resp.Hits) {
+			t.Errorf("%s: OrderBy span %+v, want one carrying the %d hits", surface, sort, len(resp.Hits))
 		}
 	}
 

@@ -1,26 +1,23 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"vita/internal/colstore"
 	"vita/internal/obs"
 	"vita/internal/plan"
-	"vita/internal/query"
 	"vita/internal/storage"
 )
 
 // The serve operators execute as plans over internal/plan: each endpoint
 // builds a logical operator tree, the planner pushes its structured filters
-// into the scan's block predicate (which doubles as the index-cache key),
-// and planSource routes the scan leaf through whichever load path the
-// dataset is configured for — resident CSV rows, streaming CSV, cache-less
-// segment cursors, or the decoded-block cache. The load paths, their stats
-// accounting, and the answers they produce are byte-identical to the
-// pre-algebra hand-coded operators; the algebra is what makes new analytics
-// (Dwell) one plan expression instead of a new bespoke pipeline.
+// into the scan's block predicate, planSource routes the scan leaf through
+// whichever load path the dataset is configured for — resident CSV rows,
+// cache-less segment cursors, or the decoded-block cache — and runPlan drains
+// the result. There is no other execution path: a new analytic is one plan
+// expression, and the answers of the six that exist are pinned against the
+// in-memory index of internal/query (see differential_test.go).
 
 // planSource adapts one query's view of the dataset to plan.Source. It is
 // single-use: Open is called once by the compiled plan's scan leaf, and
@@ -54,18 +51,14 @@ func (s *planSource) release() {
 	}
 }
 
-// Open selects the dataset's load path for pred. The stats semantics of
-// each branch replicate the pre-plan implementations exactly.
+// Open selects the dataset's load path for pred.
 func (s *planSource) Open(pred colstore.Predicate) (plan.TrajectoryCursor, error) {
 	d := s.d
 	var err error
 	switch {
-	case d.format == storage.FormatCSV && d.resident != nil:
-		// Resident CSV: filter the resident rows, counting every row scanned.
-		s.cur, err = plan.SliceSource{Samples: d.resident}.Open(pred)
 	case d.format == storage.FormatCSV:
-		// Streaming CSV (no cache budget): parse straight from disk.
-		s.cur, _, err = storage.OpenTrajectoryCursor(d.path, pred)
+		// CSV: filter the resident rows, counting every row scanned.
+		s.cur, err = plan.SliceSource{Samples: d.resident}.Open(pred)
 	case d.cache == nil:
 		// Cache-less VTB: stream the pinned segment set's blocks, merged
 		// across segments — one decoded batch per segment in flight.
@@ -81,20 +74,19 @@ func (s *planSource) Open(pred colstore.Predicate) (plan.TrajectoryCursor, error
 	return s.cur, err
 }
 
-// finalStats assembles the request's Stats after the plan has drained,
-// matching each load path's historical accounting.
+// finalStats assembles the request's Stats after the plan has drained.
 func (s *planSource) finalStats() Stats {
 	d := s.d
 	st := Stats{Format: string(d.format)}
+	if d.log != nil {
+		st.Segments = len(s.set.segs)
+	}
 	if s.cur == nil {
-		return st
+		return st // the plan never pulled from its scan (Limit(0))
 	}
 	st.Scan = s.cur.Stats()
 	if d.format != storage.FormatVTB {
 		return st
-	}
-	if d.log != nil {
-		st.Segments = len(s.set.segs)
 	}
 	if d.cache != nil {
 		st.CacheHits, st.CacheMisses = s.hits, s.misses
@@ -236,112 +228,47 @@ func (c *cachedCursor) Close() error {
 	return nil
 }
 
-// indexFor compiles a scan-and-filter plan over the dataset and resolves it
-// to the spatio-temporal index of the matching samples. The plan's pushed-
-// down scan predicate doubles as the index-cache key (generation-prefixed
-// on segmented datasets, so an entry can never outlive the data it
-// summarizes); on a miss the plan's batches stream into the index builder,
-// so the cache-less configuration never materializes the matched rows —
-// peak memory beyond the finished index is one decoded batch per segment,
-// which is what Stats.PeakDecodedBytes approximates.
-// With traced set, the returned span is "IndexCached" on a cache hit or an
-// "IndexBuild" wrapping the plan's per-operator trace on a miss; untraced
-// calls compile the plain (span-free) plan and return a nil span.
-func (d *Dataset) indexFor(traced bool, preds ...plan.Pred) (*query.TrajectoryIndex, Stats, *obs.Span, error) {
+// runPlan is how every operator executes: pin the dataset's current data,
+// compile the plan build anchors on it, and hand each output batch to each (a
+// batch is only valid during the call). It returns what the scan cost and,
+// with traced set, the operator's root span — named op, timed from pin to
+// drain, over the plan's per-operator span tree; the caller fills in its row
+// count. Untraced calls compile the plain, span-free plan and return nil.
+func (d *Dataset) runPlan(op string, traced bool, build func(plan.Source) *plan.Plan, each func(*plan.Batch)) (Stats, *obs.Span, error) {
+	start := time.Now()
 	src, err := d.pinSource()
 	if err != nil {
-		return nil, Stats{Format: string(d.format)}, nil, err
+		return Stats{Format: string(d.format)}, nil, err
 	}
 	defer src.release()
-	p := plan.NewScan(src).Filter(preds...)
 	var c *plan.Compiled
 	if traced {
-		c, err = p.CompileTraced()
+		c, err = build(src).CompileTraced()
 	} else {
-		c, err = p.Compile()
+		c, err = build(src).Compile()
 	}
 	if err != nil {
-		return nil, Stats{Format: string(d.format)}, nil, err
+		return Stats{Format: string(d.format)}, nil, err
 	}
-
-	key := predKey(c.ScanPred(), d.qopts)
-	if d.log != nil {
-		key = fmt.Sprintf("g%d|%s", src.set.gen, key)
-	}
-	if d.idx != nil {
-		if ix, ok := d.idx.get(key); ok {
-			_ = c.Close()
-			st := Stats{Format: string(d.format), IndexCached: true}
-			if d.log != nil {
-				st.Segments = len(src.set.segs)
-			}
-			var span *obs.Span
-			if traced {
-				span = &obs.Span{Op: "IndexCached", Rows: ix.Len()}
-			}
-			return ix, st, span, nil
-		}
-	}
-
-	var span *obs.Span
-	var start time.Time
-	if traced {
-		span = &obs.Span{Op: "IndexBuild", Children: []*obs.Span{c.Trace()}}
-		start = time.Now()
-	}
-	b := query.NewIndexBuilder(d.qopts)
-	var sampleBytes int64 // approximate bytes of the matched rows
 	for c.Next() {
-		batch := c.Batch().Traj
-		sampleBytes += batch.Bytes()
-		b.AddBatch(batch)
+		each(c.Batch())
 	}
-	// Stats first so an error still reports the partial scan, like every
-	// other load path.
+	// Stats before Close, so an error still reports the partial scan.
 	stats := src.finalStats()
-	if err := c.Close(); err != nil {
-		return nil, stats, span, err
+	err = c.Close()
+	if !traced {
+		return stats, nil, err
 	}
-	ix := b.Build()
-	if traced {
-		span.AddWall(time.Since(start))
-		span.Rows = ix.Len()
-	}
-	if d.idx != nil {
-		// The index holds the samples in per-object series plus R-tree
-		// nodes and bucket structure over them; 3x the raw sample bytes is
-		// a conservative footprint estimate for the byte bound.
-		d.idx.put(key, ix, 3*sampleBytes)
-	}
-	return ix, stats, span, nil
+	root := &obs.Span{Op: op, Children: []*obs.Span{c.Trace()}}
+	root.AddWall(time.Since(start))
+	return stats, root, err
 }
 
-// runPlan compiles and drains an arbitrary plan over the dataset's current
-// data — the execution path for operators that are pure algebra (Dwell)
-// rather than index lookups. build receives the scan source to anchor the
-// plan's leaf; the returned rows carry each output row's Val column.
-// With traced set, the returned span is the plan's per-operator trace root
-// (nil otherwise).
-func (d *Dataset) runPlan(traced bool, build func(plan.Source) *plan.Plan) ([]plan.Row, Stats, *obs.Span, error) {
-	src, err := d.pinSource()
-	if err != nil {
-		return nil, Stats{Format: string(d.format)}, nil, err
+// withRows records an operator's result cardinality on its root span, if it
+// has one.
+func withRows(span *obs.Span, rows int) *obs.Span {
+	if span != nil {
+		span.Rows = rows
 	}
-	defer src.release()
-	p := build(src)
-	var c *plan.Compiled
-	if traced {
-		c, err = p.CompileTraced()
-	} else {
-		c, err = p.Compile()
-	}
-	if err != nil {
-		return nil, Stats{Format: string(d.format)}, nil, err
-	}
-	rows, err := plan.CollectRows(c)
-	stats := src.finalStats()
-	if err != nil {
-		return nil, stats, c.Trace(), err
-	}
-	return rows, stats, c.Trace(), nil
+	return span
 }

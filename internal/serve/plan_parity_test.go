@@ -68,9 +68,9 @@ func TestPlanOperatorParity(t *testing.T) {
 		cfg    Config
 	}{
 		{"vtb-cached", storage.FormatVTB, Config{}},
-		{"vtb-streaming", storage.FormatVTB, Config{CacheBytes: -1, IndexEntries: -1}},
+		{"vtb-streaming", storage.FormatVTB, Config{CacheBytes: -1}},
 		{"csv-resident", storage.FormatCSV, Config{}},
-		{"csv-streaming", storage.FormatCSV, Config{CacheBytes: -1, IndexEntries: -1}},
+		{"csv-no-block-cache", storage.FormatCSV, Config{CacheBytes: -1}},
 	}
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
@@ -207,7 +207,7 @@ func TestPlanStatsAccounting(t *testing.T) {
 		T0:  33.5, T1: 147.25}
 
 	t.Run("vtb-streaming", func(t *testing.T) {
-		ds := openTestDataset(t, storage.FormatVTB, Config{CacheBytes: -1, IndexEntries: -1})
+		ds := openTestDataset(t, storage.FormatVTB, Config{CacheBytes: -1})
 		resp, err := ds.Range(q)
 		if err != nil {
 			t.Fatal(err)
@@ -225,9 +225,6 @@ func TestPlanStatsAccounting(t *testing.T) {
 		if st.PeakDecodedBytes <= 0 {
 			t.Errorf("streaming path lost peak accounting: %+v", st)
 		}
-		if st.IndexCached {
-			t.Error("cache-less dataset claims a cached index")
-		}
 	})
 
 	t.Run("vtb-cached", func(t *testing.T) {
@@ -236,15 +233,15 @@ func TestPlanStatsAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if first.Stats.IndexCached || first.Stats.CacheMisses == 0 {
+		if first.Stats.CacheMisses == 0 {
 			t.Errorf("first pass should decode blocks: %+v", first.Stats)
 		}
 		second, err := ds.Range(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !second.Stats.IndexCached {
-			t.Errorf("identical plan did not hit the index cache: %+v", second.Stats)
+		if second.Stats.CacheMisses != 0 || second.Stats.CacheHits != first.Stats.CacheMisses {
+			t.Errorf("second pass did not run off the block cache: %+v", second.Stats)
 		}
 		sameJSON(t, "cached-pass hits", second.Hits, first.Hits)
 	})
@@ -361,7 +358,7 @@ func TestLoadPathParity(t *testing.T) {
 	logDir := t.TempDir()
 	writeSegmented(t, logDir, samples, 1500)
 	open := func(dir string, cfg Config) *Dataset {
-		cfg.IndexEntries, cfg.WatchInterval = -1, -1
+		cfg.WatchInterval = -1
 		ds, err := Open(dir, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -112,7 +112,7 @@ func TestSegmentedMatchesSingleFile(t *testing.T) {
 
 	configs := map[string]Config{
 		"cached":    {WatchInterval: -1},
-		"streaming": {CacheBytes: -1, IndexEntries: -1, WatchInterval: -1},
+		"streaming": {CacheBytes: -1, WatchInterval: -1},
 	}
 	for name, cfg := range configs {
 		flat, err := Open(flatDir, cfg)
@@ -192,55 +192,6 @@ func TestRefreshPicksUpAppend(t *testing.T) {
 	}
 }
 
-// TestIndexCacheInvalidatedOnRefresh is the regression test for the stale
-// per-predicate index cache: an index built before new data arrives must not
-// answer queries after the refresh.
-func TestIndexCacheInvalidatedOnRefresh(t *testing.T) {
-	samples := testSamples()
-	cut := len(samples) / 2
-	dir := t.TempDir()
-	l := writeSegmented(t, dir, samples[:cut], cut/2+1)
-
-	ds, err := Open(dir, Config{WatchInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-
-	// Whole-dataset window: builds and caches an index over the first half.
-	q := RangeRequest{Floor: -1, Box: geom.BBox{Min: geom.Pt(-1e9, -1e9), Max: geom.Pt(1e9, 1e9)}, T0: 0, T1: 1e9}
-	before, err := ds.Range(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(before.Hits) != cut {
-		t.Fatalf("pre-append hits = %d, want %d", len(before.Hits), cut)
-	}
-	// Same query again is served from the cached index.
-	if resp, err := ds.Range(q); err != nil || !resp.Stats.IndexCached {
-		t.Fatalf("warm query not index-cached: %+v, %v", resp.Stats, err)
-	}
-
-	appendSegmented(t, l, samples[cut:], len(samples)-cut)
-	if _, err := ds.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if ds.IndexInvalidations() == 0 {
-		t.Error("refresh invalidated no index entries")
-	}
-	after, err := ds.Range(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Stats.IndexCached {
-		t.Error("post-refresh query served from a stale cached index")
-	}
-	if len(after.Hits) != len(samples) {
-		t.Errorf("post-refresh hits = %d, want %d — stale index survived the refresh",
-			len(after.Hits), len(samples))
-	}
-}
-
 // TestBlockCacheInvalidationIsPrecise checks the (segment, block) cache
 // keys: an append invalidates nothing (old segments' blocks stay warm), a
 // compaction invalidates exactly the superseded segments' blocks.
@@ -250,8 +201,7 @@ func TestBlockCacheInvalidationIsPrecise(t *testing.T) {
 	dir := t.TempDir()
 	l := writeSegmented(t, dir, samples[:cut], cut/2+1)
 
-	// Index cache off so every query exercises the block path.
-	ds, err := Open(dir, Config{IndexEntries: -1, WatchInterval: -1})
+	ds, err := Open(dir, Config{WatchInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

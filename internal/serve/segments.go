@@ -123,11 +123,10 @@ func (d *Dataset) buildSet(man seglog.Manifest, prev *segmentSet) (*segmentSet, 
 
 // Refresh reloads the log's manifest and, if its generation moved, swaps in a
 // segment set for the new generation, reporting whether anything changed.
-// In-flight queries keep the set they started on; caches are invalidated
-// precisely — block entries only for segments that left the live set, the
-// per-predicate index cache entirely (its entries summarize data that just
-// changed). The watcher goroutine calls this on a timer; callers embedding a
-// Dataset can call it directly after writing.
+// In-flight queries keep the set they started on; the block cache is
+// invalidated precisely — only entries of segments that left the live set.
+// The watcher goroutine calls this on a timer; callers embedding a Dataset
+// can call it directly after writing.
 func (d *Dataset) Refresh() (bool, error) {
 	if d.log == nil {
 		return false, nil
@@ -185,12 +184,6 @@ func (d *Dataset) Refresh() (bool, error) {
 			}
 		}
 		d.blockInval.Add(d.cache.EvictSegments(dead))
-	}
-	if d.idx != nil {
-		// Index keys are generation-prefixed, so stale entries could never be
-		// served — clearing reclaims their memory immediately instead of
-		// waiting for LRU pressure to find them.
-		d.idxInval.Add(int64(d.idx.clear()))
 	}
 	old.release()  // the Dataset's ownership of the displaced set
 	prev.release() // this refresh's temporary hold

@@ -56,7 +56,6 @@ type Server struct {
 	inFlight  atomic.Int64
 	pruned    atomic.Int64
 	decoded   atomic.Int64
-	idxHits   atomic.Int64
 	testDelay time.Duration // test hook: stall every operator request
 }
 
@@ -154,16 +153,8 @@ func (s *Server) registerMetrics() {
 	counter("vita_http_errors_total", "Requests answered with an error body.", s.errors.Load)
 	counter("vita_blocks_pruned_total", "Blocks skipped by zone-map pruning across all requests.", s.pruned.Load)
 	counter("vita_blocks_decoded_total", "Blocks decoded (block-cache misses) across all requests.", s.decoded.Load)
-	counter("vita_index_cache_hits_total", "Requests answered from a cached predicate index.", s.idxHits.Load)
 
 	ds := s.ds
-	gauge("vita_index_cache_entries", "Predicate indexes currently cached.", func() int64 {
-		if ds.idx == nil {
-			return 0
-		}
-		return int64(ds.idx.len())
-	})
-	counter("vita_index_cache_invalidations_total", "Cached indexes dropped by manifest refreshes.", ds.IndexInvalidations)
 	counter("vita_block_cache_hits_total", "Decoded-block cache hits.", func() int64 { return ds.CacheStats().Hits })
 	counter("vita_block_cache_misses_total", "Decoded-block cache misses.", func() int64 { return ds.CacheStats().Misses })
 	counter("vita_block_cache_evictions_total", "Decoded blocks evicted by the cache's byte bound.", func() int64 { return ds.CacheStats().Evictions })
@@ -390,9 +381,6 @@ func (s *Server) track(op int, stats *Stats) {
 		// Scan.BlocksScanned counts every surviving block, cache-served or
 		// not; only the misses actually decoded anything.
 		s.decoded.Add(int64(stats.CacheMisses))
-		if stats.IndexCached {
-			s.idxHits.Add(1)
-		}
 	}
 }
 
@@ -593,8 +581,6 @@ type ServerStats struct {
 	Errors        int64            `json:"errors"`
 	BlocksPruned  int64            `json:"blocks_pruned"`
 	BlocksDecoded int64            `json:"blocks_decoded"`
-	IndexHits     int64            `json:"index_hits"`
-	IndexEntries  int              `json:"index_entries"`
 	Cache         CacheStats       `json:"cache"`
 
 	// Live-dataset counters; all zero for single-file and CSV datasets.
@@ -603,7 +589,6 @@ type ServerStats struct {
 	Compactions        uint64 `json:"compactions"`
 	Refreshes          int64  `json:"refreshes"`
 	BlockInvalidations int64  `json:"block_invalidations"`
-	IndexInvalidations int64  `json:"index_invalidations"`
 }
 
 // Stats returns a snapshot of the server's lifetime counters.
@@ -612,7 +597,7 @@ func (s *Server) Stats() ServerStats {
 	for op, name := range opNames {
 		reqs[name] = s.requests[op].Load()
 	}
-	st := ServerStats{
+	return ServerStats{
 		Dataset:       s.ds.Path(),
 		Format:        string(s.ds.Format()),
 		Samples:       s.ds.Len(),
@@ -623,7 +608,6 @@ func (s *Server) Stats() ServerStats {
 		Errors:        s.errors.Load(),
 		BlocksPruned:  s.pruned.Load(),
 		BlocksDecoded: s.decoded.Load(),
-		IndexHits:     s.idxHits.Load(),
 		Cache:         s.ds.CacheStats(),
 
 		Segments:           s.ds.Segments(),
@@ -631,12 +615,7 @@ func (s *Server) Stats() ServerStats {
 		Compactions:        s.ds.Compactions(),
 		Refreshes:          s.ds.Refreshes(),
 		BlockInvalidations: s.ds.BlockInvalidations(),
-		IndexInvalidations: s.ds.IndexInvalidations(),
 	}
-	if s.ds.idx != nil {
-		st.IndexEntries = s.ds.idx.len()
-	}
-	return st
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {

@@ -22,9 +22,7 @@ import (
 // exactly (encoding/json emits shortest round-trip representations).
 
 // Stats describes how much work one request cost: the underlying scan
-// (blocks pruned/decoded, rows), block-cache effectiveness, and whether the
-// built index itself came from cache (in which case no blocks were touched
-// at all).
+// (blocks pruned/decoded, rows) and block-cache effectiveness.
 type Stats struct {
 	// Format is the dataset's storage format ("vtb" or "csv").
 	Format string `json:"format"`
@@ -35,12 +33,14 @@ type Stats struct {
 	// request (VTB only; misses equal blocks decoded).
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
-	// IndexCached reports that the request was answered from a cached
-	// spatio-temporal index without touching blocks.
+	// IndexCached is always false.
+	//
+	// Deprecated: there is no index cache; the key stays on the wire only so
+	// response bodies keep their shape.
 	IndexCached bool `json:"index_cached"`
 	// PeakDecodedBytes is the largest decoded batch held at any instant
-	// while streaming this request's blocks through the index builder
-	// (cursor path only — the one-shot, cache-less configuration). It is
+	// while streaming this request's blocks through the plan (cursor path
+	// only — the one-shot, cache-less configuration). It is
 	// the observable form of the bounded-memory claim: however large the
 	// file, the scan's transient footprint is one block's batch.
 	PeakDecodedBytes int64 `json:"peak_decoded_bytes,omitempty"`
@@ -189,7 +189,7 @@ type DwellRoom struct {
 	Partition string `json:"partition"`
 	// Seconds is the total dwell time accumulated across all objects:
 	// consecutive same-object samples in the partition no further apart
-	// than the index's MaxGap contribute their gap.
+	// than the dataset's MaxGap contribute their gap.
 	Seconds float64 `json:"seconds"`
 	// Objects is how many distinct objects were observed in the partition.
 	Objects int `json:"objects"`

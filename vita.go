@@ -363,8 +363,8 @@ func NewContinuousEngine() *ContinuousEngine { return query.NewContinuousEngine(
 // on a worker pool. Safe for concurrent use.
 type QueryDataset = serve.Dataset
 
-// QueryServeConfig tunes an opened QueryDataset (index layout, decode
-// parallelism, cache budgets). The zero value selects the defaults.
+// QueryServeConfig tunes an opened QueryDataset (interpolation gap, decode
+// parallelism, block-cache budget). The zero value selects the defaults.
 type QueryServeConfig = serve.Config
 
 // QueryServer exposes a QueryDataset's operators over HTTP with JSON
