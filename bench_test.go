@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 
@@ -362,7 +361,7 @@ func vtbBenchImage(b *testing.B) ([]byte, []byte, int) {
 	b.Helper()
 	samples := benchSamples(b)
 	var vtb bytes.Buffer
-	w := colstore.NewTrajectoryWriterOptions(&vtb, colstore.Options{BlockSize: 1024})
+	w := colstore.NewTrajectoryWriter(&vtb, colstore.Options{BlockSize: 1024})
 	for _, s := range samples {
 		if err := w.Write(s); err != nil {
 			b.Fatal(err)
@@ -388,7 +387,7 @@ func BenchmarkVTBWrite(b *testing.B) {
 	var encoded int64
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		w := colstore.NewTrajectoryWriter(&buf)
+		w := colstore.NewTrajectoryWriter(&buf, colstore.Options{})
 		for _, s := range samples {
 			if err := w.Write(s); err != nil {
 				b.Fatal(err)
@@ -430,8 +429,12 @@ func BenchmarkVTBScanFull(b *testing.B) {
 			b.Fatal(err)
 		}
 		rows := 0
-		stats, err := r.Scan(colstore.Predicate{}, func(trajectory.Sample) { rows++ })
-		if err != nil {
+		cur := r.Cursor(colstore.Predicate{})
+		for cur.Next() {
+			rows += cur.Batch().Len()
+		}
+		stats := cur.Stats()
+		if err := cur.Close(); err != nil {
 			b.Fatal(err)
 		}
 		if rows != n || stats.BlocksScanned != stats.BlocksTotal {
@@ -452,13 +455,17 @@ func BenchmarkVTBScanPruned(b *testing.B) {
 			b.Fatal(err)
 		}
 		rows := 0
-		stats, err := r.Scan(colstore.TimeWindow(100, 160), func(s trajectory.Sample) {
-			if s.T < 100 || s.T > 160 {
-				b.Fatalf("scan leaked sample at t=%g", s.T)
+		cur := r.Cursor(colstore.TimeWindow(100, 160))
+		for cur.Next() {
+			for _, t := range cur.Batch().T {
+				if t < 100 || t > 160 {
+					b.Fatalf("scan leaked sample at t=%g", t)
+				}
 			}
-			rows++
-		})
-		if err != nil {
+			rows += cur.Batch().Len()
+		}
+		stats := cur.Stats()
+		if err := cur.Close(); err != nil {
 			b.Fatal(err)
 		}
 		if rows == 0 {
@@ -520,64 +527,6 @@ func BenchmarkPlanScanPruned(b *testing.B) {
 		}
 		b.ReportMetric(float64(stats.BlocksScanned), "blocks-read")
 		b.ReportMetric(float64(stats.BlocksPruned), "blocks-pruned")
-	}
-}
-
-// BenchmarkVTBScanParallel measures full-file decode throughput at several
-// worker counts over the shared 12k-sample benchmark image, then gates the
-// speedup: the p=8 sub-benchmark re-times both settings (minimum of several
-// runs, which filters scheduler noise) and fails the benchmark if parallel
-// decode is slower than sequential — the pool must never cost throughput.
-// Output is byte-identical at every level (see colstore's equality tests);
-// only wall clock may differ.
-func BenchmarkVTBScanParallel(b *testing.B) {
-	vtb, _, n := vtbBenchImage(b)
-	r, err := colstore.NewTrajectoryReader(bytes.NewReader(vtb), int64(len(vtb)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	scan := func(b *testing.B, p int) time.Duration {
-		start := time.Now()
-		rows := 0
-		if _, err := r.ScanParallel(colstore.Predicate{}, p, func(trajectory.Sample) { rows++ }); err != nil {
-			b.Fatal(err)
-		}
-		if rows != n {
-			b.Fatalf("decoded %d rows, want %d", rows, n)
-		}
-		return time.Since(start)
-	}
-	minOver := func(b *testing.B, p, reps int) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			if d := scan(b, p); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	for _, p := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			b.SetBytes(int64(len(vtb)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				scan(b, p)
-			}
-			if p == 8 {
-				if runtime.GOMAXPROCS(0) < 2 {
-					return // single-core host: nothing to gate
-				}
-				// The gate's comparison scans are bookkeeping, not the
-				// measured workload.
-				b.StopTimer()
-				seq := minOver(b, 1, 7)
-				par := minOver(b, 8, 7)
-				b.ReportMetric(float64(seq)/float64(par), "speedup-vs-p1")
-				if par > seq {
-					b.Fatalf("parallel scan is slower than sequential: p=8 %v vs p=1 %v", par, seq)
-				}
-			}
-		})
 	}
 }
 
@@ -699,7 +648,7 @@ func BenchmarkColdStartQuery(b *testing.B) {
 				b.Fatal(err)
 			}
 			var samples []trajectory.Sample
-			if _, err := r.Scan(pred, func(s trajectory.Sample) { samples = append(samples, s) }); err != nil {
+			if _, err := storage.Each(r.Cursor(pred), func(s trajectory.Sample) { samples = append(samples, s) }); err != nil {
 				b.Fatal(err)
 			}
 			ix := query.NewTrajectoryIndex(samples, query.DefaultOptions())
@@ -719,7 +668,7 @@ func vtbBenchFile(b *testing.B, opts colstore.Options) (string, int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w := colstore.NewTrajectoryWriterOptions(f, opts)
+	w := colstore.NewTrajectoryWriter(f, opts)
 	for _, s := range samples {
 		if err := w.Write(s); err != nil {
 			b.Fatal(err)
@@ -743,13 +692,13 @@ func vtbBenchFile(b *testing.B, opts colstore.Options) (string, int) {
 // timed as the minimum over several runs (page cache warm for both), with a
 // 10% noise allowance on the gate.
 func BenchmarkVTBScanMmapVsReaderAt(b *testing.B) {
-	path, n := vtbBenchFile(b, colstore.Options{BlockSize: 1024, NoCompress: true})
-	mm, err := colstore.OpenTrajectory(path)
+	path, n := vtbBenchFile(b, colstore.Options{BlockSize: 1024, Codec: colstore.CodecRaw})
+	mm, err := colstore.OpenTrajectory(path, colstore.OpenOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer mm.Close()
-	pr, err := colstore.OpenTrajectoryOptions(path, colstore.OpenOptions{DisableMmap: true})
+	pr, err := colstore.OpenTrajectory(path, colstore.OpenOptions{DisableMmap: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -846,7 +795,7 @@ func BenchmarkVTBScanAllocs(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			path, n := vtbBenchFile(b, tc.opts)
-			r, err := colstore.OpenTrajectory(path)
+			r, err := colstore.OpenTrajectory(path, colstore.OpenOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -895,7 +844,7 @@ func BenchmarkVTBScanAllocs(b *testing.B) {
 // can show up as a latency cliff in serving.
 func BenchmarkVTBScanCompressedAllocs(b *testing.B) {
 	path, n := vtbBenchFile(b, colstore.Options{BlockSize: 1024, Codec: colstore.CodecVSnap})
-	r, err := colstore.OpenTrajectory(path)
+	r, err := colstore.OpenTrajectory(path, colstore.OpenOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -931,7 +880,7 @@ func BenchmarkVTBScanCompressedAllocs(b *testing.B) {
 // re-paying file open and footer parse on every iteration.
 type benchReaderSource struct{ r *colstore.TrajectoryReader }
 
-func (s benchReaderSource) Open(pred colstore.Predicate) (plan.TrajectoryCursor, error) {
+func (s benchReaderSource) Open(pred colstore.Predicate) (storage.TrajectoryCursor, error) {
 	return s.r.Cursor(pred), nil
 }
 
@@ -943,8 +892,8 @@ func (s benchReaderSource) Open(pred colstore.Predicate) (plan.TrajectoryCursor,
 // on top: one span and one wrapper per operator, never per-row or per-block
 // work. Both gates fail the build on regression.
 func BenchmarkPlanTraceOverhead(b *testing.B) {
-	path, _ := vtbBenchFile(b, colstore.Options{BlockSize: 1024, NoCompress: true})
-	r, err := colstore.OpenTrajectory(path)
+	path, _ := vtbBenchFile(b, colstore.Options{BlockSize: 1024, Codec: colstore.CodecRaw})
+	r, err := colstore.OpenTrajectory(path, colstore.OpenOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1004,7 +953,7 @@ func BenchmarkPlanTraceOverhead(b *testing.B) {
 // benchmark pays nothing below the operator it measures.
 type benchBatchSource []*colstore.TrajectoryBatch
 
-func (s benchBatchSource) Open(colstore.Predicate) (plan.TrajectoryCursor, error) {
+func (s benchBatchSource) Open(colstore.Predicate) (storage.TrajectoryCursor, error) {
 	return &benchBatchCursor{batches: s}, nil
 }
 
@@ -1017,6 +966,7 @@ func (c *benchBatchCursor) Next() bool                       { c.next++; return 
 func (c *benchBatchCursor) Batch() *colstore.TrajectoryBatch { return c.batches[c.next-1] }
 func (c *benchBatchCursor) Err() error                       { return nil }
 func (c *benchBatchCursor) Stats() colstore.ScanStats        { return colstore.ScanStats{} }
+func (c *benchBatchCursor) PeakDecodedBytes() int64          { return 0 }
 func (c *benchBatchCursor) Close() error                     { return nil }
 
 // BenchmarkPlanOrderBy times the blocking sort on 20 000 rows in 4 096-row

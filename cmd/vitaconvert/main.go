@@ -74,9 +74,21 @@ func run() error {
 	var rows int
 	switch kind {
 	case colstore.KindTrajectory:
-		rows, err = convertTrajectory(*in, bw, outFormat, block)
+		var w storage.RowWriter[trajectory.Sample] = colstore.NewTrajectoryWriter(bw, block)
+		if outFormat == storage.FormatCSV {
+			w, err = storage.NewTrajectoryCSVWriter(bw)
+		}
+		if err == nil {
+			rows, err = convert(storage.Trajectory, *in, w)
+		}
 	case colstore.KindRSSI:
-		rows, err = convertRSSI(*in, bw, outFormat, block)
+		var w storage.RowWriter[rssi.Measurement] = colstore.NewRSSIWriter(bw, block)
+		if outFormat == storage.FormatCSV {
+			w, err = storage.NewRSSICSVWriter(bw)
+		}
+		if err == nil {
+			rows, err = convert(storage.RSSI, *in, w)
+		}
 	}
 	if err == nil {
 		err = bw.Flush()
@@ -130,9 +142,9 @@ func detectKind(path string) (colstore.Kind, error) {
 		return 0, fmt.Errorf("read CSV header of %s: %w", path, err)
 	}
 	switch strings.TrimSpace(header) {
-	case "o_id,building,floor,partition,x,y,t":
+	case strings.Join(storage.TrajectoryCSVHeader, ","):
 		return colstore.KindTrajectory, nil
-	case "o_id,d_id,rssi,t":
+	case strings.Join(storage.RSSICSVHeader, ","):
 		return colstore.KindRSSI, nil
 	default:
 		return 0, fmt.Errorf("unrecognized CSV header %q (want the trajectory/estimate or rssi columns)",
@@ -140,69 +152,13 @@ func detectKind(path string) (colstore.Kind, error) {
 	}
 }
 
-// convertTrajectory pipes rows from the input scan straight into the output
-// writer, so conversion runs in O(block) memory however large the file is.
-func convertTrajectory(in string, w *bufio.Writer, format storage.Format, block colstore.Options) (int, error) {
-	var out interface {
-		Write(trajectory.Sample) error
-		Close() error
-	}
-	var err error
-	if format == storage.FormatCSV {
-		out, err = storage.NewTrajectoryCSVWriter(w)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		out = colstore.NewTrajectoryWriterOptions(w, block)
-	}
-	rows := 0
-	var werr error
-	_, _, err = storage.ScanTrajectoryFile(in, colstore.Predicate{}, func(s trajectory.Sample) {
-		if werr != nil {
-			return
-		}
-		rows++
-		werr = out.Write(s)
-	})
+// convert pipes the input file's rows through the one cursor straight into
+// the output writer, so conversion runs in O(block) memory however large the
+// file is, and stops reading the moment the output fails.
+func convert[T any, B colstore.RowBatch[T]](k *storage.Kind[B], in string, w storage.RowWriter[T]) (int, error) {
+	cur, _, err := storage.OpenCursor(k, in, colstore.Predicate{}, colstore.OpenOptions{})
 	if err != nil {
-		return rows, err
+		return 0, err
 	}
-	if werr != nil {
-		return rows, werr
-	}
-	return rows, out.Close()
-}
-
-// convertRSSI is convertTrajectory for RSSI rows.
-func convertRSSI(in string, w *bufio.Writer, format storage.Format, block colstore.Options) (int, error) {
-	var out interface {
-		Write(rssi.Measurement) error
-		Close() error
-	}
-	var err error
-	if format == storage.FormatCSV {
-		out, err = storage.NewRSSICSVWriter(w)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		out = colstore.NewRSSIWriterOptions(w, block)
-	}
-	rows := 0
-	var werr error
-	_, _, err = storage.ScanRSSIFile(in, colstore.Predicate{}, func(m rssi.Measurement) {
-		if werr != nil {
-			return
-		}
-		rows++
-		werr = out.Write(m)
-	})
-	if err != nil {
-		return rows, err
-	}
-	if werr != nil {
-		return rows, werr
-	}
-	return rows, out.Close()
+	return storage.Copy(cur, w)
 }

@@ -10,6 +10,7 @@ import (
 	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/model"
+	"vita/internal/storage"
 	"vita/internal/trajectory"
 )
 
@@ -39,7 +40,7 @@ func writeVTB(t *testing.T, path string, samples []trajectory.Sample, opts colst
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := colstore.NewTrajectoryWriterOptions(f, opts)
+	w := colstore.NewTrajectoryWriter(f, opts)
 	for _, s := range samples {
 		if err := w.Write(s); err != nil {
 			t.Fatal(err)
@@ -55,14 +56,9 @@ func writeVTB(t *testing.T, path string, samples []trajectory.Sample, opts colst
 
 func readAllVTB(t *testing.T, path string) []trajectory.Sample {
 	t.Helper()
-	r, err := colstore.OpenTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
+	got, format, err := storage.ReadTrajectoryFile(path)
+	if err != nil || format != storage.FormatVTB {
+		t.Fatalf("read %s: format %q, err %v", path, format, err)
 	}
 	return got
 }

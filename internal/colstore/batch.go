@@ -9,12 +9,32 @@ import (
 	"vita/internal/trajectory"
 )
 
-// Column batches are the allocation-light alternative to per-row emit
-// callbacks: a cursor decodes one block at a time into a reusable set of
-// column slices, so a scan over millions of rows touches a bounded, reused
-// region of memory and never materializes []Sample. Consumers either iterate
-// columns directly (the vectorized path) or view single rows through Row,
-// which builds a Sample value on the stack.
+// Column batches are the unit every read path moves: a cursor decodes one
+// block at a time into a reusable set of column slices, so a scan over
+// millions of rows touches a bounded, reused region of memory and never
+// materializes []Sample. Consumers either iterate columns directly (the
+// vectorized path) or view single rows through Row, which builds a Sample
+// value on the stack.
+
+// Batch is what the generic reader, cursors and merges need of a row kind's
+// column batch; *TrajectoryBatch and *RSSIBatch are the two implementations.
+type Batch interface {
+	// Len returns the number of rows.
+	Len() int
+	// Bytes approximates the resident footprint: the column backing arrays
+	// plus the string bytes they reference.
+	Bytes() int64
+	// Reset truncates to zero rows, keeping column capacity.
+	Reset()
+}
+
+// RowBatch is a Batch that also hands out its rows as values of the kind's
+// row type T (trajectory.Sample, rssi.Measurement) — what a row-at-a-time
+// drain of a cursor needs.
+type RowBatch[T any] interface {
+	Batch
+	Row(i int) T
+}
 
 // TrajectoryBatch holds one block's worth of decoded trajectory samples in
 // column form. The slices share one length; all are valid until the owning
@@ -92,17 +112,18 @@ func (b *TrajectoryBatch) Bytes() int64 {
 	return size
 }
 
-// AppendBatch bulk-appends every row of src, one copy per column — how a
-// blocking operator buffers its input without touching rows.
-func (b *TrajectoryBatch) AppendBatch(src *TrajectoryBatch) {
-	b.ObjID = append(b.ObjID, src.ObjID...)
-	b.Building = append(b.Building, src.Building...)
-	b.Floor = append(b.Floor, src.Floor...)
-	b.Partition = append(b.Partition, src.Partition...)
-	b.X = append(b.X, src.X...)
-	b.Y = append(b.Y, src.Y...)
-	b.T = append(b.T, src.T...)
-	b.HasPoint = append(b.HasPoint, src.HasPoint...)
+// AppendRows bulk-appends rows [lo, hi) of src, one copy per column — how a
+// blocking operator buffers its input, and a merge moves a run, without
+// touching rows.
+func (b *TrajectoryBatch) AppendRows(src *TrajectoryBatch, lo, hi int) {
+	b.ObjID = append(b.ObjID, src.ObjID[lo:hi]...)
+	b.Building = append(b.Building, src.Building[lo:hi]...)
+	b.Floor = append(b.Floor, src.Floor[lo:hi]...)
+	b.Partition = append(b.Partition, src.Partition[lo:hi]...)
+	b.X = append(b.X, src.X[lo:hi]...)
+	b.Y = append(b.Y, src.Y[lo:hi]...)
+	b.T = append(b.T, src.T[lo:hi]...)
+	b.HasPoint = append(b.HasPoint, src.HasPoint[lo:hi]...)
 }
 
 // Gather overwrites b with the rows of src that idx names, in idx order: one
@@ -231,6 +252,14 @@ func (b *RSSIBatch) AppendTo(dst []rssi.Measurement) []rssi.Measurement {
 		dst = append(dst, b.Row(i))
 	}
 	return dst
+}
+
+// AppendRows bulk-appends rows [lo, hi) of src, one copy per column.
+func (b *RSSIBatch) AppendRows(src *RSSIBatch, lo, hi int) {
+	b.ObjID = append(b.ObjID, src.ObjID[lo:hi]...)
+	b.DeviceID = append(b.DeviceID, src.DeviceID[lo:hi]...)
+	b.RSSI = append(b.RSSI, src.RSSI[lo:hi]...)
+	b.T = append(b.T, src.T[lo:hi]...)
 }
 
 // Bytes approximates the batch's resident footprint.

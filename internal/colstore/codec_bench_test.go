@@ -67,7 +67,7 @@ func vtbFrames(tb testing.TB, image []byte) []blockFrame {
 func encodeWalk(tb testing.TB, samples []trajectory.Sample, codec Codec) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	w := NewTrajectoryWriterOptions(&buf, Options{BlockSize: 1024, Codec: codec})
+	w := NewTrajectoryWriter(&buf, Options{BlockSize: 1024, Codec: codec})
 	for _, s := range samples {
 		if err := w.Write(s); err != nil {
 			tb.Fatal(err)
@@ -114,7 +114,8 @@ func BenchmarkVSNAPVsFlate(b *testing.B) {
 	}
 	timeCodec := func(image []byte) (time.Duration, int) {
 		frames := vtbFrames(b, image)
-		sc := getScratch()
+		scratch := newDecodeScratch()
+		sc := &scratch
 		bytesOut := decodeAll(frames, sc) // warm the scratch buffers
 		best := time.Duration(1<<63 - 1)
 		for run := 0; run < 9; run++ {
@@ -143,11 +144,11 @@ func BenchmarkVSNAPVsFlate(b *testing.B) {
 	}
 
 	b.SetBytes(int64(vsnapBytes))
+	sc := newDecodeScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		frames := vtbFrames(b, vsnapImage)
-		sc := getScratch()
-		decodeAll(frames, sc)
+		decodeAll(frames, &sc)
 	}
 	// After the loop: ResetTimer would have discarded metrics reported
 	// earlier.

@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,11 +12,10 @@ import (
 )
 
 // TestCodecParityTrajectory is the cross-codec equivalence gate: the same
-// rows written under every codec must come back byte-identical through every
-// read path — full scan, batch cursor, and ScanParallel at P=1 and P=8 —
-// regardless of how the blocks were compressed. The raw file's results are
-// the reference; vsnap and flate must match them sample-for-sample (bitwise,
-// via sampleEqual) with identical scan stats.
+// rows written under every codec must come back byte-identical through the
+// cursor, regardless of how the blocks were compressed. The raw file's
+// results are the reference; vsnap and flate must match them
+// sample-for-sample (bitwise, via sampleEqual) with identical scan stats.
 func TestCodecParityTrajectory(t *testing.T) {
 	samples := append(awkwardSamples(), walkSamples(10, 120)...)
 	codecs := []Codec{CodecRaw, CodecVSnap, CodecFlate}
@@ -26,70 +24,34 @@ func TestCodecParityTrajectory(t *testing.T) {
 		"window": TimeWindow(40, 90),
 		"object": {HasObj: true, Obj: 3},
 	}
-
-	type result struct {
-		rows  []trajectory.Sample
-		stats ScanStats
-	}
-	collect := func(t *testing.T, r *TrajectoryReader, pred Predicate, how string, p int) result {
-		t.Helper()
-		var res result
-		var err error
-		switch how {
-		case "scan":
-			res.stats, err = r.Scan(pred, func(s trajectory.Sample) { res.rows = append(res.rows, s) })
-		case "parallel":
-			res.stats, err = r.ScanParallel(pred, p, func(s trajectory.Sample) { res.rows = append(res.rows, s) })
-		case "cursor":
-			cur := r.Cursor(pred)
-			for cur.Next() {
-				b := cur.Batch()
-				for i := 0; i < b.Len(); i++ {
-					res.rows = append(res.rows, b.Row(i))
-				}
-			}
-			err = cur.Close()
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", how, err)
-		}
-		return res
-	}
-
 	readers := make(map[Codec]*TrajectoryReader, len(codecs))
 	for _, c := range codecs {
 		readers[c] = readTrajectory(t, writeTrajectory(t, samples, Options{BlockSize: 128, Codec: c}))
 	}
-	paths := []struct {
-		how string
-		p   int
-	}{{"scan", 0}, {"cursor", 0}, {"parallel", 1}, {"parallel", 8}}
-
-	for predName, pred := range preds {
-		for _, path := range paths {
-			name := fmt.Sprintf("%s/%s", predName, path.how)
-			if path.how == "parallel" {
-				name = fmt.Sprintf("%s/p=%d", name, path.p)
+	for name, pred := range preds {
+		t.Run(name, func(t *testing.T) {
+			want, wantStats, err := drain(readers[CodecRaw].Cursor(pred))
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				want := collect(t, readers[CodecRaw], pred, path.how, path.p)
-				for _, c := range codecs[1:] {
-					got := collect(t, readers[c], pred, path.how, path.p)
-					if got.stats != want.stats {
-						t.Errorf("%v: stats differ: got %+v, want %+v", c, got.stats, want.stats)
-					}
-					if len(got.rows) != len(want.rows) {
-						t.Fatalf("%v: %d rows, want %d", c, len(got.rows), len(want.rows))
-					}
-					for i := range got.rows {
-						if !sampleEqual(got.rows[i], want.rows[i]) {
-							t.Fatalf("%v: row %d differs: got %+v, want %+v",
-								c, i, got.rows[i], want.rows[i])
-						}
+			for _, c := range codecs[1:] {
+				got, gotStats, err := drain(readers[c].Cursor(pred))
+				if err != nil {
+					t.Fatalf("%v: %v", c, err)
+				}
+				if gotStats != wantStats {
+					t.Errorf("%v: stats differ: got %+v, want %+v", c, gotStats, wantStats)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%v: %d rows, want %d", c, len(got), len(want))
+				}
+				for i := range got {
+					if !sampleEqual(got[i], want[i]) {
+						t.Fatalf("%v: row %d differs: got %+v, want %+v", c, i, got[i], want[i])
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -106,7 +68,7 @@ func TestCodecParityRSSI(t *testing.T) {
 	}
 	write := func(c Codec) *RSSIReader {
 		var buf bytes.Buffer
-		w := NewRSSIWriterOptions(&buf, Options{BlockSize: 256, Codec: c})
+		w := NewRSSIWriter(&buf, Options{BlockSize: 256, Codec: c})
 		for _, m := range ms {
 			if err := w.Write(m); err != nil {
 				t.Fatal(err)
@@ -121,12 +83,12 @@ func TestCodecParityRSSI(t *testing.T) {
 		}
 		return r
 	}
-	want, err := write(CodecRaw).ReadAll()
+	want, _, err := drain(write(CodecRaw).Cursor(Predicate{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []Codec{CodecVSnap, CodecFlate} {
-		got, err := write(c).ReadAll()
+		got, _, err := drain(write(c).Cursor(Predicate{}))
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
 		}
@@ -190,7 +152,7 @@ func TestMixedCodecFile(t *testing.T) {
 		t.Fatalf("want both vsnap and raw blocks in one file, got codec mix %v", seen)
 	}
 	r := readTrajectory(t, data)
-	got, err := r.ReadAll()
+	got, _, err := drain(r.Cursor(Predicate{}))
 	if err != nil {
 		t.Fatal(err)
 	}

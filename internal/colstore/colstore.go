@@ -15,7 +15,7 @@
 // Fixed-width integers are little-endian. A zone-map entry records the block
 // offset plus per-block summaries: row count, time min/max, point bounding
 // box, floor range + presence bitmask, and object-ID range. Readers load only
-// the footer up front; Scan consults the zone maps and skips whole blocks
+// the footer up front; a cursor consults the zone maps and skips whole blocks
 // whose summaries cannot satisfy the predicate.
 //
 // # Block payload
@@ -42,6 +42,17 @@
 // configuration. Decoding restores every field bit-for-bit: the round trip
 // is lossless by construction, which the acceptance tests verify
 // sample-by-sample against generator output.
+//
+// # API
+//
+// The two record kinds share one implementation, generic over the kind's
+// column batch (*TrajectoryBatch, *RSSIBatch): Writer encodes rows into
+// blocks; Reader opens a file (memory-mapped by default) and hands out
+// Cursor — the one scan path, one decoded batch per surviving block — and
+// DecodeBlock, the block-cache entry point. TrajectoryReader, RSSICursor and
+// the like are aliases of the instantiations. Only what differs stays per
+// kind: the batch struct, its column decode, its select kernel, and the
+// writer's encode + zone map.
 package colstore
 
 import (
@@ -158,9 +169,6 @@ type Options struct {
 	// codecs store a block raw when compression would not shrink it, so any
 	// file can contain raw blocks.
 	Codec Codec
-	// NoCompress is the legacy spelling of Codec: CodecRaw; it applies only
-	// when Codec is CodecDefault. Prefer Codec.
-	NoCompress bool
 }
 
 func (o Options) withDefaults() Options {
@@ -168,11 +176,7 @@ func (o Options) withDefaults() Options {
 		o.BlockSize = 4096
 	}
 	if o.Codec == CodecDefault {
-		if o.NoCompress {
-			o.Codec = CodecRaw
-		} else {
-			o.Codec = CodecVSnap
-		}
+		o.Codec = CodecVSnap
 	}
 	return o
 }
@@ -198,7 +202,7 @@ type ZoneMap struct {
 	ObjMin, ObjMax int
 }
 
-// ScanStats reports how much of a file a Scan actually touched.
+// ScanStats reports how much of a file a scan actually touched.
 type ScanStats struct {
 	// BlocksTotal is the number of blocks in the file.
 	BlocksTotal int
@@ -212,8 +216,19 @@ type ScanStats struct {
 	RowsMatched int
 }
 
-// Predicate restricts a Scan. The zero value matches every row; each set
-// constraint must hold for a row to be emitted. Block-level pruning via zone
+// Add returns the field-wise sum of two scans' statistics — how a merge of
+// several files, or a join of two plans, reports what it touched.
+func (s ScanStats) Add(o ScanStats) ScanStats {
+	s.BlocksTotal += o.BlocksTotal
+	s.BlocksScanned += o.BlocksScanned
+	s.BlocksPruned += o.BlocksPruned
+	s.RowsScanned += o.RowsScanned
+	s.RowsMatched += o.RowsMatched
+	return s
+}
+
+// Predicate restricts a scan. The zero value matches every row; each set
+// constraint must hold for a row to be yielded. Block-level pruning via zone
 // maps is exact with respect to these row semantics.
 type Predicate struct {
 	// HasTime restricts to T0 <= t <= T1.
@@ -238,12 +253,8 @@ func TimeWindow(t0, t1 float64) Predicate {
 
 // SkipBlock reports whether the zone map proves no row of the block can
 // match p. Callers that fetch blocks themselves (for example through a block
-// cache, like internal/serve) use it to reproduce Scan's pruning exactly.
-func (p Predicate) SkipBlock(zm ZoneMap) bool { return p.skipBlock(zm) }
-
-// skipBlock reports whether the zone map proves no row of the block can
-// match p.
-func (p Predicate) skipBlock(zm ZoneMap) bool {
+// cache, like internal/serve) use it to reproduce a cursor's pruning exactly.
+func (p Predicate) SkipBlock(zm ZoneMap) bool {
 	if zm.Count == 0 {
 		return true
 	}

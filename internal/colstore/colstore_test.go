@@ -61,7 +61,7 @@ func awkwardSamples() []trajectory.Sample {
 func writeTrajectory(t *testing.T, samples []trajectory.Sample, opts Options) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewTrajectoryWriterOptions(&buf, opts)
+	w := NewTrajectoryWriter(&buf, opts)
 	for _, s := range samples {
 		if err := w.Write(s); err != nil {
 			t.Fatalf("write: %v", err)
@@ -71,6 +71,19 @@ func writeTrajectory(t *testing.T, samples []trajectory.Sample, opts Options) []
 		t.Fatalf("close: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// drain collects every row a cursor yields, then closes it.
+func drain[T any, B RowBatch[T]](c *Cursor[B]) ([]T, ScanStats, error) {
+	var out []T
+	for c.Next() {
+		b := c.Batch()
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, b.Row(i))
+		}
+	}
+	stats := c.Stats()
+	return out, stats, c.Close()
 }
 
 func readTrajectory(t *testing.T, data []byte) *TrajectoryReader {
@@ -83,14 +96,14 @@ func readTrajectory(t *testing.T, data []byte) *TrajectoryReader {
 }
 
 func TestTrajectoryRoundTripLossless(t *testing.T) {
-	for _, opts := range []Options{{}, {BlockSize: 64}, {BlockSize: 7, NoCompress: true}} {
+	for _, opts := range []Options{{}, {BlockSize: 64}, {BlockSize: 7, Codec: CodecRaw}} {
 		samples := awkwardSamples()
 		data := writeTrajectory(t, samples, opts)
 		r := readTrajectory(t, data)
 		if r.Len() != len(samples) {
 			t.Fatalf("opts %+v: Len = %d, want %d", opts, r.Len(), len(samples))
 		}
-		got, err := r.ReadAll()
+		got, _, err := drain(r.Cursor(Predicate{}))
 		if err != nil {
 			t.Fatalf("opts %+v: read all: %v", opts, err)
 		}
@@ -116,7 +129,7 @@ func TestRSSIRoundTripLossless(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	w := NewRSSIWriterOptions(&buf, Options{BlockSize: 128})
+	w := NewRSSIWriter(&buf, Options{BlockSize: 128})
 	for _, m := range ms {
 		if err := w.Write(m); err != nil {
 			t.Fatal(err)
@@ -129,7 +142,7 @@ func TestRSSIRoundTripLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.ReadAll()
+	got, _, err := drain(r.Cursor(Predicate{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +178,7 @@ func TestScanTimeWindowPruning(t *testing.T) {
 	r := readTrajectory(t, data)
 
 	pred := TimeWindow(100, 130)
-	var got []trajectory.Sample
-	stats, err := r.Scan(pred, func(s trajectory.Sample) { got = append(got, s) })
+	got, stats, err := drain(r.Cursor(pred))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +210,11 @@ func TestScanPredicates(t *testing.T) {
 	r := readTrajectory(t, data)
 
 	match := func(pred Predicate) (int, ScanStats) {
-		n := 0
-		stats, err := r.Scan(pred, func(trajectory.Sample) { n++ })
+		rows, stats, err := drain(r.Cursor(pred))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n, stats
+		return len(rows), stats
 	}
 	brute := func(keep func(trajectory.Sample) bool) int {
 		n := 0
@@ -241,9 +252,9 @@ func TestEmptyFile(t *testing.T) {
 	if r.Len() != 0 {
 		t.Fatalf("empty file Len = %d", r.Len())
 	}
-	got, err := r.ReadAll()
+	got, _, err := drain(r.Cursor(Predicate{}))
 	if err != nil || len(got) != 0 {
-		t.Fatalf("empty file ReadAll = %d rows, err %v", len(got), err)
+		t.Fatalf("empty file scan = %d rows, err %v", len(got), err)
 	}
 }
 
@@ -279,7 +290,7 @@ func TestCorruptInputs(t *testing.T) {
 	if err != nil {
 		return // corruption already caught at open: fine
 	}
-	if _, err := r.ReadAll(); err == nil {
+	if _, _, err := drain(r.Cursor(Predicate{})); err == nil {
 		t.Error("reading mangled block succeeded, want error")
 	}
 }
@@ -321,7 +332,8 @@ func TestFloatColumnModes(t *testing.T) {
 			t.Fatalf("mode = %d, want %d for %v...", enc[0], wantMode, vals[:min(3, len(vals))])
 		}
 		c := &cursor{b: enc}
-		got := c.floatColumnInto(len(vals), nil, getScratch())
+		sc := newDecodeScratch()
+		got := c.floatColumnInto(len(vals), nil, &sc)
 		if c.err != nil {
 			t.Fatalf("decode: %v", c.err)
 		}

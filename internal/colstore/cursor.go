@@ -1,13 +1,17 @@
 package colstore
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
-// Batch cursors are the scan path for huge result sets: instead of one
-// emit(Sample) call per row, the caller pulls one decoded column batch per
-// surviving block and iterates columns (or views rows through Batch().Row).
-// The cursor owns one pooled decode scratch for its whole lifetime, so a
-// steady-state scan performs no per-block allocations at all — the batch the
-// caller sees is the scratch's, rewritten in place by every Next.
+// Cursor is the one scan path over a VTB file: the caller pulls one decoded
+// column batch per surviving block and iterates columns (or views rows through
+// Batch().Row). Blocks whose zone maps rule the predicate out are skipped
+// without being read; the rest are filtered to the matching rows. The cursor
+// owns one pooled decode scratch for its whole lifetime, so a steady-state
+// scan performs no per-block allocations at all — the batch the caller sees is
+// the scratch's, rewritten in place by every Next.
 //
 //	cur := r.Cursor(pred)
 //	defer cur.Close()
@@ -17,16 +21,12 @@ import "fmt"
 //	}
 //	if err := cur.Err(); err != nil { ... }
 //
-// Rows, order, and ScanStats are exactly those of Scan with the same
-// predicate — the batches are the same rows, chunked by block.
-
-// TrajectoryCursor iterates a trajectory VTB file batch by batch; obtain one
-// from TrajectoryReader.Cursor. Not safe for concurrent use (open one cursor
+// Obtain one from Reader.Cursor. Not safe for concurrent use (open one cursor
 // per goroutine; the underlying reader supports any number).
-type TrajectoryCursor struct {
-	rd     *reader
+type Cursor[B Batch] struct {
+	r      *Reader[B]
 	pred   Predicate
-	sc     *decodeScratch
+	sc     *scratch[B]
 	next   int
 	stats  ScanStats
 	peak   int64
@@ -34,169 +34,144 @@ type TrajectoryCursor struct {
 	closed bool
 }
 
-// Cursor starts a batch scan of the samples matching pred, in file order,
-// skipping blocks via zone maps exactly like Scan.
-func (tr *TrajectoryReader) Cursor(pred Predicate) *TrajectoryCursor {
-	return &TrajectoryCursor{
-		rd:    tr.rd,
-		pred:  pred,
-		sc:    getScratch(),
-		stats: ScanStats{BlocksTotal: len(tr.rd.zones)},
+// TrajectoryCursor and RSSICursor are the two instantiations of Cursor.
+type (
+	TrajectoryCursor = Cursor[*TrajectoryBatch]
+	RSSICursor       = Cursor[*RSSIBatch]
+)
+
+// kindOps is what genuinely differs between the two row kinds on the read
+// path; Reader and Cursor are written once against it.
+type kindOps[B Batch] struct {
+	// spatial says the kind's rows carry a floor and a point. Where they do
+	// not (RSSI), floor and box constraints neither prune blocks nor filter
+	// rows.
+	spatial  bool
+	newBatch func() B
+	// decode rewrites b with the rows of one raw block payload.
+	decode func(raw []byte, b B, sc *decodeScratch) error
+	// filter narrows a freshly decoded block in place to the rows matching p.
+	filter func(p Predicate, zm ZoneMap, b B, sc *decodeScratch)
+	pool   sync.Pool // of *scratch[B]
+}
+
+var (
+	trajectoryOps = kindOps[*TrajectoryBatch]{
+		spatial:  true,
+		newBatch: func() *TrajectoryBatch { return new(TrajectoryBatch) },
+		decode:   decodeTrajectoryBatch,
+		filter:   filterTrajectoryBlock,
+	}
+	rssiOps = kindOps[*RSSIBatch]{
+		newBatch: func() *RSSIBatch { return new(RSSIBatch) },
+		decode:   decodeRSSIBatch,
+		filter:   func(p Predicate, _ ZoneMap, b *RSSIBatch, _ *decodeScratch) { b.filter(p) },
+	}
+)
+
+// filterTrajectoryBlock skips the select kernel when the zone map proves the
+// whole block matches, and the gather when every row turns out to.
+func filterTrajectoryBlock(p Predicate, zm ZoneMap, b *TrajectoryBatch, sc *decodeScratch) {
+	if p.CoversBlock(zm) {
+		return
+	}
+	sc.sel = p.SelectTrajectory(b, sc.sel)
+	if len(sc.sel) < b.Len() {
+		b.Gather(b, sc.sel)
+	}
+}
+
+// getScratch checks a decode scratch (with its decode-target batch) out of
+// the kind's pool; return it with k.pool.Put.
+func (k *kindOps[B]) getScratch() *scratch[B] {
+	if sc, ok := k.pool.Get().(*scratch[B]); ok {
+		return sc
+	}
+	return &scratch[B]{decodeScratch: newDecodeScratch(), batch: k.newBatch()}
+}
+
+// Cursor starts a batch scan of the rows matching pred, in file order. (It
+// stays small enough to inline, so a cursor that does not outlive its caller
+// costs no allocation.)
+func (r *Reader[B]) Cursor(pred Predicate) *Cursor[B] {
+	return &Cursor[B]{
+		r:    r,
+		pred: pred,
+		sc:   r.ops.getScratch(),
 	}
 }
 
 // Next advances to the next non-empty batch of matching rows, reporting
 // whether one is available. It returns false at end of file, on error (see
 // Err), or after Close.
-func (c *TrajectoryCursor) Next() bool {
+func (c *Cursor[B]) Next() bool {
 	if c.err != nil || c.closed {
 		return false
 	}
-	for c.next < len(c.rd.zones) {
+	if !c.r.ops.spatial {
+		// Dropped here, not in Reader.Cursor, which has no inlining budget
+		// left for it.
+		c.pred.HasFloor, c.pred.HasBox = false, false
+	}
+	b, sc := c.sc.batch, &c.sc.decodeScratch
+	for c.next < len(c.r.zones) {
 		i := c.next
 		c.next++
-		if c.pred.skipBlock(c.rd.zones[i]) {
+		zm := c.r.zones[i]
+		if c.pred.SkipBlock(zm) {
 			c.stats.BlocksPruned++
 			continue
 		}
 		c.stats.BlocksScanned++
-		raw, err := c.rd.blockBytes(i, c.sc)
+		raw, err := c.r.blockBytes(i, sc)
 		if err != nil {
 			c.err = err
 			return false
 		}
-		if err := decodeTrajectoryBatchInto(raw, &c.sc.batch, c.sc); err != nil {
+		if err := c.r.ops.decode(raw, b, sc); err != nil {
 			c.err = fmt.Errorf("block %d: %w", i, err)
 			return false
 		}
-		c.stats.RowsScanned += c.sc.batch.Len()
+		c.stats.RowsScanned += b.Len()
 		// Peak is measured before filtering: the full decoded block is what
 		// was transiently resident, however few rows survive the predicate.
-		if n := c.sc.batch.Bytes(); n > c.peak {
-			c.peak = n
+		c.peak = max(c.peak, b.Bytes())
+		c.r.ops.filter(c.pred, zm, b, sc)
+		c.stats.RowsMatched += b.Len()
+		if b.Len() > 0 {
+			return true
 		}
-		if !c.pred.CoversBlock(c.rd.zones[i]) {
-			c.sc.sel = c.pred.SelectTrajectory(&c.sc.batch, c.sc.sel)
-			if len(c.sc.sel) < c.sc.batch.Len() {
-				c.sc.batch.Gather(&c.sc.batch, c.sc.sel)
-			}
-		}
-		c.stats.RowsMatched += c.sc.batch.Len()
-		if c.sc.batch.Len() == 0 {
-			continue // zone map matched but no row did; pull the next block
-		}
-		return true
+		// The zone map matched but no row did; pull the next block.
 	}
 	return false
 }
 
 // Batch returns the current batch. It is valid only until the next call to
 // Next or Close — copy out (AppendTo) anything that must outlive it.
-func (c *TrajectoryCursor) Batch() *TrajectoryBatch { return &c.sc.batch }
+func (c *Cursor[B]) Batch() B { return c.sc.batch }
 
 // Err returns the first error the cursor hit, if any.
-func (c *TrajectoryCursor) Err() error { return c.err }
+func (c *Cursor[B]) Err() error { return c.err }
 
-// Stats returns the scan statistics accumulated so far; after Next has
-// returned false they equal what Scan would have reported.
-func (c *TrajectoryCursor) Stats() ScanStats { return c.stats }
+// Stats returns the scan statistics accumulated so far: every block of the
+// file is counted pruned or scanned once Next has returned false.
+func (c *Cursor[B]) Stats() ScanStats {
+	st := c.stats
+	st.BlocksTotal = len(c.r.zones)
+	return st
+}
 
 // PeakDecodedBytes returns the largest pre-filter decoded-batch footprint
 // any single block produced so far — the scan's transient high-water mark,
 // independent of how selective the predicate is.
-func (c *TrajectoryCursor) PeakDecodedBytes() int64 { return c.peak }
+func (c *Cursor[B]) PeakDecodedBytes() int64 { return c.peak }
 
 // Close releases the cursor's scratch back to the pool (the batch becomes
 // invalid) and returns Err. It does not close the underlying reader.
-func (c *TrajectoryCursor) Close() error {
+func (c *Cursor[B]) Close() error {
 	if !c.closed {
 		c.closed = true
-		putScratch(c.sc)
-		c.sc = nil
-	}
-	return c.err
-}
-
-// RSSICursor iterates an RSSI VTB file batch by batch; see TrajectoryCursor
-// for the contract.
-type RSSICursor struct {
-	rd     *reader
-	pred   Predicate
-	sc     *decodeScratch
-	next   int
-	stats  ScanStats
-	peak   int64
-	err    error
-	closed bool
-}
-
-// Cursor starts a batch scan of the measurements matching pred (time and
-// object constraints; floor/box do not apply to RSSI rows), in file order.
-func (rr *RSSIReader) Cursor(pred Predicate) *RSSICursor {
-	pred.HasFloor, pred.HasBox = false, false
-	return &RSSICursor{
-		rd:    rr.rd,
-		pred:  pred,
-		sc:    getScratch(),
-		stats: ScanStats{BlocksTotal: len(rr.rd.zones)},
-	}
-}
-
-// Next advances to the next non-empty batch of matching rows; see
-// TrajectoryCursor.Next.
-func (c *RSSICursor) Next() bool {
-	if c.err != nil || c.closed {
-		return false
-	}
-	for c.next < len(c.rd.zones) {
-		i := c.next
-		c.next++
-		if c.pred.skipBlock(c.rd.zones[i]) {
-			c.stats.BlocksPruned++
-			continue
-		}
-		c.stats.BlocksScanned++
-		raw, err := c.rd.blockBytes(i, c.sc)
-		if err != nil {
-			c.err = err
-			return false
-		}
-		if err := decodeRSSIBatchInto(raw, &c.sc.rbatch, c.sc); err != nil {
-			c.err = fmt.Errorf("block %d: %w", i, err)
-			return false
-		}
-		c.stats.RowsScanned += c.sc.rbatch.Len()
-		if n := c.sc.rbatch.Bytes(); n > c.peak {
-			c.peak = n
-		}
-		c.sc.rbatch.filter(c.pred)
-		c.stats.RowsMatched += c.sc.rbatch.Len()
-		if c.sc.rbatch.Len() == 0 {
-			continue
-		}
-		return true
-	}
-	return false
-}
-
-// Batch returns the current batch, valid only until the next Next or Close.
-func (c *RSSICursor) Batch() *RSSIBatch { return &c.sc.rbatch }
-
-// Err returns the first error the cursor hit, if any.
-func (c *RSSICursor) Err() error { return c.err }
-
-// Stats returns the scan statistics accumulated so far.
-func (c *RSSICursor) Stats() ScanStats { return c.stats }
-
-// PeakDecodedBytes returns the largest pre-filter decoded-batch footprint
-// any single block produced so far.
-func (c *RSSICursor) PeakDecodedBytes() int64 { return c.peak }
-
-// Close releases the cursor's scratch back to the pool and returns Err.
-func (c *RSSICursor) Close() error {
-	if !c.closed {
-		c.closed = true
-		putScratch(c.sc)
+		c.r.ops.pool.Put(c.sc)
 		c.sc = nil
 	}
 	return c.err

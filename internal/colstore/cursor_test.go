@@ -1,17 +1,18 @@
 package colstore
 
 import (
-	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
 	"vita/internal/geom"
-	"vita/internal/rssi"
 	"vita/internal/trajectory"
 )
 
-// cursorPreds is the predicate table shared by the cursor equality tests —
-// every pruning and filtering shape the predicate language supports.
+// cursorPreds is the predicate table of the select-kernel tests — every
+// pruning and filtering shape the predicate language supports. (The cursor
+// contract itself — rows, order, stats, Close, corruption — is pinned for every
+// implementation at once by internal/serve's TestCursorConformance.)
 func cursorPreds() map[string]Predicate {
 	return map[string]Predicate{
 		"all":         {},
@@ -23,130 +24,6 @@ func cursorPreds() map[string]Predicate {
 		"combined": {HasTime: true, T0: 50, T1: 400, HasFloor: true, Floor: 0,
 			HasBox: true, Box: geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(30, 6)}},
 		"nothing": TimeWindow(1e6, 2e6),
-	}
-}
-
-// collectCursor drains a trajectory cursor into rows + stats.
-func collectCursor(t *testing.T, c *TrajectoryCursor) ([]trajectory.Sample, ScanStats) {
-	t.Helper()
-	var rows []trajectory.Sample
-	for c.Next() {
-		b := c.Batch()
-		if b.Len() == 0 {
-			t.Fatal("Next returned an empty batch")
-		}
-		rows = b.AppendTo(rows)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatalf("cursor: %v", err)
-	}
-	return rows, c.Stats()
-}
-
-// TestCursorMatchesScan is the equality gate for the batch API: for every
-// predicate shape, the cursor's concatenated batches must be exactly the
-// rows of Scan — and of ScanParallel at every parallelism — with identical
-// ScanStats.
-func TestCursorMatchesScan(t *testing.T) {
-	samples := gridSamples(10, 600) // 6000 rows over many 256-row blocks
-	data := writeTrajectory(t, samples, Options{BlockSize: 256})
-	r := readTrajectory(t, data)
-
-	for name, pred := range cursorPreds() {
-		t.Run(name, func(t *testing.T) {
-			var want []trajectory.Sample
-			wantStats, err := r.Scan(pred, func(s trajectory.Sample) { want = append(want, s) })
-			if err != nil {
-				t.Fatalf("sequential scan: %v", err)
-			}
-			got, gotStats := collectCursor(t, r.Cursor(pred))
-			if gotStats != wantStats {
-				t.Errorf("stats differ: cursor %+v, scan %+v", gotStats, wantStats)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("cursor yielded %d rows, scan %d", len(got), len(want))
-			}
-			for i := range got {
-				if !sampleEqual(got[i], want[i]) {
-					t.Fatalf("row %d differs: got %+v, want %+v", i, got[i], want[i])
-				}
-			}
-			for _, p := range []int{1, 2, 8} {
-				var prows []trajectory.Sample
-				pstats, err := r.ScanParallel(pred, p, func(s trajectory.Sample) { prows = append(prows, s) })
-				if err != nil {
-					t.Fatalf("p=%d: %v", p, err)
-				}
-				if pstats != gotStats {
-					t.Errorf("p=%d: stats differ: parallel %+v, cursor %+v", p, pstats, gotStats)
-				}
-				if len(prows) != len(got) {
-					t.Fatalf("p=%d: %d rows, cursor %d", p, len(prows), len(got))
-				}
-				for i := range prows {
-					if !sampleEqual(prows[i], got[i]) {
-						t.Fatalf("p=%d: row %d differs", p, i)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestCursorRSSI checks the RSSI cursor against Scan, including the rule
-// that floor/box constraints are dropped for RSSI rows.
-func TestCursorRSSI(t *testing.T) {
-	var ms []rssi.Measurement
-	for i := 0; i < 3000; i++ {
-		ms = append(ms, rssi.Measurement{
-			ObjID:    i % 12,
-			DeviceID: []string{"wifi-1", "wifi-2"}[i%2],
-			RSSI:     -40 - float64(i%50),
-			T:        float64(i) * 0.5,
-		})
-	}
-	var buf bytes.Buffer
-	w := NewRSSIWriterOptions(&buf, Options{BlockSize: 128})
-	for _, m := range ms {
-		if err := w.Write(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRSSIReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred := Predicate{HasTime: true, T0: 100, T1: 900, HasObj: true, Obj: 5,
-		HasFloor: true, Floor: 99, HasBox: true, Box: geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}}
-	var want []rssi.Measurement
-	wantStats, err := r.Scan(pred, func(m rssi.Measurement) { want = append(want, m) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("test predicate matched nothing")
-	}
-	c := r.Cursor(pred)
-	var got []rssi.Measurement
-	for c.Next() {
-		got = c.Batch().AppendTo(got)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats() != wantStats {
-		t.Errorf("stats differ: cursor %+v, scan %+v", c.Stats(), wantStats)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("cursor yielded %d rows, scan %d", len(got), len(want))
-	}
-	for i := range got {
-		if !measurementEqual(got[i], want[i]) {
-			t.Fatalf("row %d differs", i)
-		}
 	}
 }
 
@@ -191,82 +68,84 @@ func TestCursorBatchColumns(t *testing.T) {
 	}
 }
 
-// TestCursorCorruptBlock checks that a corrupt block surfaces through Err
-// (not a panic) and stops iteration.
-func TestCursorCorruptBlock(t *testing.T) {
-	samples := gridSamples(4, 400)
-	data := writeTrajectory(t, samples, Options{BlockSize: 64})
+// TestDecodeBlock checks the cache entry point: every block decodes in full,
+// whatever the predicate of any cursor, into a batch of its zone map's size.
+func TestDecodeBlock(t *testing.T) {
+	samples := gridSamples(6, 300)
+	data := writeTrajectory(t, samples, Options{BlockSize: 128})
 	r := readTrajectory(t, data)
-	mid := r.rd.offsets[len(r.rd.offsets)/2]
-	mangled := append([]byte{}, data...)
-	for i := mid + 12; i < mid+40 && i < int64(len(mangled)); i++ {
-		mangled[i] ^= 0xff
+	zones := r.Blocks()
+	var all []trajectory.Sample
+	for i := range zones {
+		b, err := r.DecodeBlock(i)
+		if err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		if b.Len() != zones[i].Count {
+			t.Fatalf("block %d: decoded %d rows, zone map says %d", i, b.Len(), zones[i].Count)
+		}
+		all = b.AppendTo(all)
 	}
-	mr, err := NewTrajectoryReader(bytes.NewReader(mangled), int64(len(mangled)))
+	if len(all) != len(samples) {
+		t.Fatalf("blocks hold %d rows, want %d", len(all), len(samples))
+	}
+	for i := range all {
+		if !sampleEqual(all[i], samples[i]) {
+			t.Fatalf("row %d differs", i)
+		}
+	}
+	if _, err := r.DecodeBlock(-1); err == nil {
+		t.Error("DecodeBlock(-1) succeeded")
+	}
+	if _, err := r.DecodeBlock(len(zones)); err == nil {
+		t.Error("DecodeBlock(len) succeeded")
+	}
+}
+
+// TestDecodeSizesColumnsOnce pins the cost of the block-cache miss path
+// (DecodeBlock decodes into a fresh batch): each of the eight columns is
+// allocated once at its final size, not grown by doubling — which tripled the
+// bytes a miss allocated and made the serving tail follow the collector.
+func TestDecodeSizesColumnsOnce(t *testing.T) {
+	const rows = 4096
+	data := writeTrajectory(t, gridSamples(8, rows/8), Options{BlockSize: rows})
+	r := readTrajectory(t, data)
+	sc := newDecodeScratch()
+	raw, err := r.blockBytes(0, &sc)
 	if err != nil {
-		t.Skip("corruption caught at open; block decode not reachable")
+		t.Fatal(err)
 	}
-	c := mr.Cursor(Predicate{})
-	rows := 0
-	for c.Next() {
-		rows += c.Batch().Len()
+	decode := func() {
+		var b TrajectoryBatch
+		if err := decodeTrajectoryBatch(raw, &b, &sc); err != nil || b.Len() != rows {
+			t.Fatalf("decoded %d rows, %v", b.Len(), err)
+		}
 	}
-	if c.Err() == nil {
-		t.Fatal("cursor over mangled file reported no error")
-	}
-	if c.Close() == nil {
-		t.Fatal("Close did not surface the cursor error")
-	}
-	if rows >= len(samples) {
-		t.Fatalf("cursor yielded %d rows despite corrupt block", rows)
-	}
-	if c.Next() {
-		t.Fatal("Next returned true after error")
+	decode() // size the scratch's intermediates
+	// One per column; two under -race, where slices.Grow makes a temporary.
+	// Grown by doubling it was 124.
+	if allocs := testing.AllocsPerRun(20, decode); allocs > 16 {
+		t.Errorf("decoding a %d-row block into a fresh batch: %.0f allocations, want one per column (8)", rows, allocs)
 	}
 }
 
-// TestCursorClose checks that a closed cursor stops iterating and that
-// closing twice is safe.
-func TestCursorClose(t *testing.T) {
-	samples := gridSamples(4, 200)
-	data := writeTrajectory(t, samples, Options{BlockSize: 64})
-	r := readTrajectory(t, data)
-	c := r.Cursor(Predicate{})
-	if !c.Next() {
-		t.Fatalf("first Next failed: %v", c.Err())
+// TestCorruptCountReservesNothing: a row count larger than the payload is an
+// error, and the columns are not pre-sized from it.
+func TestCorruptCountReservesNothing(t *testing.T) {
+	raw := binary.AppendUvarint(nil, 1<<40)
+	var b TrajectoryBatch
+	sc := newDecodeScratch()
+	if err := decodeTrajectoryBatch(raw, &b, &sc); err == nil {
+		t.Fatal("decoded a block whose row count exceeds its payload")
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
+	if cap(b.ObjID) != 0 || cap(b.Building) != 0 {
+		t.Errorf("corrupt count reserved %d/%d column slots", cap(b.ObjID), cap(b.Building))
 	}
-	if c.Next() {
-		t.Fatal("Next returned true after Close")
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCursorStatsAcrossPredicates double-checks the pruning counters line up
-// with the zone-map geometry for a window that skips most of the file.
-func TestCursorStatsAcrossPredicates(t *testing.T) {
-	samples := gridSamples(10, 600)
-	data := writeTrajectory(t, samples, Options{BlockSize: 256})
-	r := readTrajectory(t, data)
-	c := r.Cursor(TimeWindow(100, 130))
-	for c.Next() {
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.BlocksPruned == 0 {
-		t.Fatalf("no blocks pruned: %+v", st)
-	}
-	if st.BlocksScanned+st.BlocksPruned != st.BlocksTotal {
-		t.Fatalf("block counters inconsistent: %+v", st)
-	}
-	if st.RowsMatched == 0 {
-		t.Fatalf("window matched nothing: %+v", st)
+	// A count the payload bound admits, with too few bytes behind it: each
+	// column reserves at most what is left of the payload.
+	raw = append(binary.AppendUvarint(nil, 3000), make([]byte, 3000)...)
+	if err := decodeTrajectoryBatch(raw, &b, &sc); err == nil {
+		t.Fatal("decoded 3000 rows out of 3000 bytes")
 	}
 }
 
@@ -320,7 +199,7 @@ func TestSelectMatchesRowPredicate(t *testing.T) {
 
 		var copied, inPlace TrajectoryBatch
 		copied.Gather(&whole, sel)
-		inPlace.AppendBatch(&whole)
+		inPlace.AppendRows(&whole, 0, whole.Len())
 		inPlace.Gather(&inPlace, sel)
 		for _, got := range []*TrajectoryBatch{&copied, &inPlace} {
 			if got.Len() != len(want) {
@@ -344,7 +223,7 @@ func TestSelectMatchesRowPredicate(t *testing.T) {
 				continue
 			}
 			covered++
-			b, err := tr.DecodeBlockBatch(i)
+			b, err := tr.DecodeBlock(i)
 			if err != nil {
 				t.Fatal(err)
 			}

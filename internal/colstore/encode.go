@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // This file holds the column codecs shared by the writer and the reader:
@@ -311,6 +312,7 @@ func (c *cursor) count() int {
 	v := c.uvarint()
 	if c.err == nil && v > uint64(len(c.b)) {
 		c.fail("row count %d exceeds payload size %d", v, len(c.b))
+		return 0
 	}
 	return int(v)
 }
@@ -318,6 +320,9 @@ func (c *cursor) count() int {
 // intColumnInto decodes n delta-of-delta varints, appending to out (callers
 // pass a reused slice truncated to zero) and returning it.
 func (c *cursor) intColumnInto(n int, out []int64) []int64 {
+	// Sized once, so a column of a fresh batch (DecodeBlock) is not grown by
+	// doubling; a value takes at least a byte, which bounds a corrupt n.
+	out = slices.Grow(out, min(n, len(c.b)-c.off))
 	var prev, prevDelta int64
 	for i := 0; i < n; i++ {
 		z := c.varint()
@@ -355,6 +360,7 @@ func (c *cursor) floatColumnInto(n int, out []float64, sc *decodeScratch) []floa
 		}
 		scale := pow10[expB[0]]
 		sc.i64 = c.intColumnInto(n, sc.i64[:0])
+		out = slices.Grow(out, len(sc.i64))
 		for _, i := range sc.i64 {
 			out = append(out, float64(i)/scale)
 		}
@@ -363,6 +369,7 @@ func (c *cursor) floatColumnInto(n int, out []float64, sc *decodeScratch) []floa
 		if c.err != nil {
 			return out
 		}
+		out = slices.Grow(out, n)
 		var prev uint64
 		for i := 0; i < n; i++ {
 			prev ^= binary.LittleEndian.Uint64(raw[8*i:])
@@ -388,6 +395,7 @@ func (c *cursor) dictColumnInto(n int, out []string, sc *decodeScratch) []string
 		}
 		sc.dict = append(sc.dict, sc.intern(b))
 	}
+	out = slices.Grow(out, min(n, len(c.b)-c.off))
 	for i := 0; i < n; i++ {
 		idx := c.uvarint()
 		if c.err != nil {
@@ -408,6 +416,7 @@ func (c *cursor) bitsetInto(n int, out []bool) []bool {
 	if c.err != nil {
 		return out
 	}
+	out = slices.Grow(out, n)
 	for i := 0; i < n; i++ {
 		out = append(out, raw[i/8]&(1<<uint(i%8)) != 0)
 	}

@@ -3,8 +3,6 @@ package colstore
 import (
 	"bytes"
 	"testing"
-
-	"vita/internal/trajectory"
 )
 
 // FuzzVSnapDecode hammers the vsnap decoder with arbitrary byte streams and
@@ -57,7 +55,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	samples := awkwardSamples()[:200]
 	for _, codec := range []Codec{CodecRaw, CodecVSnap, CodecFlate} {
 		var buf bytes.Buffer
-		w := NewTrajectoryWriterOptions(&buf, Options{BlockSize: 64, Codec: codec})
+		w := NewTrajectoryWriter(&buf, Options{BlockSize: 64, Codec: codec})
 		for _, s := range samples {
 			if err := w.Write(s); err != nil {
 				f.Fatal(err)
@@ -74,9 +72,11 @@ func FuzzDecodeBlock(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Full scan: decodes every block through decompressInto.
-		_, _ = r.Scan(Predicate{}, func(s trajectory.Sample) {})
-		// Cursor path too — it shares blockBytes but batches differently.
+		// Every block on its own, through decompressInto into a fresh batch.
+		for i := range r.Blocks() {
+			_, _ = r.DecodeBlock(i)
+		}
+		// The cursor too — it shares blockBytes but decodes into its scratch.
 		cur := r.Cursor(Predicate{})
 		for cur.Next() {
 		}

@@ -20,21 +20,20 @@ func writeTrajectoryFile(t *testing.T, samples []trajectory.Sample, opts Options
 }
 
 // TestMmapMatchesReaderAt opens the same file mmap-backed and pread-backed
-// and requires bit-identical rows and identical stats from both, across
-// Scan, ScanParallel, and the cursor.
+// and requires bit-identical rows and identical stats from both.
 func TestMmapMatchesReaderAt(t *testing.T) {
 	samples := gridSamples(8, 500)
 	// Small blocks without compression maximize the zero-copy raw-codec
 	// path; a second pass with compression covers the inflate path.
-	for _, opts := range []Options{{BlockSize: 128, NoCompress: true}, {BlockSize: 128}} {
+	for _, opts := range []Options{{BlockSize: 128, Codec: CodecRaw}, {BlockSize: 128}} {
 		path := writeTrajectoryFile(t, samples, opts)
 
-		mm, err := OpenTrajectoryOptions(path, OpenOptions{})
+		mm, err := OpenTrajectory(path, OpenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer mm.Close()
-		pr, err := OpenTrajectoryOptions(path, OpenOptions{DisableMmap: true})
+		pr, err := OpenTrajectory(path, OpenOptions{DisableMmap: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,17 +47,14 @@ func TestMmapMatchesReaderAt(t *testing.T) {
 		}
 
 		pred := TimeWindow(50, 220)
-		var want []trajectory.Sample
-		wantStats, err := pr.Scan(pred, func(s trajectory.Sample) { want = append(want, s) })
+		want, wantStats, err := drain(pr.Cursor(pred))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(want) == 0 {
 			t.Fatal("window matched nothing")
 		}
-
-		var got []trajectory.Sample
-		gotStats, err := mm.Scan(pred, func(s trajectory.Sample) { got = append(got, s) })
+		got, gotStats, err := drain(mm.Cursor(pred))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,34 +69,6 @@ func TestMmapMatchesReaderAt(t *testing.T) {
 				t.Fatalf("row %d differs between mmap and pread", i)
 			}
 		}
-
-		var par []trajectory.Sample
-		parStats, err := mm.ScanParallel(pred, 4, func(s trajectory.Sample) { par = append(par, s) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parStats != wantStats || len(par) != len(want) {
-			t.Fatalf("mmap parallel scan differs: stats %+v rows %d, want %+v rows %d",
-				parStats, len(par), wantStats, len(want))
-		}
-
-		cur := mm.Cursor(pred)
-		var cRows []trajectory.Sample
-		for cur.Next() {
-			cRows = cur.Batch().AppendTo(cRows)
-		}
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if cur.Stats() != wantStats || len(cRows) != len(want) {
-			t.Fatalf("mmap cursor differs: stats %+v rows %d, want %+v rows %d",
-				cur.Stats(), len(cRows), wantStats, len(want))
-		}
-		for i := range cRows {
-			if !sampleEqual(cRows[i], want[i]) {
-				t.Fatalf("cursor row %d differs", i)
-			}
-		}
 	}
 }
 
@@ -111,15 +79,16 @@ func TestScanAfterClose(t *testing.T) {
 	samples := gridSamples(4, 300)
 	path := writeTrajectoryFile(t, samples, Options{BlockSize: 64})
 	for _, disable := range []bool{false, true} {
-		r, err := OpenTrajectoryOptions(path, OpenOptions{DisableMmap: disable})
+		r, err := OpenTrajectory(path, OpenOptions{DisableMmap: disable})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Decode something first; it must survive Close.
-		rows, err := r.DecodeBlock(0)
+		block, err := r.DecodeBlock(0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rows := block.AppendTo(nil)
 		cur := r.Cursor(Predicate{})
 		if !cur.Next() {
 			t.Fatalf("first Next failed: %v", cur.Err())
@@ -128,11 +97,8 @@ func TestScanAfterClose(t *testing.T) {
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Scan(Predicate{}, func(trajectory.Sample) {}); err == nil {
-			t.Errorf("disableMmap=%v: Scan after Close succeeded", disable)
-		}
-		if _, err := r.ScanParallel(Predicate{}, 4, func(trajectory.Sample) {}); err == nil {
-			t.Errorf("disableMmap=%v: ScanParallel after Close succeeded", disable)
+		if _, _, err := drain(r.Cursor(Predicate{})); err == nil {
+			t.Errorf("disableMmap=%v: a new cursor after Close succeeded", disable)
 		}
 		if _, err := r.DecodeBlock(0); err == nil {
 			t.Errorf("disableMmap=%v: DecodeBlock after Close succeeded", disable)
@@ -182,7 +148,7 @@ func TestOpenBadFiles(t *testing.T) {
 	for name, data := range cases {
 		path := write(name, data)
 		for _, disable := range []bool{false, true} {
-			if r, err := OpenTrajectoryOptions(path, OpenOptions{DisableMmap: disable}); err == nil {
+			if r, err := OpenTrajectory(path, OpenOptions{DisableMmap: disable}); err == nil {
 				r.Close()
 				t.Errorf("%s (disableMmap=%v): open succeeded", name, disable)
 			}
@@ -191,7 +157,7 @@ func TestOpenBadFiles(t *testing.T) {
 	// Wrong kind must fail on both paths too.
 	goodPath := write("good.vtb", good)
 	for _, disable := range []bool{false, true} {
-		if r, err := OpenRSSIOptions(goodPath, OpenOptions{DisableMmap: disable}); err == nil {
+		if r, err := OpenRSSI(goodPath, OpenOptions{DisableMmap: disable}); err == nil {
 			r.Close()
 			t.Errorf("disableMmap=%v: opened trajectory file as RSSI", disable)
 		} else if !strings.Contains(err.Error(), "trajectory") {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync/atomic"
 
 	"vita/internal/geom"
@@ -15,7 +16,7 @@ import (
 )
 
 // reader owns the kind-independent read machinery: header/footer validation
-// and block fetch + decompression. Typed readers layer row decoding and
+// and block fetch + decompression. Reader layers a kind's column decode and
 // predicate evaluation on top.
 //
 // A reader is backed either by a memory-mapped file (data non-nil; block
@@ -203,7 +204,10 @@ func (rd *reader) blockBytes(i int, sc *decodeScratch) ([]byte, error) {
 	return raw, nil
 }
 
-func (rd *reader) close() error {
+// Close releases the underlying file (and unmaps the region when
+// mmap-backed). Scans after Close fail; batches already decoded stay valid —
+// decoding copies every value out of the mapped region.
+func (rd *reader) Close() error {
 	if rd.closed.Swap(true) {
 		return nil
 	}
@@ -220,7 +224,9 @@ func (rd *reader) close() error {
 	return err
 }
 
-func (rd *reader) len() int {
+// Len returns the total number of rows in the file (from the footer, no
+// block reads).
+func (rd *reader) Len() int {
 	n := 0
 	for _, zm := range rd.zones {
 		n += zm.Count
@@ -228,65 +234,86 @@ func (rd *reader) len() int {
 	return n
 }
 
-// mmapped reports whether block reads come from a memory-mapped region.
-func (rd *reader) mmapped() bool { return rd.data != nil }
+// Mmapped reports whether the reader decodes blocks from a memory-mapped
+// region (false on the io.ReaderAt fallback path).
+func (rd *reader) Mmapped() bool { return rd.data != nil }
 
-// TrajectoryReader reads trajectory samples from a VTB file with zone-map
-// pruned scans. It is safe for concurrent Scans; Close must not race a scan
-// in flight (an mmap-backed reader unmaps its file region on Close).
-type TrajectoryReader struct {
-	rd *reader
+// Blocks returns the per-block zone maps, in file order.
+func (rd *reader) Blocks() []ZoneMap { return slices.Clone(rd.zones) }
+
+// Reader reads one row kind's blocks from a VTB file. It is written once,
+// generic over the kind's column batch (B is *TrajectoryBatch or *RSSIBatch);
+// what differs between kinds — the column decode and the select kernel — is
+// the kindOps it was constructed with. A Reader is safe for any number of
+// concurrent cursors and DecodeBlock calls; Close must not race a scan in
+// flight (an mmap-backed reader unmaps its file region on Close).
+type Reader[B Batch] struct {
+	*reader
+	ops *kindOps[B]
 }
+
+// TrajectoryReader and RSSIReader are the two instantiations of Reader.
+type (
+	TrajectoryReader = Reader[*TrajectoryBatch]
+	RSSIReader       = Reader[*RSSIBatch]
+)
 
 // NewTrajectoryReader opens a trajectory VTB image held in r (size bytes).
 func NewTrajectoryReader(r io.ReaderAt, size int64) (*TrajectoryReader, error) {
-	rd, err := openReader(r, size, KindTrajectory)
+	return trajectoryOps.reader(openReader(r, size, KindTrajectory))
+}
+
+// NewRSSIReader opens an RSSI VTB image held in r (size bytes).
+func NewRSSIReader(r io.ReaderAt, size int64) (*RSSIReader, error) {
+	return rssiOps.reader(openReader(r, size, KindRSSI))
+}
+
+// OpenTrajectory opens the trajectory VTB file at path; the zero OpenOptions
+// memory-map it where the platform allows. Close releases the file and the
+// mapping.
+func OpenTrajectory(path string, opts OpenOptions) (*TrajectoryReader, error) {
+	return trajectoryOps.reader(openPath(path, KindTrajectory, opts))
+}
+
+// OpenRSSI opens the RSSI VTB file at path; see OpenTrajectory.
+func OpenRSSI(path string, opts OpenOptions) (*RSSIReader, error) {
+	return rssiOps.reader(openPath(path, KindRSSI, opts))
+}
+
+func (k *kindOps[B]) reader(rd *reader, err error) (*Reader[B], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TrajectoryReader{rd: rd}, nil
+	return &Reader[B]{reader: rd, ops: k}, nil
 }
 
-// OpenTrajectory opens the trajectory VTB file at path with the default
-// options (memory-mapped where available). Close releases the underlying
-// file and mapping.
-func OpenTrajectory(path string) (*TrajectoryReader, error) {
-	return OpenTrajectoryOptions(path, OpenOptions{})
-}
-
-// OpenTrajectoryOptions opens the trajectory VTB file at path with explicit
-// open options.
-func OpenTrajectoryOptions(path string, opts OpenOptions) (*TrajectoryReader, error) {
-	rd, err := openPath(path, KindTrajectory, opts)
-	if err != nil {
-		return nil, err
+// DecodeBlock decodes block i (0 <= i < len(Blocks())) in full, ignoring any
+// predicate, into a freshly allocated column batch the caller owns — the
+// cache entry point: a serving layer keeps decoded batches resident (their
+// footprint is what Bytes reports), fetches them here once, and filters each
+// query's rows itself with Predicate.SelectTrajectory. Safe for concurrent
+// use.
+func (r *Reader[B]) DecodeBlock(i int) (B, error) {
+	var none B
+	if i < 0 || i >= len(r.zones) {
+		return none, fmt.Errorf("colstore: block index %d out of range [0, %d)", i, len(r.zones))
 	}
-	return &TrajectoryReader{rd: rd}, nil
-}
-
-// Close releases the underlying file (and unmaps the region when
-// mmap-backed). Scans after Close fail; samples and batches already decoded
-// stay valid — decoding copies every value out of the mapped region.
-func (tr *TrajectoryReader) Close() error { return tr.rd.close() }
-
-// Mmapped reports whether the reader decodes blocks from a memory-mapped
-// region (false on the io.ReaderAt fallback path).
-func (tr *TrajectoryReader) Mmapped() bool { return tr.rd.mmapped() }
-
-// Len returns the total number of samples in the file (from the footer, no
-// block reads).
-func (tr *TrajectoryReader) Len() int { return tr.rd.len() }
-
-// Blocks returns the per-block zone maps, in file order.
-func (tr *TrajectoryReader) Blocks() []ZoneMap {
-	out := make([]ZoneMap, len(tr.rd.zones))
-	copy(out, tr.rd.zones)
-	return out
+	sc := r.ops.getScratch()
+	defer r.ops.pool.Put(sc)
+	raw, err := r.blockBytes(i, &sc.decodeScratch)
+	if err != nil {
+		return none, err
+	}
+	out := r.ops.newBatch()
+	if err := r.ops.decode(raw, out, &sc.decodeScratch); err != nil {
+		return none, fmt.Errorf("block %d: %w", i, err)
+	}
+	return out, nil
 }
 
 // MatchTrajectory reports whether a trajectory row satisfies the predicate —
-// the exact row semantics of a trajectory Scan, exported so other layers
-// (CSV fallback, block caches) can filter identically.
+// the row semantics of SelectTrajectory, exported so row-at-a-time layers
+// (the CSV reader, in-memory slices) filter identically.
 func (p Predicate) MatchTrajectory(s trajectory.Sample) bool {
 	return p.matchCommon(s.ObjID, s.T) &&
 		(!p.HasFloor || s.Loc.Floor == p.Floor) &&
@@ -299,83 +326,9 @@ func (p Predicate) MatchRSSI(m rssi.Measurement) bool {
 	return p.matchCommon(m.ObjID, m.T)
 }
 
-// Scan streams every sample matching pred to emit, in file order, skipping
-// whole blocks whose zone maps rule them out. The returned stats report how
-// effective the pruning was. Steady state the scan allocates only
-// never-seen-before strings: block fetch, decompression, and column decode
-// all run out of pooled scratch buffers.
-func (tr *TrajectoryReader) Scan(pred Predicate, emit func(trajectory.Sample)) (ScanStats, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	stats := ScanStats{BlocksTotal: len(tr.rd.zones)}
-	for i, zm := range tr.rd.zones {
-		if pred.skipBlock(zm) {
-			stats.BlocksPruned++
-			continue
-		}
-		stats.BlocksScanned++
-		raw, err := tr.rd.blockBytes(i, sc)
-		if err != nil {
-			return stats, err
-		}
-		if err := decodeTrajectoryBatchInto(raw, &sc.batch, sc); err != nil {
-			return stats, fmt.Errorf("block %d: %w", i, err)
-		}
-		for j := 0; j < sc.batch.Len(); j++ {
-			stats.RowsScanned++
-			s := sc.batch.Row(j)
-			if pred.MatchTrajectory(s) {
-				stats.RowsMatched++
-				emit(s)
-			}
-		}
-	}
-	return stats, nil
-}
-
-// DecodeBlock decodes block i (0 <= i < len(Blocks())) in full, ignoring any
-// predicate, into freshly allocated rows. Safe for concurrent use.
-func (tr *TrajectoryReader) DecodeBlock(i int) ([]trajectory.Sample, error) {
-	b, err := tr.DecodeBlockBatch(i)
-	if err != nil {
-		return nil, err
-	}
-	return b.AppendTo(make([]trajectory.Sample, 0, b.Len())), nil
-}
-
-// DecodeBlockBatch decodes block i in full into a freshly allocated column
-// batch the caller owns — the cache entry point: a serving layer keeps
-// decoded batches resident (their footprint is what Bytes reports), fetches
-// them here once, and filters each query's rows itself with
-// Predicate.SelectTrajectory.
-// Safe for concurrent use.
-func (tr *TrajectoryReader) DecodeBlockBatch(i int) (*TrajectoryBatch, error) {
-	if i < 0 || i >= len(tr.rd.zones) {
-		return nil, fmt.Errorf("colstore: block index %d out of range [0, %d)", i, len(tr.rd.zones))
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	raw, err := tr.rd.blockBytes(i, sc)
-	if err != nil {
-		return nil, err
-	}
-	out := &TrajectoryBatch{}
-	if err := decodeTrajectoryBatchInto(raw, out, sc); err != nil {
-		return nil, fmt.Errorf("block %d: %w", i, err)
-	}
-	return out, nil
-}
-
-// ReadAll decodes the whole file.
-func (tr *TrajectoryReader) ReadAll() ([]trajectory.Sample, error) {
-	out := make([]trajectory.Sample, 0, tr.Len())
-	_, err := tr.Scan(Predicate{}, func(s trajectory.Sample) { out = append(out, s) })
-	return out, err
-}
-
-// decodeTrajectoryBatchInto decodes one raw block payload into b's reused
+// decodeTrajectoryBatch decodes one raw block payload into b's reused
 // columns, borrowing intermediates from sc.
-func decodeTrajectoryBatchInto(raw []byte, b *TrajectoryBatch, sc *decodeScratch) error {
+func decodeTrajectoryBatch(raw []byte, b *TrajectoryBatch, sc *decodeScratch) error {
 	c := &cursor{b: raw}
 	n := c.count()
 	b.Reset()
@@ -394,129 +347,8 @@ func decodeTrajectoryBatchInto(raw []byte, b *TrajectoryBatch, sc *decodeScratch
 	return nil
 }
 
-// RSSIReader reads RSSI measurements from a VTB file.
-type RSSIReader struct {
-	rd *reader
-}
-
-// NewRSSIReader opens an RSSI VTB image held in r (size bytes).
-func NewRSSIReader(r io.ReaderAt, size int64) (*RSSIReader, error) {
-	rd, err := openReader(r, size, KindRSSI)
-	if err != nil {
-		return nil, err
-	}
-	return &RSSIReader{rd: rd}, nil
-}
-
-// OpenRSSI opens the RSSI VTB file at path with the default options
-// (memory-mapped where available). Close releases the underlying file and
-// mapping.
-func OpenRSSI(path string) (*RSSIReader, error) {
-	return OpenRSSIOptions(path, OpenOptions{})
-}
-
-// OpenRSSIOptions opens the RSSI VTB file at path with explicit open
-// options.
-func OpenRSSIOptions(path string, opts OpenOptions) (*RSSIReader, error) {
-	rd, err := openPath(path, KindRSSI, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &RSSIReader{rd: rd}, nil
-}
-
-// Close releases the underlying file (and unmaps the region when
-// mmap-backed); see TrajectoryReader.Close.
-func (rr *RSSIReader) Close() error { return rr.rd.close() }
-
-// Mmapped reports whether the reader decodes blocks from a memory-mapped
-// region.
-func (rr *RSSIReader) Mmapped() bool { return rr.rd.mmapped() }
-
-// Len returns the total number of measurements in the file.
-func (rr *RSSIReader) Len() int { return rr.rd.len() }
-
-// Blocks returns the per-block zone maps, in file order.
-func (rr *RSSIReader) Blocks() []ZoneMap {
-	out := make([]ZoneMap, len(rr.rd.zones))
-	copy(out, rr.rd.zones)
-	return out
-}
-
-// Scan streams every measurement matching pred (time and object constraints;
-// floor/box do not apply to RSSI rows) to emit, skipping blocks via zone
-// maps.
-func (rr *RSSIReader) Scan(pred Predicate, emit func(rssi.Measurement)) (ScanStats, error) {
-	// Floor and box constraints are meaningless for RSSI rows; drop them so
-	// they neither prune blocks nor filter rows.
-	pred.HasFloor, pred.HasBox = false, false
-	sc := getScratch()
-	defer putScratch(sc)
-	stats := ScanStats{BlocksTotal: len(rr.rd.zones)}
-	for i, zm := range rr.rd.zones {
-		if pred.skipBlock(zm) {
-			stats.BlocksPruned++
-			continue
-		}
-		stats.BlocksScanned++
-		raw, err := rr.rd.blockBytes(i, sc)
-		if err != nil {
-			return stats, err
-		}
-		if err := decodeRSSIBatchInto(raw, &sc.rbatch, sc); err != nil {
-			return stats, fmt.Errorf("block %d: %w", i, err)
-		}
-		for j := 0; j < sc.rbatch.Len(); j++ {
-			stats.RowsScanned++
-			m := sc.rbatch.Row(j)
-			if pred.MatchRSSI(m) {
-				stats.RowsMatched++
-				emit(m)
-			}
-		}
-	}
-	return stats, nil
-}
-
-// DecodeBlock decodes block i in full, ignoring any predicate; see
-// TrajectoryReader.DecodeBlock. Safe for concurrent use.
-func (rr *RSSIReader) DecodeBlock(i int) ([]rssi.Measurement, error) {
-	b, err := rr.DecodeBlockBatch(i)
-	if err != nil {
-		return nil, err
-	}
-	return b.AppendTo(make([]rssi.Measurement, 0, b.Len())), nil
-}
-
-// DecodeBlockBatch decodes block i in full into a freshly allocated column
-// batch the caller owns; see TrajectoryReader.DecodeBlockBatch. Safe for
-// concurrent use.
-func (rr *RSSIReader) DecodeBlockBatch(i int) (*RSSIBatch, error) {
-	if i < 0 || i >= len(rr.rd.zones) {
-		return nil, fmt.Errorf("colstore: block index %d out of range [0, %d)", i, len(rr.rd.zones))
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	raw, err := rr.rd.blockBytes(i, sc)
-	if err != nil {
-		return nil, err
-	}
-	out := &RSSIBatch{}
-	if err := decodeRSSIBatchInto(raw, out, sc); err != nil {
-		return nil, fmt.Errorf("block %d: %w", i, err)
-	}
-	return out, nil
-}
-
-// ReadAll decodes the whole file.
-func (rr *RSSIReader) ReadAll() ([]rssi.Measurement, error) {
-	out := make([]rssi.Measurement, 0, rr.Len())
-	_, err := rr.Scan(Predicate{}, func(m rssi.Measurement) { out = append(out, m) })
-	return out, err
-}
-
-// decodeRSSIBatchInto decodes one raw block payload into b's reused columns.
-func decodeRSSIBatchInto(raw []byte, b *RSSIBatch, sc *decodeScratch) error {
+// decodeRSSIBatch decodes one raw block payload into b's reused columns.
+func decodeRSSIBatch(raw []byte, b *RSSIBatch, sc *decodeScratch) error {
 	c := &cursor{b: raw}
 	n := c.count()
 	b.Reset()

@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"compress/flate"
 	"io"
-	"sync"
 )
 
-// decodeScratch bundles every buffer a block decode needs — the pread target,
-// the flate decompressor and its output buffer, column intermediates, the
-// per-block dictionary, a string-interning table, and the decode-target
-// batches — so the steady-state scan path allocates nothing per block. One
-// scratch serves one goroutine at a time; Scan checks one out per call,
-// ScanParallel one per worker, and a cursor holds one for its lifetime.
+// decodeScratch bundles every kind-independent buffer a block decode needs —
+// the pread target, the flate decompressor and its output buffer, column
+// intermediates, the per-block dictionary, and a string-interning table — so
+// the steady-state scan path allocates nothing per block. One scratch serves
+// one goroutine at a time: a cursor holds one for its lifetime, DecodeBlock
+// for one call.
 type decodeScratch struct {
 	stored []byte        // ReaderAt block read target (unused on the mmap path)
 	raw    []byte        // flate output buffer
@@ -28,9 +27,13 @@ type decodeScratch struct {
 	// building/partition/device name appears. Lookups with a []byte key
 	// compile to non-allocating map access.
 	interned map[string]string
+}
 
-	batch  TrajectoryBatch
-	rbatch RSSIBatch
+// scratch is what a kind's pool holds: the decode buffers plus the batch a
+// cursor decodes into, so column capacity is reused from scan to scan.
+type scratch[B Batch] struct {
+	decodeScratch
+	batch B
 }
 
 // maxInterned bounds the interning table so adversarial inputs with
@@ -38,12 +41,9 @@ type decodeScratch struct {
 // are allocated per block like before.
 const maxInterned = 1 << 14
 
-var scratchPool = sync.Pool{New: func() any {
-	return &decodeScratch{interned: make(map[string]string)}
-}}
-
-func getScratch() *decodeScratch   { return scratchPool.Get().(*decodeScratch) }
-func putScratch(sc *decodeScratch) { scratchPool.Put(sc) }
+func newDecodeScratch() decodeScratch {
+	return decodeScratch{interned: make(map[string]string)}
+}
 
 // intern returns b as a string, reusing the shared copy when the scratch has
 // seen it before.

@@ -12,8 +12,8 @@ import (
 )
 
 // blockWriter owns the kind-independent file machinery: header, block
-// framing, zone-map accumulation, and the footer. The typed writers feed it
-// encoded payloads plus their zone maps. Codec selection happens once, at
+// framing, zone-map accumulation, and the footer. Writer feeds it encoded
+// payloads plus their zone maps. Codec selection happens once, at
 // construction: the writer holds one configured blockCompressor for its
 // lifetime, so the per-block path has no codec branch and every compression
 // buffer is reused.
@@ -116,60 +116,74 @@ func (bw *blockWriter) close() error {
 	return bw.err
 }
 
-// TrajectoryWriter streams trajectory samples into a VTB file. Feed it from
-// the generation pipeline's emit callback (the Collector delivers samples in
-// global time order, which makes the zone maps maximally selective) and
-// Close it to flush the last block and write the footer.
-type TrajectoryWriter struct {
+// Writer streams one row kind into a VTB file: rows buffer up to a block,
+// the kind's encoder turns the block into a column payload plus its zone map,
+// and Close flushes the last block and writes the footer. Feed it from the
+// generation pipeline's emit callback (the Collector delivers samples in
+// global time order, which makes the zone maps maximally selective). The
+// caller owns the io.Writer; Close flushes the format but does not close it.
+type Writer[T any] struct {
 	bw  *blockWriter
-	buf []trajectory.Sample
-
-	// reused column slices
-	objIDs    []int64
-	buildings []string
-	floors    []int64
-	parts     []string
-	xs, ys    []float64
-	ts        []float64
-	hasPt     []bool
+	buf []T
+	// encode appends the block's column payload to p[:0] and summarizes the
+	// rows; it owns whatever column slices it reuses from block to block.
+	encode func(rows []T, p []byte) ([]byte, ZoneMap)
 }
 
-// NewTrajectoryWriter returns a streaming writer with default options.
-// The caller owns w; Close flushes the format but does not close w.
-func NewTrajectoryWriter(w io.Writer) *TrajectoryWriter {
-	return NewTrajectoryWriterOptions(w, Options{})
+// TrajectoryWriter and RSSIWriter are the two instantiations of Writer.
+type (
+	TrajectoryWriter = Writer[trajectory.Sample]
+	RSSIWriter       = Writer[rssi.Measurement]
+)
+
+// NewTrajectoryWriter returns a streaming trajectory writer; the zero Options
+// select the defaults.
+func NewTrajectoryWriter(w io.Writer, opts Options) *TrajectoryWriter {
+	return newWriter(w, KindTrajectory, opts, new(trajectoryEncoder).encode)
 }
 
-// NewTrajectoryWriterOptions returns a streaming writer with explicit
-// options.
-func NewTrajectoryWriterOptions(w io.Writer, opts Options) *TrajectoryWriter {
-	tw := &TrajectoryWriter{bw: newBlockWriter(w, KindTrajectory, opts)}
-	tw.buf = make([]trajectory.Sample, 0, tw.bw.opts.BlockSize)
-	return tw
+// NewRSSIWriter returns a streaming RSSI writer; the zero Options select the
+// defaults.
+func NewRSSIWriter(w io.Writer, opts Options) *RSSIWriter {
+	return newWriter(w, KindRSSI, opts, new(rssiEncoder).encode)
 }
 
-// Write appends one sample, flushing a block when full.
-func (tw *TrajectoryWriter) Write(s trajectory.Sample) error {
-	if tw.bw.closed {
+func newWriter[T any](w io.Writer, kind Kind, opts Options, encode func([]T, []byte) ([]byte, ZoneMap)) *Writer[T] {
+	bw := newBlockWriter(w, kind, opts)
+	return &Writer[T]{bw: bw, buf: make([]T, 0, bw.opts.BlockSize), encode: encode}
+}
+
+// Write appends one row, flushing a block when full.
+func (w *Writer[T]) Write(row T) error {
+	if w.bw.closed {
 		return fmt.Errorf("colstore: write after Close")
 	}
-	tw.buf = append(tw.buf, s)
-	if len(tw.buf) >= tw.bw.opts.BlockSize {
-		tw.flush()
+	w.buf = append(w.buf, row)
+	if len(w.buf) >= w.bw.opts.BlockSize {
+		w.flush()
 	}
-	return tw.bw.err
+	return w.bw.err
 }
 
 // Close flushes the pending block and writes the footer index.
-func (tw *TrajectoryWriter) Close() error {
-	if !tw.bw.closed && len(tw.buf) > 0 {
-		tw.flush()
+func (w *Writer[T]) Close() error {
+	if !w.bw.closed && len(w.buf) > 0 {
+		w.flush()
 	}
-	return tw.bw.close()
+	return w.bw.close()
 }
 
-func (tw *TrajectoryWriter) flush() {
-	samples := tw.buf
+func (w *Writer[T]) flush() {
+	p, zm := w.encode(w.buf, w.bw.payload)
+	w.bw.payload = p
+	w.bw.flushBlock(p, zm)
+	w.buf = w.buf[:0]
+}
+
+// trajectoryEncoder splits trajectory rows into its reused columns.
+type trajectoryEncoder struct{ cols TrajectoryBatch }
+
+func (e *trajectoryEncoder) encode(samples []trajectory.Sample, p []byte) ([]byte, ZoneMap) {
 	zm := ZoneMap{
 		Count: len(samples),
 		T0:    samples[0].T, T1: samples[0].T,
@@ -177,22 +191,10 @@ func (tw *TrajectoryWriter) flush() {
 		FloorMin: samples[0].Loc.Floor, FloorMax: samples[0].Loc.Floor,
 		ObjMin: samples[0].ObjID, ObjMax: samples[0].ObjID,
 	}
-	tw.objIDs = tw.objIDs[:0]
-	tw.buildings = tw.buildings[:0]
-	tw.floors = tw.floors[:0]
-	tw.parts = tw.parts[:0]
-	tw.xs, tw.ys, tw.ts = tw.xs[:0], tw.ys[:0], tw.ts[:0]
-	tw.hasPt = tw.hasPt[:0]
+	c := &e.cols
+	c.Reset()
 	for _, s := range samples {
-		tw.objIDs = append(tw.objIDs, int64(s.ObjID))
-		tw.buildings = append(tw.buildings, s.Loc.Building)
-		tw.floors = append(tw.floors, int64(s.Loc.Floor))
-		tw.parts = append(tw.parts, s.Loc.Partition)
-		tw.xs = append(tw.xs, s.Loc.Point.X)
-		tw.ys = append(tw.ys, s.Loc.Point.Y)
-		tw.ts = append(tw.ts, s.T)
-		tw.hasPt = append(tw.hasPt, s.Loc.HasPoint)
-
+		c.Append(s)
 		zm.T0, zm.T1 = min(zm.T0, s.T), max(zm.T1, s.T)
 		zm.FloorMin, zm.FloorMax = min(zm.FloorMin, s.Loc.Floor), max(zm.FloorMax, s.Loc.Floor)
 		zm.ObjMin, zm.ObjMax = min(zm.ObjMin, s.ObjID), max(zm.ObjMax, s.ObjID)
@@ -206,97 +208,42 @@ func (tw *TrajectoryWriter) flush() {
 		}
 	}
 
-	p := tw.bw.payload[:0]
-	p = binary.AppendUvarint(p, uint64(len(samples)))
-	p = appendIntColumn(p, tw.objIDs)
-	p = appendDictColumn(p, tw.buildings)
-	p = appendIntColumn(p, tw.floors)
-	p = appendDictColumn(p, tw.parts)
-	p = appendFloatColumn(p, tw.xs)
-	p = appendFloatColumn(p, tw.ys)
-	p = appendFloatColumn(p, tw.ts)
-	p = appendBitset(p, tw.hasPt)
-	tw.bw.payload = p
-
-	tw.bw.flushBlock(p, zm)
-	tw.buf = tw.buf[:0]
+	p = binary.AppendUvarint(p[:0], uint64(len(samples)))
+	p = appendIntColumn(p, c.ObjID)
+	p = appendDictColumn(p, c.Building)
+	p = appendIntColumn(p, c.Floor)
+	p = appendDictColumn(p, c.Partition)
+	p = appendFloatColumn(p, c.X)
+	p = appendFloatColumn(p, c.Y)
+	p = appendFloatColumn(p, c.T)
+	p = appendBitset(p, c.HasPoint)
+	return p, zm
 }
 
-// RSSIWriter streams RSSI measurements into a VTB file.
-type RSSIWriter struct {
-	bw  *blockWriter
-	buf []rssi.Measurement
+// rssiEncoder splits RSSI rows into its reused columns.
+type rssiEncoder struct{ cols RSSIBatch }
 
-	objIDs  []int64
-	devices []string
-	values  []float64
-	ts      []float64
-}
-
-// NewRSSIWriter returns a streaming writer with default options.
-func NewRSSIWriter(w io.Writer) *RSSIWriter {
-	return NewRSSIWriterOptions(w, Options{})
-}
-
-// NewRSSIWriterOptions returns a streaming writer with explicit options.
-func NewRSSIWriterOptions(w io.Writer, opts Options) *RSSIWriter {
-	rw := &RSSIWriter{bw: newBlockWriter(w, KindRSSI, opts)}
-	rw.buf = make([]rssi.Measurement, 0, rw.bw.opts.BlockSize)
-	return rw
-}
-
-// Write appends one measurement, flushing a block when full.
-func (rw *RSSIWriter) Write(m rssi.Measurement) error {
-	if rw.bw.closed {
-		return fmt.Errorf("colstore: write after Close")
-	}
-	rw.buf = append(rw.buf, m)
-	if len(rw.buf) >= rw.bw.opts.BlockSize {
-		rw.flush()
-	}
-	return rw.bw.err
-}
-
-// Close flushes the pending block and writes the footer index.
-func (rw *RSSIWriter) Close() error {
-	if !rw.bw.closed && len(rw.buf) > 0 {
-		rw.flush()
-	}
-	return rw.bw.close()
-}
-
-func (rw *RSSIWriter) flush() {
-	ms := rw.buf
+func (e *rssiEncoder) encode(ms []rssi.Measurement, p []byte) ([]byte, ZoneMap) {
 	zm := ZoneMap{
 		Count: len(ms),
 		T0:    ms[0].T, T1: ms[0].T,
 		Box:    geom.EmptyBBox(),
 		ObjMin: ms[0].ObjID, ObjMax: ms[0].ObjID,
 	}
-	rw.objIDs = rw.objIDs[:0]
-	rw.devices = rw.devices[:0]
-	rw.values = rw.values[:0]
-	rw.ts = rw.ts[:0]
+	c := &e.cols
+	c.Reset()
 	for _, m := range ms {
-		rw.objIDs = append(rw.objIDs, int64(m.ObjID))
-		rw.devices = append(rw.devices, m.DeviceID)
-		rw.values = append(rw.values, m.RSSI)
-		rw.ts = append(rw.ts, m.T)
-
+		c.Append(m)
 		zm.T0, zm.T1 = min(zm.T0, m.T), max(zm.T1, m.T)
 		zm.ObjMin, zm.ObjMax = min(zm.ObjMin, m.ObjID), max(zm.ObjMax, m.ObjID)
 	}
 
-	p := rw.bw.payload[:0]
-	p = binary.AppendUvarint(p, uint64(len(ms)))
-	p = appendIntColumn(p, rw.objIDs)
-	p = appendDictColumn(p, rw.devices)
-	p = appendFloatColumn(p, rw.values)
-	p = appendFloatColumn(p, rw.ts)
-	rw.bw.payload = p
-
-	rw.bw.flushBlock(p, zm)
-	rw.buf = rw.buf[:0]
+	p = binary.AppendUvarint(p[:0], uint64(len(ms)))
+	p = appendIntColumn(p, c.ObjID)
+	p = appendDictColumn(p, c.DeviceID)
+	p = appendFloatColumn(p, c.RSSI)
+	p = appendFloatColumn(p, c.T)
+	return p, zm
 }
 
 func appendF64(dst []byte, v float64) []byte {

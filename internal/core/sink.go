@@ -92,8 +92,8 @@ func NewDirSinkOptions(dir string, format storage.Format, block colstore.Options
 		return nil, err
 	}
 	if format == storage.FormatVTB {
-		s.traj = colstore.NewTrajectoryWriterOptions(s.trajFile, block)
-		s.rssi = colstore.NewRSSIWriterOptions(s.rssiFile, block)
+		s.traj = colstore.NewTrajectoryWriter(s.trajFile, block)
+		s.rssi = colstore.NewRSSIWriter(s.rssiFile, block)
 	} else {
 		if s.traj, err = storage.NewTrajectoryCSVWriter(s.trajFile); err == nil {
 			s.rssi, err = storage.NewRSSICSVWriter(s.rssiFile)

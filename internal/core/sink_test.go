@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"vita/internal/colstore"
 	"vita/internal/positioning"
 	"vita/internal/rssi"
 	"vita/internal/storage"
@@ -81,12 +80,7 @@ func TestDirSinkVTBLosslessParallel(t *testing.T) {
 		tee, dir := runToDir(t, p, storage.FormatVTB)
 		dirs[p] = dir
 
-		r, err := colstore.OpenTrajectory(filepath.Join(dir, "trajectory.vtb"))
-		if err != nil {
-			t.Fatalf("p=%d: open trajectory.vtb: %v", p, err)
-		}
-		got, err := r.ReadAll()
-		r.Close()
+		got, _, err := storage.ReadTrajectoryFile(filepath.Join(dir, "trajectory.vtb"))
 		if err != nil {
 			t.Fatalf("p=%d: read trajectory.vtb: %v", p, err)
 		}
@@ -101,12 +95,7 @@ func TestDirSinkVTBLosslessParallel(t *testing.T) {
 			}
 		}
 
-		rr, err := colstore.OpenRSSI(filepath.Join(dir, "rssi.vtb"))
-		if err != nil {
-			t.Fatalf("p=%d: open rssi.vtb: %v", p, err)
-		}
-		gotM, err := rr.ReadAll()
-		rr.Close()
+		gotM, _, err := storage.ReadRSSIFile(filepath.Join(dir, "rssi.vtb"))
 		if err != nil {
 			t.Fatalf("p=%d: read rssi.vtb: %v", p, err)
 		}

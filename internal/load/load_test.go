@@ -38,7 +38,7 @@ func testDataset(t *testing.T) *serve.Dataset {
 	}
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	w := colstore.NewTrajectoryWriterOptions(&buf, colstore.Options{BlockSize: 512})
+	w := colstore.NewTrajectoryWriter(&buf, colstore.Options{BlockSize: 512})
 	for _, s := range samples {
 		if err := w.Write(s); err != nil {
 			t.Fatal(err)
@@ -331,7 +331,7 @@ func (s *stallQuerier) Dwell(q serve.DwellRequest) (*serve.DwellResponse, error)
 func TestRunEmptyDatasetFails(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	w := colstore.NewTrajectoryWriter(&buf)
+	w := colstore.NewTrajectoryWriter(&buf, colstore.Options{})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"vita/internal/colstore"
 	"vita/internal/geom"
+	"vita/internal/storage"
 	"vita/internal/trajectory"
 )
 
@@ -39,7 +40,7 @@ func (bc *batchCols) appendBatch(in *Batch) {
 		bc.padVal()
 		bc.val = append(bc.val, in.Val[:min(len(in.Val), in.Len())]...)
 	}
-	bc.traj.AppendBatch(in.Traj)
+	bc.traj.AppendRows(in.Traj, 0, in.Traj.Len())
 	if bc.useVal {
 		bc.padVal()
 	}
@@ -62,17 +63,6 @@ func (bc *batchCols) batch() *Batch {
 	return &bc.out
 }
 
-// addStats sums two scan-stat records field-wise (multi-leaf plans).
-func addStats(a, b colstore.ScanStats) colstore.ScanStats {
-	return colstore.ScanStats{
-		BlocksTotal:   a.BlocksTotal + b.BlocksTotal,
-		BlocksScanned: a.BlocksScanned + b.BlocksScanned,
-		BlocksPruned:  a.BlocksPruned + b.BlocksPruned,
-		RowsScanned:   a.RowsScanned + b.RowsScanned,
-		RowsMatched:   a.RowsMatched + b.RowsMatched,
-	}
-}
-
 // --- Scan ---
 
 // scanOp is the leaf: it opens its Source lazily on first Next with the
@@ -80,7 +70,7 @@ func addStats(a, b colstore.ScanStats) colstore.ScanStats {
 type scanOp struct {
 	src    Source
 	pred   colstore.Predicate
-	cur    TrajectoryCursor
+	cur    storage.TrajectoryCursor
 	opened bool
 	b      Batch
 	stats  colstore.ScanStats

@@ -86,9 +86,9 @@ func (j *joinOp) Err() error {
 
 func (j *joinOp) Stats() colstore.ScanStats {
 	if !j.built {
-		return addStats(j.left.Stats(), j.right.Stats())
+		return j.left.Stats().Add(j.right.Stats())
 	}
-	return addStats(j.left.Stats(), j.rightStats)
+	return j.left.Stats().Add(j.rightStats)
 }
 
 func (j *joinOp) Close() error {

@@ -37,7 +37,7 @@
 // served the hard-coded operators — and a residual Filter fuses with a
 // following Project into one batch pass. The compiled operator tree is then
 // pulled batch-at-a-time: Next/Batch/Err/Stats/Close, the same contract as
-// the storage cursors underneath.
+// the storage.Cursor a Source hands the Scan leaf.
 //
 // Ownership: a Batch yielded by an operator is valid only until that
 // operator's next Next or Close. Operators never mutate the batches they
@@ -48,6 +48,7 @@ package plan
 
 import (
 	"vita/internal/colstore"
+	"vita/internal/storage"
 	"vita/internal/trajectory"
 )
 
@@ -86,18 +87,7 @@ type Operator interface {
 // down — implementations back it with zone-map-pruned cursors where the
 // storage format allows.
 type Source interface {
-	Open(pred colstore.Predicate) (TrajectoryCursor, error)
-}
-
-// TrajectoryCursor is the batch cursor contract a Source returns — the same
-// shape as storage.TrajectoryCursor, redeclared here so the algebra depends
-// only on the batch types, not on the storage package.
-type TrajectoryCursor interface {
-	Next() bool
-	Batch() *colstore.TrajectoryBatch
-	Err() error
-	Stats() colstore.ScanStats
-	Close() error
+	Open(pred colstore.Predicate) (storage.TrajectoryCursor, error)
 }
 
 // CollectSamples drains op and materializes every row as a Sample, then

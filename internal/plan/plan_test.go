@@ -12,7 +12,6 @@ import (
 	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/model"
-	"vita/internal/storage"
 	"vita/internal/trajectory"
 )
 
@@ -42,7 +41,7 @@ func writeVTB(t *testing.T, samples []trajectory.Sample) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := colstore.NewTrajectoryWriterOptions(f, colstore.Options{BlockSize: 256})
+	w := colstore.NewTrajectoryWriter(f, colstore.Options{BlockSize: 256})
 	for _, s := range samples {
 		if err := w.Write(s); err != nil {
 			t.Fatal(err)
@@ -89,8 +88,7 @@ func sameSamples(t *testing.T, got, want []trajectory.Sample) {
 }
 
 // TestScanParity requires a bare Scan plan to yield exactly the rows of the
-// underlying storage scan, for a VTB file, an in-memory slice, and a custom
-// cursor source.
+// underlying storage scan, for a VTB file and an in-memory slice.
 func TestScanParity(t *testing.T) {
 	samples := planSamples()
 	path := writeVTB(t, samples)
@@ -98,10 +96,6 @@ func TestScanParity(t *testing.T) {
 	sources := map[string]Source{
 		"file":  FileSource{Path: path},
 		"slice": SliceSource{Samples: samples},
-		"cursor": CursorSource(func(pred colstore.Predicate) (TrajectoryCursor, error) {
-			cur, _, err := storage.OpenTrajectoryCursor(path, pred)
-			return cur, err
-		}),
 	}
 	for name, src := range sources {
 		t.Run(name, func(t *testing.T) {

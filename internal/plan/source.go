@@ -7,45 +7,37 @@ import (
 )
 
 // FileSource scans one trajectory file (VTB or CSV, detected by magic
-// bytes) through storage.OpenTrajectoryCursor — VTB scans prune blocks by
-// zone map under the pushed-down predicate.
+// bytes) through storage.OpenCursor — VTB scans prune blocks by zone map
+// under the pushed-down predicate.
 type FileSource struct {
-	Path    string
-	Options storage.CursorOptions
+	Path string
 }
 
 // Open opens a batch cursor over the file under pred.
-func (s FileSource) Open(pred colstore.Predicate) (TrajectoryCursor, error) {
-	cur, _, err := storage.OpenTrajectoryCursorOptions(s.Path, pred, s.Options)
+func (s FileSource) Open(pred colstore.Predicate) (storage.TrajectoryCursor, error) {
+	cur, _, err := storage.OpenCursor(storage.Trajectory, s.Path, pred, colstore.OpenOptions{})
 	return cur, err
 }
-
-// CursorSource adapts any cursor-opening function into a Source — the hook
-// internal/serve uses to back scans with its block cache and multi-segment
-// merge cursors.
-type CursorSource func(pred colstore.Predicate) (TrajectoryCursor, error)
-
-// Open calls the function.
-func (f CursorSource) Open(pred colstore.Predicate) (TrajectoryCursor, error) { return f(pred) }
 
 // SliceSource serves an in-memory sample slice (resident datasets, tests).
 // The predicate filters row by row; stats count rows only, like a CSV scan.
 type SliceSource struct {
 	Samples []trajectory.Sample
-	// BatchSize bounds rows per yielded batch (default 4096).
+	// BatchSize bounds rows per yielded batch (default storage.BatchRows).
 	BatchSize int
 }
 
 // Open returns a cursor over the slice under pred.
-func (s SliceSource) Open(pred colstore.Predicate) (TrajectoryCursor, error) {
+func (s SliceSource) Open(pred colstore.Predicate) (storage.TrajectoryCursor, error) {
 	n := s.BatchSize
 	if n <= 0 {
-		n = 4096
+		n = storage.BatchRows
 	}
 	return &sliceCursor{samples: s.Samples, pred: pred, size: n}, nil
 }
 
-// sliceCursor yields an in-memory slice as predicate-filtered batches.
+// sliceCursor yields an in-memory slice as predicate-filtered batches. It
+// decodes nothing, so its peak is 0.
 type sliceCursor struct {
 	samples []trajectory.Sample
 	pred    colstore.Predicate
@@ -76,6 +68,7 @@ func (c *sliceCursor) Next() bool {
 func (c *sliceCursor) Batch() *colstore.TrajectoryBatch { return &c.batch }
 func (c *sliceCursor) Err() error                       { return nil }
 func (c *sliceCursor) Stats() colstore.ScanStats        { return c.stats }
+func (c *sliceCursor) PeakDecodedBytes() int64          { return 0 }
 func (c *sliceCursor) Close() error {
 	c.closed = true
 	return nil

@@ -79,10 +79,20 @@ func (c *Compactor) runOnce() (*SegmentMeta, error) {
 	paths := make([]string, len(inputs))
 	level := 0
 	var inBytes int64
+	// A merge keeps every row, so the merged segment's row count and time
+	// span are the inputs' — known before a byte is read.
+	meta := SegmentMeta{T0: math.Inf(1), T1: math.Inf(-1)}
 	for i, m := range inputs {
 		paths[i] = c.log.SegmentPath(m)
 		level = max(level, m.Level)
 		inBytes += m.Bytes
+		if m.Rows > 0 {
+			meta.Rows += m.Rows
+			meta.T0, meta.T1 = min(meta.T0, m.T0), max(meta.T1, m.T1)
+		}
+	}
+	if meta.Rows == 0 {
+		meta.T0, meta.T1 = 0, 0
 	}
 
 	id := c.log.reserveID()
@@ -91,7 +101,10 @@ func (c *Compactor) runOnce() (*SegmentMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta, err := c.merge(f, paths)
+	rows, err := c.merge(f, paths)
+	if err == nil && rows != meta.Rows {
+		err = fmt.Errorf("seglog: merged %d rows, manifest promises %d", rows, meta.Rows)
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -125,68 +138,32 @@ func (c *Compactor) runOnce() (*SegmentMeta, error) {
 }
 
 // merge streams every input row through the k-way merged cursor into one
-// fresh VTB stream, fsyncing before return. Inputs are opened with the
-// Sequential hint: a compaction reads each file exactly once, front to back,
-// and should not evict the serving path's hot pages.
-func (c *Compactor) merge(f *os.File, paths []string) (SegmentMeta, error) {
-	copts := storage.CursorOptions{DisableMmap: c.opts.DisableMmap, Sequential: true}
-	meta := SegmentMeta{T0: math.Inf(1), T1: math.Inf(-1)}
-	var err error
+// fresh VTB stream, fsyncing before return, and reports how many rows it
+// wrote. Inputs are opened with the Sequential hint: a compaction reads each
+// file exactly once, front to back, and should not evict the serving path's
+// hot pages.
+func (c *Compactor) merge(f *os.File, paths []string) (rows int, err error) {
+	opts := colstore.OpenOptions{DisableMmap: c.opts.DisableMmap, Sequential: true}
 	switch c.log.kind {
 	case colstore.KindTrajectory:
-		var cur storage.TrajectoryCursor
-		if cur, err = storage.OpenTrajectoryCursorMulti(paths, colstore.Predicate{}, copts); err != nil {
-			return meta, err
-		}
-		w := colstore.NewTrajectoryWriterOptions(f, c.opts.Block)
-		for cur.Next() {
-			b := cur.Batch()
-			for i := 0; i < b.Len(); i++ {
-				if err := w.Write(b.Row(i)); err != nil {
-					cur.Close()
-					return meta, err
-				}
-			}
-			meta.Rows += b.Len()
-			meta.T0 = min(meta.T0, b.T[0])
-			meta.T1 = max(meta.T1, b.T[b.Len()-1])
-		}
-		if err = cur.Close(); err == nil {
-			err = w.Close()
-		}
+		rows, err = mergeInto(storage.Trajectory, paths, opts, colstore.NewTrajectoryWriter(f, c.opts.Block))
 	case colstore.KindRSSI:
-		var cur storage.RSSICursor
-		if cur, err = storage.OpenRSSICursorMulti(paths, colstore.Predicate{}, copts); err != nil {
-			return meta, err
-		}
-		w := colstore.NewRSSIWriterOptions(f, c.opts.Block)
-		for cur.Next() {
-			b := cur.Batch()
-			for i := 0; i < b.Len(); i++ {
-				if err := w.Write(b.Row(i)); err != nil {
-					cur.Close()
-					return meta, err
-				}
-			}
-			meta.Rows += b.Len()
-			for i := 0; i < b.Len(); i++ {
-				meta.T0 = min(meta.T0, b.T[i])
-				meta.T1 = max(meta.T1, b.T[i])
-			}
-		}
-		if err = cur.Close(); err == nil {
-			err = w.Close()
-		}
+		rows, err = mergeInto(storage.RSSI, paths, opts, colstore.NewRSSIWriter(f, c.opts.Block))
 	default:
-		return meta, fmt.Errorf("seglog: cannot compact kind %s", c.log.kind)
+		err = fmt.Errorf("seglog: cannot compact kind %s", c.log.kind)
 	}
 	if err != nil {
-		return meta, err
+		return rows, err
 	}
-	if meta.Rows == 0 {
-		meta.T0, meta.T1 = 0, 0
+	return rows, f.Sync()
+}
+
+func mergeInto[T any, B colstore.RowBatch[T]](k *storage.Kind[B], paths []string, opts colstore.OpenOptions, w *colstore.Writer[T]) (int, error) {
+	cur, err := storage.OpenCursorMulti(k, paths, colstore.Predicate{}, opts)
+	if err != nil {
+		return 0, err
 	}
-	return meta, f.Sync()
+	return storage.Copy(cur, w)
 }
 
 // Run compacts every interval until ctx is cancelled, reporting errors to

@@ -7,6 +7,8 @@ import (
 
 	"vita/internal/colstore"
 	"vita/internal/rssi"
+	"vita/internal/storage"
+	"vita/internal/trajectory"
 )
 
 func TestCompactMergesToGlobalOrder(t *testing.T) {
@@ -44,7 +46,7 @@ func TestCompactMergesToGlobalOrder(t *testing.T) {
 		}
 	}
 	// Zone maps re-blocked into global time order never overlap in time.
-	r, err := colstore.OpenTrajectory(l.SegmentPath(man.Segments[0]))
+	r, err := colstore.OpenTrajectory(l.SegmentPath(man.Segments[0]), colstore.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestCompactTombstonesUntilReadersDrain(t *testing.T) {
 	held := before.Segments[0]
 
 	// A reader holds the first segment open (and registered) mid-compaction.
-	r, err := colstore.OpenTrajectory(l.SegmentPath(held))
+	r, err := colstore.OpenTrajectory(l.SegmentPath(held), colstore.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +100,10 @@ func TestCompactTombstonesUntilReadersDrain(t *testing.T) {
 		t.Fatal("held segment deleted before its reader drained")
 	}
 	// The reader still decodes its file byte-identically post-compaction.
-	rows, err := r.ReadAll()
-	if err != nil || len(rows) != held.Rows {
-		t.Fatalf("held reader broken after compaction: %d rows, %v", len(rows), err)
+	rows := 0
+	_, err = storage.Each(r.Cursor(colstore.Predicate{}), func(trajectory.Sample) { rows++ })
+	if err != nil || rows != held.Rows {
+		t.Fatalf("held reader broken after compaction: %d rows, %v", rows, err)
 	}
 	r.Close()
 	l.ReleaseFiles(held.File)
@@ -246,12 +249,7 @@ func TestCompactRSSIPreservesGroupOrder(t *testing.T) {
 	if err != nil || meta == nil {
 		t.Fatalf("rssi compaction: %+v, %v", meta, err)
 	}
-	r, err := colstore.OpenRSSI(l.SegmentPath(l.Snapshot().Segments[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got, err := r.ReadAll()
+	got, _, err := storage.ReadRSSIFile(l.SegmentPath(l.Snapshot().Segments[0]))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"vita/internal/geom"
 	"vita/internal/model"
 	"vita/internal/rssi"
+	"vita/internal/storage"
 	"vita/internal/trajectory"
 )
 
@@ -82,15 +83,10 @@ func readLog(t *testing.T, l *Log) []trajectory.Sample {
 	t.Helper()
 	var out []trajectory.Sample
 	for _, m := range l.Snapshot().Segments {
-		r, err := colstore.OpenTrajectory(l.SegmentPath(m))
+		rows, _, err := storage.ReadTrajectoryFile(l.SegmentPath(m))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := r.ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Close()
 		out = append(out, rows...)
 	}
 	return out

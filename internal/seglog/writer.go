@@ -32,12 +32,6 @@ func (o WriterOptions) withDefaults() WriterOptions {
 	return o
 }
 
-// recordEncoder is the streaming shape shared by the two VTB writers.
-type recordEncoder[T any] interface {
-	Write(T) error
-	Close() error
-}
-
 // Writer streams records into a log, sealing a segment and starting the next
 // whenever a threshold trips. Sealing is the crash-safety pivot: the VTB
 // footer is written, the file synced and renamed from its .tmp name, and
@@ -50,12 +44,12 @@ type recordEncoder[T any] interface {
 type Writer[T any] struct {
 	log    *Log
 	opts   WriterOptions
-	newEnc func(io.Writer, colstore.Options) recordEncoder[T]
+	newEnc func(io.Writer, colstore.Options) *colstore.Writer[T]
 	timeOf func(T) float64
 
 	f      *os.File
 	cw     countingWriter
-	enc    recordEncoder[T]
+	enc    *colstore.Writer[T]
 	id     uint64
 	rows   int
 	t0, t1 float64
@@ -66,24 +60,18 @@ type Writer[T any] struct {
 // NewTrajectoryWriter returns a rolling writer of trajectory segments.
 // Orphans of an earlier crash are swept on construction.
 func NewTrajectoryWriter(l *Log, opts WriterOptions) (*Writer[trajectory.Sample], error) {
-	return newWriter(l, colstore.KindTrajectory, opts,
-		func(w io.Writer, o colstore.Options) recordEncoder[trajectory.Sample] {
-			return colstore.NewTrajectoryWriterOptions(w, o)
-		},
+	return newWriter(l, colstore.KindTrajectory, opts, colstore.NewTrajectoryWriter,
 		func(s trajectory.Sample) float64 { return s.T })
 }
 
 // NewRSSIWriter returns a rolling writer of RSSI segments.
 func NewRSSIWriter(l *Log, opts WriterOptions) (*Writer[rssi.Measurement], error) {
-	return newWriter(l, colstore.KindRSSI, opts,
-		func(w io.Writer, o colstore.Options) recordEncoder[rssi.Measurement] {
-			return colstore.NewRSSIWriterOptions(w, o)
-		},
+	return newWriter(l, colstore.KindRSSI, opts, colstore.NewRSSIWriter,
 		func(m rssi.Measurement) float64 { return m.T })
 }
 
 func newWriter[T any](l *Log, kind colstore.Kind, opts WriterOptions,
-	newEnc func(io.Writer, colstore.Options) recordEncoder[T], timeOf func(T) float64) (*Writer[T], error) {
+	newEnc func(io.Writer, colstore.Options) *colstore.Writer[T], timeOf func(T) float64) (*Writer[T], error) {
 	if l.kind != kind {
 		return nil, fmt.Errorf("seglog: log %s holds %s records, want %s", l.dir, l.kind, kind)
 	}

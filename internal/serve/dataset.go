@@ -151,7 +151,7 @@ func Open(dir string, cfg Config) (*Dataset, error) {
 	d.path = path
 	d.format = format
 	if format == storage.FormatVTB {
-		tr, err := colstore.OpenTrajectoryOptions(path, colstore.OpenOptions{DisableMmap: cfg.DisableMmap})
+		tr, err := colstore.OpenTrajectory(path, colstore.OpenOptions{DisableMmap: cfg.DisableMmap})
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +371,7 @@ type blockRef struct {
 // d.par workers, inserting each into the cache under its segment's ID.
 func (d *Dataset) decodeMisses(misses []blockRef) error {
 	decode := func(ref blockRef) error {
-		decoded, err := ref.sg.tr.DecodeBlockBatch(ref.block)
+		decoded, err := ref.sg.tr.DecodeBlock(ref.block)
 		if err != nil {
 			return err
 		}

@@ -28,8 +28,8 @@ type planSource struct {
 	d   *Dataset
 	set *segmentSet // pinned by the caller; nil for CSV datasets
 
-	cur          plan.TrajectoryCursor // the opened leaf cursor
-	hits, misses int                   // block-cache lookups of the cached-VTB load
+	cur          storage.TrajectoryCursor // the opened leaf cursor
+	hits, misses int                      // block-cache lookups of the cached-VTB load
 }
 
 // pinSource returns a single-use scan source over the dataset's current data:
@@ -52,7 +52,7 @@ func (s *planSource) release() {
 }
 
 // Open selects the dataset's load path for pred.
-func (s *planSource) Open(pred colstore.Predicate) (plan.TrajectoryCursor, error) {
+func (s *planSource) Open(pred colstore.Predicate) (storage.TrajectoryCursor, error) {
 	d := s.d
 	var err error
 	switch {
@@ -98,9 +98,7 @@ func (s *planSource) finalStats() Stats {
 	// Peak comes from the cursor, which measures each batch before
 	// predicate filtering — the full decoded block is what was
 	// transiently resident, however few rows survived.
-	if p, ok := s.cur.(interface{ PeakDecodedBytes() int64 }); ok {
-		st.PeakDecodedBytes = p.PeakDecodedBytes()
-	}
+	st.PeakDecodedBytes = s.cur.PeakDecodedBytes()
 	return st
 }
 
@@ -111,7 +109,7 @@ func (s *planSource) finalStats() Stats {
 // merged into global time order, or one cursor running through every segment
 // when their surviving blocks' time ranges are strictly ascending, since the
 // merge would then take the segments whole, one after the other.
-func (s *planSource) openCached(pred colstore.Predicate) (plan.TrajectoryCursor, error) {
+func (s *planSource) openCached(pred colstore.Predicate) (storage.TrajectoryCursor, error) {
 	d := s.d
 	curs := make([]*cachedCursor, len(s.set.segs))
 	var misses []blockRef
@@ -159,8 +157,7 @@ func (s *planSource) openCached(pred colstore.Predicate) (plan.TrajectoryCursor,
 		for _, c := range curs[1:] {
 			all.blocks = append(all.blocks, c.blocks...)
 			all.zones = append(all.zones, c.zones...)
-			all.stats.BlocksTotal += c.stats.BlocksTotal
-			all.stats.BlocksPruned += c.stats.BlocksPruned
+			all.stats = all.stats.Add(c.stats)
 		}
 		return all, nil
 	}
@@ -168,7 +165,7 @@ func (s *planSource) openCached(pred colstore.Predicate) (plan.TrajectoryCursor,
 	for i, c := range curs {
 		inputs[i] = c
 	}
-	return storage.NewTrajectoryMergeCursor(inputs), nil
+	return storage.Merge(storage.Trajectory, inputs), nil
 }
 
 // cachedCursor yields a run of decoded blocks held by the block cache, each
@@ -176,7 +173,8 @@ func (s *planSource) openCached(pred colstore.Predicate) (plan.TrajectoryCursor,
 // inside the predicate — or whose every row turns out to match — is the
 // cached batch itself, untouched and uncopied; any other is filtered into
 // the cursor's one scratch batch. Cached batches are shared, so nothing here
-// writes to them.
+// writes to them. The cursor decodes nothing — the misses were decoded before
+// it was built — so its peak is 0.
 type cachedCursor struct {
 	pred   colstore.Predicate
 	blocks []*colstore.TrajectoryBatch // surviving blocks, in scan order
@@ -223,6 +221,7 @@ func (c *cachedCursor) Next() bool {
 func (c *cachedCursor) Batch() *colstore.TrajectoryBatch { return c.cur }
 func (c *cachedCursor) Err() error                       { return nil }
 func (c *cachedCursor) Stats() colstore.ScanStats        { return c.stats }
+func (c *cachedCursor) PeakDecodedBytes() int64          { return 0 }
 func (c *cachedCursor) Close() error {
 	c.next = len(c.blocks)
 	return nil

@@ -300,7 +300,7 @@ func TestDwellFloorFilter(t *testing.T) {
 // loadViaPlan runs pred through the path every operator takes — a compiled
 // plan whose scan leaf is a planSource — and returns the rows, the request
 // stats, and the leaf cursor the source opened.
-func loadViaPlan(t *testing.T, ds *Dataset, preds []plan.Pred) ([]trajectory.Sample, Stats, plan.TrajectoryCursor) {
+func loadViaPlan(t *testing.T, ds *Dataset, preds []plan.Pred) ([]trajectory.Sample, Stats, storage.TrajectoryCursor) {
 	t.Helper()
 	src, err := ds.pinSource()
 	if err != nil {

@@ -109,7 +109,7 @@ func (d *Dataset) buildSet(man seglog.Manifest, prev *segmentSet) (*segmentSet, 
 		// compactor that supersedes it mid-build tombstones it instead of
 		// deleting it out from under the reader.
 		d.log.RetainFiles(m.File)
-		tr, err := colstore.OpenTrajectoryOptions(d.log.SegmentPath(m), colstore.OpenOptions{DisableMmap: d.disableMmap})
+		tr, err := colstore.OpenTrajectory(d.log.SegmentPath(m), colstore.OpenOptions{DisableMmap: d.disableMmap})
 		if err != nil {
 			d.log.ReleaseFiles(m.File)
 			return fail(fmt.Errorf("serve: segment %s: %w", m.File, err))
@@ -216,15 +216,12 @@ func (d *Dataset) watch(every time.Duration) {
 }
 
 // segmentCursor starts a batch scan of pred's matches across every segment in
-// the set, merged into global time order. A single segment scans directly —
-// no merge overhead on the single-file path.
+// the set, merged into global time order (a single segment scans directly —
+// storage.Merge returns a lone input as it is).
 func segmentCursor(set *segmentSet, pred colstore.Predicate) storage.TrajectoryCursor {
-	if len(set.segs) == 1 {
-		return set.segs[0].tr.Cursor(pred)
-	}
 	curs := make([]storage.TrajectoryCursor, len(set.segs))
 	for i, sg := range set.segs {
 		curs[i] = sg.tr.Cursor(pred)
 	}
-	return storage.NewTrajectoryMergeCursor(curs)
+	return storage.Merge(storage.Trajectory, curs)
 }

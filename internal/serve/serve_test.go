@@ -52,7 +52,7 @@ func writeDataset(t testing.TB, dir string, format storage.Format, samples []tra
 	}
 	var buf bytes.Buffer
 	if format == storage.FormatVTB {
-		w := colstore.NewTrajectoryWriterOptions(&buf, colstore.Options{BlockSize: 512})
+		w := colstore.NewTrajectoryWriter(&buf, colstore.Options{BlockSize: 512})
 		for _, s := range samples {
 			if err := w.Write(s); err != nil {
 				t.Fatal(err)

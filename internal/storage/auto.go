@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"os"
 
 	"vita/internal/colstore"
 	"vita/internal/rssi"
@@ -52,96 +51,80 @@ func DetectFormat(path string) (Format, error) {
 	return FormatCSV, nil
 }
 
-// ScanTrajectoryFile streams the samples of a trajectory file in either
-// format that match pred to emit, in O(block) memory. For VTB files the scan
-// prunes whole blocks via zone maps; for CSV it degrades to a row-by-row
-// parse with row filtering (stats then report zero blocks). The detected
-// format is returned alongside the scan stats.
-func ScanTrajectoryFile(path string, pred colstore.Predicate, emit func(trajectory.Sample)) (colstore.ScanStats, Format, error) {
-	return ScanTrajectoryFileParallel(path, pred, 1, emit)
+// RowWriter is the write half shared by every row encoder — the CSV writers
+// of this package, the VTB writers of internal/colstore, a seglog writer.
+type RowWriter[T any] interface {
+	Write(T) error
+	Close() error
 }
 
-// ScanTrajectoryFileParallel is ScanTrajectoryFile with block decode spread
-// over a worker pool for VTB files (parallelism 0 = GOMAXPROCS, 1 =
-// sequential). Emitted rows and their order are identical at every
-// parallelism level; CSV files always parse sequentially.
-func ScanTrajectoryFileParallel(path string, pred colstore.Predicate, parallelism int, emit func(trajectory.Sample)) (colstore.ScanStats, Format, error) {
-	format, err := DetectFormat(path)
-	if err != nil {
-		return colstore.ScanStats{}, "", err
-	}
-	if format == FormatVTB {
-		r, err := colstore.OpenTrajectory(path)
-		if err != nil {
-			return colstore.ScanStats{}, format, err
+// Each drains cur, handing every row to emit in order, and closes it.
+func Each[T any, B colstore.RowBatch[T]](cur Cursor[B], emit func(T)) (colstore.ScanStats, error) {
+	for cur.Next() {
+		b := cur.Batch()
+		for i := 0; i < b.Len(); i++ {
+			emit(b.Row(i))
 		}
-		defer r.Close()
-		stats, err := r.ScanParallel(pred, parallelism, emit)
-		return stats, format, err
 	}
-	f, err := os.Open(path)
+	stats := cur.Stats()
+	return stats, cur.Close()
+}
+
+// Copy streams every row of cur into w and closes both, returning how many
+// rows w accepted and the first error from either side. It stops at that
+// error: once a Write fails, no further batch is pulled from cur.
+func Copy[T any, B colstore.RowBatch[T]](cur Cursor[B], w RowWriter[T]) (rows int, err error) {
+	for err == nil && cur.Next() {
+		b := cur.Batch()
+		for i := 0; i < b.Len() && err == nil; i++ {
+			if err = w.Write(b.Row(i)); err == nil {
+				rows++
+			}
+		}
+	}
+	if cerr := cur.Close(); err == nil {
+		err = cerr
+	}
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	return rows, err
+}
+
+// scanFile is the row-callback drain of OpenCursor.
+func scanFile[T any, B colstore.RowBatch[T]](k *Kind[B], path string, pred colstore.Predicate, emit func(T)) (colstore.ScanStats, Format, error) {
+	cur, format, err := OpenCursor(k, path, pred, colstore.OpenOptions{})
 	if err != nil {
 		return colstore.ScanStats{}, format, err
 	}
-	defer f.Close()
-	var stats colstore.ScanStats
-	err = ScanTrajectoryCSV(f, func(s trajectory.Sample) {
-		stats.RowsScanned++
-		if pred.MatchTrajectory(s) {
-			stats.RowsMatched++
-			emit(s)
-		}
-	})
+	stats, err := Each(cur, emit)
 	return stats, format, err
+}
+
+// ScanTrajectoryFile streams the samples of a trajectory file in either
+// format that match pred to emit, in O(block) memory: OpenCursor drained row
+// by row. The detected format is returned alongside the scan stats.
+func ScanTrajectoryFile(path string, pred colstore.Predicate, emit func(trajectory.Sample)) (colstore.ScanStats, Format, error) {
+	return scanFile(Trajectory, path, pred, emit)
 }
 
 // ReadTrajectoryFile loads a whole trajectory file in either format,
 // reporting which format it detected.
 func ReadTrajectoryFile(path string) ([]trajectory.Sample, Format, error) {
 	var out []trajectory.Sample
-	_, format, err := ScanTrajectoryFile(path, colstore.Predicate{}, func(s trajectory.Sample) {
-		out = append(out, s)
-	})
+	_, format, err := ScanTrajectoryFile(path, colstore.Predicate{}, func(s trajectory.Sample) { out = append(out, s) })
 	return out, format, err
 }
 
 // ScanRSSIFile streams the measurements of an RSSI file in either format
 // that match pred (time/object constraints) to emit.
 func ScanRSSIFile(path string, pred colstore.Predicate, emit func(rssi.Measurement)) (colstore.ScanStats, Format, error) {
-	format, err := DetectFormat(path)
-	if err != nil {
-		return colstore.ScanStats{}, "", err
-	}
-	if format == FormatVTB {
-		r, err := colstore.OpenRSSI(path)
-		if err != nil {
-			return colstore.ScanStats{}, format, err
-		}
-		defer r.Close()
-		stats, err := r.Scan(pred, emit)
-		return stats, format, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return colstore.ScanStats{}, format, err
-	}
-	defer f.Close()
-	var stats colstore.ScanStats
-	err = ScanRSSICSV(f, func(m rssi.Measurement) {
-		stats.RowsScanned++
-		if pred.MatchRSSI(m) {
-			stats.RowsMatched++
-			emit(m)
-		}
-	})
-	return stats, format, err
+	return scanFile(RSSI, path, pred, emit)
 }
 
 // ReadRSSIFile loads a whole RSSI file in either format.
 func ReadRSSIFile(path string) ([]rssi.Measurement, Format, error) {
 	var out []rssi.Measurement
-	_, format, err := ScanRSSIFile(path, colstore.Predicate{}, func(m rssi.Measurement) {
-		out = append(out, m)
-	})
+	_, format, err := ScanRSSIFile(path, colstore.Predicate{}, func(m rssi.Measurement) { out = append(out, m) })
 	return out, format, err
 }

@@ -44,7 +44,7 @@ func writeBoth(t *testing.T) (csvPath, vtbPath string, samples []trajectory.Samp
 
 	vtbPath = filepath.Join(dir, "actually-vtb.csv")
 	var vbuf bytes.Buffer
-	w := colstore.NewTrajectoryWriterOptions(&vbuf, colstore.Options{BlockSize: 50})
+	w := colstore.NewTrajectoryWriter(&vbuf, colstore.Options{BlockSize: 50})
 	for _, s := range samples {
 		if err := w.Write(s); err != nil {
 			t.Fatal(err)
@@ -137,7 +137,7 @@ func TestReadRSSIFileBothFormats(t *testing.T) {
 
 	vtbPath := filepath.Join(dir, "rssi.vtb")
 	var vbuf bytes.Buffer
-	w := colstore.NewRSSIWriter(&vbuf)
+	w := colstore.NewRSSIWriter(&vbuf, colstore.Options{})
 	for _, m := range ms {
 		if err := w.Write(m); err != nil {
 			t.Fatal(err)

@@ -4,8 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
+	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/model"
 	"vita/internal/positioning"
@@ -19,6 +21,20 @@ import (
 //	rssi:        o_id, d_id, rssi, t
 //	estimate:    o_id, building, floor, partition, x, y, t
 //	proximity:   o_id, d_id, ts, te
+//
+// Every writer emits its header row first; every reader goes through one
+// record loop (csvRecords) that skips exactly that row and nothing else.
+
+// The header rows the CSV writers emit.
+var (
+	// TrajectoryCSVHeader heads trajectory files — and estimate files, which
+	// share the schema.
+	TrajectoryCSVHeader = []string{"o_id", "building", "floor", "partition", "x", "y", "t"}
+	// RSSICSVHeader heads RSSI files.
+	RSSICSVHeader = []string{"o_id", "d_id", "rssi", "t"}
+
+	proximityCSVHeader = []string{"o_id", "d_id", "ts", "te"}
+)
 
 // TrajectoryCSVWriter streams trajectory samples as CSV rows. It writes the
 // header up front so it can be fed record-by-record from the generation
@@ -32,7 +48,7 @@ type TrajectoryCSVWriter struct {
 // header row.
 func NewTrajectoryCSVWriter(w io.Writer) (*TrajectoryCSVWriter, error) {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"o_id", "building", "floor", "partition", "x", "y", "t"}); err != nil {
+	if err := cw.Write(TrajectoryCSVHeader); err != nil {
 		return nil, fmt.Errorf("storage: write trajectory header: %w", err)
 	}
 	return &TrajectoryCSVWriter{cw: cw}, nil
@@ -96,23 +112,11 @@ func parseTrajectoryRecord(rec []string) (trajectory.Sample, error) {
 	}, nil
 }
 
-// ScanTrajectoryCSV parses CSV written by WriteTrajectoryCSV row by row,
-// without materializing the file.
-func ScanTrajectoryCSV(r io.Reader, emit func(trajectory.Sample)) error {
-	return scanRows(r, 7, func(rec []string) error {
-		s, err := parseTrajectoryRecord(rec)
-		if err != nil {
-			return err
-		}
-		emit(s)
-		return nil
-	})
-}
-
 // ReadTrajectoryCSV parses CSV written by WriteTrajectoryCSV.
 func ReadTrajectoryCSV(r io.Reader) ([]trajectory.Sample, error) {
 	var out []trajectory.Sample
-	if err := ScanTrajectoryCSV(r, func(s trajectory.Sample) { out = append(out, s) }); err != nil {
+	_, err := Each(newCSVCursor(Trajectory, r, nil, colstore.Predicate{}), func(s trajectory.Sample) { out = append(out, s) })
+	if err != nil {
 		return nil, fmt.Errorf("storage: read trajectory: %w", err)
 	}
 	return out, nil
@@ -128,7 +132,7 @@ type RSSICSVWriter struct {
 // row.
 func NewRSSICSVWriter(w io.Writer) (*RSSICSVWriter, error) {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"o_id", "d_id", "rssi", "t"}); err != nil {
+	if err := cw.Write(RSSICSVHeader); err != nil {
 		return nil, fmt.Errorf("storage: write rssi header: %w", err)
 	}
 	return &RSSICSVWriter{cw: cw}, nil
@@ -180,77 +184,39 @@ func parseRSSIRecord(rec []string) (rssi.Measurement, error) {
 	return rssi.Measurement{ObjID: objID, DeviceID: rec[1], RSSI: v, T: t}, nil
 }
 
-// ScanRSSICSV parses CSV written by WriteRSSICSV row by row, without
-// materializing the file.
-func ScanRSSICSV(r io.Reader, emit func(rssi.Measurement)) error {
-	return scanRows(r, 4, func(rec []string) error {
-		m, err := parseRSSIRecord(rec)
-		if err != nil {
-			return err
-		}
-		emit(m)
-		return nil
-	})
-}
-
 // ReadRSSICSV parses CSV written by WriteRSSICSV.
 func ReadRSSICSV(r io.Reader) ([]rssi.Measurement, error) {
 	var out []rssi.Measurement
-	if err := ScanRSSICSV(r, func(m rssi.Measurement) { out = append(out, m) }); err != nil {
+	_, err := Each(newCSVCursor(RSSI, r, nil, colstore.Predicate{}), func(m rssi.Measurement) { out = append(out, m) })
+	if err != nil {
 		return nil, fmt.Errorf("storage: read rssi: %w", err)
 	}
 	return out, nil
 }
 
-// WriteEstimateCSV writes positioning estimates as CSV with a header row.
+// WriteEstimateCSV writes positioning estimates as CSV with a header row —
+// trajectory records under another name.
 func WriteEstimateCSV(w io.Writer, es []positioning.Estimate) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"o_id", "building", "floor", "partition", "x", "y", "t"}); err != nil {
-		return fmt.Errorf("storage: write estimate header: %w", err)
+	tw, err := NewTrajectoryCSVWriter(w)
+	if err != nil {
+		return err
 	}
 	for _, e := range es {
-		rec := []string{
-			strconv.Itoa(e.ObjID),
-			e.Loc.Building,
-			strconv.Itoa(e.Loc.Floor),
-			e.Loc.Partition,
-			fmtF(e.Loc.Point.X),
-			fmtF(e.Loc.Point.Y),
-			fmtF(e.T),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("storage: write estimate row: %w", err)
+		if err := tw.Write(trajectory.Sample{ObjID: e.ObjID, Loc: e.Loc, T: e.T}); err != nil {
+			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return tw.Close()
 }
 
 // ReadEstimateCSV parses CSV written by WriteEstimateCSV.
 func ReadEstimateCSV(r io.Reader) ([]positioning.Estimate, error) {
-	rows, err := readAll(r, 7)
+	var out []positioning.Estimate
+	_, err := Each(newCSVCursor(Trajectory, r, nil, colstore.Predicate{}), func(s trajectory.Sample) {
+		out = append(out, positioning.Estimate{ObjID: s.ObjID, Loc: s.Loc, T: s.T})
+	})
 	if err != nil {
 		return nil, fmt.Errorf("storage: read estimate: %w", err)
-	}
-	out := make([]positioning.Estimate, 0, len(rows))
-	for _, rec := range rows {
-		objID, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("storage: bad o_id %q", rec[0])
-		}
-		floor, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return nil, fmt.Errorf("storage: bad floor %q", rec[2])
-		}
-		x, y, t, err := parse3(rec[4], rec[5], rec[6])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, positioning.Estimate{
-			ObjID: objID,
-			Loc:   model.At(rec[1], floor, rec[3], geom.Pt(x, y)),
-			T:     t,
-		})
 	}
 	return out, nil
 }
@@ -258,7 +224,7 @@ func ReadEstimateCSV(r io.Reader) ([]positioning.Estimate, error) {
 // WriteProximityCSV writes proximity records as CSV with a header row.
 func WriteProximityCSV(w io.Writer, rs []positioning.ProximityRecord) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"o_id", "d_id", "ts", "te"}); err != nil {
+	if err := cw.Write(proximityCSVHeader); err != nil {
 		return fmt.Errorf("storage: write proximity header: %w", err)
 	}
 	for _, r := range rs {
@@ -273,12 +239,16 @@ func WriteProximityCSV(w io.Writer, rs []positioning.ProximityRecord) error {
 
 // ReadProximityCSV parses CSV written by WriteProximityCSV.
 func ReadProximityCSV(r io.Reader) ([]positioning.ProximityRecord, error) {
-	rows, err := readAll(r, 4)
-	if err != nil {
-		return nil, fmt.Errorf("storage: read proximity: %w", err)
-	}
-	out := make([]positioning.ProximityRecord, 0, len(rows))
-	for _, rec := range rows {
+	var out []positioning.ProximityRecord
+	recs := newCSVRecords(r, proximityCSVHeader)
+	for {
+		rec, err := recs.next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("storage: read proximity: %w", err)
+		}
 		objID, err := strconv.Atoi(rec[0])
 		if err != nil {
 			return nil, fmt.Errorf("storage: bad o_id %q", rec[0])
@@ -293,43 +263,36 @@ func ReadProximityCSV(r io.Reader) ([]positioning.ProximityRecord, error) {
 		}
 		out = append(out, positioning.ProximityRecord{ObjID: objID, DeviceID: rec[1], TS: ts, TE: te})
 	}
-	return out, nil
 }
 
-func readAll(r io.Reader, fields int) ([][]string, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = fields
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	return rows[1:], nil // skip header
+// csvRecords is the one record loop under every CSV reader of the package:
+// it yields a stream's data records, one reused buffer at a time.
+type csvRecords struct {
+	cr     *csv.Reader
+	header []string // nil once the first record has been seen
 }
 
-// scanRows streams the post-header records of r to parse, reusing one
-// record buffer.
-func scanRows(r io.Reader, fields int, parse func([]string) error) error {
+// newCSVRecords reads records of len(header) fields from r, where header is
+// the row the matching writer emits first.
+func newCSVRecords(r io.Reader, header []string) *csvRecords {
 	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = fields
+	cr.FieldsPerRecord = len(header)
 	cr.ReuseRecord = true
-	for i := 0; ; i++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			continue // header row
-		}
-		if err := parse(rec); err != nil {
-			return err
+	return &csvRecords{cr: cr, header: header}
+}
+
+// next returns the next data record, valid until the following call, or
+// io.EOF. The first record is skipped only when it is the writer's header
+// row: a hand-made file without one keeps its first row.
+func (c *csvRecords) next() ([]string, error) {
+	rec, err := c.cr.Read()
+	if header := c.header; header != nil && err == nil {
+		c.header = nil
+		if slices.Equal(rec, header) {
+			return c.cr.Read()
 		}
 	}
+	return rec, err
 }
 
 func parse3(a, b, c string) (float64, float64, float64, error) {

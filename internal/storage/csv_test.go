@@ -2,7 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -206,5 +209,70 @@ func TestCSVQuantizationTolerance(t *testing.T) {
 	}
 	if exact {
 		t.Error("full-precision values survived CSV exactly; quantization doc (and this test) are stale")
+	}
+}
+
+// TestCSVHeaderlessKeepsFirstRow: the first record is skipped only when it is
+// the header the matching writer emits. A hand-made file without one must
+// keep its first row through every reader — the stream readers and the file
+// cursor — and a file with one must still lose exactly the header.
+func TestCSVHeaderlessKeepsFirstRow(t *testing.T) {
+	const trajBody = "7,hq,1,lobby,1.5000,2.5000,0.0000\n8,hq,1,lobby,3.0000,4.0000,1.0000\n"
+	const rssiBody = "7,ap-1,-40.5000,0.0000\n8,ap-2,-50.0000,1.0000\n"
+	const proxBody = "7,ap-1,0.0000,2.0000\n8,ap-2,1.0000,3.0000\n"
+	for name, tc := range map[string]struct {
+		header, body string
+		read         func(r io.Reader) (rows int, firstObj int, err error)
+	}{
+		"trajectory": {strings.Join(TrajectoryCSVHeader, ","), trajBody, func(r io.Reader) (int, int, error) {
+			out, err := ReadTrajectoryCSV(r)
+			if len(out) == 0 {
+				return 0, 0, err
+			}
+			return len(out), out[0].ObjID, err
+		}},
+		"rssi": {strings.Join(RSSICSVHeader, ","), rssiBody, func(r io.Reader) (int, int, error) {
+			out, err := ReadRSSICSV(r)
+			if len(out) == 0 {
+				return 0, 0, err
+			}
+			return len(out), out[0].ObjID, err
+		}},
+		"estimate": {strings.Join(TrajectoryCSVHeader, ","), trajBody, func(r io.Reader) (int, int, error) {
+			out, err := ReadEstimateCSV(r)
+			if len(out) == 0 {
+				return 0, 0, err
+			}
+			return len(out), out[0].ObjID, err
+		}},
+		"proximity": {strings.Join(proximityCSVHeader, ","), proxBody, func(r io.Reader) (int, int, error) {
+			out, err := ReadProximityCSV(r)
+			if len(out) == 0 {
+				return 0, 0, err
+			}
+			return len(out), out[0].ObjID, err
+		}},
+	} {
+		for _, withHeader := range []bool{false, true} {
+			text := tc.body
+			if withHeader {
+				text = tc.header + "\n" + tc.body
+			}
+			rows, first, err := tc.read(strings.NewReader(text))
+			if err != nil || rows != 2 || first != 7 {
+				t.Errorf("%s (header=%v): %d rows, first object %d, err %v; want 2 rows starting at object 7",
+					name, withHeader, rows, first, err)
+			}
+		}
+	}
+
+	// The file cursor is the same loop.
+	path := filepath.Join(t.TempDir(), "trajectory.csv")
+	if err := os.WriteFile(path, []byte(trajBody), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, format, err := ReadTrajectoryFile(path)
+	if err != nil || format != FormatCSV || len(got) != 2 || got[0].ObjID != 7 {
+		t.Errorf("headerless file: %d rows (%+v), format %s, err %v", len(got), got, format, err)
 	}
 }

@@ -4,41 +4,49 @@ import (
 	"vita/internal/colstore"
 )
 
-// Merged cursors present several sorted inputs — the live segments of an
+// A merged cursor presents several sorted inputs — the live segments of an
 // internal/seglog dataset — as one cursor in the order a single file holding
-// the same rows would have. Each input is already sorted (trajectory segments
-// carry global time order, RSSI segments ascending object groups) and inputs
-// never interleave *within* an equal key except by input order, so a k-way
-// min-scan with input index as the final tie-break reproduces the original
-// stream exactly. Segment counts are small (compaction keeps them so), so the
-// scan over inputs per row beats a heap on real workloads.
+// the same rows would have. Each input is already sorted by the kind's merge
+// key (trajectory segments carry global time order, ties by object; RSSI
+// segments ascending object groups) and inputs never interleave *within* an
+// equal key except by input order, so a k-way min-scan with input index as
+// the final tie-break reproduces the original stream exactly.
+//
+// The merge moves runs, not rows: it finds the leading input and the
+// runner-up, then takes the leader's rows up to where the runner-up's head
+// overtakes them — one key comparison per row on the batches' own key columns
+// — and appends the run column by column. Segment counts are small
+// (compaction keeps them so), so the scan over inputs per run beats a heap.
 //
 // Memory stays O(inputs × batch): one decoded batch per input plus the output
 // batch, however large the dataset.
 
-// mergeBatchSize is how many rows one merged output batch holds — matched to
-// csvCursorBatchSize and the VTB default block size so downstream consumers
-// see the usual batch granularity.
-const mergeBatchSize = 4096
-
-// NewTrajectoryMergeCursor merges already-open trajectory cursors into one
-// stream ordered by (T, ObjID, input index). The merged cursor owns the
-// inputs: its Close closes them all. Inputs must be sorted by (T, ObjID) —
-// true of every VTB trajectory file the pipeline writes.
-func NewTrajectoryMergeCursor(inputs []TrajectoryCursor) TrajectoryCursor {
-	return &trajectoryMergeCursor{
+// Merge merges already-open cursors of kind k into one stream in the kind's
+// order (Trajectory: (T, ObjID, input index); RSSI: (ObjID, input index), so
+// the chunks of an object group split across inputs concatenate in input
+// order). Inputs must be sorted that way — true of every file the pipeline
+// writes. The merged cursor owns the inputs: its Close closes them all. A
+// single input is returned as it is.
+func Merge[B colstore.Batch](k *Kind[B], inputs []Cursor[B]) Cursor[B] {
+	if len(inputs) == 1 {
+		return inputs[0]
+	}
+	return &mergeCursor[B]{
+		k:   k,
 		in:  inputs,
-		cur: make([]*colstore.TrajectoryBatch, len(inputs)),
+		cur: make([]B, len(inputs)),
+		t:   make([][]float64, len(inputs)),
+		obj: make([][]int64, len(inputs)),
 		pos: make([]int, len(inputs)),
+		out: k.newBatch(),
 	}
 }
 
-// OpenTrajectoryCursorMulti opens every path and merges them in time order;
-// see NewTrajectoryMergeCursor. A single path opens without merge overhead.
-func OpenTrajectoryCursorMulti(paths []string, pred colstore.Predicate, opts CursorOptions) (TrajectoryCursor, error) {
-	inputs := make([]TrajectoryCursor, 0, len(paths))
+// OpenCursorMulti opens every path under pred and merges them; see Merge.
+func OpenCursorMulti[B colstore.Batch](k *Kind[B], paths []string, pred colstore.Predicate, opts colstore.OpenOptions) (Cursor[B], error) {
+	inputs := make([]Cursor[B], 0, len(paths))
 	for _, p := range paths {
-		cur, _, err := OpenTrajectoryCursorOptions(p, pred, opts)
+		cur, _, err := OpenCursor(k, p, pred, opts)
 		if err != nil {
 			for _, c := range inputs {
 				c.Close()
@@ -47,241 +55,131 @@ func OpenTrajectoryCursorMulti(paths []string, pred colstore.Predicate, opts Cur
 		}
 		inputs = append(inputs, cur)
 	}
-	if len(inputs) == 1 {
-		return inputs[0], nil
-	}
-	return NewTrajectoryMergeCursor(inputs), nil
+	return Merge(k, inputs), nil
 }
 
-type trajectoryMergeCursor struct {
-	in     []TrajectoryCursor
-	cur    []*colstore.TrajectoryBatch // current batch per input; nil = drained
+type mergeCursor[B colstore.Batch] struct {
+	k   *Kind[B]
+	in  []Cursor[B]
+	cur []B // current batch per input
+	// t and obj are the merge-key columns of cur[i] (t[i] is nil for a kind
+	// without a time key); obj[i] == nil marks input i drained.
+	t      [][]float64
+	obj    [][]int64
 	pos    []int
-	out    colstore.TrajectoryBatch
-	peak   int64
+	out    B
 	err    error
 	primed bool
 	closed bool
 }
 
-func (c *trajectoryMergeCursor) Next() bool {
+func (c *mergeCursor[B]) Next() bool {
 	if c.err != nil || c.closed {
 		return false
 	}
 	if !c.primed {
 		c.primed = true
 		for i := range c.in {
-			c.advance(i)
-			if c.err != nil {
+			if c.advance(i); c.err != nil {
 				return false
 			}
 		}
 	}
 	c.out.Reset()
-	for c.out.Len() < mergeBatchSize {
-		best := -1
-		for i, b := range c.cur {
-			if b == nil {
-				continue
-			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			bb := c.cur[best]
-			ti, tb := b.T[c.pos[i]], bb.T[c.pos[best]]
-			// Strict comparisons keep the earliest input on full ties, which
-			// is the (T, ObjID, input index) order.
-			if ti < tb || (ti == tb && b.ObjID[c.pos[i]] < bb.ObjID[c.pos[best]]) {
-				best = i
+	for room := BatchRows; room > 0; {
+		// The leader is the input whose head row sorts first, the runner-up
+		// the one that would lead without it.
+		lead, next := -1, -1
+		for i := range c.in {
+			switch {
+			case c.obj[i] == nil:
+			case lead < 0:
+				lead = i
+			case c.before(i, c.pos[i], lead, c.pos[lead]):
+				lead, next = i, lead
+			case next < 0 || c.before(i, c.pos[i], next, c.pos[next]):
+				next = i
 			}
 		}
-		if best == -1 {
+		if lead < 0 {
 			break // every input drained
 		}
-		c.out.Append(c.cur[best].Row(c.pos[best]))
-		c.pos[best]++
-		if c.pos[best] == c.cur[best].Len() {
-			c.advance(best)
-			if c.err != nil {
+		lo := c.pos[lead]
+		hi, end := lo+1, min(len(c.obj[lead]), lo+room)
+		if next < 0 {
+			hi = end
+		}
+		for hi < end && !c.before(next, c.pos[next], lead, hi) {
+			hi++
+		}
+		c.k.appendRows(c.out, c.cur[lead], lo, hi)
+		room -= hi - lo
+		c.pos[lead] = hi
+		if hi == len(c.obj[lead]) {
+			if c.advance(lead); c.err != nil {
 				return false
 			}
 		}
 	}
-	if n := c.out.Bytes(); n > c.peak {
-		c.peak = n
-	}
 	return c.out.Len() > 0
+}
+
+// before reports whether input i's row pi sorts before input j's row pj: by
+// time where the kind has a time key, then by object, and on a full tie the
+// earlier input first.
+func (c *mergeCursor[B]) before(i, pi, j, pj int) bool {
+	if c.t[i] != nil {
+		if ti, tj := c.t[i][pi], c.t[j][pj]; ti != tj {
+			return ti < tj
+		}
+	}
+	if oi, oj := c.obj[i][pi], c.obj[j][pj]; oi != oj {
+		return oi < oj
+	}
+	return i < j
 }
 
 // advance pulls input i's next batch, marking it drained at end of input.
-// Holding the previous batch pointer across other inputs' advances is safe:
-// a cursor's batch is invalidated only by its own Next.
-func (c *trajectoryMergeCursor) advance(i int) {
+// Holding the previous batch across other inputs' advances is safe: a
+// cursor's batch is invalidated only by its own Next.
+func (c *mergeCursor[B]) advance(i int) {
+	c.pos[i], c.t[i], c.obj[i] = 0, nil, nil
 	if c.in[i].Next() {
 		c.cur[i] = c.in[i].Batch()
-		c.pos[i] = 0
-		return
-	}
-	c.cur[i] = nil
-	if err := c.in[i].Err(); err != nil {
+		c.t[i], c.obj[i] = c.k.mergeKeys(c.cur[i])
+	} else if err := c.in[i].Err(); err != nil {
 		c.err = err
 	}
 }
 
-func (c *trajectoryMergeCursor) Batch() *colstore.TrajectoryBatch { return &c.out }
-func (c *trajectoryMergeCursor) Err() error                       { return c.err }
+func (c *mergeCursor[B]) Batch() B   { return c.out }
+func (c *mergeCursor[B]) Err() error { return c.err }
 
 // Stats sums the inputs' scan statistics.
-func (c *trajectoryMergeCursor) Stats() colstore.ScanStats {
+func (c *mergeCursor[B]) Stats() colstore.ScanStats {
 	var st colstore.ScanStats
 	for _, in := range c.in {
-		s := in.Stats()
-		st.BlocksTotal += s.BlocksTotal
-		st.BlocksScanned += s.BlocksScanned
-		st.BlocksPruned += s.BlocksPruned
-		st.RowsScanned += s.RowsScanned
-		st.RowsMatched += s.RowsMatched
+		st = st.Add(in.Stats())
 	}
 	return st
 }
 
-// PeakDecodedBytes returns the largest merged output batch so far — the
-// cursor's own transient footprint (each input additionally holds one decoded
-// block at a time).
-func (c *trajectoryMergeCursor) PeakDecodedBytes() int64 { return c.peak }
-
-func (c *trajectoryMergeCursor) Close() error {
-	if !c.closed {
-		c.closed = true
-		for _, in := range c.in {
-			if cerr := in.Close(); c.err == nil && cerr != nil {
-				c.err = cerr
-			}
-		}
-	}
-	return c.err
-}
-
-// NewRSSIMergeCursor merges already-open RSSI cursors into one stream ordered
-// by (ObjID, input index): each object's rows come out grouped, inputs'
-// chunks of a split group concatenated in input order — the order a single
-// file written by the pipeline would carry. The merged cursor owns the
-// inputs.
-func NewRSSIMergeCursor(inputs []RSSICursor) RSSICursor {
-	return &rssiMergeCursor{
-		in:  inputs,
-		cur: make([]*colstore.RSSIBatch, len(inputs)),
-		pos: make([]int, len(inputs)),
-	}
-}
-
-// OpenRSSICursorMulti opens every path and merges them in object-group
-// order; see NewRSSIMergeCursor.
-func OpenRSSICursorMulti(paths []string, pred colstore.Predicate, opts CursorOptions) (RSSICursor, error) {
-	inputs := make([]RSSICursor, 0, len(paths))
-	for _, p := range paths {
-		cur, _, err := OpenRSSICursorOptions(p, pred, opts)
-		if err != nil {
-			for _, c := range inputs {
-				c.Close()
-			}
-			return nil, err
-		}
-		inputs = append(inputs, cur)
-	}
-	if len(inputs) == 1 {
-		return inputs[0], nil
-	}
-	return NewRSSIMergeCursor(inputs), nil
-}
-
-type rssiMergeCursor struct {
-	in     []RSSICursor
-	cur    []*colstore.RSSIBatch
-	pos    []int
-	out    colstore.RSSIBatch
-	err    error
-	primed bool
-	closed bool
-}
-
-func (c *rssiMergeCursor) Next() bool {
-	if c.err != nil || c.closed {
-		return false
-	}
-	if !c.primed {
-		c.primed = true
-		for i := range c.in {
-			c.advance(i)
-			if c.err != nil {
-				return false
-			}
-		}
-	}
-	c.out.Reset()
-	for c.out.Len() < mergeBatchSize {
-		best := -1
-		for i, b := range c.cur {
-			if b == nil {
-				continue
-			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			if b.ObjID[c.pos[i]] < c.cur[best].ObjID[c.pos[best]] {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		c.out.Append(c.cur[best].Row(c.pos[best]))
-		c.pos[best]++
-		if c.pos[best] == c.cur[best].Len() {
-			c.advance(best)
-			if c.err != nil {
-				return false
-			}
-		}
-	}
-	return c.out.Len() > 0
-}
-
-func (c *rssiMergeCursor) advance(i int) {
-	if c.in[i].Next() {
-		c.cur[i] = c.in[i].Batch()
-		c.pos[i] = 0
-		return
-	}
-	c.cur[i] = nil
-	if err := c.in[i].Err(); err != nil {
-		c.err = err
-	}
-}
-
-func (c *rssiMergeCursor) Batch() *colstore.RSSIBatch { return &c.out }
-func (c *rssiMergeCursor) Err() error                 { return c.err }
-
-func (c *rssiMergeCursor) Stats() colstore.ScanStats {
-	var st colstore.ScanStats
+// PeakDecodedBytes returns the largest block any input decoded. The merge
+// itself holds one such batch per input plus an output batch of at most
+// BatchRows rows.
+func (c *mergeCursor[B]) PeakDecodedBytes() int64 {
+	var peak int64
 	for _, in := range c.in {
-		s := in.Stats()
-		st.BlocksTotal += s.BlocksTotal
-		st.BlocksScanned += s.BlocksScanned
-		st.BlocksPruned += s.BlocksPruned
-		st.RowsScanned += s.RowsScanned
-		st.RowsMatched += s.RowsMatched
+		peak = max(peak, in.PeakDecodedBytes())
 	}
-	return st
+	return peak
 }
 
-func (c *rssiMergeCursor) Close() error {
+func (c *mergeCursor[B]) Close() error {
 	if !c.closed {
 		c.closed = true
 		for _, in := range c.in {
-			if cerr := in.Close(); c.err == nil && cerr != nil {
+			if cerr := in.Close(); c.err == nil {
 				c.err = cerr
 			}
 		}

@@ -3,6 +3,13 @@
 // Stream APIs used by the Producer, and CSV persistence. It replaces the
 // paper's PostgreSQL+PostGIS deployment with stdlib-only in-memory stores;
 // docs/ARCHITECTURE.md places them among the layers.
+//
+// Bulk data on disk — CSV or the VTB format of internal/colstore, detected
+// by magic bytes — is read through one API, Cursor: OpenCursor for a file,
+// OpenCursorMulti/Merge for the segments of a log, each taking a Kind
+// (Trajectory or RSSI) to select the row kind. Everything row-shaped
+// (ScanTrajectoryFile, ReadRSSIFile, Copy into a RowWriter) is a short
+// drain of a Cursor.
 package storage
 
 import (

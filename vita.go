@@ -247,18 +247,11 @@ func ReadTrajectoryFile(path string) ([]Sample, StorageFormat, error) {
 }
 
 // ScanTrajectoryFile streams the samples matching pred from a trajectory
-// file in either storage format. VTB scans push the predicate into the
-// block layer (zone-map pruning); CSV degrades to parse-and-filter.
+// file in either storage format — OpenTrajectoryCursor drained row by row.
+// VTB scans push the predicate into the block layer (zone-map pruning); CSV
+// degrades to parse-and-filter.
 func ScanTrajectoryFile(path string, pred ScanPredicate, emit func(Sample)) (ScanStats, StorageFormat, error) {
 	return storage.ScanTrajectoryFile(path, pred, emit)
-}
-
-// ScanTrajectoryFileParallel is ScanTrajectoryFile with block decode spread
-// over a worker pool for VTB files (parallelism 0 = GOMAXPROCS, 1 =
-// sequential). Emitted rows and their order are identical at every
-// parallelism level.
-func ScanTrajectoryFileParallel(path string, pred ScanPredicate, parallelism int, emit func(Sample)) (ScanStats, StorageFormat, error) {
-	return storage.ScanTrajectoryFileParallel(path, pred, parallelism, emit)
 }
 
 // TrajectoryBatch is one block's worth of decoded samples in column form —
@@ -267,8 +260,9 @@ func ScanTrajectoryFileParallel(path string, pred ScanPredicate, parallelism int
 type TrajectoryBatch = colstore.TrajectoryBatch
 
 // TrajectoryCursor pulls decoded column batches from a trajectory file —
-// the allocation-light alternative to per-row callbacks for huge scans.
-// Rows, order, and stats match ScanTrajectoryFile with the same predicate.
+// the one read path under every scan (ScanTrajectoryFile and
+// ReadTrajectoryFile drain one), and the allocation-light way to walk a huge
+// result.
 type TrajectoryCursor = storage.TrajectoryCursor
 
 // OpenTrajectoryCursor opens a batch cursor over a trajectory file in
@@ -285,13 +279,13 @@ type TrajectoryCursor = storage.TrajectoryCursor
 //	}
 //	if err := cur.Err(); err != nil { ... }
 func OpenTrajectoryCursor(path string, pred ScanPredicate) (TrajectoryCursor, StorageFormat, error) {
-	return storage.OpenTrajectoryCursor(path, pred)
+	return storage.OpenCursor(storage.Trajectory, path, pred, colstore.OpenOptions{})
 }
 
 // WriteTrajectoryVTB persists samples in the VTB columnar format —
 // lossless, block-compressed, and zone-map indexed for pruned scans.
 func WriteTrajectoryVTB(w io.Writer, samples []Sample) error {
-	tw := colstore.NewTrajectoryWriter(w)
+	tw := colstore.NewTrajectoryWriter(w, colstore.Options{})
 	for _, s := range samples {
 		if err := tw.Write(s); err != nil {
 			return err
