@@ -153,6 +153,16 @@ func newWriter[T any](w io.Writer, kind Kind, opts Options, encode func([]T, []b
 	return &Writer[T]{bw: bw, buf: make([]T, 0, bw.opts.BlockSize), encode: encode}
 }
 
+// Reset starts a new image on dst, keeping the row buffer, the encoder's
+// columns, the payload buffer and the compressor: a caller that writes many
+// small images — one per served response — allocates them once, not per image.
+func (w *Writer[T]) Reset(dst io.Writer) {
+	bw := w.bw
+	bw.w, bw.off, bw.wroteHeader, bw.closed, bw.err = dst, 0, false, false, nil
+	bw.offsets, bw.zones = bw.offsets[:0], bw.zones[:0]
+	w.buf = w.buf[:0]
+}
+
 // Write appends one row, flushing a block when full.
 func (w *Writer[T]) Write(row T) error {
 	if w.bw.closed {

@@ -8,13 +8,17 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"vita/internal/trajectory"
 )
 
 // Client is the remote counterpart of Dataset: the same operator methods
 // with the same request/response types, executed by a running vitaserve
 // daemon. Query parameters are rendered with full float64 round-trip
 // precision, so a remote query sees bit-identical parameters — and returns
-// bit-identical results — to a local one.
+// bit-identical results — to a local one. Every request asks for the row
+// body (see wire.go), which range and traj answer with; JSON is accepted from
+// any endpoint.
 type Client struct {
 	// Base is the server's base URL, e.g. "http://127.0.0.1:7617".
 	Base string
@@ -73,7 +77,7 @@ func (c *Client) Range(q RangeRequest) (*RangeResponse, error) {
 	v.Set("t1", formatFloats(q.T1))
 	setTrace(v, q.Trace)
 	var resp RangeResponse
-	if err := c.get("/v1/range", v, &resp); err != nil {
+	if err := c.get("/v1/range", v, &resp, &resp.Hits); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -88,7 +92,7 @@ func (c *Client) KNN(q KNNRequest) (*KNNResponse, error) {
 	v.Set("k", strconv.Itoa(q.K))
 	setTrace(v, q.Trace)
 	var resp KNNResponse
-	if err := c.get("/v1/knn", v, &resp); err != nil {
+	if err := c.get("/v1/knn", v, &resp, nil); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -100,7 +104,7 @@ func (c *Client) Density(q DensityRequest) (*DensityResponse, error) {
 	v.Set("t", formatFloats(q.T))
 	setTrace(v, q.Trace)
 	var resp DensityResponse
-	if err := c.get("/v1/density", v, &resp); err != nil {
+	if err := c.get("/v1/density", v, &resp, nil); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -114,7 +118,7 @@ func (c *Client) Traj(q TrajRequest) (*TrajResponse, error) {
 	v.Set("t1", formatFloats(q.T1))
 	setTrace(v, q.Trace)
 	var resp TrajResponse
-	if err := c.get("/v1/traj", v, &resp); err != nil {
+	if err := c.get("/v1/traj", v, &resp, &resp.Samples); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -128,7 +132,7 @@ func (c *Client) Dwell(q DwellRequest) (*DwellResponse, error) {
 	v.Set("t1", formatFloats(q.T1))
 	setTrace(v, q.Trace)
 	var resp DwellResponse
-	if err := c.get("/v1/dwell", v, &resp); err != nil {
+	if err := c.get("/v1/dwell", v, &resp, nil); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -139,7 +143,7 @@ func (c *Client) Info(trace bool) (*InfoResponse, error) {
 	v := url.Values{}
 	setTrace(v, trace)
 	var resp InfoResponse
-	if err := c.get("/v1/info", v, &resp); err != nil {
+	if err := c.get("/v1/info", v, &resp, nil); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -148,7 +152,7 @@ func (c *Client) Info(trace bool) (*InfoResponse, error) {
 // Stats fetches the server's lifetime counters (/statsz).
 func (c *Client) Stats() (*ServerStats, error) {
 	var resp ServerStats
-	if err := c.get("/statsz", nil, &resp); err != nil {
+	if err := c.get("/statsz", nil, &resp, nil); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -157,42 +161,64 @@ func (c *Client) Stats() (*ServerStats, error) {
 // Healthy reports whether the server answers /healthz.
 func (c *Client) Healthy() bool {
 	var resp Health
-	return c.get("/healthz", nil, &resp) == nil && resp.Status == "ok"
+	return c.get("/healthz", nil, &resp, nil) == nil && resp.Status == "ok"
 }
 
 // Health fetches the server's liveness and build identity (/healthz).
 func (c *Client) Health() (*Health, error) {
 	var resp Health
-	if err := c.get("/healthz", nil, &resp); err != nil {
+	if err := c.get("/healthz", nil, &resp, nil); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-func (c *Client) get(path string, v url.Values, out any) error {
+// get issues one request and decodes its answer into out; rows is where the
+// row body's samples go, nil for an endpoint that returns none. The body is
+// read to EOF before it is closed, whatever the outcome, so the connection
+// goes back to the keep-alive pool instead of being torn down.
+func (c *Client) get(path string, v url.Values, out any, rows *[]trajectory.Sample) error {
 	u := strings.TrimRight(c.Base, "/") + path
 	if len(v) > 0 {
 		u += "?" + v.Encode()
 	}
+	req, err := http.NewRequest(http.MethodGet, u, nil)
+	if err != nil {
+		return fmt.Errorf("serve: GET %s: %w", path, err)
+	}
+	req.Header.Set("Accept", vtbMediaType+", application/json")
 	hc := c.HTTP
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	res, err := hc.Get(u)
+	res, err := hc.Do(req)
 	if err != nil {
 		return fmt.Errorf("serve: GET %s: %w", path, err)
 	}
 	defer res.Body.Close()
+	buf := getBodyBuf()
+	defer bodyBufs.Put(buf)
+	if _, err := buf.ReadFrom(res.Body); err != nil {
+		return fmt.Errorf("serve: %s: read response: %w", path, err)
+	}
 	if res.StatusCode != http.StatusOK {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.NewDecoder(res.Body).Decode(&e) == nil && e.Error != "" {
+		if json.Unmarshal(buf.Bytes(), &e) == nil && e.Error != "" {
 			return fmt.Errorf("serve: %s: %s (HTTP %d)", path, e.Error, res.StatusCode)
 		}
 		return fmt.Errorf("serve: %s: HTTP %d", path, res.StatusCode)
 	}
-	if err := json.NewDecoder(res.Body).Decode(out); err != nil {
+	switch ct := res.Header.Get("Content-Type"); {
+	case ct != vtbMediaType:
+		err = json.Unmarshal(buf.Bytes(), out)
+	case rows == nil:
+		err = fmt.Errorf("a %s body from an endpoint that returns no rows", ct)
+	default:
+		err = decodeRowsBody(buf.Bytes(), out, rows)
+	}
+	if err != nil {
 		return fmt.Errorf("serve: %s: decode response: %w", path, err)
 	}
 	return nil

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -434,7 +435,7 @@ func (d *Dataset) Range(q RangeRequest) (*RangeResponse, error) {
 	stats, span, err := d.runPlan("Range", q.Trace, func(src plan.Source) *plan.Plan {
 		return plan.NewScan(src).Filter(preds...).
 			OrderBy(plan.Asc(plan.ColObjID), plan.Asc(plan.ColT))
-	}, func(b *plan.Batch) { hits = b.Traj.AppendTo(hits) })
+	}, func(b *plan.Batch) { hits = b.Traj.AppendTo(slices.Grow(hits, b.Traj.Len())) })
 	if err != nil {
 		return nil, err
 	}
@@ -517,7 +518,7 @@ func (d *Dataset) Traj(q TrajRequest) (*TrajResponse, error) {
 		return plan.NewScan(src).
 			Filter(plan.ObjEq(q.Obj), plan.TimeBetween(q.T0, q.T1)).
 			OrderBy(plan.Asc(plan.ColT))
-	}, func(b *plan.Batch) { samples = b.Traj.AppendTo(samples) })
+	}, func(b *plan.Batch) { samples = b.Traj.AppendTo(slices.Grow(samples, b.Traj.Len())) })
 	if err != nil {
 		return nil, err
 	}

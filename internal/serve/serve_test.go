@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -333,16 +338,25 @@ func TestServerBadRequests(t *testing.T) {
 	ts := httptest.NewServer(NewServer(ds).Handler())
 	t.Cleanup(ts.Close)
 
-	for _, path := range []string{
-		"/v1/range?box=1,2,3",        // malformed box
-		"/v1/range?box=a,b,c,d",      // non-numeric box
-		"/v1/knn?at=5",               // malformed point
-		"/v1/knn?at=1,2&k=x",         // non-numeric k
-		"/v1/density?t=zzz",          // non-numeric instant
-		"/v1/traj?obj=nope",          // non-numeric object
-		"/v1/range?box=0,0,1,1&t0=x", // non-numeric window
+	for _, tc := range []struct{ path, names string }{
+		{"/v1/range?box=1,2,3", "bad box"},       // malformed box
+		{"/v1/range?box=a,b,c,d", "bad box"},     // non-numeric box
+		{"/v1/knn?at=5", "bad point"},            // malformed point
+		{"/v1/knn?at=1,2&k=x", "bad k"},          // non-numeric k
+		{"/v1/density?t=zzz", "bad t "},          // non-numeric instant
+		{"/v1/traj?obj=nope", "bad obj"},         // non-numeric object
+		{"/v1/range?box=0,0,1,1&t0=x", "bad t0"}, // non-numeric window
+		// strconv.ParseFloat accepts these; the JSON query echo cannot carry
+		// them, and each used to get a 200 with an empty body.
+		{"/v1/traj?obj=5&t0=NaN&t1=500", "bad t0"},
+		{"/v1/traj?obj=5&t0=0&t1=Inf", "bad t1"},
+		{"/v1/density?t=NaN", "bad t "},
+		{"/v1/knn?at=1,2&t=inf&k=3", "bad t "},
+		{"/v1/knn?at=1,-Inf&t=3", "bad point"},
+		{"/v1/range?box=0,0,nan,1&t0=0&t1=9", "bad box"},
+		{"/v1/dwell?t0=-Infinity", "bad t0"},
 	} {
-		res, err := http.Get(ts.URL + path)
+		res, err := http.Get(ts.URL + tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,11 +364,252 @@ func TestServerBadRequests(t *testing.T) {
 			Error string `json:"error"`
 		}
 		if err := json.NewDecoder(res.Body).Decode(&e); err != nil {
-			t.Fatalf("%s: decoding error body: %v", path, err)
+			t.Fatalf("%s: decoding error body: %v", tc.path, err)
 		}
 		res.Body.Close()
-		if res.StatusCode != http.StatusBadRequest || e.Error == "" {
-			t.Errorf("%s: status %d, error %q; want 400 with message", path, res.StatusCode, e.Error)
+		if res.StatusCode != http.StatusBadRequest || !strings.HasPrefix(e.Error, tc.names) {
+			t.Errorf("%s: status %d, error %q; want 400 and %q", tc.path, res.StatusCode, e.Error, tc.names)
+		}
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value encoding/json refuses must become a 500
+// error envelope carrying the request ID, not a 200 with a truncated body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	ds := openTestDataset(t, storage.FormatCSV, Config{})
+	srv := NewServerWith(ds, ServerOptions{Metrics: obs.NewRegistry(), Logger: quietLogger()})
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/v1/density", nil)
+	req = req.WithContext(context.WithValue(req.Context(), reqCtxKey{}, &reqInfo{id: "enc-1"}))
+	srv.writeJSON(rec, req, DensityResponse{Query: DensityRequest{T: math.NaN()}})
+	var e errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || e.Error == "" || e.RequestID != "enc-1" {
+		t.Errorf("status %d, body %+v; want 500 with a message and request ID enc-1", rec.Code, e)
+	}
+}
+
+// TestClientReusesConnection: the client must read every body to EOF before
+// closing it, or net/http discards the connection and the next request pays a
+// TCP handshake. It used to stop at the end of the JSON value, leaving the
+// chunked terminator unread: one connection per large answer.
+func TestClientReusesConnection(t *testing.T) {
+	ds := openTestDataset(t, storage.FormatVTB, Config{})
+	ts := httptest.NewUnstartedServer(NewServerWith(ds, ServerOptions{Metrics: obs.NewRegistry(), Logger: quietLogger()}).Handler())
+	var conns atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := &Client{Base: ts.URL}
+	everywhere := geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(50, 50)}
+	want := len(testSamples())
+	for i := 0; i < 200; i++ {
+		r, err := c.Range(RangeRequest{Floor: -1, Box: everywhere, T0: 0, T1: 600})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Hits) != want {
+			t.Fatalf("range returned %d hits, want every sample (%d)", len(r.Hits), want)
+		}
+		if _, err := c.Traj(TrajRequest{Obj: i % 8, T0: 0, T1: 600}); err != nil {
+			t.Fatal(err)
+		}
+		// The non-200 branch must drain its body too.
+		if _, err := c.Traj(TrajRequest{Obj: 1, T0: math.NaN()}); err == nil {
+			t.Fatal("a NaN window was accepted")
+		}
+	}
+	if n := conns.Load(); n > 2 {
+		t.Errorf("600 sequential requests opened %d connections, want at most 2", n)
+	}
+}
+
+// parityCase is one query of TestServerParityBothEncodings, askable three
+// ways.
+type parityCase struct {
+	name    string
+	rows    int    // how many rows the answer must hold; -1: at least one
+	vtbOnly bool   // needs rows CSV cannot store
+	path    string // the query as a URL, for the plain GET
+	local   func(*Dataset) (any, error)
+	remote  func(*Client) (any, error)
+	blank   func() any
+}
+
+func rangeCase(name string, rows int, q RangeRequest) parityCase {
+	path := fmt.Sprintf("/v1/range?floor=%d&box=%s&t0=%s&t1=%s", q.Floor, FormatBox(q.Box), formatFloats(q.T0), formatFloats(q.T1))
+	if q.Trace {
+		path += "&trace=1"
+	}
+	return parityCase{name: name, rows: rows, path: path,
+		local:  func(d *Dataset) (any, error) { return d.Range(q) },
+		remote: func(c *Client) (any, error) { return c.Range(q) },
+		blank:  func() any { return new(RangeResponse) },
+	}
+}
+
+func trajCase(name string, rows int, q TrajRequest) parityCase {
+	path := fmt.Sprintf("/v1/traj?obj=%d&t0=%s&t1=%s", q.Obj, formatFloats(q.T0), formatFloats(q.T1))
+	if q.Trace {
+		path += "&trace=1"
+	}
+	return parityCase{name: name, rows: rows, path: path,
+		local:  func(d *Dataset) (any, error) { return d.Traj(q) },
+		remote: func(c *Client) (any, error) { return c.Traj(q) },
+		blank:  func() any { return new(TrajResponse) },
+	}
+}
+
+// zeroWall clears a span tree's wall times.
+func zeroWall(s *obs.Span) {
+	if s != nil {
+		s.WallNanos = 0
+		for _, c := range s.Children {
+			zeroWall(c)
+		}
+	}
+}
+
+// comparableAnswer strips from a row answer what legitimately differs
+// between two executions of one query — the trace's wall times, and the Trace
+// ask, which is not part of the wire's query echo — and returns its rows.
+func comparableAnswer(t *testing.T, resp any) []trajectory.Sample {
+	t.Helper()
+	switch r := resp.(type) {
+	case *RangeResponse:
+		r.Query.Trace = false
+		zeroWall(r.Trace)
+		return r.Hits
+	case *TrajResponse:
+		r.Query.Trace = false
+		zeroWall(r.Trace)
+		return r.Samples
+	}
+	t.Fatalf("%T is not a row answer", resp)
+	return nil
+}
+
+// contentTypes records the Content-Type of every response a Client receives.
+type contentTypes struct{ seen []string }
+
+func (c *contentTypes) RoundTrip(r *http.Request) (*http.Response, error) {
+	res, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil {
+		c.seen = append(c.seen, res.Header.Get("Content-Type"))
+	}
+	return res, err
+}
+
+// TestServerParityBothEncodings fetches each query three ways — the Dataset
+// method, the Client (row body), and a plain GET with no Accept header (JSON)
+// — and requires the three response structs to be deeply equal: every field
+// of every row, the query echo, Objects, Stats, the trace, and nil versus
+// empty slices survive both encodings.
+func TestServerParityBothEncodings(t *testing.T) {
+	base := testSamples()
+	if len(base) <= 4096 {
+		t.Fatal("the test dataset no longer fills two wire blocks")
+	}
+	// Object 8's rows are symbolic: a partition and no point. Only VTB can
+	// store them (the CSV schema has no such column).
+	var withSymbolic []trajectory.Sample
+	for i, s := range base {
+		withSymbolic = append(withSymbolic, s)
+		if i%8 == 7 {
+			withSymbolic = append(withSymbolic, trajectory.Sample{
+				ObjID: 8, T: s.T,
+				Loc: model.Location{Building: "annex", Floor: 1, Partition: "stairs"},
+			})
+		}
+	}
+	everywhere := geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(50, 50)}
+	symbolic := trajCase("traj/symbolic", 600, TrajRequest{Obj: 8, T0: 0, T1: 600})
+	symbolic.vtbOnly = true
+	cases := []parityCase{
+		rangeCase("range", -1, RangeRequest{Floor: 0, Box: geom.BBox{Min: geom.Pt(1.5, 0.25), Max: geom.Pt(17.75, 9.5)}, T0: 33.5, T1: 147.25}),
+		rangeCase("range/empty", 0, RangeRequest{Floor: 0, Box: everywhere, T0: 1000, T1: 2000}),
+		rangeCase("range/traced", -1, RangeRequest{Floor: 1, Box: everywhere, T0: 10, T1: 20, Trace: true}),
+		rangeCase("range/two blocks", len(base), RangeRequest{Floor: -1, Box: everywhere, T0: 0, T1: 600}),
+		trajCase("traj", 401, TrajRequest{Obj: 5, T0: 100, T1: 500}),
+		trajCase("traj/empty", 0, TrajRequest{Obj: 99, T0: 0, T1: 600}),
+		trajCase("traj/traced", 51, TrajRequest{Obj: 2, T0: 0, T1: 50, Trace: true}),
+		symbolic,
+	}
+
+	for _, format := range []storage.Format{storage.FormatVTB, storage.FormatCSV} {
+		samples := base
+		if format == storage.FormatVTB {
+			samples = withSymbolic
+		}
+		dir := t.TempDir()
+		writeDataset(t, dir, format, samples)
+		ds, err := Open(dir, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		srv := NewServerWith(ds, ServerOptions{Metrics: obs.NewRegistry(), Logger: quietLogger()})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		types := &contentTypes{}
+		c := &Client{Base: ts.URL, HTTP: &http.Client{Transport: types}}
+
+		for _, pc := range cases {
+			if pc.vtbOnly && format != storage.FormatVTB {
+				continue
+			}
+			name := string(format) + "/" + pc.name
+			// The first execution warms the block cache, so that the three
+			// that follow report the same Stats.
+			if _, err := pc.local(ds); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			local, err := pc.local(ds)
+			if err != nil {
+				t.Fatalf("%s: dataset: %v", name, err)
+			}
+			remote, err := pc.remote(c)
+			if err != nil {
+				t.Fatalf("%s: client: %v", name, err)
+			}
+			if got := types.seen[len(types.seen)-1]; got != vtbMediaType {
+				t.Errorf("%s: the client was answered with %q, want %q", name, got, vtbMediaType)
+			}
+			res, err := http.Get(ts.URL + pc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain := pc.blank()
+			err = json.NewDecoder(res.Body).Decode(plain)
+			res.Body.Close()
+			if err != nil {
+				t.Fatalf("%s: plain GET: %v", name, err)
+			}
+			if got := res.Header.Get("Content-Type"); got != "application/json" {
+				t.Errorf("%s: a GET without Accept was answered with %q", name, got)
+			}
+
+			rows := comparableAnswer(t, local)
+			comparableAnswer(t, remote)
+			comparableAnswer(t, plain)
+			if n := len(rows); n != pc.rows && !(pc.rows < 0 && n > 0) {
+				t.Errorf("%s: %d rows, want %d", name, n, pc.rows)
+			}
+			if (rows == nil) != (len(rows) == 0) {
+				t.Errorf("%s: the dataset answered %d rows with a nil=%v slice", name, len(rows), rows == nil)
+			}
+			if !reflect.DeepEqual(local, remote) {
+				t.Errorf("%s: the row body changed the answer", name)
+			}
+			if !reflect.DeepEqual(local, plain) {
+				t.Errorf("%s: the JSON body changed the answer", name)
+			}
 		}
 	}
 }

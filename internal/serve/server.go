@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
@@ -18,9 +20,10 @@ import (
 
 	"vita/internal/geom"
 	"vita/internal/obs"
+	"vita/internal/trajectory"
 )
 
-// Server exposes a Dataset's query operators over HTTP with JSON responses:
+// Server exposes a Dataset's query operators over HTTP:
 //
 //	GET /v1/range?floor=0&box=0,0,20,15&t0=0&t1=120
 //	GET /v1/knn?floor=0&at=10,7.5&t=60&k=5
@@ -31,10 +34,12 @@ import (
 //	GET /healthz
 //	GET /statsz
 //
-// Every operator response embeds its per-request Stats (blocks
-// pruned/decoded, cache hits/misses); /statsz aggregates them across the
-// server's lifetime. Errors come back as {"error": "..."} with a 4xx/5xx
-// status.
+// Responses are JSON, except that /v1/range and /v1/traj answer a request
+// carrying Accept: application/vnd.vita.vtb with the row body of wire.go (a
+// small JSON envelope, then the rows as a VTB image). Every operator response
+// embeds its per-request Stats (blocks pruned/decoded, cache hits/misses);
+// /statsz aggregates them across the server's lifetime. Errors come back as
+// {"error": "..."} with a 4xx/5xx status.
 type Server struct {
 	ds      *Dataset
 	mux     *http.ServeMux
@@ -264,8 +269,8 @@ func (s *Server) finishTrace(r *http.Request, wantTrace bool, trace **obs.Span) 
 // traceParams reads the request's tracing decision: wantTrace is the
 // client's ?trace=1 ask; doTrace additionally covers the slow-query log,
 // which needs the trace recorded up front for every request it might flag.
-func (s *Server) traceParams(r *http.Request) (wantTrace, doTrace bool) {
-	wantTrace = r.URL.Query().Get("trace") == "1"
+func (s *Server) traceParams(q url.Values) (wantTrace, doTrace bool) {
+	wantTrace = q.Get("trace") == "1"
 	return wantTrace, wantTrace || s.opts.SlowQuery > 0
 }
 
@@ -387,23 +392,24 @@ func (s *Server) track(op int, stats *Stats) {
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
+	p := r.URL.Query()
 	q := RangeRequest{Floor: -1}
 	var err error
-	if v := r.URL.Query().Get("floor"); v != "" {
+	if v := p.Get("floor"); v != "" {
 		if q.Floor, err = strconv.Atoi(v); err != nil {
 			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad floor %q", v))
 			return
 		}
 	}
-	if q.Box, err = ParseBox(r.URL.Query().Get("box")); err != nil {
+	if q.Box, err = ParseBox(p.Get("box")); err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if q.T0, q.T1, err = parseWindow(r, 0, 0); err != nil {
+	if q.T0, q.T1, err = parseWindow(p, 0, 0); err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	wantTrace, doTrace := s.traceParams(r)
+	wantTrace, doTrace := s.traceParams(p)
 	q.Trace = doTrace
 	resp, err := s.ds.Range(q)
 	if err != nil {
@@ -412,35 +418,36 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	}
 	s.track(opRange, &resp.Stats)
 	s.finishTrace(r, wantTrace, &resp.Trace)
-	s.writeJSON(w, resp)
+	s.writeRows(w, r, resp, &resp.Hits)
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
+	p := r.URL.Query()
 	q := KNNRequest{Floor: 0, K: 5}
 	var err error
-	if v := r.URL.Query().Get("floor"); v != "" {
+	if v := p.Get("floor"); v != "" {
 		if q.Floor, err = strconv.Atoi(v); err != nil {
 			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad floor %q", v))
 			return
 		}
 	}
-	if q.At, err = ParsePoint(r.URL.Query().Get("at")); err != nil {
+	if q.At, err = ParsePoint(p.Get("at")); err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if q.T, err = parseFloatParam(r, "t", 0); err != nil {
+	if q.T, err = parseFloatParam(p, "t", 0); err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if v := r.URL.Query().Get("k"); v != "" {
+	if v := p.Get("k"); v != "" {
 		if q.K, err = strconv.Atoi(v); err != nil {
 			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad k %q", v))
 			return
 		}
 	}
-	wantTrace, doTrace := s.traceParams(r)
+	wantTrace, doTrace := s.traceParams(p)
 	q.Trace = doTrace
 	resp, err := s.ds.KNN(q)
 	if err != nil {
@@ -449,18 +456,19 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}
 	s.track(opKNN, &resp.Stats)
 	s.finishTrace(r, wantTrace, &resp.Trace)
-	s.writeJSON(w, resp)
+	s.writeJSON(w, r, resp)
 }
 
 func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
-	t, err := parseFloatParam(r, "t", 0)
+	p := r.URL.Query()
+	t, err := parseFloatParam(p, "t", 0)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	wantTrace, doTrace := s.traceParams(r)
+	wantTrace, doTrace := s.traceParams(p)
 	resp, err := s.ds.Density(DensityRequest{T: t, Trace: doTrace})
 	if err != nil {
 		s.fail(w, r, http.StatusInternalServerError, err)
@@ -468,25 +476,26 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 	}
 	s.track(opDensity, &resp.Stats)
 	s.finishTrace(r, wantTrace, &resp.Trace)
-	s.writeJSON(w, resp)
+	s.writeJSON(w, r, resp)
 }
 
 func (s *Server) handleTraj(w http.ResponseWriter, r *http.Request) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
+	p := r.URL.Query()
 	q := TrajRequest{}
 	var err error
-	if v := r.URL.Query().Get("obj"); v != "" {
+	if v := p.Get("obj"); v != "" {
 		if q.Obj, err = strconv.Atoi(v); err != nil {
 			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad obj %q", v))
 			return
 		}
 	}
-	if q.T0, q.T1, err = parseWindow(r, 0, 1e18); err != nil {
+	if q.T0, q.T1, err = parseWindow(p, 0, 1e18); err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	wantTrace, doTrace := s.traceParams(r)
+	wantTrace, doTrace := s.traceParams(p)
 	q.Trace = doTrace
 	resp, err := s.ds.Traj(q)
 	if err != nil {
@@ -495,25 +504,26 @@ func (s *Server) handleTraj(w http.ResponseWriter, r *http.Request) {
 	}
 	s.track(opTraj, &resp.Stats)
 	s.finishTrace(r, wantTrace, &resp.Trace)
-	s.writeJSON(w, resp)
+	s.writeRows(w, r, resp, &resp.Samples)
 }
 
 func (s *Server) handleDwell(w http.ResponseWriter, r *http.Request) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
+	p := r.URL.Query()
 	q := DwellRequest{Floor: -1}
 	var err error
-	if v := r.URL.Query().Get("floor"); v != "" {
+	if v := p.Get("floor"); v != "" {
 		if q.Floor, err = strconv.Atoi(v); err != nil {
 			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad floor %q", v))
 			return
 		}
 	}
-	if q.T0, q.T1, err = parseWindow(r, 0, 1e18); err != nil {
+	if q.T0, q.T1, err = parseWindow(p, 0, 1e18); err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	wantTrace, doTrace := s.traceParams(r)
+	wantTrace, doTrace := s.traceParams(p)
 	q.Trace = doTrace
 	resp, err := s.ds.Dwell(q)
 	if err != nil {
@@ -522,13 +532,13 @@ func (s *Server) handleDwell(w http.ResponseWriter, r *http.Request) {
 	}
 	s.track(opDwell, &resp.Stats)
 	s.finishTrace(r, wantTrace, &resp.Trace)
-	s.writeJSON(w, resp)
+	s.writeJSON(w, r, resp)
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
-	wantTrace, doTrace := s.traceParams(r)
+	wantTrace, doTrace := s.traceParams(r.URL.Query())
 	resp, err := s.ds.Info(doTrace)
 	if err != nil {
 		s.fail(w, r, http.StatusInternalServerError, err)
@@ -536,7 +546,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	s.track(opInfo, &resp.Stats)
 	s.finishTrace(r, wantTrace, &resp.Trace)
-	s.writeJSON(w, resp)
+	s.writeJSON(w, r, resp)
 }
 
 // Health is the /healthz payload: liveness plus build identity, so one
@@ -549,9 +559,9 @@ type Health struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	b := obs.Build()
-	s.writeJSON(w, Health{
+	s.writeJSON(w, r, Health{
 		Status:        "ok",
 		Version:       b.Version,
 		Commit:        b.Commit,
@@ -618,14 +628,45 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, s.Stats())
+func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
+	s.writeJSON(w, r, s.Stats())
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
+// writeJSON answers with v as JSON. The body is encoded whole before the
+// header goes out, so a value encoding/json refuses becomes a 500 error
+// envelope instead of a 200 with a truncated body.
+func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, v any) {
+	buf := getBodyBuf()
+	defer bodyBufs.Put(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		s.fail(w, r, http.StatusInternalServerError, err)
+		return
+	}
+	s.writeBody(w, "application/json", buf.Bytes())
+}
+
+// writeRows answers a request for sample rows — resp, whose row slice is
+// *rows — with the row body when the client asked for it, else with JSON.
+func (s *Server) writeRows(w http.ResponseWriter, r *http.Request, resp any, rows *[]trajectory.Sample) {
+	w.Header().Set("Vary", "Accept")
+	if !strings.Contains(r.Header.Get("Accept"), vtbMediaType) {
+		s.writeJSON(w, r, resp)
+		return
+	}
+	buf := getBodyBuf()
+	defer bodyBufs.Put(buf)
+	if err := encodeRowsBody(buf, resp, rows); err != nil {
+		s.fail(w, r, http.StatusInternalServerError, err)
+		return
+	}
+	s.writeBody(w, vtbMediaType, buf.Bytes())
+}
+
+// writeBody sends a complete body in one Write with its length declared.
+func (s *Server) writeBody(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := w.Write(body); err != nil {
 		s.errors.Add(1)
 	}
 }
@@ -655,23 +696,30 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, status int, err er
 	_ = json.NewEncoder(w).Encode(errorBody{Error: err.Error(), RequestID: id})
 }
 
-func parseFloatParam(r *http.Request, name string, def float64) (float64, error) {
-	v := r.URL.Query().Get(name)
+// parseFinite is strconv.ParseFloat minus NaN and ±Inf, which it accepts but
+// no query parameter means and the JSON query echo cannot carry.
+func parseFinite(v string) (float64, bool) {
+	f, err := strconv.ParseFloat(v, 64)
+	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
+}
+
+func parseFloatParam(p url.Values, name string, def float64) (float64, error) {
+	v := p.Get(name)
 	if v == "" {
 		return def, nil
 	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, v)
+	f, ok := parseFinite(v)
+	if !ok {
+		return 0, fmt.Errorf("bad %s %q, want a finite number", name, v)
 	}
 	return f, nil
 }
 
-func parseWindow(r *http.Request, defT0, defT1 float64) (t0, t1 float64, err error) {
-	if t0, err = parseFloatParam(r, "t0", defT0); err != nil {
+func parseWindow(p url.Values, defT0, defT1 float64) (t0, t1 float64, err error) {
+	if t0, err = parseFloatParam(p, "t0", defT0); err != nil {
 		return
 	}
-	t1, err = parseFloatParam(r, "t1", defT1)
+	t1, err = parseFloatParam(p, "t1", defT1)
 	return
 }
 
@@ -711,8 +759,8 @@ func parseFloats(s string, out []float64) error {
 		return fmt.Errorf("want %d comma-separated numbers", len(out))
 	}
 	for i, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
+		f, ok := parseFinite(strings.TrimSpace(p))
+		if !ok {
 			return fmt.Errorf("bad number %q", p)
 		}
 		out[i] = f

@@ -14,12 +14,15 @@ import (
 
 // Request/response types for the four query operators plus info. They are
 // the single source of truth for three surfaces at once: Dataset methods
-// (local execution), the HTTP JSON API (vitaserve), and Client (vitaquery
+// (local execution), the HTTP API (vitaserve), and Client (vitaquery
 // -server). The WriteText formatters render exactly what vitaquery has
 // always printed, so local and served output are byte-identical by
 // construction — all three paths marshal through the same structs and the
 // same format strings, and float64 values survive the JSON round trip
-// exactly (encoding/json emits shortest round-trip representations).
+// exactly (encoding/json emits shortest round-trip representations). That
+// holds for the row body too (wire.go): its envelope is the same struct as
+// JSON with the row slice nil, and its rows come back through VTB, which is
+// lossless.
 
 // Stats describes how much work one request cost: the underlying scan
 // (blocks pruned/decoded, rows) and block-cache effectiveness.
