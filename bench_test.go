@@ -534,7 +534,7 @@ func BenchmarkPlanScanPruned(b *testing.B) {
 // one range query on the shared 12k-sample image: "warm" runs the plan on an
 // open dataset whose footer and decoded blocks are resident; "cold" is what
 // vitaquery pays per invocation — open the file, parse the footer, decode the
-// surviving blocks sequentially, run the same plan, close — with process
+// surviving blocks, run the same plan, close — with process
 // spawn not even counted, so the bar is conservative. Both are the minimum
 // over several runs, and warm must be at least 5x faster (measured: 12x).
 // Nothing is kept per request, so this is the block cache and the open file
@@ -576,7 +576,7 @@ func BenchmarkServeWarmVsCold(b *testing.B) {
 		}
 	}
 	coldOnce := func() {
-		cold, err := serve.Open(dir, serve.Config{CacheBytes: -1, Parallelism: 1})
+		cold, err := serve.Open(dir, serve.Config{CacheBytes: -1})
 		if err != nil {
 			b.Fatal(err)
 		}

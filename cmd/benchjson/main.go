@@ -11,16 +11,6 @@
 // B/op and allocs/op. Header lines (goos, goarch, cpu) are captured into the
 // envelope. Non-benchmark lines pass through untouched to stderr, so piping a
 // test run through benchjson loses nothing.
-//
-// Compare mode turns two archived documents into a regression gate:
-//
-//	benchjson -compare old.json -o new.json [-threshold 15]
-//
-// prints a per-benchmark delta table (ns/op, B/op, allocs/op) of -o against
-// the baseline and exits 2 when any benchmark's ns/op regressed by more than
-// -threshold percent — CI fails the build on a real slowdown but tolerates
-// noise below the threshold. Benchmarks present on only one side are listed
-// but never fail the gate (renames and new benchmarks are not regressions).
 package main
 
 import (
@@ -30,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -52,125 +41,30 @@ type Doc struct {
 }
 
 func main() {
-	code, err := run()
-	if err != nil {
+	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		if code == 0 {
-			code = 1
-		}
+		os.Exit(1)
 	}
-	os.Exit(code)
 }
 
-func run() (int, error) {
-	out := flag.String("o", "BENCH.json", "output file (- = stdout); in -compare mode, the new document to compare")
-	compare := flag.String("compare", "", "baseline BENCH.json: compare -o against it instead of parsing stdin")
-	threshold := flag.Float64("threshold", 10, "percent ns/op regression tolerated per benchmark in -compare mode")
+func run() error {
+	out := flag.String("o", "BENCH.json", "output file (- = stdout)")
 	flag.Parse()
-
-	if *compare != "" {
-		old, err := readDoc(*compare)
-		if err != nil {
-			return 1, err
-		}
-		cur, err := readDoc(*out)
-		if err != nil {
-			return 1, err
-		}
-		regressed := compareDocs(os.Stdout, old, cur, *threshold)
-		if len(regressed) > 0 {
-			return 2, fmt.Errorf("%d benchmark(s) regressed past %g%%: %s",
-				len(regressed), *threshold, strings.Join(regressed, ", "))
-		}
-		return 0, nil
-	}
 
 	doc, err := parse(os.Stdin, os.Stderr)
 	if err != nil {
-		return 1, err
+		return err
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		return 1, err
+		return err
 	}
 	data = append(data, '\n')
 	if *out == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return 1, err
-		}
-		return 0, nil
+		_, err := os.Stdout.Write(data)
+		return err
 	}
-	return 0, os.WriteFile(*out, data, 0o644)
-}
-
-// readDoc loads an archived benchmark document.
-func readDoc(path string) (*Doc, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc Doc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(doc.Benchmarks) == 0 {
-		return nil, fmt.Errorf("%s: no benchmarks", path)
-	}
-	return &doc, nil
-}
-
-// compareDocs prints the delta table of cur against old and returns the
-// names whose ns/op regressed beyond threshold percent.
-func compareDocs(w io.Writer, old, cur *Doc, threshold float64) []string {
-	names := make([]string, 0, len(old.Benchmarks)+len(cur.Benchmarks))
-	seen := map[string]bool{}
-	for name := range old.Benchmarks {
-		names = append(names, name)
-		seen[name] = true
-	}
-	for name := range cur.Benchmarks {
-		if !seen[name] {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-
-	fmt.Fprintf(w, "%-52s %14s %14s %9s %9s %8s\n",
-		"benchmark", "old ns/op", "new ns/op", "delta", "B/op", "allocs")
-	var regressed []string
-	for _, name := range names {
-		o, haveOld := old.Benchmarks[name]
-		n, haveNew := cur.Benchmarks[name]
-		switch {
-		case !haveNew:
-			fmt.Fprintf(w, "%-52s %14.1f %14s %9s %9s %8s\n", name, o.NsPerOp, "-", "gone", "", "")
-			continue
-		case !haveOld:
-			fmt.Fprintf(w, "%-52s %14s %14.1f %9s %9s %8s\n", name, "-", n.NsPerOp, "new", "", "")
-			continue
-		}
-		pct := 0.0
-		if o.NsPerOp > 0 {
-			pct = (n.NsPerOp - o.NsPerOp) / o.NsPerOp * 100
-		}
-		mark := ""
-		if pct > threshold {
-			mark = " !"
-			regressed = append(regressed, name)
-		}
-		fmt.Fprintf(w, "%-52s %14.1f %14.1f %+8.1f%% %9s %8s%s\n",
-			name, o.NsPerOp, n.NsPerOp, pct,
-			deltaInt(o.BytesPerOp, n.BytesPerOp), deltaInt(o.AllocsPerOp, n.AllocsPerOp), mark)
-	}
-	return regressed
-}
-
-// deltaInt renders the change in an optional per-op integer measurement.
-func deltaInt(old, cur *int64) string {
-	if old == nil || cur == nil {
-		return ""
-	}
-	return fmt.Sprintf("%+d", *cur-*old)
+	return os.WriteFile(*out, data, 0o644)
 }
 
 // parse scans r line by line, collecting benchmark results and echoing every

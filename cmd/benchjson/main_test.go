@@ -6,8 +6,6 @@ import (
 	"testing"
 )
 
-func i64(v int64) *int64 { return &v }
-
 func TestParseResultLines(t *testing.T) {
 	doc, err := parse(strings.NewReader(`goos: linux
 goarch: amd64
@@ -29,41 +27,5 @@ ok  	vita/internal/query	1.0s
 	}
 	if _, ok := doc.Benchmarks["BenchmarkKNN/k=5"]; !ok {
 		t.Errorf("sub-benchmark key missing: %v", doc.Benchmarks)
-	}
-}
-
-func TestCompareDocs(t *testing.T) {
-	old := &Doc{Benchmarks: map[string]Result{
-		"BenchmarkFast":   {NsPerOp: 100, BytesPerOp: i64(64), AllocsPerOp: i64(2)},
-		"BenchmarkSteady": {NsPerOp: 1000},
-		"BenchmarkGone":   {NsPerOp: 50},
-	}}
-	cur := &Doc{Benchmarks: map[string]Result{
-		"BenchmarkFast":   {NsPerOp: 150, BytesPerOp: i64(80), AllocsPerOp: i64(2)}, // +50%
-		"BenchmarkSteady": {NsPerOp: 1050},                                          // +5%
-		"BenchmarkNew":    {NsPerOp: 10},
-	}}
-
-	var buf bytes.Buffer
-	regressed := compareDocs(&buf, old, cur, 10)
-	if len(regressed) != 1 || regressed[0] != "BenchmarkFast" {
-		t.Fatalf("regressed = %v, want [BenchmarkFast]", regressed)
-	}
-	out := buf.String()
-	for _, want := range []string{"BenchmarkFast", "+50.0%", "BenchmarkSteady", "+5.0%", "gone", "new", "+16", " !"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table lacks %q:\n%s", want, out)
-		}
-	}
-
-	// A generous threshold passes everything; only-one-side benchmarks
-	// never fail the gate.
-	if r := compareDocs(&bytes.Buffer{}, old, cur, 60); len(r) != 0 {
-		t.Errorf("threshold 60%% still flagged %v", r)
-	}
-	// An improvement is never a regression, whatever the threshold.
-	better := &Doc{Benchmarks: map[string]Result{"BenchmarkFast": {NsPerOp: 10}}}
-	if r := compareDocs(&bytes.Buffer{}, old, better, 0.0001); len(r) != 0 {
-		t.Errorf("improvement flagged as regression: %v", r)
 	}
 }

@@ -17,12 +17,13 @@
 // by window+floor+box, traj by object+window, dwell by window+floor,
 // knn/density by the window widened by -maxgap so interpolation still sees
 // its bracketing samples) and the scan skips every block whose zone map
-// rules it out. The file is memory-mapped by default (-mmap=false falls back to plain reads) and the
-// surviving blocks stream through a column-batch cursor straight into the
-// plan's operators, so peak memory beyond what the operators buffer is one
-// decoded block per segment — the stderr stats line reports how many blocks
-// were read and the peak decoded batch size. A CSV file has no blocks to
-// prune: it is read whole, then filtered.
+// rules it out. The file is memory-mapped by default (-mmap=false falls back
+// to plain reads) and the surviving blocks stream, a small window at a time,
+// through a column-batch cursor straight into the plan's operators, so peak
+// memory beyond what the operators buffer is one decoded window per segment
+// — the stderr stats line reports how many blocks were read and the most
+// bytes one window decoded. A CSV file is read whole and re-encoded as
+// in-memory blocks once, at open, then queried the same way.
 //
 // With -server URL the same operators are sent to a running vitaserve
 // daemon instead of touching local files; execution and formatting go
@@ -78,7 +79,6 @@ func run() error {
 	dataDir := flag.String("data", "out", "directory holding vitagen output")
 	server := flag.String("server", "", "base URL of a running vitaserve daemon (empty = local execution)")
 	maxGap := flag.Float64("maxgap", 10, "max sample gap in seconds for instant queries (local mode)")
-	parallelism := flag.Int("parallelism", 0, "block-decode workers for local VTB loads (0 = GOMAXPROCS)")
 	useMmap := flag.Bool("mmap", true, "memory-map local VTB files (false = plain file reads)")
 	trace := flag.Bool("trace", false, "print the per-operator execution trace on stderr (stdout is unchanged)")
 	logOpts := obs.RegisterLogFlags(flag.CommandLine)
@@ -97,8 +97,7 @@ func run() error {
 	} else {
 		var err error
 		ds, err = serve.Open(*dataDir, serve.Config{
-			MaxGap:      *maxGap,
-			Parallelism: *parallelism,
+			MaxGap: *maxGap,
 			// One-shot execution: nothing would ever hit a warm cache.
 			CacheBytes:  -1,
 			DisableMmap: !*useMmap,
@@ -134,9 +133,9 @@ func run() error {
 }
 
 // reportStats mirrors the pre-daemon behavior: in local mode over a VTB
-// file, a stderr line says how effective zone-map pruning was — and, on the
-// streaming cursor path, how much decoded data was ever resident at once,
-// which is what makes the bounded-memory claim of one-shot scans observable.
+// file, a stderr line says how effective zone-map pruning was — and how much
+// one window of the scan decoded at once, which is what makes the
+// bounded-memory claim of one-shot scans observable.
 func reportStats(ds *serve.Dataset, st serve.Stats) {
 	if ds == nil || st.Format != "vtb" {
 		return

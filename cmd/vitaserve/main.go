@@ -75,8 +75,7 @@ func main() {
 func run() error {
 	dataDir := flag.String("data", "out", "directory holding vitagen output")
 	addr := flag.String("addr", "127.0.0.1:7617", "listen address")
-	cacheMB := flag.Int("cache-mb", 64, "decoded-block cache budget in MiB (0 disables)")
-	parallelism := flag.Int("parallelism", 0, "block-decode workers (0 = GOMAXPROCS)")
+	cacheMB := flag.Int("cache-mb", 64, "decoded-block cache budget in MiB (0 keeps nothing)")
 	maxGap := flag.Float64("maxgap", 10, "max sample gap in seconds for instant queries")
 	drain := flag.Duration("drain", 10*time.Second, "in-flight request drain timeout on shutdown")
 	useMmap := flag.Bool("mmap", true, "memory-map the VTB file (false = plain file reads)")
@@ -101,7 +100,6 @@ func run() error {
 
 	cfg := serve.Config{
 		MaxGap:        *maxGap,
-		Parallelism:   *parallelism,
 		CacheBytes:    int64(*cacheMB) << 20,
 		DisableMmap:   !*useMmap,
 		WatchInterval: *watch,

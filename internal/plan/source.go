@@ -19,7 +19,7 @@ func (s FileSource) Open(pred colstore.Predicate) (storage.TrajectoryCursor, err
 	return cur, err
 }
 
-// SliceSource serves an in-memory sample slice (resident datasets, tests).
+// SliceSource serves an in-memory sample slice (library callers, tests).
 // The predicate filters row by row; stats count rows only, like a CSV scan.
 type SliceSource struct {
 	Samples []trajectory.Sample

@@ -8,7 +8,8 @@ import (
 	"vita/internal/storage"
 )
 
-// BenchmarkCachedScan times the cached-VTB scan leaf on a warm cache: five
+// BenchmarkCachedScan times the scan leaf on a warm cache (under the gate's
+// GOMAXPROCS(1), three windows of two blocks, every one a hit): five
 // 512-row blocks under a time+floor predicate that prunes nothing, covers
 // nothing (both floors occur in every block) and keeps half of each block —
 // so every block goes through the columnar filter into the cursor's scratch
@@ -79,7 +80,7 @@ func BenchmarkCachedScan(b *testing.B) {
 	if tail != 0 {
 		b.Fatalf("batches after the first cost %d allocs, want 0", tail)
 	}
-	const budget = 40 // cursor, block and zone lists, scratch columns, selection
+	const budget = 40 // cursor, block list, window, scratch columns, selection
 	allocs := testing.AllocsPerRun(10, func() { scan(false) })
 	if allocs > budget {
 		b.Fatalf("warm cached scan costs %.0f allocs, budget %d", allocs, budget)

@@ -21,8 +21,8 @@ import (
 
 // TestCursorConformance holds every implementation of storage.Cursor — a VTB
 // file (mmap and pread), a CSV file and a k-way merge, for both row kinds,
-// plus plan.SliceSource and this package's cachedCursor — to the one
-// contract:
+// plus plan.SliceSource and this package's blockCursor on windows of cache
+// hits, of misses and of both — to the one contract:
 //
 //   - rows, their order and ScanStats equal a brute-force filter of the
 //     written rows for a fixed predicate set (block counts follow the files'
@@ -32,7 +32,7 @@ import (
 //   - a corrupt block (or CSV record) surfaces as Err, the rows before it are
 //     a prefix of the answer, and stats stop at that block;
 //   - PeakDecodedBytes is at least the largest decoded block, or 0 for a
-//     cursor that decodes nothing.
+//     cursor that decoded nothing.
 //
 // This package sits on top of every other implementation, which is why the
 // suite lives here.
@@ -117,30 +117,82 @@ func TestCursorConformance(t *testing.T) {
 			return rowsOnly(samples, p)
 		},
 	})
-	ds, err := Open(filepath.Dir(whole.path), Config{})
-	if err != nil {
+	// The serve cursor, over the same file: every window a miss (no cache),
+	// every window a hit (a warmed cache), and every window some of each
+	// (every other block cached). Its damaged fixture breaks the first block
+	// of the second window, so the scan must stop having yielded exactly the
+	// first window.
+	window := decodeWindow()
+	damaged := min(window, len(whole.zones)-1)
+	brokenDir := t.TempDir()
+	if err := os.Rename(whole.breakBlock(t, damaged), filepath.Join(brokenDir, "trajectory.vtb")); err != nil {
 		t.Fatal(err)
 	}
-	defer ds.Close()
-	trajImpls = append(trajImpls, cursorImpl[trajectory.Sample, *colstore.TrajectoryBatch]{
-		name: "cached",
-		open: func(t *testing.T, pred colstore.Predicate) storage.TrajectoryCursor {
-			src, err := ds.pinSource()
-			if err != nil {
-				t.Fatal(err)
+	openServe := func(t *testing.T, dir string, cfg Config, warm func(*Dataset, *segReader), pred colstore.Predicate) storage.TrajectoryCursor {
+		ds, err := Open(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		src, err := ds.pinSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(src.release)
+		if warm != nil {
+			warm(ds, src.set.segs[0])
+		}
+		cur, err := src.Open(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := cur.(*blockCursor); !ok {
+			t.Fatalf("single-file load is a %T, want *blockCursor", cur)
+		}
+		return cur
+	}
+	cacheEvery := func(step int) func(*Dataset, *segReader) {
+		return func(ds *Dataset, sg *segReader) {
+			for i := 0; i < len(sg.zones); i += step {
+				b, err := sg.tr.DecodeBlock(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ds.cache.Put(sg.id, i, b)
 			}
-			t.Cleanup(src.release)
-			cur, err := src.openCached(pred)
-			if err != nil {
-				t.Fatal(err)
+		}
+	}
+	for _, sv := range []struct {
+		name string
+		cfg  Config
+		warm func(*Dataset, *segReader)
+		peak int64
+	}{
+		{"serve-all-miss", Config{CacheBytes: -1}, nil, whole.largestBlock()},
+		{"serve-all-hit", Config{}, cacheEvery(1), 0},
+		{"serve-mixed", Config{}, cacheEvery(2), whole.largestBlock()},
+	} {
+		im := cursorImpl[trajectory.Sample, *colstore.TrajectoryBatch]{
+			name: sv.name,
+			open: func(t *testing.T, pred colstore.Predicate) storage.TrajectoryCursor {
+				return openServe(t, filepath.Dir(whole.path), sv.cfg, sv.warm, pred)
+			},
+			want: whole.want,
+			peak: sv.peak,
+		}
+		if sv.warm == nil {
+			im.broken = func(t *testing.T) (storage.TrajectoryCursor, *colstore.ScanStats) {
+				yielded := damaged / window * window
+				return openServe(t, brokenDir, sv.cfg, nil, colstore.Predicate{}), &colstore.ScanStats{
+					BlocksTotal:   len(whole.zones),
+					BlocksScanned: yielded,
+					RowsScanned:   yielded * conformanceBlock,
+					RowsMatched:   yielded * conformanceBlock,
+				}
 			}
-			if _, ok := cur.(*cachedCursor); !ok {
-				t.Fatalf("single-file cached load is a %T, want *cachedCursor", cur)
-			}
-			return cur
-		},
-		want: whole.want,
-	})
+		}
+		trajImpls = append(trajImpls, im)
+	}
 	t.Run("trajectory", func(t *testing.T) { runCursorConformance(t, trajImpls, trajPreds) })
 
 	// RSSI rows: ascending object groups. Floor and box constraints must be

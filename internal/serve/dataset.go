@@ -2,21 +2,22 @@
 // a dataset directory once, keeps the VTB footer (and hot decoded blocks)
 // resident, and answers the vitaquery operators — range, knn, density, traj,
 // dwell, info — repeatedly without paying cold-start per query. Every
-// operator is a plan over internal/plan, compiled and drained by one helper
-// (runPlan) on top of one scan leaf (planSource); nothing is built or kept
-// per request. Server exposes the operators over HTTP with JSON responses;
-// Client is the matching remote stub; vitaquery uses Dataset directly for
-// local one-shot queries, so both paths share one execution and formatting
-// pipeline.
+// dataset is a set of VTB block segments (a CSV file is converted once, in
+// memory, at open) and every operator is a plan over internal/plan, compiled
+// and drained by one helper (runPlan) on top of one scan leaf (planSource)
+// and its one block cursor; nothing is built or kept per request. Server
+// exposes the operators over HTTP with JSON responses; Client is the matching
+// remote stub; vitaquery uses Dataset directly for local one-shot queries, so
+// both paths share one execution and formatting pipeline.
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -41,11 +42,9 @@ type Config struct {
 	// instant queries (knn, density) still interpolate a position, and dwell
 	// still credits the interval (default query.DefaultOptions().MaxGap).
 	MaxGap float64
-	// Parallelism is the block-decode worker count (0 = GOMAXPROCS, 1 =
-	// sequential).
-	Parallelism int
 	// CacheBytes bounds the decoded-block LRU cache (default 64 MiB;
-	// negative disables caching).
+	// negative keeps nothing: every lookup misses, and a scan still decodes
+	// a window of blocks at a time).
 	CacheBytes int64
 	// DisableMmap forces the pread path for VTB files instead of the
 	// default memory-mapped reader — the -mmap=false escape hatch.
@@ -61,9 +60,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxGap <= 0 {
 		c.MaxGap = query.DefaultOptions().MaxGap
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
 	}
@@ -73,30 +69,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Dataset is an opened trajectory dataset ready to answer queries. VTB data
+// Dataset is an opened trajectory dataset ready to answer queries. All data
 // is served through a segment set (see segments.go): a single trajectory.vtb
-// is one static segment, a seglog directory is however many segments its
-// manifest currently lists, with a watcher folding in new generations as a
-// writer appends or a compactor merges. Zone maps stay resident per segment
-// and decoded blocks are cached across refreshes; CSV files keep the rows
-// themselves resident (the format has no block structure to cache). Safe for
-// concurrent use.
+// is one static segment, a trajectory.csv is one static segment holding the
+// file's rows re-encoded as an in-memory VTB image, a seglog directory is
+// however many segments its manifest currently lists, with a watcher folding
+// in new generations as a writer appends or a compactor merges. Zone maps
+// stay resident per segment and decoded blocks are cached across refreshes.
+// Safe for concurrent use.
 type Dataset struct {
 	dir         string
 	path        string
 	format      storage.Format
 	disableMmap bool
 
-	log *seglog.Log // segmented VTB only
+	log *seglog.Log // segmented only
 
 	mu  sync.Mutex      // guards cur and man
-	cur *segmentSet     // VTB only; nil after Close
+	cur *segmentSet     // nil after Close
 	man seglog.Manifest // last adopted manifest (segmented only)
 
-	resident []trajectory.Sample // CSV only
-
 	cache  *BlockCache
-	par    int
 	maxGap float64
 
 	refreshMu  sync.Mutex // serializes Refresh
@@ -116,12 +109,9 @@ func Open(dir string, cfg Config) (*Dataset, error) {
 	cfg = cfg.withDefaults()
 	d := &Dataset{
 		dir:         dir,
-		par:         cfg.Parallelism,
+		cache:       NewBlockCache(max(cfg.CacheBytes, 0)),
 		maxGap:      cfg.MaxGap,
 		disableMmap: cfg.DisableMmap,
-	}
-	if cfg.CacheBytes > 0 {
-		d.cache = NewBlockCache(cfg.CacheBytes)
 	}
 
 	logDir := ""
@@ -151,24 +141,35 @@ func Open(dir string, cfg Config) (*Dataset, error) {
 	}
 	d.path = path
 	d.format = format
+	var tr *colstore.TrajectoryReader
 	if format == storage.FormatVTB {
-		tr, err := colstore.OpenTrajectory(path, colstore.OpenOptions{DisableMmap: cfg.DisableMmap})
-		if err != nil {
-			return nil, err
-		}
-		sg := &segReader{id: 0, tr: tr, zones: tr.Blocks()}
-		sg.refs.Store(1)
-		d.cur = newSegmentSet(0, []*segReader{sg})
+		tr, err = colstore.OpenTrajectory(path, colstore.OpenOptions{DisableMmap: cfg.DisableMmap})
 	} else {
-		// CSV has no block structure to cache or prune by, so the rows
-		// themselves stay resident, whatever the block-cache budget.
-		samples, _, err := storage.ReadTrajectoryFile(path)
-		if err != nil {
-			return nil, err
-		}
-		d.resident = samples
+		tr, err = csvAsVTB(path)
 	}
+	if err != nil {
+		return nil, err
+	}
+	sg := &segReader{id: 0, tr: tr, zones: tr.Blocks()}
+	sg.refs.Store(1)
+	d.cur = newSegmentSet(0, []*segReader{sg})
 	return d, nil
+}
+
+// csvAsVTB reads a trajectory CSV once and returns its rows, in file order,
+// as a reader over an in-memory VTB image: CSV has no block structure of its
+// own, and this gives it the zone maps and cacheable blocks every other
+// dataset is served from.
+func csvAsVTB(path string) (*colstore.TrajectoryReader, error) {
+	cur, _, err := storage.OpenCursor(storage.Trajectory, path, colstore.Predicate{}, colstore.OpenOptions{})
+	if err != nil {
+		return nil, err
+	}
+	var image bytes.Buffer
+	if _, err := storage.Copy(cur, colstore.NewTrajectoryWriter(&image, colstore.Options{})); err != nil {
+		return nil, err
+	}
+	return colstore.NewTrajectoryReader(bytes.NewReader(image.Bytes()), int64(image.Len()))
 }
 
 // openSegmented finishes Open for a segment-log dataset: open the current
@@ -226,8 +227,7 @@ func (d *Dataset) Path() string { return d.path }
 // Format returns the detected storage format.
 func (d *Dataset) Format() storage.Format { return d.format }
 
-// Blocks returns the number of blocks across a VTB dataset's live segments
-// (0 for CSV).
+// Blocks returns the number of blocks across the dataset's live segments.
 func (d *Dataset) Blocks() int {
 	set := d.acquireSet()
 	if set == nil {
@@ -261,12 +261,9 @@ func (d *Dataset) Mmapped() bool {
 	return true
 }
 
-// Len returns the total number of samples without decoding anything (VTB:
-// from the footers; CSV: the resident rows).
+// Len returns the total number of samples without decoding anything, from
+// the segments' footers.
 func (d *Dataset) Len() int {
-	if d.format == storage.FormatCSV {
-		return len(d.resident)
-	}
 	set := d.acquireSet()
 	if set == nil {
 		return 0
@@ -323,24 +320,17 @@ func (d *Dataset) BlockInvalidations() int64 { return d.blockInval.Load() }
 // single-mutator rule.
 func (d *Dataset) SegLog() *seglog.Log { return d.log }
 
-// CacheStats returns the block-cache counters (zero value when caching is
-// disabled or the dataset is CSV).
-func (d *Dataset) CacheStats() CacheStats {
-	if d.cache == nil {
-		return CacheStats{}
-	}
-	return d.cache.Stats()
-}
+// CacheStats returns the block-cache counters.
+func (d *Dataset) CacheStats() CacheStats { return d.cache.Stats() }
 
 // Samples returns the samples matching pred in global time order (the order
 // a single file holding the same rows carries), along with what the load
 // cost. It drains the scan leaf every operator's plan sits on (planSource),
-// so rows, order and stats are those of a served query: VTB datasets prune
-// via zone maps per segment, serve hot blocks from the cache, decode misses
-// block-parallel, and merge multi-segment results; CSV datasets filter the
-// resident rows. With caching disabled VTB streams instead — one block in
-// flight per segment, nothing unfiltered retained — so one-shot callers like
-// vitaquery keep the memory profile of a plain scan.
+// so rows, order and stats are those of a served query: prune via zone maps
+// per segment, then a window of blocks at a time take hot blocks from the
+// cache and decode the misses side by side, and merge multi-segment results.
+// With caching disabled nothing decoded outlives its window, so one-shot
+// callers like vitaquery keep the memory profile of a plain scan.
 func (d *Dataset) Samples(pred colstore.Predicate) ([]trajectory.Sample, Stats, error) {
 	src, err := d.pinSource()
 	if err != nil {
@@ -357,62 +347,6 @@ func (d *Dataset) Samples(pred colstore.Predicate) ([]trajectory.Sample, Stats, 
 	}
 	stats := src.finalStats()
 	return out, stats, cur.Close()
-}
-
-// blockRef names one block to decode: which segment, which block, and the
-// cursor slot the decoded batch lands in.
-type blockRef struct {
-	sg    *segReader
-	block int
-	cur   *cachedCursor
-	j     int // destination: cur.blocks[j]
-}
-
-// decodeMisses decodes the missing blocks into their cursor slots using up to
-// d.par workers, inserting each into the cache under its segment's ID.
-func (d *Dataset) decodeMisses(misses []blockRef) error {
-	decode := func(ref blockRef) error {
-		decoded, err := ref.sg.tr.DecodeBlock(ref.block)
-		if err != nil {
-			return err
-		}
-		ref.cur.blocks[ref.j] = decoded
-		d.cache.Put(ref.sg.id, ref.block, decoded)
-		return nil
-	}
-	workers := d.par
-	if workers > len(misses) {
-		workers = len(misses)
-	}
-	if workers <= 1 {
-		for _, ref := range misses {
-			if err := decode(ref); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := w; k < len(misses); k += workers {
-				if err := decode(misses[k]); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // hasPoint keeps coordinate rows; kNN measures distance, which a symbolic

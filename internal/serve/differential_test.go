@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 )
 
 // The differential test: seeded random datasets and seeded random requests,
-// every load path, and one oracle that shares nothing with the served plans
+// every dataset kind at every block-cache budget, and one oracle that shares nothing with the served plans
 // but the interpolation arithmetic — query.NewTrajectoryIndex over ALL of a
 // dataset's rows. Unlike referenceIndex in plan_parity_test.go it does not
 // pre-filter with the operator's own scan predicate, so a window widened by
@@ -196,71 +197,99 @@ func diffBody(t *testing.T, resp any) string {
 	return string(jsonBytes(t, m))
 }
 
+// datasetKind is one on-disk shape of a row set.
+type datasetKind struct {
+	name, dir string
+	segments  int
+}
+
+// datasetKinds writes rows as every kind of dataset Open serves: a flat VTB
+// file, a segment log rolled every segRows rows, a CSV file, and a CSV file
+// holding the rows in shuffled order.
+func datasetKinds(t *testing.T, rows []trajectory.Sample, segRows int) []datasetKind {
+	t.Helper()
+	shuffled := slices.Clone(rows)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	flat, logDir, csvDir, shufDir := t.TempDir(), t.TempDir(), t.TempDir(), t.TempDir()
+	writeDataset(t, flat, storage.FormatVTB, rows)
+	writeSegmented(t, logDir, rows, segRows)
+	writeDataset(t, csvDir, storage.FormatCSV, rows)
+	writeDataset(t, shufDir, storage.FormatCSV, shuffled)
+	return []datasetKind{
+		{"vtb", flat, 0},
+		{"segment log", logDir, (len(rows) + segRows - 1) / segRows},
+		{"csv", csvDir, 0},
+		{"csv in shuffled row order", shufDir, 0},
+	}
+}
+
+// cacheBudgets returns the Config.CacheBytes values every answer must hold
+// under: the default, room for exactly one decoded block of the dataset in
+// dir — less than one window, so the cache evicts blocks the cursor is still
+// reading — and nothing kept at all.
+func cacheBudgets(t *testing.T, dir string) []int64 {
+	t.Helper()
+	ds, err := Open(dir, Config{WatchInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	src, err := ds.pinSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.release()
+	block, err := src.set.segs[0].tr.DecodeBlock(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []int64{0, block.Bytes(), -1}
+}
+
 func TestServedOperatorsMatchIndexOverAllRows(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		maxGap := []float64{10, 4, 10, 2.5, 10}[seed-1]
 		rows := diffRows(r, maxGap)
 		reqs := diffRequests(r, rows, 220)
-		shuffled := append([]trajectory.Sample(nil), rows...)
-		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-
-		flat, logDir, csvDir, shufDir := t.TempDir(), t.TempDir(), t.TempDir(), t.TempDir()
-		writeDataset(t, flat, storage.FormatVTB, rows)
-		writeSegmented(t, logDir, rows, len(rows)/4+1)
-		writeDataset(t, csvDir, storage.FormatCSV, rows)
-		writeDataset(t, shufDir, storage.FormatCSV, shuffled)
-
-		backends := []struct {
-			name     string
-			dir      string
-			cfg      Config
-			segments int
-			passes   int // 2: cold block cache, then warm
-		}{
-			{"vtb cached", flat, Config{}, 0, 2},
-			{"vtb cache-less", flat, Config{CacheBytes: -1}, 0, 1},
-			{"4-segment log", logDir, Config{}, 4, 2},
-			{"csv", csvDir, Config{}, 0, 1},
-			{"csv in shuffled row order", shufDir, Config{CacheBytes: -1}, 0, 1},
-		}
-		for _, be := range backends {
-			t.Run(fmt.Sprintf("seed %d/%s", seed, be.name), func(t *testing.T) {
-				cfg := be.cfg
-				cfg.MaxGap, cfg.WatchInterval = maxGap, -1
-				ds, err := Open(be.dir, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer ds.Close()
-				if got := ds.Segments(); got != be.segments {
-					t.Fatalf("%d segments, want %d", got, be.segments)
-				}
-				// The oracle indexes the rows as the backend's file holds them:
-				// CSV cannot say a row has no point, so it reads back with one.
-				held := rows
-				if ds.Format() == storage.FormatCSV {
-					if held, _, err = storage.ReadTrajectoryFile(filepath.Join(be.dir, "trajectory.csv")); err != nil {
+		for _, kind := range datasetKinds(t, rows, len(rows)/4+1) {
+			for _, budget := range cacheBudgets(t, kind.dir) {
+				t.Run(fmt.Sprintf("seed %d/%s/cache %d", seed, kind.name, budget), func(t *testing.T) {
+					ds, err := Open(kind.dir, Config{MaxGap: maxGap, CacheBytes: budget, WatchInterval: -1})
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				if ds.Len() != len(held) {
-					t.Fatalf("Len = %d, want %d", ds.Len(), len(held))
-				}
-				ix := query.NewTrajectoryIndex(held, query.Options{MaxGap: maxGap})
-				for pass := 0; pass < be.passes; pass++ {
-					for i, req := range reqs {
-						resp, err := diffServed(ds, req)
-						if err != nil {
-							t.Fatalf("pass %d request %d: %v", pass, i, err)
-						}
-						// One differing answer is enough to read.
-						if got, want := diffBody(t, resp), diffBody(t, diffOracle(ix, req)); got != want {
-							t.Fatalf("pass %d request %d differs from the index over all rows:\ngot:  %s\nwant: %s", pass, i, got, want)
+					defer ds.Close()
+					if got := ds.Segments(); got != kind.segments {
+						t.Fatalf("%d segments, want %d", got, kind.segments)
+					}
+					// The oracle indexes the rows as the dataset's file holds them:
+					// CSV cannot say a row has no point, so it reads back with one.
+					held := rows
+					if ds.Format() == storage.FormatCSV {
+						if held, _, err = storage.ReadTrajectoryFile(filepath.Join(kind.dir, "trajectory.csv")); err != nil {
+							t.Fatal(err)
 						}
 					}
-				}
-			})
+					if ds.Len() != len(held) {
+						t.Fatalf("Len = %d, want %d", ds.Len(), len(held))
+					}
+					ix := query.NewTrajectoryIndex(held, query.Options{MaxGap: maxGap})
+					// Twice: on whatever the first pass left in the cache.
+					for pass := 0; pass < 2; pass++ {
+						for i, req := range reqs {
+							resp, err := diffServed(ds, req)
+							if err != nil {
+								t.Fatalf("pass %d request %d: %v", pass, i, err)
+							}
+							// One differing answer is enough to read.
+							if got, want := diffBody(t, resp), diffBody(t, diffOracle(ix, req)); got != want {
+								t.Fatalf("pass %d request %d differs from the index over all rows:\ngot:  %s\nwant: %s", pass, i, got, want)
+							}
+						}
+					}
+				})
+			}
 		}
 	}
 }

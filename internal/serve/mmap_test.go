@@ -1,22 +1,26 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/storage"
 )
 
 // TestDatasetMmapParity opens the same VTB dataset mmap-backed and
-// pread-backed and requires identical operator answers in both warm-cache
-// and streaming (cache-less) configurations.
+// pread-backed and requires identical operator answers with the default
+// block cache and with nothing kept.
 func TestDatasetMmapParity(t *testing.T) {
 	configs := map[string]Config{
-		"cached":    {},
-		"streaming": {CacheBytes: -1, Parallelism: 1},
+		"cached":       {},
+		"nothing kept": {CacheBytes: -1},
 	}
 	rangeReq := RangeRequest{Floor: 0, Box: geom.BBox{Min: geom.Pt(2, 2), Max: geom.Pt(18, 12)}, T0: 100, T1: 200}
 	knnReq := KNNRequest{Floor: 0, At: geom.Pt(10, 8), T: 150, K: 3}
@@ -59,51 +63,72 @@ func TestDatasetMmapParity(t *testing.T) {
 	}
 }
 
-// TestStreamingPeakDecodedBytes checks that the cache-less cursor path
-// reports a bounded peak: at most one decoded block's batch, never the whole
-// matched result set.
+// TestStreamingPeakDecodedBytes is the per-request memory bound: on a file
+// of many windows of blocks, at every cache budget, a whole-span scan reports
+// a peak of at most one window of the largest block — never the decoded
+// volume of what it scanned — a repeat on a warm cache reports 0, and a
+// one-object query, which decodes the same blocks to keep a sliver of each,
+// reports the same peak as the wide scan: it is measured before filtering.
 func TestStreamingPeakDecodedBytes(t *testing.T) {
-	ds := openTestDataset(t, storage.FormatVTB, Config{CacheBytes: -1, Parallelism: 1})
-	resp, err := ds.Range(RangeRequest{Floor: -1, Box: geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}, T0: 0, T1: 600})
-	if err != nil {
+	const blockRows = 32
+	samples := testSamples()
+	var image bytes.Buffer
+	writeAll(t, colstore.NewTrajectoryWriter(&image, colstore.Options{BlockSize: blockRows}), samples)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "trajectory.vtb"), image.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st := resp.Stats
-	if st.PeakDecodedBytes <= 0 {
-		t.Fatalf("streaming load reported no peak decoded bytes: %+v", st)
+	window, blocks := decodeWindow(), len(samples)/blockRows
+	if blocks < 3*window {
+		t.Skipf("%d blocks are not several windows of %d", blocks, window)
 	}
-	if st.Scan.BlocksScanned < 2 {
-		t.Fatalf("test dataset too small to observe streaming (%d blocks scanned)", st.Scan.BlocksScanned)
-	}
-	// The whole-file load decodes BlocksScanned blocks; a streaming peak
-	// must be far below the total decoded volume. Rows are uniform here, so
-	// total ≈ peak × blocks; require peak < total/2 to prove bounding
-	// without depending on exact sizes.
-	total := int64(st.Scan.RowsScanned) * 50 // loose lower bound: >50 B/row in column form
-	if st.PeakDecodedBytes >= total/2 {
-		t.Fatalf("peak %d not clearly below total decoded volume (~%d): streaming not bounded",
-			st.PeakDecodedBytes, total)
-	}
-	// Peak is the pre-filter decode footprint: a highly selective predicate
-	// (one object) decodes the same full blocks, so its peak must match the
-	// wide query's, not the few rows that survive filtering.
-	sresp, err := ds.Traj(TrajRequest{Obj: 1, T0: 0, T1: 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sresp.Stats.PeakDecodedBytes < st.PeakDecodedBytes/2 {
-		t.Fatalf("selective query peak %d far below wide query peak %d: peak measured post-filter",
-			sresp.Stats.PeakDecodedBytes, st.PeakDecodedBytes)
+	var largest int64
+	for i := 0; i < len(samples); i += blockRows {
+		var b colstore.TrajectoryBatch
+		for _, s := range samples[i : i+blockRows] {
+			b.Append(s)
+		}
+		largest = max(largest, b.Bytes())
 	}
 
-	// The warm-cache path does not stream and must not claim a peak.
-	warm := openTestDataset(t, storage.FormatVTB, Config{})
-	wresp, err := warm.Range(RangeRequest{Floor: -1, Box: geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}, T0: 0, T1: 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wresp.Stats.PeakDecodedBytes != 0 {
-		t.Fatalf("cached path reported peak decoded bytes %d", wresp.Stats.PeakDecodedBytes)
+	wide := RangeRequest{Floor: -1, Box: geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}, T0: 0, T1: 600}
+	for _, budget := range cacheBudgets(t, dir) {
+		ds, err := Open(dir, Config{CacheBytes: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		resp, err := ds.Range(wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := resp.Stats
+		if st.Scan.BlocksScanned != blocks || st.CacheMisses != blocks {
+			t.Fatalf("cache %d: whole-span scan read %d blocks and decoded %d, want all %d", budget, st.Scan.BlocksScanned, st.CacheMisses, blocks)
+		}
+		if st.PeakDecodedBytes <= 0 || st.PeakDecodedBytes > int64(window)*largest {
+			t.Errorf("cache %d: peak %d decoded bytes, want within (0, %d windows x %d bytes]", budget, st.PeakDecodedBytes, window, largest)
+		}
+		again, err := ds.Range(wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case budget == 0 && (again.Stats.CacheMisses != 0 || again.Stats.PeakDecodedBytes != 0):
+			t.Errorf("warm repeat decoded %d blocks, peak %d; want 0 and 0", again.Stats.CacheMisses, again.Stats.PeakDecodedBytes)
+		case budget < 0 && again.Stats.PeakDecodedBytes != st.PeakDecodedBytes:
+			t.Errorf("nothing kept: repeat peak %d, first %d", again.Stats.PeakDecodedBytes, st.PeakDecodedBytes)
+		}
+		if budget < 0 {
+			one, err := ds.Traj(TrajRequest{Obj: 1, T0: 0, T1: 600})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(one.Samples) == 0 || one.Stats.PeakDecodedBytes != st.PeakDecodedBytes {
+				t.Errorf("one-object query: %d rows, peak %d; the wide scan's peak is %d: peak measured after filtering",
+					len(one.Samples), one.Stats.PeakDecodedBytes, st.PeakDecodedBytes)
+			}
+		}
 	}
 }
 

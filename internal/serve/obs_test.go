@@ -423,6 +423,61 @@ func TestRequestIDAndErrorBody(t *testing.T) {
 	}
 }
 
+// TestHandlerPanicIsCounted: a handler that panics is still a measured
+// request. The middleware answers the 500 error envelope with the request
+// ID, counts the request under status="500" and in vita_http_errors_total,
+// observes its latency, logs the stack at error level, and the in-flight
+// gauge the handler raised comes back down.
+func TestHandlerPanicIsCounted(t *testing.T) {
+	ds := openTestDataset(t, storage.FormatVTB, Config{})
+	var logs syncBuf
+	srv := NewServerWith(ds, ServerOptions{Logger: slog.New(slog.NewJSONHandler(&logs, nil)), Metrics: obs.NewRegistry()})
+	boom := httptest.NewServer(srv.withObs(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		srv.inFlight.Add(1)
+		defer srv.inFlight.Add(-1)
+		panic("index out of range [0]")
+	})))
+	t.Cleanup(boom.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	req, err := http.NewRequest("GET", boom.URL+"/v1/info", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "boom-1")
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("the panic reached the client as a transport error: %v", err)
+	}
+	body, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusInternalServerError {
+		t.Errorf("HTTP %d, want 500", res.StatusCode)
+	}
+	if want := `{"error":"internal error","request_id":"boom-1"}`; strings.TrimSpace(string(body)) != want {
+		t.Errorf("body %s, want %s", body, want)
+	}
+
+	m := scrapeMetrics(t, ts.URL)
+	for series, want := range map[string]float64{
+		`vita_http_requests_total{endpoint="/v1/info",status="500"}`:    1,
+		`vita_http_request_duration_seconds_count{endpoint="/v1/info"}`: 1,
+		`vita_http_errors_total`: 1,
+		`vita_http_in_flight`:    0,
+	} {
+		if got, ok := m[series]; !ok || got != want {
+			t.Errorf("%s = %v (present: %v), want %v", series, got, ok, want)
+		}
+	}
+	log := logs.String()
+	for _, want := range []string{`"level":"ERROR"`, `"msg":"handler panic"`, `"request_id":"boom-1"`, `index out of range [0]`, `"stack":"goroutine `} {
+		if !strings.Contains(log, want) {
+			t.Errorf("log lacks %s:\n%s", want, log)
+		}
+	}
+}
+
 // TestMetricszRuntimeSeries checks a stock server's /metricsz carries the
 // go_*/process_* runtime series, with live (sane) values — no opt-in
 // required.

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"vita/internal/colstore"
@@ -12,197 +14,206 @@ import (
 
 // The serve operators execute as plans over internal/plan: each endpoint
 // builds a logical operator tree, the planner pushes its structured filters
-// into the scan's block predicate, planSource routes the scan leaf through
-// whichever load path the dataset is configured for — resident CSV rows,
-// cache-less segment cursors, or the decoded-block cache — and runPlan drains
-// the result. There is no other execution path: a new analytic is one plan
-// expression, and the answers of the six that exist are pinned against the
-// in-memory index of internal/query (see differential_test.go).
+// into the scan's block predicate, planSource opens the one cursor there is
+// over the pinned segment set's blocks, and runPlan drains the result. There
+// is no other execution path and no other load path: a new analytic is one
+// plan expression, and the answers of the six that exist are pinned against
+// the in-memory index of internal/query (see differential_test.go).
 
 // planSource adapts one query's view of the dataset to plan.Source. It is
 // single-use: Open is called once by the compiled plan's scan leaf, and
-// finalStats reads the load accounting after the plan drains. For VTB
-// datasets the caller pins a segment set for the query's duration and the
-// source scans exactly that generation.
+// finalStats reads the load accounting after the plan drains. The caller pins
+// a segment set for the query's duration and the source scans exactly that
+// generation.
 type planSource struct {
 	d   *Dataset
-	set *segmentSet // pinned by the caller; nil for CSV datasets
+	set *segmentSet // pinned by the caller
 
-	cur          storage.TrajectoryCursor // the opened leaf cursor
-	hits, misses int                      // block-cache lookups of the cached-VTB load
+	pred   colstore.Predicate
+	window int                      // blocks a cursor fetches at a time
+	cur    storage.TrajectoryCursor // the opened leaf: one blockCursor, or a merge of several
+
+	hits, misses int // block-cache lookups, summed over the leaf's cursors
 }
 
-// pinSource returns a single-use scan source over the dataset's current data:
-// for VTB it pins the live segment set, which the caller must release.
+// pinSource returns a single-use scan source over the dataset's live segment
+// set, which the caller must release.
 func (d *Dataset) pinSource() (*planSource, error) {
-	src := &planSource{d: d}
-	if d.format != storage.FormatCSV {
-		if src.set = d.acquireSet(); src.set == nil {
-			return nil, errClosed
-		}
+	set := d.acquireSet()
+	if set == nil {
+		return nil, errClosed
 	}
-	return src, nil
+	return &planSource{d: d, set: set}, nil
 }
 
 // release unpins the source's segment set.
-func (s *planSource) release() {
-	if s.set != nil {
-		s.set.release()
-	}
-}
+func (s *planSource) release() { s.set.release() }
 
-// Open selects the dataset's load path for pred.
+// Open prunes every segment's blocks by zone map and returns the cursor over
+// the survivors: one cursor per segment, merged into global time order — or
+// one cursor running through every segment when their surviving blocks' time
+// ranges are strictly ascending, since the merge would then take the
+// segments whole, one after the other. Nothing is fetched or decoded here;
+// an empty log is a cursor over no blocks.
 func (s *planSource) Open(pred colstore.Predicate) (storage.TrajectoryCursor, error) {
-	d := s.d
-	var err error
-	switch {
-	case d.format == storage.FormatCSV:
-		// CSV: filter the resident rows, counting every row scanned.
-		s.cur, err = plan.SliceSource{Samples: d.resident}.Open(pred)
-	case d.cache == nil:
-		// Cache-less VTB: stream the pinned segment set's blocks, merged
-		// across segments — one decoded batch per segment in flight.
-		s.cur = segmentCursor(s.set, pred)
-	default:
-		// Cached VTB: zone-map prune, pull hot blocks, decode misses
-		// block-parallel, then serve the cached batches themselves.
-		s.cur, err = s.openCached(pred)
+	s.pred, s.window = pred, decodeWindow()
+	segs := s.set.segs
+	curs := make([]blockCursor, max(1, len(segs))) // a log with no segment yet still scans: nothing
+	ascending, lastT1 := true, math.Inf(-1)
+	for i, sg := range segs {
+		c := &curs[i]
+		c.stats.BlocksTotal = len(sg.zones)
+		t0, t1 := math.Inf(1), math.Inf(-1)
+		for j, zm := range sg.zones {
+			if pred.SkipBlock(zm) {
+				c.stats.BlocksPruned++
+				continue
+			}
+			c.refs = append(c.refs, blockRef{sg, j})
+			t0, t1 = min(t0, zm.T0), max(t1, zm.T1)
+		}
+		if len(c.refs) > 0 {
+			ascending = ascending && t0 > lastT1
+			lastT1 = t1
+		}
 	}
-	if err != nil {
-		s.cur = nil
+	if ascending {
+		all := &curs[0]
+		for _, c := range curs[1:] {
+			all.refs = append(all.refs, c.refs...)
+			all.stats = all.stats.Add(c.stats)
+		}
+		curs = curs[:1]
 	}
-	return s.cur, err
+	inputs := make([]storage.TrajectoryCursor, len(curs))
+	for i := range curs {
+		curs[i].src = s
+		inputs[i] = &curs[i]
+	}
+	s.cur = storage.Merge(storage.Trajectory, inputs)
+	return s.cur, nil
 }
 
 // finalStats assembles the request's Stats after the plan has drained.
 func (s *planSource) finalStats() Stats {
-	d := s.d
-	st := Stats{Format: string(d.format)}
-	if d.log != nil {
+	st := Stats{Format: string(s.d.format)}
+	if s.d.log != nil {
 		st.Segments = len(s.set.segs)
 	}
 	if s.cur == nil {
 		return st // the plan never pulled from its scan (Limit(0))
 	}
 	st.Scan = s.cur.Stats()
-	if d.format != storage.FormatVTB {
-		return st
-	}
-	if d.cache != nil {
-		st.CacheHits, st.CacheMisses = s.hits, s.misses
-		return st
-	}
-	// Every scanned block was a decode on the cache-less path; keep the
-	// misses-equal-decodes invariant the cached path maintains.
-	st.CacheMisses = st.Scan.BlocksScanned
-	// Peak comes from the cursor, which measures each batch before
-	// predicate filtering — the full decoded block is what was
-	// transiently resident, however few rows survived.
+	st.CacheHits, st.CacheMisses = s.hits, s.misses
 	st.PeakDecodedBytes = s.cur.PeakDecodedBytes()
 	return st
 }
 
-// openCached is the cached-VTB load over the pinned segment set. Up front,
-// per segment: prune by zone map, take what the cache holds, collect the
-// misses; then decode all misses block-parallel and cache them. What it
-// returns yields each surviving block as a batch — one cursor per segment,
-// merged into global time order, or one cursor running through every segment
-// when their surviving blocks' time ranges are strictly ascending, since the
-// merge would then take the segments whole, one after the other.
-func (s *planSource) openCached(pred colstore.Predicate) (storage.TrajectoryCursor, error) {
-	d := s.d
-	curs := make([]*cachedCursor, len(s.set.segs))
-	var misses []blockRef
-	for si, sg := range s.set.segs {
-		c := &cachedCursor{pred: pred, stats: colstore.ScanStats{BlocksTotal: len(sg.zones)}}
-		curs[si] = c
-		for i, zm := range sg.zones {
-			if pred.SkipBlock(zm) {
-				c.stats.BlocksPruned++
-				continue
+// decodeWindow is how many surviving blocks a cursor fetches at a time: two
+// per processor, so a cold window's decodes fill every core while the window
+// a request pins stays a small constant whatever it spans.
+func decodeWindow() int { return 2 * runtime.GOMAXPROCS(0) }
+
+// blockRef names one surviving block: which segment, which block.
+type blockRef struct {
+	sg    *segReader
+	block int
+}
+
+// blockCursor is the one scan there is: it walks a run of zone-map survivors
+// a window at a time. Each window is looked up in the block cache, its misses
+// are decoded side by side and offered to the cache, and then every block is
+// yielded as one batch of the rows matching pred. A block whose zone map lies
+// wholly inside the predicate — or whose every row turns out to match — is
+// the decoded batch itself, untouched and uncopied; any other is filtered
+// into the cursor's one scratch batch. Decoded batches are shared with the
+// cache, so nothing here writes to them. The cursor holds one window of
+// blocks at a time whatever the cache's budget keeps; its peak is the most
+// bytes one window decoded, 0 when every block was a hit.
+type blockCursor struct {
+	src  *planSource // the predicate, the window size, the cache and its accounting
+	refs []blockRef  // surviving blocks, in scan order
+
+	next   int                         // first ref not yet fetched
+	at     []blockRef                  // the fetched window's refs
+	win    []*colstore.TrajectoryBatch // and its blocks, one per ref
+	missed []int                       // positions in win the cache did not hold
+	pos    int                         // next block of win to yield
+
+	cur   *colstore.TrajectoryBatch
+	out   colstore.TrajectoryBatch // filtered copy of a partly matching block
+	sel   []int32
+	stats colstore.ScanStats
+	err   error
+
+	peak int64
+}
+
+// fetch makes the next window of surviving blocks the current one. The window
+// scratch is the cursor's own and reused, so a window of hits allocates
+// nothing.
+func (c *blockCursor) fetch() error {
+	cache := c.src.d.cache
+	c.at = c.refs[c.next:min(c.next+c.src.window, len(c.refs))]
+	c.next += len(c.at)
+	if c.win == nil {
+		c.win = make([]*colstore.TrajectoryBatch, min(c.src.window, len(c.refs)))
+	}
+	c.win, c.missed, c.pos = c.win[:len(c.at)], c.missed[:0], 0
+	for i, ref := range c.at {
+		b, ok := cache.Get(ref.sg.id, ref.block)
+		if !ok {
+			c.missed = append(c.missed, i)
+		}
+		c.win[i] = b
+	}
+	c.src.hits += len(c.at) - len(c.missed)
+	c.src.misses += len(c.missed)
+	if len(c.missed) == 0 {
+		return nil
+	}
+	errs := make([]error, len(c.missed))
+	decode := func(k int) {
+		i := c.missed[k]
+		ref := c.at[i]
+		if c.win[i], errs[k] = ref.sg.tr.DecodeBlock(ref.block); errs[k] == nil {
+			cache.Put(ref.sg.id, ref.block, c.win[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < len(c.missed); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			decode(k)
+		}()
+	}
+	decode(0)
+	wg.Wait()
+	var decoded int64
+	for k, i := range c.missed {
+		if errs[k] != nil {
+			return errs[k]
+		}
+		decoded += c.win[i].Bytes()
+	}
+	c.peak = max(c.peak, decoded)
+	return nil
+}
+
+func (c *blockCursor) Next() bool {
+	for c.err == nil && (c.pos < len(c.at) || c.next < len(c.refs)) {
+		if c.pos == len(c.at) {
+			if c.err = c.fetch(); c.err != nil {
+				break
 			}
-			cached, ok := d.cache.Get(sg.id, i)
-			if ok {
-				s.hits++
-			} else {
-				misses = append(misses, blockRef{sg: sg, block: i, cur: c, j: len(c.blocks)})
-			}
-			c.blocks = append(c.blocks, cached)
-			c.zones = append(c.zones, zm)
 		}
-	}
-	s.misses = len(misses)
-	if err := d.decodeMisses(misses); err != nil {
-		return nil, err
-	}
-
-	if len(curs) == 1 {
-		return curs[0], nil
-	}
-	ascending := true
-	lastT1 := math.Inf(-1)
-	for _, c := range curs {
-		if len(c.zones) == 0 {
-			continue
-		}
-		t0, t1 := c.timeRange()
-		if !(t0 > lastT1) {
-			ascending = false
-			break
-		}
-		lastT1 = t1
-	}
-	if ascending {
-		all := curs[0]
-		for _, c := range curs[1:] {
-			all.blocks = append(all.blocks, c.blocks...)
-			all.zones = append(all.zones, c.zones...)
-			all.stats = all.stats.Add(c.stats)
-		}
-		return all, nil
-	}
-	inputs := make([]storage.TrajectoryCursor, len(curs))
-	for i, c := range curs {
-		inputs[i] = c
-	}
-	return storage.Merge(storage.Trajectory, inputs), nil
-}
-
-// cachedCursor yields a run of decoded blocks held by the block cache, each
-// as one batch of the rows matching pred. A block whose zone map lies wholly
-// inside the predicate — or whose every row turns out to match — is the
-// cached batch itself, untouched and uncopied; any other is filtered into
-// the cursor's one scratch batch. Cached batches are shared, so nothing here
-// writes to them. The cursor decodes nothing — the misses were decoded before
-// it was built — so its peak is 0.
-type cachedCursor struct {
-	pred   colstore.Predicate
-	blocks []*colstore.TrajectoryBatch // surviving blocks, in scan order
-	zones  []colstore.ZoneMap          // their zone maps
-	next   int
-	cur    *colstore.TrajectoryBatch
-	out    colstore.TrajectoryBatch // filtered copy of a partly matching block
-	sel    []int32
-	stats  colstore.ScanStats
-}
-
-// timeRange returns the span of the surviving blocks' zone-map time bounds.
-func (c *cachedCursor) timeRange() (t0, t1 float64) {
-	t0, t1 = math.Inf(1), math.Inf(-1)
-	for _, zm := range c.zones {
-		t0, t1 = min(t0, zm.T0), max(t1, zm.T1)
-	}
-	return t0, t1
-}
-
-func (c *cachedCursor) Next() bool {
-	for c.next < len(c.blocks) {
-		b, zm := c.blocks[c.next], c.zones[c.next]
-		c.next++
+		ref, b := c.at[c.pos], c.win[c.pos]
+		c.pos++
 		c.stats.BlocksScanned++
 		c.stats.RowsScanned += b.Len()
-		if !c.pred.CoversBlock(zm) {
-			c.sel = c.pred.SelectTrajectory(b, c.sel)
+		if pred := c.src.pred; !pred.CoversBlock(ref.sg.zones[ref.block]) {
+			c.sel = pred.SelectTrajectory(b, c.sel)
 			if len(c.sel) < b.Len() {
 				c.out.Gather(b, c.sel)
 				b = &c.out
@@ -218,13 +229,14 @@ func (c *cachedCursor) Next() bool {
 	return false
 }
 
-func (c *cachedCursor) Batch() *colstore.TrajectoryBatch { return c.cur }
-func (c *cachedCursor) Err() error                       { return nil }
-func (c *cachedCursor) Stats() colstore.ScanStats        { return c.stats }
-func (c *cachedCursor) PeakDecodedBytes() int64          { return 0 }
-func (c *cachedCursor) Close() error {
-	c.next = len(c.blocks)
-	return nil
+func (c *blockCursor) Batch() *colstore.TrajectoryBatch { return c.cur }
+func (c *blockCursor) Err() error                       { return c.err }
+func (c *blockCursor) Stats() colstore.ScanStats        { return c.stats }
+func (c *blockCursor) PeakDecodedBytes() int64          { return c.peak }
+
+func (c *blockCursor) Close() error {
+	c.next, c.pos = len(c.refs), len(c.at)
+	return c.err
 }
 
 // runPlan is how every operator executes: pin the dataset's current data,

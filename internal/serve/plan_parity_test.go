@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -53,99 +54,97 @@ func sameJSON(t *testing.T, name string, got, want any) {
 	}
 }
 
-// TestPlanOperatorParity checks, on every storage backend and both cache
-// configurations, that the plan-compiled operators return exactly the rows
-// the hand-built predicate + index pipeline returns.
+// TestPlanOperatorParity checks, on every dataset kind and at every block-
+// cache budget (see cacheBudgets), that the plan-compiled operators return
+// exactly the rows the hand-built predicate + index pipeline returns. The
+// rows are exact under CSV's quantization and unique per (object, time), so
+// one reference serves every kind, the shuffled CSV included.
 func TestPlanOperatorParity(t *testing.T) {
 	samples := testSamples()
 	opts := query.Options{} // Dataset is opened with zero Query options
 	box := geom.BBox{Min: geom.Pt(1.5, 0.25), Max: geom.Pt(17.75, 9.5)}
 	maxGap := query.DefaultOptions().MaxGap
 
-	backends := []struct {
-		name   string
-		format storage.Format
-		cfg    Config
-	}{
-		{"vtb-cached", storage.FormatVTB, Config{}},
-		{"vtb-streaming", storage.FormatVTB, Config{CacheBytes: -1}},
-		{"csv-resident", storage.FormatCSV, Config{}},
-		{"csv-no-block-cache", storage.FormatCSV, Config{CacheBytes: -1}},
-	}
-	for _, be := range backends {
-		t.Run(be.name, func(t *testing.T) {
-			ds := openTestDataset(t, be.format, be.cfg)
+	for _, kind := range datasetKinds(t, samples, 1500) {
+		for _, budget := range cacheBudgets(t, kind.dir) {
+			t.Run(fmt.Sprintf("%s/cache %d", kind.name, budget), func(t *testing.T) {
+				ds, err := Open(kind.dir, Config{CacheBytes: budget, WatchInterval: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ds.Close()
 
-			// Range: time window + box + floor all push into the scan.
-			rq := RangeRequest{Floor: 0, Box: box, T0: 33.5, T1: 147.25}
-			rresp, err := ds.Range(rq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rix := referenceIndex(samples, colstore.Predicate{
-				HasTime: true, T0: rq.T0, T1: rq.T1,
-				HasBox: true, Box: rq.Box,
-				HasFloor: true, Floor: rq.Floor,
-			}, opts)
-			if len(rresp.Hits) == 0 {
-				t.Fatal("range matched nothing")
-			}
-			sameJSON(t, "range hits", rresp.Hits, rix.Range(rq.Floor, rq.Box, rq.T0, rq.T1))
+				// Range: time window + box + floor all push into the scan.
+				rq := RangeRequest{Floor: 0, Box: box, T0: 33.5, T1: 147.25}
+				rresp, err := ds.Range(rq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rix := referenceIndex(samples, colstore.Predicate{
+					HasTime: true, T0: rq.T0, T1: rq.T1,
+					HasBox: true, Box: rq.Box,
+					HasFloor: true, Floor: rq.Floor,
+				}, opts)
+				if len(rresp.Hits) == 0 {
+					t.Fatal("range matched nothing")
+				}
+				sameJSON(t, "range hits", rresp.Hits, rix.Range(rq.Floor, rq.Box, rq.T0, rq.T1))
 
-			// KNN: window widened by MaxGap, floor left to the operator.
-			kq := KNNRequest{Floor: 1, At: geom.Pt(10.125, 7.625), T: 420.5, K: 4}
-			kresp, err := ds.KNN(kq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kix := referenceIndex(samples, colstore.Predicate{
-				HasTime: true, T0: kq.T - maxGap, T1: kq.T + maxGap,
-			}, opts)
-			if len(kresp.Neighbors) == 0 {
-				t.Fatal("knn matched nothing")
-			}
-			sameJSON(t, "knn neighbors", kresp.Neighbors, kix.KNN(kq.Floor, kq.At, kq.T, kq.K))
+				// KNN: window widened by MaxGap, floor left to the operator.
+				kq := KNNRequest{Floor: 1, At: geom.Pt(10.125, 7.625), T: 420.5, K: 4}
+				kresp, err := ds.KNN(kq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kix := referenceIndex(samples, colstore.Predicate{
+					HasTime: true, T0: kq.T - maxGap, T1: kq.T + maxGap,
+				}, opts)
+				if len(kresp.Neighbors) == 0 {
+					t.Fatal("knn matched nothing")
+				}
+				sameJSON(t, "knn neighbors", kresp.Neighbors, kix.KNN(kq.Floor, kq.At, kq.T, kq.K))
 
-			// Density at an instant.
-			dq := DensityRequest{T: 250}
-			dresp, err := ds.Density(dq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dix := referenceIndex(samples, colstore.Predicate{
-				HasTime: true, T0: dq.T - maxGap, T1: dq.T + maxGap,
-			}, opts)
-			if len(dresp.Counts) == 0 {
-				t.Fatal("density matched nothing")
-			}
-			sameJSON(t, "density counts", dresp.Counts, dix.Density(dq.T))
+				// Density at an instant.
+				dq := DensityRequest{T: 250}
+				dresp, err := ds.Density(dq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dix := referenceIndex(samples, colstore.Predicate{
+					HasTime: true, T0: dq.T - maxGap, T1: dq.T + maxGap,
+				}, opts)
+				if len(dresp.Counts) == 0 {
+					t.Fatal("density matched nothing")
+				}
+				sameJSON(t, "density counts", dresp.Counts, dix.Density(dq.T))
 
-			// Trajectory retrieval for one object.
-			tq := TrajRequest{Obj: 5, T0: 100, T1: 500}
-			tresp, err := ds.Traj(tq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tix := referenceIndex(samples, colstore.Predicate{
-				HasObj: true, Obj: tq.Obj,
-				HasTime: true, T0: tq.T0, T1: tq.T1,
-			}, opts)
-			if len(tresp.Samples) == 0 {
-				t.Fatal("traj matched nothing")
-			}
-			sameJSON(t, "traj samples", tresp.Samples, tix.ObjectTrajectory(tq.Obj, tq.T0, tq.T1))
+				// Trajectory retrieval for one object.
+				tq := TrajRequest{Obj: 5, T0: 100, T1: 500}
+				tresp, err := ds.Traj(tq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tix := referenceIndex(samples, colstore.Predicate{
+					HasObj: true, Obj: tq.Obj,
+					HasTime: true, T0: tq.T0, T1: tq.T1,
+				}, opts)
+				if len(tresp.Samples) == 0 {
+					t.Fatal("traj matched nothing")
+				}
+				sameJSON(t, "traj samples", tresp.Samples, tix.ObjectTrajectory(tq.Obj, tq.T0, tq.T1))
 
-			// Dwell against an independent row-by-row re-computation.
-			wq := DwellRequest{Floor: -1, T0: 50, T1: 450}
-			wresp, err := ds.Dwell(wq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(wresp.Rooms) == 0 {
-				t.Fatal("dwell matched nothing")
-			}
-			sameJSON(t, "dwell rooms", wresp.Rooms, referenceDwell(samples, wq, maxGap))
-		})
+				// Dwell against an independent row-by-row re-computation.
+				wq := DwellRequest{Floor: -1, T0: 50, T1: 450}
+				wresp, err := ds.Dwell(wq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(wresp.Rooms) == 0 {
+					t.Fatal("dwell matched nothing")
+				}
+				sameJSON(t, "dwell rooms", wresp.Rooms, referenceDwell(samples, wq, maxGap))
+			})
+		}
 	}
 }
 
@@ -199,54 +198,58 @@ func referenceDwell(samples []trajectory.Sample, q DwellRequest, maxGap float64)
 	return rooms
 }
 
-// TestPlanStatsAccounting checks that the plan-backed operators keep each
-// load path's historical Stats semantics.
+// TestPlanStatsAccounting checks what a request's Stats say about the one
+// load path: misses are decodes, a repeat runs off the cache and decodes
+// nothing, and a CSV dataset prunes like any other.
 func TestPlanStatsAccounting(t *testing.T) {
 	q := RangeRequest{Floor: 0,
 		Box: geom.BBox{Min: geom.Pt(1.5, 0.25), Max: geom.Pt(17.75, 9.5)},
 		T0:  33.5, T1: 147.25}
 
-	t.Run("vtb-streaming", func(t *testing.T) {
+	t.Run("nothing kept", func(t *testing.T) {
 		ds := openTestDataset(t, storage.FormatVTB, Config{CacheBytes: -1})
-		resp, err := ds.Range(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := resp.Stats
-		if st.Format != "vtb" {
-			t.Errorf("format = %q", st.Format)
-		}
-		if st.Scan.BlocksPruned == 0 || st.Scan.BlocksScanned >= st.Scan.BlocksTotal {
-			t.Errorf("pushed-down window pruned nothing: %+v", st.Scan)
-		}
-		if st.CacheMisses != st.Scan.BlocksScanned {
-			t.Errorf("cache-less path: misses %d != blocks scanned %d", st.CacheMisses, st.Scan.BlocksScanned)
-		}
-		if st.PeakDecodedBytes <= 0 {
-			t.Errorf("streaming path lost peak accounting: %+v", st)
+		for pass := 0; pass < 2; pass++ {
+			resp, err := ds.Range(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := resp.Stats
+			if st.Format != "vtb" {
+				t.Errorf("format = %q", st.Format)
+			}
+			if st.Scan.BlocksPruned == 0 || st.Scan.BlocksScanned >= st.Scan.BlocksTotal {
+				t.Errorf("pushed-down window pruned nothing: %+v", st.Scan)
+			}
+			if st.CacheHits != 0 || st.CacheMisses != st.Scan.BlocksScanned {
+				t.Errorf("pass %d: hits %d, misses %d; want every one of the %d blocks scanned a miss",
+					pass, st.CacheHits, st.CacheMisses, st.Scan.BlocksScanned)
+			}
+			if st.PeakDecodedBytes <= 0 {
+				t.Errorf("a decoding request reports no peak: %+v", st)
+			}
 		}
 	})
 
-	t.Run("vtb-cached", func(t *testing.T) {
+	t.Run("cached", func(t *testing.T) {
 		ds := openTestDataset(t, storage.FormatVTB, Config{})
 		first, err := ds.Range(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if first.Stats.CacheMisses == 0 {
+		if first.Stats.CacheMisses == 0 || first.Stats.PeakDecodedBytes <= 0 {
 			t.Errorf("first pass should decode blocks: %+v", first.Stats)
 		}
 		second, err := ds.Range(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if second.Stats.CacheMisses != 0 || second.Stats.CacheHits != first.Stats.CacheMisses {
+		if second.Stats.CacheMisses != 0 || second.Stats.CacheHits != first.Stats.CacheMisses || second.Stats.PeakDecodedBytes != 0 {
 			t.Errorf("second pass did not run off the block cache: %+v", second.Stats)
 		}
 		sameJSON(t, "cached-pass hits", second.Hits, first.Hits)
 	})
 
-	t.Run("csv-resident", func(t *testing.T) {
+	t.Run("csv", func(t *testing.T) {
 		ds := openTestDataset(t, storage.FormatCSV, Config{})
 		resp, err := ds.Range(q)
 		if err != nil {
@@ -256,11 +259,16 @@ func TestPlanStatsAccounting(t *testing.T) {
 		if st.Format != "csv" {
 			t.Errorf("format = %q", st.Format)
 		}
-		if st.Scan.RowsScanned != len(testSamples()) {
-			t.Errorf("resident CSV scanned %d rows, want every row (%d)", st.Scan.RowsScanned, len(testSamples()))
+		// The file's time-ordered rows were cut into blocks at open, so the
+		// window prunes: not every row is read.
+		if st.Scan.BlocksPruned == 0 || st.Scan.RowsScanned >= len(testSamples()) {
+			t.Errorf("time window over CSV pruned nothing: %+v", st.Scan)
 		}
 		if st.Scan.RowsMatched == 0 || st.Scan.RowsMatched >= st.Scan.RowsScanned {
 			t.Errorf("implausible match count: %+v", st.Scan)
+		}
+		if st.CacheMisses != st.Scan.BlocksScanned {
+			t.Errorf("misses %d != blocks decoded %d", st.CacheMisses, st.Scan.BlocksScanned)
 		}
 	})
 }
@@ -318,12 +326,13 @@ func loadViaPlan(t *testing.T, ds *Dataset, preds []plan.Pred) ([]trajectory.Sam
 	return rows, src.finalStats(), src.cur
 }
 
-// TestLoadPathParity pins the scan leaf: over a four-segment log and a
-// single VTB file, for every predicate shape, the cached path (cold cache,
-// then warm), the cache-less path and Dataset.Samples return the same rows
-// in the same order as a row-by-row filter of the source, with the same
-// Stats.Scan; cache hits and misses are those of the cache's temperature
-// (cold and cache-less: every scanned block a miss; warm: every one a hit).
+// TestLoadPathParity pins the scan leaf: over a four-segment log, a single
+// VTB file and a CSV file, for every predicate shape, a cold cache, the same
+// cache warm, a dataset that keeps nothing and Dataset.Samples return the
+// same rows in the same order as a row-by-row filter of the source, with the
+// same Stats.Scan; cache hits, misses and the decoded peak are those of the
+// cache's temperature (cold and nothing kept: every scanned block a miss,
+// decoded in some window; warm: every one a hit, nothing decoded).
 //
 // The log rolls every 1 500 rows of 8-per-second data, so its boundaries
 // fall inside second 187 (equal T on both sides), exactly between seconds
@@ -336,8 +345,8 @@ func TestLoadPathParity(t *testing.T) {
 	cases := []struct {
 		name  string
 		preds []plan.Pred
-		// merged: whether the cached multi-segment load must (true) or must
-		// not (false) go through the k-way merge; nil = either.
+		// merged: whether the multi-segment load must (true) or must not
+		// (false) go through the k-way merge; nil = either.
 		merged *bool
 	}{
 		{"none", nil, ptr(true)},
@@ -357,6 +366,8 @@ func TestLoadPathParity(t *testing.T) {
 	writeDataset(t, flat, storage.FormatVTB, samples)
 	logDir := t.TempDir()
 	writeSegmented(t, logDir, samples, 1500)
+	csvDir := t.TempDir()
+	writeDataset(t, csvDir, storage.FormatCSV, samples)
 	open := func(dir string, cfg Config) *Dataset {
 		cfg.WatchInterval = -1
 		ds, err := Open(dir, cfg)
@@ -370,7 +381,7 @@ func TestLoadPathParity(t *testing.T) {
 	for _, kind := range []struct {
 		name, dir string
 		segments  int
-	}{{"segmented", logDir, 4}, {"single file", flat, 0}} {
+	}{{"segmented", logDir, 4}, {"single file", flat, 0}, {"csv", csvDir, 0}} {
 		for _, tc := range cases {
 			t.Run(kind.name+"/"+tc.name, func(t *testing.T) {
 				cached, cachedB, streaming := open(kind.dir, Config{}), open(kind.dir, Config{}), open(kind.dir, Config{CacheBytes: -1})
@@ -412,10 +423,10 @@ func TestLoadPathParity(t *testing.T) {
 				}{
 					{"cached cold", coldRows, cold, false},
 					{"cached warm", warmRows, warm, true},
-					{"cache-less", streamRows, stream, false},
+					{"nothing kept", streamRows, stream, false},
 					{"Samples, cached cold", samplesColdRows, samplesCold, false},
 					{"Samples, cached warm", samplesWarmRows, samplesWarm, true},
-					{"Samples, cache-less", samplesStreamRows, samplesStream, false},
+					{"Samples, nothing kept", samplesStreamRows, samplesStream, false},
 				} {
 					if !slices.Equal(got.rows, want) {
 						t.Errorf("%s: %d rows, differing from the %d a row filter keeps", got.name, len(got.rows), len(want))
@@ -434,15 +445,15 @@ func TestLoadPathParity(t *testing.T) {
 					if got.stats.Segments != kind.segments {
 						t.Errorf("%s: segments = %d, want %d", got.name, got.stats.Segments, kind.segments)
 					}
+					if decoded := got.stats.PeakDecodedBytes > 0; decoded != (misses > 0) {
+						t.Errorf("%s: peak %d decoded bytes with %d misses", got.name, got.stats.PeakDecodedBytes, misses)
+					}
 				}
 				if cold.Scan.RowsMatched != len(want) || cold.Scan.BlocksScanned+cold.Scan.BlocksPruned != cold.Scan.BlocksTotal {
 					t.Errorf("scan stats do not add up: %+v for %d rows", cold.Scan, len(want))
 				}
-				if cold.PeakDecodedBytes != 0 || warm.PeakDecodedBytes != 0 {
-					t.Errorf("cached path reports a streaming peak: %d / %d", cold.PeakDecodedBytes, warm.PeakDecodedBytes)
-				}
-				if _, single := leaf.(*cachedCursor); kind.segments > 0 && tc.merged != nil && single == *tc.merged {
-					t.Errorf("cached leaf is %T; merged should be %v", leaf, *tc.merged)
+				if _, single := leaf.(*blockCursor); kind.segments > 0 && tc.merged != nil && single == *tc.merged {
+					t.Errorf("leaf is %T; merged should be %v", leaf, *tc.merged)
 				}
 			})
 		}

@@ -146,6 +146,88 @@ func TestSegmentedMatchesSingleFile(t *testing.T) {
 	}
 }
 
+// TestEmptyLogServes: a live log with no sealed segment yet — what a server
+// sees between a writer creating the log and its first seal — answers every
+// operator with its empty form and zeroed scan stats, at any cache budget,
+// and serves the rows once a segment seals. (The default budget used to panic
+// on every request: it indexed the first of zero per-segment cursors.)
+func TestEmptyLogServes(t *testing.T) {
+	box := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(40, 20)}
+	for _, budget := range []int64{0, -1} {
+		dir := t.TempDir()
+		l, err := seglog.Create(dir, colstore.KindTrajectory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := Open(dir, Config{CacheBytes: budget, WatchInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		if ds.Len() != 0 || ds.Blocks() != 0 || ds.Segments() != 0 {
+			t.Fatalf("empty log reports %d rows, %d blocks, %d segments", ds.Len(), ds.Blocks(), ds.Segments())
+		}
+
+		info, err := ds.Info(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng, err := ds.Range(RangeRequest{Floor: -1, Box: box, T0: 0, T1: 600})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traj, err := ds.Traj(TrajRequest{Obj: 1, T0: 0, T1: 600})
+		if err != nil {
+			t.Fatal(err)
+		}
+		knn, err := ds.KNN(KNNRequest{Floor: 0, At: geom.Pt(10, 7.5), T: 100, K: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		den, err := ds.Density(DensityRequest{T: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dwell, err := ds.Dwell(DwellRequest{Floor: -1, T0: 0, T1: 600})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]struct {
+			body  any
+			want  string
+			stats Stats
+		}{
+			"info empty":     {info.Empty, `true`, info.Stats},
+			"range hits":     {rng.Hits, `null`, rng.Stats},
+			"range objects":  {rng.Objects, `[]`, rng.Stats},
+			"traj samples":   {traj.Samples, `null`, traj.Stats},
+			"knn neighbors":  {knn.Neighbors, `[]`, knn.Stats},
+			"density counts": {den.Counts, `{}`, den.Stats},
+			"dwell rooms":    {dwell.Rooms, `[]`, dwell.Stats},
+		} {
+			if js := string(jsonBytes(t, got.body)); js != got.want {
+				t.Errorf("cache %d: %s = %s, want %s", budget, name, js, got.want)
+			}
+			if got.stats != (Stats{Format: "vtb"}) {
+				t.Errorf("cache %d: %s: stats %+v, want zeroes", budget, name, got.stats)
+			}
+		}
+
+		appendSegmented(t, l, testSamples(), len(testSamples())+1)
+		if changed, err := ds.Refresh(); err != nil || !changed {
+			t.Fatalf("refresh after the first seal: changed %v, err %v", changed, err)
+		}
+		info, err = ds.Info(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Empty || info.Samples != len(testSamples()) || info.Stats.Segments != 1 {
+			t.Errorf("cache %d: after the first seal: %d samples in %d segments, empty %v; want %d in 1",
+				budget, info.Samples, info.Stats.Segments, info.Empty, len(testSamples()))
+		}
+	}
+}
+
 // TestRefreshPicksUpAppend checks that a manifest refresh folds a writer's
 // new segments into serving without reopening the dataset.
 func TestRefreshPicksUpAppend(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 
 	"vita/internal/colstore"
 	"vita/internal/seglog"
-	"vita/internal/storage"
 )
 
 // The segment registry is how a Dataset serves data that is still being
@@ -71,8 +70,7 @@ func (s *segmentSet) release() {
 	}
 }
 
-// acquireSet retains and returns the current segment set, or nil after Close
-// (and for CSV datasets, which have no segments).
+// acquireSet retains and returns the current segment set, or nil after Close.
 func (d *Dataset) acquireSet() *segmentSet {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -172,19 +170,17 @@ func (d *Dataset) Refresh() (bool, error) {
 	d.man = man
 	d.mu.Unlock()
 
-	if d.cache != nil {
-		live := make(map[uint64]bool, len(next.segs))
-		for _, sg := range next.segs {
-			live[sg.id] = true
-		}
-		var dead []uint64
-		for _, sg := range old.segs {
-			if !live[sg.id] {
-				dead = append(dead, sg.id)
-			}
-		}
-		d.blockInval.Add(d.cache.EvictSegments(dead))
+	live := make(map[uint64]bool, len(next.segs))
+	for _, sg := range next.segs {
+		live[sg.id] = true
 	}
+	var dead []uint64
+	for _, sg := range old.segs {
+		if !live[sg.id] {
+			dead = append(dead, sg.id)
+		}
+	}
+	d.blockInval.Add(d.cache.EvictSegments(dead))
 	old.release()  // the Dataset's ownership of the displaced set
 	prev.release() // this refresh's temporary hold
 	d.refreshes.Add(1)
@@ -213,15 +209,4 @@ func (d *Dataset) watch(every time.Duration) {
 			}
 		}
 	}
-}
-
-// segmentCursor starts a batch scan of pred's matches across every segment in
-// the set, merged into global time order (a single segment scans directly —
-// storage.Merge returns a lone input as it is).
-func segmentCursor(set *segmentSet, pred colstore.Predicate) storage.TrajectoryCursor {
-	curs := make([]storage.TrajectoryCursor, len(set.segs))
-	for i, sg := range set.segs {
-		curs[i] = sg.tr.Cursor(pred)
-	}
-	return storage.Merge(storage.Trajectory, curs)
 }

@@ -130,46 +130,22 @@ func TestDatasetSamplesMatchesScan(t *testing.T) {
 	}
 }
 
-// TestCSVLenWithoutBlockCache: a CSV dataset's rows are resident whatever the
-// block-cache budget, so Len — and /statsz's samples — count them. It used to
+// TestCSVLenWithoutBlockCache: a CSV dataset's Len and Blocks — and
+// /statsz's samples — come from the footer of the in-memory image its rows
+// were re-encoded into at open, whatever the block-cache budget. Len used to
 // report 0 for a CSV opened with caching disabled.
 func TestCSVLenWithoutBlockCache(t *testing.T) {
-	ds := openTestDataset(t, storage.FormatCSV, Config{CacheBytes: -1})
 	want := len(testSamples())
-	if got := ds.Len(); got != want {
-		t.Errorf("Len = %d, want %d", got, want)
-	}
-	if got := NewServerWith(ds, ServerOptions{Metrics: obs.NewRegistry()}).Stats().Samples; got != want {
-		t.Errorf("statsz samples = %d, want %d", got, want)
-	}
-}
-
-func TestDatasetParallelismEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	writeDataset(t, dir, storage.FormatVTB, testSamples())
-	pred := colstore.TimeWindow(50, 450)
-	var want []trajectory.Sample
-	for _, p := range []int{1, 2, 8} {
-		ds, err := Open(dir, Config{Parallelism: p, CacheBytes: -1})
-		if err != nil {
-			t.Fatal(err)
+	for _, budget := range []int64{0, -1} {
+		ds := openTestDataset(t, storage.FormatCSV, Config{CacheBytes: budget})
+		if got := ds.Len(); got != want {
+			t.Errorf("cache %d: Len = %d, want %d", budget, got, want)
 		}
-		got, _, err := ds.Samples(pred)
-		ds.Close()
-		if err != nil {
-			t.Fatal(err)
+		if got := ds.Blocks(); got < 2 {
+			t.Errorf("cache %d: Blocks = %d, want the rows cut into several", budget, got)
 		}
-		if p == 1 {
-			want = got
-			continue
-		}
-		if len(got) != len(want) {
-			t.Fatalf("p=%d: %d rows, want %d", p, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("p=%d: row %d differs", p, i)
-			}
+		if got := NewServerWith(ds, ServerOptions{Metrics: obs.NewRegistry()}).Stats().Samples; got != want {
+			t.Errorf("cache %d: statsz samples = %d, want %d", budget, got, want)
 		}
 	}
 }

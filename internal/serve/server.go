@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -190,22 +192,34 @@ func reqInfoFrom(r *http.Request) *reqInfo {
 	return info
 }
 
-// statusRecorder captures the response status for metrics and logs.
+// statusRecorder captures the response status for metrics and logs, and
+// whether the header has gone out — after which a failure can no longer be
+// answered with an error body.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	wrote  bool
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
+	r.status, r.wrote = code, true
 	r.ResponseWriter.WriteHeader(code)
+}
+
+func (r *statusRecorder) Write(p []byte) (int, error) {
+	r.wrote = true
+	return r.ResponseWriter.Write(p)
 }
 
 // withObs wraps the mux in the observability middleware: request-ID
 // generation (honoring a caller-supplied X-Request-Id) echoed in the
 // response header, per-endpoint latency histograms and status-labeled
 // request counters, and a structured request log line (info for /v1
-// operators, debug for everything else).
+// operators, debug for everything else). A handler that panics is recovered
+// here, so it is measured, counted and logged like any other failure: the
+// client gets the 500 error envelope (when no header has gone out yet), the
+// request counts under status="500" and in vita_http_errors_total, and the
+// stack goes to the log at error level.
 func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
@@ -216,7 +230,30 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		info := &reqInfo{id: id, start: time.Now()}
 		r = r.WithContext(context.WithValue(r.Context(), reqCtxKey{}, info))
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(rec, r)
+		func() {
+			defer func() {
+				p := recover()
+				if p == nil {
+					return
+				}
+				if p == http.ErrAbortHandler {
+					panic(p) // net/http's own way to abort a response, not a bug
+				}
+				s.logger.Error("handler panic",
+					"method", r.Method,
+					"path", r.URL.Path,
+					"panic", p,
+					"stack", string(debug.Stack()),
+					"request_id", id)
+				if rec.wrote {
+					s.errors.Add(1)
+					rec.status = http.StatusInternalServerError
+					return
+				}
+				s.fail(rec, r, http.StatusInternalServerError, errors.New("internal error"))
+			}()
+			next.ServeHTTP(rec, r)
+		}()
 		dur := time.Since(info.start)
 
 		ep := r.URL.Path

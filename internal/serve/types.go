@@ -25,15 +25,17 @@ import (
 // lossless.
 
 // Stats describes how much work one request cost: the underlying scan
-// (blocks pruned/decoded, rows) and block-cache effectiveness.
+// (blocks pruned/decoded, rows) and block-cache effectiveness. Every dataset
+// is served from block segments behind one cursor, so every field means the
+// same thing on every dataset and at every cache budget.
 type Stats struct {
 	// Format is the dataset's storage format ("vtb" or "csv").
 	Format string `json:"format"`
-	// Scan reports zone-map pruning and row counts. On a CSV dataset only
-	// the row counters are meaningful.
+	// Scan reports zone-map pruning and row counts. On a CSV dataset the
+	// blocks are those its rows were re-encoded into at open.
 	Scan colstore.ScanStats `json:"scan"`
 	// CacheHits and CacheMisses count decoded-block cache lookups for this
-	// request (VTB only; misses equal blocks decoded).
+	// request; misses equal blocks decoded.
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
 	// IndexCached is always false.
@@ -41,11 +43,12 @@ type Stats struct {
 	// Deprecated: there is no index cache; the key stays on the wire only so
 	// response bodies keep their shape.
 	IndexCached bool `json:"index_cached"`
-	// PeakDecodedBytes is the largest decoded batch held at any instant
-	// while streaming this request's blocks through the plan (cursor path
-	// only — the one-shot, cache-less configuration). It is
-	// the observable form of the bounded-memory claim: however large the
-	// file, the scan's transient footprint is one block's batch.
+	// PeakDecodedBytes is the most decoded bytes one window of the request's
+	// scan produced (the largest such window across segments when the scan
+	// merges several), measured before filtering; 0 when every block was a
+	// cache hit. It is the observable form of the bounded-memory claim:
+	// however wide the request and whatever the cache keeps, the scan pins
+	// one window of blocks per cursor — 2 x GOMAXPROCS blocks.
 	PeakDecodedBytes int64 `json:"peak_decoded_bytes,omitempty"`
 	// Segments is how many live segments the request's scan fanned across
 	// (segmented datasets only; omitted for single-file and CSV).

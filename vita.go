@@ -352,13 +352,16 @@ func NewContinuousEngine() *ContinuousEngine { return query.NewContinuousEngine(
 // --- query-serving daemon (internal/serve, cmd/vitaserve) ---
 
 // QueryDataset is an opened trajectory dataset ready to answer the query
-// operators repeatedly without cold-start: the VTB footer stays resident,
-// hot decoded blocks live in a size-bounded LRU cache, and block decode runs
-// on a worker pool. Safe for concurrent use.
+// operators repeatedly without cold-start: the VTB footer stays resident (a
+// CSV file is re-encoded as in-memory VTB blocks once, at open), hot decoded
+// blocks live in a size-bounded LRU cache, and a scan decodes its cache
+// misses a small window of blocks at a time, side by side. Safe for
+// concurrent use.
 type QueryDataset = serve.Dataset
 
-// QueryServeConfig tunes an opened QueryDataset (interpolation gap, decode
-// parallelism, block-cache budget). The zero value selects the defaults.
+// QueryServeConfig tunes an opened QueryDataset (interpolation gap,
+// block-cache budget, mmap, manifest watch interval). The zero value selects
+// the defaults. Decode parallelism is not tunable: it follows GOMAXPROCS.
 type QueryServeConfig = serve.Config
 
 // QueryServer exposes a QueryDataset's operators over HTTP with JSON
