@@ -1093,9 +1093,11 @@ func BenchmarkPlanSnapshotAt(b *testing.B) {
 			b.Fatalf("snapshot has %d rows, want %d", n, objects)
 		}
 	}
-	// Measured at 111 (the output batch's eight columns doubling account for
-	// most); a per-row allocation would cost thousands.
-	const budget = 200
+	// Measured at 14: the plan's nodes, the compiled tree and the cursor. The
+	// fold's map, bracket columns and output are pooled scratch; a GC emptying
+	// the pool mid-measurement re-grows them once (220 allocs, a tenth of it
+	// per measured run), and a per-row allocation would cost thousands.
+	const budget = 48
 	allocs := testing.AllocsPerRun(10, snapshotOnce)
 	if allocs > budget {
 		b.Fatalf("SnapshotAt over %d rows costs %.0f allocs, budget %d", rows, allocs, budget)
@@ -1107,4 +1109,99 @@ func BenchmarkPlanSnapshotAt(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 	b.ReportMetric(allocs, "allocs/snapshot")
+}
+
+// BenchmarkPlanAggregate times Aggregate in the two shapes the served plans
+// use. "dwell" is Dataset.Dwell's two-level roll-up over 20 000 rows in
+// (obj, t) order — 125 objects, each visiting a new shop every 30 s — after
+// Derive(DwellGaps): the first level sees runs of one key per visit, so it
+// pays one hash lookup per visit, not per row. "density" is Dataset.Density's
+// one-level count over 300 rows in object order with every partition drawn at
+// random, so runs have length 1 and the run check must cost less than it
+// saves. Partition strings are shared, as a decoded block's dictionary
+// column shares them. Both report ns/row and fail past a fixed allocation
+// budget: group tables, accumulators and output are pooled scratch.
+func BenchmarkPlanAggregate(b *testing.B) {
+	shops := make([]string, 40)
+	for i := range shops {
+		shops[i] = fmt.Sprintf("shop-%d", i)
+	}
+	mk := func(rows, objects, batchRows int, part func(i int) int) (benchBatchSource, int) {
+		var src benchBatchSource
+		pairs := map[[2]int]bool{}
+		for i := 0; i < rows; i++ {
+			if i%batchRows == 0 {
+				src = append(src, &colstore.TrajectoryBatch{})
+			}
+			obj, p := i/(rows/objects), part(i)
+			pairs[[2]int{obj, p}] = true
+			src[len(src)-1].Append(trajectory.Sample{
+				ObjID: obj,
+				Loc:   model.At("mall", 0, shops[p], geom.Pt(0, 0)),
+				T:     float64(i % (rows / objects)),
+			})
+		}
+		return src, len(pairs)
+	}
+	r := rng.New(22)
+	dwellSrc, dwellPairs := mk(20000, 125, 4096, func(i int) int { return (i/160 + i%160/30) % 40 })
+	densitySrc, densityPairs := mk(300, 300, 4096, func(int) int { return r.Intn(40) })
+	// Budgets: the plan's nodes, the compiled tree and the cursor (measured
+	// at 38 and 18), plus a tenth of one run with the pools emptied by a GC
+	// (337 and 129 allocs). An allocation per group — a map key, a state
+	// slice — overshoots at once (dwell has ~700 groups in its first level,
+	// density 40).
+	for _, shape := range []struct {
+		name   string
+		rows   int
+		plan   func() *plan.Plan
+		pairs  int // distinct (object, partition) pairs: what the counts add up to
+		budget float64
+	}{
+		{"dwell", 20000, func() *plan.Plan {
+			return plan.NewScan(dwellSrc).Derive(plan.DwellGaps(10)).
+				Aggregate(plan.By(plan.ColPartition, plan.ColObjID), plan.Sum(plan.ColVal, plan.ColVal)).
+				Aggregate(plan.By(plan.ColPartition), plan.Sum(plan.ColVal, plan.ColVal), plan.CountInto(plan.ColObjID))
+		}, dwellPairs, 96},
+		{"density", 300, func() *plan.Plan {
+			return plan.NewScan(densitySrc).Aggregate(plan.By(plan.ColPartition), plan.CountInto(plan.ColObjID))
+		}, densityPairs, 48},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			aggregateOnce := func() {
+				c, err := shape.plan().Compile()
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for c.Next() {
+					tr := c.Batch().Traj
+					for i, obj := range tr.ObjID {
+						if i > 0 && tr.Partition[i-1] >= tr.Partition[i] {
+							b.Fatalf("groups %q and %q out of order", tr.Partition[i-1], tr.Partition[i])
+						}
+						n += int(obj)
+					}
+				}
+				if err := c.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if n != shape.pairs {
+					b.Fatalf("counts add up to %d, want %d", n, shape.pairs)
+				}
+			}
+			aggregateOnce() // fill the scratch pools
+			allocs := testing.AllocsPerRun(10, aggregateOnce)
+			if allocs > shape.budget {
+				b.Fatalf("steady-state Aggregate of %d rows costs %.0f allocs, budget %.0f", shape.rows, allocs, shape.budget)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				aggregateOnce()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.rows), "ns/row")
+			b.ReportMetric(allocs, "allocs/aggregate")
+		})
+	}
 }

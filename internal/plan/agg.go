@@ -2,10 +2,7 @@ package plan
 
 import (
 	"fmt"
-	"sort"
-
-	"vita/internal/colstore"
-	"vita/internal/trajectory"
+	"slices"
 )
 
 // aggFn discriminates the reduction functions.
@@ -19,20 +16,9 @@ const (
 	aggAvg
 )
 
-func (f aggFn) String() string {
-	switch f {
-	case aggCount:
-		return "count"
-	case aggSum:
-		return "sum"
-	case aggMin:
-		return "min"
-	case aggMax:
-		return "max"
-	default:
-		return "avg"
-	}
-}
+var aggFnNames = [...]string{"count", "sum", "min", "max", "avg"}
+
+func (f aggFn) String() string { return aggFnNames[f] }
 
 // AggSpec is one aggregate of an Aggregate node: reduce the src column with
 // fn and write the result into the dst column of the group's output row.
@@ -82,48 +68,46 @@ func (st *aggState) add(v float64) {
 }
 
 func (st *aggState) result(fn aggFn) float64 {
-	switch fn {
-	case aggCount:
-		return float64(st.count)
-	case aggSum:
-		return st.sum
-	case aggMin:
-		return st.min
-	case aggMax:
-		return st.max
-	default:
-		if st.count == 0 {
-			return 0
-		}
-		return st.sum / float64(st.count)
+	avg := 0.0
+	if st.count > 0 {
+		avg = st.sum / float64(st.count)
 	}
+	return [...]float64{aggCount: float64(st.count), aggSum: st.sum, aggMin: st.min, aggMax: st.max, aggAvg: avg}[fn]
 }
 
-// aggGroup is one hash bucket: the group-by column values (as a zeroed
-// representative row) plus one accumulator per spec.
-type aggGroup struct {
-	rep    trajectory.Sample
-	repVal float64
-	states []aggState
-}
-
-// hashAggOp drains its child into a hash table keyed by the group-by
-// columns, then emits one row per group in ascending key order — sorted
-// emission (not map order) keeps plans deterministic. Output rows carry the
-// group-by values; all other columns are zero until an AggSpec writes its
-// dst into them.
-type hashAggOp struct {
-	child  Operator
+// aggregate is one Aggregate node. Its fold assigns every row a dense group
+// ID (groupTable.assign: one hash lookup per run of equal keys, so dwell's
+// (obj, t)-sorted rows pay one per visit), folds each AggSpec's source column
+// into flat per-group accumulators in one typed loop, then emits one row per
+// group in ascending key order — radix-sorted (sorter.sortPerm) and gathered
+// once, so plans are deterministic. Output rows carry the group-by values;
+// all other columns are zero until an AggSpec writes its dst into them.
+type aggregate struct {
 	by     []Col
+	keys   []SortKey // by, ascending: the emission order
 	aggs   []AggSpec
-	done   bool
-	bc     batchCols
-	keyBuf []byte
+	useVal bool // the output has a Val column: grouped by it or written to it
 }
+
+// aggScratch is everything an Aggregate holds, pooled across plans.
+type aggScratch struct {
+	groups groupTable
+	gid    []int32
+	states []aggState // spec j of group g at g*len(aggs)+j
+	sorter
+	out batchCols
+}
+
+var aggPool pool[aggScratch]
 
 func newHashAggOp(child Operator, by []Col, aggs []AggSpec) (Operator, error) {
 	if len(by) == 0 {
 		return nil, fmt.Errorf("plan: Aggregate needs at least one group-by column")
+	}
+	ag := &aggregate{by: by, aggs: aggs}
+	for _, c := range by {
+		ag.keys = append(ag.keys, Asc(c))
+		ag.useVal = ag.useVal || c == ColVal
 	}
 	for _, a := range aggs {
 		if a.fn != aggCount && a.src.isString() {
@@ -132,111 +116,149 @@ func newHashAggOp(child Operator, by []Col, aggs []AggSpec) (Operator, error) {
 		if a.dst.isString() {
 			return nil, fmt.Errorf("plan: aggregate destination %s is not numeric", a.dst)
 		}
+		ag.useVal = ag.useVal || a.dst == ColVal
 	}
-	return &hashAggOp{child: child, by: by, aggs: aggs}, nil
+	return &blockingOp[aggScratch]{unary: unary{child}, pool: &aggPool, fold: ag.fold}, nil
 }
 
-// groupRep copies only the group-by columns of row i into a zeroed
-// representative row.
-func (h *hashAggOp) groupRep(b *Batch, i int) (trajectory.Sample, float64) {
-	var rep trajectory.Sample
-	var repVal float64
-	s := b.Traj.Row(i)
-	for _, c := range h.by {
-		switch c {
-		case ColObjID:
-			rep.ObjID = s.ObjID
-		case ColBuilding:
-			rep.Loc.Building = s.Loc.Building
-		case ColFloor:
-			rep.Loc.Floor = s.Loc.Floor
-		case ColPartition:
-			rep.Loc.Partition = s.Loc.Partition
-		case ColX:
-			rep.Loc.Point.X = s.Loc.Point.X
-		case ColY:
-			rep.Loc.Point.Y = s.Loc.Point.Y
-		case ColT:
-			rep.T = s.T
-		case ColVal:
-			repVal = colNum(b, ColVal, i)
-		}
-	}
-	return rep, repVal
-}
-
-func (h *hashAggOp) build() bool {
-	groups := make(map[string]*aggGroup)
-	for h.child.Next() {
-		in := h.child.Batch()
-		for i := 0; i < in.Len(); i++ {
-			h.keyBuf = h.keyBuf[:0]
-			for _, c := range h.by {
-				h.keyBuf = appendColKey(h.keyBuf, in, c, i)
-			}
-			g := groups[string(h.keyBuf)]
-			if g == nil {
-				g = &aggGroup{states: make([]aggState, len(h.aggs))}
-				g.rep, g.repVal = h.groupRep(in, i)
-				groups[string(h.keyBuf)] = g
-			}
-			for j, a := range h.aggs {
-				var v float64
-				if a.fn != aggCount {
-					v = colNum(in, a.src, i)
-				}
-				g.states[j].add(v)
+func (ag *aggregate) fold(child Operator, sc *aggScratch) *Batch {
+	na := len(ag.aggs)
+	sc.groups.reset(ag.by)
+	sc.states = sc.states[:0]
+	for child.Next() {
+		in := child.Batch()
+		sc.gid = sc.groups.assign(sc.gid, in, true)
+		sc.states = append(sc.states, make([]aggState, sc.groups.len()*na-len(sc.states))...)
+		for j, a := range ag.aggs {
+			switch st := sc.states[j:]; a.src {
+			case ColObjID:
+				accumulate(st, na, sc.gid, in.Traj.ObjID)
+			case ColFloor:
+				accumulate(st, na, sc.gid, in.Traj.Floor)
+			default:
+				accumulate(st, na, sc.gid, floatCol(in, a.src))
 			}
 		}
 	}
-	if h.child.Err() != nil {
-		return false
+	if sc.groups.len() == 0 {
+		return nil
 	}
-
-	ordered := make([]*aggGroup, 0, len(groups))
-	for _, g := range groups {
-		ordered = append(ordered, g)
+	reps, out := &sc.groups.reps, &sc.out
+	sc.sortPerm(reps, ag.keys)
+	out.gather(reps.batch(), sc.perm)
+	out.zeroCols(maskOf(ag.by))
+	clear(out.traj.HasPoint)
+	out.useVal = ag.useVal
+	if out.useVal {
+		out.padVal()
 	}
-	sort.Slice(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		for _, c := range h.by {
-			if cmp := sampleColCompare(a.rep, a.repVal, b.rep, b.repVal, c); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-
-	useVal := false
-	for _, c := range h.by {
-		if c == ColVal {
-			useVal = true
+	for j, a := range ag.aggs {
+		for r, g := range sc.perm {
+			setColNum(out, a.dst, r, sc.states[int(g)*na+j].result(a.fn))
 		}
 	}
-	for _, a := range h.aggs {
-		if a.dst == ColVal {
-			useVal = true
-		}
-	}
-	h.bc.reset(useVal)
-	for r, g := range ordered {
-		h.bc.appendRow(g.rep, g.repVal)
-		for j, a := range h.aggs {
-			setColNum(&h.bc, a.dst, r, g.states[j].result(a.fn))
-		}
-	}
-	return h.bc.len() > 0
+	return out.batch()
 }
 
-func (h *hashAggOp) Next() bool {
-	if h.done {
-		return false
+// accumulate folds col into the accumulator of each row's group: st[g*stride]
+// for row i of group g = gid[i]. A nil col (no Val column, or a count's
+// string source) reads as 0s.
+func accumulate[T int64 | float64](st []aggState, stride int, gid []int32, col []T) {
+	for i, g := range gid {
+		var v float64
+		if i < len(col) {
+			v = float64(col[i])
+		}
+		st[int(g)*stride].add(v)
 	}
-	h.done = true
-	return h.build()
 }
 
-func (h *hashAggOp) Batch() *Batch             { return h.bc.batch() }
-func (h *hashAggOp) Err() error                { return h.child.Err() }
-func (h *hashAggOp) Stats() colstore.ScanStats { return h.child.Stats() }
-func (h *hashAggOp) Close() error              { return h.child.Close() }
+// groupTable numbers the distinct key tuples of cols with dense int32 group
+// IDs in order of first appearance; row g of reps is group g's first row. A
+// lookup hashes the row's key, then compares columns (sameKey) along the
+// chain of groups sharing that hash, so no key is ever encoded or allocated.
+type groupTable struct {
+	cols []Col
+	reps batchCols
+	head map[uint64]int32 // key hash -> 1 + the newest group with that hash
+	next []int32          // next[g]: the group before g with g's hash, or -1
+	brk  []bool
+}
+
+func (t *groupTable) reset(cols []Col) {
+	t.cols = cols
+	t.reps.reset(false)
+	t.next = t.next[:0]
+	if t.head == nil {
+		t.head = make(map[uint64]int32)
+	}
+	clear(t.head)
+}
+
+func (t *groupTable) len() int { return len(t.next) }
+
+// find returns row i's group, adding one when add is set; -1 when the row
+// has none and add is not set.
+func (t *groupTable) find(b *Batch, i int, add bool) int32 {
+	h := hashKey(t.cols, b, i)
+	first := t.head[h] - 1
+	for g := first; g >= 0; g = t.next[g] {
+		if sameKey(t.cols, b, i, t.reps.batch(), int(g)) {
+			return g
+		}
+	}
+	if !add {
+		return -1
+	}
+	t.reps.appendRange(b, i, i+1)
+	t.next = append(t.next, first)
+	t.head[h] = int32(len(t.next))
+	return t.head[h] - 1
+}
+
+// assign returns, in gid's storage, the group of every row of b (see find).
+// A row whose key columns equal its predecessor's joins its group without a
+// lookup: the columns mark run breaks in one typed loop each, and only a
+// break pays the hash.
+func (t *groupTable) assign(gid []int32, b *Batch, add bool) []int32 {
+	n := b.Len()
+	gid = slices.Grow(gid[:0], n)[:n]
+	t.brk = slices.Grow(t.brk[:0], n)[:n]
+	clear(t.brk)
+	for _, c := range t.cols {
+		markBreaks(t.brk, b, c)
+	}
+	for i := range gid {
+		if i == 0 || t.brk[i] {
+			gid[i] = t.find(b, i, add)
+		} else {
+			gid[i] = gid[i-1]
+		}
+	}
+	return gid
+}
+
+// markBreaks sets brk[i] where column c of row i differs from row i-1's.
+// Under ==, -0 meets +0 and NaN breaks every run; find then reunites NaNs.
+func markBreaks(brk []bool, b *Batch, c Col) {
+	switch tr := b.Traj; c {
+	case ColObjID:
+		breaks(brk, tr.ObjID)
+	case ColBuilding:
+		breaks(brk, tr.Building)
+	case ColFloor:
+		breaks(brk, tr.Floor)
+	case ColPartition:
+		breaks(brk, tr.Partition)
+	default:
+		breaks(brk, floatCol(b, c)) // a missing Val column is one run of 0s
+	}
+}
+
+func breaks[T comparable](brk []bool, col []T) {
+	for i := 1; i < len(col); i++ {
+		if col[i] != col[i-1] {
+			brk[i] = true
+		}
+	}
+}

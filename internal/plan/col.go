@@ -1,12 +1,6 @@
 package plan
 
-import (
-	"encoding/binary"
-	"math"
-	"strings"
-
-	"vita/internal/trajectory"
-)
+import "hash/maphash"
 
 // Col names one column of the batch dataflow — the seven trajectory columns
 // plus the derived Val column. Operators that take column arguments
@@ -26,37 +20,29 @@ const (
 	numCols
 )
 
+var colNames = [numCols]string{"obj", "building", "floor", "partition", "x", "y", "t", "val"}
+
 func (c Col) String() string {
-	switch c {
-	case ColObjID:
-		return "obj"
-	case ColBuilding:
-		return "building"
-	case ColFloor:
-		return "floor"
-	case ColPartition:
-		return "partition"
-	case ColX:
-		return "x"
-	case ColY:
-		return "y"
-	case ColT:
-		return "t"
-	case ColVal:
-		return "val"
-	default:
+	if c < 0 || c >= numCols {
 		return "?"
 	}
+	return colNames[c]
 }
 
 // isString reports whether the column holds strings (everything else reads
 // and writes as float64 through colNum/setColNum).
 func (c Col) isString() bool { return c == ColBuilding || c == ColPartition }
 
-// colMask is a keep-set of columns; 0 means "all columns".
+// colMask is a keep-set of columns.
 type colMask uint32
 
+const allCols colMask = 1<<numCols - 1
+
+// maskOf is the keep-set naming cols; naming none keeps every column.
 func maskOf(cols []Col) colMask {
+	if len(cols) == 0 {
+		return allCols
+	}
 	var m colMask
 	for _, c := range cols {
 		m |= 1 << uint(c)
@@ -64,7 +50,23 @@ func maskOf(cols []Col) colMask {
 	return m
 }
 
-func (m colMask) has(c Col) bool { return m == 0 || m&(1<<uint(c)) != 0 }
+func (m colMask) has(c Col) bool { return m&(1<<uint(c)) != 0 }
+
+// floatCol returns float column c (X, Y, T or Val) of b; nil for the integer
+// and string columns and for a missing Val.
+func floatCol(b *Batch, c Col) []float64 {
+	switch c {
+	case ColX:
+		return b.Traj.X
+	case ColY:
+		return b.Traj.Y
+	case ColT:
+		return b.Traj.T
+	case ColVal:
+		return b.Val
+	}
+	return nil
+}
 
 // colNum returns the numeric view of column c in row i (string columns read
 // as 0; a missing Val column reads as 0).
@@ -74,20 +76,11 @@ func colNum(b *Batch, c Col, i int) float64 {
 		return float64(b.Traj.ObjID[i])
 	case ColFloor:
 		return float64(b.Traj.Floor[i])
-	case ColX:
-		return b.Traj.X[i]
-	case ColY:
-		return b.Traj.Y[i]
-	case ColT:
-		return b.Traj.T[i]
-	case ColVal:
-		if i < len(b.Val) {
-			return b.Val[i]
-		}
-		return 0
-	default:
-		return 0
 	}
+	if col := floatCol(b, c); i < len(col) {
+		return col[i]
+	}
+	return 0
 }
 
 // colStr returns the string view of column c in row i ("" for non-string
@@ -98,87 +91,66 @@ func colStr(b *Batch, c Col, i int) string {
 		return b.Traj.Building[i]
 	case ColPartition:
 		return b.Traj.Partition[i]
-	default:
-		return ""
 	}
+	return ""
 }
 
-// appendColKey appends an unambiguous encoding of column c in row i to dst —
-// strings are length-prefixed, numbers are 8 fixed bytes — so concatenating
-// the encodings of a fixed column list yields a collision-free hash key.
-func appendColKey(dst []byte, b *Batch, c Col, i int) []byte {
-	if c.isString() {
-		s := colStr(b, c, i)
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		return append(dst, s...)
-	}
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(colNum(b, c, i)))
-}
-
-// sampleColNum and sampleColStr are the row-materialized counterparts of
-// colNum/colStr, used where group representatives are held as Samples.
-func sampleColNum(s trajectory.Sample, val float64, c Col) float64 {
+// numKey is numeric column c of row i as the uint64 OrderBy sorts it by:
+// integers as integers, -0 as +0, every NaN one key above every number.
+// Aggregate groups and Join matches rows by these keys, so the three
+// operators agree on which values are equal.
+func numKey(b *Batch, c Col, i int) uint64 {
 	switch c {
 	case ColObjID:
-		return float64(s.ObjID)
+		return intKey(b.Traj.ObjID[i])
 	case ColFloor:
-		return float64(s.Loc.Floor)
-	case ColX:
-		return s.Loc.Point.X
-	case ColY:
-		return s.Loc.Point.Y
-	case ColT:
-		return s.T
-	case ColVal:
-		return val
-	default:
-		return 0
+		return intKey(b.Traj.Floor[i])
 	}
+	return floatKey(colNum(b, c, i))
 }
 
-func sampleColStr(s trajectory.Sample, c Col) string {
-	switch c {
-	case ColBuilding:
-		return s.Loc.Building
-	case ColPartition:
-		return s.Loc.Partition
-	default:
-		return ""
+// sameKey reports whether row i of a and row j of b agree on every column of
+// cols: strings byte for byte, numbers by numKey.
+func sameKey(cols []Col, a *Batch, i int, b *Batch, j int) bool {
+	for _, c := range cols {
+		if c.isString() {
+			if colStr(a, c, i) != colStr(b, c, j) {
+				return false
+			}
+		} else if numKey(a, c, i) != numKey(b, c, j) {
+			return false
+		}
 	}
+	return true
 }
 
-// sampleColCompare orders two materialized rows by column c: lexicographic
-// for strings, numeric otherwise.
-func sampleColCompare(a trajectory.Sample, av float64, b trajectory.Sample, bv float64, c Col) int {
-	if c.isString() {
-		return strings.Compare(sampleColStr(a, c), sampleColStr(b, c))
+var hashSeed = maphash.MakeSeed()
+
+// hashKey hashes row i's values in cols; rows sameKey calls equal hash
+// equal.
+func hashKey(cols []Col, b *Batch, i int) uint64 {
+	var h uint64
+	for _, c := range cols {
+		var k uint64
+		if c.isString() {
+			k = maphash.String(hashSeed, colStr(b, c, i))
+		} else {
+			k = numKey(b, c, i)
+		}
+		h = (h ^ k) * 0x9e3779b97f4a7c15
 	}
-	x, y := sampleColNum(a, av, c), sampleColNum(b, bv, c)
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	default:
-		return 0
-	}
+	return h
 }
 
 // setColNum writes v into numeric column c of row i of a scratch batch the
-// operator owns (aggregate destinations).
+// operator owns (aggregate destinations; a Val destination needs useVal).
 func setColNum(tb *batchCols, c Col, i int, v float64) {
 	switch c {
 	case ColObjID:
 		tb.traj.ObjID[i] = int64(v)
 	case ColFloor:
 		tb.traj.Floor[i] = int64(v)
-	case ColX:
-		tb.traj.X[i] = v
-	case ColY:
-		tb.traj.Y[i] = v
-	case ColT:
-		tb.traj.T[i] = v
-	case ColVal:
-		tb.val[i] = v
+	default:
+		floatCol(tb.batch(), c)[i] = v
 	}
 }

@@ -2,11 +2,12 @@ package plan
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/storage"
-	"vita/internal/trajectory"
 )
 
 // batchCols is the owned output scratch of a materializing operator: a
@@ -25,24 +26,50 @@ func (bc *batchCols) reset(useVal bool) {
 	bc.useVal = useVal
 }
 
-func (bc *batchCols) appendRow(s trajectory.Sample, val float64) {
-	bc.traj.Append(s)
-	if bc.useVal {
-		bc.val = append(bc.val, val)
-	}
-}
-
-// appendBatch bulk-appends every row of in, column by column. Rows of
+// appendRange bulk-appends rows [lo, hi) of in, column by column. Rows of
 // batches that carry no Val column read as 0 once any batch brings one.
-func (bc *batchCols) appendBatch(in *Batch) {
+func (bc *batchCols) appendRange(in *Batch, lo, hi int) {
 	if in.Val != nil {
 		bc.useVal = true
 		bc.padVal()
-		bc.val = append(bc.val, in.Val[:min(len(in.Val), in.Len())]...)
+		bc.val = append(bc.val, in.Val[min(lo, len(in.Val)):min(hi, len(in.Val))]...)
 	}
-	bc.traj.AppendRows(in.Traj, 0, in.Traj.Len())
+	bc.traj.AppendRows(in.Traj, lo, hi)
 	if bc.useVal {
 		bc.padVal()
+	}
+}
+
+// gather overwrites bc with the rows of src that idx names, in idx order (see
+// colstore.TrajectoryBatch.Gather).
+func (bc *batchCols) gather(src *Batch, idx []int32) {
+	bc.reset(src.Val != nil)
+	bc.traj.Gather(src.Traj, idx)
+	if bc.useVal {
+		for _, i := range idx {
+			bc.val = append(bc.val, colNum(src, ColVal, int(i)))
+		}
+	}
+}
+
+// zeroCols clears every column keep does not name. HasPoint survives only
+// with both coordinates.
+func (bc *batchCols) zeroCols(keep colMask) {
+	t := &bc.traj
+	zeroUnless(keep.has(ColObjID), t.ObjID)
+	zeroUnless(keep.has(ColBuilding), t.Building)
+	zeroUnless(keep.has(ColFloor), t.Floor)
+	zeroUnless(keep.has(ColPartition), t.Partition)
+	zeroUnless(keep.has(ColX), t.X)
+	zeroUnless(keep.has(ColY), t.Y)
+	zeroUnless(keep.has(ColX) && keep.has(ColY), t.HasPoint)
+	zeroUnless(keep.has(ColT), t.T)
+	zeroUnless(keep.has(ColVal), bc.val)
+}
+
+func zeroUnless[T any](keep bool, col []T) {
+	if !keep {
+		clear(col)
 	}
 }
 
@@ -54,13 +81,74 @@ func (bc *batchCols) padVal() {
 func (bc *batchCols) len() int { return bc.traj.Len() }
 
 func (bc *batchCols) batch() *Batch {
-	bc.out.Traj = &bc.traj
+	bc.out = Batch{Traj: &bc.traj}
 	if bc.useVal {
 		bc.out.Val = bc.val
-	} else {
-		bc.out.Val = nil
 	}
 	return &bc.out
+}
+
+// pool recycles one kind of operator scratch across plans: an operator takes
+// one on its first Next and gives it back on Close, so a steady stream of
+// queries allocates nothing that grows with the row count.
+type pool[T any] struct{ p sync.Pool }
+
+func (p *pool[T]) get() *T {
+	if v, ok := p.p.Get().(*T); ok {
+		return v
+	}
+	return new(T)
+}
+
+// put gives *v back, if the operator holds one, and forgets it.
+func (p *pool[T]) put(v **T) {
+	if *v != nil {
+		p.p.Put(*v)
+		*v = nil
+	}
+}
+
+// unary is the child of a one-input operator, and the Err, Stats and Close
+// that only pass through to it.
+type unary struct{ child Operator }
+
+func (u unary) Err() error                { return u.child.Err() }
+func (u unary) Stats() colstore.ScanStats { return u.child.Stats() }
+func (u unary) Close() error              { return u.child.Close() }
+
+// blockingOp is the shell of a blocking operator (OrderBy, Aggregate,
+// SnapshotAt): on the first Next it takes scratch S from its pool and runs
+// fold, which drains the child and returns the one output batch (nil or empty
+// for none); Close gives the scratch back.
+type blockingOp[S any] struct {
+	unary
+	pool *pool[S]
+	fold func(child Operator, sc *S) *Batch
+	done bool
+	sc   *S // held from the first Next until Close
+	out  Batch
+}
+
+func (o *blockingOp[S]) Next() bool {
+	if o.done {
+		return false
+	}
+	o.done = true
+	o.sc = o.pool.get()
+	b := o.fold(o.child, o.sc)
+	if o.child.Err() != nil || b == nil || b.Len() == 0 {
+		return false
+	}
+	o.out = *b
+	return true
+}
+
+func (o *blockingOp[S]) Batch() *Batch { return &o.out }
+
+func (o *blockingOp[S]) Close() error {
+	o.out = Batch{}
+	o.pool.put(&o.sc)
+	return o.child.Close()
 }
 
 // --- Scan ---
@@ -102,7 +190,6 @@ func (s *scanOp) Next() bool {
 		return false
 	}
 	s.b.Traj = s.cur.Batch()
-	s.b.Val = nil
 	return true
 }
 
@@ -131,77 +218,54 @@ func (s *scanOp) Close() error {
 
 // filterProjectOp runs residual row predicates and column projection in one
 // pass over each batch — the planner's filter+project fusion. Either half
-// may be absent (nil preds = pure project, zero keep mask = pure filter).
+// may be absent (nil preds = pure project, every column kept = pure filter).
+// Each predicate narrows a selection vector; the survivors are gathered once
+// and the dropped columns zeroed. A batch that loses no row and no column
+// passes through by reference.
 type filterProjectOp struct {
-	child Operator
+	unary
 	preds []Pred
-	keep  colMask // 0 = keep all columns
+	keep  colMask
+	sel   []int32
 	bc    batchCols
+	out   *Batch
 }
 
 func newFilterProjectOp(child Operator, preds []Pred, project []Col) Operator {
-	return &filterProjectOp{child: child, preds: preds, keep: maskOf(project)}
-}
-
-// projectRow zeroes the dropped columns of a materialized row. A point
-// survives only if both coordinate columns are kept.
-func (f *filterProjectOp) projectRow(s trajectory.Sample) trajectory.Sample {
-	if f.keep == 0 {
-		return s
+	keep := maskOf(project)
+	if !keep.has(ColX) || !keep.has(ColY) {
+		keep &^= 1<<ColX | 1<<ColY // a point survives only whole
 	}
-	var out trajectory.Sample
-	if f.keep.has(ColObjID) {
-		out.ObjID = s.ObjID
-	}
-	if f.keep.has(ColBuilding) {
-		out.Loc.Building = s.Loc.Building
-	}
-	if f.keep.has(ColFloor) {
-		out.Loc.Floor = s.Loc.Floor
-	}
-	if f.keep.has(ColPartition) {
-		out.Loc.Partition = s.Loc.Partition
-	}
-	if f.keep.has(ColX) && f.keep.has(ColY) {
-		out.Loc.Point = s.Loc.Point
-		out.Loc.HasPoint = s.Loc.HasPoint
-	}
-	if f.keep.has(ColT) {
-		out.T = s.T
-	}
-	return out
+	return &filterProjectOp{unary: unary{child}, preds: preds, keep: keep}
 }
 
 func (f *filterProjectOp) Next() bool {
 	for f.child.Next() {
 		in := f.child.Batch()
-		useVal := in.Val != nil && f.keep.has(ColVal)
-		f.bc.reset(useVal)
-	rows:
-		for i := 0; i < in.Len(); i++ {
-			s := in.Traj.Row(i)
-			for _, p := range f.preds {
-				if !p.match(s) {
-					continue rows
-				}
-			}
-			var v float64
-			if useVal && i < len(in.Val) {
-				v = in.Val[i]
-			}
-			f.bc.appendRow(f.projectRow(s), v)
+		f.sel = slices.Grow(f.sel[:0], in.Len())[:in.Len()]
+		for i := range f.sel {
+			f.sel[i] = int32(i)
 		}
-		if f.bc.len() > 0 {
-			return true
+		for _, p := range f.preds {
+			f.sel = p.narrow(in.Traj, f.sel)
 		}
+		switch {
+		case len(f.sel) == 0:
+			continue
+		case len(f.sel) == in.Len() && f.keep == allCols:
+			f.out = in
+		default:
+			f.bc.gather(in, f.sel)
+			f.bc.useVal = f.bc.useVal && f.keep.has(ColVal)
+			f.bc.zeroCols(f.keep)
+			f.out = f.bc.batch()
+		}
+		return true
 	}
 	return false
 }
 
-func (f *filterProjectOp) Batch() *Batch             { return f.bc.batch() }
-func (f *filterProjectOp) Err() error                { return f.child.Err() }
-func (f *filterProjectOp) Stats() colstore.ScanStats { return f.child.Stats() }
-func (f *filterProjectOp) Close() error              { return f.child.Close() }
+func (f *filterProjectOp) Batch() *Batch { return f.out }
 
 // --- TimeBucket ---
 
@@ -209,7 +273,7 @@ func (f *filterProjectOp) Close() error              { return f.child.Close() }
 // copied; every other column aliases the child's batch (operators never
 // mutate input, so sharing is safe).
 type timeBucketOp struct {
-	child Operator
+	unary
 	width float64
 	t     []float64
 	traj  colstore.TrajectoryBatch
@@ -217,7 +281,7 @@ type timeBucketOp struct {
 }
 
 func newTimeBucketOp(child Operator, width float64) Operator {
-	return &timeBucketOp{child: child, width: width}
+	return &timeBucketOp{unary: unary{child}, width: width}
 }
 
 func (tb *timeBucketOp) Next() bool {
@@ -231,15 +295,11 @@ func (tb *timeBucketOp) Next() bool {
 	}
 	tb.traj = *in.Traj
 	tb.traj.T = tb.t
-	tb.out.Traj = &tb.traj
-	tb.out.Val = in.Val
+	tb.out = Batch{Traj: &tb.traj, Val: in.Val}
 	return true
 }
 
-func (tb *timeBucketOp) Batch() *Batch             { return &tb.out }
-func (tb *timeBucketOp) Err() error                { return tb.child.Err() }
-func (tb *timeBucketOp) Stats() colstore.ScanStats { return tb.child.Stats() }
-func (tb *timeBucketOp) Close() error              { return tb.child.Close() }
+func (tb *timeBucketOp) Batch() *Batch { return &tb.out }
 
 // --- Derive ---
 
@@ -250,16 +310,18 @@ func (tb *timeBucketOp) Close() error              { return tb.child.Close() }
 type DeriveFunc func(dst []float64, b *Batch)
 
 // deriveOp attaches a computed Val column to each batch; the trajectory
-// columns pass through by reference.
+// columns pass through by reference. The column is pooled scratch.
 type deriveOp struct {
-	child Operator
-	fn    DeriveFunc
-	val   []float64
-	out   Batch
+	unary
+	fn  DeriveFunc
+	val *[]float64 // held from the first Next until Close
+	out Batch
 }
 
+var derivePool pool[[]float64]
+
 func newDeriveOp(child Operator, fn DeriveFunc) Operator {
-	return &deriveOp{child: child, fn: fn}
+	return &deriveOp{unary: unary{child}, fn: fn}
 }
 
 func (d *deriveOp) Next() bool {
@@ -267,24 +329,24 @@ func (d *deriveOp) Next() bool {
 		return false
 	}
 	in := d.child.Batch()
-	n := in.Len()
-	if cap(d.val) < n {
-		d.val = make([]float64, n)
+	if d.val == nil {
+		d.val = derivePool.get()
 	}
-	d.val = d.val[:n]
-	for i := range d.val {
-		d.val[i] = 0
-	}
-	d.fn(d.val, in)
-	d.out.Traj = in.Traj
-	d.out.Val = d.val
+	val := slices.Grow((*d.val)[:0], in.Len())[:in.Len()]
+	clear(val)
+	d.fn(val, in)
+	*d.val = val
+	d.out = Batch{Traj: in.Traj, Val: val}
 	return true
 }
 
-func (d *deriveOp) Batch() *Batch             { return &d.out }
-func (d *deriveOp) Err() error                { return d.child.Err() }
-func (d *deriveOp) Stats() colstore.ScanStats { return d.child.Stats() }
-func (d *deriveOp) Close() error              { return d.child.Close() }
+func (d *deriveOp) Batch() *Batch { return &d.out }
+
+func (d *deriveOp) Close() error {
+	d.out = Batch{}
+	derivePool.put(&d.val)
+	return d.child.Close()
+}
 
 // DwellGaps returns a DeriveFunc that assigns each row the seconds since the
 // same object's previous sample, when that gap is positive, at most maxGap,
@@ -330,21 +392,18 @@ func DistTo(p geom.Point) DeriveFunc {
 // re-sliced view of the child's batch (slicing shortens the view without
 // touching the shared backing arrays).
 type limitOp struct {
-	child     Operator
+	unary
 	remaining int
 	traj      colstore.TrajectoryBatch
 	out       Batch
 }
 
 func newLimitOp(child Operator, n int) Operator {
-	return &limitOp{child: child, remaining: n}
+	return &limitOp{unary: unary{child}, remaining: n}
 }
 
 func (l *limitOp) Next() bool {
-	if l.remaining <= 0 {
-		return false
-	}
-	if !l.child.Next() {
+	if l.remaining <= 0 || !l.child.Next() {
 		return false
 	}
 	in := l.child.Batch()
@@ -367,16 +426,11 @@ func (l *limitOp) Next() bool {
 		T:         tr.T[:k],
 		HasPoint:  tr.HasPoint[:k],
 	}
-	l.out.Traj = &l.traj
+	l.out = Batch{Traj: &l.traj}
 	if in.Val != nil {
 		l.out.Val = in.Val[:min(k, len(in.Val))]
-	} else {
-		l.out.Val = nil
 	}
 	return true
 }
 
-func (l *limitOp) Batch() *Batch             { return &l.out }
-func (l *limitOp) Err() error                { return l.child.Err() }
-func (l *limitOp) Stats() colstore.ScanStats { return l.child.Stats() }
-func (l *limitOp) Close() error              { return l.child.Close() }
+func (l *limitOp) Batch() *Batch { return &l.out }

@@ -1,49 +1,46 @@
 package plan
 
-import (
-	"vita/internal/colstore"
-)
+import "vita/internal/colstore"
 
 // joinOp is the hash equi-join. On first Next it drains the build side
-// (right) into a hash table keyed by the join columns, then streams the
-// probe side (left): each probe row is emitted once per matching build row,
-// with Val set to the build row's object ID — the shape contact-tracing
-// queries need (who shared my partition and time bucket?). Callers that
-// must exclude self-pairs filter ObjID != Val downstream.
+// (right) into a groupTable over the join columns — so keys match under
+// OrderBy's semantics, as Aggregate's do — collecting each key's build-row
+// object IDs in build order. It then streams the probe side (left): each
+// probe row is emitted once per matching build row, with Val set to the build
+// row's object ID — the shape contact-tracing queries need (who shared my
+// partition and time bucket?). Callers that must exclude self-pairs filter
+// ObjID != Val downstream. Output rows are gathered from the probe batch
+// through a selection vector.
 type joinOp struct {
 	left       Operator
 	right      Operator
 	on         []Col
 	built      bool
-	table      map[string][]float64
+	table      groupTable
+	objs       [][]float64 // build-row object IDs per key
+	gid, sel   []int32
 	rightStats colstore.ScanStats
 	rightErr   error
 	bc         batchCols
-	keyBuf     []byte
 }
 
 func newJoinOp(left, right Operator, on []Col) Operator {
 	return &joinOp{left: left, right: right, on: on}
 }
 
-func (j *joinOp) key(b *Batch, i int) []byte {
-	j.keyBuf = j.keyBuf[:0]
-	for _, c := range j.on {
-		j.keyBuf = appendColKey(j.keyBuf, b, c, i)
-	}
-	return j.keyBuf
-}
-
 // build drains and closes the right side, releasing its resources before
 // the probe phase begins.
 func (j *joinOp) build() bool {
 	j.built = true
-	j.table = make(map[string][]float64)
+	j.table.reset(j.on)
 	for j.right.Next() {
 		in := j.right.Batch()
-		for i := 0; i < in.Len(); i++ {
-			k := string(j.key(in, i))
-			j.table[k] = append(j.table[k], float64(in.Traj.ObjID[i]))
+		j.gid = j.table.assign(j.gid, in, true)
+		for i, g := range j.gid {
+			if int(g) == len(j.objs) {
+				j.objs = append(j.objs, nil)
+			}
+			j.objs[g] = append(j.objs[g], float64(in.Traj.ObjID[i]))
 		}
 	}
 	j.rightStats = j.right.Stats()
@@ -57,18 +54,20 @@ func (j *joinOp) Next() bool {
 	}
 	for j.left.Next() {
 		in := j.left.Batch()
+		j.gid = j.table.assign(j.gid, in, false)
+		j.sel = j.sel[:0]
 		j.bc.reset(true)
-		for i := 0; i < in.Len(); i++ {
-			matches := j.table[string(j.key(in, i))]
-			if len(matches) == 0 {
+		for i, g := range j.gid {
+			if g < 0 {
 				continue
 			}
-			s := in.Traj.Row(i)
-			for _, objID := range matches {
-				j.bc.appendRow(s, objID)
+			for _, id := range j.objs[g] {
+				j.sel = append(j.sel, int32(i))
+				j.bc.val = append(j.bc.val, id)
 			}
 		}
-		if j.bc.len() > 0 {
+		if len(j.sel) > 0 {
+			j.bc.traj.Gather(in.Traj, j.sel)
 			return true
 		}
 	}

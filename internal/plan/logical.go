@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"vita/internal/colstore"
 	"vita/internal/obs"
@@ -23,30 +24,9 @@ const (
 	nodeJoin
 )
 
-func (k nodeKind) String() string {
-	switch k {
-	case nodeScan:
-		return "Scan"
-	case nodeFilter:
-		return "Filter"
-	case nodeProject:
-		return "Project"
-	case nodeTimeBucket:
-		return "TimeBucket"
-	case nodeDerive:
-		return "Derive"
-	case nodeAggregate:
-		return "Aggregate"
-	case nodeOrderBy:
-		return "OrderBy"
-	case nodeLimit:
-		return "Limit"
-	case nodeSnapshotAt:
-		return "SnapshotAt"
-	default:
-		return "Join"
-	}
-}
+var nodeKindNames = [...]string{"Scan", "Filter", "Project", "TimeBucket", "Derive", "Aggregate", "OrderBy", "Limit", "SnapshotAt", "Join"}
+
+func (k nodeKind) String() string { return nodeKindNames[k] }
 
 // Plan is a logical operator tree, built fluently from NewScan and compiled
 // into a physical Operator chain with Compile. Plans are immutable once
@@ -96,8 +76,11 @@ func (p *Plan) Derive(fn DeriveFunc) *Plan {
 }
 
 // Aggregate hash-groups rows by the groupBy columns and reduces each group
-// with the given aggregates. Groups are emitted in ascending group-key order
-// (typed comparison column by column), so output is deterministic.
+// with the given aggregates. Keys are equal as OrderBy calls them equal:
+// ColObjID and ColFloor as integers, strings byte for byte, floats
+// numerically with -0 equal to +0, and every NaN one key. Groups are emitted
+// in ascending key order as OrderBy(Asc(...)) sorts them — a NaN group last —
+// so output is deterministic.
 func (p *Plan) Aggregate(groupBy []Col, aggs ...AggSpec) *Plan {
 	return &Plan{kind: nodeAggregate, input: p, cols: groupBy, aggs: aggs}
 }
@@ -128,10 +111,11 @@ func (p *Plan) SnapshotAt(t, maxGap float64) *Plan {
 }
 
 // Join hash-joins the plan (probe side) against right (build side) on
-// equality of the given columns — e.g. Join(other, ColPartition, ColT) after
-// TimeBucket on both sides finds co-located objects per time bucket. Each
-// output row is the probe row with Val set to the matching build row's
-// object ID.
+// equality of the given columns, equal as Aggregate's keys are (integers as
+// integers, -0 as +0, NaN matching NaN) — e.g. Join(other, ColPartition, ColT)
+// after TimeBucket on both sides finds co-located objects per time bucket.
+// Each output row is the probe row with Val set to the matching build row's
+// object ID, probe rows in order, matches in build order.
 func (p *Plan) Join(right *Plan, on ...Col) *Plan {
 	return &Plan{kind: nodeJoin, input: p, right: right, cols: on}
 }
@@ -184,7 +168,7 @@ func (c *Compiled) Close() error              { return c.root.Close() }
 //  3. a residual Filter fuses with a directly-following Project into one
 //     filterProject pass over each batch.
 //
-// Pushdown is semantics-preserving by construction: Pred.match and
+// Pushdown is semantics-preserving by construction: Pred.narrow and
 // colstore.Predicate.MatchTrajectory agree on every structured kind, so the
 // same rows survive whether a conjunct runs in the scan or as a residual.
 func (p *Plan) Compile() (*Compiled, error) { return p.compileWith(false) }
@@ -232,9 +216,7 @@ func (c *Compiled) compile(p *Plan) (Operator, *obs.Span, error) {
 	for n := p; n != nil; n = n.input {
 		chain = append(chain, n)
 	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
+	slices.Reverse(chain)
 	if chain[0].kind != nodeScan {
 		return nil, nil, fmt.Errorf("plan: chain must start at a Scan, got %s", chain[0].kind)
 	}
@@ -253,18 +235,12 @@ func (c *Compiled) compile(p *Plan) (Operator, *obs.Span, error) {
 	}
 	c.scanPreds = append(c.scanPreds, pred)
 	op := trace(newScanOp(chain[0].src, pred), "Scan", predDetail(pred), true)
-
-	// Fuse the residual with a directly-following Project, if any.
-	if len(residual) > 0 {
-		var proj []Col
-		if i < len(chain) && chain[i].kind == nodeProject {
-			proj = chain[i].cols
-			i++
-		}
-		op = trace(newFilterProjectOp(op, residual, proj), fpName(residual, proj), fpDetail(residual, proj), false)
+	if len(residual) > 0 { // what did not push down stays one Filter
+		i--
+		chain[i] = &Plan{kind: nodeFilter, preds: residual}
 	}
 
-	// Lower the rest of the chain 1:1, still fusing filter+project pairs.
+	// Lower the rest of the chain 1:1, fusing filter+project pairs.
 	for ; i < len(chain); i++ {
 		n := chain[i]
 		switch n.kind {

@@ -3,10 +3,6 @@ package plan
 import (
 	"math"
 	"slices"
-	"sort"
-	"sync"
-
-	"vita/internal/colstore"
 )
 
 // SortKey is one OrderBy key: a column and a direction.
@@ -21,130 +17,90 @@ func Asc(c Col) SortKey { return SortKey{Col: c} }
 // Desc sorts descending by c.
 func Desc(c Col) SortKey { return SortKey{Col: c, Desc: true} }
 
-// orderByOp is the blocking sort. It never builds a row: the child drains
-// into column buffers, each sort key becomes one order-preserving uint64
-// column, a row permutation is radix-sorted by those, and every column is
-// gathered through the permutation once. Integer columns (ColObjID,
+// newOrderByOp returns the blocking sort. It never builds a row: the child
+// drains into column buffers, each sort key becomes one order-preserving
+// uint64 column, a row permutation is radix-sorted by those, and every column
+// is gathered through the permutation once. Integer columns (ColObjID,
 // ColFloor) compare as integers, strings lexicographically, floats
 // numerically with -0 equal to +0 and every NaN after every number — so NaN
 // rows sort last under Asc and first under Desc, and compare equal to each
 // other. Rows that tie on every key keep their input order (a stable sort).
-type orderByOp struct {
-	child Operator
-	keys  []SortKey
-	done  bool
-	sc    *orderByScratch // held from the first Next until Close
-	out   Batch
+func newOrderByOp(child Operator, keys []SortKey) Operator {
+	return &blockingOp[orderByScratch]{unary: unary{child}, pool: &orderByPool,
+		fold: func(child Operator, sc *orderByScratch) *Batch { return sc.sort(child, keys) }}
 }
 
-// orderByScratch is everything a sort buffers. It is pooled across plans, so
-// a steady stream of OrderBy queries allocates nothing that grows with the
-// row count.
+// orderByScratch is everything a sort buffers, pooled across plans.
 type orderByScratch struct {
 	in, sorted batchCols
-	key        []uint64
-	perm, tmp  []int32
+	sorter
 }
 
-var orderByPool = sync.Pool{New: func() any { return new(orderByScratch) }}
+var orderByPool pool[orderByScratch]
 
-func newOrderByOp(child Operator, keys []SortKey) Operator {
-	return &orderByOp{child: child, keys: keys}
-}
-
-func (o *orderByOp) Next() bool {
-	if o.done {
-		return false
-	}
-	o.done = true
-	sc := orderByPool.Get().(*orderByScratch)
-	o.sc = sc
+func (sc *orderByScratch) sort(child Operator, keys []SortKey) *Batch {
 	sc.in.reset(false)
-	for o.child.Next() {
-		sc.in.appendBatch(o.child.Batch())
+	for child.Next() {
+		in := child.Batch()
+		sc.in.appendRange(in, 0, in.Len())
 	}
-	if o.child.Err() != nil || sc.in.len() == 0 {
-		return false
+	if sc.in.len() == 0 || !sc.sortPerm(&sc.in, keys) {
+		return sc.in.batch()
 	}
-	res := &sc.in
-	if sc.sortPerm(o.keys) {
-		sc.sorted.reset(sc.in.useVal)
-		sc.sorted.traj.Gather(&sc.in.traj, sc.perm)
-		if sc.in.useVal {
-			for _, i := range sc.perm {
-				sc.sorted.val = append(sc.sorted.val, sc.in.val[i])
-			}
-		}
-		res = &sc.sorted
-	}
-	o.out = *res.batch()
-	return true
+	sc.sorted.gather(sc.in.batch(), sc.perm)
+	return sc.sorted.batch()
 }
 
-func (o *orderByOp) Batch() *Batch             { return &o.out }
-func (o *orderByOp) Err() error                { return o.child.Err() }
-func (o *orderByOp) Stats() colstore.ScanStats { return o.child.Stats() }
-
-func (o *orderByOp) Close() error {
-	if o.sc != nil {
-		o.out = Batch{}
-		orderByPool.Put(o.sc)
-		o.sc = nil
-	}
-	return o.child.Close()
+// sorter is the scratch of a permutation sort: OrderBy's, and Aggregate's
+// emission in group-key order.
+type sorter struct {
+	key       []uint64
+	perm, tmp []int32
+	rank      map[string]uint64
+	names     []string
 }
 
-// sortPerm leaves in sc.perm the stable ordering of the buffered rows by
-// keys, and reports whether it moved any row. It is an LSD sort over the key
-// list: stable-sort by the last key, then the one before it, up to the
-// first. A key the current permutation already orders is skipped after one
-// O(n) check — ColT on every scan stream — and the radix passes of the rest
-// touch only the bytes that differ somewhere in the column.
-func (sc *orderByScratch) sortPerm(keys []SortKey) bool {
-	n := sc.in.len()
-	sc.perm = slices.Grow(sc.perm[:0], n)[:n]
-	sc.tmp = slices.Grow(sc.tmp[:0], n)[:n]
-	sc.key = slices.Grow(sc.key[:0], n)[:n]
-	for i := range sc.perm {
-		sc.perm[i] = int32(i)
+// sortPerm leaves in s.perm the stable ordering of in's rows by keys, and
+// reports whether it moved any row. It is an LSD sort over the key list:
+// stable-sort by the last key, then the one before it, up to the first. A
+// key the current permutation already orders is skipped after one O(n) check
+// — ColT on every scan stream — and the radix passes of the rest touch only
+// the bytes that differ somewhere in the column.
+func (s *sorter) sortPerm(in *batchCols, keys []SortKey) bool {
+	n := in.len()
+	s.perm = slices.Grow(s.perm[:0], n)[:n]
+	s.tmp = slices.Grow(s.tmp[:0], n)[:n]
+	s.key = slices.Grow(s.key[:0], n)[:n]
+	for i := range s.perm {
+		s.perm[i] = int32(i)
 	}
-	key := sc.key
 	moved := false
 	for k := len(keys) - 1; k >= 0; k-- {
-		sc.in.sortKeyColumn(key, keys[k])
-		if orderedBy(key, sc.perm) {
+		s.keyColumn(s.key, in, keys[k])
+		if orderedBy(s.key, s.perm) {
 			continue
 		}
 		moved = true
-		sc.perm, sc.tmp = radixSortPerm(key, sc.perm, sc.tmp)
+		s.perm, s.tmp = radixSortPerm(s.key, s.perm, s.tmp)
 	}
 	return moved
 }
 
-// sortKeyColumn fills dst with one uint64 per buffered row whose unsigned
-// order is the row order k asks for.
-func (bc *batchCols) sortKeyColumn(dst []uint64, k SortKey) {
+// keyColumn fills dst with one uint64 per row of in whose unsigned order is
+// the row order k asks for.
+func (s *sorter) keyColumn(dst []uint64, in *batchCols, k SortKey) {
 	switch k.Col {
 	case ColObjID:
-		intSortKeys(dst, bc.traj.ObjID)
+		intSortKeys(dst, in.traj.ObjID)
 	case ColFloor:
-		intSortKeys(dst, bc.traj.Floor)
+		intSortKeys(dst, in.traj.Floor)
 	case ColBuilding:
-		stringSortKeys(dst, bc.traj.Building)
+		s.stringSortKeys(dst, in.traj.Building)
 	case ColPartition:
-		stringSortKeys(dst, bc.traj.Partition)
-	case ColX:
-		floatSortKeys(dst, bc.traj.X)
-	case ColY:
-		floatSortKeys(dst, bc.traj.Y)
-	case ColT:
-		floatSortKeys(dst, bc.traj.T)
-	case ColVal:
-		if bc.useVal {
-			floatSortKeys(dst, bc.val)
-		} else {
-			clear(dst) // a missing Val column reads as 0 everywhere
-		}
+		s.stringSortKeys(dst, in.traj.Partition)
+	default:
+		clear(dst) // a missing Val column reads as 0 everywhere
+		floatSortKeys(dst, floatCol(in.batch(), k.Col))
 	}
 	if k.Desc {
 		for i, v := range dst {
@@ -153,51 +109,58 @@ func (bc *batchCols) sortKeyColumn(dst []uint64, k SortKey) {
 	}
 }
 
-// intSortKeys flips the sign bit, mapping int64 order onto uint64 order.
+// intKey flips the sign bit, mapping int64 order onto uint64 order.
+func intKey(v int64) uint64 { return uint64(v) ^ 1<<63 }
+
+// floatKey applies the monotone bit transform — negative values complement,
+// others set the sign bit — after folding -0 into +0 and every NaN onto the
+// top key.
+func floatKey(f float64) uint64 {
+	switch {
+	case f != f:
+		return math.MaxUint64
+	case f == 0:
+		return 1 << 63
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
 func intSortKeys(dst []uint64, col []int64) {
 	for i, v := range col {
-		dst[i] = uint64(v) ^ 1<<63
+		dst[i] = intKey(v)
 	}
 }
 
-// floatSortKeys applies the monotone bit transform — negative values
-// complement, others set the sign bit — after folding -0 into +0 and every
-// NaN onto the top key.
 func floatSortKeys(dst []uint64, col []float64) {
 	for i, f := range col {
-		switch {
-		case f != f:
-			dst[i] = math.MaxUint64
-		case f == 0:
-			dst[i] = 1 << 63
-		default:
-			b := math.Float64bits(f)
-			if b>>63 != 0 {
-				dst[i] = ^b
-			} else {
-				dst[i] = b | 1<<63
-			}
-		}
+		dst[i] = floatKey(f)
 	}
 }
 
 // stringSortKeys ranks each value within the sorted set of the column's
 // distinct values.
-func stringSortKeys(dst []uint64, col []string) {
-	rank := make(map[string]uint64)
-	for _, s := range col {
-		rank[s] = 0
+func (s *sorter) stringSortKeys(dst []uint64, col []string) {
+	if s.rank == nil {
+		s.rank = make(map[string]uint64)
 	}
-	names := make([]string, 0, len(rank))
-	for s := range rank {
-		names = append(names, s)
+	clear(s.rank)
+	s.names = s.names[:0]
+	for _, v := range col {
+		if _, ok := s.rank[v]; !ok {
+			s.rank[v] = 0
+			s.names = append(s.names, v)
+		}
 	}
-	sort.Strings(names)
-	for r, s := range names {
-		rank[s] = uint64(r)
+	slices.Sort(s.names)
+	for r, v := range s.names {
+		s.rank[v] = uint64(r)
 	}
-	for i, s := range col {
-		dst[i] = rank[s]
+	for i, v := range col {
+		dst[i] = s.rank[v]
 	}
 }
 

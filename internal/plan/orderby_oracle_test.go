@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -89,7 +90,7 @@ var (
 
 // orderByCase decodes fuzz bytes into an OrderBy problem. spec picks the
 // keys (1–3, any column, either direction), whether batches carry Val, and
-// the batch length; each row takes four bytes of data, one nibble per column.
+// the batch length; genBatches turns data into the rows.
 func orderByCase(data []byte, spec uint32) ([]*Batch, []SortKey) {
 	nkeys := 1 + int(spec&3)%3
 	spec >>= 2
@@ -98,9 +99,13 @@ func orderByCase(data []byte, spec uint32) ([]*Batch, []SortKey) {
 		keys[i] = SortKey{Col: Col(spec & 7), Desc: spec&8 != 0}
 		spec >>= 4
 	}
-	withVal := spec&1 != 0
-	batchLen := 1 + int(spec>>1&31)
+	return genBatches(data, spec&1 != 0, 1+int(spec>>1&31)), keys
+}
 
+// genBatches decodes fuzz bytes into batches of batchLen rows, four bytes a
+// row, one nibble per column, each drawn from the value tables above. With
+// withVal, every other batch carries a Val column.
+func genBatches(data []byte, withVal bool, batchLen int) []*Batch {
 	pick := func(n int, nib byte) int { return int(nib) % n }
 	var batches []*Batch
 	for len(data) >= 4 {
@@ -123,7 +128,7 @@ func orderByCase(data []byte, spec uint32) ([]*Batch, []SortKey) {
 		}
 		data = data[4:]
 	}
-	return batches, keys
+	return batches
 }
 
 // checkOrderBy runs the operator over the batches and requires its output to
@@ -139,8 +144,14 @@ func checkOrderBy(t *testing.T, batches []*Batch, keys []SortKey) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameRows(t, fmt.Sprintf("keys %v", keys), got, want)
+}
+
+// sameRows requires two row lists to be equal row for row and bit for bit.
+func sameRows(t *testing.T, what string, got, want []Row) {
+	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("keys %v: %d rows out, oracle has %d", keys, len(got), len(want))
+		t.Fatalf("%s: %d rows out, oracle has %d", what, len(got), len(want))
 	}
 	bits := math.Float64bits
 	for i := range got {
@@ -151,7 +162,7 @@ func checkOrderBy(t *testing.T, batches []*Batch, keys []SortKey) {
 			bits(g.Sample.Loc.Point.X) != bits(w.Sample.Loc.Point.X) ||
 			bits(g.Sample.Loc.Point.Y) != bits(w.Sample.Loc.Point.Y) ||
 			bits(g.Sample.T) != bits(w.Sample.T) || bits(g.Val) != bits(w.Val) {
-			t.Fatalf("keys %v: row %d of %d is %+v, oracle has %+v", keys, i, len(got), g, w)
+			t.Fatalf("%s: row %d of %d is %+v, oracle has %+v", what, i, len(got), g, w)
 		}
 	}
 }
@@ -179,13 +190,25 @@ func TestOrderByMatchesOracle(t *testing.T) {
 	}
 }
 
-func rowsBatch(rows []Row) []*Batch {
-	var bc batchCols
-	bc.reset(true)
-	for _, r := range rows {
-		bc.appendRow(r.Sample, r.Val)
+func rowsBatch(rows []Row) []*Batch { return rowsBatches(rows, len(rows)+1, true) }
+
+// rowsBatches lays rows out as batches of batchLen rows, with or without the
+// Val column.
+func rowsBatches(rows []Row, batchLen int, withVal bool) []*Batch {
+	var out []*Batch
+	for len(rows) > 0 {
+		n := min(batchLen, len(rows))
+		b := &Batch{Traj: &colstore.TrajectoryBatch{}}
+		for _, r := range rows[:n] {
+			b.Traj.Append(r.Sample)
+			if withVal {
+				b.Val = append(b.Val, r.Val)
+			}
+		}
+		out = append(out, b)
+		rows = rows[n:]
 	}
-	return []*Batch{bc.batch()}
+	return out
 }
 
 // FuzzOrderBy lets the fuzzer pick the rows and the key list; see

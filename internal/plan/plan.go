@@ -39,6 +39,13 @@
 // pulled batch-at-a-time: Next/Batch/Err/Stats/Close, the same contract as
 // the storage.Cursor a Source hands the Scan leaf.
 //
+// No operator builds a row: a Filter narrows a selection vector and gathers
+// the survivors once, Aggregate and Join number key tuples with dense group
+// IDs (one hash lookup per run of equal keys), OrderBy and Aggregate's
+// emission radix-sort a permutation, and blocking operators keep their
+// buffers in pooled scratch. Only Where predicates, SnapshotAt's
+// InterpolateAt call and CollectSamples/CollectRows view rows as Samples.
+//
 // Ownership: a Batch yielded by an operator is valid only until that
 // operator's next Next or Close. Operators never mutate the batches they
 // consume; anything that reorders, drops, or rewrites rows copies into its
@@ -115,11 +122,7 @@ func CollectRows(op Operator) ([]Row, error) {
 	for op.Next() {
 		b := op.Batch()
 		for i := 0; i < b.Len(); i++ {
-			r := Row{Sample: b.Traj.Row(i)}
-			if i < len(b.Val) {
-				r.Val = b.Val[i]
-			}
-			out = append(out, r)
+			out = append(out, Row{Sample: b.Traj.Row(i), Val: colNum(b, ColVal, i)})
 		}
 	}
 	return out, op.Close()

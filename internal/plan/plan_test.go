@@ -328,6 +328,67 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
+// otherNaN is a NaN whose bits differ from math.NaN()'s in sign and payload.
+var otherNaN = math.Float64frombits(0xfff8000000000002)
+
+// keySamples is one row per (object, time) pair, everything else zero.
+func keySamples(objs []int, ts []float64) []trajectory.Sample {
+	out := make([]trajectory.Sample, len(objs))
+	for i := range out {
+		out[i] = trajectory.Sample{ObjID: objs[i], T: ts[i]}
+	}
+	return out
+}
+
+// TestAggregateKeySemantics pins Aggregate's group keys to OrderBy's: object
+// IDs that differ above 2^53 are two groups (they used to be hashed as
+// float64 bits and merged), -0 and +0 are one group, and every NaN is one
+// group emitted after every number.
+func TestAggregateKeySemantics(t *testing.T) {
+	big := 1 << 53
+	got := rows(t, NewScan(SliceSource{Samples: keySamples([]int{big + 1, big, big + 1}, []float64{0, 0, 0})}).
+		Aggregate(By(ColObjID), CountInto(ColVal)))
+	if len(got) != 2 || got[0].Sample.ObjID != big || got[0].Val != 1 || got[1].Sample.ObjID != big+1 || got[1].Val != 2 {
+		t.Errorf("objects 2^53 and 2^53+1: got %+v, want 2^53 once then 2^53+1 twice", got)
+	}
+
+	nan1, nan2 := math.NaN(), otherNaN
+	negZero := math.Copysign(0, -1)
+	got = rows(t, NewScan(SliceSource{Samples: keySamples([]int{0, 1, 2, 3, 4, 5}, []float64{nan1, 0, math.Inf(1), negZero, nan2, -1})}).
+		Aggregate(By(ColT), CountInto(ColVal)))
+	want := []struct{ t, n float64 }{{-1, 1}, {0, 2}, {math.Inf(1), 1}, {math.NaN(), 2}}
+	if len(got) != len(want) {
+		t.Fatalf("by t over {NaN, 0, +Inf, -0, NaN, -1}: %d groups, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Val != w.n || !(g.Sample.T == w.t || math.IsNaN(w.t) && math.IsNaN(g.Sample.T)) {
+			t.Errorf("group %d is t=%g count %g, want t=%g count %g", i, g.Sample.T, g.Val, w.t, w.n)
+		}
+	}
+	if math.Signbit(got[1].Sample.T) {
+		t.Errorf("the ±0 group carries -0; want its first row's +0")
+	}
+}
+
+// TestJoinKeySemantics pins Join's key equality to Aggregate's and OrderBy's:
+// object IDs past 2^53 match only themselves, -0 matches +0, NaN matches NaN.
+func TestJoinKeySemantics(t *testing.T) {
+	big := 1 << 53
+	src := SliceSource{Samples: keySamples([]int{big, big + 1}, []float64{0, 0})}
+	got := rows(t, NewScan(src).Join(NewScan(src), ColObjID))
+	if len(got) != 2 || got[0].Sample.ObjID != big || got[1].Sample.ObjID != big+1 {
+		t.Errorf("self-join of objects 2^53, 2^53+1 on obj: got %+v, want each once", got)
+	}
+
+	left := SliceSource{Samples: keySamples([]int{1, 2, 3}, []float64{math.Copysign(0, -1), math.NaN(), 5})}
+	right := SliceSource{Samples: keySamples([]int{7, 8, 9}, []float64{0, otherNaN, 6})}
+	got = rows(t, NewScan(left).Join(NewScan(right), ColT))
+	if len(got) != 2 || got[0].Sample.ObjID != 1 || got[0].Val != 7 || got[1].Sample.ObjID != 2 || got[1].Val != 8 {
+		t.Errorf("join on t: got %+v, want -0 with +0 (1-7) and NaN with NaN (2-8)", got)
+	}
+}
+
 // TestAggregateValidation rejects string sources and destinations.
 func TestAggregateValidation(t *testing.T) {
 	src := SliceSource{}

@@ -49,22 +49,35 @@ func ObjEq(obj int) Pred { return Pred{kind: predObj, obj: obj} }
 // never pushes down, so use the structured predicates when one fits.
 func Where(fn func(trajectory.Sample) bool) Pred { return Pred{kind: predWhere, where: fn} }
 
-// match evaluates the predicate against one row, with semantics identical to
-// colstore.Predicate.MatchTrajectory for the structured kinds — pushing a
-// predicate down must never change which rows survive.
-func (p Pred) match(s trajectory.Sample) bool {
+// narrow keeps the rows of sel that satisfy the predicate, in one loop, with
+// semantics identical to colstore.Predicate.MatchTrajectory for the
+// structured kinds — pushing a predicate down must never change which rows
+// survive. Only a Where views rows as Samples, and only those still selected.
+func (p Pred) narrow(tr *colstore.TrajectoryBatch, sel []int32) []int32 {
 	switch p.kind {
 	case predTime:
-		return s.T >= p.t0 && s.T <= p.t1
+		return keepRows(sel, func(i int32) bool { return tr.T[i] >= p.t0 && tr.T[i] <= p.t1 })
 	case predFloor:
-		return s.Loc.Floor == p.floor
+		return keepRows(sel, func(i int32) bool { return tr.Floor[i] == int64(p.floor) })
 	case predBox:
-		return s.Loc.HasPoint && p.box.Contains(s.Loc.Point)
+		return keepRows(sel, func(i int32) bool { return tr.HasPoint[i] && p.box.Contains(geom.Pt(tr.X[i], tr.Y[i])) })
 	case predObj:
-		return s.ObjID == p.obj
+		return keepRows(sel, func(i int32) bool { return tr.ObjID[i] == int64(p.obj) })
 	default:
-		return p.where(s)
+		return keepRows(sel, func(i int32) bool { return p.where(tr.Row(int(i))) })
 	}
+}
+
+// keepRows compacts sel in place to the rows ok accepts.
+func keepRows(sel []int32, ok func(int32) bool) []int32 {
+	k := 0
+	for _, i := range sel {
+		if ok(i) {
+			sel[k] = i
+			k++
+		}
+	}
+	return sel[:k]
 }
 
 // pushInto attempts to fold the predicate into the scan's block predicate.

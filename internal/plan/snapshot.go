@@ -1,86 +1,87 @@
 package plan
 
 import (
-	"cmp"
 	"slices"
 
 	"vita/internal/colstore"
 	"vita/internal/trajectory"
 )
 
-// snapshotAtOp is the blocking fold behind Plan.SnapshotAt. Draining its
-// child it keeps, per object, the latest row before the instant and the
+// newSnapshotAtOp returns the blocking fold behind Plan.SnapshotAt. Draining
+// its child it keeps, per object, the latest row before the instant and the
 // earliest at or after it — by timestamp, so the answer does not depend on
 // the order rows arrive in; rows that tie on time resolve as a stable sort of
 // the object's series would (the last of the ties before, the first of those
-// after). It then emits one interpolated row per observed object.
-type snapshotAtOp struct {
-	child  Operator
-	t      float64
-	maxGap float64
-	done   bool
-	bc     batchCols
-}
-
-// bracket holds one object's rows either side of the instant.
-type bracket struct {
-	obj              int64
-	prev, next       trajectory.Sample
-	hasPrev, hasNext bool
-}
-
+// after). It emits one interpolated row per observed object, in object
+// order; the bracketing rows are column values in pooled scratch, viewed as
+// Samples only for InterpolateAt.
 func newSnapshotAtOp(child Operator, t, maxGap float64) Operator {
-	return &snapshotAtOp{child: child, t: t, maxGap: maxGap}
+	return &blockingOp[snapshotScratch]{unary: unary{child}, pool: &snapshotPool,
+		fold: func(child Operator, sc *snapshotScratch) *Batch { return sc.fold(child, t, maxGap) }}
 }
 
-func (s *snapshotAtOp) Next() bool {
-	if s.done {
-		return false
+// snapshotScratch is a snapshot's fold: object obj's row before the instant
+// is row 2·slot[obj] of ends and its row at or after it the next one, each
+// valid once has says so.
+type snapshotScratch struct {
+	slot map[int64]int32
+	obj  []int64
+	ends colstore.TrajectoryBatch
+	has  []bool
+	out  batchCols
+}
+
+var snapshotPool pool[snapshotScratch]
+
+func (sc *snapshotScratch) fold(child Operator, at, maxGap float64) *Batch {
+	if sc.slot == nil {
+		sc.slot = make(map[int64]int32)
 	}
-	s.done = true
-	slot := make(map[int64]int) // object -> index into brs
-	var brs []bracket
-	for s.child.Next() {
-		tr := s.child.Batch().Traj
+	clear(sc.slot)
+	sc.obj, sc.has = sc.obj[:0], sc.has[:0]
+	sc.ends.Reset()
+	for child.Next() {
+		tr := child.Batch().Traj
 		for i, t := range tr.T {
-			j, ok := slot[tr.ObjID[i]]
+			j, ok := sc.slot[tr.ObjID[i]]
 			if !ok {
-				j = len(brs)
-				slot[tr.ObjID[i]] = j
-				brs = append(brs, bracket{obj: tr.ObjID[i]})
+				j = int32(len(sc.obj))
+				sc.slot[tr.ObjID[i]] = j
+				sc.obj = append(sc.obj, tr.ObjID[i])
+				sc.ends.AppendRows(tr, i, i+1) // placeholders until has is set
+				sc.ends.AppendRows(tr, i, i+1)
+				sc.has = append(sc.has, false, false)
 			}
-			br := &brs[j]
-			if t < s.t {
-				if !br.hasPrev || t >= br.prev.T {
-					br.prev, br.hasPrev = tr.Row(i), true
-				}
-			} else if !br.hasNext || t < br.next.T {
-				br.next, br.hasNext = tr.Row(i), true
+			k, before := 2*int(j), t < at
+			if !before {
+				k++
+			}
+			if !sc.has[k] || (before && t >= sc.ends.T[k]) || (!before && t < sc.ends.T[k]) {
+				setRow(&sc.ends, k, tr, i)
+				sc.has[k] = true
 			}
 		}
 	}
-	if s.child.Err() != nil {
-		return false
-	}
-	slices.SortFunc(brs, func(a, b bracket) int { return cmp.Compare(a.obj, b.obj) })
-	s.bc.reset(false)
-	for i := range brs {
-		br := &brs[i]
-		var prev, next *trajectory.Sample
-		if br.hasPrev {
-			prev = &br.prev
+	slices.Sort(sc.obj)
+	sc.out.reset(false)
+	for _, obj := range sc.obj {
+		var rows [2]trajectory.Sample
+		var ends [2]*trajectory.Sample
+		for side := range ends {
+			if k := 2*int(sc.slot[obj]) + side; sc.has[k] {
+				rows[side] = sc.ends.Row(k)
+				ends[side] = &rows[side]
+			}
 		}
-		if br.hasNext {
-			next = &br.next
-		}
-		if loc, ok := trajectory.InterpolateAt(prev, next, s.t, s.maxGap); ok {
-			s.bc.appendRow(trajectory.Sample{ObjID: int(br.obj), Loc: loc, T: s.t}, 0)
+		if loc, ok := trajectory.InterpolateAt(ends[0], ends[1], at, maxGap); ok {
+			sc.out.traj.Append(trajectory.Sample{ObjID: int(obj), Loc: loc, T: at})
 		}
 	}
-	return s.bc.len() > 0
+	return sc.out.batch()
 }
 
-func (s *snapshotAtOp) Batch() *Batch             { return s.bc.batch() }
-func (s *snapshotAtOp) Err() error                { return s.child.Err() }
-func (s *snapshotAtOp) Stats() colstore.ScanStats { return s.child.Stats() }
-func (s *snapshotAtOp) Close() error              { return s.child.Close() }
+// setRow overwrites row k of dst with row i of src.
+func setRow(dst *colstore.TrajectoryBatch, k int, src *colstore.TrajectoryBatch, i int) {
+	dst.ObjID[k], dst.Building[k], dst.Floor[k], dst.Partition[k] = src.ObjID[i], src.Building[i], src.Floor[i], src.Partition[i]
+	dst.X[k], dst.Y[k], dst.T[k], dst.HasPoint[k] = src.X[i], src.Y[i], src.T[i], src.HasPoint[i]
+}

@@ -116,11 +116,7 @@ func fpDetail(preds []Pred, project []Col) string {
 		parts = append(parts, fmt.Sprintf("%d residual pred(s)", len(preds)))
 	}
 	if len(project) > 0 {
-		cols := make([]string, len(project))
-		for i, c := range project {
-			cols[i] = c.String()
-		}
-		parts = append(parts, "keep "+strings.Join(cols, ","))
+		parts = append(parts, "keep "+colList(project))
 	}
 	return strings.Join(parts, "; ")
 }
