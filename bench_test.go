@@ -95,34 +95,61 @@ func BenchmarkAblationDecomposition(b *testing.B) {
 	benchExperiment(b, experiments.AblationDecomposition)
 }
 
-// BenchmarkPipeline measures generation throughput (trajectory + RSSI, the
-// sharded hot path; positioning skipped) at several Parallelism settings.
-// The p=1 case is the sequential baseline; output is byte-identical across
-// all settings, so the sub-benchmarks differ only in wall clock. On a
-// multi-core host p=4 should approach a 4x speedup (Amdahl-limited by the
-// ~0.5ms serial topology build and the serialized merge emit).
+// BenchmarkPipeline measures generation throughput in rows/s. The p=N cases
+// run trajectory + RSSI generation (positioning skipped) in memory at
+// Parallelism N; their output is byte-identical, so they differ only in
+// wall clock, and p=1 is the sequential baseline. Extra workers speed up
+// the RSSI replay, but trajectory generation barely scales: its
+// order-preserving merge and serialized emit are most of its work (the
+// end-to-end benchmark's trajectory.speedup_p row, workload gen_mall,
+// measures it). The sink case is the whole chain as vitagen runs it:
+// trilateration on, streamed into a VTB DirSink.
 func BenchmarkPipeline(b *testing.B) {
+	base := DefaultConfig()
+	base.Objects.Count = 80
+	base.Objects.MinLifespan = 300
+	base.Objects.MaxLifespan = 600
+	base.Trajectory.Duration = 600
+	run := func(b *testing.B, generate func() (*Dataset, error)) {
+		b.ReportAllocs()
+		rows := 0
+		for i := 0; i < b.N; i++ {
+			ds, err := generate()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if ds.Trajectories.Len() == 0 || ds.RSSICount == 0 {
+				b.Fatal("empty generation output")
+			}
+			rows += ds.Trajectories.Len() + ds.RSSICount + ds.Estimates.Len()
+		}
+		b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
+	}
 	for _, p := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			cfg := DefaultConfig()
+			cfg := base
 			cfg.Parallelism = p
-			cfg.Objects.Count = 80
-			cfg.Objects.MinLifespan = 300
-			cfg.Objects.MaxLifespan = 600
-			cfg.Trajectory.Duration = 600
 			cfg.Positioning = PositioningConfig{}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ds, err := Generate(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ds.Trajectories.Len() == 0 || ds.RSSI.Len() == 0 {
-					b.Fatal("empty generation output")
-				}
-			}
+			run(b, func() (*Dataset, error) { return Generate(cfg) })
 		})
 	}
+	b.Run("sink", func(b *testing.B) {
+		cfg := base
+		cfg.Positioning = PositioningConfig{Method: "trilateration"}
+		dir := b.TempDir()
+		run(b, func() (*Dataset, error) {
+			sink, err := NewDirSink(dir, StorageVTB)
+			if err != nil {
+				return nil, err
+			}
+			ds, err := GenerateTo(cfg, sink)
+			if err != nil {
+				sink.Discard()
+				return nil, err
+			}
+			return ds, sink.Close()
+		})
+	})
 }
 
 // --- micro-benchmarks for the hot substrates ---

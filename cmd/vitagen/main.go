@@ -152,7 +152,7 @@ func run() error {
 	}
 	fmt.Printf("devices         %d\n", ds.Devices.Len())
 	fmt.Printf("trajectory rows %d (objects spawned %d)\n", ds.Trajectories.Len(), ds.TrajectoryStats.Spawned)
-	fmt.Printf("rssi rows       %d\n", ds.RSSI.Len())
+	fmt.Printf("rssi rows       %d\n", ds.RSSICount)
 	fmt.Printf("estimates       %d\n", ds.Estimates.Len())
 	fmt.Printf("prob estimates  %d\n", len(ds.ProbEstimates))
 	fmt.Printf("proximity rows  %d\n", ds.Proximity.Len())

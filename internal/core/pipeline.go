@@ -31,7 +31,9 @@ type Dataset struct {
 
 	Devices      *storage.DeviceStore
 	Trajectories *storage.TrajectoryStore
-	RSSI         *storage.RSSIStore
+	// RSSI keeps every raw measurement of a Run. It is nil after RunTo with
+	// a sink: the sink took the measurements, and RSSICount counts them.
+	RSSI *storage.RSSIStore
 
 	// Estimates holds trilateration / deterministic fingerprinting output.
 	Estimates *storage.EstimateStore
@@ -43,6 +45,8 @@ type Dataset struct {
 	RadioMap *positioning.RadioMap
 
 	TrajectoryStats trajectory.Stats
+	// RSSICount is the number of raw measurements generated.
+	RSSICount int
 }
 
 // Pipeline executes the three layers in order. Each controller is exposed so
@@ -86,13 +90,16 @@ func (p *Pipeline) Run() (*Dataset, error) {
 // collector, so a columnar writer sees them without the pipeline buffering
 // for it), RSSI measurements record by record in the generator's
 // object-grouped replay order, and the derived positioning tables once at
-// the end. A nil sink is equivalent to Run. The caller owns sink and must
-// Close it after RunTo returns; a sink error aborts the run.
+// the end. The positioning method runs per object inside the RSSI workers,
+// as each object's replay finishes. With a sink, the returned Dataset does
+// not keep the RSSI measurements (Dataset.RSSI is nil; RSSICount counts
+// them); everything else is kept as by Run. A nil sink is equivalent to
+// Run. The caller owns sink and must Close it after RunTo returns; a sink
+// error aborts the run.
 func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 	r := rng.New(p.cfg.Seed)
 	ds := &Dataset{
 		Trajectories: storage.NewTrajectoryStore(),
-		RSSI:         storage.NewRSSIStore(),
 		Estimates:    storage.NewEstimateStore(),
 		Proximity:    storage.NewProximityStore(),
 	}
@@ -145,26 +152,55 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 	ds.TrajectoryStats = stats
 
 	// ----- Positioning Layer -----
-	emitRSSI := ds.RSSI.Append
-	if sink != nil {
+	// The method is built before the replay it consumes, but the parent
+	// stream still splits RSSI first, then positioning, so the radio map
+	// draws what it always drew.
+	rssiR, posR := r.Split(), r.Split()
+	pmc := PositioningMethodController{Config: p.cfg.Positioning, RSSIModel: p.cfg.RSSI.model()}
+	position, radioMap, err := pmc.Build(topology, devs, posR)
+	if err != nil {
+		return nil, err
+	}
+	ds.RadioMap = radioMap
+	var emitRSSI func(rssi.Measurement)
+	if sink == nil {
+		ds.RSSI = storage.NewRSSIStore()
+		emitRSSI = ds.RSSI.Append
+	} else {
 		emitRSSI = func(m rssi.Measurement) {
-			ds.RSSI.Append(m)
 			if sinkErr == nil {
 				sinkErr = sink.RSSI(m)
 			}
 		}
 	}
+	// Windows never span objects, so the method runs on each object's
+	// measurements on the worker that replayed it; the flush appends the
+	// results in ascending object ID, which is the order a whole-run pass
+	// would produce.
+	var done rssi.ObjectDone
+	var posErr error
+	if position != nil {
+		done = func(_ int, ms []rssi.Measurement) func() {
+			out, err := position(ms)
+			return func() {
+				if err != nil && posErr == nil {
+					posErr = err
+				}
+				ds.Estimates.Append(out.Estimates...)
+				ds.ProbEstimates = append(ds.ProbEstimates, out.ProbEstimates...)
+				ds.Proximity.Append(out.Proximity...)
+			}
+		}
+	}
 	rssiCtl := RSSIMeasurementController{Config: p.cfg.RSSI, Parallelism: p.Parallelism()}
-	if _, err := rssiCtl.Generate(topology, devs, ds.Trajectories.All(), r.Split(), emitRSSI); err != nil {
+	if ds.RSSICount, err = rssiCtl.Generate(topology, devs, ds.Trajectories.All(), rssiR, emitRSSI, done); err != nil {
 		return nil, err
 	}
 	if sinkErr != nil {
 		return nil, fmt.Errorf("core: rssi sink: %w", sinkErr)
 	}
-
-	pmc := PositioningMethodController{Config: p.cfg.Positioning, RSSIModel: p.cfg.RSSI.model()}
-	if err := pmc.Run(topology, devs, ds, r.Split()); err != nil {
-		return nil, err
+	if posErr != nil {
+		return nil, posErr
 	}
 	if sink != nil {
 		if err := sink.Estimates(ds.Estimates.All()); err != nil {
@@ -387,9 +423,10 @@ type RSSIMeasurementController struct {
 	Parallelism int
 }
 
-// Generate replays trajectories against devices.
+// Generate replays trajectories against devices; done, when non-nil, runs
+// per object as rssi.Generator.Generate documents.
 func (c RSSIMeasurementController) Generate(t *topo.Topology, devs []*device.Device,
-	samples []trajectory.Sample, r *rng.Rand, emit func(rssi.Measurement)) (int, error) {
+	samples []trajectory.Sample, r *rng.Rand, emit func(rssi.Measurement), done rssi.ObjectDone) (int, error) {
 	gen, err := rssi.NewGenerator(t, devs, rssi.Config{
 		Model:          c.Config.model(),
 		SampleInterval: c.Config.SampleInterval,
@@ -398,7 +435,7 @@ func (c RSSIMeasurementController) Generate(t *topo.Topology, devs []*device.Dev
 	if err != nil {
 		return 0, err
 	}
-	return gen.Generate(samples, r, emit)
+	return gen.Generate(samples, r, emit, done)
 }
 
 // PositioningMethodController derives positioning data from raw RSSI data
@@ -408,79 +445,81 @@ type PositioningMethodController struct {
 	RSSIModel rssi.PathLossModel
 }
 
-// Run fills the dataset's positioning outputs in place.
-func (c PositioningMethodController) Run(t *topo.Topology, devs []*device.Device, ds *Dataset, r *rng.Rand) error {
-	ms := ds.RSSI.All()
+// Positions is the positioning output for a set of objects.
+type Positions struct {
+	Estimates     []positioning.Estimate
+	ProbEstimates []positioning.ProbEstimate
+	Proximity     []positioning.ProximityRecord
+}
+
+// Positioner runs a positioning method over ms, which must hold all of the
+// measurements of every object it covers. Windows never span objects, so one
+// object's measurements position alone, and the Positions of single objects
+// concatenated in ascending object ID equal those of the objects together.
+type Positioner func(ms []rssi.Measurement) (Positions, error)
+
+// Build constructs the configured method for a deployment — for
+// fingerprinting that includes the offline phase, surveying the radio map
+// with r, which Build also returns. The Positioner is nil when the
+// positioning step is skipped.
+func (c PositioningMethodController) Build(t *topo.Topology, devs []*device.Device, r *rng.Rand) (Positioner, *positioning.RadioMap, error) {
 	switch c.Config.Method {
 	case "":
-		return nil // positioning step skipped
+		return nil, nil, nil
 	case "trilateration":
 		tr, err := positioning.NewTrilateration(t, devs, positioning.TrilaterationConfig{
 			Convert:        positioning.DefaultConversion(c.RSSIModel),
 			SampleInterval: c.Config.SampleInterval,
 		})
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		est, err := tr.Estimate(ms)
-		if err != nil {
-			return err
-		}
-		ds.Estimates.Append(est...)
-		return nil
+		return func(ms []rssi.Measurement) (Positions, error) {
+			est, err := tr.Estimate(ms)
+			return Positions{Estimates: est}, err
+		}, nil, nil
 	case "fingerprint", "fingerprinting":
 		algo, err := c.Config.algorithm()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		rm, err := positioning.BuildRadioMap(t, devs, positioning.RadioMapConfig{
 			Spacing: c.Config.Spacing,
 			Model:   c.RSSIModel,
 		}, r)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		ds.RadioMap = rm
 		fp, err := positioning.NewFingerprinting(rm, devs, positioning.FingerprintConfig{
 			Algorithm:      algo,
 			K:              c.Config.K,
 			SampleInterval: c.Config.SampleInterval,
 		})
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		if algo == positioning.NaiveBayes {
-			pe, err := fp.EstimateProbabilistic(ms)
-			if err != nil {
-				return err
-			}
-			ds.ProbEstimates = pe
-			// Also materialize the argmax as deterministic records.
+			// Each window is scored once; the deterministic records are the
+			// argmax of the probabilistic ones.
+			return func(ms []rssi.Measurement) (Positions, error) {
+				pe, err := fp.EstimateProbabilistic(ms)
+				return Positions{Estimates: positioning.TopEstimates(pe), ProbEstimates: pe}, err
+			}, rm, nil
+		}
+		return func(ms []rssi.Measurement) (Positions, error) {
 			est, err := fp.Estimate(ms)
-			if err != nil {
-				return err
-			}
-			ds.Estimates.Append(est...)
-			return nil
-		}
-		est, err := fp.Estimate(ms)
-		if err != nil {
-			return err
-		}
-		ds.Estimates.Append(est...)
-		return nil
+			return Positions{Estimates: est}, err
+		}, rm, nil
 	case "proximity":
 		px, err := positioning.NewProximity(devs, positioning.ProximityConfig{})
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		recs, err := px.Records(ms)
-		if err != nil {
-			return err
-		}
-		ds.Proximity.Append(recs...)
-		return nil
+		return func(ms []rssi.Measurement) (Positions, error) {
+			recs, err := px.Records(ms)
+			return Positions{Proximity: recs}, err
+		}, nil, nil
 	default:
-		return fmt.Errorf("core: unknown positioning method %q", c.Config.Method)
+		return nil, nil, fmt.Errorf("core: unknown positioning method %q", c.Config.Method)
 	}
 }

@@ -20,7 +20,10 @@ import (
 // arrive grouped by ascending object ID, time-ordered per object and device
 // within each group (the replay order of the RSSI generator, and the same
 // order the batch CSV path always used). The small derived tables
-// (estimates, proximity) arrive once, after the positioning layer.
+// (estimates, proximity) arrive once, after the last RSSI row: the
+// positioning method runs per object alongside the RSSI replay, and its
+// output is handed over whole when the replay is done. A run given a sink
+// does not keep the RSSI rows it hands over (Dataset.RSSI is nil).
 //
 // The pipeline never calls Close; the caller that created the sink closes it
 // after RunTo returns, which is what flushes footers and buffers.

@@ -225,27 +225,29 @@ func NewFingerprinting(rm *RadioMap, devs []*device.Device, cfg FingerprintConfi
 // Estimate runs the deterministic algorithm (KNN, or the Bayes argmax when
 // the algorithm is NaiveBayes), producing (o_id, loc, t) records.
 func (fp *Fingerprinting) Estimate(ms []rssi.Measurement) ([]Estimate, error) {
+	if fp.cfg.Algorithm == NaiveBayes {
+		pes, err := fp.EstimateProbabilistic(ms)
+		return TopEstimates(pes), err
+	}
 	var out []Estimate
 	for _, w := range windowize(ms, fp.cfg.SampleInterval) {
-		switch fp.cfg.Algorithm {
-		case NaiveBayes:
-			pe, ok := fp.bayesWindow(w)
-			if !ok {
-				continue
-			}
-			top, ok := pe.Top()
-			if !ok {
-				continue
-			}
-			out = append(out, Estimate{ObjID: w.objID, Loc: top.Loc, T: w.t})
-		default:
-			est, ok := fp.knnWindow(w)
-			if ok {
-				out = append(out, est)
-			}
+		if est, ok := fp.knnWindow(w); ok {
+			out = append(out, est)
 		}
 	}
 	return out, nil
+}
+
+// TopEstimates reduces probabilistic records to deterministic ones, each at
+// its most probable candidate.
+func TopEstimates(pes []ProbEstimate) []Estimate {
+	var out []Estimate
+	for _, pe := range pes {
+		if top, ok := pe.Top(); ok {
+			out = append(out, Estimate{ObjID: pe.ObjID, Loc: top.Loc, T: pe.T})
+		}
+	}
+	return out
 }
 
 // EstimateProbabilistic runs the probabilistic algorithm, producing

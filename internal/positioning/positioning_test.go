@@ -225,6 +225,21 @@ func TestFingerprintBayesProbabilities(t *testing.T) {
 	if d := top.Loc.Point.Dist(geom.Pt(10, 10)); d > 5 {
 		t.Errorf("Bayes top candidate %.2fm away", d)
 	}
+
+	// The deterministic Bayes estimate is the most probable candidate.
+	best := pe.Candidates[0]
+	for _, c := range pe.Candidates {
+		if c.Prob > best.Prob {
+			best = c
+		}
+	}
+	est, err := fp.Estimate(measurementsAt(devs, noiseFreeModel(), geom.Pt(10, 10), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Estimate{ObjID: pe.ObjID, Loc: best.Loc, T: pe.T}); len(est) != 1 || est[0] != want {
+		t.Errorf("Bayes Estimate = %+v, want the most probable candidate %+v", est, want)
+	}
 }
 
 func TestRadioMapValidation(t *testing.T) {

@@ -2,6 +2,8 @@ package rssi
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"vita/internal/device"
@@ -53,7 +55,7 @@ func TestGenerateParallelIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ms []Measurement
-		n, err := gen.Generate(traj, rng.New(11), func(m Measurement) { ms = append(ms, m) })
+		n, err := gen.Generate(traj, rng.New(11), func(m Measurement) { ms = append(ms, m) }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +91,7 @@ func TestGenerateEmitOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ms []Measurement
-	if _, err := gen.Generate(benchTrajectories(7, 40), rng.New(2), func(m Measurement) { ms = append(ms, m) }); err != nil {
+	if _, err := gen.Generate(benchTrajectories(7, 40), rng.New(2), func(m Measurement) { ms = append(ms, m) }, nil); err != nil {
 		t.Fatal(err)
 	}
 	lastObj := 0
@@ -107,6 +109,102 @@ func TestGenerateEmitOrder(t *testing.T) {
 			t.Fatalf("time order violated for obj %d dev %s: %v after %v", m.ObjID, m.DeviceID, m.T, prev)
 		}
 		lastT[key] = m.T
+	}
+}
+
+// TestGenerateObjectDone pins the per-object completion step: done sees each
+// object's measurements exactly as they are emitted, and its flush runs in
+// ascending object ID right after that object's last measurement, at every
+// worker count.
+func TestGenerateObjectDone(t *testing.T) {
+	tp := officeTopo(t)
+	traj := benchTrajectories(9, 60)
+	for _, p := range []int{1, 4} {
+		gen, err := NewGenerator(tp, gridDevices(8), Config{Model: DefaultPathLossModel(), Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var emitted []Measurement
+		var flushed []int
+		seen := make([][]Measurement, 10)
+		done := func(id int, ms []Measurement) func() {
+			seen[id] = append([]Measurement(nil), ms...)
+			return func() {
+				got := emitted[len(emitted)-len(ms):]
+				if !slices.Equal(got, ms) {
+					t.Errorf("p=%d: object %d flushed before its measurements were emitted", p, id)
+				}
+				flushed = append(flushed, id)
+			}
+		}
+		n, err := gen.Generate(traj, rng.New(5), func(m Measurement) { emitted = append(emitted, m) }, done)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(emitted) || n == 0 {
+			t.Fatalf("p=%d: count %d, emitted %d", p, n, len(emitted))
+		}
+		if want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}; !slices.Equal(flushed, want) {
+			t.Fatalf("p=%d: flush order %v, want %v", p, flushed, want)
+		}
+		var all []Measurement
+		for _, ms := range seen {
+			all = append(all, ms...)
+		}
+		if !slices.Equal(all, emitted) {
+			t.Fatalf("p=%d: done saw other measurements than were emitted", p)
+		}
+	}
+}
+
+// TestRSSIInstantsOnGlobalGrid: every sampling instant is k·interval for an
+// integer k, whatever the object's start time, so two objects a device hears
+// at one instant carry the same T. Accumulating t += interval drifts off
+// the grid for intervals that are not dyadic fractions (0.1, 0.3).
+func TestRSSIInstantsOnGlobalGrid(t *testing.T) {
+	tp := officeTopo(t)
+	props := device.DefaultProperties(device.WiFi)
+	props.DetectionRange = 50
+	dev := &device.Device{ID: "d1", Type: device.WiFi, Floor: 0, Position: geom.Pt(4, 4), Props: props}
+	var traj []trajectory.Sample
+	for id, start := range []float64{0.37, 1.05, 2.9, 13.01} {
+		for i := 0; i <= 600; i++ {
+			traj = append(traj, trajectory.Sample{
+				ObjID: id + 1,
+				Loc:   model.At("office", 0, "F0-S0", geom.Pt(5, 4)),
+				T:     start + float64(i),
+			})
+		}
+	}
+	for _, interval := range []float64{0.1, 0.3} {
+		gen, err := NewGenerator(tp, []*device.Device{dev}, Config{Model: DefaultPathLossModel(), SampleInterval: interval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := 0
+		if _, err := gen.Generate(traj, rng.New(1), func(m Measurement) {
+			if k := math.Round(m.T / interval); m.T != k*interval {
+				off++
+			}
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if off != 0 {
+			t.Errorf("interval %g: %d instants off the k·interval grid", interval, off)
+		}
+	}
+}
+
+// TestGenerateRejectsUnorderedObjects: an object whose samples do not form
+// one run in ascending object order is refused, not replayed twice.
+func TestGenerateRejectsUnorderedObjects(t *testing.T) {
+	gen, err := NewGenerator(officeTopo(t), gridDevices(2), Config{Model: DefaultPathLossModel()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traj := append(benchTrajectories(2, 5), benchTrajectories(1, 5)...)
+	if _, err := gen.Generate(traj, rng.New(1), func(Measurement) {}, nil); err == nil {
+		t.Error("object 1 after object 2 accepted")
 	}
 }
 
@@ -132,7 +230,7 @@ func BenchmarkGenerate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := gen.Generate(traj, rng.New(uint64(i+1)), func(Measurement) {}); err != nil {
+				if _, err := gen.Generate(traj, rng.New(uint64(i+1)), func(Measurement) {}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"vita/internal/device"
@@ -151,8 +150,6 @@ type Generator struct {
 	topo    *topo.Topology
 	devices []*device.Device
 	cfg     Config
-	// byFloor groups devices for fast per-sample lookup.
-	byFloor map[int][]*device.Device
 }
 
 // NewGenerator builds a generator for the given deployment.
@@ -163,96 +160,115 @@ func NewGenerator(t *topo.Topology, devs []*device.Device, cfg Config) (*Generat
 	if cfg.Parallelism < 0 {
 		return nil, fmt.Errorf("rssi: negative parallelism")
 	}
-	g := &Generator{topo: t, devices: devs, cfg: cfg, byFloor: make(map[int][]*device.Device)}
-	for _, d := range devs {
-		g.byFloor[d.Floor] = append(g.byFloor[d.Floor], d)
-	}
-	return g, nil
+	return &Generator{topo: t, devices: devs, cfg: cfg}, nil
 }
 
-// Generate replays the trajectory samples (which must be in time order per
-// object) and emits measurements at each device's sampling instants. Linear
-// interpolation between consecutive same-floor samples reconstructs the
-// object position at the device's sampling times.
+// ObjectDone is a per-object completion step. Generate calls it on the
+// worker that replayed object id, with every measurement of that object in
+// emission order, so per-object work that needs the whole object (a
+// positioning method's windows, say) runs in parallel with the replay of
+// other objects. The flush function it returns, when non-nil, runs right
+// after the object's measurements were emitted: in ascending object ID and
+// never concurrently with emit or another flush. done must not modify ms:
+// the measurements are emitted after it returns.
+type ObjectDone func(id int, ms []Measurement) (flush func())
+
+// Generate replays the trajectory samples, which must be ordered by (object
+// ID, time) as storage.TrajectoryStore.All returns them, and emits
+// measurements at each device's sampling instants. Linear interpolation
+// between consecutive same-floor samples reconstructs the object position
+// at the device's sampling times.
 //
 // r keys the fluctuation noise: each object's replay draws from a stream
 // derived deterministically from (r, object ID), and objects are sharded
 // across cfg.Parallelism workers. Output is byte-identical for any worker
-// count. Measurements are emitted grouped by ascending object ID (time
-// order per object and device within each group); emit is never invoked
-// concurrently.
-func (g *Generator) Generate(samples []trajectory.Sample, r *rng.Rand, emit func(Measurement)) (int, error) {
+// count. Measurements are emitted grouped by ascending object ID (per
+// object device by device, each device's in time order); emit is never
+// invoked concurrently. A non-nil done runs once per object that has a
+// trajectory, on the sequential path too; see ObjectDone.
+func (g *Generator) Generate(samples []trajectory.Sample, r *rng.Rand, emit func(Measurement), done ObjectDone) (int, error) {
 	if emit == nil {
 		return 0, fmt.Errorf("rssi: nil emit callback")
 	}
-	byObj := groupByObject(samples)
-	// Deterministic object order.
-	ids := make([]int, 0, len(byObj))
-	for id := range byObj {
-		ids = append(ids, id)
+	// One trajectory per object, in ascending object ID.
+	var trajs [][]trajectory.Sample
+	for len(samples) > 0 {
+		id, n := samples[0].ObjID, 1
+		for n < len(samples) && samples[n].ObjID == id {
+			n++
+		}
+		if k := len(trajs); k > 0 && id < trajs[k-1][0].ObjID {
+			return 0, fmt.Errorf("rssi: samples not ordered by object (object %d after %d)", id, trajs[k-1][0].ObjID)
+		}
+		trajs = append(trajs, samples[:n])
+		samples = samples[n:]
 	}
-	sort.Ints(ids)
 	streams := r.Streams()
 
-	if workers := g.cfg.workers(); workers > 1 && len(ids) > 1 {
-		// Shard trajectories across workers and emit in object-ID order so
-		// parallel output matches the sequential path. Emission streams: as
-		// soon as the contiguous prefix of objects is done, its buffered
-		// measurements are flushed and released. The transient buffer holds
-		// only objects finished ahead of the lowest unfinished ID — small in
-		// the typical similar-sized-trajectory case, though a pathologically
-		// long first object can stall the flush behind it.
-		results := make([][]Measurement, len(ids))
-		done := make([]bool, len(ids))
-		var (
-			mu    sync.Mutex
-			next  int
-			count int
-			wg    sync.WaitGroup
-		)
-		finish := func(i int, ms []Measurement) {
-			mu.Lock()
-			defer mu.Unlock()
-			results[i] = ms
-			done[i] = true
-			for next < len(ids) && done[next] {
-				for _, m := range results[next] {
-					emit(m)
-				}
-				count += len(results[next])
-				results[next] = nil
-				next++
+	// Objects are sharded across workers and emitted in object-ID order, so
+	// parallel output matches the sequential path. Emission streams: as soon
+	// as the contiguous prefix of objects is done, its buffered measurements
+	// are flushed and released. The transient buffer holds only objects
+	// finished ahead of the lowest unfinished ID — small in the typical
+	// similar-sized-trajectory case, though a pathologically long first
+	// object can stall the flush behind it.
+	type result struct {
+		ms    []Measurement
+		flush func()
+		ready bool
+	}
+	results := make([]result, len(trajs))
+	var (
+		mu    sync.Mutex
+		next  int
+		count int
+	)
+	finish := func(i int, res result) {
+		mu.Lock()
+		defer mu.Unlock()
+		results[i] = res
+		for ; next < len(results) && results[next].ready; next++ {
+			for _, m := range results[next].ms {
+				emit(m)
 			}
+			count += len(results[next].ms)
+			if results[next].flush != nil {
+				results[next].flush()
+			}
+			results[next] = result{}
 		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(ids); i += workers {
-					id := ids[i]
-					var ms []Measurement
-					g.generateForObject(id, byObj[id], streams.Stream(uint64(id)),
-						func(m Measurement) { ms = append(ms, m) })
-					finish(i, ms)
-				}
-			}(w)
+	}
+	replay := func(w, workers int) {
+		for i := w; i < len(trajs); i += workers {
+			id := trajs[i][0].ObjID
+			res := result{ms: g.generateForObject(id, trajs[i], streams.Stream(uint64(id))), ready: true}
+			if done != nil {
+				res.flush = done(id, res.ms)
+			}
+			finish(i, res)
 		}
-		wg.Wait()
+	}
+	workers := min(g.cfg.workers(), len(trajs))
+	if workers <= 1 {
+		replay(0, 1)
 		return count, nil
 	}
-
-	count := 0
-	for _, id := range ids {
-		count += g.generateForObject(id, byObj[id], streams.Stream(uint64(id)), emit)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replay(w, workers)
+		}()
 	}
+	wg.Wait()
 	return count, nil
 }
 
-func (g *Generator) generateForObject(id int, traj []trajectory.Sample, r *rng.Rand, emit func(Measurement)) int {
-	if len(traj) == 0 {
-		return 0
-	}
-	count := 0
+// generateForObject replays one object's (non-empty) trajectory against
+// every device and returns its measurements, device by device.
+func (g *Generator) generateForObject(id int, traj []trajectory.Sample, r *rng.Rand) []Measurement {
+	var ms []Measurement
 	for _, dev := range g.devices {
 		interval := dev.Props.SampleInterval
 		if g.cfg.SampleInterval > 0 {
@@ -263,10 +279,12 @@ func (g *Generator) generateForObject(id int, traj []trajectory.Sample, r *rng.R
 		}
 		start := traj[0].T
 		end := traj[len(traj)-1].T
-		// Align device sampling instants to the global clock.
-		t0 := math.Ceil(start/interval) * interval
+		// Sampling instants sit on the global clock's k·interval grid. Each
+		// is computed from its integer k, never accumulated, so every object
+		// a device hears at one instant carries the same T.
 		seg := 0
-		for t := t0; t <= end+geom.Eps; t += interval {
+		for k := math.Ceil(start / interval); k*interval <= end+geom.Eps; k++ {
+			t := k * interval
 			// Advance to the segment containing t.
 			for seg+1 < len(traj) && traj[seg+1].T < t {
 				seg++
@@ -283,16 +301,15 @@ func (g *Generator) generateForObject(id int, traj []trajectory.Sample, r *rng.R
 			if g.cfg.Model.UseLineOfSight {
 				crossings = g.topo.Crossings(floor, dev.Position, pos)
 			}
-			emit(Measurement{
+			ms = append(ms, Measurement{
 				ObjID:    id,
 				DeviceID: dev.ID,
 				RSSI:     g.cfg.Model.At(dist, crossings, dev, r),
 				T:        t,
 			})
-			count++
 		}
 	}
-	return count
+	return ms
 }
 
 // interpolate returns the object position at time t from the trajectory
@@ -321,12 +338,4 @@ func interpolate(traj []trajectory.Sample, seg int, t float64) (geom.Point, int,
 	}
 	frac := (t - a.T) / (b.T - a.T)
 	return a.Loc.Point.Lerp(b.Loc.Point, frac), a.Loc.Floor, true
-}
-
-func groupByObject(samples []trajectory.Sample) map[int][]trajectory.Sample {
-	out := make(map[int][]trajectory.Sample)
-	for _, s := range samples {
-		out[s.ObjID] = append(out[s.ObjID], s)
-	}
-	return out
 }

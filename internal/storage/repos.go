@@ -127,7 +127,7 @@ func (s *TrajectoryStore) Series(objID int) []trajectory.Sample {
 
 // All returns every sample ordered by (object, time).
 func (s *TrajectoryStore) All() []trajectory.Sample {
-	var out []trajectory.Sample
+	out := make([]trajectory.Sample, 0, s.Len())
 	for _, id := range s.Objects() {
 		out = append(out, s.Series(id)...)
 	}

@@ -123,9 +123,11 @@ func NewDirSink(dir string, format StorageFormat) (*DirSink, error) {
 }
 
 // GenerateTo runs the pipeline like Generate while streaming the produced
-// data into sink record by record (trajectory and RSSI rows arrive in global
-// time order, so arbitrarily large runs persist without double buffering).
-// The caller owns sink and must Close it after GenerateTo returns.
+// data into sink record by record (trajectory rows in global time order,
+// RSSI rows grouped by object), so arbitrarily large runs persist without
+// double buffering. The returned Dataset does not keep the RSSI rows the
+// sink took (Dataset.RSSI is nil; Dataset.RSSICount counts them). The
+// caller owns sink and must Close it after GenerateTo returns.
 func GenerateTo(cfg Config, sink Sink) (*Dataset, error) {
 	p, err := core.NewPipeline(cfg)
 	if err != nil {
