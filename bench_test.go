@@ -281,7 +281,7 @@ func benchSamples(b *testing.B) []trajectory.Sample {
 		b.Fatal(err)
 	}
 	var samples []trajectory.Sample
-	if _, err := eng.Run(func(s trajectory.Sample) { samples = append(samples, s) }); err != nil {
+	if _, err := eng.Run(func(s trajectory.Sample) { samples = append(samples, s) }, nil); err != nil {
 		b.Fatal(err)
 	}
 	return samples
@@ -369,7 +369,7 @@ func BenchmarkTrajectoryEngine(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Run(nil); err != nil {
+		if _, err := eng.Run(nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

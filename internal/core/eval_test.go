@@ -12,15 +12,17 @@ import (
 )
 
 func truthStore() *storage.TrajectoryStore {
-	s := storage.NewTrajectoryStore()
 	// Object 1 walks from (0,0) to (10,0) over 10s on floor 0.
+	var series []trajectory.Sample
 	for tt := 0.0; tt <= 10; tt++ {
-		s.Append(trajectory.Sample{
+		series = append(series, trajectory.Sample{
 			ObjID: 1,
 			Loc:   model.At("b", 0, "P", geom.Pt(tt, 0)),
 			T:     tt,
 		})
 	}
+	s := storage.NewTrajectoryStore()
+	s.AppendSeries(series)
 	return s
 }
 
@@ -83,7 +85,7 @@ func TestEvaluateEstimatesClampsOutsideTimeRange(t *testing.T) {
 
 func TestPartitionHitRateCollapsesChildren(t *testing.T) {
 	s := storage.NewTrajectoryStore()
-	s.Append(trajectory.Sample{ObjID: 1, Loc: model.At("b", 0, "P.1", geom.Pt(0, 0)), T: 0})
+	s.AppendSeries([]trajectory.Sample{{ObjID: 1, Loc: model.At("b", 0, "P.1", geom.Pt(0, 0)), T: 0}})
 	ests := []positioning.Estimate{
 		{ObjID: 1, Loc: model.At("b", 0, "P.2", geom.Pt(0, 0)), T: 0}, // sibling
 		{ObjID: 1, Loc: model.At("b", 0, "Q", geom.Pt(0, 0)), T: 0},   // miss

@@ -90,12 +90,17 @@ func (p *Pipeline) Run() (*Dataset, error) {
 // collector, so a columnar writer sees them without the pipeline buffering
 // for it), RSSI measurements record by record in the generator's
 // object-grouped replay order, and the derived positioning tables once at
-// the end. The positioning method runs per object inside the RSSI workers,
-// as each object's replay finishes. With a sink, the returned Dataset does
-// not keep the RSSI measurements (Dataset.RSSI is nil; RSSICount counts
-// them); everything else is kept as by Run. A nil sink is equivalent to
-// Run. The caller owns sink and must Close it after RunTo returns; a sink
-// error aborts the run.
+// the end. Every trajectory row reaches the sink before the first RSSI row.
+//
+// Each object's trajectory is stored in Dataset.Trajectories with one
+// AppendSeries call, on the worker that simulated it, and the RSSI replay
+// reads those series in place (TrajectoryStore.AllSeries); the merge
+// collector runs only to feed a sink, so Run builds none. The positioning
+// method runs per object inside the RSSI workers, as each object's replay
+// finishes. With a sink, the returned Dataset does not keep the RSSI
+// measurements (Dataset.RSSI is nil; RSSICount counts them); everything else
+// is kept as by Run. A nil sink is equivalent to Run. The caller owns sink
+// and must Close it after RunTo returns; a sink error aborts the run.
 func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 	r := rng.New(p.cfg.Seed)
 	ds := &Dataset{
@@ -133,16 +138,17 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		Trajectory:  p.cfg.Trajectory,
 		Parallelism: p.Parallelism(),
 	}
-	emitTraj := ds.Trajectories.Append
+	// Each object's series is stored whole by the worker that simulated it;
+	// only a sink needs the time-ordered merge, so only a sink gets one.
+	var emitTraj func(trajectory.Sample)
 	if sink != nil {
 		emitTraj = func(s trajectory.Sample) {
-			ds.Trajectories.Append(s)
 			if sinkErr == nil {
 				sinkErr = sink.Trajectory(s)
 			}
 		}
 	}
-	stats, err := objCtl.Generate(topology, r.Split(), emitTraj)
+	stats, err := objCtl.Generate(topology, r.Split(), emitTraj, ds.Trajectories.AppendSeries)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +199,7 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		}
 	}
 	rssiCtl := RSSIMeasurementController{Config: p.cfg.RSSI, Parallelism: p.Parallelism()}
-	if ds.RSSICount, err = rssiCtl.Generate(topology, devs, ds.Trajectories.All(), rssiR, emitRSSI, done); err != nil {
+	if ds.RSSICount, err = rssiCtl.Generate(topology, devs, ds.Trajectories.AllSeries(), rssiR, emitRSSI, done); err != nil {
 		return nil, err
 	}
 	if sinkErr != nil {
@@ -366,10 +372,13 @@ type MovingObjectController struct {
 	Parallelism int
 }
 
-// Generate runs the movement engine, emitting samples to emit in global
-// time order (the streaming collector's guarantee). With Parallelism > 1,
-// emit may be called from worker goroutines, but never concurrently.
-func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, emit func(trajectory.Sample)) (trajectory.Stats, error) {
+// Generate runs the movement engine, handing each object's series to done
+// as the object finishes and, when emit is non-nil, every sample to emit in
+// global time order (the streaming collector's guarantee); see
+// trajectory.Engine.Run. With Parallelism > 1 both are called from worker
+// goroutines; emit never concurrently, done concurrently for different
+// objects.
+func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, emit func(trajectory.Sample), done trajectory.ObjectDone) (trajectory.Stats, error) {
 	pattern, err := c.Objects.pattern()
 	if err != nil {
 		return trajectory.Stats{}, err
@@ -411,7 +420,7 @@ func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, emit fun
 	if err != nil {
 		return trajectory.Stats{}, err
 	}
-	return eng.Run(emit)
+	return eng.Run(emit, done)
 }
 
 // RSSIMeasurementController generates raw RSSI measurements (paper §2,
@@ -423,10 +432,11 @@ type RSSIMeasurementController struct {
 	Parallelism int
 }
 
-// Generate replays trajectories against devices; done, when non-nil, runs
-// per object as rssi.Generator.Generate documents.
+// Generate replays the per-object series (ascending object ID) against
+// devices; done, when non-nil, runs per object as rssi.Generator.Generate
+// documents.
 func (c RSSIMeasurementController) Generate(t *topo.Topology, devs []*device.Device,
-	samples []trajectory.Sample, r *rng.Rand, emit func(rssi.Measurement), done rssi.ObjectDone) (int, error) {
+	series [][]trajectory.Sample, r *rng.Rand, emit func(rssi.Measurement), done rssi.ObjectDone) (int, error) {
 	gen, err := rssi.NewGenerator(t, devs, rssi.Config{
 		Model:          c.Config.model(),
 		SampleInterval: c.Config.SampleInterval,
@@ -435,7 +445,7 @@ func (c RSSIMeasurementController) Generate(t *topo.Topology, devs []*device.Dev
 	if err != nil {
 		return 0, err
 	}
-	return gen.Generate(samples, r, emit, done)
+	return gen.Generate(series, r, emit, done)
 }
 
 // PositioningMethodController derives positioning data from raw RSSI data

@@ -200,7 +200,7 @@ func E4SamplingSweep(seed uint64) (*Table, error) {
 		return nil, err
 	}
 	store := storage.NewTrajectoryStore()
-	if _, err := eng.Run(store.Append); err != nil {
+	if _, err := eng.Run(nil, store.AppendSeries); err != nil {
 		return nil, err
 	}
 

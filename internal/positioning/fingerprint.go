@@ -189,14 +189,27 @@ type FingerprintConfig struct {
 }
 
 // Fingerprinting is the online positioning method over a built radio map.
+//
+// NewFingerprinting lays the radio map out by device rank, over the union of
+// the deployment's and the map's device IDs, so scoring a window against
+// reference i reads flat arrays: refMean, refSD and refHas at i*nd+r for the
+// device of rank r, and refRanks[i] lists the ranks reference i heard in
+// ascending order. The map itself is left as built. Estimate and
+// EstimateProbabilistic are safe for concurrent use.
 type Fingerprinting struct {
-	cfg  FingerprintConfig
-	rm   *RadioMap
-	devs map[string]*device.Device
-	// refKeys caches each reference point's device IDs in sorted order, so
-	// the per-(window × reference) scoring loops accumulate floats in a
-	// stable order without re-sorting map keys on every call.
-	refKeys [][]string
+	cfg   FingerprintConfig
+	rm    *RadioMap
+	ranks deviceRanks
+	// floorOf[r] indexes floors for the deployed device of rank r, and is -1
+	// for an ID only the radio map knows; floors is sorted.
+	floorOf []int
+	floors  []int
+
+	refMean, refSD []float64
+	refHas         []bool
+	refRanks       [][]int
+	// refsOn lists each floor's reference indices in ascending order.
+	refsOn map[int][]int
 }
 
 // NewFingerprinting builds the method for the deployment that produced the
@@ -215,11 +228,37 @@ func NewFingerprinting(rm *RadioMap, devs []*device.Device, cfg FingerprintConfi
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = 2
 	}
-	refKeys := make([][]string, len(rm.Refs))
-	for i, ref := range rm.Refs {
-		refKeys[i] = sortedKeys(ref.Mean)
+	ids := append([]string(nil), rm.Devices...)
+	for id := range idx {
+		ids = append(ids, id)
 	}
-	return &Fingerprinting{cfg: cfg, rm: rm, devs: idx, refKeys: refKeys}, nil
+	for _, ref := range rm.Refs {
+		for id := range ref.Mean {
+			ids = append(ids, id)
+		}
+	}
+	fp := &Fingerprinting{cfg: cfg, rm: rm, ranks: newDeviceRanks(ids), refsOn: make(map[int][]int)}
+	byRank := make([]*device.Device, len(fp.ranks))
+	for r, id := range fp.ranks {
+		byRank[r] = idx[id]
+	}
+	fp.floors, fp.floorOf = deviceFloors(byRank)
+
+	nd := len(fp.ranks)
+	fp.refMean = make([]float64, len(rm.Refs)*nd)
+	fp.refSD = make([]float64, len(rm.Refs)*nd)
+	fp.refHas = make([]bool, len(rm.Refs)*nd)
+	fp.refRanks = make([][]int, len(rm.Refs))
+	for i, ref := range rm.Refs {
+		for r, id := range fp.ranks {
+			if mean, ok := ref.Mean[id]; ok {
+				fp.refMean[i*nd+r], fp.refSD[i*nd+r], fp.refHas[i*nd+r] = mean, ref.Stddev[id], true
+				fp.refRanks[i] = append(fp.refRanks[i], r)
+			}
+		}
+		fp.refsOn[ref.Loc.Floor] = append(fp.refsOn[ref.Loc.Floor], i)
+	}
+	return fp, nil
 }
 
 // Estimate runs the deterministic algorithm (KNN, or the Bayes argmax when
@@ -230,11 +269,11 @@ func (fp *Fingerprinting) Estimate(ms []rssi.Measurement) ([]Estimate, error) {
 		return TopEstimates(pes), err
 	}
 	var out []Estimate
-	for _, w := range windowize(ms, fp.cfg.SampleInterval) {
-		if est, ok := fp.knnWindow(w); ok {
+	fp.eachWindow(ms, func(ws *windows, slot, floor int, obs []reading, top []scored) {
+		if est, ok := fp.knnWindow(ws, slot, floor, obs, top); ok {
 			out = append(out, est)
 		}
-	}
+	})
 	return out, nil
 }
 
@@ -254,137 +293,186 @@ func TopEstimates(pes []ProbEstimate) []Estimate {
 // (o_id, {(loc_i, prob_i)}, t) records.
 func (fp *Fingerprinting) EstimateProbabilistic(ms []rssi.Measurement) ([]ProbEstimate, error) {
 	var out []ProbEstimate
-	for _, w := range windowize(ms, fp.cfg.SampleInterval) {
-		if pe, ok := fp.bayesWindow(w); ok {
+	fp.eachWindow(ms, func(ws *windows, slot, floor int, obs []reading, top []scored) {
+		if pe, ok := fp.bayesWindow(ws, slot, floor, obs, top); ok {
 			out = append(out, pe)
 		}
-	}
+	})
 	return out, nil
 }
 
-// knnWindow finds the k reference points nearest in signal space and returns
-// their inverse-distance-weighted centroid.
-func (fp *Fingerprinting) knnWindow(w window) (Estimate, bool) {
-	type scored struct {
-		i    int
-		dist float64
+// scored is a reference point's score against one window.
+type scored struct {
+	i int
+	v float64
+}
+
+// eachWindow builds the windows of ms and calls fn for each in (object,
+// time) order with the window's majority floor and its readings in
+// ascending device-ID order — ranked devices and unranked IDs merged — plus
+// an empty top-K buffer.
+func (fp *Fingerprinting) eachWindow(ms []rssi.Measurement, fn func(ws *windows, slot, floor int, obs []reading, top []scored)) {
+	ws := windowsPool.Get().(*windows)
+	defer windowsPool.Put(ws)
+	ws.build(ms, fp.cfg.SampleInterval, fp.ranks)
+	counts := make([]int, len(fp.floors))
+	obs := make([]reading, 0, len(fp.ranks))
+	top := make([]scored, 0, fp.cfg.K)
+	extra := ws.extra
+	for _, slot := range ws.order {
+		n := 0
+		for n < len(extra) && extra[n].slot == slot {
+			n++
+		}
+		obs = fp.readings(ws, slot, extra[:n], obs[:0])
+		extra = extra[n:]
+		fn(ws, slot, fp.majorityFloor(ws, slot, counts), obs, top[:0])
 	}
-	floor := fp.majorityFloorOf(w)
-	obsKeys := sortedKeys(w.mean)
-	var cands []scored
-	for i, ref := range fp.rm.Refs {
-		if ref.Loc.Floor != floor {
+}
+
+// readings appends the window's mean readings in ascending device-ID order:
+// the ranked devices by rank, with the window's unranked IDs (extra, sorted
+// by ID, rank -1) merged in.
+func (fp *Fingerprinting) readings(ws *windows, slot int, extra []extraReading, obs []reading) []reading {
+	for r := range fp.ranks {
+		m, ok := ws.mean(slot, r)
+		if !ok {
 			continue
 		}
-		d, n := fp.signalDistance(w.mean, obsKeys, ref, fp.refKeys[i])
+		for len(extra) > 0 && extra[0].id < fp.ranks[r] {
+			obs = append(obs, reading{rank: -1, mean: extra[0].sum / float64(extra[0].n)})
+			extra = extra[1:]
+		}
+		obs = append(obs, reading{rank: r, mean: m})
+	}
+	for _, e := range extra {
+		obs = append(obs, reading{rank: -1, mean: e.sum / float64(e.n)})
+	}
+	return obs
+}
+
+// majorityFloor picks the floor of the deployed devices dominating the
+// window (the lowest floor on a tie), falling back to the radio map's first
+// reference floor when no deployed device was heard. counts is scratch.
+func (fp *Fingerprinting) majorityFloor(ws *windows, slot int, counts []int) int {
+	clear(counts)
+	for r, fi := range fp.floorOf {
+		if fi >= 0 && ws.cnt[slot*ws.nd+r] > 0 {
+			counts[fi]++
+		}
+	}
+	best := -1
+	for fi, n := range counts {
+		if n > 0 && (best < 0 || n > counts[best]) {
+			best = fi
+		}
+	}
+	if best < 0 {
+		return fp.rm.Refs[0].Loc.Floor
+	}
+	return fp.floors[best]
+}
+
+// keepTop inserts c into top, the best candidates so far (at most k, best
+// first). Candidates arrive in ascending reference index, and the index
+// breaks ties, so c outranks an entry only when better(c.v, entry.v) holds
+// strictly: the result is the first k of a full sort by (score, index).
+func keepTop(top []scored, k int, c scored, better func(a, b float64) bool) []scored {
+	j := len(top)
+	for j > 0 && better(c.v, top[j-1].v) {
+		j--
+	}
+	if j >= k {
+		return top
+	}
+	if len(top) < k {
+		top = append(top, scored{})
+	}
+	copy(top[j+1:], top[j:len(top)-1])
+	top[j] = c
+	return top
+}
+
+func lessScore(a, b float64) bool    { return a < b }
+func greaterScore(a, b float64) bool { return a > b }
+
+// knnWindow finds the k reference points nearest in signal space and returns
+// their inverse-distance-weighted centroid.
+func (fp *Fingerprinting) knnWindow(ws *windows, slot, floor int, obs []reading, top []scored) (Estimate, bool) {
+	for _, i := range fp.refsOn[floor] {
+		d, n := fp.signalDistance(ws, slot, obs, i)
 		if n == 0 {
 			continue
 		}
-		cands = append(cands, scored{i: i, dist: d})
+		top = keepTop(top, fp.cfg.K, scored{i: i, v: d}, lessScore)
 	}
-	if len(cands) == 0 {
+	if len(top) == 0 {
 		return Estimate{}, false
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].dist != cands[b].dist {
-			return cands[a].dist < cands[b].dist
-		}
-		return cands[a].i < cands[b].i
-	})
-	k := fp.cfg.K
-	if k > len(cands) {
-		k = len(cands)
-	}
 	var wx, wy, wsum float64
-	first := fp.rm.Refs[cands[0].i].Loc
-	for _, c := range cands[:k] {
+	first := fp.rm.Refs[top[0].i].Loc
+	for _, c := range top {
 		ref := fp.rm.Refs[c.i]
-		wgt := 1 / (c.dist + 0.1)
+		wgt := 1 / (c.v + 0.1)
 		wx += ref.Loc.Point.X * wgt
 		wy += ref.Loc.Point.Y * wgt
 		wsum += wgt
 	}
 	pt := geom.Pt(wx/wsum, wy/wsum)
 	loc := model.At(first.Building, first.Floor, first.Partition, pt)
-	return Estimate{ObjID: w.objID, Loc: loc, T: w.t}, true
+	return Estimate{ObjID: ws.keys[slot].obj, Loc: loc, T: ws.t(slot)}, true
 }
 
 // bayesWindow computes the naive Bayes posterior over reference locations.
-func (fp *Fingerprinting) bayesWindow(w window) (ProbEstimate, bool) {
-	floor := fp.majorityFloorOf(w)
-	obsKeys := sortedKeys(w.mean)
-	type scored struct {
-		i    int
-		logp float64
-	}
-	var cands []scored
-	for i, ref := range fp.rm.Refs {
-		if ref.Loc.Floor != floor {
-			continue
-		}
-		logp, n := fp.logLikelihood(w.mean, obsKeys, ref)
+func (fp *Fingerprinting) bayesWindow(ws *windows, slot, floor int, obs []reading, top []scored) (ProbEstimate, bool) {
+	for _, i := range fp.refsOn[floor] {
+		logp, n := fp.logLikelihood(obs, i)
 		if n == 0 {
 			continue
 		}
-		cands = append(cands, scored{i: i, logp: logp})
+		top = keepTop(top, fp.cfg.K, scored{i: i, v: logp}, greaterScore)
 	}
-	if len(cands) == 0 {
+	if len(top) == 0 {
 		return ProbEstimate{}, false
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].logp != cands[b].logp {
-			return cands[a].logp > cands[b].logp
-		}
-		return cands[a].i < cands[b].i
-	})
-	k := fp.cfg.K
-	if k > len(cands) {
-		k = len(cands)
-	}
-	cands = cands[:k]
 	// Normalize in probability space, guarding against underflow.
-	maxLog := cands[0].logp
+	pe := ProbEstimate{ObjID: ws.keys[slot].obj, T: ws.t(slot), Candidates: make([]Candidate, len(top))}
 	var total float64
-	probs := make([]float64, len(cands))
-	for i, c := range cands {
-		probs[i] = math.Exp(c.logp - maxLog)
-		total += probs[i]
+	for i, c := range top {
+		p := math.Exp(c.v - top[0].v)
+		pe.Candidates[i] = Candidate{Loc: fp.rm.Refs[c.i].Loc, Prob: p}
+		total += p
 	}
-	pe := ProbEstimate{ObjID: w.objID, T: w.t}
-	for i, c := range cands {
-		pe.Candidates = append(pe.Candidates, Candidate{
-			Loc:  fp.rm.Refs[c.i].Loc,
-			Prob: probs[i] / total,
-		})
+	for i := range pe.Candidates {
+		pe.Candidates[i].Prob /= total
 	}
 	return pe, true
 }
 
-// signalDistance is the Euclidean distance in signal space over the union of
-// devices heard by the window and the reference, substituting MissingRSSI
-// for unheard devices. It returns the distance and the number of devices
-// compared.
-func (fp *Fingerprinting) signalDistance(obs map[string]float64, obsKeys []string, ref RefPoint, refKeys []string) (float64, int) {
-	// Iterate both maps through pre-sorted key slices: float accumulation
-	// must not depend on Go's randomized map order, or identical runs drift
-	// in the low bits and break the toolkit's seed-determinism guarantee.
+// signalDistance is the Euclidean distance in signal space between the
+// window and reference i over the union of the devices either heard,
+// substituting MissingRSSI for unheard devices. It returns the distance and
+// the number of devices compared. Both loops run in ascending device-ID
+// order, so the float sum does not depend on map iteration order.
+func (fp *Fingerprinting) signalDistance(ws *windows, slot int, obs []reading, i int) (float64, int) {
+	nd := len(fp.ranks)
 	var sum float64
 	n := 0
-	for _, id := range obsKeys {
-		v := obs[id]
-		mean, ok := ref.Mean[id]
-		if !ok {
-			mean = fp.rm.MissingRSSI
+	for _, o := range obs {
+		mean := fp.rm.MissingRSSI
+		if o.rank >= 0 && fp.refHas[i*nd+o.rank] {
+			mean = fp.refMean[i*nd+o.rank]
 		}
-		d := v - mean
+		d := o.mean - mean
 		sum += d * d
 		n++
 	}
-	for _, id := range refKeys {
-		if _, ok := obs[id]; ok {
+	heard := ws.cnt[slot*nd : slot*nd+nd]
+	for _, r := range fp.refRanks[i] {
+		if heard[r] > 0 {
 			continue
 		}
-		d := fp.rm.MissingRSSI - ref.Mean[id]
+		d := fp.rm.MissingRSSI - fp.refMean[i*nd+r]
 		sum += d * d
 		n++
 	}
@@ -394,33 +482,21 @@ func (fp *Fingerprinting) signalDistance(obs map[string]float64, obsKeys []strin
 	return math.Sqrt(sum / float64(n)), n
 }
 
-// sortedKeys returns m's keys in ascending order, for order-stable float
-// accumulation.
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // logLikelihood is the Gaussian naive Bayes log likelihood of the observed
-// fingerprint at the reference point.
-func (fp *Fingerprinting) logLikelihood(obs map[string]float64, obsKeys []string, ref RefPoint) (float64, int) {
+// fingerprint at reference i.
+func (fp *Fingerprinting) logLikelihood(obs []reading, i int) (float64, int) {
+	nd := len(fp.ranks)
 	var lp float64
 	n := 0
-	for _, id := range obsKeys {
-		v := obs[id]
-		mean, ok := ref.Mean[id]
-		sd := ref.Stddev[id]
-		if !ok {
-			mean, sd = fp.rm.MissingRSSI, 5
+	for _, o := range obs {
+		mean, sd := fp.rm.MissingRSSI, 5.0
+		if o.rank >= 0 && fp.refHas[i*nd+o.rank] {
+			mean, sd = fp.refMean[i*nd+o.rank], fp.refSD[i*nd+o.rank]
 		}
 		if sd <= 0 {
 			sd = 1
 		}
-		z := (v - mean) / sd
+		z := (o.mean - mean) / sd
 		lp += -0.5*z*z - math.Log(sd)
 		n++
 	}
@@ -428,23 +504,4 @@ func (fp *Fingerprinting) logLikelihood(obs map[string]float64, obsKeys []string
 		return 0, 0
 	}
 	return lp, n
-}
-
-// majorityFloorOf picks the floor of the devices dominating the window,
-// falling back to the radio map's first reference floor when no observed
-// device is known.
-func (fp *Fingerprinting) majorityFloorOf(w window) int {
-	counts := make(map[int]int)
-	for id := range w.mean {
-		if d, ok := fp.devs[id]; ok {
-			counts[d.Floor]++
-		}
-	}
-	best, bestN := fp.rm.Refs[0].Loc.Floor, 0
-	for fl, n := range counts {
-		if n > bestN || (n == bestN && fl < best) {
-			best, bestN = fl, n
-		}
-	}
-	return best
 }

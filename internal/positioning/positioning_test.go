@@ -2,6 +2,7 @@ package positioning
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"vita/internal/device"
@@ -303,28 +304,43 @@ func TestProximityRSSIThreshold(t *testing.T) {
 	}
 }
 
+// TestWindowizeAveraging: readings are averaged per (object, window,
+// device) into the device-indexed slots, windows come out in (object, time)
+// order, and a reading of an unranked ID is kept aside.
 func TestWindowizeAveraging(t *testing.T) {
 	ms := []rssi.Measurement{
-		{ObjID: 1, DeviceID: "a", RSSI: -40, T: 0.2},
-		{ObjID: 1, DeviceID: "a", RSSI: -60, T: 1.8},
-		{ObjID: 1, DeviceID: "b", RSSI: -55, T: 1.0},
 		{ObjID: 2, DeviceID: "a", RSSI: -45, T: 0.5},
+		{ObjID: 1, DeviceID: "a", RSSI: -40, T: 0.2},
 		{ObjID: 1, DeviceID: "a", RSSI: -70, T: 2.5}, // next window
+		{ObjID: 1, DeviceID: "b", RSSI: -55, T: 1.0},
+		{ObjID: 1, DeviceID: "a", RSSI: -60, T: 1.8},
+		{ObjID: 1, DeviceID: "z", RSSI: -80, T: 1.9}, // unranked
 	}
-	ws := windowize(ms, 2)
-	if len(ws) != 3 {
-		t.Fatalf("got %d windows", len(ws))
+	ws := &windows{slotOf: map[windowKey]int{}}
+	ws.build(ms, 2, newDeviceRanks([]string{"b", "a"}))
+	if len(ws.order) != 3 || ws.nd != 2 {
+		t.Fatalf("got %d windows over %d devices", len(ws.order), ws.nd)
 	}
-	// Windows sorted by (obj, t): obj1 win0, obj1 win1, obj2 win0.
-	w0 := ws[0]
-	if w0.objID != 1 || math.Abs(w0.mean["a"]-(-50)) > 1e-9 || math.Abs(w0.mean["b"]-(-55)) > 1e-9 {
-		t.Errorf("window 0 wrong: %+v", w0)
+	type win struct {
+		obj  int
+		t    float64
+		a, b float64
 	}
-	if ws[1].objID != 1 || math.Abs(ws[1].mean["a"]-(-70)) > 1e-9 {
-		t.Errorf("window 1 wrong: %+v", ws[1])
+	var got []win
+	for _, slot := range ws.order {
+		a, _ := ws.mean(slot, 0)
+		b, _ := ws.mean(slot, 1)
+		got = append(got, win{ws.keys[slot].obj, ws.t(slot), a, b})
 	}
-	if ws[2].objID != 2 {
-		t.Errorf("window 2 wrong: %+v", ws[2])
+	want := []win{{1, 1, -50, -55}, {1, 3, -70, 0}, {2, 1, -45, 0}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("windows = %+v, want %+v", got, want)
+	}
+	if _, heard := ws.mean(ws.order[1], 1); heard {
+		t.Error("device b reported heard in a window it was not")
+	}
+	if len(ws.extra) != 1 || ws.extra[0].id != "z" || ws.extra[0].slot != ws.order[0] || ws.extra[0].sum != -80 {
+		t.Errorf("extra = %+v", ws.extra)
 	}
 }
 

@@ -3,7 +3,6 @@ package positioning
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"vita/internal/device"
 	"vita/internal/geom"
@@ -44,10 +43,27 @@ type TrilaterationConfig struct {
 // least three circles, each centered at a positioning device with radius the
 // converted distance (paper §3.3). The over-determined system is solved by
 // linearized least squares.
+//
+// Everything a window needs about the deployment is precomputed by
+// NewTrilateration: the devices by rank (ascending ID), each device's floor
+// as an index into the sorted floor list, and each floor's clamping box.
+// Estimate is safe for concurrent use.
 type Trilateration struct {
-	cfg  TrilaterationConfig
-	topo *topo.Topology
-	devs map[string]*device.Device
+	cfg   TrilaterationConfig
+	topo  *topo.Topology
+	ranks deviceRanks
+	devs  []*device.Device // by rank
+	// floorOf[r] indexes floors for the device of rank r; floors is sorted.
+	floorOf []int
+	floors  []int
+	boxes   []floorBox // by floor index
+}
+
+// floorBox is a floor's clamping box; ok is false when the floor has no
+// partitions to bound it (estimates on it are left as computed).
+type floorBox struct {
+	box geom.BBox
+	ok  bool
 }
 
 // NewTrilateration builds the method for a deployment.
@@ -68,84 +84,107 @@ func NewTrilateration(t *topo.Topology, devs []*device.Device, cfg Trilateration
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = 2
 	}
-	return &Trilateration{cfg: cfg, topo: t, devs: idx}, nil
+	tr := &Trilateration{cfg: cfg, topo: t}
+	tr.ranks, tr.devs = rankDevices(idx)
+	tr.floors, tr.floorOf = deviceFloors(tr.devs)
+	for _, fl := range tr.floors {
+		var fb floorBox
+		if f, ok := t.B.Floor(fl); ok {
+			fb.box = f.BBox()
+			fb.ok = !fb.box.IsEmpty()
+		}
+		tr.boxes = append(tr.boxes, fb)
+	}
+	return tr, nil
 }
 
 // Estimate processes raw RSSI measurements into positioning records. Windows
 // observed by fewer than MinDevices devices yield no estimate (the method
-// needs three circles).
+// needs three circles). A measurement of a device outside the deployment is
+// an error.
 func (tr *Trilateration) Estimate(ms []rssi.Measurement) ([]Estimate, error) {
-	var out []Estimate
-	for _, w := range windowize(ms, tr.cfg.SampleInterval) {
-		est, ok, err := tr.estimateWindow(w)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
+	ws := windowsPool.Get().(*windows)
+	defer windowsPool.Put(ws)
+	ws.build(ms, tr.cfg.SampleInterval, tr.ranks)
+	if len(ws.extra) > 0 {
+		return nil, fmt.Errorf("positioning: measurement references unknown device %s", ws.extra[0].id)
+	}
+	var (
+		out    []Estimate
+		counts = make([]int, len(tr.floors))
+		obs    = make([]reading, 0, len(tr.ranks))
+	)
+	for _, slot := range ws.order {
+		if est, ok := tr.estimateWindow(ws, slot, counts, obs); ok {
 			out = append(out, est)
 		}
 	}
 	return out, nil
 }
 
-func (tr *Trilateration) estimateWindow(w window) (Estimate, bool, error) {
-	// Group the window's devices by floor; use the floor with the most
-	// observations.
-	byFloor := make(map[int][]string)
-	for id := range w.mean {
-		d, ok := tr.devs[id]
-		if !ok {
-			return Estimate{}, false, fmt.Errorf("positioning: measurement references unknown device %s", id)
-		}
-		byFloor[d.Floor] = append(byFloor[d.Floor], id)
-	}
-	bestFloor, bestN := 0, 0
-	for fl, ids := range byFloor {
-		if len(ids) > bestN || (len(ids) == bestN && fl < bestFloor) {
-			bestFloor, bestN = fl, len(ids)
-		}
-	}
-	if bestN < tr.cfg.MinDevices {
-		return Estimate{}, false, nil
-	}
-	ids := byFloor[bestFloor]
-	// Keep the strongest observations: weak signals invert to unreliable,
-	// inflated distances.
-	sort.Slice(ids, func(i, j int) bool {
-		if w.mean[ids[i]] != w.mean[ids[j]] {
-			return w.mean[ids[i]] > w.mean[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	if len(ids) > tr.cfg.MaxDevices {
-		ids = ids[:tr.cfg.MaxDevices]
-	}
+// reading is one device's mean RSSI in a window.
+type reading struct {
+	rank int
+	mean float64
+}
 
-	type circle struct {
-		c geom.Point
-		r float64
-	}
-	circles := make([]circle, 0, len(ids))
-	for _, id := range ids {
-		d := tr.devs[id]
-		r := tr.cfg.Convert(w.mean[id], d)
-		// A detected object is inside the detection range by construction;
-		// cap the inverted distance accordingly.
-		if max := d.Props.DetectionRange; max > 0 && r > max {
-			r = max
+// estimateWindow solves one window; counts and obs are scratch.
+func (tr *Trilateration) estimateWindow(ws *windows, slot int, counts []int, obs []reading) (Estimate, bool) {
+	// Use the floor whose devices observed the window most (the lowest
+	// floor on a tie).
+	clear(counts)
+	for r := range tr.ranks {
+		if ws.cnt[slot*ws.nd+r] > 0 {
+			counts[tr.floorOf[r]]++
 		}
-		circles = append(circles, circle{c: d.Position, r: r})
+	}
+	best := 0
+	for fi, n := range counts {
+		if n > counts[best] {
+			best = fi
+		}
+	}
+	if counts[best] < tr.cfg.MinDevices {
+		return Estimate{}, false
+	}
+	// Keep the strongest observations: weak signals invert to unreliable,
+	// inflated distances. Ties go to the lower rank, i.e. the smaller ID.
+	obs = obs[:0]
+	for r := range tr.ranks {
+		if m, ok := ws.mean(slot, r); ok && tr.floorOf[r] == best {
+			i := len(obs)
+			obs = append(obs, reading{})
+			for ; i > 0 && obs[i-1].mean < m; i-- {
+				obs[i] = obs[i-1]
+			}
+			obs[i] = reading{rank: r, mean: m}
+		}
+	}
+	if len(obs) > tr.cfg.MaxDevices {
+		obs = obs[:tr.cfg.MaxDevices]
 	}
 
 	// Linearize against the first circle:
 	//   2(xi-x0)x + 2(yi-y0)y = r0² - ri² + xi² - x0² + yi² - y0²
 	// and solve the 2x2 normal equations.
-	x0, y0, r0 := circles[0].c.X, circles[0].c.Y, circles[0].r
+	circle := func(o reading) (geom.Point, float64) {
+		d := tr.devs[o.rank]
+		r := tr.cfg.Convert(o.mean, d)
+		// A detected object is inside the detection range by construction;
+		// cap the inverted distance accordingly.
+		if max := d.Props.DetectionRange; max > 0 && r > max {
+			r = max
+		}
+		return d.Position, r
+	}
+	c0, r0 := circle(obs[0])
+	x0, y0 := c0.X, c0.Y
 	var a11, a12, a22, b1, b2 float64
-	for _, ci := range circles[1:] {
-		ax := 2 * (ci.c.X - x0)
-		ay := 2 * (ci.c.Y - y0)
-		rhs := r0*r0 - ci.r*ci.r + ci.c.X*ci.c.X - x0*x0 + ci.c.Y*ci.c.Y - y0*y0
+	for _, o := range obs[1:] {
+		c, ri := circle(o)
+		ax := 2 * (c.X - x0)
+		ay := 2 * (c.Y - y0)
+		rhs := r0*r0 - ri*ri + c.X*c.X - x0*x0 + c.Y*c.Y - y0*y0
 		a11 += ax * ax
 		a12 += ax * ay
 		a22 += ay * ay
@@ -155,14 +194,17 @@ func (tr *Trilateration) estimateWindow(w window) (Estimate, bool, error) {
 	det := a11*a22 - a12*a12
 	if math.Abs(det) < 1e-9 {
 		// Collinear devices: no unique intersection.
-		return Estimate{}, false, nil
+		return Estimate{}, false
 	}
 	x := (b1*a22 - b2*a12) / det
 	y := (a11*b2 - a12*b1) / det
-	pt := clampToFloor(tr.topo, bestFloor, geom.Pt(x, y))
-
-	loc := modelLocation(tr.topo, bestFloor, pt)
-	return Estimate{ObjID: w.objID, Loc: loc, T: w.t}, true, nil
+	floor := tr.floors[best]
+	pt := geom.Pt(x, y)
+	if fb := tr.boxes[best]; fb.ok {
+		pt = clampTo(fb.box, pt)
+	}
+	loc := modelLocation(tr.topo, floor, pt)
+	return Estimate{ObjID: ws.keys[slot].obj, Loc: loc, T: ws.t(slot)}, true
 }
 
 // modelLocation builds the composite location (buildingID + floorID +
@@ -176,17 +218,9 @@ func modelLocation(t *topo.Topology, floor int, pt geom.Point) model.Location {
 	return model.At(t.B.ID, floor, "", pt)
 }
 
-// clampToFloor pulls an estimate back into the floor's bounding box: an
-// indoor positioning system never reports a location outside the building.
-func clampToFloor(t *topo.Topology, floor int, pt geom.Point) geom.Point {
-	f, ok := t.B.Floor(floor)
-	if !ok {
-		return pt
-	}
-	bb := f.BBox()
-	if bb.IsEmpty() {
-		return pt
-	}
+// clampTo pulls an estimate back into its floor's bounding box: an indoor
+// positioning system never reports a location outside the building.
+func clampTo(bb geom.BBox, pt geom.Point) geom.Point {
 	if pt.X < bb.Min.X {
 		pt.X = bb.Min.X
 	}

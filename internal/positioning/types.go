@@ -6,12 +6,9 @@ package positioning
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"vita/internal/device"
 	"vita/internal/model"
-	"vita/internal/rssi"
 )
 
 // Estimate is one deterministic positioning record (o_id, loc, t) — the
@@ -61,61 +58,6 @@ type ProximityRecord struct {
 
 // Duration returns the detection period length.
 func (p ProximityRecord) Duration() float64 { return p.TE - p.TS }
-
-// window groups the measurements of one object within one positioning
-// sampling period: deviceID → mean RSSI.
-type window struct {
-	objID int
-	t     float64
-	mean  map[string]float64
-}
-
-// windowize buckets measurements into positioning windows of the given
-// interval. The Positioning Method Controller has its own sampling frequency
-// that may differ from the RSSI generation frequency (paper §2).
-func windowize(ms []rssi.Measurement, interval float64) []window {
-	if interval <= 0 {
-		interval = 2
-	}
-	type key struct {
-		obj int
-		idx int64
-	}
-	type acc struct {
-		sum   map[string]float64
-		count map[string]int
-	}
-	buckets := make(map[key]*acc)
-	for _, m := range ms {
-		k := key{obj: m.ObjID, idx: int64(math.Floor(m.T / interval))}
-		a, ok := buckets[k]
-		if !ok {
-			a = &acc{sum: make(map[string]float64), count: make(map[string]int)}
-			buckets[k] = a
-		}
-		a.sum[m.DeviceID] += m.RSSI
-		a.count[m.DeviceID]++
-	}
-	out := make([]window, 0, len(buckets))
-	for k, a := range buckets {
-		w := window{
-			objID: k.obj,
-			t:     (float64(k.idx) + 0.5) * interval,
-			mean:  make(map[string]float64, len(a.sum)),
-		}
-		for d, s := range a.sum {
-			w.mean[d] = s / float64(a.count[d])
-		}
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].objID != out[j].objID {
-			return out[i].objID < out[j].objID
-		}
-		return out[i].t < out[j].t
-	})
-	return out
-}
 
 // deviceIndex maps device IDs to devices, rejecting duplicates.
 func deviceIndex(devs []*device.Device) (map[string]*device.Device, error) {

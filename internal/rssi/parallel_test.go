@@ -28,6 +28,22 @@ func benchTrajectories(n, steps int) []trajectory.Sample {
 	return out
 }
 
+// byObject splits samples ordered by (object ID, time) into one series per
+// run of equal object IDs: the flat-slice form Generate took before the
+// pipeline handed trajectories over per object.
+func byObject(samples []trajectory.Sample) [][]trajectory.Sample {
+	var out [][]trajectory.Sample
+	for len(samples) > 0 {
+		n := 1
+		for n < len(samples) && samples[n].ObjID == samples[0].ObjID {
+			n++
+		}
+		out = append(out, samples[:n])
+		samples = samples[n:]
+	}
+	return out
+}
+
 func gridDevices(n int) []*device.Device {
 	devs := make([]*device.Device, n)
 	for i := range devs {
@@ -55,7 +71,7 @@ func TestGenerateParallelIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ms []Measurement
-		n, err := gen.Generate(traj, rng.New(11), func(m Measurement) { ms = append(ms, m) }, nil)
+		n, err := gen.Generate(byObject(traj), rng.New(11), func(m Measurement) { ms = append(ms, m) }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +107,7 @@ func TestGenerateEmitOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ms []Measurement
-	if _, err := gen.Generate(benchTrajectories(7, 40), rng.New(2), func(m Measurement) { ms = append(ms, m) }, nil); err != nil {
+	if _, err := gen.Generate(byObject(benchTrajectories(7, 40)), rng.New(2), func(m Measurement) { ms = append(ms, m) }, nil); err != nil {
 		t.Fatal(err)
 	}
 	lastObj := 0
@@ -137,7 +153,7 @@ func TestGenerateObjectDone(t *testing.T) {
 				flushed = append(flushed, id)
 			}
 		}
-		n, err := gen.Generate(traj, rng.New(5), func(m Measurement) { emitted = append(emitted, m) }, done)
+		n, err := gen.Generate(byObject(traj), rng.New(5), func(m Measurement) { emitted = append(emitted, m) }, done)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +198,7 @@ func TestRSSIInstantsOnGlobalGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		off := 0
-		if _, err := gen.Generate(traj, rng.New(1), func(m Measurement) {
+		if _, err := gen.Generate(byObject(traj), rng.New(1), func(m Measurement) {
 			if k := math.Round(m.T / interval); m.T != k*interval {
 				off++
 			}
@@ -203,7 +219,7 @@ func TestGenerateRejectsUnorderedObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	traj := append(benchTrajectories(2, 5), benchTrajectories(1, 5)...)
-	if _, err := gen.Generate(traj, rng.New(1), func(Measurement) {}, nil); err == nil {
+	if _, err := gen.Generate(byObject(traj), rng.New(1), func(Measurement) {}, nil); err == nil {
 		t.Error("object 1 after object 2 accepted")
 	}
 }
@@ -219,7 +235,7 @@ func TestNewGeneratorRejectsNegativeParallelism(t *testing.T) {
 // fixed 40-object, 120-second replay against 12 devices.
 func BenchmarkGenerate(b *testing.B) {
 	tp := officeTopo(b)
-	traj := benchTrajectories(40, 120)
+	series := byObject(benchTrajectories(40, 120))
 	devs := gridDevices(12)
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
@@ -230,10 +246,69 @@ func BenchmarkGenerate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := gen.Generate(traj, rng.New(uint64(i+1)), func(Measurement) {}, nil); err != nil {
+				if _, err := gen.Generate(series, rng.New(uint64(i+1)), func(Measurement) {}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// TestCrossingReuseMatchesDirect: the wall count a staying object's repeated
+// position reuses is the count a direct line-of-sight query returns. With the
+// noise term off, every measurement must equal the model evaluated at the
+// interpolated position with a fresh Crossings call, over a walk that stays,
+// moves through walls and stays again.
+func TestCrossingReuseMatchesDirect(t *testing.T) {
+	tp := officeTopo(t)
+	m := DefaultPathLossModel()
+	m.FluctuationSigma = 0
+	devs := gridDevices(10)
+	var traj []trajectory.Sample
+	x := 2.0
+	for i := 0; i <= 240; i++ {
+		if (i/12)%2 == 1 { // alternate 12 s stays with 12 s walks
+			x += 1.3
+		}
+		traj = append(traj, trajectory.Sample{
+			ObjID: 1,
+			Loc:   model.At("office", 0, "F0-S0", geom.Pt(1+math.Mod(x, 37), 3+float64(i/60)*4)),
+			T:     float64(i),
+		})
+	}
+	gen, err := NewGenerator(tp, devs, Config{Model: m, SampleInterval: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms []Measurement
+	if _, err := gen.Generate([][]trajectory.Sample{traj}, rng.New(1), func(mm Measurement) { ms = append(ms, mm) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]*device.Device{}
+	for _, d := range devs {
+		byID[d.ID] = d
+	}
+	counts := map[int]int{}
+	repeated := 0
+	last := map[string]geom.Point{}
+	for _, mm := range ms {
+		dev := byID[mm.DeviceID]
+		seg := 0
+		for seg+1 < len(traj) && traj[seg+1].T < mm.T {
+			seg++
+		}
+		pos, floor, _ := interpolate(traj, seg, mm.T)
+		n := tp.Crossings(floor, dev.Position, pos)
+		if want := m.At(dev.Position.Dist(pos), n, dev, nil); mm.RSSI != want {
+			t.Fatalf("device %s at t=%v: RSSI %v, the model with %d fresh crossings gives %v", mm.DeviceID, mm.T, mm.RSSI, n, want)
+		}
+		counts[n]++
+		if p, ok := last[mm.DeviceID]; ok && p == pos {
+			repeated++
+		}
+		last[mm.DeviceID] = pos
+	}
+	if len(counts) < 3 || repeated == 0 {
+		t.Fatalf("walk too tame: crossing counts %v, %d repeated positions", counts, repeated)
 	}
 }

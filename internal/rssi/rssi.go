@@ -169,15 +169,18 @@ func NewGenerator(t *topo.Topology, devs []*device.Device, cfg Config) (*Generat
 // positioning method's windows, say) runs in parallel with the replay of
 // other objects. The flush function it returns, when non-nil, runs right
 // after the object's measurements were emitted: in ascending object ID and
-// never concurrently with emit or another flush. done must not modify ms:
-// the measurements are emitted after it returns.
+// never concurrently with emit or another flush. done must not modify ms
+// (the measurements are emitted after it returns), and neither it nor its
+// flush may keep ms past the flush: the buffer is reused for a later object.
 type ObjectDone func(id int, ms []Measurement) (flush func())
 
-// Generate replays the trajectory samples, which must be ordered by (object
-// ID, time) as storage.TrajectoryStore.All returns them, and emits
-// measurements at each device's sampling instants. Linear interpolation
-// between consecutive same-floor samples reconstructs the object position
-// at the device's sampling times.
+// Generate replays the trajectories — one time-ordered series per object,
+// in strictly ascending object ID, as storage.TrajectoryStore.AllSeries
+// returns them; empty series are skipped — and emits measurements at each
+// device's sampling instants. Linear interpolation between consecutive
+// same-floor samples reconstructs the object position at the device's
+// sampling times. The series are only read, on the workers, while Generate
+// runs.
 //
 // r keys the fluctuation noise: each object's replay draws from a stream
 // derived deterministically from (r, object ID), and objects are sharded
@@ -186,32 +189,30 @@ type ObjectDone func(id int, ms []Measurement) (flush func())
 // object device by device, each device's in time order); emit is never
 // invoked concurrently. A non-nil done runs once per object that has a
 // trajectory, on the sequential path too; see ObjectDone.
-func (g *Generator) Generate(samples []trajectory.Sample, r *rng.Rand, emit func(Measurement), done ObjectDone) (int, error) {
+func (g *Generator) Generate(series [][]trajectory.Sample, r *rng.Rand, emit func(Measurement), done ObjectDone) (int, error) {
 	if emit == nil {
 		return 0, fmt.Errorf("rssi: nil emit callback")
 	}
-	// One trajectory per object, in ascending object ID.
-	var trajs [][]trajectory.Sample
-	for len(samples) > 0 {
-		id, n := samples[0].ObjID, 1
-		for n < len(samples) && samples[n].ObjID == id {
-			n++
+	trajs := make([][]trajectory.Sample, 0, len(series))
+	for _, tr := range series {
+		if len(tr) == 0 {
+			continue
 		}
-		if k := len(trajs); k > 0 && id < trajs[k-1][0].ObjID {
-			return 0, fmt.Errorf("rssi: samples not ordered by object (object %d after %d)", id, trajs[k-1][0].ObjID)
+		if k := len(trajs); k > 0 && tr[0].ObjID <= trajs[k-1][0].ObjID {
+			return 0, fmt.Errorf("rssi: series not in ascending object order (object %d after %d)", tr[0].ObjID, trajs[k-1][0].ObjID)
 		}
-		trajs = append(trajs, samples[:n])
-		samples = samples[n:]
+		trajs = append(trajs, tr)
 	}
 	streams := r.Streams()
 
 	// Objects are sharded across workers and emitted in object-ID order, so
 	// parallel output matches the sequential path. Emission streams: as soon
 	// as the contiguous prefix of objects is done, its buffered measurements
-	// are flushed and released. The transient buffer holds only objects
-	// finished ahead of the lowest unfinished ID — small in the typical
-	// similar-sized-trajectory case, though a pathologically long first
-	// object can stall the flush behind it.
+	// are flushed and their buffers go back to free for later objects. The
+	// transient buffer holds only objects finished ahead of the lowest
+	// unfinished ID — small in the typical similar-sized-trajectory case,
+	// though a pathologically long first object can stall the flush behind
+	// it.
 	type result struct {
 		ms    []Measurement
 		flush func()
@@ -222,7 +223,18 @@ func (g *Generator) Generate(samples []trajectory.Sample, r *rng.Rand, emit func
 		mu    sync.Mutex
 		next  int
 		count int
+		free  [][]Measurement
 	)
+	buffer := func() []Measurement {
+		mu.Lock()
+		defer mu.Unlock()
+		if n := len(free); n > 0 {
+			b := free[n-1]
+			free = free[:n-1]
+			return b
+		}
+		return nil
+	}
 	finish := func(i int, res result) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -235,13 +247,14 @@ func (g *Generator) Generate(samples []trajectory.Sample, r *rng.Rand, emit func
 			if results[next].flush != nil {
 				results[next].flush()
 			}
+			free = append(free, results[next].ms[:0])
 			results[next] = result{}
 		}
 	}
 	replay := func(w, workers int) {
 		for i := w; i < len(trajs); i += workers {
 			id := trajs[i][0].ObjID
-			res := result{ms: g.generateForObject(id, trajs[i], streams.Stream(uint64(id))), ready: true}
+			res := result{ms: g.generateForObject(buffer(), id, trajs[i], streams.Stream(uint64(id))), ready: true}
 			if done != nil {
 				res.flush = done(id, res.ms)
 			}
@@ -266,9 +279,9 @@ func (g *Generator) Generate(samples []trajectory.Sample, r *rng.Rand, emit func
 }
 
 // generateForObject replays one object's (non-empty) trajectory against
-// every device and returns its measurements, device by device.
-func (g *Generator) generateForObject(id int, traj []trajectory.Sample, r *rng.Rand) []Measurement {
-	var ms []Measurement
+// every device and returns its measurements, device by device, appended to
+// ms.
+func (g *Generator) generateForObject(ms []Measurement, id int, traj []trajectory.Sample, r *rng.Rand) []Measurement {
 	for _, dev := range g.devices {
 		interval := dev.Props.SampleInterval
 		if g.cfg.SampleInterval > 0 {
@@ -279,6 +292,11 @@ func (g *Generator) generateForObject(id int, traj []trajectory.Sample, r *rng.R
 		}
 		start := traj[0].T
 		end := traj[len(traj)-1].T
+		// The wall count is a pure function of (floor, device, position) and
+		// the floor is the device's, so a staying object's repeated position
+		// reuses the count of the device's previous in-range instant.
+		var lastPos geom.Point
+		lastCrossings := -1
 		// Sampling instants sit on the global clock's k·interval grid. Each
 		// is computed from its integer k, never accumulated, so every object
 		// a device hears at one instant carries the same T.
@@ -299,7 +317,10 @@ func (g *Generator) generateForObject(id int, traj []trajectory.Sample, r *rng.R
 			}
 			crossings := 0
 			if g.cfg.Model.UseLineOfSight {
-				crossings = g.topo.Crossings(floor, dev.Position, pos)
+				if lastCrossings < 0 || pos != lastPos {
+					lastPos, lastCrossings = pos, g.topo.Crossings(floor, dev.Position, pos)
+				}
+				crossings = lastCrossings
 			}
 			ms = append(ms, Measurement{
 				ObjID:    id,

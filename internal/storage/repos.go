@@ -26,15 +26,17 @@ import (
 )
 
 // TrajectoryStore keeps raw trajectory records (o_id, loc, t) ordered by
-// time per object. It is safe for concurrent appends.
+// time per object. It is filled one object series at a time (AppendSeries:
+// the generation pipeline makes one call per simulated object) and is safe
+// for concurrent appends.
 //
-// Invariant: every read path (Series, All, Scan, and the stream aggregates
-// built on them) requires each object's series to be time-sorted. Appends
-// arriving in per-object time order — what the generation pipeline's
-// order-preserving collector guarantees — keep the invariant for free; an
-// out-of-order append is detected in O(1) and flags the series so the next
-// read repairs it with an explicit sort. Readers therefore never observe
-// unsorted data, and the common in-order case never pays for sorting.
+// Invariant: every read path (Series, All, AllSeries, Scan, and the stream
+// aggregates built on them) requires each object's series to be
+// time-sorted. Series appended in time order — what the movement engine
+// produces — keep the invariant for free; an out-of-order sample is detected
+// while appending and flags the object so the next read repairs its series
+// with one stable sort. Readers therefore never observe unsorted data, and
+// the common in-order case never pays for sorting.
 type TrajectoryStore struct {
 	mu    sync.RWMutex
 	byObj map[int][]trajectory.Sample
@@ -54,18 +56,44 @@ func NewTrajectoryStore() *TrajectoryStore {
 	}
 }
 
-// Append adds one sample. Appending in per-object time order is the fast
-// path; an out-of-order sample marks the object's series for lazy sorting.
-func (s *TrajectoryStore) Append(sm trajectory.Sample) {
-	s.mu.Lock()
-	if last, ok := s.lastT[sm.ObjID]; !ok || sm.T >= last {
-		s.lastT[sm.ObjID] = sm.T
-	} else {
-		s.dirty[sm.ObjID] = true
+// AppendSeries adds the samples of one object (every sample must carry the
+// same ObjID), in the order given, with one lock and three map operations
+// per call.
+//
+// Ownership: when the object has no samples yet and series is time-ordered,
+// the store keeps series itself rather than a copy — the caller must not
+// modify it afterwards, but may go on reading it. The store never writes
+// into a kept slice: it is clipped, so a later append to the object
+// reallocates, and a series that is out of order is copied, so its repair
+// sorts the store's own memory. An out-of-order sample (earlier than the
+// object's newest one so far) flags the object exactly as appending its
+// samples one by one would.
+func (s *TrajectoryStore) AppendSeries(series []trajectory.Sample) {
+	if len(series) == 0 {
+		return
 	}
-	s.byObj[sm.ObjID] = append(s.byObj[sm.ObjID], sm)
-	s.count++
-	s.mu.Unlock()
+	id := series[0].ObjID
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	last, seen := s.lastT[id]
+	dirty := false
+	for i, sm := range series {
+		if (!seen && i == 0) || sm.T >= last {
+			last = sm.T
+		} else {
+			dirty = true
+		}
+	}
+	s.lastT[id] = last
+	if dirty {
+		s.dirty[id] = true
+	}
+	if cur, ok := s.byObj[id]; ok || dirty {
+		s.byObj[id] = append(cur, series...)
+	} else {
+		s.byObj[id] = series[:len(series):len(series)]
+	}
+	s.count += len(series)
 }
 
 // Unsorted returns how many objects currently hold out-of-order series —
@@ -113,15 +141,37 @@ func (s *TrajectoryStore) Series(objID int) []trajectory.Sample {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dirty[objID] { // re-check: another reader may have repaired it
-		src := s.byObj[objID]
+	src := s.repairLocked(objID)
+	out := make([]trajectory.Sample, len(src))
+	copy(out, src)
+	return out
+}
+
+// repairLocked returns the object's series after sorting it if it is
+// flagged (re-checked under the write lock: another reader may have
+// repaired it already). Caller holds s.mu for writing.
+func (s *TrajectoryStore) repairLocked(objID int) []trajectory.Sample {
+	src := s.byObj[objID]
+	if s.dirty[objID] {
 		sort.SliceStable(src, func(i, j int) bool { return src[i].T < src[j].T })
 		s.lastT[objID] = src[len(src)-1].T
 		delete(s.dirty, objID)
 	}
-	src := s.byObj[objID]
-	out := make([]trajectory.Sample, len(src))
-	copy(out, src)
+	return src
+}
+
+// AllSeries returns every object's time-ordered series in ascending object
+// ID, repairing flagged series first. The slices are the store's own, not
+// copies: the caller must not modify them, and a slice stays valid until the
+// next append to its object.
+func (s *TrajectoryStore) AllSeries() [][]trajectory.Sample {
+	ids := s.Objects()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([][]trajectory.Sample, len(ids))
+	for i, id := range ids {
+		out[i] = s.repairLocked(id)
+	}
 	return out
 }
 

@@ -106,7 +106,8 @@ func (t *Topology) PartitionAt(floor int, pt geom.Point) (*model.Partition, bool
 	}
 	var best *model.Partition
 	bestArea := 0.0
-	for _, it := range idx.SearchPoint(pt, nil) {
+	var buf [8]index.Item // nested decompositions rarely stack deeper
+	for _, it := range idx.SearchPoint(pt, buf[:0]) {
 		p := it.(*model.Partition)
 		if p.Contains(pt) {
 			a := p.Polygon.Area()

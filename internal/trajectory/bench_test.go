@@ -32,7 +32,7 @@ func BenchmarkEngineRun(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := eng.Run(func(Sample) {}); err != nil {
+				if _, err := eng.Run(func(Sample) {}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -88,12 +88,12 @@ func (c *Collector) drain() {
 			for len(c.births) > 0 && c.delivered[c.births[0].id] {
 				heap.Pop(&c.births)
 			}
-			if len(c.births) > 0 && c.streams[0].head().T >= c.births[0].birth {
+			if len(c.births) > 0 && c.streams.headT(0) >= c.births[0].birth {
 				return // an undelivered object may still produce earlier samples
 			}
 		}
 		top := &c.streams[0]
-		c.sink(top.head())
+		c.sink(top.samples[top.pos])
 		c.emitted++
 		top.pos++
 		if top.pos >= len(top.samples) {
@@ -136,15 +136,15 @@ type streamEntry struct {
 	id      int
 }
 
-func (s streamEntry) head() Sample { return s.samples[s.pos] }
-
 type streamHeap []streamEntry
+
+// headT is the timestamp of entry i's next sample, read in place.
+func (h streamHeap) headT(i int) float64 { return h[i].samples[h[i].pos].T }
 
 func (h streamHeap) Len() int { return len(h) }
 func (h streamHeap) Less(i, j int) bool {
-	a, b := h[i].head(), h[j].head()
-	if a.T != b.T {
-		return a.T < b.T
+	if a, b := h.headT(i), h.headT(j); a != b {
+		return a < b
 	}
 	return h[i].id < h[j].id
 }

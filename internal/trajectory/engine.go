@@ -7,9 +7,10 @@
 //
 // Generation is data-parallel: the full object roster (initial population
 // plus Poisson arrivals) is scheduled up-front, each object is simulated
-// independently on its own derived deterministic RNG stream, and the
-// per-object sample streams are merged in time order by a streaming
-// Collector. Output is byte-identical for any Parallelism setting.
+// independently on its own derived deterministic RNG stream, and each
+// object's finished series is handed over whole and, when a time-ordered
+// stream is wanted, merged in time order by a streaming Collector. Output is
+// byte-identical for any Parallelism setting.
 package trajectory
 
 import (
@@ -152,16 +153,30 @@ type objectSim struct {
 	st  Stats
 }
 
-// run simulates the object over the full duration on the global tick grid,
-// emitting its ground-truth samples in time order. The loop reproduces the
-// semantics of simulating all objects jointly: the object advances at every
-// tick it is alive, dies once the clock passes its death time, and is
-// sampled at every multiple of SampleInterval it is alive for.
-func (s *objectSim) run(emit func(Sample)) {
+// run simulates the object over the full duration on the global tick grid
+// and returns its ground-truth samples in time order (nil when keep is
+// false: only the statistics are wanted). The loop reproduces the semantics
+// of simulating all objects jointly: the object advances at every tick it is
+// alive, dies once the clock passes its death time, and is sampled at every
+// multiple of SampleInterval it is alive for. Both instants are computed
+// from integer counters, never accumulated, so every sample sits exactly on
+// the k·SampleInterval grid whatever the tick and interval.
+func (s *objectSim) run(keep bool) []Sample {
 	e := s.eng
 	o := s.o
-	nextSample := 0.0
-	for t := 0.0; t <= e.cfg.Duration+geom.Eps; t += e.cfg.Tick {
+	var out []Sample
+	if keep {
+		// At most one sample per interval of the object's life, plus the
+		// instants at both ends.
+		life := math.Min(o.Death(), e.cfg.Duration) - o.Birth
+		out = make([]Sample, 0, max(0, int(life/e.cfg.SampleInterval))+2)
+	}
+	k := 0
+	for i := 0; ; i++ {
+		t := float64(i) * e.cfg.Tick
+		if t > e.cfg.Duration+geom.Eps {
+			break
+		}
 		if o.Phase != object.PhaseDead {
 			if !o.Alive(t) {
 				if t >= o.Death() {
@@ -172,19 +187,20 @@ func (s *objectSim) run(emit func(Sample)) {
 				s.advance(t, e.cfg.Tick)
 			}
 		}
-		for t >= nextSample-geom.Eps {
-			if o.Alive(nextSample) && o.Phase != object.PhaseDead {
-				if emit != nil {
-					emit(Sample{ObjID: o.ID, Loc: o.Loc, T: nextSample})
+		for next := float64(k) * e.cfg.SampleInterval; t >= next-geom.Eps; next = float64(k) * e.cfg.SampleInterval {
+			if o.Alive(next) && o.Phase != object.PhaseDead {
+				if keep {
+					out = append(out, Sample{ObjID: o.ID, Loc: o.Loc, T: next})
 				}
 				s.st.Samples++
 			}
-			nextSample += e.cfg.SampleInterval
+			k++
 		}
 		if o.Phase == object.PhaseDead {
-			return // no further movement or samples possible
+			break // no further movement or samples possible
 		}
 	}
+	return out
 }
 
 // advance moves the object by dt seconds.

@@ -39,7 +39,7 @@ func runEngine(t testing.TB, seed uint64, cfg Config, spawn object.SpawnConfig) 
 		t.Fatal(err)
 	}
 	var samples []Sample
-	stats, err := eng.Run(func(s Sample) { samples = append(samples, s) })
+	stats, err := eng.Run(func(s Sample) { samples = append(samples, s) }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,5 +249,33 @@ func TestStatsSampleCountMatchesEmit(t *testing.T) {
 	}
 	if math.Abs(float64(stats.Samples)-float64(8*31)) > float64(8*31)*0.2 {
 		t.Errorf("sample count %d far from expected ≈%d", stats.Samples, 8*31)
+	}
+}
+
+// TestTrajectoryInstantsOnGlobalGrid: every sample instant is k·SampleInterval
+// for an integer k, so samples of different objects at one instant carry the
+// same T, and a run's last sample lands on its duration — whatever the tick.
+// Accumulating t += Tick and next += SampleInterval drifts off the grid for
+// steps that are not dyadic fractions (0.1, 0.3).
+func TestTrajectoryInstantsOnGlobalGrid(t *testing.T) {
+	const duration = 300
+	spawn := defaultSpawn()
+	spawn.InitialCount = 3
+	spawn.MinLifespan, spawn.MaxLifespan = 2*duration, 2*duration
+	for _, tc := range []struct{ interval, tick float64 }{{0.1, 0.25}, {0.3, 0.25}, {0.1, 0.1}, {0.3, 0.1}} {
+		samples, _ := runEngine(t, 3, Config{Duration: duration, Tick: tc.tick, SampleInterval: tc.interval}, spawn)
+		off, last := 0, math.Inf(-1)
+		for _, s := range samples {
+			if k := math.Round(s.T / tc.interval); s.T != k*tc.interval {
+				off++
+			}
+			last = math.Max(last, s.T)
+		}
+		if off != 0 {
+			t.Errorf("interval %g, tick %g: %d of %d instants off the k·interval grid", tc.interval, tc.tick, off, len(samples))
+		}
+		if last != duration {
+			t.Errorf("interval %g, tick %g: last instant %v, want %v", tc.interval, tc.tick, last, float64(duration))
+		}
 	}
 }

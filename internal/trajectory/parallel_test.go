@@ -22,7 +22,7 @@ func runEngineP(t testing.TB, seed uint64, parallelism int, spawn object.SpawnCo
 		t.Fatal(err)
 	}
 	var samples []Sample
-	stats, err := eng.Run(func(s Sample) { samples = append(samples, s) })
+	stats, err := eng.Run(func(s Sample) { samples = append(samples, s) }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestParallelNilEmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := eng.Run(nil)
+		stats, err := eng.Run(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
