@@ -98,12 +98,11 @@ func BenchmarkAblationDecomposition(b *testing.B) {
 // BenchmarkPipeline measures generation throughput in rows/s. The p=N cases
 // run trajectory + RSSI generation (positioning skipped) in memory at
 // Parallelism N; their output is byte-identical, so they differ only in
-// wall clock, and p=1 is the sequential baseline. Extra workers speed up
-// the RSSI replay, but trajectory generation barely scales: its
-// order-preserving merge and serialized emit are most of its work (the
-// end-to-end benchmark's trajectory.speedup_p row, workload gen_mall,
-// measures it). The sink case is the whole chain as vitagen runs it:
-// trilateration on, streamed into a VTB DirSink.
+// wall clock, and p=1 runs every object on one goroutine. Without a sink
+// there is no merge, so extra workers speed up simulation and RSSI replay
+// alike. The sink case is the whole chain as vitagen runs it: trilateration
+// on, streamed into a VTB DirSink, with the merge and the block encoding
+// running beside the workers.
 func BenchmarkPipeline(b *testing.B) {
 	base := DefaultConfig()
 	base.Objects.Count = 80
@@ -281,7 +280,15 @@ func benchSamples(b *testing.B) []trajectory.Sample {
 		b.Fatal(err)
 	}
 	var samples []trajectory.Sample
-	if _, err := eng.Run(func(s trajectory.Sample) { samples = append(samples, s) }, nil); err != nil {
+	col := trajectory.NewCollector(func(batch []trajectory.Sample) error {
+		samples = append(samples, batch...)
+		return nil
+	})
+	_, err = eng.Run(col, nil)
+	if cerr := col.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		b.Fatal(err)
 	}
 	return samples

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"vita/internal/geom"
 	"vita/internal/rssi"
@@ -122,12 +124,31 @@ func (bw *blockWriter) close() error {
 // generation pipeline's emit callback (the Collector delivers samples in
 // global time order, which makes the zone maps maximally selective). The
 // caller owns the io.Writer; Close flushes the format but does not close it.
+//
+// A full block is encoded, compressed and written on a background goroutine
+// while the next one fills. One block is in flight at a time: handing off
+// block k+1 first waits until block k is written, so blocks reach the
+// io.Writer in order and the image is byte-identical to a synchronous
+// writer's. The goroutine starts with the first full block — an image smaller
+// than a block (a served response, say) never starts one — and Close and
+// Reset wait for it. A background write error is returned by the next Write
+// or Close. A Writer is not safe for concurrent use.
 type Writer[T any] struct {
-	bw  *blockWriter
-	buf []T
+	bw *blockWriter
+	// buf is the block being filled; spare is the block in flight, or the
+	// free buffer the next hand-off fills next.
+	buf, spare []T
 	// encode appends the block's column payload to p[:0] and summarizes the
 	// rows; it owns whatever column slices it reuses from block to block.
 	encode func(rows []T, p []byte) ([]byte, ZoneMap)
+
+	// While busy, the background goroutine owns bw and spare; the fields
+	// below are the caller's view, refreshed when the block is joined.
+	busy     bool
+	inflight sync.WaitGroup
+	failed   atomic.Bool // the block in flight hit a write error
+	err      error
+	flushed  int64
 }
 
 // TrajectoryWriter and RSSIWriter are the two instantiations of Writer.
@@ -153,41 +174,94 @@ func newWriter[T any](w io.Writer, kind Kind, opts Options, encode func([]T, []b
 	return &Writer[T]{bw: bw, buf: make([]T, 0, bw.opts.BlockSize), encode: encode}
 }
 
-// Reset starts a new image on dst, keeping the row buffer, the encoder's
+// Reset starts a new image on dst, keeping the row buffers, the encoder's
 // columns, the payload buffer and the compressor: a caller that writes many
 // small images — one per served response — allocates them once, not per image.
+// A block still in flight from the previous image is waited for first.
 func (w *Writer[T]) Reset(dst io.Writer) {
+	w.join()
 	bw := w.bw
 	bw.w, bw.off, bw.wroteHeader, bw.closed, bw.err = dst, 0, false, false, nil
 	bw.offsets, bw.zones = bw.offsets[:0], bw.zones[:0]
 	w.buf = w.buf[:0]
+	w.failed.Store(false)
+	w.err, w.flushed = nil, 0
 }
 
-// Write appends one row, flushing a block when full.
+// Write appends one row, handing the block off when full.
 func (w *Writer[T]) Write(row T) error {
+	if w.failed.Load() {
+		w.join()
+	}
+	if w.err != nil {
+		return w.err
+	}
 	if w.bw.closed {
 		return fmt.Errorf("colstore: write after Close")
 	}
 	w.buf = append(w.buf, row)
 	if len(w.buf) >= w.bw.opts.BlockSize {
-		w.flush()
+		w.handOff()
 	}
-	return w.bw.err
+	return w.err
 }
 
-// Close flushes the pending block and writes the footer index.
+// Flushed returns the image bytes, header included, of every block before the
+// one handed off last — the whole image after Close. It changes only at a
+// hand-off, once the block before is written, so it is a function of the rows
+// written so far, never of how far the background goroutine has got.
+func (w *Writer[T]) Flushed() int64 { return w.flushed }
+
+// Close waits for the block in flight, writes the pending block and the
+// footer index.
 func (w *Writer[T]) Close() error {
-	if !w.bw.closed && len(w.buf) > 0 {
-		w.flush()
+	w.join()
+	if !w.bw.closed && len(w.buf) > 0 && w.err == nil {
+		w.flush(w.buf)
+		w.buf = w.buf[:0]
 	}
-	return w.bw.close()
+	w.err = w.bw.close()
+	w.flushed = w.bw.off
+	return w.err
 }
 
-func (w *Writer[T]) flush() {
-	p, zm := w.encode(w.buf, w.bw.payload)
+// handOff starts writing the full block in the background, once the block
+// before it is written, and continues filling the buffer that one used.
+func (w *Writer[T]) handOff() {
+	w.join()
+	if w.err != nil {
+		return
+	}
+	if w.spare == nil {
+		w.spare = make([]T, 0, cap(w.buf))
+	}
+	rows := w.buf
+	w.buf, w.spare = w.spare[:0], rows
+	w.busy = true
+	w.inflight.Add(1)
+	go func() {
+		defer w.inflight.Done()
+		w.flush(rows)
+		if w.bw.err != nil {
+			w.failed.Store(true)
+		}
+	}()
+}
+
+// join waits for the block in flight, if any, and takes over its outcome.
+func (w *Writer[T]) join() {
+	if !w.busy {
+		return
+	}
+	w.inflight.Wait()
+	w.busy = false
+	w.err, w.flushed = w.bw.err, w.bw.off
+}
+
+func (w *Writer[T]) flush(rows []T) {
+	p, zm := w.encode(rows, w.bw.payload)
 	w.bw.payload = p
 	w.bw.flushBlock(p, zm)
-	w.buf = w.buf[:0]
 }
 
 // trajectoryEncoder splits trajectory rows into its reused columns.

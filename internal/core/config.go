@@ -24,11 +24,12 @@ type Config struct {
 	// Seed drives every random choice of the run; identical configs with
 	// identical seeds produce identical data.
 	Seed uint64 `json:"seed"`
-	// Parallelism is the number of workers trajectory and RSSI generation
-	// shard their objects across. 0 (the default) selects GOMAXPROCS, 1
-	// runs fully sequentially. The produced data is byte-identical for any
-	// value: every shard draws from an RNG stream derived deterministically
-	// from the seed and the object ID.
+	// Parallelism is the number of workers that claim objects to simulate
+	// and to replay RSSI for. 0 (the default) selects GOMAXPROCS; 1 does
+	// both on the calling goroutine (a sink's merge still runs on its own).
+	// The produced data is byte-identical for any value: every object draws
+	// from an RNG stream derived deterministically from the seed and the
+	// object ID.
 	Parallelism int `json:"parallelism,omitempty"`
 
 	Building    BuildingConfig    `json:"building"`

@@ -5,6 +5,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 
 	"vita/internal/device"
 	"vita/internal/geom"
@@ -85,22 +86,30 @@ func (p *Pipeline) Run() (*Dataset, error) {
 }
 
 // RunTo executes the pipeline like Run while additionally streaming the data
-// products into sink as they are produced: trajectory samples record by
-// record in global time order (directly off the generation layer's merge
-// collector, so a columnar writer sees them without the pipeline buffering
-// for it), RSSI measurements record by record in the generator's
-// object-grouped replay order, and the derived positioning tables once at
-// the end. Every trajectory row reaches the sink before the first RSSI row.
+// products into sink as they are produced: trajectory samples in global time
+// order (straight off the generation layer's merge collector, so a columnar
+// writer sees them without the pipeline buffering for it), RSSI
+// measurements in the generator's object-grouped replay order, and the
+// derived positioning tables once at the end.
 //
-// Each object's trajectory is stored in Dataset.Trajectories with one
-// AppendSeries call, on the worker that simulated it, and the RSSI replay
-// reads those series in place (TrajectoryStore.AllSeries); the merge
-// collector runs only to feed a sink, so Run builds none. The positioning
-// method runs per object inside the RSSI workers, as each object's replay
-// finishes. With a sink, the returned Dataset does not keep the RSSI
-// measurements (Dataset.RSSI is nil; RSSICount counts them); everything else
-// is kept as by Run. A nil sink is equivalent to Run. The caller owns sink
-// and must Close it after RunTo returns; a sink error aborts the run.
+// The stages overlap. Each object's trajectory is stored in
+// Dataset.Trajectories with one AppendSeries call, on the worker that
+// simulated it, and also delivered to the merge collector, whose goroutine
+// drains it into the sink. As soon as every object is simulated the RSSI
+// replay starts on the stored series (TrajectoryStore.AllSeries), while the
+// merge is still draining; the positioning method runs per object inside the
+// RSSI workers, as each object's replay finishes. Sink calls are serialized,
+// one batch at a time — a merged run of a few hundred samples, or one
+// object's measurements — so the two streams may interleave but never
+// overlap, and each keeps its own order. The merge runs only to feed a sink,
+// so Run builds none.
+//
+// With a sink, the returned Dataset does not keep the RSSI measurements
+// (Dataset.RSSI is nil; RSSICount counts them); everything else is kept as by
+// Run. A nil sink is equivalent to Run. The caller owns sink and must Close
+// it after RunTo returns. The first sink error aborts the run: RunTo returns
+// it, prefixed with the stream that failed ("core: trajectory sink:",
+// "core: rssi sink:"), and no goroutine of the run outlives RunTo.
 func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 	r := rng.New(p.cfg.Seed)
 	ds := &Dataset{
@@ -108,9 +117,6 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		Estimates:    storage.NewEstimateStore(),
 		Proximity:    storage.NewProximityStore(),
 	}
-	// The emit callbacks cannot return errors, so the first sink failure is
-	// latched here and checked after each stage.
-	var sinkErr error
 
 	// ----- Infrastructure Layer -----
 	env := IndoorEnvironmentController{Config: p.cfg.Building}
@@ -139,28 +145,28 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		Parallelism: p.Parallelism(),
 	}
 	// Each object's series is stored whole by the worker that simulated it;
-	// only a sink needs the time-ordered merge, so only a sink gets one.
-	var emitTraj func(trajectory.Sample)
+	// only a sink needs the time-ordered merge, so only a sink gets one. The
+	// deferred Close joins the merge on every early return.
+	var out *serialSink
+	var col *trajectory.Collector
 	if sink != nil {
-		emitTraj = func(s trajectory.Sample) {
-			if sinkErr == nil {
-				sinkErr = sink.Trajectory(s)
-			}
-		}
+		out = new(serialSink)
+		col = trajectory.NewCollector(func(b []trajectory.Sample) error {
+			return writeBatch(out, "trajectory", b, sink.Trajectory)
+		})
+		defer col.Close()
 	}
-	stats, err := objCtl.Generate(topology, r.Split(), emitTraj, ds.Trajectories.AppendSeries)
+	stats, err := objCtl.Generate(topology, r.Split(), col, ds.Trajectories.AppendSeries)
 	if err != nil {
 		return nil, err
-	}
-	if sinkErr != nil {
-		return nil, fmt.Errorf("core: trajectory sink: %w", sinkErr)
 	}
 	ds.TrajectoryStats = stats
 
 	// ----- Positioning Layer -----
-	// The method is built before the replay it consumes, but the parent
-	// stream still splits RSSI first, then positioning, so the radio map
-	// draws what it always drew.
+	// Every object is simulated; the merge may still be draining. The method
+	// is built before the replay it consumes, but the parent stream still
+	// splits RSSI first, then positioning, so the radio map draws what it
+	// always drew.
 	rssiR, posR := r.Split(), r.Split()
 	pmc := PositioningMethodController{Config: p.cfg.Positioning, RSSIModel: p.cfg.RSSI.model()}
 	position, radioMap, err := pmc.Build(topology, devs, posR)
@@ -168,15 +174,16 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		return nil, err
 	}
 	ds.RadioMap = radioMap
-	var emitRSSI func(rssi.Measurement)
+	var emitRSSI func([]rssi.Measurement) error
 	if sink == nil {
 		ds.RSSI = storage.NewRSSIStore()
-		emitRSSI = ds.RSSI.Append
+		emitRSSI = func(ms []rssi.Measurement) error {
+			ds.RSSI.Append(ms...)
+			return nil
+		}
 	} else {
-		emitRSSI = func(m rssi.Measurement) {
-			if sinkErr == nil {
-				sinkErr = sink.RSSI(m)
-			}
+		emitRSSI = func(ms []rssi.Measurement) error {
+			return writeBatch(out, "rssi", ms, sink.RSSI)
 		}
 	}
 	// Windows never span objects, so the method runs on each object's
@@ -187,23 +194,28 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 	var posErr error
 	if position != nil {
 		done = func(_ int, ms []rssi.Measurement) func() {
-			out, err := position(ms)
+			pos, err := position(ms)
 			return func() {
 				if err != nil && posErr == nil {
 					posErr = err
 				}
-				ds.Estimates.Append(out.Estimates...)
-				ds.ProbEstimates = append(ds.ProbEstimates, out.ProbEstimates...)
-				ds.Proximity.Append(out.Proximity...)
+				ds.Estimates.Append(pos.Estimates...)
+				ds.ProbEstimates = append(ds.ProbEstimates, pos.ProbEstimates...)
+				ds.Proximity.Append(pos.Proximity...)
 			}
 		}
 	}
 	rssiCtl := RSSIMeasurementController{Config: p.cfg.RSSI, Parallelism: p.Parallelism()}
-	if ds.RSSICount, err = rssiCtl.Generate(topology, devs, ds.Trajectories.AllSeries(), rssiR, emitRSSI, done); err != nil {
-		return nil, err
+	ds.RSSICount, err = rssiCtl.Generate(topology, devs, ds.Trajectories.AllSeries(), rssiR, emitRSSI, done)
+	if col != nil {
+		col.Close()
 	}
-	if sinkErr != nil {
-		return nil, fmt.Errorf("core: rssi sink: %w", sinkErr)
+	// A sink failure comes first, whichever stage noticed it.
+	if out != nil && out.err != nil {
+		return nil, out.err
+	}
+	if err != nil {
+		return nil, err
 	}
 	if posErr != nil {
 		return nil, posErr
@@ -217,6 +229,32 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		}
 	}
 	return ds, nil
+}
+
+// serialSink is a run's sink as both bulk streams share it: calls are
+// serialized one batch at a time, never held while rows are simulated or
+// replayed, and the first failure is latched, so every later batch of
+// either stream is refused with it.
+type serialSink struct {
+	mu  sync.Mutex
+	err error
+}
+
+// writeBatch hands one batch of a stream's rows to write under the sink's
+// lock.
+func writeBatch[T any](s *serialSink, stream string, batch []T, write func(T) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return s.err
+	}
+	for _, row := range batch {
+		if err := write(row); err != nil {
+			s.err = fmt.Errorf("core: %s sink: %w", stream, err)
+			return s.err
+		}
+	}
+	return nil
 }
 
 // IndoorEnvironmentController loads and constructs the host indoor
@@ -373,12 +411,11 @@ type MovingObjectController struct {
 }
 
 // Generate runs the movement engine, handing each object's series to done
-// as the object finishes and, when emit is non-nil, every sample to emit in
-// global time order (the streaming collector's guarantee); see
-// trajectory.Engine.Run. With Parallelism > 1 both are called from worker
-// goroutines; emit never concurrently, done concurrently for different
-// objects.
-func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, emit func(trajectory.Sample), done trajectory.ObjectDone) (trajectory.Stats, error) {
+// as the object finishes and, when col is non-nil, to the merge collector;
+// see trajectory.Engine.Run. It returns once every object is simulated: the
+// caller Closes col to wait for the merge. With Parallelism > 1, done is
+// called from worker goroutines, concurrently for different objects.
+func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, col *trajectory.Collector, done trajectory.ObjectDone) (trajectory.Stats, error) {
 	pattern, err := c.Objects.pattern()
 	if err != nil {
 		return trajectory.Stats{}, err
@@ -420,7 +457,7 @@ func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, emit fun
 	if err != nil {
 		return trajectory.Stats{}, err
 	}
-	return eng.Run(emit, done)
+	return eng.Run(col, done)
 }
 
 // RSSIMeasurementController generates raw RSSI measurements (paper §2,
@@ -433,10 +470,10 @@ type RSSIMeasurementController struct {
 }
 
 // Generate replays the per-object series (ascending object ID) against
-// devices; done, when non-nil, runs per object as rssi.Generator.Generate
-// documents.
+// devices, emitting each object's measurements as one batch; done, when
+// non-nil, runs per object as rssi.Generator.Generate documents.
 func (c RSSIMeasurementController) Generate(t *topo.Topology, devs []*device.Device,
-	series [][]trajectory.Sample, r *rng.Rand, emit func(rssi.Measurement), done rssi.ObjectDone) (int, error) {
+	series [][]trajectory.Sample, r *rng.Rand, emit func([]rssi.Measurement) error, done rssi.ObjectDone) (int, error) {
 	gen, err := rssi.NewGenerator(t, devs, rssi.Config{
 		Model:          c.Config.model(),
 		SampleInterval: c.Config.SampleInterval,

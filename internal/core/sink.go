@@ -19,18 +19,23 @@ import (
 // (straight from the generation layer's merge collector); RSSI measurements
 // arrive grouped by ascending object ID, time-ordered per object and device
 // within each group (the replay order of the RSSI generator, and the same
-// order the batch CSV path always used). The small derived tables
-// (estimates, proximity) arrive once, after the last RSSI row: the
-// positioning method runs per object alongside the RSSI replay, and its
-// output is handed over whole when the replay is done. A run given a sink
-// does not keep the RSSI rows it hands over (Dataset.RSSI is nil).
+// order the batch CSV path always used). The two streams are produced
+// concurrently: calls are serialized — never concurrent, each from whichever
+// pipeline goroutine holds the run's sink lock — and each stream keeps its own
+// order, but trajectory and RSSI calls may interleave. The small derived
+// tables (estimates, proximity) arrive once, after the last row of both
+// streams: the positioning method runs per object alongside the RSSI replay,
+// and its output is handed over whole when the replay is done. A run given a
+// sink does not keep the RSSI rows it hands over (Dataset.RSSI is nil).
 //
 // The pipeline never calls Close; the caller that created the sink closes it
 // after RunTo returns, which is what flushes footers and buffers.
 type Sink interface {
-	// Trajectory receives one ground-truth sample; calls are serialized.
+	// Trajectory receives one ground-truth sample; calls are serialized
+	// with each other and with RSSI.
 	Trajectory(s trajectory.Sample) error
-	// RSSI receives one raw measurement; calls are serialized.
+	// RSSI receives one raw measurement; calls are serialized with each
+	// other and with Trajectory.
 	RSSI(m rssi.Measurement) error
 	// Estimates receives the positioning output (possibly empty).
 	Estimates(es []positioning.Estimate) error

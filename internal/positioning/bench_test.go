@@ -64,7 +64,7 @@ func BenchmarkPositioning(b *testing.B) {
 		b.Fatal(err)
 	}
 	var ms []rssi.Measurement
-	if _, err := gen.Generate([][]trajectory.Sample{traj}, r, func(m rssi.Measurement) { ms = append(ms, m) }, nil); err != nil {
+	if _, err := gen.Generate([][]trajectory.Sample{traj}, r, func(b []rssi.Measurement) error { ms = append(ms, b...); return nil }, nil); err != nil {
 		b.Fatal(err)
 	}
 	rm, err := BuildRadioMap(tp, devs, RadioMapConfig{Model: pm}, r)

@@ -1,10 +1,13 @@
 package rssi
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"vita/internal/device"
 	"vita/internal/geom"
@@ -71,7 +74,7 @@ func TestGenerateParallelIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ms []Measurement
-		n, err := gen.Generate(byObject(traj), rng.New(11), func(m Measurement) { ms = append(ms, m) }, nil)
+		n, err := gen.Generate(byObject(traj), rng.New(11), func(b []Measurement) error { ms = append(ms, b...); return nil }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +110,7 @@ func TestGenerateEmitOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ms []Measurement
-	if _, err := gen.Generate(byObject(benchTrajectories(7, 40)), rng.New(2), func(m Measurement) { ms = append(ms, m) }, nil); err != nil {
+	if _, err := gen.Generate(byObject(benchTrajectories(7, 40)), rng.New(2), func(b []Measurement) error { ms = append(ms, b...); return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	lastObj := 0
@@ -153,7 +156,7 @@ func TestGenerateObjectDone(t *testing.T) {
 				flushed = append(flushed, id)
 			}
 		}
-		n, err := gen.Generate(byObject(traj), rng.New(5), func(m Measurement) { emitted = append(emitted, m) }, done)
+		n, err := gen.Generate(byObject(traj), rng.New(5), func(b []Measurement) error { emitted = append(emitted, b...); return nil }, done)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,6 +172,85 @@ func TestGenerateObjectDone(t *testing.T) {
 		}
 		if !slices.Equal(all, emitted) {
 			t.Fatalf("p=%d: done saw other measurements than were emitted", p)
+		}
+	}
+}
+
+// TestGenerateClaimWindow: workers claim objects only within 2 × workers of
+// the ordered flush. With the flush of the first object stuck in emit, the
+// other workers replay up to the window and then wait; once emit returns,
+// every object is emitted, in order, one batch per object.
+func TestGenerateClaimWindow(t *testing.T) {
+	tp := officeTopo(t)
+	const workers, objects = 2, 20
+	gen, err := NewGenerator(tp, gridDevices(8), Config{Model: DefaultPathLossModel(), Parallelism: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replayed atomic.Int64
+	release := make(chan struct{})
+	var batches [][]Measurement
+	emit := func(ms []Measurement) error {
+		if len(batches) == 0 {
+			<-release
+		}
+		batches = append(batches, slices.Clone(ms))
+		return nil
+	}
+	done := func(int, []Measurement) func() {
+		replayed.Add(1)
+		return nil
+	}
+	result := make(chan error, 1)
+	go func() {
+		_, err := gen.Generate(byObject(benchTrajectories(objects, 30)), rng.New(3), emit, done)
+		result <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for replayed.Load() < 2*workers && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a claim past the window
+	if n := replayed.Load(); n != 2*workers {
+		t.Fatalf("%d objects replayed while the first flush was stuck, want the window of %d", n, 2*workers)
+	}
+	close(release)
+	if err := <-result; err != nil {
+		t.Fatal(err)
+	}
+	if len(batches) != objects {
+		t.Fatalf("%d emit calls, want one per object (%d)", len(batches), objects)
+	}
+	for i, b := range batches {
+		for _, m := range b {
+			if m.ObjID != i+1 {
+				t.Fatalf("batch %d holds object %d", i, m.ObjID)
+			}
+		}
+	}
+}
+
+// TestGenerateEmitErrorStops: the first emit error ends the run: nothing
+// later is emitted, and Generate returns it with the rows emitted before.
+func TestGenerateEmitErrorStops(t *testing.T) {
+	tp := officeTopo(t)
+	boom := errors.New("sink full")
+	for _, p := range []int{1, 2, 8} {
+		gen, err := NewGenerator(tp, gridDevices(8), Config{Model: DefaultPathLossModel(), Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls, first := 0, 0
+		n, err := gen.Generate(byObject(benchTrajectories(30, 30)), rng.New(3), func(ms []Measurement) error {
+			calls++
+			if calls == 3 {
+				return boom
+			}
+			first += len(ms)
+			return nil
+		}, nil)
+		if err != boom || calls != 3 || n != first {
+			t.Fatalf("p=%d: Generate returned (%d, %v) after %d emit calls; want (%d, the emit error) after 3", p, n, err, calls, first)
 		}
 	}
 }
@@ -198,10 +280,13 @@ func TestRSSIInstantsOnGlobalGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		off := 0
-		if _, err := gen.Generate(byObject(traj), rng.New(1), func(m Measurement) {
-			if k := math.Round(m.T / interval); m.T != k*interval {
-				off++
+		if _, err := gen.Generate(byObject(traj), rng.New(1), func(b []Measurement) error {
+			for _, m := range b {
+				if k := math.Round(m.T / interval); m.T != k*interval {
+					off++
+				}
 			}
+			return nil
 		}, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +304,7 @@ func TestGenerateRejectsUnorderedObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	traj := append(benchTrajectories(2, 5), benchTrajectories(1, 5)...)
-	if _, err := gen.Generate(byObject(traj), rng.New(1), func(Measurement) {}, nil); err == nil {
+	if _, err := gen.Generate(byObject(traj), rng.New(1), func([]Measurement) error { return nil }, nil); err == nil {
 		t.Error("object 1 after object 2 accepted")
 	}
 }
@@ -246,7 +331,7 @@ func BenchmarkGenerate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := gen.Generate(series, rng.New(uint64(i+1)), func(Measurement) {}, nil); err != nil {
+				if _, err := gen.Generate(series, rng.New(uint64(i+1)), func([]Measurement) error { return nil }, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -281,7 +366,7 @@ func TestCrossingReuseMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ms []Measurement
-	if _, err := gen.Generate([][]trajectory.Sample{traj}, rng.New(1), func(mm Measurement) { ms = append(ms, mm) }, nil); err != nil {
+	if _, err := gen.Generate([][]trajectory.Sample{traj}, rng.New(1), func(b []Measurement) error { ms = append(ms, b...); return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	byID := map[string]*device.Device{}

@@ -130,9 +130,10 @@ type Config struct {
 	// positive — the paper exposes a dedicated sampling frequency for raw
 	// RSSI generation (§2: RSSI Measurement Controller).
 	SampleInterval float64
-	// Parallelism is the number of workers object trajectories are sharded
-	// across. 0 selects GOMAXPROCS; 1 runs fully sequentially. Any value
-	// produces identical measurements for the same rng.
+	// Parallelism is the number of workers that claim object trajectories to
+	// replay, the caller of Generate included. 0 selects GOMAXPROCS; 1
+	// replays every object on the caller's goroutine. Any value produces
+	// identical measurements for the same rng.
 	Parallelism int
 }
 
@@ -183,13 +184,22 @@ type ObjectDone func(id int, ms []Measurement) (flush func())
 // runs.
 //
 // r keys the fluctuation noise: each object's replay draws from a stream
-// derived deterministically from (r, object ID), and objects are sharded
-// across cfg.Parallelism workers. Output is byte-identical for any worker
-// count. Measurements are emitted grouped by ascending object ID (per
-// object device by device, each device's in time order); emit is never
-// invoked concurrently. A non-nil done runs once per object that has a
-// trajectory, on the sequential path too; see ObjectDone.
-func (g *Generator) Generate(series [][]trajectory.Sample, r *rng.Rand, emit func(Measurement), done ObjectDone) (int, error) {
+// derived deterministically from (r, object ID), so the output is
+// byte-identical for any worker count. The caller and cfg.Parallelism-1
+// goroutines claim objects one at a time, in order, from a shared counter;
+// a worker claims object i only while i < (objects flushed) + 2 × workers,
+// which bounds the measurements buffered ahead of the ordered flush.
+//
+// emit receives each object's measurements as one batch (device by device,
+// each device's in time order), in ascending object ID, never concurrently,
+// and must not keep the slice. Whichever worker completes the lowest
+// unflushed object flushes it and every ready object after it, outside the
+// lock the claims use; a worker that finds a flush in progress leaves its
+// object to that flush and claims the next. Objects without measurements are
+// not emitted. A non-nil done runs once per object that has a trajectory;
+// see ObjectDone. When emit returns an error nothing more is claimed or
+// emitted, and Generate returns the error with the count emitted before it.
+func (g *Generator) Generate(series [][]trajectory.Sample, r *rng.Rand, emit func([]Measurement) error, done ObjectDone) (int, error) {
 	if emit == nil {
 		return 0, fmt.Errorf("rssi: nil emit callback")
 	}
@@ -204,15 +214,9 @@ func (g *Generator) Generate(series [][]trajectory.Sample, r *rng.Rand, emit fun
 		trajs = append(trajs, tr)
 	}
 	streams := r.Streams()
+	workers := min(g.cfg.workers(), len(trajs))
+	window := 2 * workers
 
-	// Objects are sharded across workers and emitted in object-ID order, so
-	// parallel output matches the sequential path. Emission streams: as soon
-	// as the contiguous prefix of objects is done, its buffered measurements
-	// are flushed and their buffers go back to free for later objects. The
-	// transient buffer holds only objects finished ahead of the lowest
-	// unfinished ID — small in the typical similar-sized-trajectory case,
-	// though a pathologically long first object can stall the flush behind
-	// it.
 	type result struct {
 		ms    []Measurement
 		flush func()
@@ -220,62 +224,79 @@ func (g *Generator) Generate(series [][]trajectory.Sample, r *rng.Rand, emit fun
 	}
 	results := make([]result, len(trajs))
 	var (
-		mu    sync.Mutex
-		next  int
-		count int
-		free  [][]Measurement
+		mu               sync.Mutex
+		claimable        = sync.NewCond(&mu)
+		claimed, flushed int
+		flushing         bool
+		free             [][]Measurement // buffers of flushed objects
+		count            int
+		err              error
 	)
-	buffer := func() []Measurement {
+	work := func() {
 		mu.Lock()
 		defer mu.Unlock()
-		if n := len(free); n > 0 {
-			b := free[n-1]
-			free = free[:n-1]
-			return b
-		}
-		return nil
-	}
-	finish := func(i int, res result) {
-		mu.Lock()
-		defer mu.Unlock()
-		results[i] = res
-		for ; next < len(results) && results[next].ready; next++ {
-			for _, m := range results[next].ms {
-				emit(m)
+		for {
+			for claimed < len(trajs) && claimed >= flushed+window && err == nil {
+				claimable.Wait()
 			}
-			count += len(results[next].ms)
-			if results[next].flush != nil {
-				results[next].flush()
+			if claimed >= len(trajs) || err != nil {
+				return
 			}
-			free = append(free, results[next].ms[:0])
-			results[next] = result{}
-		}
-	}
-	replay := func(w, workers int) {
-		for i := w; i < len(trajs); i += workers {
+			i := claimed
+			claimed++
+			var buf []Measurement
+			if n := len(free); n > 0 {
+				buf, free = free[n-1], free[:n-1]
+			}
+			mu.Unlock()
+
 			id := trajs[i][0].ObjID
-			res := result{ms: g.generateForObject(buffer(), id, trajs[i], streams.Stream(uint64(id))), ready: true}
+			res := result{ms: g.generateForObject(buf, id, trajs[i], streams.Stream(uint64(id))), ready: true}
 			if done != nil {
 				res.flush = done(id, res.ms)
 			}
-			finish(i, res)
+
+			mu.Lock()
+			results[i] = res
+			if flushing {
+				continue // the flush in progress emits it in turn
+			}
+			flushing = true
+			for flushed < len(trajs) && results[flushed].ready && err == nil {
+				res := results[flushed]
+				mu.Unlock()
+				var emitErr error
+				if len(res.ms) > 0 {
+					emitErr = emit(res.ms)
+				}
+				if emitErr == nil && res.flush != nil {
+					res.flush()
+				}
+				mu.Lock()
+				if emitErr != nil {
+					err = emitErr
+				} else {
+					count += len(res.ms)
+				}
+				free = append(free, res.ms[:0])
+				results[flushed] = result{}
+				flushed++
+				claimable.Broadcast()
+			}
+			flushing = false
 		}
 	}
-	workers := min(g.cfg.workers(), len(trajs))
-	if workers <= 1 {
-		replay(0, 1)
-		return count, nil
-	}
 	var wg sync.WaitGroup
-	for w := range workers {
+	for range workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			replay(w, workers)
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
-	return count, nil
+	return count, err
 }
 
 // generateForObject replays one object's (non-empty) trajectory against

@@ -180,7 +180,7 @@ func TestGeneratorRangeGating(t *testing.T) {
 		})
 	}
 	var ms []Measurement
-	n, err := gen.Generate(byObject(traj), rng.New(2), func(m Measurement) { ms = append(ms, m) }, nil)
+	n, err := gen.Generate(byObject(traj), rng.New(2), func(b []Measurement) error { ms = append(ms, b...); return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestGeneratorSampleIntervalOverride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := gen.Generate(byObject(traj), rng.New(3), func(Measurement) {}, nil)
+		n, err := gen.Generate(byObject(traj), rng.New(3), func([]Measurement) error { return nil }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestGeneratorFloorSeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := gen.Generate(byObject(traj), rng.New(4), func(Measurement) {}, nil)
+	n, err := gen.Generate(byObject(traj), rng.New(4), func([]Measurement) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

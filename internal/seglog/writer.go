@@ -1,6 +1,7 @@
 package seglog
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -14,8 +15,10 @@ import (
 
 // WriterOptions tunes segment roll-over.
 type WriterOptions struct {
-	// MaxSegmentBytes rolls a segment once its on-disk size (measured at
-	// block-flush granularity) reaches this many bytes (default 64 MiB).
+	// MaxSegmentBytes rolls a segment once its on-disk size reaches this many
+	// bytes (default 64 MiB). The size is taken when a block is handed to
+	// the VTB writer, over the blocks before it (colstore.Writer.Flushed),
+	// so where a segment rolls depends on its rows alone.
 	MaxSegmentBytes int64
 	// MaxSegmentRows additionally rolls after this many rows (0 = no row
 	// bound). Small row bounds are how tests and demos force multi-segment
@@ -48,7 +51,6 @@ type Writer[T any] struct {
 	timeOf func(T) float64
 
 	f      *os.File
-	cw     countingWriter
 	enc    *colstore.Writer[T]
 	id     uint64
 	rows   int
@@ -82,9 +84,9 @@ func newWriter[T any](l *Log, kind colstore.Kind, opts WriterOptions,
 }
 
 // Write appends one record, rolling the current segment when a threshold
-// trips. The byte threshold is observed at block-flush granularity (the VTB
-// writer buffers one block), so segments overshoot by at most one encoded
-// block.
+// trips. The byte threshold is observed at block hand-off granularity (the
+// VTB writer fills one block while the one before it is written), so
+// segments overshoot by at most two encoded blocks.
 func (w *Writer[T]) Write(rec T) error {
 	if w.closed {
 		return fmt.Errorf("seglog: write after Close")
@@ -105,7 +107,7 @@ func (w *Writer[T]) Write(rec T) error {
 	}
 	w.rows++
 	if (w.opts.MaxSegmentRows > 0 && w.rows >= w.opts.MaxSegmentRows) ||
-		w.cw.n >= w.opts.MaxSegmentBytes {
+		w.enc.Flushed() >= w.opts.MaxSegmentBytes {
 		return w.seal()
 	}
 	return nil
@@ -159,8 +161,7 @@ func (w *Writer[T]) openSegment() error {
 		return err
 	}
 	w.f = f
-	w.cw = countingWriter{w: f}
-	w.enc = w.newEnc(&w.cw, w.opts.Block)
+	w.enc = w.newEnc(f, w.opts.Block)
 	w.rows = 0
 	return nil
 }
@@ -218,26 +219,16 @@ func (w *Writer[T]) seal() error {
 	return nil
 }
 
+// abortOpenSegment drops the segment being filled. Closing its encoder first
+// waits for the block in flight, whose write error, if any, is returned.
 func (w *Writer[T]) abortOpenSegment() error {
 	if w.f == nil {
 		return nil
 	}
 	name := w.f.Name()
+	encErr := w.enc.Close()
 	w.f.Close()
 	w.f, w.enc = nil, nil
 	w.rows = 0
-	return os.Remove(name)
-}
-
-// countingWriter counts bytes so roll-over can watch the segment's on-disk
-// size without stat calls.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	return errors.Join(encErr, os.Remove(name))
 }

@@ -1,11 +1,15 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 
 	"vita/internal/colstore"
 	"vita/internal/geom"
@@ -41,14 +45,14 @@ var (
 // pipeline; Close flushes buffered rows but leaves the underlying writer
 // open.
 type TrajectoryCSVWriter struct {
-	cw *csv.Writer
+	cw *csvWriter
 }
 
 // NewTrajectoryCSVWriter returns a streaming writer, having written the
 // header row.
 func NewTrajectoryCSVWriter(w io.Writer) (*TrajectoryCSVWriter, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(TrajectoryCSVHeader); err != nil {
+	cw := newCSVWriter(w)
+	if err := cw.record(TrajectoryCSVHeader...); err != nil {
 		return nil, fmt.Errorf("storage: write trajectory header: %w", err)
 	}
 	return &TrajectoryCSVWriter{cw: cw}, nil
@@ -56,26 +60,22 @@ func NewTrajectoryCSVWriter(w io.Writer) (*TrajectoryCSVWriter, error) {
 
 // Write appends one sample row.
 func (w *TrajectoryCSVWriter) Write(s trajectory.Sample) error {
-	rec := []string{
-		strconv.Itoa(s.ObjID),
-		s.Loc.Building,
-		strconv.Itoa(s.Loc.Floor),
-		s.Loc.Partition,
-		fmtF(s.Loc.Point.X),
-		fmtF(s.Loc.Point.Y),
-		fmtF(s.T),
-	}
-	if err := w.cw.Write(rec); err != nil {
+	c := w.cw
+	c.num(s.ObjID)
+	c.str(s.Loc.Building)
+	c.num(s.Loc.Floor)
+	c.str(s.Loc.Partition)
+	c.f4(s.Loc.Point.X)
+	c.f4(s.Loc.Point.Y)
+	c.f4(s.T)
+	if err := c.end(); err != nil {
 		return fmt.Errorf("storage: write trajectory row: %w", err)
 	}
 	return nil
 }
 
 // Close flushes buffered rows.
-func (w *TrajectoryCSVWriter) Close() error {
-	w.cw.Flush()
-	return w.cw.Error()
-}
+func (w *TrajectoryCSVWriter) Close() error { return w.cw.bw.Flush() }
 
 // WriteTrajectoryCSV writes samples as CSV with a header row.
 func WriteTrajectoryCSV(w io.Writer, samples []trajectory.Sample) error {
@@ -125,14 +125,14 @@ func ReadTrajectoryCSV(r io.Reader) ([]trajectory.Sample, error) {
 // RSSICSVWriter streams RSSI measurements as CSV rows; see
 // TrajectoryCSVWriter for the streaming contract.
 type RSSICSVWriter struct {
-	cw *csv.Writer
+	cw *csvWriter
 }
 
 // NewRSSICSVWriter returns a streaming writer, having written the header
 // row.
 func NewRSSICSVWriter(w io.Writer) (*RSSICSVWriter, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(RSSICSVHeader); err != nil {
+	cw := newCSVWriter(w)
+	if err := cw.record(RSSICSVHeader...); err != nil {
 		return nil, fmt.Errorf("storage: write rssi header: %w", err)
 	}
 	return &RSSICSVWriter{cw: cw}, nil
@@ -140,18 +140,19 @@ func NewRSSICSVWriter(w io.Writer) (*RSSICSVWriter, error) {
 
 // Write appends one measurement row.
 func (w *RSSICSVWriter) Write(m rssi.Measurement) error {
-	rec := []string{strconv.Itoa(m.ObjID), m.DeviceID, fmtF(m.RSSI), fmtF(m.T)}
-	if err := w.cw.Write(rec); err != nil {
+	c := w.cw
+	c.num(m.ObjID)
+	c.str(m.DeviceID)
+	c.f4(m.RSSI)
+	c.f4(m.T)
+	if err := c.end(); err != nil {
 		return fmt.Errorf("storage: write rssi row: %w", err)
 	}
 	return nil
 }
 
 // Close flushes buffered rows.
-func (w *RSSICSVWriter) Close() error {
-	w.cw.Flush()
-	return w.cw.Error()
-}
+func (w *RSSICSVWriter) Close() error { return w.cw.bw.Flush() }
 
 // WriteRSSICSV writes measurements as CSV with a header row.
 func WriteRSSICSV(w io.Writer, ms []rssi.Measurement) error {
@@ -223,18 +224,20 @@ func ReadEstimateCSV(r io.Reader) ([]positioning.Estimate, error) {
 
 // WriteProximityCSV writes proximity records as CSV with a header row.
 func WriteProximityCSV(w io.Writer, rs []positioning.ProximityRecord) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(proximityCSVHeader); err != nil {
+	cw := newCSVWriter(w)
+	if err := cw.record(proximityCSVHeader...); err != nil {
 		return fmt.Errorf("storage: write proximity header: %w", err)
 	}
 	for _, r := range rs {
-		rec := []string{strconv.Itoa(r.ObjID), r.DeviceID, fmtF(r.TS), fmtF(r.TE)}
-		if err := cw.Write(rec); err != nil {
+		cw.num(r.ObjID)
+		cw.str(r.DeviceID)
+		cw.f4(r.TS)
+		cw.f4(r.TE)
+		if err := cw.end(); err != nil {
 			return fmt.Errorf("storage: write proximity row: %w", err)
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return cw.bw.Flush()
 }
 
 // ReadProximityCSV parses CSV written by WriteProximityCSV.
@@ -311,9 +314,124 @@ func parse3(a, b, c string) (float64, float64, float64, error) {
 	return x, y, t, nil
 }
 
-// fmtF renders floats with exactly 4 decimal places. CSV output is therefore
-// LOSSY: coordinates and timestamps are quantized to 1e-4 (0.1 mm / 0.1 ms),
-// so a CSV round trip reproduces values only to ±5e-5 — see the tolerance
-// test in csv_test.go. Workflows needing bit-exact ground truth should use
-// the VTB format (internal/colstore), whose round trip is lossless.
-func fmtF(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+// csvWriter lays records out byte for byte as encoding/csv.Writer does in
+// its default configuration — comma-separated, "\n"-terminated, a field
+// quoted (its quotes doubled) when it holds a comma, a quote, "\r" or "\n",
+// starts with a space, or is `\.` — but appends each field to one reused line,
+// so a row costs no []string and a number no string. Add a record's fields
+// with str, num and f4 in order, then end it.
+type csvWriter struct {
+	bw     *bufio.Writer
+	line   []byte
+	fields int
+}
+
+func newCSVWriter(w io.Writer) *csvWriter { return &csvWriter{bw: bufio.NewWriter(w)} }
+
+func (c *csvWriter) sep() {
+	if c.fields > 0 {
+		c.line = append(c.line, ',')
+	}
+	c.fields++
+}
+
+// str adds a text field, quoted when csv.Writer would quote it.
+func (c *csvWriter) str(s string) {
+	c.sep()
+	if !csvNeedsQuotes(s) {
+		c.line = append(c.line, s...)
+		return
+	}
+	c.line = append(c.line, '"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' {
+			c.line = append(c.line, '"')
+		}
+		c.line = append(c.line, s[i])
+	}
+	c.line = append(c.line, '"')
+}
+
+// num adds an integer field.
+func (c *csvWriter) num(v int) {
+	c.sep()
+	c.line = strconv.AppendInt(c.line, int64(v), 10)
+}
+
+// f4 adds a float field with exactly 4 decimal places (see appendF4).
+func (c *csvWriter) f4(v float64) {
+	c.sep()
+	c.line = appendF4(c.line, v)
+}
+
+// end writes the record to the buffer.
+func (c *csvWriter) end() error {
+	c.line = append(c.line, '\n')
+	_, err := c.bw.Write(c.line)
+	c.line, c.fields = c.line[:0], 0
+	return err
+}
+
+// record writes a record of text fields.
+func (c *csvWriter) record(fields ...string) error {
+	for _, f := range fields {
+		c.str(f)
+	}
+	return c.end()
+}
+
+// csvNeedsQuotes is encoding/csv.Writer's quoting rule for a comma
+// separator.
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == ',' || c == '"' || c == '\r' || c == '\n' {
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
+}
+
+// appendF4 appends v with exactly 4 decimal places, byte-identical to
+// strconv.FormatFloat(v, 'f', 4, 64). CSV output is therefore LOSSY:
+// coordinates and timestamps are quantized to 1e-4 (0.1 mm / 0.1 ms), so a
+// CSV round trip reproduces values only to ±5e-5 — see the tolerance test in
+// csv_test.go. Workflows needing bit-exact ground truth should use the VTB
+// format (internal/colstore), whose round trip is lossless.
+//
+// FormatFloat's 'f' format with a fixed precision always takes strconv's
+// slow arbitrary-precision path. For |v| < 1e11 appendF4 scales instead:
+// p = |v|·10⁴ is off the exact product by less than p·2⁻⁵², so unless p's
+// fraction lies that close to one half, p rounds to the same integer as the
+// exact product does, and that integer's digits are the answer. Near-ties
+// (exact ones included, which FormatFloat rounds half to even), larger
+// values, NaN and ±Inf take FormatFloat's path.
+func appendF4(b []byte, v float64) []byte {
+	p := math.Abs(v) * 1e4
+	n := math.Floor(p)
+	frac := p - n // exact: p < 2^50
+	if !(p < 1e15) || math.Abs(frac-0.5) <= p*0x1p-52 {
+		return strconv.AppendFloat(b, v, 'f', 4, 64)
+	}
+	if frac > 0.5 {
+		n++
+	}
+	if math.Signbit(v) {
+		b = append(b, '-')
+	}
+	var buf [20]byte
+	d := strconv.AppendUint(buf[:0], uint64(n), 10)
+	if k := len(d) - 4; k > 0 {
+		b = append(b, d[:k]...)
+		b = append(b, '.')
+		return append(b, d[k:]...)
+	}
+	b = append(b, "0.0000"[:6-len(d)]...) // "0." and the decimals' leading zeros
+	return append(b, d...)
+}

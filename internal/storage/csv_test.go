@@ -2,10 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"encoding/csv"
 	"io"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -175,7 +178,7 @@ func TestCSVEmptyRoundTrips(t *testing.T) {
 }
 
 // TestCSVQuantizationTolerance pins the documented lossiness of the CSV
-// codec: fmtF quantizes to 4 decimal places, so full-precision values come
+// codec: appendF4 quantizes to 4 decimal places, so full-precision values come
 // back within ±5e-5 but generally not bit-exact. (The VTB codec of
 // internal/colstore is the lossless counterpart; see its round-trip tests.)
 func TestCSVQuantizationTolerance(t *testing.T) {
@@ -274,5 +277,137 @@ func TestCSVHeaderlessKeepsFirstRow(t *testing.T) {
 	got, format, err := ReadTrajectoryFile(path)
 	if err != nil || format != FormatCSV || len(got) != 2 || got[0].ObjID != 7 {
 		t.Errorf("headerless file: %d rows (%+v), format %s, err %v", len(got), got, format, err)
+	}
+}
+
+// f4Cases are the values appendF4 is most likely to get wrong: exact ties
+// (which round half to even), values a few ulps off a tie, digits that carry
+// into a new power of ten, both sides of every power of ten, and the edges
+// of the range it formats itself.
+func f4Cases() []float64 {
+	vs := []float64{
+		0, math.Copysign(0, -1), 0.03125, 0.09375, 9.99995, 99.99995, 999.99995, 0.99995,
+		0.00005, 0.00015, 0.00025, 0.0005, 0.00049999, 0.00050001, 0.0009999, 0.00099995,
+		1.00005, 2.5e-4, 12.34565, 1234.56785, 9999.99995, 99999.99995, 1e10 - 0.00005,
+		99999999999.99995, 1e11, 1.23456789e15, 1e21, 1e300, 5e-5, 1e-300,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for e := -6; e <= 16; e++ {
+		p := math.Pow(10, float64(e))
+		for _, q := range []float64{p, p / 2, p * 0.99995, p - 0.00005, p + 0.00005, p + 0.00015} {
+			vs = append(vs, q, math.Nextafter(q, 0), math.Nextafter(q, math.Inf(1)))
+		}
+	}
+	for _, k := range []float64{0, 1, 7, 12345, 99999, 123456789, 1e10, 1e14 - 1} {
+		// Ties of the scaled value k + 0.5, and the floats right around them.
+		q := (k + 0.5) / 1e4
+		vs = append(vs, q, math.Nextafter(q, 0), math.Nextafter(q, math.Inf(1)),
+			math.Nextafter(math.Nextafter(q, 0), 0), math.Nextafter(math.Nextafter(q, 2*q), 2*q))
+	}
+	for i := range 1000 {
+		// k·2^-5 is an exact binary fraction: every odd k is an exact tie at
+		// the 4th decimal.
+		vs = append(vs, float64(i)/32+float64(i%7)*1000)
+	}
+	n := len(vs)
+	for _, v := range vs[:n] {
+		vs = append(vs, -v)
+	}
+	return vs
+}
+
+// TestAppendF4MatchesFormatFloat: appendF4 writes exactly what
+// strconv.FormatFloat(v, 'f', 4, 64) writes, on the edge cases above and on
+// random values across every magnitude it formats itself.
+func TestAppendF4MatchesFormatFloat(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	vs := f4Cases()
+	for range 200000 {
+		vs = append(vs, (r.Float64()*2-1)*math.Pow(10, float64(r.IntN(17)-5)))
+	}
+	for _, v := range vs {
+		if got, want := string(appendF4(nil, v)), strconv.FormatFloat(v, 'f', 4, 64); got != want {
+			t.Fatalf("appendF4(%v) = %q, FormatFloat gives %q", v, got, want)
+		}
+	}
+}
+
+func FuzzFormatF4(f *testing.F) {
+	for _, v := range f4Cases() {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		if got, want := string(appendF4([]byte("x"), v)), "x"+strconv.FormatFloat(v, 'f', 4, 64); got != want {
+			t.Fatalf("appendF4(%v) = %q, FormatFloat gives %q", v, got, want)
+		}
+	})
+}
+
+// BenchmarkFormatF4 times one 4-decimal rendering of a typical coordinate,
+// timestamp or RSSI value, against the FormatFloat call it replaces.
+func BenchmarkFormatF4(b *testing.B) {
+	vs := []float64{12.3456789, 1799.25, -63.18274, 0.5, 245.0001}
+	b.Run("appendF4", func(b *testing.B) {
+		buf := make([]byte, 0, 32)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = appendF4(buf[:0], vs[i%len(vs)])
+		}
+	})
+	b.Run("FormatFloat", func(b *testing.B) {
+		buf := make([]byte, 0, 32)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = strconv.AppendFloat(buf[:0], vs[i%len(vs)], 'f', 4, 64)
+		}
+	})
+}
+
+// TestCSVWritersMatchEncodingCSV: the record writers lay rows out exactly as
+// encoding/csv.Writer does with FormatFloat numbers, including every field
+// csv.Writer quotes.
+func TestCSVWritersMatchEncodingCSV(t *testing.T) {
+	fields := []string{
+		"", "plain", `\.`, ` lead`, "\tlead", "\u00a0nbsp", "trail ", "a,b", `a"b`, `"`,
+		"a\nb", "a\r\nb", "\r", "ü-umlaut", "\xff", "\xff,", "-", "+Inf",
+	}
+	var ms []rssi.Measurement
+	var want bytes.Buffer
+	ref := csv.NewWriter(&want)
+	ref.Write(RSSICSVHeader)
+	vs := f4Cases()
+	for i, d := range fields {
+		m := rssi.Measurement{ObjID: i - 3, DeviceID: d, RSSI: vs[i], T: vs[len(vs)-1-i]}
+		ms = append(ms, m)
+		ref.Write([]string{strconv.Itoa(m.ObjID), m.DeviceID,
+			strconv.FormatFloat(m.RSSI, 'f', 4, 64), strconv.FormatFloat(m.T, 'f', 4, 64)})
+	}
+	ref.Flush()
+	var got bytes.Buffer
+	if err := WriteRSSICSV(&got, ms); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("WriteRSSICSV wrote\n%q\nencoding/csv writes\n%q", got.String(), want.String())
+	}
+
+	var ss []trajectory.Sample
+	want.Reset()
+	ref = csv.NewWriter(&want)
+	ref.Write(TrajectoryCSVHeader)
+	for i, d := range fields {
+		s := trajectory.Sample{ObjID: i, Loc: model.At(d, i-2, fields[len(fields)-1-i], geom.Pt(vs[i], -vs[i+1])), T: vs[i+2]}
+		ss = append(ss, s)
+		ref.Write([]string{strconv.Itoa(s.ObjID), s.Loc.Building, strconv.Itoa(s.Loc.Floor), s.Loc.Partition,
+			strconv.FormatFloat(s.Loc.Point.X, 'f', 4, 64), strconv.FormatFloat(s.Loc.Point.Y, 'f', 4, 64),
+			strconv.FormatFloat(s.T, 'f', 4, 64)})
+	}
+	ref.Flush()
+	got.Reset()
+	if err := WriteTrajectoryCSV(&got, ss); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("WriteTrajectoryCSV wrote\n%q\nencoding/csv writes\n%q", got.String(), want.String())
 	}
 }

@@ -243,10 +243,10 @@ type RSSIStore struct {
 // NewRSSIStore returns an empty store.
 func NewRSSIStore() *RSSIStore { return &RSSIStore{} }
 
-// Append adds one measurement.
-func (s *RSSIStore) Append(m rssi.Measurement) {
+// Append adds measurements, copying them.
+func (s *RSSIStore) Append(ms ...rssi.Measurement) {
 	s.mu.Lock()
-	s.all = append(s.all, m)
+	s.all = append(s.all, ms...)
 	s.mu.Unlock()
 }
 

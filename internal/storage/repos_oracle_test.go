@@ -126,12 +126,20 @@ func TestSeriesHandOver(t *testing.T) {
 			series [][]trajectory.Sample
 		)
 		store := NewTrajectoryStore()
-		if _, err := eng.Run(func(sm trajectory.Sample) { stream = append(stream, sm) }, func(s []trajectory.Sample) {
+		col := trajectory.NewCollector(func(b []trajectory.Sample) error {
+			stream = append(stream, b...)
+			return nil
+		})
+		_, err = eng.Run(col, func(s []trajectory.Sample) {
 			store.AppendSeries(s)
 			mu.Lock()
 			series = append(series, s)
 			mu.Unlock()
-		}); err != nil {
+		})
+		if cerr := col.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(stream) == 0 {

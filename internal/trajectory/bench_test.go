@@ -32,7 +32,12 @@ func BenchmarkEngineRun(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := eng.Run(func(Sample) {}, nil); err != nil {
+				col := NewCollector(func([]Sample) error { return nil })
+				_, err = eng.Run(col, nil)
+				if cerr := col.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -56,14 +61,19 @@ func BenchmarkCollector(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		c := NewCollector(func(Sample) { n++ })
+		c := NewCollector(func(batch []Sample) error {
+			n += len(batch)
+			return nil
+		})
 		for o := range streams {
 			c.Expect(o+1, 0)
 		}
 		for o := range streams {
 			c.Deliver(o+1, streams[o])
 		}
-		c.Close()
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
 		if n != objects*perObj {
 			b.Fatalf("merged %d samples, want %d", n, objects*perObj)
 		}

@@ -44,9 +44,10 @@ type Config struct {
 	SampleInterval float64
 	// Speed is the speed model used for routing and walking.
 	Speed topo.SpeedModel
-	// Parallelism is the number of workers objects are sharded across.
-	// 0 selects GOMAXPROCS; 1 runs fully sequentially. Any value produces
-	// identical output for the same seed.
+	// Parallelism is the number of workers that claim objects to simulate,
+	// the caller of Run included. 0 selects GOMAXPROCS; 1 simulates every
+	// object on the caller's goroutine. Any value produces identical output
+	// for the same seed.
 	Parallelism int
 }
 

@@ -38,8 +38,21 @@ func runEngine(t testing.TB, seed uint64, cfg Config, spawn object.SpawnConfig) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runMerged(t, eng)
+}
+
+// runMerged runs eng through a collector and returns the merged samples.
+func runMerged(t testing.TB, eng *Engine) ([]Sample, Stats) {
+	t.Helper()
 	var samples []Sample
-	stats, err := eng.Run(func(s Sample) { samples = append(samples, s) }, nil)
+	col := NewCollector(func(b []Sample) error {
+		samples = append(samples, b...)
+		return nil
+	})
+	stats, err := eng.Run(col, nil)
+	if cerr := col.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

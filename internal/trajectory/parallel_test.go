@@ -1,8 +1,12 @@
 package trajectory
 
 import (
+	"errors"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"vita/internal/object"
 	"vita/internal/rng"
@@ -21,12 +25,7 @@ func runEngineP(t testing.TB, seed uint64, parallelism int, spawn object.SpawnCo
 	if err != nil {
 		t.Fatal(err)
 	}
-	var samples []Sample
-	stats, err := eng.Run(func(s Sample) { samples = append(samples, s) }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return samples, stats
+	return runMerged(t, eng)
 }
 
 // TestParallelIdenticalToSequential is the core reproducibility guarantee of
@@ -166,7 +165,15 @@ func s(obj int, t float64) Sample { return Sample{ObjID: obj, T: t} }
 
 func TestCollectorMergesTimeSorted(t *testing.T) {
 	var got []Sample
-	c := NewCollector(func(sm Sample) { got = append(got, sm) })
+	var waiting atomic.Bool // object 2 (birth 0) not delivered yet
+	waiting.Store(true)
+	c := NewCollector(func(b []Sample) error {
+		if waiting.Load() {
+			t.Errorf("emitted %v while object 2 (birth 0) pending", b)
+		}
+		got = append(got, b...)
+		return nil
+	})
 	c.Expect(1, 0)
 	c.Expect(2, 0)
 	c.Expect(3, 50)
@@ -175,56 +182,158 @@ func TestCollectorMergesTimeSorted(t *testing.T) {
 	// watermark (object 2 still out, birth 0).
 	c.Deliver(3, []Sample{s(3, 50), s(3, 60)})
 	c.Deliver(1, []Sample{s(1, 0), s(1, 10), s(1, 55)})
-	if len(got) != 0 {
-		t.Fatalf("emitted %d samples while object 2 (birth 0) pending", len(got))
-	}
+	waiting.Store(false)
 	c.Deliver(2, []Sample{s(2, 0), s(2, 10), s(2, 20)})
-	c.Close()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	want := []Sample{
 		s(1, 0), s(2, 0), s(1, 10), s(2, 10), s(2, 20), s(3, 50), s(1, 55), s(3, 60),
 	}
-	if len(got) != len(want) {
-		t.Fatalf("emitted %d samples, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if c.Emitted() != len(want) {
-		t.Errorf("Emitted() = %d, want %d", c.Emitted(), len(want))
+	if !slices.Equal(got, want) {
+		t.Fatalf("merged %v, want %v", got, want)
 	}
 }
 
 func TestCollectorStreamsBeforeCompletion(t *testing.T) {
-	var got []Sample
-	c := NewCollector(func(sm Sample) { got = append(got, sm) })
+	batches := make(chan []Sample, 8)
+	c := NewCollector(func(b []Sample) error {
+		batches <- slices.Clone(b)
+		return nil
+	})
 	c.Expect(1, 0)
 	c.Expect(2, 100)
 	c.Deliver(1, []Sample{s(1, 0), s(1, 50), s(1, 150)})
-	// Object 2 is born at t=100: everything before that is already safe.
-	if len(got) != 2 {
-		t.Fatalf("expected the 2 pre-watermark samples to stream out, got %d", len(got))
+	// Object 2 is born at t=100: everything before that is already safe, and
+	// streams out before object 2 arrives.
+	select {
+	case b := <-batches:
+		if want := []Sample{s(1, 0), s(1, 50)}; !slices.Equal(b, want) {
+			t.Fatalf("first batch %v, want the pre-watermark samples %v", b, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pre-watermark samples never streamed out")
 	}
 	c.Deliver(2, []Sample{s(2, 100)})
-	if len(got) != 4 {
-		t.Fatalf("expected full drain after last delivery, got %d", len(got))
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(batches)
+	var rest []Sample
+	for b := range batches {
+		rest = append(rest, b...)
+	}
+	if want := []Sample{s(2, 100), s(1, 150)}; !slices.Equal(rest, want) {
+		t.Fatalf("after the last delivery %v, want %v", rest, want)
 	}
 }
 
 func TestCollectorEmptyStreams(t *testing.T) {
 	var got []Sample
-	c := NewCollector(func(sm Sample) { got = append(got, sm) })
+	c := NewCollector(func(b []Sample) error {
+		got = append(got, b...)
+		return nil
+	})
 	c.Expect(1, 0)
 	c.Expect(2, 10)
 	c.Deliver(2, nil) // died before its first sample instant
 	c.Deliver(1, []Sample{s(1, 0), s(1, 20)})
-	c.Close()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 2 {
 		t.Fatalf("emitted %d, want 2", len(got))
 	}
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].T < got[j].T }) {
 		t.Error("merged output not time-sorted")
+	}
+}
+
+// TestCollectorDeliverDoesNotWait: Deliver only queues its series. With emit
+// stuck inside the sink, every worker's Deliver still returns at once.
+func TestCollectorDeliverDoesNotWait(t *testing.T) {
+	release := make(chan struct{})
+	var got []Sample
+	c := NewCollector(func(b []Sample) error {
+		<-release
+		got = append(got, b...)
+		return nil
+	})
+	const objects = 50
+	for id := range objects {
+		c.Expect(id, 0)
+	}
+	delivered := make(chan struct{})
+	go func() {
+		for id := range objects {
+			c.Deliver(id, []Sample{s(id, 0), s(id, 1)})
+		}
+		close(delivered)
+	}()
+	select {
+	case <-delivered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Deliver waited for the merge")
+	}
+	close(release)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2*objects {
+		t.Fatalf("merged %d samples, want %d", len(got), 2*objects)
+	}
+}
+
+// TestCollectorBatchesAndErrors: emit gets runs of at most mergeBatch
+// samples; after its first error it is never called again, the buffered
+// samples are dropped, and Close returns that error.
+func TestCollectorBatchesAndErrors(t *testing.T) {
+	long := func(id int) []Sample {
+		ss := make([]Sample, mergeBatch+100)
+		for k := range ss {
+			ss[k] = s(id, float64(k))
+		}
+		return ss
+	}
+	calls, total := 0, 0
+	c := NewCollector(func(b []Sample) error {
+		if len(b) == 0 || len(b) > mergeBatch {
+			t.Errorf("batch of %d samples", len(b))
+		}
+		calls++
+		total += len(b)
+		return nil
+	})
+	for id := range 3 {
+		c.Expect(id, 0)
+	}
+	for id := range 3 {
+		c.Deliver(id, long(id))
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 3 * (mergeBatch + 100); total != want || calls < 3 {
+		t.Fatalf("%d samples in %d calls, want %d in at least 3", total, calls, want)
+	}
+
+	boom := errors.New("disk full")
+	calls = 0
+	c = NewCollector(func([]Sample) error {
+		calls++
+		return boom
+	})
+	for id := range 3 {
+		c.Expect(id, 0)
+	}
+	for id := range 3 {
+		c.Deliver(id, long(id))
+	}
+	if err := c.Close(); err != boom {
+		t.Fatalf("Close returned %v, want the emit error", err)
+	}
+	if calls != 1 {
+		t.Fatalf("emit called %d times, want once (nothing after its error)", calls)
 	}
 }
