@@ -294,49 +294,6 @@ func benchSamples(b *testing.B) []trajectory.Sample {
 	return samples
 }
 
-// BenchmarkQueryIndexBuild measures building the spatio-temporal index from
-// generated samples.
-func BenchmarkQueryIndexBuild(b *testing.B) {
-	samples := benchSamples(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = query.NewTrajectoryIndex(samples, query.DefaultOptions())
-	}
-}
-
-// BenchmarkQueryRange measures one spatial-range × time-window query.
-func BenchmarkQueryRange(b *testing.B) {
-	ix := query.NewTrajectoryIndex(benchSamples(b), query.DefaultOptions())
-	box := geom.BBox{Min: geom.Pt(2, 2), Max: geom.Pt(14, 10)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Range(0, box, 100, 160)
-	}
-}
-
-// BenchmarkQueryKNN measures one 5-NN query at an instant with
-// interpolation.
-func BenchmarkQueryKNN(b *testing.B) {
-	ix := query.NewTrajectoryIndex(benchSamples(b), query.DefaultOptions())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.KNN(0, geom.Pt(20, 10), 150, 5)
-	}
-}
-
-// BenchmarkQueryDensity measures one per-partition snapshot-density query.
-func BenchmarkQueryDensity(b *testing.B) {
-	ix := query.NewTrajectoryIndex(benchSamples(b), query.DefaultOptions())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Density(150)
-	}
-}
-
 // BenchmarkQueryContinuous measures streaming the full dataset through four
 // standing range queries.
 func BenchmarkQueryContinuous(b *testing.B) {
@@ -653,13 +610,13 @@ func BenchmarkServeWarmVsCold(b *testing.B) {
 }
 
 // BenchmarkColdStartQuery measures the end-to-end "file on disk to first
-// range-query answer" path that motivated the format: parse/scan, build the
-// index over the surviving samples, run one window query. VTB pushes the
-// window into the block layer; CSV must parse everything first.
+// range-query answer" path that motivated the format: parse or scan, then
+// keep the samples inside the window and box. VTB pushes the whole predicate
+// into the block layer; CSV must parse everything first.
 func BenchmarkColdStartQuery(b *testing.B) {
 	vtb, csvBytes, _ := vtbBenchImage(b)
 	box := geom.BBox{Min: geom.Pt(2, 2), Max: geom.Pt(14, 10)}
-	pred := colstore.Predicate{HasTime: true, T0: 100, T1: 160, HasBox: true, Box: box}
+	pred := colstore.Predicate{HasTime: true, T0: 100, T1: 160, HasFloor: true, Floor: 0, HasBox: true, Box: box}
 
 	b.Run("csv", func(b *testing.B) {
 		b.SetBytes(int64(len(csvBytes)))
@@ -669,8 +626,12 @@ func BenchmarkColdStartQuery(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ix := query.NewTrajectoryIndex(samples, query.DefaultOptions())
-			_ = ix.Range(0, box, 100, 160)
+			var hits []trajectory.Sample
+			for _, s := range samples {
+				if pred.MatchTrajectory(s) {
+					hits = append(hits, s)
+				}
+			}
 		}
 	})
 	b.Run("vtb", func(b *testing.B) {
@@ -681,12 +642,10 @@ func BenchmarkColdStartQuery(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var samples []trajectory.Sample
-			if _, err := storage.Each(r.Cursor(pred), func(s trajectory.Sample) { samples = append(samples, s) }); err != nil {
+			var hits []trajectory.Sample
+			if _, err := storage.Each(r.Cursor(pred), func(s trajectory.Sample) { hits = append(hits, s) }); err != nil {
 				b.Fatal(err)
 			}
-			ix := query.NewTrajectoryIndex(samples, query.DefaultOptions())
-			_ = ix.Range(0, box, 100, 160)
 		}
 	})
 }
@@ -801,40 +760,46 @@ func BenchmarkVTBScanMmapVsReaderAt(b *testing.B) {
 // the cursor pipeline itself is allocation-free — a small constant
 // independent of rows and blocks — vsnap (the default codec) must match
 // that same constant because its decoder works entirely inside pooled
-// scratch, while the flate file additionally pays stdlib flate's internal
-// per-stream Huffman table allocations (a handful per block, not poolable
-// from outside the package), so its budget scales with block count and
-// nothing else. BenchmarkVTBScanCompressedAllocs tightens the vsnap case
-// to exactly zero.
+// scratch, while the flate-era fixture additionally pays stdlib flate's
+// internal per-stream Huffman table allocations (a handful per block, not
+// poolable from outside the package), so its budget scales with block count
+// and nothing else. BenchmarkVTBScanCompressedAllocs tightens the vsnap
+// case to exactly zero.
 func BenchmarkVTBScanAllocs(b *testing.B) {
 	cases := []struct {
 		name   string
 		opts   colstore.Options
+		path   string // a checked-in file to scan instead of one written with opts
 		budget func(blocks int) float64
 	}{
 		// Constant budget: cursor struct + pool/GC slack. ~12k rows in ~12
 		// blocks, so anything O(rows) or O(blocks) blows through at once.
-		{"raw", colstore.Options{BlockSize: 1024, Codec: colstore.CodecRaw},
+		{"raw", colstore.Options{BlockSize: 1024, Codec: colstore.CodecRaw}, "",
 			func(int) float64 { return 16 }},
 		// Same constant budget as raw: vsnap decode reuses the pooled
 		// scratch output, so compression must cost no allocations.
-		{"vsnap", colstore.Options{BlockSize: 1024, Codec: colstore.CodecVSnap},
+		{"vsnap", colstore.Options{BlockSize: 1024, Codec: colstore.CodecVSnap}, "",
 			func(int) float64 { return 16 }},
 		// Per-block budget: flate's dynamic-Huffman decode allocates its
-		// link tables per stream (~7 allocs/block); everything else must
-		// stay flat.
-		{"flate", colstore.Options{BlockSize: 1024, Codec: colstore.CodecFlate},
-			func(blocks int) float64 { return 16 + 10*float64(blocks) }},
+		// link tables per stream (7 to 20 allocs/block, by the stream's
+		// code lengths); everything else must stay flat — the file's 439
+		// rows would blow through at once. Nothing writes flate any more,
+		// so this reads the checked-in flate-era file.
+		{"flate", colstore.Options{}, "internal/colstore/testdata/flate/trajectory.vtb",
+			func(blocks int) float64 { return 16 + 25*float64(blocks) }},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			path, n := vtbBenchFile(b, tc.opts)
+			path := tc.path
+			if path == "" {
+				path, _ = vtbBenchFile(b, tc.opts)
+			}
 			r, err := colstore.OpenTrajectory(path, colstore.OpenOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer r.Close()
-			blocks := len(r.Blocks())
+			n, blocks := r.Len(), len(r.Blocks())
 			scanOnce := func() {
 				rows := 0
 				cur := r.Cursor(colstore.Predicate{})

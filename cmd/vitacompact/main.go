@@ -37,7 +37,7 @@ func run() error {
 	dataDir := flag.String("data", "out", "dataset directory (or a segment log directory)")
 	minSegments := flag.Int("min-segments", 2, "merge only when at least this many segments are live")
 	useMmap := flag.Bool("mmap", true, "memory-map merge inputs (false = plain file reads)")
-	codecStr := flag.String("codec", "", "VTB block codec for the merged segment: raw | vsnap | flate (default vsnap); compacting a flate-era log rewrites it under the new codec")
+	codecStr := flag.String("codec", "", "VTB block codec for the merged segment: raw | vsnap (default vsnap); compacting a flate-era log rewrites it under the new codec")
 	logOpts := obs.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
 	if _, err := logOpts.Setup(os.Stderr); err != nil {

@@ -11,9 +11,10 @@
 // quantization; every other direction is lossless, so a VTB → CSV
 // conversion is byte-identical to having generated CSV directly.
 //
-// For VTB output, -codec selects the block codec (raw | vsnap | flate;
-// default vsnap). VTB → VTB with -codec recompresses a file in place of its
-// era's codec — the migration path for flate-era archives:
+// For VTB output, -codec selects the block codec (raw | vsnap; default
+// vsnap). VTB → VTB recompresses a file out of its era's codec — the
+// migration path for flate-era archives, which readers still decode but
+// nothing writes any more:
 //
 //	vitaconvert -in old/trajectory.vtb -out new/trajectory.vtb -codec vsnap
 package main
@@ -42,7 +43,7 @@ func main() {
 func run() error {
 	in := flag.String("in", "", "input file (.csv or .vtb, detected by content)")
 	out := flag.String("out", "", "output file; extension selects the format")
-	codecStr := flag.String("codec", "", "VTB block codec: raw | vsnap | flate (default vsnap; .vtb output only)")
+	codecStr := flag.String("codec", "", "VTB block codec: raw | vsnap (default vsnap; .vtb output only)")
 	flag.Parse()
 	if *in == "" || *out == "" {
 		return fmt.Errorf("both -in and -out are required")

@@ -63,45 +63,79 @@ func readAllVTB(t *testing.T, path string) []trajectory.Sample {
 	return got
 }
 
+// flateDir holds a dataset written while flate was the default block codec,
+// with the CSV twins its VTB files were encoded from.
+var flateDir = filepath.Join("..", "..", "internal", "colstore", "testdata", "flate")
+
+// firstBlockCodec reads the codec byte of a VTB file's first block frame:
+// header (8 bytes) | storedLen (u32) | codec (u8) | ...
+func firstBlockCodec(t *testing.T, path string) byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data[12]
+}
+
+// sameFile fails unless the two files hold the same bytes.
+func sameFile(t *testing.T, got, want string) {
+	t.Helper()
+	g, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(g) != string(w) {
+		t.Fatalf("%s (%d bytes) differs from %s (%d bytes)", got, len(g), want, len(w))
+	}
+}
+
 // TestRecompressRoundTrip pins the VTB → VTB migration path: recompressing
 // a flate-era file with -codec vsnap must preserve every row bit-for-bit
-// while actually changing the block codec on disk.
+// while actually changing the block codec on disk. The flate-era files
+// themselves must decode to exactly their CSV twins.
 func TestRecompressRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	samples := makeSamples()
-	in := filepath.Join(dir, "in.vtb")
-	writeVTB(t, in, samples, colstore.Options{BlockSize: 512, Codec: colstore.CodecFlate})
+	in := filepath.Join(flateDir, "trajectory.vtb")
+	if codec := firstBlockCodec(t, in); codec != 1 {
+		t.Fatalf("fixture first block codec = %d, want 1 (flate)", codec)
+	}
+	samples, _, err := storage.ReadTrajectoryFile(filepath.Join(flateDir, "trajectory.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	out := filepath.Join(dir, "out.vtb")
 	if err := runConvert("-in", in, "-out", out, "-codec", "vsnap"); err != nil {
 		t.Fatalf("convert: %v", err)
 	}
-
-	got := readAllVTB(t, out)
-	if len(got) != len(samples) {
-		t.Fatalf("recompressed file has %d rows, want %d", len(got), len(samples))
-	}
-	for i := range got {
-		if got[i] != samples[i] {
-			t.Fatalf("row %d differs after recompression: got %+v, want %+v", i, got[i], samples[i])
+	for _, path := range []string{in, out} {
+		got := readAllVTB(t, path)
+		if len(got) != len(samples) {
+			t.Fatalf("%s has %d rows, its CSV twin %d", path, len(got), len(samples))
+		}
+		for i := range got {
+			if got[i] != samples[i] {
+				t.Fatalf("%s: row %d is %+v, the CSV twin has %+v", path, i, got[i], samples[i])
+			}
 		}
 	}
-
 	// The first block frame's codec byte must now be vsnap (2), not flate.
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codec := data[12]; codec != 2 {
+	if codec := firstBlockCodec(t, out); codec != 2 {
 		t.Fatalf("recompressed first block codec = %d, want 2 (vsnap)", codec)
 	}
-	// And converting back to flate must round-trip too.
-	back := filepath.Join(dir, "back.vtb")
-	if err := runConvert("-in", out, "-out", back, "-codec", "flate"); err != nil {
-		t.Fatalf("convert back: %v", err)
-	}
-	if got := readAllVTB(t, back); len(got) != len(samples) {
-		t.Fatalf("flate round trip has %d rows, want %d", len(got), len(samples))
+
+	// Both flate-era row kinds convert back to their CSV twins byte for byte.
+	for _, kind := range []string{"trajectory", "rssi"} {
+		csv := filepath.Join(dir, kind+".csv")
+		if err := runConvert("-in", filepath.Join(flateDir, kind+".vtb"), "-out", csv); err != nil {
+			t.Fatalf("convert %s: %v", kind, err)
+		}
+		sameFile(t, csv, filepath.Join(flateDir, kind+".csv"))
 	}
 }
 
@@ -114,17 +148,20 @@ func TestUnknownCodecRefused(t *testing.T) {
 	writeVTB(t, in, makeSamples()[:100], colstore.Options{})
 	out := filepath.Join(dir, "out.vtb")
 
-	err := runConvert("-in", in, "-out", out, "-codec", "zstd")
-	if err == nil {
-		t.Fatal("unknown codec accepted")
-	}
-	for _, want := range []string{"zstd", "raw", "vsnap", "flate"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
+	// flate is read, never written: it is refused like any unknown name.
+	for _, codec := range []string{"zstd", "flate"} {
+		err := runConvert("-in", in, "-out", out, "-codec", codec)
+		if err == nil {
+			t.Fatalf("codec %q accepted", codec)
 		}
-	}
-	if _, serr := os.Stat(out); !os.IsNotExist(serr) {
-		t.Errorf("refused conversion left output file behind (stat err %v)", serr)
+		for _, want := range []string{codec, "valid: raw, vsnap)"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
+			}
+		}
+		if _, serr := os.Stat(out); !os.IsNotExist(serr) {
+			t.Errorf("refused conversion left output file behind (stat err %v)", serr)
+		}
 	}
 }
 

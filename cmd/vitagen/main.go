@@ -58,7 +58,7 @@ func run() error {
 		formatStr  = flag.String("format", "csv", "bulk output format: csv | vtb")
 		segMB      = flag.Float64("segment-mb", 0, "write bulk outputs as a live segment log, rolling segments at this many MiB (vtb only; 0 = flat files)")
 		segRows    = flag.Int("segment-rows", 0, "additionally roll segments after this many rows (implies a segment log; vtb only)")
-		codecStr   = flag.String("codec", "", "VTB block codec: raw | vsnap | flate (default vsnap; vtb only)")
+		codecStr   = flag.String("codec", "", "VTB block codec: raw | vsnap (default vsnap; vtb only)")
 	)
 	logOpts := obs.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()

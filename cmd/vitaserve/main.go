@@ -14,7 +14,6 @@
 //	GET /v1/dwell?floor=0&t0=0&t1=600
 //	GET /v1/info
 //	GET /healthz
-//	GET /statsz
 //	GET /metricsz
 //	GET /debug/pprof/*   (only with -pprof)
 //
@@ -33,11 +32,11 @@
 // the log (vitagen finished or writing elsewhere).
 //
 // Responses are JSON and embed per-request scan stats (blocks pruned and
-// decoded, cache hits and misses); /statsz aggregates them over the daemon's
-// lifetime and /metricsz exposes the same counters (plus request-latency
-// histograms, cache and seglog series, and build info) in Prometheus text
-// format. `vitaquery -server URL` sends the same operators here and prints
-// output byte-identical to local execution.
+// decoded, cache hits and misses); /metricsz aggregates them over the
+// daemon's lifetime (plus request counts and latency histograms, cache and
+// seglog series, and build info) in Prometheus text format. `vitaquery
+// -server URL` sends the same operators here and prints output
+// byte-identical to local execution.
 //
 // Observability: logs are structured (-log-format text|json, -log-level);
 // every request carries an X-Request-Id (honored if the client sent one)
@@ -167,26 +166,23 @@ func run() error {
 			"block_profile_rate", *blockRate,
 			"mutex_profile_fraction", *mutexFrac)
 	}
+	start := time.Now()
 	if err := srv.RunUntilSignal(context.Background(), l, *drain, syscall.SIGINT, syscall.SIGTERM); err != nil {
 		return err
 	}
 	// The drain completed: every handler has returned, so unmapping is safe.
+	// The dataset's counters are read first, while its segments are live.
+	cache := ds.CacheStats()
+	totals := []any{"uptime_s", time.Since(start).Seconds(),
+		"cache_hits", cache.Hits, "cache_misses", cache.Misses, "cache_evictions", cache.Evictions}
+	if n := ds.Segments(); n > 0 {
+		totals = append(totals, "segments", n, "generation", ds.Generation(),
+			"compactions", ds.Compactions(), "refreshes", ds.Refreshes(),
+			"block_invalidations", ds.BlockInvalidations())
+	}
 	if err := ds.Close(); err != nil {
 		return err
 	}
-	st := srv.Stats()
-	slog.Info("drained and stopped",
-		"uptime_s", st.UptimeSeconds,
-		"range", st.Requests["range"], "knn", st.Requests["knn"],
-		"density", st.Requests["density"], "traj", st.Requests["traj"],
-		"info", st.Requests["info"],
-		"cache_hits", st.Cache.Hits, "cache_misses", st.Cache.Misses,
-		"cache_evictions", st.Cache.Evictions)
-	if st.Segments > 0 {
-		slog.Info("live dataset totals",
-			"segments", st.Segments, "generation", st.Generation,
-			"compactions", st.Compactions, "refreshes", st.Refreshes,
-			"block_invalidations", st.BlockInvalidations)
-	}
+	slog.Info("drained and stopped", totals...)
 	return nil
 }

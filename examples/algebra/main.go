@@ -70,7 +70,7 @@ func main() {
 	dwell, err := vita.NewPlanScan(vita.NewPlanFileSource(path)).
 		Filter(vita.TimeBetween(0, 300)).
 		OrderBy(vita.Asc(vita.ColObjID), vita.Asc(vita.ColT)).
-		Derive(vita.DwellGaps(vita.DefaultQueryOptions().MaxGap)).
+		Derive(vita.DwellGaps(vita.DefaultMaxGap)).
 		Aggregate(vita.GroupBy(vita.ColPartition, vita.ColObjID),
 			vita.PlanSum(vita.ColVal, vita.ColVal)).
 		Aggregate(vita.GroupBy(vita.ColPartition),

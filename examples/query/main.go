@@ -1,14 +1,17 @@
-// Query: generate indoor mobility data for the default office, then ask
-// spatio-temporal questions of it with the query engine — the consumption
-// side the paper motivates the generator with. Covers all four offline
-// operators (range × time window, kNN at an instant, snapshot density,
-// trajectory retrieval) plus a standing continuous range query evaluated over
-// the sample stream.
+// Query: generate indoor mobility data for the default office, store it as
+// VTB, and ask spatio-temporal questions of it with the engine vitaquery and
+// vitaserve run — the consumption side the paper motivates the generator
+// with. Covers the stored-dataset operators (range × time window, kNN at an
+// instant, snapshot density, trajectory retrieval, dwell time per partition),
+// each printed exactly as vitaquery prints it, plus a standing continuous
+// range query evaluated over the sample stream.
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"vita"
 	"vita/internal/geom"
@@ -19,88 +22,84 @@ func main() {
 	cfg.Seed = 2016
 	cfg.Trajectory.Duration = 300 // five simulated minutes
 
-	ds, err := vita.Generate(cfg)
+	// Stream the run into a VTB dataset directory, the way vitagen does.
+	dir, err := os.MkdirTemp("", "vita-query")
 	if err != nil {
 		log.Fatal(err)
 	}
-	samples := ds.Trajectories.All()
-	fmt.Printf("dataset: %d ground-truth samples from %d objects\n",
-		len(samples), len(ds.Trajectories.Objects()))
+	defer os.RemoveAll(dir)
+	sink, err := vita.NewDirSink(dir, vita.StorageVTB)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ds, err := vita.GenerateTo(cfg, sink)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		log.Fatal(err)
+	}
+	objs := ds.Trajectories.Objects()
+	fmt.Printf("dataset: %d ground-truth samples from %d objects\n", ds.Trajectories.Len(), len(objs))
 
-	ix := vita.NewTrajectoryIndex(samples, vita.DefaultQueryOptions())
-	t0, t1, _ := ix.TimeSpan()
-	fmt.Printf("index: floors %v, time span [%.0f, %.0f] s\n\n", ix.Floors(), t0, t1)
+	qd, err := vita.OpenQueryDataset(dir, vita.QueryServeConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer qd.Close()
 
 	// 1. Spatial range × time window: who crossed the 12×8 m patch near the
-	// floor-0 entrance during the third minute?
+	// floor-0 entrance during ten seconds of the third minute?
 	box := geom.BBox{Min: geom.Pt(2, 2), Max: geom.Pt(14, 10)}
-	hits := ix.Range(0, box, 120, 180)
-	fmt.Printf("range %v × [120, 180]s on floor 0: %d samples, objects %v\n",
-		box, len(hits), ix.RangeObjects(0, box, 120, 180))
+	fmt.Printf("\nrange %v × [120, 130]s on floor 0:\n", box)
+	hits, err := qd.Range(vita.RangeRequest{Floor: 0, Box: box, T0: 120, T1: 130})
+	show(hits, err)
+	fmt.Printf("objects %v\n", hits.Objects)
 
 	// 2. kNN at an instant: the five objects nearest the middle of floor 0
 	// at t=150, positions interpolated between ground-truth samples.
 	center := geom.Pt(20, 10)
 	fmt.Printf("\n5-NN of %s on floor 0 at t=150:\n", center)
-	for i, n := range ix.KNN(0, center, 150, 5) {
-		fmt.Printf("  #%d obj %-3d %5.2fm away at %s\n", i+1, n.ObjID, n.Dist, n.Loc)
-	}
+	show(qd.KNN(vita.KNNRequest{Floor: 0, At: center, T: 150, K: 5}))
 
 	// 3. Snapshot density: how crowded is each partition mid-run?
-	dens := ix.Density(150)
-	fmt.Printf("\npartition density at t=150 (%d occupied partitions):\n", len(dens))
-	shown := 0
-	for _, p := range topK(dens, 5) {
-		fmt.Printf("  %-14s %d objects\n", p, dens[p])
-		shown += dens[p]
-	}
-	fmt.Printf("  (top 5 partitions hold %d objects)\n", shown)
+	fmt.Println("\npartition density at t=150:")
+	show(qd.Density(vita.DensityRequest{T: 150}))
 
-	// 4. Trajectory retrieval: one object's first minute.
-	if objs := ix.Objects(); len(objs) > 0 {
-		ser := ix.ObjectTrajectory(objs[0], 0, 60)
-		if len(ser) > 0 {
-			fmt.Printf("\nobject %d, first minute: %d samples, %s → %s\n",
-				objs[0], len(ser), ser[0].Loc, ser[len(ser)-1].Loc)
-		}
-	}
+	// 4. Trajectory retrieval: one object's first ten seconds.
+	fmt.Printf("\nobject %d, first ten seconds:\n", objs[0])
+	show(qd.Traj(vita.TrajRequest{Obj: objs[0], T0: 0, T1: 10}))
 
-	// 5. Continuous query: register a standing range query and replay the
+	// 5. Dwell time per partition on floor 0 over the whole run.
+	fmt.Println("\ndwell time per partition on floor 0:")
+	show(qd.Dwell(vita.DwellRequest{Floor: 0, T0: 0, T1: 300}))
+
+	// 6. Continuous query: register a standing range query and replay the
 	// stream through it — what an online deployment would do as the
 	// trajectory engine emits samples.
 	eng := vita.NewContinuousEngine()
-	enters, exits := 0, 0
+	enters, moves, exits := 0, 0, 0
 	sub := eng.Subscribe(0, box, func(e vita.QueryEvent) {
 		switch e.Kind {
 		case vita.QueryEnter:
 			enters++
+		case vita.QueryMove:
+			moves++
 		case vita.QueryExit:
 			exits++
 		}
 	})
-	for _, s := range samples {
-		eng.Feed(s)
-	}
-	fmt.Printf("\nstanding query over %v on floor 0: %d enters, %d exits, %d inside at end\n",
-		box, enters, exits, len(sub.Inside()))
+	eng.FeedAll(ds.Trajectories.All())
+	fmt.Printf("\nstanding query over %v on floor 0: %d enters, %d moves, %d exits, %d inside at end\n",
+		box, enters, moves, exits, len(sub.Inside()))
 }
 
-// topK returns the k keys with the highest counts, descending; ties break
-// lexicographically.
-func topK(m map[string]int, k int) []string {
-	keys := make([]string, 0, len(m))
-	for p := range m {
-		keys = append(keys, p)
+// show prints an answer as vitaquery prints it.
+func show[R interface{ WriteText(io.Writer) error }](resp R, err error) {
+	if err != nil {
+		log.Fatal(err)
 	}
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if m[keys[j]] > m[keys[i]] || (m[keys[j]] == m[keys[i]] && keys[j] < keys[i]) {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
+	if err := resp.WriteText(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	if len(keys) > k {
-		keys = keys[:k]
-	}
-	return keys
 }

@@ -2,7 +2,10 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"vita/internal/geom"
@@ -11,43 +14,77 @@ import (
 	"vita/internal/trajectory"
 )
 
+// flateFixture reads a file from testdata/flate: a small dataset written
+// while flate was the default block codec (codec byte 1), with the CSV twins
+// it was encoded from and a three-segment trajectory log. Nothing writes
+// flate any more, so these files are how the read path stays tested.
+func flateFixture(tb testing.TB, name string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "flate", name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 // TestCodecParityTrajectory is the cross-codec equivalence gate: the same
-// rows written under every codec must come back byte-identical through the
-// cursor, regardless of how the blocks were compressed. The raw file's
-// results are the reference; vsnap and flate must match them
+// rows under every codec must come back byte-identical through the cursor,
+// regardless of how the blocks were compressed. The raw file's results are
+// the reference; vsnap and the flate fixture must match them
 // sample-for-sample (bitwise, via sampleEqual) with identical scan stats.
+// The fixture's blocks hold 128 rows, so its rows re-encoded at that size
+// have its zone maps.
 func TestCodecParityTrajectory(t *testing.T) {
 	samples := append(awkwardSamples(), walkSamples(10, 120)...)
-	codecs := []Codec{CodecRaw, CodecVSnap, CodecFlate}
+	image := flateFixture(t, "trajectory.vtb")
+	for i, f := range vtbFrames(t, image) {
+		if f.codec != codecFlate {
+			t.Fatalf("fixture block %d has codec %d, want flate (%d)", i, f.codec, codecFlate)
+		}
+	}
+	flate := readTrajectory(t, image)
+	flateRows, _, err := drain(flate.Cursor(Predicate{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(rows []trajectory.Sample, c Codec) *TrajectoryReader {
+		return readTrajectory(t, writeTrajectory(t, rows, Options{BlockSize: 128, Codec: c}))
+	}
+	// Each set: the raw reference first, then the readers that must match it.
+	sets := map[string][]*TrajectoryReader{
+		"written": {encode(samples, CodecRaw), encode(samples, CodecVSnap)},
+		"flate":   {encode(flateRows, CodecRaw), encode(flateRows, CodecVSnap), flate},
+	}
 	preds := map[string]Predicate{
 		"all":    {},
-		"window": TimeWindow(40, 90),
+		"window": TimeWindow(20, 45),
 		"object": {HasObj: true, Obj: 3},
-	}
-	readers := make(map[Codec]*TrajectoryReader, len(codecs))
-	for _, c := range codecs {
-		readers[c] = readTrajectory(t, writeTrajectory(t, samples, Options{BlockSize: 128, Codec: c}))
 	}
 	for name, pred := range preds {
 		t.Run(name, func(t *testing.T) {
-			want, wantStats, err := drain(readers[CodecRaw].Cursor(pred))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range codecs[1:] {
-				got, gotStats, err := drain(readers[c].Cursor(pred))
+			for set, readers := range sets {
+				want, wantStats, err := drain(readers[0].Cursor(pred))
 				if err != nil {
-					t.Fatalf("%v: %v", c, err)
+					t.Fatal(err)
 				}
-				if gotStats != wantStats {
-					t.Errorf("%v: stats differ: got %+v, want %+v", c, gotStats, wantStats)
+				if len(want) == 0 {
+					t.Fatalf("%s: the predicate matches nothing", set)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("%v: %d rows, want %d", c, len(got), len(want))
-				}
-				for i := range got {
-					if !sampleEqual(got[i], want[i]) {
-						t.Fatalf("%v: row %d differs: got %+v, want %+v", c, i, got[i], want[i])
+				for c, r := range readers[1:] {
+					got, gotStats, err := drain(r.Cursor(pred))
+					if err != nil {
+						t.Fatalf("%s reader %d: %v", set, c+1, err)
+					}
+					if gotStats != wantStats {
+						t.Errorf("%s reader %d: stats differ: got %+v, want %+v", set, c+1, gotStats, wantStats)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s reader %d: %d rows, want %d", set, c+1, len(got), len(want))
+					}
+					for i := range got {
+						if !sampleEqual(got[i], want[i]) {
+							t.Fatalf("%s reader %d: row %d differs: got %+v, want %+v", set, c+1, i, got[i], want[i])
+						}
 					}
 				}
 			}
@@ -55,7 +92,9 @@ func TestCodecParityTrajectory(t *testing.T) {
 	}
 }
 
-// TestCodecParityRSSI repeats the cross-codec gate for the RSSI schema.
+// TestCodecParityRSSI repeats the cross-codec gate for the RSSI schema: a
+// generated table raw against vsnap, and the flate fixture against its rows
+// re-encoded raw and vsnap.
 func TestCodecParityRSSI(t *testing.T) {
 	var ms []rssi.Measurement
 	for i := 0; i < 3000; i++ {
@@ -66,7 +105,14 @@ func TestCodecParityRSSI(t *testing.T) {
 			T:        float64(i) * 0.5,
 		})
 	}
-	write := func(c Codec) *RSSIReader {
+	open := func(data []byte) *RSSIReader {
+		r, err := NewRSSIReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	write := func(ms []rssi.Measurement, c Codec) *RSSIReader {
 		var buf bytes.Buffer
 		w := NewRSSIWriter(&buf, Options{BlockSize: 256, Codec: c})
 		for _, m := range ms {
@@ -77,27 +123,33 @@ func TestCodecParityRSSI(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRSSIReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return open(buf.Bytes())
 	}
-	want, _, err := drain(write(CodecRaw).Cursor(Predicate{}))
+	flate := open(flateFixture(t, "rssi.vtb"))
+	flateRows, _, err := drain(flate.Cursor(Predicate{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []Codec{CodecVSnap, CodecFlate} {
-		got, _, err := drain(write(c).Cursor(Predicate{}))
+	for name, readers := range map[string][]*RSSIReader{
+		"written": {write(ms, CodecRaw), write(ms, CodecVSnap)},
+		"flate":   {write(flateRows, CodecRaw), write(flateRows, CodecVSnap), flate},
+	} {
+		want, _, err := drain(readers[0].Cursor(Predicate{}))
 		if err != nil {
-			t.Fatalf("%v: %v", c, err)
+			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d rows, want %d", c, len(got), len(want))
-		}
-		for i := range got {
-			if !measurementEqual(got[i], want[i]) {
-				t.Fatalf("%v: row %d differs: got %+v, want %+v", c, i, got[i], want[i])
+		for c, r := range readers[1:] {
+			got, _, err := drain(r.Cursor(Predicate{}))
+			if err != nil {
+				t.Fatalf("%s reader %d: %v", name, c+1, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s reader %d: %d rows, want %d", name, c+1, len(got), len(want))
+			}
+			for i := range got {
+				if !measurementEqual(got[i], want[i]) {
+					t.Fatalf("%s reader %d: row %d differs: got %+v, want %+v", name, c+1, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -165,4 +217,56 @@ func TestMixedCodecFile(t *testing.T) {
 		}
 	}
 	t.Logf("codec mix across %d blocks: %v", len(frames), seen)
+}
+
+// walkSamples emits time-ordered samples from per-object random walks:
+// full-precision drifting coordinates (raw-float XOR columns, like engine
+// output), grid timestamps (scaled columns), a small string vocabulary
+// (dictionary columns). This is the realistic shape codec tests must be
+// judged on — awkwardSamples stresses encoder correctness, not ratio.
+func walkSamples(objects, seconds int) []trajectory.Sample {
+	rng := rand.New(rand.NewSource(99))
+	type walker struct{ x, y float64 }
+	ws := make([]walker, objects)
+	for i := range ws {
+		ws[i] = walker{rng.Float64() * 50, rng.Float64() * 30}
+	}
+	parts := []string{"lobby", "corridor", "office-a", "office-b", "atrium"}
+	var out []trajectory.Sample
+	for t := 0; t < seconds; t++ {
+		for o := range ws {
+			ws[o].x += rng.NormFloat64() * 1.2
+			ws[o].y += rng.NormFloat64() * 1.2
+			out = append(out, trajectory.Sample{
+				ObjID: o,
+				Loc: model.At("hq", o%3, parts[(o+t/60)%len(parts)],
+					geom.Pt(ws[o].x, ws[o].y)),
+				T: float64(t),
+			})
+		}
+	}
+	return out
+}
+
+// blockFrame is one compressed block lifted out of a VTB image.
+type blockFrame struct {
+	stored []byte
+	codec  byte
+	rawLen int
+}
+
+// vtbFrames parses the block frames out of an in-memory VTB file image.
+func vtbFrames(tb testing.TB, image []byte) []blockFrame {
+	tb.Helper()
+	footerOff := int64(binary.LittleEndian.Uint64(image[len(image)-tailSize:]))
+	var frames []blockFrame
+	for off := int64(headerSize); off < footerOff; {
+		storedLen := int(binary.LittleEndian.Uint32(image[off:]))
+		codec := image[off+4]
+		rawLen := int(binary.LittleEndian.Uint32(image[off+5:]))
+		payload := image[off+9 : off+9+int64(storedLen)]
+		frames = append(frames, blockFrame{stored: payload, codec: codec, rawLen: rawLen})
+		off += 9 + int64(storedLen)
+	}
+	return frames
 }

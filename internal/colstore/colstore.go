@@ -29,19 +29,21 @@
 //     value round-trips exactly through a decimal fixed-point representation
 //     (timestamps on a regular sampling grid always do), encoded as a scaled
 //     integer column — or "raw", 8-byte bit patterns XORed with the previous
-//     value so that flate finds the shared exponent/mantissa prefixes;
+//     value so that the block compressor finds the shared exponent/mantissa
+//     prefixes;
 //   - string columns (building, partition, device ID): per-block dictionary
 //     in first-seen order followed by varint indices;
 //   - the HasPoint flag: a bitset.
 //
-// The concatenated columns are then block-compressed when that helps —
-// vsnap, the default allocation-free LZ codec (codec 2, see vsnap.go), or
-// flate (codec 1, the pre-vsnap default, still fully supported) — or stored
-// verbatim (codec 0). Every block frame carries its own codec byte, so one
-// file may mix blocks from different codecs and eras; readers need no codec
-// configuration. Decoding restores every field bit-for-bit: the round trip
-// is lossless by construction, which the acceptance tests verify
-// sample-by-sample against generator output.
+// The concatenated columns are then block-compressed with vsnap, the
+// allocation-free LZ codec (codec 2, see vsnap.go), when that helps, or
+// stored verbatim (codec 0). Files written before vsnap carry flate blocks
+// (codec 1): readers still decode them, nothing writes them any more. Every
+// block frame carries its own codec byte, so one file may mix blocks from
+// different codecs and eras; readers need no codec configuration. Decoding
+// restores every field bit-for-bit: the round trip is lossless by
+// construction, which the acceptance tests verify sample-by-sample against
+// generator output.
 //
 // # API
 //
@@ -119,13 +121,8 @@ const (
 	CodecDefault Codec = iota
 	// CodecVSnap is vsnap, the allocation-free LZ codec (see vsnap.go): the
 	// default since it decodes at memcpy-like speed with zero allocations
-	// per block, at a slightly weaker ratio than flate.
+	// per block.
 	CodecVSnap
-	// CodecFlate is stdlib DEFLATE: the best ratio (it adds a Huffman
-	// entropy stage) but ~7 allocations per decoded block from stdlib
-	// Huffman state. The write codec of every pre-vsnap VTB file; kept fully
-	// writable and readable.
-	CodecFlate
 	// CodecRaw stores blocks verbatim — the fastest scans (zero-copy off an
 	// mmap) at the largest size.
 	CodecRaw
@@ -136,12 +133,10 @@ func ParseCodec(s string) (Codec, error) {
 	switch s {
 	case "vsnap":
 		return CodecVSnap, nil
-	case "flate":
-		return CodecFlate, nil
 	case "raw":
 		return CodecRaw, nil
 	default:
-		return 0, fmt.Errorf("colstore: unknown codec %q (valid: raw, vsnap, flate)", s)
+		return 0, fmt.Errorf("colstore: unknown codec %q (valid: raw, vsnap)", s)
 	}
 }
 
@@ -151,8 +146,6 @@ func (c Codec) String() string {
 		return "default"
 	case CodecVSnap:
 		return "vsnap"
-	case CodecFlate:
-		return "flate"
 	case CodecRaw:
 		return "raw"
 	default:

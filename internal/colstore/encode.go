@@ -1,8 +1,6 @@
 package colstore
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,7 +10,7 @@ import (
 
 // This file holds the column codecs shared by the writer and the reader:
 // delta-of-delta integer columns, scaled/raw float columns, dictionary
-// string columns, bitsets, and the per-block flate pass. Encoders append to
+// string columns, bitsets, and the per-block compression pass. Encoders append to
 // a []byte; decoders consume from a cursor with a sticky error so corrupt
 // input surfaces as one error instead of a panic.
 
@@ -153,50 +151,16 @@ type blockCompressor interface {
 // newBlockCompressor returns the compressor for a resolved (non-default)
 // codec.
 func newBlockCompressor(c Codec) blockCompressor {
-	switch c {
-	case CodecFlate:
-		return &flateCompressor{}
-	case CodecRaw:
+	if c == CodecRaw {
 		return rawCompressor{}
-	default:
-		return &vsnapCompressor{}
 	}
+	return &vsnapCompressor{}
 }
 
 // rawCompressor stores blocks verbatim.
 type rawCompressor struct{}
 
 func (rawCompressor) compress(raw []byte) ([]byte, byte, error) { return raw, codecRaw, nil }
-
-// flateCompressor reuses one flate.Writer and one output buffer across
-// blocks.
-type flateCompressor struct {
-	fw  *flate.Writer
-	buf bytes.Buffer
-}
-
-func (c *flateCompressor) compress(raw []byte) ([]byte, byte, error) {
-	c.buf.Reset()
-	if c.fw == nil {
-		w, err := flate.NewWriter(&c.buf, flate.DefaultCompression)
-		if err != nil {
-			return nil, 0, err
-		}
-		c.fw = w
-	} else {
-		c.fw.Reset(&c.buf)
-	}
-	if _, err := c.fw.Write(raw); err != nil {
-		return nil, 0, err
-	}
-	if err := c.fw.Close(); err != nil {
-		return nil, 0, err
-	}
-	if c.buf.Len() >= len(raw) {
-		return raw, codecRaw, nil
-	}
-	return c.buf.Bytes(), codecFlate, nil
-}
 
 // vsnapCompressor reuses one output buffer and one hash table across blocks;
 // steady-state encode allocates nothing once the output buffer has grown to
@@ -218,10 +182,11 @@ func (c *vsnapCompressor) compress(raw []byte) ([]byte, byte, error) {
 // codec byte and validating the declared raw size. Raw blocks come back as
 // the stored slice itself (zero-copy — on an mmap-backed reader that is a
 // window straight into the page cache); vsnap blocks decode into the
-// scratch's reused output buffer with no allocations; flate blocks inflate
-// through the scratch's pooled decompressor (stdlib flate still allocates
-// its Huffman state per stream). The result is only valid until the
-// scratch's next use.
+// scratch's reused output buffer with no allocations; flate blocks — what
+// every VTB writer produced before vsnap, still read but no longer written —
+// inflate through the scratch's pooled decompressor (stdlib flate still
+// allocates its Huffman state per stream). The result is only valid until
+// the scratch's next use.
 func decompressInto(stored []byte, codec byte, rawLen int, sc *decodeScratch) ([]byte, error) {
 	switch codec {
 	case codecRaw:

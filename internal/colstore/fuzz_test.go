@@ -48,12 +48,13 @@ func FuzzVSnapDecode(f *testing.F) {
 // it. Corrupt headers, footers, zone maps, block frames, codec bytes, and
 // compressed payloads must all surface as errors — never a panic, index
 // out of range, or unbounded allocation. Seeds are valid files under every
-// codec so the fuzzer starts from structure-preserving mutations (flipping
-// codec bytes, truncating payloads, corrupting LZ streams) rather than
-// noise that dies at the magic check.
+// codec a reader decodes — raw and vsnap written here, flate from the
+// fixture — so the fuzzer starts from structure-preserving mutations
+// (flipping codec bytes, truncating payloads, corrupting LZ and DEFLATE
+// streams) rather than noise that dies at the magic check.
 func FuzzDecodeBlock(f *testing.F) {
 	samples := awkwardSamples()[:200]
-	for _, codec := range []Codec{CodecRaw, CodecVSnap, CodecFlate} {
+	for _, codec := range []Codec{CodecRaw, CodecVSnap} {
 		var buf bytes.Buffer
 		w := NewTrajectoryWriter(&buf, Options{BlockSize: 64, Codec: codec})
 		for _, s := range samples {
@@ -66,6 +67,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	f.Add(flateFixture(f, "trajectory.vtb"))
 	f.Add([]byte("VTB1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewTrajectoryReader(bytes.NewReader(data), int64(len(data)))

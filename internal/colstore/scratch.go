@@ -14,7 +14,7 @@ import (
 // for one call.
 type decodeScratch struct {
 	stored []byte        // ReaderAt block read target (unused on the mmap path)
-	raw    []byte        // flate output buffer
+	raw    []byte        // decompressed block (vsnap and flate output)
 	br     bytes.Reader  // resettable source feeding the flate reader
 	fr     io.ReadCloser // pooled flate reader; implements flate.Resetter
 

@@ -14,9 +14,9 @@ import (
 // compresses into a scratch slice owned by the writer's blockCompressor, and
 // decode inflates into the decode scratch's pooled output with zero
 // allocations per block. The price is a weaker ratio than flate (no Huffman
-// pass); the win is decode at memcpy-like speed. Both are CI-gated
-// (BenchmarkVSNAPVsFlate: decode ≥ 2x flate, size within the documented
-// +15%).
+// pass); the win is decode at memcpy-like speed. flate blocks are still
+// decoded, so files from before vsnap keep opening, but no writer produces
+// them any more.
 //
 // # Stream format
 //

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"vita/internal/storage"
+	"vita/internal/trajectory"
 )
 
 // TestParallelismByteIdenticalCSV is the pipeline-level reproducibility
@@ -81,13 +84,14 @@ func TestParallelismFullPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestPipelineAppendsTimeSorted pins the collector-to-storage contract: the
-// pipeline's appends arrive in time order, so the store never needs a repair
-// sort.
+// TestPipelineAppendsTimeSorted pins the collector-to-storage contract:
+// every object's series reads back from the store in time order.
 func TestPipelineAppendsTimeSorted(t *testing.T) {
 	ds := runPipeline(t, func(c *Config) { c.Parallelism = 4 })
-	if n := ds.Trajectories.Unsorted(); n != 0 {
-		t.Errorf("%d objects landed out of time order in the store", n)
+	for _, series := range ds.Trajectories.AllSeries() {
+		if !slices.IsSortedFunc(series, func(a, b trajectory.Sample) int { return cmp.Compare(a.T, b.T) }) {
+			t.Errorf("object %d reads back out of time order", series[0].ObjID)
+		}
 	}
 }
 

@@ -1,83 +1,24 @@
-package query
+package query_test
 
 import (
 	"testing"
 
 	"vita/internal/geom"
-	"vita/internal/rng"
+	"vita/internal/query"
 )
 
-// The package benchmarks exercise each operator against a 100-object,
-// 10-minute synthetic workload (~60k samples). bench_test.go at the repo
-// root runs the same operators over real pipeline output.
-
-func benchIndex(b *testing.B) *TrajectoryIndex {
-	b.Helper()
-	return NewTrajectoryIndex(syntheticSamples(11, 100, 600), DefaultOptions())
-}
-
-func BenchmarkIndexBuild(b *testing.B) {
-	samples := syntheticSamples(11, 100, 600)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewTrajectoryIndex(samples, DefaultOptions())
-	}
-}
-
-func BenchmarkRangeQuery(b *testing.B) {
-	ix := benchIndex(b)
-	r := rng.New(12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		box := geom.BBox{Min: geom.Pt(r.Range(0, 80), r.Range(0, 30))}
-		box.Max = box.Min.Add(geom.Pt(15, 10))
-		t0 := r.Range(0, 500)
-		_ = ix.Range(i%2, box, t0, t0+60)
-	}
-}
-
-func BenchmarkKNNQuery(b *testing.B) {
-	ix := benchIndex(b)
-	r := rng.New(13)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.KNN(i%2, geom.Pt(r.Range(0, 100), r.Range(0, 50)), r.Range(0, 600), 5)
-	}
-}
-
-func BenchmarkDensityQuery(b *testing.B) {
-	ix := benchIndex(b)
-	r := rng.New(14)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Density(r.Range(0, 600))
-	}
-}
-
-func BenchmarkObjectTrajectoryQuery(b *testing.B) {
-	ix := benchIndex(b)
-	r := rng.New(15)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := r.Range(0, 500)
-		_ = ix.ObjectTrajectory(i%100, t0, t0+60)
-	}
-}
-
+// BenchmarkContinuousFeed streams a 100-object, 10-minute synthetic workload
+// (~60k samples) through eight standing range queries. bench_test.go at the
+// repo root runs the same engine over real pipeline output.
 func BenchmarkContinuousFeed(b *testing.B) {
 	samples := syntheticSamples(16, 100, 600)
 	box := geom.BBox{Min: geom.Pt(20, 10), Max: geom.Pt(70, 40)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := NewContinuousEngine()
+		eng := query.NewContinuousEngine()
 		for j := 0; j < 8; j++ {
-			eng.Subscribe(j%2, box, func(Event) {})
+			eng.Subscribe(j%2, box, func(query.Event) {})
 		}
 		eng.FeedAll(samples)
 	}

@@ -1,18 +1,21 @@
+// Package query evaluates standing (continuous) range queries over streamed
+// trajectory samples. Samples arrive one at a time — straight off the
+// trajectory engine's emit callback or a replay of a stored dataset — and
+// each standing query is evaluated incrementally: only the delta for the
+// sampled object is recomputed, and subscribers see Enter/Move/Exit
+// transitions rather than full result sets. Offline questions over a stored
+// dataset (range, kNN, density, trajectory, dwell) are answered by the plans
+// behind internal/serve's Dataset.
 package query
 
 import (
+	"maps"
+	"slices"
 	"sync"
 
 	"vita/internal/geom"
 	"vita/internal/trajectory"
 )
-
-// This file implements standing (continuous) range queries: the online half
-// of the engine. Samples stream in one at a time — straight off the
-// trajectory engine's emit callback or a CSV replay — and each standing query
-// is evaluated incrementally: only the delta for the sampled object is
-// recomputed, and subscribers see Enter/Move/Exit transitions rather than
-// full result sets.
 
 // EventKind classifies a continuous-query transition.
 type EventKind int
@@ -64,7 +67,7 @@ type Subscription struct {
 func (s *Subscription) Inside() []int {
 	s.eng.mu.Lock()
 	defer s.eng.mu.Unlock()
-	return sortedKeys(s.inside)
+	return slices.Sorted(maps.Keys(s.inside))
 }
 
 // ContinuousEngine evaluates standing range queries over a stream of

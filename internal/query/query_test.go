@@ -1,15 +1,26 @@
-package query
+package query_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
+	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/model"
+	"vita/internal/query"
 	"vita/internal/rng"
+	"vita/internal/serve"
 	"vita/internal/trajectory"
 )
+
+// These tests pin what a query answer means. The offline questions (range,
+// kNN, density, trajectory, info) are asked of a serve.Dataset written from
+// the synthetic samples, the one engine that answers them; the standing
+// queries of this package must agree with the same brute-force semantics.
 
 // syntheticSamples produces nObj random walks over two floors, one sample per
 // second for dur seconds. Objects with odd IDs live on floor 1.
@@ -38,11 +49,61 @@ func syntheticSamples(seed uint64, nObj int, dur float64) []trajectory.Sample {
 
 func clamp(v, lo, hi float64) float64 { return math.Max(lo, math.Min(hi, v)) }
 
+// served writes samples, in slice order, as a VTB dataset of small blocks
+// and opens it the way vitaserve does.
+func served(t *testing.T, samples []trajectory.Sample, cfg serve.Config) *serve.Dataset {
+	t.Helper()
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "trajectory.vtb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := colstore.NewTrajectoryWriter(f, colstore.Options{BlockSize: 128})
+	for _, s := range samples {
+		if err := w.Write(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := serve.Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	return ds
+}
+
+// ask runs one operator and fails the test on an error.
+func ask[Q, R any](t *testing.T, op func(Q) (R, error), q Q) R {
+	t.Helper()
+	resp, err := op(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+func info(t *testing.T, ds *serve.Dataset) *serve.InfoResponse {
+	t.Helper()
+	resp, err := ds.Info(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+var everywhere = geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 50)}
+
 func TestRangeMatchesBruteForce(t *testing.T) {
 	samples := syntheticSamples(1, 20, 300)
-	ix := NewTrajectoryIndex(samples, Options{BucketWidth: 30})
-	if ix.Len() != len(samples) {
-		t.Fatalf("Len = %d, want %d", ix.Len(), len(samples))
+	ds := served(t, samples, serve.Config{})
+	if n := info(t, ds).Samples; n != len(samples) {
+		t.Fatalf("Samples = %d, want %d", n, len(samples))
 	}
 	r := rng.New(2)
 	for trial := 0; trial < 100; trial++ {
@@ -52,48 +113,37 @@ func TestRangeMatchesBruteForce(t *testing.T) {
 		t1 := t0 + r.Range(0, 80)
 		floor := r.Intn(2)
 
-		got := ix.Range(floor, box, t0, t1)
+		got := ask(t, ds.Range, serve.RangeRequest{Floor: floor, Box: box, T0: t0, T1: t1}).Hits
+		// The samples are generated object by object in time order, so the
+		// filter's output is already ordered by (object, time).
 		var want []trajectory.Sample
 		for _, s := range samples {
 			if s.Loc.Floor == floor && s.T >= t0 && s.T <= t1 && box.Contains(s.Loc.Point) {
 				want = append(want, s)
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d samples, want %d", trial, len(got), len(want))
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i-1].ObjID > got[i].ObjID ||
-				(got[i-1].ObjID == got[i].ObjID && got[i-1].T > got[i].T) {
-				t.Fatal("Range results not ordered by (object, time)")
-			}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: got %d samples, want %d in (object, time) order", trial, len(got), len(want))
 		}
 	}
 	// All-floors variant covers everything in the window.
-	all := ix.Range(-1, geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 50)}, 0, 300)
-	if len(all) != len(samples) {
-		t.Fatalf("all-floor full-window Range = %d, want %d", len(all), len(samples))
+	all := ask(t, ds.Range, serve.RangeRequest{Floor: -1, Box: everywhere, T0: 0, T1: 300})
+	if len(all.Hits) != len(samples) {
+		t.Fatalf("all-floor full-window Range = %d, want %d", len(all.Hits), len(samples))
 	}
 }
 
 func TestRangeObjects(t *testing.T) {
-	samples := syntheticSamples(3, 10, 60)
-	ix := NewTrajectoryIndex(samples, DefaultOptions())
-	objs := ix.RangeObjects(0, geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 50)}, 0, 60)
-	want := []int{0, 2, 4, 6, 8} // even IDs are on floor 0
-	if len(objs) != len(want) {
-		t.Fatalf("RangeObjects = %v, want %v", objs, want)
-	}
-	for i := range want {
-		if objs[i] != want[i] {
-			t.Fatalf("RangeObjects = %v, want %v", objs, want)
-		}
+	ds := served(t, syntheticSamples(3, 10, 60), serve.Config{})
+	objs := ask(t, ds.Range, serve.RangeRequest{Floor: 0, Box: everywhere, T0: 0, T1: 60}).Objects
+	if want := []int{0, 2, 4, 6, 8}; !slices.Equal(objs, want) { // even IDs are on floor 0
+		t.Fatalf("Objects = %v, want %v", objs, want)
 	}
 }
 
 func TestKNNAtSampleInstant(t *testing.T) {
 	samples := syntheticSamples(4, 30, 120)
-	ix := NewTrajectoryIndex(samples, Options{BucketWidth: 20})
+	ds := served(t, samples, serve.Config{})
 	r := rng.New(5)
 	for trial := 0; trial < 50; trial++ {
 		// Query exactly at a sample time, so positions equal stored samples
@@ -103,7 +153,7 @@ func TestKNNAtSampleInstant(t *testing.T) {
 		p := geom.Pt(r.Range(0, 100), r.Range(0, 50))
 		k := 1 + r.Intn(8)
 
-		got := ix.KNN(floor, p, at, k)
+		got := ask(t, ds.KNN, serve.KNNRequest{Floor: floor, At: p, T: at, K: k}).Neighbors
 
 		type cand struct {
 			id int
@@ -136,38 +186,38 @@ func TestKNNAtSampleInstant(t *testing.T) {
 	}
 }
 
-// TestUnboundedTimeWindows: windows far wider than the data span must clamp
-// to the indexed buckets instead of iterating (or overflowing) bucket
-// numbers.
+// TestUnboundedTimeWindows: windows far wider than the data span answer
+// everything; windows outside it, inverted ones and an empty dataset answer
+// nothing.
 func TestUnboundedTimeWindows(t *testing.T) {
 	samples := syntheticSamples(9, 5, 60)
-	ix := NewTrajectoryIndex(samples, DefaultOptions())
-	all := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 50)}
+	ds := served(t, samples, serve.Config{})
+	rangeHits := func(ds *serve.Dataset, t0, t1 float64) int {
+		return len(ask(t, ds.Range, serve.RangeRequest{Floor: -1, Box: everywhere, T0: t0, T1: t1}).Hits)
+	}
 
-	if got := ix.Range(-1, all, 0, 1e18); len(got) != len(samples) {
-		t.Fatalf("Range(..., 0, 1e18) = %d samples, want %d", len(got), len(samples))
+	if got := rangeHits(ds, 0, 1e18); got != len(samples) {
+		t.Fatalf("Range(..., 0, 1e18) = %d samples, want %d", got, len(samples))
 	}
-	if got := ix.Range(-1, all, math.Inf(-1), math.Inf(1)); len(got) != len(samples) {
-		t.Fatalf("Range(..., -Inf, +Inf) = %d samples, want %d", len(got), len(samples))
+	if got := rangeHits(ds, math.Inf(-1), math.Inf(1)); got != len(samples) {
+		t.Fatalf("Range(..., -Inf, +Inf) = %d samples, want %d", got, len(samples))
 	}
-	// Windows entirely outside the span, or inverted, are empty.
-	if got := ix.Range(-1, all, 1000, 2000); got != nil {
-		t.Fatalf("out-of-span Range = %d samples", len(got))
+	if got := rangeHits(ds, 1000, 2000); got != 0 {
+		t.Fatalf("out-of-span Range = %d samples", got)
 	}
-	if got := ix.Range(-1, all, 50, 10); got != nil {
-		t.Fatalf("inverted-window Range = %d samples", len(got))
+	if got := rangeHits(ds, 50, 10); got != 0 {
+		t.Fatalf("inverted-window Range = %d samples", got)
 	}
-	if got := NewTrajectoryIndex(nil, DefaultOptions()).Range(-1, all, 0, 1e18); got != nil {
-		t.Fatalf("empty-index Range = %d samples", len(got))
+	if got := rangeHits(served(t, nil, serve.Config{}), 0, 1e18); got != 0 {
+		t.Fatalf("empty-dataset Range = %d samples", got)
 	}
 }
 
 // TestKNNAllFloors: a negative floor ranks objects across every floor, like
 // Range and Subscribe.
 func TestKNNAllFloors(t *testing.T) {
-	samples := syntheticSamples(10, 10, 60)
-	ix := NewTrajectoryIndex(samples, DefaultOptions())
-	got := ix.KNN(-1, geom.Pt(50, 25), 30, 10)
+	ds := served(t, syntheticSamples(10, 10, 60), serve.Config{})
+	got := ask(t, ds.KNN, serve.KNNRequest{Floor: -1, At: geom.Pt(50, 25), T: 30, K: 10}).Neighbors
 	if len(got) != 10 {
 		t.Fatalf("all-floor KNN = %d neighbors, want all 10 objects", len(got))
 	}
@@ -180,51 +230,56 @@ func TestKNNAllFloors(t *testing.T) {
 	}
 }
 
+// TestInterpolation pins the instant queries' position of one object: the
+// lone neighbor an all-floor kNN finds is where the object is at t.
 func TestInterpolation(t *testing.T) {
 	mk := func(x, y, tt float64, floor int) trajectory.Sample {
 		return trajectory.Sample{ObjID: 7, Loc: model.At("b", floor, "P", geom.Pt(x, y)), T: tt}
 	}
-	ix := NewTrajectoryIndex([]trajectory.Sample{
+	ds := served(t, []trajectory.Sample{
 		mk(0, 0, 0, 0), mk(10, 20, 10, 0), // straight segment
 		mk(10, 20, 60, 1), // floor change after a 50s gap
-	}, Options{MaxGap: 15})
+	}, serve.Config{MaxGap: 15})
+	positionAt := func(at float64) (model.Location, bool) {
+		nn := ask(t, ds.KNN, serve.KNNRequest{Floor: -1, T: at, K: 1}).Neighbors
+		if len(nn) == 0 {
+			return model.Location{}, false
+		}
+		return nn[0].Loc, true
+	}
 
 	// Midpoint of the first segment.
-	loc, ok := ix.PositionAt(7, 5)
+	loc, ok := positionAt(5)
 	if !ok || math.Abs(loc.Point.X-5) > 1e-9 || math.Abs(loc.Point.Y-10) > 1e-9 {
 		t.Fatalf("midpoint = %v ok=%v, want (5,10)", loc, ok)
 	}
 	// Quarter point.
-	loc, _ = ix.PositionAt(7, 2.5)
+	loc, _ = positionAt(2.5)
 	if math.Abs(loc.Point.X-2.5) > 1e-9 || math.Abs(loc.Point.Y-5) > 1e-9 {
 		t.Fatalf("quarter = %v, want (2.5,5)", loc)
 	}
 	// Before the first sample but within MaxGap: clamp to the first sample.
-	if loc, ok = ix.PositionAt(7, -5); !ok || loc.Point.X != 0 {
+	if loc, ok = positionAt(-5); !ok || loc.Point.X != 0 {
 		t.Fatalf("pre-start clamp = %v ok=%v", loc, ok)
 	}
 	// Far before the first sample: unobserved.
-	if _, ok = ix.PositionAt(7, -100); ok {
+	if _, ok = positionAt(-100); ok {
 		t.Fatal("object observed 100s before its first sample")
 	}
-	// Inside the 30s gap, near the earlier endpoint: snap to it, no
+	// Inside the 50s gap, near the earlier endpoint: snap to it, no
 	// cross-gap interpolation.
-	loc, ok = ix.PositionAt(7, 12)
+	loc, ok = positionAt(12)
 	if !ok || loc.Point.X != 10 || loc.Floor != 0 {
 		t.Fatalf("gap snap lo = %v ok=%v", loc, ok)
 	}
 	// Inside the gap, near the later endpoint: snap to the floor-1 sample.
-	loc, ok = ix.PositionAt(7, 50)
+	loc, ok = positionAt(50)
 	if !ok || loc.Floor != 1 {
 		t.Fatalf("gap snap hi = %v ok=%v", loc, ok)
 	}
 	// Dead center of the gap, farther than MaxGap from both: unobserved.
-	if _, ok = ix.PositionAt(7, 35); ok {
+	if _, ok = positionAt(35); ok {
 		t.Fatal("object observed mid-gap beyond MaxGap")
-	}
-	// Unknown object.
-	if _, ok = ix.PositionAt(99, 5); ok {
-		t.Fatal("unknown object observed")
 	}
 }
 
@@ -232,67 +287,63 @@ func TestDensity(t *testing.T) {
 	mk := func(id int, part string, x float64) trajectory.Sample {
 		return trajectory.Sample{ObjID: id, Loc: model.At("b", 0, part, geom.Pt(x, 0)), T: 10}
 	}
-	ix := NewTrajectoryIndex([]trajectory.Sample{
+	ds := served(t, []trajectory.Sample{
 		mk(1, "A", 1), mk(2, "A", 2), mk(3, "B", 60),
-	}, DefaultOptions())
-	d := ix.Density(10)
-	if d["A"] != 2 || d["B"] != 1 {
+	}, serve.Config{})
+	d := ask(t, ds.Density, serve.DensityRequest{T: 10}).Counts
+	if len(d) != 2 || d["A"] != 2 || d["B"] != 1 {
 		t.Fatalf("Density = %v, want A:2 B:1", d)
 	}
-	fd := ix.FloorDensity(10)
-	if fd[0] != 3 {
-		t.Fatalf("FloorDensity = %v, want 0:3", fd)
-	}
 	// Long after the last sample everyone is unobserved.
-	if d := ix.Density(1000); len(d) != 0 {
+	if d := ask(t, ds.Density, serve.DensityRequest{T: 1000}).Counts; len(d) != 0 {
 		t.Fatalf("Density(1000) = %v, want empty", d)
 	}
 }
 
 func TestObjectTrajectory(t *testing.T) {
-	samples := syntheticSamples(6, 5, 100)
-	ix := NewTrajectoryIndex(samples, DefaultOptions())
-	got := ix.ObjectTrajectory(3, 10, 20)
+	ds := served(t, syntheticSamples(6, 5, 100), serve.Config{})
+	traj := func(obj int, t0, t1 float64) []trajectory.Sample {
+		return ask(t, ds.Traj, serve.TrajRequest{Obj: obj, T0: t0, T1: t1}).Samples
+	}
+	got := traj(3, 10, 20)
 	if len(got) != 11 {
-		t.Fatalf("ObjectTrajectory = %d samples, want 11", len(got))
+		t.Fatalf("Traj = %d samples, want 11", len(got))
 	}
 	for i, s := range got {
 		if s.ObjID != 3 || s.T != 10+float64(i) {
-			t.Fatalf("ObjectTrajectory[%d] = obj %d t %.0f", i, s.ObjID, s.T)
+			t.Fatalf("Traj[%d] = obj %d t %.0f", i, s.ObjID, s.T)
 		}
 	}
-	if got := ix.ObjectTrajectory(3, 500, 600); got != nil {
+	if got := traj(3, 500, 600); got != nil {
 		t.Fatal("out-of-span trajectory not empty")
 	}
-	if got := ix.ObjectTrajectory(42, 0, 100); got != nil {
+	if got := traj(42, 0, 100); got != nil {
 		t.Fatal("unknown object trajectory not empty")
 	}
 }
 
 func TestTimeSpanAndAccessors(t *testing.T) {
-	empty := NewTrajectoryIndex(nil, DefaultOptions())
-	if _, _, ok := empty.TimeSpan(); ok {
-		t.Fatal("empty index has a time span")
+	if !info(t, served(t, nil, serve.Config{})).Empty {
+		t.Fatal("empty dataset has a time span")
 	}
 	samples := syntheticSamples(7, 4, 50)
-	ix := NewTrajectoryIndex(samples, DefaultOptions())
-	t0, t1, ok := ix.TimeSpan()
-	if !ok || t0 != 0 || t1 != 50 {
-		t.Fatalf("TimeSpan = [%v, %v] ok=%v", t0, t1, ok)
+	in := info(t, served(t, samples, serve.Config{}))
+	if in.Empty || in.T0 != 0 || in.T1 != 50 {
+		t.Fatalf("time span = [%v, %v] empty=%v", in.T0, in.T1, in.Empty)
 	}
-	if got := ix.Objects(); len(got) != 4 {
-		t.Fatalf("Objects = %v", got)
+	if in.Samples != len(samples) || in.Objects != 4 {
+		t.Fatalf("Samples = %d, Objects = %d", in.Samples, in.Objects)
 	}
-	if got := ix.Floors(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("Floors = %v", got)
+	if !slices.Equal(in.Floors, []int{0, 1}) {
+		t.Fatalf("Floors = %v", in.Floors)
 	}
 }
 
 func TestContinuousRangeQuery(t *testing.T) {
-	eng := NewContinuousEngine()
+	eng := query.NewContinuousEngine()
 	box := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(10, 10)}
-	var events []Event
-	sub := eng.Subscribe(0, box, func(e Event) { events = append(events, e) })
+	var events []query.Event
+	sub := eng.Subscribe(0, box, func(e query.Event) { events = append(events, e) })
 
 	mk := func(id int, x float64, floor int, tt float64) trajectory.Sample {
 		return trajectory.Sample{ObjID: id, Loc: model.At("b", floor, "P", geom.Pt(x, 5)), T: tt}
@@ -304,7 +355,7 @@ func TestContinuousRangeQuery(t *testing.T) {
 	eng.Feed(mk(2, 5, 1, 2))  // wrong floor: no event
 	eng.Feed(mk(2, 5, 0, 3))  // enter
 
-	want := []EventKind{Enter, Move, Exit, Enter}
+	want := []query.EventKind{query.Enter, query.Move, query.Exit, query.Enter}
 	if len(events) != len(want) {
 		t.Fatalf("got %d events, want %d: %+v", len(events), len(want), events)
 	}
@@ -325,7 +376,7 @@ func TestContinuousRangeQuery(t *testing.T) {
 
 	// All-floor subscription sees both floors.
 	n := 0
-	eng.Subscribe(-1, box, func(Event) { n++ })
+	eng.Subscribe(-1, box, func(query.Event) { n++ })
 	eng.FeedAll([]trajectory.Sample{mk(3, 5, 0, 5), mk(4, 5, 1, 5)})
 	if n != 2 {
 		t.Fatalf("all-floor subscription saw %d events, want 2", n)
@@ -333,28 +384,35 @@ func TestContinuousRangeQuery(t *testing.T) {
 }
 
 // TestContinuousMatchesOfflineRange: replaying a dataset through a standing
-// query must visit exactly the objects the offline Range query reports.
+// query must visit exactly the objects that have a sample in the region.
 func TestContinuousMatchesOfflineRange(t *testing.T) {
 	samples := syntheticSamples(8, 15, 200)
-	ix := NewTrajectoryIndex(samples, DefaultOptions())
 	box := geom.BBox{Min: geom.Pt(20, 10), Max: geom.Pt(70, 40)}
 
-	eng := NewContinuousEngine()
+	eng := query.NewContinuousEngine()
 	entered := make(map[int]bool)
-	eng.Subscribe(0, box, func(e Event) {
-		if e.Kind == Enter {
+	eng.Subscribe(0, box, func(e query.Event) {
+		if e.Kind == query.Enter {
 			entered[e.Sample.ObjID] = true
 		}
 	})
 	eng.FeedAll(samples)
 
-	want := ix.RangeObjects(0, box, 0, 200)
-	if len(entered) != len(want) {
-		t.Fatalf("continuous saw %d objects, offline range saw %d", len(entered), len(want))
+	want := make(map[int]bool)
+	for _, s := range samples {
+		if s.Loc.Floor == 0 && box.Contains(s.Loc.Point) {
+			want[s.ObjID] = true
+		}
 	}
-	for _, id := range want {
+	if len(want) == 0 {
+		t.Fatal("no object ever entered the region")
+	}
+	if len(entered) != len(want) {
+		t.Fatalf("continuous saw %d objects, brute force saw %d", len(entered), len(want))
+	}
+	for id := range want {
 		if !entered[id] {
-			t.Fatalf("object %d in offline range but never entered standing query", id)
+			t.Fatalf("object %d has a sample in the region but never entered the standing query", id)
 		}
 	}
 }
@@ -362,10 +420,12 @@ func TestContinuousMatchesOfflineRange(t *testing.T) {
 // TestKNNMoreThanPopulation: k larger than the object count must return
 // every observable object once, still nearest-first, and never pad.
 func TestKNNMoreThanPopulation(t *testing.T) {
-	samples := syntheticSamples(11, 4, 60)
-	ix := NewTrajectoryIndex(samples, DefaultOptions())
+	ds := served(t, syntheticSamples(11, 4, 60), serve.Config{})
+	knn := func(floor int) []serve.Neighbor {
+		return ask(t, ds.KNN, serve.KNNRequest{Floor: floor, At: geom.Pt(50, 25), T: 30, K: 1000}).Neighbors
+	}
 
-	got := ix.KNN(-1, geom.Pt(50, 25), 30, 1000)
+	got := knn(-1)
 	if len(got) > 4 {
 		t.Fatalf("KNN returned %d neighbors for 4 objects", len(got))
 	}
@@ -383,7 +443,7 @@ func TestKNNMoreThanPopulation(t *testing.T) {
 		}
 	}
 	// Same query restricted to one floor: only that floor's objects.
-	for _, n := range ix.KNN(1, geom.Pt(50, 25), 30, 1000) {
+	for _, n := range knn(1) {
 		if n.Loc.Floor != 1 {
 			t.Errorf("floor-1 kNN returned object on floor %d", n.Loc.Floor)
 		}
@@ -391,11 +451,9 @@ func TestKNNMoreThanPopulation(t *testing.T) {
 }
 
 // TestEmptyTimeWindows: inverted and out-of-span windows must come back
-// empty from every operator instead of panicking or scanning.
+// empty from every operator instead of failing or scanning.
 func TestEmptyTimeWindows(t *testing.T) {
-	samples := syntheticSamples(12, 6, 60)
-	ix := NewTrajectoryIndex(samples, DefaultOptions())
-	box := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 50)}
+	ds := served(t, syntheticSamples(12, 6, 60), serve.Config{})
 
 	for name, window := range map[string][2]float64{
 		"inverted":    {40, 10},
@@ -403,62 +461,53 @@ func TestEmptyTimeWindows(t *testing.T) {
 		"after data":  {1e6, 2e6},
 	} {
 		t0, t1 := window[0], window[1]
-		if got := ix.Range(-1, box, t0, t1); len(got) != 0 {
-			t.Errorf("%s window: Range returned %d samples", name, len(got))
+		resp := ask(t, ds.Range, serve.RangeRequest{Floor: -1, Box: everywhere, T0: t0, T1: t1})
+		if len(resp.Hits) != 0 {
+			t.Errorf("%s window: Range returned %d samples", name, len(resp.Hits))
 		}
-		if got := ix.RangeObjects(-1, box, t0, t1); len(got) != 0 {
-			t.Errorf("%s window: RangeObjects returned %d objects", name, len(got))
+		if len(resp.Objects) != 0 {
+			t.Errorf("%s window: Range returned %d objects", name, len(resp.Objects))
 		}
-		if got := ix.ObjectTrajectory(0, t0, t1); len(got) != 0 {
-			t.Errorf("%s window: ObjectTrajectory returned %d samples", name, len(got))
+		if got := ask(t, ds.Traj, serve.TrajRequest{Obj: 0, T0: t0, T1: t1}).Samples; len(got) != 0 {
+			t.Errorf("%s window: Traj returned %d samples", name, len(got))
 		}
 	}
 
-	// An empty index rejects every window.
-	empty := NewTrajectoryIndex(nil, DefaultOptions())
-	if got := empty.Range(-1, box, 0, 100); len(got) != 0 {
-		t.Errorf("empty index Range returned %d samples", len(got))
+	// An empty dataset answers every window with nothing.
+	empty := served(t, nil, serve.Config{})
+	if got := ask(t, empty.Range, serve.RangeRequest{Floor: -1, Box: everywhere, T0: 0, T1: 100}).Hits; len(got) != 0 {
+		t.Errorf("empty dataset Range returned %d samples", len(got))
 	}
-	if _, _, ok := empty.TimeSpan(); ok {
-		t.Error("empty index reported a time span")
+	if !info(t, empty).Empty {
+		t.Error("empty dataset reported a time span")
 	}
 }
 
-// TestRangeUnknownFloor: floors with no data — above, below, or between the
-// indexed ones — must yield empty results, not errors.
+// TestRangeUnknownFloor: floors with no data — above or between the stored
+// ones — must yield empty results, not errors.
 func TestRangeUnknownFloor(t *testing.T) {
-	samples := syntheticSamples(13, 6, 60)
-	ix := NewTrajectoryIndex(samples, DefaultOptions())
-	box := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 50)}
+	ds := served(t, syntheticSamples(13, 6, 60), serve.Config{})
 
-	for _, floor := range []int{2, 7, -5} {
-		fl := floor
-		if fl < 0 {
-			// Negative means "all floors" to Range; use a floor that is
-			// simply absent instead.
-			fl = 99
+	for _, floor := range []int{2, 7, 99} {
+		if got := ask(t, ds.Range, serve.RangeRequest{Floor: floor, Box: everywhere, T0: 0, T1: 60}).Hits; len(got) != 0 {
+			t.Errorf("floor %d: Range returned %d samples", floor, len(got))
 		}
-		if got := ix.Range(fl, box, 0, 60); len(got) != 0 {
-			t.Errorf("floor %d: Range returned %d samples", fl, len(got))
-		}
-		if got := ix.KNN(fl, geom.Pt(50, 25), 30, 3); len(got) != 0 {
-			t.Errorf("floor %d: KNN returned %d neighbors", fl, len(got))
+		if got := ask(t, ds.KNN, serve.KNNRequest{Floor: floor, At: geom.Pt(50, 25), T: 30, K: 3}).Neighbors; len(got) != 0 {
+			t.Errorf("floor %d: KNN returned %d neighbors", floor, len(got))
 		}
 	}
 }
 
 // TestDuplicateSamplesKeepInputOrder pins the order of samples that tie on
-// (object, time): Range and ObjectTrajectory return them in input order
-// whatever the input size, bucket layout, floor, or position in the box —
-// the R-tree's packing order and the sort's pivots must not show through.
+// (object, time): Range and Traj return them in input order whatever the
+// input size, block layout, floor, or position in the box.
 func TestDuplicateSamplesKeepInputOrder(t *testing.T) {
-	box := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 50)}
 	for _, n := range []int{3, 40, 500} {
 		var samples []trajectory.Sample
 		for t := 0; t < 20; t++ {
 			// n rows of one object at one instant, told apart only by their
 			// partition name; x runs against input order and floors alternate,
-			// so neither spatial packing nor bucket iteration reproduces it.
+			// so neither a spatial order nor a per-floor pass reproduces it.
 			for k := 0; k < n; k++ {
 				samples = append(samples, trajectory.Sample{
 					ObjID: 7,
@@ -467,10 +516,10 @@ func TestDuplicateSamplesKeepInputOrder(t *testing.T) {
 				})
 			}
 		}
-		ix := NewTrajectoryIndex(samples, Options{BucketWidth: 7})
+		ds := served(t, samples, serve.Config{})
 		for name, got := range map[string][]trajectory.Sample{
-			"Range":            ix.Range(-1, box, 0, 1e9),
-			"ObjectTrajectory": ix.ObjectTrajectory(7, 0, 1e9),
+			"Range": ask(t, ds.Range, serve.RangeRequest{Floor: -1, Box: everywhere, T0: 0, T1: 1e9}).Hits,
+			"Traj":  ask(t, ds.Traj, serve.TrajRequest{Obj: 7, T0: 0, T1: 1e9}).Samples,
 		} {
 			if len(got) != len(samples) {
 				t.Fatalf("n=%d %s: %d samples, want %d", n, name, len(got), len(samples))
@@ -491,8 +540,8 @@ func TestRangeSkipsSymbolicSamples(t *testing.T) {
 		{ObjID: 1, Loc: model.AtPartition("b", 0, "lobby"), T: 1},
 		{ObjID: 1, Loc: model.At("b", 0, "lobby", geom.Pt(0, 0)), T: 2},
 	}
-	ix := NewTrajectoryIndex(samples, DefaultOptions())
-	got := ix.Range(0, geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(1, 1)}, 0, 10)
+	ds := served(t, samples, serve.Config{})
+	got := ask(t, ds.Range, serve.RangeRequest{Floor: 0, Box: geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(1, 1)}, T0: 0, T1: 10}).Hits
 	if len(got) != 1 || got[0] != samples[1] {
 		t.Errorf("Range = %+v, want only the coordinate sample", got)
 	}

@@ -149,15 +149,6 @@ func (c *Client) Info(trace bool) (*InfoResponse, error) {
 	return &resp, nil
 }
 
-// Stats fetches the server's lifetime counters (/statsz).
-func (c *Client) Stats() (*ServerStats, error) {
-	var resp ServerStats
-	if err := c.get("/statsz", nil, &resp, nil); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Healthy reports whether the server answers /healthz.
 func (c *Client) Healthy() bool {
 	var resp Health

@@ -3,6 +3,7 @@ package serve
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"vita/internal/colstore"
@@ -48,34 +49,50 @@ func firstBlockCodec(t *testing.T, path string) byte {
 
 // TestMixedCodecSegmentsServeParity is the serving gate for codec
 // migration: one segment log whose segments were written in different codec
-// eras (flate, then raw, then vsnap) must serve byte-identical operator
-// output to a flat single-file dataset of the same rows — and compacting
-// that mixed log must both preserve the output and rewrite the merged
-// segment under the current default codec (vsnap), which is exactly the
-// migration path for flate-era archives.
+// eras (the flate-era fixture log, then raw, then vsnap) must serve
+// byte-identical operator output to a flat single-file dataset of the same
+// rows — and compacting that mixed log must both preserve the output and
+// rewrite the merged segment under the current default codec (vsnap), which
+// is exactly the migration path for flate-era archives.
 func TestMixedCodecSegmentsServeParity(t *testing.T) {
-	samples := testSamples()
-	flatDir := t.TempDir()
-	writeDataset(t, flatDir, storage.FormatVTB, samples)
-
+	const fixture = "../colstore/testdata/flate"
 	segDir := t.TempDir()
-	l, err := seglog.OpenOrCreate(filepath.Join(segDir, "seglog", "trajectory"), colstore.KindTrajectory)
+	logDir := filepath.Join(segDir, "seglog", "trajectory")
+	if err := os.CopyFS(logDir, os.DirFS(filepath.Join(fixture, "seglog"))); err != nil {
+		t.Fatal(err)
+	}
+	l, err := seglog.Open(logDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	third := len(samples) / 3
-	eras := []struct {
-		rows  []trajectory.Sample
-		codec colstore.Codec
-	}{
-		{samples[:third], colstore.CodecFlate},
-		{samples[third : 2*third], colstore.CodecRaw},
-		{samples[2*third:], colstore.CodecVSnap},
+	for _, seg := range l.Snapshot().Segments {
+		if got := firstBlockCodec(t, l.SegmentPath(seg)); got != 1 {
+			t.Fatalf("fixture segment %s: first block codec = %d, want 1 (flate)", seg.File, got)
+		}
 	}
-	for _, era := range eras {
-		appendSegmentedCodec(t, l, era.rows, len(era.rows), era.codec)
+	// The fixture spans one minute; the later eras repeat its rows one
+	// minute after another, three segments each, so every probe in
+	// operatorText lands on data.
+	era, _, err := storage.ReadTrajectoryFile(filepath.Join(fixture, "trajectory.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := slices.Clone(era)
+	for _, codec := range []colstore.Codec{colstore.CodecRaw, colstore.CodecVSnap} {
+		var rows []trajectory.Sample
+		for range 3 {
+			shift := 60 * float64(len(all)/len(era))
+			for _, s := range era {
+				s.T += shift
+				rows = append(rows, s)
+				all = append(all, s)
+			}
+		}
+		appendSegmentedCodec(t, l, rows, len(era), codec)
 	}
 
+	flatDir := t.TempDir()
+	writeDataset(t, flatDir, storage.FormatVTB, all)
 	flat, err := Open(flatDir, Config{WatchInterval: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +115,7 @@ func TestMixedCodecSegmentsServeParity(t *testing.T) {
 				label, got[:min(len(got), 400)], want[:min(len(want), 400)])
 		}
 	}
-	check("mixed-codec eras", 3)
+	check("mixed-codec eras", 9)
 
 	// Compaction with default options: the merged segment must come out
 	// under the default codec regardless of what the inputs used.

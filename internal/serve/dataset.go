@@ -27,7 +27,6 @@ import (
 	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/plan"
-	"vita/internal/query"
 	"vita/internal/seglog"
 	"vita/internal/storage"
 	"vita/internal/trajectory"
@@ -36,11 +35,14 @@ import (
 // errClosed is returned by queries racing Close.
 var errClosed = errors.New("serve: dataset closed")
 
+// DefaultMaxGap is Config.MaxGap's default, in seconds.
+const DefaultMaxGap = 10
+
 // Config tunes an opened dataset. The zero value selects the defaults.
 type Config struct {
 	// MaxGap is the maximum seconds between consecutive samples across which
 	// instant queries (knn, density) still interpolate a position, and dwell
-	// still credits the interval (default query.DefaultOptions().MaxGap).
+	// still credits the interval (default DefaultMaxGap).
 	MaxGap float64
 	// CacheBytes bounds the decoded-block LRU cache (default 64 MiB;
 	// negative keeps nothing: every lookup misses, and a scan still decodes
@@ -58,7 +60,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MaxGap <= 0 {
-		c.MaxGap = query.DefaultOptions().MaxGap
+		c.MaxGap = DefaultMaxGap
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
@@ -401,9 +403,9 @@ func (d *Dataset) KNN(q KNNRequest) (*KNNResponse, error) {
 	if q.Floor >= 0 {
 		where = append(where, plan.OnFloor(q.Floor))
 	}
-	var neighbors []query.Neighbor
+	var neighbors []Neighbor
 	if q.K > 0 {
-		neighbors = []query.Neighbor{}
+		neighbors = []Neighbor{}
 	}
 	stats, span, err := d.runPlan("KNN", q.Trace, func(src plan.Source) *plan.Plan {
 		return d.snapshotAt(src, q.T).
@@ -414,7 +416,7 @@ func (d *Dataset) KNN(q KNNRequest) (*KNNResponse, error) {
 	}, func(b *plan.Batch) {
 		for i, dist := range b.Val {
 			s := b.Traj.Row(i)
-			neighbors = append(neighbors, query.Neighbor{ObjID: s.ObjID, Loc: s.Loc, Dist: dist})
+			neighbors = append(neighbors, Neighbor{ObjID: s.ObjID, Loc: s.Loc, Dist: dist})
 		}
 	})
 	if err != nil {

@@ -11,18 +11,16 @@ import (
 
 	"vita/internal/geom"
 	"vita/internal/model"
-	"vita/internal/query"
 	"vita/internal/storage"
 	"vita/internal/trajectory"
 )
 
 // The differential test: seeded random datasets and seeded random requests,
-// every dataset kind at every block-cache budget, and one oracle that shares nothing with the served plans
-// but the interpolation arithmetic — query.NewTrajectoryIndex over ALL of a
-// dataset's rows. Unlike referenceIndex in plan_parity_test.go it does not
-// pre-filter with the operator's own scan predicate, so a window widened by
-// the wrong amount, a filter on the wrong side of SnapshotAt, or a tie
-// broken by scan order instead of input order shows up as a differing byte.
+// every dataset kind at every block-cache budget, and the brute-force oracle
+// (oracle_test.go) over ALL of a dataset's rows. It never filters with the
+// operator's own scan predicate, so a window widened by the wrong amount, a
+// filter on the wrong side of SnapshotAt, or a tie broken by scan order
+// instead of input order shows up as a differing byte.
 //
 // Every time and coordinate is a multiple of 1/16: sums and differences are
 // then exact in float64, CSV's 4-decimal quantization loses nothing, and
@@ -145,30 +143,6 @@ func diffRequests(r *rand.Rand, rows []trajectory.Sample, n int) []diffRequest {
 	return reqs
 }
 
-// diffOracle answers a request from the in-memory index, in the response
-// type the dataset answers with (zero Stats, no Trace).
-func diffOracle(ix *query.TrajectoryIndex, req diffRequest) any {
-	switch {
-	case req.rng != nil:
-		q := *req.rng
-		return &RangeResponse{Query: q,
-			Hits:    ix.Range(q.Floor, q.Box, q.T0, q.T1),
-			Objects: ix.RangeObjects(q.Floor, q.Box, q.T0, q.T1)}
-	case req.knn != nil:
-		q := *req.knn
-		return &KNNResponse{Query: q, Neighbors: ix.KNN(q.Floor, q.At, q.T, q.K)}
-	case req.den != nil:
-		return &DensityResponse{Query: *req.den, Counts: ix.Density(req.den.T)}
-	case req.traj != nil:
-		q := *req.traj
-		return &TrajResponse{Query: q, Samples: ix.ObjectTrajectory(q.Obj, q.T0, q.T1)}
-	}
-	t0, t1, ok := ix.TimeSpan()
-	bounds, _ := ix.Bounds()
-	return &InfoResponse{Samples: ix.Len(), Objects: len(ix.Objects()), Floors: ix.Floors(),
-		T0: t0, T1: t1, Bounds: bounds, Empty: !ok}
-}
-
 // diffServed answers a request from the dataset.
 func diffServed(ds *Dataset, req diffRequest) (any, error) {
 	switch {
@@ -263,7 +237,7 @@ func TestServedOperatorsMatchIndexOverAllRows(t *testing.T) {
 					if got := ds.Segments(); got != kind.segments {
 						t.Fatalf("%d segments, want %d", got, kind.segments)
 					}
-					// The oracle indexes the rows as the dataset's file holds them:
+					// The oracle holds the rows as the dataset's file holds them:
 					// CSV cannot say a row has no point, so it reads back with one.
 					held := rows
 					if ds.Format() == storage.FormatCSV {
@@ -274,7 +248,7 @@ func TestServedOperatorsMatchIndexOverAllRows(t *testing.T) {
 					if ds.Len() != len(held) {
 						t.Fatalf("Len = %d, want %d", ds.Len(), len(held))
 					}
-					ix := query.NewTrajectoryIndex(held, query.Options{MaxGap: maxGap})
+					o := newOracle(held, maxGap)
 					// Twice: on whatever the first pass left in the cache.
 					for pass := 0; pass < 2; pass++ {
 						for i, req := range reqs {
@@ -283,8 +257,8 @@ func TestServedOperatorsMatchIndexOverAllRows(t *testing.T) {
 								t.Fatalf("pass %d request %d: %v", pass, i, err)
 							}
 							// One differing answer is enough to read.
-							if got, want := diffBody(t, resp), diffBody(t, diffOracle(ix, req)); got != want {
-								t.Fatalf("pass %d request %d differs from the index over all rows:\ngot:  %s\nwant: %s", pass, i, got, want)
+							if got, want := diffBody(t, resp), diffBody(t, o.answer(req)); got != want {
+								t.Fatalf("pass %d request %d differs from the oracle over all rows:\ngot:  %s\nwant: %s", pass, i, got, want)
 							}
 						}
 					}

@@ -18,7 +18,7 @@ import (
 // over the pinned segment set's blocks, and runPlan drains the result. There
 // is no other execution path and no other load path: a new analytic is one
 // plan expression, and the answers of the six that exist are pinned against
-// the in-memory index of internal/query (see differential_test.go).
+// a brute-force oracle (see oracle_test.go and differential_test.go).
 
 // planSource adapts one query's view of the dataset to plan.Source. It is
 // single-use: Open is called once by the compiled plan's scan leaf, and

@@ -5,37 +5,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
 	"testing"
 
-	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/plan"
-	"vita/internal/query"
 	"vita/internal/storage"
 	"vita/internal/trajectory"
 )
 
-// These tests pin the plan-rewrite guarantee: every operator that used to
-// hand-build its load predicate and index now executes as a compiled plan,
-// and the answers must be byte-identical to the pre-plan pipeline. The
-// oracle re-implements that pipeline directly — hand-filter the known
-// samples with the operator's predicate, build the spatio-temporal index
-// over the survivors, ask it the same question — and the comparison is on
-// JSON bytes, the exact encoding both the HTTP API and the CLI formatters
-// consume.
-
-// referenceIndex is the pre-plan load path: filter samples row by row with
-// the hand-built predicate and index the survivors.
-func referenceIndex(samples []trajectory.Sample, pred colstore.Predicate, opts query.Options) *query.TrajectoryIndex {
-	var keep []trajectory.Sample
-	for _, s := range samples {
-		if pred.MatchTrajectory(s) {
-			keep = append(keep, s)
-		}
-	}
-	return query.NewTrajectoryIndex(keep, opts)
-}
+// These tests pin the plan-rewrite guarantee: every operator executes as a
+// compiled plan, and the answers must be byte-identical to the brute-force
+// oracle's (oracle_test.go). The comparison is on JSON bytes, the exact
+// encoding both the HTTP API and the CLI formatters consume.
 
 func jsonBytes(t *testing.T, v any) []byte {
 	t.Helper()
@@ -56,14 +37,13 @@ func sameJSON(t *testing.T, name string, got, want any) {
 
 // TestPlanOperatorParity checks, on every dataset kind and at every block-
 // cache budget (see cacheBudgets), that the plan-compiled operators return
-// exactly the rows the hand-built predicate + index pipeline returns. The
-// rows are exact under CSV's quantization and unique per (object, time), so
-// one reference serves every kind, the shuffled CSV included.
+// exactly the oracle's rows. The rows are exact under CSV's quantization and
+// unique per (object, time), so one oracle serves every kind, the shuffled
+// CSV included.
 func TestPlanOperatorParity(t *testing.T) {
 	samples := testSamples()
-	opts := query.Options{} // Dataset is opened with zero Query options
+	ref := newOracle(samples, DefaultMaxGap) // Dataset is opened with the default MaxGap
 	box := geom.BBox{Min: geom.Pt(1.5, 0.25), Max: geom.Pt(17.75, 9.5)}
-	maxGap := query.DefaultOptions().MaxGap
 
 	for _, kind := range datasetKinds(t, samples, 1500) {
 		for _, budget := range cacheBudgets(t, kind.dir) {
@@ -80,15 +60,10 @@ func TestPlanOperatorParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rix := referenceIndex(samples, colstore.Predicate{
-					HasTime: true, T0: rq.T0, T1: rq.T1,
-					HasBox: true, Box: rq.Box,
-					HasFloor: true, Floor: rq.Floor,
-				}, opts)
 				if len(rresp.Hits) == 0 {
 					t.Fatal("range matched nothing")
 				}
-				sameJSON(t, "range hits", rresp.Hits, rix.Range(rq.Floor, rq.Box, rq.T0, rq.T1))
+				sameJSON(t, "range hits", rresp.Hits, ref.rangeQuery(rq).Hits)
 
 				// KNN: window widened by MaxGap, floor left to the operator.
 				kq := KNNRequest{Floor: 1, At: geom.Pt(10.125, 7.625), T: 420.5, K: 4}
@@ -96,13 +71,10 @@ func TestPlanOperatorParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				kix := referenceIndex(samples, colstore.Predicate{
-					HasTime: true, T0: kq.T - maxGap, T1: kq.T + maxGap,
-				}, opts)
 				if len(kresp.Neighbors) == 0 {
 					t.Fatal("knn matched nothing")
 				}
-				sameJSON(t, "knn neighbors", kresp.Neighbors, kix.KNN(kq.Floor, kq.At, kq.T, kq.K))
+				sameJSON(t, "knn neighbors", kresp.Neighbors, ref.knn(kq).Neighbors)
 
 				// Density at an instant.
 				dq := DensityRequest{T: 250}
@@ -110,13 +82,10 @@ func TestPlanOperatorParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dix := referenceIndex(samples, colstore.Predicate{
-					HasTime: true, T0: dq.T - maxGap, T1: dq.T + maxGap,
-				}, opts)
 				if len(dresp.Counts) == 0 {
 					t.Fatal("density matched nothing")
 				}
-				sameJSON(t, "density counts", dresp.Counts, dix.Density(dq.T))
+				sameJSON(t, "density counts", dresp.Counts, ref.density(dq).Counts)
 
 				// Trajectory retrieval for one object.
 				tq := TrajRequest{Obj: 5, T0: 100, T1: 500}
@@ -124,14 +93,10 @@ func TestPlanOperatorParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tix := referenceIndex(samples, colstore.Predicate{
-					HasObj: true, Obj: tq.Obj,
-					HasTime: true, T0: tq.T0, T1: tq.T1,
-				}, opts)
 				if len(tresp.Samples) == 0 {
 					t.Fatal("traj matched nothing")
 				}
-				sameJSON(t, "traj samples", tresp.Samples, tix.ObjectTrajectory(tq.Obj, tq.T0, tq.T1))
+				sameJSON(t, "traj samples", tresp.Samples, ref.traj(tq).Samples)
 
 				// Dwell against an independent row-by-row re-computation.
 				wq := DwellRequest{Floor: -1, T0: 50, T1: 450}
@@ -142,60 +107,10 @@ func TestPlanOperatorParity(t *testing.T) {
 				if len(wresp.Rooms) == 0 {
 					t.Fatal("dwell matched nothing")
 				}
-				sameJSON(t, "dwell rooms", wresp.Rooms, referenceDwell(samples, wq, maxGap))
+				sameJSON(t, "dwell rooms", wresp.Rooms, ref.dwell(wq).Rooms)
 			})
 		}
 	}
-}
-
-// referenceDwell recomputes dwell-time-per-room without the plan layer:
-// filter the window, order by (object, time), attribute inter-sample gaps up
-// to maxGap to the partition the object stayed in, and count distinct
-// objects per partition.
-func referenceDwell(samples []trajectory.Sample, q DwellRequest, maxGap float64) []DwellRoom {
-	var rows []trajectory.Sample
-	for _, s := range samples {
-		if s.T < q.T0 || s.T > q.T1 {
-			continue
-		}
-		if q.Floor >= 0 && s.Loc.Floor != q.Floor {
-			continue
-		}
-		rows = append(rows, s)
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].ObjID != rows[j].ObjID {
-			return rows[i].ObjID < rows[j].ObjID
-		}
-		return rows[i].T < rows[j].T
-	})
-	seconds := make(map[string]float64)
-	objects := make(map[string]map[int]bool)
-	for i, s := range rows {
-		if objects[s.Loc.Partition] == nil {
-			objects[s.Loc.Partition] = make(map[int]bool)
-		}
-		objects[s.Loc.Partition][s.ObjID] = true
-		if i == 0 {
-			continue
-		}
-		prev := rows[i-1]
-		dt := s.T - prev.T
-		if prev.ObjID == s.ObjID && prev.Loc.Partition == s.Loc.Partition && dt > 0 && dt <= maxGap {
-			seconds[s.Loc.Partition] += dt
-		}
-	}
-	rooms := make([]DwellRoom, 0, len(objects))
-	for part, objs := range objects {
-		rooms = append(rooms, DwellRoom{Partition: part, Seconds: seconds[part], Objects: len(objs)})
-	}
-	sort.SliceStable(rooms, func(i, j int) bool {
-		if rooms[i].Seconds != rooms[j].Seconds {
-			return rooms[i].Seconds > rooms[j].Seconds
-		}
-		return rooms[i].Partition < rooms[j].Partition
-	})
-	return rooms
 }
 
 // TestPlanStatsAccounting checks what a request's Stats say about the one
@@ -277,15 +192,13 @@ func TestPlanStatsAccounting(t *testing.T) {
 // must equal the reference computed over that floor only, and partitions
 // only visited on the other floor must vanish.
 func TestDwellFloorFilter(t *testing.T) {
-	samples := testSamples()
-	maxGap := query.DefaultOptions().MaxGap
 	ds := openTestDataset(t, storage.FormatVTB, Config{})
 	q := DwellRequest{Floor: 1, T0: 0, T1: 600}
 	resp, err := ds.Dwell(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameJSON(t, "floor-filtered dwell", resp.Rooms, referenceDwell(samples, q, maxGap))
+	sameJSON(t, "floor-filtered dwell", resp.Rooms, newOracle(testSamples(), DefaultMaxGap).dwell(q).Rooms)
 	all, err := ds.Dwell(DwellRequest{Floor: -1, T0: 0, T1: 600})
 	if err != nil {
 		t.Fatal(err)

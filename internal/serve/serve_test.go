@@ -130,10 +130,10 @@ func TestDatasetSamplesMatchesScan(t *testing.T) {
 	}
 }
 
-// TestCSVLenWithoutBlockCache: a CSV dataset's Len and Blocks — and
-// /statsz's samples — come from the footer of the in-memory image its rows
-// were re-encoded into at open, whatever the block-cache budget. Len used to
-// report 0 for a CSV opened with caching disabled.
+// TestCSVLenWithoutBlockCache: a CSV dataset's Len and Blocks come from the
+// footer of the in-memory image its rows were re-encoded into at open,
+// whatever the block-cache budget. Len used to report 0 for a CSV opened
+// with caching disabled.
 func TestCSVLenWithoutBlockCache(t *testing.T) {
 	want := len(testSamples())
 	for _, budget := range []int64{0, -1} {
@@ -143,9 +143,6 @@ func TestCSVLenWithoutBlockCache(t *testing.T) {
 		}
 		if got := ds.Blocks(); got < 2 {
 			t.Errorf("cache %d: Blocks = %d, want the rows cut into several", budget, got)
-		}
-		if got := NewServerWith(ds, ServerOptions{Metrics: obs.NewRegistry()}).Stats().Samples; got != want {
-			t.Errorf("cache %d: statsz samples = %d, want %d", budget, got, want)
 		}
 	}
 }
@@ -268,7 +265,7 @@ func compareText(t *testing.T, name string, local, remote interface {
 
 func TestServerStatsAndHealth(t *testing.T) {
 	ds := openTestDataset(t, storage.FormatVTB, Config{})
-	srv := NewServer(ds)
+	srv := NewServerWith(ds, ServerOptions{Metrics: obs.NewRegistry()})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	c := &Client{Base: ts.URL}
@@ -294,18 +291,15 @@ func TestServerStatsAndHealth(t *testing.T) {
 	if second.Stats.CacheMisses != 0 || second.Stats.CacheHits != first.Stats.CacheMisses {
 		t.Errorf("repeat request did not run off the block cache: %+v", second.Stats)
 	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, ts.URL)
+	if got := m[`vita_http_requests_total{endpoint="/v1/range",status="200"}`]; got != 2 {
+		t.Errorf("metricsz range count = %g, want 2", got)
 	}
-	if st.Requests["range"] != 2 {
-		t.Errorf("statsz range count = %d, want 2", st.Requests["range"])
+	if ds.Format() != storage.FormatVTB || ds.Len() != len(testSamples()) || ds.Blocks() == 0 {
+		t.Errorf("dataset identity wrong: format %s, %d samples in %d blocks", ds.Format(), ds.Len(), ds.Blocks())
 	}
-	if st.Format != "vtb" || st.Samples != ds.Len() || st.Blocks == 0 {
-		t.Errorf("statsz dataset identity wrong: %+v", st)
-	}
-	if st.Cache.Misses == 0 {
-		t.Errorf("statsz cache counters empty: %+v", st.Cache)
+	if m[`vita_block_cache_misses_total`] == 0 {
+		t.Errorf("metricsz cache misses empty")
 	}
 }
 

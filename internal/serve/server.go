@@ -34,14 +34,14 @@ import (
 //	GET /v1/dwell?floor=0&t0=0&t1=600
 //	GET /v1/info
 //	GET /healthz
-//	GET /statsz
+//	GET /metricsz
 //
 // Responses are JSON, except that /v1/range and /v1/traj answer a request
 // carrying Accept: application/vnd.vita.vtb with the row body of wire.go (a
 // small JSON envelope, then the rows as a VTB image). Every operator response
 // embeds its per-request Stats (blocks pruned/decoded, cache hits/misses);
-// /statsz aggregates them across the server's lifetime. Errors come back as
-// {"error": "..."} with a 4xx/5xx status.
+// /metricsz aggregates them across the server's lifetime, in Prometheus text
+// format. Errors come back as {"error": "..."} with a 4xx/5xx status.
 type Server struct {
 	ds      *Dataset
 	mux     *http.ServeMux
@@ -58,7 +58,6 @@ type Server struct {
 	reqDur    *obs.HistogramVec
 	reqCount  *obs.CounterVec
 
-	requests  [opCount]atomic.Int64
 	errors    atomic.Int64
 	inFlight  atomic.Int64
 	pruned    atomic.Int64
@@ -83,19 +82,6 @@ type ServerOptions struct {
 	// slog.Default()).
 	Logger *slog.Logger
 }
-
-// Operator slots for the per-operator request counters.
-const (
-	opRange = iota
-	opKNN
-	opDensity
-	opTraj
-	opDwell
-	opInfo
-	opCount
-)
-
-var opNames = [opCount]string{"range", "knn", "density", "traj", "dwell", "info"}
 
 // NewServer wraps an opened dataset in an HTTP query server with default
 // observability options.
@@ -122,7 +108,6 @@ func NewServerWith(ds *Dataset, opts ServerOptions) *Server {
 		"/v1/dwell":   s.handleDwell,
 		"/v1/info":    s.handleInfo,
 		"/healthz":    s.handleHealthz,
-		"/statsz":     s.handleStatsz,
 		"/metricsz":   s.handleMetricsz,
 	}
 	s.endpoints = make(map[string]bool, len(routes))
@@ -411,10 +396,9 @@ func (s *Server) RunUntilSignal(ctx context.Context, l net.Listener, drainTimeou
 	return <-errCh
 }
 
-// track wraps one operator request: counts it, applies the test delay, and
-// folds the per-request stats into the lifetime aggregates.
-func (s *Server) track(op int, stats *Stats) {
-	s.requests[op].Add(1)
+// track wraps one operator request: applies the test delay and folds the
+// per-request stats into the lifetime aggregates.
+func (s *Server) track(stats *Stats) {
 	if s.testDelay > 0 {
 		time.Sleep(s.testDelay)
 	}
@@ -453,7 +437,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	s.track(opRange, &resp.Stats)
+	s.track(&resp.Stats)
 	s.finishTrace(r, wantTrace, &resp.Trace)
 	s.writeRows(w, r, resp, &resp.Hits)
 }
@@ -491,7 +475,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	s.track(opKNN, &resp.Stats)
+	s.track(&resp.Stats)
 	s.finishTrace(r, wantTrace, &resp.Trace)
 	s.writeJSON(w, r, resp)
 }
@@ -511,7 +495,7 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	s.track(opDensity, &resp.Stats)
+	s.track(&resp.Stats)
 	s.finishTrace(r, wantTrace, &resp.Trace)
 	s.writeJSON(w, r, resp)
 }
@@ -539,7 +523,7 @@ func (s *Server) handleTraj(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	s.track(opTraj, &resp.Stats)
+	s.track(&resp.Stats)
 	s.finishTrace(r, wantTrace, &resp.Trace)
 	s.writeRows(w, r, resp, &resp.Samples)
 }
@@ -567,7 +551,7 @@ func (s *Server) handleDwell(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	s.track(opDwell, &resp.Stats)
+	s.track(&resp.Stats)
 	s.finishTrace(r, wantTrace, &resp.Trace)
 	s.writeJSON(w, r, resp)
 }
@@ -581,7 +565,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	s.track(opInfo, &resp.Stats)
+	s.track(&resp.Stats)
 	s.finishTrace(r, wantTrace, &resp.Trace)
 	s.writeJSON(w, r, resp)
 }
@@ -613,60 +597,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	if err := s.reg.WritePrometheus(w); err != nil {
 		s.errors.Add(1)
 	}
-}
-
-// ServerStats is the /statsz payload: lifetime request counters, cache
-// effectiveness, and dataset identity.
-type ServerStats struct {
-	Dataset       string           `json:"dataset"`
-	Format        string           `json:"format"`
-	Samples       int              `json:"samples"`
-	Blocks        int              `json:"blocks"`
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	InFlight      int64            `json:"in_flight"`
-	Requests      map[string]int64 `json:"requests"`
-	Errors        int64            `json:"errors"`
-	BlocksPruned  int64            `json:"blocks_pruned"`
-	BlocksDecoded int64            `json:"blocks_decoded"`
-	Cache         CacheStats       `json:"cache"`
-
-	// Live-dataset counters; all zero for single-file and CSV datasets.
-	Segments           int    `json:"segments"`
-	Generation         uint64 `json:"generation"`
-	Compactions        uint64 `json:"compactions"`
-	Refreshes          int64  `json:"refreshes"`
-	BlockInvalidations int64  `json:"block_invalidations"`
-}
-
-// Stats returns a snapshot of the server's lifetime counters.
-func (s *Server) Stats() ServerStats {
-	reqs := make(map[string]int64, opCount)
-	for op, name := range opNames {
-		reqs[name] = s.requests[op].Load()
-	}
-	return ServerStats{
-		Dataset:       s.ds.Path(),
-		Format:        string(s.ds.Format()),
-		Samples:       s.ds.Len(),
-		Blocks:        s.ds.Blocks(),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		InFlight:      s.inFlight.Load(),
-		Requests:      reqs,
-		Errors:        s.errors.Load(),
-		BlocksPruned:  s.pruned.Load(),
-		BlocksDecoded: s.decoded.Load(),
-		Cache:         s.ds.CacheStats(),
-
-		Segments:           s.ds.Segments(),
-		Generation:         s.ds.Generation(),
-		Compactions:        s.ds.Compactions(),
-		Refreshes:          s.ds.Refreshes(),
-		BlockInvalidations: s.ds.BlockInvalidations(),
-	}
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, r, s.Stats())
 }
 
 // writeJSON answers with v as JSON. The body is encoded whole before the

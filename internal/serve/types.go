@@ -7,8 +7,8 @@ import (
 
 	"vita/internal/colstore"
 	"vita/internal/geom"
+	"vita/internal/model"
 	"vita/internal/obs"
-	"vita/internal/query"
 	"vita/internal/trajectory"
 )
 
@@ -98,12 +98,20 @@ type KNNRequest struct {
 	Trace bool       `json:"-"`
 }
 
+// Neighbor is one kNN result: an object, its (possibly interpolated) location
+// at the query instant, and its distance to the query point.
+type Neighbor struct {
+	ObjID int
+	Loc   model.Location
+	Dist  float64
+}
+
 // KNNResponse carries the neighbors, nearest first.
 type KNNResponse struct {
-	Query     KNNRequest       `json:"query"`
-	Neighbors []query.Neighbor `json:"neighbors"`
-	Stats     Stats            `json:"stats"`
-	Trace     *obs.Span        `json:"trace,omitempty"`
+	Query     KNNRequest `json:"query"`
+	Neighbors []Neighbor `json:"neighbors"`
+	Stats     Stats      `json:"stats"`
+	Trace     *obs.Span  `json:"trace,omitempty"`
 }
 
 // WriteText renders the response exactly as `vitaquery knn` prints it.

@@ -13,7 +13,10 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -30,44 +33,36 @@ import (
 // the generation pipeline makes one call per simulated object) and is safe
 // for concurrent appends.
 //
-// Invariant: every read path (Series, All, AllSeries, Scan, and the stream
-// aggregates built on them) requires each object's series to be
-// time-sorted. Series appended in time order — what the movement engine
-// produces — keep the invariant for free; an out-of-order sample is detected
-// while appending and flags the object so the next read repairs its series
-// with one stable sort. Readers therefore never observe unsorted data, and
-// the common in-order case never pays for sorting.
+// Invariant: outside AppendSeries every object's series is time-sorted.
+// Series appended in time order — what the movement engine produces — keep
+// the invariant for free; an append that breaks time order sorts the
+// object's series before it returns, so no read path ever sorts.
 type TrajectoryStore struct {
 	mu    sync.RWMutex
 	byObj map[int][]trajectory.Sample
-	// lastT tracks each object's newest timestamp; dirty marks objects whose
-	// appends violated time order and whose series must be sorted on read.
-	lastT map[int]float64
-	dirty map[int]bool
 	count int
 }
 
 // NewTrajectoryStore returns an empty store.
 func NewTrajectoryStore() *TrajectoryStore {
-	return &TrajectoryStore{
-		byObj: make(map[int][]trajectory.Sample),
-		lastT: make(map[int]float64),
-		dirty: make(map[int]bool),
-	}
+	return &TrajectoryStore{byObj: make(map[int][]trajectory.Sample)}
 }
 
+// byTime orders samples by timestamp.
+func byTime(a, b trajectory.Sample) int { return cmp.Compare(a.T, b.T) }
+
 // AppendSeries adds the samples of one object (every sample must carry the
-// same ObjID), in the order given, with one lock and three map operations
-// per call.
+// same ObjID) with one lock and one map update per call. When the samples do
+// not continue the object's series in time order, the series is stable-sorted
+// by time under the lock, so samples with equal timestamps keep the order
+// they were appended in.
 //
 // Ownership: when the object has no samples yet and series is time-ordered,
 // the store keeps series itself rather than a copy — the caller must not
 // modify it afterwards, but may go on reading it. The store never writes
 // into a kept slice: it is clipped, so a later append to the object
-// reallocates, and a series that is out of order is copied, so its repair
-// sorts the store's own memory. An out-of-order sample (earlier than the
-// object's newest one so far) flags the object exactly as appending its
-// samples one by one would.
+// reallocates, and a series that is out of order is copied before it is
+// sorted.
 func (s *TrajectoryStore) AppendSeries(series []trajectory.Sample) {
 	if len(series) == 0 {
 		return
@@ -75,33 +70,18 @@ func (s *TrajectoryStore) AppendSeries(series []trajectory.Sample) {
 	id := series[0].ObjID
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	last, seen := s.lastT[id]
-	dirty := false
-	for i, sm := range series {
-		if (!seen && i == 0) || sm.T >= last {
-			last = sm.T
-		} else {
-			dirty = true
+	cur, seen := s.byObj[id]
+	ordered := (len(cur) == 0 || cur[len(cur)-1].T <= series[0].T) && slices.IsSortedFunc(series, byTime)
+	if seen || !ordered {
+		cur = append(cur, series...)
+		if !ordered {
+			slices.SortStableFunc(cur, byTime)
 		}
-	}
-	s.lastT[id] = last
-	if dirty {
-		s.dirty[id] = true
-	}
-	if cur, ok := s.byObj[id]; ok || dirty {
-		s.byObj[id] = append(cur, series...)
 	} else {
-		s.byObj[id] = series[:len(series):len(series)]
+		cur = series[:len(series):len(series)]
 	}
+	s.byObj[id] = cur
 	s.count += len(series)
-}
-
-// Unsorted returns how many objects currently hold out-of-order series —
-// diagnostics for the time-sorted invariant above (0 for pipeline output).
-func (s *TrajectoryStore) Unsorted() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.dirty)
 }
 
 // Len returns the number of stored samples.
@@ -115,62 +95,25 @@ func (s *TrajectoryStore) Len() int {
 func (s *TrajectoryStore) Objects() []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]int, 0, len(s.byObj))
-	for id := range s.byObj {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	return slices.Sorted(maps.Keys(s.byObj))
 }
 
-// Series returns the time-ordered samples of one object. Series stored in
-// time order (the pipeline's guarantee) are returned as a plain copy; a
-// series flagged by an out-of-order Append is repaired in place with one
-// stable sort and unflagged, so only the first read after a violation pays
-// for sorting.
+// Series returns a copy of the time-ordered samples of one object.
 func (s *TrajectoryStore) Series(objID int) []trajectory.Sample {
 	s.mu.RLock()
-	if !s.dirty[objID] {
-		src := s.byObj[objID]
-		out := make([]trajectory.Sample, len(src))
-		copy(out, src)
-		s.mu.RUnlock()
-		return out
-	}
-	s.mu.RUnlock()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	src := s.repairLocked(objID)
-	out := make([]trajectory.Sample, len(src))
-	copy(out, src)
-	return out
-}
-
-// repairLocked returns the object's series after sorting it if it is
-// flagged (re-checked under the write lock: another reader may have
-// repaired it already). Caller holds s.mu for writing.
-func (s *TrajectoryStore) repairLocked(objID int) []trajectory.Sample {
-	src := s.byObj[objID]
-	if s.dirty[objID] {
-		sort.SliceStable(src, func(i, j int) bool { return src[i].T < src[j].T })
-		s.lastT[objID] = src[len(src)-1].T
-		delete(s.dirty, objID)
-	}
-	return src
+	defer s.mu.RUnlock()
+	return slices.Clone(s.byObj[objID])
 }
 
 // AllSeries returns every object's time-ordered series in ascending object
-// ID, repairing flagged series first. The slices are the store's own, not
-// copies: the caller must not modify them, and a slice stays valid until the
-// next append to its object.
+// ID. The slices are the store's own, not copies: the caller must not modify
+// them, and a slice stays valid until the next append to its object.
 func (s *TrajectoryStore) AllSeries() [][]trajectory.Sample {
-	ids := s.Objects()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][]trajectory.Sample, len(ids))
-	for i, id := range ids {
-		out[i] = s.repairLocked(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([][]trajectory.Sample, 0, len(s.byObj))
+	for _, id := range slices.Sorted(maps.Keys(s.byObj)) {
+		out = append(out, s.byObj[id])
 	}
 	return out
 }
@@ -272,31 +215,6 @@ func (s *RSSIStore) All() []rssi.Measurement {
 		}
 		return out[i].DeviceID < out[j].DeviceID
 	})
-	return out
-}
-
-// ByObject returns the measurements of one object in time order.
-func (s *RSSIStore) ByObject(objID int) []rssi.Measurement {
-	var out []rssi.Measurement
-	for _, m := range s.All() {
-		if m.ObjID == objID {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// ByDevice returns the measurements observed by one device in time order.
-func (s *RSSIStore) ByDevice(devID string) []rssi.Measurement {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []rssi.Measurement
-	for _, m := range s.all {
-		if m.DeviceID == devID {
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
 	return out
 }
 
@@ -409,17 +327,6 @@ func (s *EstimateStore) All() []positioning.Estimate {
 	return out
 }
 
-// ByObject returns one object's estimates in time order.
-func (s *EstimateStore) ByObject(objID int) []positioning.Estimate {
-	var out []positioning.Estimate
-	for _, e := range s.All() {
-		if e.ObjID == objID {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // ProximityStore keeps proximity records.
 type ProximityStore struct {
 	mu  sync.RWMutex
@@ -458,21 +365,5 @@ func (s *ProximityStore) All() []positioning.ProximityRecord {
 		}
 		return out[i].TS < out[j].TS
 	})
-	return out
-}
-
-// CollocatedWith returns the objects detected by the device during [t0, t1].
-func (s *ProximityStore) CollocatedWith(devID string, t0, t1 float64) []int {
-	seen := make(map[int]bool)
-	for _, r := range s.All() {
-		if r.DeviceID == devID && r.TS <= t1 && r.TE >= t0 {
-			seen[r.ObjID] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Ints(out)
 	return out
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"reflect"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -14,29 +15,25 @@ import (
 )
 
 // Append is the per-sample fill the pipeline used before series were handed
-// over per object: one lock and three map operations per sample, off the
-// merge collector's time-ordered stream. It is kept as the oracle
-// AppendSeries must reproduce, and as the tests' shorthand for a
-// one-sample append.
+// over per object, kept as the oracle AppendSeries must reproduce and as the
+// tests' shorthand for a one-sample append: it inserts the sample after
+// every sample of its object at or before its instant, so each series stays
+// time-sorted with equal instants in append order.
 func (s *TrajectoryStore) Append(sm trajectory.Sample) {
 	s.mu.Lock()
-	if last, ok := s.lastT[sm.ObjID]; !ok || sm.T >= last {
-		s.lastT[sm.ObjID] = sm.T
-	} else {
-		s.dirty[sm.ObjID] = true
-	}
-	s.byObj[sm.ObjID] = append(s.byObj[sm.ObjID], sm)
+	ser := s.byObj[sm.ObjID]
+	i := sort.Search(len(ser), func(i int) bool { return ser[i].T > sm.T })
+	s.byObj[sm.ObjID] = slices.Insert(ser, i, sm)
 	s.count++
 	s.mu.Unlock()
 }
 
-// sameStore fails unless two stores hold the same series and the same
-// bookkeeping (newest timestamps, repair flags, count).
+// sameStore fails unless two stores hold the same series and count, and
+// every series reads back time-sorted.
 func sameStore(t *testing.T, where string, got, want *TrajectoryStore) {
 	t.Helper()
-	if got.count != want.count || !reflect.DeepEqual(got.lastT, want.lastT) || !reflect.DeepEqual(got.dirty, want.dirty) {
-		t.Fatalf("%s: count/lastT/dirty %d/%v/%v, per-sample fill %d/%v/%v",
-			where, got.count, got.lastT, got.dirty, want.count, want.lastT, want.dirty)
+	if got.count != want.count {
+		t.Fatalf("%s: count %d, per-sample fill %d", where, got.count, want.count)
 	}
 	if len(got.byObj) != len(want.byObj) {
 		t.Fatalf("%s: %d objects, per-sample fill %d", where, len(got.byObj), len(want.byObj))
@@ -46,12 +43,17 @@ func sameStore(t *testing.T, where string, got, want *TrajectoryStore) {
 			t.Fatalf("%s: object %d series differs from the per-sample fill", where, id)
 		}
 	}
+	for _, ser := range got.AllSeries() {
+		if !slices.IsSortedFunc(ser, byTime) {
+			t.Fatalf("%s: object %d reads back out of time order", where, ser[0].ObjID)
+		}
+	}
 }
 
 // TestAppendSeriesMatchesPerSample: series appended whole leave the store
 // exactly as appending their samples one by one does, for in-order series,
-// series continuing an object, out-of-order series and empty ones; and the
-// store never writes into a series it kept.
+// series continuing an object, out-of-order series and empty ones; reads
+// come back sorted; and the store never writes into a series it kept.
 func TestAppendSeriesMatchesPerSample(t *testing.T) {
 	batches := [][]trajectory.Sample{
 		{sample(1, 0, 0, 0, 0), sample(1, 0, 1, 0, 1), sample(1, 0, 2, 0, 2)},
@@ -72,12 +74,9 @@ func TestAppendSeriesMatchesPerSample(t *testing.T) {
 		}
 	}
 	sameStore(t, "batches", got, want)
-	if got.Unsorted() != 2 {
-		t.Errorf("Unsorted = %d, want 2 (objects 2 and 3)", got.Unsorted())
-	}
 	for _, id := range got.Objects() {
-		if !slices.Equal(got.Series(id), want.Series(id)) {
-			t.Errorf("object %d: repaired series differ", id)
+		if ser := got.Series(id); !slices.Equal(ser, want.Series(id)) || !slices.IsSortedFunc(ser, byTime) {
+			t.Errorf("object %d: Series differs or is out of time order", id)
 		}
 	}
 	if !reflect.DeepEqual(got.AllSeries(), want.AllSeries()) {

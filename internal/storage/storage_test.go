@@ -105,11 +105,8 @@ func TestRSSIStore(t *testing.T) {
 	if all[0].ObjID != 1 || all[0].T != 1 {
 		t.Errorf("All ordering: %+v", all[0])
 	}
-	if got := s.ByObject(1); len(got) != 2 {
-		t.Errorf("ByObject = %d", len(got))
-	}
-	if got := s.ByDevice("b"); len(got) != 2 || got[0].T > got[1].T {
-		t.Errorf("ByDevice = %+v", got)
+	if all[1].DeviceID != "a" || all[2].ObjID != 2 {
+		t.Errorf("All ordering: %+v", all)
 	}
 }
 
@@ -160,9 +157,6 @@ func TestEstimateStore(t *testing.T) {
 	if all[0].ObjID != 1 || all[0].T != 1 || all[2].ObjID != 2 {
 		t.Errorf("ordering: %+v", all)
 	}
-	if got := s.ByObject(1); len(got) != 2 {
-		t.Errorf("ByObject = %d", len(got))
-	}
 }
 
 func TestProximityStore(t *testing.T) {
@@ -175,12 +169,9 @@ func TestProximityStore(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	got := s.CollocatedWith("d1", 4, 12)
-	if len(got) != 2 {
-		t.Errorf("CollocatedWith = %v", got)
-	}
-	if got := s.CollocatedWith("d1", 6, 9); len(got) != 0 {
-		t.Errorf("out-of-window collocation: %v", got)
+	all := s.All()
+	if all[0].DeviceID != "d1" || all[1].DeviceID != "d2" || all[2].ObjID != 2 {
+		t.Errorf("ordering: %+v", all)
 	}
 }
 

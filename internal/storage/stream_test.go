@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"vita/internal/geom"
@@ -109,29 +111,25 @@ func TestDeviceLoad(t *testing.T) {
 }
 
 // TestAggregatesToleratOutOfOrderAppends is the regression test for the
-// time-sorted invariant: appending samples out of time order must flag the
-// series, and every aggregate must still compute as if the samples had
-// arrived sorted.
+// time-sorted invariant: samples appended out of time order must read back
+// sorted, and every aggregate must compute as if they had arrived sorted.
 func TestAggregatesTolerateOutOfOrderAppends(t *testing.T) {
 	sorted := streamStore()
 
 	shuffled := NewTrajectoryStore()
 	// Same samples as streamStore, object 1 appended in reversed time order.
 	for t := 20.0; t >= 15; t -= 5 {
-		shuffled.Append(sampleIn(1, "B", t))
+		shuffled.AppendSeries([]trajectory.Sample{sampleIn(1, "B", t)})
 	}
 	for t := 10.0; t >= 0; t -= 5 {
-		shuffled.Append(sampleIn(1, "A", t))
+		shuffled.AppendSeries([]trajectory.Sample{sampleIn(1, "A", t)})
 	}
 	for t := 0.0; t <= 20; t += 5 {
-		shuffled.Append(sampleIn(2, "A.2", t))
+		shuffled.AppendSeries([]trajectory.Sample{sampleIn(2, "A.2", t)})
 	}
 
-	if shuffled.Unsorted() != 1 {
-		t.Fatalf("Unsorted() = %d, want 1 (object 1 out of order)", shuffled.Unsorted())
-	}
-	if sorted.Unsorted() != 0 {
-		t.Fatalf("in-order store flagged %d unsorted objects", sorted.Unsorted())
+	if !reflect.DeepEqual(shuffled.AllSeries(), sorted.AllSeries()) {
+		t.Fatal("out-of-order appends read back differently from in-order ones")
 	}
 
 	a, b := DwellTimes(sorted), DwellTimes(shuffled)
@@ -157,14 +155,11 @@ func TestAggregatesTolerateOutOfOrderAppends(t *testing.T) {
 }
 
 // TestSeriesFastPathPreservesOrder pins the fast path: in-order appends are
-// returned exactly as inserted, without a repair sort.
+// returned exactly as inserted.
 func TestSeriesFastPathPreservesOrder(t *testing.T) {
 	s := NewTrajectoryStore()
 	for i := 0; i <= 10; i++ {
-		s.Append(sampleIn(3, "A", float64(i)))
-	}
-	if s.Unsorted() != 0 {
-		t.Fatalf("in-order appends flagged dirty")
+		s.AppendSeries([]trajectory.Sample{sampleIn(3, "A", float64(i))})
 	}
 	series := s.Series(3)
 	if len(series) != 11 {
@@ -177,31 +172,29 @@ func TestSeriesFastPathPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestSeriesRepairPersists pins that the repair sort runs once: the first
-// read of a flagged series fixes it in place and clears the flag.
+// TestSeriesRepairPersists pins that out-of-order appends are sorted in at
+// append time: every read, including the first, sees the series sorted, and
+// an in-order append after them lands last.
 func TestSeriesRepairPersists(t *testing.T) {
 	s := NewTrajectoryStore()
-	s.Append(sampleIn(1, "A", 10))
-	s.Append(sampleIn(1, "A", 5)) // out of order
-	s.Append(sampleIn(1, "A", 7)) // still out of order vs lastT=10
-	if s.Unsorted() != 1 {
-		t.Fatalf("Unsorted() = %d, want 1", s.Unsorted())
+	for _, at := range []float64{10, 5, 7} { // 5 and 7 arrive out of order
+		s.AppendSeries([]trajectory.Sample{sampleIn(1, "A", at)})
 	}
-	series := s.Series(1)
-	for i := 1; i < len(series); i++ {
-		if series[i].T < series[i-1].T {
-			t.Fatalf("Series not sorted: %v after %v", series[i].T, series[i-1].T)
+	for read := 0; read < 2; read++ {
+		if got := times(s.Series(1)); !slices.Equal(got, []float64{5, 7, 10}) {
+			t.Fatalf("read %d: Series times %v, want [5 7 10]", read, got)
 		}
 	}
-	if s.Unsorted() != 0 {
-		t.Errorf("repair not persisted: Unsorted() = %d after read", s.Unsorted())
+	s.AppendSeries([]trajectory.Sample{sampleIn(1, "A", 12)})
+	if got := times(s.Series(1)); !slices.Equal(got, []float64{5, 7, 10, 12}) {
+		t.Errorf("Series times %v after an in-order append, want [5 7 10 12]", got)
 	}
-	// In-order appends after the repair must not re-flag the series.
-	s.Append(sampleIn(1, "A", 12))
-	if s.Unsorted() != 0 {
-		t.Errorf("in-order append after repair re-flagged the series")
+}
+
+func times(series []trajectory.Sample) []float64 {
+	out := make([]float64, len(series))
+	for i, s := range series {
+		out[i] = s.T
 	}
-	if got := s.Series(1); got[len(got)-1].T != 12 {
-		t.Errorf("last sample T = %v, want 12", got[len(got)-1].T)
-	}
+	return out
 }

@@ -16,8 +16,8 @@ import (
 // interpolating across them.
 //
 // This is the one copy of the arithmetic behind every instant query — the
-// in-memory index (internal/query) and the served plans (internal/plan's
-// SnapshotAt) both call it, so their answers agree to the last bit.
+// served plans (internal/plan's SnapshotAt) and the brute-force oracle that
+// checks them both call it, so their answers agree to the last bit.
 func InterpolateAt(prev, next *Sample, t, maxGap float64) (model.Location, bool) {
 	switch {
 	case prev == nil && next == nil:

@@ -1,12 +1,6 @@
 package vita
 
-import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestGenerateDefault exercises the public API end to end.
 func TestGenerateDefault(t *testing.T) {
@@ -32,52 +26,9 @@ func TestGenerateDefault(t *testing.T) {
 	}
 }
 
-// TestIFCAccessors verifies the exported DBI texts parse back through the
-// pipeline when written to a file source.
-func TestIFCAccessors(t *testing.T) {
-	for name, text := range map[string]string{
-		"office": OfficeIFC(),
-		"mall":   MallIFC(),
-		"clinic": ClinicIFC(),
-	} {
-		if !strings.HasPrefix(text, "ISO-10303-21;") {
-			t.Errorf("%s: not a STEP file", name)
-		}
-		if !strings.Contains(text, "IFCSPACE") {
-			t.Errorf("%s: no spaces", name)
-		}
-	}
-}
-
-// TestLoadConfigPublic round-trips a config through the public loader.
-func TestLoadConfigPublic(t *testing.T) {
-	js := `{"seed": 3, "building": {"source": "synthetic:clinic"},
-	        "trajectory": {"duration": 30},
-	        "objects": {"count": 3, "min_lifespan": 20, "max_lifespan": 30, "max_speed": 1.0},
-	        "devices": [{"floor": 0, "model": "check-point", "type": "rfid"}],
-	        "positioning": {"method": "proximity"}}`
-	cfg, err := LoadConfig(strings.NewReader(js))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Proximity.Len() == 0 {
-		t.Fatal("no proximity records from loaded config")
-	}
-	var buf bytes.Buffer
-	if err := WriteProximityCSV(&buf, ds.Proximity.All()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "o_id,d_id,ts,te") {
-		t.Errorf("unexpected CSV header: %q", buf.String()[:40])
-	}
-}
-
-// TestQueryEngine drives the public query API end to end: generate a
-// dataset, persist it to CSV, load it back, and answer each query type.
+// TestQueryEngine drives the public query surface end to end: stream a run
+// into a VTB directory, open it as a QueryDataset, answer each operator, and
+// replay the samples through a standing query.
 func TestQueryEngine(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 7
@@ -85,101 +36,6 @@ func TestQueryEngine(t *testing.T) {
 	cfg.Objects.Count = 10
 	cfg.Objects.MinLifespan = 100
 	cfg.Objects.MaxLifespan = 120
-	ds, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Round-trip through CSV, as cmd/vitaquery does.
-	var buf bytes.Buffer
-	if err := WriteTrajectoryCSV(&buf, ds.Trajectories.All()); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := ReadTrajectoryCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != ds.Trajectories.Len() {
-		t.Fatalf("CSV round trip lost samples: %d vs %d", len(samples), ds.Trajectories.Len())
-	}
-
-	ix := NewTrajectoryIndex(samples, DefaultQueryOptions())
-	t0, t1, ok := ix.TimeSpan()
-	if !ok || t1 <= t0 {
-		t.Fatalf("TimeSpan = [%v, %v] ok=%v", t0, t1, ok)
-	}
-	bounds := ds.Building.Floors[0].BBox()
-	if hits := ix.Range(0, bounds, t0, t1); len(hits) == 0 {
-		t.Fatal("full-floor range query empty")
-	}
-	mid := (t0 + t1) / 2
-	if nn := ix.KNN(0, bounds.Center(), mid, 3); len(nn) == 0 {
-		t.Fatal("kNN query empty")
-	}
-	if dens := ix.Density(mid); len(dens) == 0 {
-		t.Fatal("density query empty")
-	}
-	objs := ix.Objects()
-	if len(objs) == 0 {
-		t.Fatal("no indexed objects")
-	}
-	if ser := ix.ObjectTrajectory(objs[0], t0, t1); len(ser) == 0 {
-		t.Fatal("object trajectory empty")
-	}
-
-	// Standing query over the replayed stream.
-	eng := NewContinuousEngine()
-	var events int
-	eng.Subscribe(-1, bounds, func(e QueryEvent) {
-		if e.Kind == QueryEnter {
-			events++
-		}
-	})
-	for _, s := range samples {
-		eng.Feed(s)
-	}
-	if events == 0 {
-		t.Fatal("continuous query saw no enters")
-	}
-}
-
-// TestCSVExports verifies the public CSV writers emit the paper's formats.
-func TestCSVExports(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Trajectory.Duration = 30
-	cfg.Objects.Count = 3
-	cfg.Objects.MinLifespan = 20
-	cfg.Objects.MaxLifespan = 30
-	ds, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTrajectoryCSV(&buf, ds.Trajectories.All()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "o_id,building,floor,partition,x,y,t") {
-		t.Error("trajectory CSV header mismatch")
-	}
-	buf.Reset()
-	if err := WriteEstimateCSV(&buf, ds.Estimates.All()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "o_id,building,floor,partition,x,y,t") {
-		t.Error("estimate CSV header mismatch")
-	}
-}
-
-// TestVTBExports exercises the public columnar-store surface: GenerateTo
-// streaming into a DirSink, format detection, whole-file reads, and a
-// predicate-pushdown scan.
-func TestVTBExports(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Trajectory.Duration = 30
-	cfg.Objects.Count = 3
-	cfg.Objects.MinLifespan = 20
-	cfg.Objects.MaxLifespan = 30
-	cfg.Positioning = PositioningConfig{}
 
 	dir := t.TempDir()
 	sink, err := NewDirSink(dir, StorageVTB)
@@ -193,108 +49,48 @@ func TestVTBExports(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	path := filepath.Join(dir, "trajectory.vtb")
-	if f, err := DetectStorageFormat(path); err != nil || f != StorageVTB {
-		t.Fatalf("DetectStorageFormat = %v, %v", f, err)
-	}
-	samples, format, err := ReadTrajectoryFile(path)
+	qd, err := OpenQueryDataset(dir, QueryServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if format != StorageVTB || len(samples) != ds.Trajectories.Len() {
-		t.Fatalf("read %d samples as %s, want %d as vtb", len(samples), format, ds.Trajectories.Len())
-	}
+	defer qd.Close()
 
-	matched := 0
-	stats, _, err := ScanTrajectoryFile(path, ScanPredicate{HasTime: true, T0: 10, T1: 20},
-		func(s Sample) {
-			matched++
-			if s.T < 10 || s.T > 20 {
-				t.Fatalf("scan leaked sample at t=%g", s.T)
-			}
-		})
+	info, err := qd.Info(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if matched == 0 || stats.RowsMatched != matched {
-		t.Fatalf("scan matched %d rows, stats %+v", matched, stats)
+	if info.Samples != ds.Trajectories.Len() || info.T1 <= info.T0 {
+		t.Fatalf("info = %d samples over [%v, %v], want %d", info.Samples, info.T0, info.T1, ds.Trajectories.Len())
+	}
+	bounds := ds.Building.Floors[0].BBox()
+	mid := (info.T0 + info.T1) / 2
+	if r, err := qd.Range(RangeRequest{Floor: 0, Box: bounds, T0: info.T0, T1: info.T1}); err != nil || len(r.Hits) == 0 {
+		t.Fatalf("full-floor range query empty (%v)", err)
+	}
+	if r, err := qd.KNN(KNNRequest{Floor: 0, At: bounds.Center(), T: mid, K: 3}); err != nil || len(r.Neighbors) == 0 {
+		t.Fatalf("kNN query empty (%v)", err)
+	}
+	if r, err := qd.Density(DensityRequest{T: mid}); err != nil || len(r.Counts) == 0 {
+		t.Fatalf("density query empty (%v)", err)
+	}
+	obj := ds.Trajectories.Objects()[0]
+	if r, err := qd.Traj(TrajRequest{Obj: obj, T0: info.T0, T1: info.T1}); err != nil || len(r.Samples) != len(ds.Trajectories.Series(obj)) {
+		t.Fatalf("object %d trajectory differs from the run's series (%v)", obj, err)
+	}
+	if r, err := qd.Dwell(DwellRequest{Floor: -1, T0: info.T0, T1: info.T1}); err != nil || len(r.Rooms) == 0 {
+		t.Fatalf("dwell query empty (%v)", err)
 	}
 
-	// The same samples written via the io.Writer wrapper must detect as VTB
-	// and decode identically.
-	var buf bytes.Buffer
-	if err := WriteTrajectoryVTB(&buf, samples); err != nil {
-		t.Fatal(err)
-	}
-	rewritten := filepath.Join(dir, "rewritten.vtb")
-	if err := os.WriteFile(rewritten, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	again, _, err := ReadTrajectoryFile(rewritten)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != len(samples) {
-		t.Fatalf("rewritten file has %d samples, want %d", len(again), len(samples))
-	}
-	for i := range again {
-		if again[i] != samples[i] {
-			t.Fatalf("sample %d changed across VTB rewrite", i)
+	// Standing query over the replayed stream.
+	eng := NewContinuousEngine()
+	var events int
+	eng.Subscribe(-1, bounds, func(e QueryEvent) {
+		if e.Kind == QueryEnter {
+			events++
 		}
-	}
-}
-
-func TestTrajectoryCursorExport(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Trajectory.Duration = 30
-	cfg.Objects.Count = 3
-	cfg.Objects.MinLifespan = 20
-	cfg.Objects.MaxLifespan = 30
-	cfg.Positioning = PositioningConfig{}
-
-	dir := t.TempDir()
-	sink, err := NewDirSink(dir, StorageVTB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := GenerateTo(cfg, sink); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(dir, "trajectory.vtb")
-	pred := ScanPredicate{HasTime: true, T0: 5, T1: 25}
-	var want []Sample
-	wantStats, _, err := ScanTrajectoryFile(path, pred, func(s Sample) { want = append(want, s) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, format, err := OpenTrajectoryCursor(path, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if format != StorageVTB {
-		t.Fatalf("cursor format = %s, want vtb", format)
-	}
-	var got []Sample
-	for cur.Next() {
-		got = cur.Batch().AppendTo(got)
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if cur.Stats() != wantStats {
-		t.Fatalf("cursor stats %+v, scan stats %+v", cur.Stats(), wantStats)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("cursor yielded %d rows, scan %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row %d differs", i)
-		}
+	})
+	eng.FeedAll(ds.Trajectories.All())
+	if events == 0 {
+		t.Fatal("continuous query saw no enters")
 	}
 }
