@@ -114,21 +114,17 @@ func run() error {
 			return err
 		}
 	}
-	var sink interface {
-		core.Sink
-		Discard() error
-	}
-	var segSink *core.SegmentedDirSink
+	var sink *core.DirSink
 	if segmented {
-		if segSink, err = core.NewSegmentedDirSink(*outDir, seglog.WriterOptions{
+		sink, err = core.NewSegmentedDirSink(*outDir, seglog.WriterOptions{
 			MaxSegmentBytes: int64(*segMB * (1 << 20)),
 			MaxSegmentRows:  *segRows,
 			Block:           block,
-		}); err != nil {
-			return err
-		}
-		sink = segSink
-	} else if sink, err = core.NewDirSinkOptions(*outDir, format, block); err != nil {
+		})
+	} else {
+		sink, err = core.NewDirSinkOptions(*outDir, format, block)
+	}
+	if err != nil {
 		return err
 	}
 	ds, err := p.RunTo(sink)
@@ -167,8 +163,9 @@ func run() error {
 	}
 
 	if segmented {
+		trajSegs, rssiSegs := sink.Segments()
 		fmt.Printf("wrote %d trajectory + %d rssi segments to %s\n",
-			segSink.TrajectorySegments(), segSink.RSSISegments(), filepath.Join(*outDir, "seglog"))
+			trajSegs, rssiSegs, filepath.Join(*outDir, "seglog"))
 	} else {
 		for _, name := range []string{"trajectory" + format.Ext(), "rssi" + format.Ext()} {
 			if st, err := os.Stat(filepath.Join(*outDir, name)); err == nil {

@@ -84,7 +84,7 @@ func run() (int, error) {
 		return 1, err
 	}
 
-	var q load.Querier
+	var q serve.Querier
 	var metricsURL string
 	if *server != "" {
 		// The transport must not be the throughput ceiling: allow one warm

@@ -12,24 +12,22 @@
 //	vitaquery -data out watch -floor 0 -box 0,0,20,15
 //	vitaquery -data out info
 //
-// With a VTB file the query predicate is pushed into the load: each
-// subcommand derives the block predicate its operator allows (range prunes
-// by window+floor+box, traj by object+window, dwell by window+floor,
-// knn/density by the window widened by -maxgap so interpolation still sees
-// its bracketing samples) and the scan skips every block whose zone map
-// rules it out. The file is memory-mapped by default (-mmap=false falls back
-// to plain reads) and the surviving blocks stream, a small window at a time,
-// through a column-batch cursor straight into the plan's operators, so peak
-// memory beyond what the operators buffer is one decoded window per segment
-// — the stderr stats line reports how many blocks were read and the most
-// bytes one window decoded. A CSV file is read whole and re-encoded as
-// in-memory blocks once, at open, then queried the same way.
+// Locally, each operator's plan pushes its predicate into the scan (range
+// prunes by window+floor+box, traj by object+window, dwell by window+floor,
+// knn/density by the window widened by -maxgap), so zone maps skip blocks
+// before anything is decoded. VTB files are memory-mapped (-mmap=false reads
+// them instead) and stream a small window of blocks at a time; the stderr
+// line reports the blocks read and the most bytes one window decoded. A CSV
+// file is re-encoded as in-memory blocks once, at open.
 //
-// With -server URL the same operators are sent to a running vitaserve
-// daemon instead of touching local files; execution and formatting go
-// through the exact same internal/serve pipeline, so the output is
-// byte-identical to local execution (watch excepted — it needs the raw
-// sample stream and stays local-only).
+// Every subcommand but watch is an operator of serve.Operators, run the same
+// way locally and with -server URL (a running vitaserve daemon): its flags
+// are the operator's own parameter declaration, every flag becomes a query
+// parameter for the server's decoder (-t0 NaN is refused with the server's
+// message), and the request runs on a serve.Querier — the opened dataset or
+// a serve.Client — so the output is byte-identical. -maxgap and -mmap shape
+// local execution only and are refused with -server; watch needs the raw
+// sample stream and stays local-only.
 //
 // -trace prints the per-operator execution trace — rows, batches, wall time,
 // and zone-map pruning per operator — on stderr, locally or against a server
@@ -47,6 +45,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"vita/internal/colstore"
 	"vita/internal/obs"
@@ -62,19 +61,6 @@ func main() {
 	}
 }
 
-// backend answers the query operators: a local serve.Dataset or a
-// serve.Client talking to a vitaserve daemon. Both return the same response
-// types rendered by the same formatters, which is what makes remote output
-// byte-identical to local output.
-type backend interface {
-	Range(serve.RangeRequest) (*serve.RangeResponse, error)
-	KNN(serve.KNNRequest) (*serve.KNNResponse, error)
-	Density(serve.DensityRequest) (*serve.DensityResponse, error)
-	Traj(serve.TrajRequest) (*serve.TrajResponse, error)
-	Dwell(serve.DwellRequest) (*serve.DwellResponse, error)
-	Info(trace bool) (*serve.InfoResponse, error)
-}
-
 func run() error {
 	dataDir := flag.String("data", "out", "directory holding vitagen output")
 	server := flag.String("server", "", "base URL of a running vitaserve daemon (empty = local execution)")
@@ -86,14 +72,29 @@ func run() error {
 	if _, err := logOpts.Setup(os.Stderr); err != nil {
 		return err
 	}
-	if flag.NArg() == 0 {
-		return fmt.Errorf("missing subcommand: range | knn | density | traj | dwell | watch | info")
+	cmd := flag.Arg(0)
+	op := serve.OperatorNamed(cmd)
+	if op == nil && cmd != "watch" {
+		var names []string
+		for _, o := range serve.Operators {
+			names = append(names, o.Name)
+		}
+		return fmt.Errorf("subcommand %q: want one of %s | watch", cmd, strings.Join(names, " | "))
 	}
 
-	var be backend
+	var q serve.Querier
 	var ds *serve.Dataset // non-nil in local mode; watch and stderr stats need it
 	if *server != "" {
-		be = &serve.Client{Base: *server}
+		var local error
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "maxgap" || f.Name == "mmap" {
+				local = fmt.Errorf("-%s applies to local execution only; the daemon at -server has its own", f.Name)
+			}
+		})
+		if local != nil {
+			return local
+		}
+		q = &serve.Client{Base: *server}
 	} else {
 		var err error
 		ds, err = serve.Open(*dataDir, serve.Config{
@@ -106,36 +107,36 @@ func run() error {
 			return err
 		}
 		defer ds.Close()
-		be = ds
+		q = ds
 	}
 
-	cmd, args := flag.Arg(0), flag.Args()[1:]
-	switch cmd {
-	case "range":
-		return runRange(be, ds, *trace, args)
-	case "knn":
-		return runKNN(be, ds, *trace, args)
-	case "density":
-		return runDensity(be, ds, *trace, args)
-	case "traj":
-		return runTraj(be, ds, *trace, args)
-	case "dwell":
-		return runDwell(be, ds, *trace, args)
-	case "watch":
+	args := flag.Args()[1:]
+	if cmd == "watch" {
 		if ds == nil {
 			return fmt.Errorf("watch needs the raw sample stream and is not supported with -server")
 		}
 		return runWatch(ds, args)
-	case "info":
-		return runInfo(be, ds, *trace)
 	}
-	return fmt.Errorf("unknown subcommand %q", cmd)
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	params := op.Flags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	resp, err := op.Run(q, params, *trace)
+	if err != nil {
+		return err
+	}
+	reportStats(ds, resp.Meta().Stats)
+	if span := resp.Meta().Trace; span != nil {
+		fmt.Fprintln(os.Stderr, "vitaquery: trace:")
+		span.WriteTree(os.Stderr)
+	}
+	return resp.WriteText(os.Stdout)
 }
 
-// reportStats mirrors the pre-daemon behavior: in local mode over a VTB
-// file, a stderr line says how effective zone-map pruning was — and how much
-// one window of the scan decoded at once, which is what makes the
-// bounded-memory claim of one-shot scans observable.
+// reportStats says on stderr, in local mode over VTB, how well zone maps
+// pruned and the most one scan window decoded — the bounded-memory claim of
+// one-shot scans, made observable.
 func reportStats(ds *serve.Dataset, st serve.Stats) {
 	if ds == nil || st.Format != "vtb" {
 		return
@@ -147,110 +148,6 @@ func reportStats(ds *serve.Dataset, st serve.Stats) {
 		line += fmt.Sprintf(", peak %.1f KiB decoded", float64(st.PeakDecodedBytes)/1024)
 	}
 	fmt.Fprintln(os.Stderr, line)
-}
-
-// reportTrace renders the per-operator span tree on stderr when -trace asked
-// for one. Stdout stays byte-identical to an untraced run: the trace is
-// diagnostics, not part of the answer.
-func reportTrace(span *obs.Span) {
-	if span == nil {
-		return
-	}
-	fmt.Fprintln(os.Stderr, "vitaquery: trace:")
-	span.WriteTree(os.Stderr)
-}
-
-func runRange(be backend, ds *serve.Dataset, trace bool, args []string) error {
-	fs := flag.NewFlagSet("range", flag.ExitOnError)
-	floor := fs.Int("floor", -1, "floor to search (-1 = all)")
-	boxStr := fs.String("box", "", "spatial box x0,y0,x1,y1 (required)")
-	t0 := fs.Float64("t0", 0, "window start (s)")
-	t1 := fs.Float64("t1", 0, "window end (s)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	box, err := serve.ParseBox(*boxStr)
-	if err != nil {
-		return err
-	}
-	resp, err := be.Range(serve.RangeRequest{Floor: *floor, Box: box, T0: *t0, T1: *t1, Trace: trace})
-	if err != nil {
-		return err
-	}
-	reportStats(ds, resp.Stats)
-	reportTrace(resp.Trace)
-	return resp.WriteText(os.Stdout)
-}
-
-func runKNN(be backend, ds *serve.Dataset, trace bool, args []string) error {
-	fs := flag.NewFlagSet("knn", flag.ExitOnError)
-	floor := fs.Int("floor", 0, "floor to search")
-	atStr := fs.String("at", "", "query point x,y (required)")
-	t := fs.Float64("t", 0, "query instant (s)")
-	k := fs.Int("k", 5, "number of neighbors")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p, err := serve.ParsePoint(*atStr)
-	if err != nil {
-		return err
-	}
-	resp, err := be.KNN(serve.KNNRequest{Floor: *floor, At: p, T: *t, K: *k, Trace: trace})
-	if err != nil {
-		return err
-	}
-	reportStats(ds, resp.Stats)
-	reportTrace(resp.Trace)
-	return resp.WriteText(os.Stdout)
-}
-
-func runDensity(be backend, ds *serve.Dataset, trace bool, args []string) error {
-	fs := flag.NewFlagSet("density", flag.ExitOnError)
-	t := fs.Float64("t", 0, "snapshot instant (s)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	resp, err := be.Density(serve.DensityRequest{T: *t, Trace: trace})
-	if err != nil {
-		return err
-	}
-	reportStats(ds, resp.Stats)
-	reportTrace(resp.Trace)
-	return resp.WriteText(os.Stdout)
-}
-
-func runTraj(be backend, ds *serve.Dataset, trace bool, args []string) error {
-	fs := flag.NewFlagSet("traj", flag.ExitOnError)
-	obj := fs.Int("obj", 0, "object ID")
-	t0 := fs.Float64("t0", 0, "window start (s)")
-	t1 := fs.Float64("t1", 1e18, "window end (s)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	resp, err := be.Traj(serve.TrajRequest{Obj: *obj, T0: *t0, T1: *t1, Trace: trace})
-	if err != nil {
-		return err
-	}
-	reportStats(ds, resp.Stats)
-	reportTrace(resp.Trace)
-	return resp.WriteText(os.Stdout)
-}
-
-func runDwell(be backend, ds *serve.Dataset, trace bool, args []string) error {
-	fs := flag.NewFlagSet("dwell", flag.ExitOnError)
-	floor := fs.Int("floor", -1, "floor to analyze (-1 = all)")
-	t0 := fs.Float64("t0", 0, "window start (s)")
-	t1 := fs.Float64("t1", 1e18, "window end (s)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	resp, err := be.Dwell(serve.DwellRequest{Floor: *floor, T0: *t0, T1: *t1, Trace: trace})
-	if err != nil {
-		return err
-	}
-	reportStats(ds, resp.Stats)
-	reportTrace(resp.Trace)
-	return resp.WriteText(os.Stdout)
 }
 
 func runWatch(ds *serve.Dataset, args []string) error {
@@ -289,14 +186,4 @@ func runWatch(ds *serve.Dataset, args []string) error {
 	eng.FeedAll(ordered)
 	fmt.Printf("%d enter/exit events; %d objects inside at end of replay\n", events, len(sub.Inside()))
 	return nil
-}
-
-func runInfo(be backend, ds *serve.Dataset, trace bool) error {
-	resp, err := be.Info(trace)
-	if err != nil {
-		return err
-	}
-	reportStats(ds, resp.Stats)
-	reportTrace(resp.Trace)
-	return resp.WriteText(os.Stdout)
 }

@@ -157,7 +157,7 @@ func run() error {
 
 	srv := serve.NewServerWith(ds, serve.ServerOptions{SlowQuery: *slowQuery})
 	if *pprofOn {
-		srv.EnablePprofWith(serve.PprofOptions{
+		srv.EnablePprof(serve.PprofOptions{
 			BlockProfileRate:     *blockRate,
 			MutexProfileFraction: *mutexFrac,
 		})

@@ -9,6 +9,7 @@ import (
 	"vita/internal/colstore"
 	"vita/internal/positioning"
 	"vita/internal/rssi"
+	"vita/internal/seglog"
 	"vita/internal/storage"
 	"vita/internal/trajectory"
 )
@@ -52,25 +53,43 @@ type recordWriter[T any] interface {
 	Close() error
 }
 
-// DirSink writes a run's data products into a directory, as
-// trajectory.<ext> and rssi.<ext> in the chosen bulk format plus
-// estimates.csv and proximity.csv (derived tables stay CSV: they are small,
-// and the text form is what the evaluation tooling consumes). Because the
-// bulk rows stream straight off the pipeline, the trajectory file carries
-// global time order (ties by object ID) — the order that makes VTB zone
-// maps maximally selective for time-window scans — while the RSSI file is
-// object-grouped, which instead makes object-ID pruning sharp.
+// DirSink writes a run's data products into a directory, in one of two
+// layouts. Flat (NewDirSink): trajectory.<ext> and rssi.<ext> in the chosen
+// bulk format. Segment log (NewSegmentedDirSink): dir/seglog/trajectory and
+// dir/seglog/rssi each hold rolling VTB segments under a manifest
+// (internal/seglog), so a query daemon can serve the dataset while
+// generation is still appending — every sealed segment is immediately
+// visible to manifest readers, and a crash costs at most the segment being
+// filled. Either way the derived tables land in dir at Close as
+// estimates.csv and proximity.csv (they are small, and the text form is
+// what the evaluation tooling consumes). Because the bulk rows stream
+// straight off the pipeline, the trajectory rows carry global time order
+// (ties by object ID) — the order that makes VTB zone maps maximally
+// selective for time-window scans — while the RSSI rows are object-grouped,
+// which instead makes object-ID pruning sharp.
 type DirSink struct {
 	dir    string
 	format storage.Format
-
-	trajFile, rssiFile *os.File
-	traj               recordWriter[trajectory.Sample]
-	rssi               recordWriter[rssi.Measurement]
+	traj   recordWriter[trajectory.Sample]
+	rssi   recordWriter[rssi.Measurement]
+	// The segment-log writers behind traj and rssi; nil for flat files.
+	trajLog *seglog.Writer[trajectory.Sample]
+	rssiLog *seglog.Writer[rssi.Measurement]
 
 	estimates []positioning.Estimate
 	proximity []positioning.ProximityRecord
 }
+
+// SegmentedDirSink is a DirSink in the segment-log layout.
+type SegmentedDirSink = DirSink
+
+// fileWriter is a flat layout's row writer: closing it closes its file.
+type fileWriter[T any] struct {
+	recordWriter[T]
+	f *os.File
+}
+
+func (w fileWriter[T]) Close() error { return errors.Join(w.recordWriter.Close(), w.f.Close()) }
 
 // NewDirSink creates dir (if needed) and opens streaming writers for the
 // bulk outputs in the given format.
@@ -91,35 +110,79 @@ func NewDirSinkOptions(dir string, format storage.Format, block colstore.Options
 		return nil, err
 	}
 	s := &DirSink{dir: dir, format: format}
-	var err error
-	if s.trajFile, err = os.Create(filepath.Join(dir, "trajectory"+format.Ext())); err != nil {
+	trajFile, err := os.Create(s.path("trajectory"))
+	if err != nil {
 		return nil, err
 	}
-	if s.rssiFile, err = os.Create(filepath.Join(dir, "rssi"+format.Ext())); err != nil {
-		s.trajFile.Close()
+	rssiFile, err := os.Create(s.path("rssi"))
+	if err != nil {
+		trajFile.Close()
 		return nil, err
 	}
+	var traj recordWriter[trajectory.Sample]
+	var rs recordWriter[rssi.Measurement]
 	if format == storage.FormatVTB {
-		s.traj = colstore.NewTrajectoryWriter(s.trajFile, block)
-		s.rssi = colstore.NewRSSIWriter(s.rssiFile, block)
+		traj = colstore.NewTrajectoryWriter(trajFile, block)
+		rs = colstore.NewRSSIWriter(rssiFile, block)
 	} else {
-		if s.traj, err = storage.NewTrajectoryCSVWriter(s.trajFile); err == nil {
-			s.rssi, err = storage.NewRSSICSVWriter(s.rssiFile)
+		if traj, err = storage.NewTrajectoryCSVWriter(trajFile); err == nil {
+			rs, err = storage.NewRSSICSVWriter(rssiFile)
 		}
 		if err != nil {
-			s.trajFile.Close()
-			s.rssiFile.Close()
+			trajFile.Close()
+			rssiFile.Close()
 			return nil, err
 		}
 	}
+	s.traj = fileWriter[trajectory.Sample]{traj, trajFile}
+	s.rssi = fileWriter[rssi.Measurement]{rs, rssiFile}
 	return s, nil
 }
 
-// Dir returns the output directory.
-func (s *DirSink) Dir() string { return s.dir }
+// TrajectoryLogDir returns the trajectory segment log directory under a
+// dataset directory — the layout contract between NewSegmentedDirSink and
+// serve.Open.
+func TrajectoryLogDir(dir string) string { return filepath.Join(dir, "seglog", "trajectory") }
 
-// Format returns the bulk output format.
-func (s *DirSink) Format() storage.Format { return s.format }
+// RSSILogDir returns the RSSI segment log directory under a dataset
+// directory.
+func RSSILogDir(dir string) string { return filepath.Join(dir, "seglog", "rssi") }
+
+// NewSegmentedDirSink creates (or resumes) the segment logs under dir and
+// opens rolling writers for the bulk outputs, which are necessarily VTB:
+// segment logs have no CSV form. opts applies to both logs — roll
+// thresholds and block encoding.
+func NewSegmentedDirSink(dir string, opts seglog.WriterOptions) (*SegmentedDirSink, error) {
+	trajLog, err := seglog.OpenOrCreate(TrajectoryLogDir(dir), colstore.KindTrajectory)
+	if err != nil {
+		return nil, err
+	}
+	rssiLog, err := seglog.OpenOrCreate(RSSILogDir(dir), colstore.KindRSSI)
+	if err != nil {
+		return nil, err
+	}
+	s := &DirSink{dir: dir, format: storage.FormatVTB}
+	if s.trajLog, err = seglog.NewTrajectoryWriter(trajLog, opts); err != nil {
+		return nil, err
+	}
+	if s.rssiLog, err = seglog.NewRSSIWriter(rssiLog, opts); err != nil {
+		s.trajLog.Abort()
+		return nil, err
+	}
+	s.traj, s.rssi = s.trajLog, s.rssiLog
+	return s, nil
+}
+
+// Segments returns how many trajectory and RSSI segments have sealed (none
+// for flat files).
+func (s *DirSink) Segments() (int, int) {
+	if s.trajLog == nil {
+		return 0, 0
+	}
+	return s.trajLog.Segments(), s.rssiLog.Segments()
+}
+
+func (s *DirSink) path(name string) string { return filepath.Join(s.dir, name+s.format.Ext()) }
 
 // Trajectory implements Sink.
 func (s *DirSink) Trajectory(sm trajectory.Sample) error { return s.traj.Write(sm) }
@@ -141,12 +204,11 @@ func (s *DirSink) Proximity(rs []positioning.ProximityRecord) error {
 	return nil
 }
 
-// Close flushes the bulk writers (for VTB this writes the footer index) and
-// materializes the derived CSV tables.
+// Close flushes the bulk writers (for VTB files this writes the footer
+// index; for segment logs it seals the final segments) and materializes
+// the derived CSV tables.
 func (s *DirSink) Close() error {
-	var errs []error
-	errs = append(errs, s.traj.Close(), s.trajFile.Close())
-	errs = append(errs, s.rssi.Close(), s.rssiFile.Close())
+	errs := []error{s.traj.Close(), s.rssi.Close()}
 	if len(s.estimates) > 0 {
 		errs = append(errs, writeFileWith(filepath.Join(s.dir, "estimates.csv"), func(f *os.File) error {
 			return storage.WriteEstimateCSV(f, s.estimates)
@@ -160,19 +222,19 @@ func (s *DirSink) Close() error {
 	return errors.Join(errs...)
 }
 
-// Discard abandons a failed run: it closes the underlying files without
-// flushing guarantees and removes the bulk outputs, so a truncated
-// trajectory/rssi file (a VTB file without its footer, say) cannot shadow
-// valid data from an earlier run. Call it instead of Close, never after.
+// Discard abandons a failed run. Flat files are closed and removed, so a
+// truncated trajectory/rssi file (a VTB file without its footer, say) cannot
+// shadow valid data from an earlier run. Segment logs drop the segments
+// being filled and keep the sealed prefix — the logs stay consistent,
+// holding exactly the data that committed before the failure. Call it
+// instead of Close, never after.
 func (s *DirSink) Discard() error {
+	if s.trajLog != nil {
+		return errors.Join(s.trajLog.Abort(), s.rssiLog.Abort())
+	}
 	s.traj.Close()
-	s.trajFile.Close()
 	s.rssi.Close()
-	s.rssiFile.Close()
-	return errors.Join(
-		os.Remove(s.trajFile.Name()),
-		os.Remove(s.rssiFile.Name()),
-	)
+	return errors.Join(os.Remove(s.path("trajectory")), os.Remove(s.path("rssi")))
 }
 
 func writeFileWith(path string, write func(*os.File) error) error {

@@ -1,9 +1,9 @@
 // Package load is the workload-replay load-testing harness behind
-// cmd/vitaload: it replays a weighted mix of the five query operators
-// (range, knn, density, traj, dwell) against any Querier — an in-process
-// serve.Dataset or a live vitaserve daemon through serve.Client — and
-// reports per-endpoint throughput, error counts, and latency quantiles from
-// log-bucketed histograms (obs.QuantileHistogram).
+// cmd/vitaload: it replays a weighted mix of serve.Operators (all but info)
+// against any serve.Querier — an in-process serve.Dataset or a live
+// vitaserve daemon through serve.Client — and reports per-endpoint
+// throughput, error counts, and latency quantiles from log-bucketed
+// histograms (obs.QuantileHistogram).
 //
 // Two driving modes:
 //
@@ -34,23 +34,6 @@ import (
 
 	"vita/internal/obs"
 	"vita/internal/serve"
-)
-
-// Querier issues the five query operators plus info. serve.Dataset
-// (in-process) and serve.Client (live daemon) both satisfy it with
-// identical semantics.
-type Querier interface {
-	Range(serve.RangeRequest) (*serve.RangeResponse, error)
-	KNN(serve.KNNRequest) (*serve.KNNResponse, error)
-	Density(serve.DensityRequest) (*serve.DensityResponse, error)
-	Traj(serve.TrajRequest) (*serve.TrajResponse, error)
-	Dwell(serve.DwellRequest) (*serve.DwellResponse, error)
-	Info(trace bool) (*serve.InfoResponse, error)
-}
-
-var (
-	_ Querier = (*serve.Dataset)(nil)
-	_ Querier = (*serve.Client)(nil)
 )
 
 // Driving modes.
@@ -141,7 +124,7 @@ type opStats struct {
 
 // runner is the shared state of one load run.
 type runner struct {
-	q       Querier
+	q       serve.Querier
 	opts    Options
 	gen     *generator
 	start   time.Time
@@ -160,7 +143,7 @@ type runner struct {
 
 // Run executes one load test and blocks until it completes (or ctx is
 // cancelled, which stops dispatch and drains in-flight requests).
-func Run(ctx context.Context, q Querier, opts Options) (*Report, error) {
+func Run(ctx context.Context, q serve.Querier, opts Options) (*Report, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -178,10 +161,10 @@ func Run(ctx context.Context, q Querier, opts Options) (*Report, error) {
 		q:       q,
 		opts:    opts,
 		gen:     gen,
-		perOp:   make(map[string]*opStats, len(opNames)),
+		perOp:   make(map[string]*opStats, len(gen.ops)),
 		overall: obs.NewLatencyHistogram(),
 	}
-	for _, op := range opNames {
+	for _, op := range gen.ops {
 		r.perOp[op] = &opStats{hist: obs.NewLatencyHistogram()}
 	}
 	if reg := opts.Registry; reg != nil {
@@ -225,7 +208,7 @@ func Run(ctx context.Context, q Querier, opts Options) (*Report, error) {
 
 // issue sends one call and records its latency from the given origin time
 // (scheduled time in open loop, send time in closed loop).
-func (r *runner) issue(op string, call func(Querier) error, origin time.Time) {
+func (r *runner) issue(op string, call func(serve.Querier) error, origin time.Time) {
 	if r.mInFlight != nil {
 		r.mInFlight.Add(1)
 		defer r.mInFlight.Add(-1)
@@ -253,7 +236,7 @@ func (r *runner) issue(op string, call func(Querier) error, origin time.Time) {
 // scheduled is one open-loop request with its scheduled send time.
 type scheduled struct {
 	op   string
-	call func(Querier) error
+	call func(serve.Querier) error
 	due  time.Time
 }
 

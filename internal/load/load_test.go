@@ -301,7 +301,7 @@ func TestOpenLoopMeasuresFromSchedule(t *testing.T) {
 
 // stallQuerier delays every operator call by a fixed amount.
 type stallQuerier struct {
-	Querier
+	serve.Querier
 	delay time.Duration
 }
 

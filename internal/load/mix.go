@@ -11,8 +11,35 @@ import (
 	"vita/internal/serve"
 )
 
-// Operator names accepted in a Mix, in canonical order.
-var opNames = []string{"range", "knn", "density", "traj", "dwell"}
+// draws holds, for every operator a Mix can weight, how the generator draws
+// one call of it. info is not one: Run calls it once, to fit the generator.
+var draws = map[string]func(*generator, *rand.Rand) func(serve.Querier) error{
+	"range":   drawn((*generator).rangeReq, serve.Querier.Range),
+	"knn":     drawn((*generator).knnReq, serve.Querier.KNN),
+	"density": drawn((*generator).densityReq, serve.Querier.Density),
+	"traj":    drawn((*generator).trajReq, serve.Querier.Traj),
+	"dwell":   drawn((*generator).dwellReq, serve.Querier.Dwell),
+}
+
+// drawn draws a request with req and issues it through the Querier method m.
+func drawn[Q, R any](req func(*generator, *rand.Rand) Q, m func(serve.Querier, Q) (R, error)) func(*generator, *rand.Rand) func(serve.Querier) error {
+	return func(g *generator, rng *rand.Rand) func(serve.Querier) error {
+		q := req(g, rng)
+		return func(c serve.Querier) error { _, err := m(c, q); return err }
+	}
+}
+
+// mixable lists the operators a Mix can weight in serve.Operators order, the
+// canonical order that keeps draws seed-stable.
+func mixable() []string {
+	var ops []string
+	for _, op := range serve.Operators {
+		if draws[op.Name] != nil {
+			ops = append(ops, op.Name)
+		}
+	}
+	return ops
+}
 
 // Mix is a weighted query mix: how often each operator is issued. Weights
 // are relative (they need not sum to anything in particular); zero-weight
@@ -38,10 +65,6 @@ func DefaultMix() Mix {
 // and non-positive totals are errors; operators left out get weight zero.
 func ParseMix(s string) (Mix, error) {
 	m := Mix{Weights: map[string]float64{}}
-	known := map[string]bool{}
-	for _, op := range opNames {
-		known[op] = true
-	}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -52,8 +75,8 @@ func ParseMix(s string) (Mix, error) {
 			return Mix{}, fmt.Errorf("load: bad mix term %q, want op=weight", part)
 		}
 		op = strings.TrimSpace(op)
-		if !known[op] {
-			return Mix{}, fmt.Errorf("load: unknown operator %q in mix (have %s)", op, strings.Join(opNames, ", "))
+		if draws[op] == nil {
+			return Mix{}, fmt.Errorf("load: unknown operator %q in mix (have %s)", op, strings.Join(mixable(), ", "))
 		}
 		w, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
 		if err != nil || w < 0 {
@@ -74,7 +97,7 @@ func ParseMix(s string) (Mix, error) {
 // String renders the mix in ParseMix syntax, canonical operator order.
 func (m Mix) String() string {
 	var parts []string
-	for _, op := range opNames {
+	for _, op := range mixable() {
 		if w := m.Weights[op]; w > 0 {
 			parts = append(parts, fmt.Sprintf("%s=%g", op, w))
 		}
@@ -90,7 +113,7 @@ func (m Mix) String() string {
 // Draws are deterministic given the rand source — replaying with the same
 // seed issues the identical query sequence.
 type generator struct {
-	ops []string  // operators with positive weight, canonical order
+	ops []string  // operators with positive weight, in mixable order
 	cum []float64 // cumulative weights aligned with ops
 
 	floors  []int
@@ -128,7 +151,7 @@ func newGenerator(mix Mix, info *serve.InfoResponse) (*generator, error) {
 		g.objects = 1
 	}
 	total := 0.0
-	for _, op := range opNames { // canonical order keeps draws seed-stable
+	for _, op := range mixable() {
 		w := mix.Weights[op]
 		if w <= 0 {
 			continue
@@ -145,30 +168,13 @@ func newGenerator(mix Mix, info *serve.InfoResponse) (*generator, error) {
 
 // next draws one operator call. The returned func issues it against any
 // Querier and reports the request error, if any.
-func (g *generator) next(rng *rand.Rand) (op string, call func(Querier) error) {
+func (g *generator) next(rng *rand.Rand) (op string, call func(serve.Querier) error) {
 	x := rng.Float64() * g.cum[len(g.cum)-1]
 	i := sort.SearchFloat64s(g.cum, x)
 	if i >= len(g.ops) {
 		i = len(g.ops) - 1
 	}
-	op = g.ops[i]
-	switch op {
-	case "range":
-		q := g.rangeReq(rng)
-		return op, func(c Querier) error { _, err := c.Range(q); return err }
-	case "knn":
-		q := g.knnReq(rng)
-		return op, func(c Querier) error { _, err := c.KNN(q); return err }
-	case "density":
-		q := serve.DensityRequest{T: g.instant(rng)}
-		return op, func(c Querier) error { _, err := c.Density(q); return err }
-	case "traj":
-		q := g.trajReq(rng)
-		return op, func(c Querier) error { _, err := c.Traj(q); return err }
-	default: // dwell
-		q := g.dwellReq(rng)
-		return op, func(c Querier) error { _, err := c.Dwell(q); return err }
-	}
+	return g.ops[i], draws[g.ops[i]](g, rng)
 }
 
 // window draws a random time window covering up to maxFrac of the span.
@@ -222,6 +228,10 @@ func (g *generator) knnReq(rng *rand.Rand) serve.KNNRequest {
 		T:     g.instant(rng),
 		K:     1 + rng.Intn(10),
 	}
+}
+
+func (g *generator) densityReq(rng *rand.Rand) serve.DensityRequest {
+	return serve.DensityRequest{T: g.instant(rng)}
 }
 
 func (g *generator) trajReq(rng *rand.Rand) serve.TrajRequest {

@@ -1,12 +1,51 @@
 package serve
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
 	"vita/internal/colstore"
+	"vita/internal/obs"
 	"vita/internal/storage"
 )
+
+// BenchmarkServeHandler serves one request per operator through the
+// server's handler, middleware included, into an httptest recorder: no
+// network, a warm block cache, and the Accept header serve.Client sends. Its
+// allocs/op is the HTTP shell's cost on top of the operator's own.
+func BenchmarkServeHandler(b *testing.B) {
+	dir := b.TempDir()
+	writeDataset(b, dir, storage.FormatVTB, testSamples())
+	ds, err := Open(dir, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ds.Close()
+	h := NewServerWith(ds, ServerOptions{Metrics: obs.NewRegistry(), Logger: quietLogger()}).Handler()
+	for _, op := range []struct{ name, url string }{
+		{"range", "/v1/range?floor=0&box=1.5,0.25,17.75,9.5&t0=33.5&t1=147.25"},
+		{"knn", "/v1/knn?floor=1&at=10.125,7.625&t=420.5&k=4"},
+		{"density", "/v1/density?t=250"},
+		{"traj", "/v1/traj?obj=5&t0=100&t1=500"},
+		{"dwell", "/v1/dwell?floor=-1&t0=50&t1=450"},
+		{"info", "/v1/info"},
+	} {
+		b.Run(op.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, op.url, nil)
+			req.Header.Set("Accept", vtbMediaType+", application/json")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s: status %d: %s", op.url, rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkCachedScan times the scan leaf on a warm cache (under the gate's
 // GOMAXPROCS(1), three windows of two blocks, every one a hit): five

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
@@ -60,99 +59,45 @@ func NewClient(base string, opts ClientOptions) *Client {
 	}
 }
 
-// setTrace adds the ?trace=1 ask to the query when the request wants a
-// span tree back.
-func setTrace(v url.Values, trace bool) {
-	if trace {
-		v.Set("trace", "1")
-	}
-}
-
 // Range executes a range query on the server.
 func (c *Client) Range(q RangeRequest) (*RangeResponse, error) {
-	v := url.Values{}
-	v.Set("floor", strconv.Itoa(q.Floor))
-	v.Set("box", FormatBox(q.Box))
-	v.Set("t0", formatFloats(q.T0))
-	v.Set("t1", formatFloats(q.T1))
-	setTrace(v, q.Trace)
-	var resp RangeResponse
-	if err := c.get("/v1/range", v, &resp, &resp.Hits); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call(c, "range", q, new(RangeResponse))
 }
 
 // KNN executes a k-nearest-neighbors query on the server.
 func (c *Client) KNN(q KNNRequest) (*KNNResponse, error) {
-	v := url.Values{}
-	v.Set("floor", strconv.Itoa(q.Floor))
-	v.Set("at", FormatPoint(q.At))
-	v.Set("t", formatFloats(q.T))
-	v.Set("k", strconv.Itoa(q.K))
-	setTrace(v, q.Trace)
-	var resp KNNResponse
-	if err := c.get("/v1/knn", v, &resp, nil); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call(c, "knn", q, new(KNNResponse))
 }
 
 // Density executes a snapshot-density query on the server.
 func (c *Client) Density(q DensityRequest) (*DensityResponse, error) {
-	v := url.Values{}
-	v.Set("t", formatFloats(q.T))
-	setTrace(v, q.Trace)
-	var resp DensityResponse
-	if err := c.get("/v1/density", v, &resp, nil); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call(c, "density", q, new(DensityResponse))
 }
 
 // Traj executes a trajectory-retrieval query on the server.
 func (c *Client) Traj(q TrajRequest) (*TrajResponse, error) {
-	v := url.Values{}
-	v.Set("obj", strconv.Itoa(q.Obj))
-	v.Set("t0", formatFloats(q.T0))
-	v.Set("t1", formatFloats(q.T1))
-	setTrace(v, q.Trace)
-	var resp TrajResponse
-	if err := c.get("/v1/traj", v, &resp, &resp.Samples); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call(c, "traj", q, new(TrajResponse))
 }
 
 // Dwell executes a dwell-time query on the server.
 func (c *Client) Dwell(q DwellRequest) (*DwellResponse, error) {
-	v := url.Values{}
-	v.Set("floor", strconv.Itoa(q.Floor))
-	v.Set("t0", formatFloats(q.T0))
-	v.Set("t1", formatFloats(q.T1))
-	setTrace(v, q.Trace)
-	var resp DwellResponse
-	if err := c.get("/v1/dwell", v, &resp, nil); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call(c, "dwell", q, new(DwellResponse))
 }
 
 // Info fetches the dataset summary from the server.
 func (c *Client) Info(trace bool) (*InfoResponse, error) {
-	v := url.Values{}
-	setTrace(v, trace)
-	var resp InfoResponse
-	if err := c.get("/v1/info", v, &resp, nil); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call(c, "info", infoRequest(trace), new(InfoResponse))
 }
 
-// Healthy reports whether the server answers /healthz.
-func (c *Client) Healthy() bool {
-	var resp Health
-	return c.get("/healthz", nil, &resp, nil) == nil && resp.Status == "ok"
+// call sends the request q to the operator called name and decodes the
+// answer into resp.
+func call[Q request[Q], R Response](c *Client, name string, q Q, resp R) (R, error) {
+	op := OperatorNamed(name)
+	if err := c.get(op.path, encode(q), resp, op.rows(resp)); err != nil {
+		var none R
+		return none, err
+	}
+	return resp, nil
 }
 
 // Health fetches the server's liveness and build identity (/healthz).
@@ -193,9 +138,7 @@ func (c *Client) get(path string, v url.Values, out any, rows *[]trajectory.Samp
 		return fmt.Errorf("serve: %s: read response: %w", path, err)
 	}
 	if res.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
+		var e errorBody
 		if json.Unmarshal(buf.Bytes(), &e) == nil && e.Error != "" {
 			return fmt.Errorf("serve: %s: %s (HTTP %d)", path, e.Error, res.StatusCode)
 		}

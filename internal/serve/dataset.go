@@ -381,7 +381,7 @@ func (d *Dataset) Range(q RangeRequest) (*RangeResponse, error) {
 			objs = append(objs, s.ObjID)
 		}
 	}
-	return &RangeResponse{Query: q, Hits: hits, Objects: objs, Stats: stats, Trace: withRows(span, len(hits))}, nil
+	return &RangeResponse{Query: q, Hits: hits, Objects: objs, ResponseMeta: ResponseMeta{stats, withRows(span, len(hits))}}, nil
 }
 
 // snapshotAt starts an instant query's plan: scan only the samples within
@@ -422,7 +422,7 @@ func (d *Dataset) KNN(q KNNRequest) (*KNNResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KNNResponse{Query: q, Neighbors: neighbors, Stats: stats, Trace: withRows(span, len(neighbors))}, nil
+	return &KNNResponse{Query: q, Neighbors: neighbors, ResponseMeta: ResponseMeta{stats, withRows(span, len(neighbors))}}, nil
 }
 
 // Density answers a per-partition snapshot density query at an instant: how
@@ -441,7 +441,7 @@ func (d *Dataset) Density(q DensityRequest) (*DensityResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DensityResponse{Query: q, Counts: counts, Stats: stats, Trace: withRows(span, len(counts))}, nil
+	return &DensityResponse{Query: q, Counts: counts, ResponseMeta: ResponseMeta{stats, withRows(span, len(counts))}}, nil
 }
 
 // Traj answers a trajectory-retrieval query for one object: its samples in
@@ -458,7 +458,7 @@ func (d *Dataset) Traj(q TrajRequest) (*TrajResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TrajResponse{Query: q, Samples: samples, Stats: stats, Trace: withRows(span, len(samples))}, nil
+	return &TrajResponse{Query: q, Samples: samples, ResponseMeta: ResponseMeta{stats, withRows(span, len(samples))}}, nil
 }
 
 // Dwell answers dwell-time-per-room: for every partition, the total seconds
@@ -496,7 +496,7 @@ func (d *Dataset) Dwell(q DwellRequest) (*DwellResponse, error) {
 		}
 		return rooms[i].Partition < rooms[j].Partition
 	})
-	return &DwellResponse{Query: q, Rooms: rooms, Stats: stats, Trace: withRows(span, len(rooms))}, nil
+	return &DwellResponse{Query: q, Rooms: rooms, ResponseMeta: ResponseMeta{stats, withRows(span, len(rooms))}}, nil
 }
 
 // Info summarizes the dataset by folding a bare scan of every row. Bounds

@@ -148,7 +148,7 @@ func TestServerPprof(t *testing.T) {
 	}
 
 	srv := NewServer(ds)
-	srv.EnablePprof()
+	srv.EnablePprof(DefaultPprofOptions())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/cmdline"} {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -270,7 +272,7 @@ func TestServerStatsAndHealth(t *testing.T) {
 	t.Cleanup(ts.Close)
 	c := &Client{Base: ts.URL}
 
-	if !c.Healthy() {
+	if _, err := c.Health(); err != nil {
 		t.Fatal("healthz failed")
 	}
 	q := RangeRequest{Floor: -1, Box: geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(40, 20)}, T0: 0, T1: 100}
@@ -339,6 +341,26 @@ func TestServerBadRequests(t *testing.T) {
 		res.Body.Close()
 		if res.StatusCode != http.StatusBadRequest || !strings.HasPrefix(e.Error, tc.names) {
 			t.Errorf("%s: status %d, error %q; want 400 and %q", tc.path, res.StatusCode, e.Error, tc.names)
+		}
+
+		// vitaquery's path: the same parameters as flags of the operator's
+		// subcommand must fail with the server's message.
+		u, err := url.Parse(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := OperatorNamed(strings.TrimPrefix(u.Path, "/v1/"))
+		fs := flag.NewFlagSet(op.Name, flag.ContinueOnError)
+		params := op.Flags(fs)
+		var args []string
+		for name, vals := range u.Query() {
+			args = append(args, "-"+name+"="+vals[0])
+		}
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		if _, err := op.Run(ds, params, false); err == nil || err.Error() != e.Error {
+			t.Errorf("%s as vitaquery %s %v: error %v, want %q", tc.path, op.Name, args, err, e.Error)
 		}
 	}
 }
@@ -622,7 +644,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 		t.Errorf("Serve returned %v after clean shutdown", err)
 	}
 	// The listener is closed: new connections must fail.
-	if c.Healthy() {
+	if _, err := c.Health(); err == nil {
 		t.Error("server still answering after shutdown")
 	}
 }
@@ -675,7 +697,7 @@ func waitHealthy(t *testing.T, c *Client) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if c.Healthy() {
+		if _, err := c.Health(); err == nil {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -6,11 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
@@ -20,19 +18,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vita/internal/geom"
 	"vita/internal/obs"
 	"vita/internal/trajectory"
 )
 
 // Server exposes a Dataset's query operators over HTTP:
 //
-//	GET /v1/range?floor=0&box=0,0,20,15&t0=0&t1=120
-//	GET /v1/knn?floor=0&at=10,7.5&t=60&k=5
-//	GET /v1/density?t=60
-//	GET /v1/traj?obj=3&t0=0&t1=300
-//	GET /v1/dwell?floor=0&t0=0&t1=600
-//	GET /v1/info
+//	GET /v1/<op>?<params>   every operator of Operators, e.g. /v1/knn?at=10,7.5&t=60
 //	GET /healthz
 //	GET /metricsz
 //
@@ -101,14 +93,11 @@ func NewServerWith(ds *Dataset, opts ServerOptions) *Server {
 	}
 	s.httpS = &http.Server{}
 	routes := map[string]http.HandlerFunc{
-		"/v1/range":   s.handleRange,
-		"/v1/knn":     s.handleKNN,
-		"/v1/density": s.handleDensity,
-		"/v1/traj":    s.handleTraj,
-		"/v1/dwell":   s.handleDwell,
-		"/v1/info":    s.handleInfo,
-		"/healthz":    s.handleHealthz,
-		"/metricsz":   s.handleMetricsz,
+		"/healthz":  s.handleHealthz,
+		"/metricsz": s.handleMetricsz,
+	}
+	for i := range Operators {
+		routes[Operators[i].path] = s.handle(&Operators[i])
 	}
 	s.endpoints = make(map[string]bool, len(routes))
 	for path, h := range routes {
@@ -288,14 +277,6 @@ func (s *Server) finishTrace(r *http.Request, wantTrace bool, trace **obs.Span) 
 	}
 }
 
-// traceParams reads the request's tracing decision: wantTrace is the
-// client's ?trace=1 ask; doTrace additionally covers the slow-query log,
-// which needs the trace recorded up front for every request it might flag.
-func (s *Server) traceParams(q url.Values) (wantTrace, doTrace bool) {
-	wantTrace = q.Get("trace") == "1"
-	return wantTrace, wantTrace || s.opts.SlowQuery > 0
-}
-
 // EnablePprof mounts net/http/pprof's profiling endpoints under
 // /debug/pprof/ on the server's mux (vitaserve's -pprof flag), so a running
 // daemon can be CPU/heap/goroutine-profiled in place:
@@ -306,13 +287,30 @@ func (s *Server) traceParams(q url.Values) (wantTrace, doTrace bool) {
 // Call before Serve. The endpoints expose internals — keep them off (the
 // default) unless the listen address is trusted.
 //
-// EnablePprof also turns on block and mutex profiling at the
-// DefaultPprofOptions sampling rates; without those runtime knobs the
-// /debug/pprof/{block,mutex} profiles are permanently empty. Use
-// EnablePprofWith to tune or disable them.
-func (s *Server) EnablePprof() { s.EnablePprofWith(DefaultPprofOptions()) }
+// EnablePprof also applies opts' block and mutex sampling rates (the
+// runtime settings are process-wide, not per-server); without them the
+// /debug/pprof/{block,mutex} profiles are permanently empty.
+func (s *Server) EnablePprof(opts PprofOptions) {
+	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
+	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	switch {
+	case opts.BlockProfileRate > 0:
+		runtime.SetBlockProfileRate(opts.BlockProfileRate)
+	case opts.BlockProfileRate < 0:
+		runtime.SetBlockProfileRate(0)
+	}
+	switch {
+	case opts.MutexProfileFraction > 0:
+		runtime.SetMutexProfileFraction(opts.MutexProfileFraction)
+	case opts.MutexProfileFraction < 0:
+		runtime.SetMutexProfileFraction(0)
+	}
+}
 
-// PprofOptions tunes the runtime profiling rates EnablePprofWith applies.
+// PprofOptions tunes the runtime profiling rates EnablePprof applies.
 type PprofOptions struct {
 	// BlockProfileRate is the argument to runtime.SetBlockProfileRate: one
 	// blocking event per rate nanoseconds blocked is sampled. 1 samples
@@ -331,29 +329,6 @@ type PprofOptions struct {
 // dense enough that a loaded server produces non-empty profiles.
 func DefaultPprofOptions() PprofOptions {
 	return PprofOptions{BlockProfileRate: 10 * 1000 * 1000, MutexProfileFraction: 5}
-}
-
-// EnablePprofWith mounts the pprof endpoints like EnablePprof and applies
-// explicit block/mutex sampling rates. The runtime settings are process-wide,
-// not per-server.
-func (s *Server) EnablePprofWith(opts PprofOptions) {
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	switch {
-	case opts.BlockProfileRate > 0:
-		runtime.SetBlockProfileRate(opts.BlockProfileRate)
-	case opts.BlockProfileRate < 0:
-		runtime.SetBlockProfileRate(0)
-	}
-	switch {
-	case opts.MutexProfileFraction > 0:
-		runtime.SetMutexProfileFraction(opts.MutexProfileFraction)
-	case opts.MutexProfileFraction < 0:
-		runtime.SetMutexProfileFraction(0)
-	}
 }
 
 // Serve accepts connections on l until Shutdown. It returns nil after a
@@ -396,178 +371,39 @@ func (s *Server) RunUntilSignal(ctx context.Context, l net.Listener, drainTimeou
 	return <-errCh
 }
 
-// track wraps one operator request: applies the test delay and folds the
-// per-request stats into the lifetime aggregates.
-func (s *Server) track(stats *Stats) {
-	if s.testDelay > 0 {
+// handle serves one operator: decode the request (a bad parameter is a 400
+// naming it), run it on the dataset, fold its stats into the lifetime
+// counters, finish its trace, and answer with the row body or JSON.
+func (s *Server) handle(op *Operator) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.inFlight.Add(1)
+		defer s.inFlight.Add(-1)
+		p := r.URL.Query()
+		// The slow-query log needs every request it might flag traced from
+		// the start; the client gets the trace only when it asked.
+		wantTrace := p.Get("trace") == "1"
+		resp, err := op.Run(s.ds, p, wantTrace || s.opts.SlowQuery > 0)
+		if err != nil {
+			status := http.StatusInternalServerError
+			if errors.As(err, new(badParam)) {
+				status = http.StatusBadRequest
+			}
+			s.fail(w, r, status, err)
+			return
+		}
 		time.Sleep(s.testDelay)
-	}
-	if stats != nil {
-		s.pruned.Add(int64(stats.Scan.BlocksPruned))
+		m := resp.Meta()
+		s.pruned.Add(int64(m.Stats.Scan.BlocksPruned))
 		// Scan.BlocksScanned counts every surviving block, cache-served or
-		// not; only the misses actually decoded anything.
-		s.decoded.Add(int64(stats.CacheMisses))
-	}
-}
-
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	p := r.URL.Query()
-	q := RangeRequest{Floor: -1}
-	var err error
-	if v := p.Get("floor"); v != "" {
-		if q.Floor, err = strconv.Atoi(v); err != nil {
-			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad floor %q", v))
-			return
+		// not; only the misses decoded anything.
+		s.decoded.Add(int64(m.Stats.CacheMisses))
+		s.finishTrace(r, wantTrace, &m.Trace)
+		if rows := op.rows(resp); rows == nil {
+			s.writeJSON(w, r, resp)
+		} else {
+			s.writeRows(w, r, resp, rows)
 		}
 	}
-	if q.Box, err = ParseBox(p.Get("box")); err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if q.T0, q.T1, err = parseWindow(p, 0, 0); err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	wantTrace, doTrace := s.traceParams(p)
-	q.Trace = doTrace
-	resp, err := s.ds.Range(q)
-	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	s.track(&resp.Stats)
-	s.finishTrace(r, wantTrace, &resp.Trace)
-	s.writeRows(w, r, resp, &resp.Hits)
-}
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	p := r.URL.Query()
-	q := KNNRequest{Floor: 0, K: 5}
-	var err error
-	if v := p.Get("floor"); v != "" {
-		if q.Floor, err = strconv.Atoi(v); err != nil {
-			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad floor %q", v))
-			return
-		}
-	}
-	if q.At, err = ParsePoint(p.Get("at")); err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if q.T, err = parseFloatParam(p, "t", 0); err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if v := p.Get("k"); v != "" {
-		if q.K, err = strconv.Atoi(v); err != nil {
-			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad k %q", v))
-			return
-		}
-	}
-	wantTrace, doTrace := s.traceParams(p)
-	q.Trace = doTrace
-	resp, err := s.ds.KNN(q)
-	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	s.track(&resp.Stats)
-	s.finishTrace(r, wantTrace, &resp.Trace)
-	s.writeJSON(w, r, resp)
-}
-
-func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	p := r.URL.Query()
-	t, err := parseFloatParam(p, "t", 0)
-	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	wantTrace, doTrace := s.traceParams(p)
-	resp, err := s.ds.Density(DensityRequest{T: t, Trace: doTrace})
-	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	s.track(&resp.Stats)
-	s.finishTrace(r, wantTrace, &resp.Trace)
-	s.writeJSON(w, r, resp)
-}
-
-func (s *Server) handleTraj(w http.ResponseWriter, r *http.Request) {
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	p := r.URL.Query()
-	q := TrajRequest{}
-	var err error
-	if v := p.Get("obj"); v != "" {
-		if q.Obj, err = strconv.Atoi(v); err != nil {
-			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad obj %q", v))
-			return
-		}
-	}
-	if q.T0, q.T1, err = parseWindow(p, 0, 1e18); err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	wantTrace, doTrace := s.traceParams(p)
-	q.Trace = doTrace
-	resp, err := s.ds.Traj(q)
-	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	s.track(&resp.Stats)
-	s.finishTrace(r, wantTrace, &resp.Trace)
-	s.writeRows(w, r, resp, &resp.Samples)
-}
-
-func (s *Server) handleDwell(w http.ResponseWriter, r *http.Request) {
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	p := r.URL.Query()
-	q := DwellRequest{Floor: -1}
-	var err error
-	if v := p.Get("floor"); v != "" {
-		if q.Floor, err = strconv.Atoi(v); err != nil {
-			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad floor %q", v))
-			return
-		}
-	}
-	if q.T0, q.T1, err = parseWindow(p, 0, 1e18); err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	wantTrace, doTrace := s.traceParams(p)
-	q.Trace = doTrace
-	resp, err := s.ds.Dwell(q)
-	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	s.track(&resp.Stats)
-	s.finishTrace(r, wantTrace, &resp.Trace)
-	s.writeJSON(w, r, resp)
-}
-
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	wantTrace, doTrace := s.traceParams(r.URL.Query())
-	resp, err := s.ds.Info(doTrace)
-	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	s.track(&resp.Stats)
-	s.finishTrace(r, wantTrace, &resp.Trace)
-	s.writeJSON(w, r, resp)
 }
 
 // Health is the /healthz payload: liveness plus build identity, so one
@@ -661,84 +497,4 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, status int, err er
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorBody{Error: err.Error(), RequestID: id})
-}
-
-// parseFinite is strconv.ParseFloat minus NaN and ±Inf, which it accepts but
-// no query parameter means and the JSON query echo cannot carry.
-func parseFinite(v string) (float64, bool) {
-	f, err := strconv.ParseFloat(v, 64)
-	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
-}
-
-func parseFloatParam(p url.Values, name string, def float64) (float64, error) {
-	v := p.Get(name)
-	if v == "" {
-		return def, nil
-	}
-	f, ok := parseFinite(v)
-	if !ok {
-		return 0, fmt.Errorf("bad %s %q, want a finite number", name, v)
-	}
-	return f, nil
-}
-
-func parseWindow(p url.Values, defT0, defT1 float64) (t0, t1 float64, err error) {
-	if t0, err = parseFloatParam(p, "t0", defT0); err != nil {
-		return
-	}
-	t1, err = parseFloatParam(p, "t1", defT1)
-	return
-}
-
-// ParseBox parses "x0,y0,x1,y1" — the wire and CLI encoding of a query box.
-func ParseBox(s string) (geom.BBox, error) {
-	var v [4]float64
-	if err := parseFloats(s, v[:]); err != nil {
-		return geom.BBox{}, fmt.Errorf("bad box %q, want x0,y0,x1,y1", s)
-	}
-	return geom.BBox{Min: geom.Pt(v[0], v[1]), Max: geom.Pt(v[2], v[3])}, nil
-}
-
-// FormatBox renders a box in the ParseBox encoding with full float64
-// round-trip precision.
-func FormatBox(b geom.BBox) string {
-	return formatFloats(b.Min.X, b.Min.Y, b.Max.X, b.Max.Y)
-}
-
-// ParsePoint parses "x,y" — the wire and CLI encoding of a query point.
-func ParsePoint(s string) (geom.Point, error) {
-	var v [2]float64
-	if err := parseFloats(s, v[:]); err != nil {
-		return geom.Point{}, fmt.Errorf("bad point %q, want x,y", s)
-	}
-	return geom.Pt(v[0], v[1]), nil
-}
-
-// FormatPoint renders a point in the ParsePoint encoding with full float64
-// round-trip precision.
-func FormatPoint(p geom.Point) string {
-	return formatFloats(p.X, p.Y)
-}
-
-func parseFloats(s string, out []float64) error {
-	parts := strings.Split(s, ",")
-	if len(parts) != len(out) {
-		return fmt.Errorf("want %d comma-separated numbers", len(out))
-	}
-	for i, p := range parts {
-		f, ok := parseFinite(strings.TrimSpace(p))
-		if !ok {
-			return fmt.Errorf("bad number %q", p)
-		}
-		out[i] = f
-	}
-	return nil
-}
-
-func formatFloats(vs ...float64) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
 }

@@ -12,17 +12,17 @@ import (
 	"vita/internal/trajectory"
 )
 
-// Request/response types for the four query operators plus info. They are
-// the single source of truth for three surfaces at once: Dataset methods
-// (local execution), the HTTP API (vitaserve), and Client (vitaquery
-// -server). The WriteText formatters render exactly what vitaquery has
-// always printed, so local and served output are byte-identical by
-// construction — all three paths marshal through the same structs and the
-// same format strings, and float64 values survive the JSON round trip
-// exactly (encoding/json emits shortest round-trip representations). That
-// holds for the row body too (wire.go): its envelope is the same struct as
-// JSON with the row slice nil, and its rows come back through VTB, which is
-// lossless.
+// Request/response types for the query operators: the single source of
+// truth for Dataset (local execution), the HTTP API (vitaserve), Client
+// (vitaquery -server) and vitaquery's flags, each request's params method
+// declaring its query parameters once for all of them. The WriteText
+// formatters render exactly what vitaquery has always printed, so local and
+// served output are byte-identical by construction — all paths marshal
+// through the same structs and the same format strings, and float64 values
+// survive the JSON round trip exactly (encoding/json emits shortest
+// round-trip representations). That holds for the row body too (wire.go):
+// its envelope is the same struct as JSON with the row slice nil, and its
+// rows come back through VTB, which is lossless.
 
 // Stats describes how much work one request cost: the underlying scan
 // (blocks pruned/decoded, rows) and block-cache effectiveness. Every dataset
@@ -55,6 +55,16 @@ type Stats struct {
 	Segments int `json:"segments,omitempty"`
 }
 
+// ResponseMeta closes every response (its last, embedded field): what the
+// request cost, and the span tree when the request asked for one.
+type ResponseMeta struct {
+	Stats Stats     `json:"stats"`
+	Trace *obs.Span `json:"trace,omitempty"`
+}
+
+// Meta returns the response's Stats and Trace.
+func (m *ResponseMeta) Meta() *ResponseMeta { return m }
+
 // RangeRequest asks for every sample inside box on floor during [T0, T1].
 // Floor -1 searches all floors.
 type RangeRequest struct {
@@ -68,13 +78,21 @@ type RangeRequest struct {
 	Trace bool `json:"-"`
 }
 
+func (q RangeRequest) params(f paramSet) (RangeRequest, error) {
+	f.int(&q.Floor, "floor", -1, "floor to search (-1 = all)")
+	f.box(&q.Box, "box", "spatial box `x0,y0,x1,y1` (required)")
+	f.float(&q.T0, "t0", 0, "window start (s)")
+	f.float(&q.T1, "t1", 0, "window end (s)")
+	f.trace(&q.Trace)
+	return q, f.err
+}
+
 // RangeResponse carries the matching samples ordered by (object, time).
 type RangeResponse struct {
 	Query   RangeRequest        `json:"query"`
 	Hits    []trajectory.Sample `json:"hits"`
 	Objects []int               `json:"objects"`
-	Stats   Stats               `json:"stats"`
-	Trace   *obs.Span           `json:"trace,omitempty"`
+	ResponseMeta
 }
 
 // WriteText renders the response exactly as `vitaquery range` prints it.
@@ -98,6 +116,15 @@ type KNNRequest struct {
 	Trace bool       `json:"-"`
 }
 
+func (q KNNRequest) params(f paramSet) (KNNRequest, error) {
+	f.int(&q.Floor, "floor", 0, "floor to search")
+	f.point(&q.At, "at", "query point `x,y` (required)")
+	f.float(&q.T, "t", 0, "query instant (s)")
+	f.int(&q.K, "k", 5, "number of neighbors")
+	f.trace(&q.Trace)
+	return q, f.err
+}
+
 // Neighbor is one kNN result: an object, its (possibly interpolated) location
 // at the query instant, and its distance to the query point.
 type Neighbor struct {
@@ -110,8 +137,7 @@ type Neighbor struct {
 type KNNResponse struct {
 	Query     KNNRequest `json:"query"`
 	Neighbors []Neighbor `json:"neighbors"`
-	Stats     Stats      `json:"stats"`
-	Trace     *obs.Span  `json:"trace,omitempty"`
+	ResponseMeta
 }
 
 // WriteText renders the response exactly as `vitaquery knn` prints it.
@@ -130,12 +156,17 @@ type DensityRequest struct {
 	Trace bool    `json:"-"`
 }
 
+func (q DensityRequest) params(f paramSet) (DensityRequest, error) {
+	f.float(&q.T, "t", 0, "snapshot instant (s)")
+	f.trace(&q.Trace)
+	return q, f.err
+}
+
 // DensityResponse carries the snapshot density per partition.
 type DensityResponse struct {
 	Query  DensityRequest `json:"query"`
 	Counts map[string]int `json:"counts"`
-	Stats  Stats          `json:"stats"`
-	Trace  *obs.Span      `json:"trace,omitempty"`
+	ResponseMeta
 }
 
 // WriteText renders the response exactly as `vitaquery density` prints it:
@@ -170,12 +201,19 @@ type TrajRequest struct {
 	Trace bool    `json:"-"`
 }
 
+func (q TrajRequest) params(f paramSet) (TrajRequest, error) {
+	f.int(&q.Obj, "obj", 0, "object ID")
+	f.float(&q.T0, "t0", 0, "window start (s)")
+	f.float(&q.T1, "t1", 1e18, "window end (s)")
+	f.trace(&q.Trace)
+	return q, f.err
+}
+
 // TrajResponse carries the object's samples in time order.
 type TrajResponse struct {
 	Query   TrajRequest         `json:"query"`
 	Samples []trajectory.Sample `json:"samples"`
-	Stats   Stats               `json:"stats"`
-	Trace   *obs.Span           `json:"trace,omitempty"`
+	ResponseMeta
 }
 
 // WriteText renders the response exactly as `vitaquery traj` prints it.
@@ -198,6 +236,14 @@ type DwellRequest struct {
 	Trace bool    `json:"-"`
 }
 
+func (q DwellRequest) params(f paramSet) (DwellRequest, error) {
+	f.int(&q.Floor, "floor", -1, "floor to analyze (-1 = all)")
+	f.float(&q.T0, "t0", 0, "window start (s)")
+	f.float(&q.T1, "t1", 1e18, "window end (s)")
+	f.trace(&q.Trace)
+	return q, f.err
+}
+
 // DwellRoom is one partition's dwell summary.
 type DwellRoom struct {
 	Partition string `json:"partition"`
@@ -213,8 +259,7 @@ type DwellRoom struct {
 type DwellResponse struct {
 	Query DwellRequest `json:"query"`
 	Rooms []DwellRoom  `json:"rooms"`
-	Stats Stats        `json:"stats"`
-	Trace *obs.Span    `json:"trace,omitempty"`
+	ResponseMeta
 }
 
 // WriteText renders the response exactly as `vitaquery dwell` prints it.
@@ -231,6 +276,14 @@ func (r *DwellResponse) WriteText(w io.Writer) error {
 	return err
 }
 
+// infoRequest is info's request: no parameter, only the trace ask.
+type infoRequest bool
+
+func (q infoRequest) params(f paramSet) (infoRequest, error) {
+	f.trace((*bool)(&q))
+	return q, f.err
+}
+
 // InfoResponse summarizes the dataset.
 type InfoResponse struct {
 	Samples int     `json:"samples"`
@@ -244,9 +297,8 @@ type InfoResponse struct {
 	// actually hit the data.
 	Bounds geom.BBox `json:"bounds"`
 	// Empty reports a dataset with no samples (T0/T1 then meaningless).
-	Empty bool      `json:"empty"`
-	Stats Stats     `json:"stats"`
-	Trace *obs.Span `json:"trace,omitempty"`
+	Empty bool `json:"empty"`
+	ResponseMeta
 }
 
 // WriteText renders the response exactly as `vitaquery info` prints it.
