@@ -120,7 +120,7 @@ func BenchmarkPipeline(b *testing.B) {
 			if ds.Trajectories.Len() == 0 || ds.RSSICount == 0 {
 				b.Fatal("empty generation output")
 			}
-			rows += ds.Trajectories.Len() + ds.RSSICount + ds.Estimates.Len()
+			rows += ds.Trajectories.Len() + ds.RSSICount + len(ds.Estimates)
 		}
 		b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
 	}

@@ -35,9 +35,12 @@ import (
 	"vita/internal/colstore"
 	"vita/internal/core"
 	"vita/internal/obs"
+	"vita/internal/plan"
 	"vita/internal/render"
 	"vita/internal/seglog"
+	"vita/internal/serve"
 	"vita/internal/storage"
+	"vita/internal/trajectory"
 )
 
 func main() {
@@ -146,14 +149,14 @@ func run() error {
 	if ds.DBIReport != nil && len(ds.DBIReport.Issues) > 0 {
 		fmt.Printf("dbi issues      %d (see report below)\n", len(ds.DBIReport.Issues))
 	}
-	fmt.Printf("devices         %d\n", ds.Devices.Len())
+	fmt.Printf("devices         %d\n", len(ds.Devices))
 	fmt.Printf("trajectory rows %d (objects spawned %d)\n", ds.Trajectories.Len(), ds.TrajectoryStats.Spawned)
 	fmt.Printf("rssi rows       %d\n", ds.RSSICount)
-	fmt.Printf("estimates       %d\n", ds.Estimates.Len())
+	fmt.Printf("estimates       %d\n", len(ds.Estimates))
 	fmt.Printf("prob estimates  %d\n", len(ds.ProbEstimates))
-	fmt.Printf("proximity rows  %d\n", ds.Proximity.Len())
-	if ds.Estimates.Len() > 0 {
-		stats, floorMiss := core.EvaluateEstimates(ds.Trajectories, ds.Estimates.All())
+	fmt.Printf("proximity rows  %d\n", len(ds.Proximity))
+	if len(ds.Estimates) > 0 {
+		stats, floorMiss := core.EvaluateEstimates(ds.Trajectories, ds.Estimates)
 		fmt.Printf("accuracy        %s (floor mismatches %d)\n", stats, floorMiss)
 	}
 	if ds.DBIReport != nil {
@@ -180,9 +183,27 @@ func run() error {
 		if at < 0 {
 			at = cfg.Trajectory.Duration
 		}
-		snap := ds.Trajectories.SnapshotAt(at)
+		snap, err := snapshot(ds, at)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("\nsnapshot at t=%.0fs: %d objects\n", at, len(snap))
-		fmt.Print(render.Building(ds.Building, ds.Devices.All(), snap, render.Options{Width: 100}))
+		fmt.Print(render.Building(ds.Building, ds.Devices, snap, render.Options{Width: 100}))
 	}
 	return nil
+}
+
+// snapshot returns the objects' interpolated positions at t, as the server
+// folds them for knn and density: only objects with a sample within
+// serve.DefaultMaxGap of t appear.
+func snapshot(ds *core.Dataset, t float64) ([]trajectory.Sample, error) {
+	const gap = serve.DefaultMaxGap
+	c, err := plan.NewScan(plan.SliceSource{Samples: ds.Trajectories.All()}).
+		Filter(plan.TimeBetween(t-gap, t+gap)).
+		SnapshotAt(t, gap).
+		Compile()
+	if err != nil {
+		return nil, err
+	}
+	return plan.CollectSamples(c)
 }

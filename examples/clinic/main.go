@@ -38,9 +38,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	recs := ds.Proximity.All()
+	recs := ds.Proximity
 	fmt.Printf("clinic run: %d patients, %d RFID detections, %d proximity records\n",
-		ds.TrajectoryStats.Spawned, ds.RSSI.Len(), len(recs))
+		ds.TrajectoryStats.Spawned, len(ds.RSSI), len(recs))
 
 	// Dwell time per reader: which check-points are busiest?
 	dwell := map[string]float64{}
@@ -50,7 +50,7 @@ func main() {
 		visits[r.DeviceID]++
 	}
 	fmt.Println("\nper-reader activity:")
-	for _, d := range ds.Devices.All() {
+	for _, d := range ds.Devices {
 		if visits[d.ID] == 0 {
 			continue
 		}

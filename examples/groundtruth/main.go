@@ -42,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		stats, _ := vita.EvaluateEstimates(ds.Trajectories, ds.Estimates.All())
+		stats, _ := vita.EvaluateEstimates(ds.Trajectories, ds.Estimates)
 		fmt.Printf("%-28s %8d %9.2fm %9.2fm %9.2fm\n",
 			method.name, stats.N, stats.Mean, stats.Median, stats.P95)
 	}

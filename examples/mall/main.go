@@ -39,11 +39,11 @@ func main() {
 	}
 
 	fmt.Printf("mall run: %d shoppers spawned, %d RSSI rows, %d estimates\n",
-		ds.TrajectoryStats.Spawned, ds.RSSI.Len(), ds.Estimates.Len())
+		ds.TrajectoryStats.Spawned, len(ds.RSSI), len(ds.Estimates))
 
 	// Rank partitions by estimated visits (from positioning data).
 	estVisits := map[string]int{}
-	for _, e := range ds.Estimates.All() {
+	for _, e := range ds.Estimates {
 		estVisits[rootID(e.Loc.Partition)]++
 	}
 	// Ground-truth visits for comparison.
@@ -57,7 +57,7 @@ func main() {
 		fmt.Printf("  %d. %-12s est=%-6d true=%d\n", i+1, name, estVisits[name], trueVisits[name])
 	}
 
-	stats, _ := vita.EvaluateEstimates(ds.Trajectories, ds.Estimates.All())
+	stats, _ := vita.EvaluateEstimates(ds.Trajectories, ds.Estimates)
 	fmt.Printf("\ntrilateration accuracy: %s\n", stats)
 }
 

@@ -23,16 +23,16 @@ func main() {
 	fmt.Printf("environment: %s — %d partitions over %d floors, %d staircase(s)\n",
 		ds.Building.Name, ds.Building.PartitionCount(), len(ds.Building.Floors),
 		len(ds.Building.Staircases))
-	fmt.Printf("deployed devices: %d\n", ds.Devices.Len())
+	fmt.Printf("deployed devices: %d\n", len(ds.Devices))
 	fmt.Printf("ground-truth samples: %d (1 per object per second)\n", ds.Trajectories.Len())
-	fmt.Printf("raw RSSI measurements: %d\n", ds.RSSI.Len())
-	fmt.Printf("positioning estimates (Wi-Fi fingerprinting/kNN): %d\n", ds.Estimates.Len())
+	fmt.Printf("raw RSSI measurements: %d\n", len(ds.RSSI))
+	fmt.Printf("positioning estimates (Wi-Fi fingerprinting/kNN): %d\n", len(ds.Estimates))
 
 	// The point of a generator that preserves ground truth (paper §1): we
 	// can score the synthetic positioning data exactly.
-	stats, floorMiss := vita.EvaluateEstimates(ds.Trajectories, ds.Estimates.All())
+	stats, floorMiss := vita.EvaluateEstimates(ds.Trajectories, ds.Estimates)
 	fmt.Printf("accuracy vs ground truth: %s (floor mismatches: %d)\n", stats, floorMiss)
-	fmt.Printf("partition hit rate: %.0f%%\n", 100*vita.PartitionHitRate(ds.Trajectories, ds.Estimates.All()))
+	fmt.Printf("partition hit rate: %.0f%%\n", 100*vita.PartitionHitRate(ds.Trajectories, ds.Estimates))
 
 	// Follow one object's day.
 	objs := ds.Trajectories.Objects()

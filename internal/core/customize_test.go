@@ -124,7 +124,7 @@ func TestObstacleAffectsPipelineRSSI(t *testing.T) {
 		}
 		var sum float64
 		n := 0
-		for _, m := range ds.RSSI.All() {
+		for _, m := range ds.RSSI {
 			sum += m.RSSI
 			n++
 		}

@@ -27,7 +27,7 @@ func TestParallelismByteIdenticalCSV(t *testing.T) {
 		if err := storage.WriteTrajectoryCSV(&tb, ds.Trajectories.All()); err != nil {
 			t.Fatal(err)
 		}
-		if err := storage.WriteRSSICSV(&rb, ds.RSSI.All()); err != nil {
+		if err := storage.WriteRSSICSV(&rb, ds.RSSI); err != nil {
 			t.Fatal(err)
 		}
 		if tb.Len() == 0 || rb.Len() == 0 {
@@ -64,7 +64,7 @@ func TestParallelismFullPipelineDeterminism(t *testing.T) {
 	if a.Trajectories.Len() != b.Trajectories.Len() {
 		t.Fatalf("trajectory counts differ: %d vs %d", a.Trajectories.Len(), b.Trajectories.Len())
 	}
-	am, bm := a.RSSI.All(), b.RSSI.All()
+	am, bm := a.RSSI, b.RSSI
 	if len(am) != len(bm) {
 		t.Fatalf("RSSI counts differ: %d vs %d", len(am), len(bm))
 	}
@@ -73,7 +73,7 @@ func TestParallelismFullPipelineDeterminism(t *testing.T) {
 			t.Fatalf("RSSI measurement %d differs: %+v vs %+v", i, am[i], bm[i])
 		}
 	}
-	ae, be := a.Estimates.All(), b.Estimates.All()
+	ae, be := a.Estimates, b.Estimates
 	if len(ae) != len(be) {
 		t.Fatalf("estimate counts differ: %d vs %d", len(ae), len(be))
 	}

@@ -30,18 +30,23 @@ type Dataset struct {
 	// processing the DBI file.
 	DBIReport *ifc.Report
 
-	Devices      *storage.DeviceStore
+	// Devices is the deployment, batch by configured batch.
+	Devices      []*device.Device
 	Trajectories *storage.TrajectoryStore
-	// RSSI keeps every raw measurement of a Run. It is nil after RunTo with
-	// a sink: the sink took the measurements, and RSSICount counts them.
-	RSSI *storage.RSSIStore
+	// RSSI keeps every raw measurement of a Run in the order a sink receives
+	// them and rssi.Generator emits them: (object, device, time) — objects
+	// in ascending ID, each object's device by device in deployment order,
+	// each device's in time order. It is nil after RunTo with a sink: the
+	// sink took the measurements, and RSSICount counts them.
+	RSSI []rssi.Measurement
 
-	// Estimates holds trilateration / deterministic fingerprinting output.
-	Estimates *storage.EstimateStore
+	// Estimates holds trilateration / deterministic fingerprinting output,
+	// ordered by (object, time).
+	Estimates []positioning.Estimate
 	// ProbEstimates holds probabilistic fingerprinting output.
 	ProbEstimates []positioning.ProbEstimate
-	// Proximity holds proximity output.
-	Proximity *storage.ProximityStore
+	// Proximity holds proximity output, ordered by (object, device, start).
+	Proximity []positioning.ProximityRecord
 	// RadioMap is the fingerprinting training data, when built.
 	RadioMap *positioning.RadioMap
 
@@ -112,10 +117,12 @@ func (p *Pipeline) Run() (*Dataset, error) {
 // "core: rssi sink:"), and no goroutine of the run outlives RunTo.
 func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 	r := rng.New(p.cfg.Seed)
+	// The positioning tables start empty, not nil: a run without positioning
+	// output still hands a sink an empty table.
 	ds := &Dataset{
 		Trajectories: storage.NewTrajectoryStore(),
-		Estimates:    storage.NewEstimateStore(),
-		Proximity:    storage.NewProximityStore(),
+		Estimates:    []positioning.Estimate{},
+		Proximity:    []positioning.ProximityRecord{},
 	}
 
 	// ----- Infrastructure Layer -----
@@ -133,10 +140,7 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds.Devices, err = storage.NewDeviceStore(devs)
-	if err != nil {
-		return nil, err
-	}
+	ds.Devices = devs
 
 	// ----- Moving Object Layer -----
 	objCtl := MovingObjectController{
@@ -176,9 +180,9 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 	ds.RadioMap = radioMap
 	var emitRSSI func([]rssi.Measurement) error
 	if sink == nil {
-		ds.RSSI = storage.NewRSSIStore()
+		ds.RSSI = []rssi.Measurement{}
 		emitRSSI = func(ms []rssi.Measurement) error {
-			ds.RSSI.Append(ms...)
+			ds.RSSI = append(ds.RSSI, ms...)
 			return nil
 		}
 	} else {
@@ -199,9 +203,9 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 				if err != nil && posErr == nil {
 					posErr = err
 				}
-				ds.Estimates.Append(pos.Estimates...)
+				ds.Estimates = append(ds.Estimates, pos.Estimates...)
 				ds.ProbEstimates = append(ds.ProbEstimates, pos.ProbEstimates...)
-				ds.Proximity.Append(pos.Proximity...)
+				ds.Proximity = append(ds.Proximity, pos.Proximity...)
 			}
 		}
 	}
@@ -221,10 +225,10 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		return nil, posErr
 	}
 	if sink != nil {
-		if err := sink.Estimates(ds.Estimates.All()); err != nil {
+		if err := sink.Estimates(ds.Estimates); err != nil {
 			return nil, fmt.Errorf("core: estimates sink: %w", err)
 		}
-		if err := sink.Proximity(ds.Proximity.All()); err != nil {
+		if err := sink.Proximity(ds.Proximity); err != nil {
 			return nil, fmt.Errorf("core: proximity sink: %w", err)
 		}
 	}
@@ -383,9 +387,11 @@ type PositioningDeviceController struct {
 	Configs []DeviceConfig
 }
 
-// Deploy places every configured device batch.
+// Deploy places every configured device batch. Device IDs must be unique
+// across the deployment.
 func (c PositioningDeviceController) Deploy(t *topo.Topology, r *rng.Rand) ([]*device.Device, error) {
 	var out []*device.Device
+	seen := make(map[string]bool)
 	for i, dc := range c.Configs {
 		spec, err := dc.spec()
 		if err != nil {
@@ -394,6 +400,12 @@ func (c PositioningDeviceController) Deploy(t *topo.Topology, r *rng.Rand) ([]*d
 		devs, err := device.Deploy(t.B, dc.Floor, spec, r)
 		if err != nil {
 			return nil, fmt.Errorf("core: device config %d: %w", i, err)
+		}
+		for _, d := range devs {
+			if seen[d.ID] {
+				return nil, fmt.Errorf("core: device config %d: duplicate device ID %s", i, d.ID)
+			}
+			seen[d.ID] = true
 		}
 		out = append(out, devs...)
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"vita/internal/rng"
 )
 
 func runPipeline(t testing.TB, mutate func(*Config)) *Dataset {
@@ -31,16 +33,16 @@ func TestPipelineEndToEndFingerprint(t *testing.T) {
 	if ds.Trajectories.Len() == 0 {
 		t.Fatal("no trajectory samples generated")
 	}
-	if ds.RSSI.Len() == 0 {
+	if len(ds.RSSI) == 0 {
 		t.Fatal("no RSSI measurements generated")
 	}
-	if ds.Estimates.Len() == 0 {
+	if len(ds.Estimates) == 0 {
 		t.Fatal("no positioning estimates generated")
 	}
 	if ds.RadioMap == nil || len(ds.RadioMap.Refs) == 0 {
 		t.Fatal("no radio map built")
 	}
-	stats, _ := EvaluateEstimates(ds.Trajectories, ds.Estimates.All())
+	stats, _ := EvaluateEstimates(ds.Trajectories, ds.Estimates)
 	if stats.N == 0 {
 		t.Fatal("no estimates evaluated against ground truth")
 	}
@@ -58,10 +60,10 @@ func TestPipelineTrilateration(t *testing.T) {
 			{Floor: 1, Model: "coverage", Type: "wifi", Count: 12},
 		}
 	})
-	if ds.Estimates.Len() == 0 {
+	if len(ds.Estimates) == 0 {
 		t.Fatal("no trilateration estimates")
 	}
-	stats, _ := EvaluateEstimates(ds.Trajectories, ds.Estimates.All())
+	stats, _ := EvaluateEstimates(ds.Trajectories, ds.Estimates)
 	if stats.N == 0 || stats.Mean > 30 {
 		t.Errorf("implausible trilateration error stats: %s", stats)
 	}
@@ -75,10 +77,10 @@ func TestPipelineProximityRFID(t *testing.T) {
 			{Floor: 1, Model: "check-point", Type: "rfid"},
 		}
 	})
-	if ds.Proximity.Len() == 0 {
+	if len(ds.Proximity) == 0 {
 		t.Fatal("no proximity records")
 	}
-	for _, r := range ds.Proximity.All() {
+	for _, r := range ds.Proximity {
 		if r.TE < r.TS {
 			t.Fatalf("inverted detection period: %+v", r)
 		}
@@ -113,8 +115,8 @@ func TestPipelineDeterminism(t *testing.T) {
 		t.Errorf("trajectory counts differ across identical runs: %d vs %d",
 			a.Trajectories.Len(), b.Trajectories.Len())
 	}
-	if a.RSSI.Len() != b.RSSI.Len() {
-		t.Errorf("RSSI counts differ: %d vs %d", a.RSSI.Len(), b.RSSI.Len())
+	if len(a.RSSI) != len(b.RSSI) {
+		t.Errorf("RSSI counts differ: %d vs %d", len(a.RSSI), len(b.RSSI))
 	}
 	as, bs := a.Trajectories.All(), b.Trajectories.All()
 	for i := range as {
@@ -185,5 +187,23 @@ func TestPipelineValidation(t *testing.T) {
 	}
 	if _, err := p.Run(); err == nil {
 		t.Error("expected error for unknown positioning method")
+	}
+}
+
+// TestDeployRejectsDuplicateDeviceIDs: device IDs name the device type,
+// floor and index, so two batches of one type on one floor collide, and the
+// deployment must fail rather than hand positioning two devices one ID.
+func TestDeployRejectsDuplicateDeviceIDs(t *testing.T) {
+	topology, _, err := IndoorEnvironmentController{Config: DefaultConfig().Building}.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wifi := DeviceConfig{Floor: 0, Model: "coverage", Type: "wifi", Count: 3}
+	if _, err := (PositioningDeviceController{Configs: []DeviceConfig{wifi}}).Deploy(topology, rng.New(1)); err != nil {
+		t.Fatalf("one batch: %v", err)
+	}
+	_, err = PositioningDeviceController{Configs: []DeviceConfig{wifi, wifi}}.Deploy(topology, rng.New(1))
+	if err == nil || !strings.Contains(err.Error(), "duplicate device ID") {
+		t.Errorf("two wifi batches on floor 0: err = %v, want a duplicate device ID", err)
 	}
 }

@@ -1,16 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"vita/internal/device"
 	"vita/internal/positioning"
 	"vita/internal/rng"
 	"vita/internal/rssi"
-	"vita/internal/storage"
 	"vita/internal/topo"
 	"vita/internal/trajectory"
 )
@@ -20,7 +22,10 @@ import (
 // run, re-sorted by (object, time, device). It is kept as the oracle the
 // fused per-object stage must reproduce exactly.
 func wholeRunPositioning(c PositioningMethodController, t *topo.Topology, devs []*device.Device, ds *Dataset, r *rng.Rand) error {
-	ms := ds.RSSI.All()
+	ms := slices.Clone(ds.RSSI)
+	slices.SortFunc(ms, func(a, b rssi.Measurement) int {
+		return cmp.Or(cmp.Compare(a.ObjID, b.ObjID), cmp.Compare(a.T, b.T), strings.Compare(a.DeviceID, b.DeviceID))
+	})
 	switch c.Config.Method {
 	case "":
 		return nil // positioning step skipped
@@ -36,7 +41,7 @@ func wholeRunPositioning(c PositioningMethodController, t *topo.Topology, devs [
 		if err != nil {
 			return err
 		}
-		ds.Estimates.Append(est...)
+		ds.Estimates = append(ds.Estimates, est...)
 		return nil
 	case "fingerprint", "fingerprinting":
 		algo, err := c.Config.algorithm()
@@ -70,14 +75,14 @@ func wholeRunPositioning(c PositioningMethodController, t *topo.Topology, devs [
 			if err != nil {
 				return err
 			}
-			ds.Estimates.Append(est...)
+			ds.Estimates = append(ds.Estimates, est...)
 			return nil
 		}
 		est, err := fp.Estimate(ms)
 		if err != nil {
 			return err
 		}
-		ds.Estimates.Append(est...)
+		ds.Estimates = append(ds.Estimates, est...)
 		return nil
 	case "proximity":
 		px, err := positioning.NewProximity(devs, positioning.ProximityConfig{})
@@ -88,7 +93,7 @@ func wholeRunPositioning(c PositioningMethodController, t *topo.Topology, devs [
 		if err != nil {
 			return err
 		}
-		ds.Proximity.Append(recs...)
+		ds.Proximity = append(ds.Proximity, recs...)
 		return nil
 	default:
 		return fmt.Errorf("core: unknown positioning method %q", c.Config.Method)
@@ -120,16 +125,16 @@ func oracleConfig(pc PositioningConfig, p int) func(*Config) {
 	}
 }
 
-// memorySink keeps what a run hands a sink: the RSSI row count and the
-// derived tables.
+// memorySink keeps what a run hands a sink: the RSSI rows and the derived
+// tables.
 type memorySink struct {
-	rssi      int
+	rssi      []rssi.Measurement
 	estimates []positioning.Estimate
 	proximity []positioning.ProximityRecord
 }
 
 func (s *memorySink) Trajectory(trajectory.Sample) error { return nil }
-func (s *memorySink) RSSI(rssi.Measurement) error        { s.rssi++; return nil }
+func (s *memorySink) RSSI(m rssi.Measurement) error      { s.rssi = append(s.rssi, m); return nil }
 func (s *memorySink) Estimates(es []positioning.Estimate) error {
 	s.estimates = es
 	return nil
@@ -158,7 +163,11 @@ func runPipelineTo(t *testing.T, sink Sink, mutate func(*Config)) *Dataset {
 // TestFusedPositioningMatchesWholeRun: the positioning outputs the pipeline
 // computes per object inside the RSSI workers are deep-equal to one
 // whole-run pass over the re-sorted measurements, for every method, at
-// every worker count, with and without a sink.
+// every worker count, with and without a sink. It also pins the orders the
+// Dataset's tables are appended in, which nothing sorts afterwards: RSSI
+// rows as a sink receives them, estimates by (object, time), proximity
+// records by (object, device, start); and a sink is handed the Dataset's
+// own tables, empty but not nil when a method produced nothing.
 func TestFusedPositioningMatchesWholeRun(t *testing.T) {
 	methods := []struct {
 		name string
@@ -183,12 +192,14 @@ func TestFusedPositioningMatchesWholeRun(t *testing.T) {
 			r.Split()
 			r.Split()
 			r.Split()
-			want := &Dataset{RSSI: base.RSSI, Estimates: storage.NewEstimateStore(), Proximity: storage.NewProximityStore()}
+			want := &Dataset{RSSI: base.RSSI, Estimates: []positioning.Estimate{}, Proximity: []positioning.ProximityRecord{}}
 			pmc := PositioningMethodController{Config: cfg.Positioning, RSSIModel: cfg.RSSI.model()}
-			if err := wholeRunPositioning(pmc, base.Topo, base.Devices.All(), want, r.Split()); err != nil {
+			if err := wholeRunPositioning(pmc, base.Topo, base.Devices, want, r.Split()); err != nil {
 				t.Fatal(err)
 			}
-			if want.Estimates.Len()+len(want.ProbEstimates)+want.Proximity.Len() == 0 {
+			slices.SortStableFunc(want.Estimates, byObjectTime)
+			slices.SortStableFunc(want.Proximity, byObjectDeviceStart)
+			if len(want.Estimates)+len(want.ProbEstimates)+len(want.Proximity) == 0 {
 				t.Fatal("the oracle produced no positioning output: the comparison would be vacuous")
 			}
 			if m.pc.Algorithm == "bayes" && len(want.ProbEstimates) == 0 {
@@ -206,31 +217,60 @@ func TestFusedPositioningMatchesWholeRun(t *testing.T) {
 						ds = runPipelineTo(t, nil, oracleConfig(m.pc, p))
 					}
 					where := fmt.Sprintf("p=%d sink=%v", p, withSink)
-					if got, w := ds.Estimates.All(), want.Estimates.All(); !reflect.DeepEqual(got, w) {
+					if !slices.IsSortedFunc(ds.Estimates, byObjectTime) {
+						t.Errorf("%s: estimates not in (object, time) order", where)
+					}
+					if !slices.IsSortedFunc(ds.Proximity, byObjectDeviceStart) {
+						t.Errorf("%s: proximity records not in (object, device, start) order", where)
+					}
+					if got, w := ds.Estimates, want.Estimates; !reflect.DeepEqual(got, w) {
 						t.Errorf("%s: %d estimates differ from the whole-run pass (%d)", where, len(got), len(w))
 					}
 					if !reflect.DeepEqual(ds.ProbEstimates, want.ProbEstimates) {
 						t.Errorf("%s: %d probabilistic estimates differ from the whole-run pass (%d)",
 							where, len(ds.ProbEstimates), len(want.ProbEstimates))
 					}
-					if got, w := ds.Proximity.All(), want.Proximity.All(); !reflect.DeepEqual(got, w) {
+					if got, w := ds.Proximity, want.Proximity; !reflect.DeepEqual(got, w) {
 						t.Errorf("%s: %d proximity records differ from the whole-run pass (%d)", where, len(got), len(w))
 					}
 					if !reflect.DeepEqual(ds.RadioMap, want.RadioMap) {
 						t.Errorf("%s: radio map differs from the whole-run pass", where)
 					}
-					if withSink {
-						if !reflect.DeepEqual(sink.estimates, want.Estimates.All()) {
-							t.Errorf("%s: the sink was handed other estimates", where)
+					if !withSink {
+						if !reflect.DeepEqual(ds.RSSI, base.RSSI) {
+							t.Errorf("%s: %d RSSI rows differ from the p=1 run's (%d)", where, len(ds.RSSI), len(base.RSSI))
 						}
-						if !reflect.DeepEqual(sink.proximity, want.Proximity.All()) {
-							t.Errorf("%s: the sink was handed other proximity records", where)
-						}
+						continue
+					}
+					if !reflect.DeepEqual(sink.rssi, base.RSSI) {
+						t.Errorf("%s: the sink took %d RSSI rows other than Run kept (%d)", where, len(sink.rssi), len(base.RSSI))
+					}
+					if !reflect.DeepEqual(sink.estimates, ds.Estimates) || !reflect.DeepEqual(sink.estimates, want.Estimates) {
+						t.Errorf("%s: the sink was handed other estimates", where)
+					}
+					if !reflect.DeepEqual(sink.proximity, ds.Proximity) || !reflect.DeepEqual(sink.proximity, want.Proximity) {
+						t.Errorf("%s: the sink was handed other proximity records", where)
 					}
 				}
 			}
 		})
 	}
+	t.Run("none", func(t *testing.T) {
+		sink := &memorySink{}
+		runPipelineTo(t, sink, oracleConfig(PositioningConfig{}, 2))
+		if sink.estimates == nil || len(sink.estimates) != 0 || sink.proximity == nil || len(sink.proximity) != 0 {
+			t.Errorf("a run without positioning handed the sink estimates %#v and proximity %#v, want two empty non-nil tables",
+				sink.estimates, sink.proximity)
+		}
+	})
+}
+
+func byObjectTime(a, b positioning.Estimate) int {
+	return cmp.Or(cmp.Compare(a.ObjID, b.ObjID), cmp.Compare(a.T, b.T))
+}
+
+func byObjectDeviceStart(a, b positioning.ProximityRecord) int {
+	return cmp.Or(cmp.Compare(a.ObjID, b.ObjID), strings.Compare(a.DeviceID, b.DeviceID), cmp.Compare(a.TS, b.TS))
 }
 
 // checkOracleCoverage fails unless the run holds the cases per-object
@@ -245,14 +285,17 @@ func checkOracleCoverage(t *testing.T, ds *Dataset) {
 		idx float64
 	}
 	floors := map[window]map[int]bool{}
-	for _, m := range ds.RSSI.All() {
+	floorOf := map[string]int{}
+	for _, d := range ds.Devices {
+		floorOf[d.ID] = d.Floor
+	}
+	for _, m := range ds.RSSI {
 		heard[m.ObjID] = true
-		d, _ := ds.Devices.Get(m.DeviceID)
 		w := window{m.ObjID, math.Floor(m.T / oracleWindow)}
 		if floors[w] == nil {
 			floors[w] = map[int]bool{}
 		}
-		floors[w][d.Floor] = true
+		floors[w][floorOf[m.DeviceID]] = true
 	}
 	lateBirth, unheard, twoFloors := false, false, false
 	for _, id := range ds.Trajectories.Objects() {
@@ -281,13 +324,13 @@ func TestRunToSinkRetainsNoRSSI(t *testing.T) {
 	sink := &memorySink{}
 	ds := runPipelineTo(t, sink, mutate)
 	if ds.RSSI != nil {
-		t.Errorf("RunTo(sink) kept %d RSSI rows", ds.RSSI.Len())
+		t.Errorf("RunTo(sink) kept %d RSSI rows", len(ds.RSSI))
 	}
-	if ds.RSSICount != sink.rssi || sink.rssi == 0 {
-		t.Errorf("RSSICount %d, the sink received %d rows (want equal, > 0)", ds.RSSICount, sink.rssi)
+	if ds.RSSICount != len(sink.rssi) || len(sink.rssi) == 0 {
+		t.Errorf("RSSICount %d, the sink received %d rows (want equal, > 0)", ds.RSSICount, len(sink.rssi))
 	}
 	kept := runPipelineTo(t, nil, mutate)
-	if kept.RSSI.Len() != kept.RSSICount || kept.RSSICount != sink.rssi {
-		t.Errorf("Run kept %d rows and counted %d, RunTo(sink) streamed %d", kept.RSSI.Len(), kept.RSSICount, sink.rssi)
+	if len(kept.RSSI) != kept.RSSICount || kept.RSSICount != len(sink.rssi) {
+		t.Errorf("Run kept %d rows and counted %d, RunTo(sink) streamed %d", len(kept.RSSI), kept.RSSICount, len(sink.rssi))
 	}
 }

@@ -31,12 +31,12 @@ func AblationLoS(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats, _ := core.EvaluateEstimates(ds.Trajectories, ds.Estimates.All())
+		stats, _ := core.EvaluateEstimates(ds.Trajectories, ds.Estimates)
 		name := "line-of-sight crossings"
 		if !los {
 			name = "constant penalty"
 		}
-		t.AddRow(name, ds.RSSI.Len(), stats.Mean, stats.Median)
+		t.AddRow(name, len(ds.RSSI), stats.Mean, stats.Median)
 	}
 	return t, nil
 }
@@ -122,7 +122,7 @@ func AblationRadioMapDensity(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats, _ := core.EvaluateEstimates(ds.Trajectories, ds.Estimates.All())
+		stats, _ := core.EvaluateEstimates(ds.Trajectories, ds.Estimates)
 		refs := 0
 		if ds.RadioMap != nil {
 			refs = len(ds.RadioMap.Refs)

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"vita/internal/core"
@@ -11,9 +13,11 @@ import (
 	"vita/internal/ifc"
 	"vita/internal/model"
 	"vita/internal/object"
+	"vita/internal/plan"
 	"vita/internal/positioning"
 	"vita/internal/rng"
 	"vita/internal/rssi"
+	"vita/internal/serve"
 	"vita/internal/storage"
 	"vita/internal/topo"
 	"vita/internal/trajectory"
@@ -59,8 +63,8 @@ func E1Pipeline(seed uint64) (*Table, error) {
 			return nil, fmt.Errorf("E1 %s: %w", src, err)
 		}
 		ms := float64(time.Since(start).Microseconds()) / 1000
-		t.AddRow(src, ds.Building.PartitionCount(), ds.Devices.Len(),
-			ds.Trajectories.Len(), ds.RSSI.Len(), ds.Estimates.Len(), ms)
+		t.AddRow(src, ds.Building.PartitionCount(), len(ds.Devices),
+			ds.Trajectories.Len(), len(ds.RSSI), len(ds.Estimates), ms)
 	}
 	return t, nil
 }
@@ -305,7 +309,7 @@ func E5Accuracy(seed uint64) (*Table, error) {
 				stats := proximityError(ds)
 				t.AddRow(method, sigma, stats.N, stats.Mean, stats.Median, stats.P95)
 			default:
-				stats, _ := core.EvaluateEstimates(ds.Trajectories, ds.Estimates.All())
+				stats, _ := core.EvaluateEstimates(ds.Trajectories, ds.Estimates)
 				t.AddRow(method, sigma, stats.N, stats.Mean, stats.Median, stats.P95)
 			}
 		}
@@ -316,9 +320,13 @@ func E5Accuracy(seed uint64) (*Table, error) {
 // proximityError treats the detecting device's position as the estimate at
 // the middle of each detection period.
 func proximityError(ds *core.Dataset) core.ErrorStats {
+	byID := make(map[string]*device.Device, len(ds.Devices))
+	for _, d := range ds.Devices {
+		byID[d.ID] = d
+	}
 	var ests []positioning.Estimate
-	for _, r := range ds.Proximity.All() {
-		d, ok := ds.Devices.Get(r.DeviceID)
+	for _, r := range ds.Proximity {
+		d, ok := byID[r.DeviceID]
 		if !ok {
 			continue
 		}
@@ -456,7 +464,9 @@ func E7DBIProcessing(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E8StorageQueries exercises the Data Stream APIs on a generated dataset.
+// E8StorageQueries times the Data Stream API queries of the §5 demo on a
+// generated dataset: the snapshot, traj and range plans the server answers,
+// run over the stored samples, plus two device lookups.
 func E8StorageQueries(seed uint64) (*Table, error) {
 	cfg := smallRun(seed)
 	ds, err := run(cfg)
@@ -467,7 +477,9 @@ func E8StorageQueries(seed uint64) (*Table, error) {
 		ID:     "E8",
 		Title:  "storage and data stream API queries",
 		Header: []string{"query", "results", "µs/op"},
-		Notes:  "spatial/temporal repositories answer the snapshot, window and nearest-device queries used by the GUI demo (paper §5 step 4).",
+		Notes: "the snapshot, window and nearest-device queries of the GUI demo (paper §5 step 4): " +
+			"the trajectory rows are plans of internal/plan over the stored samples, as the server runs them; " +
+			"the device rows scan the deployment.",
 	}
 	timeIt := func(name string, iters int, fn func() int) {
 		start := time.Now()
@@ -482,18 +494,56 @@ func E8StorageQueries(seed uint64) (*Table, error) {
 	if len(objs) == 0 {
 		return nil, fmt.Errorf("E8: empty trajectory store")
 	}
-	bb := ds.Building.Floors[0].BBox()
-	timeIt("snapshot at t=90s", 50, func() int { return len(ds.Trajectories.SnapshotAt(90)) })
-	timeIt("time range obj[0] [30,90]", 200, func() int { return len(ds.Trajectories.TimeRange(objs[0], 30, 90)) })
-	timeIt("window query F0 half-floor", 50, func() int {
-		half := geom.BBox{Min: bb.Min, Max: geom.Pt(bb.Center().X, bb.Max.Y)}
-		return len(ds.Trajectories.WindowQuery(0, half, 0, 60))
+	src := plan.SliceSource{Samples: ds.Trajectories.All()}
+	var qerr error
+	count := func(p *plan.Plan) int {
+		c, err := p.Compile()
+		if err != nil {
+			qerr = err
+			return 0
+		}
+		rows, err := plan.CollectSamples(c)
+		if err != nil {
+			qerr = err
+		}
+		return len(rows)
+	}
+	const at, gap = 90, serve.DefaultMaxGap
+	timeIt("snapshot at t=90s", 50, func() int {
+		return count(plan.NewScan(src).Filter(plan.TimeBetween(at-gap, at+gap)).SnapshotAt(at, gap))
 	})
+	timeIt("time range obj[0] [30,90]", 200, func() int {
+		return count(plan.NewScan(src).Filter(plan.ObjEq(objs[0]), plan.TimeBetween(30, 90)))
+	})
+	bb := ds.Building.Floors[0].BBox()
+	half := geom.BBox{Min: bb.Min, Max: geom.Pt(bb.Center().X, bb.Max.Y)}
+	timeIt("window query F0 half-floor", 50, func() int {
+		return count(plan.NewScan(src).Filter(plan.OnFloor(0), plan.InBox(half), plan.TimeBetween(0, 60)))
+	})
+	if qerr != nil {
+		return nil, fmt.Errorf("E8: %w", qerr)
+	}
+	center := bb.Center()
 	timeIt("devices in range of center", 500, func() int {
-		return len(ds.Devices.InRangeOf(0, bb.Center()))
+		n := 0
+		for _, d := range ds.Devices {
+			if d.Floor == 0 && d.InRange(center) {
+				n++
+			}
+		}
+		return n
 	})
 	timeIt("3 nearest devices", 500, func() int {
-		return len(ds.Devices.Nearest(0, bb.Center(), 3))
+		var near []*device.Device
+		for _, d := range ds.Devices {
+			if d.Floor == 0 {
+				near = append(near, d)
+			}
+		}
+		slices.SortFunc(near, func(a, b *device.Device) int {
+			return cmp.Compare(a.Position.Dist(center), b.Position.Dist(center))
+		})
+		return len(near[:min(3, len(near))])
 	})
 	return t, nil
 }
@@ -569,17 +619,17 @@ func E10Combos(seed uint64) (*Table, error) {
 		var acc float64
 		switch c.method {
 		case "proximity":
-			rows = ds.Proximity.Len()
+			rows = len(ds.Proximity)
 			acc = proximityError(ds).Mean
 		default:
-			rows = ds.Estimates.Len()
-			stats, _ := core.EvaluateEstimates(ds.Trajectories, ds.Estimates.All())
+			rows = len(ds.Estimates)
+			stats, _ := core.EvaluateEstimates(ds.Trajectories, ds.Estimates)
 			acc = stats.Mean
 		}
 		if rows == 0 {
 			return nil, fmt.Errorf("E10 %s: no output rows", c.name)
 		}
-		t.AddRow(c.name, ds.Devices.Len(), ds.RSSI.Len(), rows, acc)
+		t.AddRow(c.name, len(ds.Devices), len(ds.RSSI), rows, acc)
 	}
 	return t, nil
 }

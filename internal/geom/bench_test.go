@@ -25,7 +25,7 @@ func BenchmarkCrossings(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	walls := tp.Walls(0)
+	walls := tp.B.Floors[0].WallSet()
 	box := bld.Floors[0].BBox()
 	grid := func(nx, ny int) []geom.Point {
 		var out []geom.Point

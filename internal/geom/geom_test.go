@@ -10,9 +10,6 @@ func TestPointOps(t *testing.T) {
 	if d := p.Dist(q); math.Abs(d-5) > Eps {
 		t.Errorf("Dist = %v, want 5", d)
 	}
-	if d := p.Dist2(q); math.Abs(d-25) > Eps {
-		t.Errorf("Dist2 = %v, want 25", d)
-	}
 	if got := p.Add(q); !got.Eq(Pt(5, 8)) {
 		t.Errorf("Add = %v", got)
 	}
@@ -75,16 +72,6 @@ func TestSegmentIntersects(t *testing.T) {
 	}
 }
 
-func TestSegmentIntersection(t *testing.T) {
-	p, ok := Seg(Pt(0, 0), Pt(10, 10)).Intersection(Seg(Pt(0, 10), Pt(10, 0)))
-	if !ok || !p.Eq(Pt(5, 5)) {
-		t.Errorf("Intersection = %v, %v", p, ok)
-	}
-	if _, ok := Seg(Pt(0, 0), Pt(10, 0)).Intersection(Seg(Pt(0, 1), Pt(10, 1))); ok {
-		t.Error("parallel segments should not intersect at a point")
-	}
-}
-
 func TestSegmentClosestPoint(t *testing.T) {
 	s := Seg(Pt(0, 0), Pt(10, 0))
 	if got := s.ClosestPoint(Pt(5, 3)); !got.Eq(Pt(5, 0)) {
@@ -141,9 +128,6 @@ func TestPolygonAreaCentroid(t *testing.T) {
 	}
 	if c := sq.Centroid(); !c.Eq(Pt(5, 5)) {
 		t.Errorf("Centroid = %v", c)
-	}
-	if p := sq.Perimeter(); math.Abs(p-40) > Eps {
-		t.Errorf("Perimeter = %v", p)
 	}
 	// Winding must not affect absolute area.
 	rev := Polygon{sq[3], sq[2], sq[1], sq[0]}
@@ -242,11 +226,8 @@ func TestWallSet(t *testing.T) {
 	if n := ws.Crossings(Pt(0, 0), Pt(2, 2)); n != 0 {
 		t.Errorf("Crossings local = %d, want 0", n)
 	}
-	if !ws.HasLineOfSight(Pt(0, 0), Pt(2, 2)) {
-		t.Error("LoS should be clear")
-	}
-	if ws.HasLineOfSight(Pt(0, 0), Pt(10, 0.1)) {
-		t.Error("LoS should be blocked by vertical wall")
+	if n := ws.Crossings(Pt(0, 0), Pt(10, 0.1)); n != 1 {
+		t.Errorf("Crossings past the vertical wall = %d, want 1", n)
 	}
 	ws.Add(Seg(Pt(0, 8), Pt(10, 8)))
 	if n := ws.Crossings(Pt(1, 7), Pt(1, 9)); n != 1 {

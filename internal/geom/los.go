@@ -51,9 +51,3 @@ func (ws *WallSet) Crossings(a, b Point) int {
 	}
 	return n
 }
-
-// HasLineOfSight reports whether the straight path from a to b crosses no
-// walls.
-func (ws *WallSet) HasLineOfSight(a, b Point) bool {
-	return ws.Crossings(a, b) == 0
-}

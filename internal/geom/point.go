@@ -44,12 +44,6 @@ func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
-// Dist2 returns the squared Euclidean distance between p and q.
-func (p Point) Dist2(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // Lerp linearly interpolates from p to q by fraction t in [0,1].
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}

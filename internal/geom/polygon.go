@@ -40,15 +40,6 @@ func (pg Polygon) SignedArea() float64 {
 // Area returns the absolute area of the polygon.
 func (pg Polygon) Area() float64 { return math.Abs(pg.SignedArea()) }
 
-// Perimeter returns the total boundary length.
-func (pg Polygon) Perimeter() float64 {
-	var s float64
-	for i, p := range pg {
-		s += p.Dist(pg[(i+1)%len(pg)])
-	}
-	return s
-}
-
 // Centroid returns the area centroid. Degenerate polygons fall back to the
 // vertex average.
 func (pg Polygon) Centroid() Point {
@@ -168,17 +159,6 @@ func (pg Polygon) ClosestBoundaryPoint(p Point) Point {
 // DistToBoundary returns the distance from p to the polygon boundary.
 func (pg Polygon) DistToBoundary(p Point) float64 {
 	return pg.ClosestBoundaryPoint(p).Dist(p)
-}
-
-// IntersectsSegment reports whether the segment crosses or touches the
-// polygon boundary.
-func (pg Polygon) IntersectsSegment(s Segment) bool {
-	for _, e := range pg.Edges() {
-		if e.Intersects(s) {
-			return true
-		}
-	}
-	return false
 }
 
 // ClipHalfPlane clips the polygon against the half-plane on the left of the

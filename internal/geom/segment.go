@@ -65,24 +65,6 @@ func (s Segment) Intersects(t Segment) bool {
 	return false
 }
 
-// Intersection returns the intersection point of the two segments and true if
-// they properly intersect at a single point. Collinear overlaps return false.
-func (s Segment) Intersection(t Segment) (Point, bool) {
-	r := s.B.Sub(s.A)
-	d := t.B.Sub(t.A)
-	denom := r.Cross(d)
-	if math.Abs(denom) < Eps {
-		return Point{}, false
-	}
-	diff := t.A.Sub(s.A)
-	u := diff.Cross(d) / denom
-	v := diff.Cross(r) / denom
-	if u < -Eps || u > 1+Eps || v < -Eps || v > 1+Eps {
-		return Point{}, false
-	}
-	return s.A.Add(r.Scale(u)), true
-}
-
 // ClosestPoint returns the point on the segment closest to p.
 func (s Segment) ClosestPoint(p Point) Point {
 	d := s.B.Sub(s.A)

@@ -87,24 +87,3 @@ func (g *Grid) Search(query geom.BBox, dst []Item) []Item {
 	}
 	return dst
 }
-
-// WithinRange returns every item whose bounds lie within dist of p.
-func (g *Grid) WithinRange(p geom.Point, dist float64, dst []Item) []Item {
-	q := geom.BBox{Min: p, Max: p}.Expand(dist)
-	c0, r0, c1, r1 := g.cellRange(q)
-	seen := make(map[Item]bool)
-	for r := r0; r <= r1; r++ {
-		for c := c0; c <= c1; c++ {
-			for _, it := range g.cells[r*g.cols+c] {
-				if seen[it] {
-					continue
-				}
-				seen[it] = true
-				if it.Bounds().DistToPoint(p) <= dist {
-					dst = append(dst, it)
-				}
-			}
-		}
-	}
-	return dst
-}

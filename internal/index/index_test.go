@@ -174,30 +174,6 @@ func TestGridMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestGridWithinRange(t *testing.T) {
-	r := rng.New(5)
-	items := randomItems(r, 300)
-	g := NewGrid(geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(1030, 1030)}, 40)
-	for _, it := range items {
-		g.Insert(it)
-	}
-	for i := 0; i < 100; i++ {
-		p := geom.Pt(r.Range(0, 1000), r.Range(0, 1000))
-		dist := r.Range(5, 100)
-		got := ids(g.WithinRange(p, dist, nil))
-		var want []int
-		for _, it := range items {
-			if it.Bounds().DistToPoint(p) <= dist {
-				want = append(want, it.(*boxItem).id)
-			}
-		}
-		sort.Ints(want)
-		if !equalIDs(got, want) {
-			t.Fatalf("WithinRange mismatch at %d: got %d, want %d", i, len(got), len(want))
-		}
-	}
-}
-
 func TestGridDegenerate(t *testing.T) {
 	g := NewGrid(geom.EmptyBBox(), 10)
 	it := &boxItem{id: 0, bb: geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}}

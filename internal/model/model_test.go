@@ -108,7 +108,7 @@ func TestWallSetPunchesDoors(t *testing.T) {
 	f := twoRoomFloor(t)
 	ws := f.WallSet()
 	// A path through the door position must have line of sight.
-	if !ws.HasLineOfSight(geom.Pt(9, 5), geom.Pt(11, 5)) {
+	if ws.Crossings(geom.Pt(9, 5), geom.Pt(11, 5)) != 0 {
 		t.Error("door opening blocked")
 	}
 	// A path through the shared wall away from the door must be blocked (the

@@ -127,7 +127,7 @@ func (ag *aggregate) fold(child Operator, sc *aggScratch) *Batch {
 	sc.states = sc.states[:0]
 	for child.Next() {
 		in := child.Batch()
-		sc.gid = sc.groups.assign(sc.gid, in, true)
+		sc.gid = sc.groups.assign(sc.gid, in)
 		sc.states = append(sc.states, make([]aggState, sc.groups.len()*na-len(sc.states))...)
 		for j, a := range ag.aggs {
 			switch st := sc.states[j:]; a.src {
@@ -197,18 +197,14 @@ func (t *groupTable) reset(cols []Col) {
 
 func (t *groupTable) len() int { return len(t.next) }
 
-// find returns row i's group, adding one when add is set; -1 when the row
-// has none and add is not set.
-func (t *groupTable) find(b *Batch, i int, add bool) int32 {
+// find returns row i's group, adding one when the row has none.
+func (t *groupTable) find(b *Batch, i int) int32 {
 	h := hashKey(t.cols, b, i)
 	first := t.head[h] - 1
 	for g := first; g >= 0; g = t.next[g] {
 		if sameKey(t.cols, b, i, t.reps.batch(), int(g)) {
 			return g
 		}
-	}
-	if !add {
-		return -1
 	}
 	t.reps.appendRange(b, i, i+1)
 	t.next = append(t.next, first)
@@ -217,10 +213,10 @@ func (t *groupTable) find(b *Batch, i int, add bool) int32 {
 }
 
 // assign returns, in gid's storage, the group of every row of b (see find).
-// A row whose key columns equal its predecessor's joins its group without a
+// A row whose key columns equal its predecessor's shares its group without a
 // lookup: the columns mark run breaks in one typed loop each, and only a
 // break pays the hash.
-func (t *groupTable) assign(gid []int32, b *Batch, add bool) []int32 {
+func (t *groupTable) assign(gid []int32, b *Batch) []int32 {
 	n := b.Len()
 	gid = slices.Grow(gid[:0], n)[:n]
 	t.brk = slices.Grow(t.brk[:0], n)[:n]
@@ -230,7 +226,7 @@ func (t *groupTable) assign(gid []int32, b *Batch, add bool) []int32 {
 	}
 	for i := range gid {
 		if i == 0 || t.brk[i] {
-			gid[i] = t.find(b, i, add)
+			gid[i] = t.find(b, i)
 		} else {
 			gid[i] = gid[i-1]
 		}

@@ -4,7 +4,7 @@ import "hash/maphash"
 
 // Col names one column of the batch dataflow — the seven trajectory columns
 // plus the derived Val column. Operators that take column arguments
-// (Project, Aggregate, OrderBy, Join) address columns through these
+// (Project, Aggregate, OrderBy) address columns through these
 // constants.
 type Col int
 
@@ -97,8 +97,8 @@ func colStr(b *Batch, c Col, i int) string {
 
 // numKey is numeric column c of row i as the uint64 OrderBy sorts it by:
 // integers as integers, -0 as +0, every NaN one key above every number.
-// Aggregate groups and Join matches rows by these keys, so the three
-// operators agree on which values are equal.
+// Aggregate groups rows by these keys, so the two operators agree on which
+// values are equal.
 func numKey(b *Batch, c Col, i int) uint64 {
 	switch c {
 	case ColObjID:

@@ -21,10 +21,9 @@ const (
 	nodeOrderBy
 	nodeLimit
 	nodeSnapshotAt
-	nodeJoin
 )
 
-var nodeKindNames = [...]string{"Scan", "Filter", "Project", "TimeBucket", "Derive", "Aggregate", "OrderBy", "Limit", "SnapshotAt", "Join"}
+var nodeKindNames = [...]string{"Scan", "Filter", "Project", "TimeBucket", "Derive", "Aggregate", "OrderBy", "Limit", "SnapshotAt"}
 
 func (k nodeKind) String() string { return nodeKindNames[k] }
 
@@ -36,7 +35,7 @@ type Plan struct {
 	input  *Plan      // nil for Scan
 	src    Source     // Scan
 	preds  []Pred     // Filter
-	cols   []Col      // Project keep-set / Aggregate group-by / Join keys
+	cols   []Col      // Project keep-set / Aggregate group-by
 	width  float64    // TimeBucket
 	derive DeriveFunc // Derive
 	aggs   []AggSpec  // Aggregate
@@ -44,7 +43,6 @@ type Plan struct {
 	n      int        // Limit
 	at     float64    // SnapshotAt instant
 	maxGap float64    // SnapshotAt interpolation bound
-	right  *Plan      // Join build side
 }
 
 // NewScan starts a plan at a leaf Source.
@@ -65,7 +63,7 @@ func (p *Plan) Project(cols ...Col) *Plan {
 
 // TimeBucket replaces each row's timestamp with the start of its
 // width-second bucket (floor(T/width)*width) — the usual prelude to
-// time-grouped aggregation or temporal joins.
+// time-grouped aggregation.
 func (p *Plan) TimeBucket(width float64) *Plan {
 	return &Plan{kind: nodeTimeBucket, input: p, width: width}
 }
@@ -110,27 +108,16 @@ func (p *Plan) SnapshotAt(t, maxGap float64) *Plan {
 	return &Plan{kind: nodeSnapshotAt, input: p, at: t, maxGap: maxGap}
 }
 
-// Join hash-joins the plan (probe side) against right (build side) on
-// equality of the given columns, equal as Aggregate's keys are (integers as
-// integers, -0 as +0, NaN matching NaN) — e.g. Join(other, ColPartition, ColT)
-// after TimeBucket on both sides finds co-located objects per time bucket.
-// Each output row is the probe row with Val set to the matching build row's
-// object ID, probe rows in order, matches in build order.
-func (p *Plan) Join(right *Plan, on ...Col) *Plan {
-	return &Plan{kind: nodeJoin, input: p, right: right, cols: on}
-}
-
 // By is sugar for an Aggregate group-by column list.
 func By(cols ...Col) []Col { return cols }
 
 // Compiled is an executable plan: the physical operator tree plus what the
-// planner pushed into each scan leaf. It satisfies Operator; drive it with
+// planner pushed into its scan. It satisfies Operator; drive it with
 // Next/Batch or hand it to CollectSamples/CollectRows.
 type Compiled struct {
 	root Operator
-	// scanPreds holds the block predicate pushed into each Scan leaf, in
-	// left-to-right leaf order.
-	scanPreds []colstore.Predicate
+	// scanPred is the block predicate pushed into the Scan leaf.
+	scanPred colstore.Predicate
 	// traced plans additionally carry a span tree mirroring the physical
 	// operator tree; see CompileTraced.
 	traced bool
@@ -142,14 +129,10 @@ type Compiled struct {
 // counts (scan pruning stats are captured at Close).
 func (c *Compiled) Trace() *obs.Span { return c.span }
 
-// ScanPred returns the block predicate the planner pushed into the first
-// (probe-side) scan leaf — what tests and benchmarks read to check that a
-// filter reached the zone maps.
-func (c *Compiled) ScanPred() colstore.Predicate { return c.scanPreds[0] }
-
-// ScanPreds returns the pushed predicate of every scan leaf (joins have
-// two or more).
-func (c *Compiled) ScanPreds() []colstore.Predicate { return c.scanPreds }
+// ScanPred returns the block predicate the planner pushed into the scan —
+// what tests and benchmarks read to check that a filter reached the zone
+// maps.
+func (c *Compiled) ScanPred() colstore.Predicate { return c.scanPred }
 
 func (c *Compiled) Next() bool                { return c.root.Next() }
 func (c *Compiled) Batch() *Batch             { return c.root.Batch() }
@@ -191,15 +174,14 @@ func (p *Plan) compileWith(traced bool) (*Compiled, error) {
 	return c, nil
 }
 
-// compile lowers one logical chain to a physical operator, recording scan
-// predicates on c as it reaches the leaves. When tracing, it also returns
-// the chain's root span (nil otherwise).
+// compile lowers the plan's chain to a physical operator, recording the scan
+// predicate on c. When tracing, it also returns the chain's root span (nil
+// otherwise).
 func (c *Compiled) compile(p *Plan) (Operator, *obs.Span, error) {
 	// span tracks the span of the chain's current top operator; trace wraps
-	// a freshly lowered operator and adopts the previous top (plus any extra
-	// subtrees, e.g. a join's build side) as children.
+	// a freshly lowered operator and adopts the previous top as its child.
 	var span *obs.Span
-	trace := func(op Operator, name, detail string, isScan bool, extra ...*obs.Span) Operator {
+	trace := func(op Operator, name, detail string, isScan bool) Operator {
 		if !c.traced {
 			return op
 		}
@@ -207,7 +189,6 @@ func (c *Compiled) compile(p *Plan) (Operator, *obs.Span, error) {
 		if span != nil {
 			sp.Children = append(sp.Children, span)
 		}
-		sp.Children = append(sp.Children, extra...)
 		span = sp
 		return newTraceOp(op, sp, isScan)
 	}
@@ -233,7 +214,7 @@ func (c *Compiled) compile(p *Plan) (Operator, *obs.Span, error) {
 			}
 		}
 	}
-	c.scanPreds = append(c.scanPreds, pred)
+	c.scanPred = pred
 	op := trace(newScanOp(chain[0].src, pred), "Scan", predDetail(pred), true)
 	if len(residual) > 0 { // what did not push down stays one Filter
 		i--
@@ -278,15 +259,6 @@ func (c *Compiled) compile(p *Plan) (Operator, *obs.Span, error) {
 			op = trace(newLimitOp(op, n.n), "Limit", fmt.Sprintf("n=%d", n.n), false)
 		case nodeSnapshotAt:
 			op = trace(newSnapshotAtOp(op, n.at, n.maxGap), "SnapshotAt", fmt.Sprintf("t=%g maxgap=%gs", n.at, n.maxGap), false)
-		case nodeJoin:
-			if len(n.cols) == 0 {
-				return nil, nil, fmt.Errorf("plan: Join needs at least one key column")
-			}
-			rightOp, rightSpan, err := c.compile(n.right)
-			if err != nil {
-				return nil, nil, err
-			}
-			op = trace(newJoinOp(op, rightOp, n.cols), "Join", "on "+colList(n.cols), false, rightSpan)
 		default:
 			return nil, nil, fmt.Errorf("plan: unexpected %s mid-chain", n.kind)
 		}

@@ -15,7 +15,7 @@ import (
 	"vita/internal/trajectory"
 )
 
-// The row-at-a-time operators Aggregate, Filter/Project, SnapshotAt and Join
+// The row-at-a-time operators Aggregate, Filter/Project and SnapshotAt
 // were before they moved to columns, kept as the oracles the column forms
 // are held to (as oracleOrderBy is for OrderBy). Each materializes a Sample
 // per row and appends output field by field. One thing is restated rather
@@ -339,58 +339,6 @@ func (s *oracleSnapshotOp) Err() error                { return s.child.Err() }
 func (s *oracleSnapshotOp) Stats() colstore.ScanStats { return s.child.Stats() }
 func (s *oracleSnapshotOp) Close() error              { return s.child.Close() }
 
-// --- Join ---
-
-type oracleJoinOp struct {
-	left, right Operator
-	on          []Col
-	built       bool
-	table       map[string][]float64
-	bc          batchCols
-	keyBuf      []byte
-}
-
-func (j *oracleJoinOp) key(b *Batch, i int) []byte {
-	j.keyBuf = j.keyBuf[:0]
-	for _, c := range j.on {
-		j.keyBuf = oracleColKey(j.keyBuf, b, c, i)
-	}
-	return j.keyBuf
-}
-
-func (j *oracleJoinOp) Next() bool {
-	if !j.built {
-		j.built = true
-		j.table = make(map[string][]float64)
-		for j.right.Next() {
-			in := j.right.Batch()
-			for i := 0; i < in.Len(); i++ {
-				k := string(j.key(in, i))
-				j.table[k] = append(j.table[k], float64(in.Traj.ObjID[i]))
-			}
-		}
-	}
-	for j.left.Next() {
-		in := j.left.Batch()
-		j.bc.reset(true)
-		for i := 0; i < in.Len(); i++ {
-			s := in.Traj.Row(i)
-			for _, objID := range j.table[string(j.key(in, i))] {
-				j.bc.appendRow(s, objID)
-			}
-		}
-		if j.bc.len() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (j *oracleJoinOp) Batch() *Batch             { return j.bc.batch() }
-func (j *oracleJoinOp) Err() error                { return j.left.Err() }
-func (j *oracleJoinOp) Stats() colstore.ScanStats { return colstore.ScanStats{} }
-func (j *oracleJoinOp) Close() error              { return j.left.Close() }
-
 // --- Generated comparisons ---
 
 // drain collects op's rows and whether any batch carried a Val column, then
@@ -597,25 +545,4 @@ func FuzzSnapshotAt(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over."), uint32(0x1f2e6))
 	f.Add([]byte{0x60, 0, 0, 0x50, 0x70, 0, 0, 0x60, 0x60, 0, 0, 0xa0}, uint32(0xa4c3))
 	f.Fuzz(checkSnapshotAt)
-}
-
-// TestJoinMatchesOracle holds the group-table join to the map-of-keys join
-// on generated build and probe sides, one to three key columns of any kind.
-func TestJoinMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for iter := 0; iter < 300; iter++ {
-		side := func() []*Batch {
-			data := make([]byte, 4*[]int{0, 1, 2, 7, 64, 200}[rng.Intn(6)])
-			rng.Read(data)
-			return genBatches(data, rng.Intn(2) == 0, 1+rng.Intn(40))
-		}
-		left, right := side(), side()
-		on := make([]Col, 1+rng.Intn(3))
-		for i := range on {
-			on[i] = Col(rng.Intn(int(numCols)))
-		}
-		op := newJoinOp(&batchesOp{batches: left}, &batchesOp{batches: right}, on)
-		oracle := &oracleJoinOp{left: &batchesOp{batches: left}, right: &batchesOp{batches: right}, on: on}
-		sameOutput(t, fmt.Sprintf("on %v", on), op, oracle)
-	}
 }

@@ -13,16 +13,14 @@
 //   - Filter — row predicates (time window, floor, box, object, or custom);
 //   - Project — keep a column subset, zeroing the rest;
 //   - TimeBucket — align each row's timestamp to its bucket start, the key
-//     for time-grouped aggregation and temporal joins;
+//     for time-grouped aggregation;
 //   - Derive — compute the Val column from each batch (e.g. DwellGaps);
 //   - Aggregate — hash aggregation (count/sum/min/max/avg) grouped by any
 //     column subset, emitted in deterministic key order;
 //   - OrderBy — blocking sort by column keys;
 //   - Limit — stop after n rows;
 //   - SnapshotAt — one row per object: its interpolated location at an
-//     instant (the fold under kNN and snapshot density);
-//   - Join — hash equi-join of two plans on column keys (e.g. partition ×
-//     time bucket for contact-tracing-style co-location queries).
+//     instant (the fold under kNN and snapshot density).
 //
 // A Plan is the logical operator chain, built fluently:
 //
@@ -40,7 +38,7 @@
 // the storage.Cursor a Source hands the Scan leaf.
 //
 // No operator builds a row: a Filter narrows a selection vector and gathers
-// the survivors once, Aggregate and Join number key tuples with dense group
+// the survivors once, Aggregate numbers key tuples with dense group
 // IDs (one hash lookup per run of equal keys), OrderBy and Aggregate's
 // emission radix-sort a permutation, and blocking operators keep their
 // buffers in pooled scratch. Only Where predicates, SnapshotAt's

@@ -4,7 +4,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -371,24 +370,6 @@ func TestAggregateKeySemantics(t *testing.T) {
 	}
 }
 
-// TestJoinKeySemantics pins Join's key equality to Aggregate's and OrderBy's:
-// object IDs past 2^53 match only themselves, -0 matches +0, NaN matches NaN.
-func TestJoinKeySemantics(t *testing.T) {
-	big := 1 << 53
-	src := SliceSource{Samples: keySamples([]int{big, big + 1}, []float64{0, 0})}
-	got := rows(t, NewScan(src).Join(NewScan(src), ColObjID))
-	if len(got) != 2 || got[0].Sample.ObjID != big || got[1].Sample.ObjID != big+1 {
-		t.Errorf("self-join of objects 2^53, 2^53+1 on obj: got %+v, want each once", got)
-	}
-
-	left := SliceSource{Samples: keySamples([]int{1, 2, 3}, []float64{math.Copysign(0, -1), math.NaN(), 5})}
-	right := SliceSource{Samples: keySamples([]int{7, 8, 9}, []float64{0, otherNaN, 6})}
-	got = rows(t, NewScan(left).Join(NewScan(right), ColT))
-	if len(got) != 2 || got[0].Sample.ObjID != 1 || got[0].Val != 7 || got[1].Sample.ObjID != 2 || got[1].Val != 8 {
-		t.Errorf("join on t: got %+v, want -0 with +0 (1-7) and NaN with NaN (2-8)", got)
-	}
-}
-
 // TestAggregateValidation rejects string sources and destinations.
 func TestAggregateValidation(t *testing.T) {
 	src := SliceSource{}
@@ -424,62 +405,6 @@ func TestLimitZero(t *testing.T) {
 	got := collect(t, NewScan(SliceSource{Samples: planSamples()}).Limit(0))
 	if len(got) != 0 {
 		t.Fatalf("limit 0 yielded %d rows", len(got))
-	}
-}
-
-// TestJoin cross-checks the hash join against a nested-loop oracle on
-// (partition, time-bucket) keys — the contact-tracing shape.
-func TestJoin(t *testing.T) {
-	samples := planSamples()[:600]
-	left := NewScan(SliceSource{Samples: samples}).Filter(ObjEq(0)).TimeBucket(30)
-	right := NewScan(SliceSource{Samples: samples}).TimeBucket(30)
-	got := rows(t, left.Join(right, ColPartition, ColT))
-
-	type pair struct {
-		t     float64
-		other int
-	}
-	var want []pair
-	bucket := func(t float64) float64 { return math.Floor(t/30) * 30 }
-	for _, l := range samples {
-		if l.ObjID != 0 {
-			continue
-		}
-		for _, r := range samples {
-			if l.Loc.Partition == r.Loc.Partition && bucket(l.T) == bucket(r.T) {
-				want = append(want, pair{bucket(l.T), r.ObjID})
-			}
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("join emitted %d rows, want %d", len(got), len(want))
-	}
-	gotPairs := make([]pair, len(got))
-	for i, r := range got {
-		gotPairs[i] = pair{r.Sample.T, int(r.Val)}
-	}
-	sort.Slice(gotPairs, func(i, j int) bool {
-		return gotPairs[i].t < gotPairs[j].t ||
-			(gotPairs[i].t == gotPairs[j].t && gotPairs[i].other < gotPairs[j].other)
-	})
-	sort.Slice(want, func(i, j int) bool {
-		return want[i].t < want[j].t ||
-			(want[i].t == want[j].t && want[i].other < want[j].other)
-	})
-	if !reflect.DeepEqual(gotPairs, want) {
-		t.Fatalf("join pairs differ: got %d, want %d", len(gotPairs), len(want))
-	}
-
-	// Join stats must include both sides' scans.
-	c := mustCompile(t, left.Join(right, ColPartition, ColT))
-	if _, err := CollectRows(c); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c.Stats().RowsScanned, 2*len(samples); got != want {
-		t.Errorf("join RowsScanned = %d, want %d", got, want)
-	}
-	if preds := c.ScanPreds(); len(preds) != 2 {
-		t.Errorf("join plan has %d scan preds, want 2", len(preds))
 	}
 }
 
@@ -625,7 +550,6 @@ func TestCompileErrors(t *testing.T) {
 		NewScan(src).TimeBucket(0),
 		NewScan(src).OrderBy(),
 		NewScan(src).Limit(-1),
-		NewScan(src).Join(NewScan(src)),
 	}
 	for i, p := range bad {
 		if _, err := p.Compile(); err == nil {

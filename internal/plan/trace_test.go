@@ -93,46 +93,6 @@ func TestTracedPlanParity(t *testing.T) {
 	}
 }
 
-// TestTracedJoinSpans checks a join plan's span tree has both the probe and
-// build subtrees under the Join span.
-func TestTracedJoinSpans(t *testing.T) {
-	samples := planSamples()
-	src := SliceSource{Samples: samples}
-
-	probe := NewScan(src).Filter(TimeBetween(0, 50)).TimeBucket(10)
-	buildSide := NewScan(src).Filter(TimeBetween(0, 50), ObjEq(3)).TimeBucket(10)
-	p := probe.Join(buildSide, ColPartition, ColT)
-
-	c, err := p.CompileTraced()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := CollectRows(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("join produced no rows")
-	}
-
-	root := c.Trace()
-	if root.Op != "Join" {
-		t.Fatalf("root span = %q, want Join", root.Op)
-	}
-	if len(root.Children) != 2 {
-		t.Fatalf("join span has %d children, want 2 (probe, build)", len(root.Children))
-	}
-	if root.Rows != len(rows) {
-		t.Fatalf("join span rows = %d, want %d", root.Rows, len(rows))
-	}
-	// Both subtrees bottom out in a Scan span.
-	for i, sub := range root.Children {
-		if findSpan(sub, "Scan") == nil {
-			t.Fatalf("join child %d has no Scan span", i)
-		}
-	}
-}
-
 // TestUntracedPlanHasNoTrace ensures the default Compile path carries no
 // span machinery at all.
 func TestUntracedPlanHasNoTrace(t *testing.T) {

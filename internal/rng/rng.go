@@ -55,10 +55,6 @@ func (r *Rand) Streams() Streams {
 	return Streams{key: r.Uint64()}
 }
 
-// NewStreams returns the stream family keyed directly by key — for callers
-// that manage seeds themselves.
-func NewStreams(key uint64) Streams { return Streams{key: key} }
-
 // Stream returns the generator for id i. Every call with the same i returns
 // a fresh generator positioned at the start of the same sequence. The id is
 // passed through mix64 before keying so that consecutive ids (object 1, 2,
@@ -193,14 +189,4 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

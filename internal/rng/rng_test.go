@@ -140,9 +140,12 @@ func TestWeightedIndex(t *testing.T) {
 	r.WeightedIndex([]float64{0, 0})
 }
 
-func TestPerm(t *testing.T) {
-	r := New(23)
-	p := r.Perm(50)
+func TestShuffle(t *testing.T) {
+	p := make([]int, 50)
+	for i := range p {
+		p[i] = i
+	}
+	New(23).Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
 	seen := make([]bool, 50)
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {
@@ -261,9 +264,6 @@ func TestStreamsDistinctFamilies(t *testing.T) {
 	f2 := r.Streams()
 	if f1.Stream(0).Uint64() == f2.Stream(0).Uint64() {
 		t.Error("two families from one parent produced identical streams")
-	}
-	if NewStreams(5).Stream(1).Uint64() != NewStreams(5).Stream(1).Uint64() {
-		t.Error("NewStreams not deterministic")
 	}
 }
 

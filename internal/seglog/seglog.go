@@ -404,19 +404,6 @@ func (m Manifest) copy() Manifest {
 	return out
 }
 
-// TimeSpan returns the [min T0, max T1] over the live segments, false when
-// the log is empty.
-func (m Manifest) TimeSpan() (float64, float64, bool) {
-	if len(m.Segments) == 0 {
-		return 0, 0, false
-	}
-	t0, t1 := m.Segments[0].T0, m.Segments[0].T1
-	for _, s := range m.Segments[1:] {
-		t0, t1 = min(t0, s.T0), max(t1, s.T1)
-	}
-	return t0, t1, true
-}
-
 // Rows returns the total live row count.
 func (m Manifest) Rows() int {
 	n := 0
@@ -424,15 +411,6 @@ func (m Manifest) Rows() int {
 		n += s.Rows
 	}
 	return n
-}
-
-// MaxLevel returns the highest live segment level (0 for an empty log).
-func (m Manifest) MaxLevel() int {
-	lv := 0
-	for _, s := range m.Segments {
-		lv = max(lv, s.Level)
-	}
-	return lv
 }
 
 // segName renders the canonical segment file name for an ID.

@@ -113,18 +113,6 @@ func (w *Writer[T]) Write(rec T) error {
 	return nil
 }
 
-// Roll seals the segment being filled (if it holds any rows) so its data
-// becomes visible to readers without waiting for a threshold.
-func (w *Writer[T]) Roll() error {
-	if w.closed {
-		return fmt.Errorf("seglog: roll after Close")
-	}
-	if w.rows == 0 {
-		return nil
-	}
-	return w.seal()
-}
-
 // Close seals the final segment and retires the writer.
 func (w *Writer[T]) Close() error {
 	if w.closed {

@@ -2,11 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"vita/internal/device"
 	"vita/internal/geom"
 	"vita/internal/model"
 	"vita/internal/positioning"
@@ -38,40 +39,101 @@ func TestTrajectoryStoreBasics(t *testing.T) {
 	if len(series) != 3 || series[0].T != 0 || series[2].T != 9 {
 		t.Fatalf("Series = %+v", series)
 	}
-	if got := s.TimeRange(1, 4, 9); len(got) != 2 {
-		t.Fatalf("TimeRange = %d", len(got))
-	}
 	all := s.All()
 	if len(all) != 4 || all[0].ObjID != 1 {
 		t.Fatalf("All = %+v", all)
 	}
-	n := 0
-	s.Scan(func(trajectory.Sample) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Errorf("Scan early stop broken: %d", n)
+}
+
+func sampleIn(obj int, part string, t float64) trajectory.Sample {
+	return trajectory.Sample{
+		ObjID: obj,
+		Loc:   model.At("b", 0, part, geom.Pt(t, 0)),
+		T:     t,
 	}
 }
 
-func TestTrajectoryStoreSnapshotAndWindow(t *testing.T) {
+// streamStore builds a small trajectory: object 1 moves A(0-10s) → B(15-20s),
+// object 2 stays in A.2 (a decomposed child of A) the whole time.
+func streamStore() *TrajectoryStore {
 	s := NewTrajectoryStore()
-	s.Append(sample(1, 0, 0, 0, 0))
-	s.Append(sample(1, 0, 10, 0, 10))
-	s.Append(sample(2, 0, 5, 5, 3))
-	snap := s.SnapshotAt(5)
-	if len(snap) != 2 {
-		t.Fatalf("snapshot = %d", len(snap))
+	for t := 0.0; t <= 10; t += 5 {
+		s.Append(sampleIn(1, "A", t))
 	}
-	for _, sm := range snap {
-		if sm.T > 5 {
-			t.Errorf("snapshot sample after cutoff: %v", sm.T)
+	for t := 15.0; t <= 20; t += 5 {
+		s.Append(sampleIn(1, "B", t))
+	}
+	for t := 0.0; t <= 20; t += 5 {
+		s.Append(sampleIn(2, "A.2", t))
+	}
+	return s
+}
+
+// TestOutOfOrderAppendsReadBackSorted is the regression test for the
+// time-sorted invariant: samples appended out of time order must read back
+// as if they had arrived sorted.
+func TestOutOfOrderAppendsReadBackSorted(t *testing.T) {
+	sorted := streamStore()
+
+	shuffled := NewTrajectoryStore()
+	// Same samples as streamStore, object 1 appended in reversed time order.
+	for t := 20.0; t >= 15; t -= 5 {
+		shuffled.AppendSeries([]trajectory.Sample{sampleIn(1, "B", t)})
+	}
+	for t := 10.0; t >= 0; t -= 5 {
+		shuffled.AppendSeries([]trajectory.Sample{sampleIn(1, "A", t)})
+	}
+	for t := 0.0; t <= 20; t += 5 {
+		shuffled.AppendSeries([]trajectory.Sample{sampleIn(2, "A.2", t)})
+	}
+
+	if !reflect.DeepEqual(shuffled.AllSeries(), sorted.AllSeries()) {
+		t.Fatal("out-of-order appends read back differently from in-order ones")
+	}
+
+	// Series itself must come back time-sorted.
+	series := shuffled.Series(1)
+	for i := 1; i < len(series); i++ {
+		if series[i].T < series[i-1].T {
+			t.Fatalf("Series(1) not sorted at %d: %v after %v", i, series[i].T, series[i-1].T)
 		}
 	}
-	win := s.WindowQuery(0, geom.BBox{Min: geom.Pt(4, 4), Max: geom.Pt(6, 6)}, 0, 10)
-	if len(win) != 1 || win[0].ObjID != 2 {
-		t.Fatalf("window = %+v", win)
+}
+
+// TestSeriesFastPathPreservesOrder pins the fast path: in-order appends are
+// returned exactly as inserted.
+func TestSeriesFastPathPreservesOrder(t *testing.T) {
+	s := NewTrajectoryStore()
+	for i := 0; i <= 10; i++ {
+		s.AppendSeries([]trajectory.Sample{sampleIn(3, "A", float64(i))})
 	}
-	if got := s.WindowQuery(1, geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}, 0, 10); len(got) != 0 {
-		t.Error("wrong-floor window matched")
+	series := s.Series(3)
+	if len(series) != 11 {
+		t.Fatalf("len = %d", len(series))
+	}
+	for i, sm := range series {
+		if sm.T != float64(i) {
+			t.Fatalf("series[%d].T = %v", i, sm.T)
+		}
+	}
+}
+
+// TestSeriesRepairPersists pins that out-of-order appends are sorted in at
+// append time: every read, including the first, sees the series sorted, and
+// an in-order append after them lands last.
+func TestSeriesRepairPersists(t *testing.T) {
+	s := NewTrajectoryStore()
+	for _, at := range []float64{10, 5, 7} { // 5 and 7 arrive out of order
+		s.AppendSeries([]trajectory.Sample{sampleIn(1, "A", at)})
+	}
+	for read := 0; read < 2; read++ {
+		if got := times(s.Series(1)); !slices.Equal(got, []float64{5, 7, 10}) {
+			t.Fatalf("read %d: Series times %v, want [5 7 10]", read, got)
+		}
+	}
+	s.AppendSeries([]trajectory.Sample{sampleIn(1, "A", 12)})
+	if got := times(s.Series(1)); !slices.Equal(got, []float64{5, 7, 10, 12}) {
+		t.Errorf("Series times %v after an in-order append, want [5 7 10 12]", got)
 	}
 }
 
@@ -90,88 +152,6 @@ func TestTrajectoryStoreConcurrentAppend(t *testing.T) {
 	wg.Wait()
 	if s.Len() != 800 {
 		t.Errorf("concurrent Len = %d", s.Len())
-	}
-}
-
-func TestRSSIStore(t *testing.T) {
-	s := NewRSSIStore()
-	s.Append(rssi.Measurement{ObjID: 2, DeviceID: "b", RSSI: -50, T: 1})
-	s.Append(rssi.Measurement{ObjID: 1, DeviceID: "a", RSSI: -40, T: 2})
-	s.Append(rssi.Measurement{ObjID: 1, DeviceID: "b", RSSI: -45, T: 1})
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	all := s.All()
-	if all[0].ObjID != 1 || all[0].T != 1 {
-		t.Errorf("All ordering: %+v", all[0])
-	}
-	if all[1].DeviceID != "a" || all[2].ObjID != 2 {
-		t.Errorf("All ordering: %+v", all)
-	}
-}
-
-func TestDeviceStore(t *testing.T) {
-	props := device.Properties{DetectionRange: 5}
-	devs := []*device.Device{
-		{ID: "a", Floor: 0, Position: geom.Pt(0, 0), Props: props},
-		{ID: "b", Floor: 0, Position: geom.Pt(10, 0), Props: props},
-		{ID: "c", Floor: 1, Position: geom.Pt(0, 0), Props: props},
-	}
-	s, err := NewDeviceStore(devs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if _, ok := s.Get("b"); !ok {
-		t.Error("Get(b) missing")
-	}
-	in := s.InRangeOf(0, geom.Pt(3, 0))
-	if len(in) != 1 || in[0].ID != "a" {
-		t.Errorf("InRangeOf = %+v", in)
-	}
-	near := s.Nearest(0, geom.Pt(9, 0), 2)
-	if len(near) != 2 || near[0].ID != "b" {
-		t.Errorf("Nearest = %+v", near)
-	}
-	if got := s.InRangeOf(5, geom.Pt(0, 0)); got != nil {
-		t.Error("unknown floor returned devices")
-	}
-	if _, err := NewDeviceStore([]*device.Device{{ID: "x"}, {ID: "x"}}); err == nil {
-		t.Error("duplicate IDs accepted")
-	}
-}
-
-func TestEstimateStore(t *testing.T) {
-	s := NewEstimateStore()
-	s.Append(
-		positioning.Estimate{ObjID: 2, T: 1},
-		positioning.Estimate{ObjID: 1, T: 2},
-		positioning.Estimate{ObjID: 1, T: 1},
-	)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	all := s.All()
-	if all[0].ObjID != 1 || all[0].T != 1 || all[2].ObjID != 2 {
-		t.Errorf("ordering: %+v", all)
-	}
-}
-
-func TestProximityStore(t *testing.T) {
-	s := NewProximityStore()
-	s.Append(
-		positioning.ProximityRecord{ObjID: 1, DeviceID: "d1", TS: 0, TE: 5},
-		positioning.ProximityRecord{ObjID: 2, DeviceID: "d1", TS: 10, TE: 20},
-		positioning.ProximityRecord{ObjID: 1, DeviceID: "d2", TS: 7, TE: 8},
-	)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	all := s.All()
-	if all[0].DeviceID != "d1" || all[1].DeviceID != "d2" || all[2].ObjID != 2 {
-		t.Errorf("ordering: %+v", all)
 	}
 }
 
@@ -266,4 +246,12 @@ func TestCSVReadErrors(t *testing.T) {
 	if _, err := ReadTrajectoryCSV(strings.NewReader("a,b\n1,2\n")); err == nil {
 		t.Error("wrong field count accepted")
 	}
+}
+
+func times(series []trajectory.Sample) []float64 {
+	out := make([]float64, len(series))
+	for i, s := range series {
+		out[i] = s.T
+	}
+	return out
 }

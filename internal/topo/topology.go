@@ -33,10 +33,9 @@ func DefaultOptions() Options {
 type Topology struct {
 	B *model.Building
 
-	graph    *graph
-	walls    map[int]*geom.WallSet
-	partIdx  map[int]*index.RTree
-	decomped int
+	graph   *graph
+	walls   map[int]*geom.WallSet
+	partIdx map[int]*index.RTree
 }
 
 // Build derives the full topology of a building: door→partition
@@ -46,13 +45,10 @@ func Build(b *model.Building, opts Options) (*Topology, error) {
 	if err := ConnectDoors(b); err != nil {
 		return nil, err
 	}
-	decomped := 0
 	if opts.Decompose != nil {
-		n, err := Decompose(b, *opts.Decompose)
-		if err != nil {
+		if _, err := Decompose(b, *opts.Decompose); err != nil {
 			return nil, err
 		}
-		decomped = n
 		// Decomposition may have split the partitions a door touches;
 		// reconnect any door left referencing a removed ID is handled by
 		// rehoming, but new adjacencies (a door now bordering a child of a
@@ -72,10 +68,9 @@ func Build(b *model.Building, opts Options) (*Topology, error) {
 	}
 
 	t := &Topology{
-		B:        b,
-		walls:    make(map[int]*geom.WallSet),
-		partIdx:  make(map[int]*index.RTree),
-		decomped: decomped,
+		B:       b,
+		walls:   make(map[int]*geom.WallSet),
+		partIdx: make(map[int]*index.RTree),
 	}
 	for _, level := range b.FloorLevels() {
 		f := b.Floors[level]
@@ -89,13 +84,6 @@ func Build(b *model.Building, opts Options) (*Topology, error) {
 	t.graph = buildGraph(b)
 	return t, nil
 }
-
-// DecomposedPartitions returns how many extra partitions decomposition
-// introduced.
-func (t *Topology) DecomposedPartitions() int { return t.decomped }
-
-// Walls returns the wall set of the given floor (nil for unknown floors).
-func (t *Topology) Walls(floor int) *geom.WallSet { return t.walls[floor] }
 
 // PartitionAt locates the partition containing pt on the given floor using
 // the spatial index.
@@ -143,16 +131,6 @@ func (t *Topology) resolvePartition(loc model.Location) (string, error) {
 // speed model.
 func (t *Topology) Route(from, to model.Location, metric Metric, sm SpeedModel) (*Route, error) {
 	return t.route(from, to, metric, sm)
-}
-
-// WalkingDistance returns the minimum indoor walking distance between two
-// locations in meters.
-func (t *Topology) WalkingDistance(from, to model.Location) (float64, error) {
-	r, err := t.route(from, to, MinDistance, DefaultSpeedModel())
-	if err != nil {
-		return 0, err
-	}
-	return r.Distance, nil
 }
 
 // GraphSize returns the number of nodes and directed edges of the

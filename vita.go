@@ -25,7 +25,7 @@
 //	ds, err := vita.Generate(cfg)
 //	if err != nil { ... }
 //	fmt.Println(ds.Trajectories.Len(), "ground-truth samples")
-//	fmt.Println(ds.Estimates.Len(), "positioning estimates")
+//	fmt.Println(len(ds.Estimates), "positioning estimates")
 //
 // This package holds what the programs in the examples directory call, and
 // the types their signatures need; the command-line tools use the internal

@@ -13,15 +13,15 @@ func TestGenerateDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Trajectories.Len() == 0 || ds.RSSI.Len() == 0 || ds.Estimates.Len() == 0 {
+	if ds.Trajectories.Len() == 0 || len(ds.RSSI) == 0 || len(ds.Estimates) == 0 {
 		t.Fatalf("incomplete dataset: traj=%d rssi=%d est=%d",
-			ds.Trajectories.Len(), ds.RSSI.Len(), ds.Estimates.Len())
+			ds.Trajectories.Len(), len(ds.RSSI), len(ds.Estimates))
 	}
-	stats, _ := EvaluateEstimates(ds.Trajectories, ds.Estimates.All())
+	stats, _ := EvaluateEstimates(ds.Trajectories, ds.Estimates)
 	if stats.N == 0 {
 		t.Fatal("no evaluable estimates")
 	}
-	if hr := PartitionHitRate(ds.Trajectories, ds.Estimates.All()); hr <= 0 || hr > 1 {
+	if hr := PartitionHitRate(ds.Trajectories, ds.Estimates); hr <= 0 || hr > 1 {
 		t.Fatalf("partition hit rate out of range: %f", hr)
 	}
 }
