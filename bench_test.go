@@ -25,7 +25,6 @@ import (
 	"vita/internal/model"
 	"vita/internal/object"
 	"vita/internal/plan"
-	"vita/internal/query"
 	"vita/internal/rng"
 	"vita/internal/rssi"
 	"vita/internal/serve"
@@ -294,20 +293,30 @@ func benchSamples(b *testing.B) []trajectory.Sample {
 	return samples
 }
 
-// BenchmarkQueryContinuous measures streaming the full dataset through four
-// standing range queries.
-func BenchmarkQueryContinuous(b *testing.B) {
-	samples := benchSamples(b)
+// BenchmarkQueryWatch measures replaying the full dataset through four
+// standing range queries, one Watch each, on an open dataset.
+func BenchmarkQueryWatch(b *testing.B) {
+	vtb, _, _ := vtbBenchImage(b)
+	dir := b.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "trajectory.vtb"), vtb, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	ds, err := serve.Open(dir, serve.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ds.Close()
 	box := geom.BBox{Min: geom.Pt(2, 2), Max: geom.Pt(14, 10)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := query.NewContinuousEngine()
 		for fl := 0; fl < 2; fl++ {
-			eng.Subscribe(fl, box, func(query.Event) {})
-			eng.Subscribe(fl, box.Expand(5), func(query.Event) {})
+			for _, bb := range []geom.BBox{box, box.Expand(5)} {
+				if _, err := ds.Watch(serve.WatchRequest{Floor: fl, Box: bb}); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
-		eng.FeedAll(samples)
 	}
 }
 

@@ -20,23 +20,21 @@
 // line reports the blocks read and the most bytes one window decoded. A CSV
 // file is re-encoded as in-memory blocks once, at open.
 //
-// Every subcommand but watch is an operator of serve.Operators, run the same
-// way locally and with -server URL (a running vitaserve daemon): its flags
-// are the operator's own parameter declaration, every flag becomes a query
+// Every subcommand is an operator of serve.Operators, run the same way
+// locally and with -server URL (a running vitaserve daemon): its flags are
+// the operator's own parameter declaration, every flag becomes a query
 // parameter for the server's decoder (-t0 NaN is refused with the server's
 // message), and the request runs on a serve.Querier — the opened dataset or
 // a serve.Client — so the output is byte-identical. -maxgap and -mmap shape
-// local execution only and are refused with -server; watch needs the raw
-// sample stream and stays local-only.
+// local execution only and are refused with -server.
 //
 // -trace prints the per-operator execution trace — rows, batches, wall time,
 // and zone-map pruning per operator — on stderr, locally or against a server
 // (the daemon returns the span tree when asked with trace=1). Stdout is
 // unchanged, so traced and untraced runs stay byte-identical where it counts.
 //
-// watch replays the dataset sample-by-sample through a standing range query
-// and prints every enter/move/exit transition — the online half of the
-// engine.
+// watch replays every sample, in (time, object) order, through a standing
+// range query and prints each object's enter and exit transitions.
 package main
 
 import (
@@ -44,14 +42,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
-	"vita/internal/colstore"
 	"vita/internal/obs"
-	"vita/internal/query"
 	"vita/internal/serve"
-	"vita/internal/trajectory"
 )
 
 func main() {
@@ -74,16 +68,16 @@ func run() error {
 	}
 	cmd := flag.Arg(0)
 	op := serve.OperatorNamed(cmd)
-	if op == nil && cmd != "watch" {
+	if op == nil {
 		var names []string
 		for _, o := range serve.Operators {
 			names = append(names, o.Name)
 		}
-		return fmt.Errorf("subcommand %q: want one of %s | watch", cmd, strings.Join(names, " | "))
+		return fmt.Errorf("subcommand %q: want one of %s", cmd, strings.Join(names, " | "))
 	}
 
 	var q serve.Querier
-	var ds *serve.Dataset // non-nil in local mode; watch and stderr stats need it
+	var ds *serve.Dataset // non-nil in local mode; the stderr stats need it
 	if *server != "" {
 		var local error
 		flag.Visit(func(f *flag.Flag) {
@@ -110,16 +104,9 @@ func run() error {
 		q = ds
 	}
 
-	args := flag.Args()[1:]
-	if cmd == "watch" {
-		if ds == nil {
-			return fmt.Errorf("watch needs the raw sample stream and is not supported with -server")
-		}
-		return runWatch(ds, args)
-	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	params := op.Flags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(flag.Args()[1:]); err != nil {
 		return err
 	}
 	resp, err := op.Run(q, params, *trace)
@@ -148,42 +135,4 @@ func reportStats(ds *serve.Dataset, st serve.Stats) {
 		line += fmt.Sprintf(", peak %.1f KiB decoded", float64(st.PeakDecodedBytes)/1024)
 	}
 	fmt.Fprintln(os.Stderr, line)
-}
-
-func runWatch(ds *serve.Dataset, args []string) error {
-	fs := flag.NewFlagSet("watch", flag.ExitOnError)
-	floor := fs.Int("floor", -1, "floor to watch (-1 = all)")
-	boxStr := fs.String("box", "", "spatial box x0,y0,x1,y1 (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	box, err := serve.ParseBox(*boxStr)
-	if err != nil {
-		return err
-	}
-	// The standing query needs every sample: an object exits when a sample
-	// lands outside the box (or floor), so nothing can be pruned away.
-	samples, stats, err := ds.Samples(colstore.Predicate{})
-	if err != nil {
-		return err
-	}
-	reportStats(ds, stats)
-	// Replay in global time order so the transition log reads like a live
-	// feed.
-	ordered := make([]trajectory.Sample, len(samples))
-	copy(ordered, samples)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].T < ordered[j].T })
-
-	eng := query.NewContinuousEngine()
-	events := 0
-	sub := eng.Subscribe(*floor, box, func(e query.Event) {
-		if e.Kind == query.Move {
-			return // only log boundary crossings
-		}
-		events++
-		fmt.Printf("t %8.2f  %-5s obj %-4d %s\n", e.Sample.T, e.Kind, e.Sample.ObjID, e.Sample.Loc)
-	})
-	eng.FeedAll(ordered)
-	fmt.Printf("%d enter/exit events; %d objects inside at end of replay\n", events, len(sub.Inside()))
-	return nil
 }

@@ -3,8 +3,8 @@
 // vitaserve run — the consumption side the paper motivates the generator
 // with. Covers the stored-dataset operators (range × time window, kNN at an
 // instant, snapshot density, trajectory retrieval, dwell time per partition),
-// each printed exactly as vitaquery prints it, plus a standing continuous
-// range query evaluated over the sample stream.
+// each printed exactly as vitaquery prints it, plus a standing range query
+// replayed over every sample.
 package main
 
 import (
@@ -74,24 +74,14 @@ func main() {
 	fmt.Println("\ndwell time per partition on floor 0:")
 	show(qd.Dwell(vita.DwellRequest{Floor: 0, T0: 0, T1: 300}))
 
-	// 6. Continuous query: register a standing range query and replay the
-	// stream through it — what an online deployment would do as the
-	// trajectory engine emits samples.
-	eng := vita.NewContinuousEngine()
-	enters, moves, exits := 0, 0, 0
-	sub := eng.Subscribe(0, box, func(e vita.QueryEvent) {
-		switch e.Kind {
-		case vita.QueryEnter:
-			enters++
-		case vita.QueryMove:
-			moves++
-		case vita.QueryExit:
-			exits++
-		}
-	})
-	eng.FeedAll(ds.Trajectories.All())
-	fmt.Printf("\nstanding query over %v on floor 0: %d enters, %d moves, %d exits, %d inside at end\n",
-		box, enters, moves, exits, len(sub.Inside()))
+	// 6. Standing query: replay every sample, in time order, through a range
+	// query over the entrance patch and count who crossed its boundary.
+	w, err := qd.Watch(vita.WatchRequest{Floor: 0, Box: box})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nstanding query over %v on floor 0: %d enter/exit events, %d inside at end\n",
+		box, len(w.Events), len(w.Inside))
 }
 
 // show prints an answer as vitaquery prints it.

@@ -35,17 +35,16 @@ func (s ErrorStats) String() string {
 func EvaluateEstimates(truth *storage.TrajectoryStore, ests []positioning.Estimate) (ErrorStats, int) {
 	var errs []float64
 	floorMiss := 0
-	for _, e := range ests {
-		pt, floor, ok := truthAt(truth, e.ObjID, e.T)
-		if !ok {
-			continue
-		}
-		if floor != e.Loc.Floor {
+	withSeries(truth, ests, func(e positioning.Estimate, series []trajectory.Sample) {
+		pt, floor, ok := truthAt(series, e.T)
+		switch {
+		case !ok:
+		case floor != e.Loc.Floor:
 			floorMiss++
-			continue
+		default:
+			errs = append(errs, pt.Dist(e.Loc.Point))
 		}
-		errs = append(errs, pt.Dist(e.Loc.Point))
-	}
+	})
 	return summarize(errs), floorMiss
 }
 
@@ -57,10 +56,9 @@ func PartitionHitRate(truth *storage.TrajectoryStore, ests []positioning.Estimat
 		return 0
 	}
 	hits := 0
-	for _, e := range ests {
-		series := truth.Series(e.ObjID)
+	withSeries(truth, ests, func(e positioning.Estimate, series []trajectory.Sample) {
 		if len(series) == 0 {
-			continue
+			return
 		}
 		idx := sort.Search(len(series), func(i int) bool { return series[i].T >= e.T })
 		if idx >= len(series) {
@@ -69,8 +67,21 @@ func PartitionHitRate(truth *storage.TrajectoryStore, ests []positioning.Estimat
 		if sameOrParent(series[idx].Loc.Partition, e.Loc.Partition) {
 			hits++
 		}
-	}
+	})
 	return float64(hits) / float64(len(ests))
+}
+
+// withSeries calls fn with each estimate and its object's ground-truth
+// series, fetched once per run of estimates of one object: estimates in
+// (object, time) order, as the pipeline keeps them, copy each series once.
+func withSeries(truth *storage.TrajectoryStore, ests []positioning.Estimate, fn func(positioning.Estimate, []trajectory.Sample)) {
+	var series []trajectory.Sample
+	for i, e := range ests {
+		if i == 0 || e.ObjID != ests[i-1].ObjID {
+			series = truth.Series(e.ObjID)
+		}
+		fn(e, series)
+	}
 }
 
 // sameOrParent treats decomposed siblings ("P.1", "P.2") as matching their
@@ -88,9 +99,9 @@ func root(id string) string {
 	return id
 }
 
-// truthAt interpolates the ground-truth position of an object at time t.
-func truthAt(truth *storage.TrajectoryStore, objID int, t float64) (geom.Point, int, bool) {
-	series := truth.Series(objID)
+// truthAt interpolates the ground-truth position of an object, whose series
+// is given, at time t.
+func truthAt(series []trajectory.Sample, t float64) (geom.Point, int, bool) {
 	if len(series) == 0 {
 		return geom.Point{}, 0, false
 	}

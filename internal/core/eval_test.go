@@ -2,11 +2,14 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"vita/internal/geom"
 	"vita/internal/model"
 	"vita/internal/positioning"
+	"vita/internal/rng"
 	"vita/internal/storage"
 	"vita/internal/trajectory"
 )
@@ -102,5 +105,59 @@ func TestErrorStatsString(t *testing.T) {
 	s := ErrorStats{N: 3, Mean: 1.5, Median: 1, P95: 2, Max: 3}
 	if s.String() == "" {
 		t.Error("empty ErrorStats string")
+	}
+}
+
+// evalOracle is EvaluateEstimates and PartitionHitRate with one Series copy
+// per estimate: the order-free reference for fetching each series once per
+// run of one object's estimates.
+func evalOracle(truth *storage.TrajectoryStore, ests []positioning.Estimate) (ErrorStats, int, float64) {
+	var errs []float64
+	floorMiss, hits := 0, 0
+	for _, e := range ests {
+		series := truth.Series(e.ObjID)
+		if pt, floor, ok := truthAt(series, e.T); ok && floor != e.Loc.Floor {
+			floorMiss++
+		} else if ok {
+			errs = append(errs, pt.Dist(e.Loc.Point))
+		}
+		if len(series) > 0 {
+			idx := min(sort.Search(len(series), func(i int) bool { return series[i].T >= e.T }), len(series)-1)
+			if sameOrParent(series[idx].Loc.Partition, e.Loc.Partition) {
+				hits++
+			}
+		}
+	}
+	hitRate := 0.0
+	if len(ests) > 0 {
+		hitRate = float64(hits) / float64(len(ests))
+	}
+	return summarize(errs), floorMiss, hitRate
+}
+
+// TestEvaluationMatchesPerEstimateOracle: on a run's estimates, in the
+// pipeline's (object, time) order and shuffled, the error stats, the
+// floor-miss count and the hit rate are exactly the per-estimate oracle's.
+func TestEvaluationMatchesPerEstimateOracle(t *testing.T) {
+	ds := runPipeline(t, nil)
+	ordered := ds.Estimates
+	if !sort.SliceIsSorted(ordered, func(i, j int) bool { return ordered[i].ObjID < ordered[j].ObjID }) {
+		t.Fatal("the pipeline's estimates are not in object order")
+	}
+	shuffled := slices.Clone(ordered)
+	rng.New(3).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	// An estimate of an object with no ground truth, and one before any.
+	unknown := append(slices.Clone(ordered), positioning.Estimate{ObjID: 1 << 20, T: 5}, positioning.Estimate{ObjID: ordered[0].ObjID, T: -50})
+	for name, ests := range map[string][]positioning.Estimate{"ordered": ordered, "shuffled": shuffled, "with strays": unknown} {
+		stats, floorMiss := EvaluateEstimates(ds.Trajectories, ests)
+		hitRate := PartitionHitRate(ds.Trajectories, ests)
+		wantStats, wantMiss, wantRate := evalOracle(ds.Trajectories, ests)
+		if stats != wantStats || floorMiss != wantMiss || hitRate != wantRate {
+			t.Errorf("%s: %v, %d floor misses, hit rate %v; the oracle has %v, %d, %v",
+				name, stats, floorMiss, hitRate, wantStats, wantMiss, wantRate)
+		}
+		if stats.N == 0 {
+			t.Errorf("%s: no estimate evaluated", name)
+		}
 	}
 }

@@ -110,8 +110,3 @@ func (b BBox) DistToPoint(p Point) float64 {
 	dy := math.Max(0, math.Max(b.Min.Y-p.Y, p.Y-b.Max.Y))
 	return math.Hypot(dx, dy)
 }
-
-// EnlargementTo returns how much the box area grows when extended to cover o.
-func (b BBox) EnlargementTo(o BBox) float64 {
-	return b.Union(o).Area() - b.Area()
-}

@@ -60,32 +60,6 @@ func equalIDs(a, b []int) bool {
 	return true
 }
 
-func TestRTreeInsertSearchMatchesBruteForce(t *testing.T) {
-	r := rng.New(1)
-	items := randomItems(r, 500)
-	tree := NewRTree()
-	for _, it := range items {
-		tree.Insert(it)
-	}
-	if tree.Len() != 500 {
-		t.Fatalf("Len = %d", tree.Len())
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("invalid tree: %v", err)
-	}
-	for i := 0; i < 200; i++ {
-		q := geom.BBox{
-			Min: geom.Pt(r.Range(0, 1000), r.Range(0, 1000)),
-		}
-		q.Max = q.Min.Add(geom.Pt(r.Range(0, 100), r.Range(0, 100)))
-		got := ids(tree.Search(q, nil))
-		want := ids(bruteSearch(items, q))
-		if !equalIDs(got, want) {
-			t.Fatalf("query %d mismatch: got %d items, want %d", i, len(got), len(want))
-		}
-	}
-}
-
 func TestBulkLoadMatchesBruteForce(t *testing.T) {
 	r := rng.New(2)
 	items := randomItems(r, 777)
@@ -107,48 +81,20 @@ func TestBulkLoadMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestRTreeNearest(t *testing.T) {
-	r := rng.New(3)
-	items := randomItems(r, 300)
-	tree := BulkLoad(items)
-	for trial := 0; trial < 50; trial++ {
-		p := geom.Pt(r.Range(0, 1000), r.Range(0, 1000))
-		k := 1 + r.Intn(10)
-		got := tree.Nearest(p, k)
-		if len(got) != k {
-			t.Fatalf("Nearest returned %d, want %d", len(got), k)
-		}
-		// Results must be sorted by distance and match brute force distance
-		// set.
-		var bruteD []float64
-		for _, it := range items {
-			bruteD = append(bruteD, it.Bounds().DistToPoint(p))
-		}
-		sort.Float64s(bruteD)
-		for i, it := range got {
-			d := it.Bounds().DistToPoint(p)
-			if i > 0 && d < got[i-1].Bounds().DistToPoint(p)-1e-9 {
-				t.Fatal("Nearest results unsorted")
-			}
-			if d > bruteD[i]+1e-9 {
-				t.Fatalf("Nearest[%d] dist %v exceeds true k-th %v", i, d, bruteD[i])
-			}
-		}
-	}
-}
-
 func TestRTreeEmptyAndSingle(t *testing.T) {
-	tree := NewRTree()
-	if got := tree.Search(geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(10, 10)}, nil); len(got) != 0 {
-		t.Error("empty tree returned results")
+	tree := BulkLoad(nil)
+	if got := tree.Search(geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(10, 10)}, nil); len(got) != 0 || tree.Len() != 0 {
+		t.Errorf("empty tree: Len %d, %d results", tree.Len(), len(got))
 	}
-	if got := tree.Nearest(geom.Pt(0, 0), 3); got != nil {
-		t.Error("empty tree Nearest non-nil")
+	tree = BulkLoad([]Item{&boxItem{id: 1, bb: geom.BBox{Min: geom.Pt(5, 5), Max: geom.Pt(6, 6)}}})
+	if err := tree.Validate(); err != nil {
+		t.Fatalf("invalid tree: %v", err)
 	}
-	it := &boxItem{id: 1, bb: geom.BBox{Min: geom.Pt(5, 5), Max: geom.Pt(6, 6)}}
-	tree.Insert(it)
-	if got := tree.SearchPoint(geom.Pt(5.5, 5.5), nil); len(got) != 1 {
-		t.Errorf("single-item search = %d results", len(got))
+	if got := tree.SearchPoint(geom.Pt(5.5, 5.5), nil); len(got) != 1 || tree.Len() != 1 {
+		t.Errorf("single-item tree: Len %d, %d results", tree.Len(), len(got))
+	}
+	if got := tree.SearchPoint(geom.Pt(7, 7), nil); len(got) != 0 {
+		t.Errorf("single-item tree: a point outside it found %d results", len(got))
 	}
 }
 

@@ -1,12 +1,11 @@
-// Package index provides the spatial indices used by Vita's Storage layer:
-// an R-tree with quadratic split and STR bulk loading, and a uniform grid
-// index. The paper stores indoor entities in featured spatial indices to
-// support indoor distance computations and device-in-range lookups; these
-// structures play that role in the in-memory store.
+// Package index provides the spatial indices the building model uses: a
+// static R-tree packed by STR bulk loading, and a uniform grid index. The
+// paper stores indoor entities in featured spatial indices to support indoor
+// distance computations and device-in-range lookups; here topo's
+// partition-at-a-point lookup and the index ablation use them.
 package index
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -14,18 +13,14 @@ import (
 	"vita/internal/geom"
 )
 
-const (
-	maxEntries = 8
-	minEntries = 3
-)
+const maxEntries = 8
 
 // Item is anything indexable by a bounding box.
 type Item interface {
 	Bounds() geom.BBox
 }
 
-// RTree is a dynamic R-tree over Items. The zero value is not usable; call
-// NewRTree.
+// RTree is a static R-tree over Items, built once by BulkLoad.
 type RTree struct {
 	root *rnode
 	size int
@@ -38,143 +33,11 @@ type rnode struct {
 	items    []Item   // leaves
 }
 
-// NewRTree returns an empty R-tree.
-func NewRTree() *RTree {
-	return &RTree{root: &rnode{leaf: true, bounds: geom.EmptyBBox()}}
-}
-
 // Len returns the number of items in the tree.
 func (t *RTree) Len() int { return t.size }
 
 // Bounds returns the bounding box of all items.
 func (t *RTree) Bounds() geom.BBox { return t.root.bounds }
-
-// Insert adds item to the tree. Bounds are enlarged along the single
-// root-to-leaf descent path and splits propagate back up that same path, so
-// one insert touches O(depth) nodes rather than the whole tree.
-func (t *RTree) Insert(item Item) {
-	b := item.Bounds()
-	// Descend to a leaf, enlarging bounds and recording the path.
-	path := make([]*rnode, 0, 8)
-	n := t.root
-	n.bounds = n.bounds.Union(b)
-	for !n.leaf {
-		path = append(path, n)
-		best := n.children[0]
-		bestGrow := math.Inf(1)
-		for _, c := range n.children {
-			g := c.bounds.EnlargementTo(b)
-			if g < bestGrow || (g == bestGrow && c.bounds.Area() < best.bounds.Area()) {
-				best, bestGrow = c, g
-			}
-		}
-		best.bounds = best.bounds.Union(b)
-		n = best
-	}
-	n.items = append(n.items, item)
-	t.size++
-	// Split upward along the recorded path. A split preserves the union of
-	// the node's entries, so ancestor bounds stay valid.
-	for len(n.items) > maxEntries || len(n.children) > maxEntries {
-		a, bb := splitNode(n)
-		if len(path) == 0 {
-			t.root = &rnode{leaf: false, children: []*rnode{a, bb}, bounds: a.bounds.Union(bb.bounds)}
-			return
-		}
-		parent := path[len(path)-1]
-		path = path[:len(path)-1]
-		for i, c := range parent.children {
-			if c == n {
-				parent.children[i] = a
-				break
-			}
-		}
-		parent.children = append(parent.children, bb)
-		n = parent
-	}
-}
-
-func splitNode(n *rnode) (*rnode, *rnode) {
-	if n.leaf {
-		items := n.items
-		seedA, seedB := pickSeeds(len(items), func(i int) geom.BBox { return items[i].Bounds() })
-		a := &rnode{leaf: true, bounds: geom.EmptyBBox()}
-		b := &rnode{leaf: true, bounds: geom.EmptyBBox()}
-		for i, it := range items {
-			target := a
-			switch {
-			case i == seedA:
-				target = a
-			case i == seedB:
-				target = b
-			default:
-				target = cheaperNode(a, b, it.Bounds())
-			}
-			target.items = append(target.items, it)
-			target.bounds = target.bounds.Union(it.Bounds())
-		}
-		return a, b
-	}
-	ch := n.children
-	seedA, seedB := pickSeeds(len(ch), func(i int) geom.BBox { return ch[i].bounds })
-	a := &rnode{bounds: geom.EmptyBBox()}
-	b := &rnode{bounds: geom.EmptyBBox()}
-	for i, c := range ch {
-		target := a
-		switch {
-		case i == seedA:
-			target = a
-		case i == seedB:
-			target = b
-		default:
-			target = cheaperNode(a, b, c.bounds)
-		}
-		target.children = append(target.children, c)
-		target.bounds = target.bounds.Union(c.bounds)
-	}
-	return a, b
-}
-
-// cheaperNode returns whichever of a, b grows less when absorbing bb, with a
-// mild balance tie-break so neither side starves below minEntries.
-func cheaperNode(a, b *rnode, bb geom.BBox) *rnode {
-	na, nb := len(a.items)+len(a.children), len(b.items)+len(b.children)
-	if na >= maxEntries-minEntries+1 {
-		return b
-	}
-	if nb >= maxEntries-minEntries+1 {
-		return a
-	}
-	ga := a.bounds.EnlargementTo(bb)
-	gb := b.bounds.EnlargementTo(bb)
-	if ga < gb {
-		return a
-	}
-	if gb < ga {
-		return b
-	}
-	if na <= nb {
-		return a
-	}
-	return b
-}
-
-// pickSeeds chooses the pair with the most wasteful combined box (quadratic
-// split).
-func pickSeeds(n int, boxAt func(int) geom.BBox) (int, int) {
-	bestI, bestJ := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			bi, bj := boxAt(i), boxAt(j)
-			waste := bi.Union(bj).Area() - bi.Area() - bj.Area()
-			if waste > worst {
-				worst, bestI, bestJ = waste, i, j
-			}
-		}
-	}
-	return bestI, bestJ
-}
 
 func (t *RTree) refreshBounds(n *rnode) geom.BBox {
 	if n.leaf {
@@ -222,57 +85,9 @@ func (t *RTree) SearchPoint(p geom.Point, dst []Item) []Item {
 	return t.Search(geom.BBox{Min: p, Max: p}, dst)
 }
 
-// nnEntry is a best-first search frontier element.
-type nnEntry struct {
-	dist float64
-	node *rnode
-	item Item
-}
-
-type nnHeap []nnEntry
-
-func (h nnHeap) Len() int            { return len(h) }
-func (h nnHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(nnEntry)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// Nearest returns up to k items closest to p (by box distance), nearest
-// first.
-func (t *RTree) Nearest(p geom.Point, k int) []Item {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	h := &nnHeap{{dist: t.root.bounds.DistToPoint(p), node: t.root}}
-	var out []Item
-	for h.Len() > 0 && len(out) < k {
-		e := heap.Pop(h).(nnEntry)
-		switch {
-		case e.item != nil:
-			out = append(out, e.item)
-		case e.node.leaf:
-			for _, it := range e.node.items {
-				heap.Push(h, nnEntry{dist: it.Bounds().DistToPoint(p), item: it})
-			}
-		default:
-			for _, c := range e.node.children {
-				heap.Push(h, nnEntry{dist: c.bounds.DistToPoint(p), node: c})
-			}
-		}
-	}
-	return out
-}
-
-// BulkLoad builds an R-tree from items using Sort-Tile-Recursive packing;
-// it is considerably faster and better-packed than repeated Insert.
+// BulkLoad builds an R-tree from items using Sort-Tile-Recursive packing.
 func BulkLoad(items []Item) *RTree {
-	t := NewRTree()
+	t := &RTree{root: &rnode{leaf: true, bounds: geom.EmptyBBox()}}
 	if len(items) == 0 {
 		return t
 	}

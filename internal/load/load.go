@@ -1,7 +1,7 @@
 // Package load is the workload-replay load-testing harness behind
-// cmd/vitaload: it replays a weighted mix of serve.Operators (all but info)
-// against any serve.Querier — an in-process serve.Dataset or a live
-// vitaserve daemon through serve.Client — and reports per-endpoint
+// cmd/vitaload: it replays a weighted mix of serve.Operators (all but info
+// and watch) against any serve.Querier — an in-process serve.Dataset or a
+// live vitaserve daemon through serve.Client — and reports per-endpoint
 // throughput, error counts, and latency quantiles from log-bucketed
 // histograms (obs.QuantileHistogram).
 //

@@ -12,7 +12,8 @@ import (
 )
 
 // draws holds, for every operator a Mix can weight, how the generator draws
-// one call of it. info is not one: Run calls it once, to fit the generator.
+// one call of it. info is not one: Run calls it once, to fit the generator;
+// nor is watch, a whole-dataset replay no interactive mix issues.
 var draws = map[string]func(*generator, *rand.Rand) func(serve.Querier) error{
 	"range":   drawn((*generator).rangeReq, serve.Querier.Range),
 	"knn":     drawn((*generator).knnReq, serve.Querier.KNN),

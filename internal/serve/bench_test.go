@@ -31,6 +31,7 @@ func BenchmarkServeHandler(b *testing.B) {
 		{"traj", "/v1/traj?obj=5&t0=100&t1=500"},
 		{"dwell", "/v1/dwell?floor=-1&t0=50&t1=450"},
 		{"info", "/v1/info"},
+		{"watch", "/v1/watch?floor=0&box=1.5,0.25,17.75,9.5"},
 	} {
 		b.Run(op.name, func(b *testing.B) {
 			req := httptest.NewRequest(http.MethodGet, op.url, nil)

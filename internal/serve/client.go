@@ -89,6 +89,11 @@ func (c *Client) Info(trace bool) (*InfoResponse, error) {
 	return call(c, "info", infoRequest(trace), new(InfoResponse))
 }
 
+// Watch replays a standing range query on the server.
+func (c *Client) Watch(q WatchRequest) (*WatchResponse, error) {
+	return call(c, "watch", q, new(WatchResponse))
+}
+
 // call sends the request q to the operator called name and decodes the
 // answer into resp.
 func call[Q request[Q], R Response](c *Client, name string, q Q, resp R) (R, error) {

@@ -1,7 +1,7 @@
 // Package serve is the query-serving layer over generated datasets: it opens
 // a dataset directory once, keeps the VTB footer (and hot decoded blocks)
 // resident, and answers the vitaquery operators — range, knn, density, traj,
-// dwell, info — repeatedly without paying cold-start per query. Every
+// dwell, info, watch — repeatedly without paying cold-start per query. Every
 // dataset is a set of VTB block segments (a CSV file is converted once, in
 // memory, at open) and every operator is a plan over internal/plan, compiled
 // and drained by one helper (runPlan) on top of one scan leaf (planSource)
@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -197,7 +198,7 @@ func openSegmented(d *Dataset, logDir string, cfg Config) (*Dataset, error) {
 	if cfg.WatchInterval > 0 {
 		d.stopWatch = make(chan struct{})
 		d.watchWG.Add(1)
-		go d.watch(cfg.WatchInterval)
+		go d.poll(cfg.WatchInterval)
 	}
 	return d, nil
 }
@@ -538,4 +539,39 @@ func (d *Dataset) Info(trace bool) (*InfoResponse, error) {
 	sort.Ints(resp.Floors)
 	resp.Stats, resp.Trace = stats, withRows(span, resp.Samples)
 	return resp, nil
+}
+
+// Watch replays every row through a standing range query, in (time, object)
+// order with ties in scan order. A row matches when it has a point inside the
+// box on the floor (every floor when negative); an object's matching row
+// after a non-matching one enters it, its non-matching row after a matching
+// one exits it, and moves inside are not reported. Nothing is pruned: a row
+// outside the box is what makes an object exit.
+func (d *Dataset) Watch(q WatchRequest) (*WatchResponse, error) {
+	var events []WatchEvent
+	inside := make(map[int]bool)
+	stats, span, err := d.runPlan("Watch", q.Trace, func(src plan.Source) *plan.Plan {
+		return plan.NewScan(src).OrderBy(plan.Asc(plan.ColT), plan.Asc(plan.ColObjID))
+	}, func(b *plan.Batch) {
+		tr := b.Traj
+		for i, obj := range tr.ObjID {
+			match := (q.Floor < 0 || tr.Floor[i] == int64(q.Floor)) &&
+				tr.HasPoint[i] && q.Box.Contains(geom.Pt(tr.X[i], tr.Y[i]))
+			if id := int(obj); match != inside[id] {
+				e := WatchEvent{Kind: "enter", Sample: tr.Row(i)}
+				if match {
+					inside[id] = true
+				} else {
+					e.Kind = "exit"
+					delete(inside, id)
+				}
+				events = append(events, e)
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &WatchResponse{Query: q, Events: events, Inside: slices.Sorted(maps.Keys(inside)),
+		ResponseMeta: ResponseMeta{stats, withRows(span, len(events))}}, nil
 }

@@ -76,11 +76,12 @@ func diffRows(r *rand.Rand, maxGap float64) []trajectory.Sample {
 
 // diffRequest is one generated request: exactly one field is set.
 type diffRequest struct {
-	rng  *RangeRequest
-	knn  *KNNRequest
-	den  *DensityRequest
-	traj *TrajRequest
-	info bool
+	rng   *RangeRequest
+	knn   *KNNRequest
+	den   *DensityRequest
+	traj  *TrajRequest
+	watch *WatchRequest
+	info  bool
 }
 
 // diffWindow draws a time window: usually a slice of the span, sometimes
@@ -107,7 +108,7 @@ func diffFloor(r *rand.Rand) int {
 func diffRequests(r *rand.Rand, rows []trajectory.Sample, n int) []diffRequest {
 	reqs := make([]diffRequest, 0, n)
 	for len(reqs) < n {
-		switch r.Intn(9) {
+		switch r.Intn(10) {
 		case 0, 1, 2:
 			q := RangeRequest{Floor: diffFloor(r)}
 			q.T0, q.T1 = diffWindow(r)
@@ -136,6 +137,19 @@ func diffRequests(r *rand.Rand, rows []trajectory.Sample, n int) []diffRequest {
 			q := TrajRequest{Obj: r.Intn(28)} // some IDs belong to nobody
 			q.T0, q.T1 = diffWindow(r)
 			reqs = append(reqs, diffRequest{traj: &q})
+		case 8:
+			q := WatchRequest{Floor: diffFloor(r)}
+			a := geom.Pt(diffGrid(r.Float64()*40), diffGrid(r.Float64()*20))
+			b := geom.Pt(diffGrid(r.Float64()*40), diffGrid(r.Float64()*20))
+			switch r.Intn(4) {
+			case 0: // every row
+				q.Box = geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(41, 21)}
+			case 1: // no row
+				q.Box = geom.BBox{Min: geom.Pt(50, 30), Max: geom.Pt(60, 40)}
+			default: // some rows
+				q.Box = geom.BBox{Min: geom.Pt(min(a.X, b.X), min(a.Y, b.Y)), Max: geom.Pt(max(a.X, b.X), max(a.Y, b.Y))}
+			}
+			reqs = append(reqs, diffRequest{watch: &q})
 		default:
 			reqs = append(reqs, diffRequest{info: true})
 		}
@@ -154,6 +168,8 @@ func diffServed(ds *Dataset, req diffRequest) (any, error) {
 		return ds.Density(*req.den)
 	case req.traj != nil:
 		return ds.Traj(*req.traj)
+	case req.watch != nil:
+		return ds.Watch(*req.watch)
 	}
 	return ds.Info(false)
 }

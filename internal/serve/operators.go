@@ -22,6 +22,7 @@ type Querier interface {
 	Traj(TrajRequest) (*TrajResponse, error)
 	Dwell(DwellRequest) (*DwellResponse, error)
 	Info(trace bool) (*InfoResponse, error)
+	Watch(WatchRequest) (*WatchResponse, error)
 }
 
 var (
@@ -59,6 +60,7 @@ var Operators = []Operator{
 	op("traj", Querier.Traj, func(r *TrajResponse) *[]trajectory.Sample { return &r.Samples }),
 	op("dwell", Querier.Dwell, nil),
 	op("info", func(q Querier, r infoRequest) (*InfoResponse, error) { return q.Info(bool(r)) }, nil),
+	op("watch", Querier.Watch, nil),
 }
 
 // OperatorNamed returns the operator called name, or nil.

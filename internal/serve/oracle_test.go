@@ -2,6 +2,7 @@ package serve
 
 import (
 	"cmp"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -16,7 +17,8 @@ import (
 // (trajectory.InterpolateAt): a linear filter over the rows stable-sorted by
 // (object, time), so rows that tie on both keep their input order; each
 // object's series bracketed by binary search for the instant queries; a
-// min/max fold for Info.
+// min/max fold for Info; a ContinuousEngine subscription fed the rows in
+// (time, object) order for Watch.
 type oracle struct {
 	rows   []trajectory.Sample // stable-sorted by (object, time)
 	maxGap float64
@@ -56,6 +58,8 @@ func (o *oracle) answer(req diffRequest) any {
 		return o.density(*req.den)
 	case req.traj != nil:
 		return o.traj(*req.traj)
+	case req.watch != nil:
+		return WatchOracle(o.rows, *req.watch)
 	}
 	return o.info()
 }
@@ -181,4 +185,110 @@ func (o *oracle) info() *InfoResponse {
 	}
 	slices.Sort(resp.Floors)
 	return resp
+}
+
+// WatchOracle answers q over rows as Watch must: it feeds the rows,
+// stable-sorted by (time, object), to one ContinuousEngine subscription and
+// keeps its enter and exit events.
+func WatchOracle(rows []trajectory.Sample, q WatchRequest) *WatchResponse {
+	rows = slices.Clone(rows)
+	slices.SortStableFunc(rows, func(a, b trajectory.Sample) int {
+		return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.ObjID, b.ObjID))
+	})
+	resp := &WatchResponse{Query: q}
+	eng := NewContinuousEngine()
+	sub := eng.Subscribe(q.Floor, q.Box, func(e Event) {
+		if e.Kind != Move {
+			resp.Events = append(resp.Events, WatchEvent{Kind: e.Kind.String(), Sample: e.Sample})
+		}
+	})
+	eng.FeedAll(rows)
+	resp.Inside = sub.Inside()
+	return resp
+}
+
+// EventKind classifies a standing-query transition.
+type EventKind int
+
+const (
+	// Enter fires when an object's newest sample moves it into the query
+	// region.
+	Enter EventKind = iota
+	// Move fires when an object already in the region reports a new sample
+	// still inside it.
+	Move
+	// Exit fires when an object previously in the region reports a sample
+	// outside it (or on another floor).
+	Exit
+)
+
+// String implements fmt.Stringer.
+func (k EventKind) String() string {
+	return [...]string{"enter", "move", "exit"}[k]
+}
+
+// Event is one standing-query notification.
+type Event struct {
+	Kind EventKind
+	// Sample is the sample that triggered the transition.
+	Sample trajectory.Sample
+}
+
+// Subscription is one standing range query registered with a
+// ContinuousEngine.
+type Subscription struct {
+	floor  int
+	box    geom.BBox
+	fn     func(Event)
+	inside map[int]trajectory.Sample // objID -> last sample inside the region
+}
+
+// Inside returns the object IDs currently inside the query region, sorted.
+func (s *Subscription) Inside() []int { return slices.Sorted(maps.Keys(s.inside)) }
+
+// ContinuousEngine is Watch's oracle: it evaluates standing range queries
+// one sample at a time, recomputing only the sampled object's membership.
+// Callbacks run synchronously inside Feed.
+type ContinuousEngine struct {
+	subs []*Subscription
+}
+
+// NewContinuousEngine returns an engine with no subscriptions.
+func NewContinuousEngine() *ContinuousEngine { return &ContinuousEngine{} }
+
+// Subscribe registers a standing range query over floor × box; fn is invoked
+// for every Enter/Move/Exit transition. A negative floor matches all floors.
+func (e *ContinuousEngine) Subscribe(floor int, box geom.BBox, fn func(Event)) *Subscription {
+	sub := &Subscription{floor: floor, box: box, fn: fn, inside: make(map[int]trajectory.Sample)}
+	e.subs = append(e.subs, sub)
+	return sub
+}
+
+// Feed advances every standing query with one sample, firing transition
+// callbacks synchronously. Samples should arrive in nondecreasing time order
+// per object.
+func (e *ContinuousEngine) Feed(s trajectory.Sample) {
+	for _, sub := range e.subs {
+		match := (sub.floor < 0 || s.Loc.Floor == sub.floor) &&
+			s.Loc.HasPoint && sub.box.Contains(s.Loc.Point)
+		_, was := sub.inside[s.ObjID]
+		switch {
+		case match && !was:
+			sub.inside[s.ObjID] = s
+			sub.fn(Event{Kind: Enter, Sample: s})
+		case match && was:
+			sub.inside[s.ObjID] = s
+			sub.fn(Event{Kind: Move, Sample: s})
+		case !match && was:
+			delete(sub.inside, s.ObjID)
+			sub.fn(Event{Kind: Exit, Sample: s})
+		}
+	}
+}
+
+// FeedAll replays a batch of samples through Feed in slice order.
+func (e *ContinuousEngine) FeedAll(samples []trajectory.Sample) {
+	for _, s := range samples {
+		e.Feed(s)
+	}
 }

@@ -32,6 +32,10 @@ func (r *recorder) Info(trace bool) (*InfoResponse, error) {
 	r.got = infoRequest(trace)
 	return &InfoResponse{}, nil
 }
+func (r *recorder) Watch(q WatchRequest) (*WatchResponse, error) {
+	r.got = q
+	return &WatchResponse{}, nil
+}
 
 // comparableRequest is a request type the tests can compare with ==.
 type comparableRequest[Q any] interface {
@@ -88,6 +92,13 @@ func TestRequestParamsRoundTrip(t *testing.T) {
 	for _, q := range []infoRequest{false, true} {
 		checkRoundTrip(t, "info", q)
 	}
+	for _, q := range []WatchRequest{
+		{Floor: -1, Box: odd},
+		{Floor: -5, Box: geom.BBox{Min: geom.Pt(-sub, negZero), Max: geom.Pt(sub, -1e-300)}, Trace: true},
+		{Floor: math.MinInt, Box: geom.BBox{Min: geom.Pt(negZero, negZero)}},
+	} {
+		checkRoundTrip(t, "watch", q)
+	}
 
 	for _, op := range Operators {
 		fs := flag.NewFlagSet(op.Name, flag.ContinueOnError)
@@ -128,6 +139,7 @@ func FuzzRequestParams(f *testing.F) {
 		fuzzRoundTrip[TrajRequest](t, "traj", v, trace)
 		fuzzRoundTrip[DwellRequest](t, "dwell", v, trace)
 		fuzzRoundTrip[infoRequest](t, "info", v, trace)
+		fuzzRoundTrip[WatchRequest](t, "watch", v, trace)
 	})
 }
 

@@ -17,7 +17,7 @@ import (
 // into the scan's block predicate, planSource opens the one cursor there is
 // over the pinned segment set's blocks, and runPlan drains the result. There
 // is no other execution path and no other load path: a new analytic is one
-// plan expression, and the answers of the six that exist are pinned against
+// plan expression, and the answers of the seven that exist are pinned against
 // a brute-force oracle (see oracle_test.go and differential_test.go).
 
 // planSource adapts one query's view of the dataset to plan.Source. It is

@@ -1,4 +1,4 @@
-package query_test
+package serve_test
 
 import (
 	"math"
@@ -11,16 +11,16 @@ import (
 	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/model"
-	"vita/internal/query"
 	"vita/internal/rng"
 	"vita/internal/serve"
 	"vita/internal/trajectory"
 )
 
-// These tests pin what a query answer means. The offline questions (range,
-// kNN, density, trajectory, info) are asked of a serve.Dataset written from
-// the synthetic samples, the one engine that answers them; the standing
-// queries of this package must agree with the same brute-force semantics.
+// These tests pin what a query answer means. Every question (range, kNN,
+// density, trajectory, info, watch) is asked of a serve.Dataset written from
+// the synthetic samples, the one engine that answers them, and checked
+// against brute force; the standing query also against its oracle,
+// serve.WatchOracle.
 
 // syntheticSamples produces nObj random walks over two floors, one sample per
 // second for dur seconds. Objects with odd IDs live on floor 1.
@@ -51,7 +51,7 @@ func clamp(v, lo, hi float64) float64 { return math.Max(lo, math.Min(hi, v)) }
 
 // served writes samples, in slice order, as a VTB dataset of small blocks
 // and opens it the way vitaserve does.
-func served(t *testing.T, samples []trajectory.Sample, cfg serve.Config) *serve.Dataset {
+func served(t testing.TB, samples []trajectory.Sample, cfg serve.Config) *serve.Dataset {
 	t.Helper()
 	dir := t.TempDir()
 	f, err := os.Create(filepath.Join(dir, "trajectory.vtb"))
@@ -339,64 +339,66 @@ func TestTimeSpanAndAccessors(t *testing.T) {
 	}
 }
 
-func TestContinuousRangeQuery(t *testing.T) {
-	eng := query.NewContinuousEngine()
-	box := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(10, 10)}
-	var events []query.Event
-	sub := eng.Subscribe(0, box, func(e query.Event) { events = append(events, e) })
+// watchMatchesOracle asks ds to watch q and requires the oracle's events and
+// inside set over samples.
+func watchMatchesOracle(t *testing.T, ds *serve.Dataset, samples []trajectory.Sample, q serve.WatchRequest) *serve.WatchResponse {
+	t.Helper()
+	got, want := ask(t, ds.Watch, q), serve.WatchOracle(samples, q)
+	if !slices.Equal(got.Events, want.Events) || !slices.Equal(got.Inside, want.Inside) {
+		t.Fatalf("Watch(%+v) = %d events, inside %v; the oracle has %d events, inside %v",
+			q, len(got.Events), got.Inside, len(want.Events), want.Inside)
+	}
+	return got
+}
 
+func TestWatchRangeQuery(t *testing.T) {
+	box := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(10, 10)}
 	mk := func(id int, x float64, floor int, tt float64) trajectory.Sample {
 		return trajectory.Sample{ObjID: id, Loc: model.At("b", floor, "P", geom.Pt(x, 5)), T: tt}
 	}
-	eng.Feed(mk(1, 5, 0, 0))  // enter
-	eng.Feed(mk(1, 6, 0, 1))  // move
-	eng.Feed(mk(2, 50, 0, 1)) // outside: no event
-	eng.Feed(mk(1, 20, 0, 2)) // exit
-	eng.Feed(mk(2, 5, 1, 2))  // wrong floor: no event
-	eng.Feed(mk(2, 5, 0, 3))  // enter
-
-	want := []query.EventKind{query.Enter, query.Move, query.Exit, query.Enter}
-	if len(events) != len(want) {
-		t.Fatalf("got %d events, want %d: %+v", len(events), len(want), events)
+	samples := []trajectory.Sample{
+		mk(1, 5, 0, 0),  // enter
+		mk(1, 6, 0, 1),  // move: not reported
+		mk(2, 50, 0, 1), // outside: no event
+		mk(1, 20, 0, 2), // exit
+		mk(2, 5, 1, 2),  // wrong floor: no event
+		mk(2, 5, 0, 3),  // enter
+		mk(3, 5, 0, 5),  // enter
+		mk(4, 5, 1, 5),  // floor 1: only the all-floor query sees it
 	}
-	for i, k := range want {
-		if events[i].Kind != k {
-			t.Fatalf("event %d = %s, want %s", i, events[i].Kind, k)
+	ds := served(t, samples, serve.Config{})
+	for _, c := range []struct {
+		floor  int
+		kinds  []string
+		inside []int
+	}{
+		{0, []string{"enter", "exit", "enter", "enter"}, []int{2, 3}},
+		{-1, []string{"enter", "exit", "enter", "enter", "enter"}, []int{2, 3, 4}},
+	} {
+		resp := watchMatchesOracle(t, ds, samples, serve.WatchRequest{Floor: c.floor, Box: box})
+		var kinds []string
+		for _, e := range resp.Events {
+			kinds = append(kinds, e.Kind)
 		}
-	}
-	if in := sub.Inside(); len(in) != 1 || in[0] != 2 {
-		t.Fatalf("Inside = %v, want [2]", in)
-	}
-
-	eng.Unsubscribe(sub)
-	eng.Feed(mk(2, 6, 0, 4))
-	if len(events) != len(want) {
-		t.Fatal("events fired after Unsubscribe")
-	}
-
-	// All-floor subscription sees both floors.
-	n := 0
-	eng.Subscribe(-1, box, func(query.Event) { n++ })
-	eng.FeedAll([]trajectory.Sample{mk(3, 5, 0, 5), mk(4, 5, 1, 5)})
-	if n != 2 {
-		t.Fatalf("all-floor subscription saw %d events, want 2", n)
+		if !slices.Equal(kinds, c.kinds) || !slices.Equal(resp.Inside, c.inside) {
+			t.Errorf("floor %d: events %v, inside %v; want %v, inside %v", c.floor, kinds, resp.Inside, c.kinds, c.inside)
+		}
 	}
 }
 
-// TestContinuousMatchesOfflineRange: replaying a dataset through a standing
-// query must visit exactly the objects that have a sample in the region.
-func TestContinuousMatchesOfflineRange(t *testing.T) {
+// TestWatchMatchesOfflineRange: replaying a dataset through a standing
+// query must enter exactly the objects that have a sample in the region.
+func TestWatchMatchesOfflineRange(t *testing.T) {
 	samples := syntheticSamples(8, 15, 200)
 	box := geom.BBox{Min: geom.Pt(20, 10), Max: geom.Pt(70, 40)}
+	ds := served(t, samples, serve.Config{})
 
-	eng := query.NewContinuousEngine()
 	entered := make(map[int]bool)
-	eng.Subscribe(0, box, func(e query.Event) {
-		if e.Kind == query.Enter {
+	for _, e := range watchMatchesOracle(t, ds, samples, serve.WatchRequest{Floor: 0, Box: box}).Events {
+		if e.Kind == "enter" {
 			entered[e.Sample.ObjID] = true
 		}
-	})
-	eng.FeedAll(samples)
+	}
 
 	want := make(map[int]bool)
 	for _, s := range samples {
@@ -408,7 +410,7 @@ func TestContinuousMatchesOfflineRange(t *testing.T) {
 		t.Fatal("no object ever entered the region")
 	}
 	if len(entered) != len(want) {
-		t.Fatalf("continuous saw %d objects, brute force saw %d", len(entered), len(want))
+		t.Fatalf("watch saw %d objects, brute force saw %d", len(entered), len(want))
 	}
 	for id := range want {
 		if !entered[id] {

@@ -45,8 +45,8 @@ func appendSegmented(t *testing.T, l *seglog.Log, samples []trajectory.Sample, m
 	}
 }
 
-// operatorText runs the five operators plus info and concatenates their
-// exact CLI text — the byte-parity probe for single-file vs segmented.
+// operatorText runs every operator and concatenates their exact CLI text —
+// the byte-parity probe for single-file vs segmented.
 func operatorText(t *testing.T, ds *Dataset) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -80,6 +80,11 @@ func operatorText(t *testing.T, ds *Dataset) string {
 		t.Fatal(err)
 	}
 	iresp.WriteText(&buf)
+	sresp, err := ds.Watch(WatchRequest{Floor: -1, Box: geom.BBox{Min: geom.Pt(3, 2), Max: geom.Pt(17, 12)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sresp.WriteText(&buf)
 	return buf.String()
 }
 
@@ -192,6 +197,10 @@ func TestEmptyLogServes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		watch, err := ds.Watch(WatchRequest{Floor: -1, Box: box})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for name, got := range map[string]struct {
 			body  any
 			want  string
@@ -204,6 +213,8 @@ func TestEmptyLogServes(t *testing.T) {
 			"knn neighbors":  {knn.Neighbors, `[]`, knn.Stats},
 			"density counts": {den.Counts, `{}`, den.Stats},
 			"dwell rooms":    {dwell.Rooms, `[]`, dwell.Stats},
+			"watch events":   {watch.Events, `null`, watch.Stats},
+			"watch inside":   {watch.Inside, `null`, watch.Stats},
 		} {
 			if js := string(jsonBytes(t, got.body)); js != got.want {
 				t.Errorf("cache %d: %s = %s, want %s", budget, name, js, got.want)

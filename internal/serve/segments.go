@@ -192,10 +192,11 @@ func (d *Dataset) Refresh() (bool, error) {
 	return true, nil
 }
 
-// watch polls the manifest until Close. Refresh errors are logged at debug
-// and otherwise dropped: a torn-state read (a writer mid-commit in another
-// process) heals on the next tick, and there is no caller to report to.
-func (d *Dataset) watch(every time.Duration) {
+// poll refreshes from the manifest until Close. Refresh errors are logged at
+// debug and otherwise dropped: a torn-state read (a writer mid-commit in
+// another process) heals on the next tick, and there is no caller to report
+// to.
+func (d *Dataset) poll(every time.Duration) {
 	defer d.watchWG.Done()
 	t := time.NewTicker(every)
 	defer t.Stop()

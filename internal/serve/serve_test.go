@@ -246,6 +246,21 @@ func TestServerParity(t *testing.T) {
 			}
 			compareText(t, string(format)+"/info", local, remote)
 		}
+		{
+			q := WatchRequest{Floor: 0, Box: box}
+			local, err := ds.Watch(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote, err := c.Watch(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(local.Events) == 0 {
+				t.Fatalf("%s: watch query saw no crossing", format)
+			}
+			compareText(t, string(format)+"/watch", local, remote)
+		}
 	}
 }
 

@@ -276,6 +276,48 @@ func (r *DwellResponse) WriteText(w io.Writer) error {
 	return err
 }
 
+// WatchRequest is a standing range query over floor × box (Floor -1 watches
+// all floors), replayed over every row of the dataset.
+type WatchRequest struct {
+	Floor int       `json:"floor"`
+	Box   geom.BBox `json:"box"`
+	Trace bool      `json:"-"`
+}
+
+func (q WatchRequest) params(f paramSet) (WatchRequest, error) {
+	f.int(&q.Floor, "floor", -1, "floor to watch (-1 = all)")
+	f.box(&q.Box, "box", "spatial box `x0,y0,x1,y1` (required)")
+	f.trace(&q.Trace)
+	return q, f.err
+}
+
+// WatchEvent is one boundary crossing: Kind is "enter" or "exit", and Sample
+// is the row that crossed.
+type WatchEvent struct {
+	Kind   string            `json:"kind"`
+	Sample trajectory.Sample `json:"sample"`
+}
+
+// WatchResponse carries the crossings in (time, object) order and the
+// objects still inside at the end, sorted.
+type WatchResponse struct {
+	Query  WatchRequest `json:"query"`
+	Events []WatchEvent `json:"events"`
+	Inside []int        `json:"inside"`
+	ResponseMeta
+}
+
+// WriteText renders the response exactly as `vitaquery watch` prints it.
+func (r *WatchResponse) WriteText(w io.Writer) error {
+	for _, e := range r.Events {
+		if _, err := fmt.Fprintf(w, "t %8.2f  %-5s obj %-4d %s\n", e.Sample.T, e.Kind, e.Sample.ObjID, e.Sample.Loc); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "%d enter/exit events; %d objects inside at end of replay\n", len(r.Events), len(r.Inside))
+	return err
+}
+
 // infoRequest is info's request: no parameter, only the trace ask.
 type infoRequest bool
 

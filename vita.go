@@ -39,7 +39,6 @@ import (
 	"vita/internal/geom"
 	"vita/internal/plan"
 	"vita/internal/positioning"
-	"vita/internal/query"
 	"vita/internal/serve"
 	"vita/internal/storage"
 	"vita/internal/trajectory"
@@ -149,31 +148,13 @@ func WriteProximityCSV(w io.Writer, recs []ProximityRecord) error {
 	return storage.WriteProximityCSV(w, recs)
 }
 
-// --- standing queries over a sample stream (internal/query) ---
-
-// ContinuousEngine evaluates standing range queries over streamed samples.
-type ContinuousEngine = query.ContinuousEngine
-
-// QueryEvent is one continuous-query notification (enter/move/exit).
-type QueryEvent = query.Event
-
-// Continuous-query transition kinds.
-const (
-	QueryEnter = query.Enter
-	QueryMove  = query.Move
-	QueryExit  = query.Exit
-)
-
-// NewContinuousEngine returns an engine for standing range queries; feed it
-// samples as they stream in.
-func NewContinuousEngine() *ContinuousEngine { return query.NewContinuousEngine() }
-
 // --- the query engine over a stored dataset (internal/serve) ---
 
 // QueryDataset is an opened trajectory dataset answering the range, knn,
-// density, traj, dwell and info operators — the engine behind vitaquery and
-// vitaserve. Each operator runs as a plan over the dataset's blocks, and each
-// response renders vitaquery's text via WriteText. Safe for concurrent use.
+// density, traj, dwell, info and watch operators — the engine behind
+// vitaquery and vitaserve. Each operator runs as a plan over the dataset's
+// blocks, and each response renders vitaquery's text via WriteText. Safe for
+// concurrent use.
 type QueryDataset = serve.Dataset
 
 // QueryServeConfig tunes an opened QueryDataset (interpolation gap,
@@ -193,6 +174,7 @@ type (
 	DensityRequest = serve.DensityRequest
 	TrajRequest    = serve.TrajRequest
 	DwellRequest   = serve.DwellRequest
+	WatchRequest   = serve.WatchRequest
 )
 
 // OpenQueryDataset opens the trajectory data in dir: a live segment log (dir

@@ -27,8 +27,7 @@ func TestGenerateDefault(t *testing.T) {
 }
 
 // TestQueryEngine drives the public query surface end to end: stream a run
-// into a VTB directory, open it as a QueryDataset, answer each operator, and
-// replay the samples through a standing query.
+// into a VTB directory, open it as a QueryDataset, and answer each operator.
 func TestQueryEngine(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 7
@@ -81,16 +80,8 @@ func TestQueryEngine(t *testing.T) {
 		t.Fatalf("dwell query empty (%v)", err)
 	}
 
-	// Standing query over the replayed stream.
-	eng := NewContinuousEngine()
-	var events int
-	eng.Subscribe(-1, bounds, func(e QueryEvent) {
-		if e.Kind == QueryEnter {
-			events++
-		}
-	})
-	eng.FeedAll(ds.Trajectories.All())
-	if events == 0 {
-		t.Fatal("continuous query saw no enters")
+	// Standing query over every sample.
+	if r, err := qd.Watch(WatchRequest{Floor: -1, Box: bounds}); err != nil || len(r.Events) == 0 {
+		t.Fatalf("watch query saw no crossing (%v)", err)
 	}
 }
