@@ -371,7 +371,16 @@ func vtbBenchImage(b *testing.B) ([]byte, []byte, int) {
 		b.Fatal(err)
 	}
 	var csv bytes.Buffer
-	if err := storage.WriteTrajectoryCSV(&csv, samples); err != nil {
+	cw, err := storage.NewTrajectoryCSVWriter(&csv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range samples {
+		if err := cw.Write(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := cw.Close(); err != nil {
 		b.Fatal(err)
 	}
 	return vtb.Bytes(), csv.Bytes(), len(samples)
@@ -455,7 +464,7 @@ func BenchmarkVTBScanPruned(b *testing.B) {
 			b.Fatal(err)
 		}
 		rows := 0
-		cur := r.Cursor(colstore.TimeWindow(100, 160))
+		cur := r.Cursor(colstore.Predicate{HasTime: true, T0: 100, T1: 160})
 		for cur.Next() {
 			for _, t := range cur.Batch().T {
 				if t < 100 || t > 160 {
@@ -621,26 +630,34 @@ func BenchmarkServeWarmVsCold(b *testing.B) {
 // BenchmarkColdStartQuery measures the end-to-end "file on disk to first
 // range-query answer" path that motivated the format: parse or scan, then
 // keep the samples inside the window and box. VTB pushes the whole predicate
-// into the block layer; CSV must parse everything first.
+// into the block layer; CSV must parse every record to filter it.
 func BenchmarkColdStartQuery(b *testing.B) {
 	vtb, csvBytes, _ := vtbBenchImage(b)
 	box := geom.BBox{Min: geom.Pt(2, 2), Max: geom.Pt(14, 10)}
 	pred := colstore.Predicate{HasTime: true, T0: 100, T1: 160, HasFloor: true, Floor: 0, HasBox: true, Box: box}
+	query := func(b *testing.B, cur storage.TrajectoryCursor) {
+		var hits []trajectory.Sample
+		for cur.Next() {
+			hits = cur.Batch().AppendTo(hits)
+		}
+		if err := cur.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 
 	b.Run("csv", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "trajectory.csv")
+		if err := os.WriteFile(path, csvBytes, 0o644); err != nil {
+			b.Fatal(err)
+		}
 		b.SetBytes(int64(len(csvBytes)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			samples, err := storage.ReadTrajectoryCSV(bytes.NewReader(csvBytes))
+			cur, _, err := storage.OpenCursor(storage.Trajectory, path, pred, colstore.OpenOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			var hits []trajectory.Sample
-			for _, s := range samples {
-				if pred.MatchTrajectory(s) {
-					hits = append(hits, s)
-				}
-			}
+			query(b, cur)
 		}
 	})
 	b.Run("vtb", func(b *testing.B) {
@@ -651,10 +668,7 @@ func BenchmarkColdStartQuery(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var hits []trajectory.Sample
-			if _, err := storage.Each(r.Cursor(pred), func(s trajectory.Sample) { hits = append(hits, s) }); err != nil {
-				b.Fatal(err)
-			}
+			query(b, r.Cursor(pred))
 		}
 	})
 }
@@ -700,11 +714,21 @@ func BenchmarkVTBScanMmapVsReaderAt(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer mm.Close()
-	pr, err := colstore.OpenTrajectory(path, colstore.OpenOptions{DisableMmap: true})
+	// The pread reader: an io.ReaderAt over the file, the path colstore takes
+	// where mapping is unavailable.
+	f, err := os.Open(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer pr.Close()
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pr, err := colstore.NewTrajectoryReader(f, st.Size())
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	scan := func(r *colstore.TrajectoryReader) time.Duration {
 		start := time.Now()

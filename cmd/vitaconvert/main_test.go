@@ -54,11 +54,20 @@ func writeVTB(t *testing.T, path string, samples []trajectory.Sample, opts colst
 	}
 }
 
-func readAllVTB(t *testing.T, path string) []trajectory.Sample {
+// readTrajectory returns every row of the trajectory file at path, read
+// through storage.OpenCursor, which must detect want as its format.
+func readTrajectory(t *testing.T, path string, want storage.Format) []trajectory.Sample {
 	t.Helper()
-	got, format, err := storage.ReadTrajectoryFile(path)
-	if err != nil || format != storage.FormatVTB {
-		t.Fatalf("read %s: format %q, err %v", path, format, err)
+	cur, format, err := storage.OpenCursor(storage.Trajectory, path, colstore.Predicate{}, colstore.OpenOptions{})
+	if err != nil || format != want {
+		t.Fatalf("read %s: format %q (want %q), err %v", path, format, want, err)
+	}
+	var got []trajectory.Sample
+	for cur.Next() {
+		got = cur.Batch().AppendTo(got)
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatalf("read %s: %v", path, err)
 	}
 	return got
 }
@@ -104,17 +113,14 @@ func TestRecompressRoundTrip(t *testing.T) {
 	if codec := firstBlockCodec(t, in); codec != 1 {
 		t.Fatalf("fixture first block codec = %d, want 1 (flate)", codec)
 	}
-	samples, _, err := storage.ReadTrajectoryFile(filepath.Join(flateDir, "trajectory.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := readTrajectory(t, filepath.Join(flateDir, "trajectory.csv"), storage.FormatCSV)
 
 	out := filepath.Join(dir, "out.vtb")
 	if err := runConvert("-in", in, "-out", out, "-codec", "vsnap"); err != nil {
 		t.Fatalf("convert: %v", err)
 	}
 	for _, path := range []string{in, out} {
-		got := readAllVTB(t, path)
+		got := readTrajectory(t, path, storage.FormatVTB)
 		if len(got) != len(samples) {
 			t.Fatalf("%s has %d rows, its CSV twin %d", path, len(got), len(samples))
 		}

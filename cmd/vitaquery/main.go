@@ -15,8 +15,8 @@
 // Locally, each operator's plan pushes its predicate into the scan (range
 // prunes by window+floor+box, traj by object+window, dwell by window+floor,
 // knn/density by the window widened by -maxgap), so zone maps skip blocks
-// before anything is decoded. VTB files are memory-mapped (-mmap=false reads
-// them instead) and stream a small window of blocks at a time; the stderr
+// before anything is decoded. VTB files are memory-mapped where the platform
+// allows and stream a small window of blocks at a time; the stderr
 // line reports the blocks read and the most bytes one window decoded. A CSV
 // file is re-encoded as in-memory blocks once, at open.
 //
@@ -25,8 +25,8 @@
 // the operator's own parameter declaration, every flag becomes a query
 // parameter for the server's decoder (-t0 NaN is refused with the server's
 // message), and the request runs on a serve.Querier — the opened dataset or
-// a serve.Client — so the output is byte-identical. -maxgap and -mmap shape
-// local execution only and are refused with -server.
+// a serve.Client — so the output is byte-identical. -maxgap shapes local
+// execution only and is refused with -server.
 //
 // -trace prints the per-operator execution trace — rows, batches, wall time,
 // and zone-map pruning per operator — on stderr, locally or against a server
@@ -59,7 +59,6 @@ func run() error {
 	dataDir := flag.String("data", "out", "directory holding vitagen output")
 	server := flag.String("server", "", "base URL of a running vitaserve daemon (empty = local execution)")
 	maxGap := flag.Float64("maxgap", 10, "max sample gap in seconds for instant queries (local mode)")
-	useMmap := flag.Bool("mmap", true, "memory-map local VTB files (false = plain file reads)")
 	trace := flag.Bool("trace", false, "print the per-operator execution trace on stderr (stdout is unchanged)")
 	logOpts := obs.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
@@ -81,7 +80,7 @@ func run() error {
 	if *server != "" {
 		var local error
 		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "maxgap" || f.Name == "mmap" {
+			if f.Name == "maxgap" {
 				local = fmt.Errorf("-%s applies to local execution only; the daemon at -server has its own", f.Name)
 			}
 		})
@@ -94,8 +93,7 @@ func run() error {
 		ds, err = serve.Open(*dataDir, serve.Config{
 			MaxGap: *maxGap,
 			// One-shot execution: nothing would ever hit a warm cache.
-			CacheBytes:  -1,
-			DisableMmap: !*useMmap,
+			CacheBytes: -1,
 		})
 		if err != nil {
 			return err

@@ -17,11 +17,11 @@
 //	GET /metricsz
 //	GET /debug/pprof/*   (only with -pprof)
 //
-// The VTB file is memory-mapped by default so cache-miss block decodes read
-// straight from the OS page cache (-mmap=false falls back to plain reads);
-// -pprof mounts the standard profiling endpoints for profiling the daemon in
-// place and turns on block/mutex profiling at sane sampling defaults
-// (-block-profile-rate, -mutex-profile-fraction tune or disable them).
+// VTB files are memory-mapped where the platform allows, so cache-miss block
+// decodes read straight from the OS page cache. -pprof mounts the standard
+// profiling endpoints for profiling the daemon in place and turns on
+// block/mutex profiling at sane sampling defaults (-block-profile-rate,
+// -mutex-profile-fraction tune or disable them).
 //
 // Live datasets: when -data holds a segment log (vitagen -segment-mb/-rows
 // output, or the log directory itself), the daemon polls the manifest every
@@ -77,7 +77,6 @@ func run() error {
 	cacheMB := flag.Int("cache-mb", 64, "decoded-block cache budget in MiB (0 keeps nothing)")
 	maxGap := flag.Float64("maxgap", 10, "max sample gap in seconds for instant queries")
 	drain := flag.Duration("drain", 10*time.Second, "in-flight request drain timeout on shutdown")
-	useMmap := flag.Bool("mmap", true, "memory-map the VTB file (false = plain file reads)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (exposes internals; keep off on untrusted networks)")
 	blockRate := flag.Int("block-profile-rate", serve.DefaultPprofOptions().BlockProfileRate, "with -pprof: sample one blocking event per this many ns blocked (1 = every event, <0 disables block profiling)")
 	mutexFrac := flag.Int("mutex-profile-fraction", serve.DefaultPprofOptions().MutexProfileFraction, "with -pprof: sample 1/this of mutex contention events (1 = every event, <0 disables mutex profiling)")
@@ -100,7 +99,6 @@ func run() error {
 	cfg := serve.Config{
 		MaxGap:        *maxGap,
 		CacheBytes:    int64(*cacheMB) << 20,
-		DisableMmap:   !*useMmap,
 		WatchInterval: *watch,
 	}
 	if *watch == 0 {
@@ -148,9 +146,7 @@ func run() error {
 		}
 		// Run-loop errors are already logged by the compactor itself; OnError
 		// stays nil so they are not reported twice.
-		c := seglog.NewCompactor(slg, seglog.CompactorOptions{
-			DisableMmap: !*useMmap,
-		})
+		c := seglog.NewCompactor(slg, seglog.CompactorOptions{})
 		go c.Run(compactCtx, *compactEvery)
 		slog.Info("compacting", "every", compactEvery.String())
 	}

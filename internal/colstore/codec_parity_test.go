@@ -57,7 +57,7 @@ func TestCodecParityTrajectory(t *testing.T) {
 	}
 	preds := map[string]Predicate{
 		"all":    {},
-		"window": TimeWindow(20, 45),
+		"window": timeWindow(20, 45),
 		"object": {HasObj: true, Obj: 3},
 	}
 	for name, pred := range preds {
@@ -106,7 +106,7 @@ func TestCodecParityRSSI(t *testing.T) {
 		})
 	}
 	open := func(data []byte) *RSSIReader {
-		r, err := NewRSSIReader(bytes.NewReader(data), int64(len(data)))
+		r, err := newRSSIReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -239,11 +239,6 @@ type Predicate struct {
 	Obj    int
 }
 
-// TimeWindow returns a predicate matching rows with t in [t0, t1].
-func TimeWindow(t0, t1 float64) Predicate {
-	return Predicate{HasTime: true, T0: t0, T1: t1}
-}
-
 // SkipBlock reports whether the zone map proves no row of the block can
 // match p. Callers that fetch blocks themselves (for example through a block
 // cache, like internal/serve) use it to reproduce a cursor's pruning exactly.

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
 	"testing"
@@ -86,6 +87,17 @@ func drain[T any, B RowBatch[T]](c *Cursor[B]) ([]T, ScanStats, error) {
 	return out, stats, c.Close()
 }
 
+// newRSSIReader opens an RSSI VTB image held in r, as NewTrajectoryReader
+// does a trajectory one.
+func newRSSIReader(r io.ReaderAt, size int64) (*RSSIReader, error) {
+	return rssiOps.reader(openReader(r, size, KindRSSI))
+}
+
+// timeWindow returns a predicate matching rows with t in [t0, t1].
+func timeWindow(t0, t1 float64) Predicate {
+	return Predicate{HasTime: true, T0: t0, T1: t1}
+}
+
 func readTrajectory(t *testing.T, data []byte) *TrajectoryReader {
 	t.Helper()
 	r, err := NewTrajectoryReader(bytes.NewReader(data), int64(len(data)))
@@ -138,7 +150,7 @@ func TestRSSIRoundTripLossless(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRSSIReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	r, err := newRSSIReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +189,7 @@ func TestScanTimeWindowPruning(t *testing.T) {
 	data := writeTrajectory(t, samples, Options{BlockSize: 256})
 	r := readTrajectory(t, data)
 
-	pred := TimeWindow(100, 130)
+	pred := timeWindow(100, 130)
 	got, stats, err := drain(r.Cursor(pred))
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +253,7 @@ func TestScanPredicates(t *testing.T) {
 		t.Errorf("unknown floor scanned %d blocks, matched %d rows", stats.BlocksScanned, n)
 	}
 	// A window past the data must prune everything too.
-	if n, stats := match(TimeWindow(1e6, 2e6)); n != 0 || stats.BlocksScanned != 0 {
+	if n, stats := match(timeWindow(1e6, 2e6)); n != 0 || stats.BlocksScanned != 0 {
 		t.Errorf("out-of-span window scanned %d blocks, matched %d rows", stats.BlocksScanned, n)
 	}
 }
@@ -260,7 +272,7 @@ func TestEmptyFile(t *testing.T) {
 
 func TestKindMismatch(t *testing.T) {
 	data := writeTrajectory(t, gridSamples(2, 10), Options{})
-	if _, err := NewRSSIReader(bytes.NewReader(data), int64(len(data))); err == nil {
+	if _, err := newRSSIReader(bytes.NewReader(data), int64(len(data))); err == nil {
 		t.Fatal("opening a trajectory file as RSSI succeeded")
 	}
 }

@@ -16,14 +16,14 @@ import (
 func cursorPreds() map[string]Predicate {
 	return map[string]Predicate{
 		"all":         {},
-		"time window": TimeWindow(100, 130),
+		"time window": timeWindow(100, 130),
 		"object":      {HasObj: true, Obj: 3},
 		"floor":       {HasFloor: true, Floor: 1},
 		"box": {HasBox: true,
 			Box: geom.BBox{Min: geom.Pt(10, 0), Max: geom.Pt(20, 3)}},
 		"combined": {HasTime: true, T0: 50, T1: 400, HasFloor: true, Floor: 0,
 			HasBox: true, Box: geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(30, 6)}},
-		"nothing": TimeWindow(1e6, 2e6),
+		"nothing": timeWindow(1e6, 2e6),
 	}
 }
 
@@ -171,7 +171,7 @@ func TestSelectMatchesRowPredicate(t *testing.T) {
 	preds["awkward all four"] = Predicate{HasTime: true, T0: 1, T1: 200, HasFloor: true, Floor: -1,
 		HasBox: true, Box: box, HasObj: true, Obj: 37 * 43}
 	preds["awkward floor+obj"] = Predicate{HasFloor: true, Floor: 2, HasObj: true, Obj: 37 * 4}
-	preds["one instant"] = TimeWindow(2.5, 2.5)
+	preds["one instant"] = timeWindow(2.5, 2.5)
 
 	var whole TrajectoryBatch
 	for _, s := range samples {

@@ -19,6 +19,35 @@ func writeTrajectoryFile(t *testing.T, samples []trajectory.Sample, opts Options
 	return path
 }
 
+// preadFile opens path for a pread-backed reader (NewTrajectoryReader or
+// newRSSIReader over the *os.File), which does not own the file; the test's
+// cleanup closes it.
+func preadFile(t *testing.T, path string) (*os.File, int64) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, st.Size()
+}
+
+// openTrajectoryBoth opens path on both read paths: OpenTrajectory (mapped
+// where the platform allows) and a pread reader over the file.
+func openTrajectoryBoth(t *testing.T, path string) map[string]func() (*TrajectoryReader, error) {
+	return map[string]func() (*TrajectoryReader, error){
+		"mmap": func() (*TrajectoryReader, error) { return OpenTrajectory(path, OpenOptions{}) },
+		"pread": func() (*TrajectoryReader, error) {
+			f, size := preadFile(t, path)
+			return NewTrajectoryReader(f, size)
+		},
+	}
+}
+
 // TestMmapMatchesReaderAt opens the same file mmap-backed and pread-backed
 // and requires bit-identical rows and identical stats from both.
 func TestMmapMatchesReaderAt(t *testing.T) {
@@ -33,7 +62,8 @@ func TestMmapMatchesReaderAt(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer mm.Close()
-		pr, err := OpenTrajectory(path, OpenOptions{DisableMmap: true})
+		f, size := preadFile(t, path)
+		pr, err := NewTrajectoryReader(f, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,10 +73,10 @@ func TestMmapMatchesReaderAt(t *testing.T) {
 			t.Errorf("default open: Mmapped() = %v, platform support = %v", mm.Mmapped(), mmapAvailable)
 		}
 		if pr.Mmapped() {
-			t.Error("DisableMmap open still reports Mmapped()")
+			t.Error("a reader over an *os.File reports Mmapped()")
 		}
 
-		pred := TimeWindow(50, 220)
+		pred := timeWindow(50, 220)
 		want, wantStats, err := drain(pr.Cursor(pred))
 		if err != nil {
 			t.Fatal(err)
@@ -78,8 +108,8 @@ func TestMmapMatchesReaderAt(t *testing.T) {
 func TestScanAfterClose(t *testing.T) {
 	samples := gridSamples(4, 300)
 	path := writeTrajectoryFile(t, samples, Options{BlockSize: 64})
-	for _, disable := range []bool{false, true} {
-		r, err := OpenTrajectory(path, OpenOptions{DisableMmap: disable})
+	for arm, open := range openTrajectoryBoth(t, path) {
+		r, err := open()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,15 +128,15 @@ func TestScanAfterClose(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, _, err := drain(r.Cursor(Predicate{})); err == nil {
-			t.Errorf("disableMmap=%v: a new cursor after Close succeeded", disable)
+			t.Errorf("%s: a new cursor after Close succeeded", arm)
 		}
 		if _, err := r.DecodeBlock(0); err == nil {
-			t.Errorf("disableMmap=%v: DecodeBlock after Close succeeded", disable)
+			t.Errorf("%s: DecodeBlock after Close succeeded", arm)
 		}
 		if cur.Next() {
-			t.Errorf("disableMmap=%v: cursor Next after Close succeeded", disable)
+			t.Errorf("%s: cursor Next after Close succeeded", arm)
 		} else if cur.Err() == nil {
-			t.Errorf("disableMmap=%v: cursor Next after Close reported no error", disable)
+			t.Errorf("%s: cursor Next after Close reported no error", arm)
 		}
 		for i := range rows {
 			if !sampleEqual(rows[i], samples[i]) {
@@ -119,7 +149,7 @@ func TestScanAfterClose(t *testing.T) {
 			}
 		}
 		if err := r.Close(); err != nil {
-			t.Errorf("disableMmap=%v: second Close: %v", disable, err)
+			t.Errorf("%s: second Close: %v", arm, err)
 		}
 	}
 }
@@ -147,21 +177,25 @@ func TestOpenBadFiles(t *testing.T) {
 	}
 	for name, data := range cases {
 		path := write(name, data)
-		for _, disable := range []bool{false, true} {
-			if r, err := OpenTrajectory(path, OpenOptions{DisableMmap: disable}); err == nil {
+		for arm, open := range openTrajectoryBoth(t, path) {
+			if r, err := open(); err == nil {
 				r.Close()
-				t.Errorf("%s (disableMmap=%v): open succeeded", name, disable)
+				t.Errorf("%s (%s): open succeeded", name, arm)
 			}
 		}
 	}
 	// Wrong kind must fail on both paths too.
 	goodPath := write("good.vtb", good)
-	for _, disable := range []bool{false, true} {
-		if r, err := OpenRSSI(goodPath, OpenOptions{DisableMmap: disable}); err == nil {
+	f, size := preadFile(t, goodPath)
+	for arm, open := range map[string]func() (*RSSIReader, error){
+		"mmap":  func() (*RSSIReader, error) { return OpenRSSI(goodPath, OpenOptions{}) },
+		"pread": func() (*RSSIReader, error) { return newRSSIReader(f, size) },
+	} {
+		if r, err := open(); err == nil {
 			r.Close()
-			t.Errorf("disableMmap=%v: opened trajectory file as RSSI", disable)
+			t.Errorf("%s: opened trajectory file as RSSI", arm)
 		} else if !strings.Contains(err.Error(), "trajectory") {
-			t.Errorf("disableMmap=%v: kind error %q does not name the actual kind", disable, err)
+			t.Errorf("%s: kind error %q does not name the actual kind", arm, err)
 		}
 	}
 }

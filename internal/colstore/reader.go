@@ -35,13 +35,10 @@ type reader struct {
 	closed atomic.Bool
 }
 
-// OpenOptions tunes how a VTB file is opened. The zero value selects the
-// defaults: memory-map when the platform supports it, falling back to pread
-// silently when it does not (or when mapping fails).
+// OpenOptions tunes how a VTB file is opened. A file is always memory-mapped
+// where the platform allows, falling back to pread silently when it does not
+// (or when mapping fails); the zero value selects the defaults.
 type OpenOptions struct {
-	// DisableMmap forces the io.ReaderAt path even where mmap is available
-	// — the escape hatch behind the CLIs' -mmap=false flags.
-	DisableMmap bool
 	// Sequential declares the access pattern up front: the whole file will
 	// be read once, front to back (a compaction merge, a cold full scan).
 	// On mmap-backed readers it issues madvise(MADV_SEQUENTIAL) so the
@@ -101,9 +98,6 @@ func openReader(r io.ReaderAt, size int64, want Kind) (*reader, error) {
 		f64 := func(at int) float64 {
 			return math.Float64frombits(binary.LittleEndian.Uint64(e[at:]))
 		}
-		i32 := func(at int) int {
-			return int(int32(binary.LittleEndian.Uint32(e[at:])))
-		}
 		rd.offsets = append(rd.offsets, off)
 		rd.zones = append(rd.zones, ZoneMap{
 			Count: int(binary.LittleEndian.Uint32(e[8:])),
@@ -112,41 +106,49 @@ func openReader(r io.ReaderAt, size int64, want Kind) (*reader, error) {
 				Min: geom.Pt(f64(28), f64(36)),
 				Max: geom.Pt(f64(44), f64(52)),
 			},
-			FloorMin: i32(60), FloorMax: i32(64),
+			FloorMin: bound32(e[60:], math.MinInt), FloorMax: bound32(e[64:], math.MaxInt),
 			FloorMask: binary.LittleEndian.Uint64(e[68:]),
-			ObjMin:    i32(76), ObjMax: i32(80),
+			ObjMin:    bound32(e[76:], math.MinInt), ObjMax: bound32(e[80:], math.MaxInt),
 		})
 	}
 	return rd, nil
 }
 
-// openPath opens the VTB file at path, mmap-backed unless disabled or
-// unavailable (then pread-backed). The returned reader owns the file.
+// bound32 reads a zone-map bound written by appendBound32. A saturated
+// bound reads back as open — the given extreme — so pruning stays
+// conservative for values beyond int32.
+func bound32(b []byte, open int) int {
+	if v := int32(binary.LittleEndian.Uint32(b)); v != math.MinInt32 && v != math.MaxInt32 {
+		return int(v)
+	}
+	return open
+}
+
+// openPath opens the VTB file at path, mmap-backed where the platform and
+// the file allow it, else pread-backed. The returned reader owns the file.
 func openPath(path string, want Kind, opts OpenOptions) (*reader, error) {
 	f, size, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if !opts.DisableMmap {
-		if data, unmap, err := mmapFile(f, size); err == nil {
-			if opts.Sequential {
-				// Best effort; a failed hint changes nothing observable.
-				_ = madviseSequential(data)
-			}
-			rd, err := openReader(bytes.NewReader(data), size, want)
-			if err != nil {
-				unmap()
-				f.Close()
-				return nil, err
-			}
-			rd.data = data
-			rd.unmap = unmap
-			rd.closer = f
-			return rd, nil
+	if data, unmap, err := mmapFile(f, size); err == nil {
+		if opts.Sequential {
+			// Best effort; a failed hint changes nothing observable.
+			_ = madviseSequential(data)
 		}
-		// Mapping failed (unsupported platform, exotic filesystem, empty
-		// file): degrade to pread. Results are byte-identical either way.
+		rd, err := openReader(bytes.NewReader(data), size, want)
+		if err != nil {
+			unmap()
+			f.Close()
+			return nil, err
+		}
+		rd.data = data
+		rd.unmap = unmap
+		rd.closer = f
+		return rd, nil
 	}
+	// Mapping failed (unsupported platform, exotic filesystem, empty file):
+	// degrade to pread. Results are byte-identical either way.
 	rd, err := openReader(f, size, want)
 	if err != nil {
 		f.Close()
@@ -258,14 +260,11 @@ type (
 	RSSIReader       = Reader[*RSSIBatch]
 )
 
-// NewTrajectoryReader opens a trajectory VTB image held in r (size bytes).
+// NewTrajectoryReader opens a trajectory VTB image held in r (size bytes) on
+// the pread path — how an in-memory image is read. The reader does not own
+// r: Close leaves it open.
 func NewTrajectoryReader(r io.ReaderAt, size int64) (*TrajectoryReader, error) {
 	return trajectoryOps.reader(openReader(r, size, KindTrajectory))
-}
-
-// NewRSSIReader opens an RSSI VTB image held in r (size bytes).
-func NewRSSIReader(r io.ReaderAt, size int64) (*RSSIReader, error) {
-	return rssiOps.reader(openReader(r, size, KindRSSI))
 }
 
 // OpenTrajectory opens the trajectory VTB file at path; the zero OpenOptions

@@ -106,16 +106,28 @@ func (bw *blockWriter) close() error {
 		buf = appendF64(buf, zm.Box.Min.Y)
 		buf = appendF64(buf, zm.Box.Max.X)
 		buf = appendF64(buf, zm.Box.Max.Y)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(zm.FloorMin)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(zm.FloorMax)))
+		var minSat, maxSat bool
+		buf, minSat = appendBound32(buf, zm.FloorMin)
+		buf, maxSat = appendBound32(buf, zm.FloorMax)
+		if minSat || maxSat {
+			zm.FloorMask = 0 // its bits are relative to a bound the reader drops
+		}
 		buf = binary.LittleEndian.AppendUint64(buf, zm.FloorMask)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(zm.ObjMin)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(zm.ObjMax)))
+		buf, _ = appendBound32(buf, zm.ObjMin)
+		buf, _ = appendBound32(buf, zm.ObjMax)
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(footerOff))
 	buf = append(buf, magicTail[:]...)
 	bw.write(buf)
 	return bw.err
+}
+
+// appendBound32 appends a zone-map bound as an int32, saturated to the int32
+// range; it reports whether v saturated (reached either end of the range),
+// which the reader takes as an open bound.
+func appendBound32(buf []byte, v int) ([]byte, bool) {
+	c := min(max(v, math.MinInt32), math.MaxInt32)
+	return binary.LittleEndian.AppendUint32(buf, uint32(int32(c))), c == math.MinInt32 || c == math.MaxInt32
 }
 
 // Writer streams one row kind into a VTB file: rows buffer up to a block,

@@ -23,17 +23,12 @@ func TestParallelismByteIdenticalCSV(t *testing.T) {
 			c.Objects.ArrivalRate = 0.03        // mid-run births must not break ordering
 			c.Positioning = PositioningConfig{} // generation layers only
 		})
-		var tb, rb bytes.Buffer
-		if err := storage.WriteTrajectoryCSV(&tb, ds.Trajectories.All()); err != nil {
-			t.Fatal(err)
-		}
-		if err := storage.WriteRSSICSV(&rb, ds.RSSI); err != nil {
-			t.Fatal(err)
-		}
-		if tb.Len() == 0 || rb.Len() == 0 {
+		tb := csvOf(t, storage.NewTrajectoryCSVWriter, ds.Trajectories.All())
+		rb := csvOf(t, storage.NewRSSICSVWriter, ds.RSSI)
+		if len(ds.RSSI) == 0 || len(ds.Trajectories.All()) == 0 {
 			t.Fatal("empty CSV output")
 		}
-		return output{traj: tb.Bytes(), rssi: rb.Bytes()}
+		return output{traj: tb, rssi: rb}
 	}
 
 	base := run(1)

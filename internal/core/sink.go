@@ -46,13 +46,6 @@ type Sink interface {
 	Close() error
 }
 
-// recordWriter is the streaming shape shared by the CSV and VTB trajectory
-// writers (and, with its own record type, the RSSI ones).
-type recordWriter[T any] interface {
-	Write(T) error
-	Close() error
-}
-
 // DirSink writes a run's data products into a directory, in one of two
 // layouts. Flat (NewDirSink): trajectory.<ext> and rssi.<ext> in the chosen
 // bulk format. Segment log (NewSegmentedDirSink): dir/seglog/trajectory and
@@ -70,8 +63,8 @@ type recordWriter[T any] interface {
 type DirSink struct {
 	dir    string
 	format storage.Format
-	traj   recordWriter[trajectory.Sample]
-	rssi   recordWriter[rssi.Measurement]
+	traj   storage.RowWriter[trajectory.Sample]
+	rssi   storage.RowWriter[rssi.Measurement]
 	// The segment-log writers behind traj and rssi; nil for flat files.
 	trajLog *seglog.Writer[trajectory.Sample]
 	rssiLog *seglog.Writer[rssi.Measurement]
@@ -85,11 +78,11 @@ type SegmentedDirSink = DirSink
 
 // fileWriter is a flat layout's row writer: closing it closes its file.
 type fileWriter[T any] struct {
-	recordWriter[T]
+	storage.RowWriter[T]
 	f *os.File
 }
 
-func (w fileWriter[T]) Close() error { return errors.Join(w.recordWriter.Close(), w.f.Close()) }
+func (w fileWriter[T]) Close() error { return errors.Join(w.RowWriter.Close(), w.f.Close()) }
 
 // NewDirSink creates dir (if needed) and opens streaming writers for the
 // bulk outputs in the given format.
@@ -119,8 +112,8 @@ func NewDirSinkOptions(dir string, format storage.Format, block colstore.Options
 		trajFile.Close()
 		return nil, err
 	}
-	var traj recordWriter[trajectory.Sample]
-	var rs recordWriter[rssi.Measurement]
+	var traj storage.RowWriter[trajectory.Sample]
+	var rs storage.RowWriter[rssi.Measurement]
 	if format == storage.FormatVTB {
 		traj = colstore.NewTrajectoryWriter(trajFile, block)
 		rs = colstore.NewRSSIWriter(rssiFile, block)

@@ -3,15 +3,57 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"vita/internal/colstore"
 	"vita/internal/positioning"
 	"vita/internal/rssi"
 	"vita/internal/storage"
 	"vita/internal/trajectory"
 )
+
+// csvOf is the CSV text the writer newW makes of rows, header first.
+func csvOf[T any, W storage.RowWriter[T]](t *testing.T, newW func(io.Writer) (W, error), rows []T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := newW(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readFile returns every row of the file at path, read through
+// storage.OpenCursor as kind k.
+func readFile[T any, B colstore.RowBatch[T]](t *testing.T, k *storage.Kind[B], path string) []T {
+	t.Helper()
+	cur, _, err := storage.OpenCursor(k, path, colstore.Predicate{}, colstore.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []T
+	for cur.Next() {
+		b := cur.Batch()
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, b.Row(i))
+		}
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 // teeSink records the exact record streams a wrapped sink was fed, so tests
 // can compare file contents against precisely what the writer saw (the
@@ -80,10 +122,7 @@ func TestDirSinkVTBLosslessParallel(t *testing.T) {
 		tee, dir := runToDir(t, p, storage.FormatVTB)
 		dirs[p] = dir
 
-		got, _, err := storage.ReadTrajectoryFile(filepath.Join(dir, "trajectory.vtb"))
-		if err != nil {
-			t.Fatalf("p=%d: read trajectory.vtb: %v", p, err)
-		}
+		got := readFile[trajectory.Sample](t, storage.Trajectory, filepath.Join(dir, "trajectory.vtb"))
 		want := tee.samples
 		if len(got) != len(want) || len(got) == 0 {
 			t.Fatalf("p=%d: decoded %d samples, want %d (>0)", p, len(got), len(want))
@@ -95,10 +134,7 @@ func TestDirSinkVTBLosslessParallel(t *testing.T) {
 			}
 		}
 
-		gotM, _, err := storage.ReadRSSIFile(filepath.Join(dir, "rssi.vtb"))
-		if err != nil {
-			t.Fatalf("p=%d: read rssi.vtb: %v", p, err)
-		}
+		gotM := readFile[rssi.Measurement](t, storage.RSSI, filepath.Join(dir, "rssi.vtb"))
 		wantM := tee.ms
 		if len(gotM) != len(wantM) || len(gotM) == 0 {
 			t.Fatalf("p=%d: decoded %d measurements, want %d (>0)", p, len(gotM), len(wantM))
@@ -127,33 +163,27 @@ func TestDirSinkVTBLosslessParallel(t *testing.T) {
 }
 
 // TestDirSinkCSVMatchesBatchWriters guarantees the streaming CSV sink
-// matches the batch writers applied to the same record stream byte for
-// byte (the stream is globally time-ordered, which is also the order the
-// sink files carry).
+// matches the CSV writers applied to the whole recorded stream in one pass,
+// byte for byte (the stream is globally time-ordered, which is also the
+// order the sink files carry).
 func TestDirSinkCSVMatchesBatchWriters(t *testing.T) {
 	tee, dir := runToDir(t, 4, storage.FormatCSV)
 
-	var wantTraj bytes.Buffer
-	if err := storage.WriteTrajectoryCSV(&wantTraj, tee.samples); err != nil {
-		t.Fatal(err)
-	}
+	wantTraj := csvOf(t, storage.NewTrajectoryCSVWriter, tee.samples)
 	gotTraj, err := os.ReadFile(filepath.Join(dir, "trajectory.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotTraj, wantTraj.Bytes()) {
+	if !bytes.Equal(gotTraj, wantTraj) {
 		t.Errorf("streamed trajectory.csv differs from batch writer output")
 	}
 
-	var wantRSSI bytes.Buffer
-	if err := storage.WriteRSSICSV(&wantRSSI, tee.ms); err != nil {
-		t.Fatal(err)
-	}
+	wantRSSI := csvOf(t, storage.NewRSSICSVWriter, tee.ms)
 	gotRSSI, err := os.ReadFile(filepath.Join(dir, "rssi.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotRSSI, wantRSSI.Bytes()) {
+	if !bytes.Equal(gotRSSI, wantRSSI) {
 		t.Errorf("streamed rssi.csv differs from batch writer output")
 	}
 

@@ -342,34 +342,30 @@ func proximityError(ds *core.Dataset) core.ErrorStats {
 
 // E6Routing compares the two routing schemas of §3.1 over random OD pairs in
 // the mall, whose corridor (fast hallway) and atrium (slow public area) form
-// parallel paths so the two metrics genuinely diverge.
+// parallel paths so the two metrics genuinely diverge. A drawn pair of two
+// distinct partitions that either schema cannot route is an error, not a
+// skipped row: every partition of the mall must reach every other.
 func E6Routing(seed uint64) (*Table, error) {
-	f, err := ifc.Parse(ifc.MallIFC())
-	if err != nil {
-		return nil, err
-	}
-	b, _, err := ifc.Extract(f, ifc.DefaultExtractOptions())
-	if err != nil {
-		return nil, err
-	}
-	topology, err := topo.Build(b, topo.DefaultOptions())
+	topology, err := mallTopology()
 	if err != nil {
 		return nil, err
 	}
 	r := rng.New(seed)
 	sm := topo.DefaultSpeedModel()
-	const pairs = 60
 	var dDist, dTime, tDist, tTime float64
 	n, diverged := 0, 0
-	for i := 0; i < pairs; i++ {
+	for i := 0; i < e6Draws; i++ {
 		from, to, ok := randomODPair(topology, r)
 		if !ok {
 			continue
 		}
-		rd, err1 := topology.Route(from, to, topo.MinDistance, sm)
-		rt, err2 := topology.Route(from, to, topo.MinTime, sm)
-		if err1 != nil || err2 != nil {
-			continue
+		rd, err := topology.Route(from, to, topo.MinDistance, sm)
+		if err != nil {
+			return nil, fmt.Errorf("E6: pair %d (%s → %s): min-distance: %w", i, from.Partition, to.Partition, err)
+		}
+		rt, err := topology.Route(from, to, topo.MinTime, sm)
+		if err != nil {
+			return nil, fmt.Errorf("E6: pair %d (%s → %s): min-time: %w", i, from.Partition, to.Partition, err)
 		}
 		dDist += rd.Distance
 		dTime += rd.Time
@@ -399,6 +395,24 @@ func E6Routing(seed uint64) (*Table, error) {
 		return nil, fmt.Errorf("E6: min-distance mean %.2fm longer than min-time %.2fm", dDist/fn, tDist/fn)
 	}
 	return t, nil
+}
+
+// e6Draws is how many OD pairs E6 draws; a draw of one partition twice is
+// not a pair and is dropped.
+const e6Draws = 60
+
+// mallTopology builds the routing topology of the synthetic mall from its IFC
+// text, as §4.1's pipeline does.
+func mallTopology() (*topo.Topology, error) {
+	f, err := ifc.Parse(ifc.MallIFC())
+	if err != nil {
+		return nil, err
+	}
+	b, _, err := ifc.Extract(f, ifc.DefaultExtractOptions())
+	if err != nil {
+		return nil, err
+	}
+	return topo.Build(b, topo.DefaultOptions())
 }
 
 func randomODPair(t *topo.Topology, r *rng.Rand) (model.Location, model.Location, bool) {

@@ -22,7 +22,7 @@ type LatencySummary struct {
 	Count int64   `json:"count"`
 }
 
-func summarize(h *obs.QuantileHistogram) LatencySummary {
+func summarize(h *obs.Histogram) LatencySummary {
 	return LatencySummary{
 		P50:   h.Quantile(0.5),
 		P90:   h.Quantile(0.9),

@@ -17,6 +17,22 @@ var DefBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
+// ExponentialBuckets returns bucket upper bounds min·growth^i, from min up to
+// the first bound at or above max: the layout under which Histogram.Quantile
+// is within √growth − 1 relative error of the true quantile for observations
+// in (min, max]. It panics unless 0 < min < max and growth > 1.
+func ExponentialBuckets(min, max, growth float64) []float64 {
+	if !(min > 0) || !(max > min) || !(growth > 1) {
+		panic("obs: ExponentialBuckets wants 0 < min < max and growth > 1")
+	}
+	n := int(math.Ceil(math.Log(max/min) / math.Log(growth)))
+	upper := make([]float64, n+1)
+	for i := range upper {
+		upper[i] = min * math.Pow(growth, float64(i))
+	}
+	return upper
+}
+
 // Registry holds metric families and renders them in Prometheus text format.
 // Registration is get-or-register: asking for an existing name with the same
 // shape returns the existing metric (so two servers in one process share
@@ -210,12 +226,27 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 
 // Histogram counts observations into fixed buckets (cumulative `le` upper
 // bounds in the exposition, like Prometheus client histograms) and tracks
-// their sum. Observe is lock-free: one atomic add per observation plus a
-// CAS-loop float add for the sum.
+// their sum and exact extrema, from which it also answers quantile queries.
+// Observe is lock-free: one atomic add per observation plus CAS loops for
+// the sum and, when an observation moves them, the extrema. Readers are safe
+// alongside writers; a snapshot taken while they run is weakly consistent.
 type Histogram struct {
-	upper  []float64 // sorted bucket upper bounds; +Inf bucket is implicit
-	counts []atomic.Uint64
-	sum    Gauge
+	upper    []float64 // sorted bucket upper bounds; +Inf bucket is implicit
+	counts   []atomic.Uint64
+	sum      Gauge
+	min, max atomic.Uint64 // math.Float64bits of the extreme observations
+}
+
+// NewHistogram returns a histogram with the given bucket upper bounds that
+// belongs to no registry: a client-side latency record, say.
+func NewHistogram(buckets []float64) *Histogram {
+	upper := make([]float64, len(buckets))
+	copy(upper, buckets)
+	sort.Float64s(upper)
+	h := &Histogram{upper: upper, counts: make([]atomic.Uint64, len(upper)+1)}
+	h.min.Store(math.Float64bits(math.Inf(1)))
+	h.max.Store(math.Float64bits(math.Inf(-1)))
+	return h
 }
 
 // Observe records one value.
@@ -223,6 +254,28 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.upper, v) // first bucket with upper >= v
 	h.counts[i].Add(1)
 	h.sum.Add(v)
+	casFloor(&h.min, v)
+	casCeil(&h.max, v)
+}
+
+// casFloor lowers the stored float64 bits to v if v is smaller.
+func casFloor(bits *atomic.Uint64, v float64) {
+	for {
+		old := bits.Load()
+		if v >= math.Float64frombits(old) || bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
+// casCeil raises the stored float64 bits to v if v is larger.
+func casCeil(bits *atomic.Uint64, v float64) {
+	for {
+		old := bits.Load()
+		if v <= math.Float64frombits(old) || bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
 }
 
 // Count returns the total number of observations.
@@ -237,11 +290,58 @@ func (h *Histogram) Count() uint64 {
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
-func newHistogram(buckets []float64) *Histogram {
-	upper := make([]float64, len(buckets))
-	copy(upper, buckets)
-	sort.Float64s(upper)
-	return &Histogram{upper: upper, counts: make([]atomic.Uint64, len(upper)+1)}
+// Mean returns the arithmetic mean of the observations (0 when empty).
+func (h *Histogram) Mean() float64 {
+	if n := h.Count(); n > 0 {
+		return h.Sum() / float64(n)
+	}
+	return 0
+}
+
+// Min returns the smallest observation (0 when empty).
+func (h *Histogram) Min() float64 { return h.extreme(&h.min) }
+
+// Max returns the largest observation (0 when empty).
+func (h *Histogram) Max() float64 { return h.extreme(&h.max) }
+
+func (h *Histogram) extreme(bits *atomic.Uint64) float64 {
+	if h.Count() == 0 {
+		return 0
+	}
+	return math.Float64frombits(bits.Load())
+}
+
+// Quantile returns the value at quantile q ∈ [0, 1]: the exact minimum for
+// q ≤ 0, the exact maximum for q ≥ 1, and 0 when the histogram is empty.
+// Otherwise it finds the bucket holding the rank-⌈q·count⌉ observation and
+// returns the geometric midpoint of its bounds — the first bucket its upper
+// bound, the +Inf bucket the exact maximum — clamped into [Min, Max]. Over
+// ExponentialBuckets(min, max, growth) the answer is within √growth − 1
+// relative error for observations in (min, max].
+func (h *Histogram) Quantile(q float64) float64 {
+	total := h.Count()
+	switch {
+	case total == 0:
+		return 0
+	case q <= 0:
+		return h.Min()
+	case q >= 1:
+		return h.Max()
+	}
+	rank := max(uint64(math.Ceil(q*float64(total))), 1)
+	i, cum := 0, h.counts[0].Load()
+	for cum < rank && i < len(h.upper) {
+		i++
+		cum += h.counts[i].Load()
+	}
+	v := h.Max() // the +Inf bucket
+	if i < len(h.upper) {
+		v = h.upper[i]
+		if i > 0 && h.upper[i-1] > 0 {
+			v = math.Sqrt(h.upper[i-1] * v)
+		}
+	}
+	return math.Min(math.Max(v, h.Min()), h.Max())
 }
 
 // Histogram returns the named unlabeled histogram with the given bucket
@@ -251,7 +351,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 		buckets = DefBuckets
 	}
 	f := r.lookup(name, help, "histogram", nil)
-	return f.child(nil, func() any { return newHistogram(buckets) }).(*Histogram)
+	return f.child(nil, func() any { return NewHistogram(buckets) }).(*Histogram)
 }
 
 // HistogramVec is a histogram family with labels.
@@ -262,7 +362,7 @@ type HistogramVec struct {
 
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.f.child(values, func() any { return newHistogram(v.buckets) }).(*Histogram)
+	return v.f.child(values, func() any { return NewHistogram(v.buckets) }).(*Histogram)
 }
 
 // HistogramVec returns the named labeled histogram family (nil buckets =

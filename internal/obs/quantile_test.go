@@ -8,8 +8,16 @@ import (
 	"testing"
 )
 
+// The quantile tests run Histogram over the layout internal/load records
+// latencies in: seconds from 1µs to 20 minutes in 1.04× steps.
+const latencyGrowth = 1.04
+
+func newLatencyHistogram() *Histogram {
+	return NewHistogram(ExponentialBuckets(1e-6, 1200, latencyGrowth))
+}
+
 func TestQuantileHistogramEmpty(t *testing.T) {
-	h := NewLatencyHistogram()
+	h := newLatencyHistogram()
 	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
 		t.Fatalf("empty histogram: count=%d sum=%v mean=%v", h.Count(), h.Sum(), h.Mean())
 	}
@@ -24,7 +32,7 @@ func TestQuantileHistogramEmpty(t *testing.T) {
 }
 
 func TestQuantileHistogramSingleObservation(t *testing.T) {
-	h := NewLatencyHistogram()
+	h := newLatencyHistogram()
 	h.Observe(0.123)
 	if h.Count() != 1 {
 		t.Fatalf("count = %d", h.Count())
@@ -39,7 +47,7 @@ func TestQuantileHistogramSingleObservation(t *testing.T) {
 }
 
 func TestQuantileHistogramOutOfRangeValues(t *testing.T) {
-	h := NewQuantileHistogram(1e-3, 10, 1.05)
+	h := NewHistogram(ExponentialBuckets(1e-3, 10, 1.05))
 
 	// Below the first bucket edge: clamped, and exact via the min clamp.
 	h.Observe(1e-9)
@@ -48,14 +56,14 @@ func TestQuantileHistogramOutOfRangeValues(t *testing.T) {
 	}
 
 	// Above the top edge: the overflow bucket reports the exact max.
-	h2 := NewQuantileHistogram(1e-3, 10, 1.05)
+	h2 := NewHistogram(ExponentialBuckets(1e-3, 10, 1.05))
 	h2.Observe(12345.0)
 	if got := h2.Quantile(0.5); got != 12345.0 {
 		t.Fatalf("overflow quantile = %v, want 12345", got)
 	}
 
 	// Negative and NaN observations count but report as the observed floor.
-	h3 := NewQuantileHistogram(1e-3, 10, 1.05)
+	h3 := NewHistogram(ExponentialBuckets(1e-3, 10, 1.05))
 	h3.Observe(-5)
 	h3.Observe(math.NaN())
 	if h3.Count() != 2 {
@@ -68,7 +76,7 @@ func TestQuantileHistogramOutOfRangeValues(t *testing.T) {
 // exact rank statistic over the same observations.
 func TestQuantileHistogramErrorBound(t *testing.T) {
 	const n = 20000
-	h := NewLatencyHistogram()
+	h := newLatencyHistogram()
 	rng := rand.New(rand.NewSource(42))
 	vals := make([]float64, n)
 	for i := range vals {
@@ -79,7 +87,7 @@ func TestQuantileHistogramErrorBound(t *testing.T) {
 	}
 	sort.Float64s(vals)
 
-	bound := math.Sqrt(defQuantileGrowth) - 1 + 1e-12
+	bound := math.Sqrt(latencyGrowth) - 1 + 1e-12
 	for _, q := range []float64{0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
 		rank := int(math.Ceil(q*n)) - 1
 		if rank < 0 {
@@ -112,7 +120,7 @@ func TestQuantileHistogramErrorBound(t *testing.T) {
 }
 
 func TestQuantileHistogramConcurrent(t *testing.T) {
-	h := NewLatencyHistogram()
+	h := newLatencyHistogram()
 	const workers, per = 8, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -143,5 +151,5 @@ func TestQuantileHistogramBadLayoutPanics(t *testing.T) {
 			t.Fatalf("expected panic for growth <= 1")
 		}
 	}()
-	NewQuantileHistogram(1, 10, 1)
+	ExponentialBuckets(1, 10, 1)
 }

@@ -20,8 +20,6 @@ type CompactorOptions struct {
 	MinSegments int
 	// Block tunes the VTB encoding of the merged segment.
 	Block colstore.Options
-	// DisableMmap forces pread for the merge's input readers.
-	DisableMmap bool
 	// OnError receives errors from the background Run loop (nil = dropped).
 	// RunOnce returns errors directly and never calls it.
 	OnError func(error)
@@ -143,12 +141,11 @@ func (c *Compactor) runOnce() (*SegmentMeta, error) {
 // file exactly once, front to back, and should not evict the serving path's
 // hot pages.
 func (c *Compactor) merge(f *os.File, paths []string) (rows int, err error) {
-	opts := colstore.OpenOptions{DisableMmap: c.opts.DisableMmap, Sequential: true}
 	switch c.log.kind {
 	case colstore.KindTrajectory:
-		rows, err = mergeInto(storage.Trajectory, paths, opts, colstore.NewTrajectoryWriter(f, c.opts.Block))
+		rows, err = mergeInto(storage.Trajectory, paths, colstore.NewTrajectoryWriter(f, c.opts.Block))
 	case colstore.KindRSSI:
-		rows, err = mergeInto(storage.RSSI, paths, opts, colstore.NewRSSIWriter(f, c.opts.Block))
+		rows, err = mergeInto(storage.RSSI, paths, colstore.NewRSSIWriter(f, c.opts.Block))
 	default:
 		err = fmt.Errorf("seglog: cannot compact kind %s", c.log.kind)
 	}
@@ -158,8 +155,8 @@ func (c *Compactor) merge(f *os.File, paths []string) (rows int, err error) {
 	return rows, f.Sync()
 }
 
-func mergeInto[T any, B colstore.RowBatch[T]](k *storage.Kind[B], paths []string, opts colstore.OpenOptions, w *colstore.Writer[T]) (int, error) {
-	cur, err := storage.OpenCursorMulti(k, paths, colstore.Predicate{}, opts)
+func mergeInto[T any, B colstore.RowBatch[T]](k *storage.Kind[B], paths []string, w *colstore.Writer[T]) (int, error) {
+	cur, err := storage.OpenCursorMulti(k, paths, colstore.Predicate{}, colstore.OpenOptions{Sequential: true})
 	if err != nil {
 		return 0, err
 	}

@@ -8,7 +8,6 @@ import (
 	"vita/internal/colstore"
 	"vita/internal/rssi"
 	"vita/internal/storage"
-	"vita/internal/trajectory"
 )
 
 func TestCompactMergesToGlobalOrder(t *testing.T) {
@@ -101,8 +100,11 @@ func TestCompactTombstonesUntilReadersDrain(t *testing.T) {
 	}
 	// The reader still decodes its file byte-identically post-compaction.
 	rows := 0
-	_, err = storage.Each(r.Cursor(colstore.Predicate{}), func(trajectory.Sample) { rows++ })
-	if err != nil || rows != held.Rows {
+	cur := r.Cursor(colstore.Predicate{})
+	for cur.Next() {
+		rows += cur.Batch().Len()
+	}
+	if err := cur.Close(); err != nil || rows != held.Rows {
 		t.Fatalf("held reader broken after compaction: %d rows, %v", rows, err)
 	}
 	r.Close()
@@ -249,10 +251,7 @@ func TestCompactRSSIPreservesGroupOrder(t *testing.T) {
 	if err != nil || meta == nil {
 		t.Fatalf("rssi compaction: %+v, %v", meta, err)
 	}
-	got, _, err := storage.ReadRSSIFile(l.SegmentPath(l.Snapshot().Segments[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readFile[rssi.Measurement](t, storage.RSSI, l.SegmentPath(l.Snapshot().Segments[0]))
 	if len(got) != len(ms) {
 		t.Fatalf("merged %d measurements, want %d", len(got), len(ms))
 	}

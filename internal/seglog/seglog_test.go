@@ -78,16 +78,33 @@ func writeLog(t *testing.T, dir string, samples []trajectory.Sample, maxRows int
 	return l
 }
 
+// readFile returns every row of the file at path, read through
+// storage.OpenCursor as kind k.
+func readFile[T any, B colstore.RowBatch[T]](t *testing.T, k *storage.Kind[B], path string) []T {
+	t.Helper()
+	cur, _, err := storage.OpenCursor(k, path, colstore.Predicate{}, colstore.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []T
+	for cur.Next() {
+		b := cur.Batch()
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, b.Row(i))
+		}
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // readLog decodes every live segment in manifest order and concatenates.
 func readLog(t *testing.T, l *Log) []trajectory.Sample {
 	t.Helper()
 	var out []trajectory.Sample
 	for _, m := range l.Snapshot().Segments {
-		rows, _, err := storage.ReadTrajectoryFile(l.SegmentPath(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, rows...)
+		out = append(out, readFile[trajectory.Sample](t, storage.Trajectory, l.SegmentPath(m))...)
 	}
 	return out
 }

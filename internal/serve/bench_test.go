@@ -110,7 +110,7 @@ func BenchmarkCachedScan(b *testing.B) {
 		}
 		return tail
 	}
-	if _, _, err := ds.Samples(pred); err != nil { // warm the cache
+	if _, err := ds.Info(false); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 

@@ -73,10 +73,7 @@ func TestMixedCodecSegmentsServeParity(t *testing.T) {
 	// The fixture spans one minute; the later eras repeat its rows one
 	// minute after another, three segments each, so every probe in
 	// operatorText lands on data.
-	era, _, err := storage.ReadTrajectoryFile(filepath.Join(fixture, "trajectory.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	era := readTrajectoryFile(t, filepath.Join(fixture, "trajectory.csv"))
 	all := slices.Clone(era)
 	for _, codec := range []colstore.Codec{colstore.CodecRaw, colstore.CodecVSnap} {
 		var rows []trajectory.Sample

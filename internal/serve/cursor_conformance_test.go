@@ -20,7 +20,7 @@ import (
 )
 
 // TestCursorConformance holds every implementation of storage.Cursor — a VTB
-// file (mmap and pread), a CSV file and a k-way merge, for both row kinds,
+// file (mmap, and pread for trajectory), a CSV file and a k-way merge, for both row kinds,
 // plus plan.SliceSource and this package's blockCursor on windows of cache
 // hits, of misses and of both — to the one contract:
 //
@@ -54,7 +54,7 @@ func TestCursorConformance(t *testing.T) {
 	box := geom.BBox{Min: geom.Pt(10, 0), Max: geom.Pt(20, 3)}
 	trajPreds := []cursorPred[trajectory.Sample]{
 		{"all", colstore.Predicate{}, func(trajectory.Sample) bool { return true }},
-		{"window", colstore.TimeWindow(50, 125), func(s trajectory.Sample) bool { return s.T >= 50 && s.T <= 125 }},
+		{"window", colstore.Predicate{HasTime: true, T0: 50, T1: 125}, func(s trajectory.Sample) bool { return s.T >= 50 && s.T <= 125 }},
 		{"object", colstore.Predicate{HasObj: true, Obj: 2}, func(s trajectory.Sample) bool { return s.ObjID == 2 }},
 		{"floor", colstore.Predicate{HasFloor: true, Floor: 1}, func(s trajectory.Sample) bool { return s.Loc.Floor == 1 }},
 		{"box", colstore.Predicate{HasBox: true, Box: box}, func(s trajectory.Sample) bool { return box.Contains(s.Loc.Point) }},
@@ -62,11 +62,12 @@ func TestCursorConformance(t *testing.T) {
 			func(s trajectory.Sample) bool {
 				return s.T >= 20 && s.T <= 200 && s.Loc.Floor == 0 && box.Contains(s.Loc.Point) && s.ObjID == 2
 			}},
-		{"nothing", colstore.TimeWindow(1e6, 2e6), func(trajectory.Sample) bool { return false }},
+		{"nothing", colstore.Predicate{HasTime: true, T0: 1e6, T1: 2e6}, func(trajectory.Sample) bool { return false }},
 	}
 	trajKind := cursorKind[trajectory.Sample, *colstore.TrajectoryBatch]{
 		kind:    storage.Trajectory,
 		spatial: true,
+		pread:   colstore.NewTrajectoryReader,
 		vtb: func(w io.Writer) storage.RowWriter[trajectory.Sample] {
 			return colstore.NewTrajectoryWriter(w, colstore.Options{BlockSize: conformanceBlock})
 		},
@@ -210,12 +211,12 @@ func TestCursorConformance(t *testing.T) {
 	}
 	rssiPreds := []cursorPred[rssi.Measurement]{
 		{"all", colstore.Predicate{}, func(rssi.Measurement) bool { return true }},
-		{"window", colstore.TimeWindow(50, 120), func(m rssi.Measurement) bool { return m.T >= 50 && m.T <= 120 }},
+		{"window", colstore.Predicate{HasTime: true, T0: 50, T1: 120}, func(m rssi.Measurement) bool { return m.T >= 50 && m.T <= 120 }},
 		{"object", colstore.Predicate{HasObj: true, Obj: 3}, func(m rssi.Measurement) bool { return m.ObjID == 3 }},
 		{"spatial ignored", colstore.Predicate{HasTime: true, T0: 100, T1: 250, HasObj: true, Obj: 1,
 			HasFloor: true, Floor: 99, HasBox: true, Box: geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}},
 			func(m rssi.Measurement) bool { return m.T >= 100 && m.T <= 250 && m.ObjID == 1 }},
-		{"nothing", colstore.TimeWindow(1e6, 2e6), func(rssi.Measurement) bool { return false }},
+		{"nothing", colstore.Predicate{HasTime: true, T0: 1e6, T1: 2e6}, func(rssi.Measurement) bool { return false }},
 	}
 	rssiKind := cursorKind[rssi.Measurement, *colstore.RSSIBatch]{
 		kind: storage.RSSI,
@@ -381,6 +382,10 @@ func runCursorConformance[T comparable, B colstore.RowBatch[T]](t *testing.T, im
 type cursorKind[T comparable, B colstore.RowBatch[T]] struct {
 	kind    *storage.Kind[B]
 	spatial bool // floor and box constraints apply
+	// pread opens a VTB image held in an io.ReaderAt: the read path of
+	// in-memory images, and of files where mapping fails. Only trajectory
+	// images are read that way, so it is nil for RSSI.
+	pread   func(r io.ReaderAt, size int64) (*colstore.Reader[B], error)
 	vtb     func(io.Writer) storage.RowWriter[T]
 	csv     func(io.Writer) (storage.RowWriter[T], error)
 	zones   func(path string) ([]colstore.ZoneMap, error)
@@ -484,30 +489,53 @@ func rowsOnly[T any](rows []T, p cursorPred[T]) ([]T, colstore.ScanStats) {
 
 // fileImpls writes rows as one VTB file, one CSV file and, per named split,
 // a set of VTB pieces, and returns the file-backed implementations over
-// them: VTB through mmap and through pread, CSV, and one merge per split.
+// them: VTB through mmap and (where the kind has it) through pread, CSV, and
+// one merge per split.
 func (k *cursorKind[T, B]) fileImpls(t *testing.T, rows []T, splits map[string][][]T) []cursorImpl[T, B] {
 	dir := t.TempDir()
 	whole := k.writeVTB(t, filepath.Join(dir, "whole.vtb"), rows)
 	const damaged = 5 // the block, or CSV record, the broken fixtures damage
 	brokenVTB := whole.breakBlock(t, damaged)
-	openFile := func(path string, opts colstore.OpenOptions) func(*testing.T, colstore.Predicate) storage.Cursor[B] {
+	type opener func(path string) func(*testing.T, colstore.Predicate) storage.Cursor[B]
+	openFile := func(path string) func(*testing.T, colstore.Predicate) storage.Cursor[B] {
 		return func(t *testing.T, pred colstore.Predicate) storage.Cursor[B] {
-			cur, _, err := storage.OpenCursor(k.kind, path, pred, opts)
+			cur, _, err := storage.OpenCursor(k.kind, path, pred, colstore.OpenOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return cur
 		}
 	}
+	openers := map[string]opener{"vtb-mmap": openFile}
+	if k.pread != nil {
+		openers["vtb-pread"] = func(path string) func(*testing.T, colstore.Predicate) storage.Cursor[B] {
+			return func(t *testing.T, pred colstore.Predicate) storage.Cursor[B] {
+				f, err := os.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { f.Close() })
+				st, err := f.Stat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := k.pread(f, st.Size())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r.Cursor(pred)
+			}
+		}
+	}
 	var impls []cursorImpl[T, B]
-	for name, opts := range map[string]colstore.OpenOptions{"vtb-mmap": {}, "vtb-pread": {DisableMmap: true}} {
+	for name, open := range openers {
 		impls = append(impls, cursorImpl[T, B]{
 			name: name,
-			open: openFile(whole.path, opts),
+			open: open(whole.path),
 			want: whole.want,
 			peak: whole.largestBlock(),
 			broken: func(t *testing.T) (storage.Cursor[B], *colstore.ScanStats) {
-				return openFile(brokenVTB, opts)(t, colstore.Predicate{}), &colstore.ScanStats{
+				return open(brokenVTB)(t, colstore.Predicate{}), &colstore.ScanStats{
 					BlocksTotal:   len(whole.zones),
 					BlocksScanned: damaged + 1, // the fetch that failed counts
 					RowsScanned:   damaged * conformanceBlock,
@@ -534,11 +562,11 @@ func (k *cursorKind[T, B]) fileImpls(t *testing.T, rows []T, splits map[string][
 	}
 	impls = append(impls, cursorImpl[T, B]{
 		name: "csv",
-		open: openFile(csvPath, colstore.OpenOptions{}),
+		open: openFile(csvPath),
 		want: func(_ *testing.T, p cursorPred[T]) ([]T, colstore.ScanStats) { return rowsOnly(rows, p) },
 		peak: k.bytesOf(rows[:min(len(rows), 4096)]), // one CSV batch
 		broken: func(t *testing.T) (storage.Cursor[B], *colstore.ScanStats) {
-			return openFile(brokenCSV, colstore.OpenOptions{})(t, colstore.Predicate{}),
+			return openFile(brokenCSV)(t, colstore.Predicate{}),
 				&colstore.ScanStats{RowsScanned: damaged, RowsMatched: damaged}
 		},
 	})
@@ -586,7 +614,7 @@ func (k *cursorKind[T, B]) fileImpls(t *testing.T, rows []T, splits map[string][
 	return impls
 }
 
-func writeAll[T any](t *testing.T, w storage.RowWriter[T], rows []T) {
+func writeAll[T any](t testing.TB, w storage.RowWriter[T], rows []T) {
 	t.Helper()
 	for _, r := range rows {
 		if err := w.Write(r); err != nil {

@@ -49,9 +49,6 @@ type Config struct {
 	// negative keeps nothing: every lookup misses, and a scan still decodes
 	// a window of blocks at a time).
 	CacheBytes int64
-	// DisableMmap forces the pread path for VTB files instead of the
-	// default memory-mapped reader — the -mmap=false escape hatch.
-	DisableMmap bool
 	// WatchInterval is how often a segmented dataset polls its manifest for
 	// new generations (default 1s; negative disables the watcher, leaving
 	// refreshes to explicit Refresh calls). Ignored for single-file and CSV
@@ -81,10 +78,9 @@ func (c Config) withDefaults() Config {
 // stay resident per segment and decoded blocks are cached across refreshes.
 // Safe for concurrent use.
 type Dataset struct {
-	dir         string
-	path        string
-	format      storage.Format
-	disableMmap bool
+	dir    string
+	path   string
+	format storage.Format
 
 	log *seglog.Log // segmented only
 
@@ -111,10 +107,9 @@ type Dataset struct {
 func Open(dir string, cfg Config) (*Dataset, error) {
 	cfg = cfg.withDefaults()
 	d := &Dataset{
-		dir:         dir,
-		cache:       NewBlockCache(max(cfg.CacheBytes, 0)),
-		maxGap:      cfg.MaxGap,
-		disableMmap: cfg.DisableMmap,
+		dir:    dir,
+		cache:  NewBlockCache(max(cfg.CacheBytes, 0)),
+		maxGap: cfg.MaxGap,
 	}
 
 	logDir := ""
@@ -146,7 +141,7 @@ func Open(dir string, cfg Config) (*Dataset, error) {
 	d.format = format
 	var tr *colstore.TrajectoryReader
 	if format == storage.FormatVTB {
-		tr, err = colstore.OpenTrajectory(path, colstore.OpenOptions{DisableMmap: cfg.DisableMmap})
+		tr, err = colstore.OpenTrajectory(path, colstore.OpenOptions{})
 	} else {
 		tr, err = csvAsVTB(path)
 	}
@@ -325,32 +320,6 @@ func (d *Dataset) SegLog() *seglog.Log { return d.log }
 
 // CacheStats returns the block-cache counters.
 func (d *Dataset) CacheStats() CacheStats { return d.cache.Stats() }
-
-// Samples returns the samples matching pred in global time order (the order
-// a single file holding the same rows carries), along with what the load
-// cost. It drains the scan leaf every operator's plan sits on (planSource),
-// so rows, order and stats are those of a served query: prune via zone maps
-// per segment, then a window of blocks at a time take hot blocks from the
-// cache and decode the misses side by side, and merge multi-segment results.
-// With caching disabled nothing decoded outlives its window, so one-shot
-// callers like vitaquery keep the memory profile of a plain scan.
-func (d *Dataset) Samples(pred colstore.Predicate) ([]trajectory.Sample, Stats, error) {
-	src, err := d.pinSource()
-	if err != nil {
-		return nil, Stats{Format: string(d.format)}, err
-	}
-	defer src.release()
-	cur, err := src.Open(pred)
-	if err != nil {
-		return nil, src.finalStats(), err
-	}
-	var out []trajectory.Sample
-	for cur.Next() {
-		out = cur.Batch().AppendTo(out)
-	}
-	stats := src.finalStats()
-	return out, stats, cur.Close()
-}
 
 // hasPoint keeps coordinate rows; kNN measures distance, which a symbolic
 // location does not have.

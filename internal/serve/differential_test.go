@@ -29,29 +29,43 @@ import (
 // diffGrid snaps v down to the 1/16 grid.
 func diffGrid(v float64) float64 { return float64(int(v*16)) / 16 }
 
+// diffBigID is added to every third object's ID, and diffBigFloor is one of
+// the floors: both lie beyond int32, the width of a VTB zone map's bounds.
+const (
+	diffBigID    = 3_000_000_000
+	diffBigFloor = 1 << 33
+)
+
 // diffRows generates a dataset that has every shape the operators branch on:
 // objects that appear and disappear mid-span, sampling gaps below, at and
 // above maxGap, staircase floor changes, symbolic (point-less) rows, rows
-// without a partition, and repeated (object, time) rows. Rows come back
-// sorted by (T, ObjID) — the order every pipeline-written file has — with
-// duplicates in generation order.
+// without a partition, repeated (object, time) rows, and object IDs and
+// floors too large for int32. Rows come back sorted by (T, ObjID) — the
+// order every pipeline-written file has — with duplicates in generation
+// order.
 func diffRows(r *rand.Rand, maxGap float64) []trajectory.Sample {
 	const span = 300.0
 	parts := []string{"lobby", "shop-a", "shop-b", "stairs", "hall", ""}
+	floors := []int{0, 1, 2, diffBigFloor}
 	steps := []float64{0.5, 1, 1, 1, 2, maxGap - 0.5, maxGap, maxGap + 0.5, 3 * maxGap}
 	var out []trajectory.Sample
-	for obj := 0; obj < 10+r.Intn(15); obj++ {
+	for n := 0; n < 10+r.Intn(15); n++ {
+		obj := n
+		if n%3 == 2 {
+			obj += diffBigID
+		}
 		t, end := 0.0, span
 		if r.Intn(3) > 0 { // two thirds live only part of the span
 			t = diffGrid(r.Float64() * span * 0.8)
 			end = t + diffGrid(r.Float64()*(span-t))
 		}
-		floor := r.Intn(3)
+		fi := r.Intn(len(floors))
 		x, y := diffGrid(r.Float64()*40), diffGrid(r.Float64()*20)
 		for ; t <= end; t += steps[r.Intn(len(steps))] {
 			if r.Intn(25) == 0 {
-				floor = (floor + 1 + r.Intn(2)) % 3 // took the stairs
+				fi = (fi + 1 + r.Intn(len(floors)-1)) % len(floors) // took the stairs
 			}
+			floor := floors[fi]
 			x = diffGrid(min(40, max(0, x+r.Float64()*4-2)))
 			y = diffGrid(min(20, max(0, y+r.Float64()*4-2)))
 			loc := model.At("mall", floor, parts[r.Intn(len(parts))], geom.Pt(x, y))
@@ -102,7 +116,7 @@ func diffWindow(r *rand.Rand) (t0, t1 float64) {
 }
 
 func diffFloor(r *rand.Rand) int {
-	return []int{-1, 0, 1, 2, 7}[r.Intn(5)] // 7: a floor nobody is on
+	return []int{-1, 0, 1, 2, 7, diffBigFloor}[r.Intn(6)] // 7: a floor nobody is on
 }
 
 func diffRequests(r *rand.Rand, rows []trajectory.Sample, n int) []diffRequest {
@@ -135,6 +149,9 @@ func diffRequests(r *rand.Rand, rows []trajectory.Sample, n int) []diffRequest {
 			reqs = append(reqs, diffRequest{den: &DensityRequest{T: diffGrid(r.Float64()*340 - 20)}})
 		case 7:
 			q := TrajRequest{Obj: r.Intn(28)} // some IDs belong to nobody
+			if r.Intn(2) == 0 {
+				q.Obj += diffBigID
+			}
 			q.T0, q.T1 = diffWindow(r)
 			reqs = append(reqs, diffRequest{traj: &q})
 		case 8:
@@ -257,9 +274,7 @@ func TestServedOperatorsMatchIndexOverAllRows(t *testing.T) {
 					// CSV cannot say a row has no point, so it reads back with one.
 					held := rows
 					if ds.Format() == storage.FormatCSV {
-						if held, _, err = storage.ReadTrajectoryFile(filepath.Join(kind.dir, "trajectory.csv")); err != nil {
-							t.Fatal(err)
-						}
+						held = readTrajectoryFile(t, filepath.Join(kind.dir, "trajectory.csv"))
 					}
 					if ds.Len() != len(held) {
 						t.Fatalf("Len = %d, want %d", ds.Len(), len(held))

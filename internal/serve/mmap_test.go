@@ -14,9 +14,12 @@ import (
 	"vita/internal/storage"
 )
 
-// TestDatasetMmapParity opens the same VTB dataset mmap-backed and
-// pread-backed and requires identical operator answers with the default
-// block cache and with nothing kept.
+// TestDatasetMmapParity serves the same rows mmap-backed — a VTB file — and
+// pread-backed — a CSV file, whose rows are re-encoded into an in-memory VTB
+// image at open and read from it on the pread path — and requires identical
+// operator answers with the default block cache and with nothing kept. The
+// test rows sit on CSV's 4-decimal grid, so both datasets hold the same
+// rows.
 func TestDatasetMmapParity(t *testing.T) {
 	configs := map[string]Config{
 		"cached":       {},
@@ -27,13 +30,10 @@ func TestDatasetMmapParity(t *testing.T) {
 	trajReq := TrajRequest{Obj: 2, T0: 0, T1: 300}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
-			mcfg := cfg
-			pcfg := cfg
-			pcfg.DisableMmap = true
-			mm := openTestDataset(t, storage.FormatVTB, mcfg)
-			pr := openTestDataset(t, storage.FormatVTB, pcfg)
+			mm := openTestDataset(t, storage.FormatVTB, cfg)
+			pr := openTestDataset(t, storage.FormatCSV, cfg)
 			if pr.Mmapped() {
-				t.Fatal("DisableMmap dataset reports Mmapped")
+				t.Fatal("the in-memory image reports Mmapped")
 			}
 			mRange, err := mm.Range(rangeReq)
 			if err != nil {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/plan"
 	"vita/internal/storage"
@@ -239,11 +240,30 @@ func loadViaPlan(t *testing.T, ds *Dataset, preds []plan.Pred) ([]trajectory.Sam
 	return rows, src.finalStats(), src.cur
 }
 
+// planPreds returns the plan predicates the planner pushes down into the
+// scan as pred.
+func planPreds(pred colstore.Predicate) []plan.Pred {
+	var preds []plan.Pred
+	if pred.HasTime {
+		preds = append(preds, plan.TimeBetween(pred.T0, pred.T1))
+	}
+	if pred.HasFloor {
+		preds = append(preds, plan.OnFloor(pred.Floor))
+	}
+	if pred.HasBox {
+		preds = append(preds, plan.InBox(pred.Box))
+	}
+	if pred.HasObj {
+		preds = append(preds, plan.ObjEq(pred.Obj))
+	}
+	return preds
+}
+
 // TestLoadPathParity pins the scan leaf: over a four-segment log, a single
 // VTB file and a CSV file, for every predicate shape, a cold cache, the same
-// cache warm, a dataset that keeps nothing and Dataset.Samples return the
-// same rows in the same order as a row-by-row filter of the source, with the
-// same Stats.Scan; cache hits, misses and the decoded peak are those of the
+// cache warm and a dataset that keeps nothing return the same rows in the
+// same order as a row-by-row filter of the source, with the same
+// Stats.Scan; cache hits, misses and the decoded peak are those of the
 // cache's temperature (cold and nothing kept: every scanned block a miss,
 // decoded in some window; warm: every one a hit, nothing decoded).
 //
@@ -297,13 +317,13 @@ func TestLoadPathParity(t *testing.T) {
 	}{{"segmented", logDir, 4}, {"single file", flat, 0}, {"csv", csvDir, 0}} {
 		for _, tc := range cases {
 			t.Run(kind.name+"/"+tc.name, func(t *testing.T) {
-				cached, cachedB, streaming := open(kind.dir, Config{}), open(kind.dir, Config{}), open(kind.dir, Config{CacheBytes: -1})
+				cached, streaming := open(kind.dir, Config{}), open(kind.dir, Config{CacheBytes: -1})
 
 				coldRows, cold, leaf := loadViaPlan(t, cached, tc.preds)
 				warmRows, warm, _ := loadViaPlan(t, cached, tc.preds)
 				streamRows, stream, _ := loadViaPlan(t, streaming, tc.preds)
 
-				// The predicate the planner pushed is the one Samples takes.
+				// The predicate the planner pushed, applied row by row.
 				c, err := plan.NewScan(&planSource{d: cached}).Filter(tc.preds...).Compile()
 				if err != nil {
 					t.Fatal(err)
@@ -315,18 +335,6 @@ func TestLoadPathParity(t *testing.T) {
 						want = append(want, s)
 					}
 				}
-				samplesWarmRows, samplesWarm, err := cached.Samples(pred)
-				if err != nil {
-					t.Fatal(err)
-				}
-				samplesColdRows, samplesCold, err := cachedB.Samples(pred)
-				if err != nil {
-					t.Fatal(err)
-				}
-				samplesStreamRows, samplesStream, err := streaming.Samples(pred)
-				if err != nil {
-					t.Fatal(err)
-				}
 
 				for _, got := range []struct {
 					name  string
@@ -337,9 +345,6 @@ func TestLoadPathParity(t *testing.T) {
 					{"cached cold", coldRows, cold, false},
 					{"cached warm", warmRows, warm, true},
 					{"nothing kept", streamRows, stream, false},
-					{"Samples, cached cold", samplesColdRows, samplesCold, false},
-					{"Samples, cached warm", samplesWarmRows, samplesWarm, true},
-					{"Samples, nothing kept", samplesStreamRows, samplesStream, false},
 				} {
 					if !slices.Equal(got.rows, want) {
 						t.Errorf("%s: %d rows, differing from the %d a row filter keeps", got.name, len(got.rows), len(want))

@@ -299,10 +299,7 @@ func TestBlockCacheInvalidationIsPrecise(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	all := colstore.Predicate{}
-	if _, _, err := ds.Samples(all); err != nil {
-		t.Fatal(err) // warm the cache
-	}
+	loadViaPlan(t, ds, nil) // warm the cache
 
 	appendSegmented(t, l, samples[cut:], len(samples)-cut)
 	if _, err := ds.Refresh(); err != nil {
@@ -311,10 +308,7 @@ func TestBlockCacheInvalidationIsPrecise(t *testing.T) {
 	if n := ds.BlockInvalidations(); n != 0 {
 		t.Errorf("append invalidated %d blocks; old segments should stay warm", n)
 	}
-	_, stats, err := ds.Samples(all)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, stats, _ := loadViaPlan(t, ds, nil)
 	if stats.CacheHits == 0 {
 		t.Error("no cache hits after append — old segments' blocks went cold")
 	}
@@ -328,10 +322,7 @@ func TestBlockCacheInvalidationIsPrecise(t *testing.T) {
 	if ds.BlockInvalidations() == 0 {
 		t.Error("compaction refresh invalidated no blocks")
 	}
-	got, stats, err := ds.Samples(all)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, stats, _ := loadViaPlan(t, ds, nil)
 	if stats.Segments != 1 {
 		t.Errorf("post-compaction scan fanned over %d segments, want 1", stats.Segments)
 	}

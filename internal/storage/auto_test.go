@@ -35,7 +35,7 @@ func writeBoth(t *testing.T) (csvPath, vtbPath string, samples []trajectory.Samp
 
 	csvPath = filepath.Join(dir, "trajectory.csv")
 	var buf bytes.Buffer
-	if err := WriteTrajectoryCSV(&buf, samples); err != nil {
+	if err := writeCSV(NewTrajectoryCSVWriter, &buf, samples); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(csvPath, buf.Bytes(), 0o644); err != nil {
@@ -71,12 +71,12 @@ func TestDetectFormatByMagic(t *testing.T) {
 }
 
 // TestScanTrajectoryFileFormatAgnostic runs the same predicate over both
-// encodings of one dataset: matched rows must agree (up to CSV
+// encodings of one dataset through OpenCursor: matched rows must agree (up to CSV
 // quantization, which the integer-valued fixture sidesteps), and only the
 // VTB path may prune blocks.
 func TestScanTrajectoryFileFormatAgnostic(t *testing.T) {
 	csvPath, vtbPath, samples := writeBoth(t)
-	pred := colstore.TimeWindow(10, 20)
+	pred := colstore.Predicate{HasTime: true, T0: 10, T1: 20}
 
 	var want []trajectory.Sample
 	for _, s := range samples {
@@ -92,13 +92,15 @@ func TestScanTrajectoryFileFormatAgnostic(t *testing.T) {
 		{csvPath, FormatCSV},
 		{vtbPath, FormatVTB},
 	} {
-		var got []trajectory.Sample
-		stats, format, err := ScanTrajectoryFile(tc.path, pred, func(s trajectory.Sample) {
-			got = append(got, s)
-		})
+		cur, format, err := OpenCursor(Trajectory, tc.path, pred, colstore.OpenOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.format, err)
 		}
+		got, err := drain[trajectory.Sample](cur)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.format, err)
+		}
+		stats := cur.Stats()
 		if format != tc.format {
 			t.Errorf("%s: detected format %s", tc.format, format)
 		}
@@ -128,7 +130,7 @@ func TestReadRSSIFileBothFormats(t *testing.T) {
 
 	csvPath := filepath.Join(dir, "rssi.csv")
 	var buf bytes.Buffer
-	if err := WriteRSSICSV(&buf, ms); err != nil {
+	if err := writeCSV(NewRSSICSVWriter, &buf, ms); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(csvPath, buf.Bytes(), 0o644); err != nil {
@@ -151,7 +153,7 @@ func TestReadRSSIFileBothFormats(t *testing.T) {
 	}
 
 	for _, path := range []string{csvPath, vtbPath} {
-		got, _, err := ReadRSSIFile(path)
+		got, _, err := readFile[rssi.Measurement](RSSI, path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

@@ -11,7 +11,6 @@ import (
 	"unicode"
 	"unicode/utf8"
 
-	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/model"
 	"vita/internal/positioning"
@@ -77,20 +76,6 @@ func (w *TrajectoryCSVWriter) Write(s trajectory.Sample) error {
 // Close flushes buffered rows.
 func (w *TrajectoryCSVWriter) Close() error { return w.cw.bw.Flush() }
 
-// WriteTrajectoryCSV writes samples as CSV with a header row.
-func WriteTrajectoryCSV(w io.Writer, samples []trajectory.Sample) error {
-	tw, err := NewTrajectoryCSVWriter(w)
-	if err != nil {
-		return err
-	}
-	for _, s := range samples {
-		if err := tw.Write(s); err != nil {
-			return err
-		}
-	}
-	return tw.Close()
-}
-
 // parseTrajectoryRecord converts one post-header CSV record to a sample.
 func parseTrajectoryRecord(rec []string) (trajectory.Sample, error) {
 	objID, err := strconv.Atoi(rec[0])
@@ -110,16 +95,6 @@ func parseTrajectoryRecord(rec []string) (trajectory.Sample, error) {
 		Loc:   model.At(rec[1], floor, rec[3], geom.Pt(x, y)),
 		T:     t,
 	}, nil
-}
-
-// ReadTrajectoryCSV parses CSV written by WriteTrajectoryCSV.
-func ReadTrajectoryCSV(r io.Reader) ([]trajectory.Sample, error) {
-	var out []trajectory.Sample
-	_, err := Each(newCSVCursor(Trajectory, r, nil, colstore.Predicate{}), func(s trajectory.Sample) { out = append(out, s) })
-	if err != nil {
-		return nil, fmt.Errorf("storage: read trajectory: %w", err)
-	}
-	return out, nil
 }
 
 // RSSICSVWriter streams RSSI measurements as CSV rows; see
@@ -154,20 +129,6 @@ func (w *RSSICSVWriter) Write(m rssi.Measurement) error {
 // Close flushes buffered rows.
 func (w *RSSICSVWriter) Close() error { return w.cw.bw.Flush() }
 
-// WriteRSSICSV writes measurements as CSV with a header row.
-func WriteRSSICSV(w io.Writer, ms []rssi.Measurement) error {
-	rw, err := NewRSSICSVWriter(w)
-	if err != nil {
-		return err
-	}
-	for _, m := range ms {
-		if err := rw.Write(m); err != nil {
-			return err
-		}
-	}
-	return rw.Close()
-}
-
 // parseRSSIRecord converts one post-header CSV record to a measurement.
 func parseRSSIRecord(rec []string) (rssi.Measurement, error) {
 	objID, err := strconv.Atoi(rec[0])
@@ -185,16 +146,6 @@ func parseRSSIRecord(rec []string) (rssi.Measurement, error) {
 	return rssi.Measurement{ObjID: objID, DeviceID: rec[1], RSSI: v, T: t}, nil
 }
 
-// ReadRSSICSV parses CSV written by WriteRSSICSV.
-func ReadRSSICSV(r io.Reader) ([]rssi.Measurement, error) {
-	var out []rssi.Measurement
-	_, err := Each(newCSVCursor(RSSI, r, nil, colstore.Predicate{}), func(m rssi.Measurement) { out = append(out, m) })
-	if err != nil {
-		return nil, fmt.Errorf("storage: read rssi: %w", err)
-	}
-	return out, nil
-}
-
 // WriteEstimateCSV writes positioning estimates as CSV with a header row —
 // trajectory records under another name.
 func WriteEstimateCSV(w io.Writer, es []positioning.Estimate) error {
@@ -208,18 +159,6 @@ func WriteEstimateCSV(w io.Writer, es []positioning.Estimate) error {
 		}
 	}
 	return tw.Close()
-}
-
-// ReadEstimateCSV parses CSV written by WriteEstimateCSV.
-func ReadEstimateCSV(r io.Reader) ([]positioning.Estimate, error) {
-	var out []positioning.Estimate
-	_, err := Each(newCSVCursor(Trajectory, r, nil, colstore.Predicate{}), func(s trajectory.Sample) {
-		out = append(out, positioning.Estimate{ObjID: s.ObjID, Loc: s.Loc, T: s.T})
-	})
-	if err != nil {
-		return nil, fmt.Errorf("storage: read estimate: %w", err)
-	}
-	return out, nil
 }
 
 // WriteProximityCSV writes proximity records as CSV with a header row.

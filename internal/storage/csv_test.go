@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"vita/internal/colstore"
 	"vita/internal/geom"
 	"vita/internal/model"
 	"vita/internal/positioning"
@@ -20,7 +21,51 @@ import (
 	"vita/internal/trajectory"
 )
 
-// Exhaustive Write*CSV → Read*CSV round-trips: every field must survive,
+// writeCSV writes rows through the CSV writer newW makes over w — header
+// first — and closes it.
+func writeCSV[T any, W RowWriter[T]](newW func(io.Writer) (W, error), w io.Writer, rows []T) error {
+	cw, err := newW(w)
+	if err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if err := cw.Write(r); err != nil {
+			return err
+		}
+	}
+	return cw.Close()
+}
+
+// drain returns every row of cur, in order, and closes it.
+func drain[T any, B colstore.RowBatch[T]](cur Cursor[B]) ([]T, error) {
+	var out []T
+	for cur.Next() {
+		b := cur.Batch()
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, b.Row(i))
+		}
+	}
+	return out, cur.Close()
+}
+
+// readCSV parses the kind's CSV records from r — the record loop under
+// OpenCursor's CSV arm. Estimates read as trajectory rows: they share the
+// schema.
+func readCSV[T any, B colstore.RowBatch[T]](k *Kind[B], r io.Reader) ([]T, error) {
+	return drain[T](newCSVCursor(k, r, nil, colstore.Predicate{}))
+}
+
+// readFile reads the file at path through OpenCursor.
+func readFile[T any, B colstore.RowBatch[T]](k *Kind[B], path string) ([]T, Format, error) {
+	cur, format, err := OpenCursor(k, path, colstore.Predicate{}, colstore.OpenOptions{})
+	if err != nil {
+		return nil, format, err
+	}
+	out, err := drain[T](cur)
+	return out, format, err
+}
+
+// Exhaustive CSV writer → CSV cursor round-trips: every field must survive,
 // including string fields that need CSV quoting and values at the 4-decimal
 // precision the writers emit.
 
@@ -31,10 +76,10 @@ func TestTrajectoryCSVRoundTripAllFields(t *testing.T) {
 		{ObjID: 7, Loc: model.At("b", -1, "", geom.Pt(0.0001, 9999.9999)), T: 0.0001},
 	}
 	var buf bytes.Buffer
-	if err := WriteTrajectoryCSV(&buf, in); err != nil {
+	if err := writeCSV(NewTrajectoryCSVWriter, &buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadTrajectoryCSV(&buf)
+	out, err := readCSV[trajectory.Sample](Trajectory, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +108,10 @@ func TestRSSICSVRoundTripAllFields(t *testing.T) {
 		{ObjID: 3, DeviceID: "bt-7", RSSI: 0.0001, T: 0.25},
 	}
 	var buf bytes.Buffer
-	if err := WriteRSSICSV(&buf, in); err != nil {
+	if err := writeCSV(NewRSSICSVWriter, &buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadRSSICSV(&buf)
+	out, err := readCSV[rssi.Measurement](RSSI, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +134,7 @@ func TestEstimateCSVRoundTripAllFields(t *testing.T) {
 	if err := WriteEstimateCSV(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadEstimateCSV(&buf)
+	out, err := readCSV[trajectory.Sample](Trajectory, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +191,10 @@ func TestCSVRoundTripGenerated(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteTrajectoryCSV(&buf, in); err != nil {
+	if err := writeCSV(NewTrajectoryCSVWriter, &buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadTrajectoryCSV(&buf)
+	out, err := readCSV[trajectory.Sample](Trajectory, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +210,14 @@ func TestCSVRoundTripGenerated(t *testing.T) {
 
 func TestCSVEmptyRoundTrips(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTrajectoryCSV(&buf, nil); err != nil {
+	if err := writeCSV(NewTrajectoryCSVWriter, &buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := ReadTrajectoryCSV(&buf); err != nil || len(out) != 0 {
+	if out, err := readCSV[trajectory.Sample](Trajectory, &buf); err != nil || len(out) != 0 {
 		t.Fatalf("empty trajectory round trip: %v, %d rows", err, len(out))
 	}
 	// A completely empty reader (no header) is not an error either.
-	if out, err := ReadEstimateCSV(strings.NewReader("")); err != nil || len(out) != 0 {
+	if out, err := readCSV[trajectory.Sample](Trajectory, strings.NewReader("")); err != nil || len(out) != 0 {
 		t.Fatalf("empty estimate read: %v, %d rows", err, len(out))
 	}
 }
@@ -187,10 +232,10 @@ func TestCSVQuantizationTolerance(t *testing.T) {
 		{ObjID: 2, Loc: model.At("b", 1, "p", geom.Pt(-math.E, 1e-5)), T: 123.456789},
 	}
 	var buf bytes.Buffer
-	if err := WriteTrajectoryCSV(&buf, in); err != nil {
+	if err := writeCSV(NewTrajectoryCSVWriter, &buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadTrajectoryCSV(&buf)
+	out, err := readCSV[trajectory.Sample](Trajectory, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,21 +273,21 @@ func TestCSVHeaderlessKeepsFirstRow(t *testing.T) {
 		read         func(r io.Reader) (rows int, firstObj int, err error)
 	}{
 		"trajectory": {strings.Join(TrajectoryCSVHeader, ","), trajBody, func(r io.Reader) (int, int, error) {
-			out, err := ReadTrajectoryCSV(r)
+			out, err := readCSV[trajectory.Sample](Trajectory, r)
 			if len(out) == 0 {
 				return 0, 0, err
 			}
 			return len(out), out[0].ObjID, err
 		}},
 		"rssi": {strings.Join(RSSICSVHeader, ","), rssiBody, func(r io.Reader) (int, int, error) {
-			out, err := ReadRSSICSV(r)
+			out, err := readCSV[rssi.Measurement](RSSI, r)
 			if len(out) == 0 {
 				return 0, 0, err
 			}
 			return len(out), out[0].ObjID, err
 		}},
 		"estimate": {strings.Join(TrajectoryCSVHeader, ","), trajBody, func(r io.Reader) (int, int, error) {
-			out, err := ReadEstimateCSV(r)
+			out, err := readCSV[trajectory.Sample](Trajectory, r)
 			if len(out) == 0 {
 				return 0, 0, err
 			}
@@ -274,7 +319,7 @@ func TestCSVHeaderlessKeepsFirstRow(t *testing.T) {
 	if err := os.WriteFile(path, []byte(trajBody), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, format, err := ReadTrajectoryFile(path)
+	got, format, err := readFile[trajectory.Sample](Trajectory, path)
 	if err != nil || format != FormatCSV || len(got) != 2 || got[0].ObjID != 7 {
 		t.Errorf("headerless file: %d rows (%+v), format %s, err %v", len(got), got, format, err)
 	}
@@ -384,11 +429,11 @@ func TestCSVWritersMatchEncodingCSV(t *testing.T) {
 	}
 	ref.Flush()
 	var got bytes.Buffer
-	if err := WriteRSSICSV(&got, ms); err != nil {
+	if err := writeCSV(NewRSSICSVWriter, &got, ms); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
-		t.Fatalf("WriteRSSICSV wrote\n%q\nencoding/csv writes\n%q", got.String(), want.String())
+		t.Fatalf("RSSICSVWriter wrote\n%q\nencoding/csv writes\n%q", got.String(), want.String())
 	}
 
 	var ss []trajectory.Sample
@@ -404,10 +449,10 @@ func TestCSVWritersMatchEncodingCSV(t *testing.T) {
 	}
 	ref.Flush()
 	got.Reset()
-	if err := WriteTrajectoryCSV(&got, ss); err != nil {
+	if err := writeCSV(NewTrajectoryCSVWriter, &got, ss); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
-		t.Fatalf("WriteTrajectoryCSV wrote\n%q\nencoding/csv writes\n%q", got.String(), want.String())
+		t.Fatalf("TrajectoryCSVWriter wrote\n%q\nencoding/csv writes\n%q", got.String(), want.String())
 	}
 }

@@ -64,7 +64,7 @@ func TestOpenCursorReportsFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTrajectoryCSV(cf, samples); err != nil {
+	if err := writeCSV(NewTrajectoryCSVWriter, cf, samples); err != nil {
 		t.Fatal(err)
 	}
 	if err := cf.Close(); err != nil {

@@ -11,9 +11,9 @@
 // Bulk data on disk — CSV or the VTB format of internal/colstore, detected
 // by magic bytes — is read through one API, Cursor: OpenCursor for a file,
 // OpenCursorMulti/Merge for the segments of a log, each taking a Kind
-// (Trajectory or RSSI) to select the row kind. Everything row-shaped
-// (ScanTrajectoryFile, ReadRSSIFile, Copy into a RowWriter) is a short
-// drain of a Cursor.
+// (Trajectory or RSSI) to select the row kind; estimate files share the
+// trajectory schema and read as Trajectory. There is no other read entry
+// point: a caller drains the cursor, or Copies it into a RowWriter.
 package storage
 
 import (

@@ -162,10 +162,10 @@ func TestTrajectoryCSVRoundTrip(t *testing.T) {
 		sample(2, 0, 0, 0, 0.5),
 	}
 	var buf bytes.Buffer
-	if err := WriteTrajectoryCSV(&buf, in); err != nil {
+	if err := writeCSV(NewTrajectoryCSVWriter, &buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadTrajectoryCSV(&buf)
+	out, err := readCSV[trajectory.Sample](Trajectory, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +186,10 @@ func TestRSSICSVRoundTrip(t *testing.T) {
 		{ObjID: 2, DeviceID: "b", RSSI: -61.125, T: 3.5},
 	}
 	var buf bytes.Buffer
-	if err := WriteRSSICSV(&buf, in); err != nil {
+	if err := writeCSV(NewRSSICSVWriter, &buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadRSSICSV(&buf)
+	out, err := readCSV[rssi.Measurement](RSSI, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestEstimateCSVRoundTrip(t *testing.T) {
 	if err := WriteEstimateCSV(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadEstimateCSV(&buf)
+	out, err := readCSV[trajectory.Sample](Trajectory, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,17 +233,17 @@ func TestProximityCSVRoundTrip(t *testing.T) {
 }
 
 func TestCSVReadErrors(t *testing.T) {
-	if _, err := ReadTrajectoryCSV(strings.NewReader("o_id,building,floor,partition,x,y,t\nbad,b,0,P,0,0,0\n")); err == nil {
+	if _, err := readCSV[trajectory.Sample](Trajectory, strings.NewReader("o_id,building,floor,partition,x,y,t\nbad,b,0,P,0,0,0\n")); err == nil {
 		t.Error("bad o_id accepted")
 	}
-	if _, err := ReadRSSICSV(strings.NewReader("o_id,d_id,rssi,t\n1,a,not-a-number,0\n")); err == nil {
+	if _, err := readCSV[rssi.Measurement](RSSI, strings.NewReader("o_id,d_id,rssi,t\n1,a,not-a-number,0\n")); err == nil {
 		t.Error("bad rssi accepted")
 	}
 	if _, err := ReadProximityCSV(strings.NewReader("o_id,d_id,ts,te\n1,a,x,0\n")); err == nil {
 		t.Error("bad ts accepted")
 	}
 	// Wrong column count.
-	if _, err := ReadTrajectoryCSV(strings.NewReader("a,b\n1,2\n")); err == nil {
+	if _, err := readCSV[trajectory.Sample](Trajectory, strings.NewReader("a,b\n1,2\n")); err == nil {
 		t.Error("wrong field count accepted")
 	}
 }

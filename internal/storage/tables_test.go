@@ -3,11 +3,18 @@ package storage_test
 import (
 	"bytes"
 	"cmp"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"vita/internal/colstore"
 	"vita/internal/core"
+	"vita/internal/rssi"
 	"vita/internal/storage"
+	"vita/internal/trajectory"
 )
 
 // The RSSI, estimate and proximity tables of a run are plain slices of
@@ -15,6 +22,35 @@ import (
 // nothing sorts them on the way to disk. These tests pin those orders on a
 // small run and that the CSV files written from the tables read back in the
 // same row order.
+
+// readBack writes a CSV file with write and reads its rows back through
+// storage.OpenCursor as kind k.
+func readBack[T any, B colstore.RowBatch[T]](t *testing.T, k *storage.Kind[B], write func(io.Writer) error) []T {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "table.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(write(f), f.Close()); err != nil {
+		t.Fatal(err)
+	}
+	cur, _, err := storage.OpenCursor(k, path, colstore.Predicate{}, colstore.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []T
+	for cur.Next() {
+		b := cur.Batch()
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, b.Row(i))
+		}
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 // runTables runs a short pipeline with the given positioning method.
 func runTables(t *testing.T, method string) *core.Dataset {
@@ -54,14 +90,18 @@ func TestRSSIStore(t *testing.T) {
 			t.Fatalf("row %d %+v after %+v: not in (object, device, time) order", i, b, a)
 		}
 	}
-	var buf bytes.Buffer
-	if err := storage.WriteRSSICSV(&buf, ds.RSSI); err != nil {
-		t.Fatal(err)
-	}
-	back, err := storage.ReadRSSICSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readBack[rssi.Measurement](t, storage.RSSI, func(w io.Writer) error {
+		rw, err := storage.NewRSSICSVWriter(w)
+		if err != nil {
+			return err
+		}
+		for _, m := range ds.RSSI {
+			if err := rw.Write(m); err != nil {
+				return err
+			}
+		}
+		return rw.Close()
+	})
 	if len(back) != len(ds.RSSI) {
 		t.Fatalf("CSV read back %d rows, wrote %d", len(back), len(ds.RSSI))
 	}
@@ -85,14 +125,11 @@ func TestEstimateStore(t *testing.T) {
 			t.Fatalf("row %d %+v after %+v: not in (object, time) order", i, b, a)
 		}
 	}
-	var buf bytes.Buffer
-	if err := storage.WriteEstimateCSV(&buf, ds.Estimates); err != nil {
-		t.Fatal(err)
-	}
-	back, err := storage.ReadEstimateCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Estimates share the trajectory schema, so the trajectory cursor reads
+	// them.
+	back := readBack[trajectory.Sample](t, storage.Trajectory, func(w io.Writer) error {
+		return storage.WriteEstimateCSV(w, ds.Estimates)
+	})
 	if len(back) != len(ds.Estimates) {
 		t.Fatalf("CSV read back %d rows, wrote %d", len(back), len(ds.Estimates))
 	}
