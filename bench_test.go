@@ -158,7 +158,7 @@ func officeTopoB(b *testing.B) *topo.Topology {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bd, _, err := ifc.Extract(f, ifc.DefaultExtractOptions())
+	bd, _, err := ifc.Extract(f)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func BenchmarkTopologyBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		bd, _, err := ifc.Extract(f, ifc.DefaultExtractOptions())
+		bd, _, err := ifc.Extract(f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,11 +205,10 @@ func BenchmarkRoute(b *testing.B) {
 	t := officeTopoB(b)
 	from := model.At("office", 0, "", geom.Pt(4, 4))
 	to := model.At("office", 1, "", geom.Pt(36, 18))
-	sm := topo.DefaultSpeedModel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := t.Route(from, to, topo.MinDistance, sm); err != nil {
+		if _, err := t.Route(from, to, topo.MinDistance); err != nil {
 			b.Fatal(err)
 		}
 	}

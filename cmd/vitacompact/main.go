@@ -7,6 +7,9 @@
 //	vitacompact -data out/seglog/trajectory  # compact one log directly
 //	vitacompact -data out -min-segments 8    # only merge once 8 pile up
 //
+// The merged segment is written under the default block codec (vsnap), so
+// compacting a flate-era log rewrites it under vsnap.
+//
 // Compaction is crash-safe: the merged segment builds under a temporary
 // name, the swap is one manifest commit, and a process killed mid-merge
 // leaves the log — and every query against it — untouched. It is a log
@@ -21,7 +24,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"vita/internal/colstore"
 	"vita/internal/obs"
 	"vita/internal/seglog"
 )
@@ -36,18 +38,10 @@ func main() {
 func run() error {
 	dataDir := flag.String("data", "out", "dataset directory (or a segment log directory)")
 	minSegments := flag.Int("min-segments", 2, "merge only when at least this many segments are live")
-	codecStr := flag.String("codec", "", "VTB block codec for the merged segment: raw | vsnap (default vsnap); compacting a flate-era log rewrites it under the new codec")
 	logOpts := obs.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
 	if _, err := logOpts.Setup(os.Stderr); err != nil {
 		return err
-	}
-	var block colstore.Options
-	if *codecStr != "" {
-		var err error
-		if block.Codec, err = colstore.ParseCodec(*codecStr); err != nil {
-			return err
-		}
 	}
 
 	var logDirs []string
@@ -77,7 +71,6 @@ func run() error {
 		before := len(l.Snapshot().Segments)
 		meta, err := seglog.NewCompactor(l, seglog.CompactorOptions{
 			MinSegments: *minSegments,
-			Block:       block,
 		}).RunOnce()
 		if err != nil {
 			return fmt.Errorf("%s: %w", dir, err)

@@ -11,12 +11,12 @@
 // quantization; every other direction is lossless, so a VTB → CSV
 // conversion is byte-identical to having generated CSV directly.
 //
-// For VTB output, -codec selects the block codec (raw | vsnap; default
-// vsnap). VTB → VTB recompresses a file out of its era's codec — the
-// migration path for flate-era archives, which readers still decode but
-// nothing writes any more:
+// VTB output is always written under the default block codec (vsnap). VTB →
+// VTB recompresses a file out of its era's codec — the migration path for
+// flate-era archives, which readers still decode but nothing writes any
+// more:
 //
-//	vitaconvert -in old/trajectory.vtb -out new/trajectory.vtb -codec vsnap
+//	vitaconvert -in old/trajectory.vtb -out new/trajectory.vtb
 package main
 
 import (
@@ -43,7 +43,6 @@ func main() {
 func run() error {
 	in := flag.String("in", "", "input file (.csv or .vtb, detected by content)")
 	out := flag.String("out", "", "output file; extension selects the format")
-	codecStr := flag.String("codec", "", "VTB block codec: raw | vsnap (default vsnap; .vtb output only)")
 	flag.Parse()
 	if *in == "" || *out == "" {
 		return fmt.Errorf("both -in and -out are required")
@@ -52,15 +51,6 @@ func run() error {
 	outFormat, err := formatFromExt(*out)
 	if err != nil {
 		return err
-	}
-	var block colstore.Options
-	if *codecStr != "" {
-		if outFormat != storage.FormatVTB {
-			return fmt.Errorf("-codec only applies to .vtb output (CSV has no block codec)")
-		}
-		if block.Codec, err = colstore.ParseCodec(*codecStr); err != nil {
-			return err
-		}
 	}
 	kind, err := detectKind(*in)
 	if err != nil {
@@ -75,7 +65,7 @@ func run() error {
 	var rows int
 	switch kind {
 	case colstore.KindTrajectory:
-		var w storage.RowWriter[trajectory.Sample] = colstore.NewTrajectoryWriter(bw, block)
+		var w storage.RowWriter[trajectory.Sample] = colstore.NewTrajectoryWriter(bw, colstore.Options{})
 		if outFormat == storage.FormatCSV {
 			w, err = storage.NewTrajectoryCSVWriter(bw)
 		}
@@ -83,7 +73,7 @@ func run() error {
 			rows, err = convert(storage.Trajectory, *in, w)
 		}
 	case colstore.KindRSSI:
-		var w storage.RowWriter[rssi.Measurement] = colstore.NewRSSIWriter(bw, block)
+		var w storage.RowWriter[rssi.Measurement] = colstore.NewRSSIWriter(bw, colstore.Options{})
 		if outFormat == storage.FormatCSV {
 			w, err = storage.NewRSSICSVWriter(bw)
 		}

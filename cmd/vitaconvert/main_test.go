@@ -4,7 +4,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"vita/internal/colstore"
@@ -104,9 +103,9 @@ func sameFile(t *testing.T, got, want string) {
 }
 
 // TestRecompressRoundTrip pins the VTB → VTB migration path: recompressing
-// a flate-era file with -codec vsnap must preserve every row bit-for-bit
-// while actually changing the block codec on disk. The flate-era files
-// themselves must decode to exactly their CSV twins.
+// a flate-era file under the default codec (vsnap) must preserve every row
+// bit-for-bit while actually changing the block codec on disk. The flate-era
+// files themselves must decode to exactly their CSV twins.
 func TestRecompressRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(flateDir, "trajectory.vtb")
@@ -116,7 +115,7 @@ func TestRecompressRoundTrip(t *testing.T) {
 	samples := readTrajectory(t, filepath.Join(flateDir, "trajectory.csv"), storage.FormatCSV)
 
 	out := filepath.Join(dir, "out.vtb")
-	if err := runConvert("-in", in, "-out", out, "-codec", "vsnap"); err != nil {
+	if err := runConvert("-in", in, "-out", out); err != nil {
 		t.Fatalf("convert: %v", err)
 	}
 	for _, path := range []string{in, out} {
@@ -142,44 +141,5 @@ func TestRecompressRoundTrip(t *testing.T) {
 			t.Fatalf("convert %s: %v", kind, err)
 		}
 		sameFile(t, csv, filepath.Join(flateDir, kind+".csv"))
-	}
-}
-
-// TestUnknownCodecRefused pins the CLI contract: an unknown codec name must
-// fail up front with an error that lists the valid names, and must not
-// leave a partial output file behind.
-func TestUnknownCodecRefused(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.vtb")
-	writeVTB(t, in, makeSamples()[:100], colstore.Options{})
-	out := filepath.Join(dir, "out.vtb")
-
-	// flate is read, never written: it is refused like any unknown name.
-	for _, codec := range []string{"zstd", "flate"} {
-		err := runConvert("-in", in, "-out", out, "-codec", codec)
-		if err == nil {
-			t.Fatalf("codec %q accepted", codec)
-		}
-		for _, want := range []string{codec, "valid: raw, vsnap)"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("error %q does not mention %q", err, want)
-			}
-		}
-		if _, serr := os.Stat(out); !os.IsNotExist(serr) {
-			t.Errorf("refused conversion left output file behind (stat err %v)", serr)
-		}
-	}
-}
-
-// TestCodecRejectedForCSV pins the other refusal: -codec with a .csv output
-// is a contradiction and must error rather than be silently ignored.
-func TestCodecRejectedForCSV(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.vtb")
-	writeVTB(t, in, makeSamples()[:100], colstore.Options{})
-
-	err := runConvert("-in", in, "-out", filepath.Join(dir, "out.csv"), "-codec", "vsnap")
-	if err == nil || !strings.Contains(err.Error(), "csv") && !strings.Contains(err.Error(), "CSV") {
-		t.Fatalf("want csv-refusal error, got %v", err)
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"vita/internal/colstore"
 	"vita/internal/core"
 	"vita/internal/obs"
 	"vita/internal/plan"
@@ -61,7 +60,6 @@ func run() error {
 		formatStr  = flag.String("format", "csv", "bulk output format: csv | vtb")
 		segMB      = flag.Float64("segment-mb", 0, "write bulk outputs as a live segment log, rolling segments at this many MiB (vtb only; 0 = flat files)")
 		segRows    = flag.Int("segment-rows", 0, "additionally roll segments after this many rows (implies a segment log; vtb only)")
-		codecStr   = flag.String("codec", "", "VTB block codec: raw | vsnap (default vsnap; vtb only)")
 	)
 	logOpts := obs.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
@@ -108,24 +106,14 @@ func run() error {
 	if segmented && format != storage.FormatVTB {
 		return fmt.Errorf("-segment-mb/-segment-rows require -format vtb (segment logs have no csv form)")
 	}
-	var block colstore.Options
-	if *codecStr != "" {
-		if format != storage.FormatVTB {
-			return fmt.Errorf("-codec requires -format vtb (csv has no block codec)")
-		}
-		if block.Codec, err = colstore.ParseCodec(*codecStr); err != nil {
-			return err
-		}
-	}
 	var sink *core.DirSink
 	if segmented {
 		sink, err = core.NewSegmentedDirSink(*outDir, seglog.WriterOptions{
 			MaxSegmentBytes: int64(*segMB * (1 << 20)),
 			MaxSegmentRows:  *segRows,
-			Block:           block,
 		})
 	} else {
-		sink, err = core.NewDirSinkOptions(*outDir, format, block)
+		sink, err = core.NewDirSink(*outDir, format)
 	}
 	if err != nil {
 		return err

@@ -144,8 +144,6 @@ func run() error {
 		if slg == nil {
 			return fmt.Errorf("-compact set but %s is not a segmented dataset", *dataDir)
 		}
-		// Run-loop errors are already logged by the compactor itself; OnError
-		// stays nil so they are not reported twice.
 		c := seglog.NewCompactor(slg, seglog.CompactorOptions{})
 		go c.Run(compactCtx, *compactEvery)
 		slog.Info("compacting", "every", compactEvery.String())

@@ -128,18 +128,6 @@ const (
 	CodecRaw
 )
 
-// ParseCodec validates a user-supplied codec name (the CLIs' -codec flags).
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "vsnap":
-		return CodecVSnap, nil
-	case "raw":
-		return CodecRaw, nil
-	default:
-		return 0, fmt.Errorf("colstore: unknown codec %q (valid: raw, vsnap)", s)
-	}
-}
-
 func (c Codec) String() string {
 	switch c {
 	case CodecDefault:

@@ -37,11 +37,11 @@ func TestOneWayDoorConfig(t *testing.T) {
 	// Routing into the room must fail: F0-S1 has only that one door.
 	from := model.At("office", 0, "", geom.Pt(2, 10)) // hallway
 	to := model.At("office", 0, "", geom.Pt(12, 4))   // inside F0-S1
-	if _, err := topology.Route(from, to, topo.MinDistance, topo.DefaultSpeedModel()); err == nil {
+	if _, err := topology.Route(from, to, topo.MinDistance); err == nil {
 		t.Error("route into one-way room should fail")
 	}
 	// Routing out of the room must succeed.
-	if _, err := topology.Route(to, from, topo.MinDistance, topo.DefaultSpeedModel()); err != nil {
+	if _, err := topology.Route(to, from, topo.MinDistance); err != nil {
 		t.Errorf("route out of one-way room failed: %v", err)
 	}
 }

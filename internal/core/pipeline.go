@@ -172,7 +172,7 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 	// splits RSSI first, then positioning, so the radio map draws what it
 	// always drew.
 	rssiR, posR := r.Split(), r.Split()
-	pmc := PositioningMethodController{Config: p.cfg.Positioning, RSSIModel: p.cfg.RSSI.model()}
+	pmc := PositioningMethodController{Config: p.cfg.Positioning, RSSI: p.cfg.RSSI}
 	position, radioMap, err := pmc.Build(topology, devs, posR)
 	if err != nil {
 		return nil, err
@@ -292,7 +292,7 @@ func (c IndoorEnvironmentController) Load() (*topo.Topology, *ifc.Report, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	b, report, err := ifc.Extract(f, ifc.DefaultExtractOptions())
+	b, report, err := ifc.Extract(f)
 	if err != nil {
 		return nil, report, err
 	}
@@ -305,10 +305,10 @@ func (c IndoorEnvironmentController) Load() (*topo.Topology, *ifc.Report, error)
 
 	opts := topo.DefaultOptions()
 	if c.Config.Decompose != nil && !*c.Config.Decompose {
-		opts.Decompose = nil
+		opts.Decompose = false
 	}
-	if c.Config.MaxPartitionArea > 0 && opts.Decompose != nil {
-		opts.Decompose.MaxArea = c.Config.MaxPartitionArea
+	if c.Config.MaxPartitionArea > 0 {
+		opts.MaxArea = c.Config.MaxPartitionArea
 	}
 	topology, err := topo.Build(b, opts)
 	if err != nil {
@@ -463,7 +463,6 @@ func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, col *tra
 		Duration:       c.Trajectory.Duration,
 		Tick:           c.Trajectory.Tick,
 		SampleInterval: c.Trajectory.SampleInterval,
-		Speed:          topo.DefaultSpeedModel(),
 		Parallelism:    c.Parallelism,
 	}, r)
 	if err != nil {
@@ -500,8 +499,8 @@ func (c RSSIMeasurementController) Generate(t *topo.Topology, devs []*device.Dev
 // PositioningMethodController derives positioning data from raw RSSI data
 // with the chosen method (paper §2, layer 3).
 type PositioningMethodController struct {
-	Config    PositioningConfig
-	RSSIModel rssi.PathLossModel
+	Config PositioningConfig
+	RSSI   RSSIConfig
 }
 
 // Positions is the positioning output for a set of objects.
@@ -527,7 +526,7 @@ func (c PositioningMethodController) Build(t *topo.Topology, devs []*device.Devi
 		return nil, nil, nil
 	case "trilateration":
 		tr, err := positioning.NewTrilateration(t, devs, positioning.TrilaterationConfig{
-			Convert:        positioning.DefaultConversion(c.RSSIModel),
+			Convert:        positioning.DefaultConversion(c.RSSI.model()),
 			SampleInterval: c.Config.SampleInterval,
 		})
 		if err != nil {
@@ -544,7 +543,7 @@ func (c PositioningMethodController) Build(t *topo.Topology, devs []*device.Devi
 		}
 		rm, err := positioning.BuildRadioMap(t, devs, positioning.RadioMapConfig{
 			Spacing: c.Config.Spacing,
-			Model:   c.RSSIModel,
+			Model:   c.RSSI.model(),
 		}, r)
 		if err != nil {
 			return nil, nil, err
@@ -570,7 +569,9 @@ func (c PositioningMethodController) Build(t *topo.Topology, devs []*device.Devi
 			return Positions{Estimates: est}, err
 		}, rm, nil
 	case "proximity":
-		px, err := positioning.NewProximity(devs, positioning.ProximityConfig{})
+		// Detection periods follow the interval the measurements were
+		// generated at.
+		px, err := positioning.NewProximity(devs, c.RSSI.SampleInterval)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -87,6 +87,36 @@ func TestPipelineProximityRFID(t *testing.T) {
 	}
 }
 
+// TestProximityFollowsRSSIInterval: when rssi.sample_interval overrides
+// every device's own, a detection period spans consecutive measurements at
+// that interval. Periods of one (object, device) pair are then more than
+// 1.5 intervals apart, and few of them are a single instant.
+func TestProximityFollowsRSSIInterval(t *testing.T) {
+	const interval = 5
+	ds := runPipeline(t, func(c *Config) {
+		c.RSSI.SampleInterval = interval
+		c.Positioning = PositioningConfig{Method: "proximity"}
+	})
+	if len(ds.Proximity) == 0 {
+		t.Fatal("no proximity records")
+	}
+	instants := 0
+	for i, r := range ds.Proximity {
+		if r.TS == r.TE {
+			instants++
+		}
+		if i == 0 {
+			continue
+		}
+		if p := ds.Proximity[i-1]; p.ObjID == r.ObjID && p.DeviceID == r.DeviceID && r.TS-p.TE <= 1.5*interval {
+			t.Fatalf("periods %+v and %+v are %.1f s apart: one %d s sampling gap must not end a period", p, r, r.TS-p.TE, interval)
+		}
+	}
+	if instants*10 > len(ds.Proximity) {
+		t.Errorf("%d of %d proximity records are a single instant, want at most 10%%", instants, len(ds.Proximity))
+	}
+}
+
 func TestPipelineProbabilisticFingerprint(t *testing.T) {
 	ds := runPipeline(t, func(c *Config) {
 		c.Positioning = PositioningConfig{Method: "fingerprint", Algorithm: "bayes", K: 5}

@@ -31,7 +31,7 @@ func wholeRunPositioning(c PositioningMethodController, t *topo.Topology, devs [
 		return nil // positioning step skipped
 	case "trilateration":
 		tr, err := positioning.NewTrilateration(t, devs, positioning.TrilaterationConfig{
-			Convert:        positioning.DefaultConversion(c.RSSIModel),
+			Convert:        positioning.DefaultConversion(c.RSSI.model()),
 			SampleInterval: c.Config.SampleInterval,
 		})
 		if err != nil {
@@ -50,7 +50,7 @@ func wholeRunPositioning(c PositioningMethodController, t *topo.Topology, devs [
 		}
 		rm, err := positioning.BuildRadioMap(t, devs, positioning.RadioMapConfig{
 			Spacing: c.Config.Spacing,
-			Model:   c.RSSIModel,
+			Model:   c.RSSI.model(),
 		}, r)
 		if err != nil {
 			return err
@@ -85,7 +85,7 @@ func wholeRunPositioning(c PositioningMethodController, t *topo.Topology, devs [
 		ds.Estimates = append(ds.Estimates, est...)
 		return nil
 	case "proximity":
-		px, err := positioning.NewProximity(devs, positioning.ProximityConfig{})
+		px, err := positioning.NewProximity(devs, c.RSSI.SampleInterval)
 		if err != nil {
 			return err
 		}
@@ -193,7 +193,7 @@ func TestFusedPositioningMatchesWholeRun(t *testing.T) {
 			r.Split()
 			r.Split()
 			want := &Dataset{RSSI: base.RSSI, Estimates: []positioning.Estimate{}, Proximity: []positioning.ProximityRecord{}}
-			pmc := PositioningMethodController{Config: cfg.Positioning, RSSIModel: cfg.RSSI.model()}
+			pmc := PositioningMethodController{Config: cfg.Positioning, RSSI: cfg.RSSI}
 			if err := wholeRunPositioning(pmc, base.Topo, base.Devices, want, r.Split()); err != nil {
 				t.Fatal(err)
 			}

@@ -87,13 +87,6 @@ func (w fileWriter[T]) Close() error { return errors.Join(w.RowWriter.Close(), w
 // NewDirSink creates dir (if needed) and opens streaming writers for the
 // bulk outputs in the given format.
 func NewDirSink(dir string, format storage.Format) (*DirSink, error) {
-	return NewDirSinkOptions(dir, format, colstore.Options{})
-}
-
-// NewDirSinkOptions is NewDirSink with explicit VTB block options (codec,
-// block size). The options only apply when format is FormatVTB; CSV output
-// ignores them.
-func NewDirSinkOptions(dir string, format storage.Format, block colstore.Options) (*DirSink, error) {
 	switch format {
 	case storage.FormatCSV, storage.FormatVTB:
 	default:
@@ -115,8 +108,8 @@ func NewDirSinkOptions(dir string, format storage.Format, block colstore.Options
 	var traj storage.RowWriter[trajectory.Sample]
 	var rs storage.RowWriter[rssi.Measurement]
 	if format == storage.FormatVTB {
-		traj = colstore.NewTrajectoryWriter(trajFile, block)
-		rs = colstore.NewRSSIWriter(rssiFile, block)
+		traj = colstore.NewTrajectoryWriter(trajFile, colstore.Options{})
+		rs = colstore.NewRSSIWriter(rssiFile, colstore.Options{})
 	} else {
 		if traj, err = storage.NewTrajectoryCSVWriter(trajFile); err == nil {
 			rs, err = storage.NewRSSICSVWriter(rssiFile)

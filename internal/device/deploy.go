@@ -53,11 +53,6 @@ type DeploySpec struct {
 	Count int
 	// Props overrides the per-type defaults when non-zero.
 	Props *Properties
-	// WallOffset is how far inside the wall devices sit (Coverage).
-	WallOffset float64
-	// HotspotMinArea is the partition area (m²) above which CheckPoint adds
-	// an in-room hotspot device at the partition center.
-	HotspotMinArea float64
 }
 
 // Deploy places devices on the given floor of the building according to the
@@ -73,12 +68,6 @@ func Deploy(b *model.Building, floor int, spec DeploySpec, r *rng.Rand) ([]*Devi
 	if spec.Props != nil {
 		props = *spec.Props
 	}
-	if spec.WallOffset <= 0 {
-		spec.WallOffset = 0.3
-	}
-	if spec.HotspotMinArea <= 0 {
-		spec.HotspotMinArea = 80
-	}
 
 	var positions []geom.Point
 	switch spec.Model {
@@ -86,9 +75,9 @@ func Deploy(b *model.Building, floor int, spec DeploySpec, r *rng.Rand) ([]*Devi
 		if spec.Count <= 0 {
 			return nil, fmt.Errorf("device: coverage deployment needs a positive Count")
 		}
-		positions = coveragePositions(f, spec.Count, spec.WallOffset, r)
+		positions = coveragePositions(f, spec.Count, r)
 	case CheckPoint:
-		positions = checkpointPositions(f, spec.HotspotMinArea)
+		positions = checkpointPositions(f)
 		if spec.Count > 0 && len(positions) > spec.Count {
 			positions = positions[:spec.Count]
 		}
@@ -111,8 +100,8 @@ func Deploy(b *model.Building, floor int, spec DeploySpec, r *rng.Rand) ([]*Devi
 
 // coveragePositions implements the coverage model: candidate points along
 // partition walls, then farthest-point sampling for maximum separation.
-func coveragePositions(f *model.Floor, count int, wallOffset float64, r *rng.Rand) []geom.Point {
-	candidates := wallCandidates(f, wallOffset)
+func coveragePositions(f *model.Floor, count int, r *rng.Rand) []geom.Point {
+	candidates := wallCandidates(f)
 	if len(candidates) == 0 {
 		return nil
 	}
@@ -148,8 +137,11 @@ func coveragePositions(f *model.Floor, count int, wallOffset float64, r *rng.Ran
 
 // wallCandidates returns points along every partition boundary, pushed
 // slightly toward the partition interior (devices hang on walls).
-func wallCandidates(f *model.Floor, offset float64) []geom.Point {
-	const spacing = 4.0 // candidate every 4 m of wall
+func wallCandidates(f *model.Floor) []geom.Point {
+	const (
+		spacing    = 4.0 // candidate every 4 m of wall
+		wallOffset = 0.3 // devices sit this far (m) inside the wall
+	)
 	var out []geom.Point
 	for _, p := range f.Partitions {
 		center := p.Center()
@@ -159,7 +151,7 @@ func wallCandidates(f *model.Floor, offset float64) []geom.Point {
 				pt := e.At(float64(i) / float64(n))
 				// Push toward the partition center so the device sits inside.
 				dir := center.Sub(pt).Unit()
-				in := pt.Add(dir.Scale(offset))
+				in := pt.Add(dir.Scale(wallOffset))
 				if p.Contains(in) {
 					out = append(out, in)
 				}
@@ -170,10 +162,11 @@ func wallCandidates(f *model.Floor, offset float64) []geom.Point {
 }
 
 // checkpointPositions implements the check-point model: a device at every
-// door (room entrance) plus one at the center of each large partition
-// (hotspot). Results are ordered: doors first (by ID), then hotspots by
-// decreasing area.
-func checkpointPositions(f *model.Floor, hotspotMinArea float64) []geom.Point {
+// door (room entrance) plus one at the center of each partition of at least
+// hotspotMinArea (a hotspot). Results are ordered: doors first (by ID), then
+// hotspots by decreasing area.
+func checkpointPositions(f *model.Floor) []geom.Point {
+	const hotspotMinArea = 80 // m²
 	doors := append([]*model.Door(nil), f.Doors...)
 	sort.Slice(doors, func(i, j int) bool { return doors[i].ID < doors[j].ID })
 	var out []geom.Point

@@ -112,13 +112,17 @@ func TestCoverageRequiresCount(t *testing.T) {
 
 func TestCheckpointDeployment(t *testing.T) {
 	b := testBuilding(t)
-	devs, err := Deploy(b, 0, DeploySpec{Model: CheckPoint, Type: RFID, HotspotMinArea: 100}, rng.New(1))
+	devs, err := Deploy(b, 0, DeploySpec{Model: CheckPoint, Type: RFID}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two doors, plus hotspots for partitions >= 100 m² (R1=120, R2=120).
-	if len(devs) != 4 {
-		t.Fatalf("deployed %d, want 4 (2 doors + 2 hotspots)", len(devs))
+	// Two doors, plus hotspots for partitions >= 80 m² (R1=120, R2=120,
+	// HALL=96), largest first.
+	if len(devs) != 5 {
+		t.Fatalf("deployed %d, want 5 (2 doors + 3 hotspots)", len(devs))
+	}
+	if !devs[4].Position.Eq(geom.Pt(12, 12)) {
+		t.Errorf("last hotspot at %v, want the hallway center (12,12)", devs[4].Position)
 	}
 	// First devices sit exactly at the door positions.
 	if !devs[0].Position.Eq(geom.Pt(6, 10)) || !devs[1].Position.Eq(geom.Pt(18, 10)) {

@@ -147,13 +147,13 @@ func AblationDecomposition(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, _, err := ifc.Extract(f, ifc.DefaultExtractOptions())
+		b, _, err := ifc.Extract(f)
 		if err != nil {
 			return nil, err
 		}
 		opts := topo.DefaultOptions()
 		if !on {
-			opts.Decompose = nil
+			opts.Decompose = false
 		}
 		topology, err := topo.Build(b, opts)
 		if err != nil {
@@ -168,7 +168,7 @@ func AblationDecomposition(seed uint64) (*Table, error) {
 			if !ok {
 				continue
 			}
-			route, err := topology.Route(from, to, topo.MinDistance, topo.DefaultSpeedModel())
+			route, err := topology.Route(from, to, topo.MinDistance)
 			if err != nil {
 				continue
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -92,6 +93,57 @@ func TestE4ErrorGrowsWithPeriod(t *testing.T) {
 			t.Errorf("reconstruction error decreased with coarser sampling: %.3f after %.3f", mean, prev)
 		}
 		prev = mean
+	}
+}
+
+// TestE5MethodOrderAndNoise pins E5's claims at seeds 1, 7 and 42: at every
+// σ the mean error orders fingerprint < trilateration < proximity;
+// fingerprinting's mean error does not fall as σ rises; and proximity, which
+// reads only when a device heard an object and never the RSSI value, gives
+// the same row at every σ. Measured mean errors at σ 1 → 8: fingerprint
+// 1.99 → 2.67, 2.30 → 2.77, 2.08 → 2.73 m; trilateration 13.13 → 12.83,
+// 10.70 → 11.05, 10.39 → 10.87 m; proximity 16.82, 17.36, 16.31 m.
+func TestE5MethodOrderAndNoise(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42} {
+		tbl, err := E5Accuracy(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		methods := []string{"trilateration", "fingerprint", "proximity"}
+		if len(tbl.Rows)%len(methods) != 0 {
+			t.Fatalf("seed %d: %d rows, want whole groups of %d methods", seed, len(tbl.Rows), len(methods))
+		}
+		prevFP := math.Inf(-1)
+		var proximity []string // the first σ's proximity row, σ left out
+		for g := 0; g < len(tbl.Rows); g += len(methods) {
+			mean := map[string]float64{}
+			for i, m := range methods {
+				row := tbl.Rows[g+i]
+				if row[0] != m {
+					t.Fatalf("seed %d: row %d is %q, want %q", seed, g+i, row[0], m)
+				}
+				v, err := strconv.ParseFloat(row[3], 64)
+				if err != nil {
+					t.Fatalf("seed %d: unparsable mean error in row %q", seed, row)
+				}
+				mean[m] = v
+			}
+			sigma := tbl.Rows[g][1]
+			if !(mean["fingerprint"] < mean["trilateration"] && mean["trilateration"] < mean["proximity"]) {
+				t.Errorf("seed %d σ %s: mean errors fingerprint %.2f, trilateration %.2f, proximity %.2f; want them in increasing order",
+					seed, sigma, mean["fingerprint"], mean["trilateration"], mean["proximity"])
+			}
+			if mean["fingerprint"] < prevFP {
+				t.Errorf("seed %d σ %s: fingerprint mean error fell to %.2f from %.2f", seed, sigma, mean["fingerprint"], prevFP)
+			}
+			prevFP = mean["fingerprint"]
+			prox := append([]string{tbl.Rows[g+2][0]}, tbl.Rows[g+2][2:]...)
+			if proximity == nil {
+				proximity = prox
+			} else if !slices.Equal(prox, proximity) {
+				t.Errorf("seed %d σ %s: proximity row %q differs from σ %s's %q", seed, sigma, prox, tbl.Rows[2][1], proximity)
+			}
+		}
 	}
 }
 

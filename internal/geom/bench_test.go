@@ -17,7 +17,7 @@ func BenchmarkCrossings(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bld, _, err := ifc.Extract(f, ifc.DefaultExtractOptions())
+	bld, _, err := ifc.Extract(f)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -63,28 +63,23 @@ func (r *Report) Errors() []Issue {
 	return out
 }
 
-// ExtractOptions tune the repair pass.
-type ExtractOptions struct {
-	// SnapDoorDist is the maximum distance over which an off-boundary door is
-	// snapped to the nearest partition boundary. Doors farther than this are
-	// dropped with an error.
-	SnapDoorDist float64
-	// DefaultFloorHeight is used when a storey omits its height.
-	DefaultFloorHeight float64
-}
-
-// DefaultExtractOptions returns the defaults used by the toolkit.
-func DefaultExtractOptions() ExtractOptions {
-	return ExtractOptions{SnapDoorDist: 2.0, DefaultFloorHeight: 3.0}
-}
+// Repair-pass constants.
+const (
+	// snapDoorDist is the maximum distance (m) over which an off-boundary
+	// door is snapped to the nearest partition boundary. Doors farther than
+	// this are dropped with an error.
+	snapDoorDist = 2.0
+	// defaultFloorHeight (m) is used when a storey omits its height.
+	defaultFloorHeight = 3.0
+)
 
 // Extract converts a parsed STEP file into a model.Building, running the
 // error-identification and repair pass of paper §4.1. The returned report
 // lists every issue found; extraction succeeds as long as at least one valid
 // storey with one valid space remains.
-func Extract(f *File, opts ExtractOptions) (*model.Building, *Report, error) {
+func Extract(f *File) (*model.Building, *Report, error) {
 	rep := &Report{}
-	ex := &extractor{f: f, opts: opts, rep: rep}
+	ex := &extractor{f: f, rep: rep}
 	b, err := ex.run()
 	if err != nil {
 		return nil, rep, err
@@ -93,9 +88,8 @@ func Extract(f *File, opts ExtractOptions) (*model.Building, *Report, error) {
 }
 
 type extractor struct {
-	f    *File
-	opts ExtractOptions
-	rep  *Report
+	f   *File
+	rep *Report
 }
 
 func (ex *extractor) run() (*model.Building, error) {
@@ -115,8 +109,8 @@ func (ex *extractor) run() (*model.Building, error) {
 	for _, st := range ex.f.ByType("IFCBUILDINGSTOREY") {
 		// ('guid', #building, 'name', level, elevation[, height])
 		level := int(numArg(st.Args, 3, 0))
-		elev := numArg(st.Args, 4, float64(level)*ex.opts.DefaultFloorHeight)
-		height := numArg(st.Args, 5, ex.opts.DefaultFloorHeight)
+		elev := numArg(st.Args, 4, float64(level)*defaultFloorHeight)
+		height := numArg(st.Args, 5, defaultFloorHeight)
 		fl := model.NewFloor(level, elev, height)
 		fl.Name = stringArg(st.Args, 2, fmt.Sprintf("floor-%d", level))
 		if err := b.AddFloor(fl); err != nil {
@@ -236,7 +230,7 @@ func (ex *extractor) extractDoor(d *Instance, storeys map[int]*model.Floor) {
 		}
 	}
 	if bestDist > 0.2 {
-		if bestDist > ex.opts.SnapDoorDist {
+		if bestDist > snapDoorDist {
 			ex.rep.add(SevError, ent,
 				fmt.Sprintf("door %.2fm from any partition boundary; dropped", bestDist), false)
 			return

@@ -86,7 +86,7 @@ func TestExtractTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, rep, err := Extract(f, DefaultExtractOptions())
+	b, rep, err := Extract(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestExtractRepairsDuplicateVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, rep, err := Extract(f, DefaultExtractOptions())
+	b, rep, err := Extract(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestExtractDropsOffBoundaryDoor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, rep, err := Extract(f, DefaultExtractOptions())
+	b, rep, err := Extract(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestExtractSnapsNearbyDoor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Extract(f, DefaultExtractOptions())
+	b, _, err := Extract(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestExtractDropsSelfIntersectingSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Extract(f, DefaultExtractOptions()); err == nil {
+	if _, _, err := Extract(f); err == nil {
 		t.Error("extraction with zero valid spaces should fail")
 	}
 }
@@ -194,7 +194,7 @@ func TestExtractDanglingRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Extract(f, DefaultExtractOptions()); err == nil {
+	if _, _, err := Extract(f); err == nil {
 		t.Error("dangling polyline ref should kill the only space")
 	}
 }
@@ -213,7 +213,7 @@ func TestSyntheticBuildingsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			b, rep, err := Extract(f, DefaultExtractOptions())
+			b, rep, err := Extract(f)
 			if err != nil {
 				t.Fatalf("extract: %v", err)
 			}
@@ -226,7 +226,7 @@ func TestSyntheticBuildingsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("re-parse: %v", err)
 			}
-			b2, _, err := Extract(f2, DefaultExtractOptions())
+			b2, _, err := Extract(f2)
 			if err != nil {
 				t.Fatalf("re-extract: %v", err)
 			}

@@ -28,7 +28,7 @@ func TestQuickOfficeSpecsRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b2, rep, err := Extract(parsed, DefaultExtractOptions())
+		b2, rep, err := Extract(parsed)
 		if err != nil || len(rep.Errors()) != 0 {
 			return false
 		}

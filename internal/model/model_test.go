@@ -228,7 +228,7 @@ func TestSemanticsRules(t *testing.T) {
 	if err := b.AddFloor(f); err != nil {
 		t.Fatal(err)
 	}
-	n := ApplySemantics(b, DefaultSemanticRules(3, 60))
+	n := ApplySemantics(b, DefaultSemanticRules())
 	if n < 3 {
 		t.Errorf("ApplySemantics classified %d, want >= 3", n)
 	}

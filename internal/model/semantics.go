@@ -14,10 +14,16 @@ type SemanticRule struct {
 	Apply func(p *Partition, f *Floor) (PartitionKind, bool)
 }
 
+// The public-area rule's thresholds ("door connectivity and floorage"): at
+// least this many doors and this much floorage (m²).
+const (
+	minPublicDoors = 3
+	minPublicArea  = 60
+)
+
 // DefaultSemanticRules returns the paper's example rules plus a hallway
-// heuristic. minPublicDoors and minPublicArea parameterize the public-area
-// rule ("door connectivity and floorage").
-func DefaultSemanticRules(minPublicDoors int, minPublicArea float64) []SemanticRule {
+// heuristic.
+func DefaultSemanticRules() []SemanticRule {
 	return []SemanticRule{
 		{
 			Name: "canteen-by-name",

@@ -43,7 +43,8 @@ const (
 	ConstantWalk Behavior = iota
 	// WalkStay alternates between "walking along the path to its
 	// destination" and "staying at the destination or a location on path"
-	// after random periods of time.
+	// after random periods of time; here objects stay at their
+	// destinations.
 	WalkStay
 )
 
@@ -62,24 +63,16 @@ type Pattern struct {
 	Behavior  Behavior
 	// MinStay/MaxStay bound the random stay duration (seconds) of WalkStay.
 	MinStay, MaxStay float64
-	// MinWalk/MaxWalk bound the walking period (seconds) before WalkStay may
-	// pause mid-path; <= 0 means objects only stay at destinations.
-	MinWalk, MaxWalk float64
-	// SpeedJitter is the relative per-leg speed variation in [0,1): each leg
-	// walks at speed uniformly drawn from maxSpeed*(1±SpeedJitter)/... — see
-	// trajectory engine.
-	SpeedJitter float64
 }
 
 // DefaultPattern returns a destination-driven walk-stay pattern.
 func DefaultPattern() Pattern {
 	return Pattern{
-		Intention:   DestinationIntent,
-		Routing:     topo.MinDistance,
-		Behavior:    WalkStay,
-		MinStay:     10,
-		MaxStay:     120,
-		SpeedJitter: 0.2,
+		Intention: DestinationIntent,
+		Routing:   topo.MinDistance,
+		Behavior:  WalkStay,
+		MinStay:   10,
+		MaxStay:   120,
 	}
 }
 

@@ -17,7 +17,7 @@ func mallTopo(t testing.TB) *topo.Topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := ifc.Extract(f, ifc.DefaultExtractOptions())
+	b, _, err := ifc.Extract(f)
 	if err != nil {
 		t.Fatal(err)
 	}

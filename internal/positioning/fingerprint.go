@@ -28,9 +28,6 @@ type RadioMap struct {
 	Refs []RefPoint
 	// Devices lists the device IDs appearing in the map, sorted.
 	Devices []string
-	// MissingRSSI substitutes for devices unheard at a location (signal
-	// floor).
-	MissingRSSI float64
 }
 
 // RadioMapConfig configures radio map construction.
@@ -41,16 +38,15 @@ type RadioMapConfig struct {
 	Spacing float64
 	// Refs optionally gives explicit reference locations.
 	Refs []model.Location
-	// SurveySamples is how many site-survey samples are averaged per
-	// reference location.
-	SurveySamples int
 	// Model generates the survey measurements.
 	Model rssi.PathLossModel
-	// MissingRSSI is the floor value for unheard devices (default -100 dBm).
-	MissingRSSI float64
 	// Floors restricts the survey to these floors; empty = all floors.
 	Floors []int
 }
+
+// surveySamples is how many site-survey samples are averaged per reference
+// location.
+const surveySamples = 10
 
 // BuildRadioMap performs the offline phase: it selects reference locations
 // and simulates objects collecting fingerprints there (paper §3.3: "Vita
@@ -59,12 +55,6 @@ type RadioMapConfig struct {
 func BuildRadioMap(t *topo.Topology, devs []*device.Device, cfg RadioMapConfig, r *rng.Rand) (*RadioMap, error) {
 	if cfg.Spacing <= 0 {
 		cfg.Spacing = 4
-	}
-	if cfg.SurveySamples <= 0 {
-		cfg.SurveySamples = 10
-	}
-	if cfg.MissingRSSI == 0 {
-		cfg.MissingRSSI = -100
 	}
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
@@ -84,7 +74,7 @@ func BuildRadioMap(t *topo.Topology, devs []*device.Device, cfg RadioMapConfig, 
 		ids[d.ID] = true
 	}
 
-	rm := &RadioMap{MissingRSSI: cfg.MissingRSSI}
+	rm := &RadioMap{}
 	for id := range ids {
 		rm.Devices = append(rm.Devices, id)
 	}
@@ -106,12 +96,12 @@ func BuildRadioMap(t *topo.Topology, devs []*device.Device, cfg RadioMapConfig, 
 				crossings = t.Crossings(loc.Floor, d.Position, loc.Point)
 			}
 			var sum, sum2 float64
-			for s := 0; s < cfg.SurveySamples; s++ {
+			for s := 0; s < surveySamples; s++ {
 				v := cfg.Model.At(dist, crossings, d, r)
 				sum += v
 				sum2 += v * v
 			}
-			n := float64(cfg.SurveySamples)
+			n := float64(surveySamples)
 			mean := sum / n
 			variance := sum2/n - mean*mean
 			if variance < 0.25 {
@@ -449,9 +439,13 @@ func (fp *Fingerprinting) bayesWindow(ws *windows, slot, floor int, obs []readin
 	return pe, true
 }
 
+// missingRSSI (dBm) is the signal floor substituted for a device a window or
+// a reference location did not hear.
+const missingRSSI = -100.0
+
 // signalDistance is the Euclidean distance in signal space between the
 // window and reference i over the union of the devices either heard,
-// substituting MissingRSSI for unheard devices. It returns the distance and
+// substituting missingRSSI for unheard devices. It returns the distance and
 // the number of devices compared. Both loops run in ascending device-ID
 // order, so the float sum does not depend on map iteration order.
 func (fp *Fingerprinting) signalDistance(ws *windows, slot int, obs []reading, i int) (float64, int) {
@@ -459,7 +453,7 @@ func (fp *Fingerprinting) signalDistance(ws *windows, slot int, obs []reading, i
 	var sum float64
 	n := 0
 	for _, o := range obs {
-		mean := fp.rm.MissingRSSI
+		mean := missingRSSI
 		if o.rank >= 0 && fp.refHas[i*nd+o.rank] {
 			mean = fp.refMean[i*nd+o.rank]
 		}
@@ -472,7 +466,7 @@ func (fp *Fingerprinting) signalDistance(ws *windows, slot int, obs []reading, i
 		if heard[r] > 0 {
 			continue
 		}
-		d := fp.rm.MissingRSSI - fp.refMean[i*nd+r]
+		d := missingRSSI - fp.refMean[i*nd+r]
 		sum += d * d
 		n++
 	}
@@ -489,7 +483,7 @@ func (fp *Fingerprinting) logLikelihood(obs []reading, i int) (float64, int) {
 	var lp float64
 	n := 0
 	for _, o := range obs {
-		mean, sd := fp.rm.MissingRSSI, 5.0
+		mean, sd := missingRSSI, 5.0
 		if o.rank >= 0 && fp.refHas[i*nd+o.rank] {
 			mean, sd = fp.refMean[i*nd+o.rank], fp.refSD[i*nd+o.rank]
 		}

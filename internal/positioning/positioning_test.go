@@ -19,7 +19,7 @@ func officeTopo(t testing.TB) *topo.Topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := ifc.Extract(f, ifc.DefaultExtractOptions())
+	b, _, err := ifc.Extract(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestProximityIntervals(t *testing.T) {
 	props := device.DefaultProperties(device.RFID)
 	props.SampleInterval = 1
 	dev := &device.Device{ID: "r1", Type: device.RFID, Floor: 0, Props: props}
-	px, err := NewProximity([]*device.Device{dev}, ProximityConfig{})
+	px, err := NewProximity([]*device.Device{dev}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,25 +282,23 @@ func TestProximityIntervals(t *testing.T) {
 	if recs[0].Duration() != 3 {
 		t.Errorf("Duration = %v", recs[0].Duration())
 	}
-}
 
-func TestProximityRSSIThreshold(t *testing.T) {
-	dev := &device.Device{ID: "r1", Type: device.RFID, Floor: 0,
-		Props: device.DefaultProperties(device.RFID)}
-	px, err := NewProximity([]*device.Device{dev}, ProximityConfig{RSSIThreshold: -60})
+	// Measured at a 5 s override of the device's own 1 s interval, 5 s gaps
+	// stay inside one period and a 10 s gap ends it.
+	px, err = NewProximity([]*device.Device{dev}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := []rssi.Measurement{
-		{ObjID: 1, DeviceID: "r1", RSSI: -80, T: 0}, // below threshold
-		{ObjID: 1, DeviceID: "r1", RSSI: -50, T: 1},
+	ms = ms[:0]
+	for _, tm := range []float64{0, 5, 10, 20} {
+		ms = append(ms, rssi.Measurement{ObjID: 1, DeviceID: "r1", RSSI: -50, T: tm})
 	}
-	recs, err := px.Records(ms)
-	if err != nil {
+	if recs, err = px.Records(ms); err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].TS != 1 {
-		t.Errorf("threshold filter broken: %+v", recs)
+	want := []ProximityRecord{{ObjID: 1, DeviceID: "r1", TS: 0, TE: 10}, {ObjID: 1, DeviceID: "r1", TS: 20, TE: 20}}
+	if !reflect.DeepEqual(recs, want) {
+		t.Errorf("at a 5 s override got %+v, want %+v", recs, want)
 	}
 }
 
@@ -347,7 +345,7 @@ func TestWindowizeAveraging(t *testing.T) {
 func TestDuplicateDeviceIDsRejected(t *testing.T) {
 	d1 := &device.Device{ID: "same"}
 	d2 := &device.Device{ID: "same"}
-	if _, err := NewProximity([]*device.Device{d1, d2}, ProximityConfig{}); err == nil {
+	if _, err := NewProximity([]*device.Device{d1, d2}, 0); err == nil {
 		t.Error("duplicate device IDs accepted")
 	}
 }

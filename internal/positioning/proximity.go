@@ -7,45 +7,38 @@ import (
 	"vita/internal/rssi"
 )
 
-// ProximityConfig configures the proximity method. The paper notes proximity
-// "does not require any extra configurations since the positioning device's
-// detection range and frequency are already configured in the infrastructure
-// layer" (§3.3); the fields here only tune the thresholding details and have
-// working defaults.
-type ProximityConfig struct {
-	// RSSIThreshold drops measurements weaker than this before interval
-	// construction; 0 disables the filter (range gating already happened at
-	// RSSI generation).
-	RSSIThreshold float64
-	// GapFactor scales the device's sampling interval to decide when a
-	// detection period ends: a gap longer than GapFactor × interval means
-	// the object left the detection range ("the thresholding method" of
-	// §3.3). Default 1.5.
-	GapFactor float64
-}
+// gapFactor scales a device's sampling interval to decide when a detection
+// period ends: a gap longer than gapFactor × interval means the object left
+// the detection range ("the thresholding method" of §3.3).
+const gapFactor = 1.5
 
 // Proximity estimates symbolic relative locations: an object detected by a
-// device is collocated with it for the detection period (paper §3.3).
+// device is collocated with it for the detection period (paper §3.3). The
+// method "does not require any extra configurations since the positioning
+// device's detection range and frequency are already configured in the
+// infrastructure layer" (§3.3).
 type Proximity struct {
-	cfg  ProximityConfig
 	devs map[string]*device.Device
+	// interval, when > 0, is the sampling interval every device was
+	// measured at, overriding each device's own.
+	interval float64
 }
 
-// NewProximity builds the method for a deployment.
-func NewProximity(devs []*device.Device, cfg ProximityConfig) (*Proximity, error) {
+// NewProximity builds the method for a deployment. sampleInterval is the
+// interval the measurements were generated at when it overrode every
+// device's own (rssi.Config.SampleInterval); 0 means each device sampled at
+// its own.
+func NewProximity(devs []*device.Device, sampleInterval float64) (*Proximity, error) {
 	idx, err := deviceIndex(devs)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.GapFactor <= 0 {
-		cfg.GapFactor = 1.5
-	}
-	return &Proximity{cfg: cfg, devs: idx}, nil
+	return &Proximity{devs: idx, interval: sampleInterval}, nil
 }
 
 // Records converts raw RSSI measurements into proximity records
 // (o_id, d_id, ts, te). A detection period for an (object, device) pair ends
-// when no measurement arrives within one detection operation of the device.
+// when no measurement arrives within gapFactor sampling intervals.
 func (p *Proximity) Records(ms []rssi.Measurement) ([]ProximityRecord, error) {
 	type key struct {
 		obj int
@@ -53,9 +46,6 @@ func (p *Proximity) Records(ms []rssi.Measurement) ([]ProximityRecord, error) {
 	}
 	times := make(map[key][]float64)
 	for _, m := range ms {
-		if p.cfg.RSSIThreshold != 0 && m.RSSI < p.cfg.RSSIThreshold {
-			continue
-		}
 		k := key{obj: m.ObjID, dev: m.DeviceID}
 		times[k] = append(times[k], m.T)
 	}
@@ -74,10 +64,13 @@ func (p *Proximity) Records(ms []rssi.Measurement) ([]ProximityRecord, error) {
 	for _, k := range keys {
 		ts := times[k]
 		sort.Float64s(ts)
-		maxGap := 2.0 * p.cfg.GapFactor
-		if d, ok := p.devs[k.dev]; ok && d.Props.SampleInterval > 0 {
-			maxGap = d.Props.SampleInterval * p.cfg.GapFactor
+		interval := 2.0
+		if p.interval > 0 {
+			interval = p.interval
+		} else if d, ok := p.devs[k.dev]; ok && d.Props.SampleInterval > 0 {
+			interval = d.Props.SampleInterval
 		}
+		maxGap := interval * gapFactor
 		start := ts[0]
 		prev := ts[0]
 		for _, t := range ts[1:] {

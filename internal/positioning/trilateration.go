@@ -31,13 +31,16 @@ type TrilaterationConfig struct {
 	Convert ConversionFunc
 	// SampleInterval is the positioning sampling period (s).
 	SampleInterval float64
-	// MinDevices is the minimum circles required (>= 3 per §3.3).
-	MinDevices int
-	// MaxDevices caps how many of the strongest observations are used per
-	// window; weak, wall-attenuated signals invert to wildly inflated
-	// distances (default 6).
-	MaxDevices int
 }
+
+const (
+	// minDevices is the minimum circles a window needs (three per §3.3).
+	minDevices = 3
+	// maxDevices caps how many of the strongest observations are used per
+	// window; weak, wall-attenuated signals invert to wildly inflated
+	// distances.
+	maxDevices = 6
+)
 
 // Trilateration infers deterministic locations from the intersection of at
 // least three circles, each centered at a positioning device with radius the
@@ -75,12 +78,6 @@ func NewTrilateration(t *topo.Topology, devs []*device.Device, cfg Trilateration
 	if cfg.Convert == nil {
 		cfg.Convert = DefaultConversion(rssi.DefaultPathLossModel())
 	}
-	if cfg.MinDevices < 3 {
-		cfg.MinDevices = 3
-	}
-	if cfg.MaxDevices <= 0 {
-		cfg.MaxDevices = 6
-	}
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = 2
 	}
@@ -99,7 +96,7 @@ func NewTrilateration(t *topo.Topology, devs []*device.Device, cfg Trilateration
 }
 
 // Estimate processes raw RSSI measurements into positioning records. Windows
-// observed by fewer than MinDevices devices yield no estimate (the method
+// observed by fewer than minDevices devices yield no estimate (the method
 // needs three circles). A measurement of a device outside the deployment is
 // an error.
 func (tr *Trilateration) Estimate(ms []rssi.Measurement) ([]Estimate, error) {
@@ -144,7 +141,7 @@ func (tr *Trilateration) estimateWindow(ws *windows, slot int, counts []int, obs
 			best = fi
 		}
 	}
-	if counts[best] < tr.cfg.MinDevices {
+	if counts[best] < minDevices {
 		return Estimate{}, false
 	}
 	// Keep the strongest observations: weak signals invert to unreliable,
@@ -160,8 +157,8 @@ func (tr *Trilateration) estimateWindow(ws *windows, slot int, counts []int, obs
 			obs[i] = reading{rank: r, mean: m}
 		}
 	}
-	if len(obs) > tr.cfg.MaxDevices {
-		obs = obs[:tr.cfg.MaxDevices]
+	if len(obs) > maxDevices {
+		obs = obs[:maxDevices]
 	}
 
 	// Linearize against the first circle:

@@ -116,7 +116,7 @@ func oracleTrilaterateWindow(cfg TrilaterationConfig, t *topo.Topology, devs map
 			bestFloor, bestN = fl, len(ids)
 		}
 	}
-	if bestN < cfg.MinDevices {
+	if bestN < minDevices {
 		return Estimate{}, false, nil
 	}
 	ids := byFloor[bestFloor]
@@ -126,8 +126,8 @@ func oracleTrilaterateWindow(cfg TrilaterationConfig, t *topo.Topology, devs map
 		}
 		return ids[i] < ids[j]
 	})
-	if len(ids) > cfg.MaxDevices {
-		ids = ids[:cfg.MaxDevices]
+	if len(ids) > maxDevices {
+		ids = ids[:maxDevices]
 	}
 	type circle struct {
 		c geom.Point
@@ -318,7 +318,7 @@ func (fp *oracleFingerprint) signalDistance(obs map[string]float64, obsKeys []st
 		v := obs[id]
 		mean, ok := ref.Mean[id]
 		if !ok {
-			mean = fp.rm.MissingRSSI
+			mean = missingRSSI
 		}
 		d := v - mean
 		sum += d * d
@@ -328,7 +328,7 @@ func (fp *oracleFingerprint) signalDistance(obs map[string]float64, obsKeys []st
 		if _, ok := obs[id]; ok {
 			continue
 		}
-		d := fp.rm.MissingRSSI - ref.Mean[id]
+		d := missingRSSI - ref.Mean[id]
 		sum += d * d
 		n++
 	}
@@ -346,7 +346,7 @@ func (fp *oracleFingerprint) logLikelihood(obs map[string]float64, obsKeys []str
 		mean, ok := ref.Mean[id]
 		sd := ref.Stddev[id]
 		if !ok {
-			mean, sd = fp.rm.MissingRSSI, 5
+			mean, sd = missingRSSI, 5
 		}
 		if sd <= 0 {
 			sd = 1

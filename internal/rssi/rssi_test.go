@@ -20,7 +20,7 @@ func officeTopo(t testing.TB) *topo.Topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := ifc.Extract(f, ifc.DefaultExtractOptions())
+	b, _, err := ifc.Extract(f)
 	if err != nil {
 		t.Fatal(err)
 	}

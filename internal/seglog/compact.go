@@ -20,9 +20,6 @@ type CompactorOptions struct {
 	MinSegments int
 	// Block tunes the VTB encoding of the merged segment.
 	Block colstore.Options
-	// OnError receives errors from the background Run loop (nil = dropped).
-	// RunOnce returns errors directly and never calls it.
-	OnError func(error)
 }
 
 func (o CompactorOptions) withDefaults() CompactorOptions {
@@ -163,9 +160,9 @@ func mergeInto[T any, B colstore.RowBatch[T]](k *storage.Kind[B], paths []string
 	return storage.Copy(cur, w)
 }
 
-// Run compacts every interval until ctx is cancelled, reporting errors to
-// OnError and carrying on — a transient failure (disk full, say) should not
-// end background maintenance.
+// Run compacts every interval until ctx is cancelled. A failed merge is
+// logged and counted by RunOnce and the loop carries on — a transient
+// failure (disk full, say) should not end background maintenance.
 func (c *Compactor) Run(ctx context.Context, every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -174,9 +171,7 @@ func (c *Compactor) Run(ctx context.Context, every time.Duration) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			if _, err := c.RunOnce(); err != nil && c.opts.OnError != nil {
-				c.opts.OnError(err)
-			}
+			c.RunOnce()
 		}
 	}
 }

@@ -98,7 +98,7 @@ func TestSeriesHandOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := ifc.Extract(f, ifc.DefaultExtractOptions())
+	b, _, err := ifc.Extract(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,44 +8,33 @@ import (
 	"vita/internal/model"
 )
 
-// DecomposeOptions control the irregular-partition decomposition of §4.1:
-// "rooms or hallways with irregular shapes are decomposed into balanced,
-// smaller partitions according to their sizes and shapes".
-type DecomposeOptions struct {
-	// MaxArea splits any partition larger than this (m²). <= 0 disables the
-	// size criterion.
-	MaxArea float64
-	// MaxAspect splits any partition whose bounding-box aspect ratio exceeds
-	// this. <= 0 disables the shape criterion.
-	MaxAspect float64
-	// SplitNonConvex splits partitions with reflex vertices regardless of
-	// size.
-	SplitNonConvex bool
-	// MaxDepth bounds the recursion (a safety net for degenerate shapes).
-	MaxDepth int
-}
+// Limits of the irregular-partition decomposition besides its size
+// criterion, Options.MaxArea.
+const (
+	// maxAspect splits any partition whose bounding-box aspect ratio
+	// exceeds it.
+	maxAspect = 4
+	// maxDepth bounds the recursion (a safety net for degenerate shapes).
+	maxDepth = 8
+)
 
-// DefaultDecomposeOptions returns the defaults used by the toolkit.
-func DefaultDecomposeOptions() DecomposeOptions {
-	return DecomposeOptions{MaxArea: 120, MaxAspect: 4, SplitNonConvex: true, MaxDepth: 8}
-}
-
-// Decompose replaces every irregular partition of the building with balanced
-// sub-partitions, re-homes doors onto the resulting children, and inserts
-// pass-through virtual doors along each cut so routing across the original
-// space stays possible. It returns the number of partitions added (children
-// minus removed parents).
-func Decompose(b *model.Building, opts DecomposeOptions) (int, error) {
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 8
-	}
+// Decompose performs the irregular-partition decomposition of §4.1: "rooms
+// or hallways with irregular shapes are decomposed into balanced, smaller
+// partitions according to their sizes and shapes". It replaces every
+// partition larger than maxArea (m²; <= 0 disables the size criterion),
+// longer than maxAspect or with reflex vertices by balanced sub-partitions,
+// re-homes doors onto the resulting children, and inserts pass-through
+// virtual doors along each cut so routing across the original space stays
+// possible. It returns the number of partitions added (children minus
+// removed parents).
+func Decompose(b *model.Building, maxArea float64) (int, error) {
 	added := 0
 	for _, level := range b.FloorLevels() {
 		f := b.Floors[level]
 		// Snapshot: we mutate f.Partitions while iterating.
 		originals := append([]*model.Partition(nil), f.Partitions...)
 		for _, p := range originals {
-			n, err := decomposePartition(f, p, opts)
+			n, err := decomposePartition(f, p, maxArea)
 			if err != nil {
 				return added, err
 			}
@@ -55,31 +44,28 @@ func Decompose(b *model.Building, opts DecomposeOptions) (int, error) {
 	return added, nil
 }
 
-func needsSplit(poly geom.Polygon, opts DecomposeOptions, depth int) bool {
-	if depth >= opts.MaxDepth {
+func needsSplit(poly geom.Polygon, maxArea float64, depth int) bool {
+	if depth >= maxDepth {
 		return false
 	}
-	if opts.MaxArea > 0 && poly.Area() > opts.MaxArea {
+	if maxArea > 0 && poly.Area() > maxArea {
 		return true
 	}
-	if opts.MaxAspect > 0 && poly.AspectRatio() > opts.MaxAspect {
+	if poly.AspectRatio() > maxAspect {
 		return true
 	}
-	if opts.SplitNonConvex && !poly.IsConvex() {
-		return true
-	}
-	return false
+	return !poly.IsConvex()
 }
 
-func decomposePartition(f *model.Floor, p *model.Partition, opts DecomposeOptions) (int, error) {
-	if !needsSplit(p.Polygon, opts, 0) {
+func decomposePartition(f *model.Floor, p *model.Partition, maxArea float64) (int, error) {
+	if !needsSplit(p.Polygon, maxArea, 0) {
 		return 0, nil
 	}
 	parent := p.ID
 	if p.Parent != "" {
 		parent = p.Parent
 	}
-	pieces, cuts := splitRecursive(p.Polygon, opts, 0)
+	pieces, cuts := splitRecursive(p.Polygon, maxArea, 0)
 	if len(pieces) <= 1 {
 		return 0, nil
 	}
@@ -107,8 +93,8 @@ func decomposePartition(f *model.Floor, p *model.Partition, opts DecomposeOption
 
 // splitRecursive splits poly until balanced, returning the pieces and the cut
 // segments introduced.
-func splitRecursive(poly geom.Polygon, opts DecomposeOptions, depth int) ([]geom.Polygon, []geom.Segment) {
-	if !needsSplit(poly, opts, depth) {
+func splitRecursive(poly geom.Polygon, maxArea float64, depth int) ([]geom.Polygon, []geom.Segment) {
+	if !needsSplit(poly, maxArea, depth) {
 		return []geom.Polygon{poly}, nil
 	}
 	bb := poly.BBox()
@@ -126,8 +112,8 @@ func splitRecursive(poly geom.Polygon, opts DecomposeOptions, depth int) ([]geom
 		return []geom.Polygon{poly}, nil
 	}
 	cut := cutSegment(left, a, b)
-	lp, lc := splitRecursive(left, opts, depth+1)
-	rp, rc := splitRecursive(right, opts, depth+1)
+	lp, lc := splitRecursive(left, maxArea, depth+1)
+	rp, rc := splitRecursive(right, maxArea, depth+1)
 	pieces := append(lp, rp...)
 	cuts := append([]geom.Segment{cut}, append(lc, rc...)...)
 	return pieces, cuts

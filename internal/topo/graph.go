@@ -173,43 +173,28 @@ func stairLength(b *model.Building, s *model.Staircase) float64 {
 	return math.Hypot(horiz, dz) * 1.4
 }
 
-// SpeedModel maps partition kinds to walking-speed multipliers, realizing
-// minimum-walking-time routing where, e.g., open hallways are faster than
-// cluttered rooms.
-type SpeedModel struct {
-	// Base is the walking speed in m/s the multipliers scale.
-	Base float64
-	// Factor multiplies Base per partition kind; kinds absent default to 1.
-	Factor map[model.PartitionKind]float64
-}
+// baseSpeed is the base walking speed (m/s). speedFactor scales it per
+// partition kind, realizing minimum-walking-time routing where open hallways
+// are faster than crowded public areas and canteens; other kinds walk at
+// baseSpeed.
+const baseSpeed = 1.4
 
-// DefaultSpeedModel returns the toolkit default: 1.4 m/s base, faster in
-// hallways, slower in crowded public areas and canteens.
-func DefaultSpeedModel() SpeedModel {
-	return SpeedModel{
-		Base: 1.4,
-		Factor: map[model.PartitionKind]float64{
-			model.KindHallway:    1.25,
-			model.KindPublicArea: 0.8,
-			model.KindCanteen:    0.7,
-		},
-	}
+var speedFactor = map[model.PartitionKind]float64{
+	model.KindHallway:    1.25,
+	model.KindPublicArea: 0.8,
+	model.KindCanteen:    0.7,
 }
 
 // speedIn returns the effective speed inside the given partition.
-func (sm SpeedModel) speedIn(b *model.Building, floor int, partition string) float64 {
-	base := sm.Base
-	if base <= 0 {
-		base = 1.4
-	}
-	p, ok := b.Partition(floor, partition)
+func (t *Topology) speedIn(floor int, partition string) float64 {
+	p, ok := t.B.Partition(floor, partition)
 	if !ok {
-		return base
+		return baseSpeed
 	}
-	if f, ok := sm.Factor[p.Kind]; ok && f > 0 {
-		return base * f
+	if f, ok := speedFactor[p.Kind]; ok {
+		return baseSpeed * f
 	}
-	return base
+	return baseSpeed
 }
 
 // pqItem is a Dijkstra frontier entry.
@@ -232,9 +217,9 @@ func (p *pq) Pop() interface{} {
 	return it
 }
 
-// route runs Dijkstra from a source location to a target location over the
-// static graph plus two injected query nodes.
-func (t *Topology) route(from, to model.Location, metric Metric, sm SpeedModel) (*Route, error) {
+// Route computes a route between two locations under the given metric: it
+// runs Dijkstra over the static graph plus two injected query nodes.
+func (t *Topology) Route(from, to model.Location, metric Metric) (*Route, error) {
 	g := t.graph
 	fromPart, err := t.resolvePartition(from)
 	if err != nil {
@@ -248,7 +233,7 @@ func (t *Topology) route(from, to model.Location, metric Metric, sm SpeedModel) 
 	// Trivial same-partition route.
 	if from.Floor == to.Floor && fromPart == toPart {
 		d := from.Point.Dist(to.Point)
-		sp := sm.speedIn(t.B, from.Floor, fromPart)
+		sp := t.speedIn(from.Floor, fromPart)
 		return &Route{
 			Waypoints: []Waypoint{
 				{Floor: from.Floor, Point: from.Point, Partition: fromPart},
@@ -264,7 +249,7 @@ func (t *Topology) route(from, to model.Location, metric Metric, sm SpeedModel) 
 	total := n + 2
 
 	costOf := func(e edge, fromFloor int, fromPartition string) (cost, dist, tm float64) {
-		walkSpeed := sm.speedIn(t.B, fromFloor, fromPartition)
+		walkSpeed := t.speedIn(fromFloor, fromPartition)
 		dist = e.dist
 		if e.stair {
 			tm = e.time

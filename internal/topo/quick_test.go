@@ -15,14 +15,13 @@ import (
 func TestQuickRouteAtLeastEuclidean(t *testing.T) {
 	tp := officeTopo(t)
 	r := rng.New(99)
-	sm := DefaultSpeedModel()
 	f := func(seed uint64) bool {
 		rr := rng.New(seed ^ r.Uint64())
 		from, to, ok := randomPairSameBuilding(tp, rr)
 		if !ok {
 			return true
 		}
-		route, err := tp.Route(from, to, MinDistance, sm)
+		route, err := tp.Route(from, to, MinDistance)
 		if err != nil {
 			return true // disconnected pairs are fine
 		}
@@ -41,15 +40,14 @@ func TestQuickRouteAtLeastEuclidean(t *testing.T) {
 func TestQuickRouteSymmetry(t *testing.T) {
 	tp := officeTopo(t)
 	r := rng.New(123)
-	sm := DefaultSpeedModel()
 	f := func(seed uint64) bool {
 		rr := rng.New(seed ^ r.Uint64())
 		from, to, ok := randomPairSameBuilding(tp, rr)
 		if !ok {
 			return true
 		}
-		fwd, err1 := tp.Route(from, to, MinDistance, sm)
-		rev, err2 := tp.Route(to, from, MinDistance, sm)
+		fwd, err1 := tp.Route(from, to, MinDistance)
+		rev, err2 := tp.Route(to, from, MinDistance)
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
@@ -66,14 +64,13 @@ func TestQuickRouteSymmetry(t *testing.T) {
 func TestQuickRouteWaypointsConnected(t *testing.T) {
 	tp := officeTopo(t)
 	r := rng.New(7)
-	sm := DefaultSpeedModel()
 	f := func(seed uint64) bool {
 		rr := rng.New(seed ^ r.Uint64())
 		from, to, ok := randomPairSameBuilding(tp, rr)
 		if !ok {
 			return true
 		}
-		route, err := tp.Route(from, to, MinDistance, sm)
+		route, err := tp.Route(from, to, MinDistance)
 		if err != nil {
 			return true
 		}
@@ -106,7 +103,7 @@ func TestDecompositionPreservesArea(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := ifc.Extract(f, ifc.DefaultExtractOptions())
+		b, _, err := ifc.Extract(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +123,7 @@ func TestDecompositionPreservesArea(t *testing.T) {
 	if err := ConnectDoors(plain); err != nil {
 		t.Fatal(err)
 	}
-	added, err := Decompose(plain, DefaultDecomposeOptions())
+	added, err := Decompose(plain, DefaultOptions().MaxArea)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,23 +8,20 @@ import (
 	"vita/internal/model"
 )
 
-// Options configure topology construction.
+// Options configure topology construction: the two settings core.Config
+// exposes.
 type Options struct {
-	// Decompose enables irregular-partition decomposition with the given
-	// options; nil disables it.
-	Decompose *DecomposeOptions
-	// Semantics, when non-nil, runs semantic extraction after construction.
-	Semantics []model.SemanticRule
+	// Decompose enables irregular-partition decomposition.
+	Decompose bool
+	// MaxArea is decomposition's size criterion (m²): larger partitions are
+	// split.
+	MaxArea float64
 }
 
 // DefaultOptions returns the standard construction pipeline: decomposition
-// on, default semantic rules.
+// on, partitions over 120 m² split.
 func DefaultOptions() Options {
-	d := DefaultDecomposeOptions()
-	return Options{
-		Decompose: &d,
-		Semantics: model.DefaultSemanticRules(3, 60),
-	}
+	return Options{Decompose: true, MaxArea: 120}
 }
 
 // Topology wraps a building with its derived geometrical/topological
@@ -45,8 +42,8 @@ func Build(b *model.Building, opts Options) (*Topology, error) {
 	if err := ConnectDoors(b); err != nil {
 		return nil, err
 	}
-	if opts.Decompose != nil {
-		if _, err := Decompose(b, *opts.Decompose); err != nil {
+	if opts.Decompose {
+		if _, err := Decompose(b, opts.MaxArea); err != nil {
 			return nil, err
 		}
 		// Decomposition may have split the partitions a door touches;
@@ -60,9 +57,7 @@ func Build(b *model.Building, opts Options) (*Topology, error) {
 	if err := LinkStaircases(b); err != nil {
 		return nil, err
 	}
-	if opts.Semantics != nil {
-		model.ApplySemantics(b, opts.Semantics)
-	}
+	model.ApplySemantics(b, model.DefaultSemanticRules())
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
@@ -125,12 +120,6 @@ func (t *Topology) resolvePartition(loc model.Location) (string, error) {
 		return "", fmt.Errorf("topo: location %s lies in no partition", loc)
 	}
 	return p.ID, nil
-}
-
-// Route computes a route between two locations under the given metric and
-// speed model.
-func (t *Topology) Route(from, to model.Location, metric Metric, sm SpeedModel) (*Route, error) {
-	return t.route(from, to, metric, sm)
 }
 
 // GraphSize returns the number of nodes and directed edges of the

@@ -17,7 +17,7 @@ func officeTopo(t testing.TB) *Topology {
 	if err != nil {
 		t.Fatalf("parse office IFC: %v", err)
 	}
-	b, rep, err := ifc.Extract(f, ifc.DefaultExtractOptions())
+	b, rep, err := ifc.Extract(f)
 	if err != nil {
 		t.Fatalf("extract office: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestCrossFloorRoute(t *testing.T) {
 	topo := officeTopo(t)
 	from := model.At("office", 0, "", geom.Pt(4, 4))   // inside F0-S0 (canteen)
 	to := model.At("office", 1, "", geom.Pt(36, 18.5)) // inside F1-N4
-	r, err := topo.Route(from, to, MinDistance, DefaultSpeedModel())
+	r, err := topo.Route(from, to, MinDistance)
 	if err != nil {
 		t.Fatalf("route: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestSameFloorRouteDistanceSanity(t *testing.T) {
 	topo := officeTopo(t)
 	from := model.At("office", 0, "", geom.Pt(4, 4))
 	to := model.At("office", 0, "", geom.Pt(36, 4))
-	r, err := topo.Route(from, to, MinDistance, DefaultSpeedModel())
+	r, err := topo.Route(from, to, MinDistance)
 	if err != nil {
 		t.Fatalf("route: %v", err)
 	}
@@ -132,12 +132,11 @@ func TestMinTimePrefersFasterHallways(t *testing.T) {
 	topo := officeTopo(t)
 	from := model.At("office", 0, "", geom.Pt(4, 4))
 	to := model.At("office", 0, "", geom.Pt(36, 4))
-	sm := DefaultSpeedModel()
-	rd, err := topo.Route(from, to, MinDistance, sm)
+	rd, err := topo.Route(from, to, MinDistance)
 	if err != nil {
 		t.Fatalf("min-dist route: %v", err)
 	}
-	rt, err := topo.Route(from, to, MinTime, sm)
+	rt, err := topo.Route(from, to, MinTime)
 	if err != nil {
 		t.Fatalf("min-time route: %v", err)
 	}
@@ -151,7 +150,7 @@ func TestMinTimePrefersFasterHallways(t *testing.T) {
 
 func TestDecompositionBalances(t *testing.T) {
 	topo := officeTopo(t)
-	opts := DefaultDecomposeOptions()
+	opts := DefaultOptions()
 	for _, level := range topo.B.FloorLevels() {
 		for _, p := range topo.B.Floors[level].Partitions {
 			if opts.MaxArea > 0 && p.Polygon.Area() > opts.MaxArea+geom.Eps {
@@ -200,10 +199,10 @@ func TestDoorDirectionalityBlocks(t *testing.T) {
 	}
 	fromA := model.At("tiny", 0, "", geom.Pt(2, 2))
 	fromB := model.At("tiny", 0, "", geom.Pt(8, 2))
-	if _, err := topo.Route(fromA, fromB, MinDistance, DefaultSpeedModel()); err != nil {
+	if _, err := topo.Route(fromA, fromB, MinDistance); err != nil {
 		t.Errorf("A->B should be allowed: %v", err)
 	}
-	if _, err := topo.Route(fromB, fromA, MinDistance, DefaultSpeedModel()); err == nil {
+	if _, err := topo.Route(fromB, fromA, MinDistance); err == nil {
 		t.Errorf("B->A should be blocked by door directionality")
 	}
 }

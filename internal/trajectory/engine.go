@@ -42,8 +42,6 @@ type Config struct {
 	// paper lets users tune this so that "ground truth movements are
 	// preserved to an arbitrarily detailed degree".
 	SampleInterval float64
-	// Speed is the speed model used for routing and walking.
-	Speed topo.SpeedModel
 	// Parallelism is the number of workers that claim objects to simulate,
 	// the caller of Run included. 0 selects GOMAXPROCS; 1 simulates every
 	// object on the caller's goroutine. Any value produces identical output
@@ -126,9 +124,6 @@ func NewEngine(t *topo.Topology, sp *object.Spawner, cfg Config, r *rng.Rand) (*
 	}
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = 1.0
-	}
-	if cfg.Speed.Base <= 0 {
-		cfg.Speed = topo.DefaultSpeedModel()
 	}
 	e := &Engine{topo: t, spawner: sp, cfg: cfg, rnd: r}
 	for _, level := range t.B.FloorLevels() {
@@ -228,6 +223,10 @@ func (s *objectSim) advance(t, dt float64) {
 	}
 }
 
+// speedJitter is the relative per-leg speed variation: each leg walks at a
+// speed drawn uniformly from [1−speedJitter, 1] × the object's MaxSpeed.
+const speedJitter = 0.2
+
 // planRoute picks a destination per the object's intention and computes the
 // route. It reports whether a usable route was found.
 func (s *objectSim) planRoute() bool {
@@ -236,7 +235,7 @@ func (s *objectSim) planRoute() bool {
 	if !ok {
 		return false
 	}
-	r, err := s.eng.topo.Route(o.Loc, dest, o.Pattern.Routing, s.eng.cfg.Speed)
+	r, err := s.eng.topo.Route(o.Loc, dest, o.Pattern.Routing)
 	s.st.RoutesPlanned++
 	if err != nil || len(r.Waypoints) < 2 {
 		s.st.RouteFailures++
@@ -245,14 +244,7 @@ func (s *objectSim) planRoute() bool {
 	o.Route = r
 	o.LegIndex = 0
 	o.LegFrac = 0
-	jit := o.Pattern.SpeedJitter
-	if jit < 0 {
-		jit = 0
-	}
-	if jit > 0.9 {
-		jit = 0.9
-	}
-	o.LegSpeed = o.MaxSpeed * s.rnd.Range(1-jit, 1)
+	o.LegSpeed = o.MaxSpeed * s.rnd.Range(1-speedJitter, 1)
 	return true
 }
 
@@ -344,13 +336,6 @@ func (s *objectSim) walk(t, dt float64) {
 		} else {
 			o.Loc = model.At(o.Loc.Building, b.Floor, b.Partition, a.Point.Lerp(b.Point, o.LegFrac))
 		}
-	}
-	// Mid-path stop for walk-stay behavior.
-	if o.Pattern.Behavior == object.WalkStay && o.Pattern.MinWalk > 0 &&
-		o.Route != nil && s.rnd.Bool(dt/maxf(o.Pattern.MaxWalk, 1)) {
-		o.Phase = object.PhaseStaying
-		o.StayUntil = t + s.rnd.Range(o.Pattern.MinStay, o.Pattern.MaxStay)
-		// Resume the same route after the stay.
 	}
 }
 

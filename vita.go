@@ -195,7 +195,7 @@ func OpenQueryDataset(dir string, cfg QueryServeConfig) (*QueryDataset, error) {
 // analytic end to end.
 
 // QueryPlan is a logical operator tree; chain Filter/Project/TimeBucket/
-// Derive/Aggregate/OrderBy/Limit/Join and Compile to execute.
+// Derive/Aggregate/OrderBy/Limit/SnapshotAt and Compile to execute.
 type QueryPlan = plan.Plan
 
 // CompiledPlan is an executable plan; drive it with Next/Batch or hand it to
@@ -205,8 +205,7 @@ type CompiledPlan = plan.Compiled
 // PlanPred is one filter predicate (see TimeBetween, OnFloor, InBox).
 type PlanPred = plan.Pred
 
-// PlanCol names one trajectory column in projections, group-bys, sorts and
-// join keys.
+// PlanCol names one trajectory column in projections, group-bys and sorts.
 type PlanCol = plan.Col
 
 // Trajectory columns used by the algebra example, plus the plan-computed
