@@ -432,7 +432,7 @@ func BenchmarkVTBScanFull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := colstore.NewTrajectoryReader(bytes.NewReader(vtb), int64(len(vtb)))
+		r, err := colstore.NewTrajectoryReader(vtb)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -458,7 +458,7 @@ func BenchmarkVTBScanPruned(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := colstore.NewTrajectoryReader(bytes.NewReader(vtb), int64(len(vtb)))
+		r, err := colstore.NewTrajectoryReader(vtb)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -652,7 +652,7 @@ func BenchmarkColdStartQuery(b *testing.B) {
 		b.SetBytes(int64(len(csvBytes)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cur, _, err := storage.OpenCursor(storage.Trajectory, path, pred, colstore.OpenOptions{})
+			cur, _, err := storage.OpenCursor(storage.Trajectory, path, pred)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -663,7 +663,7 @@ func BenchmarkColdStartQuery(b *testing.B) {
 		b.SetBytes(int64(len(vtb)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r, err := colstore.NewTrajectoryReader(bytes.NewReader(vtb), int64(len(vtb)))
+			r, err := colstore.NewTrajectoryReader(vtb)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -673,8 +673,7 @@ func BenchmarkColdStartQuery(b *testing.B) {
 }
 
 // vtbBenchFile persists the shared benchmark dataset as a VTB file on disk
-// for the file-backed (mmap vs pread) benchmarks, returning the path and the
-// row count.
+// for the file-backed benchmarks, returning the path and the row count.
 func vtbBenchFile(b *testing.B, opts colstore.Options) (string, int) {
 	b.Helper()
 	samples := benchSamples(b)
@@ -696,88 +695,6 @@ func vtbBenchFile(b *testing.B, opts colstore.Options) (string, int) {
 		b.Fatal(err)
 	}
 	return path, len(samples)
-}
-
-// BenchmarkVTBScanMmapVsReaderAt is the acceptance gate for the zero-copy
-// reader: a full scan of a memory-mapped file must not be slower than the
-// same scan through io.ReaderAt preads. The file is written uncompressed so
-// the comparison isolates the I/O path — raw-codec blocks decode straight
-// out of the mapped page-cache region with zero copies, while the pread path
-// must issue two syscalls and one payload copy per block. Both sides are
-// timed as the minimum over several runs (page cache warm for both), with a
-// 10% noise allowance on the gate.
-func BenchmarkVTBScanMmapVsReaderAt(b *testing.B) {
-	path, n := vtbBenchFile(b, colstore.Options{BlockSize: 1024, Codec: colstore.CodecRaw})
-	mm, err := colstore.OpenTrajectory(path, colstore.OpenOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mm.Close()
-	// The pread reader: an io.ReaderAt over the file, the path colstore takes
-	// where mapping is unavailable.
-	f, err := os.Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pr, err := colstore.NewTrajectoryReader(f, st.Size())
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	scan := func(r *colstore.TrajectoryReader) time.Duration {
-		start := time.Now()
-		rows := 0
-		cur := r.Cursor(colstore.Predicate{})
-		for cur.Next() {
-			rows += cur.Batch().Len()
-		}
-		if err := cur.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if rows != n {
-			b.Fatalf("scanned %d rows, want %d", rows, n)
-		}
-		return time.Since(start)
-	}
-	minOver := func(r *colstore.TrajectoryReader, reps int) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			if d := scan(r); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	scan(mm) // warm the page cache and decode pools
-	scan(pr)
-
-	for _, side := range []struct {
-		name string
-		r    *colstore.TrajectoryReader
-	}{{"mmap", mm}, {"readerat", pr}} {
-		b.Run(side.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				scan(side.r)
-			}
-			b.ReportMetric(float64(n), "rows/op")
-		})
-	}
-
-	if !mm.Mmapped() {
-		return // platform without mmap: nothing to gate
-	}
-	mmD := minOver(mm, 9)
-	prD := minOver(pr, 9)
-	b.ReportMetric(float64(prD)/float64(mmD), "readerat/mmap")
-	if float64(mmD) > 1.1*float64(prD) {
-		b.Fatalf("mmap scan is slower than ReaderAt: mmap %v vs readerat %v", mmD, prD)
-	}
 }
 
 // BenchmarkVTBScanAllocs is the acceptance gate for the allocation-light
@@ -826,7 +743,7 @@ func BenchmarkVTBScanAllocs(b *testing.B) {
 			if path == "" {
 				path, _ = vtbBenchFile(b, tc.opts)
 			}
-			r, err := colstore.OpenTrajectory(path, colstore.OpenOptions{})
+			r, err := colstore.OpenTrajectory(path)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -875,7 +792,7 @@ func BenchmarkVTBScanAllocs(b *testing.B) {
 // can show up as a latency cliff in serving.
 func BenchmarkVTBScanCompressedAllocs(b *testing.B) {
 	path, n := vtbBenchFile(b, colstore.Options{BlockSize: 1024, Codec: colstore.CodecVSnap})
-	r, err := colstore.OpenTrajectory(path, colstore.OpenOptions{})
+	r, err := colstore.OpenTrajectory(path)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -924,7 +841,7 @@ func (s benchReaderSource) Open(pred colstore.Predicate) (storage.TrajectoryCurs
 // work. Both gates fail the build on regression.
 func BenchmarkPlanTraceOverhead(b *testing.B) {
 	path, _ := vtbBenchFile(b, colstore.Options{BlockSize: 1024, Codec: colstore.CodecRaw})
-	r, err := colstore.OpenTrajectory(path, colstore.OpenOptions{})
+	r, err := colstore.OpenTrajectory(path)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -52,6 +52,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	ist, err := os.Stat(*in)
+	if err != nil {
+		return err
+	}
+	// Creating the output truncates it, so converting a file onto itself
+	// would destroy the input before a row of it is read.
+	if ost, err := os.Stat(*out); err == nil && os.SameFile(ist, ost) {
+		return fmt.Errorf("-in %s and -out %s are the same file", *in, *out)
+	}
 	kind, err := detectKind(*in)
 	if err != nil {
 		return err
@@ -92,9 +101,7 @@ func run() error {
 		return err
 	}
 
-	ist, _ := os.Stat(*in)
-	ost, _ := os.Stat(*out)
-	if ist != nil && ost != nil {
+	if ost, _ := os.Stat(*out); ost != nil {
 		fmt.Printf("%s: %d %s rows, %d -> %d bytes (%.0f%%)\n",
 			filepath.Base(*out), rows, kind, ist.Size(), ost.Size(),
 			100*float64(ost.Size())/float64(ist.Size()))
@@ -147,7 +154,7 @@ func detectKind(path string) (colstore.Kind, error) {
 // the output writer, so conversion runs in O(block) memory however large the
 // file is, and stops reading the moment the output fails.
 func convert[T any, B colstore.RowBatch[T]](k *storage.Kind[B], in string, w storage.RowWriter[T]) (int, error) {
-	cur, _, err := storage.OpenCursor(k, in, colstore.Predicate{}, colstore.OpenOptions{})
+	cur, _, err := storage.OpenCursor(k, in, colstore.Predicate{})
 	if err != nil {
 		return 0, err
 	}

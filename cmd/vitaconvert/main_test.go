@@ -57,7 +57,7 @@ func writeVTB(t *testing.T, path string, samples []trajectory.Sample, opts colst
 // through storage.OpenCursor, which must detect want as its format.
 func readTrajectory(t *testing.T, path string, want storage.Format) []trajectory.Sample {
 	t.Helper()
-	cur, format, err := storage.OpenCursor(storage.Trajectory, path, colstore.Predicate{}, colstore.OpenOptions{})
+	cur, format, err := storage.OpenCursor(storage.Trajectory, path, colstore.Predicate{})
 	if err != nil || format != want {
 		t.Fatalf("read %s: format %q (want %q), err %v", path, format, want, err)
 	}
@@ -141,5 +141,39 @@ func TestRecompressRoundTrip(t *testing.T) {
 			t.Fatalf("convert %s: %v", kind, err)
 		}
 		sameFile(t, csv, filepath.Join(flateDir, kind+".csv"))
+	}
+}
+
+// TestSameFileRefused pins that converting a file onto itself — named the
+// same way, spelled another way, or through a symlink — fails before the
+// output is created, for both input formats, and leaves the input
+// byte-identical.
+func TestSameFileRefused(t *testing.T) {
+	t.Chdir(t.TempDir())
+	writeVTB(t, "x.vtb", makeSamples(), colstore.Options{})
+	if err := runConvert("-in", "x.vtb", "-out", "x.csv"); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{"x.vtb", "x.csv"} {
+		want, err := os.ReadFile(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		link := "link" + filepath.Ext(in)
+		if err := os.Symlink(in, link); err != nil {
+			t.Fatal(err)
+		}
+		for _, out := range []string{in, "./" + in, link} {
+			if err := runConvert("-in", in, "-out", out); err == nil {
+				t.Errorf("-in %s -out %s succeeded", in, out)
+			}
+			got, err := os.ReadFile(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("-in %s -out %s left %d of its %d bytes", in, out, len(got), len(want))
+			}
+		}
 	}
 }

@@ -139,6 +139,7 @@ func run() error {
 	}
 	fmt.Printf("devices         %d\n", len(ds.Devices))
 	fmt.Printf("trajectory rows %d (objects spawned %d)\n", ds.Trajectories.Len(), ds.TrajectoryStats.Spawned)
+	fmt.Printf("routes          %d planned, %d failed\n", ds.TrajectoryStats.RoutesPlanned, ds.TrajectoryStats.RouteFailures)
 	fmt.Printf("rssi rows       %d\n", ds.RSSICount)
 	fmt.Printf("estimates       %d\n", len(ds.Estimates))
 	fmt.Printf("prob estimates  %d\n", len(ds.ProbEstimates))

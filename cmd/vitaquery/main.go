@@ -16,9 +16,10 @@
 // prunes by window+floor+box, traj by object+window, dwell by window+floor,
 // knn/density by the window widened by -maxgap), so zone maps skip blocks
 // before anything is decoded. VTB files are memory-mapped where the platform
-// allows and stream a small window of blocks at a time; the stderr
-// line reports the blocks read and the most bytes one window decoded. A CSV
-// file is re-encoded as in-memory blocks once, at open.
+// allows (read into memory whole elsewhere) and stream a small window of
+// blocks at a time; the stderr line reports the blocks read and the most
+// bytes one window decoded. A CSV file is re-encoded as in-memory blocks
+// once, at open.
 //
 // Every subcommand is an operator of serve.Operators, run the same way
 // locally and with -server URL (a running vitaserve daemon): its flags are

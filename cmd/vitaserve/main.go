@@ -17,11 +17,12 @@
 //	GET /metricsz
 //	GET /debug/pprof/*   (only with -pprof)
 //
-// VTB files are memory-mapped where the platform allows, so cache-miss block
-// decodes read straight from the OS page cache. -pprof mounts the standard
-// profiling endpoints for profiling the daemon in place and turns on
-// block/mutex profiling at sane sampling defaults (-block-profile-rate,
-// -mutex-profile-fraction tune or disable them).
+// VTB files are memory-mapped where the platform allows (read into memory
+// whole elsewhere), so cache-miss block decodes read straight from memory
+// with no read syscall. -pprof mounts the standard profiling endpoints for
+// profiling the daemon in place and turns on block/mutex profiling at sane
+// sampling defaults (-block-profile-rate, -mutex-profile-fraction tune or
+// disable them).
 //
 // Live datasets: when -data holds a segment log (vitagen -segment-mb/-rows
 // output, or the log directory itself), the daemon polls the manifest every
@@ -112,21 +113,17 @@ func run() error {
 		return err
 	}
 	// No deferred Close: the dataset is closed only after a clean drain.
-	// Closing an mmap-backed dataset unmaps its file region, so doing it
-	// while a timed-out drain leaves handlers mid-scan would fault them;
-	// on the error path the process exits and the OS reclaims the mapping.
+	// Closing a dataset unmaps its mapped files, so doing it while a
+	// timed-out drain leaves handlers mid-scan would fault them; on the
+	// error path the process exits and the OS reclaims the mapping.
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	access := "pread"
-	if ds.Mmapped() {
-		access = "mmap"
-	}
 	b := obs.Build()
 	slog.Info("serving",
-		"path", ds.Path(), "format", string(ds.Format()), "access", access,
+		"path", ds.Path(), "format", string(ds.Format()),
 		"samples", ds.Len(), "blocks", ds.Blocks(),
 		"addr", "http://"+l.Addr().String(),
 		"version", b.Version, "commit", b.Commit)

@@ -246,14 +246,6 @@ func (b *RSSIBatch) Append(m rssi.Measurement) {
 	b.T = append(b.T, m.T)
 }
 
-// AppendTo appends every row to dst as Measurements and returns it.
-func (b *RSSIBatch) AppendTo(dst []rssi.Measurement) []rssi.Measurement {
-	for i := 0; i < b.Len(); i++ {
-		dst = append(dst, b.Row(i))
-	}
-	return dst
-}
-
 // AppendRows bulk-appends rows [lo, hi) of src, one copy per column.
 func (b *RSSIBatch) AppendRows(src *RSSIBatch, lo, hi int) {
 	b.ObjID = append(b.ObjID, src.ObjID[lo:hi]...)

@@ -106,7 +106,7 @@ func TestCodecParityRSSI(t *testing.T) {
 		})
 	}
 	open := func(data []byte) *RSSIReader {
-		r, err := newRSSIReader(bytes.NewReader(data), int64(len(data)))
+		r, err := newRSSIReader(data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,10 +49,10 @@
 //
 // The two record kinds share one implementation, generic over the kind's
 // column batch (*TrajectoryBatch, *RSSIBatch): Writer encodes rows into
-// blocks; Reader opens a file (memory-mapped by default) and hands out
-// Cursor — the one scan path, one decoded batch per surviving block — and
-// DecodeBlock, the block-cache entry point. TrajectoryReader, RSSICursor and
-// the like are aliases of the instantiations. Only what differs stays per
+// blocks; Reader slices one byte region holding the whole file (mapped where
+// the platform allows) and hands out Cursor — the one scan path, one decoded
+// batch per surviving block — and DecodeBlock, the block-cache entry point.
+// TrajectoryReader and RSSIReader are aliases of the instantiations. Only what differs stays per
 // kind: the batch struct, its column decode, its select kernel, and the
 // writer's encode + zone map.
 package colstore

@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"os"
 	"testing"
@@ -87,10 +86,10 @@ func drain[T any, B RowBatch[T]](c *Cursor[B]) ([]T, ScanStats, error) {
 	return out, stats, c.Close()
 }
 
-// newRSSIReader opens an RSSI VTB image held in r, as NewTrajectoryReader
-// does a trajectory one.
-func newRSSIReader(r io.ReaderAt, size int64) (*RSSIReader, error) {
-	return rssiOps.reader(openReader(r, size, KindRSSI))
+// newRSSIReader reads an RSSI VTB image held in memory, as
+// NewTrajectoryReader does a trajectory one.
+func newRSSIReader(img []byte) (*RSSIReader, error) {
+	return rssiOps.reader(openReader(img, KindRSSI))
 }
 
 // timeWindow returns a predicate matching rows with t in [t0, t1].
@@ -100,7 +99,7 @@ func timeWindow(t0, t1 float64) Predicate {
 
 func readTrajectory(t *testing.T, data []byte) *TrajectoryReader {
 	t.Helper()
-	r, err := NewTrajectoryReader(bytes.NewReader(data), int64(len(data)))
+	r, err := NewTrajectoryReader(data)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -150,7 +149,7 @@ func TestRSSIRoundTripLossless(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := newRSSIReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	r, err := newRSSIReader(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +271,7 @@ func TestEmptyFile(t *testing.T) {
 
 func TestKindMismatch(t *testing.T) {
 	data := writeTrajectory(t, gridSamples(2, 10), Options{})
-	if _, err := newRSSIReader(bytes.NewReader(data), int64(len(data))); err == nil {
+	if _, err := newRSSIReader(data); err == nil {
 		t.Fatal("opening a trajectory file as RSSI succeeded")
 	}
 }
@@ -288,7 +287,7 @@ func TestCorruptInputs(t *testing.T) {
 			'n', 'o', 'p', 'e'),
 	}
 	for name, b := range cases {
-		if _, err := NewTrajectoryReader(bytes.NewReader(b), int64(len(b))); err == nil {
+		if _, err := NewTrajectoryReader(b); err == nil {
 			t.Errorf("%s: open succeeded, want error", name)
 		}
 	}
@@ -298,7 +297,7 @@ func TestCorruptInputs(t *testing.T) {
 	for i := headerSize + 12; i < headerSize+40 && i < len(mangled); i++ {
 		mangled[i] ^= 0xff
 	}
-	r, err := NewTrajectoryReader(bytes.NewReader(mangled), int64(len(mangled)))
+	r, err := NewTrajectoryReader(mangled)
 	if err != nil {
 		return // corruption already caught at open: fine
 	}

@@ -34,12 +34,6 @@ type Cursor[B Batch] struct {
 	closed bool
 }
 
-// TrajectoryCursor and RSSICursor are the two instantiations of Cursor.
-type (
-	TrajectoryCursor = Cursor[*TrajectoryBatch]
-	RSSICursor       = Cursor[*RSSIBatch]
-)
-
 // kindOps is what genuinely differs between the two row kinds on the read
 // path; Reader and Cursor are written once against it.
 type kindOps[B Batch] struct {

@@ -180,8 +180,8 @@ func (c *vsnapCompressor) compress(raw []byte) ([]byte, byte, error) {
 
 // decompressInto reverses a blockCompressor, dispatching on the per-block
 // codec byte and validating the declared raw size. Raw blocks come back as
-// the stored slice itself (zero-copy — on an mmap-backed reader that is a
-// window straight into the page cache); vsnap blocks decode into the
+// the stored slice itself (zero-copy — a window straight into the reader's
+// region, the page cache when the file is mapped); vsnap blocks decode into the
 // scratch's reused output buffer with no allocations; flate blocks — what
 // every VTB writer produced before vsnap, still read but no longer written —
 // inflate through the scratch's pooled decompressor (stdlib flate still

@@ -70,7 +70,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(flateFixture(f, "trajectory.vtb"))
 	f.Add([]byte("VTB1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewTrajectoryReader(bytes.NewReader(data), int64(len(data)))
+		r, err := NewTrajectoryReader(data)
 		if err != nil {
 			return
 		}

@@ -7,12 +7,8 @@ import (
 	"os"
 )
 
-// mmapAvailable reports whether this build can memory-map VTB files. On
-// platforms without a wired-up mmap, every open silently degrades to the
-// io.ReaderAt path — same bytes, same results, pread copies instead of
-// page-cache windows.
-const mmapAvailable = false
-
-func mmapFile(f *os.File, size int64) ([]byte, func() error, error) {
+// mmapFile always fails on platforms without a wired-up mmap, so openPath
+// reads every VTB file into memory whole — same bytes, same results.
+func mmapFile(f *os.File, size int) ([]byte, func() error, error) {
 	return nil, nil, errors.New("colstore: mmap unavailable on this platform")
 }

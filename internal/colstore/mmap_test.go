@@ -19,37 +19,29 @@ func writeTrajectoryFile(t *testing.T, samples []trajectory.Sample, opts Options
 	return path
 }
 
-// preadFile opens path for a pread-backed reader (NewTrajectoryReader or
-// newRSSIReader over the *os.File), which does not own the file; the test's
-// cleanup closes it.
-func preadFile(t *testing.T, path string) (*os.File, int64) {
+// readImage returns the bytes of the file at path, for the in-memory image
+// arm (NewTrajectoryReader or newRSSIReader over them).
+func readImage(t *testing.T, path string) []byte {
 	t.Helper()
-	f, err := os.Open(path)
+	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { f.Close() })
-	st, err := f.Stat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f, st.Size()
+	return img
 }
 
-// openTrajectoryBoth opens path on both read paths: OpenTrajectory (mapped
-// where the platform allows) and a pread reader over the file.
+// openTrajectoryBoth opens path both ways: OpenTrajectory (mapped where the
+// platform allows) and NewTrajectoryReader over the file's bytes.
 func openTrajectoryBoth(t *testing.T, path string) map[string]func() (*TrajectoryReader, error) {
 	return map[string]func() (*TrajectoryReader, error){
-		"mmap": func() (*TrajectoryReader, error) { return OpenTrajectory(path, OpenOptions{}) },
-		"pread": func() (*TrajectoryReader, error) {
-			f, size := preadFile(t, path)
-			return NewTrajectoryReader(f, size)
-		},
+		"mmap":  func() (*TrajectoryReader, error) { return OpenTrajectory(path) },
+		"image": func() (*TrajectoryReader, error) { return NewTrajectoryReader(readImage(t, path)) },
 	}
 }
 
-// TestMmapMatchesReaderAt opens the same file mmap-backed and pread-backed
-// and requires bit-identical rows and identical stats from both.
+// TestMmapMatchesReaderAt opens the same file mapped and as an in-memory
+// image of its bytes and requires bit-identical rows and identical stats
+// from both.
 func TestMmapMatchesReaderAt(t *testing.T) {
 	samples := gridSamples(8, 500)
 	// Small blocks without compression maximize the zero-copy raw-codec
@@ -57,27 +49,19 @@ func TestMmapMatchesReaderAt(t *testing.T) {
 	for _, opts := range []Options{{BlockSize: 128, Codec: CodecRaw}, {BlockSize: 128}} {
 		path := writeTrajectoryFile(t, samples, opts)
 
-		mm, err := OpenTrajectory(path, OpenOptions{})
+		mm, err := OpenTrajectory(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer mm.Close()
-		f, size := preadFile(t, path)
-		pr, err := NewTrajectoryReader(f, size)
+		im, err := NewTrajectoryReader(readImage(t, path))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer pr.Close()
-
-		if mm.Mmapped() != mmapAvailable {
-			t.Errorf("default open: Mmapped() = %v, platform support = %v", mm.Mmapped(), mmapAvailable)
-		}
-		if pr.Mmapped() {
-			t.Error("a reader over an *os.File reports Mmapped()")
-		}
+		defer im.Close()
 
 		pred := timeWindow(50, 220)
-		want, wantStats, err := drain(pr.Cursor(pred))
+		want, wantStats, err := drain(im.Cursor(pred))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,21 +73,21 @@ func TestMmapMatchesReaderAt(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gotStats != wantStats {
-			t.Errorf("stats differ: mmap %+v, pread %+v", gotStats, wantStats)
+			t.Errorf("stats differ: mmap %+v, image %+v", gotStats, wantStats)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("mmap scan yielded %d rows, pread %d", len(got), len(want))
+			t.Fatalf("mmap scan yielded %d rows, image %d", len(got), len(want))
 		}
 		for i := range got {
 			if !sampleEqual(got[i], want[i]) {
-				t.Fatalf("row %d differs between mmap and pread", i)
+				t.Fatalf("row %d differs between mmap and image", i)
 			}
 		}
 	}
 }
 
-// TestScanAfterClose pins the unmap-after-close contract: operations that
-// would touch the (now unmapped) region fail with an error instead of
+// TestScanAfterClose pins the release-on-close contract: operations that
+// would touch the (now released) region fail with an error instead of
 // crashing, on both open paths; data decoded before Close stays valid.
 func TestScanAfterClose(t *testing.T) {
 	samples := gridSamples(4, 300)
@@ -186,10 +170,9 @@ func TestOpenBadFiles(t *testing.T) {
 	}
 	// Wrong kind must fail on both paths too.
 	goodPath := write("good.vtb", good)
-	f, size := preadFile(t, goodPath)
 	for arm, open := range map[string]func() (*RSSIReader, error){
-		"mmap":  func() (*RSSIReader, error) { return OpenRSSI(goodPath, OpenOptions{}) },
-		"pread": func() (*RSSIReader, error) { return newRSSIReader(f, size) },
+		"mmap":  func() (*RSSIReader, error) { return OpenRSSI(goodPath) },
+		"image": func() (*RSSIReader, error) { return newRSSIReader(good) },
 	} {
 		if r, err := open(); err == nil {
 			r.Close()

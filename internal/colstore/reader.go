@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -19,43 +18,24 @@ import (
 // and block fetch + decompression. Reader layers a kind's column decode and
 // predicate evaluation on top.
 //
-// A reader is backed either by a memory-mapped file (data non-nil; block
-// fetch slices the page-cache-backed region with no syscalls or copies) or
-// by a plain io.ReaderAt (block fetch preads into the caller's scratch).
+// A reader slices one byte region holding the whole file: a memory-mapped
+// file, the file read into memory where mapping is unavailable, or an
+// in-memory image. Header, footer and block frames are all windows into it.
 type reader struct {
-	r       io.ReaderAt
-	size    int64
+	data    []byte
+	release func() error // unmaps a mapped file; nil otherwise
 	kind    Kind
 	zones   []ZoneMap
 	offsets []int64
-	closer  io.Closer // set when the reader owns the underlying file
-
-	data   []byte // whole-file image when mmap-backed, else nil
-	unmap  func() error
-	closed atomic.Bool
+	closed  atomic.Bool
 }
 
-// OpenOptions tunes how a VTB file is opened. A file is always memory-mapped
-// where the platform allows, falling back to pread silently when it does not
-// (or when mapping fails); the zero value selects the defaults.
-type OpenOptions struct {
-	// Sequential declares the access pattern up front: the whole file will
-	// be read once, front to back (a compaction merge, a cold full scan).
-	// On mmap-backed readers it issues madvise(MADV_SEQUENTIAL) so the
-	// kernel reads ahead aggressively and drops pages behind the scan
-	// instead of letting a one-shot pass evict the hot working set. A hint
-	// only: results are identical with or without it.
-	Sequential bool
-}
-
-func openReader(r io.ReaderAt, size int64, want Kind) (*reader, error) {
+func openReader(data []byte, want Kind) (*reader, error) {
+	size := int64(len(data))
 	if size < headerSize+tailSize {
 		return nil, fmt.Errorf("colstore: file too short (%d bytes) to be VTB", size)
 	}
-	var hdr [headerSize]byte
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("colstore: read header: %w", err)
-	}
+	hdr := data[:headerSize]
 	if [4]byte(hdr[:4]) != magicHead {
 		return nil, fmt.Errorf("colstore: bad magic %q (not a VTB file)", hdr[:4])
 	}
@@ -66,10 +46,7 @@ func openReader(r io.ReaderAt, size int64, want Kind) (*reader, error) {
 		return nil, fmt.Errorf("colstore: file holds %s records, want %s", got, want)
 	}
 
-	var tail [tailSize]byte
-	if _, err := r.ReadAt(tail[:], size-tailSize); err != nil {
-		return nil, fmt.Errorf("colstore: read footer tail: %w", err)
-	}
+	tail := data[size-tailSize:]
 	if [4]byte(tail[8:]) != magicTail {
 		return nil, fmt.Errorf("colstore: bad footer magic %q (truncated file?)", tail[8:])
 	}
@@ -77,17 +54,14 @@ func openReader(r io.ReaderAt, size int64, want Kind) (*reader, error) {
 	if footerOff < headerSize || footerOff > size-tailSize-4 {
 		return nil, fmt.Errorf("colstore: footer offset %d out of range", footerOff)
 	}
-	footer := make([]byte, size-tailSize-footerOff)
-	if _, err := r.ReadAt(footer, footerOff); err != nil {
-		return nil, fmt.Errorf("colstore: read footer: %w", err)
-	}
+	footer := data[footerOff : size-tailSize]
 	blockCount := int(binary.LittleEndian.Uint32(footer[:4]))
 	if len(footer) != 4+blockCount*footerEntrySize {
 		return nil, fmt.Errorf("colstore: footer is %d bytes, want %d for %d blocks",
 			len(footer), 4+blockCount*footerEntrySize, blockCount)
 	}
 
-	rd := &reader{r: r, size: size, kind: want,
+	rd := &reader{data: data, kind: want,
 		zones: make([]ZoneMap, 0, blockCount), offsets: make([]int64, 0, blockCount)}
 	for i := 0; i < blockCount; i++ {
 		e := footer[4+i*footerEntrySize:]
@@ -124,64 +98,57 @@ func bound32(b []byte, open int) int {
 	return open
 }
 
-// openPath opens the VTB file at path, mmap-backed where the platform and
-// the file allow it, else pread-backed. The returned reader owns the file.
-func openPath(path string, want Kind, opts OpenOptions) (*reader, error) {
-	f, size, err := openFile(path)
+// openPath opens the VTB file at path. The file is memory-mapped where the
+// platform and the file allow it; otherwise (no mmap on this build, an
+// exotic filesystem, an empty file) it is read into memory whole. Either way
+// the reader slices the same bytes.
+func openPath(path string, want Kind) (*reader, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if data, unmap, err := mmapFile(f, size); err == nil {
-		if opts.Sequential {
-			// Best effort; a failed hint changes nothing observable.
-			_ = madviseSequential(data)
+	// A mapping stays valid after its descriptor closes.
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := int(st.Size())
+	if int64(size) != st.Size() {
+		return nil, fmt.Errorf("colstore: %s is too large (%d bytes) for this platform", path, st.Size())
+	}
+	data, unmap, err := mmapFile(f, size)
+	if err != nil {
+		data = make([]byte, size)
+		if _, err := io.ReadFull(f, data); err != nil {
+			return nil, fmt.Errorf("colstore: read %s: %w", path, err)
 		}
-		rd, err := openReader(bytes.NewReader(data), size, want)
-		if err != nil {
+	}
+	rd, err := openReader(data, want)
+	if err != nil {
+		if unmap != nil {
 			unmap()
-			f.Close()
-			return nil, err
 		}
-		rd.data = data
-		rd.unmap = unmap
-		rd.closer = f
-		return rd, nil
-	}
-	// Mapping failed (unsupported platform, exotic filesystem, empty file):
-	// degrade to pread. Results are byte-identical either way.
-	rd, err := openReader(f, size, want)
-	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	rd.closer = f
+	rd.release = unmap
 	return rd, nil
 }
 
-// blockBytes fetches and decompresses block i into (at most) the scratch's
-// buffers. On the mmap path an uncompressed block comes back as a window
-// into the mapped region — zero copies end to end; flate blocks inflate
-// through the scratch's pooled decompressor. The result is only valid until
-// the scratch's next use.
+// blockBytes slices block i out of the region and decompresses it into (at
+// most) the scratch's buffers. An uncompressed block comes back as a window
+// into the region itself — zero copies end to end. The result is only valid
+// until the scratch's next use.
 func (rd *reader) blockBytes(i int, sc *decodeScratch) ([]byte, error) {
 	if rd.closed.Load() {
 		return nil, fmt.Errorf("colstore: read from closed reader")
 	}
 	off := rd.offsets[i]
-	var frame []byte
-	if rd.data != nil {
-		frame = rd.data[off : off+9]
-	} else {
-		var fbuf [9]byte
-		if _, err := rd.r.ReadAt(fbuf[:], off); err != nil {
-			return nil, fmt.Errorf("colstore: read block %d frame: %w", i, err)
-		}
-		frame = fbuf[:]
-	}
+	frame := rd.data[off : off+9]
 	storedLen := int(binary.LittleEndian.Uint32(frame[0:]))
 	codec := frame[4]
 	rawLen := int(binary.LittleEndian.Uint32(frame[5:]))
-	if int64(storedLen) > rd.size-off-9 {
+	if int64(storedLen) > int64(len(rd.data))-off-9 {
 		return nil, fmt.Errorf("colstore: block %d claims %d bytes past EOF", i, storedLen)
 	}
 	if rawLen > maxBlockRaw {
@@ -189,16 +156,7 @@ func (rd *reader) blockBytes(i int, sc *decodeScratch) ([]byte, error) {
 		// block approaches this (see maxBlockRaw).
 		return nil, fmt.Errorf("colstore: block %d declares %d raw bytes (limit %d)", i, rawLen, maxBlockRaw)
 	}
-	var stored []byte
-	if rd.data != nil {
-		stored = rd.data[off+9 : off+9+int64(storedLen)]
-	} else {
-		sc.stored = growBytes(sc.stored, storedLen)
-		if _, err := rd.r.ReadAt(sc.stored, off+9); err != nil {
-			return nil, fmt.Errorf("colstore: read block %d: %w", i, err)
-		}
-		stored = sc.stored
-	}
+	stored := rd.data[off+9 : off+9+int64(storedLen)]
 	raw, err := decompressInto(stored, codec, rawLen, sc)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: block %d: %w", i, err)
@@ -206,23 +164,18 @@ func (rd *reader) blockBytes(i int, sc *decodeScratch) ([]byte, error) {
 	return raw, nil
 }
 
-// Close releases the underlying file (and unmaps the region when
-// mmap-backed). Scans after Close fail; batches already decoded stay valid —
-// decoding copies every value out of the mapped region.
+// Close releases the region (unmapping a mapped file). Scans after Close
+// fail; batches already decoded stay valid — decoding copies every value out
+// of the region.
 func (rd *reader) Close() error {
 	if rd.closed.Swap(true) {
 		return nil
 	}
 	var err error
-	if rd.unmap != nil {
-		err = rd.unmap()
-		rd.data = nil
+	if rd.release != nil {
+		err = rd.release()
 	}
-	if rd.closer != nil {
-		if cerr := rd.closer.Close(); err == nil {
-			err = cerr
-		}
-	}
+	rd.data = nil
 	return err
 }
 
@@ -236,10 +189,6 @@ func (rd *reader) Len() int {
 	return n
 }
 
-// Mmapped reports whether the reader decodes blocks from a memory-mapped
-// region (false on the io.ReaderAt fallback path).
-func (rd *reader) Mmapped() bool { return rd.data != nil }
-
 // Blocks returns the per-block zone maps, in file order.
 func (rd *reader) Blocks() []ZoneMap { return slices.Clone(rd.zones) }
 
@@ -248,7 +197,7 @@ func (rd *reader) Blocks() []ZoneMap { return slices.Clone(rd.zones) }
 // what differs between kinds — the column decode and the select kernel — is
 // the kindOps it was constructed with. A Reader is safe for any number of
 // concurrent cursors and DecodeBlock calls; Close must not race a scan in
-// flight (an mmap-backed reader unmaps its file region on Close).
+// flight (a reader of a mapped file unmaps it on Close).
 type Reader[B Batch] struct {
 	*reader
 	ops *kindOps[B]
@@ -260,23 +209,22 @@ type (
 	RSSIReader       = Reader[*RSSIBatch]
 )
 
-// NewTrajectoryReader opens a trajectory VTB image held in r (size bytes) on
-// the pread path — how an in-memory image is read. The reader does not own
-// r: Close leaves it open.
-func NewTrajectoryReader(r io.ReaderAt, size int64) (*TrajectoryReader, error) {
-	return trajectoryOps.reader(openReader(r, size, KindTrajectory))
+// NewTrajectoryReader reads a trajectory VTB image held in memory in place.
+// The caller must not modify img while the reader is in use; Close leaves it
+// alone.
+func NewTrajectoryReader(img []byte) (*TrajectoryReader, error) {
+	return trajectoryOps.reader(openReader(img, KindTrajectory))
 }
 
-// OpenTrajectory opens the trajectory VTB file at path; the zero OpenOptions
-// memory-map it where the platform allows. Close releases the file and the
-// mapping.
-func OpenTrajectory(path string, opts OpenOptions) (*TrajectoryReader, error) {
-	return trajectoryOps.reader(openPath(path, KindTrajectory, opts))
+// OpenTrajectory opens the trajectory VTB file at path, memory-mapped where
+// the platform allows. Close releases the mapping.
+func OpenTrajectory(path string) (*TrajectoryReader, error) {
+	return trajectoryOps.reader(openPath(path, KindTrajectory))
 }
 
 // OpenRSSI opens the RSSI VTB file at path; see OpenTrajectory.
-func OpenRSSI(path string, opts OpenOptions) (*RSSIReader, error) {
-	return rssiOps.reader(openPath(path, KindRSSI, opts))
+func OpenRSSI(path string) (*RSSIReader, error) {
+	return rssiOps.reader(openPath(path, KindRSSI))
 }
 
 func (k *kindOps[B]) reader(rd *reader, err error) (*Reader[B], error) {
@@ -360,17 +308,4 @@ func decodeRSSIBatch(raw []byte, b *RSSIBatch, sc *decodeScratch) error {
 		return c.err
 	}
 	return nil
-}
-
-func openFile(path string) (*os.File, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	return f, st.Size(), nil
 }

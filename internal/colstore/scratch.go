@@ -7,16 +7,15 @@ import (
 )
 
 // decodeScratch bundles every kind-independent buffer a block decode needs —
-// the pread target, the flate decompressor and its output buffer, column
-// intermediates, the per-block dictionary, and a string-interning table — so
-// the steady-state scan path allocates nothing per block. One scratch serves
+// the flate decompressor and its output buffer, column intermediates, the
+// per-block dictionary, and a string-interning table — so the steady-state
+// scan path allocates nothing per block. One scratch serves
 // one goroutine at a time: a cursor holds one for its lifetime, DecodeBlock
 // for one call.
 type decodeScratch struct {
-	stored []byte        // ReaderAt block read target (unused on the mmap path)
-	raw    []byte        // decompressed block (vsnap and flate output)
-	br     bytes.Reader  // resettable source feeding the flate reader
-	fr     io.ReadCloser // pooled flate reader; implements flate.Resetter
+	raw []byte        // decompressed block (vsnap and flate output)
+	br  bytes.Reader  // resettable source feeding the flate reader
+	fr  io.ReadCloser // pooled flate reader; implements flate.Resetter
 
 	i64  []int64  // scaled-float intermediate column
 	dict []string // per-block string dictionary

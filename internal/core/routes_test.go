@@ -1,0 +1,27 @@
+package core
+
+import "testing"
+
+// TestMallRoutesNeverFail pins the engine's planned trips on the mall: at
+// the default configuration every destination an object picks is reachable,
+// so every route it plans succeeds.
+func TestMallRoutesNeverFail(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42} {
+		cfg := DefaultConfig()
+		cfg.Building.Source = "synthetic:mall"
+		cfg.Seed = seed
+		p, err := NewPipeline(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := p.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := ds.TrajectoryStats
+		if st.RoutesPlanned == 0 || st.RouteFailures != 0 {
+			t.Errorf("seed %d: %d routes planned, %d failed; want some planned and none failed",
+				seed, st.RoutesPlanned, st.RouteFailures)
+		}
+	}
+}

@@ -38,7 +38,7 @@ func csvOf[T any, W storage.RowWriter[T]](t *testing.T, newW func(io.Writer) (W,
 // storage.OpenCursor as kind k.
 func readFile[T any, B colstore.RowBatch[T]](t *testing.T, k *storage.Kind[B], path string) []T {
 	t.Helper()
-	cur, _, err := storage.OpenCursor(k, path, colstore.Predicate{}, colstore.OpenOptions{})
+	cur, _, err := storage.OpenCursor(k, path, colstore.Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}

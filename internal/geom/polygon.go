@@ -16,13 +16,6 @@ func Rect(minX, minY, maxX, maxY float64) Polygon {
 	}
 }
 
-// Clone returns a deep copy of the polygon.
-func (pg Polygon) Clone() Polygon {
-	out := make(Polygon, len(pg))
-	copy(out, pg)
-	return out
-}
-
 // SignedArea returns the signed area; positive when vertices are
 // counter-clockwise.
 func (pg Polygon) SignedArea() float64 {

@@ -42,9 +42,6 @@ func (s *Span) AddChild(op string) *Span {
 // AddWall accumulates elapsed wall time onto the span.
 func (s *Span) AddWall(d time.Duration) { s.WallNanos += int64(d) }
 
-// Wall returns the span's accumulated wall time.
-func (s *Span) Wall() time.Duration { return time.Duration(s.WallNanos) }
-
 // SpanCount returns the number of spans in the tree rooted at s.
 func (s *Span) SpanCount() int {
 	n := 1

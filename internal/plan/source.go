@@ -15,7 +15,7 @@ type FileSource struct {
 
 // Open opens a batch cursor over the file under pred.
 func (s FileSource) Open(pred colstore.Predicate) (storage.TrajectoryCursor, error) {
-	cur, _, err := storage.OpenCursor(storage.Trajectory, s.Path, pred, colstore.OpenOptions{})
+	cur, _, err := storage.OpenCursor(storage.Trajectory, s.Path, pred)
 	return cur, err
 }
 

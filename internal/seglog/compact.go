@@ -134,9 +134,7 @@ func (c *Compactor) runOnce() (*SegmentMeta, error) {
 
 // merge streams every input row through the k-way merged cursor into one
 // fresh VTB stream, fsyncing before return, and reports how many rows it
-// wrote. Inputs are opened with the Sequential hint: a compaction reads each
-// file exactly once, front to back, and should not evict the serving path's
-// hot pages.
+// wrote.
 func (c *Compactor) merge(f *os.File, paths []string) (rows int, err error) {
 	switch c.log.kind {
 	case colstore.KindTrajectory:
@@ -153,7 +151,7 @@ func (c *Compactor) merge(f *os.File, paths []string) (rows int, err error) {
 }
 
 func mergeInto[T any, B colstore.RowBatch[T]](k *storage.Kind[B], paths []string, w *colstore.Writer[T]) (int, error) {
-	cur, err := storage.OpenCursorMulti(k, paths, colstore.Predicate{}, colstore.OpenOptions{Sequential: true})
+	cur, err := storage.OpenCursorMulti(k, paths, colstore.Predicate{})
 	if err != nil {
 		return 0, err
 	}

@@ -45,7 +45,7 @@ func TestCompactMergesToGlobalOrder(t *testing.T) {
 		}
 	}
 	// Zone maps re-blocked into global time order never overlap in time.
-	r, err := colstore.OpenTrajectory(l.SegmentPath(man.Segments[0]), colstore.OpenOptions{})
+	r, err := colstore.OpenTrajectory(l.SegmentPath(man.Segments[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCompactTombstonesUntilReadersDrain(t *testing.T) {
 	held := before.Segments[0]
 
 	// A reader holds the first segment open (and registered) mid-compaction.
-	r, err := colstore.OpenTrajectory(l.SegmentPath(held), colstore.OpenOptions{})
+	r, err := colstore.OpenTrajectory(l.SegmentPath(held))
 	if err != nil {
 		t.Fatal(err)
 	}

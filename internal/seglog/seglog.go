@@ -177,13 +177,6 @@ func (l *Log) Snapshot() Manifest {
 	return l.man.copy()
 }
 
-// Generation returns the current manifest generation.
-func (l *Log) Generation() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.man.Generation
-}
-
 // Reload re-reads the manifest from disk — how a reader process observes a
 // writer or compactor running elsewhere. The single-mutator rule makes this
 // safe for a pure reader: disk is always at least as new as memory.

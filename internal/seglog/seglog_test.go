@@ -82,7 +82,7 @@ func writeLog(t *testing.T, dir string, samples []trajectory.Sample, maxRows int
 // storage.OpenCursor as kind k.
 func readFile[T any, B colstore.RowBatch[T]](t *testing.T, k *storage.Kind[B], path string) []T {
 	t.Helper()
-	cur, _, err := storage.OpenCursor(k, path, colstore.Predicate{}, colstore.OpenOptions{})
+	cur, _, err := storage.OpenCursor(k, path, colstore.Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}

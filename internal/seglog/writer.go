@@ -139,9 +139,6 @@ func (w *Writer[T]) Abort() error {
 // Segments returns how many segments this writer has sealed.
 func (w *Writer[T]) Segments() int { return w.sealed }
 
-// Log returns the underlying log.
-func (w *Writer[T]) Log() *Log { return w.log }
-
 func (w *Writer[T]) openSegment() error {
 	w.id = w.log.reserveID()
 	f, err := os.Create(filepath.Join(w.log.dir, segName(w.id)+".tmp"))

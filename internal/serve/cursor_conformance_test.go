@@ -20,7 +20,8 @@ import (
 )
 
 // TestCursorConformance holds every implementation of storage.Cursor — a VTB
-// file (mmap, and pread for trajectory), a CSV file and a k-way merge, for both row kinds,
+// file (mapped, and for trajectory also read as an in-memory image), a CSV
+// file and a k-way merge, for both row kinds,
 // plus plan.SliceSource and this package's blockCursor on windows of cache
 // hits, of misses and of both — to the one contract:
 //
@@ -67,7 +68,7 @@ func TestCursorConformance(t *testing.T) {
 	trajKind := cursorKind[trajectory.Sample, *colstore.TrajectoryBatch]{
 		kind:    storage.Trajectory,
 		spatial: true,
-		pread:   colstore.NewTrajectoryReader,
+		image:   colstore.NewTrajectoryReader,
 		vtb: func(w io.Writer) storage.RowWriter[trajectory.Sample] {
 			return colstore.NewTrajectoryWriter(w, colstore.Options{BlockSize: conformanceBlock})
 		},
@@ -75,7 +76,7 @@ func TestCursorConformance(t *testing.T) {
 			return storage.NewTrajectoryCSVWriter(w)
 		},
 		zones: func(path string) ([]colstore.ZoneMap, error) {
-			r, err := colstore.OpenTrajectory(path, colstore.OpenOptions{})
+			r, err := colstore.OpenTrajectory(path)
 			if err != nil {
 				return nil, err
 			}
@@ -225,7 +226,7 @@ func TestCursorConformance(t *testing.T) {
 		},
 		csv: func(w io.Writer) (storage.RowWriter[rssi.Measurement], error) { return storage.NewRSSICSVWriter(w) },
 		zones: func(path string) ([]colstore.ZoneMap, error) {
-			r, err := colstore.OpenRSSI(path, colstore.OpenOptions{})
+			r, err := colstore.OpenRSSI(path)
 			if err != nil {
 				return nil, err
 			}
@@ -382,10 +383,10 @@ func runCursorConformance[T comparable, B colstore.RowBatch[T]](t *testing.T, im
 type cursorKind[T comparable, B colstore.RowBatch[T]] struct {
 	kind    *storage.Kind[B]
 	spatial bool // floor and box constraints apply
-	// pread opens a VTB image held in an io.ReaderAt: the read path of
-	// in-memory images, and of files where mapping fails. Only trajectory
-	// images are read that way, so it is nil for RSSI.
-	pread   func(r io.ReaderAt, size int64) (*colstore.Reader[B], error)
+	// image reads a VTB image held in memory, as the HTTP row body and a
+	// CSV dataset's re-encoded twin are read. Only trajectory images are
+	// read that way, so it is nil for RSSI.
+	image   func(img []byte) (*colstore.Reader[B], error)
 	vtb     func(io.Writer) storage.RowWriter[T]
 	csv     func(io.Writer) (storage.RowWriter[T], error)
 	zones   func(path string) ([]colstore.ZoneMap, error)
@@ -489,8 +490,8 @@ func rowsOnly[T any](rows []T, p cursorPred[T]) ([]T, colstore.ScanStats) {
 
 // fileImpls writes rows as one VTB file, one CSV file and, per named split,
 // a set of VTB pieces, and returns the file-backed implementations over
-// them: VTB through mmap and (where the kind has it) through pread, CSV, and
-// one merge per split.
+// them: VTB through mmap and (where the kind has it) as an in-memory image,
+// CSV, and one merge per split.
 func (k *cursorKind[T, B]) fileImpls(t *testing.T, rows []T, splits map[string][][]T) []cursorImpl[T, B] {
 	dir := t.TempDir()
 	whole := k.writeVTB(t, filepath.Join(dir, "whole.vtb"), rows)
@@ -499,7 +500,7 @@ func (k *cursorKind[T, B]) fileImpls(t *testing.T, rows []T, splits map[string][
 	type opener func(path string) func(*testing.T, colstore.Predicate) storage.Cursor[B]
 	openFile := func(path string) func(*testing.T, colstore.Predicate) storage.Cursor[B] {
 		return func(t *testing.T, pred colstore.Predicate) storage.Cursor[B] {
-			cur, _, err := storage.OpenCursor(k.kind, path, pred, colstore.OpenOptions{})
+			cur, _, err := storage.OpenCursor(k.kind, path, pred)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -507,19 +508,16 @@ func (k *cursorKind[T, B]) fileImpls(t *testing.T, rows []T, splits map[string][
 		}
 	}
 	openers := map[string]opener{"vtb-mmap": openFile}
-	if k.pread != nil {
+	if k.image != nil {
+		// The arm reads the file's bytes as an in-memory image. It keeps the
+		// name vtb-pread so its subtests are named as recorded runs name them.
 		openers["vtb-pread"] = func(path string) func(*testing.T, colstore.Predicate) storage.Cursor[B] {
 			return func(t *testing.T, pred colstore.Predicate) storage.Cursor[B] {
-				f, err := os.Open(path)
+				img, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(func() { f.Close() })
-				st, err := f.Stat()
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := k.pread(f, st.Size())
+				r, err := k.image(img)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -581,7 +579,7 @@ func (k *cursorKind[T, B]) fileImpls(t *testing.T, rows []T, splits map[string][
 			peak = max(peak, parts[i].largestBlock())
 		}
 		openMulti := func(t *testing.T, paths []string, pred colstore.Predicate) storage.Cursor[B] {
-			cur, err := storage.OpenCursorMulti(k.kind, paths, pred, colstore.OpenOptions{})
+			cur, err := storage.OpenCursorMulti(k.kind, paths, pred)
 			if err != nil {
 				t.Fatal(err)
 			}

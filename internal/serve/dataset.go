@@ -141,7 +141,7 @@ func Open(dir string, cfg Config) (*Dataset, error) {
 	d.format = format
 	var tr *colstore.TrajectoryReader
 	if format == storage.FormatVTB {
-		tr, err = colstore.OpenTrajectory(path, colstore.OpenOptions{})
+		tr, err = colstore.OpenTrajectory(path)
 	} else {
 		tr, err = csvAsVTB(path)
 	}
@@ -159,7 +159,7 @@ func Open(dir string, cfg Config) (*Dataset, error) {
 // own, and this gives it the zone maps and cacheable blocks every other
 // dataset is served from.
 func csvAsVTB(path string) (*colstore.TrajectoryReader, error) {
-	cur, _, err := storage.OpenCursor(storage.Trajectory, path, colstore.Predicate{}, colstore.OpenOptions{})
+	cur, _, err := storage.OpenCursor(storage.Trajectory, path, colstore.Predicate{})
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +167,7 @@ func csvAsVTB(path string) (*colstore.TrajectoryReader, error) {
 	if _, err := storage.Copy(cur, colstore.NewTrajectoryWriter(&image, colstore.Options{})); err != nil {
 		return nil, err
 	}
-	return colstore.NewTrajectoryReader(bytes.NewReader(image.Bytes()), int64(image.Len()))
+	return colstore.NewTrajectoryReader(image.Bytes())
 }
 
 // openSegmented finishes Open for a segment-log dataset: open the current
@@ -216,9 +216,6 @@ func (d *Dataset) Close() error {
 	return nil
 }
 
-// Dir returns the dataset directory.
-func (d *Dataset) Dir() string { return d.dir }
-
 // Path returns the trajectory file the dataset serves.
 func (d *Dataset) Path() string { return d.path }
 
@@ -237,26 +234,6 @@ func (d *Dataset) Blocks() int {
 		n += len(sg.zones)
 	}
 	return n
-}
-
-// Mmapped reports whether a VTB dataset decodes blocks from memory-mapped
-// regions — true when every live segment mapped (always false for CSV
-// datasets and on the pread fallback).
-func (d *Dataset) Mmapped() bool {
-	set := d.acquireSet()
-	if set == nil {
-		return false
-	}
-	defer set.release()
-	if len(set.segs) == 0 {
-		return false
-	}
-	for _, sg := range set.segs {
-		if !sg.tr.Mmapped() {
-			return false
-		}
-	}
-	return true
 }
 
 // Len returns the total number of samples without decoding anything, from

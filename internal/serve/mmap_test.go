@@ -14,10 +14,9 @@ import (
 	"vita/internal/storage"
 )
 
-// TestDatasetMmapParity serves the same rows mmap-backed — a VTB file — and
-// pread-backed — a CSV file, whose rows are re-encoded into an in-memory VTB
-// image at open and read from it on the pread path — and requires identical
-// operator answers with the default block cache and with nothing kept. The
+// TestDatasetMmapParity serves the same rows from a mapped VTB file and from
+// a CSV file, whose rows are re-encoded into an in-memory VTB image at open
+// and read from it in place, and requires identical operator answers with the default block cache and with nothing kept. The
 // test rows sit on CSV's 4-decimal grid, so both datasets hold the same
 // rows.
 func TestDatasetMmapParity(t *testing.T) {
@@ -31,15 +30,12 @@ func TestDatasetMmapParity(t *testing.T) {
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
 			mm := openTestDataset(t, storage.FormatVTB, cfg)
-			pr := openTestDataset(t, storage.FormatCSV, cfg)
-			if pr.Mmapped() {
-				t.Fatal("the in-memory image reports Mmapped")
-			}
+			im := openTestDataset(t, storage.FormatCSV, cfg)
 			mRange, err := mm.Range(rangeReq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pRange, err := pr.Range(rangeReq)
+			pRange, err := im.Range(rangeReq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,17 +43,17 @@ func TestDatasetMmapParity(t *testing.T) {
 				t.Fatal("range query matched nothing")
 			}
 			if !reflect.DeepEqual(mRange.Hits, pRange.Hits) || !reflect.DeepEqual(mRange.Objects, pRange.Objects) {
-				t.Error("range answers differ between mmap and pread")
+				t.Error("range answers differ between mmap and image")
 			}
 			mKNN, _ := mm.KNN(knnReq)
-			pKNN, _ := pr.KNN(knnReq)
+			pKNN, _ := im.KNN(knnReq)
 			if !reflect.DeepEqual(mKNN.Neighbors, pKNN.Neighbors) {
-				t.Error("knn answers differ between mmap and pread")
+				t.Error("knn answers differ between mmap and image")
 			}
 			mTraj, _ := mm.Traj(trajReq)
-			pTraj, _ := pr.Traj(trajReq)
+			pTraj, _ := im.Traj(trajReq)
 			if !reflect.DeepEqual(mTraj.Samples, pTraj.Samples) {
-				t.Error("traj answers differ between mmap and pread")
+				t.Error("traj answers differ between mmap and image")
 			}
 		})
 	}

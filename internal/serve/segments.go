@@ -107,7 +107,7 @@ func (d *Dataset) buildSet(man seglog.Manifest, prev *segmentSet) (*segmentSet, 
 		// compactor that supersedes it mid-build tombstones it instead of
 		// deleting it out from under the reader.
 		d.log.RetainFiles(m.File)
-		tr, err := colstore.OpenTrajectory(d.log.SegmentPath(m), colstore.OpenOptions{})
+		tr, err := colstore.OpenTrajectory(d.log.SegmentPath(m))
 		if err != nil {
 			d.log.ReleaseFiles(m.File)
 			return fail(fmt.Errorf("serve: segment %s: %w", m.File, err))

@@ -85,7 +85,7 @@ func writeDataset(t testing.TB, dir string, format storage.Format, samples []tra
 // either format, read through storage.OpenCursor.
 func readTrajectoryFile(t testing.TB, path string) []trajectory.Sample {
 	t.Helper()
-	cur, _, err := storage.OpenCursor(storage.Trajectory, path, colstore.Predicate{}, colstore.OpenOptions{})
+	cur, _, err := storage.OpenCursor(storage.Trajectory, path, colstore.Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}

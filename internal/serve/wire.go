@@ -92,7 +92,7 @@ func decodeRowsBody(body []byte, out any, rows *[]trajectory.Sample) error {
 	if len(img) == 0 {
 		return nil
 	}
-	tr, err := colstore.NewTrajectoryReader(bytes.NewReader(img), int64(len(img)))
+	tr, err := colstore.NewTrajectoryReader(img)
 	if err != nil {
 		return fmt.Errorf("row body: %w", err)
 	}

@@ -92,7 +92,7 @@ func TestScanTrajectoryFileFormatAgnostic(t *testing.T) {
 		{csvPath, FormatCSV},
 		{vtbPath, FormatVTB},
 	} {
-		cur, format, err := OpenCursor(Trajectory, tc.path, pred, colstore.OpenOptions{})
+		cur, format, err := OpenCursor(Trajectory, tc.path, pred)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.format, err)
 		}

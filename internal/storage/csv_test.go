@@ -57,7 +57,7 @@ func readCSV[T any, B colstore.RowBatch[T]](k *Kind[B], r io.Reader) ([]T, error
 
 // readFile reads the file at path through OpenCursor.
 func readFile[T any, B colstore.RowBatch[T]](k *Kind[B], path string) ([]T, Format, error) {
-	cur, format, err := OpenCursor(k, path, colstore.Predicate{}, colstore.OpenOptions{})
+	cur, format, err := OpenCursor(k, path, colstore.Predicate{})
 	if err != nil {
 		return nil, format, err
 	}

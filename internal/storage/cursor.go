@@ -16,7 +16,7 @@ import (
 // slice (internal/plan), the block cache (internal/serve). B is the row
 // kind's batch, *colstore.TrajectoryBatch or *colstore.RSSIBatch.
 //
-//	cur, format, err := storage.OpenCursor(storage.Trajectory, path, pred, colstore.OpenOptions{})
+//	cur, format, err := storage.OpenCursor(storage.Trajectory, path, pred)
 //	if err != nil { ... }
 //	defer cur.Close()
 //	for cur.Next() {
@@ -56,7 +56,7 @@ type (
 // values; the generic entry points (OpenCursor, OpenCursorMulti, Merge) take
 // one to select the kind.
 type Kind[B colstore.Batch] struct {
-	open     func(path string, opts colstore.OpenOptions) (*colstore.Reader[B], error)
+	open     func(path string) (*colstore.Reader[B], error)
 	newBatch func() B
 	// header is the first record the kind's CSV writer emits.
 	header []string
@@ -106,15 +106,14 @@ var RSSI = &Kind[*colstore.RSSIBatch]{
 }
 
 // OpenCursor opens a cursor over the rows of the file at path that match
-// pred, in file order, in either format (detected by magic bytes). opts apply
-// to VTB files; CSV is always read sequentially through the page cache.
-func OpenCursor[B colstore.Batch](k *Kind[B], path string, pred colstore.Predicate, opts colstore.OpenOptions) (Cursor[B], Format, error) {
+// pred, in file order, in either format (detected by magic bytes).
+func OpenCursor[B colstore.Batch](k *Kind[B], path string, pred colstore.Predicate) (Cursor[B], Format, error) {
 	format, err := DetectFormat(path)
 	if err != nil {
 		return nil, "", err
 	}
 	if format == FormatVTB {
-		r, err := k.open(path, opts)
+		r, err := k.open(path)
 		if err != nil {
 			return nil, format, err
 		}

@@ -71,7 +71,7 @@ func TestOpenCursorReportsFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for path, want := range map[string]Format{vtbPath: FormatVTB, csvPath: FormatCSV} {
-		cur, format, err := OpenCursor(Trajectory, path, colstore.Predicate{}, colstore.OpenOptions{})
+		cur, format, err := OpenCursor(Trajectory, path, colstore.Predicate{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,12 +89,12 @@ func TestOpenCursorReportsFormat(t *testing.T) {
 func TestOpenCursorMissing(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "nope.vtb")
-	if _, _, err := OpenCursor(Trajectory, missing, colstore.Predicate{}, colstore.OpenOptions{}); err == nil {
+	if _, _, err := OpenCursor(Trajectory, missing, colstore.Predicate{}); err == nil {
 		t.Fatal("open of missing file succeeded")
 	}
 	present := filepath.Join(dir, "one.vtb")
 	writeTrajectoryVTB(t, present, cursorSamples())
-	if _, err := OpenCursorMulti(Trajectory, []string{present, missing}, colstore.Predicate{}, colstore.OpenOptions{}); err == nil {
+	if _, err := OpenCursorMulti(Trajectory, []string{present, missing}, colstore.Predicate{}); err == nil {
 		t.Fatal("multi open with a missing file succeeded")
 	}
 }
@@ -106,7 +106,7 @@ func TestMergeSingleInputPassThrough(t *testing.T) {
 	p := filepath.Join(t.TempDir(), "one.vtb")
 	writeTrajectoryVTB(t, p, samples)
 
-	cur, err := OpenCursorMulti(Trajectory, []string{p}, colstore.Predicate{}, colstore.OpenOptions{})
+	cur, err := OpenCursorMulti(Trajectory, []string{p}, colstore.Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCopyStopsAtWriteError(t *testing.T) {
 	p := filepath.Join(t.TempDir(), "in.vtb")
 	writeTrajectoryVTB(t, p, samples)
 	open := func() *countingCursor {
-		cur, _, err := OpenCursor(Trajectory, p, colstore.Predicate{}, colstore.OpenOptions{})
+		cur, _, err := OpenCursor(Trajectory, p, colstore.Predicate{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,10 +43,10 @@ func Merge[B colstore.Batch](k *Kind[B], inputs []Cursor[B]) Cursor[B] {
 }
 
 // OpenCursorMulti opens every path under pred and merges them; see Merge.
-func OpenCursorMulti[B colstore.Batch](k *Kind[B], paths []string, pred colstore.Predicate, opts colstore.OpenOptions) (Cursor[B], error) {
+func OpenCursorMulti[B colstore.Batch](k *Kind[B], paths []string, pred colstore.Predicate) (Cursor[B], error) {
 	inputs := make([]Cursor[B], 0, len(paths))
 	for _, p := range paths {
-		cur, _, err := OpenCursor(k, p, pred, opts)
+		cur, _, err := OpenCursor(k, p, pred)
 		if err != nil {
 			for _, c := range inputs {
 				c.Close()

@@ -35,7 +35,7 @@ func readBack[T any, B colstore.RowBatch[T]](t *testing.T, k *storage.Kind[B], w
 	if err := errors.Join(write(f), f.Close()); err != nil {
 		t.Fatal(err)
 	}
-	cur, _, err := storage.OpenCursor(k, path, colstore.Predicate{}, colstore.OpenOptions{})
+	cur, _, err := storage.OpenCursor(k, path, colstore.Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func WriteProximityCSV(w io.Writer, recs []ProximityRecord) error {
 type QueryDataset = serve.Dataset
 
 // QueryServeConfig tunes an opened QueryDataset (interpolation gap,
-// block-cache budget, mmap, manifest watch interval). The zero value selects
+// block-cache budget, manifest watch interval). The zero value selects
 // the defaults.
 type QueryServeConfig = serve.Config
 
