@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -823,6 +824,82 @@ func BenchmarkVTBScanCompressedAllocs(b *testing.B) {
 	b.ReportMetric(allocs, "allocs/scan") // after the loop: ResetTimer discards earlier metrics
 }
 
+// BenchmarkDecodeBlock times the block cache's miss path, DecodeBlock, on
+// one 4 096-row block of synthetic:mall output per op, and gates the decoded
+// batch it returns. Its Bytes — what the serving cache budgets — must stay at
+// or under 52 B per row: the string columns hold a 4-byte code per row plus
+// their dictionaries (about 49 B per row in all), where a string header per
+// row made it about 85. And its allocations must not follow the rows: a
+// 1 024-row block must cost exactly as many (one per column and per
+// dictionary, plus the batch).
+func BenchmarkDecodeBlock(b *testing.B) {
+	const rows = 4096
+	cfg := DefaultConfig()
+	cfg.Building = BuildingConfig{Source: "synthetic:mall"}
+	cfg.Positioning = PositioningConfig{}
+	ds, err := Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	samples := ds.Trajectories.All()
+	if len(samples) < rows {
+		b.Fatalf("the mall run holds %d rows, want at least %d", len(samples), rows)
+	}
+	// oneBlock writes the first n rows as one block and returns a reader.
+	oneBlock := func(n int) *colstore.TrajectoryReader {
+		var buf bytes.Buffer
+		w := colstore.NewTrajectoryWriter(&buf, colstore.Options{BlockSize: n})
+		for _, s := range samples[:n] {
+			if err := w.Write(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		r, err := colstore.NewTrajectoryReader(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return r
+	}
+	r, small := oneBlock(rows), oneBlock(rows/4)
+	decode := func(r *colstore.TrajectoryReader) *colstore.TrajectoryBatch {
+		blk, err := r.DecodeBlock(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return blk
+	}
+	blk := decode(r)
+	if blk.Len() != rows {
+		b.Fatalf("decoded %d rows, want %d", blk.Len(), rows)
+	}
+	perRow := float64(blk.Bytes()) / rows
+	if perRow > 52 {
+		b.Fatalf("a decoded %d-row block is %.1f B per row, want at most 52", rows, perRow)
+	}
+	decode(small) // both blocks' names interned in the pooled scratch
+	// No collection while counting: one would empty the scratch pool and
+	// charge its refill to whichever block decoded next.
+	gc := debug.SetGCPercent(-1)
+	allocs := testing.AllocsPerRun(50, func() { decode(r) })
+	smallAllocs := testing.AllocsPerRun(50, func() { decode(small) })
+	debug.SetGCPercent(gc)
+	if allocs != smallAllocs {
+		b.Fatalf("decoding a %d-row block costs %.0f allocations, a %d-row block %.0f: they must not follow the rows",
+			rows, allocs, rows/4, smallAllocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode(r)
+	}
+	// Reported after the loop: ResetTimer discards earlier metrics.
+	b.ReportMetric(perRow, "B/row")
+	b.ReportMetric(allocs, "allocs/block")
+}
+
 // benchReaderSource serves plan scans from an already-open reader, so a
 // benchmark measures the per-query cost (compile + cursor + drain) without
 // re-paying file open and footer parse on every iteration.
@@ -1066,9 +1143,9 @@ func BenchmarkPlanSnapshotAt(b *testing.B) {
 // pays one hash lookup per visit, not per row. "density" is Dataset.Density's
 // one-level count over 300 rows in object order with every partition drawn at
 // random, so runs have length 1 and the run check must cost less than it
-// saves. Partition strings are shared, as a decoded block's dictionary
-// column shares them. Both report ns/row and fail past a fixed allocation
-// budget: group tables, accumulators and output are pooled scratch.
+// saves. Partitions are dictionary-coded, as a decoded block's are. Both
+// report ns/row and fail past a fixed allocation budget: group tables,
+// accumulators and output are pooled scratch.
 func BenchmarkPlanAggregate(b *testing.B) {
 	shops := make([]string, 40)
 	for i := range shops {
@@ -1125,8 +1202,8 @@ func BenchmarkPlanAggregate(b *testing.B) {
 				for c.Next() {
 					tr := c.Batch().Traj
 					for i, obj := range tr.ObjID {
-						if i > 0 && tr.Partition[i-1] >= tr.Partition[i] {
-							b.Fatalf("groups %q and %q out of order", tr.Partition[i-1], tr.Partition[i])
+						if i > 0 && tr.Partition.At(i-1) >= tr.Partition.At(i) {
+							b.Fatalf("groups %q and %q out of order", tr.Partition.At(i-1), tr.Partition.At(i))
 						}
 						n += int(obj)
 					}

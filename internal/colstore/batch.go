@@ -21,8 +21,8 @@ import (
 type Batch interface {
 	// Len returns the number of rows.
 	Len() int
-	// Bytes approximates the resident footprint: the column backing arrays
-	// plus the string bytes they reference.
+	// Bytes approximates the resident footprint: the column elements plus
+	// the string columns' dictionaries.
 	Bytes() int64
 	// Reset truncates to zero rows, keeping column capacity.
 	Reset()
@@ -37,13 +37,14 @@ type RowBatch[T any] interface {
 }
 
 // TrajectoryBatch holds one block's worth of decoded trajectory samples in
-// column form. The slices share one length; all are valid until the owning
-// cursor's next Next or Close.
+// column form. The columns share one length; all are valid until the owning
+// cursor's next Next or Close. The string columns are dictionary-coded (see
+// Strings), so no column holds a pointer per row.
 type TrajectoryBatch struct {
 	ObjID     []int64
-	Building  []string
+	Building  Strings
 	Floor     []int64
-	Partition []string
+	Partition Strings
 	X, Y      []float64
 	T         []float64
 	HasPoint  []bool
@@ -53,15 +54,15 @@ type TrajectoryBatch struct {
 func (b *TrajectoryBatch) Len() int { return len(b.ObjID) }
 
 // Row assembles row i as a Sample value. The strings are shared with the
-// batch columns (and remain valid after the batch is reused — strings are
-// immutable), so Row allocates nothing.
+// batch's dictionaries (and remain valid after the batch is reused — strings
+// are immutable), so Row allocates nothing.
 func (b *TrajectoryBatch) Row(i int) trajectory.Sample {
 	return trajectory.Sample{
 		ObjID: int(b.ObjID[i]),
 		Loc: model.Location{
-			Building:  b.Building[i],
+			Building:  b.Building.At(i),
 			Floor:     int(b.Floor[i]),
-			Partition: b.Partition[i],
+			Partition: b.Partition.At(i),
 			Point:     geom.Pt(b.X[i], b.Y[i]),
 			HasPoint:  b.HasPoint[i],
 		},
@@ -72,9 +73,9 @@ func (b *TrajectoryBatch) Row(i int) trajectory.Sample {
 // Reset truncates the batch to zero rows, keeping column capacity.
 func (b *TrajectoryBatch) Reset() {
 	b.ObjID = b.ObjID[:0]
-	b.Building = b.Building[:0]
+	b.Building.Reset()
 	b.Floor = b.Floor[:0]
-	b.Partition = b.Partition[:0]
+	b.Partition.Reset()
 	b.X, b.Y, b.T = b.X[:0], b.Y[:0], b.T[:0]
 	b.HasPoint = b.HasPoint[:0]
 }
@@ -83,9 +84,9 @@ func (b *TrajectoryBatch) Reset() {
 // counterpart of Row; used by the CSV batch adapter in internal/storage).
 func (b *TrajectoryBatch) Append(s trajectory.Sample) {
 	b.ObjID = append(b.ObjID, int64(s.ObjID))
-	b.Building = append(b.Building, s.Loc.Building)
+	b.Building.Append(s.Loc.Building)
 	b.Floor = append(b.Floor, int64(s.Loc.Floor))
-	b.Partition = append(b.Partition, s.Loc.Partition)
+	b.Partition.Append(s.Loc.Partition)
 	b.X = append(b.X, s.Loc.Point.X)
 	b.Y = append(b.Y, s.Loc.Point.Y)
 	b.T = append(b.T, s.T)
@@ -100,16 +101,11 @@ func (b *TrajectoryBatch) AppendTo(dst []trajectory.Sample) []trajectory.Sample 
 	return dst
 }
 
-// Bytes approximates the batch's resident footprint: the column backing
-// arrays plus the string bytes they reference. Cache layers use it to
-// account decoded-block budgets.
+// Bytes approximates the batch's resident footprint: the column elements
+// plus the two dictionaries. Cache layers use it to account decoded-block
+// budgets.
 func (b *TrajectoryBatch) Bytes() int64 {
-	n := int64(b.Len())
-	size := n * (8 + 16 + 8 + 16 + 8 + 8 + 8 + 1) // column elements incl. string headers
-	for i := range b.Building {
-		size += int64(len(b.Building[i]) + len(b.Partition[i]))
-	}
-	return size
+	return int64(b.Len())*(8+8+8+8+8+1) + b.Building.Bytes() + b.Partition.Bytes()
 }
 
 // AppendRows bulk-appends rows [lo, hi) of src, one copy per column — how a
@@ -117,9 +113,9 @@ func (b *TrajectoryBatch) Bytes() int64 {
 // touching rows.
 func (b *TrajectoryBatch) AppendRows(src *TrajectoryBatch, lo, hi int) {
 	b.ObjID = append(b.ObjID, src.ObjID[lo:hi]...)
-	b.Building = append(b.Building, src.Building[lo:hi]...)
+	b.Building.AppendRows(&src.Building, lo, hi)
 	b.Floor = append(b.Floor, src.Floor[lo:hi]...)
-	b.Partition = append(b.Partition, src.Partition[lo:hi]...)
+	b.Partition.AppendRows(&src.Partition, lo, hi)
 	b.X = append(b.X, src.X[lo:hi]...)
 	b.Y = append(b.Y, src.Y[lo:hi]...)
 	b.T = append(b.T, src.T[lo:hi]...)
@@ -133,9 +129,9 @@ func (b *TrajectoryBatch) AppendRows(src *TrajectoryBatch, lo, hi int) {
 // scratch batch; otherwise b and src must not share columns.
 func (b *TrajectoryBatch) Gather(src *TrajectoryBatch, idx []int32) {
 	b.ObjID = gather(b.ObjID, src.ObjID, idx)
-	b.Building = gather(b.Building, src.Building, idx)
+	b.Building.Gather(&src.Building, idx)
 	b.Floor = gather(b.Floor, src.Floor, idx)
-	b.Partition = gather(b.Partition, src.Partition, idx)
+	b.Partition.Gather(&src.Partition, idx)
 	b.X = gather(b.X, src.X, idx)
 	b.Y = gather(b.Y, src.Y, idx)
 	b.T = gather(b.T, src.T, idx)
@@ -211,7 +207,7 @@ func (p Predicate) SelectTrajectory(b *TrajectoryBatch, sel []int32) []int32 {
 // form; see TrajectoryBatch for the reuse contract.
 type RSSIBatch struct {
 	ObjID    []int64
-	DeviceID []string
+	DeviceID Strings
 	RSSI     []float64
 	T        []float64
 }
@@ -223,7 +219,7 @@ func (b *RSSIBatch) Len() int { return len(b.ObjID) }
 func (b *RSSIBatch) Row(i int) rssi.Measurement {
 	return rssi.Measurement{
 		ObjID:    int(b.ObjID[i]),
-		DeviceID: b.DeviceID[i],
+		DeviceID: b.DeviceID.At(i),
 		RSSI:     b.RSSI[i],
 		T:        b.T[i],
 	}
@@ -232,7 +228,7 @@ func (b *RSSIBatch) Row(i int) rssi.Measurement {
 // Reset truncates the batch to zero rows, keeping column capacity.
 func (b *RSSIBatch) Reset() {
 	b.ObjID = b.ObjID[:0]
-	b.DeviceID = b.DeviceID[:0]
+	b.DeviceID.Reset()
 	b.RSSI = b.RSSI[:0]
 	b.T = b.T[:0]
 }
@@ -241,7 +237,7 @@ func (b *RSSIBatch) Reset() {
 // counterpart of Row; used by the CSV batch adapter in internal/storage).
 func (b *RSSIBatch) Append(m rssi.Measurement) {
 	b.ObjID = append(b.ObjID, int64(m.ObjID))
-	b.DeviceID = append(b.DeviceID, m.DeviceID)
+	b.DeviceID.Append(m.DeviceID)
 	b.RSSI = append(b.RSSI, m.RSSI)
 	b.T = append(b.T, m.T)
 }
@@ -249,18 +245,14 @@ func (b *RSSIBatch) Append(m rssi.Measurement) {
 // AppendRows bulk-appends rows [lo, hi) of src, one copy per column.
 func (b *RSSIBatch) AppendRows(src *RSSIBatch, lo, hi int) {
 	b.ObjID = append(b.ObjID, src.ObjID[lo:hi]...)
-	b.DeviceID = append(b.DeviceID, src.DeviceID[lo:hi]...)
+	b.DeviceID.AppendRows(&src.DeviceID, lo, hi)
 	b.RSSI = append(b.RSSI, src.RSSI[lo:hi]...)
 	b.T = append(b.T, src.T[lo:hi]...)
 }
 
 // Bytes approximates the batch's resident footprint.
 func (b *RSSIBatch) Bytes() int64 {
-	size := int64(b.Len()) * (8 + 16 + 8 + 8)
-	for _, d := range b.DeviceID {
-		size += int64(len(d))
-	}
-	return size
+	return int64(b.Len())*(8+8+8) + b.DeviceID.Bytes()
 }
 
 // filter compacts the batch in place to the rows matching p (time and
@@ -276,13 +268,13 @@ func (b *RSSIBatch) filter(p Predicate) {
 		}
 		if i != k {
 			b.ObjID[k] = b.ObjID[i]
-			b.DeviceID[k] = b.DeviceID[i]
+			b.DeviceID.Code[k] = b.DeviceID.Code[i]
 			b.RSSI[k], b.T[k] = b.RSSI[i], b.T[i]
 		}
 		k++
 	}
 	b.ObjID = b.ObjID[:k]
-	b.DeviceID = b.DeviceID[:k]
+	b.DeviceID.Code = b.DeviceID.Code[:k]
 	b.RSSI = b.RSSI[:k]
 	b.T = b.T[:k]
 }

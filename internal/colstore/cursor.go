@@ -42,8 +42,9 @@ type kindOps[B Batch] struct {
 	// rows.
 	spatial  bool
 	newBatch func() B
-	// decode rewrites b with the rows of one raw block payload.
-	decode func(raw []byte, b B, sc *decodeScratch) error
+	// decode rewrites b with the rows of one raw block payload, which must
+	// hold exactly want rows (its zone map's Count).
+	decode func(raw []byte, want int, b B, sc *decodeScratch) error
 	// filter narrows a freshly decoded block in place to the rows matching p.
 	filter func(p Predicate, zm ZoneMap, b B, sc *decodeScratch)
 	pool   sync.Pool // of *scratch[B]
@@ -122,7 +123,7 @@ func (c *Cursor[B]) Next() bool {
 			c.err = err
 			return false
 		}
-		if err := c.r.ops.decode(raw, b, sc); err != nil {
+		if err := c.r.ops.decode(raw, zm.Count, b, sc); err != nil {
 			c.err = fmt.Errorf("block %d: %w", i, err)
 			return false
 		}

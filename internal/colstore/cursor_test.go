@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -46,12 +47,12 @@ func TestCursorBatchColumns(t *testing.T) {
 		} else if b != firstBatch {
 			t.Fatal("Batch() returned a different batch pointer across Next calls")
 		}
-		if len(b.Building) != b.Len() || len(b.T) != b.Len() || len(b.HasPoint) != b.Len() {
-			t.Fatalf("ragged batch: lens %d/%d/%d vs %d", len(b.Building), len(b.T), len(b.HasPoint), b.Len())
+		if b.Building.Len() != b.Len() || len(b.T) != b.Len() || len(b.HasPoint) != b.Len() {
+			t.Fatalf("ragged batch: lens %d/%d/%d vs %d", b.Building.Len(), len(b.T), len(b.HasPoint), b.Len())
 		}
 		for i := 0; i < b.Len(); i++ {
 			s := b.Row(i)
-			if s.T != b.T[i] || int64(s.ObjID) != b.ObjID[i] || s.Loc.Building != b.Building[i] {
+			if s.T != b.T[i] || int64(s.ObjID) != b.ObjID[i] || s.Loc.Building != b.Building.At(i) {
 				t.Fatalf("row %d disagrees with columns", i)
 			}
 			if !sampleEqual(s, samples[rows]) {
@@ -102,6 +103,37 @@ func TestDecodeBlock(t *testing.T) {
 	}
 }
 
+// withBlockCount returns a copy of a VTB image whose footer declares count
+// rows for block i.
+func withBlockCount(img []byte, i, count int) []byte {
+	out := bytes.Clone(img)
+	footerOff := int(binary.LittleEndian.Uint64(out[len(out)-tailSize:]))
+	binary.LittleEndian.PutUint32(out[footerOff+4+i*footerEntrySize+8:], uint32(count))
+	return out
+}
+
+// TestBlockCountMustMatchFooter: a block that decodes more or fewer rows
+// than its zone map's Count is corrupt. Otherwise Len, and everything counted
+// from the footer (the served dataset's sample counts), disagrees with what a
+// scan reads: with block 0 of a 200-row file patched to claim 7 rows, Len
+// said 143 while a scan yielded 200.
+func TestBlockCountMustMatchFooter(t *testing.T) {
+	img := writeTrajectory(t, awkwardSamples()[:200], Options{BlockSize: 64})
+	for _, count := range []int{7, 63, 65, 1 << 20} {
+		r := readTrajectory(t, withBlockCount(img, 0, count))
+		if b, err := r.DecodeBlock(0); err == nil {
+			t.Errorf("count %d: DecodeBlock(0) returned %d rows and no error", count, b.Len())
+		}
+		if rows, _, err := drain(r.Cursor(Predicate{})); err == nil {
+			t.Errorf("count %d: the cursor scanned %d rows (Len %d) and no error", count, len(rows), r.Len())
+		}
+	}
+	r := readTrajectory(t, img)
+	if rows, _, err := drain(r.Cursor(Predicate{})); err != nil || len(rows) != r.Len() {
+		t.Fatalf("unpatched image: %d rows, Len %d, %v", len(rows), r.Len(), err)
+	}
+}
+
 // TestDecodeSizesColumnsOnce pins the cost of the block-cache miss path
 // (DecodeBlock decodes into a fresh batch): each of the eight columns is
 // allocated once at its final size, not grown by doubling — which tripled the
@@ -117,15 +149,15 @@ func TestDecodeSizesColumnsOnce(t *testing.T) {
 	}
 	decode := func() {
 		var b TrajectoryBatch
-		if err := decodeTrajectoryBatch(raw, &b, &sc); err != nil || b.Len() != rows {
+		if err := decodeTrajectoryBatch(raw, rows, &b, &sc); err != nil || b.Len() != rows {
 			t.Fatalf("decoded %d rows, %v", b.Len(), err)
 		}
 	}
 	decode() // size the scratch's intermediates
-	// One per column; two under -race, where slices.Grow makes a temporary.
-	// Grown by doubling it was 124.
-	if allocs := testing.AllocsPerRun(20, decode); allocs > 16 {
-		t.Errorf("decoding a %d-row block into a fresh batch: %.0f allocations, want one per column (8)", rows, allocs)
+	// One per column plus one per dictionary; two each under -race, where
+	// slices.Grow makes a temporary. Grown by doubling it was 124.
+	if allocs := testing.AllocsPerRun(20, decode); allocs > 20 {
+		t.Errorf("decoding a %d-row block into a fresh batch: %.0f allocations, want one per column and dictionary (10)", rows, allocs)
 	}
 }
 
@@ -135,16 +167,16 @@ func TestCorruptCountReservesNothing(t *testing.T) {
 	raw := binary.AppendUvarint(nil, 1<<40)
 	var b TrajectoryBatch
 	sc := newDecodeScratch()
-	if err := decodeTrajectoryBatch(raw, &b, &sc); err == nil {
+	if err := decodeTrajectoryBatch(raw, 1<<40, &b, &sc); err == nil {
 		t.Fatal("decoded a block whose row count exceeds its payload")
 	}
-	if cap(b.ObjID) != 0 || cap(b.Building) != 0 {
-		t.Errorf("corrupt count reserved %d/%d column slots", cap(b.ObjID), cap(b.Building))
+	if cap(b.ObjID) != 0 || cap(b.Building.Code) != 0 {
+		t.Errorf("corrupt count reserved %d/%d column slots", cap(b.ObjID), cap(b.Building.Code))
 	}
 	// A count the payload bound admits, with too few bytes behind it: each
 	// column reserves at most what is left of the payload.
 	raw = append(binary.AppendUvarint(nil, 3000), make([]byte, 3000)...)
-	if err := decodeTrajectoryBatch(raw, &b, &sc); err == nil {
+	if err := decodeTrajectoryBatch(raw, 3000, &b, &sc); err == nil {
 		t.Fatal("decoded 3000 rows out of 3000 bytes")
 	}
 }

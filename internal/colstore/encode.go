@@ -100,24 +100,40 @@ func appendFloatColumn(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// appendDictColumn encodes vals as a first-seen-order dictionary followed by
-// one varint index per value.
-func appendDictColumn(dst []byte, vals []string) []byte {
-	idx := make(map[string]int)
-	var dict []string
-	for _, s := range vals {
-		if _, ok := idx[s]; !ok {
-			idx[s] = len(dict)
-			dict = append(dict, s)
+// dictScratch is appendDictColumn's scratch, reused from block to block.
+// slot, indexed by code, holds 1 + the code's position in the block's
+// dictionary (0: no row used it yet) and is all zero between calls; used
+// lists the codes the rows use, in first-seen order.
+type dictScratch struct {
+	slot, used []uint32
+}
+
+// appendDictColumn encodes col as a first-seen-order dictionary followed by
+// one varint index per row. The dictionary is re-derived from the codes, so
+// entries col.Dict holds that no row uses, and the order it holds them in,
+// never reach the block: the bytes are those of the same strings appended
+// one by one to an empty column.
+func appendDictColumn(dst []byte, col *Strings, sc *dictScratch) []byte {
+	if len(sc.slot) < len(col.Dict) {
+		sc.slot = append(sc.slot, make([]uint32, len(col.Dict)-len(sc.slot))...)
+	}
+	sc.used = sc.used[:0]
+	for _, c := range col.Code {
+		if sc.slot[c] == 0 {
+			sc.used = append(sc.used, c)
+			sc.slot[c] = uint32(len(sc.used))
 		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(dict)))
-	for _, s := range dict {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
+	dst = binary.AppendUvarint(dst, uint64(len(sc.used)))
+	for _, c := range sc.used {
+		dst = binary.AppendUvarint(dst, uint64(len(col.Dict[c])))
+		dst = append(dst, col.Dict[c]...)
 	}
-	for _, s := range vals {
-		dst = binary.AppendUvarint(dst, uint64(idx[s]))
+	for _, c := range col.Code {
+		dst = binary.AppendUvarint(dst, uint64(sc.slot[c]-1))
+	}
+	for _, c := range sc.used {
+		sc.slot[c] = 0
 	}
 	return dst
 }
@@ -346,33 +362,46 @@ func (c *cursor) floatColumnInto(n int, out []float64, sc *decodeScratch) []floa
 	return out
 }
 
-// dictColumnInto decodes one dictionary column, appending to out and
-// returning it. Dictionary entries go through the scratch's interning table,
-// so a steady-state scan allocates a string only for names it has never seen.
-func (c *cursor) dictColumnInto(n int, out []string, sc *decodeScratch) []string {
+// dictColumnInto decodes one dictionary column into out, replacing its
+// dictionary and appending its codes. Dictionary entries go through the
+// scratch's interning table, so a steady-state scan allocates a string only
+// for names it has never seen; an entry the block's dictionary already holds
+// is a corrupt block, since a column's codes must name distinct strings.
+func (c *cursor) dictColumnInto(n int, out *Strings, sc *decodeScratch) {
 	dictLen := c.count()
-	sc.dict = sc.dict[:0]
+	out.setDict()
+	// Sized once, like the other columns: an entry takes at least a byte.
+	out.Dict = slices.Grow(out.Dict, min(dictLen, len(c.b)-c.off))
+	if len(sc.seen) > maxInterned { // a hostile block's table is not kept
+		sc.seen = make(map[string]struct{})
+	}
+	clear(sc.seen)
 	for i := 0; i < dictLen; i++ {
 		l := c.count()
 		b := c.bytes(l)
 		if c.err != nil {
-			return out
+			return
 		}
-		sc.dict = append(sc.dict, sc.intern(b))
+		s := sc.intern(b)
+		if _, dup := sc.seen[s]; dup {
+			c.fail("dictionary repeats entry %q", s)
+			return
+		}
+		sc.seen[s] = struct{}{}
+		out.Dict = append(out.Dict, s)
 	}
-	out = slices.Grow(out, min(n, len(c.b)-c.off))
+	out.Code = slices.Grow(out.Code, min(n, len(c.b)-c.off))
 	for i := 0; i < n; i++ {
 		idx := c.uvarint()
 		if c.err != nil {
-			return out
+			return
 		}
-		if idx >= uint64(len(sc.dict)) {
-			c.fail("dictionary index %d out of range (%d entries)", idx, len(sc.dict))
-			return out
+		if idx >= uint64(len(out.Dict)) {
+			c.fail("dictionary index %d out of range (%d entries)", idx, len(out.Dict))
+			return
 		}
-		out = append(out, sc.dict[idx])
+		out.Code = append(out.Code, uint32(idx))
 	}
-	return out
 }
 
 // bitsetInto decodes n bits, appending to out and returning it.

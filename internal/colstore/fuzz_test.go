@@ -47,13 +47,17 @@ func FuzzVSnapDecode(f *testing.F) {
 // FuzzDecodeBlock opens arbitrary bytes as a VTB trajectory file and scans
 // it. Corrupt headers, footers, zone maps, block frames, codec bytes, and
 // compressed payloads must all surface as errors — never a panic, index
-// out of range, or unbounded allocation. Seeds are valid files under every
+// out of range, or unbounded allocation — and a block that does decode holds
+// exactly the rows its zone map counts. Seeds are valid files under every
 // codec a reader decodes — raw and vsnap written here, flate from the
 // fixture — so the fuzzer starts from structure-preserving mutations
 // (flipping codec bytes, truncating payloads, corrupting LZ and DEFLATE
-// streams) rather than noise that dies at the magic check.
+// streams) rather than noise that dies at the magic check; two more are
+// corrupt in ways a mutation rarely finds: a dictionary that repeats an
+// entry, and a footer whose row count disagrees with its block.
 func FuzzDecodeBlock(f *testing.F) {
 	samples := awkwardSamples()[:200]
+	var vsnap []byte
 	for _, codec := range []Codec{CodecRaw, CodecVSnap} {
 		var buf bytes.Buffer
 		w := NewTrajectoryWriter(&buf, Options{BlockSize: 64, Codec: codec})
@@ -66,17 +70,22 @@ func FuzzDecodeBlock(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+		vsnap = buf.Bytes()
 	}
 	f.Add(flateFixture(f, "trajectory.vtb"))
 	f.Add([]byte("VTB1"))
+	f.Add(rawImage(f, twoRows([]string{"hq", "hq"}, 0, 1)))
+	f.Add(withBlockCount(vsnap, 0, 7))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewTrajectoryReader(data)
 		if err != nil {
 			return
 		}
 		// Every block on its own, through decompressInto into a fresh batch.
-		for i := range r.Blocks() {
-			_, _ = r.DecodeBlock(i)
+		for i, zm := range r.Blocks() {
+			if b, err := r.DecodeBlock(i); err == nil && b.Len() != zm.Count {
+				t.Fatalf("block %d decoded %d rows, its zone map says %d", i, b.Len(), zm.Count)
+			}
 		}
 		// The cursor too — it shares blockBytes but decodes into its scratch.
 		cur := r.Cursor(Predicate{})

@@ -252,7 +252,7 @@ func (r *Reader[B]) DecodeBlock(i int) (B, error) {
 		return none, err
 	}
 	out := r.ops.newBatch()
-	if err := r.ops.decode(raw, out, &sc.decodeScratch); err != nil {
+	if err := r.ops.decode(raw, r.zones[i].Count, out, &sc.decodeScratch); err != nil {
 		return none, fmt.Errorf("block %d: %w", i, err)
 	}
 	return out, nil
@@ -273,16 +273,30 @@ func (p Predicate) MatchRSSI(m rssi.Measurement) bool {
 	return p.matchCommon(m.ObjID, m.T)
 }
 
-// decodeTrajectoryBatch decodes one raw block payload into b's reused
-// columns, borrowing intermediates from sc.
-func decodeTrajectoryBatch(raw []byte, b *TrajectoryBatch, sc *decodeScratch) error {
-	c := &cursor{b: raw}
+// blockRows reads a block payload's row count and checks it against the
+// count the block's zone map declares, before any column is sized from it: a
+// block must decode exactly the rows the footer says it holds, or Len (and
+// everything counted from the footer) would disagree with a scan. On a
+// mismatch it returns 0, so no column reserves anything.
+func (c *cursor) blockRows(want int) int {
 	n := c.count()
+	if c.err == nil && n != want {
+		c.fail("block holds %d rows, its footer says %d", n, want)
+		return 0
+	}
+	return n
+}
+
+// decodeTrajectoryBatch decodes one raw block payload of want rows into b's
+// reused columns, borrowing intermediates from sc.
+func decodeTrajectoryBatch(raw []byte, want int, b *TrajectoryBatch, sc *decodeScratch) error {
+	c := &cursor{b: raw}
+	n := c.blockRows(want)
 	b.Reset()
 	b.ObjID = c.intColumnInto(n, b.ObjID)
-	b.Building = c.dictColumnInto(n, b.Building, sc)
+	c.dictColumnInto(n, &b.Building, sc)
 	b.Floor = c.intColumnInto(n, b.Floor)
-	b.Partition = c.dictColumnInto(n, b.Partition, sc)
+	c.dictColumnInto(n, &b.Partition, sc)
 	b.X = c.floatColumnInto(n, b.X, sc)
 	b.Y = c.floatColumnInto(n, b.Y, sc)
 	b.T = c.floatColumnInto(n, b.T, sc)
@@ -294,13 +308,14 @@ func decodeTrajectoryBatch(raw []byte, b *TrajectoryBatch, sc *decodeScratch) er
 	return nil
 }
 
-// decodeRSSIBatch decodes one raw block payload into b's reused columns.
-func decodeRSSIBatch(raw []byte, b *RSSIBatch, sc *decodeScratch) error {
+// decodeRSSIBatch decodes one raw block payload of want rows into b's reused
+// columns.
+func decodeRSSIBatch(raw []byte, want int, b *RSSIBatch, sc *decodeScratch) error {
 	c := &cursor{b: raw}
-	n := c.count()
+	n := c.blockRows(want)
 	b.Reset()
 	b.ObjID = c.intColumnInto(n, b.ObjID)
-	b.DeviceID = c.dictColumnInto(n, b.DeviceID, sc)
+	c.dictColumnInto(n, &b.DeviceID, sc)
 	b.RSSI = c.floatColumnInto(n, b.RSSI, sc)
 	b.T = c.floatColumnInto(n, b.T, sc)
 	if c.err != nil {

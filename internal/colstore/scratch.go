@@ -7,19 +7,20 @@ import (
 )
 
 // decodeScratch bundles every kind-independent buffer a block decode needs —
-// the flate decompressor and its output buffer, column intermediates, the
-// per-block dictionary, and a string-interning table — so the steady-state
-// scan path allocates nothing per block. One scratch serves
-// one goroutine at a time: a cursor holds one for its lifetime, DecodeBlock
-// for one call.
+// the flate decompressor and its output buffer, column intermediates, and a
+// string-interning table — so the steady-state scan path allocates nothing
+// per block. One scratch serves one goroutine at a time: a cursor holds one
+// for its lifetime, DecodeBlock for one call.
 type decodeScratch struct {
 	raw []byte        // decompressed block (vsnap and flate output)
 	br  bytes.Reader  // resettable source feeding the flate reader
 	fr  io.ReadCloser // pooled flate reader; implements flate.Resetter
 
-	i64  []int64  // scaled-float intermediate column
-	dict []string // per-block string dictionary
-	sel  []int32  // row selection of a cursor's predicate filter
+	i64 []int64 // scaled-float intermediate column
+	sel []int32 // row selection of a cursor's predicate filter
+	// seen holds the entries of the dictionary being decoded, so a block
+	// whose dictionary repeats one is caught.
+	seen map[string]struct{}
 
 	// interned maps previously seen column strings to one shared copy, so a
 	// steady-state scan allocates a string only the first time a distinct
@@ -41,7 +42,7 @@ type scratch[B Batch] struct {
 const maxInterned = 1 << 14
 
 func newDecodeScratch() decodeScratch {
-	return decodeScratch{interned: make(map[string]string)}
+	return decodeScratch{interned: make(map[string]string), seen: make(map[string]struct{})}
 }
 
 // intern returns b as a string, reusing the shared copy when the scratch has

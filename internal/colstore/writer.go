@@ -276,8 +276,13 @@ func (w *Writer[T]) flush(rows []T) {
 	w.bw.flushBlock(p, zm)
 }
 
-// trajectoryEncoder splits trajectory rows into its reused columns.
-type trajectoryEncoder struct{ cols TrajectoryBatch }
+// trajectoryEncoder splits trajectory rows into its reused columns. The
+// string columns keep their dictionaries from block to block, so a name is
+// coded once per file, not once per block.
+type trajectoryEncoder struct {
+	cols TrajectoryBatch
+	dict dictScratch
+}
 
 func (e *trajectoryEncoder) encode(samples []trajectory.Sample, p []byte) ([]byte, ZoneMap) {
 	zm := ZoneMap{
@@ -304,20 +309,29 @@ func (e *trajectoryEncoder) encode(samples []trajectory.Sample, p []byte) ([]byt
 		}
 	}
 
-	p = binary.AppendUvarint(p[:0], uint64(len(samples)))
+	return appendTrajectoryPayload(p[:0], c, &e.dict), zm
+}
+
+// appendTrajectoryPayload appends c's rows to p as one block payload: the
+// row count, then each column.
+func appendTrajectoryPayload(p []byte, c *TrajectoryBatch, d *dictScratch) []byte {
+	p = binary.AppendUvarint(p, uint64(c.Len()))
 	p = appendIntColumn(p, c.ObjID)
-	p = appendDictColumn(p, c.Building)
+	p = appendDictColumn(p, &c.Building, d)
 	p = appendIntColumn(p, c.Floor)
-	p = appendDictColumn(p, c.Partition)
+	p = appendDictColumn(p, &c.Partition, d)
 	p = appendFloatColumn(p, c.X)
 	p = appendFloatColumn(p, c.Y)
 	p = appendFloatColumn(p, c.T)
-	p = appendBitset(p, c.HasPoint)
-	return p, zm
+	return appendBitset(p, c.HasPoint)
 }
 
-// rssiEncoder splits RSSI rows into its reused columns.
-type rssiEncoder struct{ cols RSSIBatch }
+// rssiEncoder splits RSSI rows into its reused columns; see
+// trajectoryEncoder.
+type rssiEncoder struct {
+	cols RSSIBatch
+	dict dictScratch
+}
 
 func (e *rssiEncoder) encode(ms []rssi.Measurement, p []byte) ([]byte, ZoneMap) {
 	zm := ZoneMap{
@@ -336,7 +350,7 @@ func (e *rssiEncoder) encode(ms []rssi.Measurement, p []byte) ([]byte, ZoneMap) 
 
 	p = binary.AppendUvarint(p[:0], uint64(len(ms)))
 	p = appendIntColumn(p, c.ObjID)
-	p = appendDictColumn(p, c.DeviceID)
+	p = appendDictColumn(p, &c.DeviceID, &e.dict)
 	p = appendFloatColumn(p, c.RSSI)
 	p = appendFloatColumn(p, c.T)
 	return p, zm

@@ -236,16 +236,17 @@ func (t *groupTable) assign(gid []int32, b *Batch) []int32 {
 
 // markBreaks sets brk[i] where column c of row i differs from row i-1's.
 // Under ==, -0 meets +0 and NaN breaks every run; find then reunites NaNs.
+// String columns compare codes, which within one batch name one string each.
 func markBreaks(brk []bool, b *Batch, c Col) {
 	switch tr := b.Traj; c {
 	case ColObjID:
 		breaks(brk, tr.ObjID)
 	case ColBuilding:
-		breaks(brk, tr.Building)
+		breaks(brk, tr.Building.Code)
 	case ColFloor:
 		breaks(brk, tr.Floor)
 	case ColPartition:
-		breaks(brk, tr.Partition)
+		breaks(brk, tr.Partition.Code)
 	default:
 		breaks(brk, floatCol(b, c)) // a missing Val column is one run of 0s
 	}

@@ -88,9 +88,9 @@ func colNum(b *Batch, c Col, i int) float64 {
 func colStr(b *Batch, c Col, i int) string {
 	switch c {
 	case ColBuilding:
-		return b.Traj.Building[i]
+		return b.Traj.Building.At(i)
 	case ColPartition:
-		return b.Traj.Partition[i]
+		return b.Traj.Partition.At(i)
 	}
 	return ""
 }

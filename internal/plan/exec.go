@@ -57,9 +57,13 @@ func (bc *batchCols) gather(src *Batch, idx []int32) {
 func (bc *batchCols) zeroCols(keep colMask) {
 	t := &bc.traj
 	zeroUnless(keep.has(ColObjID), t.ObjID)
-	zeroUnless(keep.has(ColBuilding), t.Building)
+	if !keep.has(ColBuilding) {
+		t.Building.Zero()
+	}
 	zeroUnless(keep.has(ColFloor), t.Floor)
-	zeroUnless(keep.has(ColPartition), t.Partition)
+	if !keep.has(ColPartition) {
+		t.Partition.Zero()
+	}
 	zeroUnless(keep.has(ColX), t.X)
 	zeroUnless(keep.has(ColY), t.Y)
 	zeroUnless(keep.has(ColX) && keep.has(ColY), t.HasPoint)
@@ -353,7 +357,9 @@ func (d *deriveOp) Close() error {
 // and spent in the same partition — i.e. the dwell time the row's partition
 // earns from the preceding interval. Rows that open a visit (object change,
 // partition change, or a gap beyond maxGap) get 0. Requires rows ordered by
-// (object, time); compose after OrderBy(Asc(ColObjID), Asc(ColT)).
+// (object, time); compose after OrderBy(Asc(ColObjID), Asc(ColT)). Inside a
+// batch partitions compare by code; only a batch's first row compares its
+// name with the previous batch's last.
 func DwellGaps(maxGap float64) DeriveFunc {
 	var (
 		have     bool
@@ -363,16 +369,31 @@ func DwellGaps(maxGap float64) DeriveFunc {
 	)
 	return func(dst []float64, b *Batch) {
 		tr := b.Traj
-		for i := 0; i < tr.Len(); i++ {
-			if have && tr.ObjID[i] == prevObj && tr.Partition[i] == prevPart {
-				if dt := tr.T[i] - prevT; dt > 0 && dt <= maxGap {
-					dst[i] = dt
-				}
-			}
-			have = true
-			prevObj, prevPart, prevT = tr.ObjID[i], tr.Partition[i], tr.T[i]
+		n := tr.Len()
+		if n == 0 {
+			return
 		}
+		if have && tr.ObjID[0] == prevObj && tr.Partition.At(0) == prevPart {
+			dst[0] = dwellGap(tr.T[0]-prevT, maxGap)
+		}
+		part := tr.Partition.Code
+		for i := 1; i < n; i++ {
+			if tr.ObjID[i] == tr.ObjID[i-1] && part[i] == part[i-1] {
+				dst[i] = dwellGap(tr.T[i]-tr.T[i-1], maxGap)
+			}
+		}
+		have = true
+		prevObj, prevPart, prevT = tr.ObjID[n-1], tr.Partition.At(n-1), tr.T[n-1]
 	}
+}
+
+// dwellGap is the dwell a gap of dt seconds earns: dt itself when positive
+// and at most maxGap, else 0.
+func dwellGap(dt, maxGap float64) float64 {
+	if dt > 0 && dt <= maxGap {
+		return dt
+	}
+	return 0
 }
 
 // DistTo returns a DeriveFunc that assigns each row the planar distance from
@@ -390,7 +411,8 @@ func DistTo(p geom.Point) DeriveFunc {
 
 // limitOp stops after n rows. It never copies: a partial final batch is a
 // re-sliced view of the child's batch (slicing shortens the view without
-// touching the shared backing arrays).
+// touching the shared backing arrays; string columns keep their
+// dictionaries whole).
 type limitOp struct {
 	unary
 	remaining int
@@ -418,9 +440,9 @@ func (l *limitOp) Next() bool {
 	tr := in.Traj
 	l.traj = colstore.TrajectoryBatch{
 		ObjID:     tr.ObjID[:k],
-		Building:  tr.Building[:k],
+		Building:  colstore.Strings{Code: tr.Building.Code[:k], Dict: tr.Building.Dict},
 		Floor:     tr.Floor[:k],
-		Partition: tr.Partition[:k],
+		Partition: colstore.Strings{Code: tr.Partition.Code[:k], Dict: tr.Partition.Dict},
 		X:         tr.X[:k],
 		Y:         tr.Y[:k],
 		T:         tr.T[:k],

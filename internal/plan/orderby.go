@@ -3,6 +3,9 @@ package plan
 import (
 	"math"
 	"slices"
+	"strings"
+
+	"vita/internal/colstore"
 )
 
 // SortKey is one OrderBy key: a column and a direction.
@@ -56,8 +59,8 @@ func (sc *orderByScratch) sort(child Operator, keys []SortKey) *Batch {
 type sorter struct {
 	key       []uint64
 	perm, tmp []int32
-	rank      map[string]uint64
-	names     []string
+	rank      []uint64 // a string key's rank per dictionary code
+	byName    []int32  // dictionary codes in name order
 }
 
 // sortPerm leaves in s.perm the stable ordering of in's rows by keys, and
@@ -95,9 +98,9 @@ func (s *sorter) keyColumn(dst []uint64, in *batchCols, k SortKey) {
 	case ColFloor:
 		intSortKeys(dst, in.traj.Floor)
 	case ColBuilding:
-		s.stringSortKeys(dst, in.traj.Building)
+		s.stringSortKeys(dst, &in.traj.Building)
 	case ColPartition:
-		s.stringSortKeys(dst, in.traj.Partition)
+		s.stringSortKeys(dst, &in.traj.Partition)
 	default:
 		clear(dst) // a missing Val column reads as 0 everywhere
 		floatSortKeys(dst, floatCol(in.batch(), k.Col))
@@ -141,26 +144,22 @@ func floatSortKeys(dst []uint64, col []float64) {
 	}
 }
 
-// stringSortKeys ranks each value within the sorted set of the column's
-// distinct values.
-func (s *sorter) stringSortKeys(dst []uint64, col []string) {
-	if s.rank == nil {
-		s.rank = make(map[string]uint64)
+// stringSortKeys ranks each value within the sorted dictionary of the
+// column: the dictionary is sorted once, and every row reads its code's rank.
+// A dictionary never repeats an entry, so equal ranks mean equal strings.
+func (s *sorter) stringSortKeys(dst []uint64, col *colstore.Strings) {
+	n := len(col.Dict)
+	s.byName = slices.Grow(s.byName[:0], n)[:n]
+	for c := range s.byName {
+		s.byName[c] = int32(c)
 	}
-	clear(s.rank)
-	s.names = s.names[:0]
-	for _, v := range col {
-		if _, ok := s.rank[v]; !ok {
-			s.rank[v] = 0
-			s.names = append(s.names, v)
-		}
+	slices.SortFunc(s.byName, func(a, b int32) int { return strings.Compare(col.Dict[a], col.Dict[b]) })
+	s.rank = slices.Grow(s.rank[:0], n)[:n]
+	for r, c := range s.byName {
+		s.rank[c] = uint64(r)
 	}
-	slices.Sort(s.names)
-	for r, v := range s.names {
-		s.rank[v] = uint64(r)
-	}
-	for i, v := range col {
-		dst[i] = s.rank[v]
+	for i, c := range col.Code {
+		dst[i] = s.rank[c]
 	}
 }
 

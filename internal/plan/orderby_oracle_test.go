@@ -116,8 +116,8 @@ func genBatches(data []byte, withVal bool, batchLen int) []*Batch {
 		tr := b.Traj
 		tr.ObjID = append(tr.ObjID, fuzzInts[pick(len(fuzzInts), data[0]>>4)])
 		tr.Floor = append(tr.Floor, fuzzInts[pick(len(fuzzInts), data[0]&15)])
-		tr.Building = append(tr.Building, fuzzStrings[pick(len(fuzzStrings), data[1]>>4)])
-		tr.Partition = append(tr.Partition, fuzzStrings[pick(len(fuzzStrings), data[1]&15)])
+		tr.Building.Append(fuzzStrings[pick(len(fuzzStrings), data[1]>>4)])
+		tr.Partition.Append(fuzzStrings[pick(len(fuzzStrings), data[1]&15)])
 		tr.X = append(tr.X, fuzzFloats[pick(len(fuzzFloats), data[2]>>4)])
 		tr.Y = append(tr.Y, fuzzFloats[pick(len(fuzzFloats), data[2]&15)])
 		tr.T = append(tr.T, fuzzFloats[pick(len(fuzzFloats), data[3]>>4)])
@@ -247,8 +247,10 @@ func TestOrderByKeySemantics(t *testing.T) {
 		n := len(obj)
 		return &colstore.TrajectoryBatch{
 			ObjID: obj, T: ts,
-			Building: make([]string, n), Partition: make([]string, n), Floor: make([]int64, n),
-			X: make([]float64, n), Y: make([]float64, n), HasPoint: make([]bool, n),
+			Building:  colstore.Strings{Code: make([]uint32, n), Dict: []string{""}},
+			Partition: colstore.Strings{Code: make([]uint32, n), Dict: []string{""}},
+			Floor:     make([]int64, n),
+			X:         make([]float64, n), Y: make([]float64, n), HasPoint: make([]bool, n),
 		}
 	}
 

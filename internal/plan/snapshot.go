@@ -22,13 +22,15 @@ func newSnapshotAtOp(child Operator, t, maxGap float64) Operator {
 
 // snapshotScratch is a snapshot's fold: object obj's row before the instant
 // is row 2·slot[obj] of ends and its row at or after it the next one, each
-// valid once has says so.
+// valid once has says so. bmap and pmap translate the current input batch's
+// building and partition codes into ends'.
 type snapshotScratch struct {
-	slot map[int64]int32
-	obj  []int64
-	ends colstore.TrajectoryBatch
-	has  []bool
-	out  batchCols
+	slot       map[int64]int32
+	obj        []int64
+	ends       colstore.TrajectoryBatch
+	has        []bool
+	bmap, pmap []uint32
+	out        batchCols
 }
 
 var snapshotPool pool[snapshotScratch]
@@ -42,14 +44,16 @@ func (sc *snapshotScratch) fold(child Operator, at, maxGap float64) *Batch {
 	sc.ends.Reset()
 	for child.Next() {
 		tr := child.Batch().Traj
+		sc.bmap = sc.ends.Building.Remap(&tr.Building, sc.bmap)
+		sc.pmap = sc.ends.Partition.Remap(&tr.Partition, sc.pmap)
 		for i, t := range tr.T {
 			j, ok := sc.slot[tr.ObjID[i]]
 			if !ok {
 				j = int32(len(sc.obj))
 				sc.slot[tr.ObjID[i]] = j
 				sc.obj = append(sc.obj, tr.ObjID[i])
-				sc.ends.AppendRows(tr, i, i+1) // placeholders until has is set
-				sc.ends.AppendRows(tr, i, i+1)
+				sc.appendRow(tr, i) // placeholders until has is set
+				sc.appendRow(tr, i)
 				sc.has = append(sc.has, false, false)
 			}
 			k, before := 2*int(j), t < at
@@ -57,7 +61,7 @@ func (sc *snapshotScratch) fold(child Operator, at, maxGap float64) *Batch {
 				k++
 			}
 			if !sc.has[k] || (before && t >= sc.ends.T[k]) || (!before && t < sc.ends.T[k]) {
-				setRow(&sc.ends, k, tr, i)
+				sc.setRow(k, tr, i)
 				sc.has[k] = true
 			}
 		}
@@ -80,8 +84,20 @@ func (sc *snapshotScratch) fold(child Operator, at, maxGap float64) *Batch {
 	return sc.out.batch()
 }
 
-// setRow overwrites row k of dst with row i of src.
-func setRow(dst *colstore.TrajectoryBatch, k int, src *colstore.TrajectoryBatch, i int) {
-	dst.ObjID[k], dst.Building[k], dst.Floor[k], dst.Partition[k] = src.ObjID[i], src.Building[i], src.Floor[i], src.Partition[i]
-	dst.X[k], dst.Y[k], dst.T[k], dst.HasPoint[k] = src.X[i], src.Y[i], src.T[i], src.HasPoint[i]
+// appendRow appends row i of the input batch src to ends.
+func (sc *snapshotScratch) appendRow(src *colstore.TrajectoryBatch, i int) {
+	e := &sc.ends
+	e.ObjID, e.Floor = append(e.ObjID, src.ObjID[i]), append(e.Floor, src.Floor[i])
+	e.Building.Code = append(e.Building.Code, sc.bmap[src.Building.Code[i]])
+	e.Partition.Code = append(e.Partition.Code, sc.pmap[src.Partition.Code[i]])
+	e.X, e.Y, e.T = append(e.X, src.X[i]), append(e.Y, src.Y[i]), append(e.T, src.T[i])
+	e.HasPoint = append(e.HasPoint, src.HasPoint[i])
+}
+
+// setRow overwrites row k of ends with row i of the input batch src.
+func (sc *snapshotScratch) setRow(k int, src *colstore.TrajectoryBatch, i int) {
+	e := &sc.ends
+	e.ObjID[k], e.Floor[k] = src.ObjID[i], src.Floor[i]
+	e.Building.Code[k], e.Partition.Code[k] = sc.bmap[src.Building.Code[i]], sc.pmap[src.Partition.Code[i]]
+	e.X[k], e.Y[k], e.T[k], e.HasPoint[k] = src.X[i], src.Y[i], src.T[i], src.HasPoint[i]
 }

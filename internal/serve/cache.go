@@ -20,12 +20,12 @@ type blockKey struct {
 
 // BlockCache is a size-bounded LRU cache of decoded VTB blocks, keyed by
 // (segment ID, block index). It holds fully decoded, unfiltered column
-// batches — the shape block decode produces, and ~25% smaller resident than
-// the equivalent []Sample — so one cached decode serves every predicate;
-// callers filter with colstore.Predicate.SelectTrajectory into a batch of
-// their own.
-// Byte accounting is the decoded-batch footprint
-// (colstore.TrajectoryBatch.Bytes). Safe for concurrent use.
+// batches — the shape block decode produces: about 49 B per row, with the
+// string columns dictionary-coded, against 80 B per row for the equivalent
+// []Sample — so one cached decode serves every predicate; callers filter
+// with colstore.Predicate.SelectTrajectory into a batch of their own. Byte
+// accounting is the decoded-batch footprint (colstore.TrajectoryBatch.Bytes).
+// Safe for concurrent use.
 type BlockCache struct {
 	mu       sync.Mutex
 	maxBytes int64

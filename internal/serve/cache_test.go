@@ -10,7 +10,7 @@ import (
 )
 
 // batchOfSize builds a decoded batch of n rows with empty strings, so its
-// Bytes() is exactly n*batchRowBytes.
+// Bytes() is n*rowBytes plus two one-entry dictionaries (dictBytes).
 func batchOfSize(n int) *colstore.TrajectoryBatch {
 	b := &colstore.TrajectoryBatch{}
 	for i := 0; i < n; i++ {
@@ -20,8 +20,17 @@ func batchOfSize(n int) *colstore.TrajectoryBatch {
 	return b
 }
 
-// batchRowBytes is the per-row column footprint batchOfSize produces.
+// batchRowBytes is the footprint of a one-row batchOfSize block.
 var batchRowBytes = batchOfSize(1).Bytes()
+
+const (
+	// rowBytes is a row's share of a batch: six 8-byte or 1-byte columns and
+	// the two string columns' 4-byte codes.
+	rowBytes = 8 + 8 + 8 + 8 + 8 + 1 + 4 + 4
+	// dictBytes is what batchOfSize's two dictionaries cost: one 16-byte
+	// string header each, for "".
+	dictBytes = 2 * 16
+)
 
 func TestBlockCacheEvictionOrder(t *testing.T) {
 	// Budget holds exactly three one-row blocks.
@@ -59,19 +68,25 @@ func TestBlockCacheByteAccounting(t *testing.T) {
 	b := &colstore.TrajectoryBatch{}
 	b.Append(trajectory.Sample{ObjID: 1, Loc: model.At("building", 0, "lobby", geom.Pt(1, 2)), T: 3})
 	b.Append(trajectory.Sample{ObjID: 2, Loc: model.AtPartition("b", 1, "p")})
-	want := 2*batchRowBytes + int64(len("building")+len("lobby")+len("b")+len("p"))
+	// Rows cost rowBytes each; each dictionary entry a string header plus
+	// its bytes, however many rows name it.
+	want := int64(2*rowBytes + 4*16 + len("building") + len("lobby") + len("b") + len("p"))
 	if got := b.Bytes(); got != want {
 		t.Fatalf("batch Bytes = %d, want %d", got, want)
 	}
+	if got, want := batchOfSize(1000).Bytes(), int64(1000*rowBytes+dictBytes); got != want {
+		t.Fatalf("1000-row batch Bytes = %d, want %d", got, want)
+	}
+	four := int64(4*rowBytes + dictBytes)
 	c.Put(0, 0, b)
 	c.Put(0, 1, batchOfSize(4))
-	if st := c.Stats(); st.Bytes != want+4*batchRowBytes {
-		t.Errorf("cache bytes = %d, want %d", st.Bytes, want+4*batchRowBytes)
+	if st := c.Stats(); st.Bytes != want+four {
+		t.Errorf("cache bytes = %d, want %d", st.Bytes, want+four)
 	}
 	// Replacing a key adjusts the account instead of double counting.
 	c.Put(0, 0, batchOfSize(1))
-	if st := c.Stats(); st.Bytes != 5*batchRowBytes {
-		t.Errorf("cache bytes after replace = %d, want %d", st.Bytes, 5*batchRowBytes)
+	if st := c.Stats(); st.Bytes != four+batchRowBytes {
+		t.Errorf("cache bytes after replace = %d, want %d", st.Bytes, four+batchRowBytes)
 	}
 }
 

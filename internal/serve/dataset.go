@@ -381,8 +381,8 @@ func (d *Dataset) Density(q DensityRequest) (*DensityResponse, error) {
 			Filter(inPartition).
 			Aggregate(plan.By(plan.ColPartition), plan.CountInto(plan.ColObjID))
 	}, func(b *plan.Batch) {
-		for i, part := range b.Traj.Partition {
-			counts[part] = int(b.Traj.ObjID[i])
+		for i, obj := range b.Traj.ObjID {
+			counts[b.Traj.Partition.At(i)] = int(obj)
 		}
 	})
 	if err != nil {
@@ -429,8 +429,8 @@ func (d *Dataset) Dwell(q DwellRequest) (*DwellResponse, error) {
 			Aggregate(plan.By(plan.ColPartition, plan.ColObjID), plan.Sum(plan.ColVal, plan.ColVal)).
 			Aggregate(plan.By(plan.ColPartition), plan.Sum(plan.ColVal, plan.ColVal), plan.CountInto(plan.ColObjID))
 	}, func(b *plan.Batch) {
-		for i, part := range b.Traj.Partition {
-			rooms = append(rooms, DwellRoom{Partition: part, Seconds: b.Val[i], Objects: int(b.Traj.ObjID[i])})
+		for i, obj := range b.Traj.ObjID {
+			rooms = append(rooms, DwellRoom{Partition: b.Traj.Partition.At(i), Seconds: b.Val[i], Objects: int(obj)})
 		}
 	})
 	if err != nil {

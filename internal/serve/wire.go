@@ -107,8 +107,10 @@ func decodeRowsBody(body []byte, out any, rows *[]trajectory.Sample) error {
 	if err := cur.Close(); err != nil {
 		return fmt.Errorf("row body: %w", err)
 	}
-	if len(got) == 0 || len(got) != tr.Len() {
-		return fmt.Errorf("row body: image holds %d rows, its footer says %d", len(got), tr.Len())
+	// The cursor holds every block to its footer count, so what decoded is
+	// what the footer says; an image is only sent with rows in it.
+	if len(got) == 0 {
+		return errors.New("row body: image holds no rows")
 	}
 	*rows = got
 	return nil
