@@ -22,8 +22,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
+	"vita/internal/colstore"
 	"vita/internal/obs"
 	"vita/internal/seglog"
 )
@@ -48,14 +48,15 @@ func run() error {
 	if seglog.IsLog(*dataDir) {
 		logDirs = []string{*dataDir}
 	} else {
-		for _, sub := range []string{"trajectory", "rssi"} {
-			if p := filepath.Join(*dataDir, "seglog", sub); seglog.IsLog(p) {
+		for _, kind := range []colstore.Kind{colstore.KindTrajectory, colstore.KindRSSI} {
+			if p := seglog.LogDir(*dataDir, kind); seglog.IsLog(p) {
 				logDirs = append(logDirs, p)
 			}
 		}
 	}
 	if len(logDirs) == 0 {
-		return fmt.Errorf("no segment log at %s (or under %s)", *dataDir, filepath.Join(*dataDir, "seglog"))
+		return fmt.Errorf("no segment log at %s, %s or %s", *dataDir,
+			seglog.LogDir(*dataDir, colstore.KindTrajectory), seglog.LogDir(*dataDir, colstore.KindRSSI))
 	}
 
 	for _, dir := range logDirs {

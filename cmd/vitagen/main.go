@@ -32,6 +32,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"vita/internal/colstore"
 	"vita/internal/core"
 	"vita/internal/obs"
 	"vita/internal/plan"
@@ -156,8 +157,8 @@ func run() error {
 
 	if segmented {
 		trajSegs, rssiSegs := sink.Segments()
-		fmt.Printf("wrote %d trajectory + %d rssi segments to %s\n",
-			trajSegs, rssiSegs, filepath.Join(*outDir, "seglog"))
+		fmt.Printf("wrote %d trajectory segments to %s\n", trajSegs, seglog.LogDir(*outDir, colstore.KindTrajectory))
+		fmt.Printf("wrote %d rssi segments to %s\n", rssiSegs, seglog.LogDir(*outDir, colstore.KindRSSI))
 	} else {
 		for _, name := range []string{"trajectory" + format.Ext(), "rssi" + format.Ext()} {
 			if st, err := os.Stat(filepath.Join(*outDir, name)); err == nil {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"vita/internal/geom"
+	"vita/internal/ifc"
 	"vita/internal/model"
 	"vita/internal/topo"
 )
@@ -11,38 +15,61 @@ import (
 // TestOneWayDoorConfig verifies the Indoor Environment Controller's door
 // directionality customization (paper §2): a door restricted to
 // room → hallway must not admit movement back into the room through it.
+// Each room's only door is the one-way one, so a route leaves the room and
+// none enters it.
 func TestOneWayDoorConfig(t *testing.T) {
-	env := IndoorEnvironmentController{Config: BuildingConfig{
-		Source: "synthetic:office",
-		OneWayDoors: []OneWayDoorConfig{
-			{Door: "F0-DS1", From: "F0-S1", To: "F0-HALL"},
-		},
-	}}
-	topology, _, err := env.Load()
-	if err != nil {
+	// The office with room IDs that contain a '.': the floor-0 hallway is
+	// F0.HALL (decomposed into F0.HALL.1, ...) and room F0-S1 is F0.HALL-S1,
+	// whose ID sorts after F0.HALL but before its pieces.
+	dotted := filepath.Join(t.TempDir(), "dotted.ifc")
+	text := strings.NewReplacer("'F0-HALL'", "'F0.HALL'", "'F0-S1'", "'F0.HALL-S1'").Replace(ifc.OfficeIFC())
+	if err := os.WriteFile(dotted, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var door *model.Door
-	for _, d := range topology.B.Floors[0].Doors {
-		if d.ID == "F0-DS1" {
-			door = d
-		}
+	cases := []struct {
+		name string
+		src  string
+		door OneWayDoorConfig
+		room geom.Point // inside door.From
+	}{
+		{"room door", "synthetic:office",
+			OneWayDoorConfig{Door: "F0-DS1", From: "F0-S1", To: "F0-HALL"}, geom.Pt(12, 4)},
+		// F0-DS2 sits on the hallway's decomposition cut at x = 20.
+		{"door on a hallway cut", "synthetic:office",
+			OneWayDoorConfig{Door: "F0-DS2", From: "F0-S2", To: "F0-HALL"}, geom.Pt(20, 4)},
+		{"dotted room IDs", "file:" + dotted,
+			OneWayDoorConfig{Door: "F0-DS1", From: "F0.HALL-S1", To: "F0.HALL"}, geom.Pt(12, 4)},
 	}
-	if door == nil {
-		t.Fatal("door missing")
-	}
-	if door.Direction == model.Both {
-		t.Fatal("directionality not applied")
-	}
-	// Routing into the room must fail: F0-S1 has only that one door.
-	from := model.At("office", 0, "", geom.Pt(2, 10)) // hallway
-	to := model.At("office", 0, "", geom.Pt(12, 4))   // inside F0-S1
-	if _, err := topology.Route(from, to, topo.MinDistance); err == nil {
-		t.Error("route into one-way room should fail")
-	}
-	// Routing out of the room must succeed.
-	if _, err := topology.Route(to, from, topo.MinDistance); err != nil {
-		t.Errorf("route out of one-way room failed: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := IndoorEnvironmentController{Config: BuildingConfig{
+				Source: tc.src, OneWayDoors: []OneWayDoorConfig{tc.door},
+			}}
+			topology, _, err := env.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var door *model.Door
+			for _, d := range topology.B.Floors[0].Doors {
+				if d.ID == tc.door.Door {
+					door = d
+				}
+			}
+			if door == nil {
+				t.Fatal("door missing")
+			}
+			if door.Direction == model.Both {
+				t.Fatal("directionality not applied")
+			}
+			hall := model.At("office", 0, "", geom.Pt(2, 10))
+			room := model.At("office", 0, "", tc.room)
+			if _, err := topology.Route(hall, room, topo.MinDistance); err == nil {
+				t.Errorf("route into one-way room %s should fail", tc.door.From)
+			}
+			if _, err := topology.Route(room, hall, topo.MinDistance); err != nil {
+				t.Errorf("route out of one-way room %s failed: %v", tc.door.From, err)
+			}
+		})
 	}
 }
 

@@ -113,7 +113,7 @@ func settleGoroutines(t *testing.T, base int, where string) {
 // reopenLogs opens both segment logs of dir as a reader would after a crash.
 func reopenLogs(t *testing.T, dir string) {
 	t.Helper()
-	for _, d := range []string{TrajectoryLogDir(dir), RSSILogDir(dir)} {
+	for _, d := range []string{seglog.LogDir(dir, colstore.KindTrajectory), seglog.LogDir(dir, colstore.KindRSSI)} {
 		l, err := seglog.Open(d)
 		if err != nil {
 			t.Fatalf("reopen %s after Discard: %v", d, err)
@@ -240,7 +240,7 @@ func TestByteRolledSegmentLogDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		for _, d := range []string{TrajectoryLogDir(dir), RSSILogDir(dir)} {
+		for _, d := range []string{seglog.LogDir(dir, colstore.KindTrajectory), seglog.LogDir(dir, colstore.KindRSSI)} {
 			l, err := seglog.Open(d)
 			if err != nil {
 				t.Fatal(err)

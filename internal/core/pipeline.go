@@ -338,8 +338,10 @@ func (c IndoorEnvironmentController) applyObstacles(b *model.Building) error {
 }
 
 // applyDoorDirections configures door directionality. It needs door
-// connectivity, so it runs a ConnectDoors pass first (idempotent —
-// topo.Build re-runs it after decomposition).
+// connectivity, so it runs a ConnectDoors pass first, over the DBI's
+// rooms: directions are named by room ID. topo.Build decomposes and then
+// homes the doors again, keeping each door's sides in the same room order,
+// so the direction still leads from the same room.
 func (c IndoorEnvironmentController) applyDoorDirections(b *model.Building) error {
 	if len(c.Config.OneWayDoors) == 0 {
 		return nil
@@ -360,9 +362,9 @@ func (c IndoorEnvironmentController) applyDoorDirections(b *model.Building) erro
 			return fmt.Errorf("core: one-way door %q not found", ow.Door)
 		}
 		switch {
-		case rootOf(door.Partitions[0]) == ow.From && rootOf(door.Partitions[1]) == ow.To:
+		case door.Partitions[0] == ow.From && door.Partitions[1] == ow.To:
 			door.Direction = model.AToB
-		case rootOf(door.Partitions[1]) == ow.From && rootOf(door.Partitions[0]) == ow.To:
+		case door.Partitions[1] == ow.From && door.Partitions[0] == ow.To:
 			door.Direction = model.BToA
 		default:
 			return fmt.Errorf("core: one-way door %q does not connect %q and %q (connects %v)",
@@ -370,15 +372,6 @@ func (c IndoorEnvironmentController) applyDoorDirections(b *model.Building) erro
 		}
 	}
 	return nil
-}
-
-func rootOf(id string) string {
-	for i := 0; i < len(id); i++ {
-		if id[i] == '.' {
-			return id[:i]
-		}
-	}
-	return id
 }
 
 // PositioningDeviceController deploys the configured positioning devices

@@ -125,25 +125,16 @@ func NewDirSink(dir string, format storage.Format) (*DirSink, error) {
 	return s, nil
 }
 
-// TrajectoryLogDir returns the trajectory segment log directory under a
-// dataset directory — the layout contract between NewSegmentedDirSink and
-// serve.Open.
-func TrajectoryLogDir(dir string) string { return filepath.Join(dir, "seglog", "trajectory") }
-
-// RSSILogDir returns the RSSI segment log directory under a dataset
-// directory.
-func RSSILogDir(dir string) string { return filepath.Join(dir, "seglog", "rssi") }
-
 // NewSegmentedDirSink creates (or resumes) the segment logs under dir and
 // opens rolling writers for the bulk outputs, which are necessarily VTB:
 // segment logs have no CSV form. opts applies to both logs — roll
 // thresholds and block encoding.
 func NewSegmentedDirSink(dir string, opts seglog.WriterOptions) (*SegmentedDirSink, error) {
-	trajLog, err := seglog.OpenOrCreate(TrajectoryLogDir(dir), colstore.KindTrajectory)
+	trajLog, err := seglog.OpenOrCreate(seglog.LogDir(dir, colstore.KindTrajectory), colstore.KindTrajectory)
 	if err != nil {
 		return nil, err
 	}
-	rssiLog, err := seglog.OpenOrCreate(RSSILogDir(dir), colstore.KindRSSI)
+	rssiLog, err := seglog.OpenOrCreate(seglog.LogDir(dir, colstore.KindRSSI), colstore.KindRSSI)
 	if err != nil {
 		return nil, err
 	}

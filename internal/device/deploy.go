@@ -171,7 +171,7 @@ func checkpointPositions(f *model.Floor) []geom.Point {
 	sort.Slice(doors, func(i, j int) bool { return doors[i].ID < doors[j].ID })
 	var out []geom.Point
 	for _, d := range doors {
-		if d.Name == "virtual pass-through" {
+		if d.Virtual() {
 			continue // decomposition artifacts are not real entrances
 		}
 		out = append(out, d.Position)

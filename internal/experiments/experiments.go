@@ -43,12 +43,13 @@ func run(cfg core.Config) (*core.Dataset, error) {
 }
 
 // E1Pipeline reproduces Figure 1's data flow end to end: every stage's output
-// volume and the run wall time per building.
+// volume, the routes the walkers failed to plan, and the run wall time per
+// building.
 func E1Pipeline(seed uint64) (*Table, error) {
 	t := &Table{
 		ID:     "E1",
 		Title:  "pipeline end-to-end data flow (Figure 1, demo steps 1-6)",
-		Header: []string{"building", "partitions", "devices", "traj rows", "rssi rows", "pos rows", "wall ms"},
+		Header: []string{"building", "partitions", "devices", "traj rows", "route fails", "rssi rows", "pos rows", "wall ms"},
 		Notes:  "every stage of Figure 1 produces data; counts grow monotonically down the pipeline (rssi >= traj coverage within range).",
 	}
 	for _, src := range []string{"synthetic:office", "synthetic:mall", "synthetic:clinic"} {
@@ -64,7 +65,7 @@ func E1Pipeline(seed uint64) (*Table, error) {
 		}
 		ms := float64(time.Since(start).Microseconds()) / 1000
 		t.AddRow(src, ds.Building.PartitionCount(), len(ds.Devices),
-			ds.Trajectories.Len(), len(ds.RSSI), len(ds.Estimates), ms)
+			ds.Trajectories.Len(), ds.TrajectoryStats.RouteFailures, len(ds.RSSI), len(ds.Estimates), ms)
 	}
 	return t, nil
 }

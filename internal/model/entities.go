@@ -102,6 +102,13 @@ type Door struct {
 	Direction  DoorDirection
 }
 
+// VirtualDoorName names the pass-through doors decomposition inserts along
+// its cuts: openings between pieces of one room, not doors in a wall.
+const VirtualDoorName = "virtual pass-through"
+
+// Virtual reports whether the door is a decomposition cut's pass-through.
+func (d *Door) Virtual() bool { return d.Name == VirtualDoorName }
+
 // Bounds implements index.Item.
 func (d *Door) Bounds() geom.BBox {
 	half := d.Width / 2

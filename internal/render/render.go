@@ -58,7 +58,7 @@ func Floor(f *model.Floor, devs []*device.Device, snapshot []trajectory.Sample, 
 	}
 	// Doors.
 	for _, d := range f.Doors {
-		if d.Name == "virtual pass-through" {
+		if d.Virtual() {
 			continue
 		}
 		plot(d.Position, '+')

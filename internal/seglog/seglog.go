@@ -90,6 +90,12 @@ func IsLog(dir string) bool {
 	return err == nil && st.Mode().IsRegular()
 }
 
+// LogDir returns where a dataset directory keeps the segment log of one row
+// kind: <dataset>/seglog/trajectory or <dataset>/seglog/rssi.
+func LogDir(dataset string, kind colstore.Kind) string {
+	return filepath.Join(dataset, "seglog", kind.String())
+}
+
 // Open opens an existing segment log.
 func Open(dir string) (*Log, error) {
 	man, err := LoadManifest(dir)

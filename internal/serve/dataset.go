@@ -115,7 +115,7 @@ func Open(dir string, cfg Config) (*Dataset, error) {
 	logDir := ""
 	if seglog.IsLog(dir) {
 		logDir = dir
-	} else if p := filepath.Join(dir, "seglog", "trajectory"); seglog.IsLog(p) {
+	} else if p := seglog.LogDir(dir, colstore.KindTrajectory); seglog.IsLog(p) {
 		logDir = p
 	}
 	if logDir != "" {

@@ -16,14 +16,21 @@ import (
 // considered incident to it.
 const doorSnapTol = 0.3
 
-// ConnectDoors computes, for every door of the building, the (up to) two
-// partitions it connects, through topology and geometry computations. Doors
-// incident to fewer than two partitions get the exterior ("") on the open
-// side. It returns an error for doors incident to no partition at all.
+// ConnectDoors homes every wall door of the building on two partitions: the
+// one whose boundary is nearest, ties broken by room and then by ID, and the
+// nearest one of a different room, or the exterior ("") when no other room
+// is in reach. Pieces of one decomposed room are never separated by a wall,
+// and a door's sides keep their order through decomposition, so a one-way
+// direction set on the DBI's rooms survives it. Virtual doors keep the
+// pieces addCutDoors homed them on. It returns an error for a door that
+// touches no partition boundary.
 func ConnectDoors(b *model.Building) error {
 	for _, level := range b.FloorLevels() {
 		f := b.Floors[level]
 		for _, d := range f.Doors {
+			if d.Virtual() {
+				continue
+			}
 			if err := connectDoor(f, d); err != nil {
 				return err
 			}
@@ -34,14 +41,13 @@ func ConnectDoors(b *model.Building) error {
 
 func connectDoor(f *model.Floor, d *model.Door) error {
 	type cand struct {
-		id   string
+		p    *model.Partition
 		dist float64
 	}
 	var cands []cand
 	for _, p := range f.Partitions {
-		dist := p.Polygon.DistToBoundary(d.Position)
-		if dist <= doorSnapTol {
-			cands = append(cands, cand{id: p.ID, dist: dist})
+		if dist := p.Polygon.DistToBoundary(d.Position); dist <= doorSnapTol {
+			cands = append(cands, cand{p: p, dist: dist})
 		}
 	}
 	if len(cands) == 0 {
@@ -51,13 +57,27 @@ func connectDoor(f *model.Floor, d *model.Door) error {
 		if cands[i].dist != cands[j].dist {
 			return cands[i].dist < cands[j].dist
 		}
-		return cands[i].id < cands[j].id
+		if ri, rj := room(cands[i].p), room(cands[j].p); ri != rj {
+			return ri < rj
+		}
+		return cands[i].p.ID < cands[j].p.ID
 	})
-	d.Partitions[0] = cands[0].id
-	if len(cands) > 1 {
-		d.Partitions[1] = cands[1].id
-	} else {
-		d.Partitions[1] = "" // exterior
+	first := cands[0].p
+	d.Partitions = [2]string{first.ID, ""} // exterior unless another room is in reach
+	for _, c := range cands[1:] {
+		if room(c.p) != room(first) {
+			d.Partitions[1] = c.p.ID
+			break
+		}
 	}
 	return nil
+}
+
+// room names the room a partition belongs to: its parent when decomposition
+// cut it from a larger one, itself otherwise.
+func room(p *model.Partition) string {
+	if p.Parent != "" {
+		return p.Parent
+	}
+	return p.ID
 }

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 
 	"vita/internal/geom"
 	"vita/internal/model"
@@ -23,9 +22,9 @@ const (
 // partitions according to their sizes and shapes". It replaces every
 // partition larger than maxArea (m²; <= 0 disables the size criterion),
 // longer than maxAspect or with reflex vertices by balanced sub-partitions,
-// re-homes doors onto the resulting children, and inserts pass-through
-// virtual doors along each cut so routing across the original space stays
-// possible. It returns the number of partitions added (children minus
+// and inserts pass-through virtual doors along each cut so routing across
+// the original space stays possible. Wall doors are homed afterwards, by
+// ConnectDoors. It returns the number of partitions added (children minus
 // removed parents).
 func Decompose(b *model.Building, maxArea float64) (int, error) {
 	added := 0
@@ -61,10 +60,6 @@ func decomposePartition(f *model.Floor, p *model.Partition, maxArea float64) (in
 	if !needsSplit(p.Polygon, maxArea, 0) {
 		return 0, nil
 	}
-	parent := p.ID
-	if p.Parent != "" {
-		parent = p.Parent
-	}
 	pieces, cuts := splitRecursive(p.Polygon, maxArea, 0)
 	if len(pieces) <= 1 {
 		return 0, nil
@@ -80,13 +75,12 @@ func decomposePartition(f *model.Floor, p *model.Partition, maxArea float64) (in
 			Floor:   p.Floor,
 			Polygon: poly,
 			Kind:    p.Kind,
-			Parent:  parent,
+			Parent:  room(p),
 		}
 		if err := f.AddPartition(children[i]); err != nil {
 			return 0, err
 		}
 	}
-	rehomeDoors(f, p.ID, children)
 	addCutDoors(f, p.ID, cuts, children)
 	return len(children) - 1, nil
 }
@@ -156,60 +150,42 @@ func absDistToLine(p, a, unitDir geom.Point) float64 {
 	return d
 }
 
-// rehomeDoors rewrites door partition references from the removed parent to
-// the child whose boundary hosts the door.
-func rehomeDoors(f *model.Floor, removedID string, children []*model.Partition) {
-	for _, d := range f.Doors {
-		for side := 0; side < 2; side++ {
-			if d.Partitions[side] != removedID {
-				continue
-			}
-			best := ""
-			bestDist := doorSnapTol
-			for _, c := range children {
-				if dd := c.Polygon.DistToBoundary(d.Position); dd <= bestDist {
-					best, bestDist = c.ID, dd
-				}
-			}
-			if best == "" && len(children) > 0 {
-				// Fall back to the nearest child.
-				best = children[0].ID
-				bd := children[0].Polygon.DistToBoundary(d.Position)
-				for _, c := range children[1:] {
-					if dd := c.Polygon.DistToBoundary(d.Position); dd < bd {
-						best, bd = c.ID, dd
-					}
-				}
-			}
-			d.Partitions[side] = best
-		}
-	}
-}
+// cutProbe is how far (m) either side of a cut addCutDoors looks for the
+// two pieces the cut separates.
+const cutProbe = 0.01
 
 // addCutDoors inserts a wide pass-through virtual door at the midpoint of
-// every cut, connecting the two children adjacent to it.
+// every cut, joining the children that contain a point cutProbe either side
+// of it (lower ID first).
 func addCutDoors(f *model.Floor, parentID string, cuts []geom.Segment, children []*model.Partition) {
 	for i, cut := range cuts {
 		mid := cut.Midpoint()
-		var adj []*model.Partition
-		for _, c := range children {
-			if c.Polygon.DistToBoundary(mid) <= doorSnapTol {
-				adj = append(adj, c)
-			}
-		}
-		if len(adj) < 2 {
+		dir := cut.B.Sub(cut.A).Unit()
+		step := geom.Pt(-dir.Y, dir.X).Scale(cutProbe)
+		a, b := childAt(children, mid.Sub(step)), childAt(children, mid.Add(step))
+		if a == nil || b == nil || a == b {
 			continue
 		}
-		sort.Slice(adj, func(x, y int) bool {
-			return adj[x].Polygon.DistToBoundary(mid) < adj[y].Polygon.DistToBoundary(mid)
-		})
+		if b.ID < a.ID {
+			a, b = b, a
+		}
 		f.Doors = append(f.Doors, &model.Door{
 			ID:         fmt.Sprintf("%s-cut%d", parentID, i+1),
-			Name:       "virtual pass-through",
+			Name:       model.VirtualDoorName,
 			Floor:      f.Level,
 			Position:   mid,
 			Width:      cut.Length(),
-			Partitions: [2]string{adj[0].ID, adj[1].ID},
+			Partitions: [2]string{a.ID, b.ID},
 		})
 	}
+}
+
+// childAt returns the first child containing pt, or nil.
+func childAt(children []*model.Partition, pt geom.Point) *model.Partition {
+	for _, c := range children {
+		if c.Contains(pt) {
+			return c
+		}
+	}
+	return nil
 }

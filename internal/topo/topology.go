@@ -35,24 +35,18 @@ type Topology struct {
 	partIdx map[int]*index.RTree
 }
 
-// Build derives the full topology of a building: door→partition
-// connectivity, optional decomposition, staircase linking, semantic
-// extraction, spatial indexing, and the accessibility graph.
+// Build derives the full topology of a building: optional decomposition,
+// door→partition connectivity (one ConnectDoors pass over the final
+// partitions), staircase linking, semantic extraction, spatial indexing,
+// and the accessibility graph.
 func Build(b *model.Building, opts Options) (*Topology, error) {
-	if err := ConnectDoors(b); err != nil {
-		return nil, err
-	}
 	if opts.Decompose {
 		if _, err := Decompose(b, opts.MaxArea); err != nil {
 			return nil, err
 		}
-		// Decomposition may have split the partitions a door touches;
-		// reconnect any door left referencing a removed ID is handled by
-		// rehoming, but new adjacencies (a door now bordering a child of a
-		// different parent) justify a final reconnect pass.
-		if err := ConnectDoors(b); err != nil {
-			return nil, err
-		}
+	}
+	if err := ConnectDoors(b); err != nil {
+		return nil, err
 	}
 	if err := LinkStaircases(b); err != nil {
 		return nil, err
