@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -117,10 +118,10 @@ func BenchmarkPipeline(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if ds.Trajectories.Len() == 0 || ds.RSSICount == 0 {
+			if ds.TrajectoryStats.Samples == 0 || ds.RSSICount == 0 {
 				b.Fatal("empty generation output")
 			}
-			rows += ds.Trajectories.Len() + ds.RSSICount + len(ds.Estimates)
+			rows += ds.TrajectoryStats.Samples + ds.RSSICount + len(ds.Estimates)
 		}
 		b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
 	}
@@ -283,7 +284,7 @@ func benchSamples(b *testing.B) []trajectory.Sample {
 		samples = append(samples, batch...)
 		return nil
 	})
-	_, err = eng.Run(col, nil)
+	_, _, err = eng.Run(col)
 	if cerr := col.Close(); err == nil {
 		err = cerr
 	}
@@ -342,7 +343,7 @@ func BenchmarkTrajectoryEngine(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Run(nil, nil); err != nil {
+		if _, _, err := eng.Run(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -841,7 +842,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	samples := ds.Trajectories.All()
+	samples := slices.Concat(ds.Trajectories...)
 	if len(samples) < rows {
 		b.Fatalf("the mall run holds %d rows, want at least %d", len(samples), rows)
 	}

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"vita/internal/colstore"
@@ -139,7 +140,7 @@ func run() error {
 		fmt.Printf("dbi issues      %d (see report below)\n", len(ds.DBIReport.Issues))
 	}
 	fmt.Printf("devices         %d\n", len(ds.Devices))
-	fmt.Printf("trajectory rows %d (objects spawned %d)\n", ds.Trajectories.Len(), ds.TrajectoryStats.Spawned)
+	fmt.Printf("trajectory rows %d (objects spawned %d)\n", ds.TrajectoryStats.Samples, ds.TrajectoryStats.Spawned)
 	fmt.Printf("routes          %d planned, %d failed\n", ds.TrajectoryStats.RoutesPlanned, ds.TrajectoryStats.RouteFailures)
 	fmt.Printf("rssi rows       %d\n", ds.RSSICount)
 	fmt.Printf("estimates       %d\n", len(ds.Estimates))
@@ -188,7 +189,7 @@ func run() error {
 // serve.DefaultMaxGap of t appear.
 func snapshot(ds *core.Dataset, t float64) ([]trajectory.Sample, error) {
 	const gap = serve.DefaultMaxGap
-	c, err := plan.NewScan(plan.SliceSource{Samples: ds.Trajectories.All()}).
+	c, err := plan.NewScan(plan.SliceSource{Samples: slices.Concat(ds.Trajectories...)}).
 		Filter(plan.TimeBetween(t-gap, t+gap)).
 		SnapshotAt(t, gap).
 		Compile()

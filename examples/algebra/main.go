@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 	path := filepath.Join(dir, "trajectory.vtb")
-	fmt.Printf("dataset: %d samples → %s\n\n", ds.Trajectories.Len(), path)
+	fmt.Printf("dataset: %d samples → %s\n\n", ds.TrajectoryStats.Samples, path)
 
 	// 1. A pushed-down scan: the planner folds all three predicates into the
 	// scan's block predicate, so blocks outside the window/floor/box are

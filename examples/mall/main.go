@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 
 	"vita"
@@ -48,7 +49,7 @@ func main() {
 	}
 	// Ground-truth visits for comparison.
 	trueVisits := map[string]int{}
-	for _, s := range ds.Trajectories.All() {
+	for _, s := range slices.Concat(ds.Trajectories...) {
 		trueVisits[rootID(s.Loc.Partition)]++
 	}
 

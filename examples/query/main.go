@@ -39,8 +39,7 @@ func main() {
 	if err := sink.Close(); err != nil {
 		log.Fatal(err)
 	}
-	objs := ds.Trajectories.Objects()
-	fmt.Printf("dataset: %d ground-truth samples from %d objects\n", ds.Trajectories.Len(), len(objs))
+	fmt.Printf("dataset: %d ground-truth samples from %d objects\n", ds.TrajectoryStats.Samples, ds.TrajectoryStats.Spawned)
 
 	qd, err := vita.OpenQueryDataset(dir, vita.QueryServeConfig{})
 	if err != nil {
@@ -67,8 +66,8 @@ func main() {
 	show(qd.Density(vita.DensityRequest{T: 150}))
 
 	// 4. Trajectory retrieval: one object's first ten seconds.
-	fmt.Printf("\nobject %d, first ten seconds:\n", objs[0])
-	show(qd.Traj(vita.TrajRequest{Obj: objs[0], T0: 0, T1: 10}))
+	fmt.Println("\nobject 1, first ten seconds:")
+	show(qd.Traj(vita.TrajRequest{Obj: 1, T0: 0, T1: 10}))
 
 	// 5. Dwell time per partition on floor 0 over the whole run.
 	fmt.Println("\ndwell time per partition on floor 0:")

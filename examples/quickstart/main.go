@@ -24,7 +24,7 @@ func main() {
 		ds.Building.Name, ds.Building.PartitionCount(), len(ds.Building.Floors),
 		len(ds.Building.Staircases))
 	fmt.Printf("deployed devices: %d\n", len(ds.Devices))
-	fmt.Printf("ground-truth samples: %d (1 per object per second)\n", ds.Trajectories.Len())
+	fmt.Printf("ground-truth samples: %d (1 per object per second)\n", ds.TrajectoryStats.Samples)
 	fmt.Printf("raw RSSI measurements: %d\n", len(ds.RSSI))
 	fmt.Printf("positioning estimates (Wi-Fi fingerprinting/kNN): %d\n", len(ds.Estimates))
 
@@ -32,13 +32,11 @@ func main() {
 	// can score the synthetic positioning data exactly.
 	stats, floorMiss := vita.EvaluateEstimates(ds.Trajectories, ds.Estimates)
 	fmt.Printf("accuracy vs ground truth: %s (floor mismatches: %d)\n", stats, floorMiss)
-	fmt.Printf("partition hit rate: %.0f%%\n", 100*vita.PartitionHitRate(ds.Trajectories, ds.Estimates))
+	fmt.Printf("partition hit rate: %.0f%%\n", 100*vita.PartitionHitRate(ds.Building, ds.Trajectories, ds.Estimates))
 
-	// Follow one object's day.
-	objs := ds.Trajectories.Objects()
-	if len(objs) > 0 {
-		series := ds.Trajectories.Series(objs[0])
-		fmt.Printf("\nobject %d: %d ground-truth points, from %s to %s\n",
-			objs[0], len(series), series[0].Loc, series[len(series)-1].Loc)
+	// Follow one object's day: slot i of the ground truth is object i+1.
+	if series := ds.Trajectories[0]; len(series) > 0 {
+		fmt.Printf("\nobject 1: %d ground-truth points, from %s to %s\n",
+			len(series), series[0].Loc, series[len(series)-1].Loc)
 	}
 }

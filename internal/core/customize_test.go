@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,6 +71,44 @@ func TestOneWayDoorConfig(t *testing.T) {
 				t.Errorf("route out of one-way room %s failed: %v", tc.door.From, err)
 			}
 		})
+	}
+}
+
+// TestDoorlessPartitionIsDBIError: a DBI room without a door is an
+// unrepaired error in the Load report, naming the room, while the three
+// synthetic buildings report none.
+func TestDoorlessPartitionIsDBIError(t *testing.T) {
+	// The office without F0-DS1, the only door of room F0-S1.
+	var lines []string
+	for _, l := range strings.Split(ifc.OfficeIFC(), "\n") {
+		if !strings.Contains(l, "IFCDOOR('F0-DS1'") {
+			lines = append(lines, l)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "doorless.ifc")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		src  string
+		want []string // entities of the unrepaired errors
+	}{
+		{"file:" + path, []string{"F0-S1"}},
+		{"synthetic:office", nil},
+		{"synthetic:mall", nil},
+		{"synthetic:clinic", nil},
+	} {
+		_, report, err := IndoorEnvironmentController{Config: BuildingConfig{Source: tc.src}}.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, is := range report.Errors() {
+			got = append(got, is.Entity)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: unrepaired DBI errors on %v, want %v (report %v)", tc.src, got, tc.want, report.Issues)
+		}
 	}
 }
 

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"vita/internal/geom"
+	"vita/internal/model"
 	"vita/internal/positioning"
-	"vita/internal/storage"
 	"vita/internal/trajectory"
 )
 
@@ -28,105 +27,60 @@ func (s ErrorStats) String() string {
 }
 
 // EvaluateEstimates compares positioning estimates against the raw
-// trajectory ground truth: for each estimate, the true position at the
-// estimate's timestamp is linearly interpolated from the trajectory samples
-// and the Euclidean error taken. Estimates whose true floor differs from
-// the estimated floor contribute the floor-mismatch count instead.
-func EvaluateEstimates(truth *storage.TrajectoryStore, ests []positioning.Estimate) (ErrorStats, int) {
+// trajectory ground truth, the run's series slots (Dataset.Trajectories):
+// for each estimate, the true position at the estimate's timestamp is
+// trajectory.SeriesAt of its object's series and the Euclidean error taken.
+// Estimates whose true floor differs from the estimated floor contribute
+// the floor-mismatch count instead; estimates of an object with no sample
+// are skipped.
+func EvaluateEstimates(truth [][]trajectory.Sample, ests []positioning.Estimate) (ErrorStats, int) {
 	var errs []float64
 	floorMiss := 0
-	withSeries(truth, ests, func(e positioning.Estimate, series []trajectory.Sample) {
-		pt, floor, ok := truthAt(series, e.T)
+	for _, e := range ests {
+		loc, ok := trueLocation(truth, e)
 		switch {
 		case !ok:
-		case floor != e.Loc.Floor:
+		case loc.Floor != e.Loc.Floor:
 			floorMiss++
 		default:
-			errs = append(errs, pt.Dist(e.Loc.Point))
+			errs = append(errs, loc.Point.Dist(e.Loc.Point))
 		}
-	})
+	}
 	return summarize(errs), floorMiss
 }
 
-// PartitionHitRate returns the fraction of estimates whose partition (or its
-// decomposition parent) matches the ground-truth partition — the symbolic
-// accuracy notion used for proximity-grade data.
-func PartitionHitRate(truth *storage.TrajectoryStore, ests []positioning.Estimate) float64 {
+// PartitionHitRate returns the fraction of estimates that place their object
+// in the room, on the floor, where the ground truth has it — the symbolic
+// accuracy notion used for proximity-grade data. Rooms are compared through
+// b's partitions (model.Partition.Room), so decomposed pieces of one room
+// match each other and no two rooms match by a shared ID prefix; an ID b
+// does not know is its own room.
+func PartitionHitRate(b *model.Building, truth [][]trajectory.Sample, ests []positioning.Estimate) float64 {
 	if len(ests) == 0 {
 		return 0
 	}
+	room := func(l model.Location) string {
+		if p, ok := b.Partition(l.Floor, l.Partition); ok {
+			return p.Room()
+		}
+		return l.Partition
+	}
 	hits := 0
-	withSeries(truth, ests, func(e positioning.Estimate, series []trajectory.Sample) {
-		if len(series) == 0 {
-			return
-		}
-		idx := sort.Search(len(series), func(i int) bool { return series[i].T >= e.T })
-		if idx >= len(series) {
-			idx = len(series) - 1
-		}
-		if sameOrParent(series[idx].Loc.Partition, e.Loc.Partition) {
+	for _, e := range ests {
+		if loc, ok := trueLocation(truth, e); ok && loc.Floor == e.Loc.Floor && room(loc) == room(e.Loc) {
 			hits++
 		}
-	})
+	}
 	return float64(hits) / float64(len(ests))
 }
 
-// withSeries calls fn with each estimate and its object's ground-truth
-// series, fetched once per run of estimates of one object: estimates in
-// (object, time) order, as the pipeline keeps them, copy each series once.
-func withSeries(truth *storage.TrajectoryStore, ests []positioning.Estimate, fn func(positioning.Estimate, []trajectory.Sample)) {
-	var series []trajectory.Sample
-	for i, e := range ests {
-		if i == 0 || e.ObjID != ests[i-1].ObjID {
-			series = truth.Series(e.ObjID)
-		}
-		fn(e, series)
+// trueLocation is the ground-truth location of e's object at e's instant, from
+// the object's slot (object i+1 is slot i).
+func trueLocation(truth [][]trajectory.Sample, e positioning.Estimate) (model.Location, bool) {
+	if e.ObjID < 1 || e.ObjID > len(truth) {
+		return model.Location{}, false
 	}
-}
-
-// sameOrParent treats decomposed siblings ("P.1", "P.2") as matching their
-// parent and each other.
-func sameOrParent(a, b string) bool {
-	return root(a) == root(b)
-}
-
-func root(id string) string {
-	for i := 0; i < len(id); i++ {
-		if id[i] == '.' {
-			return id[:i]
-		}
-	}
-	return id
-}
-
-// truthAt interpolates the ground-truth position of an object, whose series
-// is given, at time t.
-func truthAt(series []trajectory.Sample, t float64) (geom.Point, int, bool) {
-	if len(series) == 0 {
-		return geom.Point{}, 0, false
-	}
-	idx := sort.Search(len(series), func(i int) bool { return series[i].T >= t })
-	var a, b trajectory.Sample
-	switch {
-	case idx == 0:
-		a, b = series[0], series[0]
-	case idx >= len(series):
-		a, b = series[len(series)-1], series[len(series)-1]
-	default:
-		a, b = series[idx-1], series[idx]
-	}
-	if a.Loc.Floor != b.Loc.Floor {
-		if t-a.T <= b.T-t {
-			b = a
-		} else {
-			a = b
-		}
-	}
-	var frac float64
-	if b.T > a.T {
-		frac = (t - a.T) / (b.T - a.T)
-	}
-	return a.Loc.Point.Lerp(b.Loc.Point, frac), a.Loc.Floor, true
+	return trajectory.SeriesAt(truth[e.ObjID-1], e.T)
 }
 
 func summarize(errs []float64) ErrorStats {

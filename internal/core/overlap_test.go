@@ -133,7 +133,7 @@ func reopenLogs(t *testing.T, dir string) {
 // goroutine of the run gone — into a memory sink and into a segment log that
 // reopens after Discard.
 func TestRunToFailuresUnderOverlap(t *testing.T) {
-	trajRows := runPipelineTo(t, &memorySink{}, overlapConfig).Trajectories.Len()
+	trajRows := runPipelineTo(t, &memorySink{}, overlapConfig).TrajectoryStats.Samples
 	cases := []struct {
 		name       string
 		mutate     func(*Config)

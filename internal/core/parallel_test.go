@@ -23,9 +23,10 @@ func TestParallelismByteIdenticalCSV(t *testing.T) {
 			c.Objects.ArrivalRate = 0.03        // mid-run births must not break ordering
 			c.Positioning = PositioningConfig{} // generation layers only
 		})
-		tb := csvOf(t, storage.NewTrajectoryCSVWriter, ds.Trajectories.All())
+		all := slices.Concat(ds.Trajectories...)
+		tb := csvOf(t, storage.NewTrajectoryCSVWriter, all)
 		rb := csvOf(t, storage.NewRSSICSVWriter, ds.RSSI)
-		if len(ds.RSSI) == 0 || len(ds.Trajectories.All()) == 0 {
+		if len(ds.RSSI) == 0 || len(all) == 0 {
 			t.Fatal("empty CSV output")
 		}
 		return output{traj: tb, rssi: rb}
@@ -56,8 +57,8 @@ func TestParallelismFullPipelineDeterminism(t *testing.T) {
 		return runPipeline(t, func(c *Config) { c.Parallelism = p })
 	}
 	a, b := run(1), run(4)
-	if a.Trajectories.Len() != b.Trajectories.Len() {
-		t.Fatalf("trajectory counts differ: %d vs %d", a.Trajectories.Len(), b.Trajectories.Len())
+	if a.TrajectoryStats.Samples != b.TrajectoryStats.Samples {
+		t.Fatalf("trajectory counts differ: %d vs %d", a.TrajectoryStats.Samples, b.TrajectoryStats.Samples)
 	}
 	am, bm := a.RSSI, b.RSSI
 	if len(am) != len(bm) {
@@ -79,13 +80,18 @@ func TestParallelismFullPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestPipelineAppendsTimeSorted pins the collector-to-storage contract:
-// every object's series reads back from the store in time order.
+// TestPipelineAppendsTimeSorted pins the engine-to-dataset contract: slot i
+// holds object i+1's series in time order.
 func TestPipelineAppendsTimeSorted(t *testing.T) {
 	ds := runPipeline(t, func(c *Config) { c.Parallelism = 4 })
-	for _, series := range ds.Trajectories.AllSeries() {
+	for i, series := range ds.Trajectories {
 		if !slices.IsSortedFunc(series, func(a, b trajectory.Sample) int { return cmp.Compare(a.T, b.T) }) {
-			t.Errorf("object %d reads back out of time order", series[0].ObjID)
+			t.Errorf("object %d reads back out of time order", i+1)
+		}
+		for _, s := range series {
+			if s.ObjID != i+1 {
+				t.Fatalf("slot %d holds a sample of object %d", i, s.ObjID)
+			}
 		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"vita/internal/positioning"
 	"vita/internal/rng"
 	"vita/internal/rssi"
-	"vita/internal/storage"
 	"vita/internal/topo"
 	"vita/internal/trajectory"
 )
@@ -31,8 +30,12 @@ type Dataset struct {
 	DBIReport *ifc.Report
 
 	// Devices is the deployment, batch by configured batch.
-	Devices      []*device.Device
-	Trajectories *storage.TrajectoryStore
+	Devices []*device.Device
+	// Trajectories is the run's ground truth, one series slot per object:
+	// slot i holds object i+1's samples in time order, empty when the
+	// object produced none (see trajectory.Engine.Run). slices.Concat of
+	// the slots gives every sample in (object, time) order.
+	Trajectories [][]trajectory.Sample
 	// RSSI keeps every raw measurement of a Run in the order a sink receives
 	// them and rssi.Generator emits them: (object, device, time) — objects
 	// in ascending ID, each object's device by device in deployment order,
@@ -97,12 +100,11 @@ func (p *Pipeline) Run() (*Dataset, error) {
 // measurements in the generator's object-grouped replay order, and the
 // derived positioning tables once at the end.
 //
-// The stages overlap. Each object's trajectory is stored in
-// Dataset.Trajectories with one AppendSeries call, on the worker that
-// simulated it, and also delivered to the merge collector, whose goroutine
-// drains it into the sink. As soon as every object is simulated the RSSI
-// replay starts on the stored series (TrajectoryStore.AllSeries), while the
-// merge is still draining; the positioning method runs per object inside the
+// The stages overlap. Each object's trajectory is stored in its slot of
+// Dataset.Trajectories by the worker that simulated it, and also delivered
+// to the merge collector, whose goroutine drains it into the sink. As soon
+// as every object is simulated the RSSI replay starts on the slots, while
+// the merge is still draining; the positioning method runs per object inside the
 // RSSI workers, as each object's replay finishes. Sink calls are serialized,
 // one batch at a time — a merged run of a few hundred samples, or one
 // object's measurements — so the two streams may interleave but never
@@ -120,9 +122,8 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 	// The positioning tables start empty, not nil: a run without positioning
 	// output still hands a sink an empty table.
 	ds := &Dataset{
-		Trajectories: storage.NewTrajectoryStore(),
-		Estimates:    []positioning.Estimate{},
-		Proximity:    []positioning.ProximityRecord{},
+		Estimates: []positioning.Estimate{},
+		Proximity: []positioning.ProximityRecord{},
 	}
 
 	// ----- Infrastructure Layer -----
@@ -148,8 +149,8 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		Trajectory:  p.cfg.Trajectory,
 		Parallelism: p.Parallelism(),
 	}
-	// Each object's series is stored whole by the worker that simulated it;
-	// only a sink needs the time-ordered merge, so only a sink gets one. The
+	// Each object's series is stored in its slot by the worker that
+	// simulated it; only a sink needs the time-ordered merge, so only a sink gets one. The
 	// deferred Close joins the merge on every early return.
 	var out *serialSink
 	var col *trajectory.Collector
@@ -160,11 +161,10 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		})
 		defer col.Close()
 	}
-	stats, err := objCtl.Generate(topology, r.Split(), col, ds.Trajectories.AppendSeries)
+	ds.Trajectories, ds.TrajectoryStats, err = objCtl.Generate(topology, r.Split(), col)
 	if err != nil {
 		return nil, err
 	}
-	ds.TrajectoryStats = stats
 
 	// ----- Positioning Layer -----
 	// Every object is simulated; the merge may still be draining. The method
@@ -210,7 +210,7 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		}
 	}
 	rssiCtl := RSSIMeasurementController{Config: p.cfg.RSSI, Parallelism: p.Parallelism()}
-	ds.RSSICount, err = rssiCtl.Generate(topology, devs, ds.Trajectories.AllSeries(), rssiR, emitRSSI, done)
+	ds.RSSICount, err = rssiCtl.Generate(topology, devs, ds.Trajectories, rssiR, emitRSSI, done)
 	if col != nil {
 		col.Close()
 	}
@@ -267,7 +267,9 @@ type IndoorEnvironmentController struct {
 	Config BuildingConfig
 }
 
-// Load parses the DBI source and builds the topology.
+// Load parses the DBI source and builds the topology. Besides extraction's
+// issues, the report names every partition no door and no staircase leads
+// into.
 func (c IndoorEnvironmentController) Load() (*topo.Topology, *ifc.Report, error) {
 	src := c.Config.Source
 	var text string
@@ -314,7 +316,39 @@ func (c IndoorEnvironmentController) Load() (*topo.Topology, *ifc.Report, error)
 	if err != nil {
 		return nil, report, err
 	}
+	report.Issues = append(report.Issues, doorless(topology.B)...)
 	return topology, report, nil
+}
+
+// doorless reports, as unrepaired errors, the partitions that no door and no
+// linked staircase end touches: no route leads into them, so the DBI is
+// missing a door.
+func doorless(b *model.Building) []ifc.Issue {
+	type side struct {
+		floor int
+		id    string
+	}
+	touched := make(map[side]bool)
+	for _, s := range b.Staircases {
+		if s.Linked {
+			touched[side{s.UpperFloor, s.UpperPartition}] = true
+			touched[side{s.LowerFloor, s.LowerPartition}] = true
+		}
+	}
+	var out []ifc.Issue
+	for _, level := range b.FloorLevels() {
+		f := b.Floors[level]
+		for _, d := range f.Doors {
+			touched[side{level, d.Partitions[0]}] = true
+			touched[side{level, d.Partitions[1]}] = true
+		}
+		for _, p := range f.Partitions {
+			if !touched[side{level, p.ID}] {
+				out = append(out, ifc.Issue{Severity: ifc.SevError, Entity: p.ID, Message: "no door or staircase leads into the partition"})
+			}
+		}
+	}
+	return out
 }
 
 // applyObstacles deploys the configured obstacles onto their floors.
@@ -415,19 +449,18 @@ type MovingObjectController struct {
 	Parallelism int
 }
 
-// Generate runs the movement engine, handing each object's series to done
-// as the object finishes and, when col is non-nil, to the merge collector;
-// see trajectory.Engine.Run. It returns once every object is simulated: the
-// caller Closes col to wait for the merge. With Parallelism > 1, done is
-// called from worker goroutines, concurrently for different objects.
-func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, col *trajectory.Collector, done trajectory.ObjectDone) (trajectory.Stats, error) {
+// Generate runs the movement engine and returns its series slots, handing
+// each object's series to the merge collector too when col is non-nil; see
+// trajectory.Engine.Run. It returns once every object is simulated: the
+// caller Closes col to wait for the merge.
+func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, col *trajectory.Collector) ([][]trajectory.Sample, trajectory.Stats, error) {
 	pattern, err := c.Objects.pattern()
 	if err != nil {
-		return trajectory.Stats{}, err
+		return nil, trajectory.Stats{}, err
 	}
 	dist, err := c.Objects.distribution()
 	if err != nil {
-		return trajectory.Stats{}, err
+		return nil, trajectory.Stats{}, err
 	}
 	spawnCfg := object.SpawnConfig{
 		InitialCount:       c.Objects.Count,
@@ -450,7 +483,7 @@ func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, col *tra
 	}
 	sp, err := object.NewSpawner(t, spawnCfg)
 	if err != nil {
-		return trajectory.Stats{}, err
+		return nil, trajectory.Stats{}, err
 	}
 	eng, err := trajectory.NewEngine(t, sp, trajectory.Config{
 		Duration:       c.Trajectory.Duration,
@@ -459,9 +492,9 @@ func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, col *tra
 		Parallelism:    c.Parallelism,
 	}, r)
 	if err != nil {
-		return trajectory.Stats{}, err
+		return nil, trajectory.Stats{}, err
 	}
-	return eng.Run(col, done)
+	return eng.Run(col)
 }
 
 // RSSIMeasurementController generates raw RSSI measurements (paper §2,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func runPipeline(t testing.TB, mutate func(*Config)) *Dataset {
 
 func TestPipelineEndToEndFingerprint(t *testing.T) {
 	ds := runPipeline(t, nil)
-	if ds.Trajectories.Len() == 0 {
+	if ds.TrajectoryStats.Samples == 0 {
 		t.Fatal("no trajectory samples generated")
 	}
 	if len(ds.RSSI) == 0 {
@@ -141,14 +142,14 @@ func TestPipelineProbabilisticFingerprint(t *testing.T) {
 func TestPipelineDeterminism(t *testing.T) {
 	a := runPipeline(t, nil)
 	b := runPipeline(t, nil)
-	if a.Trajectories.Len() != b.Trajectories.Len() {
+	if a.TrajectoryStats.Samples != b.TrajectoryStats.Samples {
 		t.Errorf("trajectory counts differ across identical runs: %d vs %d",
-			a.Trajectories.Len(), b.Trajectories.Len())
+			a.TrajectoryStats.Samples, b.TrajectoryStats.Samples)
 	}
 	if len(a.RSSI) != len(b.RSSI) {
 		t.Errorf("RSSI counts differ: %d vs %d", len(a.RSSI), len(b.RSSI))
 	}
-	as, bs := a.Trajectories.All(), b.Trajectories.All()
+	as, bs := slices.Concat(a.Trajectories...), slices.Concat(b.Trajectories...)
 	for i := range as {
 		if as[i] != bs[i] {
 			t.Fatalf("sample %d differs: %+v vs %+v", i, as[i], bs[i])
@@ -164,7 +165,7 @@ func TestPipelineAllBuildings(t *testing.T) {
 				c.Building.Source = src
 				c.Devices = []DeviceConfig{{Floor: 0, Model: "coverage", Type: "wifi", Count: 8}}
 			})
-			if ds.Trajectories.Len() == 0 {
+			if ds.TrajectoryStats.Samples == 0 {
 				t.Errorf("%s: no samples", src)
 			}
 		})

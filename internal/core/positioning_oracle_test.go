@@ -298,11 +298,14 @@ func checkOracleCoverage(t *testing.T, ds *Dataset) {
 		floors[w][floorOf[m.DeviceID]] = true
 	}
 	lateBirth, unheard, twoFloors := false, false, false
-	for _, id := range ds.Trajectories.Objects() {
-		if s := ds.Trajectories.Series(id); s[0].T > 0 {
+	for i, s := range ds.Trajectories {
+		if len(s) == 0 {
+			continue
+		}
+		if s[0].T > 0 {
 			lateBirth = true
 		}
-		if !heard[id] {
+		if !heard[i+1] {
 			unheard = true
 		}
 	}

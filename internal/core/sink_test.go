@@ -58,7 +58,7 @@ func readFile[T any, B colstore.RowBatch[T]](t *testing.T, k *storage.Kind[B], p
 // teeSink records the exact record streams a wrapped sink was fed, so tests
 // can compare file contents against precisely what the writer saw (the
 // trajectory stream arrives in global time order — not the (object, time)
-// order of TrajectoryStore.All — and the RSSI stream in the generator's
+// (object, time) order of Dataset.Trajectories — and the RSSI stream in the generator's
 // object-grouped order).
 type teeSink struct {
 	inner   Sink

@@ -14,14 +14,16 @@ import (
 )
 
 // AblationLoS compares the explicit line-of-sight obstacle term against a
-// constant penalty: LoS noise makes fingerprints more
-// location-specific, improving fingerprinting accuracy.
+// constant penalty. The obstacle model changes RSSI values, not which rows
+// exist, so both arms emit the same rows; neither arm fingerprints better at
+// every seed (mean error line-of-sight vs constant: 2.16 vs 2.55 m at seed
+// 1, 2.52 vs 2.05 m at seed 7, 2.32 vs 2.35 m at seed 42).
 func AblationLoS(seed uint64) (*Table, error) {
 	t := &Table{
 		ID:     "A1",
 		Title:  "ablation: line-of-sight wall noise vs constant penalty",
 		Header: []string{"obstacle model", "rssi rows", "fp mean err m", "fp median m"},
-		Notes:  "wall-aware Nob differentiates rooms; replacing it with a constant blurs fingerprints.",
+		Notes:  "the obstacle model changes RSSI values, not which rows exist: both arms emit the same rows; which one fingerprints better depends on the seed.",
 	}
 	for _, los := range []bool{true, false} {
 		cfg := smallRun(seed)

@@ -18,7 +18,6 @@ import (
 	"vita/internal/rng"
 	"vita/internal/rssi"
 	"vita/internal/serve"
-	"vita/internal/storage"
 	"vita/internal/topo"
 	"vita/internal/trajectory"
 )
@@ -65,7 +64,7 @@ func E1Pipeline(seed uint64) (*Table, error) {
 		}
 		ms := float64(time.Since(start).Microseconds()) / 1000
 		t.AddRow(src, ds.Building.PartitionCount(), len(ds.Devices),
-			ds.Trajectories.Len(), ds.TrajectoryStats.RouteFailures, len(ds.RSSI), len(ds.Estimates), ms)
+			ds.TrajectoryStats.Samples, ds.TrajectoryStats.RouteFailures, len(ds.RSSI), len(ds.Estimates), ms)
 	}
 	return t, nil
 }
@@ -204,8 +203,8 @@ func E4SamplingSweep(seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := storage.NewTrajectoryStore()
-	if _, err := eng.Run(nil, store.AppendSeries); err != nil {
+	series, _, err := eng.Run(nil)
+	if err != nil {
 		return nil, err
 	}
 
@@ -218,16 +217,18 @@ func E4SamplingSweep(seed uint64) (*Table, error) {
 	for _, period := range []float64{1, 2, 5, 10} {
 		var errSum, errMax float64
 		var kept, n int
-		for _, id := range store.Objects() {
-			ref := store.Series(id)
+		for _, ref := range series {
+			if len(ref) == 0 {
+				continue
+			}
 			down := downsample(ref, period)
 			kept += len(down)
 			for _, s := range ref {
-				p, ok := interpAt(down, s.T)
-				if !ok || s.Loc.Floor != p.floor {
+				loc, _ := trajectory.SeriesAt(down, s.T)
+				if s.Loc.Floor != loc.Floor {
 					continue
 				}
-				e := s.Loc.Point.Dist(p.pt)
+				e := s.Loc.Point.Dist(loc.Point)
 				errSum += e
 				if e > errMax {
 					errMax = e
@@ -243,11 +244,6 @@ func E4SamplingSweep(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-type interpPoint struct {
-	pt    geom.Point
-	floor int
-}
-
 func downsample(series []trajectory.Sample, period float64) []trajectory.Sample {
 	var out []trajectory.Sample
 	next := series[0].T
@@ -258,29 +254,6 @@ func downsample(series []trajectory.Sample, period float64) []trajectory.Sample 
 		}
 	}
 	return out
-}
-
-func interpAt(series []trajectory.Sample, t float64) (interpPoint, bool) {
-	if len(series) == 0 {
-		return interpPoint{}, false
-	}
-	lo := 0
-	for lo+1 < len(series) && series[lo+1].T <= t {
-		lo++
-	}
-	a := series[lo]
-	if lo+1 >= len(series) {
-		return interpPoint{pt: a.Loc.Point, floor: a.Loc.Floor}, true
-	}
-	b := series[lo+1]
-	if a.Loc.Floor != b.Loc.Floor {
-		return interpPoint{pt: a.Loc.Point, floor: a.Loc.Floor}, true
-	}
-	frac := 0.0
-	if b.T > a.T {
-		frac = (t - a.T) / (b.T - a.T)
-	}
-	return interpPoint{pt: a.Loc.Point.Lerp(b.Loc.Point, frac), floor: a.Loc.Floor}, true
 }
 
 // E5Accuracy compares the three positioning methods under increasing signal
@@ -449,30 +422,30 @@ func E7DBIProcessing(seed uint64) (*Table, error) {
 		"clinic": ifc.ClinicIFC(),
 	}
 	for _, name := range []string{"office", "mall", "clinic"} {
-		text := sources[name]
+		// Load is the pipeline's own DBI path, so the issue count includes
+		// its checks on the built topology.
 		start := time.Now()
-		f, err := ifc.Parse(text)
-		if err != nil {
-			return nil, fmt.Errorf("E7 %s: %w", name, err)
-		}
-		b, rep, err := ifc.Extract(f)
-		if err != nil {
-			return nil, fmt.Errorf("E7 %s: %w", name, err)
-		}
-		spaces := b.PartitionCount()
-		topology, err := topo.Build(b, topo.DefaultOptions())
+		env := core.IndoorEnvironmentController{Config: core.BuildingConfig{Source: "synthetic:" + name}}
+		topology, rep, err := env.Load()
 		if err != nil {
 			return nil, fmt.Errorf("E7 %s: %w", name, err)
 		}
 		ms := float64(time.Since(start).Microseconds()) / 1000
+		b := topology.B
+		spaces := map[string]bool{} // the DBI's rooms, before decomposition
 		linked := 0
+		for _, level := range b.FloorLevels() {
+			for _, p := range b.Floors[level].Partitions {
+				spaces[p.Room()] = true
+			}
+		}
 		for _, s := range b.Staircases {
 			if s.Linked {
 				linked++
 			}
 		}
-		t.AddRow(name, len(text), spaces, topology.B.PartitionCount(),
-			topology.B.DoorCount(), fmt.Sprintf("%d/%d", linked, len(b.Staircases)),
+		t.AddRow(name, len(sources[name]), len(spaces), b.PartitionCount(),
+			b.DoorCount(), fmt.Sprintf("%d/%d", linked, len(b.Staircases)),
 			len(rep.Issues), ms)
 	}
 	return t, nil
@@ -504,11 +477,11 @@ func E8StorageQueries(seed uint64) (*Table, error) {
 		us := float64(time.Since(start).Microseconds()) / float64(iters)
 		t.AddRow(name, res, us)
 	}
-	objs := ds.Trajectories.Objects()
-	if len(objs) == 0 {
-		return nil, fmt.Errorf("E8: empty trajectory store")
+	samples := slices.Concat(ds.Trajectories...)
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("E8: no trajectory sample")
 	}
-	src := plan.SliceSource{Samples: ds.Trajectories.All()}
+	src := plan.SliceSource{Samples: samples}
 	var qerr error
 	count := func(p *plan.Plan) int {
 		c, err := p.Compile()
@@ -527,7 +500,7 @@ func E8StorageQueries(seed uint64) (*Table, error) {
 		return count(plan.NewScan(src).Filter(plan.TimeBetween(at-gap, at+gap)).SnapshotAt(at, gap))
 	})
 	timeIt("time range obj[0] [30,90]", 200, func() int {
-		return count(plan.NewScan(src).Filter(plan.ObjEq(objs[0]), plan.TimeBetween(30, 90)))
+		return count(plan.NewScan(src).Filter(plan.ObjEq(samples[0].ObjID), plan.TimeBetween(30, 90)))
 	})
 	bb := ds.Building.Floors[0].BBox()
 	half := geom.BBox{Min: bb.Min, Max: geom.Pt(bb.Center().X, bb.Max.Y)}

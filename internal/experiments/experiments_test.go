@@ -209,7 +209,27 @@ func TestE7StaircasesLinkAndCountsPinned(t *testing.T) {
 			t.Errorf("%s: staircases linked %q, want all", name, row[5])
 		}
 		if row[6] != "0" {
-			t.Errorf("%s: extraction reported %s DBI issues, want 0", name, row[6])
+			t.Errorf("%s: loading reported %s DBI issues, want 0", name, row[6])
+		}
+	}
+}
+
+// TestA1ArmsEmitTheSameRows pins what A1 shows at seeds 1, 7 and 42: the
+// obstacle model changes RSSI values, not which rows exist, so the
+// line-of-sight and constant-penalty arms emit the same number of RSSI rows.
+// Which arm fingerprints better flips with the seed, so that is not pinned.
+func TestA1ArmsEmitTheSameRows(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42} {
+		tbl, err := AblationLoS(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tbl.Rows) != 2 {
+			t.Fatalf("seed %d: %d rows, want 2", seed, len(tbl.Rows))
+		}
+		los, constant := tbl.Rows[0][1], tbl.Rows[1][1]
+		if los != constant || los == "0" {
+			t.Errorf("seed %d: %s RSSI rows with line of sight, %s with a constant penalty; want the same, nonzero", seed, los, constant)
 		}
 	}
 }

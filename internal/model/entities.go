@@ -52,6 +52,15 @@ type Partition struct {
 	Parent string
 }
 
+// Room returns the ID of the room p belongs to: its Parent when p is a
+// piece of a decomposed room, its own ID otherwise.
+func (p *Partition) Room() string {
+	if p.Parent != "" {
+		return p.Parent
+	}
+	return p.ID
+}
+
 // Bounds implements index.Item.
 func (p *Partition) Bounds() geom.BBox { return p.Polygon.BBox() }
 

@@ -378,12 +378,9 @@ func TestCrossingReuseMatchesDirect(t *testing.T) {
 	last := map[string]geom.Point{}
 	for _, mm := range ms {
 		dev := byID[mm.DeviceID]
-		seg := 0
-		for seg+1 < len(traj) && traj[seg+1].T < mm.T {
-			seg++
-		}
-		pos, floor, _ := interpolate(traj, seg, mm.T)
-		n := tp.Crossings(floor, dev.Position, pos)
+		loc, _ := trajectory.SeriesAt(traj, mm.T)
+		pos := loc.Point
+		n := tp.Crossings(loc.Floor, dev.Position, pos)
 		if want := m.At(dev.Position.Dist(pos), n, dev, nil); mm.RSSI != want {
 			t.Fatalf("device %s at t=%v: RSSI %v, the model with %d fresh crossings gives %v", mm.DeviceID, mm.T, mm.RSSI, n, want)
 		}

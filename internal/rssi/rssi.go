@@ -176,12 +176,11 @@ func NewGenerator(t *topo.Topology, devs []*device.Device, cfg Config) (*Generat
 type ObjectDone func(id int, ms []Measurement) (flush func())
 
 // Generate replays the trajectories — one time-ordered series per object,
-// in strictly ascending object ID, as storage.TrajectoryStore.AllSeries
-// returns them; empty series are skipped — and emits measurements at each
-// device's sampling instants. Linear interpolation between consecutive
-// same-floor samples reconstructs the object position at the device's
-// sampling times. The series are only read, on the workers, while Generate
-// runs.
+// in strictly ascending object ID, as trajectory.Engine.Run returns its
+// slots; empty series are skipped — and emits measurements at each device's
+// sampling instants. trajectory.Between places the object at each instant
+// from the two samples around it. The series are only read, on the
+// workers, while Generate runs.
 //
 // r keys the fluctuation noise: each object's replay draws from a stream
 // derived deterministically from (r, object ID), so the output is
@@ -328,8 +327,12 @@ func (g *Generator) generateForObject(ms []Measurement, id int, traj []trajector
 			for seg+1 < len(traj) && traj[seg+1].T < t {
 				seg++
 			}
-			pos, floor, ok := interpolate(traj, seg, t)
-			if !ok || floor != dev.Floor {
+			// The last sample stands for the instants up to end+Eps.
+			pos, floor := traj[seg].Loc.Point, traj[seg].Loc.Floor
+			if seg+1 < len(traj) {
+				pos, floor = trajectory.Between(&traj[seg], &traj[seg+1], t)
+			}
+			if floor != dev.Floor {
 				continue
 			}
 			dist := dev.Position.Dist(pos)
@@ -352,32 +355,4 @@ func (g *Generator) generateForObject(ms []Measurement, id int, traj []trajector
 		}
 	}
 	return ms
-}
-
-// interpolate returns the object position at time t from the trajectory
-// segment starting at index seg. It fails across floor changes.
-func interpolate(traj []trajectory.Sample, seg int, t float64) (geom.Point, int, bool) {
-	a := traj[seg]
-	if seg+1 >= len(traj) {
-		if math.Abs(a.T-t) <= 1.0 {
-			return a.Loc.Point, a.Loc.Floor, true
-		}
-		return geom.Point{}, 0, false
-	}
-	b := traj[seg+1]
-	if t < a.T-geom.Eps || t > b.T+geom.Eps {
-		return geom.Point{}, 0, false
-	}
-	if a.Loc.Floor != b.Loc.Floor {
-		// Mid-staircase; attribute to the nearer endpoint's floor.
-		if t-a.T <= b.T-t {
-			return a.Loc.Point, a.Loc.Floor, true
-		}
-		return b.Loc.Point, b.Loc.Floor, true
-	}
-	if b.T-a.T < geom.Eps {
-		return a.Loc.Point, a.Loc.Floor, true
-	}
-	frac := (t - a.T) / (b.T - a.T)
-	return a.Loc.Point.Lerp(b.Loc.Point, frac), a.Loc.Floor, true
 }

@@ -1,3 +1,19 @@
+// Package storage is Vita's Storage component (paper §2, §4.2) without its
+// query engine: Cursor, the one read path over bulk data on disk; the
+// RowWriters that write it; and CSV persistence. It replaces the paper's
+// PostgreSQL+PostGIS deployment with stdlib-only code. A run's trajectories
+// in memory are its series slots (core.Dataset.Trajectories), not a store.
+// The Data Stream APIs — snapshot, window and nearest-object queries — are
+// plans of internal/plan, run by internal/serve over files and by callers
+// over a run's samples; docs/ARCHITECTURE.md places the packages among the
+// layers.
+//
+// Bulk data on disk — CSV or the VTB format of internal/colstore, detected
+// by magic bytes — is read through one API, Cursor: OpenCursor for a file,
+// OpenCursorMulti/Merge for the segments of a log, each taking a Kind
+// (Trajectory or RSSI) to select the row kind; estimate files share the
+// trajectory schema and read as Trajectory. There is no other read entry
+// point: a caller drains the cursor, or Copies it into a RowWriter.
 package storage
 
 import (

@@ -57,7 +57,7 @@ func connectDoor(f *model.Floor, d *model.Door) error {
 		if cands[i].dist != cands[j].dist {
 			return cands[i].dist < cands[j].dist
 		}
-		if ri, rj := room(cands[i].p), room(cands[j].p); ri != rj {
+		if ri, rj := cands[i].p.Room(), cands[j].p.Room(); ri != rj {
 			return ri < rj
 		}
 		return cands[i].p.ID < cands[j].p.ID
@@ -65,19 +65,10 @@ func connectDoor(f *model.Floor, d *model.Door) error {
 	first := cands[0].p
 	d.Partitions = [2]string{first.ID, ""} // exterior unless another room is in reach
 	for _, c := range cands[1:] {
-		if room(c.p) != room(first) {
+		if c.p.Room() != first.Room() {
 			d.Partitions[1] = c.p.ID
 			break
 		}
 	}
 	return nil
-}
-
-// room names the room a partition belongs to: its parent when decomposition
-// cut it from a larger one, itself otherwise.
-func room(p *model.Partition) string {
-	if p.Parent != "" {
-		return p.Parent
-	}
-	return p.ID
 }

@@ -75,7 +75,7 @@ func decomposePartition(f *model.Floor, p *model.Partition, maxArea float64) (in
 			Floor:   p.Floor,
 			Polygon: poly,
 			Kind:    p.Kind,
-			Parent:  room(p),
+			Parent:  p.Room(),
 		}
 		if err := f.AddPartition(children[i]); err != nil {
 			return 0, err

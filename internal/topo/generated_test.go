@@ -101,7 +101,7 @@ func checkDoorHomes(t *testing.T, b *model.Building) {
 				if !ok {
 					t.Fatalf("door %s joins unknown partition %q", d.ID, id)
 				}
-				rooms[i] = room(p)
+				rooms[i] = p.Room()
 			}
 			switch {
 			case d.Virtual() && (d.Partitions[1] == "" || d.Partitions[0] == d.Partitions[1] || rooms[0] != rooms[1]):

@@ -33,7 +33,7 @@ func BenchmarkEngineRun(b *testing.B) {
 					b.Fatal(err)
 				}
 				col := NewCollector(func([]Sample) error { return nil })
-				_, err = eng.Run(col, nil)
+				_, _, err = eng.Run(col)
 				if cerr := col.Close(); err == nil {
 					err = cerr
 				}

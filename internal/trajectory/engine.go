@@ -150,23 +150,19 @@ type objectSim struct {
 }
 
 // run simulates the object over the full duration on the global tick grid
-// and returns its ground-truth samples in time order (nil when keep is
-// false: only the statistics are wanted). The loop reproduces the semantics
-// of simulating all objects jointly: the object advances at every tick it is
-// alive, dies once the clock passes its death time, and is sampled at every
-// multiple of SampleInterval it is alive for. Both instants are computed
+// and returns its ground-truth samples in time order. The loop reproduces
+// the semantics of simulating all objects jointly: the object advances at
+// every tick it is alive, dies once the clock passes its death time, and is
+// sampled at every multiple of SampleInterval it is alive for. Both instants are computed
 // from integer counters, never accumulated, so every sample sits exactly on
 // the k·SampleInterval grid whatever the tick and interval.
-func (s *objectSim) run(keep bool) []Sample {
+func (s *objectSim) run() []Sample {
 	e := s.eng
 	o := s.o
-	var out []Sample
-	if keep {
-		// At most one sample per interval of the object's life, plus the
-		// instants at both ends.
-		life := math.Min(o.Death(), e.cfg.Duration) - o.Birth
-		out = make([]Sample, 0, max(0, int(life/e.cfg.SampleInterval))+2)
-	}
+	// At most one sample per interval of the object's life, plus the
+	// instants at both ends.
+	life := math.Min(o.Death(), e.cfg.Duration) - o.Birth
+	out := make([]Sample, 0, max(0, int(life/e.cfg.SampleInterval))+2)
 	k := 0
 	for i := 0; ; i++ {
 		t := float64(i) * e.cfg.Tick
@@ -185,9 +181,7 @@ func (s *objectSim) run(keep bool) []Sample {
 		}
 		for next := float64(k) * e.cfg.SampleInterval; t >= next-geom.Eps; next = float64(k) * e.cfg.SampleInterval {
 			if o.Alive(next) && o.Phase != object.PhaseDead {
-				if keep {
-					out = append(out, Sample{ObjID: o.ID, Loc: o.Loc, T: next})
-				}
+				out = append(out, Sample{ObjID: o.ID, Loc: o.Loc, T: next})
 				s.st.Samples++
 			}
 			k++

@@ -49,7 +49,7 @@ func runMerged(t testing.TB, eng *Engine) ([]Sample, Stats) {
 		samples = append(samples, b...)
 		return nil
 	})
-	stats, err := eng.Run(col, nil)
+	_, stats, err := eng.Run(col)
 	if cerr := col.Close(); err == nil {
 		err = cerr
 	}

@@ -1,23 +1,42 @@
 package trajectory
 
 import (
+	"math"
+	"sort"
+
 	"vita/internal/geom"
 	"vita/internal/model"
 )
+
+// SeriesAt returns the location at instant t of an object whose samples, in
+// time order, are series: InterpolateAt over the two samples bracketing t,
+// with no gap limit. Before the first sample it is the first, after the last
+// the last; it reports false only for an empty series.
+func SeriesAt(series []Sample, t float64) (model.Location, bool) {
+	i := sort.Search(len(series), func(i int) bool { return series[i].T >= t })
+	var prev, next *Sample
+	if i > 0 {
+		prev = &series[i-1]
+	}
+	if i < len(series) {
+		next = &series[i]
+	}
+	return InterpolateAt(prev, next, t, math.Inf(1))
+}
 
 // InterpolateAt returns an object's location at instant t from the samples
 // bracketing it: prev is the object's last sample with T < t, next its first
 // with T >= t, either nil when there is none. The position is interpolated
 // linearly between the two. It reports false when neither sample lies within
 // maxGap of t. When the observation gap between the two is wider than maxGap
-// the position snaps to whichever endpoint is within maxGap; when they lie on
-// different floors (a staircase transition) or either has no point, the
-// temporally nearer sample's location is returned verbatim rather than
-// interpolating across them.
+// the position snaps to whichever endpoint is within maxGap; otherwise the
+// point and floor are Between's and the partition is the temporally nearer
+// sample's, so across floors (or without a point) the nearer sample's
+// location comes back verbatim. With maxGap +Inf it clamps to the first
+// sample before the series and to the last after it.
 //
-// This is the one copy of the arithmetic behind every instant query — the
-// served plans (internal/plan's SnapshotAt) and the brute-force oracle that
-// checks them both call it, so their answers agree to the last bit.
+// The served plans (internal/plan's SnapshotAt), the brute-force oracle that
+// checks them and the evaluation of estimates all call it.
 func InterpolateAt(prev, next *Sample, t, maxGap float64) (model.Location, bool) {
 	switch {
 	case prev == nil && next == nil:
@@ -45,25 +64,34 @@ func InterpolateAt(prev, next *Sample, t, maxGap float64) (model.Location, bool)
 		}
 		return model.Location{}, false
 	}
-	if a.Loc.Floor != b.Loc.Floor || !a.Loc.HasPoint || !b.Loc.HasPoint {
-		if t-a.T <= b.T-t {
-			return a.Loc, true
-		}
-		return b.Loc, true
-	}
-	if b.T == a.T {
-		return b.Loc, true
-	}
-	f := (t - a.T) / (b.T - a.T)
-	p := geom.Pt(
-		a.Loc.Point.X+f*(b.Loc.Point.X-a.Loc.Point.X),
-		a.Loc.Point.Y+f*(b.Loc.Point.Y-a.Loc.Point.Y),
-	)
-	// Attribute the partition of the temporally nearer sample; the segment
-	// may cross a partition boundary but the endpoints are ground truth.
+	// Attribute the partition of the temporally nearer sample (a on a tie);
+	// the segment may cross a partition boundary but the endpoints are
+	// ground truth.
 	loc := a.Loc
 	if b.T-t < t-a.T {
 		loc = b.Loc
 	}
-	return model.At(loc.Building, loc.Floor, loc.Partition, p), true
+	loc.Point, loc.Floor = Between(a, b, t)
+	return loc, true
+}
+
+// Between is the one rule for an object's position between two of its
+// consecutive samples a and b, with a.T ≤ t ≤ b.T: the point at t on the
+// straight line from a to b, on a's floor. When a and b lie on different
+// floors (a staircase transition) or either has no point, it returns the
+// temporally nearer sample's point and floor, a's on a tie; when they share
+// an instant, b's. Every reader of ground truth — served instants
+// (InterpolateAt), the RSSI replay and the evaluation of estimates — comes
+// here, so they agree to the last bit.
+func Between(a, b *Sample, t float64) (geom.Point, int) {
+	if a.Loc.Floor != b.Loc.Floor || !a.Loc.HasPoint || !b.Loc.HasPoint {
+		if t-a.T <= b.T-t {
+			return a.Loc.Point, a.Loc.Floor
+		}
+		return b.Loc.Point, b.Loc.Floor
+	}
+	if b.T == a.T {
+		return b.Loc.Point, b.Loc.Floor
+	}
+	return a.Loc.Point.Lerp(b.Loc.Point, (t-a.T)/(b.T-a.T)), a.Loc.Floor
 }

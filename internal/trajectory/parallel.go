@@ -6,26 +6,18 @@ import (
 	"sync/atomic"
 )
 
-// ObjectDone receives the finished series of one object: its samples in time
-// order, never empty. Run calls it once per object that produced a sample,
-// on the worker goroutine that simulated the object, so calls for different
-// objects may run concurrently and in any order. The callee may keep series
-// but must not modify it: the merge collector may still be reading it.
-type ObjectDone func(series []Sample)
-
-// Run simulates the configured duration and hands the samples over in two
-// shapes, each optional:
+// Run simulates the configured duration and returns the run's ground truth
+// as series slots: slot i holds the samples of the i-th object of the
+// roster, in time order, stored by the worker that simulated it (empty when
+// the object produced no sample). The spawner numbers objects 1, 2, … in
+// roster order, so slot i is object i+1. Nothing writes a slot after Run
+// returns, but the merge may still be reading it.
 //
-//   - col, a Collector the caller made and later Closes, receives every
-//     object's series and merges them into global time order (ties broken
-//     by ascending object ID) on its own goroutine. Run registers the roster
-//     with it and returns once every object is simulated, while the merge
-//     may still be draining: Close waits for it.
-//   - done receives each object's whole series as soon as the object is
-//     simulated; see ObjectDone.
-//
-// With both nil, the run only does the movement work and counts (useful for
-// benchmarks).
+// col, when non-nil, is a Collector the caller made and later Closes: it
+// receives every object's series and merges them into global time order
+// (ties broken by ascending object ID) on its own goroutine. Run registers
+// the roster with it and returns once every object is simulated, while the
+// merge may still be draining: Close waits for it.
 //
 // The full roster (initial population plus Poisson arrivals) is scheduled
 // up-front from the engine's master RNG, and each object is simulated on a
@@ -34,15 +26,16 @@ type ObjectDone func(series []Sample)
 // (ascending birth) order, from a shared counter — which keeps the
 // collector's watermark advancing steadily whatever each object costs.
 // Output is therefore byte-identical for every Parallelism value.
-func (e *Engine) Run(col *Collector, done ObjectDone) (Stats, error) {
+func (e *Engine) Run(col *Collector) ([][]Sample, Stats, error) {
 	objs, err := e.spawner.ScheduleUntil(e.cfg.Duration, e.rnd)
 	if err != nil {
-		return e.stats, err
+		return nil, e.stats, err
 	}
 	e.objects = append(e.objects, objs...)
 	e.stats.Spawned += len(objs)
 
 	streams := e.rnd.Streams()
+	series := make([][]Sample, len(objs))
 	perObj := make([]Stats, len(objs))
 	if col != nil {
 		for _, o := range objs {
@@ -55,16 +48,13 @@ func (e *Engine) Run(col *Collector, done ObjectDone) (Stats, error) {
 		for i := int(next.Add(1) - 1); i < len(objs); i = int(next.Add(1) - 1) {
 			o := objs[i]
 			sim := &objectSim{eng: e, o: o, rnd: streams.Stream(uint64(o.ID))}
-			series := sim.run(col != nil || done != nil)
+			series[i] = sim.run()
 			if col != nil {
-				col.Deliver(o.ID, series)
+				col.Deliver(o.ID, series[i])
 				// Let the merge goroutine Deliver woke run now: with every
 				// processor simulating, it would otherwise wait for the next
 				// preemption, and the first rows with it.
 				runtime.Gosched()
-			}
-			if done != nil && len(series) > 0 {
-				done(series)
 			}
 			perObj[i] = sim.st
 		}
@@ -85,5 +75,5 @@ func (e *Engine) Run(col *Collector, done ObjectDone) (Stats, error) {
 	for i := range perObj {
 		e.stats.add(perObj[i])
 	}
-	return e.stats, nil
+	return series, e.stats, nil
 }

@@ -1,6 +1,7 @@
 package trajectory
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 	"sort"
@@ -57,6 +58,62 @@ func TestParallelIdenticalToSequential(t *testing.T) {
 	}
 }
 
+// TestSeriesHandOver pins the engine's two hand-overs against each other at
+// every worker count: slot i holds object i+1's samples in time order; the
+// slots, concatenated and stable-sorted by (time, object ID), are exactly the
+// collector's stream; and that stream is the same at P 1, 2 and 8.
+func TestSeriesHandOver(t *testing.T) {
+	tp := officeTopo(t)
+	var base []Sample
+	for _, p := range []int{1, 2, 8} {
+		sp, err := object.NewSpawner(tp, object.SpawnConfig{
+			InitialCount: 10, MinLifespan: 40, MaxLifespan: 110, MaxSpeed: 1.5,
+			Pattern: object.DefaultPattern(), ArrivalRate: 0.05,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(tp, sp, Config{Duration: 120, SampleInterval: 1, Parallelism: p}, rng.New(25))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stream []Sample
+		col := NewCollector(func(b []Sample) error {
+			stream = append(stream, b...)
+			return nil
+		})
+		series, _, err := eng.Run(col)
+		if cerr := col.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stream) == 0 {
+			t.Fatal("no samples")
+		}
+		for i, ser := range series {
+			for j, s := range ser {
+				if s.ObjID != i+1 || (j > 0 && s.T <= ser[j-1].T) {
+					t.Fatalf("p=%d: slot %d sample %d is object %d at %v, want object %d in time order", p, i, j, s.ObjID, s.T, i+1)
+				}
+			}
+		}
+		merged := slices.Concat(series...)
+		slices.SortStableFunc(merged, func(a, b Sample) int {
+			return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.ObjID, b.ObjID))
+		})
+		if !slices.Equal(merged, stream) {
+			t.Fatalf("p=%d: the slots regrouped differ from the collector stream", p)
+		}
+		if base == nil {
+			base = stream
+		} else if !slices.Equal(stream, base) {
+			t.Fatalf("p=%d: stream differs from p=1", p)
+		}
+	}
+}
+
 // TestParallelEmitOrder asserts the documented global emit order:
 // nondecreasing time, ties broken by ascending object ID.
 func TestParallelEmitOrder(t *testing.T) {
@@ -73,8 +130,8 @@ func TestParallelEmitOrder(t *testing.T) {
 	}
 }
 
-// TestParallelNilEmit keeps the benchmark path (movement work only) working
-// under parallelism, with the same stats as the emitting run.
+// TestParallelNilEmit keeps a run without a collector working under
+// parallelism: its slots hold every sample the stats count.
 func TestParallelNilEmit(t *testing.T) {
 	tp := officeTopo(t)
 	for _, p := range []int{1, 4} {
@@ -86,12 +143,12 @@ func TestParallelNilEmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := eng.Run(nil, nil)
+		series, stats, err := eng.Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Samples == 0 {
-			t.Errorf("parallelism %d: nil-emit run counted no samples", p)
+		if n := len(slices.Concat(series...)); stats.Samples == 0 || n != stats.Samples {
+			t.Errorf("parallelism %d: slots hold %d samples, stats count %d", p, n, stats.Samples)
 		}
 	}
 }

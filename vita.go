@@ -24,8 +24,12 @@
 //	cfg := vita.DefaultConfig()
 //	ds, err := vita.Generate(cfg)
 //	if err != nil { ... }
-//	fmt.Println(ds.Trajectories.Len(), "ground-truth samples")
+//	fmt.Println(ds.TrajectoryStats.Samples, "ground-truth samples")
 //	fmt.Println(len(ds.Estimates), "positioning estimates")
+//	for i, series := range ds.Trajectories { // slot i is object i+1
+//		fmt.Println("object", i+1, len(series), "samples")
+//	}
+//	stats, _ := vita.EvaluateEstimates(ds.Trajectories, ds.Estimates)
 //
 // This package holds what the programs in the examples directory call, and
 // the types their signatures need; the command-line tools use the internal
@@ -37,6 +41,7 @@ import (
 
 	"vita/internal/core"
 	"vita/internal/geom"
+	"vita/internal/model"
 	"vita/internal/plan"
 	"vita/internal/positioning"
 	"vita/internal/serve"
@@ -131,16 +136,18 @@ func GenerateTo(cfg Config, sink Sink) (*Dataset, error) {
 }
 
 // EvaluateEstimates compares positioning estimates against the preserved
-// ground-truth trajectories, returning error statistics and the number of
-// floor mismatches.
-func EvaluateEstimates(truth *storage.TrajectoryStore, ests []Estimate) (ErrorStats, int) {
+// ground truth, a run's series slots (Dataset.Trajectories), returning error
+// statistics and the number of floor mismatches. Estimates of an object
+// without a slot are skipped.
+func EvaluateEstimates(truth [][]Sample, ests []Estimate) (ErrorStats, int) {
 	return core.EvaluateEstimates(truth, ests)
 }
 
-// PartitionHitRate returns the fraction of estimates whose partition matches
-// the ground truth (symbolic accuracy).
-func PartitionHitRate(truth *storage.TrajectoryStore, ests []Estimate) float64 {
-	return core.PartitionHitRate(truth, ests)
+// PartitionHitRate returns the fraction of estimates that place their object
+// in its true room (symbolic accuracy), comparing rooms through the
+// building's partitions (pass Dataset.Building and Dataset.Trajectories).
+func PartitionHitRate(b *model.Building, truth [][]Sample, ests []Estimate) float64 {
+	return core.PartitionHitRate(b, truth, ests)
 }
 
 // WriteProximityCSV persists proximity records as CSV.

@@ -1,6 +1,9 @@
 package vita
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestGenerateDefault exercises the public API end to end.
 func TestGenerateDefault(t *testing.T) {
@@ -13,15 +16,15 @@ func TestGenerateDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Trajectories.Len() == 0 || len(ds.RSSI) == 0 || len(ds.Estimates) == 0 {
+	if ds.TrajectoryStats.Samples == 0 || len(ds.RSSI) == 0 || len(ds.Estimates) == 0 {
 		t.Fatalf("incomplete dataset: traj=%d rssi=%d est=%d",
-			ds.Trajectories.Len(), len(ds.RSSI), len(ds.Estimates))
+			ds.TrajectoryStats.Samples, len(ds.RSSI), len(ds.Estimates))
 	}
 	stats, _ := EvaluateEstimates(ds.Trajectories, ds.Estimates)
 	if stats.N == 0 {
 		t.Fatal("no evaluable estimates")
 	}
-	if hr := PartitionHitRate(ds.Trajectories, ds.Estimates); hr <= 0 || hr > 1 {
+	if hr := PartitionHitRate(ds.Building, ds.Trajectories, ds.Estimates); hr <= 0 || hr > 1 {
 		t.Fatalf("partition hit rate out of range: %f", hr)
 	}
 }
@@ -58,8 +61,8 @@ func TestQueryEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Samples != ds.Trajectories.Len() || info.T1 <= info.T0 {
-		t.Fatalf("info = %d samples over [%v, %v], want %d", info.Samples, info.T0, info.T1, ds.Trajectories.Len())
+	if info.Samples != ds.TrajectoryStats.Samples || info.T1 <= info.T0 {
+		t.Fatalf("info = %d samples over [%v, %v], want %d", info.Samples, info.T0, info.T1, ds.TrajectoryStats.Samples)
 	}
 	bounds := ds.Building.Floors[0].BBox()
 	mid := (info.T0 + info.T1) / 2
@@ -72,8 +75,8 @@ func TestQueryEngine(t *testing.T) {
 	if r, err := qd.Density(DensityRequest{T: mid}); err != nil || len(r.Counts) == 0 {
 		t.Fatalf("density query empty (%v)", err)
 	}
-	obj := ds.Trajectories.Objects()[0]
-	if r, err := qd.Traj(TrajRequest{Obj: obj, T0: info.T0, T1: info.T1}); err != nil || len(r.Samples) != len(ds.Trajectories.Series(obj)) {
+	obj := slices.IndexFunc(ds.Trajectories, func(s []Sample) bool { return len(s) > 0 }) + 1
+	if r, err := qd.Traj(TrajRequest{Obj: obj, T0: info.T0, T1: info.T1}); err != nil || len(r.Samples) != len(ds.Trajectories[obj-1]) {
 		t.Fatalf("object %d trajectory differs from the run's series (%v)", obj, err)
 	}
 	if r, err := qd.Dwell(DwellRequest{Floor: -1, T0: info.T0, T1: info.T1}); err != nil || len(r.Rooms) == 0 {
