@@ -707,10 +707,10 @@ func vtbBenchFile(b *testing.B, opts colstore.Options) (string, int) {
 // dictionary string, and flate reader); the budget fails the build if
 // per-row or per-block-decode allocations ever creep back in.
 //
-// Three sub-benchmarks, three budgets: the raw (uncompressed) file proves
-// the cursor pipeline itself is allocation-free — a small constant
-// independent of rows and blocks — vsnap (the default codec) must match
-// that same constant because its decoder works entirely inside pooled
+// Three sub-benchmarks, three budgets: the raw (uncompressed) fixture
+// proves the cursor pipeline itself is allocation-free — a small constant
+// independent of rows and blocks — vsnap (what every writer produces) must
+// match that same constant because its decoder works entirely inside pooled
 // scratch, while the flate-era fixture additionally pays stdlib flate's
 // internal per-stream Huffman table allocations (a handful per block, not
 // poolable from outside the package), so its budget scales with block count
@@ -723,13 +723,16 @@ func BenchmarkVTBScanAllocs(b *testing.B) {
 		path   string // a checked-in file to scan instead of one written with opts
 		budget func(blocks int) float64
 	}{
-		// Constant budget: cursor struct + pool/GC slack. ~12k rows in ~12
-		// blocks, so anything O(rows) or O(blocks) blows through at once.
-		{"raw", colstore.Options{BlockSize: 1024, Codec: colstore.CodecRaw}, "",
+		// Constant budget: cursor struct + pool/GC slack. No writer stores
+		// every block raw, so this reads the checked-in raw fixture (the
+		// flate fixture's 439 rows, 128 per block); the vsnap case below
+		// runs the same cursor over ~12k rows in ~12 blocks, so anything
+		// O(rows) or O(blocks) outside the codec blows through at once.
+		{"raw", colstore.Options{}, "internal/colstore/testdata/raw/trajectory.vtb",
 			func(int) float64 { return 16 }},
 		// Same constant budget as raw: vsnap decode reuses the pooled
 		// scratch output, so compression must cost no allocations.
-		{"vsnap", colstore.Options{BlockSize: 1024, Codec: colstore.CodecVSnap}, "",
+		{"vsnap", colstore.Options{BlockSize: 1024}, "",
 			func(int) float64 { return 16 }},
 		// Per-block budget: flate's dynamic-Huffman decode allocates its
 		// link tables per stream (7 to 20 allocs/block, by the stream's
@@ -793,7 +796,7 @@ func BenchmarkVTBScanAllocs(b *testing.B) {
 // formats eagerly, a new per-block slice) fails the build here before it
 // can show up as a latency cliff in serving.
 func BenchmarkVTBScanCompressedAllocs(b *testing.B) {
-	path, n := vtbBenchFile(b, colstore.Options{BlockSize: 1024, Codec: colstore.CodecVSnap})
+	path, n := vtbBenchFile(b, colstore.Options{BlockSize: 1024})
 	r, err := colstore.OpenTrajectory(path)
 	if err != nil {
 		b.Fatal(err)
@@ -918,7 +921,7 @@ func (s benchReaderSource) Open(pred colstore.Predicate) (storage.TrajectoryCurs
 // on top: one span and one wrapper per operator, never per-row or per-block
 // work. Both gates fail the build on regression.
 func BenchmarkPlanTraceOverhead(b *testing.B) {
-	path, _ := vtbBenchFile(b, colstore.Options{BlockSize: 1024, Codec: colstore.CodecRaw})
+	path, _ := vtbBenchFile(b, colstore.Options{BlockSize: 1024})
 	r, err := colstore.OpenTrajectory(path)
 	if err != nil {
 		b.Fatal(err)

@@ -10,17 +10,20 @@ import (
 
 	"vita/internal/geom"
 	"vita/internal/model"
-	"vita/internal/rssi"
 	"vita/internal/trajectory"
 )
 
-// flateFixture reads a file from testdata/flate: a small dataset written
-// while flate was the default block codec (codec byte 1), with the CSV twins
-// it was encoded from and a three-segment trajectory log. Nothing writes
-// flate any more, so these files are how the read path stays tested.
-func flateFixture(tb testing.TB, name string) []byte {
+// fixture reads a file from testdata/<codec>. testdata/flate is a small
+// dataset written while flate was the default block codec (codec byte 1),
+// with the CSV twins it was encoded from and a three-segment trajectory log;
+// testdata/raw holds the same trajectory and RSSI rows with every block
+// stored verbatim (codec byte 0), in the same 128-row blocks. No writer
+// produces either codec on its own any more (vsnap stores a block raw only
+// when it would not shrink), so these files are how those read paths stay
+// tested.
+func fixture(tb testing.TB, codec, name string) []byte {
 	tb.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "flate", name))
+	data, err := os.ReadFile(filepath.Join("testdata", codec, name))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -29,31 +32,33 @@ func flateFixture(tb testing.TB, name string) []byte {
 
 // TestCodecParityTrajectory is the cross-codec equivalence gate: the same
 // rows under every codec must come back byte-identical through the cursor,
-// regardless of how the blocks were compressed. The raw file's results are
-// the reference; vsnap and the flate fixture must match them
-// sample-for-sample (bitwise, via sampleEqual) with identical scan stats.
-// The fixture's blocks hold 128 rows, so its rows re-encoded at that size
-// have its zone maps.
+// regardless of how the blocks were compressed. The raw fixture's results
+// are the reference; the flate fixture and the same rows re-encoded (vsnap)
+// must match them sample-for-sample (bitwise, via sampleEqual) with
+// identical scan stats. The fixtures' blocks hold 128 rows, so their rows
+// re-encoded at that size have their zone maps.
 func TestCodecParityTrajectory(t *testing.T) {
-	samples := append(awkwardSamples(), walkSamples(10, 120)...)
-	image := flateFixture(t, "trajectory.vtb")
-	for i, f := range vtbFrames(t, image) {
-		if f.codec != codecFlate {
-			t.Fatalf("fixture block %d has codec %d, want flate (%d)", i, f.codec, codecFlate)
+	images := map[byte][]byte{
+		codecRaw:   fixture(t, "raw", "trajectory.vtb"),
+		codecFlate: fixture(t, "flate", "trajectory.vtb"),
+	}
+	for codec, image := range images {
+		for i, f := range vtbFrames(t, image) {
+			if f.codec != codec {
+				t.Fatalf("fixture block %d has codec %d, want %d", i, f.codec, codec)
+			}
 		}
 	}
-	flate := readTrajectory(t, image)
-	flateRows, _, err := drain(flate.Cursor(Predicate{}))
+	raw := readTrajectory(t, images[codecRaw])
+	rows, _, err := drain(raw.Cursor(Predicate{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	encode := func(rows []trajectory.Sample, c Codec) *TrajectoryReader {
-		return readTrajectory(t, writeTrajectory(t, rows, Options{BlockSize: 128, Codec: c}))
-	}
-	// Each set: the raw reference first, then the readers that must match it.
-	sets := map[string][]*TrajectoryReader{
-		"written": {encode(samples, CodecRaw), encode(samples, CodecVSnap)},
-		"flate":   {encode(flateRows, CodecRaw), encode(flateRows, CodecVSnap), flate},
+	// The raw reference first, then the readers that must match it.
+	readers := []*TrajectoryReader{
+		raw,
+		readTrajectory(t, writeTrajectory(t, rows, Options{BlockSize: 128})),
+		readTrajectory(t, images[codecFlate]),
 	}
 	preds := map[string]Predicate{
 		"all":    {},
@@ -62,29 +67,27 @@ func TestCodecParityTrajectory(t *testing.T) {
 	}
 	for name, pred := range preds {
 		t.Run(name, func(t *testing.T) {
-			for set, readers := range sets {
-				want, wantStats, err := drain(readers[0].Cursor(pred))
+			want, wantStats, err := drain(readers[0].Cursor(pred))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatal("the predicate matches nothing")
+			}
+			for c, r := range readers[1:] {
+				got, gotStats, err := drain(r.Cursor(pred))
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("reader %d: %v", c+1, err)
 				}
-				if len(want) == 0 {
-					t.Fatalf("%s: the predicate matches nothing", set)
+				if gotStats != wantStats {
+					t.Errorf("reader %d: stats differ: got %+v, want %+v", c+1, gotStats, wantStats)
 				}
-				for c, r := range readers[1:] {
-					got, gotStats, err := drain(r.Cursor(pred))
-					if err != nil {
-						t.Fatalf("%s reader %d: %v", set, c+1, err)
-					}
-					if gotStats != wantStats {
-						t.Errorf("%s reader %d: stats differ: got %+v, want %+v", set, c+1, gotStats, wantStats)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s reader %d: %d rows, want %d", set, c+1, len(got), len(want))
-					}
-					for i := range got {
-						if !sampleEqual(got[i], want[i]) {
-							t.Fatalf("%s reader %d: row %d differs: got %+v, want %+v", set, c+1, i, got[i], want[i])
-						}
+				if len(got) != len(want) {
+					t.Fatalf("reader %d: %d rows, want %d", c+1, len(got), len(want))
+				}
+				for i := range got {
+					if !sampleEqual(got[i], want[i]) {
+						t.Fatalf("reader %d: row %d differs: got %+v, want %+v", c+1, i, got[i], want[i])
 					}
 				}
 			}
@@ -92,19 +95,9 @@ func TestCodecParityTrajectory(t *testing.T) {
 	}
 }
 
-// TestCodecParityRSSI repeats the cross-codec gate for the RSSI schema: a
-// generated table raw against vsnap, and the flate fixture against its rows
-// re-encoded raw and vsnap.
+// TestCodecParityRSSI repeats the cross-codec gate for the RSSI schema: the
+// raw fixture against the flate fixture and its rows re-encoded (vsnap).
 func TestCodecParityRSSI(t *testing.T) {
-	var ms []rssi.Measurement
-	for i := 0; i < 3000; i++ {
-		ms = append(ms, rssi.Measurement{
-			ObjID:    i % 25,
-			DeviceID: []string{"wifi-1", "wifi-2", "bt-7", "uwb-3"}[i%4],
-			RSSI:     -40 - float64(i%37)*1.7,
-			T:        float64(i) * 0.5,
-		})
-	}
 	open := func(data []byte) *RSSIReader {
 		r, err := newRSSIReader(data)
 		if err != nil {
@@ -112,44 +105,32 @@ func TestCodecParityRSSI(t *testing.T) {
 		}
 		return r
 	}
-	write := func(ms []rssi.Measurement, c Codec) *RSSIReader {
-		var buf bytes.Buffer
-		w := NewRSSIWriter(&buf, Options{BlockSize: 256, Codec: c})
-		for _, m := range ms {
-			if err := w.Write(m); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return open(buf.Bytes())
-	}
-	flate := open(flateFixture(t, "rssi.vtb"))
-	flateRows, _, err := drain(flate.Cursor(Predicate{}))
+	raw := open(fixture(t, "raw", "rssi.vtb"))
+	want, _, err := drain(raw.Cursor(Predicate{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, readers := range map[string][]*RSSIReader{
-		"written": {write(ms, CodecRaw), write(ms, CodecVSnap)},
-		"flate":   {write(flateRows, CodecRaw), write(flateRows, CodecVSnap), flate},
-	} {
-		want, _, err := drain(readers[0].Cursor(Predicate{}))
-		if err != nil {
+	var buf bytes.Buffer
+	w := NewRSSIWriter(&buf, Options{BlockSize: 128})
+	for _, m := range want {
+		if err := w.Write(m); err != nil {
 			t.Fatal(err)
 		}
-		for c, r := range readers[1:] {
-			got, _, err := drain(r.Cursor(Predicate{}))
-			if err != nil {
-				t.Fatalf("%s reader %d: %v", name, c+1, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s reader %d: %d rows, want %d", name, c+1, len(got), len(want))
-			}
-			for i := range got {
-				if !measurementEqual(got[i], want[i]) {
-					t.Fatalf("%s reader %d: row %d differs: got %+v, want %+v", name, c+1, i, got[i], want[i])
-				}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for c, r := range []*RSSIReader{open(buf.Bytes()), open(fixture(t, "flate", "rssi.vtb"))} {
+		got, _, err := drain(r.Cursor(Predicate{}))
+		if err != nil {
+			t.Fatalf("reader %d: %v", c+1, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("reader %d: %d rows, want %d", c+1, len(got), len(want))
+		}
+		for i := range got {
+			if !measurementEqual(got[i], want[i]) {
+				t.Fatalf("reader %d: row %d differs: got %+v, want %+v", c+1, i, got[i], want[i])
 			}
 		}
 	}
@@ -194,7 +175,7 @@ func TestMixedCodecFile(t *testing.T) {
 			samples = append(samples, s)
 		}
 	}
-	data := writeTrajectory(t, samples, Options{BlockSize: blockSize, Codec: CodecVSnap})
+	data := writeTrajectory(t, samples, Options{BlockSize: blockSize})
 	frames := vtbFrames(t, data)
 	seen := map[byte]int{}
 	for _, f := range frames {
@@ -217,35 +198,6 @@ func TestMixedCodecFile(t *testing.T) {
 		}
 	}
 	t.Logf("codec mix across %d blocks: %v", len(frames), seen)
-}
-
-// walkSamples emits time-ordered samples from per-object random walks:
-// full-precision drifting coordinates (raw-float XOR columns, like engine
-// output), grid timestamps (scaled columns), a small string vocabulary
-// (dictionary columns). This is the realistic shape codec tests must be
-// judged on — awkwardSamples stresses encoder correctness, not ratio.
-func walkSamples(objects, seconds int) []trajectory.Sample {
-	rng := rand.New(rand.NewSource(99))
-	type walker struct{ x, y float64 }
-	ws := make([]walker, objects)
-	for i := range ws {
-		ws[i] = walker{rng.Float64() * 50, rng.Float64() * 30}
-	}
-	parts := []string{"lobby", "corridor", "office-a", "office-b", "atrium"}
-	var out []trajectory.Sample
-	for t := 0; t < seconds; t++ {
-		for o := range ws {
-			ws[o].x += rng.NormFloat64() * 1.2
-			ws[o].y += rng.NormFloat64() * 1.2
-			out = append(out, trajectory.Sample{
-				ObjID: o,
-				Loc: model.At("hq", o%3, parts[(o+t/60)%len(parts)],
-					geom.Pt(ws[o].x, ws[o].y)),
-				T: float64(t),
-			})
-		}
-	}
-	return out
 }
 
 // blockFrame is one compressed block lifted out of a VTB image.

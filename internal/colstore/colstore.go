@@ -109,55 +109,16 @@ var (
 	magicTail = [4]byte{'V', 'T', 'B', 'F'}
 )
 
-// Codec selects the per-block compression a writer applies to encoded
-// payloads. Readers need no codec choice: every block frame carries its own
-// codec byte, so files — even single segment logs — may freely mix blocks
-// written under different codecs and different eras.
-type Codec uint8
-
-const (
-	// CodecDefault resolves to CodecVSnap at write time — the zero value, so
-	// an unset Options.Codec picks the fast default.
-	CodecDefault Codec = iota
-	// CodecVSnap is vsnap, the allocation-free LZ codec (see vsnap.go): the
-	// default since it decodes at memcpy-like speed with zero allocations
-	// per block.
-	CodecVSnap
-	// CodecRaw stores blocks verbatim — the fastest scans (zero-copy off an
-	// mmap) at the largest size.
-	CodecRaw
-)
-
-func (c Codec) String() string {
-	switch c {
-	case CodecDefault:
-		return "default"
-	case CodecVSnap:
-		return "vsnap"
-	case CodecRaw:
-		return "raw"
-	default:
-		return fmt.Sprintf("codec(%d)", uint8(c))
-	}
-}
-
 // Options tunes a Writer. The zero value selects the defaults.
 type Options struct {
 	// BlockSize is the number of rows per block (default 4096). Smaller
 	// blocks prune more sharply but carry more per-block overhead.
 	BlockSize int
-	// Codec selects the block compression (default CodecVSnap). Compressed
-	// codecs store a block raw when compression would not shrink it, so any
-	// file can contain raw blocks.
-	Codec Codec
 }
 
 func (o Options) withDefaults() Options {
 	if o.BlockSize <= 0 {
 		o.BlockSize = 4096
-	}
-	if o.Codec == CodecDefault {
-		o.Codec = CodecVSnap
 	}
 	return o
 }

@@ -107,7 +107,7 @@ func readTrajectory(t *testing.T, data []byte) *TrajectoryReader {
 }
 
 func TestTrajectoryRoundTripLossless(t *testing.T) {
-	for _, opts := range []Options{{}, {BlockSize: 64}, {BlockSize: 7, Codec: CodecRaw}} {
+	for _, opts := range []Options{{}, {BlockSize: 64}, {BlockSize: 7}} {
 		samples := awkwardSamples()
 		data := writeTrajectory(t, samples, opts)
 		r := readTrajectory(t, data)

@@ -151,50 +151,27 @@ func appendBitset(dst []byte, vals []bool) []byte {
 	return dst
 }
 
-// blockCompressor turns one encoded block payload into its stored form. A
-// writer (or compactor) configures exactly one at construction from
-// Options.Codec and holds it for its lifetime, so the per-block hot path has
-// no codec branching and every compressor buffer is reused across blocks —
-// the returned payload is only valid until the next compress call.
-//
-// Compressing codecs fall back to codecRaw when compression would not shrink
-// the payload; the reader dispatches on the per-block codec byte, so the
-// fallback (and mixing codecs across a file's blocks) is invisible to it.
-type blockCompressor interface {
-	compress(raw []byte) (stored []byte, codec byte, err error)
-}
-
-// newBlockCompressor returns the compressor for a resolved (non-default)
-// codec.
-func newBlockCompressor(c Codec) blockCompressor {
-	if c == CodecRaw {
-		return rawCompressor{}
-	}
-	return &vsnapCompressor{}
-}
-
-// rawCompressor stores blocks verbatim.
-type rawCompressor struct{}
-
-func (rawCompressor) compress(raw []byte) ([]byte, byte, error) { return raw, codecRaw, nil }
-
-// vsnapCompressor reuses one output buffer and one hash table across blocks;
-// steady-state encode allocates nothing once the output buffer has grown to
-// the working size.
+// vsnapCompressor turns one encoded block payload into its stored form. A
+// writer (or compactor) holds one for its lifetime and reuses its output
+// buffer and hash table across blocks, so steady-state encode allocates
+// nothing once the buffer has grown to the working size; the returned payload
+// is only valid until the next compress call. A block that would not shrink
+// is stored raw: the reader dispatches on each block's codec byte, so the
+// fallback is invisible to it.
 type vsnapCompressor struct {
 	dst   []byte
 	table [vsnapTableSize]int32
 }
 
-func (c *vsnapCompressor) compress(raw []byte) ([]byte, byte, error) {
+func (c *vsnapCompressor) compress(raw []byte) (stored []byte, codec byte) {
 	c.dst = vsnapAppend(c.dst[:0], raw, c.table[:])
 	if len(c.dst) >= len(raw) {
-		return raw, codecRaw, nil
+		return raw, codecRaw
 	}
-	return c.dst, codecVSnap, nil
+	return c.dst, codecVSnap
 }
 
-// decompressInto reverses a blockCompressor, dispatching on the per-block
+// decompressInto reverses a block compressor, dispatching on the per-block
 // codec byte and validating the declared raw size. Raw blocks come back as
 // the stored slice itself (zero-copy — a window straight into the reader's
 // region, the page cache when the file is mapped); vsnap blocks decode into the

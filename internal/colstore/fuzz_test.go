@@ -49,30 +49,28 @@ func FuzzVSnapDecode(f *testing.F) {
 // compressed payloads must all surface as errors — never a panic, index
 // out of range, or unbounded allocation — and a block that does decode holds
 // exactly the rows its zone map counts. Seeds are valid files under every
-// codec a reader decodes — raw and vsnap written here, flate from the
-// fixture — so the fuzzer starts from structure-preserving mutations
+// codec a reader decodes — vsnap written here, raw and flate from the
+// fixtures — so the fuzzer starts from structure-preserving mutations
 // (flipping codec bytes, truncating payloads, corrupting LZ and DEFLATE
 // streams) rather than noise that dies at the magic check; two more are
 // corrupt in ways a mutation rarely finds: a dictionary that repeats an
 // entry, and a footer whose row count disagrees with its block.
 func FuzzDecodeBlock(f *testing.F) {
 	samples := awkwardSamples()[:200]
-	var vsnap []byte
-	for _, codec := range []Codec{CodecRaw, CodecVSnap} {
-		var buf bytes.Buffer
-		w := NewTrajectoryWriter(&buf, Options{BlockSize: 64, Codec: codec})
-		for _, s := range samples {
-			if err := w.Write(s); err != nil {
-				f.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
+	var buf bytes.Buffer
+	w := NewTrajectoryWriter(&buf, Options{BlockSize: 64})
+	for _, s := range samples {
+		if err := w.Write(s); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
-		vsnap = buf.Bytes()
 	}
-	f.Add(flateFixture(f, "trajectory.vtb"))
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	vsnap := buf.Bytes()
+	f.Add(vsnap)
+	f.Add(fixture(f, "raw", "trajectory.vtb"))
+	f.Add(fixture(f, "flate", "trajectory.vtb"))
 	f.Add([]byte("VTB1"))
 	f.Add(rawImage(f, twoRows([]string{"hq", "hq"}, 0, 1)))
 	f.Add(withBlockCount(vsnap, 0, 7))

@@ -43,11 +43,10 @@ func openTrajectoryBoth(t *testing.T, path string) map[string]func() (*Trajector
 // image of its bytes and requires bit-identical rows and identical stats
 // from both.
 func TestMmapMatchesReaderAt(t *testing.T) {
-	samples := gridSamples(8, 500)
-	// Small blocks without compression maximize the zero-copy raw-codec
-	// path; a second pass with compression covers the inflate path.
-	for _, opts := range []Options{{BlockSize: 128, Codec: CodecRaw}, {BlockSize: 128}} {
-		path := writeTrajectoryFile(t, samples, opts)
+	// The raw fixture's blocks take the zero-copy raw-codec path; a written
+	// file covers the vsnap decode path.
+	written := writeTrajectoryFile(t, gridSamples(8, 500), Options{BlockSize: 128})
+	for _, path := range []string{filepath.Join("testdata", "raw", "trajectory.vtb"), written} {
 
 		mm, err := OpenTrajectory(path)
 		if err != nil {

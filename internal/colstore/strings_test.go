@@ -260,13 +260,13 @@ func hasPointers(t reflect.Type) bool {
 	return true
 }
 
-// rawImage writes b's columns, as they are, as a one-block uncompressed
-// trajectory image — a Dict that repeats an entry reaches the block, which
-// no writer produces.
+// rawImage writes b's columns, as they are, as a one-block trajectory image
+// — a Dict that repeats an entry reaches the block, which no writer
+// produces.
 func rawImage(tb testing.TB, b *TrajectoryBatch) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	bw := newBlockWriter(&buf, KindTrajectory, Options{Codec: CodecRaw})
+	bw := newBlockWriter(&buf, KindTrajectory, Options{})
 	var sc dictScratch
 	bw.flushBlock(appendTrajectoryPayload(nil, b, &sc), ZoneMap{Count: b.Len()})
 	if err := bw.close(); err != nil {

@@ -11,7 +11,7 @@ import (
 // — allocates its Huffman state per stream (~7 allocs per block, the measured
 // remaining cost of compressed scans after the PR 5 pooling work), while an
 // LZ-only format needs nothing beyond the caller's reused buffers: encode
-// compresses into a scratch slice owned by the writer's blockCompressor, and
+// compresses into a scratch slice owned by the writer's vsnapCompressor, and
 // decode inflates into the decode scratch's pooled output with zero
 // allocations per block. The price is a weaker ratio than flate (no Huffman
 // pass); the win is decode at memcpy-like speed. flate blocks are still

@@ -15,15 +15,13 @@ import (
 
 // blockWriter owns the kind-independent file machinery: header, block
 // framing, zone-map accumulation, and the footer. Writer feeds it encoded
-// payloads plus their zone maps. Codec selection happens once, at
-// construction: the writer holds one configured blockCompressor for its
-// lifetime, so the per-block path has no codec branch and every compression
-// buffer is reused.
+// payloads plus their zone maps; every block is compressed by its one
+// vsnapCompressor, whose buffers are reused across blocks.
 type blockWriter struct {
 	w    io.Writer
 	opts Options
 	kind Kind
-	comp blockCompressor
+	comp vsnapCompressor
 
 	off         int64
 	wroteHeader bool
@@ -38,7 +36,7 @@ type blockWriter struct {
 
 func newBlockWriter(w io.Writer, kind Kind, opts Options) *blockWriter {
 	opts = opts.withDefaults()
-	return &blockWriter{w: w, kind: kind, opts: opts, comp: newBlockCompressor(opts.Codec)}
+	return &blockWriter{w: w, kind: kind, opts: opts}
 }
 
 func (bw *blockWriter) write(p []byte) {
@@ -70,11 +68,7 @@ func (bw *blockWriter) flushBlock(raw []byte, zm ZoneMap) {
 		return
 	}
 	bw.writeHeader()
-	stored, codec, err := bw.comp.compress(raw)
-	if err != nil {
-		bw.err = err
-		return
-	}
+	stored, codec := bw.comp.compress(raw)
 	bw.offsets = append(bw.offsets, bw.off)
 	bw.zones = append(bw.zones, zm)
 	var frame [9]byte

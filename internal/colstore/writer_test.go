@@ -29,7 +29,7 @@ func syncImage(samples []trajectory.Sample, opts Options) []byte {
 // Flushed counts, at each hand-off, exactly the blocks before it.
 func TestWriterBackgroundBlocksMatchInline(t *testing.T) {
 	samples := awkwardSamples()
-	for _, opts := range []Options{{}, {BlockSize: 64}, {BlockSize: 7, Codec: CodecRaw}} {
+	for _, opts := range []Options{{}, {BlockSize: 64}, {BlockSize: 7}} {
 		want := syncImage(samples, opts)
 		var buf bytes.Buffer
 		w := NewTrajectoryWriter(&buf, opts)

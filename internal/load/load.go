@@ -63,9 +63,6 @@ type Options struct {
 	// and after the run; the report carries the per-counter delta — what
 	// the run cost the server in blocks decoded, cache churn, requests.
 	MetricsURL string
-	// Registry, when set, receives the generator's own vita_load_* series
-	// so a long-running replay is itself observable.
-	Registry *obs.Registry
 	// Progress, when set, receives a snapshot every ProgressEvery (default
 	// 1s) from a separate goroutine.
 	Progress func(Progress)
@@ -138,12 +135,6 @@ type runner struct {
 	sent    atomic.Int64
 	errs    atomic.Int64
 	dropped atomic.Int64
-
-	// Optional vita_load_* instrumentation (nil without a Registry).
-	mReq      *obs.CounterVec
-	mErr      *obs.CounterVec
-	mDropped  *obs.Counter
-	mInFlight *obs.Gauge
 }
 
 // Run executes one load test and blocks until it completes (or ctx is
@@ -171,16 +162,6 @@ func Run(ctx context.Context, q serve.Querier, opts Options) (*Report, error) {
 	}
 	for _, op := range gen.ops {
 		r.perOp[op] = &opStats{hist: obs.NewHistogram(latencyBuckets)}
-	}
-	if reg := opts.Registry; reg != nil {
-		r.mReq = reg.CounterVec("vita_load_requests_total",
-			"Requests issued by the load generator, by operator.", "op")
-		r.mErr = reg.CounterVec("vita_load_errors_total",
-			"Load-generator requests that returned an error, by operator.", "op")
-		r.mDropped = reg.Counter("vita_load_dropped_total",
-			"Open-loop requests dropped because the dispatch queue was full.")
-		r.mInFlight = reg.Gauge("vita_load_in_flight",
-			"Load-generator requests currently awaiting a response.")
 	}
 
 	var before map[string]float64
@@ -214,10 +195,6 @@ func Run(ctx context.Context, q serve.Querier, opts Options) (*Report, error) {
 // issue sends one call and records its latency from the given origin time
 // (scheduled time in open loop, send time in closed loop).
 func (r *runner) issue(op string, call func(serve.Querier) error, origin time.Time) {
-	if r.mInFlight != nil {
-		r.mInFlight.Add(1)
-		defer r.mInFlight.Add(-1)
-	}
 	err := call(r.q)
 	lat := time.Since(origin).Seconds()
 
@@ -226,15 +203,9 @@ func (r *runner) issue(op string, call func(serve.Querier) error, origin time.Ti
 	st.hist.Observe(lat)
 	r.overall.Observe(lat)
 	r.sent.Add(1)
-	if r.mReq != nil {
-		r.mReq.With(op).Inc()
-	}
 	if err != nil {
 		st.errors.Add(1)
 		r.errs.Add(1)
-		if r.mErr != nil {
-			r.mErr.With(op).Inc()
-		}
 	}
 }
 
@@ -289,9 +260,6 @@ func (r *runner) runOpen(ctx context.Context) {
 			// alternative (blocking here) would silently re-introduce
 			// coordinated omission.
 			r.dropped.Add(1)
-			if r.mDropped != nil {
-				r.mDropped.Inc()
-			}
 		}
 	}
 done:

@@ -147,14 +147,12 @@ func TestGeneratorDeterministicAndInBounds(t *testing.T) {
 // dataset and checks the report's internal accounting.
 func TestRunClosedLoopLocal(t *testing.T) {
 	ds := testDataset(t)
-	reg := obs.NewRegistry()
 	var progressed bool
 	rep, err := Run(context.Background(), ds, Options{
 		Mode:          ModeClosed,
 		Concurrency:   4,
 		Duration:      300 * time.Millisecond,
 		Seed:          42,
-		Registry:      reg,
 		Progress:      func(Progress) { progressed = true },
 		ProgressEvery: 50 * time.Millisecond,
 	})
@@ -191,15 +189,6 @@ func TestRunClosedLoopLocal(t *testing.T) {
 	}
 	if rep.Throughput <= 0 {
 		t.Errorf("throughput %g", rep.Throughput)
-	}
-
-	// The generator's own series must account for the same run.
-	var b bytes.Buffer
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "vita_load_requests_total") {
-		t.Error("vita_load_requests_total missing from the registry")
 	}
 
 	var text bytes.Buffer

@@ -25,11 +25,6 @@ func At(building string, floor int, partition string, pt geom.Point) Location {
 	return Location{Building: building, Floor: floor, Partition: partition, Point: pt, HasPoint: true}
 }
 
-// AtPartition returns a symbolic, partition-level location.
-func AtPartition(building string, floor int, partition string) Location {
-	return Location{Building: building, Floor: floor, Partition: partition}
-}
-
 // String implements fmt.Stringer.
 func (l Location) String() string {
 	if l.HasPoint {

@@ -190,7 +190,7 @@ func TestLocation(t *testing.T) {
 	if !l.HasPoint || l.String() == "" {
 		t.Error("At location malformed")
 	}
-	s := AtPartition("b", 1, "P")
+	s := Location{Building: "b", Floor: 1, Partition: "P"}
 	if s.HasPoint {
 		t.Error("symbolic location has a point")
 	}

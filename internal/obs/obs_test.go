@@ -155,9 +155,8 @@ func TestConcurrentMetricsAndScrape(t *testing.T) {
 }
 
 func TestSpanTree(t *testing.T) {
-	root := &Span{Op: "Range"}
-	scan := root.AddChild("Scan")
-	scan.Detail = "t in [0,100)"
+	scan := &Span{Op: "Scan", Detail: "t in [0,100)"}
+	root := &Span{Op: "Range", Children: []*Span{scan}}
 	scan.Rows = 10
 	scan.Batches = 2
 	scan.BlocksTotal = 5

@@ -32,13 +32,6 @@ type Span struct {
 	Children []*Span `json:"children,omitempty"`
 }
 
-// AddChild appends and returns a new child span.
-func (s *Span) AddChild(op string) *Span {
-	c := &Span{Op: op}
-	s.Children = append(s.Children, c)
-	return c
-}
-
 // AddWall accumulates elapsed wall time onto the span.
 func (s *Span) AddWall(d time.Duration) { s.WallNanos += int64(d) }
 

@@ -11,18 +11,15 @@ type aggFn int
 const (
 	aggCount aggFn = iota
 	aggSum
-	aggMin
-	aggMax
-	aggAvg
 )
 
-var aggFnNames = [...]string{"count", "sum", "min", "max", "avg"}
+var aggFnNames = [...]string{"count", "sum"}
 
 func (f aggFn) String() string { return aggFnNames[f] }
 
 // AggSpec is one aggregate of an Aggregate node: reduce the src column with
 // fn and write the result into the dst column of the group's output row.
-// Build specs with CountInto, Sum, Min, Max, or Avg.
+// Build specs with CountInto or Sum.
 type AggSpec struct {
 	fn  aggFn
 	src Col
@@ -38,41 +35,22 @@ func CountInto(dst Col) AggSpec { return AggSpec{fn: aggCount, dst: dst} }
 // Sum sums the numeric src column into dst.
 func Sum(src, dst Col) AggSpec { return AggSpec{fn: aggSum, src: src, dst: dst} }
 
-// Min keeps the minimum of the numeric src column in dst (0 for empty input).
-func Min(src, dst Col) AggSpec { return AggSpec{fn: aggMin, src: src, dst: dst} }
-
-// Max keeps the maximum of the numeric src column in dst (0 for empty input).
-func Max(src, dst Col) AggSpec { return AggSpec{fn: aggMax, src: src, dst: dst} }
-
-// Avg averages the numeric src column into dst (0 for empty input).
-func Avg(src, dst Col) AggSpec { return AggSpec{fn: aggAvg, src: src, dst: dst} }
-
 // aggState is one aggregate's accumulator within one group.
 type aggState struct {
-	count    int64
-	sum      float64
-	min, max float64
-	seen     bool
+	count int64
+	sum   float64
 }
 
 func (st *aggState) add(v float64) {
 	st.count++
 	st.sum += v
-	if !st.seen || v < st.min {
-		st.min = v
-	}
-	if !st.seen || v > st.max {
-		st.max = v
-	}
-	st.seen = true
 }
 
 func (st *aggState) result(fn aggFn) float64 {
-	avg := 0.0
-	if st.count > 0 {
-		avg = st.sum / float64(st.count)
+	if fn == aggCount {
+		return float64(st.count)
 	}
-	return [...]float64{aggCount: float64(st.count), aggSum: st.sum, aggMin: st.min, aggMax: st.max, aggAvg: avg}[fn]
+	return st.sum
 }
 
 // aggregate is one Aggregate node. Its fold assigns every row a dense group

@@ -4,7 +4,7 @@ import "hash/maphash"
 
 // Col names one column of the batch dataflow — the seven trajectory columns
 // plus the derived Val column. Operators that take column arguments
-// (Project, Aggregate, OrderBy) address columns through these
+// (Aggregate, OrderBy) address columns through these
 // constants.
 type Col int
 

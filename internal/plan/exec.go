@@ -218,32 +218,24 @@ func (s *scanOp) Close() error {
 	return s.err
 }
 
-// --- Filter (+ fused Project) ---
+// --- Filter ---
 
-// filterProjectOp runs residual row predicates and column projection in one
-// pass over each batch — the planner's filter+project fusion. Either half
-// may be absent (nil preds = pure project, every column kept = pure filter).
-// Each predicate narrows a selection vector; the survivors are gathered once
-// and the dropped columns zeroed. A batch that loses no row and no column
-// passes through by reference.
-type filterProjectOp struct {
+// filterOp runs the residual row predicates over each batch. Each predicate
+// narrows a selection vector; the survivors are gathered once. A batch that
+// loses no row passes through by reference.
+type filterOp struct {
 	unary
 	preds []Pred
-	keep  colMask
 	sel   []int32
 	bc    batchCols
 	out   *Batch
 }
 
-func newFilterProjectOp(child Operator, preds []Pred, project []Col) Operator {
-	keep := maskOf(project)
-	if !keep.has(ColX) || !keep.has(ColY) {
-		keep &^= 1<<ColX | 1<<ColY // a point survives only whole
-	}
-	return &filterProjectOp{unary: unary{child}, preds: preds, keep: keep}
+func newFilterOp(child Operator, preds []Pred) Operator {
+	return &filterOp{unary: unary{child}, preds: preds}
 }
 
-func (f *filterProjectOp) Next() bool {
+func (f *filterOp) Next() bool {
 	for f.child.Next() {
 		in := f.child.Batch()
 		f.sel = slices.Grow(f.sel[:0], in.Len())[:in.Len()]
@@ -256,12 +248,10 @@ func (f *filterProjectOp) Next() bool {
 		switch {
 		case len(f.sel) == 0:
 			continue
-		case len(f.sel) == in.Len() && f.keep == allCols:
+		case len(f.sel) == in.Len():
 			f.out = in
 		default:
 			f.bc.gather(in, f.sel)
-			f.bc.useVal = f.bc.useVal && f.keep.has(ColVal)
-			f.bc.zeroCols(f.keep)
 			f.out = f.bc.batch()
 		}
 		return true
@@ -269,7 +259,7 @@ func (f *filterProjectOp) Next() bool {
 	return false
 }
 
-func (f *filterProjectOp) Batch() *Batch { return f.out }
+func (f *filterOp) Batch() *Batch { return f.out }
 
 // --- TimeBucket ---
 

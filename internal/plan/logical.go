@@ -14,7 +14,6 @@ type nodeKind int
 const (
 	nodeScan nodeKind = iota
 	nodeFilter
-	nodeProject
 	nodeTimeBucket
 	nodeDerive
 	nodeAggregate
@@ -23,7 +22,7 @@ const (
 	nodeSnapshotAt
 )
 
-var nodeKindNames = [...]string{"Scan", "Filter", "Project", "TimeBucket", "Derive", "Aggregate", "OrderBy", "Limit", "SnapshotAt"}
+var nodeKindNames = [...]string{"Scan", "Filter", "TimeBucket", "Derive", "Aggregate", "OrderBy", "Limit", "SnapshotAt"}
 
 func (k nodeKind) String() string { return nodeKindNames[k] }
 
@@ -35,7 +34,7 @@ type Plan struct {
 	input  *Plan      // nil for Scan
 	src    Source     // Scan
 	preds  []Pred     // Filter
-	cols   []Col      // Project keep-set / Aggregate group-by
+	cols   []Col      // Aggregate group-by
 	width  float64    // TimeBucket
 	derive DeriveFunc // Derive
 	aggs   []AggSpec  // Aggregate
@@ -52,13 +51,6 @@ func NewScan(src Source) *Plan { return &Plan{kind: nodeScan, src: src} }
 // predicates adjacent to the scan push down into block pruning at Compile.
 func (p *Plan) Filter(preds ...Pred) *Plan {
 	return &Plan{kind: nodeFilter, input: p, preds: preds}
-}
-
-// Project keeps only the given columns, zeroing the rest (row count is
-// unchanged). Projection bounds what downstream operators and result
-// materialization touch.
-func (p *Plan) Project(cols ...Col) *Plan {
-	return &Plan{kind: nodeProject, input: p, cols: cols}
 }
 
 // TimeBucket replaces each row's timestamp with the start of its
@@ -147,9 +139,8 @@ func (c *Compiled) Close() error              { return c.root.Close() }
 //  2. every structured conjunct in the filter chain directly above a Scan
 //     moves into the scan's colstore.Predicate (exact pushdown — time
 //     windows intersect, floor/box/object claim their slot), so zone maps
-//     prune blocks before decode;
-//  3. a residual Filter fuses with a directly-following Project into one
-//     filterProject pass over each batch.
+//     prune blocks before decode; what does not push down stays one
+//     residual Filter.
 //
 // Pushdown is semantics-preserving by construction: Pred.narrow and
 // colstore.Predicate.MatchTrajectory agree on every structured kind, so the
@@ -221,19 +212,12 @@ func (c *Compiled) compile(p *Plan) (Operator, *obs.Span, error) {
 		chain[i] = &Plan{kind: nodeFilter, preds: residual}
 	}
 
-	// Lower the rest of the chain 1:1, fusing filter+project pairs.
+	// Lower the rest of the chain 1:1.
 	for ; i < len(chain); i++ {
 		n := chain[i]
 		switch n.kind {
 		case nodeFilter:
-			var proj []Col
-			if i+1 < len(chain) && chain[i+1].kind == nodeProject {
-				proj = chain[i+1].cols
-				i++
-			}
-			op = trace(newFilterProjectOp(op, n.preds, proj), fpName(n.preds, proj), fpDetail(n.preds, proj), false)
-		case nodeProject:
-			op = trace(newFilterProjectOp(op, nil, n.cols), "Project", fpDetail(nil, n.cols), false)
+			op = trace(newFilterOp(op, n.preds), "Filter", fmt.Sprintf("%d residual pred(s)", len(n.preds)), false)
 		case nodeTimeBucket:
 			if n.width <= 0 {
 				return nil, nil, fmt.Errorf("plan: TimeBucket width must be positive, got %g", n.width)

@@ -15,7 +15,7 @@ import (
 	"vita/internal/trajectory"
 )
 
-// The row-at-a-time operators Aggregate, Filter/Project and SnapshotAt
+// The row-at-a-time operators Aggregate, Filter and SnapshotAt
 // were before they moved to columns, kept as the oracles the column forms
 // are held to (as oracleOrderBy is for OrderBy). Each materializes a Sample
 // per row and appends output field by field. One thing is restated rather
@@ -207,47 +207,18 @@ func (h *oracleAggOp) Err() error                { return h.child.Err() }
 func (h *oracleAggOp) Stats() colstore.ScanStats { return h.child.Stats() }
 func (h *oracleAggOp) Close() error              { return h.child.Close() }
 
-// --- Filter (+ fused Project) ---
+// --- Filter ---
 
-type oracleFilterProjectOp struct {
+type oracleFilterOp struct {
 	child Operator
 	preds []Pred
-	keep  colMask
 	bc    batchCols
 }
 
-func (f *oracleFilterProjectOp) projectRow(s trajectory.Sample) trajectory.Sample {
-	if f.keep == allCols {
-		return s
-	}
-	var out trajectory.Sample
-	if f.keep.has(ColObjID) {
-		out.ObjID = s.ObjID
-	}
-	if f.keep.has(ColBuilding) {
-		out.Loc.Building = s.Loc.Building
-	}
-	if f.keep.has(ColFloor) {
-		out.Loc.Floor = s.Loc.Floor
-	}
-	if f.keep.has(ColPartition) {
-		out.Loc.Partition = s.Loc.Partition
-	}
-	if f.keep.has(ColX) && f.keep.has(ColY) {
-		out.Loc.Point = s.Loc.Point
-		out.Loc.HasPoint = s.Loc.HasPoint
-	}
-	if f.keep.has(ColT) {
-		out.T = s.T
-	}
-	return out
-}
-
-func (f *oracleFilterProjectOp) Next() bool {
+func (f *oracleFilterOp) Next() bool {
 	for f.child.Next() {
 		in := f.child.Batch()
-		useVal := in.Val != nil && f.keep.has(ColVal)
-		f.bc.reset(useVal)
+		f.bc.reset(in.Val != nil)
 	rows:
 		for i := 0; i < in.Len(); i++ {
 			s := in.Traj.Row(i)
@@ -257,10 +228,10 @@ func (f *oracleFilterProjectOp) Next() bool {
 				}
 			}
 			var v float64
-			if useVal && i < len(in.Val) {
+			if in.Val != nil && i < len(in.Val) {
 				v = in.Val[i]
 			}
-			f.bc.appendRow(f.projectRow(s), v)
+			f.bc.appendRow(s, v)
 		}
 		if f.bc.len() > 0 {
 			return true
@@ -269,10 +240,10 @@ func (f *oracleFilterProjectOp) Next() bool {
 	return false
 }
 
-func (f *oracleFilterProjectOp) Batch() *Batch             { return f.bc.batch() }
-func (f *oracleFilterProjectOp) Err() error                { return f.child.Err() }
-func (f *oracleFilterProjectOp) Stats() colstore.ScanStats { return f.child.Stats() }
-func (f *oracleFilterProjectOp) Close() error              { return f.child.Close() }
+func (f *oracleFilterOp) Batch() *Batch             { return f.bc.batch() }
+func (f *oracleFilterOp) Err() error                { return f.child.Err() }
+func (f *oracleFilterOp) Stats() colstore.ScanStats { return f.child.Stats() }
+func (f *oracleFilterOp) Close() error              { return f.child.Close() }
 
 // --- SnapshotAt ---
 
@@ -414,7 +385,7 @@ func aggCase(data []byte, spec uint64) ([]*Batch, []Col, []AggSpec, int, bool) {
 	aggs := make([]AggSpec, int(spec&3))
 	spec >>= 2
 	for i := range aggs {
-		a := AggSpec{fn: aggFn(spec&7) % 5, src: Col(spec >> 3 & 7), dst: Col(spec >> 6 & 7)}
+		a := AggSpec{fn: aggFn(spec&7) % 2, src: Col(spec >> 3 & 7), dst: Col(spec >> 6 & 7)}
 		if a.fn != aggCount && a.src.isString() {
 			a.src = ColX
 		}
@@ -463,11 +434,10 @@ func FuzzAggregate(f *testing.F) {
 	f.Fuzz(checkAggregate)
 }
 
-// TestFilterProjectMatchesOracle holds the selection-vector Filter and the
-// gather-and-zero Project to the row filter on generated predicates (every
-// kind, Where included, values drawn from the same tables as the rows) and
-// every keep-set.
-func TestFilterProjectMatchesOracle(t *testing.T) {
+// TestFilterMatchesOracle holds the selection-vector Filter to the row
+// filter on generated predicates (every kind, Where included, values drawn
+// from the same tables as the rows).
+func TestFilterMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pickF := func() float64 { return fuzzFloats[rng.Intn(len(fuzzFloats))] }
 	for iter := 0; iter < 400; iter++ {
@@ -491,15 +461,9 @@ func TestFilterProjectMatchesOracle(t *testing.T) {
 				preds = append(preds, Where(func(s trajectory.Sample) bool { return s.Loc.Partition <= part }))
 			}
 		}
-		var project []Col
-		for c := Col(0); c < numCols; c++ {
-			if rng.Intn(3) == 0 {
-				project = append(project, c)
-			}
-		}
-		op := newFilterProjectOp(&batchesOp{batches: batches}, preds, project)
-		oracle := &oracleFilterProjectOp{child: &batchesOp{batches: batches}, preds: preds, keep: maskOf(project)}
-		sameOutput(t, fmt.Sprintf("%d preds, project %v", len(preds), project), op, oracle)
+		op := newFilterOp(&batchesOp{batches: batches}, preds)
+		oracle := &oracleFilterOp{child: &batchesOp{batches: batches}, preds: preds}
+		sameOutput(t, fmt.Sprintf("%d preds", len(preds)), op, oracle)
 	}
 }
 

@@ -11,11 +11,10 @@
 //     multi-segment dataset, an in-memory slice) under a pushed-down
 //     colstore.Predicate, so zone maps prune whole blocks before decode;
 //   - Filter — row predicates (time window, floor, box, object, or custom);
-//   - Project — keep a column subset, zeroing the rest;
 //   - TimeBucket — align each row's timestamp to its bucket start, the key
 //     for time-grouped aggregation;
 //   - Derive — compute the Val column from each batch (e.g. DwellGaps);
-//   - Aggregate — hash aggregation (count/sum/min/max/avg) grouped by any
+//   - Aggregate — hash aggregation (count/sum) grouped by any
 //     column subset, emitted in deterministic key order;
 //   - OrderBy — blocking sort by column keys;
 //   - Limit — stop after n rows;
@@ -32,8 +31,8 @@
 // Compile runs the tiny planner: adjacent Filters merge, every pushable
 // conjunct (time/floor/box/object) moves into the Scan's block predicate —
 // so the storage layer's zone-map pruning serves the algebra exactly as it
-// served the hard-coded operators — and a residual Filter fuses with a
-// following Project into one batch pass. The compiled operator tree is then
+// served the hard-coded operators — and what does not push down stays one
+// residual Filter. The compiled operator tree is then
 // pulled batch-at-a-time: Next/Batch/Err/Stats/Close, the same contract as
 // the storage.Cursor a Source hands the Scan leaf.
 //

@@ -214,23 +214,6 @@ func TestResidualMatchesPushdown(t *testing.T) {
 	sameSamples(t, pushed, residual)
 }
 
-// TestProject checks dropped columns read as zero values and kept ones
-// survive; dropping either coordinate clears the point.
-func TestProject(t *testing.T) {
-	samples := planSamples()[:10]
-	got := collect(t, NewScan(SliceSource{Samples: samples}).Project(ColObjID, ColT, ColPartition))
-	if len(got) != len(samples) {
-		t.Fatalf("project changed row count: %d != %d", len(got), len(samples))
-	}
-	for i, s := range got {
-		want := trajectory.Sample{ObjID: samples[i].ObjID, T: samples[i].T}
-		want.Loc.Partition = samples[i].Loc.Partition
-		if s != want {
-			t.Fatalf("row %d = %+v, want %+v", i, s, want)
-		}
-	}
-}
-
 // TestTimeBucket checks T lands on bucket starts and nothing else changes.
 func TestTimeBucket(t *testing.T) {
 	samples := planSamples()[:100]
@@ -286,23 +269,15 @@ func TestAggregate(t *testing.T) {
 		}
 	}
 
-	// Sum/Min/Max/Avg of X per object, dst spread across columns.
+	// Sum of X, count and sum of T per object, dst spread across columns.
 	agg := rows(t, NewScan(src).Aggregate(By(ColObjID),
-		Sum(ColX, ColVal), Min(ColX, ColX), Max(ColX, ColY), Avg(ColT, ColT)))
+		Sum(ColX, ColVal), CountInto(ColX), Sum(ColT, ColT)))
 	sums := map[int]float64{}
-	mins := map[int]float64{}
-	maxs := map[int]float64{}
 	tsum := map[int]float64{}
 	n := map[int]int{}
 	for _, s := range samples {
 		o := s.ObjID
 		sums[o] += s.Loc.Point.X
-		if n[o] == 0 || s.Loc.Point.X < mins[o] {
-			mins[o] = s.Loc.Point.X
-		}
-		if n[o] == 0 || s.Loc.Point.X > maxs[o] {
-			maxs[o] = s.Loc.Point.X
-		}
 		tsum[o] += s.T
 		n[o]++
 	}
@@ -317,12 +292,11 @@ func TestAggregate(t *testing.T) {
 		if r.Val != sums[o] {
 			t.Errorf("obj %d sum = %g, want %g", o, r.Val, sums[o])
 		}
-		if r.Sample.Loc.Point.X != mins[o] || r.Sample.Loc.Point.Y != maxs[o] {
-			t.Errorf("obj %d min/max = %g/%g, want %g/%g",
-				o, r.Sample.Loc.Point.X, r.Sample.Loc.Point.Y, mins[o], maxs[o])
+		if r.Sample.Loc.Point.X != float64(n[o]) {
+			t.Errorf("obj %d count = %g, want %d", o, r.Sample.Loc.Point.X, n[o])
 		}
-		if want := tsum[o] / float64(n[o]); r.Sample.T != want {
-			t.Errorf("obj %d avg t = %g, want %g", o, r.Sample.T, want)
+		if r.Sample.T != tsum[o] {
+			t.Errorf("obj %d sum t = %g, want %g", o, r.Sample.T, tsum[o])
 		}
 	}
 }
@@ -456,7 +430,7 @@ func TestSnapshotAt(t *testing.T) {
 		at(3, 0, "lobby", 0, 97), at(3, 1, "stairs", 9, 101), // floor change: nearer row verbatim
 		at(4, 0, "lobby", 0, 80), at(4, 0, "lobby", 0, 120), // nothing within 10 s: unobserved
 		at(6, 1, "lab", 2, 95), at(6, 1, "hall", 99, 95), // tie before the instant: the later row wins
-		{ObjID: 7, Loc: model.AtPartition("hq", 0, "lobby"), T: 99}, // symbolic row passes through
+		{ObjID: 7, Loc: model.Location{Building: "hq", Floor: 0, Partition: "lobby"}, T: 99}, // symbolic row passes through
 	}
 	want := []trajectory.Sample{
 		at(1, 0, "lobby", 4, 100),
@@ -464,7 +438,7 @@ func TestSnapshotAt(t *testing.T) {
 		at(3, 1, "stairs", 9, 100),
 		at(5, 0, "lab", 10, 100), // halfway; partition of the nearer row (a tie goes to the earlier)
 		at(6, 1, "hall", 99, 100),
-		{ObjID: 7, Loc: model.AtPartition("hq", 0, "lobby"), T: 100},
+		{ObjID: 7, Loc: model.Location{Building: "hq", Floor: 0, Partition: "lobby"}, T: 100},
 	}
 	sameSamples(t, collect(t, NewScan(SliceSource{Samples: samples}).SnapshotAt(100, 10)), want)
 

@@ -74,18 +74,6 @@ func predDetail(p colstore.Predicate) string {
 	return strings.Join(parts, " ")
 }
 
-// fpName names a fused filter/project operator by which halves are present.
-func fpName(preds []Pred, project []Col) string {
-	switch {
-	case len(preds) > 0 && len(project) > 0:
-		return "Filter+Project"
-	case len(preds) > 0:
-		return "Filter"
-	default:
-		return "Project"
-	}
-}
-
 // colList renders a column list for span details ("partition,t").
 func colList(cols []Col) string {
 	parts := make([]string, len(cols))
@@ -106,17 +94,4 @@ func sortKeyList(keys []SortKey) string {
 		parts[i] = k.Col.String() + " " + dir
 	}
 	return strings.Join(parts, ",")
-}
-
-// fpDetail summarizes a filter/project operator: residual predicate count
-// and kept columns.
-func fpDetail(preds []Pred, project []Col) string {
-	var parts []string
-	if len(preds) > 0 {
-		parts = append(parts, fmt.Sprintf("%d residual pred(s)", len(preds)))
-	}
-	if len(project) > 0 {
-		parts = append(parts, "keep "+colList(project))
-	}
-	return strings.Join(parts, "; ")
 }

@@ -252,19 +252,21 @@ func NewFingerprinting(rm *RadioMap, devs []*device.Device, cfg FingerprintConfi
 }
 
 // Estimate runs the deterministic algorithm (KNN, or the Bayes argmax when
-// the algorithm is NaiveBayes), producing (o_id, loc, t) records.
+// the algorithm is NaiveBayes), producing (o_id, loc, t) records. A
+// measurement of a device neither deployed nor in the radio map is an
+// error.
 func (fp *Fingerprinting) Estimate(ms []rssi.Measurement) ([]Estimate, error) {
 	if fp.cfg.Algorithm == NaiveBayes {
 		pes, err := fp.EstimateProbabilistic(ms)
 		return TopEstimates(pes), err
 	}
 	var out []Estimate
-	fp.eachWindow(ms, func(ws *windows, slot, floor int, obs []reading, top []scored) {
+	err := fp.eachWindow(ms, func(ws *windows, slot, floor int, obs []reading, top []scored) {
 		if est, ok := fp.knnWindow(ws, slot, floor, obs, top); ok {
 			out = append(out, est)
 		}
 	})
-	return out, nil
+	return out, err
 }
 
 // TopEstimates reduces probabilistic records to deterministic ones, each at
@@ -280,15 +282,16 @@ func TopEstimates(pes []ProbEstimate) []Estimate {
 }
 
 // EstimateProbabilistic runs the probabilistic algorithm, producing
-// (o_id, {(loc_i, prob_i)}, t) records.
+// (o_id, {(loc_i, prob_i)}, t) records. A measurement of a device neither
+// deployed nor in the radio map is an error.
 func (fp *Fingerprinting) EstimateProbabilistic(ms []rssi.Measurement) ([]ProbEstimate, error) {
 	var out []ProbEstimate
-	fp.eachWindow(ms, func(ws *windows, slot, floor int, obs []reading, top []scored) {
+	err := fp.eachWindow(ms, func(ws *windows, slot, floor int, obs []reading, top []scored) {
 		if pe, ok := fp.bayesWindow(ws, slot, floor, obs, top); ok {
 			out = append(out, pe)
 		}
 	})
-	return out, nil
+	return out, err
 }
 
 // scored is a reference point's score against one window.
@@ -299,46 +302,26 @@ type scored struct {
 
 // eachWindow builds the windows of ms and calls fn for each in (object,
 // time) order with the window's majority floor and its readings in
-// ascending device-ID order — ranked devices and unranked IDs merged — plus
-// an empty top-K buffer.
-func (fp *Fingerprinting) eachWindow(ms []rssi.Measurement, fn func(ws *windows, slot, floor int, obs []reading, top []scored)) {
+// ascending device-ID order, plus an empty top-K buffer.
+func (fp *Fingerprinting) eachWindow(ms []rssi.Measurement, fn func(ws *windows, slot, floor int, obs []reading, top []scored)) error {
 	ws := windowsPool.Get().(*windows)
 	defer windowsPool.Put(ws)
-	ws.build(ms, fp.cfg.SampleInterval, fp.ranks)
+	if err := ws.build(ms, fp.cfg.SampleInterval, fp.ranks); err != nil {
+		return err
+	}
 	counts := make([]int, len(fp.floors))
 	obs := make([]reading, 0, len(fp.ranks))
 	top := make([]scored, 0, fp.cfg.K)
-	extra := ws.extra
 	for _, slot := range ws.order {
-		n := 0
-		for n < len(extra) && extra[n].slot == slot {
-			n++
+		obs = obs[:0]
+		for r := range fp.ranks {
+			if m, ok := ws.mean(slot, r); ok {
+				obs = append(obs, reading{rank: r, mean: m})
+			}
 		}
-		obs = fp.readings(ws, slot, extra[:n], obs[:0])
-		extra = extra[n:]
 		fn(ws, slot, fp.majorityFloor(ws, slot, counts), obs, top[:0])
 	}
-}
-
-// readings appends the window's mean readings in ascending device-ID order:
-// the ranked devices by rank, with the window's unranked IDs (extra, sorted
-// by ID, rank -1) merged in.
-func (fp *Fingerprinting) readings(ws *windows, slot int, extra []extraReading, obs []reading) []reading {
-	for r := range fp.ranks {
-		m, ok := ws.mean(slot, r)
-		if !ok {
-			continue
-		}
-		for len(extra) > 0 && extra[0].id < fp.ranks[r] {
-			obs = append(obs, reading{rank: -1, mean: extra[0].sum / float64(extra[0].n)})
-			extra = extra[1:]
-		}
-		obs = append(obs, reading{rank: r, mean: m})
-	}
-	for _, e := range extra {
-		obs = append(obs, reading{rank: -1, mean: e.sum / float64(e.n)})
-	}
-	return obs
+	return nil
 }
 
 // majorityFloor picks the floor of the deployed devices dominating the
@@ -454,7 +437,7 @@ func (fp *Fingerprinting) signalDistance(ws *windows, slot int, obs []reading, i
 	n := 0
 	for _, o := range obs {
 		mean := missingRSSI
-		if o.rank >= 0 && fp.refHas[i*nd+o.rank] {
+		if fp.refHas[i*nd+o.rank] {
 			mean = fp.refMean[i*nd+o.rank]
 		}
 		d := o.mean - mean
@@ -484,7 +467,7 @@ func (fp *Fingerprinting) logLikelihood(obs []reading, i int) (float64, int) {
 	n := 0
 	for _, o := range obs {
 		mean, sd := missingRSSI, 5.0
-		if o.rank >= 0 && fp.refHas[i*nd+o.rank] {
+		if fp.refHas[i*nd+o.rank] {
 			mean, sd = fp.refMean[i*nd+o.rank], fp.refSD[i*nd+o.rank]
 		}
 		if sd <= 0 {

@@ -1,8 +1,10 @@
 package positioning
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vita/internal/device"
@@ -149,6 +151,32 @@ func TestTrilaterationUnknownDevice(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("unknown device accepted")
+	}
+}
+
+// TestFingerprintUnknownDevice: a reading of a device neither deployed nor in
+// the radio map fails both fingerprinting algorithms, as it fails
+// trilateration, rather than scoring against the missing-signal floor.
+func TestFingerprintUnknownDevice(t *testing.T) {
+	tp := officeTopo(t)
+	devs := squareDevices()
+	rm := buildRadioMap(t, tp, devs, rssi.DefaultPathLossModel(), 4)
+	ms := []rssi.Measurement{
+		{ObjID: 1, DeviceID: devs[0].ID, RSSI: -50, T: 1},
+		{ObjID: 1, DeviceID: "ghost", RSSI: -50, T: 1},
+	}
+	const want = "positioning: measurement references unknown device ghost"
+	for _, algo := range []FingerprintAlgorithm{KNN, NaiveBayes} {
+		fp, err := NewFingerprinting(rm, devs, FingerprintConfig{Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fp.Estimate(ms); fmt.Sprint(err) != want {
+			t.Errorf("%v Estimate: err = %v, want %q", algo, err, want)
+		}
+		if _, err := fp.EstimateProbabilistic(ms); fmt.Sprint(err) != want {
+			t.Errorf("%v EstimateProbabilistic: err = %v, want %q", algo, err, want)
+		}
 	}
 }
 
@@ -304,7 +332,7 @@ func TestProximityIntervals(t *testing.T) {
 
 // TestWindowizeAveraging: readings are averaged per (object, window,
 // device) into the device-indexed slots, windows come out in (object, time)
-// order, and a reading of an unranked ID is kept aside.
+// order, and a reading of an unranked ID is an error that names it.
 func TestWindowizeAveraging(t *testing.T) {
 	ms := []rssi.Measurement{
 		{ObjID: 2, DeviceID: "a", RSSI: -45, T: 0.5},
@@ -312,10 +340,12 @@ func TestWindowizeAveraging(t *testing.T) {
 		{ObjID: 1, DeviceID: "a", RSSI: -70, T: 2.5}, // next window
 		{ObjID: 1, DeviceID: "b", RSSI: -55, T: 1.0},
 		{ObjID: 1, DeviceID: "a", RSSI: -60, T: 1.8},
-		{ObjID: 1, DeviceID: "z", RSSI: -80, T: 1.9}, // unranked
 	}
+	ranks := newDeviceRanks([]string{"b", "a"})
 	ws := &windows{slotOf: map[windowKey]int{}}
-	ws.build(ms, 2, newDeviceRanks([]string{"b", "a"}))
+	if err := ws.build(ms, 2, ranks); err != nil {
+		t.Fatal(err)
+	}
 	if len(ws.order) != 3 || ws.nd != 2 {
 		t.Fatalf("got %d windows over %d devices", len(ws.order), ws.nd)
 	}
@@ -337,8 +367,9 @@ func TestWindowizeAveraging(t *testing.T) {
 	if _, heard := ws.mean(ws.order[1], 1); heard {
 		t.Error("device b reported heard in a window it was not")
 	}
-	if len(ws.extra) != 1 || ws.extra[0].id != "z" || ws.extra[0].slot != ws.order[0] || ws.extra[0].sum != -80 {
-		t.Errorf("extra = %+v", ws.extra)
+	unranked := append(ms, rssi.Measurement{ObjID: 1, DeviceID: "z", RSSI: -80, T: 1.9}, rssi.Measurement{ObjID: 1, DeviceID: "y", RSSI: -80, T: 1.9})
+	if err := ws.build(unranked, 2, ranks); err == nil || !strings.HasSuffix(err.Error(), "unknown device z") {
+		t.Errorf("a reading of an unranked ID: err = %v, want one naming z", err)
 	}
 }
 

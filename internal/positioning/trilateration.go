@@ -1,7 +1,6 @@
 package positioning
 
 import (
-	"fmt"
 	"math"
 
 	"vita/internal/device"
@@ -102,9 +101,8 @@ func NewTrilateration(t *topo.Topology, devs []*device.Device, cfg Trilateration
 func (tr *Trilateration) Estimate(ms []rssi.Measurement) ([]Estimate, error) {
 	ws := windowsPool.Get().(*windows)
 	defer windowsPool.Put(ws)
-	ws.build(ms, tr.cfg.SampleInterval, tr.ranks)
-	if len(ws.extra) > 0 {
-		return nil, fmt.Errorf("positioning: measurement references unknown device %s", ws.extra[0].id)
+	if err := ws.build(ms, tr.cfg.SampleInterval, tr.ranks); err != nil {
+		return nil, err
 	}
 	var (
 		out    []Estimate

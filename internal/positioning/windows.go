@@ -2,6 +2,7 @@ package positioning
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -77,7 +78,6 @@ func (a windowKey) compare(b windowKey) int {
 // device of rank r, the sum and count of its readings in sum[w*nd+r] and
 // cnt[w*nd+r]. The Positioning Method Controller has its own sampling
 // frequency that may differ from the RSSI generation frequency (paper §2).
-// Readings of device IDs without a rank are kept aside in extra.
 //
 // A windows value is scratch: build refills it, and the methods take one
 // from windowsPool per call, because they run concurrently on the RSSI
@@ -90,31 +90,23 @@ type windows struct {
 	cnt      []int32
 	// order lists the slots in ascending (object, time) order.
 	order []int
-	extra []extraReading
 
 	slotOf map[windowKey]int
-}
-
-// extraReading is the readings of one unranked device ID in one window.
-type extraReading struct {
-	slot int
-	id   string
-	sum  float64
-	n    int
 }
 
 var windowsPool = sync.Pool{New: func() any { return &windows{slotOf: make(map[windowKey]int)} }}
 
 // build buckets ms into windows of the given interval (2 s when not
 // positive) over the devices of ranks, adding each reading to its slot in
-// input order.
-func (ws *windows) build(ms []rssi.Measurement, interval float64, ranks deviceRanks) {
+// input order. A reading of a device ID without a rank is an error, naming
+// the first such ID.
+func (ws *windows) build(ms []rssi.Measurement, interval float64, ranks deviceRanks) error {
 	if interval <= 0 {
 		interval = 2
 	}
 	nd := len(ranks)
 	ws.nd, ws.interval = nd, interval
-	ws.keys, ws.sum, ws.cnt, ws.extra = ws.keys[:0], ws.sum[:0], ws.cnt[:0], ws.extra[:0]
+	ws.keys, ws.sum, ws.cnt = ws.keys[:0], ws.sum[:0], ws.cnt[:0]
 	clear(ws.slotOf)
 
 	lastKey, lastSlot := windowKey{}, -1
@@ -140,8 +132,7 @@ func (ws *windows) build(ms []rssi.Measurement, interval float64, ranks deviceRa
 			lastRank, lastKnown = slices.BinarySearch(ranks, m.DeviceID)
 		}
 		if !lastKnown {
-			ws.addExtra(slot, m)
-			continue
+			return fmt.Errorf("positioning: measurement references unknown device %s", m.DeviceID)
 		}
 		ws.sum[slot*nd+lastRank] += m.RSSI
 		ws.cnt[slot*nd+lastRank]++
@@ -154,31 +145,7 @@ func (ws *windows) build(ms []rssi.Measurement, interval float64, ranks deviceRa
 	if !slices.IsSortedFunc(ws.keys, windowKey.compare) {
 		slices.SortFunc(ws.order, func(a, b int) int { return ws.keys[a].compare(ws.keys[b]) })
 	}
-	if len(ws.extra) > 1 {
-		pos := make([]int, len(ws.keys))
-		for i, slot := range ws.order {
-			pos[slot] = i
-		}
-		slices.SortFunc(ws.extra, func(a, b extraReading) int {
-			if c := cmp.Compare(pos[a.slot], pos[b.slot]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.id, b.id)
-		})
-	}
-}
-
-// addExtra accumulates a reading of an unranked device. Such readings only
-// come from callers passing foreign device IDs, so a linear search is fine.
-func (ws *windows) addExtra(slot int, m rssi.Measurement) {
-	for i := range ws.extra {
-		if e := &ws.extra[i]; e.slot == slot && e.id == m.DeviceID {
-			e.sum += m.RSSI
-			e.n++
-			return
-		}
-	}
-	ws.extra = append(ws.extra, extraReading{slot: slot, id: m.DeviceID, sum: m.RSSI, n: 1})
+	return nil
 }
 
 // t returns the reporting instant of a slot: the middle of its period.

@@ -20,9 +20,10 @@ import (
 // device-indexed: windowize built a map of per-window maps of per-device
 // sums, and every method re-keyed each window through sorted string keys.
 // It is kept as the oracle the device-indexed path must reproduce exactly.
-// The one change is that oracleTrilaterate reports the smallest unknown
-// device ID of the first failing window, where the original picked one in
-// map order.
+// The one change is the unknown-device rule: every oracle method fails on
+// the first measurement, in input order, of a device it does not know
+// (oracleUnknown), where the original trilateration picked one in map order
+// and fingerprinting scored such a reading against the missing-signal floor.
 
 type oracleWindow struct {
 	objID int
@@ -83,9 +84,23 @@ func sortedKeys(m map[string]float64) []string {
 	return out
 }
 
+// oracleUnknown is the error for the first measurement of a device known
+// does not hold, or nil.
+func oracleUnknown[V any](ms []rssi.Measurement, known map[string]V) error {
+	for _, m := range ms {
+		if _, ok := known[m.DeviceID]; !ok {
+			return fmt.Errorf("positioning: measurement references unknown device %s", m.DeviceID)
+		}
+	}
+	return nil
+}
+
 func oracleTrilaterate(tr *Trilateration, devs []*device.Device, ms []rssi.Measurement) ([]Estimate, error) {
 	idx, err := deviceIndex(devs)
 	if err != nil {
+		return nil, err
+	}
+	if err := oracleUnknown(ms, idx); err != nil {
 		return nil, err
 	}
 	var out []Estimate
@@ -194,6 +209,8 @@ type oracleFingerprint struct {
 	rm      *RadioMap
 	devs    map[string]*device.Device
 	refKeys [][]string
+	// known holds every device ID the deployment or the radio map names.
+	known map[string]bool
 }
 
 func newOracleFingerprint(fp *Fingerprinting, devs []*device.Device) (*oracleFingerprint, error) {
@@ -201,31 +218,46 @@ func newOracleFingerprint(fp *Fingerprinting, devs []*device.Device) (*oracleFin
 	if err != nil {
 		return nil, err
 	}
-	o := &oracleFingerprint{cfg: fp.cfg, rm: fp.rm, devs: idx}
+	o := &oracleFingerprint{cfg: fp.cfg, rm: fp.rm, devs: idx, known: map[string]bool{}}
+	for _, id := range fp.rm.Devices {
+		o.known[id] = true
+	}
+	for id := range idx {
+		o.known[id] = true
+	}
 	for _, ref := range fp.rm.Refs {
 		o.refKeys = append(o.refKeys, sortedKeys(ref.Mean))
+		for id := range ref.Mean {
+			o.known[id] = true
+		}
 	}
 	return o, nil
 }
 
-func (fp *oracleFingerprint) knn(ms []rssi.Measurement) []Estimate {
+func (fp *oracleFingerprint) knn(ms []rssi.Measurement) ([]Estimate, error) {
+	if err := oracleUnknown(ms, fp.known); err != nil {
+		return nil, err
+	}
 	var out []Estimate
 	for _, w := range oracleWindowize(ms, fp.cfg.SampleInterval) {
 		if est, ok := fp.knnWindow(w); ok {
 			out = append(out, est)
 		}
 	}
-	return out
+	return out, nil
 }
 
-func (fp *oracleFingerprint) bayes(ms []rssi.Measurement) []ProbEstimate {
+func (fp *oracleFingerprint) bayes(ms []rssi.Measurement) ([]ProbEstimate, error) {
+	if err := oracleUnknown(ms, fp.known); err != nil {
+		return nil, err
+	}
 	var out []ProbEstimate
 	for _, w := range oracleWindowize(ms, fp.cfg.SampleInterval) {
 		if pe, ok := fp.bayesWindow(w); ok {
 			out = append(out, pe)
 		}
 	}
-	return out
+	return out, nil
 }
 
 func (fp *oracleFingerprint) knnWindow(w oracleWindow) (Estimate, bool) {
@@ -447,21 +479,19 @@ func (d oracleDeployment) compare(t testing.TB, where string, ms []rssi.Measurem
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := fp.Estimate(ms)
-		if err != nil {
-			t.Fatal(err)
-		}
+		est, estErr := fp.Estimate(ms)
 		if algo == KNN {
-			if want := ofp.knn(ms); !reflect.DeepEqual(est, want) {
-				t.Fatalf("%s: kNN %d estimates, oracle %d", where, len(est), len(want))
+			want, wantErr := ofp.knn(ms)
+			if fmt.Sprint(estErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(est, want) {
+				t.Fatalf("%s: kNN %d estimates, err %v; oracle %d, err %v", where, len(est), estErr, len(want), wantErr)
 			}
 			continue
 		}
-		pes, err := fp.EstimateProbabilistic(ms)
-		if err != nil {
-			t.Fatal(err)
+		pes, pesErr := fp.EstimateProbabilistic(ms)
+		want, wantErr := ofp.bayes(ms)
+		if fmt.Sprint(pesErr) != fmt.Sprint(wantErr) || fmt.Sprint(estErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: naive Bayes err %v, argmax err %v; oracle err %v", where, pesErr, estErr, wantErr)
 		}
-		want := ofp.bayes(ms)
 		if !reflect.DeepEqual(pes, want) {
 			t.Fatalf("%s: naive Bayes %d estimates, oracle %d", where, len(pes), len(want))
 		}
@@ -512,7 +542,7 @@ func (d oracleDeployment) oracleCase(r *rand.Rand, unknown bool) []rssi.Measurem
 // TestWindowsMatchOracle: trilateration, kNN and naive Bayes over
 // device-indexed windows are deep-equal to the map-keyed oracle on generated
 // inputs — duplicate (window, device) readings, tied means and tied floor
-// counts, unknown device IDs (trilateration: the same error), empty input,
+// counts, unknown device IDs (every method: the same error), empty input,
 // and several objects in any order — at three window lengths.
 func TestWindowsMatchOracle(t *testing.T) {
 	d := newOracleDeployment(t)

@@ -67,7 +67,7 @@ func TestBlockCacheByteAccounting(t *testing.T) {
 	c := NewBlockCache(1 << 20)
 	b := &colstore.TrajectoryBatch{}
 	b.Append(trajectory.Sample{ObjID: 1, Loc: model.At("building", 0, "lobby", geom.Pt(1, 2)), T: 3})
-	b.Append(trajectory.Sample{ObjID: 2, Loc: model.AtPartition("b", 1, "p")})
+	b.Append(trajectory.Sample{ObjID: 2, Loc: model.Location{Building: "b", Floor: 1, Partition: "p"}})
 	// Rows cost rowBytes each; each dictionary entry a string header plus
 	// its bytes, however many rows name it.
 	want := int64(2*rowBytes + 4*16 + len("building") + len("lobby") + len("b") + len("p"))

@@ -36,9 +36,6 @@ type ClientOptions struct {
 	// MaxIdleConnsPerHost raises the per-host idle keep-alive pool (stdlib
 	// default 2). Set it to at least the expected concurrency.
 	MaxIdleConnsPerHost int
-	// MaxConnsPerHost caps total connections per host, 0 = unlimited. Use it
-	// to hold a closed-loop load test at exactly N connections.
-	MaxConnsPerHost int
 }
 
 // NewClient returns a Client for the server at base with a dedicated
@@ -52,7 +49,6 @@ func NewClient(base string, opts ClientOptions) *Client {
 			tr.MaxIdleConns = opts.MaxIdleConnsPerHost
 		}
 	}
-	tr.MaxConnsPerHost = opts.MaxConnsPerHost
 	return &Client{
 		Base: base,
 		HTTP: &http.Client{Transport: tr, Timeout: opts.Timeout},

@@ -70,7 +70,7 @@ func diffRows(r *rand.Rand, maxGap float64) []trajectory.Sample {
 			y = diffGrid(min(20, max(0, y+r.Float64()*4-2)))
 			loc := model.At("mall", floor, parts[r.Intn(len(parts))], geom.Pt(x, y))
 			if r.Intn(20) == 0 {
-				loc = model.AtPartition("mall", floor, loc.Partition)
+				loc = model.Location{Building: "mall", Floor: floor, Partition: loc.Partition}
 			}
 			out = append(out, trajectory.Sample{ObjID: obj, Loc: loc, T: t})
 			if r.Intn(30) == 0 { // the same instant reported twice, differently

@@ -524,7 +524,7 @@ func TestClientOptionsTransport(t *testing.T) {
 	ts := httptest.NewServer(NewServerWith(ds, ServerOptions{Logger: quietLogger(), Metrics: obs.NewRegistry()}).Handler())
 	t.Cleanup(ts.Close)
 
-	c := NewClient(ts.URL, ClientOptions{Timeout: 5 * time.Second, MaxIdleConnsPerHost: 64, MaxConnsPerHost: 64})
+	c := NewClient(ts.URL, ClientOptions{Timeout: 5 * time.Second, MaxIdleConnsPerHost: 64})
 	if c.HTTP == nil || c.HTTP == http.DefaultClient {
 		t.Fatal("NewClient must build a dedicated http.Client")
 	}
@@ -535,8 +535,8 @@ func TestClientOptionsTransport(t *testing.T) {
 	if tr == http.DefaultTransport {
 		t.Fatal("NewClient must clone, not share, http.DefaultTransport")
 	}
-	if tr.MaxIdleConnsPerHost != 64 || tr.MaxConnsPerHost != 64 {
-		t.Errorf("transport knobs: idle/host=%d conns/host=%d, want 64/64", tr.MaxIdleConnsPerHost, tr.MaxConnsPerHost)
+	if tr.MaxIdleConnsPerHost != 64 {
+		t.Errorf("transport knob: idle/host=%d, want 64", tr.MaxIdleConnsPerHost)
 	}
 	if _, err := c.Info(false); err != nil {
 		t.Fatalf("tuned client request failed: %v", err)

@@ -539,7 +539,7 @@ func TestDuplicateSamplesKeepInputOrder(t *testing.T) {
 // even one covering the zero point its coordinates default to.
 func TestRangeSkipsSymbolicSamples(t *testing.T) {
 	samples := []trajectory.Sample{
-		{ObjID: 1, Loc: model.AtPartition("b", 0, "lobby"), T: 1},
+		{ObjID: 1, Loc: model.Location{Building: "b", Floor: 0, Partition: "lobby"}, T: 1},
 		{ObjID: 1, Loc: model.At("b", 0, "lobby", geom.Pt(0, 0)), T: 2},
 	}
 	ds := served(t, samples, serve.Config{})
