@@ -83,8 +83,59 @@ func BenchmarkMethodDeviceCombos(b *testing.B) { benchExperiment(b, experiments.
 // BenchmarkAblationLoS regenerates A1.
 func BenchmarkAblationLoS(b *testing.B) { benchExperiment(b, experiments.AblationLoS) }
 
-// BenchmarkAblationIndex regenerates A2.
-func BenchmarkAblationIndex(b *testing.B) { benchExperiment(b, experiments.AblationIndex) }
+// BenchmarkAblationIndex regenerates A2 (table), and times one
+// device-in-range lookup against each of A2's indexes over its 64 coverage
+// devices on the office's ground floor (rtree, grid).
+func BenchmarkAblationIndex(b *testing.B) {
+	b.Run("table", func(b *testing.B) { benchExperiment(b, experiments.AblationIndex) })
+	tp := officeTopoB(b)
+	devs, err := device.Deploy(tp.B, 0, device.DeploySpec{
+		Model: device.Coverage, Type: device.WiFi, Count: 64,
+	}, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := make([]index.Item, len(devs))
+	for i, d := range devs {
+		items[i] = d
+	}
+	rt := index.BulkLoad(items)
+	bb := tp.B.Floors[0].BBox()
+	grid := index.NewGrid(bb.Expand(40), 10)
+	for _, it := range items {
+		grid.Insert(it)
+	}
+	r := rng.New(2)
+	queries := make([]geom.Point, 2000)
+	for i := range queries {
+		queries[i] = geom.Pt(r.Range(bb.Min.X, bb.Max.X), r.Range(bb.Min.Y, bb.Max.Y))
+	}
+	for _, arm := range []struct {
+		name   string
+		search func(q geom.Point, buf []index.Item) []index.Item
+	}{
+		{"rtree", rt.SearchPoint},
+		{"grid", func(q geom.Point, buf []index.Item) []index.Item {
+			return grid.Search(geom.BBox{Min: q, Max: q}, buf)
+		}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			var buf []index.Item
+			hits := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q := queries[i%len(queries)]
+				buf = arm.search(q, buf[:0])
+				for _, it := range buf {
+					if it.(*device.Device).InRange(q) {
+						hits++
+					}
+				}
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "devices/op")
+		})
+	}
+}
 
 // BenchmarkAblationRadioMapDensity regenerates A3.
 func BenchmarkAblationRadioMapDensity(b *testing.B) {

@@ -75,8 +75,9 @@ func TestOneWayDoorConfig(t *testing.T) {
 }
 
 // TestDoorlessPartitionIsDBIError: a DBI room without a door is an
-// unrepaired error in the Load report, naming the room, while the three
-// synthetic buildings report none.
+// unrepaired error in the Load report, naming the room once — also when
+// decomposition cut it into pieces joined by their own doors — while the
+// three synthetic buildings report none.
 func TestDoorlessPartitionIsDBIError(t *testing.T) {
 	// The office without F0-DS1, the only door of room F0-S1.
 	var lines []string
@@ -90,15 +91,18 @@ func TestDoorlessPartitionIsDBIError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		src  string
-		want []string // entities of the unrepaired errors
+		src     string
+		maxArea float64
+		want    []string // entities of the unrepaired errors
 	}{
-		{"file:" + path, []string{"F0-S1"}},
-		{"synthetic:office", nil},
-		{"synthetic:mall", nil},
-		{"synthetic:clinic", nil},
+		{"file:" + path, 0, []string{"F0-S1"}},
+		{"file:" + path, 20, []string{"F0-S1"}},
+		{"synthetic:office", 0, nil},
+		{"synthetic:mall", 0, nil},
+		{"synthetic:clinic", 0, nil},
 	} {
-		_, report, err := IndoorEnvironmentController{Config: BuildingConfig{Source: tc.src}}.Load()
+		cfg := BuildingConfig{Source: tc.src, MaxPartitionArea: tc.maxArea}
+		_, report, err := IndoorEnvironmentController{Config: cfg}.Load()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +111,7 @@ func TestDoorlessPartitionIsDBIError(t *testing.T) {
 			got = append(got, is.Entity)
 		}
 		if !slices.Equal(got, tc.want) {
-			t.Errorf("%s: unrepaired DBI errors on %v, want %v (report %v)", tc.src, got, tc.want, report.Issues)
+			t.Errorf("%s at max area %g: unrepaired DBI errors on %v, want %v (report %v)", tc.src, tc.maxArea, got, tc.want, report.Issues)
 		}
 	}
 }

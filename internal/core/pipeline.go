@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -316,37 +318,88 @@ func (c IndoorEnvironmentController) Load() (*topo.Topology, *ifc.Report, error)
 	if err != nil {
 		return nil, report, err
 	}
-	report.Issues = append(report.Issues, doorless(topology.B)...)
+	report.Issues = append(report.Issues, disconnected(topology.B)...)
 	return topology, report, nil
 }
 
-// doorless reports, as unrepaired errors, the partitions that no door and no
-// linked staircase end touches: no route leads into them, so the DBI is
-// missing a door.
-func doorless(b *model.Building) []ifc.Issue {
+// disconnected reports, as unrepaired errors, the rooms no walker can reach
+// from the rest of the building: the DBI is missing a door. A door with two
+// sides and a linked staircase each join two partitions, in either
+// direction; the largest group so joined is the building (on a tie, the
+// group holding the lowest (floor, partition ID)), and each room with a
+// partition outside it is one error, named by the room once.
+func disconnected(b *model.Building) []ifc.Issue {
+	type node struct {
+		floor    int
+		id, room string
+	}
+	var nodes []node
+	for _, level := range b.FloorLevels() {
+		for _, p := range b.Floors[level].Partitions {
+			nodes = append(nodes, node{level, p.ID, p.Room()})
+		}
+	}
+	if len(nodes) == 0 {
+		return nil
+	}
+	slices.SortFunc(nodes, func(a, b node) int {
+		return cmp.Or(cmp.Compare(a.floor, b.floor), strings.Compare(a.id, b.id))
+	})
 	type side struct {
 		floor int
 		id    string
 	}
-	touched := make(map[side]bool)
+	index := make(map[side]int, len(nodes))
+	parent := make([]int, len(nodes))
+	for i, n := range nodes {
+		index[side{n.floor, n.id}] = i
+		parent[i] = i
+	}
+	find := func(i int) int {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	join := func(a, b side) {
+		i, iok := index[a]
+		j, jok := index[b]
+		if iok && jok { // an exterior door side ("") joins nothing
+			parent[find(i)] = find(j)
+		}
+	}
 	for _, s := range b.Staircases {
 		if s.Linked {
-			touched[side{s.UpperFloor, s.UpperPartition}] = true
-			touched[side{s.LowerFloor, s.LowerPartition}] = true
+			join(side{s.UpperFloor, s.UpperPartition}, side{s.LowerFloor, s.LowerPartition})
+		}
+	}
+	for _, level := range b.FloorLevels() {
+		for _, d := range b.Floors[level].Doors {
+			join(side{level, d.Partitions[0]}, side{level, d.Partitions[1]})
+		}
+	}
+	// Nodes are in (floor, ID) order, so the first largest group met holds
+	// the lowest node of any group its size.
+	size := make([]int, len(nodes))
+	for i := range nodes {
+		size[find(i)]++
+	}
+	main := find(0)
+	for i := range nodes {
+		if r := find(i); size[r] > size[main] {
+			main = r
 		}
 	}
 	var out []ifc.Issue
-	for _, level := range b.FloorLevels() {
-		f := b.Floors[level]
-		for _, d := range f.Doors {
-			touched[side{level, d.Partitions[0]}] = true
-			touched[side{level, d.Partitions[1]}] = true
+	reported := make(map[side]bool)
+	for i, n := range nodes {
+		room := side{n.floor, n.room}
+		if find(i) == main || reported[room] {
+			continue
 		}
-		for _, p := range f.Partitions {
-			if !touched[side{level, p.ID}] {
-				out = append(out, ifc.Issue{Severity: ifc.SevError, Entity: p.ID, Message: "no door or staircase leads into the partition"})
-			}
-		}
+		reported[room] = true
+		out = append(out, ifc.Issue{Severity: ifc.SevError, Entity: n.room, Message: "no door or staircase connects the room to the rest of the building"})
 	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"vita/internal/core"
 	"vita/internal/device"
@@ -42,13 +41,14 @@ func run(cfg core.Config) (*core.Dataset, error) {
 }
 
 // E1Pipeline reproduces Figure 1's data flow end to end: every stage's output
-// volume, the routes the walkers failed to plan, and the run wall time per
-// building.
+// volume and the routes the walkers failed to plan, per building. The run
+// time is BenchmarkPipelineEndToEnd's, not a cell: a table is a function of
+// the seed.
 func E1Pipeline(seed uint64) (*Table, error) {
 	t := &Table{
 		ID:     "E1",
 		Title:  "pipeline end-to-end data flow (Figure 1, demo steps 1-6)",
-		Header: []string{"building", "partitions", "devices", "traj rows", "route fails", "rssi rows", "pos rows", "wall ms"},
+		Header: []string{"building", "partitions", "devices", "traj rows", "route fails", "rssi rows", "pos rows"},
 		Notes:  "every stage of Figure 1 produces data; counts grow monotonically down the pipeline (rssi >= traj coverage within range).",
 	}
 	for _, src := range []string{"synthetic:office", "synthetic:mall", "synthetic:clinic"} {
@@ -57,14 +57,12 @@ func E1Pipeline(seed uint64) (*Table, error) {
 		cfg.Devices = []core.DeviceConfig{
 			{Floor: 0, Model: "coverage", Type: "wifi", Count: 8},
 		}
-		start := time.Now()
 		ds, err := run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("E1 %s: %w", src, err)
 		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
 		t.AddRow(src, ds.Building.PartitionCount(), len(ds.Devices),
-			ds.TrajectoryStats.Samples, ds.TrajectoryStats.RouteFailures, len(ds.RSSI), len(ds.Estimates), ms)
+			ds.TrajectoryStats.Samples, ds.TrajectoryStats.RouteFailures, len(ds.RSSI), len(ds.Estimates))
 	}
 	return t, nil
 }
@@ -406,14 +404,15 @@ func randomODPair(t *topo.Topology, r *rng.Rand) (model.Location, model.Location
 	return from, to, true
 }
 
-// E7DBIProcessing measures the §4.1 pipeline: parse, repair, decompose,
-// link staircases, index.
+// E7DBIProcessing counts what the §4.1 pipeline makes of each synthetic
+// DBI: parse, repair, decompose, link staircases. Its time is
+// BenchmarkDBIProcessing's.
 func E7DBIProcessing(seed uint64) (*Table, error) {
 	_ = seed
 	t := &Table{
 		ID:     "E7",
 		Title:  "DBI processing: parse, repair, decompose, link (paper §4.1)",
-		Header: []string{"building", "ifc bytes", "spaces", "partitions after", "doors", "stairs linked", "issues", "parse+build ms"},
+		Header: []string{"building", "ifc bytes", "spaces", "partitions after", "doors", "stairs linked", "issues"},
 		Notes:  "multi-floor staircases all resolve via the two-step linking algorithm; irregular/oversized partitions are decomposed.",
 	}
 	sources := map[string]string{
@@ -424,13 +423,11 @@ func E7DBIProcessing(seed uint64) (*Table, error) {
 	for _, name := range []string{"office", "mall", "clinic"} {
 		// Load is the pipeline's own DBI path, so the issue count includes
 		// its checks on the built topology.
-		start := time.Now()
 		env := core.IndoorEnvironmentController{Config: core.BuildingConfig{Source: "synthetic:" + name}}
 		topology, rep, err := env.Load()
 		if err != nil {
 			return nil, fmt.Errorf("E7 %s: %w", name, err)
 		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
 		b := topology.B
 		spaces := map[string]bool{} // the DBI's rooms, before decomposition
 		linked := 0
@@ -446,14 +443,16 @@ func E7DBIProcessing(seed uint64) (*Table, error) {
 		}
 		t.AddRow(name, len(sources[name]), len(spaces), b.PartitionCount(),
 			b.DoorCount(), fmt.Sprintf("%d/%d", linked, len(b.Staircases)),
-			len(rep.Issues), ms)
+			len(rep.Issues))
 	}
 	return t, nil
 }
 
-// E8StorageQueries times the Data Stream API queries of the §5 demo on a
-// generated dataset: the snapshot, traj and range plans the server answers,
-// run over the stored samples, plus two device lookups.
+// E8StorageQueries runs the Data Stream API queries of the §5 demo on a
+// generated dataset — the snapshot, traj and range plans the server answers,
+// run over the stored samples, plus two device lookups — and counts their
+// results. Their time is BenchmarkStorageQueries's and the plan
+// benchmarks'.
 func E8StorageQueries(seed uint64) (*Table, error) {
 	cfg := smallRun(seed)
 	ds, err := run(cfg)
@@ -463,20 +462,12 @@ func E8StorageQueries(seed uint64) (*Table, error) {
 	t := &Table{
 		ID:     "E8",
 		Title:  "storage and data stream API queries",
-		Header: []string{"query", "results", "µs/op"},
+		Header: []string{"query", "results"},
 		Notes: "the snapshot, window and nearest-device queries of the GUI demo (paper §5 step 4): " +
 			"the trajectory rows are plans of internal/plan over the stored samples, as the server runs them; " +
 			"the device rows scan the deployment.",
 	}
-	timeIt := func(name string, iters int, fn func() int) {
-		start := time.Now()
-		res := 0
-		for i := 0; i < iters; i++ {
-			res = fn()
-		}
-		us := float64(time.Since(start).Microseconds()) / float64(iters)
-		t.AddRow(name, res, us)
-	}
+	query := func(name string, fn func() int) { t.AddRow(name, fn()) }
 	samples := slices.Concat(ds.Trajectories...)
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("E8: no trajectory sample")
@@ -496,22 +487,22 @@ func E8StorageQueries(seed uint64) (*Table, error) {
 		return len(rows)
 	}
 	const at, gap = 90, serve.DefaultMaxGap
-	timeIt("snapshot at t=90s", 50, func() int {
+	query("snapshot at t=90s", func() int {
 		return count(plan.NewScan(src).Filter(plan.TimeBetween(at-gap, at+gap)).SnapshotAt(at, gap))
 	})
-	timeIt("time range obj[0] [30,90]", 200, func() int {
+	query("time range obj[0] [30,90]", func() int {
 		return count(plan.NewScan(src).Filter(plan.ObjEq(samples[0].ObjID), plan.TimeBetween(30, 90)))
 	})
 	bb := ds.Building.Floors[0].BBox()
 	half := geom.BBox{Min: bb.Min, Max: geom.Pt(bb.Center().X, bb.Max.Y)}
-	timeIt("window query F0 half-floor", 50, func() int {
+	query("window query F0 half-floor", func() int {
 		return count(plan.NewScan(src).Filter(plan.OnFloor(0), plan.InBox(half), plan.TimeBetween(0, 60)))
 	})
 	if qerr != nil {
 		return nil, fmt.Errorf("E8: %w", qerr)
 	}
 	center := bb.Center()
-	timeIt("devices in range of center", 500, func() int {
+	query("devices in range of center", func() int {
 		n := 0
 		for _, d := range ds.Devices {
 			if d.Floor == 0 && d.InRange(center) {
@@ -520,7 +511,7 @@ func E8StorageQueries(seed uint64) (*Table, error) {
 		}
 		return n
 	})
-	timeIt("3 nearest devices", 500, func() int {
+	query("3 nearest devices", func() int {
 		var near []*device.Device
 		for _, d := range ds.Devices {
 			if d.Floor == 0 {

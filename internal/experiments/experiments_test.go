@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -12,9 +15,13 @@ import (
 )
 
 // TestAllExperimentsRun executes every experiment and ablation end to end;
-// each returns a non-empty, well-formed table. This is the integration net
-// that keeps cmd/vitabench's tables reproducible.
+// each returns a non-empty, well-formed table. Together they must print,
+// the way cmd/vitabench prints them, exactly EXPERIMENTS.md: a table is a
+// function of its seed, so any difference is a change in what the
+// generator generates. After a deliberate change, rewrite the file with
+// `go run ./cmd/vitabench -seed 42 > EXPERIMENTS.md`.
 func TestAllExperimentsRun(t *testing.T) {
+	var out strings.Builder
 	for _, exp := range All() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
@@ -33,7 +40,21 @@ func TestAllExperimentsRun(t *testing.T) {
 			if !strings.Contains(tbl.String(), exp.ID) {
 				t.Errorf("%s table does not render its ID", exp.ID)
 			}
+			fmt.Fprintln(&out, tbl.String())
 		})
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gotLines), len(wantLines)) {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("seed 42 output differs from EXPERIMENTS.md at line %d:\n got: %q\nwant: %q", i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("seed 42 output is %d lines, EXPERIMENTS.md %d", len(gotLines), len(wantLines))
 	}
 }
 
