@@ -331,15 +331,14 @@ func benchSamples(b *testing.B) []trajectory.Sample {
 		b.Fatal(err)
 	}
 	var samples []trajectory.Sample
-	col := trajectory.NewCollector(func(batch []trajectory.Sample) error {
+	_, col, _, err := eng.Run(func(batch []trajectory.Sample) error {
 		samples = append(samples, batch...)
 		return nil
 	})
-	_, _, err = eng.Run(col)
-	if cerr := col.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
+		b.Fatal(err)
+	}
+	if err := col.Close(); err != nil {
 		b.Fatal(err)
 	}
 	return samples
@@ -394,7 +393,7 @@ func BenchmarkTrajectoryEngine(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := eng.Run(nil); err != nil {
+		if _, _, _, err := eng.Run(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -152,20 +152,23 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		Parallelism: p.Parallelism(),
 	}
 	// Each object's series is stored in its slot by the worker that
-	// simulated it; only a sink needs the time-ordered merge, so only a sink gets one. The
-	// deferred Close joins the merge on every early return.
+	// simulated it; only a sink needs the time-ordered merge, so only a sink
+	// gets one. The deferred Close joins the merge on every early return.
 	var out *serialSink
-	var col *trajectory.Collector
+	var emitTraj func([]trajectory.Sample) error
 	if sink != nil {
 		out = new(serialSink)
-		col = trajectory.NewCollector(func(b []trajectory.Sample) error {
+		emitTraj = func(b []trajectory.Sample) error {
 			return writeBatch(out, "trajectory", b, sink.Trajectory)
-		})
-		defer col.Close()
+		}
 	}
-	ds.Trajectories, ds.TrajectoryStats, err = objCtl.Generate(topology, r.Split(), col)
+	var col *trajectory.Collector
+	ds.Trajectories, col, ds.TrajectoryStats, err = objCtl.Generate(topology, r.Split(), emitTraj)
 	if err != nil {
 		return nil, err
+	}
+	if col != nil {
+		defer col.Close()
 	}
 
 	// ----- Positioning Layer -----
@@ -502,18 +505,18 @@ type MovingObjectController struct {
 	Parallelism int
 }
 
-// Generate runs the movement engine and returns its series slots, handing
-// each object's series to the merge collector too when col is non-nil; see
-// trajectory.Engine.Run. It returns once every object is simulated: the
-// caller Closes col to wait for the merge.
-func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, col *trajectory.Collector) ([][]trajectory.Sample, trajectory.Stats, error) {
+// Generate runs the movement engine and returns its series slots; when emit
+// is non-nil, it also returns the collector merging them into emit in time
+// order; see trajectory.Engine.Run. It returns once every object is
+// simulated: the caller Closes the collector to wait for the merge.
+func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, emit func([]trajectory.Sample) error) ([][]trajectory.Sample, *trajectory.Collector, trajectory.Stats, error) {
 	pattern, err := c.Objects.pattern()
 	if err != nil {
-		return nil, trajectory.Stats{}, err
+		return nil, nil, trajectory.Stats{}, err
 	}
 	dist, err := c.Objects.distribution()
 	if err != nil {
-		return nil, trajectory.Stats{}, err
+		return nil, nil, trajectory.Stats{}, err
 	}
 	spawnCfg := object.SpawnConfig{
 		InitialCount:       c.Objects.Count,
@@ -536,7 +539,7 @@ func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, col *tra
 	}
 	sp, err := object.NewSpawner(t, spawnCfg)
 	if err != nil {
-		return nil, trajectory.Stats{}, err
+		return nil, nil, trajectory.Stats{}, err
 	}
 	eng, err := trajectory.NewEngine(t, sp, trajectory.Config{
 		Duration:       c.Trajectory.Duration,
@@ -545,9 +548,9 @@ func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, col *tra
 		Parallelism:    c.Parallelism,
 	}, r)
 	if err != nil {
-		return nil, trajectory.Stats{}, err
+		return nil, nil, trajectory.Stats{}, err
 	}
-	return eng.Run(col)
+	return eng.Run(emit)
 }
 
 // RSSIMeasurementController generates raw RSSI measurements (paper §2,

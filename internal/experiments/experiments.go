@@ -201,7 +201,7 @@ func E4SamplingSweep(seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	series, _, err := eng.Run(nil)
+	series, _, _, err := eng.Run(nil)
 	if err != nil {
 		return nil, err
 	}

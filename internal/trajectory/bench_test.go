@@ -32,12 +32,11 @@ func BenchmarkEngineRun(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				col := NewCollector(func([]Sample) error { return nil })
-				_, _, err = eng.Run(col)
-				if cerr := col.Close(); err == nil {
-					err = cerr
-				}
+				_, col, _, err := eng.Run(func([]Sample) error { return nil })
 				if err != nil {
+					b.Fatal(err)
+				}
+				if err := col.Close(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -57,19 +56,20 @@ func BenchmarkCollector(b *testing.B) {
 		}
 		streams[o] = ss
 	}
+	births := make([]float64, objects)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		c := NewCollector(func(batch []Sample) error {
+		c, err := NewCollector(births, func(batch []Sample) error {
 			n += len(batch)
 			return nil
 		})
-		for o := range streams {
-			c.Expect(o+1, 0)
+		if err != nil {
+			b.Fatal(err)
 		}
 		for o := range streams {
-			c.Deliver(o+1, streams[o])
+			c.Deliver(o, streams[o])
 		}
 		if err := c.Close(); err != nil {
 			b.Fatal(err)

@@ -2,6 +2,8 @@ package trajectory
 
 import (
 	"container/heap"
+	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -17,14 +19,15 @@ const mergeBatch = 512
 // Deliver each finished object's samples, and the collector forwards samples
 // to emit as soon as ordering is provably safe.
 //
-// Safety is tracked with a birth-time watermark. Every expected object is
-// registered with its birth time before delivery starts; since an object's
-// first sample cannot precede its birth, every buffered sample earlier than
-// the minimum birth among still-pending objects can be emitted immediately.
-// Ties on the timestamp are broken by ascending object ID, which makes the
-// merged order identical to simulating all objects jointly on one goroutine.
+// Safety is tracked with a birth-time watermark. The collector knows the
+// roster's births, in roster order, which is ascending birth order; since an
+// object's first sample cannot precede its birth, every buffered sample
+// earlier than the birth of the first roster slot not yet delivered can be
+// emitted immediately. Ties on the timestamp are broken by ascending slot,
+// that is ascending object ID, which makes the merged order identical to
+// simulating all objects jointly on one goroutine.
 //
-// The merge runs on the collector's own goroutine, which owns the heaps.
+// The merge runs on the collector's own goroutine, which owns the heap.
 // Deliver only queues a series and returns, so a simulating worker never
 // waits for the merge; each time series arrive the goroutine drains as far as
 // the watermark allows, handing emit runs of at most mergeBatch samples. emit
@@ -32,7 +35,8 @@ const mergeBatch = 512
 // slice it is given. Once emit returns an error the collector emits nothing
 // more and drops whatever it buffers. Close waits for the merge to finish.
 type Collector struct {
-	emit func([]Sample) error
+	emit   func([]Sample) error
+	births []float64 // births[i] is roster slot i's, ascending
 
 	mu     sync.Mutex
 	inbox  []streamEntry // delivered series the merge has not taken yet
@@ -40,54 +44,48 @@ type Collector struct {
 	wake   chan struct{} // capacity 1: series arrived, or Close was called
 	done   chan struct{} // closed when the merge goroutine exits
 
-	// Owned by the merge goroutine; Expect fills births before it starts
-	// merging.
-	//
-	// births is a lazy-deletion min-heap of the birth times of objects that
-	// have not been delivered yet; delivered marks entries to skip.
-	births    birthHeap
-	delivered map[int]bool
-	pending   int
-	streams   streamHeap
-	batch     []Sample
-	err       error
+	// Owned by the merge goroutine. next is the first roster slot not yet
+	// delivered: births[next] is the watermark.
+	arrived []bool
+	next    int
+	streams streamHeap
+	batch   []Sample
+	err     error
 }
 
-// NewCollector starts a collector forwarding merged samples to emit. The
-// caller must Close it.
-func NewCollector(emit func([]Sample) error) *Collector {
+// NewCollector starts a collector for a roster whose slot i is born at
+// births[i], forwarding merged samples to emit. births must be ascending.
+// The caller must Close the collector.
+func NewCollector(births []float64, emit func([]Sample) error) (*Collector, error) {
+	if !slices.IsSorted(births) {
+		return nil, fmt.Errorf("trajectory: collector births are not in ascending order")
+	}
 	c := &Collector{
-		emit:      emit,
-		delivered: make(map[int]bool),
-		wake:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
+		emit:    emit,
+		births:  births,
+		arrived: make([]bool, len(births)),
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	go c.merge()
-	return c
+	return c, nil
 }
 
-// Expect registers an upcoming per-object stream and its birth time. All
-// Expect calls must precede the first Deliver of the run, on a goroutine
-// that started the delivering ones or on the delivering one itself.
-func (c *Collector) Expect(objID int, birth float64) {
-	heap.Push(&c.births, birthEntry{birth: birth, id: objID})
-	c.pending++
-}
-
-// Deliver hands over the complete, time-sorted sample stream of one object
-// (possibly empty) and returns without waiting for the merge. The collector
-// reads samples until Close returns; the caller must not modify them.
-func (c *Collector) Deliver(objID int, samples []Sample) {
+// Deliver hands over the complete, time-sorted sample stream of roster slot
+// slot (possibly empty) and returns without waiting for the merge. The
+// collector reads samples until Close returns; the caller must not modify
+// them.
+func (c *Collector) Deliver(slot int, samples []Sample) {
 	c.mu.Lock()
-	c.inbox = append(c.inbox, streamEntry{samples: samples, id: objID})
+	c.inbox = append(c.inbox, streamEntry{samples: samples, slot: slot})
 	c.mu.Unlock()
 	c.signal()
 }
 
 // Close waits until every delivered sample has been emitted and stops the
 // merge goroutine. It returns emit's first error. Call it after every
-// expected object was delivered, or to abandon a run early: objects still
-// pending then no longer hold the watermark back, and everything buffered is
+// roster slot was delivered, or to abandon a run early: slots still pending
+// then no longer hold the watermark back, and everything buffered is
 // emitted. Deliver must not be called after Close.
 func (c *Collector) Close() error {
 	c.mu.Lock()
@@ -116,15 +114,17 @@ func (c *Collector) merge() {
 		closed := c.closed
 		c.mu.Unlock()
 		for _, d := range in {
-			c.delivered[d.id] = true
-			c.pending--
+			c.arrived[d.slot] = true
 			if len(d.samples) > 0 && c.err == nil {
 				heap.Push(&c.streams, d)
 			}
 		}
 		clear(in)
+		for c.next < len(c.arrived) && c.arrived[c.next] {
+			c.next++
+		}
 		if closed {
-			c.pending = 0
+			c.next = len(c.births)
 		}
 		c.drain()
 		if closed {
@@ -137,14 +137,8 @@ func (c *Collector) merge() {
 // order.
 func (c *Collector) drain() {
 	for len(c.streams) > 0 {
-		if c.pending > 0 {
-			// Discard watermark entries of objects already delivered.
-			for len(c.births) > 0 && c.delivered[c.births[0].id] {
-				heap.Pop(&c.births)
-			}
-			if len(c.births) > 0 && c.streams.headT(0) >= c.births[0].birth {
-				break // an undelivered object may still produce earlier samples
-			}
+		if c.next < len(c.births) && c.streams.headT(0) >= c.births[c.next] {
+			break // an undelivered object may still produce earlier samples
 		}
 		top := &c.streams[0]
 		c.batch = append(c.batch, top.samples[top.pos])
@@ -174,36 +168,12 @@ func (c *Collector) flush() {
 	}
 }
 
-type birthEntry struct {
-	birth float64
-	id    int
-}
-
-type birthHeap []birthEntry
-
-func (h birthHeap) Len() int { return len(h) }
-func (h birthHeap) Less(i, j int) bool {
-	if h[i].birth != h[j].birth {
-		return h[i].birth < h[j].birth
-	}
-	return h[i].id < h[j].id
-}
-func (h birthHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *birthHeap) Push(x interface{}) { *h = append(*h, x.(birthEntry)) }
-func (h *birthHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // streamEntry is one partially consumed per-object stream, keyed by the
 // timestamp of its next sample.
 type streamEntry struct {
 	samples []Sample
 	pos     int
-	id      int
+	slot    int
 }
 
 type streamHeap []streamEntry
@@ -216,7 +186,7 @@ func (h streamHeap) Less(i, j int) bool {
 	if a, b := h.headT(i), h.headT(j); a != b {
 		return a < b
 	}
-	return h[i].id < h[j].id
+	return h[i].slot < h[j].slot
 }
 func (h streamHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *streamHeap) Push(x interface{}) { *h = append(*h, x.(streamEntry)) }

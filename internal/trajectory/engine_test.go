@@ -45,15 +45,14 @@ func runEngine(t testing.TB, seed uint64, cfg Config, spawn object.SpawnConfig) 
 func runMerged(t testing.TB, eng *Engine) ([]Sample, Stats) {
 	t.Helper()
 	var samples []Sample
-	col := NewCollector(func(b []Sample) error {
+	_, col, stats, err := eng.Run(func(b []Sample) error {
 		samples = append(samples, b...)
 		return nil
 	})
-	_, stats, err := eng.Run(col)
-	if cerr := col.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return samples, stats

@@ -13,11 +13,11 @@ import (
 // roster order, so slot i is object i+1. Nothing writes a slot after Run
 // returns, but the merge may still be reading it.
 //
-// col, when non-nil, is a Collector the caller made and later Closes: it
-// receives every object's series and merges them into global time order
-// (ties broken by ascending object ID) on its own goroutine. Run registers
-// the roster with it and returns once every object is simulated, while the
-// merge may still be draining: Close waits for it.
+// emit, when non-nil, receives every sample in global time order (ties
+// broken by ascending object ID): Run makes a Collector for the roster's
+// births, hands it each object's series, and returns it once every object is
+// simulated, while the merge may still be draining. The caller Closes it to
+// wait for the merge; it is nil when emit is.
 //
 // The full roster (initial population plus Poisson arrivals) is scheduled
 // up-front from the engine's master RNG, and each object is simulated on a
@@ -26,10 +26,10 @@ import (
 // (ascending birth) order, from a shared counter — which keeps the
 // collector's watermark advancing steadily whatever each object costs.
 // Output is therefore byte-identical for every Parallelism value.
-func (e *Engine) Run(col *Collector) ([][]Sample, Stats, error) {
+func (e *Engine) Run(emit func([]Sample) error) ([][]Sample, *Collector, Stats, error) {
 	objs, err := e.spawner.ScheduleUntil(e.cfg.Duration, e.rnd)
 	if err != nil {
-		return nil, e.stats, err
+		return nil, nil, e.stats, err
 	}
 	e.objects = append(e.objects, objs...)
 	e.stats.Spawned += len(objs)
@@ -37,9 +37,14 @@ func (e *Engine) Run(col *Collector) ([][]Sample, Stats, error) {
 	streams := e.rnd.Streams()
 	series := make([][]Sample, len(objs))
 	perObj := make([]Stats, len(objs))
-	if col != nil {
-		for _, o := range objs {
-			col.Expect(o.ID, o.Birth)
+	var col *Collector
+	if emit != nil {
+		births := make([]float64, len(objs))
+		for i, o := range objs {
+			births[i] = o.Birth
+		}
+		if col, err = NewCollector(births, emit); err != nil {
+			return nil, nil, e.stats, err
 		}
 	}
 
@@ -50,7 +55,7 @@ func (e *Engine) Run(col *Collector) ([][]Sample, Stats, error) {
 			sim := &objectSim{eng: e, o: o, rnd: streams.Stream(uint64(o.ID))}
 			series[i] = sim.run()
 			if col != nil {
-				col.Deliver(o.ID, series[i])
+				col.Deliver(i, series[i])
 				// Let the merge goroutine Deliver woke run now: with every
 				// processor simulating, it would otherwise wait for the next
 				// preemption, and the first rows with it.
@@ -75,5 +80,5 @@ func (e *Engine) Run(col *Collector) ([][]Sample, Stats, error) {
 	for i := range perObj {
 		e.stats.add(perObj[i])
 	}
-	return series, e.stats, nil
+	return series, col, e.stats, nil
 }

@@ -78,15 +78,14 @@ func TestSeriesHandOver(t *testing.T) {
 			t.Fatal(err)
 		}
 		var stream []Sample
-		col := NewCollector(func(b []Sample) error {
+		series, col, _, err := eng.Run(func(b []Sample) error {
 			stream = append(stream, b...)
 			return nil
 		})
-		series, _, err := eng.Run(col)
-		if cerr := col.Close(); err == nil {
-			err = cerr
-		}
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := col.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if len(stream) == 0 {
@@ -143,7 +142,7 @@ func TestParallelNilEmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		series, stats, err := eng.Run(nil)
+		series, _, stats, err := eng.Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,27 +219,42 @@ func TestScheduleUntilMatchesIncrementalArrivals(t *testing.T) {
 
 func s(obj int, t float64) Sample { return Sample{ObjID: obj, T: t} }
 
+// newCollector is NewCollector for births a test knows are ascending.
+func newCollector(t testing.TB, births []float64, emit func([]Sample) error) *Collector {
+	t.Helper()
+	c, err := NewCollector(births, emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestCollectorRejectsUnsortedBirths: the watermark is the first undelivered
+// slot's birth, so births out of ascending order are refused.
+func TestCollectorRejectsUnsortedBirths(t *testing.T) {
+	if _, err := NewCollector([]float64{0, 50, 10}, func([]Sample) error { return nil }); err == nil {
+		t.Fatal("NewCollector accepted births out of ascending order")
+	}
+}
+
 func TestCollectorMergesTimeSorted(t *testing.T) {
 	var got []Sample
 	var waiting atomic.Bool // object 2 (birth 0) not delivered yet
 	waiting.Store(true)
-	c := NewCollector(func(b []Sample) error {
+	c := newCollector(t, []float64{0, 0, 50}, func(b []Sample) error {
 		if waiting.Load() {
 			t.Errorf("emitted %v while object 2 (birth 0) pending", b)
 		}
 		got = append(got, b...)
 		return nil
 	})
-	c.Expect(1, 0)
-	c.Expect(2, 0)
-	c.Expect(3, 50)
 
-	// Deliver out of object order; nothing may be emitted past the pending
-	// watermark (object 2 still out, birth 0).
-	c.Deliver(3, []Sample{s(3, 50), s(3, 60)})
-	c.Deliver(1, []Sample{s(1, 0), s(1, 10), s(1, 55)})
+	// Deliver out of roster order; nothing may be emitted past the pending
+	// watermark (object 2 in slot 1 still out, birth 0).
+	c.Deliver(2, []Sample{s(3, 50), s(3, 60)})
+	c.Deliver(0, []Sample{s(1, 0), s(1, 10), s(1, 55)})
 	waiting.Store(false)
-	c.Deliver(2, []Sample{s(2, 0), s(2, 10), s(2, 20)})
+	c.Deliver(1, []Sample{s(2, 0), s(2, 10), s(2, 20)})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +269,11 @@ func TestCollectorMergesTimeSorted(t *testing.T) {
 
 func TestCollectorStreamsBeforeCompletion(t *testing.T) {
 	batches := make(chan []Sample, 8)
-	c := NewCollector(func(b []Sample) error {
+	c := newCollector(t, []float64{0, 100}, func(b []Sample) error {
 		batches <- slices.Clone(b)
 		return nil
 	})
-	c.Expect(1, 0)
-	c.Expect(2, 100)
-	c.Deliver(1, []Sample{s(1, 0), s(1, 50), s(1, 150)})
+	c.Deliver(0, []Sample{s(1, 0), s(1, 50), s(1, 150)})
 	// Object 2 is born at t=100: everything before that is already safe, and
 	// streams out before object 2 arrives.
 	select {
@@ -272,7 +284,7 @@ func TestCollectorStreamsBeforeCompletion(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the pre-watermark samples never streamed out")
 	}
-	c.Deliver(2, []Sample{s(2, 100)})
+	c.Deliver(1, []Sample{s(2, 100)})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -288,14 +300,12 @@ func TestCollectorStreamsBeforeCompletion(t *testing.T) {
 
 func TestCollectorEmptyStreams(t *testing.T) {
 	var got []Sample
-	c := NewCollector(func(b []Sample) error {
+	c := newCollector(t, []float64{0, 10}, func(b []Sample) error {
 		got = append(got, b...)
 		return nil
 	})
-	c.Expect(1, 0)
-	c.Expect(2, 10)
-	c.Deliver(2, nil) // died before its first sample instant
-	c.Deliver(1, []Sample{s(1, 0), s(1, 20)})
+	c.Deliver(1, nil) // died before its first sample instant
+	c.Deliver(0, []Sample{s(1, 0), s(1, 20)})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,15 +322,12 @@ func TestCollectorEmptyStreams(t *testing.T) {
 func TestCollectorDeliverDoesNotWait(t *testing.T) {
 	release := make(chan struct{})
 	var got []Sample
-	c := NewCollector(func(b []Sample) error {
+	const objects = 50
+	c := newCollector(t, make([]float64, objects), func(b []Sample) error {
 		<-release
 		got = append(got, b...)
 		return nil
 	})
-	const objects = 50
-	for id := range objects {
-		c.Expect(id, 0)
-	}
 	delivered := make(chan struct{})
 	go func() {
 		for id := range objects {
@@ -354,7 +361,7 @@ func TestCollectorBatchesAndErrors(t *testing.T) {
 		return ss
 	}
 	calls, total := 0, 0
-	c := NewCollector(func(b []Sample) error {
+	c := newCollector(t, make([]float64, 3), func(b []Sample) error {
 		if len(b) == 0 || len(b) > mergeBatch {
 			t.Errorf("batch of %d samples", len(b))
 		}
@@ -362,9 +369,6 @@ func TestCollectorBatchesAndErrors(t *testing.T) {
 		total += len(b)
 		return nil
 	})
-	for id := range 3 {
-		c.Expect(id, 0)
-	}
 	for id := range 3 {
 		c.Deliver(id, long(id))
 	}
@@ -377,13 +381,10 @@ func TestCollectorBatchesAndErrors(t *testing.T) {
 
 	boom := errors.New("disk full")
 	calls = 0
-	c = NewCollector(func([]Sample) error {
+	c = newCollector(t, make([]float64, 3), func([]Sample) error {
 		calls++
 		return boom
 	})
-	for id := range 3 {
-		c.Expect(id, 0)
-	}
 	for id := range 3 {
 		c.Deliver(id, long(id))
 	}
