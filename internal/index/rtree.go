@@ -30,7 +30,14 @@ type rnode struct {
 	leaf     bool
 	bounds   geom.BBox
 	children []*rnode // internal nodes
-	items    []Item   // leaves
+	items    []entry  // leaves
+}
+
+// entry is a leaf item with the box BulkLoad read from it once, so a search
+// never asks an item for its bounds again.
+type entry struct {
+	box  geom.BBox
+	item Item
 }
 
 // Len returns the number of items in the tree.
@@ -42,8 +49,8 @@ func (t *RTree) Bounds() geom.BBox { return t.root.bounds }
 func (t *RTree) refreshBounds(n *rnode) geom.BBox {
 	if n.leaf {
 		b := geom.EmptyBBox()
-		for _, it := range n.items {
-			b = b.Union(it.Bounds())
+		for _, e := range n.items {
+			b = b.Union(e.box)
 		}
 		n.bounds = b
 		return b
@@ -67,9 +74,9 @@ func searchNode(n *rnode, q geom.BBox, dst []Item) []Item {
 		return dst
 	}
 	if n.leaf {
-		for _, it := range n.items {
-			if it.Bounds().Intersects(q) {
-				dst = append(dst, it)
+		for _, e := range n.items {
+			if e.box.Intersects(q) {
+				dst = append(dst, e.item)
 			}
 		}
 		return dst
@@ -91,7 +98,11 @@ func BulkLoad(items []Item) *RTree {
 	if len(items) == 0 {
 		return t
 	}
-	leaves := strPack(items)
+	entries := make([]entry, len(items))
+	for i, it := range items {
+		entries[i] = entry{box: it.Bounds(), item: it}
+	}
+	leaves := strPack(entries)
 	nodes := leaves
 	for len(nodes) > 1 {
 		nodes = strPackNodes(nodes)
@@ -102,11 +113,9 @@ func BulkLoad(items []Item) *RTree {
 	return t
 }
 
-func strPack(items []Item) []*rnode {
-	sorted := make([]Item, len(items))
-	copy(sorted, items)
+func strPack(sorted []entry) []*rnode {
 	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].Bounds().Center().X < sorted[j].Bounds().Center().X
+		return sorted[i].box.Center().X < sorted[j].box.Center().X
 	})
 	nLeaves := (len(sorted) + maxEntries - 1) / maxEntries
 	sliceCount := int(math.Ceil(math.Sqrt(float64(nLeaves))))
@@ -119,7 +128,7 @@ func strPack(items []Item) []*rnode {
 		}
 		slice := sorted[i:end]
 		sort.Slice(slice, func(a, b int) bool {
-			return slice[a].Bounds().Center().Y < slice[b].Bounds().Center().Y
+			return slice[a].box.Center().Y < slice[b].box.Center().Y
 		})
 		for j := 0; j < len(slice); j += maxEntries {
 			e := j + maxEntries
@@ -129,7 +138,7 @@ func strPack(items []Item) []*rnode {
 			leaf := &rnode{leaf: true, bounds: geom.EmptyBBox()}
 			for _, it := range slice[j:e] {
 				leaf.items = append(leaf.items, it)
-				leaf.bounds = leaf.bounds.Union(it.Bounds())
+				leaf.bounds = leaf.bounds.Union(it.box)
 			}
 			leaves = append(leaves, leaf)
 		}
@@ -181,8 +190,8 @@ func validateNode(n *rnode, isRoot bool) error {
 		if !isRoot && len(n.items) > maxEntries {
 			return fmt.Errorf("index: leaf overflow: %d items", len(n.items))
 		}
-		for _, it := range n.items {
-			if !n.bounds.ContainsBBox(it.Bounds()) {
+		for _, e := range n.items {
+			if !n.bounds.ContainsBBox(e.box) {
 				return fmt.Errorf("index: item bounds escape leaf bounds")
 			}
 		}
