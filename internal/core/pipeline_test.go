@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vita/internal/rng"
+	"vita/internal/rssi"
 )
 
 func runPipeline(t testing.TB, mutate func(*Config)) *Dataset {
@@ -154,6 +155,41 @@ func TestPipelineDeterminism(t *testing.T) {
 		if as[i] != bs[i] {
 			t.Fatalf("sample %d differs: %+v vs %+v", i, as[i], bs[i])
 		}
+	}
+}
+
+// TestOneMoreDeviceChangesNothingElse: appending a device batch (one device
+// on floor 1, a Bluetooth beacon so its ID is new) to the default office
+// leaves every trajectory and every RSSI row of the existing devices exactly
+// as it was, in the same order.
+func TestOneMoreDeviceChangesNothingElse(t *testing.T) {
+	noPositioning := func(c *Config) { c.Positioning = PositioningConfig{} }
+	base := runPipeline(t, noPositioning)
+	variant := runPipeline(t, func(c *Config) {
+		noPositioning(c)
+		c.Devices = append(c.Devices, DeviceConfig{Floor: 1, Model: "check-point", Type: "bluetooth", Count: 1})
+	})
+	if len(variant.Devices) != len(base.Devices)+1 {
+		t.Fatalf("%d devices with the extra batch, %d without", len(variant.Devices), len(base.Devices))
+	}
+	known := map[string]bool{}
+	for _, d := range base.Devices {
+		known[d.ID] = true
+	}
+	var kept []rssi.Measurement
+	for _, m := range variant.RSSI {
+		if known[m.DeviceID] {
+			kept = append(kept, m)
+		}
+	}
+	if len(kept) == len(variant.RSSI) {
+		t.Fatal("the extra device measured nothing")
+	}
+	if !slices.Equal(kept, base.RSSI) {
+		t.Errorf("the existing devices' RSSI rows changed: %d rows, %d before", len(kept), len(base.RSSI))
+	}
+	if !slices.EqualFunc(variant.Trajectories, base.Trajectories, slices.Equal) {
+		t.Error("the trajectories changed")
 	}
 }
 
