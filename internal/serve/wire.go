@@ -37,11 +37,12 @@ func getBodyBuf() *bytes.Buffer {
 
 // rowWriters holds the row body's block writers, pooled because each owns a
 // block-sized row buffer, its columns and a compressor — some 400 KB, far
-// more than a response's rows. The codec is colstore's default, vsnap:
-// measured on a 300-row answer (BenchmarkRowsBody) it costs 7 % more encode
-// plus decode time than storing blocks raw, a difference http_hot cannot
-// see, and it more than halves the body (2.2 KB against 5.1 KB per http_hot
-// response); flate is half as fast again for another 15 %.
+// more than a response's rows. Like every colstore writer they compress
+// blocks with vsnap: measured on a 300-row answer (BenchmarkRowsBody) that
+// cost 7 % more encode plus decode time than storing blocks raw, a
+// difference http_hot cannot see, and it more than halved the body (2.2 KB
+// against 5.1 KB per http_hot response); flate was half as fast again for
+// another 15 %.
 var rowWriters = sync.Pool{New: func() any {
 	return colstore.NewTrajectoryWriter(nil, colstore.Options{})
 }}

@@ -196,13 +196,13 @@ func OpenQueryDataset(dir string, cfg QueryServeConfig) (*QueryDataset, error) {
 // The algebra composes relational operators over trajectory column batches:
 // build a Plan fluently from NewPlanScan, Compile it, and drain the result.
 // The planner pushes structured filter predicates into the scan (zone-map
-// block pruning on VTB files) and fuses filter+project into one pass. The
-// QueryDataset operators execute as plans over this layer;
+// block pruning on VTB files); what does not push down runs as one residual
+// filter pass. The QueryDataset operators execute as plans over this layer;
 // docs/ARCHITECTURE.md has the full tour, and examples/algebra shows a custom
 // analytic end to end.
 
-// QueryPlan is a logical operator tree; chain Filter/Project/TimeBucket/
-// Derive/Aggregate/OrderBy/Limit/SnapshotAt and Compile to execute.
+// QueryPlan is a logical operator tree; chain Filter/TimeBucket/Derive/
+// Aggregate/OrderBy/Limit/SnapshotAt and Compile to execute.
 type QueryPlan = plan.Plan
 
 // CompiledPlan is an executable plan; drive it with Next/Batch or hand it to
@@ -212,7 +212,7 @@ type CompiledPlan = plan.Compiled
 // PlanPred is one filter predicate (see TimeBetween, OnFloor, InBox).
 type PlanPred = plan.Pred
 
-// PlanCol names one trajectory column in projections, group-bys and sorts.
+// PlanCol names one trajectory column in group-bys and sorts.
 type PlanCol = plan.Col
 
 // Trajectory columns used by the algebra example, plus the plan-computed
