@@ -38,6 +38,11 @@ type Stats struct {
 	// request; misses equal blocks decoded.
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
+	// IndexCached is always false.
+	//
+	// Deprecated: there is no index cache; the key stays on the wire only so
+	// response bodies keep their shape.
+	IndexCached bool `json:"index_cached"`
 	// PeakDecodedBytes is the most decoded bytes one window of the request's
 	// scan produced (the largest such window across segments when the scan
 	// merges several), measured before filtering; 0 when every block was a
