@@ -253,18 +253,46 @@ func BenchmarkTopologyBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkRoute measures one cross-floor route computation.
+// BenchmarkRoute measures one route computation: a cross-floor route in the
+// office, and routes across a large mall.
 func BenchmarkRoute(b *testing.B) {
-	t := officeTopoB(b)
-	from := model.At("office", 0, "", geom.Pt(4, 4))
-	to := model.At("office", 1, "", geom.Pt(36, 18))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := t.Route(from, to, topo.MinDistance); err != nil {
+	b.Run("office", func(b *testing.B) {
+		t := officeTopoB(b)
+		from := model.At("office", 0, "", geom.Pt(4, 4))
+		to := model.At("office", 1, "", geom.Pt(36, 18))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := t.Route(from, to, topo.MinDistance); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// The mall of 6 floors and 40 shops per side at MaxArea 40: each op
+	// routes by minimum time from the anchor partition (the first of the
+	// lowest floor) to the next partition's centre, in floor order.
+	b.Run("mall", func(b *testing.B) {
+		spec := ifc.DefaultMallSpec()
+		spec.ShopsPerSide, spec.Floors = 40, 6
+		t, err := topo.Build(ifc.Mall(spec), topo.Options{Decompose: true, MaxArea: 40})
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		var to []model.Location
+		for _, level := range t.B.FloorLevels() {
+			for _, p := range t.B.Floors[level].Partitions {
+				to = append(to, model.At(t.B.ID, p.Floor, p.ID, p.Center()))
+			}
+		}
+		from := to[0]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := t.Route(from, to[i%len(to)], topo.MinTime); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkRSSIModel measures one path-loss evaluation with noise.

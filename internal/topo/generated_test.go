@@ -1,7 +1,11 @@
 package topo
 
 import (
+	"bufio"
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"vita/internal/ifc"
@@ -54,12 +58,15 @@ func generatedBuildings(perKind int) []generatedBuilding {
 // decomposition off and at several MaxArea, and checks the door graph the
 // walkers route over: every partition has a door, every partition routes to
 // and from one anchor partition, no wall door joins two pieces of one room,
-// and every cut door joins two pieces of one room.
+// and every cut door joins two pieces of one room. It also pins every route
+// it plans (routeDigest) against testdata/routes.golden; under -short only
+// the six extreme buildings run.
 func TestGeneratedBuildings(t *testing.T) {
 	perKind := 15
 	if testing.Short() {
 		perKind = 0
 	}
+	golden := readRouteGolden(t)
 	options := []Options{{}}
 	for _, maxArea := range []float64{40, 60, 120, 200, 400} {
 		options = append(options, Options{Decompose: true, MaxArea: maxArea})
@@ -77,6 +84,12 @@ func TestGeneratedBuildings(t *testing.T) {
 				}
 				checkDoorHomes(t, tp.B)
 				checkRoutesThroughAnchor(t, tp)
+				got := routeDigest(t, tp)
+				if want, ok := golden[name]; !ok {
+					t.Errorf("no pinned route digest; testdata/routes.golden needs the line %q", name+" "+got)
+				} else if got != want {
+					t.Errorf("route digest %s, want %s", got, want)
+				}
 			})
 		}
 	}
@@ -171,4 +184,63 @@ func checkRoutesThroughAnchor(t *testing.T, tp *Topology) {
 			t.Errorf("no route %s anchor %s for %d partitions: %v", dir.name, anchor.ID, len(cut), cut)
 		}
 	}
+}
+
+// routeGolden is the file of pinned route digests: one line per
+// TestGeneratedBuildings subtest, its name and its routeDigest.
+const routeGolden = "testdata/routes.golden"
+
+func readRouteGolden(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(routeGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	out := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, digest, ok := strings.Cut(sc.Text(), " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", routeGolden, sc.Text())
+		}
+		out[name] = digest
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// routeDigest plans a route from the anchor (the first partition of the
+// lowest floor) to every partition's centre by minimum distance, and from
+// every partition's centre to the anchor by minimum time, and hashes each
+// waypoint's floor, partition, via and stair flag, the bits of its point,
+// and the bits of each route's Distance and Time.
+func routeDigest(t *testing.T, tp *Topology) string {
+	t.Helper()
+	h := sha256.New()
+	var parts []*model.Partition
+	for _, level := range tp.B.FloorLevels() {
+		parts = append(parts, tp.B.Floors[level].Partitions...)
+	}
+	at := func(p *model.Partition) model.Location { return model.At(tp.B.ID, p.Floor, p.ID, p.Center()) }
+	anchor := at(parts[0])
+	for _, p := range parts {
+		for _, trip := range []struct {
+			from, to model.Location
+			metric   Metric
+		}{{anchor, at(p), MinDistance}, {at(p), anchor, MinTime}} {
+			r, err := tp.Route(trip.from, trip.to, trip.metric)
+			if err != nil {
+				t.Errorf("%s route %s → %s: %v", trip.metric, trip.from, trip.to, err)
+				continue
+			}
+			for _, w := range r.Waypoints {
+				fmt.Fprintf(h, "%d %s %s %t %x %x\n", w.Floor, w.Partition, w.Via, w.Stair, w.Point.X, w.Point.Y)
+			}
+			fmt.Fprintf(h, "= %x %x\n", r.Distance, r.Time)
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
