@@ -279,8 +279,8 @@ func BenchmarkRoute(b *testing.B) {
 			b.Fatal(err)
 		}
 		var to []model.Location
-		for _, level := range t.B.FloorLevels() {
-			for _, p := range t.B.Floors[level].Partitions {
+		for _, f := range t.B.Floors {
+			for _, p := range f.Partitions {
 				to = append(to, model.At(t.B.ID, p.Floor, p.ID, p.Center()))
 			}
 		}

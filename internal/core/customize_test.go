@@ -17,7 +17,7 @@ import (
 // directionality customization (paper §2): a door restricted to
 // room → hallway must not admit movement back into the room through it.
 // Each room's only door is the one-way one, so a route leaves the room and
-// none enters it.
+// none enters it, and the Load report names the room as a DBI error.
 func TestOneWayDoorConfig(t *testing.T) {
 	// The office with room IDs that contain a '.': the floor-0 hallway is
 	// F0.HALL (decomposed into F0.HALL.1, ...) and room F0-S1 is F0.HALL-S1,
@@ -46,9 +46,15 @@ func TestOneWayDoorConfig(t *testing.T) {
 			env := IndoorEnvironmentController{Config: BuildingConfig{
 				Source: tc.src, OneWayDoors: []OneWayDoorConfig{tc.door},
 			}}
-			topology, _, err := env.Load()
+			topology, report, err := env.Load()
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The door only leaves the room, so nothing can walk in: the
+			// report names the room once, as one that cannot be entered.
+			errs := report.Errors()
+			if len(errs) != 1 || errs[0].Entity != tc.door.From || !strings.Contains(errs[0].Message, "cannot be entered") {
+				t.Errorf("unrepaired DBI errors %v, want one naming %s as a room that cannot be entered", errs, tc.door.From)
 			}
 			var door *model.Door
 			for _, d := range topology.B.Floors[0].Doors {
@@ -112,6 +118,27 @@ func TestDoorlessPartitionIsDBIError(t *testing.T) {
 		}
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("%s at max area %g: unrepaired DBI errors on %v, want %v (report %v)", tc.src, tc.maxArea, got, tc.want, report.Issues)
+		}
+	}
+}
+
+// TestOneWayTrapIsDBIError: a room whose only door leads into it can be
+// entered but not left, and the Load report says so, also when
+// decomposition cuts the room into pieces.
+func TestOneWayTrapIsDBIError(t *testing.T) {
+	for _, maxArea := range []float64{0, 20} {
+		cfg := BuildingConfig{
+			Source:           "synthetic:office",
+			MaxPartitionArea: maxArea,
+			OneWayDoors:      []OneWayDoorConfig{{Door: "F0-DS1", From: "F0-HALL", To: "F0-S1"}},
+		}
+		_, report, err := IndoorEnvironmentController{Config: cfg}.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := report.Errors()
+		if len(errs) != 1 || errs[0].Entity != "F0-S1" || !strings.Contains(errs[0].Message, "cannot be left") {
+			t.Errorf("max area %g: unrepaired DBI errors %v, want one naming F0-S1 as a room that cannot be left", maxArea, errs)
 		}
 	}
 }

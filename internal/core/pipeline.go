@@ -273,8 +273,7 @@ type IndoorEnvironmentController struct {
 }
 
 // Load parses the DBI source and builds the topology. Besides extraction's
-// issues, the report names every partition no door and no staircase leads
-// into.
+// issues, the report names every room walkers cannot get into or out of.
 func (c IndoorEnvironmentController) Load() (*topo.Topology, *ifc.Report, error) {
 	src := c.Config.Source
 	var text string
@@ -321,41 +320,54 @@ func (c IndoorEnvironmentController) Load() (*topo.Topology, *ifc.Report, error)
 	if err != nil {
 		return nil, report, err
 	}
-	report.Issues = append(report.Issues, disconnected(topology.B)...)
+	report.Issues = append(report.Issues, disconnected(topology)...)
 	return topology, report, nil
 }
 
-// disconnected reports, as unrepaired errors, the rooms no walker can reach
-// from the rest of the building: the DBI is missing a door. A door with two
-// sides and a linked staircase each join two partitions, in either
-// direction; the largest group so joined is the building (on a tie, the
-// group holding the lowest (floor, partition ID)), and each room with a
-// partition outside it is one error, named by the room once.
-func disconnected(b *model.Building) []ifc.Issue {
-	type node struct {
-		floor    int
-		id, room string
-	}
-	var nodes []node
-	for _, level := range b.FloorLevels() {
-		for _, p := range b.Floors[level].Partitions {
-			nodes = append(nodes, node{level, p.ID, p.Room()})
-		}
-	}
-	if len(nodes) == 0 {
+// disconnected reports, as unrepaired errors, the rooms walkers cannot get
+// into or out of: the DBI is missing a door, or a one-way door traps them.
+// A door with two sides and a linked staircase each join two partitions;
+// the largest group so joined, ignoring direction, is the building (on a
+// tie, the group holding the lowest (floor, partition ID)), and its lowest
+// (floor, partition ID) partition is the anchor. Following each door's
+// allowed direction, and linked staircases both ways, a room is one error
+// when the anchor cannot reach one of its partitions or one of them cannot
+// reach the anchor; the message says which way fails.
+func disconnected(t *topo.Topology) []ifc.Issue {
+	parts := t.Partitions()
+	if len(parts) == 0 {
 		return nil
 	}
-	slices.SortFunc(nodes, func(a, b node) int {
-		return cmp.Or(cmp.Compare(a.floor, b.floor), strings.Compare(a.id, b.id))
-	})
-	type side struct {
-		floor int
-		id    string
+	order := make([]int, len(parts)) // partition numbers in (floor, ID) order
+	for i := range order {
+		order[i] = i
 	}
-	index := make(map[side]int, len(nodes))
-	parent := make([]int, len(nodes))
-	for i, n := range nodes {
-		index[side{n.floor, n.id}] = i
+	slices.SortFunc(order, func(i, j int) int {
+		a, b := parts[i], parts[j]
+		return cmp.Or(cmp.Compare(a.Floor, b.Floor), strings.Compare(a.ID, b.ID))
+	})
+	out := make([][]int, len(parts)) // the partitions each one leads to
+	in := make([][]int, len(parts))  // the partitions leading to each one
+	link := func(a, b int) {
+		out[a] = append(out[a], b)
+		in[b] = append(in[b], a)
+	}
+	for a := range parts {
+		for _, b := range t.Exits(a) {
+			link(a, int(b))
+		}
+	}
+	for _, s := range t.B.Staircases {
+		if s.Linked {
+			up, _ := t.PartitionNumber(s.UpperFloor, s.UpperPartition)
+			lo, _ := t.PartitionNumber(s.LowerFloor, s.LowerPartition)
+			link(up, lo)
+			link(lo, up)
+		}
+	}
+
+	parent := make([]int, len(parts))
+	for i := range parent {
 		parent[i] = i
 	}
 	find := func(i int) int {
@@ -365,46 +377,78 @@ func disconnected(b *model.Building) []ifc.Issue {
 		}
 		return i
 	}
-	join := func(a, b side) {
-		i, iok := index[a]
-		j, jok := index[b]
-		if iok && jok { // an exterior door side ("") joins nothing
-			parent[find(i)] = find(j)
+	for a, bs := range out {
+		for _, b := range bs {
+			parent[find(a)] = find(b)
 		}
 	}
-	for _, s := range b.Staircases {
-		if s.Linked {
-			join(side{s.UpperFloor, s.UpperPartition}, side{s.LowerFloor, s.LowerPartition})
-		}
-	}
-	for _, level := range b.FloorLevels() {
-		for _, d := range b.Floors[level].Doors {
-			join(side{level, d.Partitions[0]}, side{level, d.Partitions[1]})
-		}
-	}
-	// Nodes are in (floor, ID) order, so the first largest group met holds
-	// the lowest node of any group its size.
-	size := make([]int, len(nodes))
-	for i := range nodes {
+	size := make([]int, len(parts))
+	for i := range parts {
 		size[find(i)]++
 	}
-	main := find(0)
-	for i := range nodes {
+	// In (floor, ID) order, the first largest group met holds the lowest
+	// partition of any group its size, and its first partition is the
+	// anchor.
+	main := find(order[0])
+	for _, i := range order {
 		if r := find(i); size[r] > size[main] {
 			main = r
 		}
 	}
-	var out []ifc.Issue
-	reported := make(map[side]bool)
-	for i, n := range nodes {
-		room := side{n.floor, n.room}
-		if find(i) == main || reported[room] {
+	anchor := order[slices.IndexFunc(order, func(i int) bool { return find(i) == main })]
+	reach := func(adj [][]int) []bool {
+		seen := make([]bool, len(parts))
+		seen[anchor] = true
+		stack := []int{anchor}
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range adj[u] {
+				if !seen[v] {
+					seen[v] = true
+					stack = append(stack, v)
+				}
+			}
+		}
+		return seen
+	}
+	into, outOf := reach(out), reach(in)
+
+	// One issue per room, in the (floor, ID) order of its first partition
+	// that fails either way.
+	type room struct {
+		floor int
+		id    string
+	}
+	type fails struct{ into, outOf bool }
+	var rooms []room
+	failed := make(map[room]*fails)
+	for _, i := range order {
+		if into[i] && outOf[i] {
 			continue
 		}
-		reported[room] = true
-		out = append(out, ifc.Issue{Severity: ifc.SevError, Entity: n.room, Message: "no door or staircase connects the room to the rest of the building"})
+		r := room{parts[i].Floor, parts[i].Room()}
+		f := failed[r]
+		if f == nil {
+			f = &fails{}
+			failed[r] = f
+			rooms = append(rooms, r)
+		}
+		f.into = f.into || !into[i]
+		f.outOf = f.outOf || !outOf[i]
 	}
-	return out
+	var issues []ifc.Issue
+	for _, r := range rooms {
+		msg := "no door or staircase connects the room to the rest of the building"
+		switch f := failed[r]; {
+		case !f.outOf:
+			msg = "the room cannot be entered: no door or staircase leads into it from the rest of the building"
+		case !f.into:
+			msg = "the room cannot be left: no door or staircase leads out of it to the rest of the building"
+		}
+		issues = append(issues, ifc.Issue{Severity: ifc.SevError, Entity: r.id, Message: msg})
+	}
+	return issues
 }
 
 // applyObstacles deploys the configured obstacles onto their floors.
@@ -441,8 +485,8 @@ func (c IndoorEnvironmentController) applyDoorDirections(b *model.Building) erro
 	}
 	for _, ow := range c.Config.OneWayDoors {
 		var door *model.Door
-		for _, level := range b.FloorLevels() {
-			for _, d := range b.Floors[level].Doors {
+		for _, f := range b.Floors {
+			for _, d := range f.Doors {
 				if d.ID == ow.Door {
 					door = d
 				}

@@ -388,8 +388,8 @@ func mallTopology() (*topo.Topology, error) {
 
 func randomODPair(t *topo.Topology, r *rng.Rand) (model.Location, model.Location, bool) {
 	var parts []*model.Partition
-	for _, level := range t.B.FloorLevels() {
-		parts = append(parts, t.B.Floors[level].Partitions...)
+	for _, f := range t.B.Floors {
+		parts = append(parts, f.Partitions...)
 	}
 	if len(parts) < 2 {
 		return model.Location{}, model.Location{}, false
@@ -431,8 +431,8 @@ func E7DBIProcessing(seed uint64) (*Table, error) {
 		b := topology.B
 		spaces := map[string]bool{} // the DBI's rooms, before decomposition
 		linked := 0
-		for _, level := range b.FloorLevels() {
-			for _, p := range b.Floors[level].Partitions {
+		for _, f := range b.Floors {
+			for _, p := range f.Partitions {
 				spaces[p.Room()] = true
 			}
 		}

@@ -246,8 +246,8 @@ func TestSyntheticBuildingsRoundTrip(t *testing.T) {
 
 func totalArea(b *model.Building) float64 {
 	var total float64
-	for _, level := range b.FloorLevels() {
-		for _, p := range b.Floors[level].Partitions {
+	for _, f := range b.Floors {
+		for _, p := range f.Partitions {
 			total += p.Polygon.Area()
 		}
 	}

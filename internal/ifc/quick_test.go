@@ -112,8 +112,8 @@ func TestSyntheticSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, level := range tp.B.FloorLevels() {
-		for _, p := range tp.B.Floors[level].Partitions {
+	for _, f := range tp.B.Floors {
+		for _, p := range f.Partitions {
 			if p.Kind.String() == "canteen" {
 				found = true
 			}

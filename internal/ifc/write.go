@@ -17,16 +17,14 @@ func Write(b *model.Building) string {
 	w.sb.WriteString("DATA;\n")
 
 	bid := w.emit("IFCBUILDING('%s','%s')", escape(b.ID), escape(b.Name))
-	storeyIDs := make(map[int]int)
-	for _, level := range b.FloorLevels() {
-		f := b.Floors[level]
-		storeyIDs[level] = w.emit("IFCBUILDINGSTOREY('%s',#%d,'%s',%d,%s,%s)",
-			escape(fmt.Sprintf("%s-F%d", b.ID, level)), bid, escape(f.Name),
-			level, num(f.Elevation), num(f.Height))
+	storeyIDs := make([]int, len(b.Floors))
+	for i, f := range b.Floors {
+		storeyIDs[i] = w.emit("IFCBUILDINGSTOREY('%s',#%d,'%s',%d,%s,%s)",
+			escape(fmt.Sprintf("%s-F%d", b.ID, f.Level)), bid, escape(f.Name),
+			f.Level, num(f.Elevation), num(f.Height))
 	}
-	for _, level := range b.FloorLevels() {
-		f := b.Floors[level]
-		st := storeyIDs[level]
+	for i, f := range b.Floors {
+		st := storeyIDs[i]
 		for _, p := range f.Partitions {
 			pl := w.polyline(p.Polygon)
 			w.emit("IFCSPACE('%s',#%d,'%s',#%d)", escape(p.ID), st, escape(p.Name), pl)

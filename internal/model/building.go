@@ -1,52 +1,55 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Building is the host indoor environment: a set of floors connected by
 // staircases.
 type Building struct {
-	ID         string
-	Name       string
-	Floors     map[int]*Floor
+	ID   string
+	Name string
+	// Floors are sorted by level. A level is a floor's name, not its
+	// position: levels may be negative or have gaps, so look a floor up
+	// with Floor, never by indexing Floors with a level.
+	Floors     []*Floor
 	Staircases []*Staircase
 }
 
 // NewBuilding returns an empty building.
 func NewBuilding(id, name string) *Building {
-	return &Building{ID: id, Name: name, Floors: make(map[int]*Floor)}
+	return &Building{ID: id, Name: name}
 }
 
-// AddFloor registers a floor, rejecting duplicate levels.
+// AddFloor inserts a floor in level order, rejecting duplicate levels.
 func (b *Building) AddFloor(f *Floor) error {
-	if _, dup := b.Floors[f.Level]; dup {
+	i, dup := b.search(f.Level)
+	if dup {
 		return fmt.Errorf("model: duplicate floor level %d in building %s", f.Level, b.ID)
 	}
-	b.Floors[f.Level] = f
+	b.Floors = slices.Insert(b.Floors, i, f)
 	return nil
 }
 
 // Floor returns the floor at the given level.
 func (b *Building) Floor(level int) (*Floor, bool) {
-	f, ok := b.Floors[level]
-	return f, ok
+	if i, ok := b.search(level); ok {
+		return b.Floors[i], true
+	}
+	return nil, false
 }
 
-// FloorLevels returns the sorted list of floor levels.
-func (b *Building) FloorLevels() []int {
-	levels := make([]int, 0, len(b.Floors))
-	for l := range b.Floors {
-		levels = append(levels, l)
-	}
-	sort.Ints(levels)
-	return levels
+// search returns the position of level in Floors, or where it would be
+// inserted, and whether it is there.
+func (b *Building) search(level int) (int, bool) {
+	return slices.BinarySearchFunc(b.Floors, level, func(f *Floor, l int) int { return cmp.Compare(f.Level, l) })
 }
 
 // Partition resolves a partition by floor and ID.
 func (b *Building) Partition(floor int, id string) (*Partition, bool) {
-	f, ok := b.Floors[floor]
+	f, ok := b.Floor(floor)
 	if !ok {
 		return nil, false
 	}
@@ -75,11 +78,10 @@ func (b *Building) DoorCount() int {
 // references existing partitions on its floor, partitions have valid
 // polygons, and linked staircases reference existing floors/partitions.
 func (b *Building) Validate() error {
-	for _, level := range b.FloorLevels() {
-		f := b.Floors[level]
+	for _, f := range b.Floors {
 		for _, p := range f.Partitions {
 			if err := p.Polygon.Validate(); err != nil {
-				return fmt.Errorf("model: building %s floor %d partition %s: %w", b.ID, level, p.ID, err)
+				return fmt.Errorf("model: building %s floor %d partition %s: %w", b.ID, f.Level, p.ID, err)
 			}
 		}
 		for _, d := range f.Doors {
@@ -89,7 +91,7 @@ func (b *Building) Validate() error {
 				}
 				if _, ok := f.Partition(pid); !ok {
 					return fmt.Errorf("model: building %s floor %d door %s references unknown partition %s",
-						b.ID, level, d.ID, pid)
+						b.ID, f.Level, d.ID, pid)
 				}
 			}
 		}

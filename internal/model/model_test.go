@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vita/internal/geom"
@@ -167,12 +168,26 @@ func TestBuildingAccessors(t *testing.T) {
 	if err := b.AddFloor(NewFloor(2, 7, 3)); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.AddFloor(NewFloor(-1, -3, 3)); err != nil {
+		t.Fatal(err)
+	}
 	if err := b.AddFloor(NewFloor(2, 7, 3)); err == nil {
 		t.Error("duplicate floor accepted")
 	}
-	levels := b.FloorLevels()
-	if len(levels) != 2 || levels[0] != 0 || levels[1] != 2 {
-		t.Errorf("FloorLevels = %v", levels)
+	var levels []int
+	for _, f := range b.Floors {
+		levels = append(levels, f.Level)
+	}
+	if !slices.Equal(levels, []int{-1, 0, 2}) {
+		t.Errorf("floor levels %v, want [-1 0 2]", levels)
+	}
+	for _, level := range []int{-1, 0, 2} {
+		if f, ok := b.Floor(level); !ok || f.Level != level {
+			t.Errorf("Floor(%d) = %v, %t", level, f, ok)
+		}
+	}
+	if _, ok := b.Floor(1); ok {
+		t.Error("Floor(1) found in a gap")
 	}
 	if b.PartitionCount() != 2 || b.DoorCount() != 1 {
 		t.Errorf("counts = %d, %d", b.PartitionCount(), b.DoorCount())

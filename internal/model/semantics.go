@@ -63,8 +63,7 @@ func DefaultSemanticRules() []SemanticRule {
 // (re)classified.
 func ApplySemantics(b *Building, rules []SemanticRule) int {
 	n := 0
-	for _, level := range b.FloorLevels() {
-		f := b.Floors[level]
+	for _, f := range b.Floors {
 		for _, p := range f.Partitions {
 			if p.Kind == KindStaircase {
 				continue

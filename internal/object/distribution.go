@@ -95,8 +95,7 @@ func (c CrowdOutliers) hotAreas(b *model.Building) ([]*model.Partition, error) {
 	if len(c.HotPartitions) > 0 {
 		for _, id := range c.HotPartitions {
 			found := false
-			for _, level := range b.FloorLevels() {
-				f := b.Floors[level]
+			for _, f := range b.Floors {
 				for _, p := range f.Partitions {
 					if p.ID == id || p.Parent == id {
 						out = append(out, p)
@@ -111,8 +110,8 @@ func (c CrowdOutliers) hotAreas(b *model.Building) ([]*model.Partition, error) {
 		return out, nil
 	}
 	// Auto: "(on sale)" shops first.
-	for _, level := range b.FloorLevels() {
-		for _, p := range b.Floors[level].Partitions {
+	for _, f := range b.Floors {
+		for _, p := range f.Partitions {
 			if strings.Contains(strings.ToLower(p.Name), "(on sale)") {
 				out = append(out, p)
 			}
@@ -127,8 +126,8 @@ func (c CrowdOutliers) hotAreas(b *model.Building) ([]*model.Partition, error) {
 		n = 3
 	}
 	var all []*model.Partition
-	for _, level := range b.FloorLevels() {
-		for _, p := range b.Floors[level].Partitions {
+	for _, f := range b.Floors {
+		for _, p := range f.Partitions {
 			if p.Kind != model.KindHallway && p.Kind != model.KindStaircase {
 				all = append(all, p)
 			}
@@ -150,8 +149,8 @@ func (c CrowdOutliers) hotAreas(b *model.Building) ([]*model.Partition, error) {
 func partitionAreas(b *model.Building) ([]*model.Partition, []float64) {
 	var parts []*model.Partition
 	var weights []float64
-	for _, level := range b.FloorLevels() {
-		for _, p := range b.Floors[level].Partitions {
+	for _, f := range b.Floors {
+		for _, p := range f.Partitions {
 			parts = append(parts, p)
 			weights = append(weights, p.Polygon.Area())
 		}

@@ -132,8 +132,8 @@ func (s *Spawner) emergingLocation(r *rng.Rand) (model.Location, error) {
 	id := s.cfg.EmergingPartitions[r.Intn(len(s.cfg.EmergingPartitions))]
 	// Accept decomposed children of the configured partition.
 	var cands []*model.Partition
-	for _, level := range s.topo.B.FloorLevels() {
-		for _, p := range s.topo.B.Floors[level].Partitions {
+	for _, f := range s.topo.B.Floors {
+		for _, p := range f.Partitions {
 			if p.ID == id || p.Parent == id {
 				cands = append(cands, p)
 			}

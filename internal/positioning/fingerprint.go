@@ -3,6 +3,7 @@ package positioning
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"vita/internal/device"
@@ -123,22 +124,17 @@ func BuildRadioMap(t *topo.Topology, devs []*device.Device, cfg RadioMapConfig, 
 // gridReferenceLocations lays a grid of the given spacing over every
 // partition of the selected floors.
 func gridReferenceLocations(t *topo.Topology, spacing float64, floors []int) []model.Location {
-	floorSet := make(map[int]bool)
-	for _, f := range floors {
-		floorSet[f] = true
-	}
 	var out []model.Location
-	for _, level := range t.B.FloorLevels() {
-		if len(floorSet) > 0 && !floorSet[level] {
+	for _, f := range t.B.Floors {
+		if len(floors) > 0 && !slices.Contains(floors, f.Level) {
 			continue
 		}
-		f := t.B.Floors[level]
 		bb := f.BBox()
 		for x := bb.Min.X + spacing/2; x < bb.Max.X; x += spacing {
 			for y := bb.Min.Y + spacing/2; y < bb.Max.Y; y += spacing {
 				pt := geom.Pt(x, y)
 				if p, ok := f.PartitionAt(pt); ok {
-					out = append(out, model.At(t.B.ID, level, p.ID, pt))
+					out = append(out, model.At(t.B.ID, f.Level, p.ID, pt))
 				}
 			}
 		}

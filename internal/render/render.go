@@ -90,8 +90,8 @@ func Floor(f *model.Floor, devs []*device.Device, snapshot []trajectory.Sample, 
 // Building renders every floor of a building in level order.
 func Building(b *model.Building, devs []*device.Device, snapshot []trajectory.Sample, opts Options) string {
 	var sb strings.Builder
-	for _, level := range b.FloorLevels() {
-		sb.WriteString(Floor(b.Floors[level], devs, snapshot, opts))
+	for _, f := range b.Floors {
+		sb.WriteString(Floor(f, devs, snapshot, opts))
 		sb.WriteByte('\n')
 	}
 	return sb.String()

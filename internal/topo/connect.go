@@ -25,8 +25,7 @@ const doorSnapTol = 0.3
 // pieces addCutDoors homed them on. It returns an error for a door that
 // touches no partition boundary.
 func ConnectDoors(b *model.Building) error {
-	for _, level := range b.FloorLevels() {
-		f := b.Floors[level]
+	for _, f := range b.Floors {
 		for _, d := range f.Doors {
 			if d.Virtual() {
 				continue

@@ -28,8 +28,7 @@ const (
 // removed parents).
 func Decompose(b *model.Building, maxArea float64) (int, error) {
 	added := 0
-	for _, level := range b.FloorLevels() {
-		f := b.Floors[level]
+	for _, f := range b.Floors {
 		// Snapshot: we mutate f.Partitions while iterating.
 		originals := append([]*model.Partition(nil), f.Partitions...)
 		for _, p := range originals {

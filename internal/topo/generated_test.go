@@ -100,8 +100,7 @@ func TestGeneratedBuildings(t *testing.T) {
 // join two pieces of one room.
 func checkDoorHomes(t *testing.T, b *model.Building) {
 	t.Helper()
-	for _, level := range b.FloorLevels() {
-		f := b.Floors[level]
+	for _, f := range b.Floors {
 		sides := make(map[string]bool)
 		for _, d := range f.Doors {
 			sides[d.Partitions[0]], sides[d.Partitions[1]] = true, true
@@ -125,7 +124,7 @@ func checkDoorHomes(t *testing.T, b *model.Building) {
 		}
 		for _, p := range f.Partitions {
 			if !sides[p.ID] {
-				t.Errorf("partition %s on floor %d is no side of any door", p.ID, level)
+				t.Errorf("partition %s on floor %d is no side of any door", p.ID, f.Level)
 			}
 		}
 	}
@@ -139,22 +138,21 @@ func checkDoorHomes(t *testing.T, b *model.Building) {
 func checkRoutesThroughAnchor(t *testing.T, tp *Topology) {
 	t.Helper()
 	g := tp.graph
-	levels := tp.B.FloorLevels()
-	anchor := tp.B.Floors[levels[0]].Partitions[0]
-	fwd := make([][]int, len(g.nodes))
-	rev := make([][]int, len(g.nodes))
+	fwd := make([][]int32, len(g.nodes))
+	rev := make([][]int32, len(g.nodes))
 	for u, edges := range g.adj {
 		for _, e := range edges {
 			fwd[u] = append(fwd[u], e.to)
-			rev[e.to] = append(rev[e.to], u)
+			rev[e.to] = append(rev[e.to], int32(u))
 		}
 	}
+	anchor := tp.parts[0]
 	for _, dir := range []struct {
 		name string
-		adj  [][]int
+		adj  [][]int32
 	}{{"from", fwd}, {"to", rev}} {
 		seen := make([]bool, len(g.nodes))
-		stack := append([]int(nil), g.byPartition[partKey{anchor.Floor, anchor.ID}]...)
+		stack := append([]int32(nil), tp.nodes[0]...)
 		for _, u := range stack {
 			seen[u] = true
 		}
@@ -169,15 +167,13 @@ func checkRoutesThroughAnchor(t *testing.T, tp *Topology) {
 			}
 		}
 		var cut []string
-		for _, level := range levels {
-			for _, p := range tp.B.Floors[level].Partitions {
-				reached := p == anchor
-				for _, u := range g.byPartition[partKey{level, p.ID}] {
-					reached = reached || seen[u]
-				}
-				if !reached {
-					cut = append(cut, p.ID)
-				}
+		for n, p := range tp.parts {
+			reached := n == 0
+			for _, u := range tp.nodes[n] {
+				reached = reached || seen[u]
+			}
+			if !reached {
+				cut = append(cut, p.ID)
 			}
 		}
 		if len(cut) > 0 {
@@ -220,10 +216,7 @@ func readRouteGolden(t *testing.T) map[string]string {
 func routeDigest(t *testing.T, tp *Topology) string {
 	t.Helper()
 	h := sha256.New()
-	var parts []*model.Partition
-	for _, level := range tp.B.FloorLevels() {
-		parts = append(parts, tp.B.Floors[level].Partitions...)
-	}
+	parts := tp.Partitions()
 	at := func(p *model.Partition) model.Location { return model.At(tp.B.ID, p.Floor, p.ID, p.Center()) }
 	anchor := at(parts[0])
 	for _, p := range parts {

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -38,6 +37,12 @@ type Waypoint struct {
 	Via string
 	// Stair is true when the hop onto this waypoint traversed a staircase.
 	Stair bool
+	// Length is the hop's length in meters: a staircase's 3D length, 0 for
+	// the start.
+	Length float64
+	// TravelTime is a stair hop's traversal time, the staircase's
+	// TravelTime; 0 for every other hop.
+	TravelTime float64
 }
 
 // Route is a computed indoor path.
@@ -52,19 +57,18 @@ type Route struct {
 }
 
 // node is one vertex of the accessibility graph: standing at a portal
-// (door or staircase end) inside a specific partition.
+// (door or staircase end) inside a partition. Each door and each
+// staircase end is its own portal.
 type node struct {
-	portal    string // door or staircase ID
-	partition string
-	floor     int
-	point     geom.Point
+	part  int32 // partition number
+	point geom.Point
 }
 
 // edge is one directed hop.
 type edge struct {
-	to   int
+	to   int32
 	dist float64 // meters
-	time float64 // extra fixed seconds (stair travel time); walking time is derived from dist
+	time float64 // stair travel time; walking time is derived from dist
 	// stair marks staircase traversals: their walking time is the fixed time
 	// only, not dist/speed.
 	stair bool
@@ -75,65 +79,54 @@ type edge struct {
 type graph struct {
 	nodes []node
 	adj   [][]edge
-	// byPartition indexes node IDs by (floor, partition).
-	byPartition map[partKey][]int
-}
-
-type partKey struct {
-	floor     int
-	partition string
 }
 
 // buildGraph constructs the directed door/stair accessibility graph,
-// honoring door directionality.
-func buildGraph(b *model.Building) *graph {
-	g := &graph{byPartition: make(map[partKey][]int)}
-	nodeID := make(map[string]int) // portalID+"/"+partition → node index
-
-	addNode := func(portal, partition string, floor int, pt geom.Point) int {
-		key := portal + "/" + partition
-		if id, ok := nodeID[key]; ok {
-			return id
-		}
-		id := len(g.nodes)
-		g.nodes = append(g.nodes, node{portal: portal, partition: partition, floor: floor, point: pt})
+// honoring door directionality, and fills t.nodes.
+func buildGraph(t *Topology) *graph {
+	g := &graph{}
+	addNode := func(part int32, pt geom.Point) int32 {
+		id := int32(len(g.nodes))
+		g.nodes = append(g.nodes, node{part: part, point: pt})
 		g.adj = append(g.adj, nil)
-		nodeID[key] = id
-		g.byPartition[partKey{floor, partition}] = append(g.byPartition[partKey{floor, partition}], id)
+		t.nodes[part] = append(t.nodes[part], id)
 		return id
 	}
 
 	// Door nodes and crossing edges.
-	for _, level := range b.FloorLevels() {
-		f := b.Floors[level]
+	for i, f := range t.B.Floors {
+		ids := t.floors[i].ids
 		for _, d := range f.Doors {
-			a, bSide := d.Partitions[0], d.Partitions[1]
-			var na, nb = -1, -1
+			a, b := d.Partitions[0], d.Partitions[1]
+			na, nb := int32(-1), int32(-1)
 			if a != "" {
-				na = addNode(d.ID, a, level, d.Position)
+				na = addNode(ids[a], d.Position)
 			}
-			if bSide != "" {
-				nb = addNode(d.ID, bSide, level, d.Position)
+			if b != "" {
+				nb = addNode(ids[b], d.Position)
 			}
-			if na >= 0 && nb >= 0 {
-				if d.Leads(a, bSide) {
-					g.adj[na] = append(g.adj[na], edge{to: nb, via: d.ID})
-				}
-				if d.Leads(bSide, a) {
-					g.adj[nb] = append(g.adj[nb], edge{to: na, via: d.ID})
-				}
+			if na < 0 || nb < 0 {
+				continue // an exterior door is a portal of its one partition
+			}
+			if d.Leads(a, b) {
+				g.adj[na] = append(g.adj[na], edge{to: nb, via: d.ID})
+			}
+			if d.Leads(b, a) {
+				g.adj[nb] = append(g.adj[nb], edge{to: na, via: d.ID})
 			}
 		}
 	}
 
 	// Staircase nodes and traversal edges (both directions).
-	for _, s := range b.Staircases {
+	for _, s := range t.B.Staircases {
 		if !s.Linked {
 			continue
 		}
-		up := addNode(s.ID, s.UpperPartition, s.UpperFloor, s.UpperEntry())
-		lo := addNode(s.ID, s.LowerPartition, s.LowerFloor, s.LowerEntry())
-		length := stairLength(b, s)
+		upPart, _ := t.PartitionNumber(s.UpperFloor, s.UpperPartition)
+		loPart, _ := t.PartitionNumber(s.LowerFloor, s.LowerPartition)
+		up := addNode(int32(upPart), s.UpperEntry())
+		lo := addNode(int32(loPart), s.LowerEntry())
+		length := stairLength(t.B, s)
 		g.adj[up] = append(g.adj[up], edge{to: lo, dist: length, time: s.TravelTime, stair: true, via: s.ID})
 		g.adj[lo] = append(g.adj[lo], edge{to: up, dist: length, time: s.TravelTime, stair: true, via: s.ID})
 	}
@@ -141,14 +134,12 @@ func buildGraph(b *model.Building) *graph {
 	// Within-partition edges: all portals sharing a partition are mutually
 	// reachable by straight-line walking (partitions are convex after
 	// decomposition).
-	for _, ids := range g.byPartition {
-		for i := 0; i < len(ids); i++ {
-			for j := 0; j < len(ids); j++ {
-				if i == j {
-					continue
+	for _, ids := range t.nodes {
+		for _, i := range ids {
+			for _, j := range ids {
+				if i != j {
+					g.adj[i] = append(g.adj[i], edge{to: j, dist: g.nodes[i].point.Dist(g.nodes[j].point)})
 				}
-				a, bn := g.nodes[ids[i]], g.nodes[ids[j]]
-				g.adj[ids[i]] = append(g.adj[ids[i]], edge{to: ids[j], dist: a.point.Dist(bn.point)})
 			}
 		}
 	}
@@ -160,8 +151,8 @@ func buildGraph(b *model.Building) *graph {
 func stairLength(b *model.Building, s *model.Staircase) float64 {
 	horiz := s.UpperEntry().Dist(s.LowerEntry())
 	var dz float64
-	if fu, ok := b.Floors[s.UpperFloor]; ok {
-		if fl, ok2 := b.Floors[s.LowerFloor]; ok2 {
+	if fu, ok := b.Floor(s.UpperFloor); ok {
+		if fl, ok2 := b.Floor(s.LowerFloor); ok2 {
 			dz = math.Abs(fu.Elevation - fl.Elevation)
 		}
 	}
@@ -173,48 +164,79 @@ func stairLength(b *model.Building, s *model.Staircase) float64 {
 	return math.Hypot(horiz, dz) * 1.4
 }
 
-// baseSpeed is the base walking speed (m/s). speedFactor scales it per
-// partition kind, realizing minimum-walking-time routing where open hallways
-// are faster than crowded public areas and canteens; other kinds walk at
-// baseSpeed.
+// baseSpeed is the base walking speed (m/s). speedOf scales it per
+// partition kind, realizing minimum-walking-time routing where open
+// hallways are faster than crowded public areas and canteens; other kinds
+// walk at baseSpeed.
 const baseSpeed = 1.4
 
-var speedFactor = map[model.PartitionKind]float64{
-	model.KindHallway:    1.25,
-	model.KindPublicArea: 0.8,
-	model.KindCanteen:    0.7,
-}
-
-// speedIn returns the effective speed inside the given partition.
-func (t *Topology) speedIn(floor int, partition string) float64 {
-	p, ok := t.B.Partition(floor, partition)
-	if !ok {
-		return baseSpeed
+func speedOf(kind model.PartitionKind) float64 {
+	// factor is a variable so the product is rounded in float64, as the
+	// pinned routes expect: baseSpeed*1.25 as a constant is exactly 1.75.
+	factor := 1.0
+	switch kind {
+	case model.KindHallway:
+		factor = 1.25
+	case model.KindPublicArea:
+		factor = 0.8
+	case model.KindCanteen:
+		factor = 0.7
 	}
-	if f, ok := speedFactor[p.Kind]; ok {
-		return baseSpeed * f
-	}
-	return baseSpeed
+	return baseSpeed * factor
 }
 
 // pqItem is a Dijkstra frontier entry.
 type pqItem struct {
-	node int
+	node int32
 	cost float64
 }
 
-type pq []pqItem
+// frontier is Dijkstra's min-heap on cost. push and pop sift exactly as
+// container/heap's Push and Pop do, so equal costs pop in the same order.
+type frontier []pqItem
 
-func (p pq) Len() int            { return len(p) }
-func (p pq) Less(i, j int) bool  { return p[i].cost < p[j].cost }
-func (p pq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
+func (h *frontier) push(it pqItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(s[j].cost < s[i].cost) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *frontier) pop() pqItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].cost < s[j].cost {
+			j = j2
+		}
+		if !(s[j].cost < s[i].cost) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
+}
+
+// label is Dijkstra's per-node state: the best cost so far, the distance
+// and time along that path, and the hop that reached the node.
+type label struct {
+	cost, dist, time float64
+	prev             int32
+	done             bool
+	hop              edge
 }
 
 // Route computes a route between two locations under the given metric: it
@@ -229,135 +251,98 @@ func (t *Topology) Route(from, to model.Location, metric Metric) (*Route, error)
 	if err != nil {
 		return nil, err
 	}
+	start := Waypoint{Floor: from.Floor, Point: from.Point, Partition: t.parts[fromPart].ID}
+	end := Waypoint{Floor: to.Floor, Point: to.Point, Partition: t.parts[toPart].ID}
 
 	// Trivial same-partition route.
-	if from.Floor == to.Floor && fromPart == toPart {
+	if fromPart == toPart {
 		d := from.Point.Dist(to.Point)
-		sp := t.speedIn(from.Floor, fromPart)
-		return &Route{
-			Waypoints: []Waypoint{
-				{Floor: from.Floor, Point: from.Point, Partition: fromPart},
-				{Floor: to.Floor, Point: to.Point, Partition: toPart},
-			},
-			Distance: d,
-			Time:     d / sp,
-		}, nil
+		end.Length = d
+		return &Route{Waypoints: []Waypoint{start, end}, Distance: d, Time: d / t.speed[fromPart]}, nil
 	}
 
-	n := len(g.nodes)
+	n := int32(len(g.nodes))
 	src, dst := n, n+1
-	total := n + 2
-
-	costOf := func(e edge, fromFloor int, fromPartition string) (cost, dist, tm float64) {
-		walkSpeed := t.speedIn(fromFloor, fromPartition)
-		dist = e.dist
+	labels := make([]label, n+2)
+	for i := range labels {
+		labels[i].cost = math.MaxFloat64
+		labels[i].prev = -1
+	}
+	labels[src].cost = 0
+	h := frontier{{node: src}}
+	// relax offers the hop e out of u, walked at speed.
+	relax := func(u int32, e edge, speed float64) {
+		tm := e.dist / speed
 		if e.stair {
 			tm = e.time
-		} else {
-			tm = e.dist / walkSpeed
 		}
+		c := e.dist
 		if metric == MinTime {
-			return tm, dist, tm
+			c = tm
 		}
-		return dist, dist, tm
-	}
-
-	// neighbors returns the edges of any node including the injected ones.
-	neighbors := func(id int) []edge {
-		switch id {
-		case src:
-			var out []edge
-			for _, nid := range g.byPartition[partKey{from.Floor, fromPart}] {
-				out = append(out, edge{to: nid, dist: from.Point.Dist(g.nodes[nid].point)})
-			}
-			return out
-		case dst:
-			return nil
-		default:
-			edges := g.adj[id]
-			nd := g.nodes[id]
-			if nd.floor == to.Floor && nd.partition == toPart {
-				edges = append(append([]edge(nil), edges...),
-					edge{to: dst, dist: nd.point.Dist(to.Point)})
-			}
-			return edges
+		lu, lv := &labels[u], &labels[e.to]
+		if lu.cost+c < lv.cost {
+			lv.cost = lu.cost + c
+			lv.dist = lu.dist + e.dist
+			lv.time = lu.time + tm
+			lv.prev = u
+			lv.hop = e
+			h.push(pqItem{node: e.to, cost: lv.cost})
 		}
 	}
-	floorOf := func(id int) (int, string) {
-		switch id {
-		case src:
-			return from.Floor, fromPart
-		case dst:
-			return to.Floor, toPart
-		default:
-			return g.nodes[id].floor, g.nodes[id].partition
-		}
-	}
-
-	const inf = math.MaxFloat64
-	costs := make([]float64, total)
-	dists := make([]float64, total)
-	times := make([]float64, total)
-	prev := make([]int, total)
-	prevEdge := make([]edge, total)
-	for i := range costs {
-		costs[i] = inf
-		prev[i] = -1
-	}
-	costs[src] = 0
-	h := &pq{{node: src}}
-	visited := make([]bool, total)
-	for h.Len() > 0 {
-		it := heap.Pop(h).(pqItem)
-		u := it.node
-		if visited[u] {
+	for len(h) > 0 {
+		u := h.pop().node
+		if labels[u].done {
 			continue
 		}
-		visited[u] = true
+		labels[u].done = true
 		if u == dst {
 			break
 		}
-		uFloor, uPart := floorOf(u)
-		for _, e := range neighbors(u) {
-			c, d, tmm := costOf(e, uFloor, uPart)
-			if costs[u]+c < costs[e.to] {
-				costs[e.to] = costs[u] + c
-				dists[e.to] = dists[u] + d
-				times[e.to] = times[u] + tmm
-				prev[e.to] = u
-				prevEdge[e.to] = e
-				heap.Push(h, pqItem{node: e.to, cost: costs[e.to]})
+		if u == src {
+			for _, v := range t.nodes[fromPart] {
+				relax(src, edge{to: v, dist: from.Point.Dist(g.nodes[v].point)}, t.speed[fromPart])
 			}
+			continue
+		}
+		nd := g.nodes[u]
+		for _, e := range g.adj[u] {
+			relax(u, e, t.speed[nd.part])
+		}
+		if nd.part == toPart {
+			relax(u, edge{to: dst, dist: nd.point.Dist(to.Point)}, t.speed[nd.part])
 		}
 	}
-	if costs[dst] == inf {
+	if labels[dst].cost == math.MaxFloat64 {
 		return nil, fmt.Errorf("topo: no route from %s to %s", from, to)
 	}
 
-	// Reconstruct waypoints.
-	var rev []Waypoint
-	cur := dst
-	for cur != -1 {
+	// Reconstruct waypoints, back from dst.
+	hops := 0
+	for cur := dst; cur != -1; cur = labels[cur].prev {
+		hops++
+	}
+	wps := make([]Waypoint, hops)
+	for cur := dst; cur != -1; cur = labels[cur].prev {
+		hops--
 		var wp Waypoint
 		switch cur {
 		case src:
-			wp = Waypoint{Floor: from.Floor, Point: from.Point, Partition: fromPart}
+			wps[hops] = start
+			continue
 		case dst:
-			wp = Waypoint{Floor: to.Floor, Point: to.Point, Partition: toPart}
+			wp = end
 		default:
 			nd := g.nodes[cur]
-			wp = Waypoint{Floor: nd.floor, Point: nd.point, Partition: nd.partition}
+			p := t.parts[nd.part]
+			wp = Waypoint{Floor: p.Floor, Point: nd.point, Partition: p.ID}
 		}
-		if cur != src && prev[cur] != -1 {
-			wp.Via = prevEdge[cur].via
-			wp.Stair = prevEdge[cur].stair
+		hop := labels[cur].hop
+		wp.Via, wp.Stair, wp.Length = hop.via, hop.stair, hop.dist
+		if hop.stair {
+			wp.TravelTime = hop.time
 		}
-		rev = append(rev, wp)
-		cur = prev[cur]
+		wps[hops] = wp
 	}
-	wps := make([]Waypoint, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		wps = append(wps, rev[i])
-	}
-	return &Route{Waypoints: wps, Distance: dists[dst], Time: times[dst]}, nil
+	return &Route{Waypoints: wps, Distance: labels[dst].dist, Time: labels[dst].time}, nil
 }

@@ -111,8 +111,8 @@ func TestDecompositionPreservesArea(t *testing.T) {
 	}
 	area := func(b *model.Building) float64 {
 		var total float64
-		for _, level := range b.FloorLevels() {
-			for _, p := range b.Floors[level].Partitions {
+		for _, f := range b.Floors {
+			for _, p := range f.Partitions {
 				total += p.Polygon.Area()
 			}
 		}
@@ -135,8 +135,8 @@ func TestDecompositionPreservesArea(t *testing.T) {
 		t.Errorf("decomposition changed area: %v -> %v", before, after)
 	}
 	// All children must record their parent and be convex-or-depth-bounded.
-	for _, level := range plain.FloorLevels() {
-		for _, p := range plain.Floors[level].Partitions {
+	for _, f := range plain.Floors {
+		for _, p := range f.Partitions {
 			if p.Parent != "" && p.Parent == p.ID {
 				t.Errorf("partition %s is its own parent", p.ID)
 			}
@@ -146,8 +146,8 @@ func TestDecompositionPreservesArea(t *testing.T) {
 
 func randomPairSameBuilding(tp *Topology, r *rng.Rand) (model.Location, model.Location, bool) {
 	var parts []*model.Partition
-	for _, level := range tp.B.FloorLevels() {
-		parts = append(parts, tp.B.Floors[level].Partitions...)
+	for _, f := range tp.B.Floors {
+		parts = append(parts, f.Partitions...)
 	}
 	if len(parts) < 2 {
 		return model.Location{}, model.Location{}, false

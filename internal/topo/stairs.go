@@ -90,8 +90,7 @@ func extremeVertices(pts []geom.Point3, upper bool) []geom.Point3 {
 func floorByMaxIntersection(b *model.Building, verts []geom.Point3) (*model.Floor, error) {
 	var best *model.Floor
 	bestCount := 0
-	for _, level := range b.FloorLevels() {
-		f := b.Floors[level]
+	for _, f := range b.Floors {
 		count := 0
 		for _, v := range verts {
 			if v.Z >= f.Elevation-zCluster && v.Z < f.Elevation+f.Height-zCluster {

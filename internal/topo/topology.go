@@ -1,7 +1,10 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"vita/internal/geom"
 	"vita/internal/index"
@@ -27,18 +30,38 @@ func DefaultOptions() Options {
 // Topology wraps a building with its derived geometrical/topological
 // information: door connectivity, staircase links, spatial indices, wall
 // sets, and the accessibility graph used for routing (paper §4.1, §2).
+//
+// Build numbers the partitions once: floors ascending, each floor in its
+// Partitions order. Everything derived per partition is a slice read by
+// that number.
 type Topology struct {
 	B *model.Building
 
-	graph   *graph
-	walls   map[int]*geom.WallSet
-	partIdx map[int]*index.RTree
+	// floors holds each floor's derived geometry, in B.Floors order.
+	floors []floorIndex
+	// parts are the numbered partitions; speed (walking speed, m/s),
+	// nodes (the graph nodes standing in the partition) and exits (the
+	// partitions its doors lead to, in door ID order) are indexed like it.
+	parts []*model.Partition
+	speed []float64
+	nodes [][]int32
+	exits [][]int32
+
+	graph *graph
+}
+
+// floorIndex is one floor's walls, partition R-tree and partition numbers.
+type floorIndex struct {
+	level int
+	walls *geom.WallSet
+	rtree *index.RTree
+	ids   map[string]int32 // partition ID → partition number
 }
 
 // Build derives the full topology of a building: optional decomposition,
 // door→partition connectivity (one ConnectDoors pass over the final
 // partitions), staircase linking, semantic extraction, spatial indexing,
-// and the accessibility graph.
+// the partition numbering, and the accessibility graph.
 func Build(b *model.Building, opts Options) (*Topology, error) {
 	if opts.Decompose {
 		if _, err := Decompose(b, opts.MaxArea); err != nil {
@@ -56,35 +79,106 @@ func Build(b *model.Building, opts Options) (*Topology, error) {
 		return nil, err
 	}
 
+	n := b.PartitionCount()
 	t := &Topology{
-		B:       b,
-		walls:   make(map[int]*geom.WallSet),
-		partIdx: make(map[int]*index.RTree),
+		B:      b,
+		floors: make([]floorIndex, len(b.Floors)),
+		parts:  make([]*model.Partition, 0, n),
+		speed:  make([]float64, 0, n),
+		nodes:  make([][]int32, n),
+		exits:  make([][]int32, n),
 	}
-	for _, level := range b.FloorLevels() {
-		f := b.Floors[level]
-		t.walls[level] = f.WallSet()
+	for i, f := range b.Floors {
+		fi := &t.floors[i]
+		fi.level = f.Level
+		fi.walls = f.WallSet()
+		fi.ids = make(map[string]int32, len(f.Partitions))
 		items := make([]index.Item, 0, len(f.Partitions))
 		for _, p := range f.Partitions {
+			fi.ids[p.ID] = int32(len(t.parts))
+			t.parts = append(t.parts, p)
+			t.speed = append(t.speed, speedOf(p.Kind))
 			items = append(items, p)
 		}
-		t.partIdx[level] = index.BulkLoad(items)
+		fi.rtree = index.BulkLoad(items)
 	}
-	t.graph = buildGraph(b)
+	t.graph = buildGraph(t)
+	t.linkExits()
 	return t, nil
 }
+
+// linkExits lists, per partition, the partitions its doors lead to, in
+// door ID order.
+func (t *Topology) linkExits() {
+	type exit struct {
+		door string
+		to   int32
+	}
+	out := make([][]exit, len(t.parts))
+	for i, f := range t.B.Floors {
+		ids := t.floors[i].ids
+		for _, d := range f.Doors {
+			a, b := d.Partitions[0], d.Partitions[1]
+			if a == "" || b == "" {
+				continue
+			}
+			if d.Leads(a, b) {
+				out[ids[a]] = append(out[ids[a]], exit{d.ID, ids[b]})
+			}
+			if d.Leads(b, a) {
+				out[ids[b]] = append(out[ids[b]], exit{d.ID, ids[a]})
+			}
+		}
+	}
+	for n, es := range out {
+		slices.SortStableFunc(es, func(x, y exit) int { return strings.Compare(x.door, y.door) })
+		for _, e := range es {
+			t.exits[n] = append(t.exits[n], e.to)
+		}
+	}
+}
+
+// floor returns the derived geometry of the floor at the given level.
+func (t *Topology) floor(level int) (*floorIndex, bool) {
+	i, ok := slices.BinarySearchFunc(t.floors, level, func(fi floorIndex, l int) int { return cmp.Compare(fi.level, l) })
+	if !ok {
+		return nil, false
+	}
+	return &t.floors[i], true
+}
+
+// Partitions returns the numbered partitions: floors ascending, each floor
+// in its Partitions order. The caller must not modify the slice.
+func (t *Topology) Partitions() []*model.Partition { return t.parts }
+
+// PartitionNumber returns the number of the partition with the given ID on
+// the given floor.
+func (t *Topology) PartitionNumber(floor int, id string) (int, bool) {
+	fi, ok := t.floor(floor)
+	if !ok {
+		return 0, false
+	}
+	n, ok := fi.ids[id]
+	return int(n), ok
+}
+
+// Exits returns the numbers of the partitions the doors of partition n
+// lead to, in door ID order: a one-way door counts only from the side it
+// opens from, and exterior doors not at all. The caller must not modify
+// the slice.
+func (t *Topology) Exits(n int) []int32 { return t.exits[n] }
 
 // PartitionAt locates the partition containing pt on the given floor using
 // the spatial index.
 func (t *Topology) PartitionAt(floor int, pt geom.Point) (*model.Partition, bool) {
-	idx, ok := t.partIdx[floor]
+	fi, ok := t.floor(floor)
 	if !ok {
 		return nil, false
 	}
 	var best *model.Partition
 	bestArea := 0.0
 	var buf [8]index.Item // nested decompositions rarely stack deeper
-	for _, it := range idx.SearchPoint(pt, buf[:0]) {
+	for _, it := range fi.rtree.SearchPoint(pt, buf[:0]) {
 		p := it.(*model.Partition)
 		if p.Contains(pt) {
 			a := p.Polygon.Area()
@@ -96,24 +190,26 @@ func (t *Topology) PartitionAt(floor int, pt geom.Point) (*model.Partition, bool
 	return best, best != nil
 }
 
-// resolvePartition fills in the partition of a location from its coordinate
-// when absent, and validates it when present.
-func (t *Topology) resolvePartition(loc model.Location) (string, error) {
+// resolvePartition returns the number of a location's partition: the named
+// one when it exists on the location's floor, else the one containing its
+// coordinate.
+func (t *Topology) resolvePartition(loc model.Location) (int32, error) {
 	if loc.Partition != "" {
-		if _, ok := t.B.Partition(loc.Floor, loc.Partition); ok {
-			return loc.Partition, nil
+		if n, ok := t.PartitionNumber(loc.Floor, loc.Partition); ok {
+			return int32(n), nil
 		}
 		// The caller may hold a pre-decomposition ID; fall through to
 		// coordinate resolution.
 	}
 	if !loc.HasPoint {
-		return "", fmt.Errorf("topo: location %s has neither a known partition nor a coordinate", loc)
+		return 0, fmt.Errorf("topo: location %s has neither a known partition nor a coordinate", loc)
 	}
 	p, ok := t.PartitionAt(loc.Floor, loc.Point)
 	if !ok {
-		return "", fmt.Errorf("topo: location %s lies in no partition", loc)
+		return 0, fmt.Errorf("topo: location %s lies in no partition", loc)
 	}
-	return p.ID, nil
+	n, _ := t.PartitionNumber(loc.Floor, p.ID)
+	return int32(n), nil
 }
 
 // GraphSize returns the number of nodes and directed edges of the
@@ -129,11 +225,11 @@ func (t *Topology) GraphSize() (nodes, edges int) {
 // Crossings counts the walls crossed by the straight path a→b on the given
 // floor; it backs the RSSI obstacle-noise term.
 func (t *Topology) Crossings(floor int, a, b geom.Point) int {
-	ws, ok := t.walls[floor]
+	fi, ok := t.floor(floor)
 	if !ok {
 		return 0
 	}
-	return ws.Crossings(a, b)
+	return fi.walls.Crossings(a, b)
 }
 
 // RandomPointIn returns a point sampled uniformly from the partition's

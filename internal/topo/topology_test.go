@@ -151,16 +151,16 @@ func TestMinTimePrefersFasterHallways(t *testing.T) {
 func TestDecompositionBalances(t *testing.T) {
 	topo := officeTopo(t)
 	opts := DefaultOptions()
-	for _, level := range topo.B.FloorLevels() {
-		for _, p := range topo.B.Floors[level].Partitions {
+	for _, f := range topo.B.Floors {
+		for _, p := range f.Partitions {
 			if opts.MaxArea > 0 && p.Polygon.Area() > opts.MaxArea+geom.Eps {
 				t.Errorf("partition %s area %.1f exceeds max %.1f", p.ID, p.Polygon.Area(), opts.MaxArea)
 			}
 		}
 	}
 	decomposed := false
-	for _, level := range topo.B.FloorLevels() {
-		for _, p := range topo.B.Floors[level].Partitions {
+	for _, f := range topo.B.Floors {
+		for _, p := range f.Partitions {
 			decomposed = decomposed || strings.Contains(p.ID, ".")
 		}
 	}

@@ -126,8 +126,8 @@ func NewEngine(t *topo.Topology, sp *object.Spawner, cfg Config, r *rng.Rand) (*
 		cfg.SampleInterval = 1.0
 	}
 	e := &Engine{topo: t, spawner: sp, cfg: cfg, rnd: r}
-	for _, level := range t.B.FloorLevels() {
-		for _, p := range t.B.Floors[level].Partitions {
+	for _, f := range t.B.Floors {
+		for _, p := range f.Partitions {
 			e.destParts = append(e.destParts, p)
 			e.destAreas = append(e.destAreas, p.Polygon.Area())
 		}
@@ -250,27 +250,15 @@ func (s *objectSim) pickDestination() (model.Location, bool) {
 	switch o.Pattern.Intention {
 	case object.RandomWayIntent:
 		// Move through a random door of the current partition.
-		f, ok := b.Floor(o.Loc.Floor)
+		n, ok := e.topo.PartitionNumber(o.Loc.Floor, o.Loc.Partition)
 		if !ok {
 			return model.Location{}, false
 		}
-		cur := o.Loc.Partition
-		doors := f.DoorsOf(cur)
-		var cands []string
-		for _, d := range doors {
-			other, ok := d.Other(cur)
-			if ok && other != "" && d.Leads(cur, other) {
-				cands = append(cands, other)
-			}
-		}
-		if len(cands) == 0 {
+		exits := e.topo.Exits(n)
+		if len(exits) == 0 {
 			return model.Location{}, false
 		}
-		pid := cands[s.rnd.Intn(len(cands))]
-		p, ok := f.Partition(pid)
-		if !ok {
-			return model.Location{}, false
-		}
+		p := e.topo.Partitions()[exits[s.rnd.Intn(len(exits))]]
 		pt := topo.RandomPointIn(p, s.rnd.Float64)
 		return model.At(b.ID, p.Floor, p.ID, pt), true
 	default: // DestinationIntent
@@ -305,7 +293,7 @@ func (s *objectSim) walk(t, dt float64) {
 		}
 		a, b := wps[o.LegIndex], wps[o.LegIndex+1]
 		stair := b.Stair
-		legLen, legDur := s.eng.legCost(a, b, o.LegSpeed)
+		legLen, legDur := legCost(b, o.LegSpeed)
 		if legLen < geom.Eps {
 			o.LegIndex++
 			o.LegFrac = 0
@@ -333,35 +321,20 @@ func (s *objectSim) walk(t, dt float64) {
 	}
 }
 
-// legCost returns the length (m) and duration (s) of one leg at walkSpeed.
-// It reads only immutable topology state and is safe for concurrent use.
-func (e *Engine) legCost(a, b topo.Waypoint, walkSpeed float64) (float64, float64) {
+// legCost returns the length (m) and duration (s) of the hop onto b at
+// walkSpeed. Stairs take their configured traversal time regardless of
+// walking speed, as the routing graph's stair edges do.
+func legCost(b topo.Waypoint, walkSpeed float64) (float64, float64) {
 	if b.Stair {
-		horiz := a.Point.Dist(b.Point)
-		var dz float64
-		if fa, ok := e.topo.B.Floors[a.Floor]; ok {
-			if fb, ok2 := e.topo.B.Floors[b.Floor]; ok2 {
-				dz = math.Abs(fa.Elevation - fb.Elevation)
-			}
+		if b.TravelTime > 0 {
+			return b.Length, b.TravelTime
 		}
-		if dz == 0 {
-			dz = 3
-		}
-		length := math.Hypot(horiz, dz) * 1.4
-		// Stairs take their configured traversal time regardless of walking
-		// speed (matching the routing graph's stair edges).
-		for _, s := range e.topo.B.Staircases {
-			if s.ID == b.Via && s.TravelTime > 0 {
-				return length, s.TravelTime
-			}
-		}
-		return length, length / maxf(walkSpeed*0.6, 0.3)
+		return b.Length, b.Length / maxf(walkSpeed*0.6, 0.3)
 	}
-	length := a.Point.Dist(b.Point)
 	if walkSpeed <= 0 {
 		walkSpeed = 1
 	}
-	return length, length / walkSpeed
+	return b.Length, b.Length / walkSpeed
 }
 
 // arrive handles route completion per the behavior.
