@@ -100,7 +100,8 @@ func BenchmarkAblationIndex(b *testing.B) {
 		items[i] = d
 	}
 	rt := index.BulkLoad(items)
-	bb := tp.B.Floors[0].BBox()
+	f0, _ := tp.B.Floor(0)
+	bb := f0.BBox()
 	grid := index.NewGrid(bb.Expand(40), 10)
 	for _, it := range items {
 		grid.Insert(it)

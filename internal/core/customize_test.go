@@ -57,7 +57,8 @@ func TestOneWayDoorConfig(t *testing.T) {
 				t.Errorf("unrepaired DBI errors %v, want one naming %s as a room that cannot be entered", errs, tc.door.From)
 			}
 			var door *model.Door
-			for _, d := range topology.B.Floors[0].Doors {
+			f0, _ := topology.B.Floor(0)
+			for _, d := range f0.Doors {
 				if d.ID == tc.door.Door {
 					door = d
 				}

@@ -102,12 +102,12 @@ func rowDigest(ds *Dataset) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestFloorLevelsOffZero pins a run on a file: office whose storeys are
+// TestFloorLevelsOffZero pins runs on a file: office whose storeys are
 // levels −1 and 2, with devices on both: a floor's level is its name, never
-// its position among the building's floors. The digest covers the
-// trajectory and RSSI rows as rowDigest does.
+// its position among the building's floors. Walkers head for destinations
+// by minimum distance, and wander through random doors by minimum time.
+// The digests cover the trajectory and RSSI rows as rowDigest does.
 func TestFloorLevelsOffZero(t *testing.T) {
-	const want = "4244c5c5cea260b1e9642e6e0bf157439879f946a3e718281915aa3664acbf05"
 	r := strings.NewReplacer("'Office Floor 0',0,", "'Office Floor 0',-1,", "'Office Floor 1',1,", "'Office Floor 1',2,")
 	text := r.Replace(ifc.OfficeIFC())
 	if strings.Count(text, "'Office Floor") != 2 || !strings.Contains(text, ",-1,") || !strings.Contains(text, "'Office Floor 1',2,") {
@@ -117,39 +117,47 @@ func TestFloorLevelsOffZero(t *testing.T) {
 	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Building.Source = "file:" + path
-	cfg.Devices = []DeviceConfig{
-		{Floor: -1, Model: "coverage", Type: "wifi", Count: 8},
-		{Floor: 2, Model: "check-point", Type: "wifi", Count: 8},
-	}
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := make(map[int]int)
-	for _, s := range slices.Concat(ds.Trajectories...) {
-		samples[s.Loc.Floor]++
-	}
-	heard := make(map[int]int)
-	floorOf := make(map[string]int)
-	for _, d := range ds.Devices {
-		floorOf[d.ID] = d.Floor
-	}
-	for _, m := range ds.RSSI {
-		heard[floorOf[m.DeviceID]]++
-	}
-	if len(samples) != 2 || samples[-1] == 0 || samples[2] == 0 || len(heard) != 2 || heard[-1] == 0 || heard[2] == 0 {
-		t.Errorf("samples per level %v and RSSI rows per device level %v; want both on levels -1 and 2 only", samples, heard)
-	}
-	if st := ds.TrajectoryStats; st.RouteFailures != 0 {
-		t.Errorf("%d of %d routes failed", st.RouteFailures, st.RoutesPlanned)
-	}
-	if got := rowDigest(ds); got != want {
-		t.Errorf("digest %s, want %s", got, want)
+	for _, tc := range []struct {
+		intention, routing, want string
+	}{
+		{"destination", "min-distance", "4244c5c5cea260b1e9642e6e0bf157439879f946a3e718281915aa3664acbf05"},
+		{"random-way", "min-time", "5a6be9529ab502ac191b95f3aa8dab2d3aeff3f8a0690b345234af98f541ca0d"},
+	} {
+		cfg := DefaultConfig()
+		cfg.Building.Source = "file:" + path
+		cfg.Devices = []DeviceConfig{
+			{Floor: -1, Model: "coverage", Type: "wifi", Count: 8},
+			{Floor: 2, Model: "check-point", Type: "wifi", Count: 8},
+		}
+		cfg.Objects.Intention, cfg.Objects.Routing = tc.intention, tc.routing
+		p, err := NewPipeline(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := p.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := make(map[int]int)
+		for _, s := range slices.Concat(ds.Trajectories...) {
+			samples[s.Loc.Floor]++
+		}
+		heard := make(map[int]int)
+		floorOf := make(map[string]int)
+		for _, d := range ds.Devices {
+			floorOf[d.ID] = d.Floor
+		}
+		for _, m := range ds.RSSI {
+			heard[floorOf[m.DeviceID]]++
+		}
+		if len(samples) != 2 || samples[-1] == 0 || samples[2] == 0 || len(heard) != 2 || heard[-1] == 0 || heard[2] == 0 {
+			t.Errorf("%s: samples per level %v and RSSI rows per device level %v; want both on levels -1 and 2 only", tc.intention, samples, heard)
+		}
+		if st := ds.TrajectoryStats; st.RouteFailures != 0 {
+			t.Errorf("%s: %d of %d routes failed", tc.intention, st.RouteFailures, st.RoutesPlanned)
+		}
+		if got := rowDigest(ds); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.intention, got, tc.want)
+		}
 	}
 }

@@ -168,7 +168,8 @@ func TestErrorStatsString(t *testing.T) {
 // at both ends; across floors the nearer sample, the earlier on a tie).
 func evalOracle(b *model.Building, truth [][]trajectory.Sample, ests []positioning.Estimate) (ErrorStats, int, float64) {
 	room := func(floor int, id string) string {
-		for _, p := range b.Floors[floor].Partitions {
+		f, _ := b.Floor(floor)
+		for _, p := range f.Partitions {
 			if p.ID == id && p.Parent != "" {
 				return p.Parent
 			}

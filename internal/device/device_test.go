@@ -77,7 +77,7 @@ func TestCoverageDeployment(t *testing.T) {
 	if len(devs) != 6 {
 		t.Fatalf("deployed %d, want 6", len(devs))
 	}
-	f := b.Floors[0]
+	f, _ := b.Floor(0)
 	// Devices must sit inside some partition and near a wall.
 	for _, d := range devs {
 		if _, ok := f.PartitionAt(d.Position); !ok {

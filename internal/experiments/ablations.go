@@ -62,7 +62,8 @@ func AblationIndex(seed uint64) (*Table, error) {
 		items[i] = d
 	}
 	rt := index.BulkLoad(items)
-	bb := topology.B.Floors[0].BBox()
+	f0, _ := topology.B.Floor(0)
+	bb := f0.BBox()
 	grid := index.NewGrid(bb.Expand(40), 10)
 	for _, it := range items {
 		grid.Insert(it)

@@ -91,7 +91,7 @@ func E2Deployment(seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	f0 := topology.B.Floors[0]
+	f0, _ := topology.B.Floor(0)
 	t.AddRow("coverage devices (F0)", len(cov))
 	t.AddRow("coverage min pairwise separation (m)", device.MinPairwiseDistance(cov))
 	t.AddRow("coverage mean wall distance (m)", device.MeanWallDistance(f0, cov))
@@ -493,7 +493,8 @@ func E8StorageQueries(seed uint64) (*Table, error) {
 	query("time range obj[0] [30,90]", func() int {
 		return count(plan.NewScan(src).Filter(plan.ObjEq(samples[0].ObjID), plan.TimeBetween(30, 90)))
 	})
-	bb := ds.Building.Floors[0].BBox()
+	f0, _ := ds.Building.Floor(0)
+	bb := f0.BBox()
 	half := geom.BBox{Min: bb.Min, Max: geom.Pt(bb.Center().X, bb.Max.Y)}
 	query("window query F0 half-floor", func() int {
 		return count(plan.NewScan(src).Filter(plan.OnFloor(0), plan.InBox(half), plan.TimeBetween(0, 60)))

@@ -25,8 +25,9 @@ func BenchmarkCrossings(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	walls := tp.B.Floors[0].WallSet()
-	box := bld.Floors[0].BBox()
+	f0, _ := tp.B.Floor(0)
+	walls := f0.WallSet()
+	box := f0.BBox()
 	grid := func(nx, ny int) []geom.Point {
 		var out []geom.Point
 		for i := 0; i < nx; i++ {

@@ -96,7 +96,7 @@ func TestExtractTiny(t *testing.T) {
 	if b.ID != "tiny" || b.PartitionCount() != 1 || b.DoorCount() != 1 {
 		t.Errorf("building = %s parts=%d doors=%d", b.ID, b.PartitionCount(), b.DoorCount())
 	}
-	fl := b.Floors[0]
+	fl, _ := b.Floor(0)
 	p := fl.Partitions[0]
 	if math.Abs(p.Polygon.Area()-80) > 1e-9 {
 		t.Errorf("space area = %v", p.Polygon.Area())
@@ -127,7 +127,8 @@ func TestExtractRepairsDuplicateVertices(t *testing.T) {
 	if repaired == 0 {
 		t.Errorf("no repairs recorded: %v", rep.Issues)
 	}
-	if got := len(b.Floors[0].Partitions[0].Polygon); got != 4 {
+	f0, _ := b.Floor(0)
+	if got := len(f0.Partitions[0].Polygon); got != 4 {
 		t.Errorf("repaired polygon has %d vertices, want 4", got)
 	}
 }
@@ -167,7 +168,8 @@ func TestExtractSnapsNearbyDoor(t *testing.T) {
 	if b.DoorCount() != 1 {
 		t.Fatal("snappable door dropped")
 	}
-	d := b.Floors[0].Doors[0]
+	f0, _ := b.Floor(0)
+	d := f0.Doors[0]
 	if math.Abs(d.Position.X-10) > 1e-6 {
 		t.Errorf("door not snapped: %v", d.Position)
 	}

@@ -44,7 +44,8 @@ func BenchmarkPositioning(b *testing.B) {
 		}
 		devs = append(devs, ds...)
 	}
-	box := bld.Floors[0].BBox()
+	f0, _ := bld.Floor(0)
+	box := f0.BBox()
 	var traj []trajectory.Sample
 	x := 0.0
 	for i := 0; i <= 1800; i++ {

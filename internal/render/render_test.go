@@ -13,7 +13,7 @@ import (
 
 func TestFloorRenderContainsMarkers(t *testing.T) {
 	b := ifc.Office(ifc.DefaultOfficeSpec())
-	f := b.Floors[0]
+	f, _ := b.Floor(0)
 	devs := []*device.Device{
 		{ID: "d", Floor: 0, Position: geom.Pt(20, 10), Props: device.DefaultProperties(device.WiFi)},
 	}
@@ -55,7 +55,7 @@ func TestEmptyFloor(t *testing.T) {
 
 func TestWrongFloorMarkersSkipped(t *testing.T) {
 	b := ifc.Office(ifc.DefaultOfficeSpec())
-	f := b.Floors[0]
+	f, _ := b.Floor(0)
 	devs := []*device.Device{
 		{ID: "d", Floor: 1, Position: geom.Pt(20, 10), Props: device.DefaultProperties(device.WiFi)},
 	}

@@ -33,7 +33,7 @@ func officeTopo(t testing.TB) *Topology {
 
 func TestConnectDoorsOffice(t *testing.T) {
 	topo := officeTopo(t)
-	f := topo.B.Floors[0]
+	f, _ := topo.B.Floor(0)
 	for _, d := range f.Doors {
 		if d.Partitions[0] == "" {
 			t.Errorf("door %s has no primary partition", d.ID)

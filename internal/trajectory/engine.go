@@ -101,10 +101,9 @@ type Engine struct {
 	cfg     Config
 	rnd     *rng.Rand
 
-	// destParts/destAreas cache the destination candidates (every partition
-	// of the building, in floor order) so route planning does not rebuild
-	// them per pick.
-	destParts []*model.Partition
+	// destAreas caches each destination candidate's weight, its area, by
+	// partition number (topo.Partitions), so route planning does not
+	// recompute them per pick.
 	destAreas []float64
 
 	objects []*object.Object
@@ -126,11 +125,8 @@ func NewEngine(t *topo.Topology, sp *object.Spawner, cfg Config, r *rng.Rand) (*
 		cfg.SampleInterval = 1.0
 	}
 	e := &Engine{topo: t, spawner: sp, cfg: cfg, rnd: r}
-	for _, f := range t.B.Floors {
-		for _, p := range f.Partitions {
-			e.destParts = append(e.destParts, p)
-			e.destAreas = append(e.destAreas, p.Polygon.Area())
-		}
+	for _, p := range t.Partitions() {
+		e.destAreas = append(e.destAreas, p.Polygon.Area())
 	}
 	return e, nil
 }
@@ -262,9 +258,10 @@ func (s *objectSim) pickDestination() (model.Location, bool) {
 		pt := topo.RandomPointIn(p, s.rnd.Float64)
 		return model.At(b.ID, p.Floor, p.ID, pt), true
 	default: // DestinationIntent
-		parts := make([]*model.Partition, 0, len(e.destParts))
-		weights := make([]float64, 0, len(e.destParts))
-		for i, p := range e.destParts {
+		all := e.topo.Partitions()
+		parts := make([]*model.Partition, 0, len(all))
+		weights := make([]float64, 0, len(all))
+		for i, p := range all {
 			if p.Floor == o.Loc.Floor && p.ID == o.Loc.Partition {
 				continue
 			}

@@ -64,7 +64,8 @@ func TestQueryEngine(t *testing.T) {
 	if info.Samples != ds.TrajectoryStats.Samples || info.T1 <= info.T0 {
 		t.Fatalf("info = %d samples over [%v, %v], want %d", info.Samples, info.T0, info.T1, ds.TrajectoryStats.Samples)
 	}
-	bounds := ds.Building.Floors[0].BBox()
+	f0, _ := ds.Building.Floor(0)
+	bounds := f0.BBox()
 	mid := (info.T0 + info.T1) / 2
 	if r, err := qd.Range(RangeRequest{Floor: 0, Box: bounds, T0: info.T0, T1: info.T1}); err != nil || len(r.Hits) == 0 {
 		t.Fatalf("full-floor range query empty (%v)", err)
