@@ -354,7 +354,7 @@ func disconnected(t *topo.Topology) []ifc.Issue {
 	}
 	for a := range parts {
 		for _, b := range t.Exits(a) {
-			link(a, int(b))
+			link(a, b)
 		}
 	}
 	for _, s := range t.B.Staircases {
@@ -366,84 +366,60 @@ func disconnected(t *topo.Topology) []ifc.Issue {
 		}
 	}
 
-	parent := make([]int, len(parts))
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
-	for a, bs := range out {
-		for _, b := range bs {
-			parent[find(a)] = find(b)
-		}
-	}
-	size := make([]int, len(parts))
-	for i := range parts {
-		size[find(i)]++
-	}
-	// In (floor, ID) order, the first largest group met holds the lowest
-	// partition of any group its size, and its first partition is the
-	// anchor.
-	main := find(order[0])
-	for _, i := range order {
-		if r := find(i); size[r] > size[main] {
-			main = r
-		}
-	}
-	anchor := order[slices.IndexFunc(order, func(i int) bool { return find(i) == main })]
-	reach := func(adj [][]int) []bool {
-		seen := make([]bool, len(parts))
-		seen[anchor] = true
-		stack := []int{anchor}
+	// walk marks, in seen, every partition reachable from start over the
+	// adjacency lists adjs, and returns how many it newly marked.
+	walk := func(start int, seen []bool, adjs ...[][]int) int {
+		seen[start] = true
+		n, stack := 1, []int{start}
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, v := range adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
+			for _, adj := range adjs {
+				for _, v := range adj[u] {
+					if !seen[v] {
+						seen[v] = true
+						n++
+						stack = append(stack, v)
+					}
 				}
 			}
 		}
-		return seen
+		return n
 	}
-	into, outOf := reach(out), reach(in)
+	// Walking both ways marks one whole group. In (floor, ID) order, the
+	// first largest group met holds the lowest partition of any group its
+	// size, and the partition it was met at is the anchor.
+	grouped := make([]bool, len(parts))
+	anchor, largest := 0, 0
+	for _, i := range order {
+		if !grouped[i] {
+			if n := walk(i, grouped, out, in); n > largest {
+				anchor, largest = i, n
+			}
+		}
+	}
+	into, outOf := make([]bool, len(parts)), make([]bool, len(parts))
+	walk(anchor, into, out)
+	walk(anchor, outOf, in)
 
-	// One issue per room, in the (floor, ID) order of its first partition
+	// One issue per room, in (floor, ID) order, from its first partition
 	// that fails either way.
 	type room struct {
 		floor int
 		id    string
 	}
-	type fails struct{ into, outOf bool }
-	var rooms []room
-	failed := make(map[room]*fails)
+	reported := make(map[room]bool)
+	var issues []ifc.Issue
 	for _, i := range order {
-		if into[i] && outOf[i] {
+		r := room{parts[i].Floor, parts[i].Room()}
+		if into[i] && outOf[i] || reported[r] {
 			continue
 		}
-		r := room{parts[i].Floor, parts[i].Room()}
-		f := failed[r]
-		if f == nil {
-			f = &fails{}
-			failed[r] = f
-			rooms = append(rooms, r)
-		}
-		f.into = f.into || !into[i]
-		f.outOf = f.outOf || !outOf[i]
-	}
-	var issues []ifc.Issue
-	for _, r := range rooms {
+		reported[r] = true
 		msg := "no door or staircase connects the room to the rest of the building"
-		switch f := failed[r]; {
-		case !f.outOf:
+		if outOf[i] {
 			msg = "the room cannot be entered: no door or staircase leads into it from the rest of the building"
-		case !f.into:
+		} else if into[i] {
 			msg = "the room cannot be left: no door or staircase leads out of it to the rest of the building"
 		}
 		issues = append(issues, ifc.Issue{Severity: ifc.SevError, Entity: r.id, Message: msg})

@@ -387,10 +387,7 @@ func mallTopology() (*topo.Topology, error) {
 }
 
 func randomODPair(t *topo.Topology, r *rng.Rand) (model.Location, model.Location, bool) {
-	var parts []*model.Partition
-	for _, f := range t.B.Floors {
-		parts = append(parts, f.Partitions...)
-	}
+	parts := t.Partitions()
 	if len(parts) < 2 {
 		return model.Location{}, model.Location{}, false
 	}
@@ -431,10 +428,8 @@ func E7DBIProcessing(seed uint64) (*Table, error) {
 		b := topology.B
 		spaces := map[string]bool{} // the DBI's rooms, before decomposition
 		linked := 0
-		for _, f := range b.Floors {
-			for _, p := range f.Partitions {
-				spaces[p.Room()] = true
-			}
+		for _, p := range topology.Partitions() {
+			spaces[p.Room()] = true
 		}
 		for _, s := range b.Staircases {
 			if s.Linked {

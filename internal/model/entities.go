@@ -140,19 +140,6 @@ func (d *Door) Leads(from, to string) bool {
 	}
 }
 
-// Other returns the partition on the opposite side of the door from p, and
-// false when p is not incident to the door.
-func (d *Door) Other(p string) (string, bool) {
-	switch p {
-	case d.Partitions[0]:
-		return d.Partitions[1], true
-	case d.Partitions[1]:
-		return d.Partitions[0], true
-	default:
-		return "", false
-	}
-}
-
 // Staircase is modeled as IFC models it: a bag of 3D boundary points whose
 // floor connectivity is not given and must be resolved by the two-step
 // algorithm in internal/topo (paper §4.1).

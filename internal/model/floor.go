@@ -91,18 +91,6 @@ func (f *Floor) BBox() geom.BBox {
 	return b
 }
 
-// DoorsOf returns the doors incident to the given partition, in stable order.
-func (f *Floor) DoorsOf(partitionID string) []*Door {
-	var out []*Door
-	for _, d := range f.Doors {
-		if d.Partitions[0] == partitionID || d.Partitions[1] == partitionID {
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // WallSet builds the set of wall segments on this floor for line-of-sight
 // computations: every partition boundary edge, with gaps punched at doors
 // (clearance = door width), plus all obstacle edges.

@@ -73,7 +73,7 @@ func TestRemovePartition(t *testing.T) {
 	}
 }
 
-func TestDoorLeadsAndOther(t *testing.T) {
+func TestDoorLeads(t *testing.T) {
 	d := &Door{Partitions: [2]string{"A", "B"}}
 	for _, dir := range []DoorDirection{Both, AToB, BToA} {
 		d.Direction = dir
@@ -96,12 +96,6 @@ func TestDoorLeadsAndOther(t *testing.T) {
 	}
 	if d.Leads("A", "C") {
 		t.Error("unrelated partitions lead")
-	}
-	if o, ok := d.Other("A"); !ok || o != "B" {
-		t.Errorf("Other(A) = %v, %v", o, ok)
-	}
-	if _, ok := d.Other("Z"); ok {
-		t.Error("Other(Z) found")
 	}
 }
 

@@ -48,7 +48,13 @@ func DefaultSemanticRules() []SemanticRule {
 		{
 			Name: "public-area-by-connectivity-and-floorage",
 			Apply: func(p *Partition, f *Floor) (PartitionKind, bool) {
-				if len(f.DoorsOf(p.ID)) >= minPublicDoors && p.Polygon.Area() >= minPublicArea {
+				doors := 0
+				for _, d := range f.Doors {
+					if d.Partitions[0] == p.ID || d.Partitions[1] == p.ID {
+						doors++
+					}
+				}
+				if doors >= minPublicDoors && p.Polygon.Area() >= minPublicArea {
 					return KindPublicArea, true
 				}
 				return 0, false

@@ -30,7 +30,11 @@ func (Uniform) Name() string { return "uniform" }
 
 // Place implements Distribution.
 func (Uniform) Place(t *topo.Topology, r *rng.Rand) (model.Location, error) {
-	parts, weights := partitionAreas(t.B)
+	parts := t.Partitions()
+	weights := make([]float64, len(parts))
+	for i, p := range parts {
+		weights[i] = p.Polygon.Area()
+	}
 	if len(parts) == 0 {
 		return model.Location{}, fmt.Errorf("object: building has no partitions")
 	}
@@ -70,7 +74,7 @@ func (c CrowdOutliers) Place(t *topo.Topology, r *rng.Rand) (model.Location, err
 	if radius <= 0 {
 		radius = 3
 	}
-	hot, err := c.hotAreas(t.B)
+	hot, err := c.hotAreas(t)
 	if err != nil {
 		return model.Location{}, err
 	}
@@ -90,17 +94,15 @@ func (c CrowdOutliers) Place(t *topo.Topology, r *rng.Rand) (model.Location, err
 }
 
 // hotAreas resolves the configured or auto-selected hot partitions.
-func (c CrowdOutliers) hotAreas(b *model.Building) ([]*model.Partition, error) {
+func (c CrowdOutliers) hotAreas(t *topo.Topology) ([]*model.Partition, error) {
 	var out []*model.Partition
 	if len(c.HotPartitions) > 0 {
 		for _, id := range c.HotPartitions {
 			found := false
-			for _, f := range b.Floors {
-				for _, p := range f.Partitions {
-					if p.ID == id || p.Parent == id {
-						out = append(out, p)
-						found = true
-					}
+			for _, p := range t.Partitions() {
+				if p.ID == id || p.Parent == id {
+					out = append(out, p)
+					found = true
 				}
 			}
 			if !found {
@@ -110,11 +112,9 @@ func (c CrowdOutliers) hotAreas(b *model.Building) ([]*model.Partition, error) {
 		return out, nil
 	}
 	// Auto: "(on sale)" shops first.
-	for _, f := range b.Floors {
-		for _, p := range f.Partitions {
-			if strings.Contains(strings.ToLower(p.Name), "(on sale)") {
-				out = append(out, p)
-			}
+	for _, p := range t.Partitions() {
+		if strings.Contains(strings.ToLower(p.Name), "(on sale)") {
+			out = append(out, p)
 		}
 	}
 	if len(out) > 0 {
@@ -126,11 +126,9 @@ func (c CrowdOutliers) hotAreas(b *model.Building) ([]*model.Partition, error) {
 		n = 3
 	}
 	var all []*model.Partition
-	for _, f := range b.Floors {
-		for _, p := range f.Partitions {
-			if p.Kind != model.KindHallway && p.Kind != model.KindStaircase {
-				all = append(all, p)
-			}
+	for _, p := range t.Partitions() {
+		if p.Kind != model.KindHallway && p.Kind != model.KindStaircase {
+			all = append(all, p)
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -144,16 +142,4 @@ func (c CrowdOutliers) hotAreas(b *model.Building) ([]*model.Partition, error) {
 		all = all[:n]
 	}
 	return all, nil
-}
-
-func partitionAreas(b *model.Building) ([]*model.Partition, []float64) {
-	var parts []*model.Partition
-	var weights []float64
-	for _, f := range b.Floors {
-		for _, p := range f.Partitions {
-			parts = append(parts, p)
-			weights = append(weights, p.Polygon.Area())
-		}
-	}
-	return parts, weights
 }

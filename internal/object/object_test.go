@@ -51,7 +51,7 @@ func TestCrowdOutliersConcentrates(t *testing.T) {
 	r := rng.New(2)
 	dist := CrowdOutliers{CrowdFraction: 0.8}
 	// The mall names some shops "(on sale)": those are the hot areas.
-	hot, err := dist.hotAreas(tp.B)
+	hot, err := dist.hotAreas(tp)
 	if err != nil {
 		t.Fatal(err)
 	}

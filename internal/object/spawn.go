@@ -132,11 +132,9 @@ func (s *Spawner) emergingLocation(r *rng.Rand) (model.Location, error) {
 	id := s.cfg.EmergingPartitions[r.Intn(len(s.cfg.EmergingPartitions))]
 	// Accept decomposed children of the configured partition.
 	var cands []*model.Partition
-	for _, f := range s.topo.B.Floors {
-		for _, p := range f.Partitions {
-			if p.ID == id || p.Parent == id {
-				cands = append(cands, p)
-			}
+	for _, p := range s.topo.Partitions() {
+		if p.ID == id || p.Parent == id {
+			cands = append(cands, p)
 		}
 	}
 	if len(cands) == 0 {

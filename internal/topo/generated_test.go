@@ -137,22 +137,21 @@ func checkDoorHomes(t *testing.T, b *model.Building) {
 // search each way from the anchor's portals covers every route.
 func checkRoutesThroughAnchor(t *testing.T, tp *Topology) {
 	t.Helper()
-	g := tp.graph
-	fwd := make([][]int32, len(g.nodes))
-	rev := make([][]int32, len(g.nodes))
-	for u, edges := range g.adj {
+	fwd := make([][]int, len(tp.nodes))
+	rev := make([][]int, len(tp.nodes))
+	for u, edges := range tp.adj {
 		for _, e := range edges {
 			fwd[u] = append(fwd[u], e.to)
-			rev[e.to] = append(rev[e.to], int32(u))
+			rev[e.to] = append(rev[e.to], u)
 		}
 	}
 	anchor := tp.parts[0]
 	for _, dir := range []struct {
 		name string
-		adj  [][]int32
+		adj  [][]int
 	}{{"from", fwd}, {"to", rev}} {
-		seen := make([]bool, len(g.nodes))
-		stack := append([]int32(nil), tp.nodes[0]...)
+		seen := make([]bool, len(tp.nodes))
+		stack := append([]int(nil), tp.partNodes[0]...)
 		for _, u := range stack {
 			seen[u] = true
 		}
@@ -169,7 +168,7 @@ func checkRoutesThroughAnchor(t *testing.T, tp *Topology) {
 		var cut []string
 		for n, p := range tp.parts {
 			reached := n == 0
-			for _, u := range tp.nodes[n] {
+			for _, u := range tp.partNodes[n] {
 				reached = reached || seen[u]
 			}
 			if !reached {

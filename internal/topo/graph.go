@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"vita/internal/geom"
 	"vita/internal/model"
@@ -60,36 +61,29 @@ type Route struct {
 // (door or staircase end) inside a partition. Each door and each
 // staircase end is its own portal.
 type node struct {
-	part  int32 // partition number
+	part  int // partition number
 	point geom.Point
 }
 
 // edge is one directed hop.
 type edge struct {
-	to   int32
+	to   int
 	dist float64 // meters
-	time float64 // stair travel time; walking time is derived from dist
+	time float64 // stair travel time, 0 off stairs; walking time is derived from dist
 	// stair marks staircase traversals: their walking time is the fixed time
 	// only, not dist/speed.
 	stair bool
 	via   string
 }
 
-// graph is the static accessibility graph of a building.
-type graph struct {
-	nodes []node
-	adj   [][]edge
-}
-
-// buildGraph constructs the directed door/stair accessibility graph,
-// honoring door directionality, and fills t.nodes.
-func buildGraph(t *Topology) *graph {
-	g := &graph{}
-	addNode := func(part int32, pt geom.Point) int32 {
-		id := int32(len(g.nodes))
-		g.nodes = append(g.nodes, node{part: part, point: pt})
-		g.adj = append(g.adj, nil)
-		t.nodes[part] = append(t.nodes[part], id)
+// buildGraph constructs the static, directed door/stair accessibility
+// graph, honoring door directionality, and fills t.partNodes.
+func (t *Topology) buildGraph() {
+	addNode := func(part int, pt geom.Point) int {
+		id := len(t.nodes)
+		t.nodes = append(t.nodes, node{part: part, point: pt})
+		t.adj = append(t.adj, nil)
+		t.partNodes[part] = append(t.partNodes[part], id)
 		return id
 	}
 
@@ -98,7 +92,7 @@ func buildGraph(t *Topology) *graph {
 		ids := t.floors[i].ids
 		for _, d := range f.Doors {
 			a, b := d.Partitions[0], d.Partitions[1]
-			na, nb := int32(-1), int32(-1)
+			na, nb := -1, -1
 			if a != "" {
 				na = addNode(ids[a], d.Position)
 			}
@@ -109,10 +103,10 @@ func buildGraph(t *Topology) *graph {
 				continue // an exterior door is a portal of its one partition
 			}
 			if d.Leads(a, b) {
-				g.adj[na] = append(g.adj[na], edge{to: nb, via: d.ID})
+				t.adj[na] = append(t.adj[na], edge{to: nb, via: d.ID})
 			}
 			if d.Leads(b, a) {
-				g.adj[nb] = append(g.adj[nb], edge{to: na, via: d.ID})
+				t.adj[nb] = append(t.adj[nb], edge{to: na, via: d.ID})
 			}
 		}
 	}
@@ -124,26 +118,25 @@ func buildGraph(t *Topology) *graph {
 		}
 		upPart, _ := t.PartitionNumber(s.UpperFloor, s.UpperPartition)
 		loPart, _ := t.PartitionNumber(s.LowerFloor, s.LowerPartition)
-		up := addNode(int32(upPart), s.UpperEntry())
-		lo := addNode(int32(loPart), s.LowerEntry())
+		up := addNode(upPart, s.UpperEntry())
+		lo := addNode(loPart, s.LowerEntry())
 		length := stairLength(t.B, s)
-		g.adj[up] = append(g.adj[up], edge{to: lo, dist: length, time: s.TravelTime, stair: true, via: s.ID})
-		g.adj[lo] = append(g.adj[lo], edge{to: up, dist: length, time: s.TravelTime, stair: true, via: s.ID})
+		t.adj[up] = append(t.adj[up], edge{to: lo, dist: length, time: s.TravelTime, stair: true, via: s.ID})
+		t.adj[lo] = append(t.adj[lo], edge{to: up, dist: length, time: s.TravelTime, stair: true, via: s.ID})
 	}
 
 	// Within-partition edges: all portals sharing a partition are mutually
 	// reachable by straight-line walking (partitions are convex after
 	// decomposition).
-	for _, ids := range t.nodes {
+	for _, ids := range t.partNodes {
 		for _, i := range ids {
 			for _, j := range ids {
 				if i != j {
-					g.adj[i] = append(g.adj[i], edge{to: j, dist: g.nodes[i].point.Dist(g.nodes[j].point)})
+					t.adj[i] = append(t.adj[i], edge{to: j, dist: t.nodes[i].point.Dist(t.nodes[j].point)})
 				}
 			}
 		}
 	}
-	return g
 }
 
 // stairLength approximates the 3D walking length of a staircase from its
@@ -187,7 +180,7 @@ func speedOf(kind model.PartitionKind) float64 {
 
 // pqItem is a Dijkstra frontier entry.
 type pqItem struct {
-	node int32
+	node int
 	cost float64
 }
 
@@ -234,7 +227,7 @@ func (h *frontier) pop() pqItem {
 // and time along that path, and the hop that reached the node.
 type label struct {
 	cost, dist, time float64
-	prev             int32
+	prev             int
 	done             bool
 	hop              edge
 }
@@ -242,7 +235,6 @@ type label struct {
 // Route computes a route between two locations under the given metric: it
 // runs Dijkstra over the static graph plus two injected query nodes.
 func (t *Topology) Route(from, to model.Location, metric Metric) (*Route, error) {
-	g := t.graph
 	fromPart, err := t.resolvePartition(from)
 	if err != nil {
 		return nil, err
@@ -261,7 +253,7 @@ func (t *Topology) Route(from, to model.Location, metric Metric) (*Route, error)
 		return &Route{Waypoints: []Waypoint{start, end}, Distance: d, Time: d / t.speed[fromPart]}, nil
 	}
 
-	n := int32(len(g.nodes))
+	n := len(t.nodes)
 	src, dst := n, n+1
 	labels := make([]label, n+2)
 	for i := range labels {
@@ -271,7 +263,7 @@ func (t *Topology) Route(from, to model.Location, metric Metric) (*Route, error)
 	labels[src].cost = 0
 	h := frontier{{node: src}}
 	// relax offers the hop e out of u, walked at speed.
-	relax := func(u int32, e edge, speed float64) {
+	relax := func(u int, e edge, speed float64) {
 		tm := e.dist / speed
 		if e.stair {
 			tm = e.time
@@ -300,13 +292,13 @@ func (t *Topology) Route(from, to model.Location, metric Metric) (*Route, error)
 			break
 		}
 		if u == src {
-			for _, v := range t.nodes[fromPart] {
-				relax(src, edge{to: v, dist: from.Point.Dist(g.nodes[v].point)}, t.speed[fromPart])
+			for _, v := range t.partNodes[fromPart] {
+				relax(src, edge{to: v, dist: from.Point.Dist(t.nodes[v].point)}, t.speed[fromPart])
 			}
 			continue
 		}
-		nd := g.nodes[u]
-		for _, e := range g.adj[u] {
+		nd := t.nodes[u]
+		for _, e := range t.adj[u] {
 			relax(u, e, t.speed[nd.part])
 		}
 		if nd.part == toPart {
@@ -318,31 +310,19 @@ func (t *Topology) Route(from, to model.Location, metric Metric) (*Route, error)
 	}
 
 	// Reconstruct waypoints, back from dst.
-	hops := 0
-	for cur := dst; cur != -1; cur = labels[cur].prev {
-		hops++
-	}
-	wps := make([]Waypoint, hops)
-	for cur := dst; cur != -1; cur = labels[cur].prev {
-		hops--
-		var wp Waypoint
-		switch cur {
-		case src:
-			wps[hops] = start
-			continue
-		case dst:
-			wp = end
-		default:
-			nd := g.nodes[cur]
+	var wps []Waypoint
+	for cur := dst; cur != src; cur = labels[cur].prev {
+		wp := end
+		if cur != dst {
+			nd := t.nodes[cur]
 			p := t.parts[nd.part]
 			wp = Waypoint{Floor: p.Floor, Point: nd.point, Partition: p.ID}
 		}
 		hop := labels[cur].hop
-		wp.Via, wp.Stair, wp.Length = hop.via, hop.stair, hop.dist
-		if hop.stair {
-			wp.TravelTime = hop.time
-		}
-		wps[hops] = wp
+		wp.Via, wp.Stair, wp.Length, wp.TravelTime = hop.via, hop.stair, hop.dist, hop.time
+		wps = append(wps, wp)
 	}
+	wps = append(wps, start)
+	slices.Reverse(wps)
 	return &Route{Waypoints: wps, Distance: labels[dst].dist, Time: labels[dst].time}, nil
 }

@@ -40,14 +40,16 @@ type Topology struct {
 	// floors holds each floor's derived geometry, in B.Floors order.
 	floors []floorIndex
 	// parts are the numbered partitions; speed (walking speed, m/s),
-	// nodes (the graph nodes standing in the partition) and exits (the
+	// partNodes (the graph nodes standing in the partition) and exits (the
 	// partitions its doors lead to, in door ID order) are indexed like it.
-	parts []*model.Partition
-	speed []float64
-	nodes [][]int32
-	exits [][]int32
+	parts     []*model.Partition
+	speed     []float64
+	partNodes [][]int
+	exits     [][]int
 
-	graph *graph
+	// nodes and adj are the accessibility graph routes run on.
+	nodes []node
+	adj   [][]edge
 }
 
 // floorIndex is one floor's walls, partition R-tree and partition numbers.
@@ -55,7 +57,7 @@ type floorIndex struct {
 	level int
 	walls *geom.WallSet
 	rtree *index.RTree
-	ids   map[string]int32 // partition ID → partition number
+	ids   map[string]int // partition ID → partition number
 }
 
 // Build derives the full topology of a building: optional decomposition,
@@ -79,30 +81,24 @@ func Build(b *model.Building, opts Options) (*Topology, error) {
 		return nil, err
 	}
 
-	n := b.PartitionCount()
-	t := &Topology{
-		B:      b,
-		floors: make([]floorIndex, len(b.Floors)),
-		parts:  make([]*model.Partition, 0, n),
-		speed:  make([]float64, 0, n),
-		nodes:  make([][]int32, n),
-		exits:  make([][]int32, n),
-	}
+	t := &Topology{B: b, floors: make([]floorIndex, len(b.Floors))}
 	for i, f := range b.Floors {
 		fi := &t.floors[i]
 		fi.level = f.Level
 		fi.walls = f.WallSet()
-		fi.ids = make(map[string]int32, len(f.Partitions))
+		fi.ids = make(map[string]int, len(f.Partitions))
 		items := make([]index.Item, 0, len(f.Partitions))
 		for _, p := range f.Partitions {
-			fi.ids[p.ID] = int32(len(t.parts))
+			fi.ids[p.ID] = len(t.parts)
 			t.parts = append(t.parts, p)
 			t.speed = append(t.speed, speedOf(p.Kind))
 			items = append(items, p)
 		}
 		fi.rtree = index.BulkLoad(items)
 	}
-	t.graph = buildGraph(t)
+	t.partNodes = make([][]int, len(t.parts))
+	t.exits = make([][]int, len(t.parts))
+	t.buildGraph()
 	t.linkExits()
 	return t, nil
 }
@@ -110,30 +106,21 @@ func Build(b *model.Building, opts Options) (*Topology, error) {
 // linkExits lists, per partition, the partitions its doors lead to, in
 // door ID order.
 func (t *Topology) linkExits() {
-	type exit struct {
-		door string
-		to   int32
-	}
-	out := make([][]exit, len(t.parts))
 	for i, f := range t.B.Floors {
 		ids := t.floors[i].ids
-		for _, d := range f.Doors {
+		doors := slices.Clone(f.Doors)
+		slices.SortStableFunc(doors, func(x, y *model.Door) int { return strings.Compare(x.ID, y.ID) })
+		for _, d := range doors {
 			a, b := d.Partitions[0], d.Partitions[1]
 			if a == "" || b == "" {
 				continue
 			}
 			if d.Leads(a, b) {
-				out[ids[a]] = append(out[ids[a]], exit{d.ID, ids[b]})
+				t.exits[ids[a]] = append(t.exits[ids[a]], ids[b])
 			}
 			if d.Leads(b, a) {
-				out[ids[b]] = append(out[ids[b]], exit{d.ID, ids[a]})
+				t.exits[ids[b]] = append(t.exits[ids[b]], ids[a])
 			}
-		}
-	}
-	for n, es := range out {
-		slices.SortStableFunc(es, func(x, y exit) int { return strings.Compare(x.door, y.door) })
-		for _, e := range es {
-			t.exits[n] = append(t.exits[n], e.to)
 		}
 	}
 }
@@ -159,14 +146,14 @@ func (t *Topology) PartitionNumber(floor int, id string) (int, bool) {
 		return 0, false
 	}
 	n, ok := fi.ids[id]
-	return int(n), ok
+	return n, ok
 }
 
 // Exits returns the numbers of the partitions the doors of partition n
 // lead to, in door ID order: a one-way door counts only from the side it
 // opens from, and exterior doors not at all. The caller must not modify
 // the slice.
-func (t *Topology) Exits(n int) []int32 { return t.exits[n] }
+func (t *Topology) Exits(n int) []int { return t.exits[n] }
 
 // PartitionAt locates the partition containing pt on the given floor using
 // the spatial index.
@@ -193,10 +180,10 @@ func (t *Topology) PartitionAt(floor int, pt geom.Point) (*model.Partition, bool
 // resolvePartition returns the number of a location's partition: the named
 // one when it exists on the location's floor, else the one containing its
 // coordinate.
-func (t *Topology) resolvePartition(loc model.Location) (int32, error) {
+func (t *Topology) resolvePartition(loc model.Location) (int, error) {
 	if loc.Partition != "" {
 		if n, ok := t.PartitionNumber(loc.Floor, loc.Partition); ok {
-			return int32(n), nil
+			return n, nil
 		}
 		// The caller may hold a pre-decomposition ID; fall through to
 		// coordinate resolution.
@@ -209,14 +196,14 @@ func (t *Topology) resolvePartition(loc model.Location) (int32, error) {
 		return 0, fmt.Errorf("topo: location %s lies in no partition", loc)
 	}
 	n, _ := t.PartitionNumber(loc.Floor, p.ID)
-	return int32(n), nil
+	return n, nil
 }
 
 // GraphSize returns the number of nodes and directed edges of the
 // accessibility graph (diagnostics and benchmarks).
 func (t *Topology) GraphSize() (nodes, edges int) {
-	nodes = len(t.graph.nodes)
-	for _, a := range t.graph.adj {
+	nodes = len(t.nodes)
+	for _, a := range t.adj {
 		edges += len(a)
 	}
 	return

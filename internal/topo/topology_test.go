@@ -220,3 +220,37 @@ func TestWallCrossings(t *testing.T) {
 		t.Errorf("expected 0 crossings within a room, got %d", n)
 	}
 }
+
+// TestIDsRepeatedAcrossFloors: partition and door IDs are unique per floor
+// only, so both office floors may use the same ones. Every portal is its
+// own graph node, so a route never jumps floors off a staircase.
+func TestIDsRepeatedAcrossFloors(t *testing.T) {
+	text := strings.ReplaceAll(ifc.OfficeIFC(), "'F1-", "'F0-")
+	f, err := ifc.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := ifc.Extract(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := Build(b, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, trip := range []struct{ from, to model.Location }{
+		{model.At("office", 0, "", geom.Pt(4, 4)), model.At("office", 1, "", geom.Pt(36, 18.5))},
+		{model.At("office", 1, "", geom.Pt(4, 4)), model.At("office", 1, "", geom.Pt(36, 18.5))},
+	} {
+		r, err := tp.Route(trip.from, trip.to, MinDistance)
+		if err != nil {
+			t.Fatalf("route %s → %s: %v", trip.from, trip.to, err)
+		}
+		for i := 1; i < len(r.Waypoints); i++ {
+			a, b := r.Waypoints[i-1], r.Waypoints[i]
+			if b.Stair == (a.Floor == b.Floor) {
+				t.Errorf("route %s → %s: hop %d from floor %d to %d (stair %t): %+v", trip.from, trip.to, i, a.Floor, b.Floor, b.Stair, r.Waypoints)
+			}
+		}
+	}
+}

@@ -326,7 +326,7 @@ func legCost(b topo.Waypoint, walkSpeed float64) (float64, float64) {
 		if b.TravelTime > 0 {
 			return b.Length, b.TravelTime
 		}
-		return b.Length, b.Length / maxf(walkSpeed*0.6, 0.3)
+		return b.Length, b.Length / max(walkSpeed*0.6, 0.3)
 	}
 	if walkSpeed <= 0 {
 		walkSpeed = 1
@@ -356,11 +356,4 @@ func (s *objectSim) arrive(t float64) {
 	default:
 		o.Phase = object.PhaseWalking
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
