@@ -11,7 +11,7 @@
 // compacting a flate-era log rewrites it under vsnap.
 //
 // Compaction is crash-safe: the merged segment builds under a temporary
-// name, the swap is one manifest commit, and a process killed mid-merge
+// name, the swap is one manifest checkpoint, and a process killed mid-merge
 // leaves the log — and every query against it — untouched. It is a log
 // mutation, so run it only when no other writer or compactor has the log
 // (readers, including a running vitaserve, are unaffected and pick up the

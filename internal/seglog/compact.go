@@ -36,10 +36,11 @@ func (o CompactorOptions) withDefaults() CompactorOptions {
 // logs, object-group order for RSSI logs — so zone maps tighten back up and
 // scans touch one file instead of many. The merge never blocks readers or
 // the writer: inputs are immutable, the output builds under a .tmp name, and
-// the swap is one manifest commit. Superseded files are deleted only after
-// in-process readers drain (tombstones); a compactor killed mid-merge leaves
-// an orphan .tmp and an untouched manifest, so queries are byte-identical
-// before and after the crash.
+// the swap is one manifest checkpoint (which also empties the journal).
+// Superseded files are deleted only after in-process readers drain
+// (tombstones); a compactor killed mid-merge leaves an orphan .tmp and an
+// untouched manifest, so queries are byte-identical before and after the
+// crash.
 //
 // A Compactor is a log mutator: run it in the writer's process or, under the
 // single-mutator rule, as the log's only mutating process.
@@ -48,8 +49,13 @@ type Compactor struct {
 	opts CompactorOptions
 }
 
-// NewCompactor returns a compactor over l.
+// NewCompactor returns a compactor over l, folding the log's manifest
+// journal into a checkpoint first. A failed fold is only logged: a compactor
+// appends no journal record, and its commit writes a checkpoint anyway.
 func NewCompactor(l *Log, opts CompactorOptions) *Compactor {
+	if err := l.foldJournal(); err != nil {
+		slog.Warn("manifest journal fold failed", "dir", l.dir, "error", err.Error())
+	}
 	return &Compactor{log: l, opts: opts.withDefaults()}
 }
 
@@ -112,6 +118,9 @@ func (c *Compactor) runOnce() (*SegmentMeta, error) {
 		return nil, err
 	}
 	st, err := os.Stat(filepath.Join(c.log.dir, segName(id)))
+	if err == nil {
+		err = syncDir(c.log.dir)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,33 @@
 // the LSM-shaped evolution that lets vitaserve answer queries over data that
 // never stops arriving. A Writer rolls small time-ordered segments at a
 // size/row threshold; a Compactor merges accumulated segments back into one
-// large segment re-blocked into global order so zone maps stay tight. Every
-// mutation is a write-temp → fsync → rename → manifest store sequence, so a
-// crash at any instant leaves the log at its last consistent snapshot:
-// readers see only segments the manifest names, and recovery is simply
-// ignoring (or sweeping) orphan files.
+// large segment re-blocked into global order so zone maps stay tight.
+//
+// The manifest is two files, the way LevelDB keeps its MANIFEST: a
+// checkpoint, MANIFEST.json, holding a whole manifest, and a journal,
+// MANIFEST.log, of one JSON line per segment sealed since that checkpoint
+// (the generation it makes, the next ID, the segment's meta). A seal commits
+// in this durable order: fsync the segment's .tmp file, rename it to its
+// final name, fsync the directory, append the record to the journal, fsync
+// the journal (the journal's first append in a process also fsyncs the
+// directory, for the journal's own entry). Appending costs no block free;
+// replacing MANIFEST.json by rename frees the old, fsynced file's blocks,
+// which on a disk that discards freed blocks costs tens of milliseconds. So
+// the checkpoint is rewritten (temp file, fsync, rename, directory fsync,
+// then the journal is removed) only at Create, at a compaction's commit, and
+// when a mutator (NewTrajectoryWriter, NewRSSIWriter, NewCompactor) opens a
+// log whose journal is not empty, folding the journal in.
+//
+// LoadManifest reads the checkpoint, then the journal's records in file
+// order: a record at or below the current generation is stale (written
+// before the checkpoint that now holds it) and skipped, the record at the
+// next generation is applied, and anything else — a torn last line, bad
+// JSON, a generation gap — ends the replay. A crash at any instant therefore
+// leaves the log at its last consistent snapshot and costs at most the
+// segment being filled: readers see only segments the manifest names, and
+// recovery is ignoring (or sweeping) orphan files. A reader never writes;
+// the next mutator's fold turns the journal's valid prefix into a checkpoint,
+// so a torn tail is never followed by new records.
 //
 // Concurrency contract: any number of reader processes may Open a log and
 // Reload its manifest, but at most one *mutating* process — a Writer or a
@@ -20,8 +42,11 @@
 package seglog
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -31,12 +56,19 @@ import (
 	"vita/internal/colstore"
 )
 
-// ManifestName is the file that makes a directory a segment log.
+// ManifestName is the file that makes a directory a segment log: the
+// manifest's checkpoint.
 const ManifestName = "MANIFEST.json"
 
+// journalName is the manifest's journal: the segments sealed since the
+// checkpoint, one JSON line each.
+const journalName = "MANIFEST.log"
+
 // manifestVersion guards against reading manifests written by a future,
-// incompatible layout.
-const manifestVersion = 1
+// incompatible layout. Version 2 checkpoints may have a journal beside them;
+// a version 1 reader would not replay it, so it refuses them instead of
+// missing segments. Both versions load.
+const manifestVersion = 2
 
 // SegmentMeta describes one immutable segment file, mirroring the zone-map
 // idea one level up: T0/T1 let a scan skip whole segments before opening
@@ -71,6 +103,14 @@ type Manifest struct {
 	Segments    []SegmentMeta `json:"segments"`
 }
 
+// journalRecord is one line of the journal: the commit of one sealed
+// segment, which makes generation Generation.
+type journalRecord struct {
+	Generation uint64      `json:"generation"`
+	NextID     uint64      `json:"next_id"`
+	Segment    SegmentMeta `json:"segment"`
+}
+
 // Log is a handle on a segment-log directory. The in-memory manifest mirrors
 // the on-disk one; mutators update both atomically (disk first), readers
 // Reload to pick up other processes' mutations.
@@ -82,6 +122,12 @@ type Log struct {
 	man  Manifest
 	refs map[string]int  // in-process readers per segment file
 	tomb map[string]bool // superseded files awaiting the last release
+	// journalSynced is set once this handle has fsynced the directory since
+	// the journal was created, so its entry is durable.
+	journalSynced bool
+	// journalBroken is set when an append failed part way: the journal may
+	// end in a torn record, so the next commit writes a checkpoint instead.
+	journalBroken bool
 }
 
 // IsLog reports whether dir contains a segment-log manifest.
@@ -118,6 +164,11 @@ func Create(dir string, kind colstore.Kind) (*Log, error) {
 	if IsLog(dir) {
 		return nil, fmt.Errorf("seglog: %s already holds a manifest", dir)
 	}
+	// A journal without a checkpoint belongs to no log; its records must not
+	// replay onto this one.
+	if err := os.Remove(filepath.Join(dir, journalName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
 	l := &Log{
 		dir:  dir,
 		kind: kind,
@@ -129,7 +180,7 @@ func Create(dir string, kind colstore.Kind) (*Log, error) {
 		refs: map[string]int{},
 		tomb: map[string]bool{},
 	}
-	if err := l.storeManifestLocked(); err != nil {
+	if err := l.storeCheckpointLocked(); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -151,21 +202,64 @@ func OpenOrCreate(dir string, kind colstore.Kind) (*Log, error) {
 }
 
 // LoadManifest reads and validates the manifest in dir without constructing
-// a Log.
+// a Log: the checkpoint, then the journal's valid prefix replayed over it.
+// It never writes.
 func LoadManifest(dir string) (Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	checkpoint, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return Manifest{}, err
 	}
+	journal, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return Manifest{}, err
+	}
+	return parseManifest(checkpoint, journal)
+}
+
+// parseManifest validates a checkpoint and replays a journal over it. The
+// checkpoint must be whole and consistent; the journal is applied record by
+// record until the first one that is torn, unparsable, out of sequence or
+// inconsistent, which is where a crash (or the start of records a fold has
+// not yet removed) may have left it.
+func parseManifest(checkpoint, journal []byte) (Manifest, error) {
 	var man Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
+	if err := json.Unmarshal(checkpoint, &man); err != nil {
 		return Manifest{}, fmt.Errorf("seglog: parse %s: %w", ManifestName, err)
 	}
-	if man.Version != manifestVersion {
+	if man.Version != 1 && man.Version != manifestVersion {
 		return Manifest{}, fmt.Errorf("seglog: unsupported manifest version %d", man.Version)
 	}
 	if _, err := parseKind(man.Kind); err != nil {
 		return Manifest{}, err
+	}
+	ids := make(map[uint64]bool, len(man.Segments))
+	for _, m := range man.Segments {
+		if ids[m.ID] || m.ID >= man.NextID {
+			return Manifest{}, fmt.Errorf("seglog: %s: segment ID %d repeated or not below next ID %d", ManifestName, m.ID, man.NextID)
+		}
+		ids[m.ID] = true
+	}
+	for {
+		line, rest, whole := bytes.Cut(journal, []byte{'\n'})
+		if !whole {
+			break // empty, or a torn last record
+		}
+		journal = rest
+		var rec journalRecord
+		if json.Unmarshal(line, &rec) != nil {
+			break
+		}
+		if rec.Generation <= man.Generation {
+			continue // already in the checkpoint
+		}
+		seg := rec.Segment
+		if rec.Generation != man.Generation+1 || ids[seg.ID] || seg.ID >= rec.NextID {
+			break
+		}
+		ids[seg.ID] = true
+		man.Segments = append(man.Segments, seg)
+		man.Generation = rec.Generation
+		man.NextID = max(man.NextID, rec.NextID)
 	}
 	return man, nil
 }
@@ -185,7 +279,10 @@ func (l *Log) Snapshot() Manifest {
 
 // Reload re-reads the manifest from disk — how a reader process observes a
 // writer or compactor running elsewhere. The single-mutator rule makes this
-// safe for a pure reader: disk is always at least as new as memory.
+// safe for a pure reader: disk is always at least as new as memory. A read
+// racing a checkpoint rewrite may see the old checkpoint without the journal
+// that completed it, an older generation; that is ignored, so the manifest a
+// Log hands out never goes back.
 func (l *Log) Reload() (Manifest, error) {
 	man, err := LoadManifest(l.dir)
 	if err != nil {
@@ -284,8 +381,9 @@ func (l *Log) reserveID() uint64 {
 	return id
 }
 
-// appendSegment commits one freshly sealed segment: manifest to disk first,
-// then memory.
+// appendSegment commits one freshly sealed segment, whose file the caller
+// has fsynced, renamed into place and made durable with a directory fsync:
+// one journal record to disk first, then memory.
 func (l *Log) appendSegment(meta SegmentMeta) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -295,7 +393,64 @@ func (l *Log) appendSegment(meta SegmentMeta) error {
 	if meta.ID >= next.NextID {
 		next.NextID = meta.ID + 1
 	}
-	return l.commitLocked(next)
+	if l.journalBroken {
+		return l.commitLocked(next)
+	}
+	if err := l.appendJournalLocked(journalRecord{Generation: next.Generation, NextID: next.NextID, Segment: meta}); err != nil {
+		// The record may have reached the file, and a reader may have seen
+		// it: burn its generation so the next commit makes a new one.
+		l.man.Generation = next.Generation
+		l.journalBroken = true
+		return err
+	}
+	l.man = next
+	return nil
+}
+
+// appendJournalLocked appends rec to the journal and fsyncs it; the first
+// append of this handle also fsyncs the directory, which makes the journal's
+// entry durable. Callers hold mu.
+func (l *Log) appendJournalLocked(rec journalRecord) error {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(filepath.Join(l.dir, journalName), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(append(line, '\n')); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && !l.journalSynced {
+		if err = syncDir(l.dir); err == nil {
+			l.journalSynced = true
+		}
+	}
+	return err
+}
+
+// foldJournal is a mutator's open: it reloads the manifest from disk and, if
+// the journal holds records (or the checkpoint predates journals), writes the
+// result as a new checkpoint and removes the journal. A torn tail is thereby
+// dropped before this mutator appends anything after it.
+func (l *Log) foldJournal() error {
+	if _, err := l.Reload(); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	st, err := os.Stat(filepath.Join(l.dir, journalName))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	if (err == nil && st.Size() > 0) || l.man.Version != manifestVersion {
+		return l.commitLocked(l.man.copy())
+	}
+	return nil
 }
 
 // replaceSegments commits a compaction: the removed segments leave the
@@ -351,23 +506,26 @@ func (l *Log) replaceSegments(removed []SegmentMeta, added SegmentMeta) error {
 	return nil
 }
 
-// commitLocked stores next to disk and, on success, adopts it in memory.
-// Callers hold mu.
+// commitLocked stores next to disk as a checkpoint and, on success, adopts
+// it in memory. Callers hold mu.
 func (l *Log) commitLocked(next Manifest) error {
 	saved := l.man
 	l.man = next
-	if err := l.storeManifestLocked(); err != nil {
+	if err := l.storeCheckpointLocked(); err != nil {
 		l.man = saved
 		return err
 	}
 	return nil
 }
 
-// storeManifestLocked writes the manifest atomically: temp file in the same
-// directory, fsync, rename over the live name, fsync the directory. A crash
-// anywhere in the sequence leaves either the old manifest or the new one —
-// never a torn mix. Callers hold mu.
-func (l *Log) storeManifestLocked() error {
+// storeCheckpointLocked writes the manifest as a checkpoint atomically: temp
+// file in the same directory, fsync, rename over the live name, fsync the
+// directory. A crash anywhere in the sequence leaves either the old
+// checkpoint or the new one — never a torn mix. Then the journal, every
+// record of which the new checkpoint holds, is removed; a crash before that
+// leaves records replay skips as stale. Callers hold mu.
+func (l *Log) storeCheckpointLocked() error {
+	l.man.Version = manifestVersion
 	data, err := json.MarshalIndent(l.man, "", "  ")
 	if err != nil {
 		return err
@@ -392,7 +550,18 @@ func (l *Log) storeManifestLocked() error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(l.dir)
+	if err := syncDir(l.dir); err != nil {
+		return err
+	}
+	if err := os.Remove(filepath.Join(l.dir, journalName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		// The checkpoint is committed and every record left is stale. A
+		// broken journal stays broken, so no record lands after its torn
+		// tail: commits keep writing checkpoints until a removal succeeds.
+		slog.Warn("manifest journal not removed", "dir", l.dir, "error", err.Error())
+		return nil
+	}
+	l.journalSynced, l.journalBroken = false, false
+	return nil
 }
 
 // copy returns a manifest with its own segment slice.

@@ -37,10 +37,12 @@ func (o WriterOptions) withDefaults() WriterOptions {
 
 // Writer streams records into a log, sealing a segment and starting the next
 // whenever a threshold trips. Sealing is the crash-safety pivot: the VTB
-// footer is written, the file synced and renamed from its .tmp name, and
-// only then does the manifest commit — so at every instant the manifest
-// names only complete, validated segments, and a crash costs at most the
-// rows of the segment being filled.
+// footer is written, the file synced and renamed from its .tmp name, the
+// directory synced, and only then is the segment's record appended to the
+// manifest journal and synced — so at every instant the manifest names only
+// complete, validated segments, and a crash costs at most the rows of the
+// segment being filled. A segment is visible to readers once the Write (or
+// Close) that sealed it returns.
 //
 // A Writer is the log's single mutator (see the package comment); calls are
 // serialized by the caller, like every pipeline sink.
@@ -59,8 +61,9 @@ type Writer[T any] struct {
 	closed bool
 }
 
-// NewTrajectoryWriter returns a rolling writer of trajectory segments.
-// Orphans of an earlier crash are swept on construction.
+// NewTrajectoryWriter returns a rolling writer of trajectory segments. On
+// construction the manifest journal is folded into a checkpoint and orphans
+// of an earlier crash are swept.
 func NewTrajectoryWriter(l *Log, opts WriterOptions) (*Writer[trajectory.Sample], error) {
 	return newWriter(l, colstore.KindTrajectory, opts, colstore.NewTrajectoryWriter,
 		func(s trajectory.Sample) float64 { return s.T })
@@ -76,6 +79,9 @@ func newWriter[T any](l *Log, kind colstore.Kind, opts WriterOptions,
 	newEnc func(io.Writer, colstore.Options) *colstore.Writer[T], timeOf func(T) float64) (*Writer[T], error) {
 	if l.kind != kind {
 		return nil, fmt.Errorf("seglog: log %s holds %s records, want %s", l.dir, l.kind, kind)
+	}
+	if err := l.foldJournal(); err != nil {
+		return nil, err
 	}
 	if _, err := l.SweepOrphans(); err != nil {
 		return nil, err
@@ -152,7 +158,7 @@ func (w *Writer[T]) openSegment() error {
 }
 
 // seal completes the current segment: footer, fsync, rename into place,
-// manifest commit.
+// directory fsync, manifest journal commit.
 func (w *Writer[T]) seal() error {
 	if err := w.enc.Close(); err != nil {
 		w.abortOpenSegment()
@@ -175,6 +181,9 @@ func (w *Writer[T]) seal() error {
 		return err
 	}
 	st, err := os.Stat(final)
+	if err == nil {
+		err = syncDir(w.log.dir)
+	}
 	if err != nil {
 		// The segment is renamed into place but uncommitted; the next mutator
 		// sweeps it. Reset so later Write/Abort calls see no open segment.

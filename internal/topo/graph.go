@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"vita/internal/geom"
 	"vita/internal/model"
@@ -224,12 +225,48 @@ func (h *frontier) pop() pqItem {
 }
 
 // label is Dijkstra's per-node state: the best cost so far, the distance
-// and time along that path, and the hop that reached the node.
+// and time along that path, and the hop that reached the node. A label whose
+// stamp is not its scratch's current one belongs to an earlier search.
 type label struct {
 	cost, dist, time float64
 	prev             int
 	done             bool
+	stamp            uint32
 	hop              edge
+}
+
+// routeScratch is the working memory of one Route call, reused across calls
+// through scratchPool. Advancing stamp unsets every label at once, so a
+// search touches only the nodes it reaches.
+type routeScratch struct {
+	labels []label
+	stamp  uint32
+	heap   frontier
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
+
+// reset readies s for a search over n nodes.
+func (s *routeScratch) reset(n int) {
+	if cap(s.labels) < n {
+		s.labels, s.stamp = make([]label, n), 0
+	}
+	s.labels = s.labels[:n]
+	if s.stamp++; s.stamp == 0 { // wrapped: a stale stamp could match again
+		clear(s.labels[:cap(s.labels)])
+		s.stamp = 1
+	}
+	s.heap = s.heap[:0]
+}
+
+// at returns node i's label, unset (infinite cost, no predecessor, not done)
+// if this search has not reached the node yet.
+func (s *routeScratch) at(i int) *label {
+	l := &s.labels[i]
+	if l.stamp != s.stamp {
+		*l = label{cost: math.MaxFloat64, prev: -1, stamp: s.stamp}
+	}
+	return l
 }
 
 // Route computes a route between two locations under the given metric: it
@@ -255,13 +292,11 @@ func (t *Topology) Route(from, to model.Location, metric Metric) (*Route, error)
 
 	n := len(t.nodes)
 	src, dst := n, n+1
-	labels := make([]label, n+2)
-	for i := range labels {
-		labels[i].cost = math.MaxFloat64
-		labels[i].prev = -1
-	}
-	labels[src].cost = 0
-	h := frontier{{node: src}}
+	sc := scratchPool.Get().(*routeScratch)
+	defer scratchPool.Put(sc)
+	sc.reset(n + 2)
+	sc.at(src).cost = 0
+	sc.heap.push(pqItem{node: src})
 	// relax offers the hop e out of u, walked at speed.
 	relax := func(u int, e edge, speed float64) {
 		tm := e.dist / speed
@@ -272,22 +307,23 @@ func (t *Topology) Route(from, to model.Location, metric Metric) (*Route, error)
 		if metric == MinTime {
 			c = tm
 		}
-		lu, lv := &labels[u], &labels[e.to]
+		lu, lv := sc.at(u), sc.at(e.to)
 		if lu.cost+c < lv.cost {
 			lv.cost = lu.cost + c
 			lv.dist = lu.dist + e.dist
 			lv.time = lu.time + tm
 			lv.prev = u
 			lv.hop = e
-			h.push(pqItem{node: e.to, cost: lv.cost})
+			sc.heap.push(pqItem{node: e.to, cost: lv.cost})
 		}
 	}
-	for len(h) > 0 {
-		u := h.pop().node
-		if labels[u].done {
+	for len(sc.heap) > 0 {
+		u := sc.heap.pop().node
+		lu := sc.at(u)
+		if lu.done {
 			continue
 		}
-		labels[u].done = true
+		lu.done = true
 		if u == dst {
 			break
 		}
@@ -305,24 +341,25 @@ func (t *Topology) Route(from, to model.Location, metric Metric) (*Route, error)
 			relax(u, edge{to: dst, dist: nd.point.Dist(to.Point)}, t.speed[nd.part])
 		}
 	}
-	if labels[dst].cost == math.MaxFloat64 {
+	last := sc.at(dst)
+	if last.cost == math.MaxFloat64 {
 		return nil, fmt.Errorf("topo: no route from %s to %s", from, to)
 	}
 
 	// Reconstruct waypoints, back from dst.
 	var wps []Waypoint
-	for cur := dst; cur != src; cur = labels[cur].prev {
+	for cur := dst; cur != src; cur = sc.at(cur).prev {
 		wp := end
 		if cur != dst {
 			nd := t.nodes[cur]
 			p := t.parts[nd.part]
 			wp = Waypoint{Floor: p.Floor, Point: nd.point, Partition: p.ID}
 		}
-		hop := labels[cur].hop
+		hop := sc.at(cur).hop
 		wp.Via, wp.Stair, wp.Length, wp.TravelTime = hop.via, hop.stair, hop.dist, hop.time
 		wps = append(wps, wp)
 	}
 	wps = append(wps, start)
 	slices.Reverse(wps)
-	return &Route{Waypoints: wps, Distance: labels[dst].dist, Time: labels[dst].time}, nil
+	return &Route{Waypoints: wps, Distance: last.dist, Time: last.time}, nil
 }
