@@ -359,15 +359,15 @@ func benchSamples(b *testing.B) []trajectory.Sample {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var samples []trajectory.Sample
-	_, col, _, err := eng.Run(func(batch []trajectory.Sample) error {
-		samples = append(samples, batch...)
-		return nil
-	})
+	series, _, err := eng.Run()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := col.Close(); err != nil {
+	var samples []trajectory.Sample
+	if err := trajectory.Merge(series, func(batch []trajectory.Sample) error {
+		samples = append(samples, batch...)
+		return nil
+	}); err != nil {
 		b.Fatal(err)
 	}
 	return samples
@@ -422,7 +422,7 @@ func BenchmarkTrajectoryEngine(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, _, err := eng.Run(nil); err != nil {
+		if _, _, err := eng.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -96,22 +96,21 @@ func (p *Pipeline) Run() (*Dataset, error) {
 }
 
 // RunTo executes the pipeline like Run while additionally streaming the data
-// products into sink as they are produced: trajectory samples in global time
-// order (straight off the generation layer's merge collector, so a columnar
-// writer sees them without the pipeline buffering for it), RSSI
-// measurements in the generator's object-grouped replay order, and the
-// derived positioning tables once at the end.
+// products into sink: trajectory samples in global time order (merged from
+// the series slots by trajectory.Merge, batch by batch, so a columnar writer
+// sees them without the pipeline buffering for it), RSSI measurements in the
+// generator's object-grouped replay order, and the derived positioning
+// tables once at the end.
 //
 // The stages overlap. Each object's trajectory is stored in its slot of
-// Dataset.Trajectories by the worker that simulated it, and also delivered
-// to the merge collector, whose goroutine drains it into the sink. As soon
-// as every object is simulated the RSSI replay starts on the slots, while
-// the merge is still draining; the positioning method runs per object inside the
-// RSSI workers, as each object's replay finishes. Sink calls are serialized,
-// one batch at a time — a merged run of a few hundred samples, or one
-// object's measurements — so the two streams may interleave but never
-// overlap, and each keeps its own order. The merge runs only to feed a sink,
-// so Run builds none.
+// Dataset.Trajectories by the worker that simulated it. Once every object is
+// simulated, one goroutine merges the slots into the sink while the
+// positioning method is built and the RSSI replay runs on the same slots;
+// the method runs per object inside the RSSI workers, as each object's
+// replay finishes. Sink calls are serialized, one batch at a time — a merged
+// run of a few hundred samples, or one object's measurements — so the two
+// streams may interleave but never overlap, and each keeps its own order.
+// The merge runs only to feed a sink, so Run starts none.
 //
 // With a sink, the returned Dataset does not keep the RSSI measurements
 // (Dataset.RSSI is nil; RSSICount counts them); everything else is kept as by
@@ -151,28 +150,29 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		Trajectory:  p.cfg.Trajectory,
 		Parallelism: p.Parallelism(),
 	}
-	// Each object's series is stored in its slot by the worker that
-	// simulated it; only a sink needs the time-ordered merge, so only a sink
-	// gets one. The deferred Close joins the merge on every early return.
-	var out *serialSink
-	var emitTraj func([]trajectory.Sample) error
-	if sink != nil {
-		out = new(serialSink)
-		emitTraj = func(b []trajectory.Sample) error {
-			return writeBatch(out, "trajectory", b, sink.Trajectory)
-		}
-	}
-	var col *trajectory.Collector
-	ds.Trajectories, col, ds.TrajectoryStats, err = objCtl.Generate(topology, r.Split(), emitTraj)
+	ds.Trajectories, ds.TrajectoryStats, err = objCtl.Generate(topology, r.Split())
 	if err != nil {
 		return nil, err
 	}
-	if col != nil {
-		defer col.Close()
+	// Only a sink needs the time-ordered merge, so only a sink gets one. Its
+	// only error is a sink's, which out latches; the deferred Wait joins it
+	// on every early return.
+	var out *serialSink
+	var merging sync.WaitGroup
+	if sink != nil {
+		out = new(serialSink)
+		merging.Add(1)
+		go func() {
+			defer merging.Done()
+			_ = trajectory.Merge(ds.Trajectories, func(b []trajectory.Sample) error {
+				return writeBatch(out, "trajectory", b, sink.Trajectory)
+			})
+		}()
+		defer merging.Wait()
 	}
 
 	// ----- Positioning Layer -----
-	// Every object is simulated; the merge may still be draining. The method
+	// Every object is simulated; the merge may still be running. The method
 	// is built before the replay it consumes, but the parent stream still
 	// splits RSSI first, then positioning, so the radio map draws what it
 	// always drew.
@@ -196,29 +196,22 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 		}
 	}
 	// Windows never span objects, so the method runs on each object's
-	// measurements on the worker that replayed it; the flush appends the
-	// results in ascending object ID, which is the order a whole-run pass
+	// measurements on the worker that replayed it and stores the result in
+	// the object's slot; the slots concatenated are what a whole-run pass
 	// would produce.
 	var done rssi.ObjectDone
-	var posErr error
+	var positions []Positions
+	var posErrs []error
 	if position != nil {
-		done = func(_ int, ms []rssi.Measurement) func() {
-			pos, err := position(ms)
-			return func() {
-				if err != nil && posErr == nil {
-					posErr = err
-				}
-				ds.Estimates = append(ds.Estimates, pos.Estimates...)
-				ds.ProbEstimates = append(ds.ProbEstimates, pos.ProbEstimates...)
-				ds.Proximity = append(ds.Proximity, pos.Proximity...)
-			}
+		positions = make([]Positions, len(ds.Trajectories))
+		posErrs = make([]error, len(ds.Trajectories))
+		done = func(id int, ms []rssi.Measurement) {
+			positions[id-1], posErrs[id-1] = position(ms)
 		}
 	}
 	rssiCtl := RSSIMeasurementController{Config: p.cfg.RSSI, Parallelism: p.Parallelism()}
 	ds.RSSICount, err = rssiCtl.Generate(topology, devs, ds.Trajectories, rssiR, emitRSSI, done)
-	if col != nil {
-		col.Close()
-	}
+	merging.Wait()
 	// A sink failure comes first, whichever stage noticed it.
 	if out != nil && out.err != nil {
 		return nil, out.err
@@ -226,8 +219,13 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	if posErr != nil {
-		return nil, posErr
+	for i, pos := range positions {
+		if posErrs[i] != nil {
+			return nil, posErrs[i]
+		}
+		ds.Estimates = append(ds.Estimates, pos.Estimates...)
+		ds.ProbEstimates = append(ds.ProbEstimates, pos.ProbEstimates...)
+		ds.Proximity = append(ds.Proximity, pos.Proximity...)
 	}
 	if sink != nil {
 		if err := sink.Estimates(ds.Estimates); err != nil {
@@ -525,18 +523,16 @@ type MovingObjectController struct {
 	Parallelism int
 }
 
-// Generate runs the movement engine and returns its series slots; when emit
-// is non-nil, it also returns the collector merging them into emit in time
-// order; see trajectory.Engine.Run. It returns once every object is
-// simulated: the caller Closes the collector to wait for the merge.
-func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, emit func([]trajectory.Sample) error) ([][]trajectory.Sample, *trajectory.Collector, trajectory.Stats, error) {
+// Generate runs the movement engine and returns its series slots; see
+// trajectory.Engine.Run.
+func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand) ([][]trajectory.Sample, trajectory.Stats, error) {
 	pattern, err := c.Objects.pattern()
 	if err != nil {
-		return nil, nil, trajectory.Stats{}, err
+		return nil, trajectory.Stats{}, err
 	}
 	dist, err := c.Objects.distribution()
 	if err != nil {
-		return nil, nil, trajectory.Stats{}, err
+		return nil, trajectory.Stats{}, err
 	}
 	spawnCfg := object.SpawnConfig{
 		InitialCount:       c.Objects.Count,
@@ -559,7 +555,7 @@ func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, emit fun
 	}
 	sp, err := object.NewSpawner(t, spawnCfg)
 	if err != nil {
-		return nil, nil, trajectory.Stats{}, err
+		return nil, trajectory.Stats{}, err
 	}
 	eng, err := trajectory.NewEngine(t, sp, trajectory.Config{
 		Duration:       c.Trajectory.Duration,
@@ -568,9 +564,9 @@ func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand, emit fun
 		Parallelism:    c.Parallelism,
 	}, r)
 	if err != nil {
-		return nil, nil, trajectory.Stats{}, err
+		return nil, trajectory.Stats{}, err
 	}
-	return eng.Run(emit)
+	return eng.Run()
 }
 
 // RSSIMeasurementController generates raw RSSI measurements (paper §2,

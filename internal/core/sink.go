@@ -17,7 +17,7 @@ import (
 // Sink receives a run's data products as the pipeline produces them, record
 // by record, so a sink can persist a run of any size without the pipeline
 // buffering output for it. Trajectory samples arrive in global time order
-// (straight from the generation layer's merge collector); RSSI measurements
+// (trajectory.Merge over the run's series slots); RSSI measurements
 // arrive grouped by ascending object ID, time-ordered per object and device
 // within each group (the replay order of the RSSI generator, and the same
 // order the batch CSV path always used). The two streams are produced

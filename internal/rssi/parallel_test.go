@@ -132,9 +132,7 @@ func TestGenerateEmitOrder(t *testing.T) {
 }
 
 // TestGenerateObjectDone pins the per-object completion step: done sees each
-// object's measurements exactly as they are emitted, and its flush runs in
-// ascending object ID right after that object's last measurement, at every
-// worker count.
+// object's measurements exactly as they are emitted, at every worker count.
 func TestGenerateObjectDone(t *testing.T) {
 	tp := officeTopo(t)
 	traj := benchTrajectories(9, 60)
@@ -144,17 +142,9 @@ func TestGenerateObjectDone(t *testing.T) {
 			t.Fatal(err)
 		}
 		var emitted []Measurement
-		var flushed []int
 		seen := make([][]Measurement, 10)
-		done := func(id int, ms []Measurement) func() {
-			seen[id] = append([]Measurement(nil), ms...)
-			return func() {
-				got := emitted[len(emitted)-len(ms):]
-				if !slices.Equal(got, ms) {
-					t.Errorf("p=%d: object %d flushed before its measurements were emitted", p, id)
-				}
-				flushed = append(flushed, id)
-			}
+		done := func(id int, ms []Measurement) {
+			seen[id] = slices.Clone(ms)
 		}
 		n, err := gen.Generate(byObject(traj), rng.New(5), func(b []Measurement) error { emitted = append(emitted, b...); return nil }, done)
 		if err != nil {
@@ -162,9 +152,6 @@ func TestGenerateObjectDone(t *testing.T) {
 		}
 		if n != len(emitted) || n == 0 {
 			t.Fatalf("p=%d: count %d, emitted %d", p, n, len(emitted))
-		}
-		if want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}; !slices.Equal(flushed, want) {
-			t.Fatalf("p=%d: flush order %v, want %v", p, flushed, want)
 		}
 		var all []Measurement
 		for _, ms := range seen {
@@ -197,9 +184,8 @@ func TestGenerateClaimWindow(t *testing.T) {
 		batches = append(batches, slices.Clone(ms))
 		return nil
 	}
-	done := func(int, []Measurement) func() {
+	done := func(int, []Measurement) {
 		replayed.Add(1)
-		return nil
 	}
 	result := make(chan error, 1)
 	go func() {

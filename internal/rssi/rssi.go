@@ -168,12 +168,10 @@ func NewGenerator(t *topo.Topology, devs []*device.Device, cfg Config) (*Generat
 // worker that replayed object id, with every measurement of that object in
 // emission order, so per-object work that needs the whole object (a
 // positioning method's windows, say) runs in parallel with the replay of
-// other objects. The flush function it returns, when non-nil, runs right
-// after the object's measurements were emitted: in ascending object ID and
-// never concurrently with emit or another flush. done must not modify ms
-// (the measurements are emitted after it returns), and neither it nor its
-// flush may keep ms past the flush: the buffer is reused for a later object.
-type ObjectDone func(id int, ms []Measurement) (flush func())
+// other objects; calls for different objects may run concurrently. done
+// must neither modify nor keep ms: the measurements are emitted after it
+// returns, and the buffer is then reused for a later object.
+type ObjectDone func(id int, ms []Measurement)
 
 // Generate replays the trajectories — one time-ordered series per object,
 // in strictly ascending object ID, as trajectory.Engine.Run returns its
@@ -218,7 +216,6 @@ func (g *Generator) Generate(series [][]trajectory.Sample, r *rng.Rand, emit fun
 
 	type result struct {
 		ms    []Measurement
-		flush func()
 		ready bool
 	}
 	results := make([]result, len(trajs))
@@ -252,7 +249,7 @@ func (g *Generator) Generate(series [][]trajectory.Sample, r *rng.Rand, emit fun
 			id := trajs[i][0].ObjID
 			res := result{ms: g.generateForObject(buf, id, trajs[i], streams.Stream(uint64(id))), ready: true}
 			if done != nil {
-				res.flush = done(id, res.ms)
+				done(id, res.ms)
 			}
 
 			mu.Lock()
@@ -267,9 +264,6 @@ func (g *Generator) Generate(series [][]trajectory.Sample, r *rng.Rand, emit fun
 				var emitErr error
 				if len(res.ms) > 0 {
 					emitErr = emit(res.ms)
-				}
-				if emitErr == nil && res.flush != nil {
-					res.flush()
 				}
 				mu.Lock()
 				if emitErr != nil {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"vita/internal/colstore"
 	"vita/internal/rssi"
@@ -111,6 +112,109 @@ func TestCompactTombstonesUntilReadersDrain(t *testing.T) {
 	l.ReleaseFiles(held.File)
 	if _, err := os.Stat(l.SegmentPath(held)); !os.IsNotExist(err) {
 		t.Fatal("tombstoned segment survived the last release")
+	}
+}
+
+// TestUnlinkOutsideLock: a compaction deletes the segments it superseded
+// after releasing the log's lock, so while one of those unlinks is stuck (on
+// a disk that discards freed blocks, each can take tens of milliseconds)
+// Snapshot, RetainFiles/ReleaseFiles and a writer's seal all go ahead. A
+// segment retained at compaction time survives until its last release.
+func TestUnlinkOutsideLock(t *testing.T) {
+	samples := logSamples(400)
+	l := writeLog(t, t.TempDir(), samples[:300], 64)
+	held := l.Snapshot().Segments[0]
+	l.RetainFiles(held.File)
+	l.RetainFiles(held.File)
+
+	unlinking := make(chan string, 16)
+	release := make(chan struct{})
+	removeFile = func(name string) error {
+		unlinking <- filepath.Base(name)
+		<-release
+		return os.Remove(name)
+	}
+	defer func() { removeFile = os.Remove }()
+	released := false
+	unblock := func() {
+		if !released {
+			close(release)
+			released = true
+		}
+	}
+	defer unblock()
+
+	compacted := make(chan error, 1)
+	go func() {
+		_, err := NewCompactor(l, CompactorOptions{MinSegments: 2}).RunOnce()
+		compacted <- err
+	}()
+	select {
+	case f := <-unlinking:
+		if f == held.File {
+			t.Fatalf("compaction unlinked %s, which a reader holds", f)
+		}
+	case err := <-compacted:
+		t.Fatalf("compaction finished (%v) without unlinking a segment", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("compaction never reached an unlink")
+	}
+
+	// Each step must return while the unlink is held open.
+	returns := func(what string, step func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			step()
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			unblock()
+			<-done
+			t.Fatalf("%s waited for a compaction's unlink", what)
+		}
+	}
+	var merged SegmentMeta
+	returns("Snapshot", func() { merged = l.Snapshot().Segments[0] })
+	returns("RetainFiles/ReleaseFiles", func() {
+		l.RetainFiles(merged.File)
+		l.ReleaseFiles(merged.File)
+	})
+	var sealErr error
+	returns("a writer's seal", func() {
+		w, err := NewTrajectoryWriter(l, WriterOptions{MaxSegmentRows: 1 << 30, Block: colstore.Options{BlockSize: 32}})
+		if err != nil {
+			sealErr = err
+			return
+		}
+		for _, s := range samples[300:] {
+			if err := w.Write(s); err != nil {
+				sealErr = err
+				return
+			}
+		}
+		sealErr = w.Close()
+	})
+	if sealErr != nil {
+		t.Fatal(sealErr)
+	}
+
+	unblock()
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	if got := readLog(t, l); len(got) != len(samples) {
+		t.Fatalf("log holds %d rows after compaction and seal, want %d", len(got), len(samples))
+	}
+	l.ReleaseFiles(held.File)
+	if _, err := os.Stat(l.SegmentPath(held)); err != nil {
+		t.Fatalf("retained segment deleted before its last release: %v", err)
+	}
+	l.ReleaseFiles(held.File)
+	if _, err := os.Stat(l.SegmentPath(held)); !os.IsNotExist(err) {
+		t.Fatal("retained segment survived its last release")
 	}
 }
 

@@ -316,28 +316,51 @@ func (l *Log) RetainFiles(files ...string) {
 // reader just left is deleted here — the "only after readers drain" half of
 // compaction.
 func (l *Log) ReleaseFiles(files ...string) {
+	var unlink []string
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer func() {
+		l.mu.Unlock()
+		l.unlink(unlink)
+	}()
 	for _, f := range files {
 		if l.refs[f]--; l.refs[f] <= 0 {
 			delete(l.refs, f)
 			if l.tomb[f] {
 				delete(l.tomb, f)
-				os.Remove(filepath.Join(l.dir, f))
+				unlink = append(unlink, f)
 			}
 		}
 	}
 }
 
+// removeFile deletes a superseded segment file; tests replace it to hold an
+// unlink open.
+var removeFile = os.Remove
+
+// unlink deletes superseded segment files. Callers decide under mu which
+// files go but call it after unlocking: freeing an fsynced file's blocks can
+// take tens of milliseconds on a disk that discards them, and no one needs
+// the lock meanwhile, since segment names are never reused.
+func (l *Log) unlink(files []string) {
+	for _, f := range files {
+		removeFile(filepath.Join(l.dir, f))
+	}
+}
+
 // SweepOrphans removes segment files a crash left behind: *.tmp remnants and
-// seg-*.vtb files the manifest does not name. Only the log's single mutating
-// process may call it (a reader cannot tell an orphan from a segment another
-// process committed a moment ago). Returns how many files were removed.
+// seg-*.vtb files the manifest does not name and no in-process reader holds
+// (a compaction's tombstones wait for ReleaseFiles). Only the log's single
+// mutating process may call it (a reader cannot tell an orphan from a
+// segment another process committed a moment ago). Returns how many files
+// were removed.
 func (l *Log) SweepOrphans() (int, error) {
 	l.mu.Lock()
-	live := make(map[string]bool, len(l.man.Segments))
+	live := make(map[string]bool, len(l.man.Segments)+len(l.refs))
 	for _, m := range l.man.Segments {
 		live[m.File] = true
+	}
+	for f := range l.refs {
+		live[f] = true
 	}
 	l.mu.Unlock()
 	entries, err := os.ReadDir(l.dir)
@@ -456,11 +479,16 @@ func (l *Log) foldJournal() error {
 // replaceSegments commits a compaction: the removed segments leave the
 // manifest, added takes the first removed segment's position (segments a
 // writer appended mid-merge keep their place after it). Removed files are
-// deleted immediately unless in-process readers still hold them, in which
-// case they are tombstoned for the last ReleaseFiles.
+// deleted once the commit has released the lock, unless in-process readers
+// still hold them, in which case they are tombstoned for the last
+// ReleaseFiles.
 func (l *Log) replaceSegments(removed []SegmentMeta, added SegmentMeta) error {
+	var unlink []string
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer func() {
+		l.mu.Unlock()
+		l.unlink(unlink)
+	}()
 	gone := make(map[uint64]bool, len(removed))
 	for _, m := range removed {
 		gone[m.ID] = true
@@ -501,7 +529,7 @@ func (l *Log) replaceSegments(removed []SegmentMeta, added SegmentMeta) error {
 			l.tomb[m.File] = true
 			continue
 		}
-		os.Remove(filepath.Join(l.dir, m.File))
+		unlink = append(unlink, m.File)
 	}
 	return nil
 }

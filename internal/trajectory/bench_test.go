@@ -32,11 +32,7 @@ func BenchmarkEngineRun(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, col, _, err := eng.Run(func([]Sample) error { return nil })
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := col.Close(); err != nil {
+				if _, _, err := eng.Run(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -44,34 +40,26 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 }
 
-// BenchmarkCollector measures the merge overhead alone: 64 pre-built
-// per-object streams funneled through the watermark collector.
-func BenchmarkCollector(b *testing.B) {
+// BenchmarkMerge measures the merge alone: 64 pre-built per-object series
+// swept into one time-ordered stream.
+func BenchmarkMerge(b *testing.B) {
 	const objects, perObj = 64, 300
-	streams := make([][]Sample, objects)
-	for o := 0; o < objects; o++ {
+	series := make([][]Sample, objects)
+	for o := range series {
 		ss := make([]Sample, perObj)
-		for k := 0; k < perObj; k++ {
+		for k := range ss {
 			ss[k] = Sample{ObjID: o + 1, T: float64(k)}
 		}
-		streams[o] = ss
+		series[o] = ss
 	}
-	births := make([]float64, objects)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		c, err := NewCollector(births, func(batch []Sample) error {
+		if err := Merge(series, func(batch []Sample) error {
 			n += len(batch)
 			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for o := range streams {
-			c.Deliver(o, streams[o])
-		}
-		if err := c.Close(); err != nil {
+		}); err != nil {
 			b.Fatal(err)
 		}
 		if n != objects*perObj {

@@ -8,8 +8,8 @@
 // Generation is data-parallel: the full object roster (initial population
 // plus Poisson arrivals) is scheduled up-front, each object is simulated
 // independently on its own derived deterministic RNG stream, and each
-// object's finished series is handed over whole and, when a time-ordered
-// stream is wanted, merged in time order by a streaming Collector. Output is
+// object's finished series is stored whole in its slot. When a time-ordered
+// stream is wanted, Merge sweeps the slots once after the run. Output is
 // byte-identical for any Parallelism setting.
 package trajectory
 

@@ -41,21 +41,27 @@ func runEngine(t testing.TB, seed uint64, cfg Config, spawn object.SpawnConfig) 
 	return runMerged(t, eng)
 }
 
-// runMerged runs eng through a collector and returns the merged samples.
+// runMerged runs eng and returns its slots merged into one stream.
 func runMerged(t testing.TB, eng *Engine) ([]Sample, Stats) {
 	t.Helper()
-	var samples []Sample
-	_, col, stats, err := eng.Run(func(b []Sample) error {
-		samples = append(samples, b...)
-		return nil
-	})
+	series, stats, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.Close(); err != nil {
+	return merged(t, series), stats
+}
+
+// merged collects Merge's stream of series.
+func merged(t testing.TB, series [][]Sample) []Sample {
+	t.Helper()
+	var samples []Sample
+	if err := Merge(series, func(b []Sample) error {
+		samples = append(samples, b...)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return samples, stats
+	return samples
 }
 
 func defaultSpawn() object.SpawnConfig {

@@ -2,12 +2,8 @@ package trajectory
 
 import (
 	"cmp"
-	"errors"
 	"slices"
-	"sort"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"vita/internal/object"
 	"vita/internal/rng"
@@ -58,10 +54,11 @@ func TestParallelIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestSeriesHandOver pins the engine's two hand-overs against each other at
-// every worker count: slot i holds object i+1's samples in time order; the
-// slots, concatenated and stable-sorted by (time, object ID), are exactly the
-// collector's stream; and that stream is the same at P 1, 2 and 8.
+// TestSeriesHandOver pins the engine's slots and Merge's stream of them
+// against each other at every worker count: slot i holds object i+1's
+// samples in time order; the slots, concatenated and stable-sorted by (time,
+// object ID), are exactly the merged stream; and that stream is the same at
+// P 1, 2 and 8.
 func TestSeriesHandOver(t *testing.T) {
 	tp := officeTopo(t)
 	var base []Sample
@@ -77,17 +74,11 @@ func TestSeriesHandOver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var stream []Sample
-		series, col, _, err := eng.Run(func(b []Sample) error {
-			stream = append(stream, b...)
-			return nil
-		})
+		series, _, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := col.Close(); err != nil {
-			t.Fatal(err)
-		}
+		stream := merged(t, series)
 		if len(stream) == 0 {
 			t.Fatal("no samples")
 		}
@@ -98,12 +89,12 @@ func TestSeriesHandOver(t *testing.T) {
 				}
 			}
 		}
-		merged := slices.Concat(series...)
-		slices.SortStableFunc(merged, func(a, b Sample) int {
+		regrouped := slices.Concat(series...)
+		slices.SortStableFunc(regrouped, func(a, b Sample) int {
 			return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.ObjID, b.ObjID))
 		})
-		if !slices.Equal(merged, stream) {
-			t.Fatalf("p=%d: the slots regrouped differ from the collector stream", p)
+		if !slices.Equal(regrouped, stream) {
+			t.Fatalf("p=%d: the slots regrouped differ from the merged stream", p)
 		}
 		if base == nil {
 			base = stream
@@ -129,8 +120,8 @@ func TestParallelEmitOrder(t *testing.T) {
 	}
 }
 
-// TestParallelNilEmit keeps a run without a collector working under
-// parallelism: its slots hold every sample the stats count.
+// TestParallelNilEmit: under parallelism, a run's slots hold every sample
+// the stats count.
 func TestParallelNilEmit(t *testing.T) {
 	tp := officeTopo(t)
 	for _, p := range []int{1, 4} {
@@ -142,7 +133,7 @@ func TestParallelNilEmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		series, _, stats, err := eng.Run(nil)
+		series, stats, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,186 +203,5 @@ func TestScheduleUntilMatchesIncrementalArrivals(t *testing.T) {
 			a.MaxSpeed != b.MaxSpeed || a.Loc != b.Loc {
 			t.Fatalf("object %d differs: %+v vs %+v", i, a, b)
 		}
-	}
-}
-
-// --- collector unit tests ---
-
-func s(obj int, t float64) Sample { return Sample{ObjID: obj, T: t} }
-
-// newCollector is NewCollector for births a test knows are ascending.
-func newCollector(t testing.TB, births []float64, emit func([]Sample) error) *Collector {
-	t.Helper()
-	c, err := NewCollector(births, emit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// TestCollectorRejectsUnsortedBirths: the watermark is the first undelivered
-// slot's birth, so births out of ascending order are refused.
-func TestCollectorRejectsUnsortedBirths(t *testing.T) {
-	if _, err := NewCollector([]float64{0, 50, 10}, func([]Sample) error { return nil }); err == nil {
-		t.Fatal("NewCollector accepted births out of ascending order")
-	}
-}
-
-func TestCollectorMergesTimeSorted(t *testing.T) {
-	var got []Sample
-	var waiting atomic.Bool // object 2 (birth 0) not delivered yet
-	waiting.Store(true)
-	c := newCollector(t, []float64{0, 0, 50}, func(b []Sample) error {
-		if waiting.Load() {
-			t.Errorf("emitted %v while object 2 (birth 0) pending", b)
-		}
-		got = append(got, b...)
-		return nil
-	})
-
-	// Deliver out of roster order; nothing may be emitted past the pending
-	// watermark (object 2 in slot 1 still out, birth 0).
-	c.Deliver(2, []Sample{s(3, 50), s(3, 60)})
-	c.Deliver(0, []Sample{s(1, 0), s(1, 10), s(1, 55)})
-	waiting.Store(false)
-	c.Deliver(1, []Sample{s(2, 0), s(2, 10), s(2, 20)})
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	want := []Sample{
-		s(1, 0), s(2, 0), s(1, 10), s(2, 10), s(2, 20), s(3, 50), s(1, 55), s(3, 60),
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("merged %v, want %v", got, want)
-	}
-}
-
-func TestCollectorStreamsBeforeCompletion(t *testing.T) {
-	batches := make(chan []Sample, 8)
-	c := newCollector(t, []float64{0, 100}, func(b []Sample) error {
-		batches <- slices.Clone(b)
-		return nil
-	})
-	c.Deliver(0, []Sample{s(1, 0), s(1, 50), s(1, 150)})
-	// Object 2 is born at t=100: everything before that is already safe, and
-	// streams out before object 2 arrives.
-	select {
-	case b := <-batches:
-		if want := []Sample{s(1, 0), s(1, 50)}; !slices.Equal(b, want) {
-			t.Fatalf("first batch %v, want the pre-watermark samples %v", b, want)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the pre-watermark samples never streamed out")
-	}
-	c.Deliver(1, []Sample{s(2, 100)})
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	close(batches)
-	var rest []Sample
-	for b := range batches {
-		rest = append(rest, b...)
-	}
-	if want := []Sample{s(2, 100), s(1, 150)}; !slices.Equal(rest, want) {
-		t.Fatalf("after the last delivery %v, want %v", rest, want)
-	}
-}
-
-func TestCollectorEmptyStreams(t *testing.T) {
-	var got []Sample
-	c := newCollector(t, []float64{0, 10}, func(b []Sample) error {
-		got = append(got, b...)
-		return nil
-	})
-	c.Deliver(1, nil) // died before its first sample instant
-	c.Deliver(0, []Sample{s(1, 0), s(1, 20)})
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("emitted %d, want 2", len(got))
-	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].T < got[j].T }) {
-		t.Error("merged output not time-sorted")
-	}
-}
-
-// TestCollectorDeliverDoesNotWait: Deliver only queues its series. With emit
-// stuck inside the sink, every worker's Deliver still returns at once.
-func TestCollectorDeliverDoesNotWait(t *testing.T) {
-	release := make(chan struct{})
-	var got []Sample
-	const objects = 50
-	c := newCollector(t, make([]float64, objects), func(b []Sample) error {
-		<-release
-		got = append(got, b...)
-		return nil
-	})
-	delivered := make(chan struct{})
-	go func() {
-		for id := range objects {
-			c.Deliver(id, []Sample{s(id, 0), s(id, 1)})
-		}
-		close(delivered)
-	}()
-	select {
-	case <-delivered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Deliver waited for the merge")
-	}
-	close(release)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2*objects {
-		t.Fatalf("merged %d samples, want %d", len(got), 2*objects)
-	}
-}
-
-// TestCollectorBatchesAndErrors: emit gets runs of at most mergeBatch
-// samples; after its first error it is never called again, the buffered
-// samples are dropped, and Close returns that error.
-func TestCollectorBatchesAndErrors(t *testing.T) {
-	long := func(id int) []Sample {
-		ss := make([]Sample, mergeBatch+100)
-		for k := range ss {
-			ss[k] = s(id, float64(k))
-		}
-		return ss
-	}
-	calls, total := 0, 0
-	c := newCollector(t, make([]float64, 3), func(b []Sample) error {
-		if len(b) == 0 || len(b) > mergeBatch {
-			t.Errorf("batch of %d samples", len(b))
-		}
-		calls++
-		total += len(b)
-		return nil
-	})
-	for id := range 3 {
-		c.Deliver(id, long(id))
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if want := 3 * (mergeBatch + 100); total != want || calls < 3 {
-		t.Fatalf("%d samples in %d calls, want %d in at least 3", total, calls, want)
-	}
-
-	boom := errors.New("disk full")
-	calls = 0
-	c = newCollector(t, make([]float64, 3), func([]Sample) error {
-		calls++
-		return boom
-	})
-	for id := range 3 {
-		c.Deliver(id, long(id))
-	}
-	if err := c.Close(); err != boom {
-		t.Fatalf("Close returned %v, want the emit error", err)
-	}
-	if calls != 1 {
-		t.Fatalf("emit called %d times, want once (nothing after its error)", calls)
 	}
 }
