@@ -219,10 +219,21 @@ func (p *Pipeline) RunTo(sink Sink) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each table is allocated once, at its final size: grown by doubling it
+	// would hold up to twice that, beside the slots, at the run's peak.
+	var ne, npe, npx int
 	for i, pos := range positions {
 		if posErrs[i] != nil {
 			return nil, posErrs[i]
 		}
+		ne += len(pos.Estimates)
+		npe += len(pos.ProbEstimates)
+		npx += len(pos.Proximity)
+	}
+	ds.Estimates = slices.Grow(ds.Estimates, ne)
+	ds.ProbEstimates = slices.Grow(ds.ProbEstimates, npe)
+	ds.Proximity = slices.Grow(ds.Proximity, npx)
+	for _, pos := range positions {
 		ds.Estimates = append(ds.Estimates, pos.Estimates...)
 		ds.ProbEstimates = append(ds.ProbEstimates, pos.ProbEstimates...)
 		ds.Proximity = append(ds.Proximity, pos.Proximity...)
