@@ -38,7 +38,8 @@ func mergeChecked(t *testing.T, series [][]Sample) []Sample {
 }
 
 // TestMergeOrder: ties on time go to the lower slot, a slot's first sample
-// may come after a later slot's, and empty slots contribute nothing.
+// may come after a later slot's, and empty slots among full ones contribute
+// nothing.
 func TestMergeOrder(t *testing.T) {
 	series := [][]Sample{
 		{s(1, 0), s(1, 10), s(1, 55)},
@@ -53,8 +54,28 @@ func TestMergeOrder(t *testing.T) {
 	if got := mergeChecked(t, series); !slices.Equal(got, want) {
 		t.Fatalf("merged %v, want %v", got, want)
 	}
-	if got := mergeChecked(t, [][]Sample{nil, {}}); len(got) != 0 {
-		t.Fatalf("empty slots merged to %v", got)
+}
+
+// TestMergeEmptySlots: a run with no slots, or with only empty ones, merges
+// to nothing and never calls emit; an empty slot beside full ones leaves
+// their samples whole and in time order.
+func TestMergeEmptySlots(t *testing.T) {
+	for _, series := range [][][]Sample{nil, {}, {nil}, {nil, {}}} {
+		calls := 0
+		if err := Merge(series, func([]Sample) error { calls++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 0 {
+			t.Fatalf("%d empty slots: emit called %d times, want 0", len(series), calls)
+		}
+	}
+	for _, series := range [][][]Sample{
+		{{s(1, 0), s(1, 20)}, nil}, // the second object died before its first sample instant
+		{nil, {s(2, 0), s(2, 20)}, {}},
+	} {
+		if got, want := mergeChecked(t, series), wantMerged(series); !slices.Equal(got, want) {
+			t.Fatalf("merged %v, want %v", got, want)
+		}
 	}
 }
 
