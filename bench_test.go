@@ -1,7 +1,7 @@
 package vita
 
 // This file is the benchmark harness: one bench per reproduced figure/claim
-// (E1-E10, see internal/experiments) plus the ablations (A1-A4) and
+// (E1-E10, see internal/experiments) plus the ablations (A1, A3, A4) and
 // micro-benchmarks for the hot substrates. Run:
 //
 //	go test -bench=. -benchmem
@@ -23,7 +23,6 @@ import (
 	"vita/internal/experiments"
 	"vita/internal/geom"
 	"vita/internal/ifc"
-	"vita/internal/index"
 	"vita/internal/model"
 	"vita/internal/object"
 	"vita/internal/plan"
@@ -82,61 +81,6 @@ func BenchmarkMethodDeviceCombos(b *testing.B) { benchExperiment(b, experiments.
 
 // BenchmarkAblationLoS regenerates A1.
 func BenchmarkAblationLoS(b *testing.B) { benchExperiment(b, experiments.AblationLoS) }
-
-// BenchmarkAblationIndex regenerates A2 (table), and times one
-// device-in-range lookup against each of A2's indexes over its 64 coverage
-// devices on the office's ground floor (rtree, grid).
-func BenchmarkAblationIndex(b *testing.B) {
-	b.Run("table", func(b *testing.B) { benchExperiment(b, experiments.AblationIndex) })
-	tp := officeTopoB(b)
-	devs, err := device.Deploy(tp.B, 0, device.DeploySpec{
-		Model: device.Coverage, Type: device.WiFi, Count: 64,
-	}, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	items := make([]index.Item, len(devs))
-	for i, d := range devs {
-		items[i] = d
-	}
-	rt := index.BulkLoad(items)
-	f0, _ := tp.B.Floor(0)
-	bb := f0.BBox()
-	grid := index.NewGrid(bb.Expand(40), 10)
-	for _, it := range items {
-		grid.Insert(it)
-	}
-	r := rng.New(2)
-	queries := make([]geom.Point, 2000)
-	for i := range queries {
-		queries[i] = geom.Pt(r.Range(bb.Min.X, bb.Max.X), r.Range(bb.Min.Y, bb.Max.Y))
-	}
-	for _, arm := range []struct {
-		name   string
-		search func(q geom.Point, buf []index.Item) []index.Item
-	}{
-		{"rtree", rt.SearchPoint},
-		{"grid", func(q geom.Point, buf []index.Item) []index.Item {
-			return grid.Search(geom.BBox{Min: q, Max: q}, buf)
-		}},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			var buf []index.Item
-			hits := 0
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q := queries[i%len(queries)]
-				buf = arm.search(q, buf[:0])
-				for _, it := range buf {
-					if it.(*device.Device).InRange(q) {
-						hits++
-					}
-				}
-			}
-			b.ReportMetric(float64(hits)/float64(b.N), "devices/op")
-		})
-	}
-}
 
 // BenchmarkAblationRadioMapDensity regenerates A3.
 func BenchmarkAblationRadioMapDensity(b *testing.B) {
@@ -206,9 +150,12 @@ func BenchmarkPipeline(b *testing.B) {
 
 // --- micro-benchmarks for the hot substrates ---
 
-func officeTopoB(b *testing.B) *topo.Topology {
+func officeTopoB(b *testing.B) *topo.Topology { return topoB(b, ifc.OfficeIFC()) }
+
+// topoB builds the default topology of the given IFC text.
+func topoB(b *testing.B, text string) *topo.Topology {
 	b.Helper()
-	f, err := ifc.Parse(ifc.OfficeIFC())
+	f, err := ifc.Parse(text)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,23 +264,32 @@ func BenchmarkWallCrossings(b *testing.B) {
 	}
 }
 
-// BenchmarkRTreeSearch measures point queries against a packed R-tree.
-func BenchmarkRTreeSearch(b *testing.B) {
-	r := rng.New(3)
-	items := make([]index.Item, 512)
-	for i := range items {
-		p := &model.Partition{
-			ID:      "p",
-			Polygon: geom.Rect(r.Range(0, 500), r.Range(0, 500), r.Range(0, 500)+5, r.Range(0, 500)+5),
-		}
-		items[i] = p
-	}
-	t := index.BulkLoad(items)
-	var buf []index.Item
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = t.SearchPoint(geom.Pt(r.Range(0, 500), r.Range(0, 500)), buf[:0])
+// BenchmarkPartitionAt measures Topology.PartitionAt on random points of
+// the ground floor's box.
+func BenchmarkPartitionAt(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		src  func() string
+	}{{"office", ifc.OfficeIFC}, {"mall", ifc.MallIFC}} {
+		b.Run(c.name, func(b *testing.B) {
+			t := topoB(b, c.src())
+			f0, _ := t.B.Floor(0)
+			bb := f0.BBox()
+			r := rng.New(3)
+			queries := make([]geom.Point, 4096)
+			for i := range queries {
+				queries[i] = geom.Pt(r.Range(bb.Min.X, bb.Max.X), r.Range(bb.Min.Y, bb.Max.Y))
+			}
+			hits := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := t.PartitionAt(0, queries[i%len(queries)]); ok {
+					hits++
+				}
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
 	}
 }
 

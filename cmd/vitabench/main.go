@@ -1,5 +1,5 @@
 // Command vitabench runs Vita's reproduction experiments (E1-E10 and the
-// ablations A1-A4 of internal/experiments) and prints one table per
+// ablations A1, A3 and A4 of internal/experiments) and prints one table per
 // experiment.
 //
 // Usage:

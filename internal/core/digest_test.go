@@ -21,7 +21,7 @@ import (
 // refactor that means to keep the output must leave each digest as it is.
 func TestGeneratorDigests(t *testing.T) {
 	want := map[string]string{
-		"synthetic:office/trilateration":     "5131c8849a518e97bc36bf5d4df24e0117607cc8c7ec0fb7a5fa4396b1ef7168",
+		"synthetic:office/trilateration":     "7c76325e00d08351470fdf711ae972c61b9526b7bd10f1908b268a1bb6a6dbf0",
 		"synthetic:office/fingerprint-knn":   "e0c41e386d2448a9c22450e8f9f52c454f1dabf7c1295266c70fd1e76a1feab9",
 		"synthetic:office/fingerprint-bayes": "fb6720dd9f42d74d3972ee6651748dbed88646adcf0f9f3545968ba15f6c6116",
 		"synthetic:office/proximity":         "29faa7cdf206d088d77956371cf87af12c69549fb7532453f97a507c81c4037d",

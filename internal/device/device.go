@@ -89,11 +89,6 @@ type Device struct {
 	Props    Properties
 }
 
-// Bounds implements index.Item: the detection disc's bounding box.
-func (d *Device) Bounds() geom.BBox {
-	return geom.BBox{Min: d.Position, Max: d.Position}.Expand(d.Props.DetectionRange)
-}
-
 // InRange reports whether a point on the same floor is within detection
 // range.
 func (d *Device) InRange(p geom.Point) bool {

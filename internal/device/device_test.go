@@ -153,9 +153,9 @@ func TestDeviceInRangeAndBounds(t *testing.T) {
 	if d.InRange(geom.Pt(20, 20)) {
 		t.Error("out-of-range point accepted")
 	}
-	bb := d.Bounds()
-	if !bb.Contains(geom.Pt(5, 5)) || !bb.Contains(geom.Pt(15, 15)) {
-		t.Error("bounds do not cover the detection disc")
+	// The detection disc's bound is inclusive.
+	if !d.InRange(geom.Pt(15, 10)) || d.InRange(geom.Pt(15.01, 10)) {
+		t.Error("detection range bound not inclusive")
 	}
 }
 

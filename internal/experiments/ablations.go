@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"vita/internal/core"
-	"vita/internal/device"
-	"vita/internal/geom"
 	"vita/internal/ifc"
-	"vita/internal/index"
 	"vita/internal/rng"
 	"vita/internal/topo"
 )
@@ -39,70 +34,6 @@ func AblationLoS(seed uint64) (*Table, error) {
 		}
 		t.AddRow(name, len(ds.RSSI), stats.Mean, stats.Median)
 	}
-	return t, nil
-}
-
-// AblationIndex checks that the R-tree and the grid index answer the
-// device-in-range workload alike. Their per-query time is
-// BenchmarkAblationIndex/{rtree,grid}'s.
-func AblationIndex(seed uint64) (*Table, error) {
-	r := rng.New(seed)
-	topology, err := officeTopo()
-	if err != nil {
-		return nil, err
-	}
-	devs, err := device.Deploy(topology.B, 0, device.DeploySpec{
-		Model: device.Coverage, Type: device.WiFi, Count: 64,
-	}, r)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]index.Item, len(devs))
-	for i, d := range devs {
-		items[i] = d
-	}
-	rt := index.BulkLoad(items)
-	f0, _ := topology.B.Floor(0)
-	bb := f0.BBox()
-	grid := index.NewGrid(bb.Expand(40), 10)
-	for _, it := range items {
-		grid.Insert(it)
-	}
-
-	queries := make([]geom.Point, 2000)
-	for i := range queries {
-		queries[i] = geom.Pt(r.Range(bb.Min.X, bb.Max.X), r.Range(bb.Min.Y, bb.Max.Y))
-	}
-
-	t := &Table{
-		ID:     "A2",
-		Title:  "ablation: R-tree vs grid for device-in-range lookup (64 devices)",
-		Header: []string{"index", "total results"},
-		Notes:  "both return identical result sets; `go test -bench AblationIndex` times one query against each.",
-	}
-	var rtreeTotal int
-	for _, q := range queries {
-		for _, it := range rt.SearchPoint(q, nil) {
-			if it.(*device.Device).InRange(q) {
-				rtreeTotal++
-			}
-		}
-	}
-
-	var gridTotal int
-	for _, q := range queries {
-		for _, it := range grid.Search(geom.BBox{Min: q, Max: q}, nil) {
-			if it.(*device.Device).InRange(q) {
-				gridTotal++
-			}
-		}
-	}
-
-	if rtreeTotal != gridTotal {
-		return nil, fmt.Errorf("A2: result mismatch rtree=%d grid=%d", rtreeTotal, gridTotal)
-	}
-	t.AddRow("r-tree", rtreeTotal)
-	t.AddRow("grid", gridTotal)
 	return t, nil
 }
 

@@ -59,12 +59,6 @@ func (b BBox) Contains(p Point) bool {
 		p.Y >= b.Min.Y-Eps && p.Y <= b.Max.Y+Eps
 }
 
-// ContainsBBox reports whether o lies entirely inside b.
-func (b BBox) ContainsBBox(o BBox) bool {
-	return o.Min.X >= b.Min.X-Eps && o.Max.X <= b.Max.X+Eps &&
-		o.Min.Y >= b.Min.Y-Eps && o.Max.Y <= b.Max.Y+Eps
-}
-
 // Intersects reports whether the two boxes share any point.
 func (b BBox) Intersects(o BBox) bool {
 	if b.IsEmpty() || o.IsEmpty() {

@@ -71,8 +71,18 @@ func (pg Polygon) Edges() []Segment {
 
 // Contains reports whether p is strictly inside or on the boundary of the
 // polygon, using the even-odd ray casting rule with a boundary pre-check.
+// A point more than Eps outside the polygon's box is rejected first: it can
+// be neither inside nor within Eps of an edge.
 func (pg Polygon) Contains(p Point) bool {
 	if len(pg) < 3 {
+		return false
+	}
+	minX, minY, maxX, maxY := pg[0].X, pg[0].Y, pg[0].X, pg[0].Y
+	for _, q := range pg[1:] {
+		minX, maxX = min(minX, q.X), max(maxX, q.X)
+		minY, maxY = min(minY, q.Y), max(maxY, q.Y)
+	}
+	if p.X < minX-Eps || p.X > maxX+Eps || p.Y < minY-Eps || p.Y > maxY+Eps {
 		return false
 	}
 	for i := range pg {

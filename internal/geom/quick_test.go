@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -17,13 +18,14 @@ func clampCoord(v float64) float64 {
 
 func qpt(x, y float64) Point { return Pt(clampCoord(x), clampCoord(y)) }
 
-// TestQuickBBoxUnionContains: the union of two boxes contains both.
+// TestQuickBBoxUnionContains: the union of two boxes contains both, that
+// is, both corners of each.
 func TestQuickBBoxUnionContains(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy, dx, dy float64) bool {
 		b1 := BBoxOf(qpt(ax, ay), qpt(bx, by))
 		b2 := BBoxOf(qpt(cx, cy), qpt(dx, dy))
 		u := b1.Union(b2)
-		return u.ContainsBBox(b1) && u.ContainsBBox(b2)
+		return u.Contains(b1.Min) && u.Contains(b1.Max) && u.Contains(b2.Min) && u.Contains(b2.Max)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -127,6 +129,81 @@ func TestQuickContainsCentroidConvex(t *testing.T) {
 		return p.Contains(p.Centroid())
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// containsOracle is Polygon.Contains without its box reject: the boundary
+// pre-check, then even-odd ray casting.
+func containsOracle(pg Polygon, p Point) bool {
+	if len(pg) < 3 {
+		return false
+	}
+	for i := range pg {
+		e := Segment{pg[i], pg[(i+1)%len(pg)]}
+		if e.DistToPoint(p) < Eps {
+			return true
+		}
+	}
+	inside := false
+	n := len(pg)
+	j := n - 1
+	for i := 0; i < n; i++ {
+		pi, pj := pg[i], pg[j]
+		if (pi.Y > p.Y) != (pj.Y > p.Y) {
+			xint := (pj.X-pi.X)*(p.Y-pi.Y)/(pj.Y-pi.Y) + pi.X
+			if p.X < xint {
+				inside = !inside
+			}
+		}
+		j = i
+	}
+	return inside
+}
+
+// TestQuickPolygonContainsMatchesOracle: the box reject changes no answer.
+// Polygons are random rectangles and star-shaped polygons; probes are
+// random points around the box, and points exactly on, Eps/2 outside and
+// 2·Eps outside each box edge, both at the vertex that spans that edge and
+// at a random place along it.
+func TestQuickPolygonContainsMatchesOracle(t *testing.T) {
+	f := func(seed uint64, cx, cy float64) bool {
+		r := rand.New(rand.NewPCG(seed, 46))
+		c := qpt(cx, cy)
+		var pg Polygon
+		if r.IntN(3) == 0 {
+			pg = Rect(c.X, c.Y, c.X+0.5+20*r.Float64(), c.Y+0.5+20*r.Float64())
+		} else {
+			n := 3 + r.IntN(8)
+			for i := 0; i < n; i++ {
+				a := 2 * math.Pi * (float64(i) + r.Float64()) / float64(n)
+				rad := 0.5 + 20*r.Float64()
+				pg = append(pg, Pt(c.X+rad*math.Cos(a), c.Y+rad*math.Sin(a)))
+			}
+		}
+		bb := pg.BBox()
+		probes := append([]Point(nil), pg...)
+		for i := 0; i < 32; i++ {
+			probes = append(probes, Pt(bb.Min.X-2+r.Float64()*(bb.Width()+4), bb.Min.Y-2+r.Float64()*(bb.Height()+4)))
+		}
+		for _, v := range pg {
+			alongX := bb.Min.X + r.Float64()*bb.Width()
+			alongY := bb.Min.Y + r.Float64()*bb.Height()
+			for _, d := range []float64{0, Eps / 2, 2 * Eps} {
+				probes = append(probes,
+					Pt(bb.Min.X-d, v.Y), Pt(bb.Max.X+d, v.Y), Pt(v.X, bb.Min.Y-d), Pt(v.X, bb.Max.Y+d),
+					Pt(bb.Min.X-d, alongY), Pt(bb.Max.X+d, alongY), Pt(alongX, bb.Min.Y-d), Pt(alongX, bb.Max.Y+d))
+			}
+		}
+		for _, p := range probes {
+			if pg.Contains(p) != containsOracle(pg, p) {
+				t.Logf("polygon %v, point %v: Contains %v", pg, p, pg.Contains(p))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -61,9 +61,6 @@ func (p *Partition) Room() string {
 	return p.ID
 }
 
-// Bounds implements index.Item.
-func (p *Partition) Bounds() geom.BBox { return p.Polygon.BBox() }
-
 // Contains reports whether the floor-plane point lies in the partition.
 func (p *Partition) Contains(pt geom.Point) bool { return p.Polygon.Contains(pt) }
 
@@ -117,15 +114,6 @@ const VirtualDoorName = "virtual pass-through"
 
 // Virtual reports whether the door is a decomposition cut's pass-through.
 func (d *Door) Virtual() bool { return d.Name == VirtualDoorName }
-
-// Bounds implements index.Item.
-func (d *Door) Bounds() geom.BBox {
-	half := d.Width / 2
-	if half <= 0 {
-		half = 0.5
-	}
-	return geom.BBox{Min: d.Position, Max: d.Position}.Expand(half)
-}
 
 // Leads reports whether the door permits movement from partition `from` to
 // partition `to`.
@@ -206,6 +194,3 @@ type Obstacle struct {
 	Floor   int
 	Polygon geom.Polygon
 }
-
-// Bounds implements index.Item.
-func (o *Obstacle) Bounds() geom.BBox { return o.Polygon.BBox() }

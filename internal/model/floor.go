@@ -66,8 +66,10 @@ func (f *Floor) Partition(id string) (*Partition, bool) {
 	return p, ok
 }
 
-// PartitionAt returns the partition containing pt, preferring the smallest
-// containing partition when decomposition nests boundaries.
+// PartitionAt returns the partition containing pt: of all the partitions
+// containing it, the one with the smallest polygon area, and on a tie the
+// first in Partitions order. It is the one partition-at-point rule;
+// topo.Topology.PartitionAt calls it.
 func (f *Floor) PartitionAt(pt geom.Point) (*Partition, bool) {
 	var best *Partition
 	bestArea := 0.0
@@ -86,7 +88,7 @@ func (f *Floor) PartitionAt(pt geom.Point) (*Partition, bool) {
 func (f *Floor) BBox() geom.BBox {
 	b := geom.EmptyBBox()
 	for _, p := range f.Partitions {
-		b = b.Union(p.Bounds())
+		b = b.Union(p.Polygon.BBox())
 	}
 	return b
 }

@@ -47,7 +47,7 @@ type PathLossModel struct {
 	// FluctuationSigma is the standard deviation of the Gaussian Nf term.
 	FluctuationSigma float64
 	// UseLineOfSight enables the wall-crossing obstacle term; when false a
-	// constant HalfObstaclePenalty applies instead (the baseline of
+	// constant ConstantObstaclePenalty applies instead (the baseline of
 	// experiments.AblationLoS).
 	UseLineOfSight bool
 	// ConstantObstaclePenalty replaces the LoS term when UseLineOfSight is

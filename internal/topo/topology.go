@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"vita/internal/geom"
-	"vita/internal/index"
 	"vita/internal/model"
 )
 
@@ -28,8 +27,8 @@ func DefaultOptions() Options {
 }
 
 // Topology wraps a building with its derived geometrical/topological
-// information: door connectivity, staircase links, spatial indices, wall
-// sets, and the accessibility graph used for routing (paper §4.1, §2).
+// information: door connectivity, staircase links, wall sets, the partition
+// numbering, and the accessibility graph used for routing (paper §4.1, §2).
 //
 // Build numbers the partitions once: floors ascending, each floor in its
 // Partitions order. Everything derived per partition is a slice read by
@@ -52,18 +51,17 @@ type Topology struct {
 	adj   [][]edge
 }
 
-// floorIndex is one floor's walls, partition R-tree and partition numbers.
+// floorIndex is one floor's walls and partition numbers.
 type floorIndex struct {
 	level int
 	walls *geom.WallSet
-	rtree *index.RTree
 	ids   map[string]int // partition ID → partition number
 }
 
 // Build derives the full topology of a building: optional decomposition,
 // door→partition connectivity (one ConnectDoors pass over the final
-// partitions), staircase linking, semantic extraction, spatial indexing,
-// the partition numbering, and the accessibility graph.
+// partitions), staircase linking, semantic extraction, the wall sets, the
+// partition numbering, and the accessibility graph.
 func Build(b *model.Building, opts Options) (*Topology, error) {
 	if opts.Decompose {
 		if _, err := Decompose(b, opts.MaxArea); err != nil {
@@ -87,14 +85,11 @@ func Build(b *model.Building, opts Options) (*Topology, error) {
 		fi.level = f.Level
 		fi.walls = f.WallSet()
 		fi.ids = make(map[string]int, len(f.Partitions))
-		items := make([]index.Item, 0, len(f.Partitions))
 		for _, p := range f.Partitions {
 			fi.ids[p.ID] = len(t.parts)
 			t.parts = append(t.parts, p)
 			t.speed = append(t.speed, speedOf(p.Kind))
-			items = append(items, p)
 		}
-		fi.rtree = index.BulkLoad(items)
 	}
 	t.partNodes = make([][]int, len(t.parts))
 	t.exits = make([][]int, len(t.parts))
@@ -155,26 +150,14 @@ func (t *Topology) PartitionNumber(floor int, id string) (int, bool) {
 // the slice.
 func (t *Topology) Exits(n int) []int { return t.exits[n] }
 
-// PartitionAt locates the partition containing pt on the given floor using
-// the spatial index.
+// PartitionAt locates the partition containing pt on the given floor, by
+// model.Floor.PartitionAt's rule.
 func (t *Topology) PartitionAt(floor int, pt geom.Point) (*model.Partition, bool) {
-	fi, ok := t.floor(floor)
+	f, ok := t.B.Floor(floor)
 	if !ok {
 		return nil, false
 	}
-	var best *model.Partition
-	bestArea := 0.0
-	var buf [8]index.Item // nested decompositions rarely stack deeper
-	for _, it := range fi.rtree.SearchPoint(pt, buf[:0]) {
-		p := it.(*model.Partition)
-		if p.Contains(pt) {
-			a := p.Polygon.Area()
-			if best == nil || a < bestArea {
-				best, bestArea = p, a
-			}
-		}
-	}
-	return best, best != nil
+	return f.PartitionAt(pt)
 }
 
 // resolvePartition returns the number of a location's partition: the named
