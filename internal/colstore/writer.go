@@ -127,7 +127,7 @@ func appendBound32(buf []byte, v int) ([]byte, bool) {
 // Writer streams one row kind into a VTB file: rows buffer up to a block,
 // the kind's encoder turns the block into a column payload plus its zone map,
 // and Close flushes the last block and writes the footer. Feed it from the
-// generation pipeline's emit callback (the Collector delivers samples in
+// generation pipeline's emit callback (trajectory.Merge delivers samples in
 // global time order, which makes the zone maps maximally selective). The
 // caller owns the io.Writer; Close flushes the format but does not close it.
 //

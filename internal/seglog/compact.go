@@ -37,10 +37,10 @@ func (o CompactorOptions) withDefaults() CompactorOptions {
 // scans touch one file instead of many. The merge never blocks readers or
 // the writer: inputs are immutable, the output builds under a .tmp name, and
 // the swap is one manifest checkpoint (which also empties the journal).
-// Superseded files are deleted only after in-process readers drain
-// (tombstones); a compactor killed mid-merge leaves an orphan .tmp and an
-// untouched manifest, so queries are byte-identical before and after the
-// crash.
+// The inputs are unlinked once that commit is durable and the log's lock is
+// released; readers that already opened them keep reading their mappings. A
+// compactor killed mid-merge leaves an orphan .tmp and an untouched
+// manifest, so queries are byte-identical before and after the crash.
 //
 // A Compactor is a log mutator: run it in the writer's process or, under the
 // single-mutator rule, as the log's only mutating process.
@@ -129,6 +129,13 @@ func (c *Compactor) runOnce() (*SegmentMeta, error) {
 		os.Remove(filepath.Join(c.log.dir, segName(id)))
 		return nil, err
 	}
+	// Unlink the inputs only now that the commit has released the log's
+	// lock: freeing an fsynced file's blocks can take tens of milliseconds
+	// on a disk that discards them, and no one needs the lock meanwhile,
+	// since segment names are never reused.
+	for _, m := range inputs {
+		removeFile(c.log.SegmentPath(m))
+	}
 	kind := c.log.kind.String()
 	elapsed := time.Since(start)
 	metricCompactionRuns.With(kind).Inc()
@@ -140,6 +147,10 @@ func (c *Compactor) runOnce() (*SegmentMeta, error) {
 		"duration_ms", elapsed.Milliseconds())
 	return &meta, nil
 }
+
+// removeFile deletes a superseded segment file; tests replace it to hold an
+// unlink open.
+var removeFile = os.Remove
 
 // merge streams every input row through the k-way merged cursor into one
 // fresh VTB stream, fsyncing before return, and reports how many rows it

@@ -3,12 +3,14 @@ package seglog
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"vita/internal/colstore"
 	"vita/internal/rssi"
 	"vita/internal/storage"
+	"vita/internal/trajectory"
 )
 
 func TestCompactMergesToGlobalOrder(t *testing.T) {
@@ -58,7 +60,7 @@ func TestCompactMergesToGlobalOrder(t *testing.T) {
 				i-1, i, zones[i-1].T0, zones[i-1].T1, zones[i].T0, zones[i].T1)
 		}
 	}
-	// Superseded files are gone (no readers held them).
+	// Superseded files are gone.
 	for _, m := range before.Segments {
 		if _, err := os.Stat(l.SegmentPath(m)); !os.IsNotExist(err) {
 			t.Errorf("superseded %s still on disk", m.File)
@@ -81,51 +83,54 @@ func TestCompactBelowThresholdIsNoop(t *testing.T) {
 	}
 }
 
-func TestCompactTombstonesUntilReadersDrain(t *testing.T) {
-	l := writeLog(t, t.TempDir(), logSamples(300), 64)
+// TestCompactUnlinksInputsUnderHeldReader: a compaction deletes every input
+// by the time RunOnce returns, even one a reader holds open, and that reader
+// still decodes its segment byte-identically: it holds the file's mapping
+// (or bytes), not the file.
+func TestCompactUnlinksInputsUnderHeldReader(t *testing.T) {
+	samples := logSamples(300)
+	l := writeLog(t, t.TempDir(), samples, 64)
 	before := l.Snapshot()
 	held := before.Segments[0]
 
-	// A reader holds the first segment open (and registered) mid-compaction.
 	r, err := colstore.OpenTrajectory(l.SegmentPath(held))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.RetainFiles(held.File)
+	defer r.Close()
 
 	if _, err := NewCompactor(l, CompactorOptions{MinSegments: 2}).RunOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(l.SegmentPath(held)); err != nil {
-		t.Fatal("held segment deleted before its reader drained")
+	for _, m := range before.Segments {
+		if _, err := os.Stat(l.SegmentPath(m)); !os.IsNotExist(err) {
+			t.Errorf("input %s still on disk after RunOnce returned (%v)", m.File, err)
+		}
 	}
-	// The reader still decodes its file byte-identically post-compaction.
-	rows := 0
+	var got []trajectory.Sample
 	cur := r.Cursor(colstore.Predicate{})
 	for cur.Next() {
-		rows += cur.Batch().Len()
+		b := cur.Batch()
+		for i := 0; i < b.Len(); i++ {
+			got = append(got, b.Row(i))
+		}
 	}
-	if err := cur.Close(); err != nil || rows != held.Rows {
-		t.Fatalf("held reader broken after compaction: %d rows, %v", rows, err)
+	if err := cur.Close(); err != nil {
+		t.Fatalf("held reader broken after compaction: %v", err)
 	}
-	r.Close()
-	l.ReleaseFiles(held.File)
-	if _, err := os.Stat(l.SegmentPath(held)); !os.IsNotExist(err) {
-		t.Fatal("tombstoned segment survived the last release")
+	if !slices.EqualFunc(got, samples[:held.Rows], sampleEqual) {
+		t.Fatalf("held reader decodes %d rows that differ from the %d it was written with", len(got), held.Rows)
 	}
 }
 
 // TestUnlinkOutsideLock: a compaction deletes the segments it superseded
 // after releasing the log's lock, so while one of those unlinks is stuck (on
 // a disk that discards freed blocks, each can take tens of milliseconds)
-// Snapshot, RetainFiles/ReleaseFiles and a writer's seal all go ahead. A
-// segment retained at compaction time survives until its last release.
+// Snapshot and a writer's seal both go ahead.
 func TestUnlinkOutsideLock(t *testing.T) {
 	samples := logSamples(400)
 	l := writeLog(t, t.TempDir(), samples[:300], 64)
-	held := l.Snapshot().Segments[0]
-	l.RetainFiles(held.File)
-	l.RetainFiles(held.File)
+	inputs := l.Snapshot().Segments
 
 	unlinking := make(chan string, 16)
 	release := make(chan struct{})
@@ -151,8 +156,8 @@ func TestUnlinkOutsideLock(t *testing.T) {
 	}()
 	select {
 	case f := <-unlinking:
-		if f == held.File {
-			t.Fatalf("compaction unlinked %s, which a reader holds", f)
+		if f != inputs[0].File {
+			t.Fatalf("compaction unlinked %s first, want its first input %s", f, inputs[0].File)
 		}
 	case err := <-compacted:
 		t.Fatalf("compaction finished (%v) without unlinking a segment", err)
@@ -176,12 +181,7 @@ func TestUnlinkOutsideLock(t *testing.T) {
 			t.Fatalf("%s waited for a compaction's unlink", what)
 		}
 	}
-	var merged SegmentMeta
-	returns("Snapshot", func() { merged = l.Snapshot().Segments[0] })
-	returns("RetainFiles/ReleaseFiles", func() {
-		l.RetainFiles(merged.File)
-		l.ReleaseFiles(merged.File)
-	})
+	returns("Snapshot", func() { l.Snapshot() })
 	var sealErr error
 	returns("a writer's seal", func() {
 		w, err := NewTrajectoryWriter(l, WriterOptions{MaxSegmentRows: 1 << 30, Block: colstore.Options{BlockSize: 32}})
@@ -208,13 +208,10 @@ func TestUnlinkOutsideLock(t *testing.T) {
 	if got := readLog(t, l); len(got) != len(samples) {
 		t.Fatalf("log holds %d rows after compaction and seal, want %d", len(got), len(samples))
 	}
-	l.ReleaseFiles(held.File)
-	if _, err := os.Stat(l.SegmentPath(held)); err != nil {
-		t.Fatalf("retained segment deleted before its last release: %v", err)
-	}
-	l.ReleaseFiles(held.File)
-	if _, err := os.Stat(l.SegmentPath(held)); !os.IsNotExist(err) {
-		t.Fatal("retained segment survived its last release")
+	for _, m := range inputs {
+		if _, err := os.Stat(l.SegmentPath(m)); !os.IsNotExist(err) {
+			t.Errorf("input %s survived its compaction (%v)", m.File, err)
+		}
 	}
 }
 

@@ -31,14 +31,16 @@
 // the next mutator's fold turns the journal's valid prefix into a checkpoint,
 // so a torn tail is never followed by new records.
 //
-// Concurrency contract: any number of reader processes may Open a log and
-// Reload its manifest, but at most one *mutating* process — a Writer or a
-// Compactor — may run per log at a time. Within one process Writer and
-// Compactor may coexist (the Log serializes manifest updates and
-// replaceSegments tolerates appends that land mid-merge). Superseded segment
-// files are deleted only once in-process readers drain (RetainFiles /
-// ReleaseFiles); on unix, unlinking a file another process still has mapped
-// is safe — the pages live until that process closes.
+// Concurrency contract: any number of readers, in this process or others,
+// may Open a log and Reload its manifest, but at most one *mutating* process
+// — a Writer or a Compactor — may run per log at a time. Within one process
+// Writer and Compactor may coexist (the Log serializes manifest updates and
+// replaceSegments tolerates appends that land mid-merge). A compaction
+// unlinks its inputs as soon as its commit is durable, whoever still reads
+// them: an open segment reader holds a mapping or a copy of the file, never
+// its descriptor, so an unlink does not disturb it. A reader that has read a
+// manifest but not yet opened its files may find one gone; it reloads the
+// manifest, whose generation has then moved, and opens that.
 package seglog
 
 import (
@@ -118,10 +120,8 @@ type Log struct {
 	dir  string
 	kind colstore.Kind
 
-	mu   sync.Mutex
-	man  Manifest
-	refs map[string]int  // in-process readers per segment file
-	tomb map[string]bool // superseded files awaiting the last release
+	mu  sync.Mutex
+	man Manifest
 	// journalSynced is set once this handle has fsynced the directory since
 	// the journal was created, so its entry is durable.
 	journalSynced bool
@@ -152,7 +152,7 @@ func Open(dir string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Log{dir: dir, kind: kind, man: man, refs: map[string]int{}, tomb: map[string]bool{}}, nil
+	return &Log{dir: dir, kind: kind, man: man}, nil
 }
 
 // Create initializes a new empty segment log for records of the given kind,
@@ -177,8 +177,6 @@ func Create(dir string, kind colstore.Kind) (*Log, error) {
 			Kind:       kind.String(),
 			Generation: 1,
 		},
-		refs: map[string]int{},
-		tomb: map[string]bool{},
 	}
 	if err := l.storeCheckpointLocked(); err != nil {
 		return nil, err
@@ -302,65 +300,15 @@ func (l *Log) Reload() (Manifest, error) {
 // SegmentPath returns the absolute path of a segment.
 func (l *Log) SegmentPath(m SegmentMeta) string { return filepath.Join(l.dir, m.File) }
 
-// RetainFiles registers in-process readers of the named segment files, so a
-// compaction that supersedes them defers deletion until ReleaseFiles.
-func (l *Log) RetainFiles(files ...string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, f := range files {
-		l.refs[f]++
-	}
-}
-
-// ReleaseFiles drops reader registrations; a tombstoned file whose last
-// reader just left is deleted here — the "only after readers drain" half of
-// compaction.
-func (l *Log) ReleaseFiles(files ...string) {
-	var unlink []string
-	l.mu.Lock()
-	defer func() {
-		l.mu.Unlock()
-		l.unlink(unlink)
-	}()
-	for _, f := range files {
-		if l.refs[f]--; l.refs[f] <= 0 {
-			delete(l.refs, f)
-			if l.tomb[f] {
-				delete(l.tomb, f)
-				unlink = append(unlink, f)
-			}
-		}
-	}
-}
-
-// removeFile deletes a superseded segment file; tests replace it to hold an
-// unlink open.
-var removeFile = os.Remove
-
-// unlink deletes superseded segment files. Callers decide under mu which
-// files go but call it after unlocking: freeing an fsynced file's blocks can
-// take tens of milliseconds on a disk that discards them, and no one needs
-// the lock meanwhile, since segment names are never reused.
-func (l *Log) unlink(files []string) {
-	for _, f := range files {
-		removeFile(filepath.Join(l.dir, f))
-	}
-}
-
 // SweepOrphans removes segment files a crash left behind: *.tmp remnants and
-// seg-*.vtb files the manifest does not name and no in-process reader holds
-// (a compaction's tombstones wait for ReleaseFiles). Only the log's single
-// mutating process may call it (a reader cannot tell an orphan from a
-// segment another process committed a moment ago). Returns how many files
-// were removed.
+// seg-*.vtb files the manifest does not name. Only the log's single mutating
+// process may call it (a reader cannot tell an orphan from a segment another
+// process committed a moment ago). Returns how many files were removed.
 func (l *Log) SweepOrphans() (int, error) {
 	l.mu.Lock()
-	live := make(map[string]bool, len(l.man.Segments)+len(l.refs))
+	live := make(map[string]bool, len(l.man.Segments))
 	for _, m := range l.man.Segments {
 		live[m.File] = true
-	}
-	for f := range l.refs {
-		live[f] = true
 	}
 	l.mu.Unlock()
 	entries, err := os.ReadDir(l.dir)
@@ -478,17 +426,11 @@ func (l *Log) foldJournal() error {
 
 // replaceSegments commits a compaction: the removed segments leave the
 // manifest, added takes the first removed segment's position (segments a
-// writer appended mid-merge keep their place after it). Removed files are
-// deleted once the commit has released the lock, unless in-process readers
-// still hold them, in which case they are tombstoned for the last
-// ReleaseFiles.
+// writer appended mid-merge keep their place after it). The removed files
+// stay on disk; the caller unlinks them once this returns.
 func (l *Log) replaceSegments(removed []SegmentMeta, added SegmentMeta) error {
-	var unlink []string
 	l.mu.Lock()
-	defer func() {
-		l.mu.Unlock()
-		l.unlink(unlink)
-	}()
+	defer l.mu.Unlock()
 	gone := make(map[uint64]bool, len(removed))
 	for _, m := range removed {
 		gone[m.ID] = true
@@ -521,17 +463,7 @@ func (l *Log) replaceSegments(removed []SegmentMeta, added SegmentMeta) error {
 	if added.ID >= next.NextID {
 		next.NextID = added.ID + 1
 	}
-	if err := l.commitLocked(next); err != nil {
-		return err
-	}
-	for _, m := range removed {
-		if l.refs[m.File] > 0 {
-			l.tomb[m.File] = true
-			continue
-		}
-		unlink = append(unlink, m.File)
-	}
-	return nil
+	return l.commitLocked(next)
 }
 
 // commitLocked stores next to disk as a checkpoint and, on success, adopts

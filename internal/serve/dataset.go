@@ -183,8 +183,7 @@ func openSegmented(d *Dataset, logDir string, cfg Config) (*Dataset, error) {
 	d.log = l
 	d.path = filepath.Join(logDir, seglog.ManifestName)
 	d.format = storage.FormatVTB
-	man := l.Snapshot()
-	set, err := d.buildSet(man, nil)
+	man, set, err := d.buildCurrent(l.Snapshot(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"sync/atomic"
 	"time"
@@ -14,34 +16,41 @@ import (
 // written: instead of one trajectory reader it holds an immutable snapshot of
 // open readers — a segmentSet — built from one manifest generation of an
 // internal/seglog log. Queries retain the set they started on, so a refresh
-// or compaction mid-query never closes a file out from under a scan; the old
-// set's readers close when the last in-flight query drains. Single-file
-// datasets ride the same machinery as a static one-segment set (segment ID 0,
-// no log), so there is exactly one scan pipeline to get right.
+// mid-query never closes a reader out from under a scan; the old set's
+// readers close when the last in-flight query drains. A compaction may unlink
+// a segment file while a set still reads it: an open reader holds the file's
+// mapping (or its bytes), not the file. Single-file datasets ride the same
+// machinery as a static one-segment set (segment ID 0, no log), so there is
+// exactly one scan pipeline to get right.
 
 // segReader is one open segment: its VTB reader, its resident zone maps, and
-// a reference count tying the reader's (and the log file's) lifetime to the
-// segment sets that include it.
+// a reference count tying the reader's lifetime to the segment sets that
+// include it.
 type segReader struct {
 	id    uint64
-	file  string // manifest-relative name; "" for single-file datasets
 	tr    *colstore.TrajectoryReader
 	zones []colstore.ZoneMap
-	log   *seglog.Log // nil for single-file datasets
 	refs  atomic.Int32
+	// superseded is set once a refresh finds the segment gone from the live
+	// set: a compaction merged it, and its file is (or soon will be) unlinked.
+	superseded atomic.Bool
 }
 
 func (s *segReader) retain() { s.refs.Add(1) }
 
-// release drops one reference; the last one closes the reader and, for log
-// segments, lets the log delete the file if compaction tombstoned it.
+// release drops one reference; the last one closes the reader. A superseded
+// reader closes on its own goroutine: unmapping an unlinked file frees its
+// blocks, tens of milliseconds a file on a disk that discards them, and the
+// last release may be a query's.
 func (s *segReader) release() {
-	if s.refs.Add(-1) == 0 {
-		_ = s.tr.Close()
-		if s.log != nil {
-			s.log.ReleaseFiles(s.file)
-		}
+	if s.refs.Add(-1) != 0 {
+		return
 	}
+	if s.superseded.Load() {
+		go s.tr.Close()
+		return
+	}
+	_ = s.tr.Close()
 }
 
 // segmentSet is an immutable snapshot of the segments serving one manifest
@@ -103,20 +112,35 @@ func (d *Dataset) buildSet(man seglog.Manifest, prev *segmentSet) (*segmentSet, 
 			segs = append(segs, sg)
 			continue
 		}
-		// Register the file with the log before opening so an in-process
-		// compactor that supersedes it mid-build tombstones it instead of
-		// deleting it out from under the reader.
-		d.log.RetainFiles(m.File)
 		tr, err := colstore.OpenTrajectory(d.log.SegmentPath(m))
 		if err != nil {
-			d.log.ReleaseFiles(m.File)
 			return fail(fmt.Errorf("serve: segment %s: %w", m.File, err))
 		}
-		sg := &segReader{id: m.ID, file: m.File, tr: tr, zones: tr.Blocks(), log: d.log}
+		sg := &segReader{id: m.ID, tr: tr, zones: tr.Blocks()}
 		sg.refs.Store(1)
 		segs = append(segs, sg)
 	}
 	return newSegmentSet(man.Generation, segs), nil
+}
+
+// buildCurrent is buildSet that rides out one race: between reading a
+// manifest and opening its files, a compaction — in this process or another
+// — may commit a newer generation and unlink segments the manifest names.
+// A segment found missing sends it back to the manifest, for as long as the
+// generation has moved; a missing segment under an unchanged generation is
+// an error. It returns the manifest the set was built from.
+func (d *Dataset) buildCurrent(man seglog.Manifest, prev *segmentSet) (seglog.Manifest, *segmentSet, error) {
+	for {
+		set, err := d.buildSet(man, prev)
+		if !errors.Is(err, fs.ErrNotExist) {
+			return man, set, err
+		}
+		next, rerr := d.log.Reload()
+		if rerr != nil || next.Generation == man.Generation {
+			return man, nil, err
+		}
+		man = next
+	}
 }
 
 // Refresh reloads the log's manifest and, if its generation moved, swaps in a
@@ -152,7 +176,7 @@ func (d *Dataset) Refresh() (bool, error) {
 	prev.retain()
 	d.mu.Unlock()
 
-	next, err := d.buildSet(man, prev)
+	man, next, err := d.buildCurrent(man, prev)
 	if err != nil {
 		prev.release()
 		return false, err
@@ -177,6 +201,7 @@ func (d *Dataset) Refresh() (bool, error) {
 	var dead []uint64
 	for _, sg := range old.segs {
 		if !live[sg.id] {
+			sg.superseded.Store(true)
 			dead = append(dead, sg.id)
 		}
 	}

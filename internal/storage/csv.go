@@ -135,12 +135,12 @@ func parseRSSIRecord(rec []string) (rssi.Measurement, error) {
 	if err != nil {
 		return rssi.Measurement{}, fmt.Errorf("storage: bad o_id %q", rec[0])
 	}
-	v, err := strconv.ParseFloat(rec[2], 64)
-	if err != nil {
+	v, ok := parseFinite(rec[2])
+	if !ok {
 		return rssi.Measurement{}, fmt.Errorf("storage: bad rssi %q", rec[2])
 	}
-	t, err := strconv.ParseFloat(rec[3], 64)
-	if err != nil {
+	t, ok := parseFinite(rec[3])
+	if !ok {
 		return rssi.Measurement{}, fmt.Errorf("storage: bad t %q", rec[3])
 	}
 	return rssi.Measurement{ObjID: objID, DeviceID: rec[1], RSSI: v, T: t}, nil
@@ -195,12 +195,12 @@ func ReadProximityCSV(r io.Reader) ([]positioning.ProximityRecord, error) {
 		if err != nil {
 			return nil, fmt.Errorf("storage: bad o_id %q", rec[0])
 		}
-		ts, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
+		ts, ok := parseFinite(rec[2])
+		if !ok {
 			return nil, fmt.Errorf("storage: bad ts %q", rec[2])
 		}
-		te, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil {
+		te, ok := parseFinite(rec[3])
+		if !ok {
 			return nil, fmt.Errorf("storage: bad te %q", rec[3])
 		}
 		out = append(out, positioning.ProximityRecord{ObjID: objID, DeviceID: rec[1], TS: ts, TE: te})
@@ -238,19 +238,26 @@ func (c *csvRecords) next() ([]string, error) {
 }
 
 func parse3(a, b, c string) (float64, float64, float64, error) {
-	x, err := strconv.ParseFloat(a, 64)
-	if err != nil {
+	x, ok := parseFinite(a)
+	if !ok {
 		return 0, 0, 0, fmt.Errorf("storage: bad number %q", a)
 	}
-	y, err := strconv.ParseFloat(b, 64)
-	if err != nil {
+	y, ok := parseFinite(b)
+	if !ok {
 		return 0, 0, 0, fmt.Errorf("storage: bad number %q", b)
 	}
-	t, err := strconv.ParseFloat(c, 64)
-	if err != nil {
+	t, ok := parseFinite(c)
+	if !ok {
 		return 0, 0, 0, fmt.Errorf("storage: bad number %q", c)
 	}
 	return x, y, t, nil
+}
+
+// parseFinite is strconv.ParseFloat minus NaN and ±Inf, which it accepts but
+// no writer of these formats emits: a row holding one is not a row of ours.
+func parseFinite(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
 // csvWriter lays records out byte for byte as encoding/csv.Writer does in

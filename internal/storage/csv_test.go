@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -454,5 +455,153 @@ func TestCSVWritersMatchEncodingCSV(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Fatalf("TrajectoryCSVWriter wrote\n%q\nencoding/csv writes\n%q", got.String(), want.String())
+	}
+}
+
+// TestCSVRejectsNonFinite: strconv.ParseFloat accepts NaN and ±Inf in many
+// spellings, and no writer of these formats emits either, so every CSV reader
+// refuses a row holding one in any float field. (A trajectory row with t NaN
+// used to be served inside every time window.)
+func TestCSVRejectsNonFinite(t *testing.T) {
+	readers := map[string]struct {
+		row    []string // a valid row
+		floats []int    // its float columns
+		read   func(r io.Reader) error
+	}{
+		"trajectory": {
+			row:    []string{"7", "hq", "1", "lobby", "1.5000", "2.5000", "0.0000"},
+			floats: []int{4, 5, 6},
+			read: func(r io.Reader) error {
+				_, err := readCSV[trajectory.Sample](Trajectory, r)
+				return err
+			},
+		},
+		"rssi": {
+			row:    []string{"7", "ap-1", "-40.5000", "0.0000"},
+			floats: []int{2, 3},
+			read: func(r io.Reader) error {
+				_, err := readCSV[rssi.Measurement](RSSI, r)
+				return err
+			},
+		},
+		"proximity": {
+			row:    []string{"7", "ap-1", "0.0000", "2.0000"},
+			floats: []int{2, 3},
+			read: func(r io.Reader) error {
+				_, err := ReadProximityCSV(r)
+				return err
+			},
+		},
+	}
+	for name, rd := range readers {
+		if err := rd.read(strings.NewReader(strings.Join(rd.row, ",") + "\n")); err != nil {
+			t.Fatalf("%s: the valid row is refused: %v", name, err)
+		}
+		for _, col := range rd.floats {
+			for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-Infinity"} {
+				rec := slices.Clone(rd.row)
+				rec[col] = v
+				if err := rd.read(strings.NewReader(strings.Join(rec, ",") + "\n")); err == nil {
+					t.Errorf("%s: column %d = %s read without error", name, col, v)
+				}
+			}
+		}
+	}
+
+	// The file cursor, which a served CSV dataset opens, is the same loop.
+	path := filepath.Join(t.TempDir(), "trajectory.csv")
+	body := strings.Join(TrajectoryCSVHeader, ",") + "\n1,hq,0,lobby,1.0000,2.0000,NaN\n"
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rows, _, err := readFile[trajectory.Sample](Trajectory, path); err == nil {
+		t.Errorf("a trajectory file with t NaN read as %+v", rows)
+	}
+}
+
+// FuzzCSVRecords feeds arbitrary bytes to each CSV reader. Whatever a reader
+// accepts must be finite, and must read back equal — at the writers'
+// 4-decimal precision — after one pass through the matching writer. Anything
+// else must be an error, never a panic.
+func FuzzCSVRecords(f *testing.F) {
+	for _, seed := range []string{
+		strings.Join(TrajectoryCSVHeader, ",") + "\n7,hq,1,lobby,1.5000,2.5000,0.0000\n8,\"a,b\",-2,\" x\",3,4e2,1.23456\n",
+		strings.Join(RSSICSVHeader, ",") + "\n7,ap-1,-40.5000,0.0000\n8,\"ap\"\"2\",-50,1e-5\n",
+		strings.Join(proximityCSVHeader, ",") + "\n7,ap-1,0.0000,2.0000\n",
+		"1,hq,0,lobby,1.0000,2.0000,NaN\n",
+		"7,ap-1,Inf,0\n",
+		"7,\"ap\r\n1\",0,-0\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if rows, err := readCSV[trajectory.Sample](Trajectory, bytes.NewReader(data)); err == nil {
+			want := make([]trajectory.Sample, len(rows))
+			for i, s := range rows {
+				requireFinite(t, "trajectory", s.Loc.Point.X, s.Loc.Point.Y, s.T)
+				s.Loc.Point.X, s.Loc.Point.Y, s.T = quantize4(s.Loc.Point.X), quantize4(s.Loc.Point.Y), quantize4(s.T)
+				want[i] = s
+			}
+			var buf bytes.Buffer
+			if err := writeCSV(NewTrajectoryCSVWriter, &buf, rows); err != nil {
+				t.Fatal(err)
+			}
+			back, err := readCSV[trajectory.Sample](Trajectory, &buf)
+			if err != nil || !slices.Equal(back, want) {
+				t.Fatalf("trajectory rows do not survive the writer: %v\n got %+v\nwant %+v", err, back, want)
+			}
+		}
+		if rows, err := readCSV[rssi.Measurement](RSSI, bytes.NewReader(data)); err == nil {
+			want := make([]rssi.Measurement, len(rows))
+			for i, m := range rows {
+				requireFinite(t, "rssi", m.RSSI, m.T)
+				m.RSSI, m.T = quantize4(m.RSSI), quantize4(m.T)
+				want[i] = m
+			}
+			var buf bytes.Buffer
+			if err := writeCSV(NewRSSICSVWriter, &buf, rows); err != nil {
+				t.Fatal(err)
+			}
+			back, err := readCSV[rssi.Measurement](RSSI, &buf)
+			if err != nil || !slices.Equal(back, want) {
+				t.Fatalf("rssi rows do not survive the writer: %v\n got %+v\nwant %+v", err, back, want)
+			}
+		}
+		if rows, err := ReadProximityCSV(bytes.NewReader(data)); err == nil {
+			want := make([]positioning.ProximityRecord, len(rows))
+			for i, r := range rows {
+				requireFinite(t, "proximity", r.TS, r.TE)
+				r.TS, r.TE = quantize4(r.TS), quantize4(r.TE)
+				want[i] = r
+			}
+			var buf bytes.Buffer
+			if err := WriteProximityCSV(&buf, rows); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadProximityCSV(&buf)
+			if err != nil || !slices.Equal(back, want) {
+				t.Fatalf("proximity rows do not survive the writer: %v\n got %+v\nwant %+v", err, back, want)
+			}
+		}
+	})
+}
+
+// quantize4 is what a value reads back as after the writers' 4-decimal
+// formatting.
+func quantize4(v float64) float64 {
+	q, err := strconv.ParseFloat(strconv.FormatFloat(v, 'f', 4, 64), 64)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
+func requireFinite(t *testing.T, kind string, vs ...float64) {
+	t.Helper()
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("%s reader accepted a non-finite value %v", kind, v)
+		}
 	}
 }
