@@ -11,8 +11,9 @@
 // compacting a flate-era log rewrites it under vsnap.
 //
 // Compaction is crash-safe: the merged segment builds under a temporary
-// name, the swap is one manifest checkpoint, and a process killed mid-merge
-// leaves the log — and every query against it — untouched. It is a log
+// name, the swap is one manifest journal record, as a segment's seal is, and
+// a process killed mid-merge leaves the log — and every query against it —
+// untouched. It is a log
 // mutation, so run it only when no other writer or compactor has the log
 // (readers, including a running vitaserve, are unaffected and pick up the
 // merge on their next manifest refresh).

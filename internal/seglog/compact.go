@@ -36,11 +36,13 @@ func (o CompactorOptions) withDefaults() CompactorOptions {
 // logs, object-group order for RSSI logs — so zone maps tighten back up and
 // scans touch one file instead of many. The merge never blocks readers or
 // the writer: inputs are immutable, the output builds under a .tmp name, and
-// the swap is one manifest checkpoint (which also empties the journal).
-// The inputs are unlinked once that commit is durable and the log's lock is
-// released; readers that already opened them keep reading their mappings. A
-// compactor killed mid-merge leaves an orphan .tmp and an untouched
-// manifest, so queries are byte-identical before and after the crash.
+// the swap is one journal record, committed as a seal's is. The inputs are
+// unlinked once that commit is durable and the log's lock is released;
+// readers that already opened them keep reading their mappings. A compactor
+// killed mid-merge leaves an orphan .tmp and an untouched manifest, so
+// queries are byte-identical before and after the crash; one killed after
+// its record, before the unlinks, leaves inputs no manifest names, which the
+// next writer's orphan sweep removes.
 //
 // A Compactor is a log mutator: run it in the writer's process or, under the
 // single-mutator rule, as the log's only mutating process.
@@ -50,11 +52,15 @@ type Compactor struct {
 }
 
 // NewCompactor returns a compactor over l, folding the log's manifest
-// journal into a checkpoint first. A failed fold is only logged: a compactor
-// appends no journal record, and its commit writes a checkpoint anyway.
+// journal into a checkpoint first. A failed fold marks the journal broken, so
+// the compaction commits by checkpoint rather than append after a torn record
+// the fold could not drop.
 func NewCompactor(l *Log, opts CompactorOptions) *Compactor {
 	if err := l.foldJournal(); err != nil {
 		slog.Warn("manifest journal fold failed", "dir", l.dir, "error", err.Error())
+		l.mu.Lock()
+		l.journalBroken = true
+		l.mu.Unlock()
 	}
 	return &Compactor{log: l, opts: opts.withDefaults()}
 }

@@ -7,40 +7,42 @@
 //
 // The manifest is two files, the way LevelDB keeps its MANIFEST: a
 // checkpoint, MANIFEST.json, holding a whole manifest, and a journal,
-// MANIFEST.log, of one JSON line per segment sealed since that checkpoint
-// (the generation it makes, the next ID, the segment's meta). A seal commits
-// in this durable order: fsync the segment's .tmp file, rename it to its
-// final name, fsync the directory, append the record to the journal, fsync
-// the journal (the journal's first append in a process also fsyncs the
-// directory, for the journal's own entry). Appending costs no block free;
-// replacing MANIFEST.json by rename frees the old, fsynced file's blocks,
-// which on a disk that discards freed blocks costs tens of milliseconds. So
-// the checkpoint is rewritten (temp file, fsync, rename, directory fsync,
-// then the journal is removed) only at Create, at a compaction's commit, and
-// when a mutator (NewTrajectoryWriter, NewRSSIWriter, NewCompactor) opens a
-// log whose journal is not empty, folding the journal in.
+// MANIFEST.log, of one JSON line per change since it: a seal's record adds a
+// segment, a compaction's adds its merge in place of the segments it
+// removes, and Manifest.apply is the one rule for both. Every change commits
+// the same way: fsync the new segment's .tmp file, rename it to its final
+// name, fsync the directory, append the record to the journal, fsync the
+// journal (the journal's first append in a process also fsyncs the
+// directory). Appending costs no block free; replacing MANIFEST.json by
+// rename frees the old, fsynced file's blocks, which on a disk that discards
+// freed blocks costs tens of milliseconds. So the checkpoint is rewritten
+// (temp file, fsync, rename, directory fsync, then the journal is removed)
+// only at Create, after an append that failed part way, and when a mutator
+// (NewTrajectoryWriter, NewRSSIWriter, NewCompactor) opens a log whose
+// journal is not empty or whose checkpoint is older, folding the journal in.
 //
 // LoadManifest reads the checkpoint, then the journal's records in file
 // order: a record at or below the current generation is stale (written
 // before the checkpoint that now holds it) and skipped, the record at the
 // next generation is applied, and anything else — a torn last line, bad
-// JSON, a generation gap — ends the replay. A crash at any instant therefore
-// leaves the log at its last consistent snapshot and costs at most the
-// segment being filled: readers see only segments the manifest names, and
-// recovery is ignoring (or sweeping) orphan files. A reader never writes;
-// the next mutator's fold turns the journal's valid prefix into a checkpoint,
-// so a torn tail is never followed by new records.
+// JSON, a record apply refuses — ends the replay. A crash at any instant
+// therefore leaves the log at its last consistent snapshot and costs at most
+// the segment being filled: readers see only segments the manifest names,
+// and recovery is ignoring (or sweeping) orphan files. A reader never
+// writes; the next mutator's fold turns the journal's valid prefix into a
+// checkpoint, so a torn tail is never followed by new records.
 //
 // Concurrency contract: any number of readers, in this process or others,
 // may Open a log and Reload its manifest, but at most one *mutating* process
 // — a Writer or a Compactor — may run per log at a time. Within one process
-// Writer and Compactor may coexist (the Log serializes manifest updates and
-// replaceSegments tolerates appends that land mid-merge). A compaction
-// unlinks its inputs as soon as its commit is durable, whoever still reads
-// them: an open segment reader holds a mapping or a copy of the file, never
-// its descriptor, so an unlink does not disturb it. A reader that has read a
-// manifest but not yet opened its files may find one gone; it reloads the
-// manifest, whose generation has then moved, and opens that.
+// Writer and Compactor may coexist (the Log serializes commits, and a
+// compaction's record removes only the segments it merged, so segments
+// appended mid-merge keep their place). A compaction unlinks its inputs as
+// soon as its commit is durable, whoever still reads them: an open segment
+// reader holds a mapping or a copy of the file, never its descriptor, so an
+// unlink does not disturb it. A reader that has read a manifest but not yet
+// opened its files may find one gone; it reloads the manifest, whose
+// generation has then moved, and opens that.
 package seglog
 
 import (
@@ -52,6 +54,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -62,15 +65,16 @@ import (
 // manifest's checkpoint.
 const ManifestName = "MANIFEST.json"
 
-// journalName is the manifest's journal: the segments sealed since the
+// journalName is the manifest's journal: the changes committed since the
 // checkpoint, one JSON line each.
 const journalName = "MANIFEST.log"
 
 // manifestVersion guards against reading manifests written by a future,
-// incompatible layout. Version 2 checkpoints may have a journal beside them;
-// a version 1 reader would not replay it, so it refuses them instead of
-// missing segments. Both versions load.
-const manifestVersion = 2
+// incompatible layout. Version 2 added the journal, which a version-1 reader
+// would miss; version 3 added compaction records, which a version-2 reader
+// would apply as seals, serving a merge beside its inputs. Versions 1–3 load,
+// and a mutator's open rewrites an older checkpoint before it appends.
+const manifestVersion = 3
 
 // SegmentMeta describes one immutable segment file, mirroring the zone-map
 // idea one level up: T0/T1 let a scan skip whole segments before opening
@@ -105,12 +109,14 @@ type Manifest struct {
 	Segments    []SegmentMeta `json:"segments"`
 }
 
-// journalRecord is one line of the journal: the commit of one sealed
-// segment, which makes generation Generation.
+// journalRecord is one line of the journal: the commit that makes generation
+// Generation. A seal adds Segment; a compaction adds Segment, its merge of
+// the segments Removed names.
 type journalRecord struct {
 	Generation uint64      `json:"generation"`
 	NextID     uint64      `json:"next_id"`
 	Segment    SegmentMeta `json:"segment"`
+	Removed    []uint64    `json:"removed,omitempty"`
 }
 
 // Log is a handle on a segment-log directory. The in-memory manifest mirrors
@@ -169,16 +175,8 @@ func Create(dir string, kind colstore.Kind) (*Log, error) {
 	if err := os.Remove(filepath.Join(dir, journalName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	l := &Log{
-		dir:  dir,
-		kind: kind,
-		man: Manifest{
-			Version:    manifestVersion,
-			Kind:       kind.String(),
-			Generation: 1,
-		},
-	}
-	if err := l.storeCheckpointLocked(); err != nil {
+	l := &Log{dir: dir, kind: kind}
+	if err := l.storeCheckpointLocked(Manifest{Kind: kind.String(), Generation: 1}); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -215,16 +213,15 @@ func LoadManifest(dir string) (Manifest, error) {
 }
 
 // parseManifest validates a checkpoint and replays a journal over it. The
-// checkpoint must be whole and consistent; the journal is applied record by
-// record until the first one that is torn, unparsable, out of sequence or
-// inconsistent, which is where a crash (or the start of records a fold has
-// not yet removed) may have left it.
+// checkpoint must be whole and consistent; the journal's records past the
+// checkpoint's generation are applied until the first one that is torn,
+// unparsable or refused by apply, which is where a crash may have left it.
 func parseManifest(checkpoint, journal []byte) (Manifest, error) {
 	var man Manifest
 	if err := json.Unmarshal(checkpoint, &man); err != nil {
 		return Manifest{}, fmt.Errorf("seglog: parse %s: %w", ManifestName, err)
 	}
-	if man.Version != 1 && man.Version != manifestVersion {
+	if man.Version < 1 || man.Version > manifestVersion {
 		return Manifest{}, fmt.Errorf("seglog: unsupported manifest version %d", man.Version)
 	}
 	if _, err := parseKind(man.Kind); err != nil {
@@ -250,16 +247,56 @@ func parseManifest(checkpoint, journal []byte) (Manifest, error) {
 		if rec.Generation <= man.Generation {
 			continue // already in the checkpoint
 		}
-		seg := rec.Segment
-		if rec.Generation != man.Generation+1 || ids[seg.ID] || seg.ID >= rec.NextID {
+		next, ok := man.apply(rec)
+		if !ok {
 			break
 		}
-		ids[seg.ID] = true
-		man.Segments = append(man.Segments, seg)
-		man.Generation = rec.Generation
-		man.NextID = max(man.NextID, rec.NextID)
+		man = next
 	}
 	return man, nil
+}
+
+// apply returns the manifest rec makes of m; it is the only manifest
+// transition. rec must make the next generation and add a segment m does not
+// hold, with an ID below rec.NextID. A seal appends it; a compaction puts it
+// where the first removed segment was, and every removed ID must be held. m's
+// segments are never written, so a published manifest never changes, but a
+// seal may fill the list's spare capacity, so replaying seals stays linear.
+func (m Manifest) apply(rec journalRecord) (next Manifest, ok bool) {
+	seg := rec.Segment
+	// Every ID m holds is below m.NextID, so only such an ID needs the scan.
+	held := seg.ID < m.NextID && slices.ContainsFunc(m.Segments, func(s SegmentMeta) bool { return s.ID == seg.ID })
+	if rec.Generation != m.Generation+1 || seg.ID >= rec.NextID || held {
+		return m, false
+	}
+	next = m
+	next.Generation = rec.Generation
+	next.NextID = max(m.NextID, rec.NextID)
+	if len(rec.Removed) == 0 {
+		next.Segments = append(m.Segments, seg)
+		return next, true
+	}
+	gone := make(map[uint64]bool, len(rec.Removed))
+	for _, id := range rec.Removed {
+		gone[id] = true
+	}
+	next.Segments = make([]SegmentMeta, 0, len(m.Segments)+1)
+	matched := 0
+	for _, s := range m.Segments {
+		if !gone[s.ID] {
+			next.Segments = append(next.Segments, s)
+			continue
+		}
+		if matched == 0 {
+			next.Segments = append(next.Segments, seg)
+		}
+		matched++
+	}
+	if matched != len(rec.Removed) {
+		return m, false
+	}
+	next.Compactions++
+	return next, true
 }
 
 // Dir returns the log directory.
@@ -268,11 +305,12 @@ func (l *Log) Dir() string { return l.dir }
 // Kind returns the record kind the log holds.
 func (l *Log) Kind() colstore.Kind { return l.kind }
 
-// Snapshot returns a copy of the current in-memory manifest.
+// Snapshot returns the current in-memory manifest. Its segment list is
+// shared and must not be modified.
 func (l *Log) Snapshot() Manifest {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.man.copy()
+	return l.man
 }
 
 // Reload re-reads the manifest from disk — how a reader process observes a
@@ -294,7 +332,7 @@ func (l *Log) Reload() (Manifest, error) {
 		man.NextID = max(man.NextID, l.man.NextID)
 		l.man = man
 	}
-	return l.man.copy(), nil
+	return l.man, nil
 }
 
 // SegmentPath returns the absolute path of a segment.
@@ -352,22 +390,26 @@ func (l *Log) reserveID() uint64 {
 	return id
 }
 
-// appendSegment commits one freshly sealed segment, whose file the caller
-// has fsynced, renamed into place and made durable with a directory fsync:
-// one journal record to disk first, then memory.
-func (l *Log) appendSegment(meta SegmentMeta) error {
+// commit makes rec, whose segment the caller has fsynced, renamed into place
+// and made durable with a directory fsync, the log's next generation: apply,
+// append to the journal and fsync, then adopt in memory. A broken journal
+// commits by checkpoint instead.
+func (l *Log) commit(rec journalRecord) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	next := l.man.copy()
-	next.Segments = append(next.Segments, meta)
-	next.Generation++
-	if meta.ID >= next.NextID {
-		next.NextID = meta.ID + 1
+	rec.Generation = l.man.Generation + 1
+	rec.NextID = max(l.man.NextID, rec.Segment.ID+1)
+	next, ok := l.man.apply(rec)
+	if !ok {
+		// A removed segment is already gone: some other mutator violated the
+		// single-mutator rule (or the caller merged from a stale snapshot).
+		return fmt.Errorf("seglog: commit of segment %d refused at generation %d: its ID is live or a segment it replaces is gone",
+			rec.Segment.ID, l.man.Generation)
 	}
 	if l.journalBroken {
-		return l.commitLocked(next)
+		return l.storeCheckpointLocked(next)
 	}
-	if err := l.appendJournalLocked(journalRecord{Generation: next.Generation, NextID: next.NextID, Segment: meta}); err != nil {
+	if err := l.appendJournalLocked(rec); err != nil {
 		// The record may have reached the file, and a reader may have seen
 		// it: burn its generation so the next commit makes a new one.
 		l.man.Generation = next.Generation
@@ -405,9 +447,9 @@ func (l *Log) appendJournalLocked(rec journalRecord) error {
 }
 
 // foldJournal is a mutator's open: it reloads the manifest from disk and, if
-// the journal holds records (or the checkpoint predates journals), writes the
-// result as a new checkpoint and removes the journal. A torn tail is thereby
-// dropped before this mutator appends anything after it.
+// the journal holds records (or the checkpoint is of an older version),
+// writes the result as a new checkpoint and removes the journal. A torn tail
+// is thereby dropped before this mutator appends anything after it.
 func (l *Log) foldJournal() error {
 	if _, err := l.Reload(); err != nil {
 		return err
@@ -419,74 +461,33 @@ func (l *Log) foldJournal() error {
 		return err
 	}
 	if (err == nil && st.Size() > 0) || l.man.Version != manifestVersion {
-		return l.commitLocked(l.man.copy())
+		return l.storeCheckpointLocked(l.man)
 	}
 	return nil
 }
 
 // replaceSegments commits a compaction: the removed segments leave the
-// manifest, added takes the first removed segment's position (segments a
-// writer appended mid-merge keep their place after it). The removed files
-// stay on disk; the caller unlinks them once this returns.
+// manifest and added takes the first one's place (segments a writer appended
+// mid-merge keep theirs after it). The removed files stay on disk; the
+// caller unlinks them once this returns.
 func (l *Log) replaceSegments(removed []SegmentMeta, added SegmentMeta) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	gone := make(map[uint64]bool, len(removed))
-	for _, m := range removed {
-		gone[m.ID] = true
+	rec := journalRecord{Segment: added, Removed: make([]uint64, len(removed))}
+	for i, m := range removed {
+		rec.Removed[i] = m.ID
 	}
-	next := l.man.copy()
-	segs := make([]SegmentMeta, 0, len(next.Segments)-len(removed)+1)
-	matched, placed := 0, false
-	for _, m := range next.Segments {
-		if gone[m.ID] {
-			matched++
-			if !placed {
-				segs = append(segs, added)
-				placed = true
-			}
-			continue
-		}
-		segs = append(segs, m)
-	}
-	if matched != len(removed) {
-		// A removed segment is already gone: some other mutator violated the
-		// single-mutator rule (or the caller merged from a stale snapshot).
-		return fmt.Errorf("seglog: replace: %d of %d input segments no longer in manifest", len(removed)-matched, len(removed))
-	}
-	if !placed {
-		segs = append(segs, added)
-	}
-	next.Segments = segs
-	next.Generation++
-	next.Compactions++
-	if added.ID >= next.NextID {
-		next.NextID = added.ID + 1
-	}
-	return l.commitLocked(next)
+	return l.commit(rec)
 }
 
-// commitLocked stores next to disk as a checkpoint and, on success, adopts
-// it in memory. Callers hold mu.
-func (l *Log) commitLocked(next Manifest) error {
-	saved := l.man
-	l.man = next
-	if err := l.storeCheckpointLocked(); err != nil {
-		l.man = saved
-		return err
-	}
-	return nil
-}
-
-// storeCheckpointLocked writes the manifest as a checkpoint atomically: temp
-// file in the same directory, fsync, rename over the live name, fsync the
-// directory. A crash anywhere in the sequence leaves either the old
-// checkpoint or the new one — never a torn mix. Then the journal, every
-// record of which the new checkpoint holds, is removed; a crash before that
-// leaves records replay skips as stale. Callers hold mu.
-func (l *Log) storeCheckpointLocked() error {
-	l.man.Version = manifestVersion
-	data, err := json.MarshalIndent(l.man, "", "  ")
+// storeCheckpointLocked writes man as a checkpoint atomically and, on
+// success, adopts it in memory: temp file in the same directory, fsync,
+// rename over the live name, fsync the directory. A crash anywhere in the
+// sequence leaves either the old checkpoint or the new one — never a torn
+// mix. Then the journal, every record of which the new checkpoint holds, is
+// removed; a crash before that leaves records replay skips as stale. Callers
+// hold mu.
+func (l *Log) storeCheckpointLocked(man Manifest) error {
+	man.Version = manifestVersion
+	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -513,23 +514,16 @@ func (l *Log) storeCheckpointLocked() error {
 	if err := syncDir(l.dir); err != nil {
 		return err
 	}
+	l.man = man
 	if err := os.Remove(filepath.Join(l.dir, journalName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		// The checkpoint is committed and every record left is stale. A
-		// broken journal stays broken, so no record lands after its torn
-		// tail: commits keep writing checkpoints until a removal succeeds.
+		// The checkpoint is committed and every record left is stale, but
+		// the journal may end torn: commit by checkpoint until it is gone.
 		slog.Warn("manifest journal not removed", "dir", l.dir, "error", err.Error())
+		l.journalBroken = true
 		return nil
 	}
 	l.journalSynced, l.journalBroken = false, false
 	return nil
-}
-
-// copy returns a manifest with its own segment slice.
-func (m Manifest) copy() Manifest {
-	out := m
-	out.Segments = make([]SegmentMeta, len(m.Segments))
-	copy(out.Segments, m.Segments)
-	return out
 }
 
 // Rows returns the total live row count.

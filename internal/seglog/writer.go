@@ -198,7 +198,7 @@ func (w *Writer[T]) seal() error {
 	}
 	w.f, w.enc = nil, nil
 	w.rows = 0
-	if err := w.log.appendSegment(meta); err != nil {
+	if err := w.log.commit(journalRecord{Segment: meta}); err != nil {
 		// The file is in place but unreferenced; the next mutator sweeps it.
 		slog.Warn("segment commit failed",
 			"kind", w.log.kind.String(), "segment", meta.ID, "file", meta.File,

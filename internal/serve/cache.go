@@ -101,25 +101,18 @@ func (c *BlockCache) Put(seg uint64, block int, batch *colstore.TrajectoryBatch)
 	}
 }
 
-// EvictSegments drops every cached block belonging to one of the given
-// segment IDs — called when a manifest refresh retires segments (compaction
-// superseded them) — and returns how many entries were dropped. Blocks of
-// surviving segments stay warm; these drops are invalidations, not budget
-// pressure, so the evictions counter is untouched.
-func (c *BlockCache) EvictSegments(dead []uint64) int64 {
-	if len(dead) == 0 {
-		return 0
-	}
-	gone := make(map[uint64]bool, len(dead))
-	for _, id := range dead {
-		gone[id] = true
-	}
+// EvictSegment drops every cached block of one segment — called when the
+// last reader of a segment a compaction superseded lets go of it — and
+// returns how many entries were dropped. Blocks of other segments stay warm;
+// these drops are invalidations, not budget pressure, so the evictions
+// counter is untouched.
+func (c *BlockCache) EvictSegment(seg uint64) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var dropped int64
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
-		if e := el.Value.(*cacheEntry); gone[e.key.seg] {
+		if e := el.Value.(*cacheEntry); e.key.seg == seg {
 			c.ll.Remove(el)
 			delete(c.entries, e.key)
 			c.bytes -= e.bytes

@@ -285,8 +285,9 @@ func (d *Dataset) Compactions() uint64 {
 // Refreshes returns how many manifest generations the dataset has folded in.
 func (d *Dataset) Refreshes() int64 { return d.refreshes.Load() }
 
-// BlockInvalidations returns how many cached blocks refreshes have dropped
-// because their segment left the live set.
+// BlockInvalidations returns how many cached blocks have been dropped
+// because their segment left the live set, each when the segment's last
+// reader let go of it.
 func (d *Dataset) BlockInvalidations() int64 { return d.blockInval.Load() }
 
 // SegLog returns the underlying segment log, or nil when the dataset is a

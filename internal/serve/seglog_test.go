@@ -464,6 +464,60 @@ func TestPinnedSetOutlivesCompaction(t *testing.T) {
 	t.Logf("last release of the pinned set took %v", elapsed)
 }
 
+// TestPinnedScanLeavesNoDeadBlocks: a query pinned across a compaction
+// scans its 20 segments after the refresh that superseded them, which puts
+// their blocks in the cache under dead segment IDs. Once the query releases
+// them, no cached block names a dead segment, and the invalidation counter
+// counts the blocks dropped.
+func TestPinnedScanLeavesNoDeadBlocks(t *testing.T) {
+	samples := testSamples()
+	dir := t.TempDir()
+	writeSegmented(t, dir, samples, len(samples)/20)
+	ds, err := Open(dir, Config{WatchInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	inputs := ds.SegLog().Snapshot().Segments
+	if len(inputs) != 20 {
+		t.Fatalf("log holds %d segments, want 20", len(inputs))
+	}
+	src, err := ds.pinSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := seglog.NewCompactor(ds.SegLog(), seglog.CompactorOptions{MinSegments: 2}).RunOnce(); err != nil || m == nil {
+		t.Fatalf("compaction: %+v, %v", m, err)
+	}
+	if changed, err := ds.Refresh(); err != nil || !changed {
+		t.Fatalf("refresh after compaction: changed %v, err %v", changed, err)
+	}
+	c, err := plan.NewScan(src).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := plan.CollectSamples(c); err != nil || len(got) != len(samples) {
+		t.Fatalf("pinned set scanned %d rows (%v), want %d", len(got), err, len(samples))
+	}
+	cached := ds.CacheStats()
+	src.release()
+
+	dead := make(map[uint64]bool, len(inputs))
+	for _, m := range inputs {
+		dead[m.ID] = true
+	}
+	for _, k := range ds.cache.keysMRU() {
+		if dead[k.seg] {
+			t.Errorf("block %d of dead segment %d still cached", k.block, k.seg)
+		}
+	}
+	left := ds.CacheStats()
+	dropped := int64(cached.Blocks - left.Blocks)
+	if dropped == 0 || ds.BlockInvalidations() != dropped {
+		t.Errorf("invalidations %d, want the %d blocks (%d B) dropped", ds.BlockInvalidations(), dropped, cached.Bytes-left.Bytes)
+	}
+}
+
 // dirNames lists dir's entries by name.
 func dirNames(t *testing.T, dir string) []string {
 	t.Helper()

@@ -27,6 +27,7 @@ import (
 // a reference count tying the reader's lifetime to the segment sets that
 // include it.
 type segReader struct {
+	d     *Dataset // whose block cache holds the segment's blocks
 	id    uint64
 	tr    *colstore.TrajectoryReader
 	zones []colstore.ZoneMap
@@ -38,15 +39,18 @@ type segReader struct {
 
 func (s *segReader) retain() { s.refs.Add(1) }
 
-// release drops one reference; the last one closes the reader. A superseded
-// reader closes on its own goroutine: unmapping an unlinked file frees its
-// blocks, tens of milliseconds a file on a disk that discards them, and the
-// last release may be a query's.
+// release drops one reference; the last one closes the reader. The last
+// release of a superseded reader first evicts its blocks from the cache: a
+// query pinned across the refresh may have put them back since, and no later
+// scan can hit them. It then closes the reader on its own goroutine:
+// unmapping an unlinked file frees its blocks, tens of milliseconds a file on
+// a disk that discards them, and the last release may be a query's.
 func (s *segReader) release() {
 	if s.refs.Add(-1) != 0 {
 		return
 	}
 	if s.superseded.Load() {
+		s.d.blockInval.Add(s.d.cache.EvictSegment(s.id))
 		go s.tr.Close()
 		return
 	}
@@ -116,7 +120,7 @@ func (d *Dataset) buildSet(man seglog.Manifest, prev *segmentSet) (*segmentSet, 
 		if err != nil {
 			return fail(fmt.Errorf("serve: segment %s: %w", m.File, err))
 		}
-		sg := &segReader{id: m.ID, tr: tr, zones: tr.Blocks()}
+		sg := &segReader{d: d, id: m.ID, tr: tr, zones: tr.Blocks()}
 		sg.refs.Store(1)
 		segs = append(segs, sg)
 	}
@@ -145,8 +149,9 @@ func (d *Dataset) buildCurrent(man seglog.Manifest, prev *segmentSet) (seglog.Ma
 
 // Refresh reloads the log's manifest and, if its generation moved, swaps in a
 // segment set for the new generation, reporting whether anything changed.
-// In-flight queries keep the set they started on; the block cache is
-// invalidated precisely — only entries of segments that left the live set.
+// In-flight queries keep the set they started on; a segment that left the
+// live set is marked superseded, and its blocks leave the cache when its
+// reader's last reference does.
 // The watcher goroutine calls this on a timer; callers embedding a Dataset
 // can call it directly after writing.
 func (d *Dataset) Refresh() (bool, error) {
@@ -198,14 +203,11 @@ func (d *Dataset) Refresh() (bool, error) {
 	for _, sg := range next.segs {
 		live[sg.id] = true
 	}
-	var dead []uint64
 	for _, sg := range old.segs {
 		if !live[sg.id] {
 			sg.superseded.Store(true)
-			dead = append(dead, sg.id)
 		}
 	}
-	d.blockInval.Add(d.cache.EvictSegments(dead))
 	old.release()  // the Dataset's ownership of the displaced set
 	prev.release() // this refresh's temporary hold
 	d.refreshes.Add(1)
