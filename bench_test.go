@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -444,6 +445,56 @@ func BenchmarkVTBWrite(b *testing.B) {
 		encoded = int64(buf.Len())
 	}
 	b.ReportMetric(float64(encoded), "file-bytes")
+}
+
+// BenchmarkVTBWriteAllocs is the write path's allocation gate: the shared
+// benchmark dataset (12 000 rows, three default blocks) written through one
+// trajectory writer, Reset onto a reused buffer each time, as a pooled writer
+// writes one image per served response. Once warm, the row buffer, the
+// columns and their scratch, the payload and the compressor are all reused,
+// so a warm image allocates nothing; the budget of 4 allocations and 4 KiB
+// an image, averaged over 20 images, leaves room only for what the runtime
+// allocates alongside. A per-block or per-column buffer that creeps back in
+// (one float column's scratch alone is 96 KB here) fails it.
+func BenchmarkVTBWriteAllocs(b *testing.B) {
+	const allocBudget, byteBudget = 4, 4 << 10
+	samples := benchSamples(b)
+	var buf bytes.Buffer
+	w := colstore.NewTrajectoryWriter(&buf, colstore.Options{})
+	writeOnce := func() {
+		buf.Reset()
+		w.Reset(&buf)
+		for _, s := range samples {
+			if err := w.Write(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	writeOnce() // steady state: every reused buffer grown
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		writeOnce()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if allocs > allocBudget || bytesPer > byteBudget {
+		b.Fatalf("a warm image of %d rows costs %.0f allocs and %.0f B, budget %d allocs and %d B",
+			len(samples), allocs, bytesPer, allocBudget, byteBudget)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		writeOnce()
+	}
+	// Reported after the loop: ResetTimer discards earlier metrics.
+	b.ReportMetric(allocs, "allocs/image")
+	b.ReportMetric(bytesPer, "B/image")
 }
 
 // BenchmarkVTBSizeVsCSV writes the same dataset in both formats and fails

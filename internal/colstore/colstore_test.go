@@ -338,7 +338,8 @@ func TestSniff(t *testing.T) {
 func TestFloatColumnModes(t *testing.T) {
 	check := func(vals []float64, wantMode byte) {
 		t.Helper()
-		enc := appendFloatColumn(nil, vals)
+		var ints []int64
+		enc := appendFloatColumn(nil, vals, &ints)
 		if enc[0] != wantMode {
 			t.Fatalf("mode = %d, want %d for %v...", enc[0], wantMode, vals[:min(3, len(vals))])
 		}

@@ -65,9 +65,8 @@ func exactScaled(v, scale float64) (int64, bool) {
 
 // scaledInts returns vals as integers under the smallest decimal scale that
 // reproduces every value exactly, or ok=false when no scale ≤ 10^maxScaleExp
-// does.
-func scaledInts(vals []float64) (ints []int64, exp int, ok bool) {
-	buf := make([]int64, 0, len(vals))
+// does. The integers are appended to buf[:0], which ints returns either way.
+func scaledInts(vals []float64, buf []int64) (ints []int64, exp int, ok bool) {
 nextExp:
 	for e := 0; e <= maxScaleExp; e++ {
 		buf = buf[:0]
@@ -80,13 +79,16 @@ nextExp:
 		}
 		return buf, e, true
 	}
-	return nil, 0, false
+	return buf, 0, false
 }
 
 // appendFloatColumn encodes vals either as decimal fixed point (lossless by
-// the exactScaled check) or as raw XORed bit patterns.
-func appendFloatColumn(dst []byte, vals []float64) []byte {
-	if ints, exp, ok := scaledInts(vals); ok {
+// the exactScaled check) or as raw XORed bit patterns. *scratch holds the
+// scaled integers, reused from block to block.
+func appendFloatColumn(dst []byte, vals []float64, scratch *[]int64) []byte {
+	ints, exp, ok := scaledInts(vals, *scratch)
+	*scratch = ints
+	if ok {
 		dst = append(dst, floatScaled, byte(exp))
 		return appendIntColumn(dst, ints)
 	}

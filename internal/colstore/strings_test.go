@@ -266,10 +266,11 @@ func hasPointers(t reflect.Type) bool {
 func rawImage(tb testing.TB, b *TrajectoryBatch) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	bw := newBlockWriter(&buf, KindTrajectory, Options{})
+	w := NewTrajectoryWriter(&buf, Options{})
 	var sc dictScratch
-	bw.flushBlock(appendTrajectoryPayload(nil, b, &sc), ZoneMap{Count: b.Len()})
-	if err := bw.close(); err != nil {
+	var ints []int64
+	w.writeBlock(appendTrajectoryPayload(nil, b, &sc, &ints), ZoneMap{Count: b.Len()})
+	if err := w.Close(); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()

@@ -5,156 +5,45 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"vita/internal/geom"
 	"vita/internal/rssi"
 	"vita/internal/trajectory"
 )
 
-// blockWriter owns the kind-independent file machinery: header, block
-// framing, zone-map accumulation, and the footer. Writer feeds it encoded
-// payloads plus their zone maps; every block is compressed by its one
-// vsnapCompressor, whose buffers are reused across blocks.
-type blockWriter struct {
-	w    io.Writer
-	opts Options
-	kind Kind
-	comp vsnapCompressor
-
-	off         int64
-	wroteHeader bool
-	closed      bool
-	err         error // sticky: after a write error every call fails fast
-
-	offsets []int64
-	zones   []ZoneMap
-
-	payload []byte // reused encode buffer
-}
-
-func newBlockWriter(w io.Writer, kind Kind, opts Options) *blockWriter {
-	opts = opts.withDefaults()
-	return &blockWriter{w: w, kind: kind, opts: opts}
-}
-
-func (bw *blockWriter) write(p []byte) {
-	if bw.err != nil {
-		return
-	}
-	n, err := bw.w.Write(p)
-	bw.off += int64(n)
-	if err != nil {
-		bw.err = fmt.Errorf("colstore: write: %w", err)
-	}
-}
-
-func (bw *blockWriter) writeHeader() {
-	if bw.wroteHeader {
-		return
-	}
-	bw.wroteHeader = true
-	hdr := [headerSize]byte{}
-	copy(hdr[:4], magicHead[:])
-	hdr[4] = version
-	hdr[5] = byte(bw.kind)
-	bw.write(hdr[:])
-}
-
-// flushBlock frames and writes one encoded payload and records its zone map.
-func (bw *blockWriter) flushBlock(raw []byte, zm ZoneMap) {
-	if bw.err != nil {
-		return
-	}
-	bw.writeHeader()
-	stored, codec := bw.comp.compress(raw)
-	bw.offsets = append(bw.offsets, bw.off)
-	bw.zones = append(bw.zones, zm)
-	var frame [9]byte
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(stored)))
-	frame[4] = codec
-	binary.LittleEndian.PutUint32(frame[5:], uint32(len(raw)))
-	bw.write(frame[:])
-	bw.write(stored)
-}
-
-// footerEntrySize is the fixed wire size of one zone-map entry.
-const footerEntrySize = 8 + 4 + 2*8 + 4*8 + 2*4 + 8 + 2*4
-
-func (bw *blockWriter) close() error {
-	if bw.closed {
-		return bw.err
-	}
-	bw.closed = true
-	bw.writeHeader() // empty files still carry header + footer
-	footerOff := bw.off
-	buf := make([]byte, 0, 4+len(bw.zones)*footerEntrySize+tailSize)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(bw.zones)))
-	for i, zm := range bw.zones {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(bw.offsets[i]))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(zm.Count))
-		buf = appendF64(buf, zm.T0)
-		buf = appendF64(buf, zm.T1)
-		buf = appendF64(buf, zm.Box.Min.X)
-		buf = appendF64(buf, zm.Box.Min.Y)
-		buf = appendF64(buf, zm.Box.Max.X)
-		buf = appendF64(buf, zm.Box.Max.Y)
-		var minSat, maxSat bool
-		buf, minSat = appendBound32(buf, zm.FloorMin)
-		buf, maxSat = appendBound32(buf, zm.FloorMax)
-		if minSat || maxSat {
-			zm.FloorMask = 0 // its bits are relative to a bound the reader drops
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, zm.FloorMask)
-		buf, _ = appendBound32(buf, zm.ObjMin)
-		buf, _ = appendBound32(buf, zm.ObjMax)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(footerOff))
-	buf = append(buf, magicTail[:]...)
-	bw.write(buf)
-	return bw.err
-}
-
-// appendBound32 appends a zone-map bound as an int32, saturated to the int32
-// range; it reports whether v saturated (reached either end of the range),
-// which the reader takes as an open bound.
-func appendBound32(buf []byte, v int) ([]byte, bool) {
-	c := min(max(v, math.MinInt32), math.MaxInt32)
-	return binary.LittleEndian.AppendUint32(buf, uint32(int32(c))), c == math.MinInt32 || c == math.MaxInt32
-}
-
 // Writer streams one row kind into a VTB file: rows buffer up to a block,
 // the kind's encoder turns the block into a column payload plus its zone map,
-// and Close flushes the last block and writes the footer. Feed it from the
-// generation pipeline's emit callback (trajectory.Merge delivers samples in
-// global time order, which makes the zone maps maximally selective). The
-// caller owns the io.Writer; Close flushes the format but does not close it.
-//
-// A full block is encoded, compressed and written on a background goroutine
-// while the next one fills. One block is in flight at a time: handing off
-// block k+1 first waits until block k is written, so blocks reach the
-// io.Writer in order and the image is byte-identical to a synchronous
-// writer's. The goroutine starts with the first full block — an image smaller
-// than a block (a served response, say) never starts one — and Close and
-// Reset wait for it. A background write error is returned by the next Write
-// or Close. A Writer is not safe for concurrent use.
+// and the block is compressed and written, framed, on the caller's goroutine
+// inside the Write that fills it. Close writes the pending block and the
+// footer. Feed it from the generation pipeline's emit callback
+// (trajectory.Merge delivers samples in global time order, which makes the
+// zone maps maximally selective). The caller owns the io.Writer; Close
+// flushes the format but does not close it. The first write error is sticky:
+// every later Write and Close returns it without calling the io.Writer
+// again. A Writer is not safe for concurrent use.
 type Writer[T any] struct {
-	bw *blockWriter
-	// buf is the block being filled; spare is the block in flight, or the
-	// free buffer the next hand-off fills next.
-	buf, spare []T
+	w    io.Writer
+	kind Kind
+	opts Options
 	// encode appends the block's column payload to p[:0] and summarizes the
 	// rows; it owns whatever column slices it reuses from block to block.
 	encode func(rows []T, p []byte) ([]byte, ZoneMap)
+	comp   vsnapCompressor
 
-	// While busy, the background goroutine owns bw and spare; the fields
-	// below are the caller's view, refreshed when the block is joined.
-	busy     bool
-	inflight sync.WaitGroup
-	failed   atomic.Bool // the block in flight hit a write error
-	err      error
-	flushed  int64
+	buf     []T    // the block being filled
+	payload []byte // reused encode (and footer) buffer
+	// frame holds the header, then each block's frame, as it is written: a
+	// field, so that handing it to the io.Writer allocates nothing.
+	frame [9]byte
+
+	off, flushed int64
+	wroteHeader  bool
+	closed       bool
+	err          error
+
+	offsets []int64
+	zones   []ZoneMap
 }
 
 // TrajectoryWriter and RSSIWriter are the two instantiations of Writer.
@@ -176,98 +65,143 @@ func NewRSSIWriter(w io.Writer, opts Options) *RSSIWriter {
 }
 
 func newWriter[T any](w io.Writer, kind Kind, opts Options, encode func([]T, []byte) ([]byte, ZoneMap)) *Writer[T] {
-	bw := newBlockWriter(w, kind, opts)
-	return &Writer[T]{bw: bw, buf: make([]T, 0, bw.opts.BlockSize), encode: encode}
+	opts = opts.withDefaults()
+	return &Writer[T]{w: w, kind: kind, opts: opts, encode: encode, buf: make([]T, 0, opts.BlockSize)}
 }
 
-// Reset starts a new image on dst, keeping the row buffers, the encoder's
+// Reset starts a new image on dst, keeping the row buffer, the encoder's
 // columns, the payload buffer and the compressor: a caller that writes many
 // small images — one per served response — allocates them once, not per image.
-// A block still in flight from the previous image is waited for first.
 func (w *Writer[T]) Reset(dst io.Writer) {
-	w.join()
-	bw := w.bw
-	bw.w, bw.off, bw.wroteHeader, bw.closed, bw.err = dst, 0, false, false, nil
-	bw.offsets, bw.zones = bw.offsets[:0], bw.zones[:0]
-	w.buf = w.buf[:0]
-	w.failed.Store(false)
-	w.err, w.flushed = nil, 0
+	w.w, w.off, w.flushed, w.wroteHeader, w.closed, w.err = dst, 0, 0, false, false, nil
+	w.buf, w.offsets, w.zones = w.buf[:0], w.offsets[:0], w.zones[:0]
 }
 
-// Write appends one row, handing the block off when full.
+// Write appends one row, writing the block when it is full.
 func (w *Writer[T]) Write(row T) error {
-	if w.failed.Load() {
-		w.join()
-	}
 	if w.err != nil {
 		return w.err
 	}
-	if w.bw.closed {
+	if w.closed {
 		return fmt.Errorf("colstore: write after Close")
 	}
 	w.buf = append(w.buf, row)
-	if len(w.buf) >= w.bw.opts.BlockSize {
-		w.handOff()
+	if len(w.buf) >= w.opts.BlockSize {
+		w.flushed = w.off
+		w.flush()
 	}
 	return w.err
 }
 
 // Flushed returns the image bytes, header included, of every block before the
-// one handed off last — the whole image after Close. It changes only at a
-// hand-off, once the block before is written, so it is a function of the rows
-// written so far, never of how far the background goroutine has got.
+// last full block written — the whole image after Close. It trails what the
+// io.Writer has received by that one block, so it is a function of the rows
+// written so far, and a segment log that rolls on it rolls a block late.
 func (w *Writer[T]) Flushed() int64 { return w.flushed }
 
-// Close waits for the block in flight, writes the pending block and the
-// footer index.
+// Close writes the pending block and the footer index.
 func (w *Writer[T]) Close() error {
-	w.join()
-	if !w.bw.closed && len(w.buf) > 0 && w.err == nil {
-		w.flush(w.buf)
-		w.buf = w.buf[:0]
+	if w.closed {
+		return w.err
 	}
-	w.err = w.bw.close()
-	w.flushed = w.bw.off
+	w.closed = true
+	if len(w.buf) > 0 {
+		w.flush()
+	}
+	w.writeHeader() // empty files still carry header + footer
+	w.writeFooter()
+	w.flushed = w.off
 	return w.err
 }
 
-// handOff starts writing the full block in the background, once the block
-// before it is written, and continues filling the buffer that one used.
-func (w *Writer[T]) handOff() {
-	w.join()
+// flush encodes the rows in buf as one block and writes it.
+func (w *Writer[T]) flush() {
+	if w.err == nil {
+		var zm ZoneMap
+		w.payload, zm = w.encode(w.buf, w.payload)
+		w.writeBlock(w.payload, zm)
+	}
+	w.buf = w.buf[:0]
+}
+
+// writeBlock frames and writes one encoded payload and records its zone map.
+func (w *Writer[T]) writeBlock(raw []byte, zm ZoneMap) {
+	w.writeHeader()
+	stored, codec := w.comp.compress(raw)
+	w.offsets = append(w.offsets, w.off)
+	w.zones = append(w.zones, zm)
+	frame := w.frame[:]
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(stored)))
+	frame[4] = codec
+	binary.LittleEndian.PutUint32(frame[5:], uint32(len(raw)))
+	w.write(frame)
+	w.write(stored)
+}
+
+func (w *Writer[T]) write(p []byte) {
 	if w.err != nil {
 		return
 	}
-	if w.spare == nil {
-		w.spare = make([]T, 0, cap(w.buf))
+	n, err := w.w.Write(p)
+	w.off += int64(n)
+	if err != nil {
+		w.err = fmt.Errorf("colstore: write: %w", err)
 	}
-	rows := w.buf
-	w.buf, w.spare = w.spare[:0], rows
-	w.busy = true
-	w.inflight.Add(1)
-	go func() {
-		defer w.inflight.Done()
-		w.flush(rows)
-		if w.bw.err != nil {
-			w.failed.Store(true)
-		}
-	}()
 }
 
-// join waits for the block in flight, if any, and takes over its outcome.
-func (w *Writer[T]) join() {
-	if !w.busy {
+func (w *Writer[T]) writeHeader() {
+	if w.wroteHeader {
 		return
 	}
-	w.inflight.Wait()
-	w.busy = false
-	w.err, w.flushed = w.bw.err, w.bw.off
+	w.wroteHeader = true
+	hdr := w.frame[:headerSize]
+	clear(hdr)
+	copy(hdr[:4], magicHead[:])
+	hdr[4] = version
+	hdr[5] = byte(w.kind)
+	w.write(hdr)
 }
 
-func (w *Writer[T]) flush(rows []T) {
-	p, zm := w.encode(rows, w.bw.payload)
-	w.bw.payload = p
-	w.bw.flushBlock(p, zm)
+// footerEntrySize is the fixed wire size of one zone-map entry.
+const footerEntrySize = 8 + 4 + 2*8 + 4*8 + 2*4 + 8 + 2*4
+
+// writeFooter writes the zone-map index and the tail, assembled in the
+// payload buffer, which no block needs any more.
+func (w *Writer[T]) writeFooter() {
+	footerOff := w.off
+	buf := slices.Grow(w.payload[:0], 4+len(w.zones)*footerEntrySize+tailSize)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(w.zones)))
+	for i, zm := range w.zones {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(w.offsets[i]))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(zm.Count))
+		buf = appendF64(buf, zm.T0)
+		buf = appendF64(buf, zm.T1)
+		buf = appendF64(buf, zm.Box.Min.X)
+		buf = appendF64(buf, zm.Box.Min.Y)
+		buf = appendF64(buf, zm.Box.Max.X)
+		buf = appendF64(buf, zm.Box.Max.Y)
+		var minSat, maxSat bool
+		buf, minSat = appendBound32(buf, zm.FloorMin)
+		buf, maxSat = appendBound32(buf, zm.FloorMax)
+		if minSat || maxSat {
+			zm.FloorMask = 0 // its bits are relative to a bound the reader drops
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, zm.FloorMask)
+		buf, _ = appendBound32(buf, zm.ObjMin)
+		buf, _ = appendBound32(buf, zm.ObjMax)
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(footerOff))
+	buf = append(buf, magicTail[:]...)
+	w.payload = buf
+	w.write(buf)
+}
+
+// appendBound32 appends a zone-map bound as an int32, saturated to the int32
+// range; it reports whether v saturated (reached either end of the range),
+// which the reader takes as an open bound.
+func appendBound32(buf []byte, v int) ([]byte, bool) {
+	c := min(max(v, math.MinInt32), math.MaxInt32)
+	return binary.LittleEndian.AppendUint32(buf, uint32(int32(c))), c == math.MinInt32 || c == math.MaxInt32
 }
 
 // trajectoryEncoder splits trajectory rows into its reused columns. The
@@ -276,6 +210,7 @@ func (w *Writer[T]) flush(rows []T) {
 type trajectoryEncoder struct {
 	cols TrajectoryBatch
 	dict dictScratch
+	ints []int64 // appendFloatColumn's scratch
 }
 
 func (e *trajectoryEncoder) encode(samples []trajectory.Sample, p []byte) ([]byte, ZoneMap) {
@@ -303,20 +238,20 @@ func (e *trajectoryEncoder) encode(samples []trajectory.Sample, p []byte) ([]byt
 		}
 	}
 
-	return appendTrajectoryPayload(p[:0], c, &e.dict), zm
+	return appendTrajectoryPayload(p[:0], c, &e.dict, &e.ints), zm
 }
 
 // appendTrajectoryPayload appends c's rows to p as one block payload: the
 // row count, then each column.
-func appendTrajectoryPayload(p []byte, c *TrajectoryBatch, d *dictScratch) []byte {
+func appendTrajectoryPayload(p []byte, c *TrajectoryBatch, d *dictScratch, ints *[]int64) []byte {
 	p = binary.AppendUvarint(p, uint64(c.Len()))
 	p = appendIntColumn(p, c.ObjID)
 	p = appendDictColumn(p, &c.Building, d)
 	p = appendIntColumn(p, c.Floor)
 	p = appendDictColumn(p, &c.Partition, d)
-	p = appendFloatColumn(p, c.X)
-	p = appendFloatColumn(p, c.Y)
-	p = appendFloatColumn(p, c.T)
+	p = appendFloatColumn(p, c.X, ints)
+	p = appendFloatColumn(p, c.Y, ints)
+	p = appendFloatColumn(p, c.T, ints)
 	return appendBitset(p, c.HasPoint)
 }
 
@@ -325,6 +260,7 @@ func appendTrajectoryPayload(p []byte, c *TrajectoryBatch, d *dictScratch) []byt
 type rssiEncoder struct {
 	cols RSSIBatch
 	dict dictScratch
+	ints []int64
 }
 
 func (e *rssiEncoder) encode(ms []rssi.Measurement, p []byte) ([]byte, ZoneMap) {
@@ -345,8 +281,8 @@ func (e *rssiEncoder) encode(ms []rssi.Measurement, p []byte) ([]byte, ZoneMap) 
 	p = binary.AppendUvarint(p[:0], uint64(len(ms)))
 	p = appendIntColumn(p, c.ObjID)
 	p = appendDictColumn(p, &c.DeviceID, &e.dict)
-	p = appendFloatColumn(p, c.RSSI)
-	p = appendFloatColumn(p, c.T)
+	p = appendFloatColumn(p, c.RSSI, &e.ints)
+	p = appendFloatColumn(p, c.T, &e.ints)
 	return p, zm
 }
 

@@ -158,7 +158,7 @@ func TestRunToFailuresUnderOverlap(t *testing.T) {
 					base := runtime.NumGoroutine()
 					dir := t.TempDir()
 					sink := &faultSink{failTraj: tc.failTraj, failRSSI: tc.failRSSI}
-					var seg *SegmentedDirSink
+					var seg *DirSink
 					if logged {
 						var err error
 						if seg, err = NewSegmentedDirSink(dir, seglog.WriterOptions{
@@ -205,10 +205,25 @@ func TestRunToFailuresUnderOverlap(t *testing.T) {
 
 // TestByteRolledSegmentLogDeterministic: a segment log rolled by size holds
 // the same segments — names, row counts, sizes and bytes — on every run and at
-// every worker count, however the background block encoding and the two
-// streams interleave.
+// every worker count, however the two streams interleave, and rolls them at
+// the rows and sizes pinned in rolledSegments.
 func TestByteRolledSegmentLogDeterministic(t *testing.T) {
+	// rolledSegments is each segment's (rows, bytes) at P 1. The byte roll
+	// reads colstore.Writer.Flushed once per 128-row block, so a change in
+	// what Flushed counts moves these even when P 1/2/8 still agree.
+	const rolledSegments = `trajectory rows=512 bytes=6435
+trajectory rows=512 bytes=8313
+trajectory rows=259 bytes=3501
+rssi rows=640 bytes=6243
+rssi rows=640 bytes=6219
+rssi rows=640 bytes=6088
+rssi rows=640 bytes=6148
+rssi rows=640 bytes=6312
+rssi rows=21 bytes=381
+`
+	var sizes strings.Builder
 	digest := func(p int) string {
+		sizes.Reset()
 		dir := t.TempDir()
 		sink, err := NewSegmentedDirSink(dir, seglog.WriterOptions{
 			MaxSegmentBytes: 4 << 10, Block: colstore.Options{BlockSize: 128},
@@ -257,11 +272,15 @@ func TestByteRolledSegmentLogDeterministic(t *testing.T) {
 				sum := sha256.Sum256(raw)
 				fmt.Fprintf(&b, "%s/%s rows=%d bytes=%d sha=%s\n",
 					filepath.Base(d), seg.File, seg.Rows, seg.Bytes, hex.EncodeToString(sum[:8]))
+				fmt.Fprintf(&sizes, "%s rows=%d bytes=%d\n", filepath.Base(d), seg.Rows, seg.Bytes)
 			}
 		}
 		return b.String()
 	}
 	want := digest(1)
+	if sizes.String() != rolledSegments {
+		t.Fatalf("the byte roll moved; segments (rows, bytes):\n%s\nwant:\n%s", sizes.String(), rolledSegments)
+	}
 	for run, p := range []int{1, 1, 2, 2, 8, 8} {
 		if got := digest(p); got != want {
 			t.Fatalf("run %d at p=%d wrote other segments:\n%s\nthe first p=1 run wrote:\n%s", run, p, got, want)

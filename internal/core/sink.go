@@ -73,9 +73,6 @@ type DirSink struct {
 	proximity []positioning.ProximityRecord
 }
 
-// SegmentedDirSink is a DirSink in the segment-log layout.
-type SegmentedDirSink = DirSink
-
 // fileWriter is a flat layout's row writer: closing it closes its file.
 type fileWriter[T any] struct {
 	storage.RowWriter[T]
@@ -129,7 +126,7 @@ func NewDirSink(dir string, format storage.Format) (*DirSink, error) {
 // opens rolling writers for the bulk outputs, which are necessarily VTB:
 // segment logs have no CSV form. opts applies to both logs — roll
 // thresholds and block encoding.
-func NewSegmentedDirSink(dir string, opts seglog.WriterOptions) (*SegmentedDirSink, error) {
+func NewSegmentedDirSink(dir string, opts seglog.WriterOptions) (*DirSink, error) {
 	trajLog, err := seglog.OpenOrCreate(seglog.LogDir(dir, colstore.KindTrajectory), colstore.KindTrajectory)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package seglog
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -16,9 +15,9 @@ import (
 // WriterOptions tunes segment roll-over.
 type WriterOptions struct {
 	// MaxSegmentBytes rolls a segment once its on-disk size reaches this many
-	// bytes (default 64 MiB). The size is taken when a block is handed to
-	// the VTB writer, over the blocks before it (colstore.Writer.Flushed),
-	// so where a segment rolls depends on its rows alone.
+	// bytes (default 64 MiB). The size is taken when the VTB writer writes a
+	// full block, over the blocks before it (colstore.Writer.Flushed), so
+	// where a segment rolls depends on its rows alone.
 	MaxSegmentBytes int64
 	// MaxSegmentRows additionally rolls after this many rows (0 = no row
 	// bound). Small row bounds are how tests and demos force multi-segment
@@ -90,9 +89,9 @@ func newWriter[T any](l *Log, kind colstore.Kind, opts WriterOptions,
 }
 
 // Write appends one record, rolling the current segment when a threshold
-// trips. The byte threshold is observed at block hand-off granularity (the
-// VTB writer fills one block while the one before it is written), so
-// segments overshoot by at most two encoded blocks.
+// trips. The byte threshold is observed once per full block and trails the
+// file by that block (colstore.Writer.Flushed), so segments overshoot by at
+// most two encoded blocks.
 func (w *Writer[T]) Write(rec T) error {
 	if w.closed {
 		return fmt.Errorf("seglog: write after Close")
@@ -213,16 +212,15 @@ func (w *Writer[T]) seal() error {
 	return nil
 }
 
-// abortOpenSegment drops the segment being filled. Closing its encoder first
-// waits for the block in flight, whose write error, if any, is returned.
+// abortOpenSegment drops the segment being filled: its .tmp file is closed
+// and removed, and the rows its encoder still buffers are dropped unwritten.
 func (w *Writer[T]) abortOpenSegment() error {
 	if w.f == nil {
 		return nil
 	}
 	name := w.f.Name()
-	encErr := w.enc.Close()
 	w.f.Close()
 	w.f, w.enc = nil, nil
 	w.rows = 0
-	return errors.Join(encErr, os.Remove(name))
+	return os.Remove(name)
 }

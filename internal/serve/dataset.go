@@ -84,9 +84,8 @@ type Dataset struct {
 
 	log *seglog.Log // segmented only
 
-	mu  sync.Mutex      // guards cur and man
-	cur *segmentSet     // nil after Close
-	man seglog.Manifest // last adopted manifest (segmented only)
+	mu  sync.Mutex  // guards cur
+	cur *segmentSet // nil after Close
 
 	cache  *BlockCache
 	maxGap float64
@@ -150,7 +149,7 @@ func Open(dir string, cfg Config) (*Dataset, error) {
 	}
 	sg := &segReader{id: 0, tr: tr, zones: tr.Blocks()}
 	sg.refs.Store(1)
-	d.cur = newSegmentSet(0, []*segReader{sg})
+	d.cur = newSegmentSet(seglog.Manifest{}, []*segReader{sg})
 	return d, nil
 }
 
@@ -183,12 +182,11 @@ func openSegmented(d *Dataset, logDir string, cfg Config) (*Dataset, error) {
 	d.log = l
 	d.path = filepath.Join(logDir, seglog.ManifestName)
 	d.format = storage.FormatVTB
-	man, set, err := d.buildCurrent(l.Snapshot(), nil)
+	set, err := d.buildCurrent(l.Snapshot(), nil)
 	if err != nil {
 		return nil, err
 	}
 	d.cur = set
-	d.man = man
 	if cfg.WatchInterval > 0 {
 		d.stopWatch = make(chan struct{})
 		d.watchWG.Add(1)
@@ -269,17 +267,20 @@ func (d *Dataset) Segments() int {
 func (d *Dataset) Generation() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.log == nil || d.cur == nil {
+	if d.cur == nil {
 		return 0
 	}
-	return d.cur.gen
+	return d.cur.man.Generation
 }
 
 // Compactions returns how many compactions the served manifest records.
 func (d *Dataset) Compactions() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.man.Compactions
+	if d.cur == nil {
+		return 0
+	}
+	return d.cur.man.Compactions
 }
 
 // Refreshes returns how many manifest generations the dataset has folded in.

@@ -553,14 +553,14 @@ func TestBuildRetriesAfterCompaction(t *testing.T) {
 	if m, err := seglog.NewCompactor(other, seglog.CompactorOptions{MinSegments: 2}).RunOnce(); err != nil || m == nil {
 		t.Fatalf("compaction: %+v, %v", m, err)
 	}
-	man, set, err := ds.buildCurrent(stale, nil)
+	set, err := ds.buildCurrent(stale, nil)
 	if err != nil {
 		t.Fatalf("build over a compacted manifest: %v", err)
 	}
 	defer set.release()
-	if man.Generation <= stale.Generation || set.gen != man.Generation || len(set.segs) != 1 {
-		t.Fatalf("built generation %d (set %d, %d segments) from stale generation %d; want the compacted one",
-			man.Generation, set.gen, len(set.segs), stale.Generation)
+	if set.man.Generation <= stale.Generation || len(set.segs) != 1 {
+		t.Fatalf("built generation %d (%d segments) from stale generation %d; want the compacted one",
+			set.man.Generation, len(set.segs), stale.Generation)
 	}
 }
 
@@ -631,7 +631,7 @@ func TestLiveLogConcurrency(t *testing.T) {
 	// scans it whole.
 	query := func() (seglog.Manifest, []trajectory.Sample, error) {
 		ds.mu.Lock()
-		set, man := ds.cur, ds.man
+		set, man := ds.cur, ds.cur.man
 		set.retain()
 		ds.mu.Unlock()
 		src := &planSource{d: ds, set: set}

@@ -58,17 +58,18 @@ func (s *segReader) release() {
 }
 
 // segmentSet is an immutable snapshot of the segments serving one manifest
-// generation. It is born with one reference (the Dataset's ownership);
+// generation, with the manifest it was built from (the zero Manifest for a
+// flat file). It is born with one reference (the Dataset's ownership);
 // queries retain it for their duration, so swapping in a new set never
 // invalidates a scan in flight.
 type segmentSet struct {
-	gen  uint64
+	man  seglog.Manifest
 	segs []*segReader
 	refs atomic.Int32
 }
 
-func newSegmentSet(gen uint64, segs []*segReader) *segmentSet {
-	set := &segmentSet{gen: gen, segs: segs}
+func newSegmentSet(man seglog.Manifest, segs []*segReader) *segmentSet {
+	set := &segmentSet{man: man, segs: segs}
 	set.refs.Store(1)
 	return set
 }
@@ -124,7 +125,7 @@ func (d *Dataset) buildSet(man seglog.Manifest, prev *segmentSet) (*segmentSet, 
 		sg.refs.Store(1)
 		segs = append(segs, sg)
 	}
-	return newSegmentSet(man.Generation, segs), nil
+	return newSegmentSet(man, segs), nil
 }
 
 // buildCurrent is buildSet that rides out one race: between reading a
@@ -132,16 +133,16 @@ func (d *Dataset) buildSet(man seglog.Manifest, prev *segmentSet) (*segmentSet, 
 // — may commit a newer generation and unlink segments the manifest names.
 // A segment found missing sends it back to the manifest, for as long as the
 // generation has moved; a missing segment under an unchanged generation is
-// an error. It returns the manifest the set was built from.
-func (d *Dataset) buildCurrent(man seglog.Manifest, prev *segmentSet) (seglog.Manifest, *segmentSet, error) {
+// an error.
+func (d *Dataset) buildCurrent(man seglog.Manifest, prev *segmentSet) (*segmentSet, error) {
 	for {
 		set, err := d.buildSet(man, prev)
 		if !errors.Is(err, fs.ErrNotExist) {
-			return man, set, err
+			return set, err
 		}
 		next, rerr := d.log.Reload()
 		if rerr != nil || next.Generation == man.Generation {
-			return man, nil, err
+			return nil, err
 		}
 		man = next
 	}
@@ -174,14 +175,14 @@ func (d *Dataset) Refresh() (bool, error) {
 		d.mu.Unlock()
 		return false, errClosed
 	}
-	if man.Generation == prev.gen {
+	if man.Generation == prev.man.Generation {
 		d.mu.Unlock()
 		return false, nil
 	}
 	prev.retain()
 	d.mu.Unlock()
 
-	man, next, err := d.buildCurrent(man, prev)
+	next, err := d.buildCurrent(man, prev)
 	if err != nil {
 		prev.release()
 		return false, err
@@ -196,7 +197,6 @@ func (d *Dataset) Refresh() (bool, error) {
 		return false, errClosed
 	}
 	d.cur = next
-	d.man = man
 	d.mu.Unlock()
 
 	live := make(map[uint64]bool, len(next.segs))
@@ -212,9 +212,9 @@ func (d *Dataset) Refresh() (bool, error) {
 	prev.release() // this refresh's temporary hold
 	d.refreshes.Add(1)
 	slog.Info("manifest refresh",
-		"generation", man.Generation,
+		"generation", next.man.Generation,
 		"segments", len(next.segs),
-		"compactions", man.Compactions,
+		"compactions", next.man.Compactions,
 		"dir", d.dir)
 	return true, nil
 }
