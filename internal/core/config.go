@@ -25,8 +25,10 @@ type Config struct {
 	// identical seeds produce identical data.
 	Seed uint64 `json:"seed"`
 	// Parallelism is the number of workers that claim objects to simulate
-	// and to replay RSSI for. 0 (the default) selects GOMAXPROCS; 1 does
-	// both on the calling goroutine (a sink's merge still runs on its own).
+	// and to replay RSSI for. 0 (the default) selects GOMAXPROCS; 1
+	// simulates on the calling goroutine, then replays RSSI on one goroutine
+	// while the calling goroutine emits each object's batch in order (a
+	// sink's merge still runs on its own).
 	// The produced data is byte-identical for any value: every object draws
 	// from an RNG stream derived deterministically from the seed and the
 	// object ID.

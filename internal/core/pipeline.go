@@ -584,8 +584,9 @@ func (c MovingObjectController) Generate(t *topo.Topology, r *rng.Rand) ([][]tra
 // layer 3).
 type RSSIMeasurementController struct {
 	Config RSSIConfig
-	// Parallelism shards object replays across this many workers
-	// (0 = GOMAXPROCS); output is identical for any value.
+	// Parallelism is how many goroutines replay objects (0 = GOMAXPROCS)
+	// while the calling goroutine emits their batches in object order;
+	// output is identical for any value.
 	Parallelism int
 }
 

@@ -132,34 +132,6 @@ func (r *Rand) ExpFloat64(lambda float64) float64 {
 	return -math.Log(u) / lambda
 }
 
-// Poisson returns a Poisson variate with mean lambda. For large lambda it
-// uses the normal approximation; it panics when lambda < 0.
-func (r *Rand) Poisson(lambda float64) int {
-	switch {
-	case lambda < 0:
-		panic("rng: Poisson with negative lambda")
-	case lambda == 0:
-		return 0
-	case lambda > 500:
-		v := math.Round(r.Normal(lambda, math.Sqrt(lambda)))
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	// Knuth's method.
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // WeightedIndex returns an index in [0, len(weights)) with probability
 // proportional to weights[i]. Non-positive total weight panics.
 func (r *Rand) WeightedIndex(weights []float64) int {

@@ -96,28 +96,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	r.ExpFloat64(0)
 }
 
-func TestPoissonMoments(t *testing.T) {
-	r := New(17)
-	for _, lambda := range []float64{0.5, 4, 30, 800} {
-		const n = 50000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(lambda))
-		}
-		mean := sum / n
-		tol := 4 * math.Sqrt(lambda/n) * 3
-		if tol < 0.05 {
-			tol = 0.05
-		}
-		if math.Abs(mean-lambda) > lambda*0.05+tol {
-			t.Errorf("poisson(%v) mean = %v", lambda, mean)
-		}
-	}
-	if r.Poisson(0) != 0 {
-		t.Error("Poisson(0) != 0")
-	}
-}
-
 func TestWeightedIndex(t *testing.T) {
 	r := New(19)
 	weights := []float64{1, 0, 3}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -217,7 +218,8 @@ func TestGenerateClaimWindow(t *testing.T) {
 }
 
 // TestGenerateEmitErrorStops: the first emit error ends the run: nothing
-// later is emitted, and Generate returns it with the rows emitted before.
+// later is emitted, Generate returns it with the rows emitted before, and
+// nothing is claimed past the claim window of the objects handed to emit.
 func TestGenerateEmitErrorStops(t *testing.T) {
 	tp := officeTopo(t)
 	boom := errors.New("sink full")
@@ -227,6 +229,7 @@ func TestGenerateEmitErrorStops(t *testing.T) {
 			t.Fatal(err)
 		}
 		calls, first := 0, 0
+		var replayed atomic.Int64
 		n, err := gen.Generate(byObject(benchTrajectories(30, 30)), rng.New(3), func(ms []Measurement) error {
 			calls++
 			if calls == 3 {
@@ -234,9 +237,50 @@ func TestGenerateEmitErrorStops(t *testing.T) {
 			}
 			first += len(ms)
 			return nil
-		}, nil)
+		}, func(int, []Measurement) { replayed.Add(1) })
 		if err != boom || calls != 3 || n != first {
 			t.Fatalf("p=%d: Generate returned (%d, %v) after %d emit calls; want (%d, the emit error) after 3", p, n, err, calls, first)
+		}
+		if got, limit := replayed.Load(), int64(calls+2*p); got > limit {
+			t.Fatalf("p=%d: %d objects replayed, want at most the %d emitted plus the window of %d", p, got, calls, 2*p)
+		}
+	}
+}
+
+// TestGenerateLeavesNoGoroutine: Generate joins every goroutine it starts
+// before it returns, after a complete run and after an emit error.
+func TestGenerateLeavesNoGoroutine(t *testing.T) {
+	tp := officeTopo(t)
+	series := byObject(benchTrajectories(20, 30))
+	boom := errors.New("sink full")
+	for _, p := range []int{1, 2, 8} {
+		gen, err := NewGenerator(tp, gridDevices(8), Config{Model: DefaultPathLossModel(), Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, failAt := range []int{0, 2} {
+			before := runtime.NumGoroutine()
+			calls := 0
+			_, err := gen.Generate(series, rng.New(4), func([]Measurement) error {
+				if calls++; calls == failAt {
+					return boom
+				}
+				return nil
+			}, nil)
+			var want error
+			if failAt > 0 {
+				want = boom
+			}
+			if err != want {
+				t.Fatalf("p=%d failAt=%d: Generate returned %v, want %v", p, failAt, err, want)
+			}
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if after > before {
+				t.Fatalf("p=%d failAt=%d: %d goroutines after Generate, %d before", p, failAt, after, before)
+			}
 		}
 	}
 }

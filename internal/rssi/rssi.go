@@ -16,6 +16,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"vita/internal/device"
 	"vita/internal/geom"
@@ -130,10 +131,10 @@ type Config struct {
 	// positive — the paper exposes a dedicated sampling frequency for raw
 	// RSSI generation (§2: RSSI Measurement Controller).
 	SampleInterval float64
-	// Parallelism is the number of workers that claim object trajectories to
-	// replay, the caller of Generate included. 0 selects GOMAXPROCS; 1
-	// replays every object on the caller's goroutine. Any value produces
-	// identical measurements for the same rng.
+	// Parallelism is the number of goroutines that claim object trajectories
+	// to replay while the caller of Generate emits. 0 selects GOMAXPROCS; 1
+	// replays every object on one goroutine beside the caller. Any value
+	// produces identical measurements for the same rng.
 	Parallelism int
 }
 
@@ -165,7 +166,7 @@ func NewGenerator(t *topo.Topology, devs []*device.Device, cfg Config) (*Generat
 }
 
 // ObjectDone is a per-object completion step. Generate calls it on the
-// worker that replayed object id, with every measurement of that object in
+// goroutine that replayed object id, with every measurement of that object in
 // emission order, so per-object work that needs the whole object (a
 // positioning method's windows, say) runs in parallel with the replay of
 // other objects; calls for different objects may run concurrently. done
@@ -182,20 +183,20 @@ type ObjectDone func(id int, ms []Measurement)
 //
 // r keys the fluctuation noise: each object's replay draws from a stream
 // derived deterministically from (r, object ID), so the output is
-// byte-identical for any worker count. The caller and cfg.Parallelism-1
-// goroutines claim objects one at a time, in order, from a shared counter;
-// a worker claims object i only while i < (objects flushed) + 2 × workers,
-// which bounds the measurements buffered ahead of the ordered flush.
+// byte-identical for any worker count. The replay runs on workers =
+// min(cfg.Parallelism, objects) goroutines (GOMAXPROCS for 0); each takes
+// one of 2 × workers measurement buffers before it claims the next object,
+// in order, from a shared counter, so at most 2 × workers objects are
+// replayed ahead of the one being emitted.
 //
 // emit receives each object's measurements as one batch (device by device,
-// each device's in time order), in ascending object ID, never concurrently,
-// and must not keep the slice. Whichever worker completes the lowest
-// unflushed object flushes it and every ready object after it, outside the
-// lock the claims use; a worker that finds a flush in progress leaves its
-// object to that flush and claims the next. Objects without measurements are
-// not emitted. A non-nil done runs once per object that has a trajectory;
-// see ObjectDone. When emit returns an error nothing more is claimed or
-// emitted, and Generate returns the error with the count emitted before it.
+// each device's in time order), in ascending object ID, on the caller's
+// goroutine, and must not keep the slice: the caller takes each object's
+// batch as it arrives, emits it and hands the buffer back to the workers.
+// Objects without measurements are not emitted. A non-nil done runs once
+// per object that has a trajectory; see ObjectDone. When emit returns an
+// error nothing more is claimed or emitted, and Generate returns the error
+// with the count emitted before it, once every worker has stopped.
 func (g *Generator) Generate(series [][]trajectory.Sample, r *rng.Rand, emit func([]Measurement) error, done ObjectDone) (int, error) {
 	if emit == nil {
 		return 0, fmt.Errorf("rssi: nil emit callback")
@@ -212,82 +213,52 @@ func (g *Generator) Generate(series [][]trajectory.Sample, r *rng.Rand, emit fun
 	}
 	streams := r.Streams()
 	workers := min(g.cfg.workers(), len(trajs))
-	window := 2 * workers
 
-	type result struct {
-		ms    []Measurement
-		ready bool
+	bufs := make(chan []Measurement, 2*workers) // the claim window
+	for range cap(bufs) {
+		bufs <- nil
 	}
-	results := make([]result, len(trajs))
+	replayed := make([]chan []Measurement, len(trajs))
+	for i := range replayed {
+		replayed[i] = make(chan []Measurement, 1)
+	}
 	var (
-		mu               sync.Mutex
-		claimable        = sync.NewCond(&mu)
-		claimed, flushed int
-		flushing         bool
-		free             [][]Measurement // buffers of flushed objects
-		count            int
-		err              error
+		next    atomic.Int64
+		stopped atomic.Bool
+		wg      sync.WaitGroup
 	)
-	work := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for {
-			for claimed < len(trajs) && claimed >= flushed+window && err == nil {
-				claimable.Wait()
-			}
-			if claimed >= len(trajs) || err != nil {
-				return
-			}
-			i := claimed
-			claimed++
-			var buf []Measurement
-			if n := len(free); n > 0 {
-				buf, free = free[n-1], free[:n-1]
-			}
-			mu.Unlock()
-
-			id := trajs[i][0].ObjID
-			res := result{ms: g.generateForObject(buf, id, trajs[i], streams.Stream(uint64(id))), ready: true}
-			if done != nil {
-				done(id, res.ms)
-			}
-
-			mu.Lock()
-			results[i] = res
-			if flushing {
-				continue // the flush in progress emits it in turn
-			}
-			flushing = true
-			for flushed < len(trajs) && results[flushed].ready && err == nil {
-				res := results[flushed]
-				mu.Unlock()
-				var emitErr error
-				if len(res.ms) > 0 {
-					emitErr = emit(res.ms)
-				}
-				mu.Lock()
-				if emitErr != nil {
-					err = emitErr
-				} else {
-					count += len(res.ms)
-				}
-				free = append(free, res.ms[:0])
-				results[flushed] = result{}
-				flushed++
-				claimable.Broadcast()
-			}
-			flushing = false
-		}
-	}
-	var wg sync.WaitGroup
-	for range workers - 1 {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			for buf := range bufs {
+				i := int(next.Add(1) - 1)
+				if i >= len(trajs) || stopped.Load() {
+					return
+				}
+				id := trajs[i][0].ObjID
+				ms := g.generateForObject(buf, id, trajs[i], streams.Stream(uint64(id)))
+				if done != nil {
+					done(id, ms)
+				}
+				replayed[i] <- ms
+			}
 		}()
 	}
-	work()
+	count := 0
+	var err error
+	for _, ch := range replayed {
+		ms := <-ch
+		if len(ms) > 0 {
+			if err = emit(ms); err != nil {
+				stopped.Store(true)
+				break
+			}
+			count += len(ms)
+		}
+		bufs <- ms[:0]
+	}
+	close(bufs)
 	wg.Wait()
 	return count, err
 }

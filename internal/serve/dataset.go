@@ -84,13 +84,13 @@ type Dataset struct {
 
 	log *seglog.Log // segmented only
 
-	mu  sync.Mutex  // guards cur
+	mu  sync.Mutex  // guards cur; its writers also hold refreshMu
 	cur *segmentSet // nil after Close
 
 	cache  *BlockCache
 	maxGap float64
 
-	refreshMu  sync.Mutex // serializes Refresh
+	refreshMu  sync.Mutex // serializes Refresh and Close, the writers of cur
 	refreshes  atomic.Int64
 	blockInval atomic.Int64
 
@@ -197,12 +197,15 @@ func openSegmented(d *Dataset, logDir string, cfg Config) (*Dataset, error) {
 
 // Close stops the manifest watcher and releases the dataset's hold on its
 // segment readers; readers of in-flight queries close as those queries drain.
+// A Refresh in progress finishes first.
 func (d *Dataset) Close() error {
 	if d.stopWatch != nil {
 		close(d.stopWatch)
 		d.watchWG.Wait()
 		d.stopWatch = nil
 	}
+	d.refreshMu.Lock()
+	defer d.refreshMu.Unlock()
 	d.mu.Lock()
 	set := d.cur
 	d.cur = nil

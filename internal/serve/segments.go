@@ -160,42 +160,25 @@ func (d *Dataset) Refresh() (bool, error) {
 		return false, nil
 	}
 	// One refresh at a time; concurrent queries are unaffected (d.mu is held
-	// only for the pointer swap).
+	// only for the pointer swap). Close takes refreshMu too, so while it is
+	// held this is the only writer of d.cur, and prev stays the Dataset's own
+	// reference until the swap.
 	d.refreshMu.Lock()
 	defer d.refreshMu.Unlock()
-
-	man, err := d.log.Reload()
-	if err != nil {
-		return false, err
-	}
-
-	d.mu.Lock()
 	prev := d.cur
 	if prev == nil {
-		d.mu.Unlock()
 		return false, errClosed
 	}
-	if man.Generation == prev.man.Generation {
-		d.mu.Unlock()
-		return false, nil
-	}
-	prev.retain()
-	d.mu.Unlock()
 
-	next, err := d.buildCurrent(man, prev)
-	if err != nil {
-		prev.release()
+	man, err := d.log.Reload()
+	if err != nil || man.Generation == prev.man.Generation {
 		return false, err
 	}
-
-	d.mu.Lock()
-	old := d.cur
-	if old == nil { // closed while building
-		d.mu.Unlock()
-		prev.release()
-		next.release()
-		return false, errClosed
+	next, err := d.buildCurrent(man, prev)
+	if err != nil {
+		return false, err
 	}
+	d.mu.Lock()
 	d.cur = next
 	d.mu.Unlock()
 
@@ -203,13 +186,12 @@ func (d *Dataset) Refresh() (bool, error) {
 	for _, sg := range next.segs {
 		live[sg.id] = true
 	}
-	for _, sg := range old.segs {
+	for _, sg := range prev.segs {
 		if !live[sg.id] {
 			sg.superseded.Store(true)
 		}
 	}
-	old.release()  // the Dataset's ownership of the displaced set
-	prev.release() // this refresh's temporary hold
+	prev.release() // the Dataset's ownership of the displaced set
 	d.refreshes.Add(1)
 	slog.Info("manifest refresh",
 		"generation", next.man.Generation,

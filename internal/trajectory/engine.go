@@ -106,8 +106,7 @@ type Engine struct {
 	// recompute them per pick.
 	destAreas []float64
 
-	objects []*object.Object
-	stats   Stats
+	stats Stats
 }
 
 // NewEngine builds an engine. The rng drives all randomness of the run: the
@@ -130,10 +129,6 @@ func NewEngine(t *topo.Topology, sp *object.Spawner, cfg Config, r *rng.Rand) (*
 	}
 	return e, nil
 }
-
-// Objects returns the scheduled population after Run (alive, dead, and
-// not-yet-born objects).
-func (e *Engine) Objects() []*object.Object { return e.objects }
 
 // objectSim is the mutable simulation state of one object: the object
 // itself, its derived RNG stream, and its share of the run statistics. Each

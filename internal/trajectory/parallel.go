@@ -24,7 +24,6 @@ func (e *Engine) Run() ([][]Sample, Stats, error) {
 	if err != nil {
 		return nil, e.stats, err
 	}
-	e.objects = append(e.objects, objs...)
 	e.stats.Spawned += len(objs)
 
 	streams := e.rnd.Streams()
